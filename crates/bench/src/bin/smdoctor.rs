@@ -33,7 +33,9 @@
 //! `plan_builds`/`cache_hits` *split* may shift with benign races — only
 //! their **sum** is deterministic (the consensus identity), so the gate
 //! compares the sum. Wall-clock columns (`*_s`, `*seconds*`) only
-//! soft-warn beyond a drift threshold.
+//! soft-warn beyond a drift threshold, and measured floating-point errors
+//! (`*_err*`, whose last bits depend on the CPU's dense kernel) fail only
+//! when they grow tenfold past rounding level.
 //!
 //! **`cache`** decodes a spilled plan-cache manifest (`SMPLANS` wire
 //! format, written by `SubmatrixEngine::export_plans`) and prints the
@@ -725,6 +727,17 @@ fn is_wall_key(key: &str) -> bool {
     key.ends_with("_s") || key.contains("seconds") || key.contains("wall")
 }
 
+/// Is this key/column a measured floating-point error (`max_err_vs_dense`)?
+/// Its last bits follow the dense kernel the CPU runs (fused multiply-add or
+/// not), so it is no deterministic counter: it fails the gate only when it
+/// grows past ten times the baseline, floored at [`ERR_FLOOR`].
+fn is_error_key(key: &str) -> bool {
+    key.contains("_err")
+}
+
+/// Errors below this are rounding of a few `f64` operations.
+const ERR_FLOOR: f64 = 1e-12;
+
 /// Keys whose *sum* is deterministic while the split shifts with benign
 /// plan-cache races between concurrent groups (the consensus identity
 /// `hits + builds = Σ group_size × iterations` fixes only the sum).
@@ -732,7 +745,8 @@ const SUMMED_KEYS: [&str; 2] = ["plan_builds", "cache_hits"];
 
 /// Recursive deterministic diff. Objects must agree on key sets; arrays
 /// on length; scalars exactly — except wall-clock keys (soft warn beyond
-/// [`WALL_DRIFT_WARN`]) and the [`SUMMED_KEYS`] pair (compared as a sum).
+/// [`WALL_DRIFT_WARN`]), measured errors ([`is_error_key`]) and the
+/// [`SUMMED_KEYS`] pair (compared as a sum).
 /// Tabular `{columns, rows}` payloads (the `bench_table` shape) get the
 /// same treatment column-wise.
 fn compare_value(at: &str, old: &Json, new: &Json, diffs: &mut Vec<Diff>) {
@@ -797,8 +811,9 @@ fn compare_value(at: &str, old: &Json, new: &Json, diffs: &mut Vec<Diff>) {
     }
 }
 
-/// Compare two leaf values under the key `key` (wall keys soft-warn;
-/// everything else is deterministic), recursing for containers.
+/// Compare two leaf values under the key `key` (wall keys soft-warn,
+/// error keys may not grow tenfold; everything else is deterministic),
+/// recursing for containers.
 fn compare_scalar_or_recurse(at: &str, key: &str, old: &Json, new: &Json, diffs: &mut Vec<Diff>) {
     match (old, new) {
         (Json::Obj(_), _) | (Json::Arr(_), _) => compare_value(at, old, new, diffs),
@@ -818,6 +833,14 @@ fn compare_scalar_or_recurse(at: &str, key: &str, old: &Json, new: &Json, diffs:
                                 100.0 * (b - a) / base
                             ),
                             hard: false,
+                        });
+                    }
+                } else if is_error_key(key) {
+                    if b.is_nan() || b > 10.0 * a.max(ERR_FLOOR) {
+                        diffs.push(Diff {
+                            at: at.into(),
+                            what: format!("error grew {a} -> {b}"),
+                            hard: true,
                         });
                     }
                 } else if a != b {
@@ -847,8 +870,8 @@ fn as_number(v: &Json) -> Option<f64> {
 }
 
 /// Column-aware comparison of a `bench_table` payload: wall columns
-/// soft-warn, the builds/hits column pair compares as a per-row sum,
-/// everything else must match exactly.
+/// soft-warn, error columns may not grow tenfold, the builds/hits column
+/// pair compares as a per-row sum, everything else must match exactly.
 fn compare_table(at: &str, old: &Json, new: &Json, diffs: &mut Vec<Diff>) {
     let cols = |doc: &Json| -> Vec<String> {
         doc.get("columns")

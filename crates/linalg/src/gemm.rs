@@ -2,26 +2,33 @@
 //!
 //! The submatrix method turns a sparse problem into many *dense* matrix
 //! multiplications (sign iterations, eigenvector back-transforms), so this is
-//! the hot kernel of the whole reproduction. The implementation is a
-//! cache-blocked, column-panel-parallel GEMM, generic over the
-//! [`Elem`] scalar (`f32` + `f64`) so the reduced-precision execution path
-//! runs the *same* kernel in single precision:
+//! the hot kernel of the whole reproduction. Every product runs through one
+//! Goto-style driver, generic over the [`Elem`] scalar:
 //!
-//! * the N (no-transpose) × N path streams columns of `A` with fused
-//!   `axpy` updates, which is optimal for the column-major layout and
-//!   auto-vectorizes well;
-//! * transposed operands are handled by the T×N dot-product path; N×T
-//!   streams the rows of `B` directly (strided reads amortized over an
-//!   entire `axpy` each) once `k·n` outgrows the transpose tile, and only
-//!   materializes `Bᵀ` below that — keeping the O(k·n) copy and its
-//!   allocation out of the sign-iteration inner loop;
-//! * Rayon parallelism splits the columns of `C` across threads — the same
-//!   shared-memory strategy the paper uses with OpenMP (Sec. IV-D).
+//! * `op(A)` is packed into 4-row (`MR`) slivers and `op(B)` into 12-column
+//!   (`NR`) slivers, one `kc`-deep block at a time, into a buffer of about
+//!   512 KiB of `f64` at the block depth `gemm` uses (`KC`). The packing
+//!   read absorbs the transpose, so all four [`Op`] pairs share the code
+//!   below it.
+//! * A microkernel keeps an `MR × NR` tile of `C` in registers over at most
+//!   `KC` steps of the `kc` loop. There are two: an AVX2+FMA `f64` kernel,
+//!   chosen at run time where the CPU has it, and a portable one generic over
+//!   the scalar (other CPUs, and `gemm::<f32>` with its `f32` sums).
+//! * Each element of `C` is summed over ascending `p` inside a `kc` block and
+//!   over ascending blocks, in a tile that is computed in full even on the
+//!   matrix edge. The bits of `C` therefore do not depend on how the columns
+//!   are split across threads — the threaded path is the same driver over
+//!   `NR`-aligned column panels, the shared-memory strategy the paper uses
+//!   with OpenMP (Sec. IV-D).
+//! * The smallest products with `A` as stored (`m·n·k ≤ 16³`) run a
+//!   column-`axpy` loop instead: packing does not pay under dimension 12, and
+//!   other code is pinned to the loop's bits up to dimension 16.
 //!
-//! For `f32` operands, [`matmul_wide`] additionally offers an `f64`
-//! accumulator in the inner kernel (single-precision storage and wire
-//! traffic, double-precision accumulation — the CPU analogue of the
-//! tensor-core FP16' mixed mode of paper Sec. VI).
+//! For `f32` operands, [`matmul_wide`] runs the `f64` microkernel: operands
+//! widen as they are packed and the tile narrows once as it is stored
+//! (single-precision storage and wire traffic, double-precision products
+//! and sums — the CPU analogue of the tensor-core FP16' mixed mode of paper
+//! Sec. VI).
 
 use rayon::prelude::*;
 
@@ -48,16 +55,51 @@ impl Op {
     }
 }
 
-/// Problems smaller than this run sequentially: thread spawn overhead would
-/// dominate. Chosen from the criterion micro-benches in `sm-bench`.
-const PAR_THRESHOLD_FLOPS: usize = 1 << 21;
+/// Rows of the register tile: one 4-lane `f64` vector.
+const MR: usize = 4;
+/// Columns of the register tile: 12 accumulators, one `A` vector and one
+/// broadcast of `B` in the 16 AVX2 registers — 13 loads for 12 multiply-adds.
+/// A tile of two vectors by six columns needs 8 loads and measured 7 %
+/// faster at dimension 512 on a quiet core; under a busy sibling thread it
+/// slows down 1.35 times where this one, like plain streaming code, slows
+/// down 1.5 to 1.6 times. `smbench` divides every wall time by that of a
+/// streaming loop timed around it, so the reported time of one and the same
+/// solve fell by 19 % from a quiet host to a busy one with the 8 × 6 tile,
+/// and does not move with this one.
+const NR: usize = 12;
+/// Depth of one packed block, and of one microkernel call. An `MR`-row and
+/// an `NR`-column sliver of this depth (32 KiB of `f64`) stay in L1 while
+/// the microkernel runs.
+const KC: usize = 256;
+/// Elements of each packed operand: a block of `op(A)` of 128 rows and a
+/// panel of `op(B)` of 120 columns at depth `KC`, about 256 KiB of `f64`
+/// each, so both stay in L2 while the block of `op(A)` is re-read once per
+/// `NR` columns. A deeper block (see [`matmul_wide`], whose block is as deep
+/// as `k`) gets fewer rows and columns instead of a larger buffer, down to
+/// one sliver of `op(B)` at a depth of 2730. Past that the buffer grows with
+/// `k` and all of `op(A)` is packed again for every `NR` columns; nothing
+/// multiplies that deep.
+const PACK_ELEMS: usize = 128 * KC;
 
-/// N×T products whose `Bᵀ` copy would exceed this many elements stream the
-/// rows of `B` in place instead of materializing the transpose. Below the
-/// threshold the copy fits comfortably in cache and keeps the inner loop
-/// contiguous; above it the copy is an O(k·n) allocation per GEMM — pure
-/// overhead in the sign-iteration inner loop.
-const TRANSPOSE_TILE_ELEMS: usize = 1 << 13;
+/// Products under this many flops run on the calling thread. The `rayon`
+/// shim starts its threads anew on every call, 31 to 47 µs each
+/// (`comsim.rank_spawn_us`), and the packed kernel does about 32 GFLOP/s
+/// (`linalg.gemm_f64_gflops`): on two threads a split costs some 62 µs and
+/// saves half the serial time, so it should break even at 4 MFLOP. Measured
+/// on two threads it loses 60 % at 2.7 MFLOP and 35 % at 8 MFLOP, and wins
+/// 6 % at 16 MFLOP and 26 % at 34 MFLOP: the threshold is the smallest size
+/// that won.
+const PAR_THRESHOLD_FLOPS: usize = 1 << 24;
+
+/// Products with `m·n·k` at most this run the column-`axpy` loop the crate
+/// started with. The packed driver computes whole `MR × NR` tiles whatever
+/// the size, so the loop is the faster one up to dimension 8 (48 ns against
+/// 430 ns at dimension 4) and the two are even from 12 to 16 (1060 ns
+/// against 970 ns at 16). The bound sits at 16 for what is pinned to the
+/// loop's bits: the CSR kernel's exactness at `eps = 0` is tested bit for bit
+/// against N×N products of dimension under 12, and the submatrix solves of
+/// dimension 6 to 16 keep their results.
+const SMALL_VOLUME: usize = 16 * 16 * 16;
 
 /// `C = alpha * op(A) * op(B) + beta * C`, generic over the element type.
 ///
@@ -71,16 +113,15 @@ pub fn gemm<E: Elem>(
     beta: E,
     c: &mut MatrixBase<E>,
 ) -> Result<(), LinalgError> {
-    let (m, ka) = op_a.apply(a.shape());
-    let (kb, n) = op_b.apply(b.shape());
-    if ka != kb || c.shape() != (m, n) {
+    let (a, b) = (Operand::new(a, op_a), Operand::new(b, op_b));
+    let (m, k, n) = (a.rows, a.cols, b.cols);
+    if k != b.rows || c.shape() != (m, n) {
         return Err(LinalgError::DimensionMismatch {
             op: "gemm",
-            lhs: op_a.apply(a.shape()),
-            rhs: op_b.apply(b.shape()),
+            lhs: (m, k),
+            rhs: (b.rows, n),
         });
     }
-    let k = ka;
 
     if beta != E::ONE {
         if beta == E::ZERO {
@@ -93,82 +134,273 @@ pub fn gemm<E: Elem>(
         return Ok(());
     }
 
-    let flops = 2 * m * n * k;
-    let parallel = flops >= PAR_THRESHOLD_FLOPS && rayon::current_num_threads() > 1;
-
-    match (op_a, op_b) {
-        (Op::NoTrans, Op::Trans) if k * n > TRANSPOSE_TILE_ELEMS => {
-            // Stream B's rows in place: element (k, j) of op(B) is B[j, k],
-            // one strided load per whole-column axpy — no Bᵀ copy.
-            let kernel = |j: usize, c_col: &mut [E]| {
-                for kk in 0..k {
-                    let s = alpha * b[(j, kk)];
-                    if s != E::ZERO {
-                        crate::blas1::axpy(s, a.col(kk), c_col);
-                    }
-                }
-            };
-            run_over_columns(c, parallel, kernel);
-        }
-        (op_a, op_b_orig) => {
-            // Remaining cases: N×N (axpy streaming, b_eff = b — no copy),
-            // T×N (dot path), small N×T and T×T (materialize Bᵀ once —
-            // the copy fits in the transpose tile for N×T and feeds the
-            // dot path for T×T).
-            let bt;
-            let b_eff: &MatrixBase<E> = match op_b_orig {
-                Op::NoTrans => b,
-                Op::Trans => {
-                    bt = b.transpose();
-                    &bt
-                }
-            };
-            match op_a {
-                Op::NoTrans => {
-                    let kernel = |j: usize, c_col: &mut [E]| {
-                        let b_col = b_eff.col(j);
-                        for (kk, &bkj) in b_col.iter().enumerate() {
-                            let s = alpha * bkj;
-                            if s != E::ZERO {
-                                crate::blas1::axpy(s, a.col(kk), c_col);
-                            }
-                        }
-                    };
-                    run_over_columns(c, parallel, kernel);
-                }
-                Op::Trans => {
-                    let kernel = |j: usize, c_col: &mut [E]| {
-                        let b_col = b_eff.col(j);
-                        for (i, ci) in c_col.iter_mut().enumerate() {
-                            *ci += alpha * crate::blas1::dot(a.col(i), b_col);
-                        }
-                    };
-                    run_over_columns(c, parallel, kernel);
-                }
-            }
-        }
+    if !a.trans && m * n * k <= SMALL_VOLUME {
+        small_gemm(alpha, a, b, c.as_mut_slice());
+    } else {
+        let panels = column_panels(m, n, k);
+        packed_gemm(microkernel::<E>(), panels, alpha, a, b, KC, c);
     }
     Ok(())
 }
 
-/// Apply `kernel(j, column_j_of_c)` to every column of `c`, optionally in
-/// parallel over Rayon's pool.
-fn run_over_columns<E: Elem>(
+/// `C += alpha · A · op(B)` a column of `C` at a time, as one `axpy` of a
+/// column of `A` per element of `op(B)`; `axpy` skips a zero element.
+fn small_gemm<E: Elem>(alpha: E, a: Operand<E>, b: Operand<E>, c: &mut [E]) {
+    for (j, c_col) in c.chunks_mut(a.rows).enumerate() {
+        for p in 0..a.cols {
+            let a_col = &a.data[p * a.ld..][..a.rows];
+            crate::blas1::axpy(alpha * b.at(p, j), a_col, c_col);
+        }
+    }
+}
+
+/// How many column panels a product of this size is split into.
+fn column_panels(m: usize, n: usize, k: usize) -> usize {
+    if 2 * m * n * k >= PAR_THRESHOLD_FLOPS {
+        rayon::current_num_threads()
+    } else {
+        1
+    }
+}
+
+/// `op(X)` of a column-major matrix: `rows × cols`, element `(r, p)` at
+/// `data[r + p * ld]`, or at `data[r * ld + p]` when `trans`.
+#[derive(Clone, Copy)]
+struct Operand<'a, E> {
+    data: &'a [E],
+    ld: usize,
+    rows: usize,
+    cols: usize,
+    trans: bool,
+}
+
+impl<'a, E: Elem> Operand<'a, E> {
+    fn new(x: &'a MatrixBase<E>, op: Op) -> Self {
+        let (rows, cols) = op.apply(x.shape());
+        Operand {
+            data: x.as_slice(),
+            ld: x.nrows(),
+            rows,
+            cols,
+            trans: op == Op::Trans,
+        }
+    }
+
+    fn at(&self, r: usize, p: usize) -> E {
+        if self.trans {
+            self.data[r * self.ld + p]
+        } else {
+            self.data[r + p * self.ld]
+        }
+    }
+
+    fn transposed(self) -> Self {
+        Operand {
+            rows: self.cols,
+            cols: self.rows,
+            trans: !self.trans,
+            ..self
+        }
+    }
+}
+
+/// Value-preserving when `P` is at least as wide as `E`; the identity when
+/// they are the same type.
+#[inline(always)]
+fn convert<E: Elem, P: Elem>(x: E) -> P {
+    P::from_f64(x.to_f64())
+}
+
+/// `C += alpha · op(A) · op(B)` through the packed driver, with the columns
+/// of `C` split into `panels` `NR`-aligned panels that the `rayon` pool
+/// shares out. `P` is the type the operands are packed, multiplied and
+/// summed in; a tile of `C` widens to `P`, takes its update and narrows back
+/// to `E` as it is stored. `kc_max` is the deepest block packed at once:
+/// the sums of `C` are rounded to `E` once per block.
+fn packed_gemm<E: Elem, P: Elem>(
+    kernel: Microkernel<P>,
+    panels: usize,
+    alpha: P,
+    a: Operand<E>,
+    b: Operand<E>,
+    kc_max: usize,
     c: &mut MatrixBase<E>,
-    parallel: bool,
-    kernel: impl Fn(usize, &mut [E]) + Sync,
 ) {
-    let m = c.nrows();
-    if parallel {
-        c.as_mut_slice()
-            .par_chunks_mut(m)
-            .enumerate()
-            .for_each(|(j, col)| kernel(j, col));
+    let (m, n) = c.shape();
+    let cols = n.div_ceil(panels).next_multiple_of(NR);
+    let panel = |j0: usize, c_panel: &mut [E]| {
+        packed_panel(kernel, alpha, a, b, kc_max, j0, c_panel);
+    };
+    if cols >= n {
+        panel(0, c.as_mut_slice());
     } else {
         c.as_mut_slice()
-            .chunks_mut(m)
+            .par_chunks_mut(m * cols)
             .enumerate()
-            .for_each(|(j, col)| kernel(j, col));
+            .for_each(|(t, c_panel)| panel(t * cols, c_panel));
+    }
+}
+
+/// The driver: columns `j0..` of the product into `c`, a column-major panel
+/// of as many rows as `op(A)`.
+fn packed_panel<E: Elem, P: Elem>(
+    kernel: Microkernel<P>,
+    alpha: P,
+    a: Operand<E>,
+    b: Operand<E>,
+    kc_max: usize,
+    j0: usize,
+    c: &mut [E],
+) {
+    let (m, k) = (a.rows, a.cols);
+    let n = c.len() / m;
+    let kc_max = kc_max.min(k);
+    let mc = (PACK_ELEMS / kc_max / MR * MR).clamp(MR, m.next_multiple_of(MR));
+    let nc = (PACK_ELEMS / kc_max / NR * NR).clamp(NR, n.next_multiple_of(NR));
+    // Allocated per call: a buffer kept per thread measured no faster at any
+    // size, and one more long-lived block in the heap cost the 512-dimensional
+    // sign solve 1.4 MiB of peak RSS.
+    let mut buf = vec![P::ZERO; kc_max * (mc + nc) + mc * NR];
+    let (a_pack, rest) = buf.split_at_mut(kc_max * mc);
+    let (b_pack, tiles) = rest.split_at_mut(kc_max * nc);
+    for jc in (0..n).step_by(nc) {
+        let nb = nc.min(n - jc);
+        for pc in (0..k).step_by(kc_max) {
+            let kc = kc_max.min(k - pc);
+            pack::<E, P, NR>(b_pack, b.transposed(), j0 + jc, nb, pc, kc);
+            for ic in (0..m).step_by(mc) {
+                let mb = mc.min(m - ic);
+                pack::<E, P, MR>(a_pack, a, ic, mb, pc, kc);
+                let tiles = &mut tiles[..mb.next_multiple_of(MR) * NR];
+                for jr in (0..nb).step_by(NR) {
+                    let b_sliver = &b_pack[jr * kc..][..NR * kc];
+                    tiles.fill(P::ZERO);
+                    // A block deeper than `KC` in pieces of `KC`, so that
+                    // the piece of the `op(B)` sliver stays in L1 while the
+                    // slivers of `op(A)` pass by it.
+                    for p0 in (0..kc).step_by(KC) {
+                        let depth = KC.min(kc - p0);
+                        let b_piece = &b_sliver[p0 * NR..][..depth * NR];
+                        let a_slivers = a_pack.chunks_exact(MR * kc);
+                        for (tile, a_sliver) in tiles.as_chunks_mut().0.iter_mut().zip(a_slivers) {
+                            kernel(&a_sliver[p0 * MR..][..depth * MR], b_piece, tile);
+                        }
+                    }
+                    for (s, tile) in tiles.as_chunks::<{ MR * NR }>().0.iter().enumerate() {
+                        let ir = s * MR;
+                        let rows = MR.min(mb - ir);
+                        for j in 0..NR.min(nb - jr) {
+                            let c_col = &mut c[(jc + jr + j) * m + ic + ir..][..rows];
+                            for (ci, &t) in c_col.iter_mut().zip(&tile[j * MR..]) {
+                                *ci = convert(convert::<E, P>(*ci) + alpha * t);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Pack `rows × kc` of `src`, from `(r0, p0)`, into `R`-row slivers: sliver
+/// `s` holds rows `r0 + s·R ..` as `dst[(s·kc + p)·R + r]`, the rows past
+/// `rows` as zeros. Both operands pack through here — `op(B)` as the rows
+/// of its transpose.
+fn pack<E: Elem, P: Elem, const R: usize>(
+    dst: &mut [P],
+    src: Operand<E>,
+    r0: usize,
+    rows: usize,
+    p0: usize,
+    kc: usize,
+) {
+    for (s, sliver) in dst
+        .chunks_exact_mut(R * kc)
+        .take(rows.div_ceil(R))
+        .enumerate()
+    {
+        let r = r0 + s * R;
+        let r_len = R.min(r0 + rows - r);
+        if r_len < R {
+            sliver.fill(P::ZERO);
+        }
+        // Read along whichever index is contiguous in memory.
+        if src.trans {
+            for i in 0..r_len {
+                let from = &src.data[(r + i) * src.ld + p0..][..kc];
+                for (to, &v) in sliver.chunks_exact_mut(R).zip(from) {
+                    to[i] = convert(v);
+                }
+            }
+        } else {
+            for (p, to) in sliver.chunks_exact_mut(R).enumerate() {
+                let from = &src.data[(p0 + p) * src.ld + r..][..r_len];
+                for (t, &v) in to.iter_mut().zip(from) {
+                    *t = convert(v);
+                }
+            }
+        }
+    }
+}
+
+/// Adds to one tile: `tile[j·MR + i] += Σ_p a[p·MR + i] · b[p·NR + j]`, one
+/// term after the other in ascending `p`, over packed slivers of equal depth.
+type Microkernel<P> = fn(a: &[P], b: &[P], tile: &mut [P; MR * NR]);
+
+/// The microkernel for sums in `P` on this CPU.
+fn microkernel<P: Elem>() -> Microkernel<P> {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+        use std::any::Any;
+        let simd: Microkernel<f64> = kernel_avx2_fma;
+        if let Some(&kernel) = (&simd as &dyn Any).downcast_ref::<Microkernel<P>>() {
+            return kernel;
+        }
+    }
+    kernel_portable
+}
+
+fn kernel_portable<P: Elem>(a: &[P], b: &[P], tile: &mut [P; MR * NR]) {
+    let mut acc = *tile;
+    for (ap, bp) in a.as_chunks::<MR>().0.iter().zip(b.as_chunks::<NR>().0) {
+        for (j, acc_col) in acc.as_chunks_mut::<MR>().0.iter_mut().enumerate() {
+            for (i, s) in acc_col.iter_mut().enumerate() {
+                *s += ap[i] * bp[j];
+            }
+        }
+    }
+    *tile = acc;
+}
+
+/// Only [`microkernel`] may name this function: it runs AVX2 and FMA
+/// instructions without checking that the CPU has them.
+#[cfg(target_arch = "x86_64")]
+fn kernel_avx2_fma(a: &[f64], b: &[f64], tile: &mut [f64; MR * NR]) {
+    // SAFETY: `microkernel`, the only place that names this function, hands
+    // it out after `is_x86_feature_detected!` has found both features.
+    unsafe { kernel_avx2_fma_impl(a, b, tile) }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+fn kernel_avx2_fma_impl(a: &[f64], b: &[f64], tile: &mut [f64; MR * NR]) {
+    use std::arch::x86_64::*;
+    let mut acc = [_mm256_setzero_pd(); NR];
+    for (acc_col, tile_col) in acc.iter_mut().zip(tile.as_chunks::<MR>().0) {
+        // SAFETY: `tile_col` is a `[f64; MR]`, so the 4-lane load is in bounds.
+        *acc_col = unsafe { _mm256_loadu_pd(tile_col.as_ptr()) };
+    }
+    for (ap, bp) in a.as_chunks::<MR>().0.iter().zip(b.as_chunks::<NR>().0) {
+        // SAFETY: `ap` is a `[f64; MR]`, so the 4-lane load is in bounds.
+        let a_col = unsafe { _mm256_loadu_pd(ap.as_ptr()) };
+        for (acc_col, &bpj) in acc.iter_mut().zip(bp) {
+            *acc_col = _mm256_fmadd_pd(a_col, _mm256_set1_pd(bpj), *acc_col);
+        }
+    }
+    for (tile_col, &acc_col) in tile.as_chunks_mut::<MR>().0.iter_mut().zip(&acc) {
+        // SAFETY: `tile_col` is a `[f64; MR]`, so the 4-lane store is in
+        // bounds.
+        unsafe { _mm256_storeu_pd(tile_col.as_mut_ptr(), acc_col) };
     }
 }
 
@@ -187,54 +419,46 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Result<Matrix, LinalgError> {
     matmul_in(a, b)
 }
 
-/// `A * B` for `f32` operands with **`f64` accumulation** in the inner
-/// kernel: every output column accumulates in a double-precision scratch
-/// panel and rounds to `f32` exactly once. Storage, inputs and output stay
-/// single precision; only the running sums are wide — the mixed mode the
-/// reduced-precision sign iteration uses.
+/// `A * B` for `f32` operands with **`f64` products and sums**: the
+/// operands widen to `f64` as they are packed, the `f64` microkernel sums
+/// the whole inner dimension into one tile, and each element of the result
+/// rounds to `f32` exactly once, as that tile is stored. Storage, inputs and
+/// output stay single precision — the mixed mode the reduced-precision sign
+/// iteration uses.
 pub fn matmul_wide(a: &MatrixF32, b: &MatrixF32) -> Result<MatrixF32, LinalgError> {
-    if a.ncols() != b.nrows() {
+    let mut c = MatrixF32::zeros(a.nrows(), b.ncols());
+    matmul_wide_into(a, b, &mut c)?;
+    Ok(c)
+}
+
+/// [`matmul_wide`] into a matrix the caller already holds.
+pub(crate) fn matmul_wide_into(
+    a: &MatrixF32,
+    b: &MatrixF32,
+    c: &mut MatrixF32,
+) -> Result<(), LinalgError> {
+    let (m, k) = a.shape();
+    let n = b.ncols();
+    if k != b.nrows() || c.shape() != (m, n) {
         return Err(LinalgError::DimensionMismatch {
             op: "matmul_wide",
             lhs: a.shape(),
             rhs: b.shape(),
         });
     }
-    let (m, k) = a.shape();
-    let n = b.ncols();
-    let mut c = MatrixF32::zeros(m, n);
-    let flops = 2 * m * n * k;
-    let parallel = flops >= PAR_THRESHOLD_FLOPS && rayon::current_num_threads() > 1;
-    let column = |j: usize, c_col: &mut [f32], acc: &mut [f64]| {
-        acc.fill(0.0);
-        let b_col = b.col(j);
-        for (kk, &bkj) in b_col.iter().enumerate() {
-            let s = bkj as f64;
-            if s != 0.0 {
-                for (ai, acc_i) in a.col(kk).iter().zip(acc.iter_mut()) {
-                    *acc_i += s * (*ai as f64);
-                }
-            }
-        }
-        for (ci, &wide) in c_col.iter_mut().zip(acc.iter()) {
-            *ci = wide as f32;
-        }
-    };
-    if parallel {
-        // Threads own disjoint columns; each pays for its own scratch.
-        run_over_columns(&mut c, true, |j, c_col| {
-            column(j, c_col, &mut vec![0.0f64; m])
-        });
-    } else {
-        // Sequential hot path (the per-submatrix solves run with
-        // engine-level parallelism disabled): one scratch for all columns,
-        // no per-column allocation in the sign-iteration inner loop.
-        let mut acc = vec![0.0f64; m];
-        for (j, c_col) in c.as_mut_slice().chunks_mut(m).enumerate() {
-            column(j, c_col, &mut acc);
-        }
+    c.as_mut_slice().fill(0.0);
+    if m > 0 && n > 0 && k > 0 {
+        packed_gemm(
+            microkernel::<f64>(),
+            column_panels(m, n, k),
+            1.0,
+            Operand::new(a, Op::NoTrans),
+            Operand::new(b, Op::NoTrans),
+            k,
+            c,
+        );
     }
-    Ok(c)
+    Ok(())
 }
 
 /// Convenience wrapper: return `A^T * B`.
@@ -296,9 +520,228 @@ pub fn matmul_naive(a: &Matrix, b: &Matrix) -> Result<Matrix, LinalgError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn arange(m: usize, n: usize) -> Matrix {
         Matrix::from_fn(m, n, |i, j| (i * n + j) as f64 * 0.1 - 1.0)
+    }
+
+    /// Values in (−0.5, 0.5) that `f32` cannot hold exactly.
+    fn seeded(m: usize, n: usize, seed: usize) -> Matrix {
+        Matrix::from_fn(m, n, |i, j| {
+            ((i * 31 + j * 17 + seed * 7) % 61) as f64 / 61.0 - 0.5
+        })
+    }
+
+    fn applied(x: &Matrix, op: Op) -> Matrix {
+        match op {
+            Op::NoTrans => x.clone(),
+            Op::Trans => x.transpose(),
+        }
+    }
+
+    /// `alpha · op(A) · op(B) + beta · C` by the naive triple loop.
+    fn reference(
+        alpha: f64,
+        a: &Matrix,
+        op_a: Op,
+        b: &Matrix,
+        op_b: Op,
+        beta: f64,
+        c: &Matrix,
+    ) -> Matrix {
+        let mut r = matmul_naive(&applied(a, op_a), &applied(b, op_b)).unwrap();
+        r.scale(alpha);
+        r.axpy(beta, c).unwrap();
+        r
+    }
+
+    /// The packed driver on `f64`, whatever the size, with a chosen
+    /// microkernel, panel count and block depth.
+    #[allow(clippy::too_many_arguments)]
+    fn packed(
+        kernel: Microkernel<f64>,
+        panels: usize,
+        a: &Matrix,
+        op_a: Op,
+        b: &Matrix,
+        op_b: Op,
+        kc_max: usize,
+        c: &mut Matrix,
+    ) {
+        let (a, b) = (Operand::new(a, op_a), Operand::new(b, op_b));
+        packed_gemm(kernel, panels, 1.0, a, b, kc_max, c);
+    }
+
+    const OPS: [(Op, Op); 4] = [
+        (Op::NoTrans, Op::NoTrans),
+        (Op::Trans, Op::NoTrans),
+        (Op::NoTrans, Op::Trans),
+        (Op::Trans, Op::Trans),
+    ];
+    const SCALARS: [f64; 3] = [0.0, 1.0, -0.75];
+
+    /// `gemm` in `f64` and `f32`, the packed driver at block depth `kc_max`,
+    /// and `matmul_wide`, each against the naive product.
+    #[allow(clippy::too_many_arguments)]
+    fn check_every_path(
+        m: usize,
+        n: usize,
+        k: usize,
+        ops: usize,
+        alpha: usize,
+        beta: usize,
+        kc_max: usize,
+        seed: usize,
+    ) -> Result<(), TestCaseError> {
+        let (op_a, op_b) = OPS[ops];
+        let (alpha, beta) = (SCALARS[alpha], SCALARS[beta]);
+        let (ar, ac) = op_a.apply((m, k));
+        let (br, bc) = op_b.apply((k, n));
+        let (a, b) = (seeded(ar, ac, seed), seeded(br, bc, seed + 1));
+        let c0 = seeded(m, n, seed + 2);
+        let expect = reference(alpha, &a, op_a, &b, op_b, beta, &c0);
+        let tol = 1e-13 * (k as f64 + 1.0);
+
+        let mut c = c0.clone();
+        gemm(alpha, &a, op_a, &b, op_b, beta, &mut c).unwrap();
+        prop_assert!(
+            c.allclose(&expect, tol),
+            "f64 off by {}",
+            c.max_abs_diff(&expect)
+        );
+
+        let mut c = c0.clone();
+        packed(microkernel(), 1, &a, op_a, &b, op_b, kc_max, &mut c);
+        let expect_packed = reference(1.0, &a, op_a, &b, op_b, 1.0, &c0);
+        prop_assert!(
+            c.allclose(&expect_packed, tol),
+            "packed f64 (kc {kc_max}) off by {}",
+            c.max_abs_diff(&expect_packed)
+        );
+
+        // Single precision, against the naive product of the rounded
+        // inputs: one rounding of a partial sum below k / 4 per term.
+        let (a32, b32, mut c32) = (a.to_f32(), b.to_f32(), c0.to_f32());
+        let (a, b, c0) = (a32.to_f64(), b32.to_f64(), c32.to_f64());
+        let expect = reference(alpha, &a, op_a, &b, op_b, beta, &c0);
+        gemm(alpha as f32, &a32, op_a, &b32, op_b, beta as f32, &mut c32).unwrap();
+        let diff = c32.to_f64().max_abs_diff(&expect);
+        prop_assert!(diff < 1e-6 * (k as f64 + 1.0), "f32 off by {diff}");
+
+        if (op_a, op_b) == OPS[0] {
+            // f64 sums, so only the one rounding of the result is left.
+            let wide = matmul_wide(&a32, &b32).unwrap();
+            let diff = wide.to_f64().max_abs_diff(&matmul_naive(&a, &b).unwrap());
+            prop_assert!(diff <= 2e-8 * k as f64 + tol, "wide off by {diff}");
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        // Edge tiles in every dimension, block depths that cut `k` into
+        // several blocks.
+        #[test]
+        fn every_path_matches_naive(
+            m in 1usize..131,
+            n in 1usize..131,
+            k in 1usize..131,
+            ops in 0usize..4,
+            alpha in 0usize..3,
+            beta in 0usize..3,
+            kc_max in 1usize..131,
+            seed in 0usize..64,
+        ) {
+            check_every_path(m, n, k, ops, alpha, beta, kc_max, seed)?;
+        }
+
+        // Sizes on both sides of `SMALL_VOLUME`.
+        #[test]
+        fn every_path_matches_naive_at_small_sizes(
+            m in 1usize..25,
+            n in 1usize..25,
+            k in 1usize..25,
+            ops in 0usize..4,
+            alpha in 0usize..3,
+            beta in 0usize..3,
+            kc_max in 1usize..25,
+            seed in 0usize..64,
+        ) {
+            check_every_path(m, n, k, ops, alpha, beta, kc_max, seed)?;
+        }
+    }
+
+    #[test]
+    fn inner_dimension_longer_than_two_blocks() {
+        let (a, b) = (seeded(9, 2 * KC + 3, 1), seeded(2 * KC + 3, 7, 2));
+        let expect = matmul_naive(&a, &b).unwrap();
+        assert!(matmul(&a, &b).unwrap().allclose(&expect, 1e-10));
+        // One block as deep as `k`: three `KC`-deep pieces into one tile.
+        let mut c = Matrix::zeros(9, 7);
+        let (nn, k) = (Op::NoTrans, 2 * KC + 3);
+        packed(microkernel(), 1, &a, nn, &b, nn, k, &mut c);
+        assert!(c.allclose(&expect, 1e-10));
+        let wide = matmul_wide(&a.to_f32(), &b.to_f32()).unwrap();
+        assert!(wide.to_f64().allclose(&expect, 1e-4));
+    }
+
+    #[test]
+    fn simd_and_portable_kernels_agree() {
+        // On a CPU without AVX2+FMA both are the portable kernel.
+        let (a, b) = (seeded(70, 300, 3), seeded(45, 300, 4));
+        let mut simd = Matrix::zeros(70, 45);
+        let mut portable = simd.clone();
+        packed(
+            microkernel(),
+            1,
+            &a,
+            Op::NoTrans,
+            &b,
+            Op::Trans,
+            KC,
+            &mut simd,
+        );
+        packed(
+            kernel_portable,
+            1,
+            &a,
+            Op::NoTrans,
+            &b,
+            Op::Trans,
+            KC,
+            &mut portable,
+        );
+        let scale = portable
+            .as_slice()
+            .iter()
+            .fold(0.0f64, |s, v| s.max(v.abs()));
+        assert!(simd.max_abs_diff(&portable) <= 1e-12 * scale);
+    }
+
+    #[test]
+    fn column_partition_does_not_change_a_bit() {
+        // Two blocks of k, edge tiles in m and n, panels that split unevenly.
+        let (a, b) = (seeded(37, 300, 5), seeded(300, 50, 6));
+        let c0 = seeded(37, 50, 7);
+        let run = |panels| {
+            let mut c = c0.clone();
+            packed(
+                microkernel(),
+                panels,
+                &a,
+                Op::NoTrans,
+                &b,
+                Op::NoTrans,
+                KC,
+                &mut c,
+            );
+            c.into_vec()
+        };
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        let one = bits(run(1));
+        assert_eq!(one, bits(run(2)));
+        assert_eq!(one, bits(run(3)));
     }
 
     #[test]
@@ -319,47 +762,6 @@ mod tests {
     }
 
     #[test]
-    fn tn_path_matches_explicit_transpose() {
-        let a = arange(7, 5);
-        let b = arange(7, 3);
-        let c = matmul_tn(&a, &b).unwrap();
-        let r = matmul_naive(&a.transpose(), &b).unwrap();
-        assert!(c.allclose(&r, 1e-12));
-    }
-
-    #[test]
-    fn nt_path_matches_explicit_transpose() {
-        let a = arange(4, 6);
-        let b = arange(5, 6);
-        let c = matmul_nt(&a, &b).unwrap();
-        let r = matmul_naive(&a, &b.transpose()).unwrap();
-        assert!(c.allclose(&r, 1e-12));
-    }
-
-    #[test]
-    fn nt_streaming_path_matches_materialized() {
-        // k·n > TRANSPOSE_TILE_ELEMS trips the streaming (no-copy) path;
-        // it performs the identical per-column axpy sequence, so the result
-        // matches the naive reference to roundoff.
-        let a = arange(10, 96);
-        let b = arange(112, 96); // k·n = 96·112 > 8192
-        assert!(a.ncols() * b.nrows() > super::TRANSPOSE_TILE_ELEMS);
-        let c = matmul_nt(&a, &b).unwrap();
-        let r = matmul_naive(&a, &b.transpose()).unwrap();
-        assert!(c.allclose(&r, 1e-11));
-    }
-
-    #[test]
-    fn tt_path() {
-        let a = arange(6, 4);
-        let b = arange(3, 6);
-        let mut c = Matrix::zeros(4, 3);
-        gemm(1.0, &a, Op::Trans, &b, Op::Trans, 0.0, &mut c).unwrap();
-        let r = matmul_naive(&a.transpose(), &b.transpose()).unwrap();
-        assert!(c.allclose(&r, 1e-12));
-    }
-
-    #[test]
     fn alpha_beta_accumulate() {
         let a = arange(3, 3);
         let b = Matrix::identity(3);
@@ -373,11 +775,32 @@ mod tests {
 
     #[test]
     fn beta_zero_overwrites_nan_garbage() {
-        let a = Matrix::identity(2);
-        let b = Matrix::identity(2);
-        let mut c = Matrix::from_row_major(2, 2, &[f64::NAN; 4]);
-        gemm(1.0, &a, Op::NoTrans, &b, Op::NoTrans, 0.0, &mut c).unwrap();
-        assert!(c.allclose(&Matrix::identity(2), 1e-15));
+        // 2 takes the small loop, 20 the packed driver.
+        for n in [2, 20] {
+            let i = Matrix::identity(n);
+            let mut c = Matrix::from_fn(n, n, |_, _| f64::NAN);
+            gemm(1.0, &i, Op::NoTrans, &i, Op::NoTrans, 0.0, &mut c).unwrap();
+            assert!(c.allclose(&i, 0.0), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn packed_path_does_not_mask_nan_or_inf_behind_a_zero() {
+        let n = 20;
+        assert!(n * n * n > SMALL_VOLUME);
+        for poison in [f64::NAN, f64::INFINITY] {
+            let mut a = Matrix::identity(n);
+            a[(3, 5)] = poison;
+            // Row 5 of B is all zeros: every product with the poisoned
+            // entry is `poison · 0`.
+            let mut b = seeded(n, n, 8);
+            for j in 0..n {
+                b[(5, j)] = 0.0;
+            }
+            let c = matmul(&a, &b).unwrap();
+            assert!((0..n).all(|j| c[(3, j)].is_nan()), "{poison} was masked");
+            assert!((0..n).all(|j| c[(4, j)].is_finite()));
+        }
     }
 
     #[test]
@@ -391,12 +814,11 @@ mod tests {
 
     #[test]
     fn large_parallel_matches_naive() {
-        // Big enough to trip the parallel path (2*m*n*k >= 2^21).
-        let a = arange(128, 64);
-        let b = arange(64, 128);
+        // Big enough to be split into column panels where there are threads.
+        let (a, b) = (seeded(256, 128, 9), seeded(128, 256, 10));
+        const { assert!(2 * 256 * 128 * 256 >= PAR_THRESHOLD_FLOPS) };
         let c = matmul(&a, &b).unwrap();
-        let r = matmul_naive(&a, &b).unwrap();
-        assert!(c.allclose(&r, 1e-9));
+        assert!(c.allclose(&matmul_naive(&a, &b).unwrap(), 1e-11));
     }
 
     #[test]
@@ -426,6 +848,8 @@ mod tests {
         let c = matmul(&a, &b).unwrap();
         assert_eq!(c.shape(), (3, 2));
         assert!(c.as_slice().iter().all(|&v| v == 0.0));
+        let wide = matmul_wide(&a.to_f32(), &b.to_f32()).unwrap();
+        assert_eq!(wide.shape(), (3, 2));
     }
 
     #[test]
@@ -437,16 +861,6 @@ mod tests {
         let diff = c32.to_f64().max_abs_diff(&r);
         assert!(diff < 1e-3, "f32 gemm too far off: {diff}");
         assert!(diff > 0.0, "f32 gemm should differ from f64 in roundoff");
-    }
-
-    #[test]
-    fn f32_transposed_paths_match_naive() {
-        let a = arange(9, 6).to_f32();
-        let b = arange(9, 5).to_f32();
-        let mut c = MatrixF32::zeros(6, 5);
-        gemm(1.0f32, &a, Op::Trans, &b, Op::NoTrans, 0.0, &mut c).unwrap();
-        let r = matmul_naive(&a.to_f64().transpose(), &b.to_f64()).unwrap();
-        assert!(c.to_f64().allclose(&r, 1e-4));
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! building blocks from scratch:
 //!
 //! * a column-major [`Matrix`] type,
-//! * BLAS-1/2/3 kernels ([`blas1`], [`blas2`], [`gemm`]) with a cache-blocked,
-//!   Rayon-parallel GEMM,
+//! * BLAS-1/2/3 kernels ([`blas1`], [`blas2`], [`gemm`]) with a packed,
+//!   register-tiled, Rayon-parallel GEMM,
 //! * a symmetric eigensolver [`eigh::eigh`] (Householder tridiagonalization +
 //!   implicit-shift QL, the classic `tred2`/`tql2` pair),
 //! * Cholesky and LU factorizations,

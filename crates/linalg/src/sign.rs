@@ -12,7 +12,7 @@
 
 use crate::eigh::eigh;
 use crate::elem::Elem;
-use crate::gemm::{matmul, matmul_in, matmul_wide};
+use crate::gemm::{gemm, matmul, matmul_wide_into, Op};
 use crate::matrix::{Matrix, MatrixBase};
 use crate::norms::{involutority_residual, spectral_bound};
 use crate::LinalgError;
@@ -62,15 +62,17 @@ pub type SignIterationResult = SignIterationResultIn<f64>;
 
 /// The scalar types the iterative sign kernels run in. Adds the one piece
 /// of per-type dispatch the generic iteration needs: the square multiply,
-/// which for `f32` may use the `f64`-accumulating inner kernel
-/// ([`matmul_wide`]).
+/// which for `f32` may use the `f64`-accumulating kernel
+/// ([`matmul_wide`](crate::gemm::matmul_wide)).
 pub trait SignElem: Elem {
-    /// `A · B` with the element type's accumulation policy.
+    /// `C = A · B` with the element type's accumulation policy, overwriting
+    /// whatever `c` held.
     fn multiply(
         a: &MatrixBase<Self>,
         b: &MatrixBase<Self>,
         wide_acc: bool,
-    ) -> Result<MatrixBase<Self>, LinalgError>;
+        c: &mut MatrixBase<Self>,
+    ) -> Result<(), LinalgError>;
 }
 
 impl SignElem for f64 {
@@ -78,8 +80,9 @@ impl SignElem for f64 {
         a: &MatrixBase<f64>,
         b: &MatrixBase<f64>,
         _wide_acc: bool,
-    ) -> Result<MatrixBase<f64>, LinalgError> {
-        matmul_in(a, b)
+        c: &mut MatrixBase<f64>,
+    ) -> Result<(), LinalgError> {
+        gemm(1.0, a, Op::NoTrans, b, Op::NoTrans, 0.0, c)
     }
 }
 
@@ -88,11 +91,12 @@ impl SignElem for f32 {
         a: &MatrixBase<f32>,
         b: &MatrixBase<f32>,
         wide_acc: bool,
-    ) -> Result<MatrixBase<f32>, LinalgError> {
+        c: &mut MatrixBase<f32>,
+    ) -> Result<(), LinalgError> {
         if wide_acc {
-            matmul_wide(a, b)
+            matmul_wide_into(a, b, c)
         } else {
-            matmul_in(a, b)
+            gemm(1.0, a, Op::NoTrans, b, Op::NoTrans, 0.0, c)
         }
     }
 }
@@ -145,10 +149,11 @@ pub fn pade_coefficients(order: usize) -> Vec<f64> {
 ///
 /// Every step computes `Y = X²` (also used for the convergence test), then
 /// evaluates the order-`p` polynomial in `Y` by Horner's rule in the
-/// variable `E = I − Y`, and finally multiplies by `X`. With
-/// `wide_acc = true` the `f32` instance accumulates every multiply in
-/// `f64` ([`matmul_wide`]) — single-precision storage, double-precision
-/// sums; the flag is a no-op for `f64`.
+/// variable `E = I − Y`, and finally multiplies by `X` — `p + 1` multiplies
+/// per step, into four buffers allocated once. With `wide_acc = true` the `f32`
+/// instance accumulates every multiply in `f64`
+/// ([`matmul_wide`](crate::gemm::matmul_wide)) — single-precision storage,
+/// double-precision sums; the flag is a no-op for `f64`.
 pub fn sign_iteration_in<E: SignElem>(
     a: &MatrixBase<E>,
     order: usize,
@@ -172,14 +177,19 @@ pub fn sign_iteration_in<E: SignElem>(
             x.scale(E::from_f64(1.0 / bound));
         }
     }
+    // `Y` (then `E` in place), the Horner accumulator, and the product being
+    // written, which then swaps with one of its factors.
+    let mut e = MatrixBase::<E>::zeros(n, n);
+    let mut p = MatrixBase::<E>::zeros(n, n);
+    let mut next = MatrixBase::<E>::zeros(n, n);
 
     let mut trace = Vec::new();
     let mut converged = false;
 
     for it in 0..opts.max_iter {
         // Y = X².
-        let y = E::multiply(&x, &x, wide_acc)?;
-        let residual = involutority_residual(&y) / sqrt_n;
+        E::multiply(&x, &x, wide_acc, &mut e)?;
+        let residual = involutority_residual(&e) / sqrt_n;
         trace.push(SignStep {
             iteration: it,
             residual,
@@ -189,20 +199,24 @@ pub fn sign_iteration_in<E: SignElem>(
             break;
         }
 
-        // E = I − Y; evaluate P(E) = Σ c_i E^i by Horner.
-        let mut e = y;
+        // E = I − Y; evaluate P(E) = Σ c_i E^i by Horner, from p = c_{p−1} I.
+        // The first step multiplies that scaled identity into E at the price
+        // of any other product (the packed kernel skips no zeros); as a scale
+        // and a `shift_diag` it would save one of a step's `order + 1`
+        // multiplies.
         e.scale(E::from_f64(-1.0));
         e.shift_diag(E::ONE);
-        let mut p = MatrixBase::<E>::identity(n);
-        p.scale(E::from_f64(coeffs[order - 1]));
-        for i in (0..order - 1).rev() {
+        p.as_mut_slice().fill(E::ZERO);
+        p.shift_diag(E::from_f64(coeffs[order - 1]));
+        for &c in coeffs[..order - 1].iter().rev() {
             // p = p*E + c_i I
-            let mut next = E::multiply(&p, &e, wide_acc)?;
-            next.shift_diag(E::from_f64(coeffs[i]));
-            p = next;
+            E::multiply(&p, &e, wide_acc, &mut next)?;
+            next.shift_diag(E::from_f64(c));
+            std::mem::swap(&mut p, &mut next);
         }
         // X = X * P
-        x = E::multiply(&x, &p, wide_acc)?;
+        E::multiply(&x, &p, wide_acc, &mut next)?;
+        std::mem::swap(&mut x, &mut next);
     }
 
     Ok(SignIterationResultIn {
@@ -227,8 +241,8 @@ pub fn sign_iteration(
 /// involutory matrix, so a single step takes an `f32`-accurate iterate
 /// (residual ~1e-5) to well below 1e-6 without re-running the iteration.
 pub fn refine_sign_newton_schulz(x: &Matrix) -> Result<Matrix, LinalgError> {
-    let y = matmul(x, x)?;
-    let mut q = y.scaled(-0.5);
+    let mut q = matmul(x, x)?;
+    q.scale(-0.5);
     q.shift_diag(1.5);
     matmul(x, &q)
 }

@@ -604,14 +604,20 @@ mod tests {
 
     #[test]
     fn disabled_by_default_and_session_scoped() {
-        assert!(!enabled());
-        emit("noop", 1.0, 0.0, &[]); // dropped silently
+        // Other tests of this binary run sessions at the same time: look
+        // while none can be live.
+        let disabled_outside_sessions = || {
+            let _excl = SESSION.lock().unwrap_or_else(|e| e.into_inner());
+            emit("noop", 1.0, 0.0, &[]); // dropped silently
+            !enabled()
+        };
+        assert!(disabled_outside_sessions());
         let session = TraceSession::start("t-session");
         assert!(enabled());
         emit("hello", 2.0, 0.0, &[]);
         assert_eq!(session.events().len(), 1);
         drop(session);
-        assert!(!enabled());
+        assert!(disabled_outside_sessions());
     }
 
     #[test]
