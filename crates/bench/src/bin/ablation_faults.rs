@@ -26,7 +26,7 @@ use sm_core::engine::EngineOptions;
 use sm_dbcsr::{BlockedDims, DbcsrMatrix};
 use sm_linalg::Matrix;
 use sm_pipeline::{
-    JobQueue, JobResult, MatrixJob, RankBudget, RecoverySchedule, Scheduler, SubmatrixEngine,
+    EpochSchedule, JobQueue, JobResult, MatrixJob, RankBudget, Scheduler, SubmatrixEngine,
 };
 
 /// Deterministic banded symmetric matrix with a spectral gap at 0.
@@ -82,10 +82,10 @@ fn recovered_bitwise(a: &[JobResult], serial: &[JobResult]) -> bool {
 
 /// Recovered-rank utilization: the fraction of (survivor × epoch) slots
 /// that executed at least one non-poisoned attempt — a pure function of
-/// the recovery schedule, measuring how well the re-split keeps the
+/// the schedule, measuring how well the re-split keeps the
 /// shrunken world busy (wait epochs and idle leftover ranks count
 /// against it).
-fn survivor_utilization(rec: &RecoverySchedule) -> f64 {
+fn survivor_utilization(rec: &EpochSchedule) -> f64 {
     let (mut busy, mut slots) = (0usize, 0usize);
     for ep in &rec.epochs {
         slots += ep.survivors.len();
@@ -159,10 +159,7 @@ fn main() {
         };
         let (outcome, seconds) = run();
         let f = outcome.fault_stats;
-        let rec = outcome
-            .recovery
-            .as_ref()
-            .expect("fault path plans recovery");
+        let rec = &outcome.schedule;
 
         // The acceptance contract, asserted in-binary.
         assert!(

@@ -120,9 +120,9 @@ fn main() {
             "scheduler at world {world} deviates from the serial queue"
         );
         assert!((checksum(&outcome.results) - serial_checksum).abs() < 1e-12);
+        let plan = &outcome.schedule.static_plan;
 
-        let group_sizes: Vec<String> = outcome
-            .plan
+        let group_sizes: Vec<String> = plan
             .groups
             .iter()
             .map(|g| g.ranks.len().to_string())
@@ -132,13 +132,13 @@ fn main() {
         eprintln!(
             "world {world}: {} groups {:?}, {seconds:.4} s, \
              {subgroup_bytes} subgroup bytes, {} plans built",
-            outcome.plan.groups.len(),
+            plan.groups.len(),
             group_sizes,
             stats.symbolic_builds,
         );
         rows.push(vec![
             world.to_string(),
-            outcome.plan.groups.len().to_string(),
+            plan.groups.len().to_string(),
             sci(seconds),
             fixed(serial_seconds / seconds, 3),
             group_sizes.join("+"),
@@ -149,15 +149,13 @@ fn main() {
         ]);
         series.push(Json::obj([
             ("world", Json::Num(world as f64)),
-            ("groups", Json::Num(outcome.plan.groups.len() as f64)),
+            ("groups", Json::Num(plan.groups.len() as f64)),
             ("total_s", Json::Num(seconds)),
             ("speedup_vs_serial", Json::Num(serial_seconds / seconds)),
             (
                 "group_sizes",
                 Json::Arr(
-                    outcome
-                        .plan
-                        .groups
+                    plan.groups
                         .iter()
                         .map(|g| Json::Num(g.ranks.len() as f64))
                         .collect(),
@@ -165,14 +163,7 @@ fn main() {
             ),
             (
                 "job_cost_estimates",
-                Json::Arr(
-                    outcome
-                        .plan
-                        .job_costs
-                        .iter()
-                        .map(|&c| Json::Num(c))
-                        .collect(),
-                ),
+                Json::Arr(plan.job_costs.iter().map(|&c| Json::Num(c)).collect()),
             ),
             ("subgroup_bytes", Json::Num(subgroup_bytes as f64)),
             (

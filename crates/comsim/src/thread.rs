@@ -58,7 +58,8 @@ pub struct ThreadComm {
     /// Monotonically increasing collective sequence number; keeps the tags
     /// of successive collectives distinct so traffic can never cross-match.
     coll_seq: std::cell::Cell<u64>,
-    /// Fault-injection context, if this world runs under a [`FaultPlan`].
+    /// Fault-injection context, if this world runs under a non-empty
+    /// [`FaultPlan`].
     fault: Option<FaultCtx>,
     /// Peers this rank has *observed* failing (poison envelope or failed
     /// channel), independent of any installed plan.
@@ -71,7 +72,8 @@ impl ThreadComm {
         &self.stats
     }
 
-    /// The fault plan this world runs under, if any.
+    /// The fault plan this world runs under — `None` for the empty plan,
+    /// under which nothing is ever injected.
     pub fn fault_plan(&self) -> Option<&Arc<FaultPlan>> {
         self.fault.as_ref().map(|f| &f.plan)
     }
@@ -423,7 +425,8 @@ impl ThreadComm {
 }
 
 /// Run `f(comm)` on `size` rank threads and collect the per-rank results
-/// (indexed by rank) plus the shared transfer statistics.
+/// (indexed by rank) plus the shared transfer statistics:
+/// [`run_ranks_with_faults`] under the empty [`FaultPlan`].
 ///
 /// Panics in any rank are propagated to the caller.
 pub fn run_ranks<T, F>(size: usize, f: F) -> (Vec<T>, Arc<CommStats>)
@@ -431,38 +434,28 @@ where
     T: Send,
     F: Fn(&ThreadComm) -> T + Sync,
 {
-    assert!(size >= 1, "need at least one rank");
-    let (comms, stats) = build_comms(size, None);
-    let results: Vec<T> = std::thread::scope(|scope| {
-        let handles: Vec<_> = comms
-            .into_iter()
-            .map(|comm| {
-                let f = &f;
-                scope.spawn(move || f(&comm))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("rank thread panicked"))
-            .collect()
-    });
-
-    (results, stats)
+    let (results, stats, _) = run_ranks_with_faults(size, FaultPlan::new(), f);
+    let results = results
+        .into_iter()
+        .map(|r| r.expect("the empty plan fails no rank"));
+    (results.collect(), stats)
 }
 
-/// Like [`run_ranks`], but with `plan` installed on every rank's
-/// communicator: drop/delay/slow rules fire deterministically in the send
-/// path, and rank deaths propagate through the poison protocol plus the
-/// shared [`FaultState`]. Returns per-rank results (`None` for a rank the
-/// plan fails whose thread unwound — a *planned* death, already poisoned
-/// on the way down; panics of ranks the plan does not fail propagate),
-/// the shared transfer statistics, and the injection counters that
-/// actually fired.
+/// Run `f(comm)` on `size` rank threads with `plan` installed on every
+/// rank's communicator: drop/delay/slow rules fire deterministically in
+/// the send path, and rank deaths propagate through the poison protocol
+/// plus the shared [`FaultState`]. An **empty** plan installs nothing —
+/// the send path keeps its single fault check, a miss, and
+/// [`ThreadComm::fault_plan`] is `None`. Returns per-rank results (`None`
+/// for a rank the plan fails whose thread unwound — a *planned* death,
+/// already poisoned on the way down; panics of ranks the plan does not
+/// fail propagate), the shared transfer statistics, and the injection
+/// counters that actually fired.
 ///
 /// The world-sized in-memory [`Comm::barrier`] must not be crossed after a
 /// planned rank failure — dead ranks can never arrive. Protocols that
 /// survive faults are built on deadline receives and subgroup collectives
-/// over surviving members only (see `sm_pipeline`'s recovery executor).
+/// over surviving members only (see `sm_pipeline`'s rank executor).
 pub fn run_ranks_with_faults<T, F>(
     size: usize,
     plan: FaultPlan,
@@ -473,9 +466,8 @@ where
     F: Fn(&ThreadComm) -> T + Sync,
 {
     assert!(size >= 1, "need at least one rank");
-    let plan = Arc::new(plan);
-    let state = Arc::new(FaultState::new(size));
-    let (comms, stats) = build_comms(size, Some((Arc::clone(&plan), Arc::clone(&state))));
+    let fault = (!plan.is_empty()).then(|| (Arc::new(plan), Arc::new(FaultState::new(size))));
+    let (comms, stats) = build_comms(size, fault.as_ref());
     let results: Vec<Option<T>> = std::thread::scope(|scope| {
         let handles: Vec<_> = comms
             .into_iter()
@@ -489,24 +481,26 @@ where
             .enumerate()
             .map(|(rank, h)| match h.join() {
                 Ok(v) => Some(v),
-                Err(cause) => {
-                    if plan.fails_at(rank).is_some() {
-                        // A planned death (the rank poisoned its channels
-                        // on the way down): absorbed into the fault model.
-                        None
-                    } else {
-                        std::panic::resume_unwind(cause)
-                    }
+                // A planned death (the rank poisoned its channels on the
+                // way down) is absorbed into the fault model.
+                Err(_)
+                    if fault
+                        .as_ref()
+                        .is_some_and(|(p, _)| p.fails_at(rank).is_some()) =>
+                {
+                    None
                 }
+                Err(cause) => std::panic::resume_unwind(cause),
             })
             .collect()
     });
-    (results, stats, state.snapshot())
+    let injected = fault.map_or_else(InjectionStats::default, |(_, state)| state.snapshot());
+    (results, stats, injected)
 }
 
 fn build_comms(
     size: usize,
-    fault: Option<(Arc<FaultPlan>, Arc<FaultState>)>,
+    fault: Option<&(Arc<FaultPlan>, Arc<FaultState>)>,
 ) -> (Vec<ThreadComm>, Arc<CommStats>) {
     let stats = CommStats::new(size);
     let barrier = Arc::new(std::sync::Barrier::new(size));
@@ -531,7 +525,7 @@ fn build_comms(
             barrier: Arc::clone(&barrier),
             stats: Arc::clone(&stats),
             coll_seq: std::cell::Cell::new(0),
-            fault: fault.as_ref().map(|(plan, state)| FaultCtx {
+            fault: fault.map(|(plan, state)| FaultCtx {
                 plan: Arc::clone(plan),
                 state: Arc::clone(state),
                 send_seq: RefCell::new(vec![0; size]),

@@ -524,7 +524,7 @@ impl ExecutionPlan {
 }
 
 /// Instrumentation of one numeric execution.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct EngineReport {
     /// Number of submatrices in the plan.
     pub n_submatrices: usize,

@@ -21,18 +21,20 @@
 //!   cache so identical patterns are planned once across the whole batch.
 //! * [`Scheduler`] (module [`sched`]) is the distributed counterpart: it
 //!   carves a world of `N` ranks into per-job **subcommunicator groups**
-//!   (`sm_comsim::Comm::split`), sizes each group proportionally to the
+//!   (`sm_comsim::split_known`), sizes each group proportionally to the
 //!   job's estimated submatrix work (via `sm_accel::perfmodel`), runs each
 //!   job's plan/execute collectively on its group over the *same* shared
 //!   engine, and gathers results plus per-job comm/compute telemetry back
-//!   to world rank 0. Batches run in **epochs**: between waves the world
-//!   is re-split (a fresh one-level split, never nested) so ranks whose
-//!   group drained are re-dealt onto straggler groups' remaining jobs —
-//!   deterministic, estimate-driven work stealing, reported through
-//!   `StealStats` and per-job `epoch`/`stolen_ranks` fields
-//!   (`StealPolicy::Disabled` restores the static single-epoch schedule).
-//!   Grand-canonical jobs are bitwise-identical to the serial queue at
-//!   any group size and any steal schedule.
+//!   to world rank 0. Batches run in **epochs**: each wave re-deals the
+//!   surviving world over the still-pending jobs, so ranks whose group
+//!   drained land on straggler groups' remaining jobs — deterministic,
+//!   estimate-driven work stealing, reported through `StealStats` and
+//!   per-job `epoch`/`stolen_ranks` fields (`StealPolicy::Disabled`
+//!   restores the static single-epoch schedule). One planner
+//!   ([`plan_epochs_with_faults`]) and one rank executor serve every
+//!   batch: a fault-free run is the run under the empty
+//!   `sm_comsim::FaultPlan`. Grand-canonical jobs are bitwise-identical to
+//!   the serial queue at any group size and any steal schedule.
 //! * [`ScfService`] (module [`scf_service`]) lifts the scheduler from
 //!   one-shot evaluations to whole **chemical systems**: each
 //!   [`ScfJobSpec`] is wrapped as an iterative [`BatchJob::Scf`] job — a
@@ -41,17 +43,16 @@
 //!   cost times iteration budget, per-iteration SCF telemetry in
 //!   [`JobResult::scf`], and grand-canonical batches bitwise-identical
 //!   to a serial loop of driver runs (`scf_service_equivalence` suite).
-//! * **Fault injection & epoch-level recovery** (module [`sched`], over
-//!   `sm_comsim`'s seeded `FaultPlan`): rank deaths commit at epoch
-//!   boundaries through a collective fault consensus, survivors re-split
-//!   and re-deal the deferred queue, poisoned attempts retry with
+//! * **Fault injection & epoch-level recovery** (the same planner and
+//!   executor, under a non-empty seeded `FaultPlan`): rank deaths commit at
+//!   epoch boundaries through a collective fault consensus, survivors
+//!   re-deal the deferred queue, poisoned attempts retry with
 //!   deterministic backoff-in-epochs and quarantine at the retry budget
 //!   ([`JobResult::attempts`]/[`JobResult::quarantined`],
-//!   [`SchedulerOutcome`]`::fault_stats`). The recovery schedule
-//!   ([`plan_recovery`]) is a pure function of (admitted jobs, perfmodel
-//!   estimates, committed fault view), so every non-quarantined job stays
-//!   bitwise-identical to the fault-free serial queue under any admitted
-//!   plan (`fault_equivalence` suite).
+//!   [`SchedulerOutcome`]`::fault_stats`). The schedule is a pure function
+//!   of (admitted jobs, perfmodel estimates, fault plan), so every
+//!   non-quarantined job stays bitwise-identical to the fault-free serial
+//!   queue under any admitted plan (`fault_equivalence` suite).
 //!
 //! The one-shot drivers `sm_core::method::{submatrix_sign,
 //! submatrix_density}` are thin wrappers over the same engine, so every
@@ -100,10 +101,9 @@ pub mod service;
 pub use jobs::{BatchJob, JobOutput, JobQueue, JobResult, MatrixJob, ScfJobSpec, ScfTelemetry};
 pub use scf_service::{serial_scf_loop, ScfOutcomeExt, ScfService};
 pub use sched::{
-    estimate_batch_job_cost, estimate_job_cost, estimate_pattern_cost, partition, plan_epochs,
-    plan_recovery, steal_horizon, Epoch, EpochSchedule, FaultStats, GroupPlan, RankBudget,
-    RecoveryAttempt, RecoveryEpoch, RecoveryGroup, RecoverySchedule, SchedError, SchedulePlan,
-    Scheduler, SchedulerOutcome, StealPolicy, StealStats, DEFAULT_RETRY_BUDGET,
+    estimate_batch_job_cost, partition, plan_epochs, plan_epochs_with_faults, steal_horizon,
+    Attempt, Epoch, EpochGroup, EpochSchedule, FaultStats, GroupPlan, RankBudget, SchedError,
+    SchedulePlan, Scheduler, SchedulerOutcome, StealPolicy, StealStats, DEFAULT_RETRY_BUDGET,
 };
 pub use service::{
     Priority, ServiceConfig, ServiceError, ServiceEvent, ServiceRequest, ServiceStats,

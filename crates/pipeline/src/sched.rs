@@ -1,12 +1,14 @@
 //! Distributed job scheduler: per-job subcommunicators with epoch-based
-//! work stealing between groups.
+//! work stealing between groups, and epoch-level fault recovery — one
+//! planner, one rank executor.
 //!
 //! [`JobQueue`](crate::jobs::JobQueue) runs every job of a batch on a
 //! single process; the world's other ranks idle. [`Scheduler`] instead
 //! carves a world of `N` ranks into per-job **groups** — subcommunicators
-//! obtained from [`Comm::split`] — and runs each job's plan/execute
-//! collectively on its group, so independent matrix evaluations proceed
-//! concurrently *and* each one can itself be rank-parallel:
+//! formed with [`sm_comsim::split_known`] — and runs each job's
+//! plan/execute collectively on its group, so independent matrix
+//! evaluations proceed concurrently *and* each one can itself be
+//! rank-parallel:
 //!
 //! 1. **Estimate**: every job's submatrix work is estimated from its
 //!    sparsity pattern, weighted by `sm_accel::perfmodel`'s utilization
@@ -18,28 +20,37 @@
 //!    gets at least one rank; [`RankBudget`] can cap group size or count —
 //!    leftover ranks that no cap-respecting group may take are folded into
 //!    the largest group rather than idling).
-//! 3. **Epoch plan** ([`plan_epochs`]): the batch is cut into **epochs** —
-//!    waves of jobs. Within an epoch every group commits a greedy fill of
-//!    its LPT queue up to the *steal horizon* (the longest single-job
-//!    commitment any group must make, by the same perfmodel estimates);
-//!    jobs beyond the horizon are deferred. Between epochs the current
-//!    subcommunicators are torn down and the **world** comm is re-split
-//!    over the deferred jobs — a fresh one-level split, never a nested one,
-//!    preserving the tag-namespace invariant — so ranks whose group's
-//!    queue has drained are re-dealt onto the straggler groups' remaining
-//!    jobs. A job that thereby runs on ranks outside its original (static)
-//!    group counts as **stolen**; [`StealStats`] reports epochs, steals,
-//!    and the idle-rank time the re-deal recovers. A batch the static
-//!    partition already balances collapses to a single epoch identical to
-//!    the static schedule ([`StealPolicy::Disabled`] forces that shape).
-//! 4. **Execute**: each epoch, each group's ranks split off a
-//!    subcommunicator (fresh per-group [`CommStats`], so traffic is
-//!    attributed per epoch), scatter the replicated input across the
+//! 3. **Epoch plan** ([`plan_epochs_with_faults`]; [`plan_epochs`] is its
+//!    call under the empty [`FaultPlan`]): the batch is cut into
+//!    **epochs** — waves of jobs. Each epoch commits the ranks the plan
+//!    fails at its boundary, re-partitions the still-pending jobs over
+//!    the **survivors**, and every group commits a greedy fill of its LPT
+//!    queue up to the *steal horizon* (the longest single-job commitment
+//!    any group must make, by the same perfmodel estimates); jobs beyond
+//!    the horizon are deferred. So ranks whose group's queue has drained
+//!    are re-dealt onto the straggler groups' remaining jobs: a job that
+//!    thereby runs on ranks outside its original (static) group counts as
+//!    **stolen**; [`StealStats`] reports epochs, steals, and the idle-rank
+//!    time the re-deal recovers. A batch the static partition already
+//!    balances collapses to a single epoch identical to the static
+//!    schedule ([`StealPolicy::Disabled`] lifts the horizon, which forces
+//!    that shape when nothing fails). Every committed attempt is resolved
+//!    against the plan at planning time: a poisoned attempt re-enters the
+//!    queue after a deterministic backoff in epochs, or the job is
+//!    quarantined once [`Scheduler::with_retry_budget`] attempts are
+//!    spent ([`FaultStats`]).
+//! 4. **Execute**: each epoch, each group's ranks form their
+//!    subcommunicator from the schedule's member list — no world
+//!    collective, so a fault-free batch pays nothing per epoch and dead
+//!    ranks are never waited on (fresh per-group [`CommStats`], so traffic
+//!    is attributed per epoch) — scatter the replicated input across the
 //!    group, run the shared [`SubmatrixEngine`]'s plan + execute on it,
-//!    and gather the result to the group root.
+//!    and gather the result to the group root. Poisoned attempts are
+//!    skipped by the whole group from the pure schedule alone.
 //! 5. **Gather**: group roots ship each finished job — result blocks in
 //!    the `sm_dbcsr::wire` format plus an encoded telemetry record — to
-//!    world rank 0, which returns the batch in submission order.
+//!    world rank 0, which returns the batch in submission order
+//!    (quarantined jobs as empty placeholders).
 //!
 //! The engine is shared across groups, so its plan cache is the contended
 //! resource: recurring patterns hit plans built by *other* groups (same
@@ -55,56 +66,43 @@
 //! ## Determinism
 //!
 //! Everything pattern- and schedule-shaping is deterministic — the epoch
-//! plan is a pure function of the estimated costs, the world size and the
-//! budget, never of measured wall time — and the numeric path performs the
-//! same per-submatrix solves with the same inputs regardless of the group
-//! size, so grand-canonical jobs produce **bitwise-identical** results to
-//! the serial [`JobQueue`](crate::jobs::JobQueue) for any world size *and any steal schedule*
-//! (pinned by the `scheduler_equivalence` and `stealing_equivalence`
-//! suites). Canonical-ensemble jobs bisect µ through a cross-rank
-//! reduction whose summation order depends on the group size, so they
-//! match to floating-point reduction accuracy instead.
+//! plan is a pure function of the estimated costs, the world size, the
+//! budget, the policy and the fault plan, never of measured wall time —
+//! and the numeric path performs the same per-submatrix solves with the
+//! same inputs regardless of the group size, so grand-canonical jobs
+//! produce **bitwise-identical** results to the serial
+//! [`JobQueue`](crate::jobs::JobQueue) for any world size, any steal
+//! schedule *and any admitted fault plan* (every non-quarantined job;
+//! pinned by the `scheduler_equivalence`, `stealing_equivalence` and
+//! `fault_equivalence` suites). Canonical-ensemble jobs bisect µ through a
+//! cross-rank reduction whose summation order depends on the group size,
+//! so they match to floating-point reduction accuracy instead.
+//!
+//! ## Faults
+//!
+//! A batch always runs under a [`FaultPlan`]; [`Scheduler::new`] installs
+//! the empty one, which installs nothing on the communicator
+//! (`comm.fault_plan()` is `None`). Exactly when the communicator carries
+//! a plan, every epoch opens with a **fault consensus** — survivors
+//! heartbeat world rank 0 (which never fails), rank 0 commits the failed
+//! set from deadline receives (a dead peer surfaces as a typed
+//! [`sm_comsim::CommError`], never a hang) and fans the committed view
+//! out, which every survivor checks against the precomputed schedule —
+//! and rank 0's receives are bounded by a deadline. Without a plan
+//! nothing can die, so there is no consensus and receives block: a
+//! paper-scale job may run for minutes.
 //!
 //! ## Tags
 //!
 //! Subgroup traffic rides the parent tag namespace reserved by
-//! `sm_comsim::SUBGROUP_BIT`; each epoch's groups split with a color that
+//! `sm_comsim::SUBGROUP_BIT`; each epoch's groups form with a color that
 //! mixes the epoch index, so successive epochs salt their tag namespaces
-//! differently. The only parent-level user traffic is the root gather, on
-//! tags derived from the job index (see the private `result_tag`), plus —
-//! under a fault plan — the recovery protocol's control tags in the
-//! `1 << 41` (consensus) and `1 << 42` (idle report) namespaces. The
-//! `sm_dbcsr::wire::user_tag` guard applies unchanged inside subgroups.
-//!
-//! ## Faults and recovery
-//!
-//! Installing a deterministic [`sm_comsim::FaultPlan`]
-//! ([`Scheduler::with_fault_plan`]) switches the batch onto the
-//! **epoch-level recovery** path:
-//!
-//! * [`plan_recovery`] precomputes the entire recovery schedule as a
-//!   **pure function** of the admitted job set, the perfmodel estimates
-//!   and the plan's committed fault view — per epoch it commits the
-//!   newly failed ranks, re-partitions the still-pending jobs over the
-//!   **survivors only**, commits a steal-horizon wave, and resolves
-//!   every attempt (success, deterministic backoff retry, or quarantine
-//!   once the [`Scheduler::with_retry_budget`] budget is exhausted).
-//! * At runtime every epoch opens with a **fault consensus**: survivors
-//!   heartbeat world rank 0 (which never fails), rank 0 commits the
-//!   failed set from deadline receives — a dead peer surfaces as a typed
-//!   [`sm_comsim::CommError`], never a hang — and broadcasts the
-//!   committed view, which every survivor checks against the
-//!   precomputed schedule (the same collective-agreement trick as the
-//!   plan cache's hit/miss consensus).
-//! * Groups re-form with [`sm_comsim::split_known`] from the agreed
-//!   member lists — no world-level collective, so dead ranks are never
-//!   waited on. Poisoned attempts are skipped by the whole group from
-//!   the pure plan alone; successful attempts execute bit-for-bit the
-//!   fault-free job body, so every non-quarantined job stays
-//!   **bitwise-identical** to the serial queue (the `fault_equivalence`
-//!   suite pins this).
+//! differently. Parent-level user traffic is the root gather, on tags
+//! derived from the job index (see the private `result_tag`), the
+//! end-of-batch idle reports (`1 << 42`) and — under a fault plan — the
+//! consensus (`1 << 41`). The `sm_dbcsr::wire::user_tag` guard applies
+//! unchanged inside subgroups.
 
-use std::collections::BTreeSet;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -112,8 +110,8 @@ use std::time::{Duration, Instant};
 use sm_accel::perfmodel;
 use sm_chem::ScfDriver;
 use sm_comsim::{
-    run_ranks, run_ranks_with_faults, split_known, Comm, CommError, CommStats, FaultPlan, Payload,
-    ReduceOp, SerialComm, SubComm, ThreadComm,
+    run_ranks_with_faults, split_known, Comm, CommError, CommStats, FaultPlan, Payload, ReduceOp,
+    SerialComm, SubComm, ThreadComm,
 };
 use sm_core::engine::{EngineOptions, EngineReport, NumericOptions, SubmatrixEngine};
 use sm_core::solver::{SignMethod, SolveBackend};
@@ -125,10 +123,6 @@ use sm_trace::SpanKind;
 
 use crate::jobs::{BatchJob, JobResult, MatrixJob, ScfTelemetry};
 
-/// Color given to ranks left without a group (only possible for an empty
-/// batch; the partition itself never leaves a rank groupless).
-const IDLE_COLOR: u64 = u64::MAX;
-
 /// Subgroup user tags of the per-job result gather to the group root.
 /// Safe to reuse across a group's sequential jobs: every send is matched
 /// by a blocking recv before the next job starts, and `(src, tag)` order
@@ -136,19 +130,20 @@ const IDLE_COLOR: u64 = u64::MAX;
 const GATHER_META_TAG: u64 = 11;
 const GATHER_DATA_TAG: u64 = 12;
 
-/// Parent-level tag namespace of the recovery protocol's per-epoch fault
-/// consensus (heartbeats to rank 0 and the committed-view fan-out), well
-/// clear of the result gather's `1 << 40` namespace.
+/// Parent-level tag namespace of the per-epoch fault consensus
+/// (heartbeats to rank 0 and the committed-view fan-out), well clear of
+/// the result gather's `1 << 40` namespace.
 const CONSENSUS_NS: u64 = 1 << 41;
 /// Distinguishes the committed-view fan-out from the heartbeats within
 /// [`CONSENSUS_NS`] (epoch indices stay far below this bit).
 const CONSENSUS_VIEW_BIT: u64 = 1 << 20;
 /// Parent-level tag namespace of the end-of-batch survivor idle reports.
 const IDLE_NS: u64 = 1 << 42;
-/// Deadline for the recovery protocol's control receives. Failure
-/// detection does not rely on it — a dying rank poisons its channels, so
-/// the matching receive fails in milliseconds — it is only the backstop
-/// that bounds how long a pathological straggler can stall consensus.
+/// Deadline for rank 0's and the consensus's receives under a fault plan.
+/// Failure detection does not rely on it — a dying rank poisons its
+/// channels, so the matching receive fails in milliseconds — it is only
+/// the backstop that bounds how long a pathological straggler can stall
+/// the batch.
 const CONTROL_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Default per-job attempt budget under fault injection (first attempt +
@@ -174,13 +169,15 @@ pub struct RankBudget {
 /// Whether the scheduler may rebalance between epochs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StealPolicy {
-    /// Epoch-based work stealing (the default): between epochs the world
-    /// is re-split over the deferred jobs, so drained ranks are re-dealt
-    /// onto straggler groups' queues.
+    /// Epoch-based work stealing (the default): each epoch commits only up
+    /// to the steal horizon and re-deals the world over the deferred jobs,
+    /// so drained ranks land on straggler groups' queues.
     #[default]
     EpochRebalance,
-    /// One epoch, static groups for the whole batch — the pre-stealing
-    /// behavior, kept as the ablation baseline.
+    /// No horizon: every epoch commits all its eligible jobs, so a batch
+    /// in which nothing fails is one epoch of static groups — the
+    /// pre-stealing behavior, kept as the ablation baseline — and only
+    /// rank deaths and retry backoff open further epochs.
     Disabled,
 }
 
@@ -209,51 +206,16 @@ pub struct SchedulePlan {
     pub job_costs: Vec<f64>,
 }
 
-impl SchedulePlan {
-    /// The group index a world rank belongs to (`None` = idle).
-    pub fn group_of_rank(&self, rank: usize) -> Option<usize> {
-        self.groups.iter().position(|g| g.ranks.contains(&rank))
-    }
-
-    /// The group index running a job.
-    pub fn group_of_job(&self, job: usize) -> usize {
-        self.groups
-            .iter()
-            .position(|g| g.jobs.contains(&job))
-            .expect("every job is scheduled on exactly one group")
-    }
-
-    /// The world rank acting as a job's group root.
-    pub fn root_of_job(&self, job: usize) -> usize {
-        self.groups[self.group_of_job(job)].ranks.start
-    }
-}
-
 /// Estimate the submatrix work of **one engine evaluation** of a sparsity
-/// pattern: for each block column, the induced submatrix dimension `n`
-/// costs `2n³` FLOPs (one dense solve), inflated by the perfmodel
-/// utilization curve — small matrices run far from peak, so their FLOPs
-/// buy more wall time. Pattern-only and cheap; no plan is built.
-pub fn estimate_pattern_cost(matrix: &DbcsrMatrix) -> f64 {
-    let comm = SerialComm::new();
-    let pattern = matrix.global_pattern(&comm);
-    let dims = matrix.dims();
-    let mut cost = 0.0;
-    for bc in 0..dims.nb() {
-        let n: usize = pattern.rows_in_col(bc).map(|br| dims.size(br)).sum();
-        if n > 0 {
-            let flops = 2.0 * (n as f64).powi(3);
-            cost += flops / perfmodel::matmul_utilization(1.0, n);
-        }
-    }
-    cost
-}
-
-/// Backend-aware variant of [`estimate_pattern_cost`]: when the job's
+/// pattern under `numeric`: for each block column, the induced submatrix
+/// dimension `n` costs `2n³` FLOPs (one dense solve), inflated by the
+/// perfmodel utilization curve — small matrices run far from peak, so
+/// their FLOPs buy more wall time. When the job's
 /// [`BackendPolicy`](sm_core::engine::BackendPolicy) resolves to the
 /// sparse-CSR solve for this pattern's element fill (and the configured
 /// sign method honors the backend at all), the dense estimate is scaled
-/// by [`perfmodel::sparse_solve_cost_factor`].
+/// by [`perfmodel::sparse_solve_cost_factor`]. Pattern-only and cheap; no
+/// plan is built.
 ///
 /// The fill is computed from the same replicated pattern walk the
 /// engine's symbolic phase performs, and the resolution goes through the
@@ -291,12 +253,6 @@ pub fn estimate_pattern_cost_for(matrix: &DbcsrMatrix, numeric: &NumericOptions)
         cost *= perfmodel::sparse_solve_cost_factor(fill);
     }
     cost
-}
-
-/// Estimate one matrix job's submatrix work (a single evaluation of its
-/// pattern under its numeric options; see [`estimate_pattern_cost_for`]).
-pub fn estimate_job_cost(job: &MatrixJob) -> f64 {
-    estimate_pattern_cost_for(&job.matrix, &job.numeric)
 }
 
 /// Estimate a [`BatchJob`]'s total work: the **per-iteration** pattern
@@ -483,12 +439,50 @@ impl StealStats {
     }
 }
 
-/// One epoch of the schedule: a fresh one-level split of the world into
-/// groups, each committing a wave of jobs.
+/// One committed execution attempt in an [`EpochGroup`]'s queue.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Attempt {
+    /// Job index (submission order).
+    pub job: usize,
+    /// 1-based attempt number this commitment represents.
+    pub attempt: usize,
+    /// True when the fault plan poisons this attempt: the whole group
+    /// skips it (fail-stop detection at the attempt boundary) and the job
+    /// either retries after backoff or is quarantined.
+    pub poisoned: bool,
+}
+
+/// One group of an [`Epoch`]: a queue of committed attempts on an explicit
+/// world-rank list.
+#[derive(Debug, Clone)]
+pub struct EpochGroup {
+    /// Committed attempts in execution order (descending estimated cost,
+    /// submission order breaking ties).
+    pub jobs: Vec<Attempt>,
+    /// World ranks forming this group's subcommunicator, ascending;
+    /// `ranks[0]` is the group root. Contiguous while the whole world is
+    /// alive; survivor sets have holes where ranks died.
+    pub ranks: Vec<usize>,
+    /// Total estimated cost of the committed attempts.
+    pub est_cost: f64,
+}
+
+/// One epoch of the schedule: the failures committed at its boundary, the
+/// surviving world, and the groups formed over it, each committing a wave
+/// of jobs.
 #[derive(Debug, Clone)]
 pub struct Epoch {
-    /// The epoch's groups, in world-rank order (ranks cover the world).
-    pub groups: Vec<GroupPlan>,
+    /// Ranks whose failure this epoch's consensus commits (they died at
+    /// the epoch boundary, before taking part in the consensus).
+    pub newly_failed: Vec<usize>,
+    /// Ranks alive through this epoch, ascending (always contains 0).
+    pub survivors: Vec<usize>,
+    /// The [`steal_horizon`] the epoch's groups filled their queues to
+    /// (0 for a backoff-wait epoch).
+    pub horizon: f64,
+    /// The epoch's groups, in world-rank order; their ranks cover the
+    /// survivors (empty during pure backoff-wait epochs).
+    pub groups: Vec<EpochGroup>,
 }
 
 impl Epoch {
@@ -497,76 +491,129 @@ impl Epoch {
         self.groups.iter().position(|g| g.ranks.contains(&rank))
     }
 
-    /// The group index running a job in this epoch (`None` if the job
-    /// belongs to another epoch).
+    /// The group index **executing** a job in this epoch (`None` if the
+    /// job runs in another epoch, or only a poisoned attempt of it is
+    /// queued here).
     pub fn group_of_job(&self, job: usize) -> Option<usize> {
-        self.groups.iter().position(|g| g.jobs.contains(&job))
+        self.groups
+            .iter()
+            .position(|g| g.jobs.iter().any(|a| a.job == job && !a.poisoned))
     }
 }
 
-/// Deterministic epoch/steal plan produced by [`plan_epochs`]: the static
-/// partition plus the epoch waves actually executed, with per-job steal
-/// attribution and the planned [`StealStats`].
+/// The deterministic schedule of one batch, produced by
+/// [`plan_epochs_with_faults`]: the static partition plus the epoch waves
+/// actually executed, with per-job steal attribution, the planned
+/// [`StealStats`], and the fault bookkeeping (attempts, quarantines,
+/// [`FaultStats`]). A pure function of the estimates, the world size, the
+/// budget, the policy and the fault plan — never of measured time — so
+/// every rank derives the identical schedule without coordination, reruns
+/// of the same seed reproduce every counter exactly, and the equivalence
+/// suites can assert on it.
 #[derive(Debug, Clone)]
 pub struct EpochSchedule {
     /// World size the schedule was built for.
     pub world_size: usize,
-    /// The static (single-epoch) partition — the baseline the steal
-    /// telemetry is measured against, and epoch 0's grouping.
+    /// Per-job attempt budget the schedule was built under.
+    pub retry_budget: usize,
+    /// The static (single-epoch, fault-free) partition — the baseline the
+    /// steal telemetry is measured against; it also holds the per-job
+    /// estimated costs.
     pub static_plan: SchedulePlan,
     /// The epochs, in execution order.
     pub epochs: Vec<Epoch>,
     /// Each job's static group index (its "home" group).
     pub home_group: Vec<usize>,
-    /// The epoch each job executes in.
+    /// The epoch of each job's final attempt (the executing one, or the
+    /// quarantining one).
     pub job_epoch: Vec<usize>,
     /// Per job: ranks of its executing group that are outside its home
-    /// group's static allocation (0 = no stealing).
+    /// group's static allocation (0 = no stealing, or quarantined).
     pub job_stolen_ranks: Vec<usize>,
+    /// Attempts each job consumed.
+    pub job_attempts: Vec<usize>,
+    /// Whether each job was quarantined.
+    pub quarantined: Vec<bool>,
     /// Planned steal telemetry (`measured_*` fields are zero until the
     /// scheduler fills them from an actual run).
     pub planned: StealStats,
+    /// Planner-side fault telemetry (injection counters zero; the
+    /// scheduler fills them from the run).
+    pub fault_stats: FaultStats,
 }
 
 impl EpochSchedule {
-    /// The world rank acting as a job's group root (in its epoch).
-    pub fn root_of_job(&self, job: usize) -> usize {
-        let e = self.job_epoch[job];
-        let g = self.epochs[e]
+    fn executing_group(&self, job: usize) -> &EpochGroup {
+        let ep = &self.epochs[self.job_epoch[job]];
+        let g = ep
             .group_of_job(job)
-            .expect("job_epoch indexes the epoch that runs the job");
-        self.epochs[e].groups[g].ranks.start
+            .unwrap_or_else(|| panic!("job {job} was quarantined and has no executing group"));
+        &ep.groups[g]
     }
 
-    /// The ranks executing a job (in its epoch).
-    pub fn ranks_of_job(&self, job: usize) -> Range<usize> {
-        let e = self.job_epoch[job];
-        let g = self.epochs[e]
-            .group_of_job(job)
-            .expect("job_epoch indexes the epoch that runs the job");
-        self.epochs[e].groups[g].ranks.clone()
+    /// The world rank acting as a job's group root on its executing
+    /// attempt. Panics for quarantined jobs (they have none).
+    pub fn root_of_job(&self, job: usize) -> usize {
+        self.executing_group(job).ranks[0]
+    }
+
+    /// The ranks executing a job. Panics for quarantined jobs.
+    pub fn ranks_of_job(&self, job: usize) -> &[usize] {
+        &self.executing_group(job).ranks
     }
 }
 
-/// Cut a batch into epochs (see the module docs, phase 3). Pure and
-/// deterministic: a function of the estimated costs, the world size, the
-/// budget and the policy only — never of measured time — so the steal
-/// schedule is reproducible and the equivalence suites can assert on it.
-///
-/// Every epoch re-partitions the *remaining* jobs over the whole world
-/// with [`partition`] (LPT within the epoch), then each group commits a
-/// greedy fill of its queue up to the epoch's **steal horizon** — the
-/// largest single-job wall estimate `cost / ranks` any group's leading job
-/// imposes (that job cannot be split, so no re-deal can beat its
-/// commitment). Deferred jobs form the next epoch's input. Each epoch
-/// commits at least one job per group, so the planner terminates in at
-/// most `jobs` epochs.
+/// [`plan_epochs_with_faults`] under the empty [`FaultPlan`]: the schedule
+/// of a batch in which nothing fails.
 pub fn plan_epochs(
     costs: &[f64],
     world_size: usize,
     budget: &RankBudget,
     policy: StealPolicy,
 ) -> EpochSchedule {
+    plan_epochs_with_faults(
+        costs,
+        world_size,
+        budget,
+        policy,
+        &FaultPlan::new(),
+        DEFAULT_RETRY_BUDGET,
+    )
+}
+
+/// Cut a batch into epochs (see the module docs, phase 3). Pure and
+/// deterministic: a function of the estimated costs, the world size, the
+/// budget, the policy, the fault plan and the retry budget only.
+///
+/// Per epoch `e`: commit every rank the plan fails at an epoch `<= e` that
+/// is not yet committed; re-[`partition`] the eligible pending jobs
+/// (deterministic backoff can push a retry past `e`) over the survivors
+/// (LPT within the epoch); each group then commits a greedy fill of its
+/// queue up to the epoch's [`steal_horizon`] — the largest single-job wall
+/// estimate `cost / ranks` any group's leading job imposes (that job
+/// cannot be split, so no re-deal can beat its commitment) — or its whole
+/// queue under [`StealPolicy::Disabled`]; then resolve each committed
+/// attempt against the plan — a poisoned attempt re-enters the pending
+/// queue with its next eligible epoch at `e + 2^(attempt-1)` (bounded
+/// exponential backoff in epochs), or is quarantined once `retry_budget`
+/// attempts are spent. Deferred jobs form the next epoch's input; epochs
+/// whose eligible set is empty (all pending jobs backing off) form
+/// survivor-idle wait epochs. Terminates because every non-wait epoch
+/// resolves at least one attempt per group and attempts are bounded by
+/// `jobs × retry_budget`.
+pub fn plan_epochs_with_faults(
+    costs: &[f64],
+    world_size: usize,
+    budget: &RankBudget,
+    policy: StealPolicy,
+    plan: &FaultPlan,
+    retry_budget: usize,
+) -> EpochSchedule {
+    assert!(retry_budget >= 1, "retry budget must allow one attempt");
+    assert!(
+        plan.fails_at(0).is_none(),
+        "rank 0 is the coordinator and must not fail"
+    );
     let static_plan = partition(costs, world_size, budget);
     let n = costs.len();
     let mut home_group = vec![0usize; n];
@@ -576,112 +623,178 @@ pub fn plan_epochs(
         }
     }
 
+    let mut alive: Vec<usize> = (0..world_size).collect();
+    // (job, attempts so far, first epoch the job may run in) — kept in
+    // ascending job order so re-partitions see a deterministic input.
+    let mut pending: Vec<(usize, usize, usize)> = (0..n).map(|j| (j, 0, 0)).collect();
     let mut epochs: Vec<Epoch> = Vec::new();
     let mut job_epoch = vec![0usize; n];
     let mut job_stolen_ranks = vec![0usize; n];
+    let mut job_attempts = vec![0usize; n];
+    let mut quarantined = vec![false; n];
+    let (mut poisoned_attempts, mut retries) = (0usize, 0usize);
+    // Generous convergence bound: attempts are capped at n × retry_budget
+    // and each backoff gap at 2^(retry_budget-1) wait epochs.
+    let bound = 4 + world_size + n * retry_budget * (1 + (1usize << retry_budget.min(20)));
+    while !pending.is_empty() {
+        let e = epochs.len();
+        assert!(e <= bound, "epoch planner failed to converge");
+        let dies_by = |r: &usize| plan.fails_at(*r).is_some_and(|at| at <= e);
+        let newly_failed: Vec<usize> = alive.iter().copied().filter(dies_by).collect();
+        alive.retain(|r| !dies_by(r));
+        let survivors = alive.clone();
 
-    if n > 0 && policy == StealPolicy::Disabled {
-        epochs.push(Epoch {
-            groups: static_plan.groups.clone(),
-        });
-    } else if n > 0 {
-        let mut remaining: Vec<usize> = (0..n).collect(); // ascending original indices
-        while !remaining.is_empty() {
-            let e = epochs.len();
-            assert!(e < n, "epoch planner failed to converge");
-            let rcosts: Vec<f64> = remaining.iter().map(|&j| costs[j]).collect();
-            let p = partition(&rcosts, world_size, budget);
+        let eligible: Vec<(usize, usize)> = pending
+            .iter()
+            .filter(|&&(_, _, from)| from <= e)
+            .map(|&(j, a, _)| (j, a))
+            .collect();
+        if eligible.is_empty() {
+            // Every pending job is backing off: survivors idle one epoch.
+            epochs.push(Epoch {
+                newly_failed,
+                survivors,
+                horizon: 0.0,
+                groups: Vec::new(),
+            });
+            continue;
+        }
 
-            // Steal horizon of this epoch's partition: `max cost/ranks`
-            // over leading jobs (see [`steal_horizon`] for the formula and
-            // why empty groups are skipped). `p.job_costs` is exactly
-            // `rcosts`, so the indices in `p.groups` line up. A horizon
-            // that is zero (all-zero-cost batch) or non-finite carries no
-            // ordering information — treat it as unbounded so the epoch
-            // commits everything instead of deferring pathologically.
-            let horizon = steal_horizon(&p);
-            let unbounded = !(horizon.is_finite() && horizon > 0.0);
-
-            let mut groups = Vec::with_capacity(p.groups.len());
-            let mut deferred: Vec<usize> = Vec::new();
-            for grp in &p.groups {
-                let ranks_f = grp.ranks.len() as f64;
-                let mut committed = Vec::with_capacity(grp.jobs.len());
-                let mut cum = 0.0f64;
-                for (pos, &k) in grp.jobs.iter().enumerate() {
-                    // Greedy fill to the horizon (LPT order, so later jobs
-                    // are smaller and may still fit); the leading job is
-                    // always committed.
-                    if pos == 0
-                        || unbounded
-                        || (cum + rcosts[k]) / ranks_f <= horizon * (1.0 + 1e-9)
-                    {
-                        committed.push(remaining[k]);
-                        cum += rcosts[k];
+        // Re-partition the eligible jobs over the survivors only — the
+        // graceful-degradation step: a failed group's jobs re-enter this
+        // deal automatically because their epochs were never recorded.
+        let ecosts: Vec<f64> = eligible.iter().map(|&(j, _)| costs[j]).collect();
+        let p = partition(&ecosts, survivors.len(), budget);
+        // A horizon that is zero (all-zero-cost batch) or non-finite
+        // carries no ordering information — treat it as unbounded so the
+        // epoch commits everything instead of deferring pathologically.
+        let horizon = steal_horizon(&p);
+        let unbounded = policy == StealPolicy::Disabled || !(horizon.is_finite() && horizon > 0.0);
+        let mut groups = Vec::with_capacity(p.groups.len());
+        let mut requeue: Vec<(usize, usize, usize)> = Vec::new();
+        for grp in &p.groups {
+            let ranks: Vec<usize> = grp.ranks.clone().map(|i| survivors[i]).collect();
+            let ranks_f = ranks.len() as f64;
+            let mut committed = Vec::with_capacity(grp.jobs.len());
+            let mut cum = 0.0f64;
+            for (pos, &k) in grp.jobs.iter().enumerate() {
+                // Greedy fill to the horizon (LPT order, so later jobs are
+                // smaller and may still fit); the leading job is always
+                // committed, the rest defer to the next epoch.
+                if pos > 0 && !unbounded && (cum + ecosts[k]) / ranks_f > horizon * (1.0 + 1e-9) {
+                    continue;
+                }
+                cum += ecosts[k];
+                let (j, prev) = eligible[k];
+                let attempt = prev + 1;
+                let poisoned = plan.is_poisoned(j, attempt);
+                committed.push(Attempt {
+                    job: j,
+                    attempt,
+                    poisoned,
+                });
+                job_attempts[j] = attempt;
+                job_epoch[j] = e;
+                if !poisoned {
+                    let home = &static_plan.groups[home_group[j]].ranks;
+                    job_stolen_ranks[j] = ranks.iter().filter(|r| !home.contains(r)).count();
+                } else {
+                    poisoned_attempts += 1;
+                    if attempt >= retry_budget {
+                        quarantined[j] = true;
                     } else {
-                        deferred.push(remaining[k]);
+                        retries += 1;
+                        requeue.push((j, attempt, e + (1usize << (attempt - 1))));
                     }
                 }
-                for &j in &committed {
-                    job_epoch[j] = e;
-                    let home = &static_plan.groups[home_group[j]].ranks;
-                    job_stolen_ranks[j] = grp.ranks.clone().filter(|r| !home.contains(r)).count();
-                }
-                groups.push(GroupPlan {
-                    jobs: committed,
-                    ranks: grp.ranks.clone(),
-                    est_cost: cum,
-                });
             }
-            epochs.push(Epoch { groups });
-            deferred.sort_unstable();
-            remaining = deferred;
+            groups.push(EpochGroup {
+                jobs: committed,
+                ranks,
+                est_cost: cum,
+            });
         }
+        // Whatever this epoch committed has consumed one more attempt.
+        pending.retain(|&(j, attempts, _)| job_attempts[j] == attempts);
+        pending.extend(requeue);
+        pending.sort_unstable();
+        epochs.push(Epoch {
+            newly_failed,
+            survivors,
+            horizon,
+            groups,
+        });
     }
 
-    let planned = steal_stats_for(&static_plan, &epochs, &job_stolen_ranks, world_size);
+    let planned = steal_stats_for(&static_plan, &epochs, &job_stolen_ranks);
+    let fault_stats = FaultStats {
+        rank_failures: world_size - alive.len(),
+        poisoned_attempts,
+        retries,
+        quarantined_jobs: quarantined.iter().filter(|&&q| q).count(),
+        recovery_epochs: epochs.len(),
+        final_world_size: alive.len(),
+        ..FaultStats::default()
+    };
     EpochSchedule {
         world_size,
+        retry_budget,
         static_plan,
         epochs,
         home_group,
         job_epoch,
         job_stolen_ranks,
+        job_attempts,
+        quarantined,
         planned,
+        fault_stats,
     }
 }
 
 /// Planned steal telemetry: per-rank estimated idle under the static plan
 /// (every rank waits for the slowest group) versus under the epoch plan
-/// (per epoch, every rank waits for the slowest committed group).
+/// (per epoch, every surviving rank waits for the slowest committed
+/// group).
 fn steal_stats_for(
     static_plan: &SchedulePlan,
     epochs: &[Epoch],
     job_stolen_ranks: &[usize],
-    world_size: usize,
 ) -> StealStats {
-    let rank_idle = |groups: &[GroupPlan]| -> Vec<f64> {
-        let wall = |g: &GroupPlan| g.est_cost / g.ranks.len() as f64;
-        let makespan = groups.iter().map(wall).fold(0.0f64, f64::max);
-        let mut idle = vec![makespan; world_size];
-        for g in groups {
-            for r in g.ranks.clone() {
+    let world_size = static_plan.world_size;
+    let rank_idle = |wave: &Epoch| -> Vec<f64> {
+        let wall = |g: &EpochGroup| g.est_cost / g.ranks.len() as f64;
+        let makespan = wave.groups.iter().map(wall).fold(0.0f64, f64::max);
+        let mut idle = vec![0.0f64; world_size];
+        for &r in &wave.survivors {
+            idle[r] = makespan;
+        }
+        for g in &wave.groups {
+            for &r in &g.ranks {
                 idle[r] = makespan - wall(g);
             }
         }
         idle
     };
-    let static_idle = rank_idle(&static_plan.groups);
+    let static_groups = static_plan.groups.iter().map(|g| EpochGroup {
+        jobs: Vec::new(),
+        ranks: g.ranks.clone().collect(),
+        est_cost: g.est_cost,
+    });
+    let static_idle = rank_idle(&Epoch {
+        newly_failed: Vec::new(),
+        survivors: (0..world_size).collect(),
+        horizon: 0.0,
+        groups: static_groups.collect(),
+    });
     let mut epoch_idle = vec![0.0f64; world_size];
-    for e in epochs {
-        for (r, idle) in rank_idle(&e.groups).into_iter().enumerate() {
+    for wave in epochs {
+        for (r, idle) in rank_idle(wave).into_iter().enumerate() {
             epoch_idle[r] += idle;
         }
     }
-    let stolen_jobs = job_stolen_ranks.iter().filter(|&&s| s > 0).count();
     StealStats {
         epochs: epochs.len(),
-        stolen_jobs,
+        stolen_jobs: job_stolen_ranks.iter().filter(|&&s| s > 0).count(),
         stolen_ranks: job_stolen_ranks.iter().sum(),
         est_idle_cost_static: static_idle.iter().sum(),
         est_idle_cost_epochs: epoch_idle.iter().sum(),
@@ -756,7 +869,8 @@ impl From<CommError> for SchedError {
 /// fields are **deterministic** — exact functions of (fault plan, job
 /// set, world size, budget), reproducible across reruns of the same seed
 /// — and the injection counters are deterministic for a fixed protocol.
-/// All zeros when no fault plan is installed.
+/// Under the empty plan everything is zero except `recovery_epochs` and
+/// `final_world_size`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Ranks that failed during the batch (committed by consensus).
@@ -780,271 +894,21 @@ pub struct FaultStats {
     pub slow_stalls: u64,
 }
 
-/// One committed execution attempt in a [`RecoveryGroup`]'s queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryAttempt {
-    /// Job index (submission order).
-    pub job: usize,
-    /// 1-based attempt number this commitment represents.
-    pub attempt: usize,
-    /// True when the plan poisons this attempt: the whole group skips it
-    /// (fail-stop detection at the attempt boundary) and the job either
-    /// retries after backoff or is quarantined.
-    pub poisoned: bool,
-}
-
-/// One group of a [`RecoveryEpoch`]: a queue of committed attempts on an
-/// explicit (possibly non-contiguous) survivor rank list.
-#[derive(Debug, Clone)]
-pub struct RecoveryGroup {
-    /// Committed attempts in execution order.
-    pub jobs: Vec<RecoveryAttempt>,
-    /// World ranks forming this group, ascending; `ranks[0]` is the group
-    /// root. Unlike the fault-free [`GroupPlan`]'s contiguous range,
-    /// survivor sets have holes where ranks died.
-    pub ranks: Vec<usize>,
-    /// Total estimated cost of the committed attempts.
-    pub est_cost: f64,
-}
-
-/// One epoch of a [`RecoverySchedule`]: the failures committed at its
-/// boundary, the surviving world, and the groups formed over it.
-#[derive(Debug, Clone)]
-pub struct RecoveryEpoch {
-    /// Ranks whose failure this epoch's consensus commits (they died at
-    /// the epoch boundary, before taking part in the consensus).
-    pub newly_failed: Vec<usize>,
-    /// Ranks alive through this epoch, ascending (always contains 0).
-    pub survivors: Vec<usize>,
-    /// Groups over the survivors (empty during pure backoff-wait epochs).
-    pub groups: Vec<RecoveryGroup>,
-}
-
-impl RecoveryEpoch {
-    /// The group index a world rank belongs to in this epoch.
-    pub fn group_of_rank(&self, rank: usize) -> Option<usize> {
-        self.groups.iter().position(|g| g.ranks.contains(&rank))
-    }
-}
-
-/// Deterministic fault-recovery schedule produced by [`plan_recovery`]: a
-/// pure function of the admitted job set, the perfmodel estimates and the
-/// fault plan's committed failure view — never of measured time — so every
-/// survivor derives the identical schedule without coordination beyond the
-/// per-epoch failed-set consensus, and reruns of the same seed reproduce
-/// the retry/quarantine counters exactly.
-#[derive(Debug, Clone)]
-pub struct RecoverySchedule {
-    /// World size the schedule was built for.
-    pub world_size: usize,
-    /// Per-job attempt budget the schedule was built under.
-    pub retry_budget: usize,
-    /// Per-job estimated costs (submission order).
-    pub job_costs: Vec<f64>,
-    /// The epochs, in execution order.
-    pub epochs: Vec<RecoveryEpoch>,
-    /// The epoch of each job's final attempt (successful, or the
-    /// quarantining one).
-    pub job_epoch: Vec<usize>,
-    /// Attempts each job consumed.
-    pub job_attempts: Vec<usize>,
-    /// Whether each job was quarantined.
-    pub quarantined: Vec<bool>,
-    /// Planner-side fault telemetry (injection counters zero; the
-    /// scheduler fills them from the run).
-    pub stats: FaultStats,
-}
-
-impl RecoverySchedule {
-    /// The world rank that rooted a job's successful attempt. Panics for
-    /// quarantined jobs (they have none).
-    pub fn root_of_job(&self, job: usize) -> usize {
-        assert!(
-            !self.quarantined[job],
-            "job {job} was quarantined and has no successful attempt"
-        );
-        let ep = &self.epochs[self.job_epoch[job]];
-        for g in &ep.groups {
-            if g.jobs.iter().any(|a| a.job == job && !a.poisoned) {
-                return g.ranks[0];
-            }
-        }
-        panic!("job {job} has no successful attempt in its recorded epoch");
-    }
-}
-
-/// Precompute the entire epoch-level recovery schedule for a batch under a
-/// deterministic [`FaultPlan`] (see the module docs). Pure: a function of
-/// the estimated costs, the world size, the rank budget, the plan and the
-/// retry budget only.
-///
-/// Per epoch `e`: commit every rank the plan fails at an epoch `<= e` that
-/// is not yet committed; re-[`partition`] the eligible pending jobs
-/// (deterministic backoff can push a retry past `e`) over the survivors;
-/// commit each group's queue greedily up to the [`steal_horizon`] (exactly
-/// the fault-free planner's rule); then resolve each committed attempt
-/// against the plan — a poisoned attempt re-enters the pending queue with
-/// its next eligible epoch at `e + 2^(attempt-1)` (bounded exponential
-/// backoff in epochs), or is quarantined once `retry_budget` attempts are
-/// spent. Epochs whose eligible set is empty (all pending jobs backing
-/// off) form survivor-idle wait epochs. Terminates because every
-/// non-wait epoch resolves at least one attempt and attempts are bounded
-/// by `jobs × retry_budget`.
-pub fn plan_recovery(
-    costs: &[f64],
-    world_size: usize,
-    budget: &RankBudget,
-    plan: &FaultPlan,
-    retry_budget: usize,
-) -> RecoverySchedule {
-    assert!(world_size >= 1, "need at least one rank");
-    assert!(retry_budget >= 1, "retry budget must allow one attempt");
-    assert!(
-        plan.fails_at(0).is_none(),
-        "rank 0 is the coordinator and must not fail"
-    );
-    let n = costs.len();
-    let mut failed: BTreeSet<usize> = BTreeSet::new();
-    // (job, attempts so far, first epoch the job may run in) — kept in
-    // ascending job order so re-partitions see a deterministic input.
-    let mut pending: Vec<(usize, usize, usize)> = (0..n).map(|j| (j, 0, 0)).collect();
-    let mut epochs: Vec<RecoveryEpoch> = Vec::new();
-    let mut job_epoch = vec![0usize; n];
-    let mut job_attempts = vec![0usize; n];
-    let mut quarantined = vec![false; n];
-    let (mut poisoned_attempts, mut retries) = (0usize, 0usize);
-    // Generous convergence bound: attempts are capped at n × retry_budget
-    // and each backoff gap at 2^(retry_budget-1) wait epochs.
-    let bound = 4 + world_size + n * retry_budget * (1 + (1usize << retry_budget.min(20)));
-    while !pending.is_empty() {
-        let e = epochs.len();
-        assert!(e <= bound, "recovery planner failed to converge");
-        let newly_failed: Vec<usize> = plan
-            .failing_ranks()
-            .into_iter()
-            .filter(|&r| plan.fails_at(r).expect("listed rank fails") <= e && !failed.contains(&r))
-            .collect();
-        failed.extend(newly_failed.iter().copied());
-        let survivors: Vec<usize> = (0..world_size).filter(|r| !failed.contains(r)).collect();
-        assert!(!survivors.is_empty(), "rank 0 never fails");
-
-        let eligible: Vec<(usize, usize)> = pending
-            .iter()
-            .filter(|&&(_, _, from)| from <= e)
-            .map(|&(j, a, _)| (j, a))
-            .collect();
-        if eligible.is_empty() {
-            // Every pending job is backing off: survivors idle one epoch.
-            epochs.push(RecoveryEpoch {
-                newly_failed,
-                survivors,
-                groups: Vec::new(),
-            });
-            continue;
-        }
-
-        // Re-partition the eligible jobs over the survivors only — the
-        // graceful-degradation step: a failed group's jobs re-enter this
-        // deal automatically because their epochs were never recorded.
-        let ecosts: Vec<f64> = eligible.iter().map(|&(j, _)| costs[j]).collect();
-        let p = partition(&ecosts, survivors.len(), budget);
-        let horizon = steal_horizon(&p);
-        // Same degenerate-horizon rule as [`plan_epochs`]: a zero or
-        // non-finite horizon cannot order the fill, so commit everything.
-        let unbounded = !(horizon.is_finite() && horizon > 0.0);
-        let mut groups = Vec::with_capacity(p.groups.len());
-        let mut resolved: BTreeSet<usize> = BTreeSet::new();
-        let mut requeue: Vec<(usize, usize, usize)> = Vec::new();
-        for grp in &p.groups {
-            let ranks_f = grp.ranks.len() as f64;
-            let mut committed = Vec::with_capacity(grp.jobs.len());
-            let mut cum = 0.0f64;
-            for (pos, &k) in grp.jobs.iter().enumerate() {
-                // Same greedy fill as [`plan_epochs`]: the leading job is
-                // always committed, later (smaller) jobs only while the
-                // queue fits the horizon; the rest defer to next epoch.
-                if pos > 0 && !unbounded && (cum + ecosts[k]) / ranks_f > horizon * (1.0 + 1e-9) {
-                    continue;
-                }
-                cum += ecosts[k];
-                let (j, prev) = eligible[k];
-                let attempt = prev + 1;
-                let poisoned = plan.is_poisoned(j, attempt);
-                committed.push(RecoveryAttempt {
-                    job: j,
-                    attempt,
-                    poisoned,
-                });
-                resolved.insert(j);
-                job_attempts[j] = attempt;
-                job_epoch[j] = e;
-                if poisoned {
-                    poisoned_attempts += 1;
-                    if attempt >= retry_budget {
-                        quarantined[j] = true;
-                    } else {
-                        retries += 1;
-                        requeue.push((j, attempt, e + (1usize << (attempt - 1))));
-                    }
-                }
-            }
-            groups.push(RecoveryGroup {
-                jobs: committed,
-                ranks: grp.ranks.clone().map(|i| survivors[i]).collect(),
-                est_cost: cum,
-            });
-        }
-        pending.retain(|&(j, _, _)| !resolved.contains(&j));
-        pending.extend(requeue);
-        pending.sort_unstable();
-        epochs.push(RecoveryEpoch {
-            newly_failed,
-            survivors,
-            groups,
-        });
-    }
-    let stats = FaultStats {
-        rank_failures: failed.len(),
-        poisoned_attempts,
-        retries,
-        quarantined_jobs: quarantined.iter().filter(|&&q| q).count(),
-        recovery_epochs: epochs.len(),
-        final_world_size: world_size - failed.len(),
-        ..FaultStats::default()
-    };
-    RecoverySchedule {
-        world_size,
-        retry_budget,
-        job_costs: costs.to_vec(),
-        epochs,
-        job_epoch,
-        job_attempts,
-        quarantined,
-        stats,
-    }
-}
-
 /// Outcome of one scheduled batch.
 pub struct SchedulerOutcome {
     /// Per-job results in submission order (gathered on world rank 0).
     pub results: Vec<JobResult>,
-    /// The static work partition (epoch 0's grouping; the steal baseline).
-    pub plan: SchedulePlan,
-    /// The epoch/steal schedule the batch actually ran under.
+    /// The schedule the batch ran under (its `static_plan` is the steal
+    /// baseline; per-job epochs, attempts and quarantines are in it and
+    /// in the results).
     pub schedule: EpochSchedule,
     /// Steal telemetry: planned figures plus measured idle seconds.
     pub steal_stats: StealStats,
     /// World-level transfer counters (includes all subgroup traffic).
     pub world_stats: Arc<CommStats>,
-    /// Fault-handling telemetry (all zeros when no fault plan is
-    /// installed).
+    /// Fault-handling telemetry: the schedule's planned figures plus the
+    /// injection counters that fired during the run.
     pub fault_stats: FaultStats,
-    /// The recovery schedule the batch executed under — `Some` exactly
-    /// when a fault plan was installed. [`SchedulerOutcome::schedule`]
-    /// then describes the *fault-free baseline* (what the batch would
-    /// have done without faults); per-job reality (actual epoch,
-    /// attempts, quarantine) is in the results and here.
-    pub recovery: Option<RecoverySchedule>,
 }
 
 /// Distributed batch executor: a rank world carved into per-job
@@ -1055,7 +919,7 @@ pub struct Scheduler {
     budget: RankBudget,
     policy: StealPolicy,
     trace_label: String,
-    fault_plan: Option<FaultPlan>,
+    fault_plan: FaultPlan,
     retry_budget: usize,
 }
 
@@ -1077,14 +941,15 @@ impl Default for Scheduler {
 impl Scheduler {
     /// Build a scheduler over an existing engine (sharing its plan cache,
     /// e.g. with a serial [`JobQueue`](crate::jobs::JobQueue)). Epoch
-    /// stealing is on by default; see [`Scheduler::with_policy`].
+    /// stealing is on by default (see [`Scheduler::with_policy`]) and the
+    /// fault plan is empty (see [`Scheduler::with_fault_plan`]).
     pub fn new(engine: Arc<SubmatrixEngine>, budget: RankBudget) -> Self {
         Scheduler {
             engine,
             budget,
             policy: StealPolicy::default(),
             trace_label: "batch".to_string(),
-            fault_plan: None,
+            fault_plan: FaultPlan::new(),
             retry_budget: DEFAULT_RETRY_BUDGET,
         }
     }
@@ -1095,18 +960,18 @@ impl Scheduler {
         self
     }
 
-    /// Install a deterministic fault plan (builder style): batches then
-    /// run on the epoch-level recovery path (see the module docs) under
-    /// [`sm_comsim::run_ranks_with_faults`]. The plan must not fail rank
-    /// 0 — it is the coordinator that commits the fault consensus and
-    /// gathers results. A fault plan supersedes [`StealPolicy`]: recovery
-    /// always re-partitions between epochs (recovery *is* rebalancing).
+    /// Install a deterministic fault plan (builder style): batches are
+    /// then planned around its rank deaths and poisoned attempts and run
+    /// with the per-epoch fault consensus (see the module docs). The plan
+    /// must not fail rank 0 — it is the coordinator that commits the
+    /// consensus and gathers results. The empty plan is the fault-free
+    /// run.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         assert!(
             plan.fails_at(0).is_none(),
             "rank 0 is the coordinator and must not fail"
         );
-        self.fault_plan = Some(plan);
+        self.fault_plan = plan;
         self
     }
 
@@ -1120,16 +985,6 @@ impl Scheduler {
         self
     }
 
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault_plan.as_ref()
-    }
-
-    /// The per-job attempt budget used under fault injection.
-    pub fn retry_budget(&self) -> usize {
-        self.retry_budget
-    }
-
     /// Set the batch label used as the root `batch:<label>` span of every
     /// trace this scheduler records (builder style). Sessions asserting
     /// on span trees should pick a unique label and filter with
@@ -1141,24 +996,9 @@ impl Scheduler {
         self
     }
 
-    /// The batch label used for trace spans.
-    pub fn trace_label(&self) -> &str {
-        &self.trace_label
-    }
-
     /// The shared engine.
     pub fn engine(&self) -> &Arc<SubmatrixEngine> {
         &self.engine
-    }
-
-    /// The rank-budget policy.
-    pub fn budget(&self) -> &RankBudget {
-        &self.budget
-    }
-
-    /// The steal policy.
-    pub fn policy(&self) -> StealPolicy {
-        self.policy
     }
 
     /// Run a batch of one-shot matrix jobs over a `world_size`-rank world
@@ -1214,94 +1054,54 @@ impl Scheduler {
         }
         let costs: Vec<f64> = jobs.iter().map(estimate_batch_job_cost).collect();
         check_estimates(&jobs, &costs)?;
-        let schedule = plan_epochs(&costs, world_size, &self.budget, self.policy);
-        if let Some(plan) = &self.fault_plan {
-            return self.run_batch_recovering(world_size, jobs, costs, schedule, plan);
-        }
+        let schedule = plan_epochs_with_faults(
+            &costs,
+            world_size,
+            &self.budget,
+            self.policy,
+            &self.fault_plan,
+            self.retry_budget,
+        );
         {
-            // Narrate the (already fixed) plan on the caller thread, under
-            // the batch root span: planning stays a pure function of the
-            // estimates, the trace only observes its output.
+            // Narrate the (already fixed) schedule on the caller thread,
+            // under the batch root span: planning stays a pure function
+            // of the estimates and the fault plan, the trace only
+            // observes its output.
             let _batch = sm_trace::span(SpanKind::Batch, &self.trace_label);
             trace_schedule(&schedule);
         }
         let engine = &self.engine;
         let label = self.trace_label.as_str();
         let (jobs_ref, sched_ref) = (&jobs, &schedule);
-        let (mut per_rank, world_stats) = run_ranks(world_size, |comm| {
-            run_rank(engine, jobs_ref, sched_ref, label, comm)
-        });
-        let (results, (measured_idle, measured_max_idle)) = per_rank[0]
-            .take()
-            .expect("world rank 0 gathers every job result");
-        let mut steal_stats = schedule.planned;
-        steal_stats.measured_idle_seconds = measured_idle;
-        steal_stats.measured_max_rank_idle_seconds = measured_max_idle;
-        Ok(SchedulerOutcome {
-            results,
-            plan: schedule.static_plan.clone(),
-            schedule,
-            steal_stats,
-            world_stats,
-            fault_stats: FaultStats::default(),
-            recovery: None,
-        })
-    }
-
-    /// The fault-injected execution path: precompute the recovery
-    /// schedule, narrate it, run the world under
-    /// [`run_ranks_with_faults`], and merge planner + injection
-    /// telemetry. `schedule` is the fault-free baseline, kept in the
-    /// outcome for comparison.
-    fn run_batch_recovering(
-        &self,
-        world_size: usize,
-        jobs: Vec<BatchJob>,
-        costs: Vec<f64>,
-        schedule: EpochSchedule,
-        plan: &FaultPlan,
-    ) -> Result<SchedulerOutcome, SchedError> {
-        let rec = plan_recovery(&costs, world_size, &self.budget, plan, self.retry_budget);
-        {
-            // Narrate the precomputed recovery schedule on the caller
-            // thread: fault.injected per committed rank failure,
-            // sched.retry per backoff re-queue, job.quarantined per
-            // exhausted budget — all pure functions of the plan.
-            let _batch = sm_trace::span(SpanKind::Batch, &self.trace_label);
-            trace_recovery(&rec);
-        }
-        let engine = &self.engine;
-        let label = self.trace_label.as_str();
-        let (jobs_ref, rec_ref) = (&jobs, &rec);
         let (mut per_rank, world_stats, injected) =
-            run_ranks_with_faults(world_size, plan.clone(), |comm| {
-                run_rank_recovering(engine, jobs_ref, rec_ref, label, comm)
+            run_ranks_with_faults(world_size, self.fault_plan.clone(), |comm| {
+                run_rank(engine, jobs_ref, sched_ref, label, comm)
             });
         let (results, (measured_idle, measured_max_idle)) = per_rank[0]
             .take()
             .expect("rank 0 never fails")?
             .expect("world rank 0 gathers every job result");
         debug_assert_eq!(
-            injected.rank_failures as usize, rec.stats.rank_failures,
+            injected.rank_failures as usize, schedule.fault_stats.rank_failures,
             "runtime rank failures diverged from the committed plan"
         );
-        let mut steal_stats = schedule.planned;
-        steal_stats.measured_idle_seconds = measured_idle;
-        steal_stats.measured_max_rank_idle_seconds = measured_max_idle;
+        let steal_stats = StealStats {
+            measured_idle_seconds: measured_idle,
+            measured_max_rank_idle_seconds: measured_max_idle,
+            ..schedule.planned
+        };
         let fault_stats = FaultStats {
             dropped_messages: injected.dropped_messages,
             delayed_messages: injected.delayed_messages,
             slow_stalls: injected.slow_stalls,
-            ..rec.stats
+            ..schedule.fault_stats
         };
         Ok(SchedulerOutcome {
             results,
-            plan: schedule.static_plan.clone(),
             schedule,
             steal_stats,
             world_stats,
             fault_stats,
-            recovery: Some(rec),
         })
     }
 }
@@ -1313,97 +1113,26 @@ fn result_tag(job: usize, part: u64) -> u64 {
     wire::user_tag((1 << 40) | ((job as u64) * 4 + part))
 }
 
-/// Narrate a finished epoch/steal plan into the active trace (no-op when
-/// tracing is disabled): one `sched.epoch` event per epoch (cost = the
-/// epoch's steal horizon, with committed/deferred queue snapshots), one
+/// Narrate a finished schedule into the active trace (no-op when tracing
+/// is disabled): per epoch one `fault.injected` per committed rank
+/// failure and one `sched.epoch` event (cost = the epoch's steal horizon,
+/// with committed/deferred queue snapshots and the survivor count), one
 /// `sched.queue` per group (cost = committed estimated cost), one
 /// `sched.job` per committed queue entry **in execution order** (cost =
-/// the job's static estimate; fields carry queue position, rank count and
-/// steal attribution — the dependency edges `sm_trace::analyze`'s
-/// critical-path walker reconstructs, new in trace schema v2), and one
-/// `sched.steal` per stolen job at its decision point. Everything emitted
-/// here is a pure function of the schedule, so traced span trees stay
-/// deterministic across reruns.
+/// the job's static estimate; fields carry queue position, rank count,
+/// steal attribution and the attempt — the dependency edges
+/// `sm_trace::analyze`'s critical-path walker reconstructs), one
+/// `sched.steal` per stolen job at its decision point, one `sched.retry`
+/// per poisoned attempt that re-enters the queue (with its backoff target
+/// epoch) and one `job.quarantined` per exhausted retry budget.
+/// Everything emitted here is a pure function of the schedule, so traced
+/// span trees stay deterministic across reruns of the same seed.
 fn trace_schedule(s: &EpochSchedule) {
     if !sm_trace::enabled() {
         return;
     }
     let costs = &s.static_plan.job_costs;
     for (e, ep) in s.epochs.iter().enumerate() {
-        let _epoch = sm_trace::span(SpanKind::Epoch, e);
-        let horizon = ep
-            .groups
-            .iter()
-            .filter(|g| !g.jobs.is_empty())
-            .map(|g| costs[g.jobs[0]] / g.ranks.len() as f64)
-            .fold(0.0f64, f64::max);
-        let committed: usize = ep.groups.iter().map(|g| g.jobs.len()).sum();
-        let deferred = s.job_epoch.iter().filter(|&&je| je > e).count();
-        sm_trace::emit(
-            "sched.epoch",
-            horizon,
-            0.0,
-            &[
-                ("groups", ep.groups.len() as f64),
-                ("committed", committed as f64),
-                ("deferred", deferred as f64),
-            ],
-        );
-        for (g, grp) in ep.groups.iter().enumerate() {
-            let _group = sm_trace::span(SpanKind::Group, g);
-            sm_trace::emit(
-                "sched.queue",
-                grp.est_cost,
-                0.0,
-                &[
-                    ("jobs", grp.jobs.len() as f64),
-                    ("ranks", grp.ranks.len() as f64),
-                    ("rank_start", grp.ranks.start as f64),
-                ],
-            );
-            for (pos, &j) in grp.jobs.iter().enumerate() {
-                sm_trace::emit(
-                    "sched.job",
-                    costs[j],
-                    0.0,
-                    &[
-                        ("job", j as f64),
-                        ("pos", pos as f64),
-                        ("ranks", grp.ranks.len() as f64),
-                        ("stolen_ranks", s.job_stolen_ranks[j] as f64),
-                    ],
-                );
-                if s.job_stolen_ranks[j] > 0 {
-                    sm_trace::emit(
-                        "sched.steal",
-                        costs[j],
-                        0.0,
-                        &[
-                            ("job", j as f64),
-                            ("home_group", s.home_group[j] as f64),
-                            ("stolen_ranks", s.job_stolen_ranks[j] as f64),
-                        ],
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Narrate a precomputed recovery schedule into the active trace (no-op
-/// when tracing is disabled): one `fault.injected` per committed rank
-/// failure, one `sched.epoch`/`sched.queue`/`sched.job` spine like
-/// [`trace_schedule`]'s (jobs annotated with attempt numbers), one
-/// `sched.retry` per poisoned attempt that re-enters the queue (with its
-/// backoff target epoch), and one `job.quarantined` per exhausted retry
-/// budget. Everything here is a pure function of the schedule, so traced
-/// span trees stay deterministic across reruns of the same seed.
-fn trace_recovery(r: &RecoverySchedule) {
-    if !sm_trace::enabled() {
-        return;
-    }
-    let costs = &r.job_costs;
-    for (e, ep) in r.epochs.iter().enumerate() {
         let _epoch = sm_trace::span(SpanKind::Epoch, e);
         for &rank in &ep.newly_failed {
             sm_trace::emit(
@@ -1413,18 +1142,16 @@ fn trace_recovery(r: &RecoverySchedule) {
                 &[("rank", rank as f64), ("epoch", e as f64)],
             );
         }
-        let horizon = ep
-            .groups
-            .iter()
-            .filter(|g| !g.jobs.is_empty())
-            .map(|g| costs[g.jobs[0].job] / g.ranks.len() as f64)
-            .fold(0.0f64, f64::max);
+        let committed: usize = ep.groups.iter().map(|g| g.jobs.len()).sum();
+        let deferred = s.job_epoch.iter().filter(|&&je| je > e).count();
         sm_trace::emit(
             "sched.epoch",
-            horizon,
+            ep.horizon,
             0.0,
             &[
                 ("groups", ep.groups.len() as f64),
+                ("committed", committed as f64),
+                ("deferred", deferred as f64),
                 ("survivors", ep.survivors.len() as f64),
                 ("failed", ep.newly_failed.len() as f64),
             ],
@@ -1442,171 +1169,270 @@ fn trace_recovery(r: &RecoverySchedule) {
                 ],
             );
             for (pos, att) in grp.jobs.iter().enumerate() {
+                let j = att.job;
+                // A poisoned attempt never executes, so it steals nothing.
+                let stolen = if att.poisoned {
+                    0
+                } else {
+                    s.job_stolen_ranks[j]
+                };
                 sm_trace::emit(
                     "sched.job",
-                    costs[att.job],
+                    costs[j],
                     0.0,
                     &[
-                        ("job", att.job as f64),
+                        ("job", j as f64),
                         ("pos", pos as f64),
                         ("ranks", grp.ranks.len() as f64),
+                        ("stolen_ranks", stolen as f64),
                         ("attempt", att.attempt as f64),
                         ("poisoned", att.poisoned as u64 as f64),
                     ],
                 );
-                if att.poisoned {
-                    if att.attempt >= r.retry_budget {
-                        sm_trace::emit(
-                            "job.quarantined",
-                            costs[att.job],
-                            0.0,
-                            &[("job", att.job as f64), ("attempts", att.attempt as f64)],
-                        );
-                    } else {
-                        sm_trace::emit(
-                            "sched.retry",
-                            costs[att.job],
-                            0.0,
-                            &[
-                                ("job", att.job as f64),
-                                ("attempt", att.attempt as f64),
-                                ("next_epoch", (e + (1usize << (att.attempt - 1))) as f64),
-                            ],
-                        );
-                    }
+                if stolen > 0 {
+                    sm_trace::emit(
+                        "sched.steal",
+                        costs[j],
+                        0.0,
+                        &[
+                            ("job", j as f64),
+                            ("home_group", s.home_group[j] as f64),
+                            ("stolen_ranks", stolen as f64),
+                        ],
+                    );
+                }
+                if att.poisoned && att.attempt >= s.retry_budget {
+                    sm_trace::emit(
+                        "job.quarantined",
+                        costs[j],
+                        0.0,
+                        &[("job", j as f64), ("attempts", att.attempt as f64)],
+                    );
+                } else if att.poisoned {
+                    sm_trace::emit(
+                        "sched.retry",
+                        costs[j],
+                        0.0,
+                        &[
+                            ("job", j as f64),
+                            ("attempt", att.attempt as f64),
+                            ("next_epoch", (e + (1usize << (att.attempt - 1))) as f64),
+                        ],
+                    );
                 }
             }
         }
     }
 }
 
-/// One world rank's share of a scheduled batch: per epoch, split off the
-/// group subcommunicator (tearing down the previous epoch's — regrouping
-/// is always a fresh one-level split from the world comm), run the
-/// epoch's jobs, and (on world rank 0) gather every job's result plus the
-/// measured `(total, max)` per-rank idle seconds.
+/// One epoch's **fault consensus** — the plan-cache-consensus trick lifted
+/// to the world level: every survivor commits an identical failed-set
+/// view before any group forms. Rank 0 collects heartbeats from the
+/// previous epoch's survivors (`alive`) with deadline receives — a dead
+/// peer surfaces as a typed error, never a hang — and fans the committed
+/// view out to the survivors of *this* epoch; every survivor asserts it
+/// equals the schedule's view (the schedule is a function of that view,
+/// so divergence is a protocol bug, not a handleable condition).
+fn fault_consensus(
+    comm: &ThreadComm,
+    e: usize,
+    alive: &[usize],
+    ep: &Epoch,
+) -> Result<(), CommError> {
+    let hb = wire::user_tag(CONSENSUS_NS | e as u64);
+    let view = wire::user_tag(CONSENSUS_NS | CONSENSUS_VIEW_BIT | e as u64);
+    let dead_outside = |alive: &[usize]| -> Vec<u64> {
+        (0..comm.size())
+            .filter(|r| !alive.contains(r))
+            .map(|r| r as u64)
+            .collect()
+    };
+    let committed: Vec<u64> = if comm.rank() == 0 {
+        let mut dead = dead_outside(alive);
+        for &r in alive.iter().filter(|&&r| r != 0) {
+            if comm.recv_deadline(r, hb, CONTROL_TIMEOUT).is_err() {
+                dead.push(r as u64);
+            }
+        }
+        dead.sort_unstable();
+        for &r in ep.survivors.iter().filter(|&&r| r != 0) {
+            comm.send(r, view, Payload::U64(dead.clone()));
+        }
+        dead
+    } else {
+        comm.send(0, hb, Payload::U64(Vec::new()));
+        comm.recv_deadline(0, view, CONTROL_TIMEOUT)?.into_u64()
+    };
+    // Deterministic plans observed through poison-backed failure detection
+    // must commit exactly the planned view (user plans that drop
+    // control-tag messages void this).
+    assert_eq!(
+        committed,
+        dead_outside(&ep.survivors),
+        "rank {}: epoch {e} fault consensus diverged from the plan",
+        comm.rank()
+    );
+    Ok(())
+}
+
+/// One world rank's share of a scheduled batch. Per epoch: a rank whose
+/// [`FaultPlan`] death fires at this boundary poisons its peers and leaves
+/// (the poison is what lets every pending receive on it fail fast instead
+/// of hanging); if the communicator carries a plan — the executor's only
+/// switch, read off its input — the survivors run the [`fault_consensus`];
+/// then groups form with [`split_known`] from the schedule's member lists
+/// and run their committed attempts through [`execute_job_on_group`].
+///
+/// With no world collective anywhere, ranks run through their epochs
+/// unsynchronised. That is safe because every rank executes its epochs,
+/// and the jobs within them, in schedule order, each send is matched by
+/// exactly one receive, and the mailbox is FIFO per `(source, tag)`: a
+/// message a fast rank sends for epoch `e + 1` queues behind everything it
+/// sent the same peer for epoch `e`.
+///
+/// Dead ranks and non-root survivors return `Ok(None)`; world rank 0
+/// returns every job's result (quarantined placeholders synthesized
+/// locally — their groups never shipped anything) plus the measured
+/// `(total, max)` idle seconds over the final survivors, or a typed
+/// [`SchedError`] if collection fails unrecoverably.
+#[allow(clippy::type_complexity)]
 fn run_rank(
     engine: &Arc<SubmatrixEngine>,
     jobs: &[BatchJob],
     schedule: &EpochSchedule,
     label: &str,
     comm: &ThreadComm,
-) -> Option<(Vec<JobResult>, (f64, f64))> {
+) -> Result<Option<(Vec<JobResult>, (f64, f64))>, SchedError> {
     // Root span of everything this rank does for the batch: rank threads
     // are created fresh per batch, so the context stack starts empty and
     // every nested span/metric lands under `batch:<label>/...`.
     let _batch_span = sm_trace::span(SpanKind::Batch, label);
+    let me = comm.rank();
+    let plan = comm.fault_plan();
+    let my_death = plan.and_then(|p| p.fails_at(me));
+    let recv = |src: usize, tag: u64| match plan {
+        Some(_) => comm.recv_deadline(src, tag, CONTROL_TIMEOUT),
+        None => Ok(comm.recv(src, tag)),
+    };
+    let world: Vec<usize> = (0..comm.size()).collect();
     let t_start = Instant::now();
     let mut busy = 0.0f64;
-    for (e, epoch) in schedule.epochs.iter().enumerate() {
-        let group = epoch.group_of_rank(comm.rank());
-        // Mixing the epoch into the color gives every epoch's groups a
-        // fresh tag-namespace salt; the split is collective over the whole
-        // world, so it doubles as the epoch barrier.
-        let color = group.map_or(IDLE_COLOR, |g| ((e as u64) << 32) | g as u64);
-        let sub = comm.split(color, comm.rank() as u64);
-        let Some(g) = group else { continue };
+
+    for (e, ep) in schedule.epochs.iter().enumerate() {
+        // A planned death fires at the epoch boundary, before the
+        // consensus — which is exactly how the survivors find out.
+        if my_death == Some(e) {
+            comm.poison_peers();
+            return Ok(None);
+        }
+        if plan.is_some() {
+            let alive = e
+                .checked_sub(1)
+                .map_or(&world, |p| &schedule.epochs[p].survivors);
+            fault_consensus(comm, e, alive, ep)?;
+        }
+        let Some(g) = ep.group_of_rank(me) else {
+            continue;
+        };
+        let grp = &ep.groups[g];
         let _epoch_span = sm_trace::span(SpanKind::Epoch, e);
         let _group_span = sm_trace::span(SpanKind::Group, g);
-
-        for &j in &epoch.groups[g].jobs {
-            busy += execute_job_on_group(
-                engine,
-                jobs,
-                j,
-                schedule.static_plan.job_costs[j],
-                schedule.job_stolen_ranks[j],
-                1,
-                &sub,
-                comm,
-                e,
-            );
+        // Mixing the epoch into the color gives every epoch's groups a
+        // fresh tag-namespace salt.
+        let sub = split_known(comm, ((e as u64) << 32) | g as u64, grp.ranks.clone());
+        // Retry/quarantine bookkeeping happened at planning time; at run
+        // time the whole group just skips a poisoned attempt.
+        for att in grp.jobs.iter().filter(|a| !a.poisoned) {
+            busy += execute_job_on_group(engine, jobs, schedule, att, &sub, comm, e);
         }
     }
 
-    // Measured idle accounting: one world-level collective after the last
-    // epoch (every rank reaches it, so it cannot interleave with subgroup
-    // traffic).
+    // Measured idle accounting: no world collective may follow the last
+    // epoch (the dead would never join it), so survivors report
+    // point-to-point and rank 0 aggregates — emitting `rank.idle` for the
+    // final survivors only keeps the event count deterministic.
     let wall = t_start.elapsed().as_secs_f64();
-    let per_rank = comm.allgather_f64(&[busy, wall]);
-
-    if comm.rank() != 0 {
-        return None;
+    if me != 0 {
+        comm.send(
+            0,
+            wire::user_tag(IDLE_NS | me as u64),
+            Payload::F64(vec![busy, wall]),
+        );
+        return Ok(None);
     }
-    let wall_max = per_rank.iter().map(|v| v[1]).fold(0.0f64, f64::max);
+    let final_survivors = schedule.epochs.last().map_or(&world, |ep| &ep.survivors);
+    let mut per_rank: Vec<(usize, f64, f64)> = vec![(0, busy, wall)];
+    for &r in final_survivors.iter().filter(|&&r| r != 0) {
+        let v = recv(r, wire::user_tag(IDLE_NS | r as u64))?.into_f64();
+        per_rank.push((r, v[0], v[1]));
+    }
+    let wall_max = per_rank.iter().map(|&(_, _, w)| w).fold(0.0f64, f64::max);
     let mut idle_total = 0.0f64;
     let mut idle_max = 0.0f64;
-    for (r, v) in per_rank.iter().enumerate() {
-        let idle = (wall_max - v[0]).max(0.0);
+    for &(r, b, w) in &per_rank {
+        let idle = (wall_max - b).max(0.0);
         idle_total += idle;
         idle_max = idle_max.max(idle);
-        // One `rank.idle` per world rank, emitted by rank 0 under the
+        // One `rank.idle` per surviving rank, emitted by rank 0 under the
         // batch root: deterministic count, wall-derived values confined
         // to annotations (wall_s/fields), cost pinned at 0.
         sm_trace::emit(
             "rank.idle",
             0.0,
             idle,
-            &[("rank", r as f64), ("busy_s", v[0]), ("wall_s", v[1])],
+            &[("rank", r as f64), ("busy_s", b), ("wall_s", w)],
         );
     }
 
-    // World rank 0: collect every job from its group root (its own sends
-    // arrive through the local mailbox).
+    // Result collection: every executed job's root is read off the
+    // schedule (its own sends arrive through the local mailbox);
+    // quarantined jobs keep the empty placeholder, carrying only the
+    // fault bookkeeping (their groups never executed, so nothing was
+    // sent).
     let results = (0..jobs.len())
         .map(|j| {
+            let mut r = placeholder(&jobs[j]);
+            if schedule.quarantined[j] {
+                r.epoch = schedule.job_epoch[j];
+                r.attempts = schedule.job_attempts[j];
+                r.quarantined = true;
+                return Ok(r);
+            }
             let root = schedule.root_of_job(j);
-            let meta = comm.recv(root, result_tag(j, 0)).into_u64();
-            let data = comm.recv(root, result_tag(j, 1));
-            let telemetry = comm.recv(root, result_tag(j, 2)).into_f64();
-            let dims = jobs[j].input().dims();
-            let mut result = DbcsrMatrix::new(dims.clone(), 0, 1);
+            let meta = recv(root, result_tag(j, 0))?.into_u64();
+            let data = recv(root, result_tag(j, 1))?;
+            decode_telemetry(&recv(root, result_tag(j, 2))?.into_f64(), &mut r);
             // The meta header self-describes the value format (f32 for
             // plain-Fp32 jobs), so the unpack needs no job context.
-            for ((br, bc), blk) in wire::unpack_blocks_prec(dims, &meta, data) {
-                result.insert_block(br, bc, blk);
+            for ((br, bc), blk) in wire::unpack_blocks_prec(jobs[j].input().dims(), &meta, data) {
+                r.result.insert_block(br, bc, blk);
             }
-            let dec = decode_telemetry(&telemetry);
-            JobResult {
-                name: jobs[j].name().to_string(),
-                result,
-                report: dec.report,
-                seconds: dec.seconds,
-                group_size: dec.group_size,
-                comm_bytes: dec.comm_bytes,
-                comm_msgs: dec.comm_msgs,
-                epoch: dec.epoch,
-                stolen_ranks: dec.stolen_ranks,
-                attempts: dec.attempts,
-                quarantined: dec.quarantined,
-                scf: dec.scf,
-            }
+            Ok(r)
         })
-        .collect();
-    Some((results, (idle_total, idle_max)))
+        .collect::<Result<Vec<_>, SchedError>>()?;
+    Ok(Some((results, (idle_total, idle_max))))
 }
 
-/// Execute one job collectively on its group subcommunicator and — from
-/// the group root — ship the packed result and telemetry to world rank 0
-/// over the job's reserved tags. This is the single job body both the
-/// fault-free executor ([`run_rank`]) and the recovery executor
-/// ([`run_rank_recovering`]) run: the bitwise-equivalence contract
-/// (recovered job ≡ serial queue) holds precisely because a retried
-/// attempt re-enters the same code with only the group membership
-/// changed. Returns the wall seconds this rank spent on the job.
-#[allow(clippy::too_many_arguments)]
+/// Execute one committed attempt collectively on its group
+/// subcommunicator and — from the group root — ship the packed result and
+/// telemetry to world rank 0 over the job's reserved tags. The
+/// bitwise-equivalence contract (recovered job ≡ serial queue) holds
+/// precisely because a retried attempt re-enters this one body with only
+/// the group membership changed. Returns the wall seconds this rank spent
+/// on the job.
 fn execute_job_on_group(
     engine: &Arc<SubmatrixEngine>,
     jobs: &[BatchJob],
-    j: usize,
-    est_cost: f64,
-    stolen_ranks: usize,
-    attempt: usize,
+    schedule: &EpochSchedule,
+    att: &Attempt,
     sub: &SubComm<'_, ThreadComm>,
     comm: &ThreadComm,
     epoch: usize,
 ) -> f64 {
+    let j = att.job;
     let job = &jobs[j];
+    let est_cost = schedule.static_plan.job_costs[j];
+    let stolen_ranks = schedule.job_stolen_ranks[j];
     let _job_span = sm_trace::span(SpanKind::Job, j);
     let bytes0 = sub.stats().total_bytes();
     let msgs0 = sub.stats().total_msgs();
@@ -1772,458 +1598,248 @@ fn execute_job_on_group(
         for ((br, bc), blk) in gathered {
             root_mat.insert_block(br, bc, blk);
         }
-        let (meta, data) = wire::pack_blocks_prec(root_mat.store().iter(), result_format);
-        comm.send(0, result_tag(j, 0), Payload::U64(meta));
-        comm.send(0, result_tag(j, 1), data);
-        let telemetry = encode_telemetry(
-            &report,
-            phases[3],
-            sub.size(),
-            traffic[0] as u64,
-            traffic[1] as u64,
+        let done = JobResult {
+            name: job.name().to_string(),
+            result: root_mat,
+            report,
+            seconds: phases[3],
+            group_size: sub.size(),
+            comm_bytes: traffic[0] as u64,
+            comm_msgs: traffic[1] as u64,
             epoch,
             stolen_ranks,
-            attempt,
-            false,
-            scf_local.as_ref(),
-        );
-        comm.send(0, result_tag(j, 2), Payload::F64(telemetry));
+            attempts: att.attempt,
+            quarantined: false,
+            scf: scf_local,
+        };
+        let (meta, data) = wire::pack_blocks_prec(done.result.store().iter(), result_format);
+        comm.send(0, result_tag(j, 0), Payload::U64(meta));
+        comm.send(0, result_tag(j, 1), data);
+        comm.send(0, result_tag(j, 2), Payload::F64(encode_telemetry(&done)));
     }
     t.elapsed().as_secs_f64()
 }
 
-/// One world rank's share of a fault-injected batch (see "Faults and
-/// recovery" in the module docs). Per recovery epoch:
-///
-/// 1. a rank whose [`FaultPlan`] death fires at this epoch boundary
-///    poisons its peers and leaves — the poison is what lets every
-///    pending receive on it fail fast instead of hanging;
-/// 2. the survivors run the **fault consensus**: heartbeats to rank 0
-///    under a deadline, rank 0 fans the committed failed-set view back
-///    out, and every survivor asserts it equals the pure plan's view
-///    (the recovery schedule is a function of that view, so divergence
-///    is a protocol bug, not a handleable condition);
-/// 3. groups form with [`split_known`] from the agreed member lists —
-///    no world collective, so the dead are never waited on — and run
-///    their committed attempts through [`execute_job_on_group`].
-///    Poisoned attempts are skipped by the whole group from the pure
-///    plan alone (fail-stop at the attempt boundary: no partial sends).
-///
-/// Dead ranks and non-root survivors return `Ok(None)`; world rank 0
-/// returns every job's result (quarantined placeholders synthesized
-/// locally — their groups never shipped anything) plus the measured
-/// `(total, max)` idle seconds over the final survivors, or a typed
-/// [`SchedError`] if collection fails unrecoverably.
-#[allow(clippy::type_complexity)]
-fn run_rank_recovering(
-    engine: &Arc<SubmatrixEngine>,
-    jobs: &[BatchJob],
-    rec: &RecoverySchedule,
-    label: &str,
-    comm: &ThreadComm,
-) -> Result<Option<(Vec<JobResult>, (f64, f64))>, SchedError> {
-    let _batch_span = sm_trace::span(SpanKind::Batch, label);
-    let me = comm.rank();
-    let world = comm.size();
-    let my_death = comm.fault_plan().and_then(|p| p.fails_at(me));
-    let t_start = Instant::now();
-    let mut busy = 0.0f64;
+/// The result of a job nothing has run yet: its name, an empty matrix of
+/// its shape, and an all-zero report at its configured precision. Rank 0
+/// decodes a gathered job's telemetry into it; a quarantined job keeps it.
+fn placeholder(job: &BatchJob) -> JobResult {
+    JobResult {
+        name: job.name().to_string(),
+        result: DbcsrMatrix::new(job.input().dims().clone(), 0, 1),
+        report: EngineReport {
+            precision: job_numeric(job).precision,
+            ..EngineReport::default()
+        },
+        seconds: 0.0,
+        group_size: 0,
+        comm_bytes: 0,
+        comm_msgs: 0,
+        epoch: 0,
+        stolen_ranks: 0,
+        attempts: 0,
+        quarantined: false,
+        scf: None,
+    }
+}
 
-    for (e, ep) in rec.epochs.iter().enumerate() {
-        // A planned death fires at the epoch boundary, before the
-        // consensus below — which is exactly how the survivors find out.
-        if my_death == Some(e) {
-            comm.poison_peers();
-            return Ok(None);
+/// Stable wire codes of the enums a telemetry record carries: a value's
+/// code is its index here.
+const PRECISION_CODES: [Precision; 3] = [Precision::Fp64, Precision::Fp32, Precision::Fp32Refined];
+const BACKEND_CODES: [SolveBackend; 2] = [SolveBackend::Dense, SolveBackend::SparseCsr];
+
+fn code_of<T: PartialEq>(codes: &[T], value: &T) -> f64 {
+    let code = codes.iter().position(|c| c == value);
+    code.expect("every enum value has a wire code") as f64
+}
+
+fn from_code<T: Copy>(codes: &[T], x: f64, what: &str) -> T {
+    *codes
+        .get(x as usize)
+        .unwrap_or_else(|| panic!("unknown {what} code {x}"))
+}
+
+/// One field of a job's telemetry record: its [`tele`] wire id, how the
+/// group root reads its value(s) off the finished [`JobResult`] (none for
+/// an SCF field of a matrix job, one per iteration for the repeatable
+/// `SCF_ITER_*` ids), and how world rank 0 writes one decoded value back.
+struct TelemetryField {
+    id: u32,
+    read: fn(&JobResult, &mut dyn FnMut(f64)),
+    write: fn(&mut JobResult, f64),
+}
+
+/// A counter or measurement stored as `$ty` at `JobResult::$path`.
+/// Counters ride as `f64` (exact up to 2⁵³, far beyond any simulated run).
+macro_rules! number {
+    ($id:ident, $ty:ty, $($path:ident).+) => {
+        TelemetryField {
+            id: tele::$id,
+            read: |r, put| put(r.$($path).+ as f64),
+            write: |r, x| r.$($path).+ = x as $ty,
         }
+    };
+}
 
-        // Fault consensus — the plan-cache-consensus trick lifted to the
-        // world level: every survivor commits an identical failed-set
-        // view before any group forms. Rank 0 collects heartbeats with
-        // deadline receives (a dead peer surfaces as a typed error,
-        // never a hang) and fans the committed view out to the
-        // survivors of *this* epoch.
-        let hb = wire::user_tag(CONSENSUS_NS | e as u64);
-        let view = wire::user_tag(CONSENSUS_NS | CONSENSUS_VIEW_BIT | e as u64);
-        let prev_survivors: Vec<usize> = if e == 0 {
-            (0..world).collect()
-        } else {
-            rec.epochs[e - 1].survivors.clone()
-        };
-        let committed: Vec<u64> = if me == 0 {
-            let mut dead: Vec<u64> = (0..world)
-                .filter(|r| !prev_survivors.contains(r))
-                .map(|r| r as u64)
-                .collect();
-            for &r in prev_survivors.iter().filter(|&&r| r != 0) {
-                if comm.recv_deadline(r, hb, CONTROL_TIMEOUT).is_err() {
-                    dead.push(r as u64);
-                }
-            }
-            dead.sort_unstable();
-            for &r in ep.survivors.iter().filter(|&&r| r != 0) {
-                comm.send(r, view, Payload::U64(dead.clone()));
-            }
-            dead
-        } else {
-            comm.send(0, hb, Payload::U64(Vec::new()));
-            comm.recv_deadline(0, view, CONTROL_TIMEOUT)?.into_u64()
-        };
-        let planned: Vec<u64> = (0..world)
-            .filter(|r| !ep.survivors.contains(r))
-            .map(|r| r as u64)
-            .collect();
-        // Deterministic plans observed through poison-backed failure
-        // detection must commit exactly the planned view (user plans
-        // that drop control-tag messages void this — see module docs).
-        assert_eq!(
-            committed, planned,
-            "rank {me}: epoch {e} fault consensus diverged from the plan"
-        );
-
-        // Group formation from the agreed member lists.
-        if let Some(g) = ep.group_of_rank(me) {
-            let grp = &ep.groups[g];
-            let _epoch_span = sm_trace::span(SpanKind::Epoch, e);
-            let _group_span = sm_trace::span(SpanKind::Group, g);
-            let color = ((e as u64) << 32) | g as u64;
-            let sub = split_known(comm, color, grp.ranks.clone());
-            for att in &grp.jobs {
-                if att.poisoned {
-                    // Retry/quarantine bookkeeping happened at planning
-                    // time; at run time the whole group just skips.
-                    continue;
-                }
-                busy += execute_job_on_group(
-                    engine,
-                    jobs,
-                    att.job,
-                    rec.job_costs[att.job],
-                    0,
-                    att.attempt,
-                    &sub,
-                    comm,
-                    e,
-                );
-            }
+/// A boolean at `JobResult::$path`, on the wire as 0.0 / 1.0.
+macro_rules! flag {
+    ($id:ident, $($path:ident).+) => {
+        TelemetryField {
+            id: tele::$id,
+            read: |r, put| put(r.$($path).+ as u64 as f64),
+            write: |r, x| r.$($path).+ = x != 0.0,
         }
-    }
-
-    // Survivor-only idle accounting: no world collective may follow the
-    // last epoch (the dead would never join it), so survivors report
-    // point-to-point and rank 0 aggregates — emitting `rank.idle` for
-    // the final survivors only keeps the event count deterministic.
-    let wall = t_start.elapsed().as_secs_f64();
-    if me != 0 {
-        comm.send(
-            0,
-            wire::user_tag(IDLE_NS | me as u64),
-            Payload::F64(vec![busy, wall]),
-        );
-        return Ok(None);
-    }
-    let final_survivors: Vec<usize> = rec
-        .epochs
-        .last()
-        .map(|ep| ep.survivors.clone())
-        .unwrap_or_else(|| (0..world).collect());
-    let mut per_rank: Vec<(usize, f64, f64)> = vec![(0, busy, wall)];
-    for &r in final_survivors.iter().filter(|&&r| r != 0) {
-        let v = comm
-            .recv_deadline(r, wire::user_tag(IDLE_NS | r as u64), CONTROL_TIMEOUT)?
-            .into_f64();
-        per_rank.push((r, v[0], v[1]));
-    }
-    let wall_max = per_rank.iter().map(|&(_, _, w)| w).fold(0.0f64, f64::max);
-    let mut idle_total = 0.0f64;
-    let mut idle_max = 0.0f64;
-    for &(r, b, w) in &per_rank {
-        let idle = (wall_max - b).max(0.0);
-        idle_total += idle;
-        idle_max = idle_max.max(idle);
-        sm_trace::emit(
-            "rank.idle",
-            0.0,
-            idle,
-            &[("rank", r as f64), ("busy_s", b), ("wall_s", w)],
-        );
-    }
-
-    // Result collection: every non-quarantined job's final root is read
-    // off the deterministic commit history; quarantined jobs get a
-    // locally synthesized empty placeholder carrying the fault
-    // bookkeeping (their groups never executed, so nothing was sent).
-    let results = (0..jobs.len())
-        .map(|j| {
-            if rec.quarantined[j] {
-                return Ok(JobResult {
-                    name: jobs[j].name().to_string(),
-                    result: DbcsrMatrix::new(jobs[j].input().dims().clone(), 0, 1),
-                    report: empty_report(job_precision(&jobs[j])),
-                    seconds: 0.0,
-                    group_size: 0,
-                    comm_bytes: 0,
-                    comm_msgs: 0,
-                    epoch: rec.job_epoch[j],
-                    stolen_ranks: 0,
-                    attempts: rec.job_attempts[j],
-                    quarantined: true,
-                    scf: None,
-                });
-            }
-            let root = rec.root_of_job(j);
-            let meta = comm
-                .recv_deadline(root, result_tag(j, 0), CONTROL_TIMEOUT)?
-                .into_u64();
-            let data = comm.recv_deadline(root, result_tag(j, 1), CONTROL_TIMEOUT)?;
-            let telemetry = comm
-                .recv_deadline(root, result_tag(j, 2), CONTROL_TIMEOUT)?
-                .into_f64();
-            let dims = jobs[j].input().dims();
-            let mut result = DbcsrMatrix::new(dims.clone(), 0, 1);
-            for ((br, bc), blk) in wire::unpack_blocks_prec(dims, &meta, data) {
-                result.insert_block(br, bc, blk);
-            }
-            let dec = decode_telemetry(&telemetry);
-            Ok(JobResult {
-                name: jobs[j].name().to_string(),
-                result,
-                report: dec.report,
-                seconds: dec.seconds,
-                group_size: dec.group_size,
-                comm_bytes: dec.comm_bytes,
-                comm_msgs: dec.comm_msgs,
-                epoch: dec.epoch,
-                stolen_ranks: dec.stolen_ranks,
-                attempts: dec.attempts,
-                quarantined: dec.quarantined,
-                scf: dec.scf,
-            })
-        })
-        .collect::<Result<Vec<_>, SchedError>>()?;
-    Ok(Some((results, (idle_total, idle_max))))
+    };
 }
 
-/// All-zero [`EngineReport`] backing a quarantined job's placeholder.
-fn empty_report(precision: Precision) -> EngineReport {
-    EngineReport {
-        n_submatrices: 0,
-        max_dim: 0,
-        avg_dim: 0.0,
-        total_cost: 0.0,
-        transfers: TransferStats::default(),
-        precision,
-        gather_value_bytes: 0,
-        scatter_value_bytes: 0,
-        mu: 0.0,
-        bisect_iterations: 0,
-        plan_cached: false,
-        symbolic_seconds: 0.0,
-        gather_seconds: 0.0,
-        solve_seconds: 0.0,
-        scatter_seconds: 0.0,
-        backend: SolveBackend::Dense,
-        sparse_filtered_nnz: 0,
-        sparse_flops: 0,
-    }
+/// An SCF extension field: `$read` yields its values from the job's
+/// [`ScfTelemetry`] (nothing for a matrix job), `$write` stores one into
+/// it (created on the first SCF field decoded).
+macro_rules! scf {
+    ($id:ident, |$s:ident| $read:expr, |$t:ident, $x:ident| $write:expr) => {
+        TelemetryField {
+            id: tele::$id,
+            read: |r, put| {
+                if let Some($s) = &r.scf {
+                    $read.into_iter().for_each(put)
+                }
+            },
+            write: |r, $x| {
+                let $t = r.scf.get_or_insert_with(ScfTelemetry::default);
+                $write
+            },
+        }
+    };
 }
 
-/// The numeric precision a job was configured to run under.
-fn job_precision(job: &BatchJob) -> Precision {
-    match job {
-        BatchJob::Matrix(j) => j.numeric.precision,
-        BatchJob::Scf(j) => j.scf.numeric.precision,
-    }
-}
+/// The telemetry record's fields, **in wire order**: the base fields
+/// every job ships, then the SCF extension — one wire format carries both
+/// job kinds, distinguished by the presence of [`tele::SCF_ITERATIONS`].
+/// This table is the whole codec: [`encode_telemetry`] walks it reading,
+/// [`decode_telemetry`] dispatches each wire entry to its writer.
+const TELEMETRY_FIELDS: [TelemetryField; 35] = [
+    number!(N_SUBMATRICES, usize, report.n_submatrices),
+    number!(MAX_DIM, usize, report.max_dim),
+    number!(AVG_DIM, f64, report.avg_dim),
+    number!(TOTAL_COST, f64, report.total_cost),
+    number!(UNIQUE_BYTES, u64, report.transfers.unique_bytes),
+    number!(NAIVE_BYTES, u64, report.transfers.naive_bytes),
+    number!(UNIQUE_BLOCKS, u64, report.transfers.unique_blocks),
+    number!(TOTAL_REFERENCES, u64, report.transfers.total_references),
+    number!(MU, f64, report.mu),
+    number!(BISECT_ITERATIONS, usize, report.bisect_iterations),
+    flag!(PLAN_CACHED, report.plan_cached),
+    number!(SYMBOLIC_SECONDS, f64, report.symbolic_seconds),
+    number!(GATHER_SECONDS, f64, report.gather_seconds),
+    number!(SOLVE_SECONDS, f64, report.solve_seconds),
+    number!(SCATTER_SECONDS, f64, report.scatter_seconds),
+    number!(SECONDS, f64, seconds),
+    number!(GROUP_SIZE, usize, group_size),
+    number!(COMM_BYTES, u64, comm_bytes),
+    number!(COMM_MSGS, u64, comm_msgs),
+    TelemetryField {
+        id: tele::PRECISION_CODE,
+        read: |r, put| put(code_of(&PRECISION_CODES, &r.report.precision)),
+        write: |r, x| r.report.precision = from_code(&PRECISION_CODES, x, "precision"),
+    },
+    number!(GATHER_VALUE_BYTES, u64, report.gather_value_bytes),
+    number!(SCATTER_VALUE_BYTES, u64, report.scatter_value_bytes),
+    number!(EPOCH, usize, epoch),
+    number!(STOLEN_RANKS, usize, stolen_ranks),
+    number!(ATTEMPTS, usize, attempts),
+    flag!(QUARANTINED, quarantined),
+    TelemetryField {
+        id: tele::SOLVE_BACKEND_CODE,
+        read: |r, put| put(code_of(&BACKEND_CODES, &r.report.backend)),
+        write: |r, x| r.report.backend = from_code(&BACKEND_CODES, x, "solve-backend"),
+    },
+    number!(SPARSE_FILTERED_NNZ, u64, report.sparse_filtered_nnz),
+    number!(SPARSE_FLOPS, u64, report.sparse_flops),
+    scf!(SCF_ITERATIONS, |s| [s.iterations as f64], |s, x| s
+        .iterations =
+        x as usize),
+    scf!(SCF_CONVERGED, |s| [s.converged as u64 as f64], |s, x| s
+        .converged =
+        x != 0.0),
+    scf!(SCF_FINAL_ENERGY, |s| [s.final_energy], |s, x| s
+        .final_energy =
+        x),
+    scf!(SCF_FINAL_ELECTRONS, |s| [s.final_electrons], |s, x| s
+        .final_electrons =
+        x),
+    scf!(
+        SCF_ITER_GATHER_BYTES,
+        |s| s.gather_value_bytes.iter().map(|&b| b as f64),
+        |s, x| s.gather_value_bytes.push(x as u64)
+    ),
+    scf!(
+        SCF_ITER_SCATTER_BYTES,
+        |s| s.scatter_value_bytes.iter().map(|&b| b as f64),
+        |s, x| s.scatter_value_bytes.push(x as u64)
+    ),
+];
 
-/// Stable wire code of a [`Precision`] inside the telemetry record.
-fn precision_code(p: Precision) -> f64 {
-    match p {
-        Precision::Fp64 => 0.0,
-        Precision::Fp32 => 1.0,
-        Precision::Fp32Refined => 2.0,
-    }
-}
+/// The leading [`TELEMETRY_FIELDS`] every record must carry.
+const N_BASE_FIELDS: usize = 29;
 
-/// Inverse of [`precision_code`].
-fn precision_from_code(x: f64) -> Precision {
-    match x as u64 {
-        0 => Precision::Fp64,
-        1 => Precision::Fp32,
-        2 => Precision::Fp32Refined,
-        other => panic!("unknown precision code {other}"),
-    }
-}
-
-/// Stable wire code of a [`SolveBackend`] inside the telemetry record.
-fn backend_code(b: SolveBackend) -> f64 {
-    match b {
-        SolveBackend::Dense => 0.0,
-        SolveBackend::SparseCsr => 1.0,
-    }
-}
-
-/// Inverse of [`backend_code`].
-fn backend_from_code(x: f64) -> SolveBackend {
-    match x as u64 {
-        0 => SolveBackend::Dense,
-        1 => SolveBackend::SparseCsr,
-        other => panic!("unknown solve-backend code {other}"),
-    }
-}
-
-/// Flatten a job's telemetry — the group root's [`EngineReport`] plus
-/// wall-time, group size, subgroup traffic and steal attribution — into a
-/// versioned self-describing [`TelemetryRecord`]
+/// Flatten a finished job's telemetry — the group root's [`EngineReport`]
+/// plus wall-time, group size, subgroup traffic, steal and fault
+/// attribution — into a versioned self-describing [`TelemetryRecord`]
 /// (`sm_dbcsr::wire::TELEMETRY_SCHEMA_VERSION`) for the root gather.
-/// Counters ride as `f64` (exact up to 2⁵³, far beyond any simulated
-/// run). An SCF job appends its extension fields, with the per-iteration
-/// byte telemetry as repeated `tele::SCF_ITER_*` entries in iteration
-/// order — one wire format carries both job kinds, distinguished by the
-/// presence of [`tele::SCF_ITERATIONS`].
-#[allow(clippy::too_many_arguments)]
-fn encode_telemetry(
-    report: &EngineReport,
-    seconds: f64,
-    group_size: usize,
-    comm_bytes: u64,
-    comm_msgs: u64,
-    epoch: usize,
-    stolen_ranks: usize,
-    attempts: usize,
-    quarantined: bool,
-    scf: Option<&ScfTelemetry>,
-) -> Vec<f64> {
+fn encode_telemetry(done: &JobResult) -> Vec<f64> {
     let mut rec = TelemetryRecord::new();
-    rec.push(tele::N_SUBMATRICES, report.n_submatrices as f64);
-    rec.push(tele::MAX_DIM, report.max_dim as f64);
-    rec.push(tele::AVG_DIM, report.avg_dim);
-    rec.push(tele::TOTAL_COST, report.total_cost);
-    rec.push(tele::UNIQUE_BYTES, report.transfers.unique_bytes as f64);
-    rec.push(tele::NAIVE_BYTES, report.transfers.naive_bytes as f64);
-    rec.push(tele::UNIQUE_BLOCKS, report.transfers.unique_blocks as f64);
-    rec.push(
-        tele::TOTAL_REFERENCES,
-        report.transfers.total_references as f64,
-    );
-    rec.push(tele::MU, report.mu);
-    rec.push(tele::BISECT_ITERATIONS, report.bisect_iterations as f64);
-    rec.push(tele::PLAN_CACHED, report.plan_cached as u64 as f64);
-    rec.push(tele::SYMBOLIC_SECONDS, report.symbolic_seconds);
-    rec.push(tele::GATHER_SECONDS, report.gather_seconds);
-    rec.push(tele::SOLVE_SECONDS, report.solve_seconds);
-    rec.push(tele::SCATTER_SECONDS, report.scatter_seconds);
-    rec.push(tele::SECONDS, seconds);
-    rec.push(tele::GROUP_SIZE, group_size as f64);
-    rec.push(tele::COMM_BYTES, comm_bytes as f64);
-    rec.push(tele::COMM_MSGS, comm_msgs as f64);
-    rec.push(tele::PRECISION_CODE, precision_code(report.precision));
-    rec.push(tele::GATHER_VALUE_BYTES, report.gather_value_bytes as f64);
-    rec.push(tele::SCATTER_VALUE_BYTES, report.scatter_value_bytes as f64);
-    rec.push(tele::EPOCH, epoch as f64);
-    rec.push(tele::STOLEN_RANKS, stolen_ranks as f64);
-    rec.push(tele::ATTEMPTS, attempts as f64);
-    rec.push(tele::QUARANTINED, quarantined as u64 as f64);
-    rec.push(tele::SOLVE_BACKEND_CODE, backend_code(report.backend));
-    rec.push(tele::SPARSE_FILTERED_NNZ, report.sparse_filtered_nnz as f64);
-    rec.push(tele::SPARSE_FLOPS, report.sparse_flops as f64);
-    if let Some(s) = scf {
-        rec.push(tele::SCF_ITERATIONS, s.iterations as f64);
-        rec.push(tele::SCF_CONVERGED, if s.converged { 1.0 } else { 0.0 });
-        rec.push(tele::SCF_FINAL_ENERGY, s.final_energy);
-        rec.push(tele::SCF_FINAL_ELECTRONS, s.final_electrons);
-        for &b in &s.gather_value_bytes {
-            rec.push(tele::SCF_ITER_GATHER_BYTES, b as f64);
-        }
-        for &b in &s.scatter_value_bytes {
-            rec.push(tele::SCF_ITER_SCATTER_BYTES, b as f64);
-        }
+    for f in &TELEMETRY_FIELDS {
+        (f.read)(done, &mut |x| rec.push(f.id, x));
     }
     rec.encode()
 }
 
-/// A job's telemetry record, decoded — one field per [`JobResult`]
-/// scalar the wire carries.
-struct DecodedTelemetry {
-    report: EngineReport,
-    seconds: f64,
-    group_size: usize,
-    comm_bytes: u64,
-    comm_msgs: u64,
-    epoch: usize,
-    stolen_ranks: usize,
-    attempts: usize,
-    quarantined: bool,
-    scf: Option<ScfTelemetry>,
-}
-
-/// Inverse of [`encode_telemetry`]. Panics (with the decoder's own clear
-/// message) on schema-version mismatch or truncation — inside one
-/// process both ends are compiled together, so a mismatch here is a bug,
-/// not an input error.
-fn decode_telemetry(x: &[f64]) -> DecodedTelemetry {
+/// Inverse of [`encode_telemetry`], writing into `into` (a job's
+/// [`placeholder`]). Field ids this build does not know are skipped.
+/// Panics (with the decoder's own clear message) on schema-version
+/// mismatch, truncation or a missing base field — inside one process both
+/// ends are compiled together, so a mismatch here is a bug, not an input
+/// error.
+fn decode_telemetry(x: &[f64], into: &mut JobResult) {
     let rec = TelemetryRecord::decode(x).unwrap_or_else(|e| panic!("result-gather {e}"));
-    let get = |field: u32| {
-        rec.get(field)
-            .unwrap_or_else(|| panic!("telemetry record missing field id {field}"))
-    };
-    let scf = rec.get(tele::SCF_ITERATIONS).map(|iters| ScfTelemetry {
-        iterations: iters as usize,
-        converged: get(tele::SCF_CONVERGED) != 0.0,
-        final_energy: get(tele::SCF_FINAL_ENERGY),
-        final_electrons: get(tele::SCF_FINAL_ELECTRONS),
-        gather_value_bytes: rec
-            .get_all(tele::SCF_ITER_GATHER_BYTES)
-            .into_iter()
-            .map(|b| b as u64)
-            .collect(),
-        scatter_value_bytes: rec
-            .get_all(tele::SCF_ITER_SCATTER_BYTES)
-            .into_iter()
-            .map(|b| b as u64)
-            .collect(),
-    });
-    DecodedTelemetry {
-        report: EngineReport {
-            n_submatrices: get(tele::N_SUBMATRICES) as usize,
-            max_dim: get(tele::MAX_DIM) as usize,
-            avg_dim: get(tele::AVG_DIM),
-            total_cost: get(tele::TOTAL_COST),
-            transfers: TransferStats {
-                unique_bytes: get(tele::UNIQUE_BYTES) as u64,
-                naive_bytes: get(tele::NAIVE_BYTES) as u64,
-                unique_blocks: get(tele::UNIQUE_BLOCKS) as u64,
-                total_references: get(tele::TOTAL_REFERENCES) as u64,
-            },
-            precision: precision_from_code(get(tele::PRECISION_CODE)),
-            gather_value_bytes: get(tele::GATHER_VALUE_BYTES) as u64,
-            scatter_value_bytes: get(tele::SCATTER_VALUE_BYTES) as u64,
-            mu: get(tele::MU),
-            bisect_iterations: get(tele::BISECT_ITERATIONS) as usize,
-            plan_cached: get(tele::PLAN_CACHED) != 0.0,
-            symbolic_seconds: get(tele::SYMBOLIC_SECONDS),
-            gather_seconds: get(tele::GATHER_SECONDS),
-            solve_seconds: get(tele::SOLVE_SECONDS),
-            scatter_seconds: get(tele::SCATTER_SECONDS),
-            backend: backend_from_code(get(tele::SOLVE_BACKEND_CODE)),
-            sparse_filtered_nnz: get(tele::SPARSE_FILTERED_NNZ) as u64,
-            sparse_flops: get(tele::SPARSE_FLOPS) as u64,
-        },
-        seconds: get(tele::SECONDS),
-        group_size: get(tele::GROUP_SIZE) as usize,
-        comm_bytes: get(tele::COMM_BYTES) as u64,
-        comm_msgs: get(tele::COMM_MSGS) as u64,
-        epoch: get(tele::EPOCH) as usize,
-        stolen_ranks: get(tele::STOLEN_RANKS) as usize,
-        attempts: get(tele::ATTEMPTS) as usize,
-        quarantined: get(tele::QUARANTINED) != 0.0,
-        scf,
+    let mut seen = 0u64;
+    for &(id, value) in rec.entries() {
+        if let Some(f) = TELEMETRY_FIELDS.iter().find(|f| f.id == id) {
+            (f.write)(into, value);
+            seen |= 1 << id;
+        }
+    }
+    for f in &TELEMETRY_FIELDS[..N_BASE_FIELDS] {
+        assert!(
+            seen & (1 << f.id) != 0,
+            "telemetry record missing field id {}",
+            f.id
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn group_of_rank(p: &SchedulePlan, rank: usize) -> Option<usize> {
+        p.groups.iter().position(|g| g.ranks.contains(&rank))
+    }
+
+    fn group_of_job(p: &SchedulePlan, job: usize) -> usize {
+        let g = p.groups.iter().position(|g| g.jobs.contains(&job));
+        g.expect("every job is scheduled on exactly one group")
+    }
+
+    fn job_ids(g: &EpochGroup) -> Vec<usize> {
+        g.jobs.iter().map(|a| a.job).collect()
+    }
+
+    /// [`plan_epochs_with_faults`] at the defaults the recovery tests share.
+    fn plan_under(costs: &[f64], world: usize, plan: &FaultPlan, retries: usize) -> EpochSchedule {
+        let (budget, policy) = (RankBudget::default(), StealPolicy::default());
+        plan_epochs_with_faults(costs, world, &budget, policy, plan, retries)
+    }
 
     #[test]
     fn partition_empty_and_single() {
@@ -2241,7 +1857,7 @@ mod tests {
         // 4 jobs -> 4 groups, the heavy job's group gets the spare ranks.
         let p = partition(&[9.0, 3.0, 3.0, 3.0], 6, &RankBudget::default());
         assert_eq!(p.groups.len(), 4);
-        let g0 = p.group_of_job(0);
+        let g0 = group_of_job(&p, 0);
         assert_eq!(p.groups[g0].ranks.len(), 3);
         let total: usize = p.groups.iter().map(|g| g.ranks.len()).sum();
         assert_eq!(total, 6);
@@ -2270,7 +1886,7 @@ mod tests {
         assert_eq!(p.groups[1].ranks, 6..8);
         // No rank is idle.
         for r in 0..8 {
-            assert!(p.group_of_rank(r).is_some(), "rank {r} left idle");
+            assert!(group_of_rank(&p, r).is_some(), "rank {r} left idle");
         }
     }
 
@@ -2287,7 +1903,7 @@ mod tests {
             assert_eq!(g.ranks.len(), 2);
             assert_eq!(g.jobs.len(), 2);
         }
-        assert_eq!(p.group_of_rank(3), Some(1));
+        assert_eq!(group_of_rank(&p, 3), Some(1));
     }
 
     #[test]
@@ -2295,7 +1911,7 @@ mod tests {
         let p = partition(&[1.0, 8.0, 2.0], 2, &RankBudget::default());
         // Heaviest job (1) alone on one group; 2 and 0 share the other,
         // heavier first.
-        let g1 = p.group_of_job(1);
+        let g1 = group_of_job(&p, 1);
         assert_eq!(p.groups[g1].jobs, vec![1]);
         let other = 1 - g1;
         assert_eq!(p.groups[other].jobs, vec![2, 0]);
@@ -2315,8 +1931,9 @@ mod tests {
             s.planned.est_idle_cost_static
         );
         for (g, grp) in s.epochs[0].groups.iter().enumerate() {
-            assert_eq!(grp.jobs, s.static_plan.groups[g].jobs);
-            assert_eq!(grp.ranks, s.static_plan.groups[g].ranks);
+            assert_eq!(job_ids(grp), s.static_plan.groups[g].jobs);
+            let static_ranks: Vec<usize> = s.static_plan.groups[g].ranks.clone().collect();
+            assert_eq!(grp.ranks, static_ranks);
         }
     }
 
@@ -2328,7 +1945,7 @@ mod tests {
         assert_eq!(s.planned.stolen_jobs, 0);
         assert_eq!(s.planned.est_idle_cost_recovered(), 0.0);
         for (g, grp) in s.epochs[0].groups.iter().enumerate() {
-            assert_eq!(grp.jobs, s.static_plan.groups[g].jobs);
+            assert_eq!(job_ids(grp), s.static_plan.groups[g].jobs);
         }
     }
 
@@ -2354,7 +1971,7 @@ mod tests {
             let runs: usize = s
                 .epochs
                 .iter()
-                .map(|e| e.groups.iter().filter(|g| g.jobs.contains(&j)).count())
+                .map(|e| e.groups.iter().filter(|g| job_ids(g).contains(&j)).count())
                 .sum();
             assert_eq!(runs, 1, "job {j} scheduled {runs} times");
             assert!(s.epochs[s.job_epoch[j]].group_of_job(j).is_some());
@@ -2374,7 +1991,7 @@ mod tests {
         let s = plan_epochs(&[1.0; 7], 6, &RankBudget::default(), StealPolicy::default());
         assert_eq!(s.epochs.len(), 2);
         assert_eq!(s.epochs[1].groups.len(), 1);
-        assert_eq!(s.epochs[1].groups[0].ranks, 0..6);
+        assert_eq!(s.epochs[1].groups[0].ranks, (0..6).collect::<Vec<_>>());
         assert_eq!(s.planned.stolen_jobs, 1);
         assert_eq!(s.planned.stolen_ranks, 5);
         assert!(s.planned.est_idle_cost_recovered() > 0.0);
@@ -2420,6 +2037,20 @@ mod tests {
         assert_eq!(scheduled, costs.len());
     }
 
+    /// A one-block job (the shape every decode target below comes from)
+    /// and a finished result for it carrying `report`.
+    fn finished(report: EngineReport) -> (BatchJob, JobResult) {
+        let dims = sm_dbcsr::BlockedDims::uniform(1, 2);
+        let eye = sm_linalg::Matrix::from_fn(2, 2, |i, j| if i == j { 1.0 } else { 0.0 });
+        let matrix = DbcsrMatrix::from_dense(&eye, dims, 0, 1, 0.0);
+        let job = BatchJob::Matrix(MatrixJob::density("t", matrix, 0.0));
+        let done = JobResult {
+            report,
+            ..placeholder(&job)
+        };
+        (job, done)
+    }
+
     #[test]
     fn telemetry_roundtrip() {
         let report = EngineReport {
@@ -2447,12 +2078,24 @@ mod tests {
             sparse_filtered_nnz: 42,
             sparse_flops: 9000,
         };
-        let enc = encode_telemetry(&report, 1.5, 4, 4096, 17, 2, 3, 1, false, None);
+        let (job, done) = finished(report.clone());
+        let mut done = JobResult {
+            seconds: 1.5,
+            group_size: 4,
+            comm_bytes: 4096,
+            comm_msgs: 17,
+            epoch: 2,
+            stolen_ranks: 3,
+            attempts: 1,
+            ..done
+        };
+        let enc = encode_telemetry(&done);
         // Self-describing layout: version + entry-count header, then
         // (field_id, value) pairs — 29 base fields.
         assert_eq!(enc[0], wire::TELEMETRY_SCHEMA_VERSION as f64);
         assert_eq!(enc.len(), 2 + 2 * 29, "base record is 29 entries");
-        let d = decode_telemetry(&enc);
+        let mut d = placeholder(&job);
+        decode_telemetry(&enc, &mut d);
         assert_eq!(d.report.n_submatrices, 7);
         assert_eq!(d.report.transfers, report.transfers);
         assert_eq!(d.report.mu, report.mu);
@@ -2481,9 +2124,12 @@ mod tests {
             gather_value_bytes: vec![100, 200, 300],
             scatter_value_bytes: vec![10, 20, 30],
         };
-        let enc = encode_telemetry(&report, 1.5, 4, 4096, 17, 2, 3, 2, false, Some(&scf_in));
+        done.attempts = 2;
+        done.scf = Some(scf_in.clone());
+        let enc = encode_telemetry(&done);
         assert_eq!(enc.len(), 2 + 2 * (33 + 2 * 3));
-        let d = decode_telemetry(&enc);
+        let mut d = placeholder(&job);
+        decode_telemetry(&enc, &mut d);
         assert_eq!(d.attempts, 2);
         assert_eq!(d.scf, Some(scf_in));
     }
@@ -2491,29 +2137,23 @@ mod tests {
     #[test]
     #[should_panic(expected = "schema version mismatch")]
     fn telemetry_decode_rejects_foreign_schema_version() {
-        let report = EngineReport {
-            n_submatrices: 1,
-            max_dim: 2,
-            avg_dim: 2.0,
-            total_cost: 16.0,
-            transfers: TransferStats::default(),
-            precision: Precision::Fp64,
-            gather_value_bytes: 0,
-            scatter_value_bytes: 0,
-            mu: 0.0,
-            bisect_iterations: 0,
-            plan_cached: false,
-            symbolic_seconds: 0.0,
-            gather_seconds: 0.0,
-            solve_seconds: 0.0,
-            scatter_seconds: 0.0,
-            backend: SolveBackend::Dense,
-            sparse_filtered_nnz: 0,
-            sparse_flops: 0,
-        };
-        let mut enc = encode_telemetry(&report, 0.0, 1, 0, 0, 0, 0, 1, false, None);
+        let (job, done) = finished(EngineReport::default());
+        let mut enc = encode_telemetry(&done);
         enc[0] += 1.0; // a future schema version
-        let _ = decode_telemetry(&enc);
+        decode_telemetry(&enc, &mut placeholder(&job));
+    }
+
+    #[test]
+    fn telemetry_table_lists_every_field_id_once() {
+        // `tele`'s ids are contiguous from 0 to its last one; the table
+        // (which is the whole codec) must name each exactly once, base
+        // fields first.
+        let mut ids: Vec<u32> = TELEMETRY_FIELDS.iter().map(|f| f.id).collect();
+        assert!(ids[..N_BASE_FIELDS]
+            .iter()
+            .all(|id| !(tele::SCF_ITERATIONS..=tele::SCF_ITER_SCATTER_BYTES).contains(id)));
+        ids.sort_unstable();
+        assert_eq!(ids, (0..=tele::SPARSE_FLOPS).collect::<Vec<_>>());
     }
 
     #[test]
@@ -2538,7 +2178,7 @@ mod tests {
         let h = steal_horizon(&s.static_plan);
         for grp in &s.epochs[0].groups {
             let mut cum = 0.0;
-            for (pos, &j) in grp.jobs.iter().enumerate() {
+            for (pos, j) in job_ids(grp).into_iter().enumerate() {
                 cum += costs[j];
                 if pos > 0 {
                     assert!(
@@ -2576,8 +2216,7 @@ mod tests {
         // An all-zero-cost batch makes `steal_horizon` return 0.0 — a
         // horizon with no ordering information. The planner must treat it
         // as unbounded (commit everything, one epoch) instead of letting
-        // the greedy fill defer on it; same rule under the recovery
-        // planner's fill.
+        // the greedy fill defer on it.
         for world in [1usize, 2, 3, 6] {
             let s = plan_epochs(
                 &[0.0; 9],
@@ -2588,16 +2227,7 @@ mod tests {
             assert_eq!(s.epochs.len(), 1, "world {world}: zero-cost batch split");
             let scheduled: usize = s.epochs[0].groups.iter().map(|g| g.jobs.len()).sum();
             assert_eq!(scheduled, 9);
-
-            let r = plan_recovery(
-                &[0.0; 9],
-                world,
-                &RankBudget::default(),
-                &FaultPlan::new(),
-                3,
-            );
-            assert_eq!(r.epochs.len(), 1, "world {world}: recovery split");
-            assert!(r.job_attempts.iter().all(|&a| a == 1));
+            assert!(s.job_attempts.iter().all(|&a| a == 1));
         }
     }
 
@@ -2643,14 +2273,16 @@ mod tests {
     #[test]
     fn precision_codes_roundtrip() {
         for p in Precision::all() {
-            assert_eq!(precision_from_code(precision_code(p)), p);
+            let code = code_of(&PRECISION_CODES, &p);
+            assert_eq!(from_code(&PRECISION_CODES, code, "precision"), p);
         }
     }
 
     #[test]
     fn backend_codes_roundtrip() {
         for b in [SolveBackend::Dense, SolveBackend::SparseCsr] {
-            assert_eq!(backend_from_code(backend_code(b)), b);
+            let code = code_of(&BACKEND_CODES, &b);
+            assert_eq!(from_code(&BACKEND_CODES, code, "solve-backend"), b);
         }
     }
 
@@ -2665,7 +2297,13 @@ mod tests {
         let dims = sm_dbcsr::BlockedDims::uniform(12, 4);
         let diag = sm_linalg::Matrix::from_fn(48, 48, |i, j| if i == j { 2.0 } else { 0.0 });
         let matrix = DbcsrMatrix::from_dense(&diag, dims, 0, 1, 0.0);
-        let dense = estimate_pattern_cost(&matrix);
+        let dense = estimate_pattern_cost_for(
+            &matrix,
+            &NumericOptions {
+                backend: sm_core::engine::BackendPolicy::Dense,
+                ..Default::default()
+            },
+        );
         let mut numeric = NumericOptions {
             solve: sm_core::solver::SolveOptions {
                 method: SignMethod::NewtonSchulz,
@@ -2690,13 +2328,13 @@ mod tests {
     #[test]
     fn recovery_plan_without_faults_resolves_every_job_first_try() {
         let costs = [5.0, 3.0, 2.0, 2.0];
-        let r = plan_recovery(&costs, 4, &RankBudget::default(), &FaultPlan::new(), 3);
+        let r = plan_under(&costs, 4, &FaultPlan::new(), 3);
         assert!(r.quarantined.iter().all(|&q| !q));
         assert!(r.job_attempts.iter().all(|&a| a == 1));
-        assert_eq!(r.stats.rank_failures, 0);
-        assert_eq!(r.stats.poisoned_attempts, 0);
-        assert_eq!(r.stats.retries, 0);
-        assert_eq!(r.stats.final_world_size, 4);
+        assert_eq!(r.fault_stats.rank_failures, 0);
+        assert_eq!(r.fault_stats.poisoned_attempts, 0);
+        assert_eq!(r.fault_stats.retries, 0);
+        assert_eq!(r.fault_stats.final_world_size, 4);
         // Every epoch keeps the full world and every job has a root.
         for ep in &r.epochs {
             assert_eq!(ep.survivors, vec![0, 1, 2, 3]);
@@ -2711,9 +2349,9 @@ mod tests {
     fn recovery_plan_shrinks_world_at_the_failure_epoch() {
         let costs = [4.0; 6];
         let plan = FaultPlan::new().fail_rank(2, 1);
-        let r = plan_recovery(&costs, 4, &RankBudget::default(), &plan, 3);
-        assert_eq!(r.stats.rank_failures, 1);
-        assert_eq!(r.stats.final_world_size, 3);
+        let r = plan_under(&costs, 4, &plan, 3);
+        assert_eq!(r.fault_stats.rank_failures, 1);
+        assert_eq!(r.fault_stats.final_world_size, 3);
         // The world shrinks exactly at the committed epoch and stays
         // strictly smaller afterwards — never to grow back.
         for (e, ep) in r.epochs.iter().enumerate() {
@@ -2737,35 +2375,66 @@ mod tests {
         // Job 1 poisoned on attempts 1 and 2 with budget 3: two retries
         // (backing off 1 then 2 epochs), third attempt clean.
         let plan = FaultPlan::new().poison_job(1, 1).poison_job(1, 2);
-        let r = plan_recovery(&costs, 2, &RankBudget::default(), &plan, 3);
+        let r = plan_under(&costs, 2, &plan, 3);
         assert_eq!(r.job_attempts[1], 3);
         assert!(!r.quarantined[1]);
-        assert_eq!(r.stats.poisoned_attempts, 2);
-        assert_eq!(r.stats.retries, 2);
-        assert_eq!(r.stats.quarantined_jobs, 0);
+        assert_eq!(r.fault_stats.poisoned_attempts, 2);
+        assert_eq!(r.fault_stats.retries, 2);
+        assert_eq!(r.fault_stats.quarantined_jobs, 0);
         // Attempt 1 at epoch 0, retry at 0+2^0=1, then at 1+2^1=3 with a
         // pure wait epoch in between.
         assert_eq!(r.job_epoch[1], 3);
         assert!(r.epochs[2].groups.iter().all(|g| g.jobs.is_empty()));
 
         // Budget 2 quarantines instead of running the third attempt.
-        let r = plan_recovery(&costs, 2, &RankBudget::default(), &plan, 2);
+        let r = plan_under(&costs, 2, &plan, 2);
         assert!(r.quarantined[1]);
         assert_eq!(r.job_attempts[1], 2);
-        assert_eq!(r.stats.quarantined_jobs, 1);
-        assert_eq!(r.stats.retries, 1);
+        assert_eq!(r.fault_stats.quarantined_jobs, 1);
+        assert_eq!(r.fault_stats.retries, 1);
         assert!(!r.quarantined[0]);
+    }
+
+    #[test]
+    fn disabled_policy_under_a_poison_commits_every_eligible_job() {
+        // `Disabled` lifts the horizon with or without faults: each epoch
+        // commits everything eligible, so only backoff creates epochs. The
+        // straggler batch (which defers three jobs under the default
+        // policy, see `straggler_batch_steals_and_recovers_idle_time`).
+        let mut costs = vec![3.0];
+        costs.extend(std::iter::repeat_n(1.0, 18));
+        let plan = FaultPlan::new().poison_job(5, 1);
+        let budget = RankBudget::default();
+        let s = plan_epochs_with_faults(&costs, 6, &budget, StealPolicy::Disabled, &plan, 3);
+        assert_eq!(s.epochs.len(), 2, "epoch 0, then job 5's retry");
+        for (g, grp) in s.epochs[0].groups.iter().enumerate() {
+            assert_eq!(job_ids(grp), s.static_plan.groups[g].jobs);
+        }
+        let retry: Vec<_> = s.epochs[1].groups.iter().flat_map(|g| &g.jobs).collect();
+        let expected = Attempt {
+            job: 5,
+            attempt: 2,
+            poisoned: false,
+        };
+        assert_eq!(retry, [&expected]);
+        let rebalanced = plan_under(&costs, 6, &plan, 3);
+        let committed: usize = rebalanced.epochs[0]
+            .groups
+            .iter()
+            .map(|g| g.jobs.len())
+            .sum();
+        assert!(committed < costs.len(), "the default policy still defers");
     }
 
     #[test]
     fn recovery_plan_is_deterministic_per_seed() {
         let costs = [5.0, 1.0, 3.0, 2.0, 4.0];
         let plan = FaultPlan::random(42, 4, costs.len());
-        let a = plan_recovery(&costs, 4, &RankBudget::default(), &plan, 3);
-        let b = plan_recovery(&costs, 4, &RankBudget::default(), &plan, 3);
+        let a = plan_under(&costs, 4, &plan, 3);
+        let b = plan_under(&costs, 4, &plan, 3);
         assert_eq!(a.job_epoch, b.job_epoch);
         assert_eq!(a.job_attempts, b.job_attempts);
         assert_eq!(a.quarantined, b.quarantined);
-        assert_eq!(a.stats, b.stats);
+        assert_eq!(a.fault_stats, b.fault_stats);
     }
 }

@@ -21,7 +21,7 @@ use sm_comsim::{FaultPlan, SerialComm};
 use sm_dbcsr::{BlockedDims, DbcsrMatrix};
 use sm_linalg::Matrix;
 use sm_pipeline::{
-    EngineOptions, FaultStats, JobQueue, JobResult, MatrixJob, RankBudget, RecoverySchedule,
+    EngineOptions, EpochSchedule, FaultStats, JobQueue, JobResult, MatrixJob, RankBudget,
     Scheduler, SchedulerOutcome, SubmatrixEngine,
 };
 
@@ -96,7 +96,7 @@ fn assert_recovered_bitwise(scheduled: &[JobResult], serial: &[JobResult], what:
 
 /// Survivor worlds are monotonically shrinking, shrink **strictly** at
 /// every epoch that commits failures, and always retain rank 0.
-fn assert_world_shrinks_monotonically(rec: &RecoverySchedule) {
+fn assert_world_shrinks_monotonically(rec: &EpochSchedule) {
     let mut prev: Vec<usize> = (0..rec.world_size).collect();
     for (e, ep) in rec.epochs.iter().enumerate() {
         assert!(ep.survivors.contains(&0), "rank 0 left the world");
@@ -111,7 +111,7 @@ fn assert_world_shrinks_monotonically(rec: &RecoverySchedule) {
         }
         prev = ep.survivors.clone();
     }
-    assert_eq!(prev.len(), rec.stats.final_world_size);
+    assert_eq!(prev.len(), rec.fault_stats.final_world_size);
 }
 
 /// The consensus accounting identity under recovery: every rank of every
@@ -119,7 +119,7 @@ fn assert_world_shrinks_monotonically(rec: &RecoverySchedule) {
 /// attempt (poisoned attempts are skipped whole-group and do no
 /// planning), so `hits + builds = executions = Σ group size`.
 fn assert_consensus_accounting(outcome: &SchedulerOutcome, engine: &SubmatrixEngine) {
-    let rec = outcome.recovery.as_ref().expect("fault path sets recovery");
+    let rec = &outcome.schedule;
     let expected: usize = rec
         .epochs
         .iter()
@@ -133,6 +133,74 @@ fn assert_consensus_accounting(outcome: &SchedulerOutcome, engine: &SubmatrixEng
         "plan-cache consensus accounting off under faults: {stats:?}"
     );
     assert_eq!(stats.executions, expected);
+}
+
+/// Steal and epoch telemetry mean the same thing with and without faults:
+/// every executed job reports the epoch and the stolen ranks the schedule
+/// records for it, and both stat blocks count the epochs that ran.
+fn assert_telemetry_matches_schedule(outcome: &SchedulerOutcome) {
+    let schedule = &outcome.schedule;
+    for (j, r) in outcome.results.iter().enumerate() {
+        assert_eq!(r.epoch, schedule.job_epoch[j], "job {j} epoch");
+        assert_eq!(r.stolen_ranks, schedule.job_stolen_ranks[j], "job {j}");
+    }
+    assert_eq!(outcome.steal_stats.epochs, schedule.epochs.len());
+    assert_eq!(
+        outcome.steal_stats.epochs,
+        outcome.fault_stats.recovery_epochs
+    );
+    assert_eq!(
+        outcome.steal_stats.stolen_ranks,
+        outcome
+            .results
+            .iter()
+            .map(|r| r.stolen_ranks)
+            .sum::<usize>()
+    );
+}
+
+#[test]
+fn empty_fault_plan_is_the_fault_free_run() {
+    // A fault-free batch is the batch under the empty plan: same results,
+    // same schedule, and message for message the same traffic — no
+    // consensus, no heartbeat. Every job has its own pattern, so no group
+    // can hit a plan another group is racing to build and the message
+    // count is a function of the schedule alone.
+    let jobs: Vec<MatrixJob> = (0..8u64)
+        .map(|i| MatrixJob::density(format!("job-{i}"), banded(3 + i as usize, 2, 1, 9 + i), 0.0))
+        .collect();
+    let serial = JobQueue::new(fresh_engine()).run(jobs.clone());
+    for world in [2usize, 4, 6] {
+        let run = |plan: Option<FaultPlan>| {
+            let jobs = jobs.clone();
+            with_watchdog(240, move || {
+                let sched = Scheduler::new(fresh_engine(), RankBudget::default());
+                match plan {
+                    Some(p) => sched.with_fault_plan(p).run(world, jobs),
+                    None => sched.run(world, jobs),
+                }
+            })
+        };
+        let (bare, empty) = (run(None), run(Some(FaultPlan::new())));
+        assert_recovered_bitwise(&empty.results, &serial, "empty plan");
+        assert_recovered_bitwise(&bare.results, &serial, "no plan");
+        assert_eq!(
+            format!("{:?}", bare.schedule),
+            format!("{:?}", empty.schedule)
+        );
+        let (a, b) = (&bare.world_stats, &empty.world_stats);
+        assert_eq!(a.total_msgs(), b.total_msgs(), "world {world}");
+        assert_eq!(a.total_bytes(), b.total_bytes(), "world {world}");
+        assert_eq!(
+            empty.fault_stats,
+            FaultStats {
+                recovery_epochs: empty.schedule.epochs.len(),
+                final_world_size: world,
+                ..FaultStats::default()
+            }
+        );
+        assert_telemetry_matches_schedule(&empty);
+    }
 }
 
 #[test]
@@ -149,7 +217,7 @@ fn epoch_boundary_rank_failure_recovers_bitwise_and_shrinks_world() {
     assert_eq!(outcome.fault_stats.rank_failures, 1);
     assert_eq!(outcome.fault_stats.final_world_size, 3);
     assert_eq!(outcome.fault_stats.quarantined_jobs, 0);
-    let rec = outcome.recovery.as_ref().unwrap();
+    let rec = &outcome.schedule;
     assert_world_shrinks_monotonically(rec);
     // The failure epoch exists and everything after it runs without the
     // dead rank.
@@ -159,6 +227,7 @@ fn epoch_boundary_rank_failure_recovers_bitwise_and_shrinks_world() {
         assert!(!ep.groups.iter().any(|g| g.ranks.contains(&3)));
     }
     assert_recovered_bitwise(&outcome.results, &serial, "rank death at epoch 1");
+    assert_telemetry_matches_schedule(&outcome);
     assert!(outcome.results.iter().all(|r| r.attempts == 1));
 }
 
@@ -179,6 +248,7 @@ fn poisoned_attempt_retries_with_backoff_and_matches_serial() {
     assert_eq!(outcome.results[2].attempts, 2, "retry consumed attempt 2");
     assert!(!outcome.results[2].quarantined);
     assert_recovered_bitwise(&outcome.results, &serial, "one poisoned attempt");
+    assert_telemetry_matches_schedule(&outcome);
 }
 
 #[test]
@@ -234,7 +304,7 @@ fn chaos_matrix_is_bitwise_recovering_and_reproducible() {
             let (outcome, stats) = run(jobs.clone());
             let what = format!("chaos seed {seed} world {world}");
             assert_recovered_bitwise(&outcome.results, &serial, &what);
-            assert_world_shrinks_monotonically(outcome.recovery.as_ref().unwrap());
+            assert_world_shrinks_monotonically(&outcome.schedule);
 
             let (_, stats2) = run(jobs.clone());
             assert_eq!(stats, stats2, "{what}: counters not reproducible");
@@ -261,7 +331,7 @@ proptest! {
                 .run(world, jobs)
         });
         assert_recovered_bitwise(&outcome.results, &serial, &format!("proptest seed {seed}"));
-        let rec = outcome.recovery.as_ref().unwrap();
+        let rec = &outcome.schedule;
         assert_world_shrinks_monotonically(rec);
         for j in 0..n_jobs {
             prop_assert!(outcome.results[j].attempts >= 1);

@@ -110,7 +110,7 @@ fn scheduler_matches_queue_bitwise_at_1_2_4_ranks_per_job() {
         let outcome = sched.run(world, jobs.clone());
         // The budget cap and world size pin every group to the requested
         // width.
-        for g in &outcome.plan.groups {
+        for g in &outcome.schedule.static_plan.groups {
             assert_eq!(g.ranks.len(), ranks_per_job);
         }
         assert_batches_bitwise_equal(&outcome.results, &serial, ranks_per_job);
@@ -139,7 +139,7 @@ fn scheduler_handles_more_jobs_than_ranks() {
     let jobs = mixed_batch(3);
     let serial = JobQueue::default().run(jobs.clone());
     let outcome = Scheduler::default().run(2, jobs);
-    assert_eq!(outcome.plan.groups.len(), 2);
+    assert_eq!(outcome.schedule.static_plan.groups.len(), 2);
     assert_batches_bitwise_equal(&outcome.results, &serial, 1);
 }
 

@@ -272,6 +272,40 @@ fn tracing_is_non_perturbing_and_span_trees_are_deterministic() {
     );
 }
 
+#[test]
+fn epochs_cost_a_fault_free_batch_no_world_traffic() {
+    // Twelve equal-cost jobs under a one-rank cap: every epoch commits
+    // one job per rank (a second would overflow the horizon) and always
+    // has at least `world` jobs left, so the cap never folds. One-rank
+    // groups move no subgroup traffic, so everything the world counts is
+    // the result gather — three messages per job whose root is not rank
+    // 0 — plus one idle report per non-zero rank. Nothing is paid per
+    // epoch: groups form from the schedule's member lists, not from a
+    // world collective.
+    let budget = RankBudget {
+        max_group_size: Some(1),
+        max_groups: None,
+    };
+    for world in [2usize, 3, 4] {
+        let jobs: Vec<MatrixJob> = (0..12u64)
+            .map(|i| MatrixJob::density(format!("small-{i}"), banded(4, 2, 1, 5 + i), 0.0))
+            .collect();
+        let outcome = with_watchdog(180, move || {
+            Scheduler::new(fresh_engine(None), budget).run(world, jobs)
+        });
+        let schedule = &outcome.schedule;
+        assert_eq!(schedule.epochs.len(), 12 / world);
+        let mut groups = schedule.epochs.iter().flat_map(|ep| &ep.groups);
+        assert!(groups.all(|g| g.ranks.len() == 1));
+        let remote_roots = (0..12).filter(|&j| schedule.root_of_job(j) != 0).count();
+        assert_eq!(
+            outcome.world_stats.total_msgs(),
+            (3 * remote_roots + world - 1) as u64,
+            "world {world}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 

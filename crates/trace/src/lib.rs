@@ -78,6 +78,12 @@ pub mod json;
 /// and `sched.job` events gain `attempt`/`poisoned` fields. v1/v2
 /// traces parse as [`analyze::TraceError::VersionMismatch`];
 /// regenerate by rerunning the traced bench.
+///
+/// One narrator writes every batch, faulty or not, so the field lists are
+/// one superset: `sched.epoch` carries `groups`, `committed`, `deferred`,
+/// `survivors`, `failed`; `sched.job` carries `job`, `pos`, `ranks`,
+/// `stolen_ranks`, `attempt`, `poisoned`. Readers look fields up by name,
+/// so the superset needed no version bump.
 pub const TRACE_SCHEMA_VERSION: u32 = 3;
 
 /// Root path used for events and metrics recorded while no span context

@@ -61,7 +61,7 @@ fn main() {
     let outcome = scheduler.run(world, jobs);
 
     println!("schedule over {world} ranks:");
-    for (g, group) in outcome.plan.groups.iter().enumerate() {
+    for (g, group) in outcome.schedule.static_plan.groups.iter().enumerate() {
         let names: Vec<&str> = group
             .jobs
             .iter()
