@@ -1,0 +1,1249 @@
+//! The pure half of the scheduler: cost estimates, the LPT partition, the
+//! steal horizon, the one epoch planner and the schedule types it builds.
+//! Everything here is a function of its arguments alone (Invariant 3) —
+//! CI greps this file for any clock, communicator handle or tracer.
+
+use std::ops::Range;
+
+use sm_accel::perfmodel;
+use sm_comsim::{CommError, FaultPlan, SerialComm};
+use sm_core::engine::NumericOptions;
+use sm_core::solver::{SignMethod, SolveBackend};
+use sm_dbcsr::DbcsrMatrix;
+
+use crate::jobs::BatchJob;
+
+/// Default per-job attempt budget under fault injection (first attempt +
+/// two retries), overridable via [`Scheduler::with_retry_budget`](super::Scheduler::with_retry_budget).
+pub const DEFAULT_RETRY_BUDGET: usize = 3;
+
+/// Rank-budget policy: how many groups to form and how large each may
+/// grow. The default is uncapped — `min(world, jobs)` groups, ranks dealt
+/// proportionally to estimated load.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RankBudget {
+    /// Upper bound on ranks per group (`None` = no cap). With
+    /// `world = jobs × k` and a cap of `k`, every group gets exactly `k`
+    /// ranks — the knob the equivalence suite uses to pin group sizes.
+    /// The cap is *soft* in one case: when every group is capped and
+    /// spare ranks remain, the leftovers fold into the largest group
+    /// instead of idling for the whole batch.
+    pub max_group_size: Option<usize>,
+    /// Upper bound on the number of concurrent groups (`None` = no cap).
+    pub max_groups: Option<usize>,
+}
+
+/// Whether the scheduler may rebalance between epochs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum StealPolicy {
+    /// Epoch-based work stealing (the default): each epoch commits only up
+    /// to the steal horizon and re-deals the world over the deferred jobs,
+    /// so drained ranks land on straggler groups' queues.
+    #[default]
+    EpochRebalance,
+    /// No horizon: every epoch commits all its eligible jobs, so a batch
+    /// in which nothing fails is one epoch of static groups — the
+    /// pre-stealing behavior, kept as the ablation baseline — and only
+    /// rank deaths and retry backoff open further epochs.
+    Disabled,
+}
+
+/// One group of the schedule: which jobs it runs (longest first) on which
+/// contiguous world ranks.
+#[derive(Debug, Clone)]
+pub struct GroupPlan {
+    /// Job indices in execution order (descending estimated cost,
+    /// submission order breaking ties).
+    pub jobs: Vec<usize>,
+    /// World ranks forming this group's subcommunicator; `ranks.start` is
+    /// the group root.
+    pub ranks: Range<usize>,
+    /// Total estimated cost of the group's jobs.
+    pub est_cost: f64,
+}
+
+/// Deterministic work partition produced by [`partition`].
+#[derive(Debug, Clone)]
+pub struct SchedulePlan {
+    /// World size the plan was built for.
+    pub world_size: usize,
+    /// The groups, in world-rank order.
+    pub groups: Vec<GroupPlan>,
+    /// Per-job estimated costs (submission order).
+    pub job_costs: Vec<f64>,
+}
+
+/// Estimate the submatrix work of **one engine evaluation** of a sparsity
+/// pattern under `numeric`: for each block column, the induced submatrix
+/// dimension `n` costs `2n³` FLOPs (one dense solve), inflated by the
+/// perfmodel utilization curve — small matrices run far from peak, so
+/// their FLOPs buy more wall time. When the job's
+/// [`BackendPolicy`](sm_core::engine::BackendPolicy) resolves to the
+/// sparse-CSR solve for this pattern's element fill (and the configured
+/// sign method honors the backend at all), the dense estimate is scaled
+/// by [`perfmodel::sparse_solve_cost_factor`]. Pattern-only and cheap; no
+/// plan is built.
+///
+/// The fill is computed from the same replicated pattern walk the
+/// engine's symbolic phase performs, and the resolution goes through the
+/// same shared [`resolve`](sm_core::engine::BackendPolicy::resolve) rule
+/// — scheduler and engine can never disagree about which backend a job
+/// runs, so the schedule stays a pure function of the estimates.
+pub fn estimate_pattern_cost_for(matrix: &DbcsrMatrix, numeric: &NumericOptions) -> f64 {
+    let comm = SerialComm::new();
+    let pattern = matrix.global_pattern(&comm);
+    let dims = matrix.dims();
+    let mut cost = 0.0;
+    let mut nnz_elems = 0.0;
+    for bc in 0..dims.nb() {
+        let n: usize = pattern.rows_in_col(bc).map(|br| dims.size(br)).sum();
+        if n > 0 {
+            let flops = 2.0 * (n as f64).powi(3);
+            cost += flops / perfmodel::matmul_utilization(1.0, n);
+        }
+        nnz_elems += pattern
+            .rows_in_col(bc)
+            .map(|br| (dims.size(br) * dims.size(bc)) as f64)
+            .sum::<f64>();
+    }
+    let n_elems = (dims.n() * dims.n()) as f64;
+    let fill = if n_elems > 0.0 {
+        nnz_elems / n_elems
+    } else {
+        0.0
+    };
+    let backend_honored = matches!(
+        numeric.solve.method,
+        SignMethod::NewtonSchulz | SignMethod::Pade(_)
+    );
+    if backend_honored && numeric.backend.resolve(fill) == SolveBackend::SparseCsr {
+        cost *= perfmodel::sparse_solve_cost_factor(fill);
+    }
+    cost
+}
+
+/// Estimate a [`BatchJob`]'s total work: the **per-iteration** pattern
+/// cost times the job's iteration budget. A one-shot matrix job is one
+/// iteration; an SCF job re-evaluates the same pattern every iteration
+/// (on the same cached plan), so its commitment scales linearly with the
+/// expected iteration count — this is the cost-model generalization that
+/// lets iterative jobs ride the same LPT/steal machinery as one-shot
+/// evaluations.
+pub fn estimate_batch_job_cost(job: &BatchJob) -> f64 {
+    estimate_pattern_cost_for(job.input(), job_numeric(job)) * job.iteration_budget() as f64
+}
+
+/// The numeric options a job will execute under (matrix jobs carry them
+/// directly; SCF jobs nest them inside their [`ScfOptions`]).
+pub(super) fn job_numeric(job: &BatchJob) -> &NumericOptions {
+    match job {
+        BatchJob::Matrix(j) => &j.numeric,
+        BatchJob::Scf(j) => &j.scf.numeric,
+    }
+}
+
+/// Admission gate on the perfmodel estimates: every cost must be finite,
+/// or the schedule (a pure function of the estimates) is undefined. The
+/// first offender is reported as [`SchedError::BadEstimate`].
+pub(super) fn check_estimates(jobs: &[BatchJob], costs: &[f64]) -> Result<(), SchedError> {
+    for (job, &cost) in jobs.iter().zip(costs) {
+        if !cost.is_finite() {
+            return Err(SchedError::BadEstimate {
+                name: job.name().to_string(),
+                cost,
+            });
+        }
+    }
+    Ok(())
+}
+
+/// Deterministically partition `costs.len()` jobs over `world_size` ranks:
+/// longest-job-first packing onto `min(world, jobs)` groups (respecting
+/// `budget.max_groups`), then proportional rank allocation (respecting
+/// `budget.max_group_size`; every group gets at least one rank; ranks no
+/// group may take under the cap are folded into the largest group so no
+/// rank sits idle for the whole batch).
+pub fn partition(costs: &[f64], world_size: usize, budget: &RankBudget) -> SchedulePlan {
+    assert!(world_size >= 1, "need at least one rank");
+    let n = costs.len();
+    if n == 0 {
+        return SchedulePlan {
+            world_size,
+            groups: Vec::new(),
+            job_costs: Vec::new(),
+        };
+    }
+    let mut n_groups = world_size.min(n);
+    if let Some(mg) = budget.max_groups {
+        n_groups = n_groups.min(mg.max(1));
+    }
+
+    // Longest job first, submission order breaking ties. `total_cmp`
+    // keeps the sort total even on non-finite estimates (the scheduler
+    // rejects those at admission, but `partition` is a public entry point
+    // and a NaN must not panic mid-schedule).
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&a, &b| costs[b].total_cmp(&costs[a]).then(a.cmp(&b)));
+
+    // LPT packing onto the least-loaded group.
+    let mut group_jobs: Vec<Vec<usize>> = vec![Vec::new(); n_groups];
+    let mut loads = vec![0.0f64; n_groups];
+    for &j in &order {
+        let g = (0..n_groups)
+            .min_by(|&a, &b| loads[a].total_cmp(&loads[b]))
+            .expect("n_groups >= 1");
+        group_jobs[g].push(j);
+        loads[g] += costs[j];
+    }
+
+    // Proportional rank allocation: start at one rank each, then hand the
+    // remaining ranks one at a time to the group with the highest load per
+    // rank (lowest index breaking ties), respecting the size cap.
+    let cap = budget.max_group_size.unwrap_or(usize::MAX).max(1);
+    let mut sizes = vec![1usize; n_groups];
+    let mut spare = world_size.saturating_sub(n_groups);
+    while spare > 0 {
+        let candidate = (0..n_groups).filter(|&g| sizes[g] < cap).max_by(|&a, &b| {
+            (loads[a] / sizes[a] as f64)
+                .total_cmp(&(loads[b] / sizes[b] as f64))
+                .then(b.cmp(&a)) // prefer the lower group index
+        });
+        match candidate {
+            Some(g) => {
+                sizes[g] += 1;
+                spare -= 1;
+            }
+            None => {
+                // Every group is capped. Fold the leftovers into the
+                // largest group (lowest index breaking ties) instead of
+                // leaving them idle for the whole batch.
+                let g = (0..n_groups)
+                    .max_by(|&a, &b| sizes[a].cmp(&sizes[b]).then(b.cmp(&a)))
+                    .expect("n_groups >= 1");
+                sizes[g] += spare;
+                spare = 0;
+            }
+        }
+    }
+
+    let mut groups = Vec::with_capacity(n_groups);
+    let mut start = 0usize;
+    for g in 0..n_groups {
+        groups.push(GroupPlan {
+            jobs: std::mem::take(&mut group_jobs[g]),
+            ranks: start..start + sizes[g],
+            est_cost: loads[g],
+        });
+        start += sizes[g];
+    }
+    SchedulePlan {
+        world_size,
+        groups,
+        job_costs: costs.to_vec(),
+    }
+}
+
+/// The **steal horizon** of one epoch's partition: the longest single-job
+/// wall-clock commitment any group's *leading* job imposes, in estimated
+/// cost units —
+///
+/// ```text
+/// horizon = max over non-empty groups g of  cost(g.jobs[0]) / |g.ranks|
+/// ```
+///
+/// A job cannot be split across epochs, so no re-deal can finish the
+/// epoch faster than the largest leading job runs on its own group; any
+/// queue a group holds *beyond* that horizon is pure straggler tail that
+/// later epochs can re-deal over drained ranks. Groups that LPT left
+/// empty (possible when zero-cost jobs all pile onto the first zero-load
+/// group) impose no commitment and are skipped. The
+/// `steal_horizon_is_max_leading_cost_per_ranks` regression test pins
+/// this formula directly against [`plan_epochs`]'s commit/defer behavior.
+pub fn steal_horizon(plan: &SchedulePlan) -> f64 {
+    plan.groups
+        .iter()
+        .filter(|g| !g.jobs.is_empty())
+        .map(|g| plan.job_costs[g.jobs[0]] / g.ranks.len() as f64)
+        .fold(0.0f64, f64::max)
+}
+
+/// Work-stealing telemetry of one scheduled batch: how many epochs the
+/// planner cut, how much rank capacity moved between groups, and how much
+/// idle-rank time the re-deal recovers. The `est_*` figures are in the
+/// perfmodel's deterministic cost units (a pure function of the batch, so
+/// tests can assert them exactly); the `measured_*` figures are wall-clock
+/// seconds observed on this run (reported, never asserted — thread ranks
+/// share cores).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct StealStats {
+    /// Number of epochs (1 = the static schedule; no re-split happened).
+    pub epochs: usize,
+    /// Jobs that executed on at least one rank outside their static
+    /// (epoch-0) group.
+    pub stolen_jobs: usize,
+    /// Total foreign ranks across all stolen jobs.
+    pub stolen_ranks: usize,
+    /// Σ over ranks of estimated idle time under the static schedule.
+    pub est_idle_cost_static: f64,
+    /// Σ over ranks of estimated idle time under the epoch schedule.
+    pub est_idle_cost_epochs: f64,
+    /// Estimated idle time of the *most idle* rank, static schedule.
+    pub est_max_rank_idle_static: f64,
+    /// Estimated idle time of the *most idle* rank, epoch schedule.
+    pub est_max_rank_idle_epochs: f64,
+    /// Measured Σ over ranks of (batch wall − rank busy) seconds.
+    pub measured_idle_seconds: f64,
+    /// Measured idle seconds of the most idle rank.
+    pub measured_max_rank_idle_seconds: f64,
+}
+
+impl StealStats {
+    /// Estimated idle-rank time the epoch re-deal recovers over the static
+    /// schedule (cost units; ≥ 0 exactly when the re-deal shortens the
+    /// estimated makespan).
+    pub fn est_idle_cost_recovered(&self) -> f64 {
+        self.est_idle_cost_static - self.est_idle_cost_epochs
+    }
+}
+
+/// One committed execution attempt in an [`EpochGroup`]'s queue.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Attempt {
+    /// Job index (submission order).
+    pub job: usize,
+    /// 1-based attempt number this commitment represents.
+    pub attempt: usize,
+    /// True when the fault plan poisons this attempt: the whole group
+    /// skips it (fail-stop detection at the attempt boundary) and the job
+    /// either retries after backoff or is quarantined.
+    pub poisoned: bool,
+}
+
+/// One group of an [`Epoch`]: a queue of committed attempts on an explicit
+/// world-rank list.
+#[derive(Debug, Clone)]
+pub struct EpochGroup {
+    /// Committed attempts in execution order (descending estimated cost,
+    /// submission order breaking ties).
+    pub jobs: Vec<Attempt>,
+    /// World ranks forming this group's subcommunicator, ascending;
+    /// `ranks[0]` is the group root. Contiguous while the whole world is
+    /// alive; survivor sets have holes where ranks died.
+    pub ranks: Vec<usize>,
+    /// Total estimated cost of the committed attempts.
+    pub est_cost: f64,
+}
+
+/// One epoch of the schedule: the failures committed at its boundary, the
+/// surviving world, and the groups formed over it, each committing a wave
+/// of jobs.
+#[derive(Debug, Clone)]
+pub struct Epoch {
+    /// Ranks whose failure this epoch's consensus commits (they died at
+    /// the epoch boundary, before taking part in the consensus).
+    pub newly_failed: Vec<usize>,
+    /// Ranks alive through this epoch, ascending (always contains 0).
+    pub survivors: Vec<usize>,
+    /// The [`steal_horizon`] the epoch's groups filled their queues to
+    /// (0 for a backoff-wait epoch).
+    pub horizon: f64,
+    /// The epoch's groups, in world-rank order; their ranks cover the
+    /// survivors (empty during pure backoff-wait epochs).
+    pub groups: Vec<EpochGroup>,
+}
+
+impl Epoch {
+    /// The group index a world rank belongs to in this epoch.
+    pub fn group_of_rank(&self, rank: usize) -> Option<usize> {
+        self.groups.iter().position(|g| g.ranks.contains(&rank))
+    }
+
+    /// The group index **executing** a job in this epoch (`None` if the
+    /// job runs in another epoch, or only a poisoned attempt of it is
+    /// queued here).
+    pub fn group_of_job(&self, job: usize) -> Option<usize> {
+        self.groups
+            .iter()
+            .position(|g| g.jobs.iter().any(|a| a.job == job && !a.poisoned))
+    }
+}
+
+/// The deterministic schedule of one batch, produced by
+/// [`plan_epochs_with_faults`]: the static partition plus the epoch waves
+/// actually executed, with per-job steal attribution, the planned
+/// [`StealStats`], and the fault bookkeeping (attempts, quarantines,
+/// [`FaultStats`]). A pure function of the estimates, the world size, the
+/// budget, the policy and the fault plan — never of measured time — so
+/// every rank derives the identical schedule without coordination, reruns
+/// of the same seed reproduce every counter exactly, and the equivalence
+/// suites can assert on it.
+#[derive(Debug, Clone)]
+pub struct EpochSchedule {
+    /// World size the schedule was built for.
+    pub world_size: usize,
+    /// Per-job attempt budget the schedule was built under.
+    pub retry_budget: usize,
+    /// The static (single-epoch, fault-free) partition — the baseline the
+    /// steal telemetry is measured against; it also holds the per-job
+    /// estimated costs.
+    pub static_plan: SchedulePlan,
+    /// The epochs, in execution order.
+    pub epochs: Vec<Epoch>,
+    /// Each job's static group index (its "home" group).
+    pub home_group: Vec<usize>,
+    /// The epoch of each job's final attempt (the executing one, or the
+    /// quarantining one).
+    pub job_epoch: Vec<usize>,
+    /// Per job: ranks of its executing group that are outside its home
+    /// group's static allocation (0 = no stealing, or quarantined).
+    pub job_stolen_ranks: Vec<usize>,
+    /// Attempts each job consumed.
+    pub job_attempts: Vec<usize>,
+    /// Whether each job was quarantined.
+    pub quarantined: Vec<bool>,
+    /// Planned steal telemetry (`measured_*` fields are zero until the
+    /// scheduler fills them from an actual run).
+    pub planned: StealStats,
+    /// Planner-side fault telemetry (injection counters zero; the
+    /// scheduler fills them from the run).
+    pub fault_stats: FaultStats,
+}
+
+impl EpochSchedule {
+    fn executing_group(&self, job: usize) -> &EpochGroup {
+        let ep = &self.epochs[self.job_epoch[job]];
+        let g = ep
+            .group_of_job(job)
+            .unwrap_or_else(|| panic!("job {job} was quarantined and has no executing group"));
+        &ep.groups[g]
+    }
+
+    /// The world rank acting as a job's group root on its executing
+    /// attempt. Panics for quarantined jobs (they have none).
+    pub fn root_of_job(&self, job: usize) -> usize {
+        self.executing_group(job).ranks[0]
+    }
+
+    /// The ranks executing a job. Panics for quarantined jobs.
+    pub fn ranks_of_job(&self, job: usize) -> &[usize] {
+        &self.executing_group(job).ranks
+    }
+}
+
+/// [`plan_epochs_with_faults`] under the empty [`FaultPlan`]: the schedule
+/// of a batch in which nothing fails.
+pub fn plan_epochs(
+    costs: &[f64],
+    world_size: usize,
+    budget: &RankBudget,
+    policy: StealPolicy,
+) -> EpochSchedule {
+    plan_epochs_with_faults(
+        costs,
+        world_size,
+        budget,
+        policy,
+        &FaultPlan::new(),
+        DEFAULT_RETRY_BUDGET,
+    )
+}
+
+/// Cut a batch into epochs (see the module docs, phase 3). Pure and
+/// deterministic: a function of the estimated costs, the world size, the
+/// budget, the policy, the fault plan and the retry budget only.
+///
+/// Per epoch `e`: commit every rank the plan fails at an epoch `<= e` that
+/// is not yet committed; re-[`partition`] the eligible pending jobs
+/// (deterministic backoff can push a retry past `e`) over the survivors
+/// (LPT within the epoch); each group then commits a greedy fill of its
+/// queue up to the epoch's [`steal_horizon`] — the largest single-job wall
+/// estimate `cost / ranks` any group's leading job imposes (that job
+/// cannot be split, so no re-deal can beat its commitment) — or its whole
+/// queue under [`StealPolicy::Disabled`]; then resolve each committed
+/// attempt against the plan — a poisoned attempt re-enters the pending
+/// queue with its next eligible epoch at `e + 2^(attempt-1)` (bounded
+/// exponential backoff in epochs), or is quarantined once `retry_budget`
+/// attempts are spent. Deferred jobs form the next epoch's input; epochs
+/// whose eligible set is empty (all pending jobs backing off) form
+/// survivor-idle wait epochs. Terminates because every non-wait epoch
+/// resolves at least one attempt per group and attempts are bounded by
+/// `jobs × retry_budget`.
+pub fn plan_epochs_with_faults(
+    costs: &[f64],
+    world_size: usize,
+    budget: &RankBudget,
+    policy: StealPolicy,
+    plan: &FaultPlan,
+    retry_budget: usize,
+) -> EpochSchedule {
+    assert!(retry_budget >= 1, "retry budget must allow one attempt");
+    assert!(
+        plan.fails_at(0).is_none(),
+        "rank 0 is the coordinator and must not fail"
+    );
+    let static_plan = partition(costs, world_size, budget);
+    let n = costs.len();
+    let mut home_group = vec![0usize; n];
+    for (g, grp) in static_plan.groups.iter().enumerate() {
+        for &j in &grp.jobs {
+            home_group[j] = g;
+        }
+    }
+
+    let mut alive: Vec<usize> = (0..world_size).collect();
+    // (job, attempts so far, first epoch the job may run in) — kept in
+    // ascending job order so re-partitions see a deterministic input.
+    let mut pending: Vec<(usize, usize, usize)> = (0..n).map(|j| (j, 0, 0)).collect();
+    let mut epochs: Vec<Epoch> = Vec::new();
+    let mut job_epoch = vec![0usize; n];
+    let mut job_stolen_ranks = vec![0usize; n];
+    let mut job_attempts = vec![0usize; n];
+    let mut quarantined = vec![false; n];
+    let (mut poisoned_attempts, mut retries) = (0usize, 0usize);
+    // Generous convergence bound: attempts are capped at n × retry_budget
+    // and each backoff gap at 2^(retry_budget-1) wait epochs.
+    let bound = 4 + world_size + n * retry_budget * (1 + (1usize << retry_budget.min(20)));
+    while !pending.is_empty() {
+        let e = epochs.len();
+        assert!(e <= bound, "epoch planner failed to converge");
+        let dies_by = |r: &usize| plan.fails_at(*r).is_some_and(|at| at <= e);
+        let newly_failed: Vec<usize> = alive.iter().copied().filter(dies_by).collect();
+        alive.retain(|r| !dies_by(r));
+        let survivors = alive.clone();
+
+        let eligible: Vec<(usize, usize)> = pending
+            .iter()
+            .filter(|&&(_, _, from)| from <= e)
+            .map(|&(j, a, _)| (j, a))
+            .collect();
+        if eligible.is_empty() {
+            // Every pending job is backing off: survivors idle one epoch.
+            epochs.push(Epoch {
+                newly_failed,
+                survivors,
+                horizon: 0.0,
+                groups: Vec::new(),
+            });
+            continue;
+        }
+
+        // Re-partition the eligible jobs over the survivors only — the
+        // graceful-degradation step: a failed group's jobs re-enter this
+        // deal automatically because their epochs were never recorded.
+        let ecosts: Vec<f64> = eligible.iter().map(|&(j, _)| costs[j]).collect();
+        let p = partition(&ecosts, survivors.len(), budget);
+        // A horizon that is zero (all-zero-cost batch) or non-finite
+        // carries no ordering information — treat it as unbounded so the
+        // epoch commits everything instead of deferring pathologically.
+        let horizon = steal_horizon(&p);
+        let unbounded = policy == StealPolicy::Disabled || !(horizon.is_finite() && horizon > 0.0);
+        let mut groups = Vec::with_capacity(p.groups.len());
+        let mut requeue: Vec<(usize, usize, usize)> = Vec::new();
+        for grp in &p.groups {
+            let ranks: Vec<usize> = grp.ranks.clone().map(|i| survivors[i]).collect();
+            let ranks_f = ranks.len() as f64;
+            let mut committed = Vec::with_capacity(grp.jobs.len());
+            let mut cum = 0.0f64;
+            for (pos, &k) in grp.jobs.iter().enumerate() {
+                // Greedy fill to the horizon (LPT order, so later jobs are
+                // smaller and may still fit); the leading job is always
+                // committed, the rest defer to the next epoch.
+                if pos > 0 && !unbounded && (cum + ecosts[k]) / ranks_f > horizon * (1.0 + 1e-9) {
+                    continue;
+                }
+                cum += ecosts[k];
+                let (j, prev) = eligible[k];
+                let attempt = prev + 1;
+                let poisoned = plan.is_poisoned(j, attempt);
+                committed.push(Attempt {
+                    job: j,
+                    attempt,
+                    poisoned,
+                });
+                job_attempts[j] = attempt;
+                job_epoch[j] = e;
+                if !poisoned {
+                    let home = &static_plan.groups[home_group[j]].ranks;
+                    job_stolen_ranks[j] = ranks.iter().filter(|r| !home.contains(r)).count();
+                } else {
+                    poisoned_attempts += 1;
+                    if attempt >= retry_budget {
+                        quarantined[j] = true;
+                    } else {
+                        retries += 1;
+                        requeue.push((j, attempt, e + (1usize << (attempt - 1))));
+                    }
+                }
+            }
+            groups.push(EpochGroup {
+                jobs: committed,
+                ranks,
+                est_cost: cum,
+            });
+        }
+        // Whatever this epoch committed has consumed one more attempt.
+        pending.retain(|&(j, attempts, _)| job_attempts[j] == attempts);
+        pending.extend(requeue);
+        pending.sort_unstable();
+        epochs.push(Epoch {
+            newly_failed,
+            survivors,
+            horizon,
+            groups,
+        });
+    }
+
+    let planned = steal_stats_for(&static_plan, &epochs, &job_stolen_ranks);
+    let fault_stats = FaultStats {
+        rank_failures: world_size - alive.len(),
+        poisoned_attempts,
+        retries,
+        quarantined_jobs: quarantined.iter().filter(|&&q| q).count(),
+        recovery_epochs: epochs.len(),
+        final_world_size: alive.len(),
+        ..FaultStats::default()
+    };
+    EpochSchedule {
+        world_size,
+        retry_budget,
+        static_plan,
+        epochs,
+        home_group,
+        job_epoch,
+        job_stolen_ranks,
+        job_attempts,
+        quarantined,
+        planned,
+        fault_stats,
+    }
+}
+
+/// Planned steal telemetry: per-rank estimated idle under the static plan
+/// (every rank waits for the slowest group) versus under the epoch plan
+/// (per epoch, every surviving rank waits for the slowest committed
+/// group).
+fn steal_stats_for(
+    static_plan: &SchedulePlan,
+    epochs: &[Epoch],
+    job_stolen_ranks: &[usize],
+) -> StealStats {
+    let world_size = static_plan.world_size;
+    let rank_idle = |wave: &Epoch| -> Vec<f64> {
+        let wall = |g: &EpochGroup| g.est_cost / g.ranks.len() as f64;
+        let makespan = wave.groups.iter().map(wall).fold(0.0f64, f64::max);
+        let mut idle = vec![0.0f64; world_size];
+        for &r in &wave.survivors {
+            idle[r] = makespan;
+        }
+        for g in &wave.groups {
+            for &r in &g.ranks {
+                idle[r] = makespan - wall(g);
+            }
+        }
+        idle
+    };
+    let static_groups = static_plan.groups.iter().map(|g| EpochGroup {
+        jobs: Vec::new(),
+        ranks: g.ranks.clone().collect(),
+        est_cost: g.est_cost,
+    });
+    let static_idle = rank_idle(&Epoch {
+        newly_failed: Vec::new(),
+        survivors: (0..world_size).collect(),
+        horizon: 0.0,
+        groups: static_groups.collect(),
+    });
+    let mut epoch_idle = vec![0.0f64; world_size];
+    for wave in epochs {
+        for (r, idle) in rank_idle(wave).into_iter().enumerate() {
+            epoch_idle[r] += idle;
+        }
+    }
+    StealStats {
+        epochs: epochs.len(),
+        stolen_jobs: job_stolen_ranks.iter().filter(|&&s| s > 0).count(),
+        stolen_ranks: job_stolen_ranks.iter().sum(),
+        est_idle_cost_static: static_idle.iter().sum(),
+        est_idle_cost_epochs: epoch_idle.iter().sum(),
+        est_max_rank_idle_static: static_idle.iter().fold(0.0f64, |a, &b| a.max(b)),
+        est_max_rank_idle_epochs: epoch_idle.iter().fold(0.0f64, |a, &b| a.max(b)),
+        measured_idle_seconds: 0.0,
+        measured_max_rank_idle_seconds: 0.0,
+    }
+}
+
+/// Typed scheduler failure, returned by [`Scheduler::try_run_batch`](super::Scheduler::try_run_batch)
+/// instead of a panic. Programmer errors (protocol violations, consensus
+/// divergence under a deterministic plan) still panic; `SchedError` is
+/// reserved for conditions a robust caller is expected to handle.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SchedError {
+    /// A submitted job failed admission validation.
+    InvalidJob {
+        /// The job's identifier.
+        name: String,
+        /// What was wrong with it.
+        reason: String,
+    },
+    /// A job's perfmodel estimate is NaN or infinite (e.g. a degenerate
+    /// zero-dim pattern). Schedules are pure functions of the estimates
+    /// (ARCHITECTURE.md invariant 3), so a non-finite cost cannot be
+    /// ordered deterministically — the job is rejected at admission
+    /// instead of panicking inside the hot partitioning path.
+    BadEstimate {
+        /// The job's identifier.
+        name: String,
+        /// The offending estimate.
+        cost: f64,
+    },
+    /// A communication failure the recovery protocol could not absorb
+    /// (e.g. the coordinator timed out collecting a result).
+    Comm(CommError),
+}
+
+impl std::fmt::Display for SchedError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SchedError::InvalidJob { name, reason } => {
+                write!(f, "invalid job '{name}': {reason}")
+            }
+            SchedError::BadEstimate { name, cost } => write!(
+                f,
+                "job '{name}' has a non-finite cost estimate ({cost}); \
+                 schedules are pure functions of the estimates, so it cannot be admitted"
+            ),
+            SchedError::Comm(e) => write!(f, "communication failure: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for SchedError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            SchedError::Comm(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+impl From<CommError> for SchedError {
+    fn from(e: CommError) -> Self {
+        SchedError::Comm(e)
+    }
+}
+
+/// Fault-handling telemetry of one scheduled batch. All planner-derived
+/// fields are **deterministic** — exact functions of (fault plan, job
+/// set, world size, budget), reproducible across reruns of the same seed
+/// — and the injection counters are deterministic for a fixed protocol.
+/// Under the empty plan everything is zero except `recovery_epochs` and
+/// `final_world_size`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FaultStats {
+    /// Ranks that failed during the batch (committed by consensus).
+    pub rank_failures: usize,
+    /// Job attempts discarded as poisoned (corrupt-execution model).
+    pub poisoned_attempts: usize,
+    /// Poisoned attempts that re-entered the deferred queue (each later
+    /// re-runs after a deterministic backoff in epochs).
+    pub retries: usize,
+    /// Jobs quarantined after exhausting their retry budget.
+    pub quarantined_jobs: usize,
+    /// Epochs the recovery schedule executed.
+    pub recovery_epochs: usize,
+    /// Surviving ranks after the last epoch.
+    pub final_world_size: usize,
+    /// Messages lost to the plan's drop rules.
+    pub dropped_messages: u64,
+    /// Messages stalled by the plan's delay rules.
+    pub delayed_messages: u64,
+    /// Sends stalled by the plan's slow-rank rules.
+    pub slow_stalls: u64,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::jobs::MatrixJob;
+
+    fn group_of_rank(p: &SchedulePlan, rank: usize) -> Option<usize> {
+        p.groups.iter().position(|g| g.ranks.contains(&rank))
+    }
+
+    fn group_of_job(p: &SchedulePlan, job: usize) -> usize {
+        let g = p.groups.iter().position(|g| g.jobs.contains(&job));
+        g.expect("every job is scheduled on exactly one group")
+    }
+
+    fn job_ids(g: &EpochGroup) -> Vec<usize> {
+        g.jobs.iter().map(|a| a.job).collect()
+    }
+
+    /// [`plan_epochs_with_faults`] at the defaults the recovery tests share.
+    fn plan_under(costs: &[f64], world: usize, plan: &FaultPlan, retries: usize) -> EpochSchedule {
+        let (budget, policy) = (RankBudget::default(), StealPolicy::default());
+        plan_epochs_with_faults(costs, world, &budget, policy, plan, retries)
+    }
+
+    #[test]
+    fn partition_empty_and_single() {
+        let p = partition(&[], 4, &RankBudget::default());
+        assert!(p.groups.is_empty());
+        let p = partition(&[5.0], 4, &RankBudget::default());
+        assert_eq!(p.groups.len(), 1);
+        assert_eq!(p.groups[0].ranks, 0..4);
+        assert_eq!(p.groups[0].jobs, vec![0]);
+    }
+
+    #[test]
+    fn partition_allocates_ranks_proportionally() {
+        // Job 0 is 3x the work of each of jobs 1..3; world of 6 ranks,
+        // 4 jobs -> 4 groups, the heavy job's group gets the spare ranks.
+        let p = partition(&[9.0, 3.0, 3.0, 3.0], 6, &RankBudget::default());
+        assert_eq!(p.groups.len(), 4);
+        let g0 = group_of_job(&p, 0);
+        assert_eq!(p.groups[g0].ranks.len(), 3);
+        let total: usize = p.groups.iter().map(|g| g.ranks.len()).sum();
+        assert_eq!(total, 6);
+        // Ranges are contiguous and disjoint.
+        let mut next = 0;
+        for g in &p.groups {
+            assert_eq!(g.ranks.start, next);
+            next = g.ranks.end;
+        }
+    }
+
+    #[test]
+    fn partition_folds_leftover_ranks_into_largest_group() {
+        // Regression: with every group capped, spare ranks used to sit
+        // idle for the whole batch; they now fold into the largest group
+        // (lowest index breaking ties).
+        let budget = RankBudget {
+            max_group_size: Some(2),
+            max_groups: Some(2),
+        };
+        let p = partition(&[1.0, 1.0, 1.0, 1.0], 8, &budget);
+        assert_eq!(p.groups.len(), 2);
+        // Both groups reach the cap (2), then the 4 leftover ranks fold
+        // into group 0.
+        assert_eq!(p.groups[0].ranks, 0..6);
+        assert_eq!(p.groups[1].ranks, 6..8);
+        // No rank is idle.
+        for r in 0..8 {
+            assert!(group_of_rank(&p, r).is_some(), "rank {r} left idle");
+        }
+    }
+
+    #[test]
+    fn partition_respects_caps() {
+        let budget = RankBudget {
+            max_group_size: Some(2),
+            max_groups: Some(2),
+        };
+        // World exactly covered by the caps: no folding needed.
+        let p = partition(&[1.0, 1.0, 1.0, 1.0], 4, &budget);
+        assert_eq!(p.groups.len(), 2);
+        for g in &p.groups {
+            assert_eq!(g.ranks.len(), 2);
+            assert_eq!(g.jobs.len(), 2);
+        }
+        assert_eq!(group_of_rank(&p, 3), Some(1));
+    }
+
+    #[test]
+    fn partition_is_longest_job_first() {
+        let p = partition(&[1.0, 8.0, 2.0], 2, &RankBudget::default());
+        // Heaviest job (1) alone on one group; 2 and 0 share the other,
+        // heavier first.
+        let g1 = group_of_job(&p, 1);
+        assert_eq!(p.groups[g1].jobs, vec![1]);
+        let other = 1 - g1;
+        assert_eq!(p.groups[other].jobs, vec![2, 0]);
+    }
+
+    #[test]
+    fn balanced_batch_collapses_to_one_epoch() {
+        // 4 equal jobs on 4 groups: nothing to steal, the epoch plan IS
+        // the static plan.
+        let s = plan_epochs(&[1.0; 4], 4, &RankBudget::default(), StealPolicy::default());
+        assert_eq!(s.epochs.len(), 1);
+        assert_eq!(s.planned.epochs, 1);
+        assert_eq!(s.planned.stolen_jobs, 0);
+        assert_eq!(s.planned.stolen_ranks, 0);
+        assert_eq!(
+            s.planned.est_idle_cost_epochs,
+            s.planned.est_idle_cost_static
+        );
+        for (g, grp) in s.epochs[0].groups.iter().enumerate() {
+            assert_eq!(job_ids(grp), s.static_plan.groups[g].jobs);
+            let static_ranks: Vec<usize> = s.static_plan.groups[g].ranks.clone().collect();
+            assert_eq!(grp.ranks, static_ranks);
+        }
+    }
+
+    #[test]
+    fn disabled_policy_is_the_static_schedule() {
+        let costs = [3.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
+        let s = plan_epochs(&costs, 4, &RankBudget::default(), StealPolicy::Disabled);
+        assert_eq!(s.epochs.len(), 1);
+        assert_eq!(s.planned.stolen_jobs, 0);
+        assert_eq!(s.planned.est_idle_cost_recovered(), 0.0);
+        for (g, grp) in s.epochs[0].groups.iter().enumerate() {
+            assert_eq!(job_ids(grp), s.static_plan.groups[g].jobs);
+        }
+    }
+
+    #[test]
+    fn straggler_batch_steals_and_recovers_idle_time() {
+        // 1 large (3x) + 18 small jobs on 6 ranks: LPT leaves three
+        // groups with a 4-cost queue against a 3-cost horizon, so three
+        // smalls defer to epoch 1 and run on re-dealt 2-rank groups.
+        let mut costs = vec![3.0];
+        costs.extend(std::iter::repeat_n(1.0, 18));
+        let s = plan_epochs(&costs, 6, &RankBudget::default(), StealPolicy::default());
+        assert_eq!(s.epochs.len(), 2);
+        assert_eq!(s.planned.stolen_jobs, 3);
+        assert!(s.planned.stolen_ranks >= 3);
+        // Epoch 0 commits the large job plus 3-cost small queues (walls
+        // all 3); epoch 1 spreads the 3 deferred smalls over 2-rank
+        // groups (walls 0.5) — the estimated makespan drops from 4 to
+        // 3.5, recovering idle time and flattening the worst rank.
+        assert!(s.planned.est_idle_cost_recovered() > 0.0);
+        assert!(s.planned.est_max_rank_idle_epochs < s.planned.est_max_rank_idle_static);
+        // Every job runs exactly once, in the epoch the plan records.
+        for j in 0..costs.len() {
+            let runs: usize = s
+                .epochs
+                .iter()
+                .map(|e| e.groups.iter().filter(|g| job_ids(g).contains(&j)).count())
+                .sum();
+            assert_eq!(runs, 1, "job {j} scheduled {runs} times");
+            assert!(s.epochs[s.job_epoch[j]].group_of_job(j).is_some());
+        }
+        // Stolen jobs all run in epoch 1.
+        for j in 0..costs.len() {
+            if s.job_stolen_ranks[j] > 0 {
+                assert_eq!(s.job_epoch[j], 1);
+            }
+        }
+    }
+
+    #[test]
+    fn seven_equal_jobs_on_six_ranks_steal_the_odd_job() {
+        // The minimal integer-granularity straggler: LPT gives one group
+        // two jobs; the second defers and runs on the whole world.
+        let s = plan_epochs(&[1.0; 7], 6, &RankBudget::default(), StealPolicy::default());
+        assert_eq!(s.epochs.len(), 2);
+        assert_eq!(s.epochs[1].groups.len(), 1);
+        assert_eq!(s.epochs[1].groups[0].ranks, (0..6).collect::<Vec<_>>());
+        assert_eq!(s.planned.stolen_jobs, 1);
+        assert_eq!(s.planned.stolen_ranks, 5);
+        assert!(s.planned.est_idle_cost_recovered() > 0.0);
+    }
+
+    #[test]
+    fn zero_cost_jobs_do_not_break_the_planner() {
+        // Regression: LPT piles every zero-cost job onto the first
+        // zero-load group, leaving later groups empty; the steal-horizon
+        // scan must skip them instead of indexing an empty queue. (A zero
+        // cost is real — any matrix with all-empty block columns.)
+        for policy in [StealPolicy::EpochRebalance, StealPolicy::Disabled] {
+            let s = plan_epochs(&[1.0, 0.0, 0.0], 3, &RankBudget::default(), policy);
+            let scheduled: usize = s
+                .epochs
+                .iter()
+                .flat_map(|e| e.groups.iter())
+                .map(|g| g.jobs.len())
+                .sum();
+            assert_eq!(scheduled, 3, "every job scheduled exactly once");
+            for j in 0..3 {
+                assert!(s.epochs[s.job_epoch[j]].group_of_job(j).is_some());
+            }
+        }
+        // All-zero batches collapse to a single epoch.
+        let s = plan_epochs(&[0.0; 4], 2, &RankBudget::default(), StealPolicy::default());
+        assert_eq!(s.epochs.len(), 1);
+    }
+
+    #[test]
+    fn epoch_planner_terminates_on_adversarial_costs() {
+        // Geometric cost spread: every epoch defers something, but the
+        // planner is bounded by the job count.
+        let costs: Vec<f64> = (0..20).map(|i| 1.5f64.powi(i)).collect();
+        let s = plan_epochs(&costs, 3, &RankBudget::default(), StealPolicy::default());
+        assert!(s.epochs.len() <= costs.len());
+        let scheduled: usize = s
+            .epochs
+            .iter()
+            .flat_map(|e| e.groups.iter())
+            .map(|g| g.jobs.len())
+            .sum();
+        assert_eq!(scheduled, costs.len());
+    }
+
+    #[test]
+    fn steal_horizon_is_max_leading_cost_per_ranks() {
+        // The documented horizon formula, asserted directly: horizon =
+        // max over non-empty groups of (leading-job cost / group ranks).
+        let costs = [3.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
+        let p = partition(&costs, 6, &RankBudget::default());
+        let expected = p
+            .groups
+            .iter()
+            .filter(|g| !g.jobs.is_empty())
+            .map(|g| costs[g.jobs[0]] / g.ranks.len() as f64)
+            .fold(0.0f64, f64::max);
+        assert_eq!(steal_horizon(&p), expected);
+
+        // And the planner honors it: every epoch-0 group's committed
+        // queue fits within the horizon (the leading job is exempt — it
+        // *defines* the commitment), and every deferred job would have
+        // overflowed it.
+        let s = plan_epochs(&costs, 6, &RankBudget::default(), StealPolicy::default());
+        let h = steal_horizon(&s.static_plan);
+        for grp in &s.epochs[0].groups {
+            let mut cum = 0.0;
+            for (pos, j) in job_ids(grp).into_iter().enumerate() {
+                cum += costs[j];
+                if pos > 0 {
+                    assert!(
+                        cum / grp.ranks.len() as f64 <= h * (1.0 + 1e-9),
+                        "group committed past the steal horizon"
+                    );
+                }
+            }
+        }
+        for j in 0..costs.len() {
+            if s.job_epoch[j] > 0 {
+                let home = &s.static_plan.groups[s.home_group[j]];
+                let committed: f64 = home
+                    .jobs
+                    .iter()
+                    .filter(|&&k| s.job_epoch[k] == 0)
+                    .map(|&k| costs[k])
+                    .sum();
+                assert!(
+                    (committed + costs[j]) / home.ranks.len() as f64 > h,
+                    "job {j} was deferred although it fit the horizon"
+                );
+            }
+        }
+
+        // Empty batch: no commitment.
+        assert_eq!(
+            steal_horizon(&partition(&[], 4, &RankBudget::default())),
+            0.0
+        );
+    }
+
+    #[test]
+    fn degenerate_horizon_commits_in_a_single_epoch() {
+        // An all-zero-cost batch makes `steal_horizon` return 0.0 — a
+        // horizon with no ordering information. The planner must treat it
+        // as unbounded (commit everything, one epoch) instead of letting
+        // the greedy fill defer on it.
+        for world in [1usize, 2, 3, 6] {
+            let s = plan_epochs(
+                &[0.0; 9],
+                world,
+                &RankBudget::default(),
+                StealPolicy::default(),
+            );
+            assert_eq!(s.epochs.len(), 1, "world {world}: zero-cost batch split");
+            let scheduled: usize = s.epochs[0].groups.iter().map(|g| g.jobs.len()).sum();
+            assert_eq!(scheduled, 9);
+            assert!(s.job_attempts.iter().all(|&a| a == 1));
+        }
+    }
+
+    #[test]
+    fn partition_is_total_on_non_finite_costs() {
+        // `partition` is a public entry point: a NaN estimate must yield a
+        // deterministic (if meaningless) schedule, never a comparator
+        // panic. Admission (`try_run_batch`) rejects such jobs up front.
+        let costs = [f64::NAN, 2.0, f64::INFINITY, 0.0];
+        let p = partition(&costs, 3, &RankBudget::default());
+        let mut seen: Vec<usize> = p.groups.iter().flat_map(|g| g.jobs.clone()).collect();
+        seen.sort_unstable();
+        assert_eq!(seen, vec![0, 1, 2, 3], "every job placed exactly once");
+        let p2 = partition(&costs, 3, &RankBudget::default());
+        let jobs: Vec<_> = p.groups.iter().map(|g| g.jobs.clone()).collect();
+        let jobs2: Vec<_> = p2.groups.iter().map(|g| g.jobs.clone()).collect();
+        assert_eq!(jobs, jobs2, "NaN placement is deterministic");
+    }
+
+    #[test]
+    fn non_finite_estimates_are_rejected_at_admission() {
+        let dims = sm_dbcsr::BlockedDims::uniform(2, 2);
+        let dense = sm_linalg::Matrix::from_fn(4, 4, |i, j| if i == j { 1.0 } else { 0.0 });
+        let job = BatchJob::Matrix(MatrixJob {
+            name: "nan-cost".to_string(),
+            matrix: DbcsrMatrix::from_dense(&dense, dims, 0, 1, 0.0),
+            mu0: 0.0,
+            numeric: sm_core::engine::NumericOptions::default(),
+            output: crate::jobs::JobOutput::Density,
+        });
+        let err = check_estimates(std::slice::from_ref(&job), &[f64::NAN]).unwrap_err();
+        match &err {
+            SchedError::BadEstimate { name, cost } => {
+                assert_eq!(name, "nan-cost");
+                assert!(cost.is_nan());
+            }
+            other => panic!("expected BadEstimate, got {other:?}"),
+        }
+        assert!(err.to_string().contains("non-finite cost estimate"));
+        assert!(check_estimates(std::slice::from_ref(&job), &[1.0]).is_ok());
+    }
+
+    #[test]
+    fn sparse_backend_lowers_iterative_cost_estimates() {
+        // A low-fill pattern under Auto policy resolves to the sparse-CSR
+        // backend for iterative sign methods, and the perfmodel must
+        // price that in — otherwise LPT packing would misplace sparse
+        // jobs. Diagonalization ignores the backend, so its estimate
+        // must not move (the schedule stays a pure function of what the
+        // engine will actually run).
+        let dims = sm_dbcsr::BlockedDims::uniform(12, 4);
+        let diag = sm_linalg::Matrix::from_fn(48, 48, |i, j| if i == j { 2.0 } else { 0.0 });
+        let matrix = DbcsrMatrix::from_dense(&diag, dims, 0, 1, 0.0);
+        let dense = estimate_pattern_cost_for(
+            &matrix,
+            &NumericOptions {
+                backend: sm_core::engine::BackendPolicy::Dense,
+                ..Default::default()
+            },
+        );
+        let mut numeric = NumericOptions {
+            solve: sm_core::solver::SolveOptions {
+                method: SignMethod::NewtonSchulz,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let sparse = estimate_pattern_cost_for(&matrix, &numeric);
+        assert!(
+            sparse < dense,
+            "low-fill iterative estimate should shrink: {sparse} vs {dense}"
+        );
+        numeric.solve.method = SignMethod::Diagonalization;
+        assert_eq!(estimate_pattern_cost_for(&matrix, &numeric), dense);
+        // Forcing the dense backend restores the dense estimate even for
+        // iterative methods.
+        numeric.solve.method = SignMethod::NewtonSchulz;
+        numeric.backend = sm_core::engine::BackendPolicy::Dense;
+        assert_eq!(estimate_pattern_cost_for(&matrix, &numeric), dense);
+    }
+
+    #[test]
+    fn recovery_plan_without_faults_resolves_every_job_first_try() {
+        let costs = [5.0, 3.0, 2.0, 2.0];
+        let r = plan_under(&costs, 4, &FaultPlan::new(), 3);
+        assert!(r.quarantined.iter().all(|&q| !q));
+        assert!(r.job_attempts.iter().all(|&a| a == 1));
+        assert_eq!(r.fault_stats.rank_failures, 0);
+        assert_eq!(r.fault_stats.poisoned_attempts, 0);
+        assert_eq!(r.fault_stats.retries, 0);
+        assert_eq!(r.fault_stats.final_world_size, 4);
+        // Every epoch keeps the full world and every job has a root.
+        for ep in &r.epochs {
+            assert_eq!(ep.survivors, vec![0, 1, 2, 3]);
+            assert!(ep.newly_failed.is_empty());
+        }
+        for j in 0..costs.len() {
+            let _ = r.root_of_job(j);
+        }
+    }
+
+    #[test]
+    fn recovery_plan_shrinks_world_at_the_failure_epoch() {
+        let costs = [4.0; 6];
+        let plan = FaultPlan::new().fail_rank(2, 1);
+        let r = plan_under(&costs, 4, &plan, 3);
+        assert_eq!(r.fault_stats.rank_failures, 1);
+        assert_eq!(r.fault_stats.final_world_size, 3);
+        // The world shrinks exactly at the committed epoch and stays
+        // strictly smaller afterwards — never to grow back.
+        for (e, ep) in r.epochs.iter().enumerate() {
+            if e < 1 {
+                assert_eq!(ep.survivors, vec![0, 1, 2, 3]);
+            } else {
+                assert_eq!(ep.survivors, vec![0, 1, 3]);
+                assert!(!ep.groups.iter().any(|g| g.ranks.contains(&2)));
+            }
+        }
+        assert_eq!(r.epochs[1].newly_failed, vec![2]);
+        // Every job still lands on a surviving root.
+        for j in 0..costs.len() {
+            assert!(r.root_of_job(j) != 2 || r.job_epoch[j] < 1);
+        }
+    }
+
+    #[test]
+    fn recovery_plan_retries_with_backoff_and_quarantines() {
+        let costs = [2.0, 2.0];
+        // Job 1 poisoned on attempts 1 and 2 with budget 3: two retries
+        // (backing off 1 then 2 epochs), third attempt clean.
+        let plan = FaultPlan::new().poison_job(1, 1).poison_job(1, 2);
+        let r = plan_under(&costs, 2, &plan, 3);
+        assert_eq!(r.job_attempts[1], 3);
+        assert!(!r.quarantined[1]);
+        assert_eq!(r.fault_stats.poisoned_attempts, 2);
+        assert_eq!(r.fault_stats.retries, 2);
+        assert_eq!(r.fault_stats.quarantined_jobs, 0);
+        // Attempt 1 at epoch 0, retry at 0+2^0=1, then at 1+2^1=3 with a
+        // pure wait epoch in between.
+        assert_eq!(r.job_epoch[1], 3);
+        assert!(r.epochs[2].groups.iter().all(|g| g.jobs.is_empty()));
+
+        // Budget 2 quarantines instead of running the third attempt.
+        let r = plan_under(&costs, 2, &plan, 2);
+        assert!(r.quarantined[1]);
+        assert_eq!(r.job_attempts[1], 2);
+        assert_eq!(r.fault_stats.quarantined_jobs, 1);
+        assert_eq!(r.fault_stats.retries, 1);
+        assert!(!r.quarantined[0]);
+    }
+
+    #[test]
+    fn disabled_policy_under_a_poison_commits_every_eligible_job() {
+        // `Disabled` lifts the horizon with or without faults: each epoch
+        // commits everything eligible, so only backoff creates epochs. The
+        // straggler batch (which defers three jobs under the default
+        // policy, see `straggler_batch_steals_and_recovers_idle_time`).
+        let mut costs = vec![3.0];
+        costs.extend(std::iter::repeat_n(1.0, 18));
+        let plan = FaultPlan::new().poison_job(5, 1);
+        let budget = RankBudget::default();
+        let s = plan_epochs_with_faults(&costs, 6, &budget, StealPolicy::Disabled, &plan, 3);
+        assert_eq!(s.epochs.len(), 2, "epoch 0, then job 5's retry");
+        for (g, grp) in s.epochs[0].groups.iter().enumerate() {
+            assert_eq!(job_ids(grp), s.static_plan.groups[g].jobs);
+        }
+        let retry: Vec<_> = s.epochs[1].groups.iter().flat_map(|g| &g.jobs).collect();
+        let expected = Attempt {
+            job: 5,
+            attempt: 2,
+            poisoned: false,
+        };
+        assert_eq!(retry, [&expected]);
+        let rebalanced = plan_under(&costs, 6, &plan, 3);
+        let committed: usize = rebalanced.epochs[0]
+            .groups
+            .iter()
+            .map(|g| g.jobs.len())
+            .sum();
+        assert!(committed < costs.len(), "the default policy still defers");
+    }
+
+    #[test]
+    fn recovery_plan_is_deterministic_per_seed() {
+        let costs = [5.0, 1.0, 3.0, 2.0, 4.0];
+        let plan = FaultPlan::random(42, 4, costs.len());
+        let a = plan_under(&costs, 4, &plan, 3);
+        let b = plan_under(&costs, 4, &plan, 3);
+        assert_eq!(a.job_epoch, b.job_epoch);
+        assert_eq!(a.job_attempts, b.job_attempts);
+        assert_eq!(a.quarantined, b.quarantined);
+        assert_eq!(a.fault_stats, b.fault_stats);
+    }
+}
