@@ -468,6 +468,7 @@ where
     assert!(size >= 1, "need at least one rank");
     let fault = (!plan.is_empty()).then(|| (Arc::new(plan), Arc::new(FaultState::new(size))));
     let (comms, stats) = build_comms(size, fault.as_ref());
+    let planned_death = |rank| matches!(&fault, Some((plan, _)) if plan.fails_at(rank).is_some());
     let results: Vec<Option<T>> = std::thread::scope(|scope| {
         let handles: Vec<_> = comms
             .into_iter()
@@ -483,13 +484,7 @@ where
                 Ok(v) => Some(v),
                 // A planned death (the rank poisoned its channels on the
                 // way down) is absorbed into the fault model.
-                Err(_)
-                    if fault
-                        .as_ref()
-                        .is_some_and(|(p, _)| p.fails_at(rank).is_some()) =>
-                {
-                    None
-                }
+                Err(_) if planned_death(rank) => None,
                 Err(cause) => std::panic::resume_unwind(cause),
             })
             .collect()

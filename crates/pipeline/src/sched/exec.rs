@@ -389,9 +389,9 @@ fn fault_consensus(
 ) -> Result<(), CommError> {
     let hb = wire::user_tag(CONSENSUS_NS | e as u64);
     let view = wire::user_tag(CONSENSUS_NS | CONSENSUS_VIEW_BIT | e as u64);
-    let dead_outside = |alive: &[usize]| -> Vec<u64> {
+    let dead_outside = |live: &[usize]| -> Vec<u64> {
         (0..comm.size())
-            .filter(|r| !alive.contains(r))
+            .filter(|r| !live.contains(r))
             .map(|r| r as u64)
             .collect()
     };

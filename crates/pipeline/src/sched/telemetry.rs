@@ -83,8 +83,8 @@ macro_rules! flag {
 }
 
 /// An SCF extension field: `$read` yields its values from the job's
-/// [`ScfTelemetry`] (nothing for a matrix job), `$write` stores one into
-/// it (created on the first SCF field decoded).
+/// [`ScfTelemetry`] (nothing is read for a matrix job), `$write` stores
+/// one decoded value into it (created on the first SCF field decoded).
 macro_rules! scf {
     ($id:ident, |$s:ident| $read:expr, |$t:ident, $x:ident| $write:expr) => {
         TelemetryField {
@@ -107,7 +107,8 @@ macro_rules! scf {
 /// job kinds, distinguished by the presence of [`tele::SCF_ITERATIONS`].
 /// This table is the whole codec: [`encode_telemetry`] walks it reading,
 /// [`decode_telemetry`] dispatches each wire entry to its writer.
-const TELEMETRY_FIELDS: [TelemetryField; 35] = [
+#[rustfmt::skip] // a table: one field per entry, not one token per line
+static TELEMETRY_FIELDS: [TelemetryField; 35] = [
     number!(N_SUBMATRICES, usize, report.n_submatrices),
     number!(MAX_DIM, usize, report.max_dim),
     number!(AVG_DIM, f64, report.avg_dim),
@@ -145,28 +146,16 @@ const TELEMETRY_FIELDS: [TelemetryField; 35] = [
     },
     number!(SPARSE_FILTERED_NNZ, u64, report.sparse_filtered_nnz),
     number!(SPARSE_FLOPS, u64, report.sparse_flops),
-    scf!(SCF_ITERATIONS, |s| [s.iterations as f64], |s, x| s
-        .iterations =
-        x as usize),
-    scf!(SCF_CONVERGED, |s| [s.converged as u64 as f64], |s, x| s
-        .converged =
-        x != 0.0),
-    scf!(SCF_FINAL_ENERGY, |s| [s.final_energy], |s, x| s
-        .final_energy =
-        x),
-    scf!(SCF_FINAL_ELECTRONS, |s| [s.final_electrons], |s, x| s
-        .final_electrons =
-        x),
-    scf!(
-        SCF_ITER_GATHER_BYTES,
+    scf!(SCF_ITERATIONS, |s| [s.iterations as f64], |s, x| s.iterations = x as usize),
+    scf!(SCF_CONVERGED, |s| [s.converged as u64 as f64], |s, x| s.converged = x != 0.0),
+    scf!(SCF_FINAL_ENERGY, |s| [s.final_energy], |s, x| s.final_energy = x),
+    scf!(SCF_FINAL_ELECTRONS, |s| [s.final_electrons], |s, x| s.final_electrons = x),
+    scf!(SCF_ITER_GATHER_BYTES,
         |s| s.gather_value_bytes.iter().map(|&b| b as f64),
-        |s, x| s.gather_value_bytes.push(x as u64)
-    ),
-    scf!(
-        SCF_ITER_SCATTER_BYTES,
+        |s, x| s.gather_value_bytes.push(x as u64)),
+    scf!(SCF_ITER_SCATTER_BYTES,
         |s| s.scatter_value_bytes.iter().map(|&b| b as f64),
-        |s, x| s.scatter_value_bytes.push(x as u64)
-    ),
+        |s, x| s.scatter_value_bytes.push(x as u64)),
 ];
 
 /// The leading [`TELEMETRY_FIELDS`] every record must carry.
