@@ -11,9 +11,9 @@ use sm_bench::output::{fixed, print_table, write_csv};
 use sm_bench::workloads::{accuracy_basis, build_orthogonalized, SEED};
 use sm_chem::WaterBox;
 use sm_comsim::SerialComm;
-use sm_core::method::Grouping;
+use sm_core::engine::{EngineOptions, Grouping, NumericOptions, SubmatrixEngine};
 use sm_core::plan::estimated_speedup;
-use sm_core::{submatrix_density, SubmatrixOptions, SubmatrixPlan};
+use sm_core::SubmatrixPlan;
 
 fn main() {
     let comm = SerialComm::new();
@@ -28,7 +28,7 @@ fn main() {
 
     // Baseline wall time (group size 1).
     let t0 = Instant::now();
-    let _ = submatrix_density(&kt_f, sys.mu, &SubmatrixOptions::default(), &comm);
+    let _ = SubmatrixEngine::default().density(&kt_f, sys.mu, &NumericOptions::default(), &comm);
     let t_single = t0.elapsed().as_secs_f64();
     println!(
         "single-column baseline: {} submatrices, {t_single:.3}s wall",
@@ -45,12 +45,12 @@ fn main() {
     for group in [2usize, 4, 8, 16, 32] {
         let plan = SubmatrixPlan::consecutive(&pattern, &dims, group);
         let s_est = estimated_speedup(&singles, &plan);
-        let opts = SubmatrixOptions {
+        let engine = SubmatrixEngine::new(EngineOptions {
             grouping: Grouping::Consecutive(group),
             ..Default::default()
-        };
+        });
         let t0 = Instant::now();
-        let _ = submatrix_density(&kt_f, sys.mu, &opts, &comm);
+        let _ = engine.density(&kt_f, sys.mu, &NumericOptions::default(), &comm);
         let t = t0.elapsed().as_secs_f64();
         rows.push(vec![
             group.to_string(),

@@ -15,7 +15,7 @@ use sm_bench::workloads::SEED;
 use sm_chem::builder::build_system;
 use sm_chem::{BasisSet, WaterBox};
 use sm_comsim::SerialComm;
-use sm_core::assembly::{assemble, SubmatrixSpec};
+use sm_core::assembly::{AssemblyMap, SubmatrixSpec};
 use sm_linalg::sign::{sign_iteration, SignIterationOptions};
 use sm_linalg::sparse::sparse_sign_iteration;
 
@@ -34,7 +34,7 @@ fn main() {
         let spec = SubmatrixSpec::build(&pattern, &dims, &[mid]);
         // Use K directly (symmetric, gapped at µ) — the orthogonalized
         // matrix has the same element-fill structure.
-        let a = assemble(&spec, &pattern, &dims, |r, c| sys.k.block(r, c));
+        let a = AssemblyMap::build(&spec, &pattern).assemble(|r, c| sys.k.block(r, c));
         let n = spec.dim as u64;
 
         // Dense iteration (counted flops: ~2n³ per multiply, 2/iter + P).

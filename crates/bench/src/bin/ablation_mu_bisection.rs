@@ -13,8 +13,7 @@ use sm_bench::workloads::{accuracy_basis, build_orthogonalized, SEED};
 use sm_chem::energy::electron_count;
 use sm_chem::WaterBox;
 use sm_comsim::SerialComm;
-use sm_core::method::Ensemble;
-use sm_core::{submatrix_density, SubmatrixOptions};
+use sm_core::engine::{Ensemble, NumericOptions, SubmatrixEngine};
 
 fn main() {
     let comm = SerialComm::new();
@@ -27,7 +26,7 @@ fn main() {
 
     // Algorithm 1: one decomposition pass + bisection on stored Q rows.
     let t0 = Instant::now();
-    let opts = SubmatrixOptions {
+    let opts = NumericOptions {
         ensemble: Ensemble::Canonical {
             n_electrons: target,
             tol: 1e-8,
@@ -35,7 +34,7 @@ fn main() {
         },
         ..Default::default()
     };
-    let (d, report) = submatrix_density(&kt_f, sys.mu, &opts, &comm);
+    let (d, report) = SubmatrixEngine::default().density(&kt_f, sys.mu, &opts, &comm);
     let t_alg1 = t0.elapsed().as_secs_f64();
     let n_alg1 = electron_count(&d, &comm);
 
@@ -48,7 +47,8 @@ fn main() {
     let mut n_naive = 0.0;
     for _ in 0..report.bisect_iterations.max(8) {
         mu = 0.5 * (lo + hi);
-        let (d, _) = submatrix_density(&kt_f, mu, &SubmatrixOptions::default(), &comm);
+        let (d, _) =
+            SubmatrixEngine::default().density(&kt_f, mu, &NumericOptions::default(), &comm);
         n_naive = electron_count(&d, &comm);
         if n_naive > target {
             hi = mu;

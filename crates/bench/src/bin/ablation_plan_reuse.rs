@@ -1,10 +1,10 @@
 //! Ablation: amortized speedup of cached-plan execution vs replanning.
 //!
 //! The SCF/MD workload (paper Sec. IV) evaluates the same sparsity pattern
-//! every iteration with changing values. The one-shot driver repeats the
-//! whole symbolic phase (pattern, grouping, load balance, transfer plan,
-//! index maps) each time; the `SubmatrixEngine` pays it once and replays
-//! numerically. This bench runs both over 1/4/16/64 simulated SCF
+//! every iteration with changing values. A throwaway engine per call
+//! repeats the whole symbolic phase (pattern, grouping, load balance,
+//! transfer plan, index maps) each time; one kept `SubmatrixEngine` pays it
+//! once and replays numerically. This bench runs both over 1/4/16/64 simulated SCF
 //! iterations and reports amortized per-iteration times, emitting the
 //! standard CSV and JSON outputs.
 //!
@@ -22,7 +22,6 @@ use sm_bench::workloads::{accuracy_basis, build_orthogonalized, SEED};
 use sm_chem::WaterBox;
 use sm_comsim::SerialComm;
 use sm_core::engine::NumericOptions;
-use sm_core::method::{submatrix_density, SubmatrixOptions};
 use sm_dbcsr::{ops, DbcsrMatrix};
 use sm_pipeline::SubmatrixEngine;
 
@@ -60,18 +59,17 @@ fn main() {
         kt.local_nnz_blocks()
     );
 
-    let opts = SubmatrixOptions::default();
     let numeric = NumericOptions::default();
 
     let mut rows = Vec::new();
     let mut series = Vec::new();
     for iters in [1usize, 4, 16, 64] {
-        // One-shot driver: full symbolic replanning every iteration.
+        // A fresh engine per call: full symbolic replanning every iteration.
         let mut replan_series = || {
             let mut checksum = 0.0;
             for it in 0..iters {
                 let m = perturbed(&kt, it);
-                let (d, _) = submatrix_density(&m, sys.mu, &opts, &comm);
+                let (d, _) = SubmatrixEngine::default().density(&m, sys.mu, &numeric, &comm);
                 checksum += ops::trace(&d, &comm);
             }
             checksum
@@ -110,7 +108,7 @@ fn main() {
         );
         assert!(
             (replan_checksum - cached_checksum).abs() < 1e-9,
-            "cached execution diverged from the one-shot driver"
+            "cached execution diverged from the re-planning engine"
         );
 
         let replan_per_iter = replan_total / iters as f64;

@@ -13,7 +13,7 @@ use sm_bench::output::{fixed, print_table, write_csv};
 use sm_bench::workloads::{accuracy_basis, build_orthogonalized, SEED};
 use sm_chem::WaterBox;
 use sm_comsim::SerialComm;
-use sm_core::{submatrix_sign, SubmatrixOptions};
+use sm_core::engine::{NumericOptions, SubmatrixEngine};
 
 fn main() {
     let comm = SerialComm::new();
@@ -27,15 +27,16 @@ fn main() {
         kt_f.store_mut().filter(eps);
 
         let t0 = Instant::now();
-        let (full, report) = submatrix_sign(&kt_f, sys.mu, &SubmatrixOptions::default(), &comm);
+        let (full, report) =
+            SubmatrixEngine::default().sign(&kt_f, sys.mu, &NumericOptions::default(), &comm);
         let t_full = t0.elapsed().as_secs_f64();
 
-        let opts = SubmatrixOptions {
+        let opts = NumericOptions {
             use_selected_columns: true,
             ..Default::default()
         };
         let t0 = Instant::now();
-        let (sel, _) = submatrix_sign(&kt_f, sys.mu, &opts, &comm);
+        let (sel, _) = SubmatrixEngine::default().sign(&kt_f, sys.mu, &opts, &comm);
         let t_sel = t0.elapsed().as_secs_f64();
 
         let diff = full.to_dense(&comm).max_abs_diff(&sel.to_dense(&comm));

@@ -13,7 +13,7 @@ use sm_bench::output::{fixed, print_table, write_csv};
 use sm_bench::workloads::{accuracy_basis, build_orthogonalized, SEED};
 use sm_chem::WaterBox;
 use sm_comsim::SerialComm;
-use sm_core::assembly::{assemble, SubmatrixSpec};
+use sm_core::assembly::{AssemblyMap, SubmatrixSpec};
 use sm_core::solver::{solve_sign, SignMethod, SolveOptions};
 
 fn main() {
@@ -30,7 +30,7 @@ fn main() {
     for group_size in [1usize, 4, 16] {
         let group: Vec<usize> = (0..group_size).collect();
         let spec = SubmatrixSpec::build(&pattern, &dims, &group);
-        let a = assemble(&spec, &pattern, &dims, |r, c| kt_f.block(r, c));
+        let a = AssemblyMap::build(&spec, &pattern).assemble(|r, c| kt_f.block(r, c));
 
         for (name, method) in [
             ("diagonalization", SignMethod::Diagonalization),

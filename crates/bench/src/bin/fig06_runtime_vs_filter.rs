@@ -17,8 +17,9 @@ use sm_bench::workloads::{accuracy_basis, build_orthogonalized, SEED};
 use sm_chem::WaterBox;
 use sm_comsim::{ClusterModel, SerialComm};
 use sm_core::baseline::{newton_schulz_density, NewtonSchulzOptions};
+use sm_core::engine::{NumericOptions, SubmatrixEngine};
 use sm_core::model::{model_newton_schulz_run, model_submatrix_run, ns_iteration_estimate};
-use sm_core::{submatrix_density, SubmatrixOptions, SubmatrixPlan};
+use sm_core::SubmatrixPlan;
 
 fn main() {
     let comm = SerialComm::new();
@@ -45,7 +46,8 @@ fn main() {
 
         // Submatrix method, measured.
         let t0 = Instant::now();
-        let (_, report) = submatrix_density(&kt_f, sys.mu, &SubmatrixOptions::default(), &comm);
+        let (_, report) =
+            SubmatrixEngine::default().density(&kt_f, sys.mu, &NumericOptions::default(), &comm);
         let t_sm = t0.elapsed().as_secs_f64();
 
         // Newton–Schulz, measured.

@@ -12,7 +12,7 @@ use sm_chem::energy::{band_energy, signed_error_mev_per_atom};
 use sm_chem::WaterBox;
 use sm_comsim::SerialComm;
 use sm_core::baseline::{newton_schulz_density, NewtonSchulzOptions};
-use sm_core::{submatrix_density, SubmatrixOptions};
+use sm_core::engine::{NumericOptions, SubmatrixEngine};
 
 fn main() {
     let comm = SerialComm::new();
@@ -43,7 +43,8 @@ fn main() {
         let mut kt_f = kt.clone();
         kt_f.store_mut().filter(eps);
 
-        let (d_sm, _) = submatrix_density(&kt_f, sys.mu, &SubmatrixOptions::default(), &comm);
+        let (d_sm, _) =
+            SubmatrixEngine::default().density(&kt_f, sys.mu, &NumericOptions::default(), &comm);
         let e_sm = band_energy(&d_sm, &kt, &comm);
         let err_sm = signed_error_mev_per_atom(e_sm, e_ref, n_atoms);
 

@@ -14,8 +14,9 @@ use sm_bench::workloads::{accuracy_basis, build_orthogonalized, pattern_basis_sz
 use sm_chem::builder::block_pattern;
 use sm_chem::WaterBox;
 use sm_comsim::{ClusterModel, SerialComm};
+use sm_core::engine::{NumericOptions, SubmatrixEngine};
 use sm_core::model::model_submatrix_run;
-use sm_core::{submatrix_density, SubmatrixOptions, SubmatrixPlan};
+use sm_core::SubmatrixPlan;
 use sm_dbcsr::BlockedDims;
 
 fn main() {
@@ -84,7 +85,8 @@ fn main() {
         let mut kt_f = kt.clone();
         kt_f.store_mut().filter(1e-5);
         let t0 = Instant::now();
-        let _ = submatrix_density(&kt_f, sys.mu, &SubmatrixOptions::default(), &comm);
+        let _ =
+            SubmatrixEngine::default().density(&kt_f, sys.mu, &NumericOptions::default(), &comm);
         wall_rows.push(vec![
             water.n_atoms().to_string(),
             fixed(t0.elapsed().as_secs_f64(), 3),

@@ -11,7 +11,7 @@ use sm_bench::output::{fixed, paper_scale, print_table, write_csv};
 use sm_bench::workloads::{pattern_basis_dzvp, pattern_basis_szv, SEED};
 use sm_chem::builder::{block_pattern, build_system};
 use sm_chem::{BasisSet, WaterBox};
-use sm_core::assembly::{assemble, SubmatrixSpec};
+use sm_core::assembly::{AssemblyMap, SubmatrixSpec};
 use sm_dbcsr::BlockedDims;
 
 /// Element-wise nonzero fraction of a few sampled single-column
@@ -27,7 +27,7 @@ fn element_fill(water: &WaterBox, basis: &BasisSet, eps: f64, samples: usize) ->
     for s in 0..samples {
         let col = (s * nmol) / samples;
         let spec = SubmatrixSpec::build(&pattern, &dims, &[col]);
-        let a = assemble(&spec, &pattern, &dims, |r, c| sys.k.block(r, c));
+        let a = AssemblyMap::build(&spec, &pattern).assemble(|r, c| sys.k.block(r, c));
         total_nonzero += a.count_above(eps);
         total_elems += a.nrows() * a.ncols();
     }

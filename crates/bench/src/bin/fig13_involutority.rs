@@ -11,7 +11,7 @@ use sm_accel::PrecisionMode;
 use sm_bench::output::{paper_scale, print_table, sci, write_csv};
 use sm_bench::workloads::{accuracy_basis, build_orthogonalized, SEED};
 use sm_chem::WaterBox;
-use sm_core::assembly::{assemble, SubmatrixSpec};
+use sm_core::assembly::{AssemblyMap, SubmatrixSpec};
 
 fn main() {
     let group_size = if paper_scale() { 32 } else { 8 };
@@ -25,7 +25,7 @@ fn main() {
     let dims = kt_f.dims().clone();
     let group: Vec<usize> = (0..group_size).collect();
     let spec = SubmatrixSpec::build(&pattern, &dims, &group);
-    let a = assemble(&spec, &pattern, &dims, |r, c| kt_f.block(r, c));
+    let a = AssemblyMap::build(&spec, &pattern).assemble(|r, c| kt_f.block(r, c));
     println!("combined submatrix dim {}", spec.dim);
 
     let opts = PadeTraceOptions {

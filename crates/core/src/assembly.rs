@@ -5,6 +5,12 @@
 //! rows of those columns. Step 3 scatters the columns of `f(a)` that
 //! originate from `cols` back into the block-sparse result, *retaining the
 //! sparsity pattern of the input*.
+//!
+//! "Which block lands at which offset" is decided once per spec, by
+//! [`AssemblyMap::build`] and [`ExtractionMap::build`]; the resulting flat
+//! copy programs are the only assembly and extraction in the crate — the
+//! engine caches them inside its plans, figures and tests build them on
+//! the spot.
 
 use std::collections::BTreeMap;
 
@@ -103,107 +109,188 @@ impl SubmatrixSpec {
     }
 }
 
-/// Assemble the dense principal submatrix. `block_of(br, bc)` must return
-/// the stored block or `None` if zero; all required blocks must be locally
-/// available (the transfer plan guarantees this in distributed runs).
-pub fn assemble<'a>(
-    spec: &SubmatrixSpec,
-    pattern: &CooPattern,
-    dims: &BlockedDims,
-    block_of: impl Fn(usize, usize) -> Option<&'a Matrix>,
-) -> Matrix {
-    let mut a = Matrix::zeros(spec.dim, spec.dim);
-    for (pj, &bc) in spec.rows.iter().enumerate() {
-        let col_off = spec.row_offsets[pj];
-        for br in pattern.rows_in_col(bc) {
-            let Some(pi) = spec.position_of(br) else {
-                continue;
-            };
-            let row_off = spec.row_offsets[pi];
-            let Some(blk) = block_of(br, bc) else {
+/// One block copy of the assembly: source block `(br, bc)` lands at
+/// `(row_off, col_off)` of the dense submatrix.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AssemblySlot {
+    /// Source block row.
+    pub br: usize,
+    /// Source block column.
+    pub bc: usize,
+    /// Destination element row offset.
+    pub row_off: usize,
+    /// Destination element column offset.
+    pub col_off: usize,
+}
+
+/// Flat copy program assembling one dense principal submatrix, with every
+/// pattern query and binary search resolved at build time.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AssemblyMap {
+    /// Dense dimension of the submatrix.
+    pub dim: usize,
+    /// Block copies, in deterministic (column-major block) order.
+    pub slots: Vec<AssemblySlot>,
+}
+
+impl AssemblyMap {
+    /// Resolve every nonzero pattern block inside the spec's principal
+    /// submatrix to its destination offsets.
+    pub fn build(spec: &SubmatrixSpec, pattern: &CooPattern) -> Self {
+        let mut slots = Vec::new();
+        for (pj, &bc) in spec.rows.iter().enumerate() {
+            let col_off = spec.row_offsets[pj];
+            for br in pattern.rows_in_col(bc) {
+                let Some(pi) = spec.position_of(br) else {
+                    continue;
+                };
+                slots.push(AssemblySlot {
+                    br,
+                    bc,
+                    row_off: spec.row_offsets[pi],
+                    col_off,
+                });
+            }
+        }
+        AssemblyMap {
+            dim: spec.dim,
+            slots,
+        }
+    }
+
+    /// Assemble the dense submatrix: pure block copies, no index
+    /// computation. `block_of(br, bc)` returns the stored block or `None`
+    /// if zero; all required blocks must be locally available (the
+    /// transfer plan guarantees this in distributed runs).
+    pub fn assemble<'a>(&self, block_of: impl Fn(usize, usize) -> Option<&'a Matrix>) -> Matrix {
+        let mut a = Matrix::zeros(self.dim, self.dim);
+        for slot in &self.slots {
+            let Some(blk) = block_of(slot.br, slot.bc) else {
                 continue; // structurally present but numerically dropped
             };
-            debug_assert_eq!(blk.shape(), (dims.size(br), dims.size(bc)));
             for j in 0..blk.ncols() {
                 for i in 0..blk.nrows() {
-                    a[(row_off + i, col_off + j)] = blk[(i, j)];
+                    a[(slot.row_off + i, slot.col_off + j)] = blk[(i, j)];
                 }
             }
         }
+        a
     }
-    a
 }
 
-/// Extract the result blocks originating from this spec's block columns
-/// out of the dense `f(a)`, keyed by `(block_row, block_col)` — only
-/// coordinates present in the input pattern are produced (paper
+/// One block copy of the result extraction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ExtractionSlot {
+    /// Destination block row.
+    pub br: usize,
+    /// Destination block column.
+    pub bc: usize,
+    /// Source element row offset in `f(a)`.
+    pub row_off: usize,
+    /// Source element column offset in the full `f(a)`.
+    pub col_off: usize,
+    /// Source element column offset in the selected-columns matrix.
+    pub sel_off: usize,
+    /// Block shape.
+    pub nrows: usize,
+    /// Block shape.
+    pub ncols: usize,
+}
+
+/// Flat copy program extracting the result blocks that originate from a
+/// spec's block columns out of `f(a)`, keyed by `(block_row, block_col)` —
+/// only coordinates present in the input pattern are produced (paper
 /// Sec. III-A step 3).
-pub fn extract_result(
-    spec: &SubmatrixSpec,
-    pattern: &CooPattern,
-    dims: &BlockedDims,
-    f_a: &Matrix,
-) -> BTreeMap<(usize, usize), Matrix> {
-    assert_eq!(f_a.shape(), (spec.dim, spec.dim), "result shape mismatch");
-    let mut out = BTreeMap::new();
-    for &bc in &spec.cols {
-        let col_off = spec
-            .offset_of(bc)
-            .expect("spec columns are always included in rows");
-        for br in pattern.rows_in_col(bc) {
-            let Some(pi) = spec.position_of(br) else {
-                continue;
-            };
-            let row_off = spec.row_offsets[pi];
-            let mut blk = Matrix::zeros(dims.size(br), dims.size(bc));
-            for j in 0..blk.ncols() {
-                for i in 0..blk.nrows() {
-                    blk[(i, j)] = f_a[(row_off + i, col_off + j)];
-                }
-            }
-            out.insert((br, bc), blk);
-        }
-    }
-    out
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ExtractionMap {
+    /// Block extractions in deterministic order.
+    pub slots: Vec<ExtractionSlot>,
+    /// Total contributing element columns (width of the selected-columns
+    /// matrix).
+    pub n_sel_cols: usize,
 }
 
-/// Extract result blocks from a *selected-columns* evaluation: `cols_mat`
-/// holds only the contributing columns of `f(a)` — the element columns of
-/// the spec's own block columns, in spec order — as produced by
-/// `solver::sign_columns_from_decomposition`. Semantically identical to
-/// [`extract_result`] on the full `f(a)`, at `O(dim · k)` memory.
-pub fn extract_result_from_columns(
-    spec: &SubmatrixSpec,
-    pattern: &CooPattern,
-    dims: &BlockedDims,
-    cols_mat: &Matrix,
-) -> BTreeMap<(usize, usize), Matrix> {
-    let expected_cols: usize = spec.cols.iter().map(|&c| dims.size(c)).sum();
-    assert_eq!(
-        cols_mat.shape(),
-        (spec.dim, expected_cols),
-        "selected-columns matrix shape mismatch"
-    );
-    let mut out = BTreeMap::new();
-    let mut base_j = 0usize;
-    for &bc in &spec.cols {
-        let cs = dims.size(bc);
-        for br in pattern.rows_in_col(bc) {
-            let Some(pi) = spec.position_of(br) else {
-                continue;
-            };
-            let row_off = spec.row_offsets[pi];
-            let mut blk = Matrix::zeros(dims.size(br), cs);
-            for j in 0..cs {
-                for i in 0..blk.nrows() {
-                    blk[(i, j)] = cols_mat[(row_off + i, base_j + j)];
+impl ExtractionMap {
+    /// Resolve every pattern block of the spec's own columns to its source
+    /// offsets in `f(a)` and in the selected-columns matrix.
+    pub fn build(spec: &SubmatrixSpec, pattern: &CooPattern, dims: &BlockedDims) -> Self {
+        let mut slots = Vec::new();
+        let mut sel_base = 0usize;
+        for &bc in &spec.cols {
+            let ncols = dims.size(bc);
+            let col_off = spec
+                .offset_of(bc)
+                .expect("spec columns are always included in rows");
+            for br in pattern.rows_in_col(bc) {
+                let Some(pi) = spec.position_of(br) else {
+                    continue;
+                };
+                slots.push(ExtractionSlot {
+                    br,
+                    bc,
+                    row_off: spec.row_offsets[pi],
+                    col_off,
+                    sel_off: sel_base,
+                    nrows: dims.size(br),
+                    ncols,
+                });
+            }
+            sel_base += ncols;
+        }
+        ExtractionMap {
+            slots,
+            n_sel_cols: sel_base,
+        }
+    }
+
+    /// Dense dimension of the `f(a)` the slots read from. A spec's rows are
+    /// the union of its columns' pattern rows, so the last row block always
+    /// has a slot and the largest slot end is the submatrix dimension.
+    fn dim(&self) -> usize {
+        let ends = self.slots.iter().map(|s| s.row_off + s.nrows);
+        ends.max().unwrap_or(0)
+    }
+
+    /// Extract result blocks from the full `f(a)`.
+    pub fn extract(&self, f_a: &Matrix) -> BTreeMap<(usize, usize), Matrix> {
+        let dim = self.dim();
+        assert_eq!(f_a.shape(), (dim, dim), "result shape mismatch");
+        self.copy_out(f_a, |slot| slot.col_off)
+    }
+
+    /// Extract result blocks from a *selected-columns* evaluation:
+    /// `cols_mat` holds only the contributing columns of `f(a)` — the
+    /// element columns of the spec's own block columns, in spec order — as
+    /// produced by `solver::sign_columns_from_decomposition`. Semantically
+    /// identical to [`extract`](Self::extract) on the full `f(a)`, at
+    /// `O(dim · k)` memory.
+    pub fn extract_from_columns(&self, cols_mat: &Matrix) -> BTreeMap<(usize, usize), Matrix> {
+        assert_eq!(
+            cols_mat.shape(),
+            (self.dim(), self.n_sel_cols),
+            "selected-columns matrix shape mismatch"
+        );
+        self.copy_out(cols_mat, |slot| slot.sel_off)
+    }
+
+    fn copy_out(
+        &self,
+        src: &Matrix,
+        col_off: impl Fn(&ExtractionSlot) -> usize,
+    ) -> BTreeMap<(usize, usize), Matrix> {
+        let mut out = BTreeMap::new();
+        for slot in &self.slots {
+            let base_j = col_off(slot);
+            let mut blk = Matrix::zeros(slot.nrows, slot.ncols);
+            for j in 0..slot.ncols {
+                for i in 0..slot.nrows {
+                    blk[(i, j)] = src[(slot.row_off + i, base_j + j)];
                 }
             }
-            out.insert((br, bc), blk);
+            out.insert((slot.br, slot.bc), blk);
         }
-        base_j += cs;
+        out
     }
-    out
 }
 
 #[cfg(test)]
@@ -303,7 +390,7 @@ mod tests {
         }
 
         let spec = SubmatrixSpec::build(&p, &d, &[1]);
-        let a = assemble(&spec, &p, &d, |r, c| blocks.get(&(r, c)));
+        let a = AssemblyMap::build(&spec, &p).assemble(|r, c| blocks.get(&(r, c)));
         // The assembled submatrix equals the dense principal submatrix on
         // element indices 0..6 (blocks 0,1,2) *with zeros where the pattern
         // is zero* — for a tridiagonal window including blocks 0..2 the
@@ -314,7 +401,7 @@ mod tests {
 
         // Identity function roundtrip: extracting from f(a) = a returns
         // exactly the original blocks of column 1.
-        let result = extract_result(&spec, &p, &d, &a);
+        let result = ExtractionMap::build(&spec, &p, &d).extract(&a);
         assert_eq!(result.len(), 3); // rows 0,1,2 of column 1
         for ((br, bc), blk) in &result {
             assert!(blocks[&(*br, *bc)].allclose(blk, 0.0));
@@ -326,7 +413,7 @@ mod tests {
         let (p, d) = tridiag_setup();
         let spec = SubmatrixSpec::build(&p, &d, &[1, 2]);
         let f_a = Matrix::identity(spec.dim);
-        let result = extract_result(&spec, &p, &d, &f_a);
+        let result = ExtractionMap::build(&spec, &p, &d).extract(&f_a);
         // Columns 1 and 2 each have 3 pattern rows.
         assert_eq!(result.len(), 6);
         assert!(result.keys().all(|&(_, bc)| bc == 1 || bc == 2));
@@ -350,7 +437,7 @@ mod tests {
     fn missing_numerical_block_assembles_as_zero() {
         let (p, d) = tridiag_setup();
         let spec = SubmatrixSpec::build(&p, &d, &[0]);
-        let a = assemble(&spec, &p, &d, |_, _| None);
+        let a = AssemblyMap::build(&spec, &p).assemble(|_, _| None);
         assert!(a.allclose(&Matrix::zeros(4, 4), 0.0));
     }
 }
@@ -380,7 +467,8 @@ mod selected_column_extraction_tests {
         let spec = SubmatrixSpec::build(&p, &d, &[1, 2]);
         // Fake a full f(a) with distinguishable entries.
         let f_a = Matrix::from_fn(spec.dim, spec.dim, |i, j| (i * 100 + j) as f64);
-        let full = extract_result(&spec, &p, &d, &f_a);
+        let map = ExtractionMap::build(&spec, &p, &d);
+        let full = map.extract(&f_a);
         // Carve the contributing columns out of f_a manually.
         let mut cols = Vec::new();
         for &bc in &spec.cols {
@@ -391,7 +479,7 @@ mod selected_column_extraction_tests {
         }
         let all_rows: Vec<usize> = (0..spec.dim).collect();
         let cols_mat = f_a.submatrix(&all_rows, &cols);
-        let from_cols = extract_result_from_columns(&spec, &p, &d, &cols_mat);
+        let from_cols = map.extract_from_columns(&cols_mat);
         assert_eq!(full.len(), from_cols.len());
         for (coord, blk) in &full {
             assert!(
@@ -407,6 +495,15 @@ mod selected_column_extraction_tests {
         let (p, d) = tridiag_setup();
         let spec = SubmatrixSpec::build(&p, &d, &[1]);
         let bad = Matrix::zeros(spec.dim, 5);
-        extract_result_from_columns(&spec, &p, &d, &bad);
+        ExtractionMap::build(&spec, &p, &d).extract_from_columns(&bad);
+    }
+
+    #[test]
+    #[should_panic(expected = "shape mismatch")]
+    fn wrong_result_dimension_panics() {
+        let (p, d) = tridiag_setup();
+        let spec = SubmatrixSpec::build(&p, &d, &[1]);
+        let bad = Matrix::zeros(spec.dim + 2, spec.dim + 2);
+        ExtractionMap::build(&spec, &p, &d).extract(&bad);
     }
 }

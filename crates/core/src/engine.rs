@@ -1,13 +1,12 @@
 //! The persistent submatrix engine: symbolic/numeric phase split with plan
 //! caching.
 //!
-//! The one-shot drivers in [`crate::method`] redo the entire symbolic
-//! pipeline — global pattern, column grouping, load balancing, deduplicated
-//! transfer planning, assembly index computation — on every call. In the
-//! paper's target workload (SCF iterations inside CP2K, Sec. IV) the
+//! In the paper's target workload (SCF iterations inside CP2K, Sec. IV) the
 //! sparsity pattern is *fixed* across iterations while matrix values
-//! change, so all of that work can be hoisted into a one-time **symbolic
-//! phase** whose product, an [`ExecutionPlan`], is cached under a cheap
+//! change, so the whole symbolic pipeline — global pattern, column
+//! grouping, load balancing, deduplicated transfer planning, assembly index
+//! computation — is hoisted into a one-time **symbolic phase** whose
+//! product, an [`ExecutionPlan`], is cached under a cheap
 //! [pattern fingerprint](sm_dbcsr::wire::PatternFingerprint) and replayed
 //! by an allocation-light **numeric phase**:
 //!
@@ -37,7 +36,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use rayon::prelude::*;
@@ -48,6 +47,7 @@ use sm_dbcsr::{ops, wire, BlockedDims, CooPattern, DbcsrMatrix};
 use sm_linalg::{Matrix, Precision};
 
 use crate::assembly::SubmatrixSpec;
+pub use crate::assembly::{AssemblyMap, AssemblySlot, ExtractionMap, ExtractionSlot};
 use crate::loadbalance::greedy_contiguous;
 use crate::mu::{adjust_mu, contributing_rows, StoredDecomposition};
 use crate::plan::SubmatrixPlan;
@@ -91,9 +91,10 @@ impl Grouping {
 }
 
 /// Statistical ensemble of the density-matrix computation.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Ensemble {
     /// Fixed chemical potential (paper's evaluation mode, Sec. V).
+    #[default]
     GrandCanonical,
     /// Fixed electron count: µ adjusted by Algorithm 1. Requires the
     /// diagonalization solver.
@@ -143,9 +144,7 @@ impl Default for EngineOptions {
 pub const SPARSE_FILL_THRESHOLD: f64 = 0.2;
 
 /// Engine-level solve-backend selection, resolved per execution against
-/// the plan's element fill. Numeric-phase-only, exactly like
-/// [`Precision`]: the policy and the resolved backend never enter pattern
-/// fingerprints, plan-cache keys, or any symbolic decision.
+/// the plan's element fill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendPolicy {
     /// Choose from the element fill the symbolic phase computed: below
@@ -181,7 +180,9 @@ impl BackendPolicy {
 }
 
 /// Numeric-phase configuration; may vary call-to-call on one cached plan.
-#[derive(Debug, Clone, Copy)]
+/// The default is the paper's method of choice: diagonalization at fixed µ,
+/// `Fp64`, backend chosen from the plan's fill.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct NumericOptions {
     /// Per-submatrix solver configuration.
     pub solve: SolveOptions,
@@ -196,194 +197,15 @@ pub struct NumericOptions {
     /// With `Fp32`/`Fp32Refined` the gather moves `f32` value payloads
     /// (half the bytes); plain `Fp32` also scatters results as `f32`
     /// (losslessly — the solve rounds its output to `f32` storage), while
-    /// `Fp32Refined` scatters its `f64` refinement intact.
-    ///
-    /// **Invariant:** precision is numeric-phase-only. It never enters the
-    /// pattern fingerprint, the plan-cache key, or any symbolic decision —
-    /// one cached plan serves every precision, and the collective hit/miss
-    /// consensus of [`SubmatrixEngine::plan_for_matrix_traced`] is
-    /// untouched by precision changes. This field overrides
-    /// `solve.precision` during execution, so it is the engine-level
-    /// source of truth.
+    /// `Fp32Refined` scatters its `f64` refinement intact. Overrides
+    /// `solve.precision` during execution: the engine-level source of
+    /// truth, and numeric-phase-only (module docs).
     pub precision: Precision,
     /// Solve-backend policy (paper Sec. V-C). Resolved against the plan's
     /// [`ExecutionPlan::element_fill`] at execution time and threaded into
     /// `solve.backend` the same way `precision` overrides
-    /// `solve.precision` — the engine-level source of truth. Subject to
-    /// the same invariant as precision: numeric-phase-only, never in
-    /// fingerprints or cache keys.
+    /// `solve.precision`; numeric-phase-only like it.
     pub backend: BackendPolicy,
-}
-
-impl Default for NumericOptions {
-    fn default() -> Self {
-        NumericOptions {
-            solve: SolveOptions::default(),
-            ensemble: Ensemble::GrandCanonical,
-            use_selected_columns: false,
-            precision: Precision::Fp64,
-            backend: BackendPolicy::Auto,
-        }
-    }
-}
-
-/// One block copy of the numeric assembly phase: source block `(br, bc)`
-/// lands at `(row_off, col_off)` of the dense submatrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AssemblySlot {
-    /// Source block row.
-    pub br: usize,
-    /// Source block column.
-    pub bc: usize,
-    /// Destination element row offset.
-    pub row_off: usize,
-    /// Destination element column offset.
-    pub col_off: usize,
-}
-
-/// Flat copy program assembling one dense submatrix — the precomputed form
-/// of [`crate::assembly::assemble`], with every pattern query and binary
-/// search resolved symbolically.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AssemblyMap {
-    /// Dense dimension of the submatrix.
-    pub dim: usize,
-    /// Block copies, in deterministic (column-major block) order.
-    pub slots: Vec<AssemblySlot>,
-}
-
-impl AssemblyMap {
-    fn build(spec: &SubmatrixSpec, pattern: &CooPattern) -> Self {
-        let mut slots = Vec::new();
-        for (pj, &bc) in spec.rows.iter().enumerate() {
-            let col_off = spec.row_offsets[pj];
-            for br in pattern.rows_in_col(bc) {
-                let Some(pi) = spec.position_of(br) else {
-                    continue;
-                };
-                slots.push(AssemblySlot {
-                    br,
-                    bc,
-                    row_off: spec.row_offsets[pi],
-                    col_off,
-                });
-            }
-        }
-        AssemblyMap {
-            dim: spec.dim,
-            slots,
-        }
-    }
-
-    /// Numeric assembly: pure block copies, no index computation.
-    pub fn assemble<'a>(&self, block_of: impl Fn(usize, usize) -> Option<&'a Matrix>) -> Matrix {
-        let mut a = Matrix::zeros(self.dim, self.dim);
-        for slot in &self.slots {
-            let Some(blk) = block_of(slot.br, slot.bc) else {
-                continue; // structurally present but numerically dropped
-            };
-            for j in 0..blk.ncols() {
-                for i in 0..blk.nrows() {
-                    a[(slot.row_off + i, slot.col_off + j)] = blk[(i, j)];
-                }
-            }
-        }
-        a
-    }
-}
-
-/// One block copy of the result-extraction phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExtractionSlot {
-    /// Destination block row.
-    pub br: usize,
-    /// Destination block column.
-    pub bc: usize,
-    /// Source element row offset in `f(a)`.
-    pub row_off: usize,
-    /// Source element column offset in the full `f(a)`.
-    pub col_off: usize,
-    /// Source element column offset in the selected-columns matrix.
-    pub sel_off: usize,
-    /// Block shape.
-    pub nrows: usize,
-    /// Block shape.
-    pub ncols: usize,
-}
-
-/// Flat copy program extracting a spec's result blocks out of `f(a)` — the
-/// precomputed form of [`crate::assembly::extract_result`] (and of its
-/// selected-columns variant via `sel_off`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExtractionMap {
-    /// Block extractions in deterministic order.
-    pub slots: Vec<ExtractionSlot>,
-    /// Total contributing element columns (width of the selected-columns
-    /// matrix).
-    pub n_sel_cols: usize,
-}
-
-impl ExtractionMap {
-    fn build(spec: &SubmatrixSpec, pattern: &CooPattern, dims: &BlockedDims) -> Self {
-        let mut slots = Vec::new();
-        let mut sel_base = 0usize;
-        for &bc in &spec.cols {
-            let ncols = dims.size(bc);
-            let col_off = spec
-                .offset_of(bc)
-                .expect("spec columns are always included in rows");
-            for br in pattern.rows_in_col(bc) {
-                let Some(pi) = spec.position_of(br) else {
-                    continue;
-                };
-                slots.push(ExtractionSlot {
-                    br,
-                    bc,
-                    row_off: spec.row_offsets[pi],
-                    col_off,
-                    sel_off: sel_base,
-                    nrows: dims.size(br),
-                    ncols,
-                });
-            }
-            sel_base += ncols;
-        }
-        ExtractionMap {
-            slots,
-            n_sel_cols: sel_base,
-        }
-    }
-
-    /// Extract result blocks from the full `f(a)`.
-    pub fn extract(&self, f_a: &Matrix) -> BTreeMap<(usize, usize), Matrix> {
-        let mut out = BTreeMap::new();
-        for slot in &self.slots {
-            let mut blk = Matrix::zeros(slot.nrows, slot.ncols);
-            for j in 0..slot.ncols {
-                for i in 0..slot.nrows {
-                    blk[(i, j)] = f_a[(slot.row_off + i, slot.col_off + j)];
-                }
-            }
-            out.insert((slot.br, slot.bc), blk);
-        }
-        out
-    }
-
-    /// Extract result blocks from a selected-columns matrix (only the
-    /// contributing columns of `f(a)`, in spec order).
-    pub fn extract_from_columns(&self, cols_mat: &Matrix) -> BTreeMap<(usize, usize), Matrix> {
-        let mut out = BTreeMap::new();
-        for slot in &self.slots {
-            let mut blk = Matrix::zeros(slot.nrows, slot.ncols);
-            for j in 0..slot.ncols {
-                for i in 0..slot.nrows {
-                    blk[(i, j)] = cols_mat[(slot.row_off + i, slot.sel_off + j)];
-                }
-            }
-            out.insert((slot.br, slot.bc), blk);
-        }
-        out
-    }
 }
 
 /// Product of the symbolic phase for one rank: everything the numeric
@@ -425,8 +247,8 @@ pub struct ExecutionPlan {
     pub contributing: Vec<Vec<usize>>,
     /// Element-level fill fraction of the pattern: `Σ size(br)·size(bc)`
     /// over nonzero blocks, divided by `n²`. A deterministic global plan
-    /// property (identical on every rank), it is what
-    /// [`BackendPolicy::Auto`] resolves the solve backend against.
+    /// property (identical on every rank), it is what the numeric phase
+    /// resolves its solve representation against (paper Sec. V-C).
     pub element_fill: f64,
     /// Seconds the symbolic phase took to build this plan.
     pub symbolic_seconds: f64,
@@ -487,13 +309,10 @@ impl ExecutionPlan {
         // backend decision keys off. Global and deterministic: every rank
         // computes the same value from the same replicated pattern.
         let n_elems = (dims.n() * dims.n()) as f64;
-        let nnz_elems: f64 = (0..dims.nb())
-            .map(|bc| {
-                pattern
-                    .rows_in_col(bc)
-                    .map(|br| (dims.size(br) * dims.size(bc)) as f64)
-                    .sum::<f64>()
-            })
+        let nnz_elems: f64 = pattern
+            .entries()
+            .iter()
+            .map(|&(br, bc)| (dims.size(br) * dims.size(bc)) as f64)
             .sum();
         let element_fill = if n_elems > 0.0 {
             nnz_elems / n_elems
@@ -691,17 +510,15 @@ impl PlanCache {
         self.tick += 1;
         self.map.insert(key, (plan, self.tick));
         let mut evicted = 0;
-        if let Some(cap) = capacity {
-            while self.map.len() > cap {
-                let oldest = self
-                    .map
-                    .iter()
-                    .min_by_key(|(_, (_, stamp))| *stamp)
-                    .map(|(k, _)| *k)
-                    .expect("cache over capacity implies nonempty");
-                self.map.remove(&oldest);
-                evicted += 1;
-            }
+        while self.map.len() > capacity.unwrap_or(usize::MAX) {
+            let oldest = self
+                .map
+                .iter()
+                .min_by_key(|(_, (_, stamp))| *stamp)
+                .map(|(k, _)| *k)
+                .expect("cache over capacity implies nonempty");
+            self.map.remove(&oldest);
+            evicted += 1;
         }
         evicted
     }
@@ -746,62 +563,35 @@ impl SubmatrixEngine {
         }
     }
 
+    /// The plan cache. A panic while the lock was held cannot leave the
+    /// map half-updated (every update is one `HashMap` call), so a poisoned
+    /// lock is recovered rather than propagated.
+    fn cache(&self) -> MutexGuard<'_, PlanCache> {
+        self.cache.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Drop all cached plans (e.g. after a basis change invalidates every
     /// pattern this engine has seen). Not counted as evictions.
     pub fn clear_cache(&self) {
-        self.cache
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .map
-            .clear();
+        self.cache().map.clear();
     }
 
     /// Number of cached plans.
     pub fn cached_plans(&self) -> usize {
-        self.cache
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .map
-            .len()
-    }
-
-    /// Plan-cache occupancy: `(plans currently cached, capacity bound)`
-    /// — `None` capacity means unbounded. Together with
-    /// [`EngineStats::since`] this is the full read-only cache-pressure
-    /// view (`smdoctor` reports occupancy against capacity plus the
-    /// eviction counter).
-    pub fn cache_occupancy(&self) -> (usize, Option<usize>) {
-        (self.cached_plans(), self.opts.plan_cache_capacity)
+        self.cache().map.len()
     }
 
     fn cache_key(&self, fp: PatternFingerprint, rank: usize, size: usize) -> CacheKey {
         (fp.0 ^ self.opts.grouping.cache_tag(), rank, size)
     }
 
-    fn lookup(
-        &self,
-        fp: PatternFingerprint,
-        rank: usize,
-        size: usize,
-    ) -> Option<Arc<ExecutionPlan>> {
-        self.cache
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&self.cache_key(fp, rank, size))
-    }
-
-    fn insert(&self, plan: Arc<ExecutionPlan>) {
-        let key = self.cache_key(plan.fingerprint, plan.rank, plan.size);
-        let evicted = self.cache.lock().unwrap_or_else(|e| e.into_inner()).insert(
-            key,
-            plan,
-            self.opts.plan_cache_capacity,
-        );
-        if evicted > 0 {
-            self.counters
-                .evictions
-                .fetch_add(evicted, Ordering::Relaxed);
-        }
+    fn insert(&self, key: CacheKey, plan: Arc<ExecutionPlan>) {
+        let evicted = self
+            .cache()
+            .insert(key, plan, self.opts.plan_cache_capacity);
+        self.counters
+            .evictions
+            .fetch_add(evicted, Ordering::Relaxed);
         if sm_trace::enabled() {
             if evicted > 0 {
                 sm_trace::counter_add(
@@ -814,31 +604,6 @@ impl SubmatrixEngine {
                 self.cached_plans() as f64,
             );
         }
-    }
-
-    /// Symbolic phase on an explicit pattern: build (or fetch) the plan for
-    /// `(pattern, dims)` on the calling rank. Non-collective.
-    pub fn plan<C: Comm>(
-        &self,
-        pattern: &CooPattern,
-        dims: &BlockedDims,
-        comm: &C,
-    ) -> Arc<ExecutionPlan> {
-        let fp = pattern.fingerprint(dims);
-        if let Some(hit) = self.lookup(fp, comm.rank(), comm.size()) {
-            self.counters.hits.fetch_add(1, Ordering::Relaxed);
-            return hit;
-        }
-        let plan = Arc::new(ExecutionPlan::build(
-            pattern.clone(),
-            dims.clone(),
-            &self.opts,
-            comm.rank(),
-            comm.size(),
-        ));
-        self.counters.builds.fetch_add(1, Ordering::Relaxed);
-        self.insert(Arc::clone(&plan));
-        plan
     }
 
     /// Symbolic phase on a distributed matrix (collective). A cache hit
@@ -879,34 +644,30 @@ impl SubmatrixEngine {
         comm: &C,
     ) -> (Arc<ExecutionPlan>, bool) {
         let fp = m.pattern_fingerprint(comm);
-        let local_hit = self.lookup(fp, comm.rank(), comm.size());
+        let key = self.cache_key(fp, comm.rank(), comm.size());
+        let local_hit = self.cache().get(&key);
         let mut any_miss = [if local_hit.is_some() { 0.0 } else { 1.0 }];
         comm.allreduce_f64(sm_comsim::ReduceOp::Max, &mut any_miss);
-        if any_miss[0] == 0.0 {
-            self.counters.hits.fetch_add(1, Ordering::Relaxed);
-            let hit = local_hit.expect("consensus hit implies local hit");
-            self.trace_plan_decision(&hit, false);
-            return (hit, false);
-        }
         // At least one rank misses: every rank enters the collective
         // gather; ranks that hit locally keep their cached plan.
-        let pattern = m.global_pattern(comm);
-        if let Some(hit) = local_hit {
-            self.counters.hits.fetch_add(1, Ordering::Relaxed);
-            self.trace_plan_decision(&hit, false);
-            return (hit, false);
-        }
-        let plan = Arc::new(ExecutionPlan::build(
-            pattern,
-            m.dims().clone(),
-            &self.opts,
-            comm.rank(),
-            comm.size(),
-        ));
-        self.counters.builds.fetch_add(1, Ordering::Relaxed);
-        self.insert(Arc::clone(&plan));
-        self.trace_plan_decision(&plan, true);
-        (plan, true)
+        let pattern = (any_miss[0] != 0.0).then(|| m.global_pattern(comm));
+        let (plan, built) = match local_hit {
+            Some(hit) => {
+                self.counters.hits.fetch_add(1, Ordering::Relaxed);
+                (hit, false)
+            }
+            None => {
+                let pattern = pattern.expect("consensus hit implies local hit");
+                let (rank, size) = (comm.rank(), comm.size());
+                let plan = ExecutionPlan::build(pattern, m.dims().clone(), &self.opts, rank, size);
+                let plan = Arc::new(plan);
+                self.counters.builds.fetch_add(1, Ordering::Relaxed);
+                self.insert(key, Arc::clone(&plan));
+                (plan, true)
+            }
+        };
+        self.trace_plan_decision(&plan, built);
+        (plan, built)
     }
 
     /// Narrate one traced planning decision. Exactly one `plan.decision`
@@ -934,6 +695,21 @@ impl SubmatrixEngine {
             }),
             1,
         );
+    }
+
+    /// Map `f` over the indices of this rank's specs, in order — over the
+    /// shared pool iff the engine was built with `parallel`.
+    fn map_specs<T: Send>(
+        &self,
+        plan: &ExecutionPlan,
+        f: impl Fn(&usize) -> T + Sync + Send,
+    ) -> Vec<T> {
+        let indices: Vec<usize> = (0..plan.my_specs.len()).collect();
+        if self.opts.parallel {
+            indices.par_iter().map(f).collect()
+        } else {
+            indices.iter().map(f).collect()
+        }
     }
 
     /// Numeric phase: compute `sign(values − µI)` along a cached plan
@@ -971,20 +747,17 @@ impl SubmatrixEngine {
         // rank of the collective makes the same choice.
         let precision = numeric.precision;
         let backend = numeric.backend.resolve(plan.element_fill);
-        let mut numeric = *numeric;
-        numeric.solve.precision = precision;
-        numeric.solve.backend = backend;
-        let numeric = &numeric;
-        let gather_format = if precision.gather_is_f32() {
-            ValueFormat::F32
-        } else {
-            ValueFormat::F64
+        let solve = SolveOptions {
+            precision,
+            backend,
+            ..numeric.solve
         };
-        let scatter_format = if precision.scatter_is_f32() {
-            ValueFormat::F32
-        } else {
-            ValueFormat::F64
+        let wire_format = |is_f32| match is_f32 {
+            true => ValueFormat::F32,
+            false => ValueFormat::F64,
         };
+        let gather_format = wire_format(precision.gather_is_f32());
+        let scatter_format = wire_format(precision.scatter_is_f32());
 
         // Gather: fetch every remote block once, along the cached transfer
         // plan. Under f32 precision the value payloads move half the
@@ -998,119 +771,106 @@ impl SubmatrixEngine {
         let gather_seconds = t0.elapsed().as_secs_f64();
 
         let t1 = Instant::now();
-        let (mu, bisect_iterations, extracted, (sparse_filtered_nnz, sparse_flops)) =
-            if numeric.use_selected_columns {
-                assert_eq!(
-                    precision,
-                    Precision::Fp64,
-                    "selected-columns evaluation is Fp64-only"
-                );
-                assert_eq!(
-                    numeric.solve.method,
-                    SignMethod::Diagonalization,
-                    "selected-columns evaluation requires the diagonalization solver"
-                );
-                assert!(
-                    matches!(numeric.ensemble, Ensemble::GrandCanonical),
-                    "selected-columns evaluation supports grand-canonical runs only"
-                );
-                let solve_one = |i: &usize| {
-                    let a = plan.assembly[*i].assemble(block_of);
-                    let dec = sm_linalg::eigh::eigh(&a)
-                        .unwrap_or_else(|e| panic!("submatrix eigendecomposition failed: {e}"));
-                    let cols_mat = sign_columns_from_decomposition(
-                        &dec,
-                        mu0,
-                        numeric.solve.kt,
-                        &plan.contributing[*i],
-                    );
-                    plan.extraction[*i].extract_from_columns(&cols_mat)
-                };
-                let indices: Vec<usize> = (0..plan.my_specs.len()).collect();
-                let extracted: Vec<BTreeMap<(usize, usize), Matrix>> = if self.opts.parallel {
-                    indices.par_iter().map(solve_one).collect()
-                } else {
-                    indices.iter().map(solve_one).collect()
-                };
-                (mu0, 0, extracted, (0u64, 0u64))
-            } else {
-                let solve_one = |i: &usize| {
-                    let a = plan.assembly[*i].assemble(block_of);
-                    solve_sign(&a, mu0, &numeric.solve)
-                        .unwrap_or_else(|e| panic!("submatrix solve failed: {e}"))
-                };
-                let indices: Vec<usize> = (0..plan.my_specs.len()).collect();
-                let results: Vec<SolveResult> = if self.opts.parallel {
-                    indices.par_iter().map(solve_one).collect()
-                } else {
-                    indices.iter().map(solve_one).collect()
-                };
-                // Sparse-backend tallies before the results are consumed.
-                let sparse_tally = results.iter().fold((0u64, 0u64), |acc, r| match r.sparse {
-                    Some(s) => (acc.0 + s.filtered_nnz, acc.1 + s.flops),
-                    None => acc,
-                });
-
-                // Canonical ensemble: Algorithm 1 on the stored decompositions,
-                // then re-evaluate the sign at the adjusted µ (collective).
-                let (mu, bisect_iterations, signs) = match numeric.ensemble {
-                    Ensemble::GrandCanonical => {
-                        let signs: Vec<Matrix> = results.into_iter().map(|r| r.sign).collect();
-                        (mu0, 0, signs)
-                    }
-                    Ensemble::Canonical {
-                        n_electrons,
-                        tol,
-                        max_iter,
-                    } => {
-                        assert_eq!(
-                            numeric.solve.method,
-                            SignMethod::Diagonalization,
-                            "canonical ensembles require the diagonalization solver (Sec. IV-G)"
-                        );
-                        let stored: Vec<StoredDecomposition> = plan
-                            .my_specs
-                            .iter()
-                            .zip(&results)
-                            .map(|(spec, r)| {
-                                StoredDecomposition::from_eigh(
-                                    r.decomposition.as_ref().expect("diagonalization stores Q"),
-                                    spec,
-                                    &plan.dims,
-                                )
-                            })
-                            .collect();
-                        let adj = adjust_mu(
-                            &stored,
-                            mu0,
-                            n_electrons / 2.0,
-                            numeric.solve.kt,
-                            tol / 2.0,
-                            max_iter,
-                            comm,
-                        );
-                        let signs: Vec<Matrix> = results
-                            .iter()
-                            .map(|r| {
-                                let mut s = sign_from_decomposition(
-                                    r.decomposition.as_ref().expect("diagonalization stores Q"),
-                                    adj.mu,
-                                    numeric.solve.kt,
-                                );
-                                crate::solver::round_sign_output(&mut s, precision);
-                                s
-                            })
-                            .collect();
-                        (adj.mu, adj.iterations, signs)
-                    }
-                };
-                let extracted: Vec<BTreeMap<(usize, usize), Matrix>> = signs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, sign)| plan.extraction[i].extract(sign))
-                    .collect();
-                (mu, bisect_iterations, extracted, sparse_tally)
+        let (mu, bisect_iterations, extracted, (sparse_filtered_nnz, sparse_flops)) = if numeric
+            .use_selected_columns
+        {
+            assert_eq!(
+                precision,
+                Precision::Fp64,
+                "selected-columns evaluation is Fp64-only"
+            );
+            assert_eq!(
+                solve.method,
+                SignMethod::Diagonalization,
+                "selected-columns evaluation requires the diagonalization solver"
+            );
+            assert!(
+                matches!(numeric.ensemble, Ensemble::GrandCanonical),
+                "selected-columns evaluation supports grand-canonical runs only"
+            );
+            let solve_one = |i: &usize| {
+                let a = plan.assembly[*i].assemble(block_of);
+                let dec = sm_linalg::eigh::eigh(&a)
+                    .unwrap_or_else(|e| panic!("submatrix eigendecomposition failed: {e}"));
+                let cols_mat =
+                    sign_columns_from_decomposition(&dec, mu0, solve.kt, &plan.contributing[*i]);
+                plan.extraction[*i].extract_from_columns(&cols_mat)
             };
+            let extracted = self.map_specs(plan, solve_one);
+            (mu0, 0, extracted, (0u64, 0u64))
+        } else {
+            let solve_one = |i: &usize| {
+                let a = plan.assembly[*i].assemble(block_of);
+                solve_sign(&a, mu0, &solve)
+                    .unwrap_or_else(|e| panic!("submatrix solve failed: {e}"))
+            };
+            let results: Vec<SolveResult> = self.map_specs(plan, solve_one);
+            // Sparse-backend tallies before the results are consumed.
+            let sparse_tally = results.iter().fold((0u64, 0u64), |acc, r| match r.sparse {
+                Some(s) => (acc.0 + s.filtered_nnz, acc.1 + s.flops),
+                None => acc,
+            });
+
+            // Canonical ensemble: Algorithm 1 on the stored decompositions,
+            // then re-evaluate the sign at the adjusted µ (collective).
+            let (mu, bisect_iterations, signs) = match numeric.ensemble {
+                Ensemble::GrandCanonical => {
+                    let signs: Vec<Matrix> = results.into_iter().map(|r| r.sign).collect();
+                    (mu0, 0, signs)
+                }
+                Ensemble::Canonical {
+                    n_electrons,
+                    tol,
+                    max_iter,
+                } => {
+                    assert_eq!(
+                        solve.method,
+                        SignMethod::Diagonalization,
+                        "canonical ensembles require the diagonalization solver (Sec. IV-G)"
+                    );
+                    let stored: Vec<StoredDecomposition> = plan
+                        .my_specs
+                        .iter()
+                        .zip(&results)
+                        .map(|(spec, r)| {
+                            StoredDecomposition::from_eigh(
+                                r.decomposition.as_ref().expect("diagonalization stores Q"),
+                                spec,
+                                &plan.dims,
+                            )
+                        })
+                        .collect();
+                    let adj = adjust_mu(
+                        &stored,
+                        mu0,
+                        n_electrons / 2.0,
+                        solve.kt,
+                        tol / 2.0,
+                        max_iter,
+                        comm,
+                    );
+                    let signs: Vec<Matrix> = results
+                        .iter()
+                        .map(|r| {
+                            let mut s = sign_from_decomposition(
+                                r.decomposition.as_ref().expect("diagonalization stores Q"),
+                                adj.mu,
+                                solve.kt,
+                            );
+                            crate::solver::round_sign_output(&mut s, precision);
+                            s
+                        })
+                        .collect();
+                    (adj.mu, adj.iterations, signs)
+                }
+            };
+            let extracted: Vec<BTreeMap<(usize, usize), Matrix>> = signs
+                .iter()
+                .enumerate()
+                .map(|(i, sign)| plan.extraction[i].extract(sign))
+                .collect();
+            (mu, bisect_iterations, extracted, sparse_tally)
+        };
         let solve_seconds = t1.elapsed().as_secs_f64();
 
         // Scatter result blocks to their owning ranks. Plain-Fp32 results
@@ -1134,33 +894,14 @@ impl SubmatrixEngine {
             // One `engine.phase` event per phase per rank per execution —
             // deterministic counts with deterministic costs (planned cost,
             // planned value bytes); wall seconds ride as annotations.
-            {
-                let _p = sm_trace::span(sm_trace::SpanKind::Phase, "gather");
-                sm_trace::emit(
-                    "engine.phase",
-                    gather_value_bytes as f64,
-                    gather_seconds,
-                    &[],
-                );
-            }
-            {
-                let _p = sm_trace::span(sm_trace::SpanKind::Phase, "solve");
-                sm_trace::emit(
-                    "engine.phase",
-                    plan.total_cost,
-                    solve_seconds,
-                    &[("n_submatrices", plan.n_submatrices as f64)],
-                );
-            }
-            {
-                let _p = sm_trace::span(sm_trace::SpanKind::Phase, "scatter");
-                sm_trace::emit(
-                    "engine.phase",
-                    scatter_value_bytes as f64,
-                    scatter_seconds,
-                    &[],
-                );
-            }
+            let phase = |name: &str, cost: f64, seconds: f64, fields: &[(&'static str, f64)]| {
+                let _p = sm_trace::span(sm_trace::SpanKind::Phase, name);
+                sm_trace::emit("engine.phase", cost, seconds, fields);
+            };
+            let n_sub = [("n_submatrices", plan.n_submatrices as f64)];
+            phase("gather", gather_value_bytes as f64, gather_seconds, &[]);
+            phase("solve", plan.total_cost, solve_seconds, &n_sub);
+            phase("scatter", scatter_value_bytes as f64, scatter_seconds, &[]);
             // Backend decision: one deterministic event per execution
             // recording which representation the iterative solves resolved
             // to and what the filtering saved (cost = backend code so
@@ -1281,7 +1022,7 @@ pub enum PlanPersistError {
     /// Filesystem error reading or writing the manifest.
     Io(std::io::Error),
     /// The file is not a decodable plan manifest (wrong magic, foreign
-    /// schema version, or truncated).
+    /// schema version, truncated, or a payload failing its checksum).
     Wire(wire::ManifestError),
     /// The manifest was produced under a different grouping policy; its
     /// plans would be wrong for this engine, so the import refuses.
@@ -1400,18 +1141,22 @@ fn encode_plan(plan: &ExecutionPlan) -> Vec<u64> {
     w
 }
 
+fn corrupt(what: &str) -> PlanPersistError {
+    PlanPersistError::Corrupt(what.into())
+}
+
 /// Bounds-checked reader over a plan payload.
 struct PlanReader<'a> {
     words: &'a [u64],
     pos: usize,
 }
 
-impl<'a> PlanReader<'a> {
+impl PlanReader<'_> {
     fn u(&mut self) -> Result<u64, PlanPersistError> {
         let w = *self
             .words
             .get(self.pos)
-            .ok_or_else(|| PlanPersistError::Corrupt("payload ends early".into()))?;
+            .ok_or_else(|| corrupt("payload ends early"))?;
         self.pos += 1;
         Ok(w)
     }
@@ -1424,14 +1169,24 @@ impl<'a> PlanReader<'a> {
         Ok(f64::from_bits(self.u()?))
     }
 
-    fn usize_vec(&mut self) -> Result<Vec<usize>, PlanPersistError> {
+    /// A count, then that many items of at least `item_words` words each.
+    /// The count is bounded by the words that remain, so a damaged one can
+    /// neither reserve memory for items that are not there nor drive a
+    /// long loop.
+    fn items<T>(
+        &mut self,
+        item_words: usize,
+        mut read: impl FnMut(&mut Self) -> Result<T, PlanPersistError>,
+    ) -> Result<Vec<T>, PlanPersistError> {
         let n = self.us()?;
-        if self.words.len() - self.pos < n {
-            return Err(PlanPersistError::Corrupt(
-                "length prefix overruns payload".into(),
-            ));
+        if n > (self.words.len() - self.pos) / item_words {
+            return Err(corrupt("count overruns payload"));
         }
-        (0..n).map(|_| self.us()).collect()
+        (0..n).map(|_| read(self)).collect()
+    }
+
+    fn usize_vec(&mut self) -> Result<Vec<usize>, PlanPersistError> {
+        self.items(1, Self::us)
     }
 }
 
@@ -1448,8 +1203,9 @@ fn decode_plan(entry: &wire::PlanManifestEntry) -> Result<ExecutionPlan, PlanPer
     let element_fill = r.f()?;
     let symbolic_seconds = r.f()?;
     let sizes = r.usize_vec()?;
-    if sizes.contains(&0) {
-        return Err(PlanPersistError::Corrupt("zero-sized block in dims".into()));
+    let n = sizes.iter().try_fold(0usize, |n, &s| n.checked_add(s));
+    if sizes.contains(&0) || n.is_none() {
+        return Err(corrupt("zero-sized block or overflowing partition"));
     }
     let dims = BlockedDims::new(sizes);
     let transfers = TransferStats {
@@ -1458,54 +1214,32 @@ fn decode_plan(entry: &wire::PlanManifestEntry) -> Result<ExecutionPlan, PlanPer
         unique_blocks: r.u()?,
         total_references: r.u()?,
     };
-    let n_specs = r.us()?;
-    let mut my_specs = Vec::with_capacity(n_specs);
-    for _ in 0..n_specs {
-        let cols = r.usize_vec()?;
-        let rows = r.usize_vec()?;
-        let row_offsets = r.usize_vec()?;
+    // Struct fields are evaluated in the order written: the wire order.
+    let my_specs = r.items(4, |r| {
+        Ok(SubmatrixSpec {
+            cols: r.usize_vec()?,
+            rows: r.usize_vec()?,
+            row_offsets: r.usize_vec()?,
+            dim: r.us()?,
+        })
+    })?;
+    let remote_wanted = r.items(2, |r| Ok((r.us()?, r.us()?)))?;
+    let assembly = r.items(2, |r| {
         let dim = r.us()?;
-        if row_offsets.len() != rows.len() {
-            return Err(PlanPersistError::Corrupt(
-                "spec offsets/rows mismatch".into(),
-            ));
-        }
-        my_specs.push(SubmatrixSpec {
-            cols,
-            rows,
-            row_offsets,
-            dim,
-        });
-    }
-    let n_remote = r.us()?;
-    let mut remote_wanted = Vec::with_capacity(n_remote);
-    for _ in 0..n_remote {
-        remote_wanted.push((r.us()?, r.us()?));
-    }
-    let n_assembly = r.us()?;
-    let mut assembly = Vec::with_capacity(n_assembly);
-    for _ in 0..n_assembly {
-        let dim = r.us()?;
-        let n_slots = r.us()?;
-        let mut slots = Vec::with_capacity(n_slots);
-        for _ in 0..n_slots {
-            slots.push(AssemblySlot {
+        let slots = r.items(4, |r| {
+            Ok(AssemblySlot {
                 br: r.us()?,
                 bc: r.us()?,
                 row_off: r.us()?,
                 col_off: r.us()?,
-            });
-        }
-        assembly.push(AssemblyMap { dim, slots });
-    }
-    let n_extraction = r.us()?;
-    let mut extraction = Vec::with_capacity(n_extraction);
-    for _ in 0..n_extraction {
+            })
+        })?;
+        Ok(AssemblyMap { dim, slots })
+    })?;
+    let extraction = r.items(2, |r| {
         let n_sel_cols = r.us()?;
-        let n_slots = r.us()?;
-        let mut slots = Vec::with_capacity(n_slots);
-        for _ in 0..n_slots {
-            slots.push(ExtractionSlot {
+        let slots = r.items(7, |r| {
+            Ok(ExtractionSlot {
                 br: r.us()?,
                 bc: r.us()?,
                 row_off: r.us()?,
@@ -1513,26 +1247,15 @@ fn decode_plan(entry: &wire::PlanManifestEntry) -> Result<ExecutionPlan, PlanPer
                 sel_off: r.us()?,
                 nrows: r.us()?,
                 ncols: r.us()?,
-            });
-        }
-        extraction.push(ExtractionMap { slots, n_sel_cols });
-    }
-    let n_contrib = r.us()?;
-    let mut contributing = Vec::with_capacity(n_contrib);
-    for _ in 0..n_contrib {
-        contributing.push(r.usize_vec()?);
-    }
-    if assembly.len() != my_specs.len() || extraction.len() != my_specs.len() {
-        return Err(PlanPersistError::Corrupt(
-            "assembly/extraction maps not parallel to specs".into(),
-        ));
-    }
+            })
+        })?;
+        Ok(ExtractionMap { slots, n_sel_cols })
+    })?;
+    let contributing = r.items(1, PlanReader::usize_vec)?;
     if r.pos != entry.words.len() {
-        return Err(PlanPersistError::Corrupt(
-            "trailing words in payload".into(),
-        ));
+        return Err(corrupt("trailing words in payload"));
     }
-    Ok(ExecutionPlan {
+    let plan = ExecutionPlan {
         fingerprint: PatternFingerprint(entry.fingerprint),
         rank: entry.rank as usize,
         size: entry.size as usize,
@@ -1550,7 +1273,54 @@ fn decode_plan(entry: &wire::PlanManifestEntry) -> Result<ExecutionPlan, PlanPer
         contributing,
         element_fill,
         symbolic_seconds,
-    })
+    };
+    check_copy_programs(&plan)?;
+    Ok(plan)
+}
+
+/// Everything the numeric phase indexes with must agree with the decoded
+/// partition, or `execute` would read past a matrix (a panic) or copy the
+/// wrong elements (a wrong density without an error). A spec's assembly
+/// slots name every pattern block inside its principal submatrix — all
+/// that the spec and both copy programs were built from — so the three
+/// are rebuilt from those blocks and must come out as decoded.
+fn check_copy_programs(plan: &ExecutionPlan) -> Result<(), PlanPersistError> {
+    let (dims, nb) = (&plan.dims, plan.dims.nb());
+    let in_grid = |&(br, bc): &(usize, usize)| br < nb && bc < nb;
+    let per_spec = [
+        plan.assembly.len(),
+        plan.extraction.len(),
+        plan.contributing.len(),
+    ];
+    if per_spec != [plan.my_specs.len(); 3] || !plan.remote_wanted.iter().all(in_grid) {
+        return Err(corrupt("plan sections disagree with specs or partition"));
+    }
+    for (i, spec) in plan.my_specs.iter().enumerate() {
+        let blocks: Vec<(usize, usize)> = plan.assembly[i]
+            .slots
+            .iter()
+            .map(|s| (s.br, s.bc))
+            .collect();
+        if !blocks.iter().all(in_grid) {
+            return Err(corrupt("assembly block outside the partition"));
+        }
+        let pattern = CooPattern::from_coords(blocks, nb);
+        // What `SubmatrixSpec::build` would otherwise panic on.
+        let has_diagonals = !spec.cols.is_empty()
+            && spec
+                .cols
+                .iter()
+                .all(|&c| c < nb && pattern.rows_in_col(c).any(|r| r == c));
+        if !has_diagonals
+            || *spec != SubmatrixSpec::build(&pattern, dims, &spec.cols)
+            || plan.assembly[i] != AssemblyMap::build(spec, &pattern)
+            || plan.extraction[i] != ExtractionMap::build(spec, &pattern, dims)
+            || plan.contributing[i] != contributing_rows(spec, dims)
+        {
+            return Err(corrupt("copy program disagrees with its spec"));
+        }
+    }
+    Ok(())
 }
 
 impl SubmatrixEngine {
@@ -1563,7 +1333,7 @@ impl SubmatrixEngine {
     pub fn export_plans(&self, path: &std::path::Path) -> Result<usize, PlanPersistError> {
         let stats = self.stats();
         let manifest = {
-            let cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
+            let cache = self.cache();
             let mut entries: Vec<wire::PlanManifestEntry> = cache
                 .map
                 .values()
@@ -1620,29 +1390,22 @@ impl SubmatrixEngine {
         }
         // Keep only the most recently used plans when over capacity; the
         // dropped overflow is an eviction like any other.
-        let mut overflow = 0usize;
-        if let Some(cap) = self.opts.plan_cache_capacity {
-            if decoded.len() > cap {
-                decoded.sort_by_key(|(_, stamp)| std::cmp::Reverse(*stamp));
-                overflow = decoded.len() - cap;
-                decoded.truncate(cap);
-            }
-        }
-        let mut restored = 0usize;
+        let cap = self.opts.plan_cache_capacity.unwrap_or(usize::MAX);
+        decoded.sort_by_key(|(_, stamp)| std::cmp::Reverse(*stamp));
+        let overflow = decoded.len().saturating_sub(cap);
+        decoded.truncate(cap);
+        let restored = decoded.len();
         {
-            let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
+            let mut cache = self.cache();
             for (plan, stamp) in decoded {
                 let key = self.cache_key(plan.fingerprint, plan.rank, plan.size);
                 cache.tick = cache.tick.max(stamp);
                 cache.map.insert(key, (Arc::new(plan), stamp));
-                restored += 1;
             }
         }
-        if overflow > 0 {
-            self.counters
-                .evictions
-                .fetch_add(overflow, Ordering::Relaxed);
-        }
+        self.counters
+            .evictions
+            .fetch_add(overflow, Ordering::Relaxed);
         if sm_trace::enabled() {
             sm_trace::counter_add(
                 &sm_trace::scoped_root("plan_cache.imported"),
@@ -1763,18 +1526,15 @@ mod tests {
     }
 
     #[test]
-    fn engine_matches_one_shot_driver_bitwise() {
+    fn reused_engine_matches_throwaway_engine_bitwise() {
         let (dense, dims) = banded_gapped(9, 2);
         let m = DbcsrMatrix::from_dense(&dense, dims, 0, 1, 0.0);
         let comm = SerialComm::new();
         let engine = SubmatrixEngine::default();
-        let (a, _) = engine.sign(&m, 0.1, &NumericOptions::default(), &comm);
-        let (b, _) = crate::method::submatrix_sign(
-            &m,
-            0.1,
-            &crate::method::SubmatrixOptions::default(),
-            &comm,
-        );
+        let _ = engine.sign(&m, 0.1, &NumericOptions::default(), &comm);
+        let (a, hit) = engine.sign(&m, 0.1, &NumericOptions::default(), &comm);
+        assert!(hit.plan_cached);
+        let (b, _) = SubmatrixEngine::default().sign(&m, 0.1, &NumericOptions::default(), &comm);
         assert!(a.to_dense(&comm).allclose(&b.to_dense(&comm), 0.0));
     }
 
@@ -1884,13 +1644,12 @@ mod tests {
     }
 
     #[test]
-    fn stats_windows_and_occupancy_read_without_a_scheduler() {
+    fn stats_windows_read_without_a_scheduler() {
         let comm = SerialComm::new();
         let engine = SubmatrixEngine::new(EngineOptions {
             plan_cache_capacity: Some(2),
             ..EngineOptions::default()
         });
-        assert_eq!(engine.cache_occupancy(), (0, Some(2)));
         let (d, dims) = banded_gapped(4, 2);
         let m = DbcsrMatrix::from_dense(&d, dims, 0, 1, 0.0);
         let before = engine.stats();
@@ -1901,7 +1660,6 @@ mod tests {
         assert_eq!(window.cache_hits, 1);
         assert_eq!(window.executions, 2);
         assert_eq!(window.evictions, 0);
-        assert_eq!(engine.cache_occupancy(), (1, Some(2)));
         // Saturating: a stale "later" snapshot cannot underflow.
         assert_eq!(before.since(&engine.stats()).executions, 0);
     }
@@ -2241,6 +1999,81 @@ mod tests {
     }
 
     #[test]
+    fn corrupt_plan_payload_is_a_typed_error_never_a_panic_or_a_wrong_result() {
+        let (dense, dims) = banded_gapped(5, 2);
+        let comm = SerialComm::new();
+        let m = DbcsrMatrix::from_dense(&dense, dims.clone(), 0, 1, 0.0);
+        let plan = ExecutionPlan::build(
+            m.global_pattern(&comm),
+            dims,
+            &EngineOptions::default(),
+            0,
+            1,
+        );
+        let entry = wire::PlanManifestEntry {
+            fingerprint: plan.fingerprint.0,
+            rank: 0,
+            size: 1,
+            lru_stamp: 1,
+            words: encode_plan(&plan),
+        };
+        let manifest = wire::PlanManifest {
+            entries: vec![entry.clone()],
+            ..Default::default()
+        };
+        let bytes = manifest.encode();
+        // A one-entry manifest ends with that entry's payload words.
+        let payload_start = bytes.len() - 8 * entry.words.len();
+
+        let engine = SubmatrixEngine::default();
+        let selected = NumericOptions {
+            use_selected_columns: true,
+            ..Default::default()
+        };
+        let expect = engine
+            .execute(&plan, &m, 0.0, &NumericOptions::default(), &comm)
+            .0
+            .to_dense(&comm);
+        let (mut decoded_ok, mut rejected) = (0, 0);
+        for (k, &word) in entry.words.iter().enumerate() {
+            for bad in [1u64 << 62, word.wrapping_add(1), 1000] {
+                if bad == word {
+                    continue;
+                }
+                // Past the container's checksum the codec's own checks
+                // must hold: a plan that decodes also executes, and on the
+                // same copy programs.
+                let mut damaged = entry.clone();
+                damaged.words[k] = bad;
+                match decode_plan(&damaged) {
+                    Ok(p) => {
+                        decoded_ok += 1;
+                        for numeric in [NumericOptions::default(), selected] {
+                            let (got, _) = engine.execute(&p, &m, 0.0, &numeric, &comm);
+                            assert!(got.to_dense(&comm).allclose(&expect, 1e-12));
+                        }
+                    }
+                    Err(PlanPersistError::Corrupt(_)) => rejected += 1,
+                    Err(other) => panic!("word {k} := {bad:#x}: unexpected {other}"),
+                }
+                // Through the container every damaged payload is refused.
+                let mut file = bytes.clone();
+                let at = payload_start + 8 * k;
+                file[at..at + 8].copy_from_slice(&bad.to_le_bytes());
+                assert_eq!(
+                    wire::PlanManifest::decode(&file),
+                    Err(wire::ManifestError::Checksum { entry: 0 }),
+                    "word {k} := {bad:#x}"
+                );
+            }
+        }
+        // Only words no copy program reads (the reported plan shape and
+        // timings) can change without the codec noticing.
+        assert!(decoded_ok > 0 && decoded_ok <= 3 * 11, "{decoded_ok}");
+        assert!(rejected > 2 * entry.words.len());
+    }
+
+    #[test]
     fn export_import_roundtrip_replans_nothing() {
         let (dense, dims) = banded_gapped(6, 2);
         let comm = SerialComm::new();
@@ -2349,5 +2182,426 @@ mod tests {
             4,
         );
         let _ = engine.execute(&plan, &m, 0.0, &NumericOptions::default(), &comm);
+    }
+}
+
+#[cfg(test)]
+mod sign_density_tests {
+    use super::*;
+    use crate::engine::{BackendPolicy, EngineOptions, Grouping};
+    use sm_comsim::{run_ranks, SerialComm};
+    use sm_dbcsr::BlockedDims;
+    use sm_linalg::sign::sign_eig;
+    use sm_linalg::Matrix;
+
+    /// Block-diagonal symmetric matrix: the submatrix method is exact.
+    fn block_diagonal(nb: usize, bs: usize) -> (Matrix, BlockedDims) {
+        let dims = BlockedDims::uniform(nb, bs);
+        let n = dims.n();
+        let mut dense = Matrix::zeros(n, n);
+        for b in 0..nb {
+            for i in 0..bs {
+                for j in 0..bs {
+                    let (gi, gj) = (b * bs + i, b * bs + j);
+                    dense[(gi, gj)] = if i == j {
+                        if (b + i) % 2 == 0 {
+                            1.0 + b as f64 * 0.1
+                        } else {
+                            -1.0 - i as f64 * 0.1
+                        }
+                    } else {
+                        0.1
+                    };
+                }
+            }
+        }
+        dense.symmetrize();
+        (dense, dims)
+    }
+
+    /// Banded symmetric matrix with decaying off-diagonals and a gap at 0.
+    fn banded_gapped(nb: usize, bs: usize) -> (Matrix, BlockedDims) {
+        let dims = BlockedDims::uniform(nb, bs);
+        let n = dims.n();
+        let mut dense = Matrix::from_fn(n, n, |i, j| {
+            let bi = (i / bs) as isize;
+            let bj = (j / bs) as isize;
+            if (bi - bj).abs() > 1 {
+                0.0
+            } else if i == j {
+                if i % 2 == 0 {
+                    1.0
+                } else {
+                    -1.0
+                }
+            } else {
+                0.05 / (1.0 + (i as f64 - j as f64).abs())
+            }
+        });
+        dense.symmetrize();
+        (dense, dims)
+    }
+
+    #[test]
+    fn exact_on_block_diagonal() {
+        let (dense, dims) = block_diagonal(5, 3);
+        let m = DbcsrMatrix::from_dense(&dense, dims, 0, 1, 0.0);
+        let comm = SerialComm::new();
+        let (sign, report) =
+            SubmatrixEngine::default().sign(&m, 0.0, &NumericOptions::default(), &comm);
+        let expect = sign_eig(&dense).unwrap();
+        let got = sign.to_dense(&comm);
+        assert!(
+            got.allclose(&expect, 1e-10),
+            "block-diagonal case must be exact, max diff {}",
+            got.max_abs_diff(&expect)
+        );
+        assert_eq!(report.n_submatrices, 5);
+        assert_eq!(report.max_dim, 3);
+    }
+
+    #[test]
+    fn approximate_on_banded_matrix() {
+        let (dense, dims) = banded_gapped(10, 2);
+        let m = DbcsrMatrix::from_dense(&dense, dims, 0, 1, 0.0);
+        let comm = SerialComm::new();
+        let (sign, _) = SubmatrixEngine::default().sign(&m, 0.0, &NumericOptions::default(), &comm);
+        let expect = sign_eig(&dense).unwrap();
+        let got = sign.to_dense(&comm);
+        // Weak coupling: the approximation must be decent but needn't be
+        // exact.
+        assert!(
+            got.max_abs_diff(&expect) < 0.05,
+            "max diff {}",
+            got.max_abs_diff(&expect)
+        );
+        // The result keeps the input's block pattern.
+        assert_eq!(
+            sign.global_pattern(&comm).entries(),
+            m.global_pattern(&comm).entries()
+        );
+    }
+
+    #[test]
+    fn combining_columns_does_not_hurt() {
+        let (dense, dims) = banded_gapped(12, 2);
+        let m = DbcsrMatrix::from_dense(&dense, dims, 0, 1, 0.0);
+        let comm = SerialComm::new();
+        let expect = sign_eig(&dense).unwrap();
+        let single = SubmatrixEngine::default()
+            .sign(&m, 0.0, &NumericOptions::default(), &comm)
+            .0
+            .to_dense(&comm);
+        let combined = SubmatrixEngine::new(EngineOptions {
+            grouping: Grouping::Consecutive(3),
+            ..Default::default()
+        })
+        .sign(&m, 0.0, &NumericOptions::default(), &comm)
+        .0
+        .to_dense(&comm);
+        let err_single = single.max_abs_diff(&expect);
+        let err_combined = combined.max_abs_diff(&expect);
+        assert!(
+            err_combined <= err_single * 1.5 + 1e-12,
+            "combined {err_combined} much worse than single {err_single}"
+        );
+    }
+
+    #[test]
+    fn iterative_solvers_match_diagonalization_driver() {
+        let (dense, dims) = banded_gapped(8, 2);
+        let m = DbcsrMatrix::from_dense(&dense, dims, 0, 1, 0.0);
+        let comm = SerialComm::new();
+        let diag = SubmatrixEngine::default()
+            .sign(&m, 0.0, &NumericOptions::default(), &comm)
+            .0
+            .to_dense(&comm);
+        for method in [SignMethod::NewtonSchulz, SignMethod::Pade(3)] {
+            let numeric = NumericOptions {
+                solve: SolveOptions {
+                    method,
+                    ..SolveOptions::default()
+                },
+                backend: BackendPolicy::Dense,
+                ..Default::default()
+            };
+            let it = SubmatrixEngine::default()
+                .sign(&m, 0.0, &numeric, &comm)
+                .0
+                .to_dense(&comm);
+            assert!(it.allclose(&diag, 1e-6), "{method:?} deviates");
+        }
+    }
+
+    #[test]
+    fn distributed_matches_serial_exactly() {
+        let (dense, dims) = banded_gapped(9, 2);
+        let comm = SerialComm::new();
+        let serial = {
+            let m = DbcsrMatrix::from_dense(&dense, dims.clone(), 0, 1, 0.0);
+            SubmatrixEngine::default()
+                .sign(&m, 0.0, &NumericOptions::default(), &comm)
+                .0
+                .to_dense(&comm)
+        };
+        let (results, _) = run_ranks(4, |c| {
+            let m = DbcsrMatrix::from_dense(&dense, dims.clone(), c.rank(), c.size(), 0.0);
+            let (sign, _) = SubmatrixEngine::default().sign(&m, 0.0, &NumericOptions::default(), c);
+            sign.to_dense(c)
+        });
+        for r in results {
+            assert!(
+                r.allclose(&serial, 1e-13),
+                "distributed result differs from serial"
+            );
+        }
+    }
+
+    #[test]
+    fn density_is_half_one_minus_sign() {
+        let (dense, dims) = block_diagonal(4, 2);
+        let m = DbcsrMatrix::from_dense(&dense, dims, 0, 1, 0.0);
+        let comm = SerialComm::new();
+        let (d, _) = SubmatrixEngine::default().density(&m, 0.0, &NumericOptions::default(), &comm);
+        let (s, _) = SubmatrixEngine::default().sign(&m, 0.0, &NumericOptions::default(), &comm);
+        let dd = d.to_dense(&comm);
+        let mut expect = s.to_dense(&comm);
+        expect.scale(-0.5);
+        expect.shift_diag(0.5);
+        assert!(dd.allclose(&expect, 1e-14));
+        // Projector-ish: eigenvalues of D in [0,1].
+        let eigs = sm_linalg::eigh::eigvalsh(&dd).unwrap();
+        for e in eigs {
+            assert!((-1e-9..=1.0 + 1e-9).contains(&e));
+        }
+    }
+
+    #[test]
+    fn canonical_ensemble_hits_target_electron_count() {
+        let (dense, dims) = block_diagonal(6, 2);
+        let m = DbcsrMatrix::from_dense(&dense, dims, 0, 1, 0.0);
+        let comm = SerialComm::new();
+        // The spectrum has 6 negative eigenvalues (half of 12); ask for a
+        // different occupation: 4 orbitals = 8 electrons.
+        let numeric = NumericOptions {
+            ensemble: Ensemble::Canonical {
+                n_electrons: 8.0,
+                tol: 1e-8,
+                max_iter: 200,
+            },
+            ..Default::default()
+        };
+        let (d, report) = SubmatrixEngine::default().density(&m, 0.0, &numeric, &comm);
+        let n = sm_chem_free_electron_count(&d, &comm);
+        assert!(
+            (n - 8.0).abs() < 1e-5,
+            "canonical electron count {n} != 8 (µ = {})",
+            report.mu
+        );
+        assert!(report.bisect_iterations > 0);
+    }
+
+    /// 2·Tr(D) without depending on sm-chem.
+    fn sm_chem_free_electron_count<C: Comm>(d: &DbcsrMatrix, comm: &C) -> f64 {
+        2.0 * ops::trace(d, comm)
+    }
+
+    #[test]
+    fn finite_temperature_driver() {
+        let (dense, dims) = block_diagonal(4, 2);
+        let m = DbcsrMatrix::from_dense(&dense, dims, 0, 1, 0.0);
+        let comm = SerialComm::new();
+        let numeric = NumericOptions {
+            solve: SolveOptions {
+                kt: 0.05,
+                ..SolveOptions::default()
+            },
+            ..Default::default()
+        };
+        let (d, _) = SubmatrixEngine::default().density(&m, 0.0, &numeric, &comm);
+        let dd = d.to_dense(&comm);
+        // Fermi-smeared density of the exact (block-diagonal) problem.
+        let dec = sm_linalg::eigh::eigh(&dense).unwrap();
+        let expect = dec.apply(|l| sm_linalg::fermi::fermi_occupation(l, 0.0, 0.05));
+        assert!(dd.allclose(&expect, 1e-9));
+    }
+
+    #[test]
+    fn report_timings_are_populated() {
+        let (dense, dims) = banded_gapped(6, 2);
+        let m = DbcsrMatrix::from_dense(&dense, dims, 0, 1, 0.0);
+        let comm = SerialComm::new();
+        let (_, report) =
+            SubmatrixEngine::default().sign(&m, 0.0, &NumericOptions::default(), &comm);
+        assert!(report.symbolic_seconds + report.gather_seconds >= 0.0);
+        assert!(report.solve_seconds > 0.0);
+        assert!(report.scatter_seconds >= 0.0);
+        assert!(report.total_cost > 0.0);
+        assert!(report.transfers.unique_bytes > 0);
+        assert!(report.avg_dim > 0.0);
+    }
+
+    #[test]
+    fn sequential_flag_gives_same_result() {
+        let (dense, dims) = banded_gapped(7, 2);
+        let m = DbcsrMatrix::from_dense(&dense, dims, 0, 1, 0.0);
+        let comm = SerialComm::new();
+        let par = SubmatrixEngine::default()
+            .sign(&m, 0.0, &NumericOptions::default(), &comm)
+            .0
+            .to_dense(&comm);
+        let seq = SubmatrixEngine::new(EngineOptions {
+            parallel: false,
+            ..Default::default()
+        })
+        .sign(&m, 0.0, &NumericOptions::default(), &comm)
+        .0
+        .to_dense(&comm);
+        assert!(
+            par.allclose(&seq, 0.0),
+            "parallelism must not change results"
+        );
+    }
+}
+
+#[cfg(test)]
+mod selected_columns_tests {
+    use super::*;
+    use crate::engine::{EngineOptions, Grouping};
+    use sm_comsim::{run_ranks, SerialComm};
+    use sm_dbcsr::BlockedDims;
+    use sm_linalg::Matrix;
+
+    fn banded_gapped(nb: usize, bs: usize) -> (Matrix, BlockedDims) {
+        let dims = BlockedDims::uniform(nb, bs);
+        let n = dims.n();
+        let mut dense = Matrix::from_fn(n, n, |i, j| {
+            let bi = (i / bs) as isize;
+            let bj = (j / bs) as isize;
+            if (bi - bj).abs() > 1 {
+                0.0
+            } else if i == j {
+                if i % 2 == 0 {
+                    1.0
+                } else {
+                    -1.0
+                }
+            } else {
+                0.06 / (1.0 + (i as f64 - j as f64).abs())
+            }
+        });
+        dense.symmetrize();
+        (dense, dims)
+    }
+
+    #[test]
+    fn selected_columns_driver_matches_full_driver() {
+        let (dense, dims) = banded_gapped(10, 3);
+        let m = DbcsrMatrix::from_dense(&dense, dims, 0, 1, 0.0);
+        let comm = SerialComm::new();
+        let full = SubmatrixEngine::default()
+            .sign(&m, 0.1, &NumericOptions::default(), &comm)
+            .0
+            .to_dense(&comm);
+        let selected = NumericOptions {
+            use_selected_columns: true,
+            ..Default::default()
+        };
+        let sel = SubmatrixEngine::default()
+            .sign(&m, 0.1, &selected, &comm)
+            .0
+            .to_dense(&comm);
+        assert!(
+            sel.allclose(&full, 1e-12),
+            "selected-columns path deviates, max diff {}",
+            sel.max_abs_diff(&full)
+        );
+    }
+
+    #[test]
+    fn selected_columns_with_combined_groups() {
+        let (dense, dims) = banded_gapped(12, 2);
+        let m = DbcsrMatrix::from_dense(&dense, dims, 0, 1, 0.0);
+        let comm = SerialComm::new();
+        for grouping in [Grouping::OnePerColumn, Grouping::Consecutive(3)] {
+            let engine = SubmatrixEngine::new(EngineOptions {
+                grouping,
+                ..Default::default()
+            });
+            let fast = NumericOptions {
+                use_selected_columns: true,
+                ..Default::default()
+            };
+            let full = engine.sign(&m, 0.0, &NumericOptions::default(), &comm);
+            let sel = engine.sign(&m, 0.0, &fast, &comm);
+            let (full, sel) = (full.0.to_dense(&comm), sel.0.to_dense(&comm));
+            assert!(sel.allclose(&full, 1e-12));
+        }
+    }
+
+    #[test]
+    fn selected_columns_finite_temperature() {
+        let (dense, dims) = banded_gapped(8, 2);
+        let m = DbcsrMatrix::from_dense(&dense, dims, 0, 1, 0.0);
+        let comm = SerialComm::new();
+        let solve = SolveOptions {
+            kt: 0.04,
+            ..SolveOptions::default()
+        };
+        let base = NumericOptions {
+            solve,
+            ..Default::default()
+        };
+        let fast = NumericOptions {
+            use_selected_columns: true,
+            ..base
+        };
+        let engine = SubmatrixEngine::default();
+        let full = engine.sign(&m, 0.0, &base, &comm).0.to_dense(&comm);
+        let sel = engine.sign(&m, 0.0, &fast, &comm).0.to_dense(&comm);
+        assert!(sel.allclose(&full, 1e-12));
+    }
+
+    #[test]
+    fn selected_columns_distributed_matches_serial() {
+        let (dense, dims) = banded_gapped(9, 2);
+        let comm = SerialComm::new();
+        let selected = NumericOptions {
+            use_selected_columns: true,
+            ..Default::default()
+        };
+        let serial = {
+            let m = DbcsrMatrix::from_dense(&dense, dims.clone(), 0, 1, 0.0);
+            SubmatrixEngine::default()
+                .sign(&m, 0.0, &selected, &comm)
+                .0
+                .to_dense(&comm)
+        };
+        let engine = SubmatrixEngine::default();
+        let (results, _) = run_ranks(4, |c| {
+            let m = DbcsrMatrix::from_dense(&dense, dims.clone(), c.rank(), c.size(), 0.0);
+            engine.sign(&m, 0.0, &selected, c).0.to_dense(c)
+        });
+        for r in results {
+            assert!(r.allclose(&serial, 1e-13));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "grand-canonical")]
+    fn selected_columns_rejects_canonical() {
+        let (dense, dims) = banded_gapped(4, 2);
+        let m = DbcsrMatrix::from_dense(&dense, dims, 0, 1, 0.0);
+        let comm = SerialComm::new();
+        let numeric = NumericOptions {
+            use_selected_columns: true,
+            ensemble: Ensemble::Canonical {
+                n_electrons: 4.0,
+                tol: 1e-8,
+                max_iter: 50,
+            },
+            ..Default::default()
+        };
+        let _ = SubmatrixEngine::default().sign(&m, 0.0, &numeric, &comm);
     }
 }

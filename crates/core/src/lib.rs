@@ -9,8 +9,8 @@
 //!
 //! Crate layout mirrors the paper's implementation sections:
 //!
-//! * [`assembly`] — submatrix index sets and dense assembly/extraction at
-//!   the DBCSR block level (Secs. III-A, IV);
+//! * [`assembly`] — submatrix index sets and the one assembly/extraction
+//!   copy program at the DBCSR block level (Secs. III-A, IV);
 //! * [`plan`] — grouping block columns into submatrices, the estimated-
 //!   speedup model of Eq. 15, and sub-submatrix splitting (Sec. IV-C);
 //! * [`cluster`] — k-means in real space and multilevel graph partitioning
@@ -26,10 +26,9 @@
 //! * [`engine`] — the persistent [`SubmatrixEngine`]: one-time symbolic
 //!   phase (plan, load balance, transfer plan, assembly/extraction index
 //!   maps) cached by pattern fingerprint, replayed by a numeric-only
-//!   execute — the amortization that SCF/MD loops and the `sm-pipeline`
-//!   batch executor build on;
-//! * [`method`] — one-shot compatibility drivers producing the density
-//!   matrix of Eq. 16, now thin wrappers over the engine;
+//!   execute producing the sign matrix or the density matrix of Eq. 16 —
+//!   the amortization that SCF/MD loops and the `sm-pipeline` batch
+//!   executor build on;
 //! * [`baseline`] — the comparator: 2nd-order Newton–Schulz purification on
 //!   the distributed sparse matrix, plus sparse Löwdin orthogonalization;
 //! * [`model`] — analytic cluster-time accounting for the scaling studies
@@ -40,7 +39,6 @@ pub mod baseline;
 pub mod cluster;
 pub mod engine;
 pub mod loadbalance;
-pub mod method;
 pub mod model;
 pub mod mu;
 pub mod plan;
@@ -53,6 +51,5 @@ pub use engine::{
     EngineOptions, EngineReport, EngineStats, ExecutionPlan, NumericOptions, PlanPersistError,
     SubmatrixEngine,
 };
-pub use method::{submatrix_density, submatrix_sign, SubmatrixOptions, SubmatrixReport};
 pub use plan::SubmatrixPlan;
 pub use solver::SignMethod;

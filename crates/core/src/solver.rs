@@ -29,10 +29,10 @@ pub enum SolveBackend {
     /// Element-wise CSR iteration ([`sm_linalg::sparse`]) with
     /// per-iteration element filtering ([`SolveOptions::sparse_eps`]).
     /// Applies to the iterative methods ([`SignMethod::NewtonSchulz`],
-    /// [`SignMethod::Pade`]); [`SignMethod::Diagonalization`] has no sparse
-    /// analogue and ignores the backend, and
-    /// [`SignMethod::ElementSparse`] is already the legacy explicit sparse
-    /// method with its own filter.
+    /// [`SignMethod::Pade`]) — the paper's Sec. V-C proposal for
+    /// submatrices whose element fill is far below their block fill (DZVP);
+    /// [`SignMethod::Diagonalization`] has no sparse analogue and ignores
+    /// the backend.
     SparseCsr,
 }
 
@@ -46,15 +46,6 @@ pub enum SignMethod {
     NewtonSchulz,
     /// Padé-family iteration of the given order ≥ 2 (order 3 = Eq. 19).
     Pade(usize),
-    /// Element-wise sparse (CSR) iteration of the given order with the
-    /// given element filter — the paper's Sec. V-C proposal for submatrices
-    /// whose element fill is far below their block fill (DZVP).
-    ElementSparse {
-        /// Padé order (2 = Newton–Schulz).
-        order: usize,
-        /// Per-iteration element filter.
-        eps: f64,
-    },
 }
 
 /// Options for a submatrix solve.
@@ -86,7 +77,7 @@ pub struct SolveOptions {
     ///   `Fp32Refined` instead applies one `f64` Newton–Schulz refinement
     ///   pass (iterative methods) or keeps the full `f64` back-transform
     ///   (diagonalization), recovering ≤1e-6 elementwise agreement with
-    ///   `Fp64`. [`SignMethod::ElementSparse`] is `f64`-only.
+    ///   `Fp64`.
     pub precision: Precision,
     /// Representation of the iterative solve. Like `precision`, strictly
     /// numeric-phase-only — never enters patterns or plan-cache keys.
@@ -169,36 +160,6 @@ pub fn solve_sign(a: &Matrix, mu: f64, opts: &SolveOptions) -> Result<SolveResul
                 decomposition: Some(dec),
                 iterations: 0,
                 sparse: None,
-            })
-        }
-        SignMethod::ElementSparse { order, eps } => {
-            assert!(
-                opts.kt == 0.0,
-                "the element-sparse iteration only supports zero temperature"
-            );
-            assert!(
-                opts.precision == Precision::Fp64,
-                "the element-sparse iteration has no reduced-precision kernel"
-            );
-            let r = sm_linalg::sparse::sparse_sign_iteration(
-                a,
-                mu,
-                order,
-                eps,
-                opts.tol.max(eps),
-                opts.max_iter,
-            )?;
-            if !r.converged {
-                return Err(LinalgError::NoConvergence {
-                    op: "element-sparse submatrix sign iteration",
-                    iterations: r.iterations,
-                });
-            }
-            Ok(SolveResult {
-                iterations: r.iterations,
-                sparse: Some(sparse_stats_of(&r, a.nrows())),
-                sign: r.sign,
-                decomposition: None,
             })
         }
         SignMethod::NewtonSchulz | SignMethod::Pade(_) => {
@@ -607,7 +568,7 @@ mod selected_column_tests {
 }
 
 #[cfg(test)]
-mod element_sparse_tests {
+mod sparse_csr_agreement_tests {
     use super::*;
 
     fn banded(n: usize) -> Matrix {
@@ -629,21 +590,20 @@ mod element_sparse_tests {
     }
 
     #[test]
-    fn element_sparse_matches_diagonalization() {
+    fn sparse_csr_matches_diagonalization() {
         let a = banded(14);
         let reference = solve_sign(&a, 0.0, &SolveOptions::default()).unwrap();
         let opts = SolveOptions {
-            method: SignMethod::ElementSparse {
-                order: 2,
-                eps: 1e-12,
-            },
+            method: SignMethod::Pade(2),
+            backend: SolveBackend::SparseCsr,
+            sparse_eps: 1e-12,
             tol: 1e-9,
             ..SolveOptions::default()
         };
         let r = solve_sign(&a, 0.0, &opts).unwrap();
         assert!(
             r.sign.allclose(&reference.sign, 1e-6),
-            "element-sparse deviates by {}",
+            "sparse CSR deviates by {}",
             r.sign.max_abs_diff(&reference.sign)
         );
         assert!(r.iterations > 0);
@@ -651,14 +611,13 @@ mod element_sparse_tests {
     }
 
     #[test]
-    fn element_sparse_pade3() {
+    fn sparse_csr_pade3() {
         let a = banded(10);
         let reference = solve_sign(&a, 0.1, &SolveOptions::default()).unwrap();
         let opts = SolveOptions {
-            method: SignMethod::ElementSparse {
-                order: 3,
-                eps: 1e-12,
-            },
+            method: SignMethod::Pade(3),
+            backend: SolveBackend::SparseCsr,
+            sparse_eps: 1e-12,
             tol: 1e-9,
             ..SolveOptions::default()
         };
@@ -668,13 +627,12 @@ mod element_sparse_tests {
 
     #[test]
     #[should_panic(expected = "zero temperature")]
-    fn element_sparse_rejects_finite_t() {
+    fn sparse_csr_rejects_finite_t() {
         let a = banded(6);
         let opts = SolveOptions {
-            method: SignMethod::ElementSparse {
-                order: 2,
-                eps: 1e-10,
-            },
+            method: SignMethod::Pade(2),
+            backend: SolveBackend::SparseCsr,
+            sparse_eps: 1e-10,
             kt: 0.1,
             ..SolveOptions::default()
         };
@@ -794,21 +752,6 @@ mod precision_tests {
         )
         .unwrap();
         assert_eq!(refined.iterations, plain.iterations + 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "no reduced-precision kernel")]
-    fn element_sparse_rejects_f32() {
-        let a = banded(6);
-        let opts = SolveOptions {
-            method: SignMethod::ElementSparse {
-                order: 2,
-                eps: 1e-10,
-            },
-            precision: Precision::Fp32,
-            ..SolveOptions::default()
-        };
-        let _ = solve_sign(&a, 0.0, &opts);
     }
 
     #[test]

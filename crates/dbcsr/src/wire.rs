@@ -593,8 +593,9 @@ impl TelemetryRecord {
 /// Schema version of the on-disk plan manifest. Bumped on any layout
 /// change; [`PlanManifest::decode`] refuses to misparse an unknown
 /// version. v2: plan payloads carry the pattern's element-fill fraction
-/// (the sparse-backend decision input).
-pub const PLAN_MANIFEST_SCHEMA_VERSION: u32 = 2;
+/// (the sparse-backend decision input). v3: every entry carries a checksum
+/// of its payload words.
+pub const PLAN_MANIFEST_SCHEMA_VERSION: u32 = 3;
 
 /// Leading magic of every plan manifest (eight bytes, also the first
 /// little-endian word of the container). Guards against feeding an
@@ -602,9 +603,10 @@ pub const PLAN_MANIFEST_SCHEMA_VERSION: u32 = 2;
 pub const PLAN_MANIFEST_MAGIC: [u8; 8] = *b"SMPLANS\0";
 
 /// One spilled plan-cache entry. The payload is an opaque word stream
-/// owned by the producer (the engine's plan codec); this container only
-/// guarantees framing, versioning, and the LRU metadata needed to
-/// restore eviction order faithfully.
+/// owned by the producer (the engine's plan codec); this container
+/// guarantees framing, versioning, payload integrity (a checksum written
+/// by [`PlanManifest::encode`] and verified by [`PlanManifest::decode`]),
+/// and the LRU metadata needed to restore eviction order faithfully.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanManifestEntry {
     /// Raw pattern fingerprint ([`PatternFingerprint`] value, *not* the
@@ -627,7 +629,7 @@ pub struct PlanManifestEntry {
 /// `u64`): magic, version, producer tag, capacity (`u64::MAX` =
 /// unbounded), LRU tick, lifetime evictions/hits/builds, entry count;
 /// then per entry fingerprint, rank, size, LRU stamp, payload length,
-/// payload words.
+/// payload checksum, payload words.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PlanManifest {
     /// Producer namespace tag mixed into cache keys (the engine uses the
@@ -672,6 +674,21 @@ pub enum ManifestError {
         /// Words the header/entry framing promised.
         needed: usize,
     },
+    /// An entry's payload does not match the checksum stored with it: the
+    /// file was damaged after it was written.
+    Checksum {
+        /// Index of the damaged entry.
+        entry: usize,
+    },
+}
+
+/// Chained [`mix64`] over an entry's payload words, seeded with their
+/// count. `mix64` is a bijection, so changing any single word changes the
+/// result.
+fn payload_checksum(words: &[u64]) -> u64 {
+    words
+        .iter()
+        .fold(mix64(words.len() as u64), |h, &w| mix64(h ^ w))
 }
 
 impl std::fmt::Display for ManifestError {
@@ -691,6 +708,10 @@ impl std::fmt::Display for ManifestError {
             ManifestError::Truncated { len, needed } => write!(
                 f,
                 "plan manifest truncated: {len} words present, {needed} needed"
+            ),
+            ManifestError::Checksum { entry } => write!(
+                f,
+                "plan manifest entry {entry} fails its payload checksum (file damaged)"
             ),
         }
     }
@@ -719,6 +740,7 @@ impl PlanManifest {
                 e.size,
                 e.lru_stamp,
                 e.words.len() as u64,
+                payload_checksum(&e.words),
             ]);
             words.extend_from_slice(&e.words);
         }
@@ -729,8 +751,9 @@ impl PlanManifest {
         out
     }
 
-    /// Decode from bytes, rejecting wrong magic, unknown versions, and
-    /// truncation with a typed error instead of panicking.
+    /// Decode from bytes, rejecting wrong magic, unknown versions,
+    /// truncation and damaged payloads with a typed error instead of
+    /// panicking.
     pub fn decode(bytes: &[u8]) -> Result<Self, ManifestError> {
         let n_words = bytes.len() / 8;
         let word = |i: usize| -> u64 {
@@ -757,28 +780,34 @@ impl PlanManifest {
         let n_entries = word(8) as usize;
         let mut entries = Vec::with_capacity(n_entries.min(1024));
         let mut pos = 9usize;
-        for _ in 0..n_entries {
-            if n_words < pos + 5 {
+        for entry in 0..n_entries {
+            // `n_words - pos` cannot underflow: `pos` only ever advances to
+            // an end that was checked against `n_words`.
+            if n_words - pos < 6 {
                 return Err(ManifestError::Truncated {
                     len: n_words,
-                    needed: pos + 5,
+                    needed: pos + 6,
                 });
             }
             let payload_len = word(pos + 4) as usize;
-            if n_words < pos + 5 + payload_len {
+            if n_words - pos - 6 < payload_len {
                 return Err(ManifestError::Truncated {
                     len: n_words,
-                    needed: pos + 5 + payload_len,
+                    needed: (pos + 6).saturating_add(payload_len),
                 });
+            }
+            let words: Vec<u64> = (0..payload_len).map(|i| word(pos + 6 + i)).collect();
+            if payload_checksum(&words) != word(pos + 5) {
+                return Err(ManifestError::Checksum { entry });
             }
             entries.push(PlanManifestEntry {
                 fingerprint: word(pos),
                 rank: word(pos + 1),
                 size: word(pos + 2),
                 lru_stamp: word(pos + 3),
-                words: (0..payload_len).map(|i| word(pos + 5 + i)).collect(),
+                words,
             });
-            pos += 5 + payload_len;
+            pos += 6 + payload_len;
         }
         Ok(PlanManifest {
             tag: word(2),
@@ -1040,7 +1069,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_manifest_rejects_bad_magic_version_and_truncation() {
+    fn plan_manifest_rejects_bad_magic_version_truncation_and_damage() {
         let m = sample_manifest();
         let bytes = m.encode();
 
@@ -1069,5 +1098,17 @@ mod tests {
             PlanManifest::decode(&bytes[..32]),
             Err(ManifestError::Truncated { .. })
         ));
+
+        // One flipped bit in a payload word (the first entry's payload
+        // starts after the 9 header words and its own 6) or in the stored
+        // checksum itself fails that entry's checksum.
+        for word in [9 + 6, 9 + 5] {
+            let mut damaged = bytes.clone();
+            damaged[word * 8] ^= 1;
+            assert_eq!(
+                PlanManifest::decode(&damaged),
+                Err(ManifestError::Checksum { entry: 0 })
+            );
+        }
     }
 }

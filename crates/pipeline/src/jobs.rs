@@ -383,8 +383,7 @@ impl JobQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sm_core::engine::Ensemble;
-    use sm_core::method::{submatrix_density, submatrix_sign, SubmatrixOptions};
+    use sm_core::engine::{BackendPolicy, EngineOptions, Ensemble};
     use sm_core::solver::{SignMethod, SolveOptions};
     use sm_dbcsr::BlockedDims;
     use sm_linalg::Matrix;
@@ -417,7 +416,7 @@ mod tests {
     }
 
     #[test]
-    fn mixed_batch_matches_one_shot_drivers() {
+    fn mixed_batch_matches_a_fresh_sequential_engine() {
         let comm = SerialComm::new();
         let queue = JobQueue::default();
         let jobs = vec![
@@ -463,21 +462,23 @@ mod tests {
         // Results come back in submission order under LPT scheduling.
         for (job, res) in inputs.iter().zip(&results) {
             assert_eq!(job.name, res.name);
-            let opts = SubmatrixOptions {
-                solve: job.numeric.solve,
-                ensemble: job.numeric.ensemble,
+            let fresh = SubmatrixEngine::new(EngineOptions {
                 parallel: false,
-                ..SubmatrixOptions::default()
+                ..EngineOptions::default()
+            });
+            let numeric = NumericOptions {
+                backend: BackendPolicy::Dense,
+                ..job.numeric
             };
             let expect = match job.output {
-                JobOutput::Sign => submatrix_sign(&job.matrix, job.mu0, &opts, &comm).0,
-                JobOutput::Density => submatrix_density(&job.matrix, job.mu0, &opts, &comm).0,
+                JobOutput::Sign => fresh.sign(&job.matrix, job.mu0, &numeric, &comm).0,
+                JobOutput::Density => fresh.density(&job.matrix, job.mu0, &numeric, &comm).0,
             };
             assert!(
                 res.result
                     .to_dense(&comm)
                     .allclose(&expect.to_dense(&comm), 0.0),
-                "job '{}' deviates from the one-shot driver",
+                "job '{}' deviates from a fresh engine",
                 res.name
             );
         }

@@ -1,7 +1,7 @@
 //! # sm-pipeline — the persistent submatrix-method subsystem
 //!
 //! Public home of the engine-centric execution model that turns the
-//! one-shot submatrix method into a service-shaped component:
+//! submatrix method into a service-shaped component:
 //!
 //! * [`SubmatrixEngine`] (re-exported from `sm_core::engine`) splits every
 //!   evaluation into a one-time **symbolic phase** — `SubmatrixPlan` →
@@ -54,10 +54,6 @@
 //!   non-quarantined job stays bitwise-identical to the fault-free serial
 //!   queue under any admitted plan (`fault_equivalence` suite).
 //!
-//! The one-shot drivers `sm_core::method::{submatrix_sign,
-//! submatrix_density}` are thin wrappers over the same engine, so every
-//! historical call site already runs on this subsystem.
-//!
 //! ## Mixed precision
 //!
 //! A job's `NumericOptions::precision` (`Fp64`/`Fp32`/`Fp32Refined`)
@@ -77,7 +73,7 @@
 //! **none**. Concretely, `execute` never touches [`CooPattern`] queries,
 //! never rebuilds transfer plans, and allocates only the dense scratch the
 //! solve itself needs. The `engine_equivalence` property tests pin the
-//! numeric phase to the one-shot drivers bitwise; the
+//! numeric phase on a cached plan to a re-planning engine bitwise; the
 //! `ablation_plan_reuse` bench measures the amortization.
 //!
 //! ## Subcommunicator contract

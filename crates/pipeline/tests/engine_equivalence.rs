@@ -1,5 +1,6 @@
-//! Property tests pinning the engine's numeric phase to the one-shot
-//! drivers: plan once, execute N times with varying values, and demand
+//! Property tests pinning the engine's numeric phase on a cached plan to a
+//! fresh engine that re-plans every call: plan once, execute N times with
+//! varying values, and demand
 //! **bitwise-identical** density matrices — across serial and
 //! thread-distributed executions — while the engine performs zero symbolic
 //! work after the first call.
@@ -8,7 +9,6 @@ use proptest::prelude::*;
 
 use sm_comsim::{run_ranks, Comm, SerialComm};
 use sm_core::engine::{NumericOptions, SubmatrixEngine};
-use sm_core::method::{submatrix_density, SubmatrixOptions};
 use sm_dbcsr::{BlockedDims, DbcsrMatrix};
 use sm_linalg::Matrix;
 
@@ -70,7 +70,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
-    fn cached_plan_execution_is_bitwise_identical_to_one_shot_driver(
+    fn cached_plan_execution_is_bitwise_identical_to_a_replanning_engine(
         nb in 3usize..9,
         bs in 1usize..4,
         half in 1usize..3,
@@ -88,15 +88,16 @@ proptest! {
         prop_assert_eq!(engine.stats().symbolic_builds, 1);
         prop_assert_eq!(engine.stats().cache_hits, iters as usize - 1);
 
-        // One-shot driver, re-planning every iteration, must agree
+        // A throwaway engine, re-planning every iteration, must agree
         // *bitwise* (tolerance 0.0).
         for it in 0..iters {
             let dense = banded_values(nb, bs, half, seed, it);
             let m = DbcsrMatrix::from_dense(&dense, dims.clone(), 0, 1, 0.0);
-            let (d, _) = submatrix_density(&m, 0.05, &SubmatrixOptions::default(), &comm);
+            let (d, _) =
+                SubmatrixEngine::default().density(&m, 0.05, &NumericOptions::default(), &comm);
             prop_assert!(
                 engine_series[it as usize].allclose(&d.to_dense(&comm), 0.0),
-                "iteration {} deviates from the one-shot driver", it
+                "iteration {} deviates from a fresh engine", it
             );
         }
     }

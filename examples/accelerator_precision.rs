@@ -12,7 +12,7 @@ use cp2k_submatrix::prelude::*;
 use sm_accel::pade::{energy_differences_mev_per_atom, pade3_sign_traced, PadeTraceOptions};
 use sm_accel::perfmodel::{fpga_row, gpu_table, DeviceModel};
 use sm_accel::PrecisionMode;
-use sm_core::assembly::{assemble, SubmatrixSpec};
+use sm_core::assembly::{AssemblyMap, SubmatrixSpec};
 
 fn main() {
     // Build a water system and carve out the combined submatrix of the
@@ -36,7 +36,7 @@ fn main() {
     let pattern = k_tilde.global_pattern(&comm);
     let dims = k_tilde.dims().clone();
     let spec = SubmatrixSpec::build(&pattern, &dims, &group);
-    let a = assemble(&spec, &pattern, &dims, |r, c| k_tilde.block(r, c));
+    let a = AssemblyMap::build(&spec, &pattern).assemble(|r, c| k_tilde.block(r, c));
     let n_atoms = 3 * group.len();
     println!(
         "combined submatrix of {} molecules: dim {}",

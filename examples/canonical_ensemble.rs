@@ -26,10 +26,13 @@ fn main() {
     );
 
     let neutral_electrons = 8.0 * water.n_molecules() as f64;
+    // One engine: the three evaluations below share one pattern, so the
+    // symbolic phase runs once.
+    let engine = SubmatrixEngine::default();
 
     // 1) Canonical, neutral: µ must land inside the gap near the mid-gap
     //    guess.
-    let opts = SubmatrixOptions {
+    let opts = NumericOptions {
         ensemble: Ensemble::Canonical {
             n_electrons: neutral_electrons,
             tol: 1e-9,
@@ -37,7 +40,7 @@ fn main() {
         },
         ..Default::default()
     };
-    let (d, report) = submatrix_density(&k_tilde, sys.mu, &opts, &comm);
+    let (d, report) = engine.density(&k_tilde, sys.mu, &opts, &comm);
     let n = sm_chem::energy::electron_count(&d, &comm);
     println!(
         "neutral canonical: target {neutral_electrons}, got {n:.6}, mu {:.5} \
@@ -49,7 +52,7 @@ fn main() {
     //    Grand-canonical at the neutral µ would be wrong; Algorithm 1
     //    shifts µ into the valence band edge.
     let doped = neutral_electrons - 8.0;
-    let opts_doped = SubmatrixOptions {
+    let opts_doped = NumericOptions {
         ensemble: Ensemble::Canonical {
             n_electrons: doped,
             tol: 1e-9,
@@ -63,7 +66,7 @@ fn main() {
         },
         ..Default::default()
     };
-    let (d_doped, report_doped) = submatrix_density(&k_tilde, sys.mu, &opts_doped, &comm);
+    let (d_doped, report_doped) = engine.density(&k_tilde, sys.mu, &opts_doped, &comm);
     let n_doped = sm_chem::energy::electron_count(&d_doped, &comm);
     println!(
         "doped canonical (kT = 0.02): target {doped}, got {n_doped:.6}, mu {:.5}",
@@ -77,14 +80,14 @@ fn main() {
     // 3) Finite temperature, grand canonical: occupation stays at the
     //    neutral value because µ sits mid-gap (Fermi factors of HOMO/LUMO
     //    are symmetric to first order).
-    let opts_hot = SubmatrixOptions {
+    let opts_hot = NumericOptions {
         solve: SolveOptions {
             kt: 0.01,
             ..SolveOptions::default()
         },
         ..Default::default()
     };
-    let (d_hot, _) = submatrix_density(&k_tilde, sys.mu, &opts_hot, &comm);
+    let (d_hot, _) = engine.density(&k_tilde, sys.mu, &opts_hot, &comm);
     let n_hot = sm_chem::energy::electron_count(&d_hot, &comm);
     println!("finite-T grand canonical: {n_hot:.6} electrons at kT = 0.01");
 

@@ -92,11 +92,11 @@ fn main() {
         ("single", Grouping::OnePerColumn),
         ("k-means", Grouping::Explicit(km_groups)),
     ] {
-        let opts = SubmatrixOptions {
+        let engine = SubmatrixEngine::new(EngineOptions {
             grouping,
             ..Default::default()
-        };
-        let (d, report) = submatrix_density(&k_tilde, sys.mu, &opts, &comm);
+        });
+        let (d, report) = engine.density(&k_tilde, sys.mu, &NumericOptions::default(), &comm);
         let e = sm_chem::energy::band_energy(&d, &k_tilde, &comm);
         println!(
             "{name:<8} plan: {} submatrices, energy error {:.4} meV/atom",

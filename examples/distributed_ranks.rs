@@ -22,7 +22,8 @@ fn main() {
     let comm = SerialComm::new();
     let sys = build_system(&water, &basis, 0, 1, 1e-10);
     let (kt, _, _) = orthogonalize_sparse(&sys.s, &sys.k, &ns, &comm);
-    let (d_ref, _) = submatrix_density(&kt, sys.mu, &SubmatrixOptions::default(), &comm);
+    let (d_ref, _) =
+        SubmatrixEngine::default().density(&kt, sys.mu, &NumericOptions::default(), &comm);
     let dense_ref = d_ref.to_dense(&comm);
     println!(
         "serial reference computed ({} blocks)",
@@ -33,7 +34,8 @@ fn main() {
     let (results, stats) = run_ranks(4, |c| {
         let sys = build_system(&water, &basis, c.rank(), c.size(), 1e-10);
         let (kt, _, ortho) = orthogonalize_sparse(&sys.s, &sys.k, &ns, c);
-        let (d, report) = submatrix_density(&kt, sys.mu, &SubmatrixOptions::default(), c);
+        let (d, report) =
+            SubmatrixEngine::default().density(&kt, sys.mu, &NumericOptions::default(), c);
         let dense = d.to_dense(c);
         (dense, report, ortho.iterations, c.rank())
     });

@@ -13,7 +13,7 @@
 //! Run with: `cargo run --release --example future_work`
 
 use cp2k_submatrix::prelude::*;
-use sm_core::assembly::{assemble, SubmatrixSpec};
+use sm_core::assembly::{AssemblyMap, SubmatrixSpec};
 use sm_core::solver::SolveOptions as CoreSolveOptions;
 use sm_core::split::solve_sign_via_split;
 use sm_linalg::sparse::sparse_sign_iteration;
@@ -36,14 +36,15 @@ fn main() {
 
     // --- 1. Selected-columns driver vs full driver ------------------------
     let t0 = std::time::Instant::now();
-    let (d_full, _) = submatrix_density(&kt, sys.mu, &SubmatrixOptions::default(), &comm);
+    let (d_full, _) =
+        SubmatrixEngine::default().density(&kt, sys.mu, &NumericOptions::default(), &comm);
     let t_full = t0.elapsed().as_secs_f64();
-    let opts_sel = SubmatrixOptions {
+    let opts_sel = NumericOptions {
         use_selected_columns: true,
         ..Default::default()
     };
     let t0 = std::time::Instant::now();
-    let (d_sel, _) = submatrix_density(&kt, sys.mu, &opts_sel, &comm);
+    let (d_sel, _) = SubmatrixEngine::default().density(&kt, sys.mu, &opts_sel, &comm);
     let t_sel = t0.elapsed().as_secs_f64();
     let diff = d_full.to_dense(&comm).max_abs_diff(&d_sel.to_dense(&comm));
     println!(
@@ -57,7 +58,7 @@ fn main() {
     let dims = kt.dims().clone();
     let mid = water.n_molecules() / 2;
     let spec = SubmatrixSpec::build(&pattern, &dims, &[mid]);
-    let a = assemble(&spec, &pattern, &dims, |r, c| kt.block(r, c));
+    let a = AssemblyMap::build(&spec, &pattern).assemble(|r, c| kt.block(r, c));
     let targets: Vec<usize> = (0..dims.size(mid))
         .map(|j| spec.offset_of(mid).expect("own column included") + j)
         .collect();

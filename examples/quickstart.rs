@@ -17,7 +17,7 @@
 //!    operator `K̃ = S^{-1/2} K S^{-1/2}`; `orthogonalize_sparse` computes
 //!    `S^{-1/2}` with the sparse Newton–Schulz inverse square root,
 //!    filtering small blocks at `eps_filter`.
-//! 3. **Purify.** `submatrix_density` evaluates `D̃ = (I − sign(K̃ − µI))/2`
+//! 3. **Purify.** `SubmatrixEngine::density` evaluates `D̃ = (I − sign(K̃ − µI))/2`
 //!    (paper Eq. 16): for each block column it assembles the dense
 //!    principal submatrix induced by the column's sparsity pattern, runs a
 //!    dense sign solve on it, and keeps the result's relevant columns.
@@ -64,7 +64,7 @@ fn main() {
 
     // The submatrix method.
     let (density, report) =
-        submatrix_density(&k_tilde, sys.mu, &SubmatrixOptions::default(), &comm);
+        SubmatrixEngine::default().density(&k_tilde, sys.mu, &NumericOptions::default(), &comm);
     println!(
         "submatrix method: {} submatrices, dims avg {:.0} / max {}",
         report.n_submatrices, report.avg_dim, report.max_dim

@@ -10,7 +10,7 @@
 //! | [`comsim`] | simulated MPI: rank-per-thread communicator + analytic cluster-time model |
 //! | [`dbcsr`] | distributed block-compressed sparse matrices with Cannon multiplication (libDBCSR) |
 //! | [`chem`] | synthetic liquid-water systems, SZV/DZVP basis models, S and K builders, SCF driver |
-//! | [`core`] | **the submatrix method**: assembly, clustering, load balancing, µ adjustment, engine, drivers |
+//! | [`core`] | **the submatrix method**: assembly, clustering, load balancing, µ adjustment, engine |
 //! | [`pipeline`] | persistent `SubmatrixEngine` facade, `JobQueue`, distributed `Scheduler`, batched `ScfService` |
 //! | [`accel`] | emulated FP16/FP32 tensor-core & FPGA kernels, Padé iteration traces, Table I model |
 //! | [`trace`] | deterministic structured spans + typed metrics (the `smdoctor` CLI's substrate) |
@@ -29,22 +29,21 @@
 //! let comm = SerialComm::new();
 //! let (kt, _, _) = orthogonalize_sparse(&sys.s, &sys.k, &Default::default(), &comm);
 //! let (density, report) =
-//!     submatrix_density(&kt, sys.mu, &SubmatrixOptions::default(), &comm);
+//!     SubmatrixEngine::default().density(&kt, sys.mu, &NumericOptions::default(), &comm);
 //!
 //! let n_electrons = 2.0 * sm_dbcsr::ops::trace(&density, &comm);
 //! assert!((n_electrons - 8.0 * water.n_molecules() as f64).abs() < 0.5);
 //! assert_eq!(report.n_submatrices, water.n_molecules());
 //! ```
 //!
-//! ## Repeated evaluation: the engine
+//! ## Repeated evaluation: keep the engine
 //!
-//! The one-shot driver above replans from scratch on every call. Workloads
-//! that evaluate a *fixed* sparsity pattern repeatedly — SCF and MD loops,
-//! batched services — should hold a [`SubmatrixEngine`](prelude::SubmatrixEngine),
-//! which splits each
-//! evaluation into a one-time cached **symbolic phase** (plan, load
-//! balance, deduplicated transfers, assembly/extraction index maps, keyed
-//! by a pattern fingerprint) and a cheap per-call **numeric phase**:
+//! The throwaway engine above plans from scratch. Workloads that evaluate a
+//! *fixed* sparsity pattern repeatedly — SCF and MD loops, batched
+//! services — hold one [`SubmatrixEngine`](prelude::SubmatrixEngine), which
+//! splits each evaluation into a one-time cached **symbolic phase** (plan,
+//! load balance, deduplicated transfers, assembly/extraction index maps,
+//! keyed by a pattern fingerprint) and a cheap per-call **numeric phase**:
 //!
 //! ```
 //! use cp2k_submatrix::prelude::*;
@@ -94,13 +93,11 @@ pub mod prelude {
     pub use sm_comsim::{run_ranks, ClusterModel, Comm, SerialComm};
     pub use sm_core::baseline::{newton_schulz_density, orthogonalize_sparse, NewtonSchulzOptions};
     pub use sm_core::engine::{
-        EngineOptions, EngineReport, EngineStats, ExecutionPlan, NumericOptions, SubmatrixEngine,
+        BackendPolicy, EngineOptions, EngineReport, EngineStats, Ensemble, ExecutionPlan, Grouping,
+        NumericOptions, SubmatrixEngine,
     };
-    pub use sm_core::method::{Ensemble, Grouping};
-    pub use sm_core::solver::SolveOptions;
-    pub use sm_core::{
-        submatrix_density, submatrix_sign, SignMethod, SubmatrixOptions, SubmatrixPlan,
-    };
+    pub use sm_core::solver::{SignMethod, SolveOptions};
+    pub use sm_core::SubmatrixPlan;
     pub use sm_dbcsr::{BlockedDims, CooPattern, DbcsrMatrix, PatternFingerprint};
     pub use sm_linalg::Matrix;
     pub use sm_pipeline::{

@@ -49,7 +49,7 @@ fn orthogonalization_is_rank_count_invariant() {
 }
 
 #[test]
-fn submatrix_density_is_rank_count_invariant() {
+fn engine_density_is_rank_count_invariant() {
     let (water, basis, _, mu) = serial_reference();
     let comm = SerialComm::new();
     let d_ref = {
@@ -63,7 +63,8 @@ fn submatrix_density_is_rank_count_invariant() {
             },
             &comm,
         );
-        submatrix_density(&kt, mu, &SubmatrixOptions::default(), &comm)
+        SubmatrixEngine::default()
+            .density(&kt, mu, &NumericOptions::default(), &comm)
             .0
             .to_dense(&comm)
     };
@@ -78,7 +79,8 @@ fn submatrix_density_is_rank_count_invariant() {
             },
             c,
         );
-        submatrix_density(&kt, mu, &SubmatrixOptions::default(), c)
+        SubmatrixEngine::default()
+            .density(&kt, mu, &NumericOptions::default(), c)
             .0
             .to_dense(c)
     });
@@ -91,7 +93,7 @@ fn submatrix_density_is_rank_count_invariant() {
 fn canonical_mu_is_rank_count_invariant() {
     let (water, basis, _, mu0) = serial_reference();
     let target = 8.0 * water.n_molecules() as f64 - 4.0;
-    let opts = SubmatrixOptions {
+    let opts = NumericOptions {
         ensemble: Ensemble::Canonical {
             n_electrons: target,
             tol: 1e-8,
@@ -115,7 +117,10 @@ fn canonical_mu_is_rank_count_invariant() {
             },
             &comm,
         );
-        submatrix_density(&kt, mu0, &opts, &comm).1.mu
+        SubmatrixEngine::default()
+            .density(&kt, mu0, &opts, &comm)
+            .1
+            .mu
     };
     let opts_ref = &opts;
     let (results, _) = run_ranks(4, move |c| {
@@ -129,7 +134,10 @@ fn canonical_mu_is_rank_count_invariant() {
             },
             c,
         );
-        submatrix_density(&kt, mu0, opts_ref, c).1.mu
+        SubmatrixEngine::default()
+            .density(&kt, mu0, opts_ref, c)
+            .1
+            .mu
     });
     for mu in results {
         assert!(
@@ -162,7 +170,9 @@ fn transfer_accounting_shows_deduplication_in_flight() {
             c.stats().reset();
         }
         c.barrier();
-        submatrix_density(&kt, mu, &SubmatrixOptions::default(), c).1
+        SubmatrixEngine::default()
+            .density(&kt, mu, &NumericOptions::default(), c)
+            .1
     });
     let wire_bytes = stats.total_bytes();
     let naive_bytes: u64 = reports.iter().map(|r| r.transfers.naive_bytes).sum();

@@ -32,7 +32,8 @@ fn full_pipeline_matches_dense_reference() {
     let (water, _, kt, mu) = setup(1, 1.0, 1e-9);
     let comm = SerialComm::new();
 
-    let (d, report) = submatrix_density(&kt, mu, &SubmatrixOptions::default(), &comm);
+    let (d, report) =
+        SubmatrixEngine::default().density(&kt, mu, &NumericOptions::default(), &comm);
     let e = band_energy(&d, &kt, &comm);
     let n = electron_count(&d, &comm);
 
@@ -52,7 +53,7 @@ fn submatrix_and_newton_schulz_agree() {
     let (water, _, kt, mu) = setup(2, 0.55, 1e-7);
     let comm = SerialComm::new();
 
-    let (d_sm, _) = submatrix_density(&kt, mu, &SubmatrixOptions::default(), &comm);
+    let (d_sm, _) = SubmatrixEngine::default().density(&kt, mu, &NumericOptions::default(), &comm);
     let (d_ns, ns_report) = newton_schulz_density(
         &kt,
         mu,
@@ -79,7 +80,7 @@ fn submatrix_and_newton_schulz_agree() {
 fn density_from_submatrix_method_is_nearly_idempotent() {
     let (_, _, kt, mu) = setup(2, 0.55, 1e-8);
     let comm = SerialComm::new();
-    let (d, _) = submatrix_density(&kt, mu, &SubmatrixOptions::default(), &comm);
+    let (d, _) = SubmatrixEngine::default().density(&kt, mu, &NumericOptions::default(), &comm);
     let dd = d.to_dense(&comm);
     let d2 = sm_linalg::gemm::matmul(&dd, &dd).expect("square");
     // D² ≈ D within the submatrix-method approximation error.
@@ -92,14 +93,15 @@ fn error_decreases_with_tighter_filter() {
     let comm = SerialComm::new();
     let (water, _, kt_raw, mu) = setup(2, 0.55, 1e-11);
     // Reference at the tightest filter.
-    let (d_ref, _) = submatrix_density(&kt_raw, mu, &SubmatrixOptions::default(), &comm);
+    let (d_ref, _) =
+        SubmatrixEngine::default().density(&kt_raw, mu, &NumericOptions::default(), &comm);
     let e_ref = band_energy(&d_ref, &kt_raw, &comm);
 
     let mut errors = Vec::new();
     for eps in [1e-3, 1e-5, 1e-7] {
         let mut kt = kt_raw.clone();
         kt.store_mut().filter(eps);
-        let (d, _) = submatrix_density(&kt, mu, &SubmatrixOptions::default(), &comm);
+        let (d, _) = SubmatrixEngine::default().density(&kt, mu, &NumericOptions::default(), &comm);
         let e = band_energy(&d, &kt_raw, &comm);
         errors.push(error_mev_per_atom(e, e_ref, water.n_atoms()));
     }
@@ -115,8 +117,8 @@ fn canonical_run_matches_grand_canonical_at_neutral_filling() {
     let comm = SerialComm::new();
     let target = 8.0 * water.n_molecules() as f64;
 
-    let (d_gc, _) = submatrix_density(&kt, mu, &SubmatrixOptions::default(), &comm);
-    let opts = SubmatrixOptions {
+    let (d_gc, _) = SubmatrixEngine::default().density(&kt, mu, &NumericOptions::default(), &comm);
+    let opts = NumericOptions {
         ensemble: Ensemble::Canonical {
             n_electrons: target,
             tol: 1e-9,
@@ -124,7 +126,7 @@ fn canonical_run_matches_grand_canonical_at_neutral_filling() {
         },
         ..Default::default()
     };
-    let (d_c, report) = submatrix_density(&kt, mu, &opts, &comm);
+    let (d_c, report) = SubmatrixEngine::default().density(&kt, mu, &opts, &comm);
 
     // Same filling ⇒ same density (µ anywhere in the gap gives the same D).
     let diff = d_gc.to_dense(&comm).max_abs_diff(&d_c.to_dense(&comm));
@@ -137,15 +139,16 @@ fn canonical_run_matches_grand_canonical_at_neutral_filling() {
 fn finite_temperature_pipeline_increases_entropy_like_smearing() {
     let (_, _, kt, mu) = setup(1, 1.0, 1e-9);
     let comm = SerialComm::new();
-    let (d_cold, _) = submatrix_density(&kt, mu, &SubmatrixOptions::default(), &comm);
-    let opts_hot = SubmatrixOptions {
+    let (d_cold, _) =
+        SubmatrixEngine::default().density(&kt, mu, &NumericOptions::default(), &comm);
+    let opts_hot = NumericOptions {
         solve: SolveOptions {
             kt: 0.05,
             ..SolveOptions::default()
         },
         ..Default::default()
     };
-    let (d_hot, _) = submatrix_density(&kt, mu, &opts_hot, &comm);
+    let (d_hot, _) = SubmatrixEngine::default().density(&kt, mu, &opts_hot, &comm);
     // Warm density has strictly smaller idempotency (fractional
     // occupations) but an almost unchanged trace.
     let cold_dense = d_cold.to_dense(&comm);
@@ -172,11 +175,11 @@ fn grouping_strategies_all_conserve_electrons() {
         Grouping::Consecutive(4),
         Grouping::Consecutive(32),
     ] {
-        let opts = SubmatrixOptions {
+        let engine = SubmatrixEngine::new(EngineOptions {
             grouping: grouping.clone(),
             ..Default::default()
-        };
-        let (d, _) = submatrix_density(&kt, mu, &opts, &comm);
+        });
+        let (d, _) = engine.density(&kt, mu, &NumericOptions::default(), &comm);
         let n = electron_count(&d, &comm);
         assert!(
             (n - expected).abs() < 0.1,

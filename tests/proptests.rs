@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use cp2k_submatrix::prelude::*;
-use sm_core::assembly::{assemble, extract_result, SubmatrixSpec};
+use sm_core::assembly::{AssemblyMap, ExtractionMap, SubmatrixSpec};
 use sm_core::loadbalance::greedy_contiguous;
 use sm_linalg::gemm::{matmul, matmul_naive};
 use sm_linalg::Matrix;
@@ -138,7 +138,7 @@ proptest! {
         let spec = SubmatrixSpec::build(&pattern, &dims, &[col]);
         // Identity on the submatrix extracts identity-pattern blocks.
         let f_a = Matrix::identity(spec.dim);
-        let blocks = extract_result(&spec, &pattern, &dims, &f_a);
+        let blocks = ExtractionMap::build(&spec, &pattern, &dims).extract(&f_a);
         for ((br, bc), blk) in blocks {
             prop_assert_eq!(bc, col);
             if br == col {
@@ -173,7 +173,7 @@ proptest! {
         dense.symmetrize();
         let comm = SerialComm::new();
         let m = DbcsrMatrix::from_dense(&dense, dims, 0, 1, 0.0);
-        let (sign, _) = submatrix_sign(&m, 0.0, &SubmatrixOptions::default(), &comm);
+        let (sign, _) = SubmatrixEngine::default().sign(&m, 0.0, &NumericOptions::default(), &comm);
         let expect = sm_linalg::sign::sign_eig(&dense).expect("symmetric");
         prop_assert!(sign.to_dense(&comm).allclose(&expect, 1e-9));
     }
@@ -226,7 +226,7 @@ proptest! {
         let m = DbcsrMatrix::from_dense(&dense, dims.clone(), 0, 1, 0.0);
         let col = nb / 2;
         let spec = SubmatrixSpec::build(&pattern, &dims, &[col]);
-        let a = assemble(&spec, &pattern, &dims, |r, c| m.block(r, c));
+        let a = AssemblyMap::build(&spec, &pattern).assemble(|r, c| m.block(r, c));
         // The assembled matrix equals the dense principal minor over the
         // spec's element rows wherever the pattern is nonzero.
         let idx: Vec<usize> = spec
