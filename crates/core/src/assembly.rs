@@ -7,10 +7,9 @@
 //! sparsity pattern of the input*.
 //!
 //! "Which block lands at which offset" is decided once per spec, by
-//! [`AssemblyMap::build`] and [`ExtractionMap::build`]; the resulting flat
-//! copy programs are the only assembly and extraction in the crate — the
-//! engine caches them inside its plans, figures and tests build them on
-//! the spot.
+//! [`AssemblyMap::build`] and [`ExtractionMap::build`]; those flat copy
+//! programs are the only assembly and extraction in the crate — the engine
+//! caches them in its plans, figures and tests build them on the spot.
 
 use std::collections::BTreeMap;
 

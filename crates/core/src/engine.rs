@@ -657,7 +657,7 @@ impl SubmatrixEngine {
                 (hit, false)
             }
             None => {
-                let pattern = pattern.expect("consensus hit implies local hit");
+                let pattern = pattern.expect("a local miss makes the consensus a miss");
                 let (rank, size) = (comm.rank(), comm.size());
                 let plan = ExecutionPlan::build(pattern, m.dims().clone(), &self.opts, rank, size);
                 let plan = Arc::new(plan);
@@ -747,11 +747,10 @@ impl SubmatrixEngine {
         // rank of the collective makes the same choice.
         let precision = numeric.precision;
         let backend = numeric.backend.resolve(plan.element_fill);
-        let solve = SolveOptions {
-            precision,
-            backend,
-            ..numeric.solve
-        };
+        let mut numeric = *numeric;
+        numeric.solve.precision = precision;
+        numeric.solve.backend = backend;
+        let numeric = &numeric;
         let wire_format = |is_f32| match is_f32 {
             true => ValueFormat::F32,
             false => ValueFormat::F64,
@@ -771,106 +770,109 @@ impl SubmatrixEngine {
         let gather_seconds = t0.elapsed().as_secs_f64();
 
         let t1 = Instant::now();
-        let (mu, bisect_iterations, extracted, (sparse_filtered_nnz, sparse_flops)) = if numeric
-            .use_selected_columns
-        {
-            assert_eq!(
-                precision,
-                Precision::Fp64,
-                "selected-columns evaluation is Fp64-only"
-            );
-            assert_eq!(
-                solve.method,
-                SignMethod::Diagonalization,
-                "selected-columns evaluation requires the diagonalization solver"
-            );
-            assert!(
-                matches!(numeric.ensemble, Ensemble::GrandCanonical),
-                "selected-columns evaluation supports grand-canonical runs only"
-            );
-            let solve_one = |i: &usize| {
-                let a = plan.assembly[*i].assemble(block_of);
-                let dec = sm_linalg::eigh::eigh(&a)
-                    .unwrap_or_else(|e| panic!("submatrix eigendecomposition failed: {e}"));
-                let cols_mat =
-                    sign_columns_from_decomposition(&dec, mu0, solve.kt, &plan.contributing[*i]);
-                plan.extraction[*i].extract_from_columns(&cols_mat)
-            };
-            let extracted = self.map_specs(plan, solve_one);
-            (mu0, 0, extracted, (0u64, 0u64))
-        } else {
-            let solve_one = |i: &usize| {
-                let a = plan.assembly[*i].assemble(block_of);
-                solve_sign(&a, mu0, &solve)
-                    .unwrap_or_else(|e| panic!("submatrix solve failed: {e}"))
-            };
-            let results: Vec<SolveResult> = self.map_specs(plan, solve_one);
-            // Sparse-backend tallies before the results are consumed.
-            let sparse_tally = results.iter().fold((0u64, 0u64), |acc, r| match r.sparse {
-                Some(s) => (acc.0 + s.filtered_nnz, acc.1 + s.flops),
-                None => acc,
-            });
-
-            // Canonical ensemble: Algorithm 1 on the stored decompositions,
-            // then re-evaluate the sign at the adjusted µ (collective).
-            let (mu, bisect_iterations, signs) = match numeric.ensemble {
-                Ensemble::GrandCanonical => {
-                    let signs: Vec<Matrix> = results.into_iter().map(|r| r.sign).collect();
-                    (mu0, 0, signs)
-                }
-                Ensemble::Canonical {
-                    n_electrons,
-                    tol,
-                    max_iter,
-                } => {
-                    assert_eq!(
-                        solve.method,
-                        SignMethod::Diagonalization,
-                        "canonical ensembles require the diagonalization solver (Sec. IV-G)"
-                    );
-                    let stored: Vec<StoredDecomposition> = plan
-                        .my_specs
-                        .iter()
-                        .zip(&results)
-                        .map(|(spec, r)| {
-                            StoredDecomposition::from_eigh(
-                                r.decomposition.as_ref().expect("diagonalization stores Q"),
-                                spec,
-                                &plan.dims,
-                            )
-                        })
-                        .collect();
-                    let adj = adjust_mu(
-                        &stored,
+        let (mu, bisect_iterations, extracted, (sparse_filtered_nnz, sparse_flops)) =
+            if numeric.use_selected_columns {
+                assert_eq!(
+                    precision,
+                    Precision::Fp64,
+                    "selected-columns evaluation is Fp64-only"
+                );
+                assert_eq!(
+                    numeric.solve.method,
+                    SignMethod::Diagonalization,
+                    "selected-columns evaluation requires the diagonalization solver"
+                );
+                assert!(
+                    matches!(numeric.ensemble, Ensemble::GrandCanonical),
+                    "selected-columns evaluation supports grand-canonical runs only"
+                );
+                let solve_one = |i: &usize| {
+                    let a = plan.assembly[*i].assemble(block_of);
+                    let dec = sm_linalg::eigh::eigh(&a)
+                        .unwrap_or_else(|e| panic!("submatrix eigendecomposition failed: {e}"));
+                    let cols_mat = sign_columns_from_decomposition(
+                        &dec,
                         mu0,
-                        n_electrons / 2.0,
-                        solve.kt,
-                        tol / 2.0,
-                        max_iter,
-                        comm,
+                        numeric.solve.kt,
+                        &plan.contributing[*i],
                     );
-                    let signs: Vec<Matrix> = results
-                        .iter()
-                        .map(|r| {
-                            let mut s = sign_from_decomposition(
-                                r.decomposition.as_ref().expect("diagonalization stores Q"),
-                                adj.mu,
-                                solve.kt,
-                            );
-                            crate::solver::round_sign_output(&mut s, precision);
-                            s
-                        })
-                        .collect();
-                    (adj.mu, adj.iterations, signs)
-                }
+                    plan.extraction[*i].extract_from_columns(&cols_mat)
+                };
+                let extracted = self.map_specs(plan, solve_one);
+                (mu0, 0, extracted, (0u64, 0u64))
+            } else {
+                let solve_one = |i: &usize| {
+                    let a = plan.assembly[*i].assemble(block_of);
+                    solve_sign(&a, mu0, &numeric.solve)
+                        .unwrap_or_else(|e| panic!("submatrix solve failed: {e}"))
+                };
+                let results: Vec<SolveResult> = self.map_specs(plan, solve_one);
+                // Sparse-backend tallies before the results are consumed.
+                let sparse_tally = results.iter().fold((0u64, 0u64), |acc, r| match r.sparse {
+                    Some(s) => (acc.0 + s.filtered_nnz, acc.1 + s.flops),
+                    None => acc,
+                });
+
+                // Canonical ensemble: Algorithm 1 on the stored decompositions,
+                // then re-evaluate the sign at the adjusted µ (collective).
+                let (mu, bisect_iterations, signs) = match numeric.ensemble {
+                    Ensemble::GrandCanonical => {
+                        let signs: Vec<Matrix> = results.into_iter().map(|r| r.sign).collect();
+                        (mu0, 0, signs)
+                    }
+                    Ensemble::Canonical {
+                        n_electrons,
+                        tol,
+                        max_iter,
+                    } => {
+                        assert_eq!(
+                            numeric.solve.method,
+                            SignMethod::Diagonalization,
+                            "canonical ensembles require the diagonalization solver (Sec. IV-G)"
+                        );
+                        let stored: Vec<StoredDecomposition> = plan
+                            .my_specs
+                            .iter()
+                            .zip(&results)
+                            .map(|(spec, r)| {
+                                StoredDecomposition::from_eigh(
+                                    r.decomposition.as_ref().expect("diagonalization stores Q"),
+                                    spec,
+                                    &plan.dims,
+                                )
+                            })
+                            .collect();
+                        let adj = adjust_mu(
+                            &stored,
+                            mu0,
+                            n_electrons / 2.0,
+                            numeric.solve.kt,
+                            tol / 2.0,
+                            max_iter,
+                            comm,
+                        );
+                        let signs: Vec<Matrix> = results
+                            .iter()
+                            .map(|r| {
+                                let mut s = sign_from_decomposition(
+                                    r.decomposition.as_ref().expect("diagonalization stores Q"),
+                                    adj.mu,
+                                    numeric.solve.kt,
+                                );
+                                crate::solver::round_sign_output(&mut s, precision);
+                                s
+                            })
+                            .collect();
+                        (adj.mu, adj.iterations, signs)
+                    }
+                };
+                let extracted: Vec<BTreeMap<(usize, usize), Matrix>> = signs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, sign)| plan.extraction[i].extract(sign))
+                    .collect();
+                (mu, bisect_iterations, extracted, sparse_tally)
             };
-            let extracted: Vec<BTreeMap<(usize, usize), Matrix>> = signs
-                .iter()
-                .enumerate()
-                .map(|(i, sign)| plan.extraction[i].extract(sign))
-                .collect();
-            (mu, bisect_iterations, extracted, sparse_tally)
-        };
         let solve_seconds = t1.elapsed().as_secs_f64();
 
         // Scatter result blocks to their owning ranks. Plain-Fp32 results
@@ -1287,13 +1289,12 @@ fn decode_plan(entry: &wire::PlanManifestEntry) -> Result<ExecutionPlan, PlanPer
 fn check_copy_programs(plan: &ExecutionPlan) -> Result<(), PlanPersistError> {
     let (dims, nb) = (&plan.dims, plan.dims.nb());
     let in_grid = |&(br, bc): &(usize, usize)| br < nb && bc < nb;
-    let per_spec = [
-        plan.assembly.len(),
-        plan.extraction.len(),
-        plan.contributing.len(),
-    ];
-    if per_spec != [plan.my_specs.len(); 3] || !plan.remote_wanted.iter().all(in_grid) {
-        return Err(corrupt("plan sections disagree with specs or partition"));
+    let n = plan.my_specs.len();
+    if plan.assembly.len() != n || plan.extraction.len() != n || plan.contributing.len() != n {
+        return Err(corrupt("copy programs not parallel to specs"));
+    }
+    if !plan.remote_wanted.iter().all(in_grid) {
+        return Err(corrupt("remote block outside the partition"));
     }
     for (i, spec) in plan.my_specs.iter().enumerate() {
         let blocks: Vec<(usize, usize)> = plan.assembly[i]
@@ -2189,6 +2190,7 @@ mod tests {
 mod sign_density_tests {
     use super::*;
     use crate::engine::{BackendPolicy, EngineOptions, Grouping};
+    use crate::solver::SolveOptions;
     use sm_comsim::{run_ranks, SerialComm};
     use sm_dbcsr::BlockedDims;
     use sm_linalg::sign::sign_eig;
@@ -2468,6 +2470,7 @@ mod sign_density_tests {
 mod selected_columns_tests {
     use super::*;
     use crate::engine::{EngineOptions, Grouping};
+    use crate::solver::SolveOptions;
     use sm_comsim::{run_ranks, SerialComm};
     use sm_dbcsr::BlockedDims;
     use sm_linalg::Matrix;
