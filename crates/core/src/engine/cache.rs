@@ -1,0 +1,634 @@
+//! The symbolic phase: `SubmatrixPlan` → greedy `n³` load balance →
+//! [`RankTransferPlan`] → flat assembly/extraction copy programs, cached
+//! per `(fingerprint, rank, size, grouping)`. Purely local given the global
+//! pattern; collective only for the hit/miss consensus and for obtaining
+//! the pattern itself on a miss.
+
+use std::collections::HashMap;
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, MutexGuard};
+use std::time::Instant;
+
+use sm_comsim::Comm;
+use sm_dbcsr::wire::PatternFingerprint;
+use sm_dbcsr::{BlockedDims, CooPattern, DbcsrMatrix};
+
+use super::{EngineOptions, Grouping, SubmatrixEngine};
+use crate::assembly::{AssemblyMap, ExtractionMap, SubmatrixSpec};
+use crate::loadbalance::greedy_contiguous;
+use crate::mu::contributing_rows;
+use crate::plan::SubmatrixPlan;
+use crate::transfers::{RankTransferPlan, TransferStats};
+
+/// Product of the symbolic phase for one rank: everything the numeric
+/// phase needs, with no remaining pattern queries.
+#[derive(Debug, Clone)]
+pub struct ExecutionPlan {
+    /// Fingerprint of the pattern + partition this plan was built for.
+    pub fingerprint: PatternFingerprint,
+    /// Rank this plan serves.
+    pub rank: usize,
+    /// Communicator size this plan serves.
+    pub size: usize,
+    /// Nonzero blocks of the pattern this plan was built from. The pattern
+    /// itself is *not* retained: the assembly/extraction maps resolved
+    /// every query symbolically, and dropping it keeps cached plans small.
+    pub pattern_nnz: usize,
+    /// The block partition.
+    pub dims: BlockedDims,
+    /// Global number of submatrices.
+    pub n_submatrices: usize,
+    /// Largest submatrix dimension (global).
+    pub max_dim: usize,
+    /// Mean submatrix dimension (global).
+    pub avg_dim: f64,
+    /// Total `Σ n³` cost estimate (global).
+    pub total_cost: f64,
+    /// This rank's submatrix specs (a contiguous chunk of the global plan).
+    pub my_specs: Vec<SubmatrixSpec>,
+    /// This rank's transfer statistics.
+    pub transfers: TransferStats,
+    /// Deduplicated remote block coordinates to gather each execution.
+    pub remote_wanted: Vec<(usize, usize)>,
+    /// Assembly copy programs, parallel to `my_specs`.
+    pub assembly: Vec<AssemblyMap>,
+    /// Extraction copy programs, parallel to `my_specs`.
+    pub extraction: Vec<ExtractionMap>,
+    /// Contributing element columns per spec (Algorithm 1 / selected
+    /// columns).
+    pub contributing: Vec<Vec<usize>>,
+    /// Element-level fill fraction of the pattern: `Σ size(br)·size(bc)`
+    /// over nonzero blocks, divided by `n²`. A deterministic global plan
+    /// property (identical on every rank), it is what the numeric phase
+    /// resolves its solve representation against (paper Sec. V-C).
+    pub element_fill: f64,
+    /// Seconds the symbolic phase took to build this plan.
+    pub symbolic_seconds: f64,
+}
+
+impl ExecutionPlan {
+    /// Run the full symbolic phase for one rank. Local: the caller supplies
+    /// the (already global) pattern.
+    pub fn build(
+        pattern: CooPattern,
+        dims: BlockedDims,
+        opts: &EngineOptions,
+        rank: usize,
+        size: usize,
+    ) -> ExecutionPlan {
+        let t0 = Instant::now();
+        let fingerprint = pattern.fingerprint(&dims);
+        let plan = match &opts.grouping {
+            Grouping::OnePerColumn => SubmatrixPlan::one_per_column(&pattern, &dims),
+            Grouping::Consecutive(g) => SubmatrixPlan::consecutive(&pattern, &dims, *g),
+            Grouping::Explicit(groups) => SubmatrixPlan::from_groups(&pattern, &dims, groups),
+        };
+        let costs: Vec<f64> = plan.specs.iter().map(|s| s.cost()).collect();
+        let assignment = greedy_contiguous(&costs, size);
+        let my_range = assignment.ranges[rank].clone();
+        let my_specs: Vec<SubmatrixSpec> = plan.specs[my_range].to_vec();
+
+        // Deduplicated block exchange (Sec. IV-B): every remote block the
+        // rank's submatrices need, fetched exactly once per execution.
+        let spec_refs: Vec<&SubmatrixSpec> = my_specs.iter().collect();
+        let transfer_plan = RankTransferPlan::for_specs(&spec_refs, &pattern);
+        let mut transfers = TransferStats::default();
+        transfers.add_rank(&transfer_plan, &dims);
+        // Owner mapping comes from the one shared distribution policy so
+        // transfer planning can never drift from how matrices route blocks.
+        let grid = sm_dbcsr::process_grid(size);
+        let remote_wanted: Vec<(usize, usize)> = transfer_plan
+            .unique_blocks
+            .iter()
+            .copied()
+            .filter(|&(br, bc)| grid.owner_of_block(br, bc) != rank)
+            .collect();
+
+        let assembly: Vec<AssemblyMap> = my_specs
+            .iter()
+            .map(|s| AssemblyMap::build(s, &pattern))
+            .collect();
+        let extraction: Vec<ExtractionMap> = my_specs
+            .iter()
+            .map(|s| ExtractionMap::build(s, &pattern, &dims))
+            .collect();
+        let contributing: Vec<Vec<usize>> = my_specs
+            .iter()
+            .map(|s| contributing_rows(s, &dims))
+            .collect();
+
+        // Element fill of the global pattern — the quantity Sec. V-C's
+        // backend decision keys off. Global and deterministic: every rank
+        // computes the same value from the same replicated pattern.
+        let n_elems = (dims.n() * dims.n()) as f64;
+        let nnz_elems: f64 = pattern
+            .entries()
+            .iter()
+            .map(|&(br, bc)| (dims.size(br) * dims.size(bc)) as f64)
+            .sum();
+        let element_fill = if n_elems > 0.0 {
+            nnz_elems / n_elems
+        } else {
+            0.0
+        };
+
+        ExecutionPlan {
+            fingerprint,
+            rank,
+            size,
+            n_submatrices: plan.len(),
+            max_dim: plan.max_dim(),
+            avg_dim: plan.avg_dim(),
+            total_cost: plan.total_cost(),
+            pattern_nnz: pattern.nnz(),
+            dims,
+            my_specs,
+            transfers,
+            remote_wanted,
+            assembly,
+            extraction,
+            contributing,
+            element_fill,
+            symbolic_seconds: t0.elapsed().as_secs_f64(),
+        }
+    }
+}
+
+type CacheKey = (u64, usize, usize);
+
+/// Plan cache with optional LRU bounding. Recency is a monotone stamp
+/// bumped on every hit and insert; eviction scans for the minimum stamp —
+/// O(entries), irrelevant next to the cost of the symbolic build that
+/// triggers it.
+#[derive(Default)]
+pub(super) struct PlanCache {
+    pub(super) map: HashMap<CacheKey, (Arc<ExecutionPlan>, u64)>,
+    pub(super) tick: u64,
+}
+
+impl PlanCache {
+    fn get(&mut self, key: &CacheKey) -> Option<Arc<ExecutionPlan>> {
+        self.tick += 1;
+        let tick = self.tick;
+        self.map.get_mut(key).map(|(plan, stamp)| {
+            *stamp = tick;
+            Arc::clone(plan)
+        })
+    }
+
+    /// Insert a plan, evicting least-recently-used entries while over
+    /// `capacity`. Returns how many plans were evicted.
+    fn insert(
+        &mut self,
+        key: CacheKey,
+        plan: Arc<ExecutionPlan>,
+        capacity: Option<usize>,
+    ) -> usize {
+        if capacity == Some(0) {
+            return 0; // caching disabled; nothing retained, nothing evicted
+        }
+        self.tick += 1;
+        self.map.insert(key, (plan, self.tick));
+        let mut evicted = 0;
+        while self.map.len() > capacity.unwrap_or(usize::MAX) {
+            let oldest = self
+                .map
+                .iter()
+                .min_by_key(|(_, (_, stamp))| *stamp)
+                .map(|(k, _)| *k)
+                .expect("cache over capacity implies nonempty");
+            self.map.remove(&oldest);
+            evicted += 1;
+        }
+        evicted
+    }
+}
+
+impl SubmatrixEngine {
+    /// The plan cache. A panic while the lock was held cannot leave the
+    /// map half-updated (every update is one `HashMap` call), so a poisoned
+    /// lock is recovered rather than propagated.
+    pub(super) fn cache(&self) -> MutexGuard<'_, PlanCache> {
+        self.cache.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Drop all cached plans (e.g. after a basis change invalidates every
+    /// pattern this engine has seen). Not counted as evictions.
+    pub fn clear_cache(&self) {
+        self.cache().map.clear();
+    }
+
+    /// Number of cached plans.
+    pub fn cached_plans(&self) -> usize {
+        self.cache().map.len()
+    }
+
+    pub(super) fn cache_key(&self, fp: PatternFingerprint, rank: usize, size: usize) -> CacheKey {
+        (fp.0 ^ self.opts.grouping.cache_tag(), rank, size)
+    }
+
+    fn insert(&self, key: CacheKey, plan: Arc<ExecutionPlan>) {
+        let evicted = self
+            .cache()
+            .insert(key, plan, self.opts.plan_cache_capacity);
+        self.counters
+            .evictions
+            .fetch_add(evicted, Ordering::Relaxed);
+        if sm_trace::enabled() {
+            if evicted > 0 {
+                sm_trace::counter_add(
+                    &sm_trace::scoped_root("plan_cache.evictions"),
+                    evicted as u64,
+                );
+            }
+            sm_trace::gauge_set(
+                &sm_trace::scoped_root("plan_cache.occupancy"),
+                self.cached_plans() as f64,
+            );
+        }
+    }
+
+    /// Symbolic phase on a distributed matrix (collective). A cache hit
+    /// costs one local hash pass plus a small allreduce; only a miss
+    /// gathers the global pattern.
+    pub fn plan_for_matrix<C: Comm>(&self, m: &DbcsrMatrix, comm: &C) -> Arc<ExecutionPlan> {
+        self.plan_for_matrix_traced(m, comm).0
+    }
+
+    /// Like [`plan_for_matrix`](Self::plan_for_matrix), additionally
+    /// reporting whether *this call* built the plan (`true`) or found it
+    /// cached (`false`). The flag is derived from this call's own
+    /// miss/build path, so it stays accurate when the engine is shared
+    /// between rank threads.
+    ///
+    /// Hit/miss is decided by **consensus**: when the engine is shared
+    /// between concurrent rank groups (the scheduler's multi-tenant mode),
+    /// one group's insert or the LRU's eviction can land between two ranks
+    /// of another group probing the same fingerprint — without consensus
+    /// the hitting rank would skip the collective pattern gather the
+    /// missing rank is entering, and the group would deadlock. The extra
+    /// allreduce is one scalar; on a hit everyone still skips the gather.
+    ///
+    /// The consensus is **per-group per-epoch**: it carries no state
+    /// between calls — the allreduce runs on whatever communicator this
+    /// call was handed — so a scheduler that tears groups down and
+    /// re-splits the world between epochs (changing every `(rank, size)`
+    /// cache key) can never leave two ranks of one group disagreeing
+    /// about entering the gather. Each traced call increments exactly one
+    /// of the hit/build counters, so `hits + builds` equals the number of
+    /// planning decisions across all groups and epochs — the accounting
+    /// identity the `stealing_equivalence` suite uses to detect divergent
+    /// consensus. (Precision stays out of the cache key entirely; see the
+    /// module docs.)
+    pub fn plan_for_matrix_traced<C: Comm>(
+        &self,
+        m: &DbcsrMatrix,
+        comm: &C,
+    ) -> (Arc<ExecutionPlan>, bool) {
+        let fp = m.pattern_fingerprint(comm);
+        let key = self.cache_key(fp, comm.rank(), comm.size());
+        let local_hit = self.cache().get(&key);
+        let mut any_miss = [if local_hit.is_some() { 0.0 } else { 1.0 }];
+        comm.allreduce_f64(sm_comsim::ReduceOp::Max, &mut any_miss);
+        // At least one rank misses: every rank enters the collective
+        // gather; ranks that hit locally keep their cached plan.
+        let pattern = (any_miss[0] != 0.0).then(|| m.global_pattern(comm));
+        let (plan, built) = match local_hit {
+            Some(hit) => {
+                self.counters.hits.fetch_add(1, Ordering::Relaxed);
+                (hit, false)
+            }
+            None => {
+                let pattern = pattern.expect("a local miss makes the consensus a miss");
+                let (rank, size) = (comm.rank(), comm.size());
+                let plan = ExecutionPlan::build(pattern, m.dims().clone(), &self.opts, rank, size);
+                let plan = Arc::new(plan);
+                self.counters.builds.fetch_add(1, Ordering::Relaxed);
+                self.insert(key, Arc::clone(&plan));
+                (plan, true)
+            }
+        };
+        self.trace_plan_decision(&plan, built);
+        (plan, built)
+    }
+
+    /// Narrate one traced planning decision. Exactly one `plan.decision`
+    /// event fires per rank per planning call, so traced span trees stay
+    /// deterministic; the hit/build *split* can shift with benign
+    /// cross-group cache races (only `hits + builds` is pinned), so it
+    /// rides in the event's fields and in counters, both of which are
+    /// excluded from the deterministic tree rendering.
+    fn trace_plan_decision(&self, plan: &ExecutionPlan, built: bool) {
+        if !sm_trace::enabled() {
+            return;
+        }
+        let _phase = sm_trace::span(sm_trace::SpanKind::Phase, "plan");
+        sm_trace::emit(
+            "plan.decision",
+            plan.total_cost,
+            0.0,
+            &[("built", if built { 1.0 } else { 0.0 })],
+        );
+        sm_trace::counter_add(
+            &sm_trace::scoped_root(if built {
+                "plan_cache.builds"
+            } else {
+                "plan_cache.hits"
+            }),
+            1,
+        );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::tests::banded_gapped;
+    use crate::engine::{BackendPolicy, NumericOptions};
+    use crate::solver::{SignMethod, SolveBackend, SolveOptions};
+    use sm_comsim::{run_ranks, SerialComm};
+    use sm_linalg::sign::sign_eig;
+    use sm_linalg::Precision;
+
+    #[test]
+    fn repeated_executions_do_zero_symbolic_work() {
+        let (dense, dims) = banded_gapped(6, 2);
+        let comm = SerialComm::new();
+        let engine = SubmatrixEngine::default();
+        let mut first = None;
+        for it in 0..5 {
+            // Values change every iteration; the pattern does not.
+            let mut scaled = dense.clone();
+            scaled.scale(1.0 + 0.1 * it as f64);
+            let m = DbcsrMatrix::from_dense(&scaled, dims.clone(), 0, 1, 0.0);
+            let (_, report) = engine.sign(&m, 0.0, &NumericOptions::default(), &comm);
+            if it == 0 {
+                assert!(!report.plan_cached);
+                first = Some(report);
+            } else {
+                assert!(report.plan_cached, "iteration {it} re-planned");
+                assert_eq!(report.symbolic_seconds, 0.0);
+            }
+        }
+        let stats = engine.stats();
+        assert_eq!(stats.symbolic_builds, 1);
+        assert_eq!(stats.cache_hits, 4);
+        assert_eq!(stats.executions, 5);
+        assert!(first.unwrap().symbolic_seconds > 0.0);
+        assert_eq!(engine.cached_plans(), 1);
+    }
+
+    #[test]
+    fn different_patterns_get_different_plans() {
+        let comm = SerialComm::new();
+        let engine = SubmatrixEngine::default();
+        let (d1, dims1) = banded_gapped(5, 2);
+        let (d2, dims2) = banded_gapped(7, 2);
+        let m1 = DbcsrMatrix::from_dense(&d1, dims1, 0, 1, 0.0);
+        let m2 = DbcsrMatrix::from_dense(&d2, dims2, 0, 1, 0.0);
+        engine.sign(&m1, 0.0, &NumericOptions::default(), &comm);
+        engine.sign(&m2, 0.0, &NumericOptions::default(), &comm);
+        engine.sign(&m1, 0.0, &NumericOptions::default(), &comm);
+        let stats = engine.stats();
+        assert_eq!(stats.symbolic_builds, 2);
+        assert_eq!(stats.cache_hits, 1);
+        assert_eq!(engine.cached_plans(), 2);
+        engine.clear_cache();
+        assert_eq!(engine.cached_plans(), 0);
+    }
+
+    #[test]
+    fn lru_evicts_and_replans_deterministically() {
+        let comm = SerialComm::new();
+        let engine = SubmatrixEngine::new(EngineOptions {
+            plan_cache_capacity: Some(2),
+            ..EngineOptions::default()
+        });
+        let mats: Vec<DbcsrMatrix> = [4, 6, 8]
+            .iter()
+            .map(|&nb| {
+                let (d, dims) = banded_gapped(nb, 2);
+                DbcsrMatrix::from_dense(&d, dims, 0, 1, 0.0)
+            })
+            .collect();
+        // Fill: A, B -> both cached.
+        engine.plan_for_matrix(&mats[0], &comm);
+        engine.plan_for_matrix(&mats[1], &comm);
+        assert_eq!(engine.cached_plans(), 2);
+        assert_eq!(engine.stats().evictions, 0);
+        // Touch A (now most recent), insert C -> B is the LRU victim.
+        engine.plan_for_matrix(&mats[0], &comm);
+        engine.plan_for_matrix(&mats[2], &comm);
+        assert_eq!(engine.cached_plans(), 2);
+        assert_eq!(engine.stats().evictions, 1);
+        // A and C hit; B must re-plan (deterministically, every round).
+        let (_, a_built) = engine.plan_for_matrix_traced(&mats[0], &comm);
+        let (_, c_built) = engine.plan_for_matrix_traced(&mats[2], &comm);
+        assert!(!a_built && !c_built, "survivors must still be cached");
+        let (_, b_built) = engine.plan_for_matrix_traced(&mats[1], &comm);
+        assert!(b_built, "evicted plan must be rebuilt");
+        let stats = engine.stats();
+        assert_eq!(stats.symbolic_builds, 4); // A, B, C, B again
+        assert_eq!(stats.evictions, 2); // B once, then A or C for B's return
+    }
+
+    #[test]
+    fn stats_windows_read_without_a_scheduler() {
+        let comm = SerialComm::new();
+        let engine = SubmatrixEngine::new(EngineOptions {
+            plan_cache_capacity: Some(2),
+            ..EngineOptions::default()
+        });
+        let (d, dims) = banded_gapped(4, 2);
+        let m = DbcsrMatrix::from_dense(&d, dims, 0, 1, 0.0);
+        let before = engine.stats();
+        engine.sign(&m, 0.0, &NumericOptions::default(), &comm);
+        engine.sign(&m, 0.0, &NumericOptions::default(), &comm);
+        let window = engine.stats().since(&before);
+        assert_eq!(window.symbolic_builds, 1);
+        assert_eq!(window.cache_hits, 1);
+        assert_eq!(window.executions, 2);
+        assert_eq!(window.evictions, 0);
+        // Saturating: a stale "later" snapshot cannot underflow.
+        assert_eq!(before.since(&engine.stats()).executions, 0);
+    }
+
+    #[test]
+    fn capacity_one_cache_never_reuses_wrong_plan() {
+        // Two alternating patterns through a capacity-1 cache: every access
+        // evicts the other, every execution must still be correct.
+        let comm = SerialComm::new();
+        let engine = SubmatrixEngine::new(EngineOptions {
+            plan_cache_capacity: Some(1),
+            ..EngineOptions::default()
+        });
+        let (d1, dims1) = banded_gapped(5, 2);
+        let (d2, dims2) = banded_gapped(8, 2);
+        let m1 = DbcsrMatrix::from_dense(&d1, dims1, 0, 1, 0.0);
+        let m2 = DbcsrMatrix::from_dense(&d2, dims2, 0, 1, 0.0);
+        let e1 = sign_eig(&d1).unwrap();
+        let e2 = sign_eig(&d2).unwrap();
+        for _ in 0..3 {
+            let (s1, _) = engine.sign(&m1, 0.0, &NumericOptions::default(), &comm);
+            assert!(s1.to_dense(&comm).max_abs_diff(&e1) < 0.05);
+            let (s2, _) = engine.sign(&m2, 0.0, &NumericOptions::default(), &comm);
+            assert!(s2.to_dense(&comm).max_abs_diff(&e2) < 0.05);
+        }
+        let stats = engine.stats();
+        assert_eq!(engine.cached_plans(), 1);
+        assert_eq!(stats.symbolic_builds, 6, "thrashing replans every access");
+        assert_eq!(stats.cache_hits, 0);
+        assert_eq!(stats.evictions, 5);
+        assert_eq!(stats.executions, 6);
+    }
+
+    #[test]
+    fn capacity_zero_disables_caching() {
+        let comm = SerialComm::new();
+        let engine = SubmatrixEngine::new(EngineOptions {
+            plan_cache_capacity: Some(0),
+            ..EngineOptions::default()
+        });
+        let (d, dims) = banded_gapped(4, 2);
+        let m = DbcsrMatrix::from_dense(&d, dims, 0, 1, 0.0);
+        engine.sign(&m, 0.0, &NumericOptions::default(), &comm);
+        engine.sign(&m, 0.0, &NumericOptions::default(), &comm);
+        let stats = engine.stats();
+        assert_eq!(engine.cached_plans(), 0);
+        assert_eq!(stats.symbolic_builds, 2);
+        assert_eq!(stats.cache_hits, 0);
+        assert_eq!(stats.evictions, 0);
+    }
+
+    #[test]
+    fn one_plan_serves_every_precision() {
+        // Precision is numeric-only: all three modes hit the same cached
+        // plan (no fingerprint or cache-key contamination), and their
+        // results agree within the documented tolerances.
+        let (dense, dims) = banded_gapped(8, 2);
+        let m = DbcsrMatrix::from_dense(&dense, dims, 0, 1, 0.0);
+        let comm = SerialComm::new();
+        let engine = SubmatrixEngine::default();
+        let mut results = Vec::new();
+        for precision in Precision::all() {
+            let numeric = NumericOptions {
+                precision,
+                ..NumericOptions::default()
+            };
+            let (sign, report) = engine.sign(&m, 0.0, &numeric, &comm);
+            assert_eq!(report.precision, precision);
+            results.push(sign.to_dense(&comm));
+        }
+        let stats = engine.stats();
+        assert_eq!(stats.symbolic_builds, 1, "precision must share one plan");
+        assert_eq!(stats.cache_hits, 2);
+        assert_eq!(engine.cached_plans(), 1);
+        assert!(results[1].max_abs_diff(&results[0]) < 1e-4, "fp32 vs fp64");
+        assert!(
+            results[2].max_abs_diff(&results[0]) < 1e-6,
+            "fp32-refined vs fp64: {}",
+            results[2].max_abs_diff(&results[0])
+        );
+    }
+
+    #[test]
+    fn one_plan_serves_both_solve_backends() {
+        // The solve backend, like precision, is numeric-only: forcing
+        // Dense and SparseCsr against the same engine shares one cached
+        // plan (no fingerprint or cache-key contamination), and at
+        // eps = 0 the sparse solve agrees with dense to 1e-10.
+        let (dense, dims) = banded_gapped(8, 2);
+        let m = DbcsrMatrix::from_dense(&dense, dims, 0, 1, 0.0);
+        let comm = SerialComm::new();
+        let engine = SubmatrixEngine::default();
+        let mut results = Vec::new();
+        for policy in [BackendPolicy::Dense, BackendPolicy::SparseCsr] {
+            let numeric = NumericOptions {
+                backend: policy,
+                solve: SolveOptions {
+                    method: SignMethod::NewtonSchulz,
+                    ..SolveOptions::default()
+                },
+                ..NumericOptions::default()
+            };
+            let (sign, report) = engine.sign(&m, 0.0, &numeric, &comm);
+            let expected = match policy {
+                BackendPolicy::SparseCsr => SolveBackend::SparseCsr,
+                _ => SolveBackend::Dense,
+            };
+            assert_eq!(report.backend, expected);
+            if expected == SolveBackend::SparseCsr {
+                assert!(report.sparse_flops > 0, "sparse path must count flops");
+            }
+            results.push(sign.to_dense(&comm));
+        }
+        let stats = engine.stats();
+        assert_eq!(stats.symbolic_builds, 1, "backends must share one plan");
+        assert_eq!(stats.cache_hits, 1);
+        assert_eq!(engine.cached_plans(), 1);
+        assert!(
+            results[1].max_abs_diff(&results[0]) < 1e-10,
+            "sparse vs dense at eps = 0: {}",
+            results[1].max_abs_diff(&results[0])
+        );
+    }
+
+    #[test]
+    fn consensus_survives_regrouping_with_bounded_cache() {
+        // The scheduler's epoch pattern: the same engine (bounded cache)
+        // is planned through by 2-rank groups, then — after a drop and a
+        // fresh world-level re-split — by one 4-rank group. Every
+        // membership change alters the (rank, size) keys, so the second
+        // epoch's probes all miss; the per-call consensus must walk every
+        // rank of the new group into the collective gather together (a
+        // divergence deadlocks the barriered world). Counters: each traced
+        // call bumps exactly one of hits/builds, so their sum equals the
+        // 4 + 4 planning decisions regardless of cache races.
+        let (dense, dims) = banded_gapped(8, 2);
+        let serial = {
+            let comm = SerialComm::new();
+            let m = DbcsrMatrix::from_dense(&dense, dims.clone(), 0, 1, 0.0);
+            SubmatrixEngine::default()
+                .sign(&m, 0.0, &NumericOptions::default(), &comm)
+                .0
+                .to_dense(&comm)
+        };
+        let engine = SubmatrixEngine::new(EngineOptions {
+            plan_cache_capacity: Some(2),
+            ..EngineOptions::default()
+        });
+        let (results, _) = run_ranks(4, |c| {
+            // Epoch 0: two groups of two.
+            let a = {
+                let sub = c.split((c.rank() / 2) as u64, c.rank() as u64);
+                let m = DbcsrMatrix::from_dense(&dense, dims.clone(), sub.rank(), sub.size(), 0.0);
+                engine
+                    .sign(&m, 0.0, &NumericOptions::default(), &sub)
+                    .0
+                    .to_dense(&sub)
+            };
+            // Epoch boundary: regroup into one group of four.
+            let b = {
+                let sub = c.split(1 << 32, c.rank() as u64);
+                let m = DbcsrMatrix::from_dense(&dense, dims.clone(), sub.rank(), sub.size(), 0.0);
+                engine
+                    .sign(&m, 0.0, &NumericOptions::default(), &sub)
+                    .0
+                    .to_dense(&sub)
+            };
+            (a, b)
+        });
+        for (a, b) in results {
+            assert!(a.allclose(&serial, 1e-13));
+            assert!(b.allclose(&serial, 1e-13));
+        }
+        let stats = engine.stats();
+        assert_eq!(
+            stats.cache_hits + stats.symbolic_builds,
+            8,
+            "every rank decides hit/miss once per epoch: {stats:?}"
+        );
+        assert_eq!(stats.executions, 8);
+        assert!(engine.cached_plans() <= 2, "bounded cache overflowed");
+    }
+}
