@@ -6,15 +6,16 @@
 //! smdoctor critical-path <trace.jsonl>   deterministic cost-unit critical path
 //! smdoctor export-perfetto <trace.jsonl> [out.json]   Chrome trace-event export
 //! smdoctor calibrate <trace.jsonl>       fit perfmodel coefficients (report-only)
-//! smdoctor compare <old.json> <new.json> deterministic-counter regression gate
+//! smdoctor compare <old> <new>           deterministic-counter regression gate
+//!                                        (two bench files, or two directories)
 //! smdoctor faults [bench-or-trace]       fault-injection & recovery report
 //! smdoctor cache <manifest.smplans>      plan-cache manifest occupancy & ages
 //! smdoctor serve-report <trace.jsonl>    streaming-service admission-window report
 //! ```
 //!
 //! **Audit mode** reads every `BENCH_*.json`, `TRACE_*.jsonl`,
-//! `PERFETTO_*.json`, `CALIB_*.json` and `*.csv` artifact in `results/`
-//! (or the paths given; directories are globbed) and reports plan-cache
+//! `PERFETTO_*.json` and `CALIB_*.json` artifact in `results/` (or the
+//! paths given; directories are globbed) and reports plan-cache
 //! pressure, steal effectiveness, idle breakdowns, byte budgets, and
 //! **schema drift** — with `--check`, any drift or an empty artifact set
 //! is a hard failure (exit 1).
@@ -26,16 +27,13 @@
 //! two-clock rule) — plus wall-clock annotations, per-rank idle
 //! attribution and per-job model-vs-measured skew.
 //!
-//! **`compare`** is the regression gate over the bench trajectory: it
-//! diffs two stamped bench documents and exits 1 when any
-//! **deterministic** quantity changed (schema versions, counters like
-//! value bytes / eviction counts / stolen jobs, row sets). The plan-cache
-//! `plan_builds`/`cache_hits` *split* may shift with benign races — only
-//! their **sum** is deterministic (the consensus identity), so the gate
-//! compares the sum. Wall-clock columns (`*_s`, `*seconds*`) only
-//! soft-warn beyond a drift threshold, and measured floating-point errors
-//! (`*_err*`, whose last bits depend on the CPU's dense kernel) fail only
-//! when they grow tenfold past rounding level.
+//! **`compare`** is the regression gate over the bench trajectory
+//! (`sm_bench::compare` holds the rules): it diffs two stamped bench
+//! documents and exits 1 when any **deterministic** quantity changed;
+//! wall-clock columns only soft-warn. Given two directories it compares
+//! every `BENCH_*.json` of the first against the same-named file of the
+//! second and fails if one is missing — so "gated" means "has a file in
+//! `results/baseline/`".
 //!
 //! **`cache`** decodes a spilled plan-cache manifest (`SMPLANS` wire
 //! format, written by `SubmatrixEngine::export_plans`) and prints the
@@ -57,10 +55,12 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use sm_bench::calibrate::{calibration_json, calibration_report};
-use sm_bench::output::{results_dir, Json, BENCH_SCHEMA_VERSION, CSV_SCHEMA_VERSION};
+use sm_bench::compare::compare_docs;
+use sm_bench::output::{results_dir, Json, BENCH_SCHEMA_VERSION};
 use sm_dbcsr::wire::{PlanManifest, PLAN_MANIFEST_SCHEMA_VERSION};
 use sm_trace::analyze::{
-    critical_path, idle_attribution, job_phase_skew, phase_samples, TraceDoc, TraceError,
+    critical_path, idle_attribution, job_phase_skew, path_seg, phase_samples, RecEvent, TraceDoc,
+    TraceError,
 };
 
 /// Exit code for usage errors: missing/empty/unreadable inputs.
@@ -90,11 +90,11 @@ fn print_help() {
          smdoctor critical-path <trace.jsonl>\n\
          smdoctor export-perfetto <trace.jsonl> [out.json]\n\
          smdoctor calibrate <trace.jsonl>\n\
-         smdoctor compare <old-bench.json> <new-bench.json>\n\
+         smdoctor compare <old-bench.json|dir> <new-bench.json|dir>\n\
          smdoctor faults [bench-or-trace]\n\
          smdoctor cache <manifest.smplans>\n\
          smdoctor serve-report <trace.jsonl>\n\n\
-         Audit BENCH_*.json / TRACE_*.jsonl / PERFETTO_*.json / CALIB_*.json / *.csv\n\
+         Audit BENCH_*.json / TRACE_*.jsonl / PERFETTO_*.json / CALIB_*.json\n\
          artifacts (default: results/; directories are globbed), analyze traces,\n\
          and gate deterministic counters between bench runs.\n\
          --check  exit 1 on schema drift, corruption, or no artifacts\n\
@@ -289,73 +289,69 @@ fn cmd_calibrate(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// One difference between two bench documents.
-struct Diff {
-    at: String,
-    what: String,
-    hard: bool,
+/// Read and parse one stamped bench document; unreadable input is a
+/// usage error (exit 2), malformed JSON corruption (exit 1).
+fn load_bench(path: &Path) -> Result<Json, ExitCode> {
+    Json::parse(&read_input(path)?).map_err(|e| {
+        eprintln!("smdoctor: {}: malformed JSON: {e}", path.display());
+        ExitCode::FAILURE
+    })
 }
 
-/// `smdoctor compare <old> <new>`: diff two stamped bench documents.
-/// Deterministic mismatches exit 1; wall-clock drift only warns.
+/// `smdoctor compare <old> <new>`: diff two stamped bench documents, or
+/// every `BENCH_*.json` of directory `old` against its namesake in
+/// directory `new` (a missing namesake is a regression). Deterministic
+/// mismatches exit 1; wall-clock drift only warns.
 fn cmd_compare(args: &[String]) -> ExitCode {
-    let [old_path, new_path] = args else {
-        eprintln!("usage: smdoctor compare <old-bench.json> <new-bench.json>");
+    let [old, new] = args else {
+        eprintln!("usage: smdoctor compare <old-bench.json|dir> <new-bench.json|dir>");
         return ExitCode::from(EXIT_USAGE);
     };
-    let mut docs = Vec::new();
-    for p in [old_path, new_path] {
-        let path = Path::new(p);
-        let text = match read_input(path) {
-            Ok(t) => t,
+    let (old, new) = (Path::new(old), Path::new(new));
+    let pairs: Vec<(PathBuf, PathBuf)> = if old.is_dir() {
+        match collect_artifacts(old) {
+            Ok(files) => files
+                .into_iter()
+                .filter(|f| file_name(f).starts_with("BENCH_"))
+                .map(|baseline| {
+                    let fresh = new.join(file_name(&baseline));
+                    (baseline, fresh)
+                })
+                .collect(),
+            Err(code) => return code,
+        }
+    } else {
+        vec![(old.to_path_buf(), new.to_path_buf())]
+    };
+    if pairs.is_empty() {
+        eprintln!("smdoctor: no BENCH_*.json in {}", old.display());
+        return ExitCode::from(EXIT_USAGE);
+    }
+
+    let (mut hard, mut soft) = (0usize, 0usize);
+    for (baseline, fresh) in &pairs {
+        println!("{} vs {}", baseline.display(), fresh.display());
+        if old.is_dir() && !fresh.is_file() {
+            println!("  REGRESSION {}: missing", fresh.display());
+            hard += 1;
+            continue;
+        }
+        let (a, b) = match load_bench(baseline).and_then(|a| Ok((a, load_bench(fresh)?))) {
+            Ok(docs) => docs,
             Err(code) => return code,
         };
-        match Json::parse(&text) {
-            Ok(d) => docs.push(d),
-            Err(e) => {
-                eprintln!("smdoctor: {}: malformed JSON: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
+        for d in compare_docs(&a, &b) {
+            let tag = if d.hard { "REGRESSION" } else { "WARN" };
+            println!("  {tag} {}: {}", d.at, d.what);
+            *(if d.hard { &mut hard } else { &mut soft }) += 1;
         }
-    }
-    let (old, new) = (&docs[0], &docs[1]);
-
-    let mut diffs: Vec<Diff> = Vec::new();
-    // Envelope: bench name and schema version are deterministic identity;
-    // git_commit/generated_at are provenance, expected to differ.
-    for key in ["bench", "schema_version"] {
-        let (a, b) = (old.get(key), new.get(key));
-        if a != b {
-            diffs.push(Diff {
-                at: key.to_string(),
-                what: format!("{} -> {}", render_opt(a), render_opt(b)),
-                hard: true,
-            });
-        }
-    }
-    match (old.get("data"), new.get("data")) {
-        (Some(a), Some(b)) => compare_value("data", a, b, &mut diffs),
-        (a, b) => diffs.push(Diff {
-            at: "data".into(),
-            what: format!("payload presence {} -> {}", a.is_some(), b.is_some()),
-            hard: true,
-        }),
-    }
-
-    let hard: Vec<&Diff> = diffs.iter().filter(|d| d.hard).collect();
-    let soft: Vec<&Diff> = diffs.iter().filter(|d| !d.hard).collect();
-    for d in &soft {
-        println!("  WARN {}: {}", d.at, d.what);
-    }
-    for d in &hard {
-        println!("  REGRESSION {}: {}", d.at, d.what);
     }
     println!(
-        "smdoctor compare: {} deterministic regression(s), {} wall-drift warning(s)",
-        hard.len(),
-        soft.len()
+        "smdoctor compare: {hard} deterministic regression(s), {soft} wall-drift warning(s) \
+         over {} document(s)",
+        pairs.len()
     );
-    if hard.is_empty() {
+    if hard == 0 {
         println!("smdoctor compare: PASS");
         ExitCode::SUCCESS
     } else {
@@ -364,13 +360,9 @@ fn cmd_compare(args: &[String]) -> ExitCode {
     }
 }
 
-fn render_opt(v: Option<&Json>) -> String {
-    v.map(Json::to_string).unwrap_or_else(|| "absent".into())
-}
-
 /// `smdoctor faults [bench-or-trace]`: the fault-injection and recovery
 /// report. By default reads `results/BENCH_faults.json` (the
-/// `ablation_faults` artifact) and prints per-scenario counters plus
+/// `repro faults` artifact) and prints per-scenario counters plus
 /// totals; given a `TRACE_*.jsonl` it instead counts the v3 recovery
 /// narration (`fault.injected` / `sched.retry` / `job.quarantined`) per
 /// epoch.
@@ -386,16 +378,9 @@ fn cmd_faults(args: &[String]) -> ExitCode {
     if path.extension().and_then(|e| e.to_str()) == Some("jsonl") {
         return faults_from_trace(&path);
     }
-    let text = match read_input(&path) {
-        Ok(t) => t,
-        Err(code) => return code,
-    };
-    let doc = match Json::parse(&text) {
+    let doc = match load_bench(&path) {
         Ok(d) => d,
-        Err(e) => {
-            eprintln!("smdoctor: {}: malformed JSON: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
+        Err(code) => return code,
     };
     let Some(series) = doc
         .get("data")
@@ -403,7 +388,7 @@ fn cmd_faults(args: &[String]) -> ExitCode {
         .and_then(Json::as_arr)
     else {
         eprintln!(
-            "smdoctor: {}: no data.series — not a fault bench artifact (run ablation_faults)",
+            "smdoctor: {}: no data.series — not a fault bench artifact (run `repro faults`)",
             path.display()
         );
         return ExitCode::FAILURE;
@@ -431,7 +416,7 @@ fn cmd_faults(args: &[String]) -> ExitCode {
             if row.get(key).and_then(Json::as_f64).is_none() {
                 eprintln!(
                     "smdoctor: {}: data.series[{i}] has no numeric '{key}' — \
-                     not a fault bench artifact (run ablation_faults)",
+                     not a fault bench artifact (run `repro faults`)",
                     path.display()
                 );
                 return ExitCode::from(EXIT_USAGE);
@@ -471,56 +456,33 @@ fn cmd_faults(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// The epoch index of an event's span path (`batch:svc/epoch:2/...`).
+fn epoch_of(ev: &RecEvent) -> Option<u64> {
+    path_seg(&ev.path, "epoch")?.parse().ok()
+}
+
 /// Count the recovery narration events of a v3 trace, per epoch.
 fn faults_from_trace(path: &Path) -> ExitCode {
-    let text = match read_input(path) {
-        Ok(t) => t,
+    let doc = match load_trace(path) {
+        Ok(d) => d,
         Err(code) => return code,
     };
-    let mut lines = text.lines();
-    match lines.next().map(Json::parse) {
-        Some(Ok(h))
-            if h.get("schema").and_then(Json::as_str) == Some("sm-trace")
-                && h.get("version").and_then(Json::as_f64)
-                    == Some(sm_trace::TRACE_SCHEMA_VERSION as f64) => {}
-        _ => {
-            eprintln!(
-                "smdoctor: {}: not a current sm-trace v{} header",
-                path.display(),
-                sm_trace::TRACE_SCHEMA_VERSION
-            );
-            return ExitCode::FAILURE;
-        }
-    }
-    // epoch -> (injected, retries, quarantined)
-    let mut per_epoch: BTreeMap<u64, (u64, u64, u64)> = BTreeMap::new();
-    for line in lines {
-        let Ok(doc) = Json::parse(line) else { continue };
-        let t = TraceLine { doc };
-        let slot = match t.str("name") {
-            "fault.injected" => 0usize,
+    // epoch -> [injected, retries, quarantined]
+    let mut per_epoch: BTreeMap<u64, [u64; 3]> = BTreeMap::new();
+    for ev in &doc.events {
+        let slot = match ev.name.as_str() {
+            "fault.injected" => 0,
             "sched.retry" => 1,
             "job.quarantined" => 2,
             _ => continue,
         };
-        let e = t
-            .doc
-            .get("path")
-            .and_then(Json::as_str)
-            .and_then(epoch_of_path)
-            .unwrap_or(0);
-        let c = per_epoch.entry(e).or_default();
-        match slot {
-            0 => c.0 += 1,
-            1 => c.1 += 1,
-            _ => c.2 += 1,
-        }
+        per_epoch.entry(epoch_of(ev).unwrap_or(0)).or_default()[slot] += 1;
     }
     if per_epoch.is_empty() {
         println!("no fault events — the trace ran fault-free");
         return ExitCode::SUCCESS;
     }
-    for (e, (injected, retries, quarantined)) in &per_epoch {
+    for (e, [injected, retries, quarantined]) in &per_epoch {
         println!(
             "  epoch {e}: {injected} fault(s) injected, {retries} retry(ies), \
              {quarantined} quarantine(s)"
@@ -608,12 +570,11 @@ fn cmd_cache(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Extract the admission-window index from a streaming-service span
-/// root like `batch:serve.w3/epoch:0/...`.
-fn window_of_path(path: &str) -> Option<u64> {
-    let root = path.split('/').next()?;
-    let (_, w) = root.rsplit_once(".w")?;
-    w.parse().ok()
+/// Is `key` among the event's structured fields? (`RecEvent::field`
+/// reads an absent field as 0.0; callers that *expect* the field check
+/// here and report the gap.)
+fn has_field(ev: &RecEvent, key: &str) -> bool {
+    ev.fields.iter().any(|(k, _)| k == key)
 }
 
 /// `smdoctor serve-report <trace.jsonl>`: per-admission-window report
@@ -627,63 +588,49 @@ fn cmd_serve_report(args: &[String]) -> ExitCode {
         return ExitCode::from(EXIT_USAGE);
     };
     let path = Path::new(path);
-    let text = match read_input(path) {
-        Ok(t) => t,
+    let doc = match load_trace(path) {
+        Ok(d) => d,
         Err(code) => return code,
     };
-    let mut lines = text.lines();
-    match lines.next().map(Json::parse) {
-        Some(Ok(h))
-            if h.get("schema").and_then(Json::as_str) == Some("sm-trace")
-                && h.get("version").and_then(Json::as_f64)
-                    == Some(sm_trace::TRACE_SCHEMA_VERSION as f64) => {}
-        _ => {
-            eprintln!(
-                "smdoctor: {}: not a current sm-trace v{} header",
-                path.display(),
-                sm_trace::TRACE_SCHEMA_VERSION
-            );
-            return ExitCode::FAILURE;
-        }
-    }
 
     // window -> (admitted, queue_rejects) from the service narration;
     // window -> (epochs, committed, deferred) from the per-window
     // scheduler runs (grouped by the `batch:<label>.w<N>` span root).
     let mut windows: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
     let mut epochs: BTreeMap<u64, (u64, u64, u64)> = BTreeMap::new();
-    for line in lines {
-        let Ok(doc) = Json::parse(line) else { continue };
-        let t = TraceLine { doc };
-        match t.str("name") {
+    for ev in &doc.events {
+        match ev.name.as_str() {
             "service.window" => {
                 // A window event missing its expected fields is a
                 // producer bug, not an empty window — refuse it.
-                let (Some(w), Some(admitted), Some(rejects)) = (
-                    t.try_field("window"),
-                    t.try_field("admitted"),
-                    t.try_field("queue_rejects"),
-                ) else {
+                if !["window", "admitted", "queue_rejects"]
+                    .iter()
+                    .all(|k| has_field(ev, k))
+                {
                     eprintln!(
                         "smdoctor: {}: service.window event missing \
                          window/admitted/queue_rejects fields",
                         path.display()
                     );
                     return ExitCode::from(EXIT_USAGE);
-                };
-                windows.insert(w as u64, (admitted as u64, rejects as u64));
+                }
+                windows.insert(
+                    ev.field("window") as u64,
+                    (
+                        ev.field("admitted") as u64,
+                        ev.field("queue_rejects") as u64,
+                    ),
+                );
             }
             "sched.epoch" => {
-                if let Some(w) = t
-                    .doc
-                    .get("path")
-                    .and_then(Json::as_str)
-                    .and_then(window_of_path)
-                {
+                let window = path_seg(&ev.path, "batch")
+                    .and_then(|label| label.rsplit_once(".w"))
+                    .and_then(|(_, w)| w.parse().ok());
+                if let Some(w) = window {
                     let e = epochs.entry(w).or_default();
                     e.0 += 1;
-                    e.1 += t.field("committed") as u64;
-                    e.2 += t.field("deferred") as u64;
+                    e.1 += ev.field("committed") as u64;
+                    e.2 += ev.field("deferred") as u64;
                 }
             }
             _ => {}
@@ -716,232 +663,6 @@ fn cmd_serve_report(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Relative wall-clock drift beyond which `compare` warns (wall time is
-/// an annotation, so it can never fail the gate — but a 2× swing is
-/// worth a human look).
-const WALL_DRIFT_WARN: f64 = 0.5;
-
-/// Is this key/column a wall-clock annotation (excluded from the
-/// deterministic contract by the two-clock rule)?
-fn is_wall_key(key: &str) -> bool {
-    key.ends_with("_s") || key.contains("seconds") || key.contains("wall")
-}
-
-/// Is this key/column a measured floating-point error (`max_err_vs_dense`)?
-/// Its last bits follow the dense kernel the CPU runs (fused multiply-add or
-/// not), so it is no deterministic counter: it fails the gate only when it
-/// grows past ten times the baseline, floored at [`ERR_FLOOR`].
-fn is_error_key(key: &str) -> bool {
-    key.contains("_err")
-}
-
-/// Errors below this are rounding of a few `f64` operations.
-const ERR_FLOOR: f64 = 1e-12;
-
-/// Keys whose *sum* is deterministic while the split shifts with benign
-/// plan-cache races between concurrent groups (the consensus identity
-/// `hits + builds = Σ group_size × iterations` fixes only the sum).
-const SUMMED_KEYS: [&str; 2] = ["plan_builds", "cache_hits"];
-
-/// Recursive deterministic diff. Objects must agree on key sets; arrays
-/// on length; scalars exactly — except wall-clock keys (soft warn beyond
-/// [`WALL_DRIFT_WARN`]), measured errors ([`is_error_key`]) and the
-/// [`SUMMED_KEYS`] pair (compared as a sum).
-/// Tabular `{columns, rows}` payloads (the `bench_table` shape) get the
-/// same treatment column-wise.
-fn compare_value(at: &str, old: &Json, new: &Json, diffs: &mut Vec<Diff>) {
-    match (old, new) {
-        (Json::Obj(a), Json::Obj(b)) => {
-            // bench_table payloads compare column-aware.
-            if old.get("columns").is_some() && old.get("rows").is_some() {
-                compare_table(at, old, new, diffs);
-                return;
-            }
-            let a_keys: Vec<&str> = a.iter().map(|(k, _)| k.as_str()).collect();
-            let b_keys: Vec<&str> = b.iter().map(|(k, _)| k.as_str()).collect();
-            if a_keys != b_keys {
-                diffs.push(Diff {
-                    at: at.into(),
-                    what: format!("object keys {a_keys:?} -> {b_keys:?}"),
-                    hard: true,
-                });
-                return;
-            }
-            // The builds/hits split is only deterministic as a sum.
-            if SUMMED_KEYS.iter().all(|k| old.get(k).is_some()) {
-                let sum = |doc: &Json| -> f64 {
-                    SUMMED_KEYS
-                        .iter()
-                        .filter_map(|k| doc.get(k).and_then(Json::as_f64))
-                        .sum()
-                };
-                if sum(old) != sum(new) {
-                    diffs.push(Diff {
-                        at: format!("{at}.{}", SUMMED_KEYS.join("+")),
-                        what: format!("consensus sum {} -> {}", sum(old), sum(new)),
-                        hard: true,
-                    });
-                }
-            }
-            for (k, va) in a {
-                if SUMMED_KEYS.contains(&k.as_str())
-                    && SUMMED_KEYS.iter().all(|s| old.get(s).is_some())
-                {
-                    continue;
-                }
-                if let Some(vb) = new.get(k) {
-                    compare_scalar_or_recurse(&format!("{at}.{k}"), k, va, vb, diffs);
-                }
-            }
-        }
-        (Json::Arr(a), Json::Arr(b)) => {
-            if a.len() != b.len() {
-                diffs.push(Diff {
-                    at: at.into(),
-                    what: format!("array length {} -> {}", a.len(), b.len()),
-                    hard: true,
-                });
-                return;
-            }
-            for (i, (va, vb)) in a.iter().zip(b).enumerate() {
-                compare_value(&format!("{at}[{i}]"), va, vb, diffs);
-            }
-        }
-        _ => compare_scalar_or_recurse(at, at, old, new, diffs),
-    }
-}
-
-/// Compare two leaf values under the key `key` (wall keys soft-warn,
-/// error keys may not grow tenfold; everything else is deterministic),
-/// recursing for containers.
-fn compare_scalar_or_recurse(at: &str, key: &str, old: &Json, new: &Json, diffs: &mut Vec<Diff>) {
-    match (old, new) {
-        (Json::Obj(_), _) | (Json::Arr(_), _) => compare_value(at, old, new, diffs),
-        _ => {
-            // Numeric comparison when both sides parse as numbers (table
-            // cells are strings), string equality otherwise.
-            let nums = (as_number(old), as_number(new));
-            if let (Some(a), Some(b)) = nums {
-                if is_wall_key(key) {
-                    let base = a.abs().max(1e-12);
-                    let drift = (b - a).abs() / base;
-                    if drift > WALL_DRIFT_WARN {
-                        diffs.push(Diff {
-                            at: at.into(),
-                            what: format!(
-                                "wall drift {a} -> {b} ({:+.0}%)",
-                                100.0 * (b - a) / base
-                            ),
-                            hard: false,
-                        });
-                    }
-                } else if is_error_key(key) {
-                    if b.is_nan() || b > 10.0 * a.max(ERR_FLOOR) {
-                        diffs.push(Diff {
-                            at: at.into(),
-                            what: format!("error grew {a} -> {b}"),
-                            hard: true,
-                        });
-                    }
-                } else if a != b {
-                    diffs.push(Diff {
-                        at: at.into(),
-                        what: format!("{a} -> {b}"),
-                        hard: true,
-                    });
-                }
-            } else if old != new {
-                diffs.push(Diff {
-                    at: at.into(),
-                    what: format!("{old} -> {new}"),
-                    hard: true,
-                });
-            }
-        }
-    }
-}
-
-fn as_number(v: &Json) -> Option<f64> {
-    match v {
-        Json::Num(x) => Some(*x),
-        Json::Str(s) => s.trim().parse().ok(),
-        _ => None,
-    }
-}
-
-/// Column-aware comparison of a `bench_table` payload: wall columns
-/// soft-warn, error columns may not grow tenfold, the builds/hits column
-/// pair compares as a per-row sum, everything else must match exactly.
-fn compare_table(at: &str, old: &Json, new: &Json, diffs: &mut Vec<Diff>) {
-    let cols = |doc: &Json| -> Vec<String> {
-        doc.get("columns")
-            .and_then(Json::as_arr)
-            .map(|a| {
-                a.iter()
-                    .map(|c| c.as_str().unwrap_or("").to_string())
-                    .collect()
-            })
-            .unwrap_or_default()
-    };
-    let (ca, cb) = (cols(old), cols(new));
-    if ca != cb {
-        diffs.push(Diff {
-            at: format!("{at}.columns"),
-            what: format!("{ca:?} -> {cb:?}"),
-            hard: true,
-        });
-        return;
-    }
-    fn rows(doc: &Json) -> Vec<&[Json]> {
-        doc.get("rows")
-            .and_then(Json::as_arr)
-            .map(|rs| rs.iter().filter_map(Json::as_arr).collect())
-            .unwrap_or_default()
-    }
-    let (ra, rb) = (rows(old), rows(new));
-    if ra.len() != rb.len() {
-        diffs.push(Diff {
-            at: format!("{at}.rows"),
-            what: format!("row count {} -> {}", ra.len(), rb.len()),
-            hard: true,
-        });
-        return;
-    }
-    let summed: Vec<usize> = ca
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| SUMMED_KEYS.contains(&c.as_str()))
-        .map(|(i, _)| i)
-        .collect();
-    let sum_all = summed.len() == SUMMED_KEYS.len();
-    for (r, (row_a, row_b)) in ra.iter().zip(&rb).enumerate() {
-        if sum_all {
-            let sum = |row: &[Json]| -> f64 {
-                summed
-                    .iter()
-                    .filter_map(|&i| row.get(i).and_then(as_number))
-                    .sum()
-            };
-            if sum(row_a) != sum(row_b) {
-                diffs.push(Diff {
-                    at: format!("{at}.rows[{r}].{}", SUMMED_KEYS.join("+")),
-                    what: format!("consensus sum {} -> {}", sum(row_a), sum(row_b)),
-                    hard: true,
-                });
-            }
-        }
-        for (c, col) in ca.iter().enumerate() {
-            if sum_all && summed.contains(&c) {
-                continue;
-            }
-            let (Some(va), Some(vb)) = (row_a.get(c), row_b.get(c)) else {
-                continue;
-            };
-            compare_scalar_or_recurse(&format!("{at}.rows[{r}].{col}"), col, va, vb, diffs);
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Audit mode (the original smdoctor): schema + health over artifacts.
 // ---------------------------------------------------------------------
@@ -966,7 +687,11 @@ fn is_artifact(name: &str) -> bool {
         || (name.starts_with("TRACE_") && name.ends_with(".jsonl"))
         || (name.starts_with("PERFETTO_") && name.ends_with(".json"))
         || (name.starts_with("CALIB_") && name.ends_with(".json"))
-        || name.ends_with(".csv")
+}
+
+/// The final component of `path` as text ("" when it has none).
+fn file_name(path: &Path) -> &str {
+    path.file_name().and_then(|n| n.to_str()).unwrap_or("")
 }
 
 /// Glob a directory for audited artifacts, sorted. An unreadable
@@ -984,10 +709,7 @@ fn collect_artifacts(dir: &Path) -> Result<Vec<PathBuf>, ExitCode> {
     entries.sort();
     Ok(entries
         .into_iter()
-        .filter(|p| {
-            let name = p.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            p.is_file() && is_artifact(name)
-        })
+        .filter(|p| p.is_file() && is_artifact(file_name(p)))
         .collect())
 }
 
@@ -1031,16 +753,13 @@ fn cmd_audit(args: &[String]) -> ExitCode {
     let mut report = Vec::new();
     let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
     for path in &paths {
-        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        let name = file_name(path);
         if name.ends_with(".jsonl") {
             *counts.entry("trace").or_default() += 1;
             audit_trace(path, &mut report);
         } else if name.starts_with("PERFETTO_") {
             *counts.entry("perfetto").or_default() += 1;
             audit_perfetto(path, &mut report);
-        } else if name.ends_with(".csv") {
-            *counts.entry("csv").or_default() += 1;
-            audit_csv(path, &mut report);
         } else {
             // BENCH_ and CALIB_ share the stamped envelope; CALIB adds
             // the report-only pin.
@@ -1110,11 +829,9 @@ fn audit_bench(path: &Path, report: &mut Vec<Drift>) {
     if doc.get("data").is_none() {
         drift(report, path, "missing data payload");
     }
-    let is_calib = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .is_some_and(|n| n.starts_with("CALIB_"));
-    if is_calib && doc.get("data").and_then(|d| d.get("report_only")) != Some(&Json::Bool(true)) {
+    if file_name(path).starts_with("CALIB_")
+        && doc.get("data").and_then(|d| d.get("report_only")) != Some(&Json::Bool(true))
+    {
         drift(
             report,
             path,
@@ -1126,8 +843,7 @@ fn audit_bench(path: &Path, report: &mut Vec<Drift>) {
         doc.get("bench").and_then(Json::as_str).unwrap_or("?"),
         doc.get("git_commit")
             .and_then(Json::as_str)
-            .map(|c| &c[..c.len().min(12)])
-            .unwrap_or("?"),
+            .map_or("?".into(), |c| c.chars().take(12).collect::<String>()),
         doc.get("generated_at")
             .and_then(Json::as_str)
             .unwrap_or("?"),
@@ -1174,123 +890,21 @@ fn audit_perfetto(path: &Path, report: &mut Vec<Drift>) {
     }
 }
 
-/// Audit one CSV artifact: the `# schema=sm-csv ...` stamp must lead and
-/// carry the current version.
-fn audit_csv(path: &Path, report: &mut Vec<Drift>) {
-    println!("\n== {} ==", path.display());
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) if t.trim().is_empty() => return drift(report, path, "empty file"),
-        Ok(t) => t,
-        Err(e) => return drift(report, path, format!("unreadable: {e}")),
-    };
-    let first = text.lines().next().unwrap_or("");
-    if !first.starts_with("# schema=sm-csv ") {
-        return drift(
-            report,
-            path,
-            "missing '# schema=sm-csv ...' header stamp on line 1",
-        );
-    }
-    let version = first
-        .split_whitespace()
-        .find_map(|tok| tok.strip_prefix("version="))
-        .and_then(|v| v.parse::<u32>().ok());
-    match version {
-        Some(v) if v == CSV_SCHEMA_VERSION => {}
-        v => drift(
-            report,
-            path,
-            format!("csv schema version {v:?} != current {CSV_SCHEMA_VERSION}"),
-        ),
-    }
-    let rows = text
-        .lines()
-        .skip(2)
-        .filter(|l| !l.trim().is_empty())
-        .count();
-    println!("  {} data row(s)", rows);
-}
-
-/// Parsed view of one trace line (event or metric).
-struct TraceLine {
-    doc: Json,
-}
-
-impl TraceLine {
-    fn str(&self, key: &str) -> &str {
-        self.doc.get(key).and_then(Json::as_str).unwrap_or("")
-    }
-    fn num(&self, key: &str) -> f64 {
-        self.try_num(key).unwrap_or(0.0)
-    }
-    fn field(&self, key: &str) -> f64 {
-        self.try_field(key).unwrap_or(0.0)
-    }
-    /// Top-level numeric key, `None` when absent — callers that *expect*
-    /// the key use this and report the gap instead of folding in 0.0.
-    fn try_num(&self, key: &str) -> Option<f64> {
-        self.doc.get(key).and_then(Json::as_f64)
-    }
-    /// Structured-payload numeric field, `None` when absent.
-    fn try_field(&self, key: &str) -> Option<f64> {
-        self.doc
-            .get("fields")
-            .and_then(|f| f.get(key))
-            .and_then(Json::as_f64)
-    }
-}
-
 /// Audit one `TRACE_*.jsonl` structured trace and print the ops report.
+/// The trace is read through [`TraceDoc::parse`], whose error (bad or
+/// foreign-version header, corrupt line, unknown record type) is the
+/// drift message.
 fn audit_trace(path: &Path, report: &mut Vec<Drift>) {
     println!("\n== {} ==", path.display());
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => return drift(report, path, format!("unreadable: {e}")),
     };
-    let mut lines = text.lines();
-    let header = match lines.next().map(Json::parse) {
-        Some(Ok(h)) => h,
-        Some(Err(e)) => return drift(report, path, format!("malformed header: {e}")),
-        None => return drift(report, path, "empty trace file"),
+    let doc = match TraceDoc::parse(&text) {
+        Ok(d) => d,
+        Err(e) => return drift(report, path, e.to_string()),
     };
-    if header.get("schema").and_then(Json::as_str) != Some("sm-trace") {
-        return drift(report, path, "header is not an sm-trace header");
-    }
-    match header.get("version").and_then(Json::as_f64) {
-        Some(v) if v == sm_trace::TRACE_SCHEMA_VERSION as f64 => {}
-        v => {
-            return drift(
-                report,
-                path,
-                format!(
-                    "trace schema version {v:?} != current {}",
-                    sm_trace::TRACE_SCHEMA_VERSION
-                ),
-            )
-        }
-    }
-    let label = header.get("label").and_then(Json::as_str).unwrap_or("?");
-
-    let mut events = Vec::new();
-    let mut metrics = Vec::new();
-    for (i, line) in lines.enumerate() {
-        match Json::parse(line) {
-            Ok(doc) => {
-                let t = TraceLine { doc };
-                match t.str("type") {
-                    "event" => events.push(t),
-                    "metric" => metrics.push(t),
-                    other => drift(
-                        report,
-                        path,
-                        format!("line {}: unknown type '{other}'", i + 2),
-                    ),
-                }
-            }
-            Err(e) => drift(report, path, format!("line {}: {e}", i + 2)),
-        }
-    }
-    if events.is_empty() {
+    if doc.events.is_empty() {
         drift(
             report,
             path,
@@ -1298,27 +912,25 @@ fn audit_trace(path: &Path, report: &mut Vec<Drift>) {
         );
     }
     println!(
-        "  label={label} events={} metrics={}",
-        events.len(),
-        metrics.len()
+        "  label={} events={} metrics={}",
+        doc.label,
+        doc.events.len(),
+        doc.metrics.len()
     );
 
     // Plan-cache pressure: per-engine-root builds/hits/evictions counters
     // plus the final occupancy gauge.
-    let metric_u64 = |suffix: &str| -> u64 {
-        metrics
-            .iter()
-            .filter(|m| m.str("name").ends_with(suffix))
-            .map(|m| m.num("value") as u64)
-            .sum()
+    let metric_values = |suffix: &str| -> Vec<f64> {
+        let named = doc.metrics.iter().filter(|m| m.name.ends_with(suffix));
+        named.map(|m| m.value).collect()
     };
+    let metric_u64 =
+        |suffix: &str| -> u64 { metric_values(suffix).iter().map(|&v| v as u64).sum() };
     let builds = metric_u64("/plan_cache.builds");
     let hits = metric_u64("/plan_cache.hits");
     let evictions = metric_u64("/plan_cache.evictions");
-    let occupancy = metrics
-        .iter()
-        .filter(|m| m.str("name").ends_with("/plan_cache.occupancy"))
-        .map(|m| m.num("value"))
+    let occupancy = metric_values("/plan_cache.occupancy")
+        .into_iter()
         .fold(0.0f64, f64::max);
     if builds + hits > 0 {
         println!(
@@ -1332,31 +944,23 @@ fn audit_trace(path: &Path, report: &mut Vec<Drift>) {
     // deferred split; sched.steal lists the ranks each straggler borrowed.
     let mut epochs: BTreeMap<u64, (f64, f64, f64)> = BTreeMap::new();
     let mut steals: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
-    for ev in &events {
-        let epoch_idx = ev
-            .doc
-            .get("path")
-            .and_then(Json::as_str)
-            .and_then(epoch_of_path);
-        match ev.str("name") {
+    for ev in &doc.events {
+        let Some(e) = epoch_of(ev) else { continue };
+        match ev.name.as_str() {
             "sched.epoch" => {
-                if let Some(e) = epoch_idx {
-                    epochs.insert(
-                        e,
-                        (
-                            ev.field("groups"),
-                            ev.field("committed"),
-                            ev.field("deferred"),
-                        ),
-                    );
-                }
+                epochs.insert(
+                    e,
+                    (
+                        ev.field("groups"),
+                        ev.field("committed"),
+                        ev.field("deferred"),
+                    ),
+                );
             }
             "sched.steal" => {
-                if let Some(e) = epoch_idx {
-                    let s = steals.entry(e).or_default();
-                    s.0 += 1;
-                    s.1 += ev.field("stolen_ranks") as u64;
-                }
+                let s = steals.entry(e).or_default();
+                s.0 += 1;
+                s.1 += ev.field("stolen_ranks") as u64;
             }
             _ => {}
         }
@@ -1371,9 +975,10 @@ fn audit_trace(path: &Path, report: &mut Vec<Drift>) {
 
     // Idle breakdown: rank.idle events (emitted once per world rank from
     // rank 0) carry idle wall seconds plus busy/wall fields.
-    let idles: Vec<&TraceLine> = events
+    let idles: Vec<&RecEvent> = doc
+        .events
         .iter()
-        .filter(|e| e.str("name") == "rank.idle")
+        .filter(|e| e.name == "rank.idle")
         .collect();
     if !idles.is_empty() {
         // A rank.idle event without its expected fields is a malformed
@@ -1381,30 +986,30 @@ fn audit_trace(path: &Path, report: &mut Vec<Drift>) {
         // silently folding 0.0 into the breakdown.
         let mut complete = true;
         for e in &idles {
-            for (what, present) in [
-                ("wall_s value", e.try_num("wall_s").is_some()),
-                ("fields.wall_s", e.try_field("wall_s").is_some()),
-                ("fields.rank", e.try_field("rank").is_some()),
-            ] {
-                if !present {
-                    drift(report, path, format!("rank.idle event missing {what}"));
+            for key in ["wall_s", "rank"] {
+                if !has_field(e, key) {
+                    drift(
+                        report,
+                        path,
+                        format!("rank.idle event missing fields.{key}"),
+                    );
                     complete = false;
                 }
             }
         }
         if complete {
             let wall = idles.iter().map(|e| e.field("wall_s")).fold(0.0, f64::max);
-            let idle_sum: f64 = idles.iter().map(|e| e.num("wall_s")).sum();
+            let idle_sum: f64 = idles.iter().map(|e| e.wall_s).sum();
             let worst = idles
                 .iter()
-                .max_by(|a, b| a.num("wall_s").total_cmp(&b.num("wall_s")))
+                .max_by(|a, b| a.wall_s.total_cmp(&b.wall_s))
                 .expect("non-empty");
             println!(
                 "  idle: {} ranks, makespan {wall:.3}s, total idle {idle_sum:.3}s \
                  (worst rank {:.0}: {:.3}s)",
                 idles.len(),
                 worst.field("rank"),
-                worst.num("wall_s"),
+                worst.wall_s,
             );
         }
     }
@@ -1426,25 +1031,62 @@ fn audit_trace(path: &Path, report: &mut Vec<Drift>) {
     }
 
     // The deterministic cost-unit critical path, when the trace carries
-    // schedule narration (v2 traces of scheduler runs).
-    if let Ok(doc) = TraceDoc::parse(&text) {
-        match critical_path(&doc, None) {
-            Ok(cp) => println!(
-                "  critical path: {:.6e} units over {} epoch(s), straggler job {:?}",
-                cp.total_units,
-                cp.epochs.len(),
-                cp.straggler_job
-            ),
-            Err(TraceError::NoSchedule(_)) => {}
-            Err(e) => drift(report, path, format!("critical path: {e}")),
-        }
+    // schedule narration.
+    match critical_path(&doc, None) {
+        Ok(cp) => println!(
+            "  critical path: {:.6e} units over {} epoch(s), straggler job {:?}",
+            cp.total_units,
+            cp.epochs.len(),
+            cp.straggler_job
+        ),
+        Err(TraceError::NoSchedule(_)) => {}
+        Err(e) => drift(report, path, format!("critical path: {e}")),
     }
 }
 
-/// Extract the epoch index from a span path like
-/// `batch:svc/epoch:2/group:0/...`.
-fn epoch_of_path(path: &str) -> Option<u64> {
-    path.split('/')
-        .find_map(|seg| seg.strip_prefix("epoch:"))
-        .and_then(|v| v.parse().ok())
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Write `text` to a fresh temp file named `name` and return its path.
+    fn temp_artifact(name: &str, text: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("smdoctor-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        path
+    }
+
+    /// A `git_commit` stamp whose byte 12 falls inside a code point is
+    /// printed (truncated on a `char` boundary), never a panic.
+    #[test]
+    fn audit_bench_survives_a_non_ascii_commit_stamp() {
+        let path = temp_artifact(
+            "BENCH_nonascii.json",
+            r#"{"bench":"x","schema_version":1,"git_commit":"a€€€€","generated_at":"t","data":{}}"#,
+        );
+        let mut report = Vec::new();
+        audit_bench(&path, &mut report);
+        std::fs::remove_file(&path).unwrap();
+        assert!(report.is_empty(), "a well-stamped document has no drift");
+    }
+
+    /// `TraceDoc::parse`'s error is the drift message, version mismatch
+    /// included.
+    #[test]
+    fn audit_trace_reports_the_parse_error_as_drift() {
+        let path = temp_artifact(
+            "TRACE_old.jsonl",
+            "{\"schema\":\"sm-trace\",\"version\":1,\"label\":\"x\"}\n",
+        );
+        let mut report = Vec::new();
+        audit_trace(&path, &mut report);
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(report.len(), 1);
+        assert!(
+            report[0].what.contains("version mismatch"),
+            "{}",
+            report[0].what
+        );
+    }
 }

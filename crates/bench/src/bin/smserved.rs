@@ -38,54 +38,13 @@ use std::process::ExitCode;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
-use sm_comsim::SerialComm;
-use sm_core::engine::EngineOptions;
-use sm_dbcsr::{BlockedDims, DbcsrMatrix};
-use sm_linalg::Matrix;
+use sm_bench::workloads::{fresh_engine, gc_spec, same_bits};
 use sm_pipeline::{
-    Priority, ScfJobSpec, ServiceConfig, ServiceEvent, ServiceRequest, StreamingScfService,
-    SubmatrixEngine,
+    Priority, ServiceConfig, ServiceEvent, ServiceRequest, StreamingScfService, SubmatrixEngine,
 };
 
 /// Exit code for usage errors (mirrors `smdoctor`).
 const EXIT_USAGE: u8 = 2;
-
-/// Deterministic banded symmetric matrix with a spectral gap at 0 (the
-/// scheduler ablations' construction).
-fn banded(nb: usize, bs: usize, seed: u64) -> DbcsrMatrix {
-    let n = nb * bs;
-    let mut dense = Matrix::from_fn(n, n, |i, j| {
-        let bi = (i / bs) as isize;
-        let bj = (j / bs) as isize;
-        if (bi - bj).abs() > 1 {
-            0.0
-        } else if i == j {
-            (if i % 2 == 0 { 1.0 } else { -1.0 }) + ((seed % 13) as f64) * 0.011
-        } else {
-            0.05 / (1.0 + (i as f64 - j as f64).abs())
-        }
-    });
-    dense.symmetrize();
-    DbcsrMatrix::from_dense(&dense, BlockedDims::uniform(nb, bs), 0, 1, 0.0)
-}
-
-/// A grand-canonical SCF spec over [`banded`], half filling, µ = 0.
-fn gc_spec(name: &str, nb: usize, seed: u64) -> ScfJobSpec {
-    let kt0 = banded(nb, 2, seed);
-    let n_electrons = kt0.n() as f64;
-    let mut spec = ScfJobSpec::new(name, kt0, 0.0, n_electrons);
-    spec.scf.max_iter = 8;
-    spec.scf.tol = 1e-9;
-    spec.scf.ensemble = sm_chem::ScfEnsemble::GrandCanonical;
-    spec
-}
-
-fn fresh_engine() -> Arc<SubmatrixEngine> {
-    Arc::new(SubmatrixEngine::new(EngineOptions {
-        parallel: false,
-        ..EngineOptions::default()
-    }))
-}
 
 /// One reply line per [`ServiceEvent`].
 fn render(event: &ServiceEvent) -> String {
@@ -151,7 +110,7 @@ fn parse_line(line: &str) -> Result<Option<ServiceRequest>, String> {
                 return Err("nb must be >= 1".into());
             }
             Ok(Some(ServiceRequest::Submit(
-                Box::new(gc_spec(name, nb, seed)),
+                Box::new(gc_spec(name, nb, seed, 8, 1e-9)),
                 priority,
             )))
         }
@@ -316,7 +275,6 @@ fn run_demo(config: ServiceConfig) -> ExitCode {
         warm_stats.cache_hits, warm_stats.executions,
         "every warm planning decision is a hit"
     );
-    let comm = SerialComm::new();
     for (c, w) in cold_window
         .outcome
         .results
@@ -325,9 +283,7 @@ fn run_demo(config: ServiceConfig) -> ExitCode {
     {
         assert_eq!(c.name, w.name);
         assert!(
-            c.result
-                .to_dense(&comm)
-                .allclose(&w.result.to_dense(&comm), 0.0),
+            same_bits(&c.result, &w.result),
             "job '{}' density changed across the restart",
             c.name
         );

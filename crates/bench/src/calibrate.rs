@@ -60,7 +60,7 @@ pub fn calibration_json(label: &str, report: &CalibrationReport) -> Json {
 
 /// Fit and write `results/CALIB_perfmodel.json` for the traced batch
 /// `label`, returning the written path. The standard tail call of a
-/// traced bench run (`ablation_scf_service` does this after its traced
+/// traced bench run (`repro scf_service` does this after its traced
 /// rerun).
 pub fn write_calibration(doc: &TraceDoc, label: &str) -> PathBuf {
     let report = calibration_report(doc, label);

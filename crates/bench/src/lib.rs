@@ -1,16 +1,22 @@
 //! # sm-bench — experiment harness
 //!
-//! One binary per table/figure of the paper's evaluation (see DESIGN.md's
-//! per-experiment index) plus ablation studies and criterion micro-benches.
-//! Binaries print the same series the paper plots and drop CSV files under
-//! `results/`.
+//! One experiment table ([`experiments::EXPERIMENTS`]) behind one binary:
+//! `repro <name>…` runs entries — every figure and table of the paper's
+//! evaluation plus the ablation studies — and `repro --list` prints them.
+//! An experiment returns a [`output::Report`] of typed cells, printed as
+//! an aligned table and written as exactly one artifact,
+//! `results/BENCH_<name>.json`. `smdoctor` audits and compares those
+//! artifacts ([`compare`] is its regression gate); `smserved` is the
+//! streaming daemon.
 //!
 //! Scale conventions: the laptop-scale defaults finish in seconds to a few
 //! minutes; experiments that *solve* systems use a shortened basis range
 //! ([`workloads::accuracy_basis`]) so per-column submatrices stay small,
-//! while pattern/model experiments use the standard ranges. Passing
-//! `--paper` to a binary enlarges the workload toward the paper's sizes.
+//! while pattern/model experiments use the standard ranges. `--paper`
+//! enlarges the workloads toward the paper's sizes.
 
 pub mod calibrate;
+pub mod compare;
+pub mod experiments;
 pub mod output;
 pub mod workloads;

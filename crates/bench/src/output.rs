@@ -1,91 +1,236 @@
-//! CSV + console output helpers shared by the experiment binaries.
+//! Typed report cells, the aligned console table and the one stamped
+//! JSON artifact every experiment writes.
 
 use std::fs;
-use std::io::Write;
 use std::path::PathBuf;
 
-/// Directory where experiment CSVs are written (`results/`, created on
-/// demand next to the workspace root or the current directory).
+/// The workspace JSON value (lives in `sm_trace::json` so the trace
+/// analyzers share the parser/serializer).
+pub use sm_trace::json::Json;
+
+/// Directory the artifacts are written to (`results/` under the current
+/// directory, created on demand).
 pub fn results_dir() -> PathBuf {
     let dir = PathBuf::from("results");
     fs::create_dir_all(&dir).expect("cannot create results directory");
     dir
 }
 
-/// Schema version of the CSV artifacts' `# schema=sm-csv ...` comment
-/// header (same discipline as the JSON stamps: bump only with a
-/// migration note; `smdoctor --check` audits it).
-pub const CSV_SCHEMA_VERSION: u32 = 1;
-
-/// The `# schema=sm-csv ...` comment line stamped atop every CSV output
-/// (self-describing artifacts: schema version + producing bench).
-pub fn csv_schema_header(stem: &str) -> String {
-    format!("# schema=sm-csv version={CSV_SCHEMA_VERSION} bench={stem}")
+/// One table cell: a typed value that renders once as the table text and
+/// once as the JSON series value, so the two can never disagree.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Cell {
+    /// A counter.
+    Int(u64),
+    /// A float printed with a fixed number of decimals.
+    Fixed(f64, usize),
+    /// A float printed in scientific notation with the given mantissa
+    /// digits.
+    Sci(f64, usize),
+    /// As [`Cell::Sci`] with an explicit sign (signed errors).
+    Signed(f64, usize),
+    /// A label.
+    Str(String),
+    /// A yes/no property.
+    Flag(bool),
+    /// Measured wall seconds: report-only under the two-clock rule, never
+    /// asserted and never gated.
+    Wall(f64),
 }
 
-/// Write a CSV file into [`results_dir`] and announce it on stdout.
-///
-/// The first line is the [`csv_schema_header`] comment stamp (consumers
-/// skip `#` lines), then the column header, then the rows. Every CSV
-/// additionally materializes as a stable-schema `BENCH_<stem>.json`
-/// trajectory document (see [`write_bench_json`]), so all experiment
-/// binaries feed the machine-readable result trajectory without
-/// per-binary plumbing.
-pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) {
-    let path = results_dir().join(name);
-    let stem = name.strip_suffix(".csv").unwrap_or(name);
-    let mut f = fs::File::create(&path).expect("cannot create CSV file");
-    writeln!(f, "{}", csv_schema_header(stem)).expect("write schema stamp");
-    writeln!(f, "{}", header.join(",")).expect("write header");
-    for row in rows {
-        writeln!(f, "{}", row.join(",")).expect("write row");
+impl Cell {
+    /// The text printed in the table and stored in `data.table.rows`.
+    pub fn text(&self) -> String {
+        match self {
+            Cell::Int(n) => n.to_string(),
+            Cell::Fixed(x, decimals) => format!("{x:.decimals$}"),
+            Cell::Sci(x, digits) => format!("{x:.digits$e}"),
+            Cell::Signed(x, digits) => format!("{x:+.digits$e}"),
+            Cell::Str(s) => s.clone(),
+            Cell::Flag(b) => b.to_string(),
+            Cell::Wall(s) => format!("{s:.3e}"),
+        }
     }
-    println!("wrote {} ({} rows)", path.display(), rows.len());
-    write_bench_json(stem, bench_table(header, rows));
+
+    /// The full-precision value stored in `data.series`.
+    pub fn json(&self) -> Json {
+        match self {
+            Cell::Int(n) => Json::Num(*n as f64),
+            Cell::Fixed(x, _) | Cell::Sci(x, _) | Cell::Signed(x, _) | Cell::Wall(x) => {
+                Json::Num(*x)
+            }
+            Cell::Str(s) => Json::Str(s.clone()),
+            Cell::Flag(b) => Json::Bool(*b),
+        }
+    }
+
+    /// The numeric value (`None` for labels and flags) — what the shape
+    /// checks after a sweep read back instead of re-parsing the text.
+    pub fn value(&self) -> Option<f64> {
+        self.json().as_f64()
+    }
 }
 
-/// Schema version of the `BENCH_*.json` trajectory documents. Bump only
-/// with a migration note; downstream tooling keys on it.
+impl From<usize> for Cell {
+    fn from(n: usize) -> Cell {
+        Cell::Int(n as u64)
+    }
+}
+
+impl From<u64> for Cell {
+    fn from(n: u64) -> Cell {
+        Cell::Int(n)
+    }
+}
+
+impl From<&str> for Cell {
+    fn from(s: &str) -> Cell {
+        Cell::Str(s.to_string())
+    }
+}
+
+impl From<String> for Cell {
+    fn from(s: String) -> Cell {
+        Cell::Str(s)
+    }
+}
+
+/// What one experiment returns: a titled table of typed rows plus the
+/// scalar facts of the run. [`Report::print`] renders it for the console
+/// and [`Report::data`] as the `data` payload of `BENCH_<name>.json`.
+#[derive(Debug, Clone)]
+pub struct Report {
+    /// Heading printed above the table.
+    pub title: String,
+    /// `(table column, series key)` per cell of a row. An empty table
+    /// column keeps the cell out of the table (series only).
+    pub columns: Vec<(&'static str, &'static str)>,
+    /// The rows, one [`Cell`] per column.
+    pub rows: Vec<Vec<Cell>>,
+    /// Scalar facts of the run, written ahead of `series` and `table`.
+    pub head: Vec<(&'static str, Json)>,
+    /// Lines printed under the table, after a blank line (shape checks
+    /// against the paper).
+    pub notes: Vec<String>,
+}
+
+impl Report {
+    /// A report whose series keys are its column names.
+    pub fn new(title: &str, columns: &[&'static str]) -> Report {
+        Report::keyed(title, columns.iter().map(|&c| (c, c)).collect())
+    }
+
+    /// A report whose series keys differ from the table columns (the
+    /// baselined contract benches, whose key sets are pinned).
+    pub fn keyed(title: &str, columns: Vec<(&'static str, &'static str)>) -> Report {
+        Report {
+            title: title.to_string(),
+            columns,
+            rows: Vec::new(),
+            head: Vec::new(),
+            notes: Vec::new(),
+        }
+    }
+
+    /// Append a row and echo it on stderr as progress.
+    pub fn push(&mut self, row: Vec<Cell>) {
+        assert_eq!(row.len(), self.columns.len(), "row width != column count");
+        let echo: Vec<String> = self
+            .columns
+            .iter()
+            .zip(&row)
+            .map(|((_, key), cell)| format!("{key}={}", cell.text()))
+            .collect();
+        eprintln!("  {}", echo.join(" "));
+        self.rows.push(row);
+    }
+
+    /// The numeric values of one series key, in row order.
+    pub fn column(&self, key: &str) -> Vec<f64> {
+        let at = self
+            .columns
+            .iter()
+            .position(|(_, k)| *k == key)
+            .expect("known series key");
+        self.rows.iter().filter_map(|r| r[at].value()).collect()
+    }
+
+    /// The table as text: shown column names, then one text row per row.
+    pub fn table(&self) -> (Vec<String>, Vec<Vec<String>>) {
+        let shown: Vec<usize> = (0..self.columns.len())
+            .filter(|&i| !self.columns[i].0.is_empty())
+            .collect();
+        let header = shown.iter().map(|&i| self.columns[i].0.to_string());
+        let rows = self
+            .rows
+            .iter()
+            .map(|r| shown.iter().map(|&i| r[i].text()).collect());
+        (header.collect(), rows.collect())
+    }
+
+    /// Print the title, the aligned table and the notes to stdout.
+    pub fn print(&self) {
+        let (header, rows) = self.table();
+        let lines = || std::iter::once(&header).chain(&rows);
+        let mut widths = vec![0usize; header.len()];
+        for row in lines() {
+            for (w, cell) in widths.iter_mut().zip(row) {
+                *w = (*w).max(cell.len());
+            }
+        }
+        println!("\n{}", self.title);
+        for row in lines() {
+            let cells: Vec<String> = row
+                .iter()
+                .zip(&widths)
+                .map(|(c, w)| format!("{c:>w$}"))
+                .collect();
+            println!("{}", cells.join("  "));
+        }
+        if !self.notes.is_empty() {
+            println!("\n{}", self.notes.join("\n"));
+        }
+    }
+
+    /// The `data` payload: the facts, then `series` (one object of
+    /// full-precision values per row) and `table` (`columns` + the text
+    /// rows exactly as printed).
+    pub fn data(&self) -> Json {
+        let series = self.rows.iter().map(|row| {
+            Json::Obj(
+                self.columns
+                    .iter()
+                    .zip(row)
+                    .map(|((_, key), cell)| (key.to_string(), cell.json()))
+                    .collect(),
+            )
+        });
+        let strs = |cells: Vec<String>| Json::Arr(cells.into_iter().map(Json::Str).collect());
+        let (header, rows) = self.table();
+        let table = Json::obj([
+            ("columns", strs(header)),
+            ("rows", Json::Arr(rows.into_iter().map(strs).collect())),
+        ]);
+        let mut data = self.head.clone();
+        data.push(("series", Json::Arr(series.collect())));
+        data.push(("table", table));
+        Json::obj(data)
+    }
+
+    /// Write `results/BENCH_<name>.json` — the experiment's one artifact.
+    pub fn write(&self, name: &str) -> PathBuf {
+        write_stamped_json("BENCH", name, self.data())
+    }
+}
+
+/// Schema version of the stamped envelope. Bump only with a migration
+/// note; `smdoctor` and the committed baselines key on it.
 pub const BENCH_SCHEMA_VERSION: f64 = 1.0;
 
-/// Tabular payload for a `BENCH_*.json` document: column names plus
-/// stringly-typed rows (exactly the CSV cells, so the two outputs can
-/// never disagree).
-pub fn bench_table(header: &[&str], rows: &[Vec<String>]) -> Json {
-    Json::obj([
-        (
-            "columns",
-            Json::Arr(header.iter().map(|h| Json::Str(h.to_string())).collect()),
-        ),
-        (
-            "rows",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| Json::Arr(r.iter().map(|c| Json::Str(c.clone())).collect()))
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// Write `results/BENCH_<name>.json`, the stable-schema machine-readable
-/// trajectory record of one experiment binary. Stable key order:
-/// `{"bench", "schema_version", "git_commit", "generated_at", "data"}` —
-/// every document stamps the schema version, the workspace git commit it
-/// was produced from, and an ISO-8601 UTC timestamp, so a results
-/// directory is self-describing long after the run (`smdoctor --check`
-/// verifies the stamps). `data` is the binary-specific payload (usually
-/// [`bench_table`], optionally richer).
-pub fn write_bench_json(name: &str, data: Json) {
-    write_stamped_json("BENCH", name, data);
-}
-
-/// Write `results/<prefix>_<name>.json` with the standard provenance
-/// stamp envelope (`bench`/`schema_version`/`git_commit`/`generated_at`/
-/// `data` in stable key order). The shared writer behind
-/// [`write_bench_json`] and the calibration report
-/// (`results/CALIB_perfmodel.json`) — every stamped artifact passes the
-/// same `smdoctor --check` audit.
+/// Write `results/<prefix>_<name>.json` in the stamped envelope
+/// `{"bench", "schema_version", "git_commit", "generated_at", "data"}`
+/// (stable key order). The one writer behind `BENCH_*` and `CALIB_*`, so
+/// every stamped artifact passes the same `smdoctor --check` audit.
 pub fn write_stamped_json(prefix: &str, name: &str, data: Json) -> PathBuf {
     let doc = Json::obj([
         ("bench", Json::Str(name.to_string())),
@@ -102,7 +247,7 @@ pub fn write_stamped_json(prefix: &str, name: &str, data: Json) -> PathBuf {
 
 /// The workspace git commit (`git rev-parse HEAD`), or `"unknown"` when
 /// git or the repository is unavailable — provenance stamping must never
-/// fail a bench run.
+/// fail a run.
 pub fn workspace_git_commit() -> String {
     std::process::Command::new("git")
         .args(["rev-parse", "HEAD"])
@@ -144,67 +289,20 @@ pub fn iso8601_from_unix(secs: u64) -> String {
     format!("{year:04}-{month:02}-{d:02}T{h:02}:{m:02}:{s:02}Z")
 }
 
-/// Print an aligned table to stdout.
-pub fn print_table(header: &[&str], rows: &[Vec<String>]) {
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (w, cell) in widths.iter_mut().zip(row) {
-            *w = (*w).max(cell.len());
-        }
-    }
-    let line = |cells: &[String]| {
-        cells
-            .iter()
-            .zip(&widths)
-            .map(|(c, w)| format!("{c:>w$}"))
-            .collect::<Vec<_>>()
-            .join("  ")
-    };
-    println!(
-        "{}",
-        line(&header.iter().map(|s| s.to_string()).collect::<Vec<_>>())
-    );
-    for row in rows {
-        println!("{}", line(row));
-    }
-}
-
-/// The workspace JSON value (moved to `sm_trace::json` so the trace
-/// analyzers share the same parser/serializer; re-exported here so every
-/// existing `sm_bench::output::Json` call site keeps working).
-pub use sm_trace::json::Json;
-
-/// Write a JSON document into [`results_dir`] and announce it on stdout —
-/// the standard machine-readable output of the experiment binaries.
-pub fn write_json(name: &str, doc: &Json) {
-    let path = results_dir().join(name);
-    fs::write(&path, format!("{doc}\n")).expect("cannot write JSON file");
-    println!("wrote {}", path.display());
-}
-
-/// Format a float in compact scientific notation for tables.
-pub fn sci(x: f64) -> String {
-    format!("{x:.3e}")
-}
-
-/// Format a float with fixed decimals.
-pub fn fixed(x: f64, decimals: usize) -> String {
-    format!("{x:.decimals$}")
-}
-
-/// True if `--paper` (larger, paper-scale workloads) was passed.
-pub fn paper_scale() -> bool {
-    std::env::args().any(|a| a == "--paper")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn formatting_helpers() {
-        assert_eq!(sci(1234.5), "1.234e3");
-        assert_eq!(fixed(1.23456, 2), "1.23");
+    fn cells_render_text_and_full_precision_values() {
+        assert_eq!(Cell::Sci(1234.5, 3).text(), "1.234e3");
+        assert_eq!(Cell::Signed(0.00125, 2).text(), "+1.25e-3");
+        assert_eq!(Cell::Fixed(1.23456, 2).text(), "1.23");
+        assert_eq!(Cell::Fixed(1.23456, 2).json(), Json::Num(1.23456));
+        assert_eq!(Cell::from(7usize).text(), "7");
+        assert_eq!(Cell::Flag(true).json(), Json::Bool(true));
+        assert_eq!(Cell::Wall(0.25).text(), "2.500e-1");
+        assert_eq!(Cell::from("x").value(), None);
     }
 
     #[test]
@@ -222,31 +320,36 @@ mod tests {
         );
     }
 
+    /// Round trip of the single `BENCH_<name>.json` writer: stable key
+    /// order, stamps present, table cells equal the printed table, series
+    /// carries the typed values under the series keys.
     #[test]
-    fn csv_roundtrip() {
-        write_csv(
-            "test_output_helper.csv",
-            &["a", "b"],
-            &[vec!["1".into(), "2".into()]],
+    fn bench_json_roundtrip() {
+        let mut report = Report::keyed(
+            "helper",
+            vec![("a", "a"), ("b", "b_full"), ("", "hidden"), ("t_s", "t_s")],
         );
-        let content =
-            std::fs::read_to_string(results_dir().join("test_output_helper.csv")).unwrap();
-        assert_eq!(
-            content,
-            "# schema=sm-csv version=1 bench=test_output_helper\na,b\n1,2\n"
-        );
-        std::fs::remove_file(results_dir().join("test_output_helper.csv")).unwrap();
-        // The CSV also materialized as a stable-schema BENCH document,
-        // stamped with provenance in a fixed key order.
-        let bench =
-            std::fs::read_to_string(results_dir().join("BENCH_test_output_helper.json")).unwrap();
-        let doc = Json::parse(&bench).expect("BENCH document parses");
-        let keys: Vec<&str> = match &doc {
-            Json::Obj(pairs) => pairs.iter().map(|(k, _)| k.as_str()).collect(),
-            other => panic!("expected object, got {other:?}"),
+        report.head.push(("jobs", Json::Num(3.0)));
+        report.push(vec![
+            1usize.into(),
+            Cell::Fixed(2.0625, 2),
+            Cell::Flag(true),
+            Cell::Wall(0.5),
+        ]);
+        let (header, rows) = report.table();
+        assert_eq!(header, ["a", "b", "t_s"]);
+        assert_eq!(rows, [["1", "2.06", "5.000e-1"]]);
+
+        let path = report.write("test_output_helper");
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(path, results_dir().join("BENCH_test_output_helper.json"));
+        let doc = Json::parse(&text).expect("BENCH document parses");
+        let keys = |j: &Json| -> Vec<String> {
+            j.as_obj().unwrap().iter().map(|(k, _)| k.clone()).collect()
         };
         assert_eq!(
-            keys,
+            keys(&doc),
             [
                 "bench",
                 "schema_version",
@@ -270,11 +373,15 @@ mod tests {
             "ISO-8601 UTC stamp, got {stamp:?}"
         );
         let data = doc.get("data").unwrap();
+        assert_eq!(keys(data), ["jobs", "series", "table"]);
         assert_eq!(
-            data.get("columns").unwrap().as_arr().unwrap(),
-            &[Json::Str("a".into()), Json::Str("b".into())]
+            data.get("table").unwrap().to_string(),
+            r#"{"columns":["a","b","t_s"],"rows":[["1","2.06","5.000e-1"]]}"#
         );
-        std::fs::remove_file(results_dir().join("BENCH_test_output_helper.json")).unwrap();
+        assert_eq!(
+            data.get("series").unwrap().to_string(),
+            r#"[{"a":1,"b_full":2.0625,"hidden":true,"t_s":0.5}]"#
+        );
     }
 
     #[test]

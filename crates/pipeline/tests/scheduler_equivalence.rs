@@ -135,12 +135,18 @@ fn scheduler_matches_queue_bitwise_at_1_2_4_ranks_per_job() {
 
 #[test]
 fn scheduler_handles_more_jobs_than_ranks() {
-    // 4 jobs on a 2-rank world: groups run multiple jobs sequentially.
+    // 4 jobs under the default rank budget at the world sizes of the
+    // former scheduler ablation: fewer ranks than jobs (groups run several
+    // jobs in turn) up to two ranks per job.
     let jobs = mixed_batch(3);
     let serial = JobQueue::default().run(jobs.clone());
-    let outcome = Scheduler::default().run(2, jobs);
-    assert_eq!(outcome.schedule.static_plan.groups.len(), 2);
-    assert_batches_bitwise_equal(&outcome.results, &serial, 1);
+    for world in [1usize, 2, 4, 8] {
+        let outcome = Scheduler::default().run(world, jobs.clone());
+        if world == 2 {
+            assert_eq!(outcome.schedule.static_plan.groups.len(), 2);
+        }
+        assert_batches_bitwise_equal(&outcome.results, &serial, (world / jobs.len()).max(1));
+    }
 }
 
 #[test]
