@@ -46,6 +46,11 @@ use sm_pipeline::{
 /// Exit code for usage errors (mirrors `smdoctor`).
 const EXIT_USAGE: u8 = 2;
 
+/// Largest `nb` a `submit` line may ask for. A job is built dense before it
+/// is blocked — `(2·nb)²` doubles, 32 MiB here — so an unbounded `nb` from
+/// the wire overflows that product or aborts in the allocator.
+const MAX_NB: usize = 1024;
+
 /// One reply line per [`ServiceEvent`].
 fn render(event: &ServiceEvent) -> String {
     match event {
@@ -104,11 +109,11 @@ fn parse_line(line: &str) -> Result<Option<ServiceRequest>, String> {
                 Some(p) => Priority::parse(p)
                     .ok_or_else(|| format!("bad priority '{p}' (low|normal|high)"))?,
             };
-            let nb: usize = nb.parse().map_err(|_| format!("bad nb '{nb}'"))?;
+            let nb: usize = match nb.parse() {
+                Ok(n) if (1..=MAX_NB).contains(&n) => n,
+                _ => return Err(format!("bad nb '{nb}' (1..={MAX_NB})")),
+            };
             let seed: u64 = seed.parse().map_err(|_| format!("bad seed '{seed}'"))?;
-            if nb == 0 {
-                return Err("nb must be >= 1".into());
-            }
             Ok(Some(ServiceRequest::Submit(
                 Box::new(gc_spec(name, nb, seed, 8, 1e-9)),
                 priority,
@@ -370,4 +375,28 @@ fn main() -> ExitCode {
         );
     }
     code
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn submit(nb: &str) -> Result<Option<ServiceRequest>, String> {
+        parse_line(&format!("submit a {nb} 1"))
+    }
+
+    #[test]
+    fn parse_line_bounds_nb() {
+        assert!(matches!(
+            submit(&MAX_NB.to_string()),
+            Ok(Some(ServiceRequest::Submit(..)))
+        ));
+        let refused = [0, MAX_NB + 1, 4_000_000_000, usize::MAX].map(|n| n.to_string());
+        for nb in refused.iter().map(String::as_str).chain(["-1", "x"]) {
+            match submit(nb) {
+                Err(e) => assert!(e.starts_with(&format!("bad nb '{nb}'")), "{e}"),
+                Ok(_) => panic!("nb '{nb}' is outside 1..={MAX_NB} and must be refused"),
+            }
+        }
+    }
 }

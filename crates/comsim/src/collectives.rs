@@ -9,10 +9,7 @@
 //! equivalence story: the serial/distributed bitwise contract depends on
 //! both communicators combining values in the same order.
 
-use std::time::Duration;
-
 use crate::comm::{Payload, ReduceOp};
-use crate::fault::CommError;
 
 /// The point-to-point substrate a collective runs on. Tags are supplied
 /// by the caller (each transport manages its own collective-tag
@@ -22,19 +19,6 @@ pub(crate) trait Transport {
     fn p2p_size(&self) -> usize;
     fn send_p2p(&self, dst: usize, tag: u64, payload: Payload);
     fn recv_p2p(&self, src: usize, tag: u64) -> Payload;
-
-    /// Deadline receive for the fallible collective variants. Transports
-    /// without a failure model either have the message or never will, so
-    /// the default just forwards to the blocking receive.
-    fn recv_p2p_deadline(
-        &self,
-        src: usize,
-        tag: u64,
-        timeout: Duration,
-    ) -> Result<Payload, CommError> {
-        let _ = timeout;
-        Ok(self.recv_p2p(src, tag))
-    }
 }
 
 /// In-place elementwise reduction; every rank ends with the combined
@@ -133,92 +117,6 @@ pub(crate) fn broadcast_f64<T: Transport>(t: &T, tag: u64, root: usize, x: &mut 
     } else {
         *x = t.recv_p2p(root, tag).into_f64();
     }
-}
-
-/// Fallible [`allreduce_f64`]: identical combine order (so results stay
-/// bitwise-equal to the infallible path), but every receive carries a
-/// deadline and a short or missing contribution surfaces as a typed
-/// [`CommError`] instead of a panic or a hang.
-pub(crate) fn try_allreduce_f64<T: Transport>(
-    t: &T,
-    tag_up: u64,
-    tag_down: u64,
-    op: ReduceOp,
-    x: &mut [f64],
-    timeout: Duration,
-) -> Result<(), CommError> {
-    if t.p2p_rank() == 0 {
-        for src in 1..t.p2p_size() {
-            let contrib = t.recv_p2p_deadline(src, tag_up, timeout)?.into_f64();
-            if contrib.len() != x.len() {
-                return Err(CommError::Truncated {
-                    expected: x.len(),
-                    got: contrib.len(),
-                });
-            }
-            for (xi, ci) in x.iter_mut().zip(contrib) {
-                *xi = op.combine(*xi, ci);
-            }
-        }
-        for dst in 1..t.p2p_size() {
-            t.send_p2p(dst, tag_down, Payload::F64(x.to_vec()));
-        }
-    } else {
-        t.send_p2p(0, tag_up, Payload::F64(x.to_vec()));
-        let combined = t.recv_p2p_deadline(0, tag_down, timeout)?.into_f64();
-        if combined.len() != x.len() {
-            return Err(CommError::Truncated {
-                expected: x.len(),
-                got: combined.len(),
-            });
-        }
-        x.copy_from_slice(&combined);
-    }
-    Ok(())
-}
-
-/// Fallible [`allgather_u64`]: deadline receives, typed errors.
-pub(crate) fn try_allgather_u64<T: Transport>(
-    t: &T,
-    tag: u64,
-    local: &[u64],
-    timeout: Duration,
-) -> Result<Vec<Vec<u64>>, CommError> {
-    for dst in 0..t.p2p_size() {
-        if dst != t.p2p_rank() {
-            t.send_p2p(dst, tag, Payload::U64(local.to_vec()));
-        }
-    }
-    let mut out = vec![Vec::new(); t.p2p_size()];
-    out[t.p2p_rank()] = local.to_vec();
-    for (src, slot) in out.iter_mut().enumerate() {
-        if src != t.p2p_rank() {
-            *slot = t.recv_p2p_deadline(src, tag, timeout)?.into_u64();
-        }
-    }
-    Ok(out)
-}
-
-/// Fallible [`barrier_p2p`]: a dead or absent member surfaces as a typed
-/// error on every survivor instead of hanging the group.
-pub(crate) fn try_barrier_p2p<T: Transport>(
-    t: &T,
-    tag_up: u64,
-    tag_down: u64,
-    timeout: Duration,
-) -> Result<(), CommError> {
-    if t.p2p_rank() == 0 {
-        for src in 1..t.p2p_size() {
-            t.recv_p2p_deadline(src, tag_up, timeout)?;
-        }
-        for dst in 1..t.p2p_size() {
-            t.send_p2p(dst, tag_down, Payload::U64(Vec::new()));
-        }
-    } else {
-        t.send_p2p(0, tag_up, Payload::U64(Vec::new()));
-        t.recv_p2p_deadline(0, tag_down, timeout)?;
-    }
-    Ok(())
 }
 
 /// Gather-to-root + release fan-out: a barrier for transports without a

@@ -6,8 +6,8 @@ use std::time::Duration;
 use crate::fault::CommError;
 
 /// Message payload. Keeping this a closed enum (instead of generics) lets
-/// heterogeneous traffic — dense block data, block-ID lists, raw bytes —
-/// share one mailbox and one byte-accounting path.
+/// heterogeneous traffic — dense block data, block-ID lists — share one
+/// mailbox and one byte-accounting path.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Payload {
     /// Dense floating-point data (matrix blocks, reduction operands).
@@ -17,8 +17,6 @@ pub enum Payload {
     F32(Vec<f32>),
     /// Index/ID lists (block IDs, counts, permutations).
     U64(Vec<u64>),
-    /// Opaque bytes.
-    Bytes(Vec<u8>),
 }
 
 impl Payload {
@@ -28,7 +26,6 @@ impl Payload {
             Payload::F64(v) => v.len() * 8,
             Payload::F32(v) => v.len() * 4,
             Payload::U64(v) => v.len() * 8,
-            Payload::Bytes(v) => v.len(),
         }
     }
 
@@ -43,17 +40,6 @@ impl Payload {
         }
     }
 
-    /// Unwrap an `F32` payload.
-    ///
-    /// # Panics
-    /// Panics if the payload has a different variant — a protocol error.
-    pub fn into_f32(self) -> Vec<f32> {
-        match self {
-            Payload::F32(v) => v,
-            other => panic!("expected F32 payload, got {other:?}"),
-        }
-    }
-
     /// Unwrap a `U64` payload.
     ///
     /// # Panics
@@ -62,17 +48,6 @@ impl Payload {
         match self {
             Payload::U64(v) => v,
             other => panic!("expected U64 payload, got {other:?}"),
-        }
-    }
-
-    /// Unwrap a `Bytes` payload.
-    ///
-    /// # Panics
-    /// Panics if the payload has a different variant — a protocol error.
-    pub fn into_bytes(self) -> Vec<u8> {
-        match self {
-            Payload::Bytes(v) => v,
-            other => panic!("expected Bytes payload, got {other:?}"),
         }
     }
 }
@@ -117,42 +92,17 @@ pub trait Comm {
     /// Messages between the same (src, dst, tag) triple preserve order.
     fn recv(&self, src: usize, tag: u64) -> Payload;
 
-    /// Fallible send: returns [`CommError::RankFailed`] instead of
-    /// panicking when the destination is known dead. The default forwards
-    /// to [`send`](Comm::send) (transports without a fault model cannot
-    /// lose a peer).
-    fn try_send(&self, dst: usize, tag: u64, payload: Payload) -> Result<(), CommError> {
-        self.send(dst, tag, payload);
-        Ok(())
-    }
-
     /// Deadline-based receive: blocks at most `timeout`, then returns
     /// [`CommError::Timeout`]; a peer known to have failed yields
     /// [`CommError::RankFailed`] without waiting. This is the primitive
     /// that guarantees a dead peer can never hang a group. The default
-    /// forwards to the blocking [`recv`](Comm::recv) (single-threaded and
-    /// fault-free transports either have the message or never will).
+    /// forwards to the blocking [`recv`](Comm::recv): a single-rank
+    /// transport either has the message or never will, and fault-tolerant
+    /// protocols post their deadline receives on the world communicator,
+    /// never on a subgroup.
     fn recv_deadline(&self, src: usize, tag: u64, timeout: Duration) -> Result<Payload, CommError> {
         let _ = timeout;
         Ok(self.recv(src, tag))
-    }
-
-    /// Deadline counterpart of [`recv_subgroup`](Comm::recv_subgroup),
-    /// used by subcommunicators' fallible collectives.
-    fn recv_subgroup_deadline(
-        &self,
-        src: usize,
-        tag: u64,
-        timeout: Duration,
-    ) -> Result<Payload, CommError> {
-        let _ = timeout;
-        Ok(self.recv_subgroup(src, tag))
-    }
-
-    /// Fallible counterpart of [`send_subgroup`](Comm::send_subgroup).
-    fn try_send_subgroup(&self, dst: usize, tag: u64, payload: Payload) -> Result<(), CommError> {
-        self.send_subgroup(dst, tag, payload);
-        Ok(())
     }
 
     /// Synchronize all ranks.
@@ -292,21 +242,12 @@ mod tests {
         assert_eq!(Payload::F64(vec![0.0; 3]).byte_len(), 24);
         assert_eq!(Payload::F32(vec![0.0; 3]).byte_len(), 12);
         assert_eq!(Payload::U64(vec![0; 2]).byte_len(), 16);
-        assert_eq!(Payload::Bytes(vec![0; 5]).byte_len(), 5);
     }
 
     #[test]
     fn payload_unwrap() {
         assert_eq!(Payload::F64(vec![1.0]).into_f64(), vec![1.0]);
-        assert_eq!(Payload::F32(vec![1.5]).into_f32(), vec![1.5]);
         assert_eq!(Payload::U64(vec![2]).into_u64(), vec![2]);
-        assert_eq!(Payload::Bytes(vec![3]).into_bytes(), vec![3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "expected F32")]
-    fn payload_wrong_f32_unwrap_panics() {
-        Payload::F64(vec![1.0]).into_f32();
     }
 
     #[test]
@@ -340,7 +281,7 @@ mod tests {
             c.recv_deadline(0, 7, Duration::from_millis(1)),
             Err(CommError::Timeout { src: 0, tag: 7 })
         );
-        c.try_send(0, 7, Payload::U64(vec![9])).unwrap();
+        c.send(0, 7, Payload::U64(vec![9]));
         assert_eq!(
             c.recv_deadline(0, 7, Duration::from_millis(1))
                 .unwrap()

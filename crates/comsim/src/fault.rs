@@ -11,9 +11,9 @@
 //! and injection counters. That is what lets the `fault_equivalence` suite
 //! assert bitwise-identical results for every non-quarantined job.
 //!
-//! Abnormal *outcomes* surface as typed [`CommError`]s from the fallible
-//! communicator variants (`try_send`, `recv_deadline`, `try_allreduce_f64`,
-//! …) instead of panics; deadline-based receives guarantee a dead peer can
+//! Abnormal *outcomes* surface as typed [`CommError`]s from the one
+//! fallible primitive, [`Comm::recv_deadline`](crate::comm::Comm::recv_deadline),
+//! instead of panics; a deadline-based receive guarantees a dead peer can
 //! never hang a group. Shared runtime state — which ranks have actually
 //! failed, how many injections fired — lives in a [`FaultState`] so
 //! surviving ranks can detect a death *deterministically* (a failing rank
@@ -31,8 +31,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Typed communication failure, returned by the fallible communicator
-/// variants instead of a panic. Programmer errors (wrong payload variant,
+/// Typed communication failure, returned by a deadline receive instead of
+/// a panic. Programmer errors (wrong payload variant,
 /// tag-namespace trespass) still panic; `CommError` is reserved for
 /// conditions a robust caller is expected to handle.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,13 +50,6 @@ pub enum CommError {
         /// Tag the receive was posted against.
         tag: u64,
     },
-    /// A payload arrived shorter than the protocol requires.
-    Truncated {
-        /// Elements the protocol expected.
-        expected: usize,
-        /// Elements actually received.
-        got: usize,
-    },
 }
 
 impl std::fmt::Display for CommError {
@@ -65,12 +58,6 @@ impl std::fmt::Display for CommError {
             CommError::RankFailed { rank } => write!(f, "rank {rank} failed"),
             CommError::Timeout { src, tag } => {
                 write!(f, "timed out waiting for src {src} tag {tag:#x}")
-            }
-            CommError::Truncated { expected, got } => {
-                write!(
-                    f,
-                    "truncated payload: expected {expected} elements, got {got}"
-                )
             }
         }
     }
@@ -159,7 +146,7 @@ impl FaultPlan {
     /// The `nth` message (0-based send count) from `src` to `dst` is lost
     /// on the wire. Dropped messages surface at the receiver as
     /// [`CommError::Timeout`] from a deadline receive — only protocols
-    /// built on the fallible variants should be subjected to drops.
+    /// built on deadline receives should be subjected to drops.
     pub fn drop_message(mut self, src: usize, dst: usize, nth: u64) -> Self {
         self.drops.insert((src, dst, nth));
         self
@@ -417,11 +404,5 @@ mod tests {
         assert!(CommError::Timeout { src: 1, tag: 0x10 }
             .to_string()
             .contains("0x10"));
-        assert!(CommError::Truncated {
-            expected: 4,
-            got: 2
-        }
-        .to_string()
-        .contains("expected 4"));
     }
 }

@@ -11,11 +11,11 @@
 //!   communicator into per-job subgroups ([`subcomm::SubComm`], the
 //!   `MPI_Comm_split` analogue) whose traffic rides a reserved tag
 //!   namespace and is accounted per group;
-//! * an **analytic cluster model** ([`model::ClusterModel`] +
-//!   [`model::SimClock`]) that converts per-rank FLOP and byte counts into a
-//!   simulated wall-clock time for bulk-synchronous supersteps. The scaling
-//!   experiments (paper Figs. 8–10) use this model to emulate 40–1280 cores
-//!   on a laptop-class machine; DESIGN.md documents the substitution.
+//! * an **analytic cluster model** ([`model::ClusterModel`]) that converts
+//!   per-rank FLOP and byte counts into a simulated wall-clock time for
+//!   bulk-synchronous supersteps. The scaling experiments (paper
+//!   Figs. 8–10) use this model to emulate 40–1280 cores on a laptop-class
+//!   machine; DESIGN.md documents the substitution.
 //!
 //! A [`comm::SerialComm`] single-rank implementation backs unit tests and
 //! the dense reference paths.
@@ -24,7 +24,7 @@
 //! [`fault`] module scripts deterministic rank deaths, message
 //! drops/delays, and stragglers ([`fault::FaultPlan`], installed by
 //! [`thread::run_ranks_with_faults`]), with typed [`fault::CommError`]s
-//! and deadline-based receives so a dead peer can never hang a group —
+//! from [`comm::Comm::recv_deadline`] so a dead peer can never hang a group —
 //! the substrate the scheduler's epoch-level recovery is built on.
 
 pub mod cart;
@@ -39,7 +39,7 @@ pub mod thread;
 pub use cart::Cart2d;
 pub use comm::{Comm, Payload, ReduceOp, SerialComm};
 pub use fault::{CommError, FaultPlan, FaultState, InjectionStats};
-pub use model::{ClusterModel, SimClock};
+pub use model::ClusterModel;
 pub use stats::CommStats;
 pub use subcomm::{split_known, SubComm, SUBGROUP_BIT};
 pub use thread::{run_ranks, run_ranks_with_faults, ThreadComm, COLLECTIVE_BIT};

@@ -65,59 +65,6 @@ impl ClusterModel {
     }
 }
 
-/// Per-rank simulated clock. Accumulate compute and communication charges,
-/// then combine clocks across ranks at superstep boundaries.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SimClock {
-    time: f64,
-}
-
-impl SimClock {
-    /// A clock at time zero.
-    pub fn new() -> Self {
-        SimClock::default()
-    }
-
-    /// Current simulated time, seconds.
-    pub fn time(&self) -> f64 {
-        self.time
-    }
-
-    /// Charge dense compute work.
-    pub fn charge_dense(&mut self, model: &ClusterModel, flops: f64) {
-        self.time += model.dense_compute_time(flops);
-    }
-
-    /// Charge sparse (memory-bound) compute work.
-    pub fn charge_sparse(&mut self, model: &ClusterModel, flops: f64) {
-        self.time += model.sparse_compute_time(flops);
-    }
-
-    /// Charge a data transfer.
-    pub fn charge_transfer(&mut self, model: &ClusterModel, bytes: f64, messages: f64) {
-        self.time += model.transfer_time(bytes, messages);
-    }
-
-    /// Charge raw seconds (e.g. a modeled constant overhead).
-    pub fn charge_seconds(&mut self, seconds: f64) {
-        self.time += seconds;
-    }
-
-    /// Superstep barrier over a set of per-rank clocks: every clock jumps
-    /// to the maximum (all ranks wait for the slowest).
-    pub fn synchronize(clocks: &mut [SimClock]) {
-        let t = clocks.iter().map(|c| c.time).fold(0.0, f64::max);
-        for c in clocks {
-            c.time = t;
-        }
-    }
-
-    /// Convenience: the maximum time over a set of clocks.
-    pub fn max_time(clocks: &[SimClock]) -> f64 {
-        clocks.iter().map(|c| c.time).fold(0.0, f64::max)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,28 +84,6 @@ mod tests {
         let m = ClusterModel::paper_testbed();
         assert!((m.dense_compute_time(8.0e9) - 1.0).abs() < 1e-12);
         assert!((m.sparse_compute_time(1.2e9) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn clock_accumulates_charges() {
-        let m = ClusterModel::paper_testbed();
-        let mut c = SimClock::new();
-        c.charge_dense(&m, 8.0e9);
-        c.charge_transfer(&m, 12.5e9, 0.0);
-        c.charge_seconds(0.5);
-        assert!((c.time() - 2.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn synchronize_jumps_to_slowest() {
-        let mut clocks = vec![SimClock::new(); 3];
-        clocks[1].charge_seconds(2.0);
-        clocks[2].charge_seconds(1.0);
-        SimClock::synchronize(&mut clocks);
-        for c in &clocks {
-            assert_eq!(c.time(), 2.0);
-        }
-        assert_eq!(SimClock::max_time(&clocks), 2.0);
     }
 
     #[test]

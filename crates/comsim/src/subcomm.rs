@@ -53,11 +53,9 @@
 
 use std::cell::Cell;
 use std::sync::Arc;
-use std::time::Duration;
 
 use crate::collectives::{self, Transport};
 use crate::comm::{Comm, Payload, ReduceOp};
-use crate::fault::CommError;
 use crate::stats::CommStats;
 use crate::thread::COLLECTIVE_BIT;
 
@@ -171,11 +169,6 @@ impl<'a, C: Comm> SubComm<'a, C> {
         self.color
     }
 
-    /// Parent rank of subgroup member `sub_rank`.
-    pub fn parent_rank_of(&self, sub_rank: usize) -> usize {
-        self.members[sub_rank]
-    }
-
     /// Parent ranks of all members, indexed by sub-rank.
     pub fn members(&self) -> &[usize] {
         &self.members
@@ -223,86 +216,33 @@ impl<'a, C: Comm> SubComm<'a, C> {
         SUBGROUP_BIT | (self.salt << SALT_SHIFT) | SUB_COLLECTIVE_BIT | seq
     }
 
-    /// Per-send accounting shared by the infallible and fallible send
-    /// paths: every subgroup send funnels through here, so this one
-    /// chokepoint tags all group traffic with the sender's span context.
-    /// The collective/p2p distinction is already on the wire: internal
+    /// Every subgroup send funnels through here, so this one chokepoint
+    /// counts it and tags it with the sender's span context. The
+    /// collective/p2p distinction is already on the wire: internal
     /// collectives carry SUB_COLLECTIVE_BIT, user sends keep it clear.
-    fn account_send(&self, dst: usize, parent_tag: u64, bytes: usize) {
-        if dst == self.rank {
-            return;
-        }
-        self.stats.record_send(self.rank, bytes);
-        if sm_trace::enabled() {
-            let class = if parent_tag & SUB_COLLECTIVE_BIT != 0 {
-                "collective"
-            } else {
-                "p2p"
-            };
-            sm_trace::counter_add(
-                &sm_trace::scoped(&format!("comm.{class}.bytes")),
-                bytes as u64,
-            );
-            sm_trace::counter_add(&sm_trace::scoped(&format!("comm.{class}.msgs")), 1);
-        }
-    }
-
     fn send_raw(&self, dst: usize, parent_tag: u64, payload: Payload) {
-        self.account_send(dst, parent_tag, payload.byte_len());
+        if dst != self.rank {
+            let bytes = payload.byte_len();
+            self.stats.record_send(self.rank, bytes);
+            if sm_trace::enabled() {
+                let class = if parent_tag & SUB_COLLECTIVE_BIT != 0 {
+                    "collective"
+                } else {
+                    "p2p"
+                };
+                sm_trace::counter_add(
+                    &sm_trace::scoped(&format!("comm.{class}.bytes")),
+                    bytes as u64,
+                );
+                sm_trace::counter_add(&sm_trace::scoped(&format!("comm.{class}.msgs")), 1);
+            }
+        }
         self.parent
             .send_subgroup(self.members[dst], parent_tag, payload);
     }
 
     fn recv_raw(&self, src: usize, parent_tag: u64) -> Payload {
         self.parent.recv_subgroup(self.members[src], parent_tag)
-    }
-
-    fn recv_raw_deadline(
-        &self,
-        src: usize,
-        parent_tag: u64,
-        timeout: Duration,
-    ) -> Result<Payload, CommError> {
-        self.parent
-            .recv_subgroup_deadline(self.members[src], parent_tag, timeout)
-            .map_err(|e| match e {
-                // Report failures in the caller's coordinates (the parent
-                // answers in parent ranks).
-                CommError::RankFailed { .. } => CommError::RankFailed {
-                    rank: self.members[src],
-                },
-                other => other,
-            })
-    }
-
-    /// Fallible [`Comm::allreduce_f64`]: the same deterministic combine
-    /// order, but deadline-based receives — a dead member surfaces as
-    /// [`CommError`] instead of hanging the group.
-    pub fn try_allreduce_f64(
-        &self,
-        op: ReduceOp,
-        x: &mut [f64],
-        timeout: Duration,
-    ) -> Result<(), CommError> {
-        let tag_up = self.next_collective_tag();
-        let tag_down = self.next_collective_tag();
-        collectives::try_allreduce_f64(self, tag_up, tag_down, op, x, timeout)
-    }
-
-    /// Fallible [`Comm::allgather_u64`] with deadline-based receives.
-    pub fn try_allgather_u64(
-        &self,
-        local: &[u64],
-        timeout: Duration,
-    ) -> Result<Vec<Vec<u64>>, CommError> {
-        collectives::try_allgather_u64(self, self.next_collective_tag(), local, timeout)
-    }
-
-    /// Fallible [`Comm::barrier`] with deadline-based receives.
-    pub fn try_barrier(&self, timeout: Duration) -> Result<(), CommError> {
-        let tag_up = self.next_collective_tag();
-        let tag_down = self.next_collective_tag();
-        collectives::try_barrier_p2p(self, tag_up, tag_down, timeout)
     }
 }
 
@@ -322,15 +262,6 @@ impl<C: Comm> Transport for SubComm<'_, C> {
     fn recv_p2p(&self, src: usize, tag: u64) -> Payload {
         self.recv_raw(src, tag)
     }
-
-    fn recv_p2p_deadline(
-        &self,
-        src: usize,
-        tag: u64,
-        timeout: Duration,
-    ) -> Result<Payload, CommError> {
-        self.recv_raw_deadline(src, tag, timeout)
-    }
 }
 
 impl<C: Comm> Comm for SubComm<'_, C> {
@@ -348,23 +279,6 @@ impl<C: Comm> Comm for SubComm<'_, C> {
 
     fn recv(&self, src: usize, tag: u64) -> Payload {
         self.recv_raw(src, self.user_parent_tag(tag))
-    }
-
-    fn try_send(&self, dst: usize, tag: u64, payload: Payload) -> Result<(), CommError> {
-        let parent_tag = self.user_parent_tag(tag);
-        self.account_send(dst, parent_tag, payload.byte_len());
-        self.parent
-            .try_send_subgroup(self.members[dst], parent_tag, payload)
-            .map_err(|e| match e {
-                CommError::RankFailed { .. } => CommError::RankFailed {
-                    rank: self.members[dst],
-                },
-                other => other,
-            })
-    }
-
-    fn recv_deadline(&self, src: usize, tag: u64, timeout: Duration) -> Result<Payload, CommError> {
-        self.recv_raw_deadline(src, self.user_parent_tag(tag), timeout)
     }
 
     /// Synchronize the subgroup only. (The parent barrier would deadlock:
@@ -407,24 +321,6 @@ impl<C: Comm> Comm for SubComm<'_, C> {
     }
 
     fn recv_subgroup(&self, _src: usize, _tag: u64) -> Payload {
-        panic!("nested subcommunicator splits are not supported (tag namespace is one level deep)");
-    }
-
-    fn recv_subgroup_deadline(
-        &self,
-        _src: usize,
-        _tag: u64,
-        _timeout: Duration,
-    ) -> Result<Payload, CommError> {
-        panic!("nested subcommunicator splits are not supported (tag namespace is one level deep)");
-    }
-
-    fn try_send_subgroup(
-        &self,
-        _dst: usize,
-        _tag: u64,
-        _payload: Payload,
-    ) -> Result<(), CommError> {
         panic!("nested subcommunicator splits are not supported (tag namespace is one level deep)");
     }
 }

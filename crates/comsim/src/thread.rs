@@ -78,11 +78,6 @@ impl ThreadComm {
         self.fault.as_ref().map(|f| &f.plan)
     }
 
-    /// Shared runtime fault state, if a plan is installed.
-    pub fn fault_state(&self) -> Option<&Arc<FaultState>> {
-        self.fault.as_ref().map(|f| &f.state)
-    }
-
     /// Announce this rank's death: raise its failed flag (when fault state
     /// is installed) and post a poison envelope to every peer so blocked
     /// receivers fail fast instead of hanging. Idempotent; called
@@ -156,30 +151,8 @@ impl Comm for ThreadComm {
         self.recv_internal(src, tag)
     }
 
-    fn try_send(&self, dst: usize, tag: u64, payload: Payload) -> Result<(), CommError> {
-        assert!(
-            tag & COLLECTIVE_BIT == 0,
-            "user tags must not set the collective bit"
-        );
-        assert!(
-            tag & crate::subcomm::SUBGROUP_BIT == 0,
-            "user tags must not set the subgroup bit"
-        );
-        self.try_send_internal(dst, tag, payload)
-    }
-
     fn recv_deadline(&self, src: usize, tag: u64, timeout: Duration) -> Result<Payload, CommError> {
-        self.recv_deadline_internal(src, tag, timeout)
-    }
-
-    fn recv_subgroup_deadline(
-        &self,
-        src: usize,
-        tag: u64,
-        timeout: Duration,
-    ) -> Result<Payload, CommError> {
-        crate::subcomm::assert_subgroup_tag(tag);
-        self.recv_deadline_internal(src, tag, timeout)
+        self.recv_until(src, tag, Some(timeout))
     }
 
     fn barrier(&self) {
@@ -217,11 +190,6 @@ impl Comm for ThreadComm {
         crate::subcomm::assert_subgroup_tag(tag);
         self.recv_internal(src, tag)
     }
-
-    fn try_send_subgroup(&self, dst: usize, tag: u64, payload: Payload) -> Result<(), CommError> {
-        crate::subcomm::assert_subgroup_tag(tag);
-        self.try_send_internal(dst, tag, payload)
-    }
 }
 
 impl Transport for ThreadComm {
@@ -240,28 +208,19 @@ impl Transport for ThreadComm {
     fn recv_p2p(&self, src: usize, tag: u64) -> Payload {
         self.recv_internal(src, tag)
     }
-
-    fn recv_p2p_deadline(
-        &self,
-        src: usize,
-        tag: u64,
-        timeout: Duration,
-    ) -> Result<Payload, CommError> {
-        self.recv_deadline_internal(src, tag, timeout)
-    }
 }
 
 impl ThreadComm {
-    /// Injection point + channel delivery. `Err(RankFailed)` when the
-    /// receiver thread is gone; self-sends always succeed locally.
-    fn deliver(&self, dst: usize, tag: u64, payload: Payload) -> Result<(), CommError> {
+    /// The one send path: local delivery for a self-send, otherwise the
+    /// fault plan's injection point and then the channel.
+    fn send_internal(&self, dst: usize, tag: u64, payload: Payload) {
         if dst == self.rank {
             self.mailbox
                 .borrow_mut()
                 .entry((self.rank, tag))
                 .or_default()
                 .push_back(payload);
-            return Ok(());
+            return;
         }
         if let Some(f) = &self.fault {
             let seq = {
@@ -286,7 +245,7 @@ impl ThreadComm {
                     );
                 }
                 // Lost on the wire: never delivered, never counted.
-                return Ok(());
+                return;
             }
             if let Some(d) = f.plan.delay_for(self.rank, dst, seq) {
                 f.state.count_delay();
@@ -299,13 +258,7 @@ impl ThreadComm {
         }
         // Count only inter-rank traffic: MPI self-sends are memcpys.
         self.stats.record_send(self.rank, payload.byte_len());
-        self.senders[dst]
-            .send((self.rank, tag, payload))
-            .map_err(|_| CommError::RankFailed { rank: dst })
-    }
-
-    fn send_internal(&self, dst: usize, tag: u64, payload: Payload) {
-        if self.deliver(dst, tag, payload).is_err() {
+        if self.senders[dst].send((self.rank, tag, payload)).is_err() {
             // Receiver thread gone. Under a fault model that is an
             // expected condition (sends to the dead are dropped, as MPI
             // buffered sends to a failed peer would be); without one it is
@@ -314,19 +267,6 @@ impl ThreadComm {
                 self.note_peer_failed(dst);
             } else {
                 panic!("receiver thread terminated early");
-            }
-        }
-    }
-
-    fn try_send_internal(&self, dst: usize, tag: u64, payload: Payload) -> Result<(), CommError> {
-        if dst != self.rank && self.peer_known_failed(dst) {
-            return Err(CommError::RankFailed { rank: dst });
-        }
-        match self.deliver(dst, tag, payload) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.note_peer_failed(dst);
-                Err(e)
             }
         }
     }
@@ -361,24 +301,38 @@ impl ThreadComm {
         }
     }
 
-    fn recv_internal(&self, src: usize, tag: u64) -> Payload {
+    /// The one receive loop. A blocking receive is the deadline receive
+    /// with no deadline: `timeout: None` never reads the clock and can only
+    /// fail with [`CommError::RankFailed`].
+    fn recv_until(
+        &self,
+        src: usize,
+        tag: u64,
+        timeout: Option<Duration>,
+    ) -> Result<Payload, CommError> {
+        let deadline = timeout.map(|t| Instant::now() + t);
         loop {
             if let Some(p) = self.pop_mailbox(src, tag) {
-                return p;
+                return Ok(p);
             }
             if self.peer_known_failed(src) {
                 // The peer died, but messages it sent first still count.
                 self.drain_channel();
-                if let Some(p) = self.pop_mailbox(src, tag) {
-                    return p;
-                }
-                panic!(
-                    "rank {src} failed while rank {} was blocked in recv (tag {tag:#x}); \
-                     fault-tolerant callers should use recv_deadline",
-                    self.rank
-                );
+                return self
+                    .pop_mailbox(src, tag)
+                    .ok_or(CommError::RankFailed { rank: src });
             }
-            match self.receiver.recv_timeout(FAILURE_POLL) {
+            let wait = match deadline {
+                None => FAILURE_POLL,
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return Err(CommError::Timeout { src, tag });
+                    }
+                    (deadline - now).min(FAILURE_POLL)
+                }
+            };
+            match self.receiver.recv_timeout(wait) {
                 Ok(env) => self.stash(env),
                 Err(RecvTimeoutError::Timeout) => {} // re-check failure flags
                 Err(RecvTimeoutError::Disconnected) => {
@@ -388,39 +342,14 @@ impl ThreadComm {
         }
     }
 
-    fn recv_deadline_internal(
-        &self,
-        src: usize,
-        tag: u64,
-        timeout: Duration,
-    ) -> Result<Payload, CommError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(p) = self.pop_mailbox(src, tag) {
-                return Ok(p);
-            }
-            if self.peer_known_failed(src) {
-                self.drain_channel();
-                return match self.pop_mailbox(src, tag) {
-                    Some(p) => Ok(p),
-                    None => Err(CommError::RankFailed { rank: src }),
-                };
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(CommError::Timeout { src, tag });
-            }
-            match self
-                .receiver
-                .recv_timeout((deadline - now).min(FAILURE_POLL))
-            {
-                Ok(env) => self.stash(env),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => {
-                    unreachable!("own sender handle keeps the channel alive")
-                }
-            }
-        }
+    fn recv_internal(&self, src: usize, tag: u64) -> Payload {
+        self.recv_until(src, tag, None).unwrap_or_else(|_| {
+            panic!(
+                "rank {src} failed while rank {} was blocked in recv (tag {tag:#x}); \
+                 fault-tolerant callers should use recv_deadline",
+                self.rank
+            )
+        })
     }
 }
 
@@ -760,6 +689,35 @@ mod tests {
     }
 
     #[test]
+    fn unplanned_rank_death_panics_a_blocked_peer_instead_of_hanging() {
+        // No plan installed: the only failure detection is the poison
+        // envelope rank 1's communicator posts as its thread unwinds.
+        let world = std::thread::spawn(|| {
+            run_ranks(2, |c| {
+                if c.rank() == 1 {
+                    panic!("unplanned crash");
+                }
+                c.recv(1, 5)
+            })
+        });
+        let watchdog = Instant::now() + Duration::from_secs(30);
+        while !world.is_finished() {
+            assert!(
+                Instant::now() < watchdog,
+                "rank 0 hung in recv on a dead peer"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        // Ranks are joined in order, so rank 0's panic is the one resumed.
+        let cause = world.join().expect_err("the world must panic");
+        let msg = cause.downcast_ref::<String>().expect("formatted panic");
+        assert!(
+            msg.contains("rank 1 failed while rank 0 was blocked in recv"),
+            "unexpected panic message: {msg}"
+        );
+    }
+
+    #[test]
     fn dropped_message_surfaces_as_timeout() {
         let plan = FaultPlan::new().drop_message(1, 0, 0);
         let (results, _, inj) = run_ranks_with_faults(2, plan, |c| {
@@ -796,25 +754,6 @@ mod tests {
         assert_eq!(results[1], Some(5));
         assert_eq!(inj.delayed_messages, 1);
         assert_eq!(inj.slow_stalls, 1);
-    }
-
-    #[test]
-    fn try_send_to_failed_rank_returns_rank_failed() {
-        let plan = FaultPlan::new().fail_rank(1, 0);
-        let (results, _, _) = run_ranks_with_faults(2, plan, |c| {
-            if c.rank() == 1 {
-                c.poison_peers();
-                return Ok(());
-            }
-            // Wait until the death is observable, then try_send must fail
-            // typed instead of panicking.
-            assert_eq!(
-                c.recv_deadline(1, 1, Duration::from_secs(30)),
-                Err(CommError::RankFailed { rank: 1 })
-            );
-            c.try_send(1, 1, Payload::U64(vec![1]))
-        });
-        assert_eq!(results[0], Some(Err(CommError::RankFailed { rank: 1 })));
     }
 
     #[test]

@@ -4,12 +4,13 @@
 //! communicator is passed explicitly to every collective operation, mirroring
 //! how libDBCSR threads its MPI communicator through all calls.
 
-use sm_comsim::{Cart2d, Comm};
+use sm_comsim::{Cart2d, Comm, Payload};
 use sm_linalg::Matrix;
 
 use crate::coo::CooPattern;
 use crate::dims::BlockedDims;
 use crate::local::BlockStore;
+use crate::wire::{pack_blocks_prec, unpack_blocks_prec, ValueFormat};
 
 /// The process grid for a communicator of `comm_size` ranks — the single
 /// source of the block→rank distribution policy. Everything that maps
@@ -163,12 +164,12 @@ impl DbcsrMatrix {
     /// Gather the full dense matrix on every rank (collective). Intended
     /// for tests and small reference computations.
     pub fn to_dense<C: Comm>(&self, comm: &C) -> Matrix {
-        let (meta, data) = pack_blocks(self.store.iter());
+        let (meta, data) = pack_blocks_prec(self.store.iter(), ValueFormat::F64);
         let metas = comm.allgather_u64(&meta);
-        let datas = comm.allgather_f64(&data);
+        let datas = comm.allgather_f64(&data.into_f64());
         let mut dense = Matrix::zeros(self.n(), self.n());
-        for (meta, data) in metas.iter().zip(datas.iter()) {
-            for (coord, blk) in unpack_blocks(&self.dims, meta, data) {
+        for (meta, data) in metas.iter().zip(datas) {
+            for (coord, blk) in unpack_blocks_prec(&self.dims, meta, Payload::F64(data)) {
                 let (br, bc) = coord;
                 let r0 = self.dims.offset(br);
                 let c0 = self.dims.offset(bc);
@@ -219,10 +220,6 @@ impl DbcsrMatrix {
         crate::wire::FingerprintAccumulator::from_reduction(&buf).finish(&self.dims)
     }
 }
-
-// The block wire format lives in [`crate::wire`]; these re-exports keep
-// the original import paths working.
-pub use crate::wire::{pack_blocks, unpack_blocks};
 
 #[cfg(test)]
 mod tests {
@@ -319,8 +316,8 @@ mod tests {
         let dims = test_dims();
         let dense = dense_banded(dims.n());
         let m = DbcsrMatrix::from_dense(&dense, dims.clone(), 0, 1, 0.0);
-        let (meta, data) = pack_blocks(m.store().iter());
-        let blocks = unpack_blocks(&dims, &meta, &data);
+        let (meta, data) = pack_blocks_prec(m.store().iter(), ValueFormat::F64);
+        let blocks = unpack_blocks_prec(&dims, &meta, data);
         assert_eq!(blocks.len(), m.local_nnz_blocks());
         for (coord, blk) in blocks {
             assert_eq!(m.block(coord.0, coord.1).unwrap(), &blk);
@@ -330,10 +327,10 @@ mod tests {
     #[test]
     fn pack_empty() {
         let store = BlockStore::new();
-        let (meta, data) = pack_blocks(store.iter());
+        let (meta, data) = pack_blocks_prec(store.iter(), ValueFormat::F64);
         assert_eq!(meta, vec![0]);
-        assert!(data.is_empty());
-        assert!(unpack_blocks(&test_dims(), &meta, &data).is_empty());
+        assert_eq!(data, Payload::F64(Vec::new()));
+        assert!(unpack_blocks_prec(&test_dims(), &meta, data).is_empty());
     }
 
     #[test]

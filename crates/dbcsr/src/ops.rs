@@ -9,6 +9,7 @@ use sm_comsim::{Comm, ReduceOp};
 use sm_linalg::Matrix;
 
 use crate::matrix::DbcsrMatrix;
+use crate::wire::ValueFormat;
 
 /// `a += alpha * b` (local; operands must be aligned).
 pub fn axpy(a: &mut DbcsrMatrix, alpha: f64, b: &DbcsrMatrix) {
@@ -113,7 +114,7 @@ pub fn trace_of_product<C: Comm>(a: &DbcsrMatrix, b: &DbcsrMatrix, comm: &C) -> 
         }
     }
     // Fetch missing partner blocks with an all-to-all.
-    let fetched = fetch_blocks(b, &missing, comm);
+    let (fetched, _) = fetch_blocks_prec(b, &missing, ValueFormat::F64, comm);
     for (&(br, bk), a_blk) in a.store().iter() {
         let partner = if b.owner(bk, br) == b.rank() {
             b.store().get(&(bk, br)).cloned()
@@ -134,26 +135,18 @@ pub fn trace_of_product<C: Comm>(a: &DbcsrMatrix, b: &DbcsrMatrix, comm: &C) -> 
     buf[0]
 }
 
-/// Fetch a set of remote blocks of `m` by coordinate (collective). Blocks
-/// that are zero (absent) on their owner are simply not returned.
-pub fn fetch_blocks<C: Comm>(
-    m: &DbcsrMatrix,
-    wanted: &[(usize, usize)],
-    comm: &C,
-) -> std::collections::BTreeMap<(usize, usize), Matrix> {
-    fetch_blocks_prec(m, wanted, crate::wire::ValueFormat::F64, comm).0
-}
-
-/// [`fetch_blocks`] with a chosen value encoding — the engine's gather hot
-/// path. With [`ValueFormat::F32`](crate::wire::ValueFormat) the owners'
-/// replies move half the value bytes (values rounded through `f32`
-/// storage, which the reduced-precision solve does anyway). Additionally
-/// returns the value-payload bytes received from **remote** ranks — the
-/// deterministic gather byte counter of the precision telemetry.
+/// Fetch a set of remote blocks of `m` by coordinate (collective) in the
+/// given value encoding — the engine's gather hot path. Blocks that are
+/// zero (absent) on their owner are simply not returned. With
+/// [`ValueFormat::F32`](crate::wire::ValueFormat) the owners' replies move
+/// half the value bytes (values rounded through `f32` storage, which the
+/// reduced-precision solve does anyway). Additionally returns the
+/// value-payload bytes received from **remote** ranks — the deterministic
+/// gather byte counter of the precision telemetry.
 pub fn fetch_blocks_prec<C: Comm>(
     m: &DbcsrMatrix,
     wanted: &[(usize, usize)],
-    format: crate::wire::ValueFormat,
+    format: ValueFormat,
     comm: &C,
 ) -> (std::collections::BTreeMap<(usize, usize), Matrix>, u64) {
     use sm_comsim::Payload;
@@ -321,7 +314,7 @@ mod tests {
             let a = DbcsrMatrix::from_dense(&da, dims.clone(), c.rank(), c.size(), 0.0);
             // Everyone asks for block (0,0) (owned by rank 0) and (1,1)
             // (owned by rank 3).
-            let fetched = fetch_blocks(&a, &[(0, 0), (1, 1)], c);
+            let (fetched, _) = fetch_blocks_prec(&a, &[(0, 0), (1, 1)], ValueFormat::F64, c);
             (fetched.get(&(0, 0)).cloned(), fetched.get(&(1, 1)).cloned())
         });
         let rows: Vec<usize> = (0..2).collect();
@@ -343,7 +336,9 @@ pub fn transpose<C: Comm>(a: &DbcsrMatrix, comm: &C) -> DbcsrMatrix {
     for (&(br, bc), blk) in a.store().iter() {
         outgoing[out.owner(bc, br)].insert((bc, br), blk.transpose());
     }
-    for ((br, bc), blk) in crate::wire::exchange_blocks(outgoing, a.dims(), comm) {
+    let (received, _) =
+        crate::wire::exchange_blocks_prec(outgoing, a.dims(), ValueFormat::F64, comm);
+    for ((br, bc), blk) in received {
         out.insert_block(br, bc, blk);
     }
     out

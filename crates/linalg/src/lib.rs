@@ -13,7 +13,7 @@
 //!   register-tiled, Rayon-parallel GEMM,
 //! * a symmetric eigensolver [`eigh::eigh`] (Householder tridiagonalization +
 //!   implicit-shift QL, the classic `tred2`/`tql2` pair),
-//! * Cholesky and LU factorizations,
+//! * a Cholesky factorization,
 //! * the matrix sign function via eigendecomposition, Newton–Schulz and
 //!   higher-order Padé iterations ([`sign`]),
 //! * inverse p-th roots, in particular `S^{-1/2}` for Löwdin
@@ -28,10 +28,9 @@
 //! the `f64` matrix, [`MatrixF32`] the single-precision one) — the real
 //! mixed-precision execution path of the paper's approximate-computing
 //! mode, selected by [`Precision`]. The factorizations (eigensolver,
-//! Cholesky, LU) remain `f64`; device-*emulating* kernels (FP16 tensor-core
+//! Cholesky) remain `f64`; device-*emulating* kernels (FP16 tensor-core
 //! rounding schedules, FPGA summation orders) live in the `sm-accel` crate.
 
-pub mod bisect;
 pub mod blas1;
 pub mod blas2;
 pub mod cholesky;
@@ -40,7 +39,6 @@ pub mod elem;
 pub mod error;
 pub mod fermi;
 pub mod gemm;
-pub mod lu;
 pub mod matrix;
 pub mod norms;
 pub mod roots;

@@ -3,7 +3,6 @@
 
 use sm_core::engine::EngineReport;
 use sm_core::solver::SolveBackend;
-use sm_dbcsr::wire::{tele, TelemetryRecord};
 use sm_dbcsr::DbcsrMatrix;
 use sm_linalg::Precision;
 
@@ -49,152 +48,162 @@ fn from_code<T: Copy>(codes: &[T], x: f64, what: &str) -> T {
         .unwrap_or_else(|| panic!("unknown {what} code {x}"))
 }
 
-/// One field of a job's telemetry record: its [`tele`] wire id, how the
-/// group root reads its value(s) off the finished [`JobResult`] (none for
-/// an SCF field of a matrix job, one per iteration for the repeatable
-/// `SCF_ITER_*` ids), and how world rank 0 writes one decoded value back.
+/// The next word of a result-gather record. Both ends of the gather are
+/// compiled together, so a record that ends early is a bug, not an input.
+fn take(words: &mut &[f64]) -> f64 {
+    let (&x, rest) = words.split_first().expect("result-gather record cut short");
+    *words = rest;
+    x
+}
+
+/// One field of a job's telemetry record: how the group root appends its
+/// word(s) from the finished [`JobResult`], and how world rank 0 takes them
+/// back off the front of the record.
 struct TelemetryField {
-    id: u32,
-    read: fn(&JobResult, &mut dyn FnMut(f64)),
-    write: fn(&mut JobResult, f64),
+    read: fn(&JobResult, &mut Vec<f64>),
+    write: fn(&mut JobResult, &mut &[f64]),
 }
 
 /// A counter or measurement stored as `$ty` at `JobResult::$path`.
 /// Counters ride as `f64` (exact up to 2⁵³, far beyond any simulated run).
 macro_rules! number {
-    ($id:ident, $ty:ty, $($path:ident).+) => {
+    ($ty:ty, $($path:ident).+) => {
         TelemetryField {
-            id: tele::$id,
-            read: |r, put| put(r.$($path).+ as f64),
-            write: |r, x| r.$($path).+ = x as $ty,
+            read: |r, out| out.push(r.$($path).+ as f64),
+            write: |r, words| r.$($path).+ = take(words) as $ty,
         }
     };
 }
 
 /// A boolean at `JobResult::$path`, on the wire as 0.0 / 1.0.
 macro_rules! flag {
-    ($id:ident, $($path:ident).+) => {
+    ($($path:ident).+) => {
         TelemetryField {
-            id: tele::$id,
-            read: |r, put| put(r.$($path).+ as u64 as f64),
-            write: |r, x| r.$($path).+ = x != 0.0,
+            read: |r, out| out.push(r.$($path).+ as u64 as f64),
+            write: |r, words| r.$($path).+ = take(words) != 0.0,
         }
     };
 }
 
-/// An SCF extension field: `$read` yields its values from the job's
-/// [`ScfTelemetry`] (nothing is read for a matrix job), `$write` stores
-/// one decoded value into it (created on the first SCF field decoded).
-macro_rules! scf {
-    ($id:ident, |$s:ident| $read:expr, |$t:ident, $x:ident| $write:expr) => {
+/// An enum at `JobResult::$path`, on the wire as its index in `$codes`.
+macro_rules! code {
+    ($codes:ident, $what:literal, $($path:ident).+) => {
         TelemetryField {
-            id: tele::$id,
-            read: |r, put| {
+            read: |r, out| out.push(code_of(&$codes, &r.$($path).+)),
+            write: |r, words| r.$($path).+ = from_code(&$codes, take(words), $what),
+        }
+    };
+}
+
+/// An SCF extension field: `$read` appends its word(s) from the job's
+/// [`ScfTelemetry`] (nothing for a matrix job), `$write` takes them back
+/// into it. A matrix job's record ends where the extension would begin,
+/// which is how the decoder tells the two job kinds apart; once one SCF
+/// field has been decoded every later one must be there.
+macro_rules! scf {
+    (|$s:ident, $out:ident| $read:expr, |$t:ident, $words:ident| $write:expr) => {
+        TelemetryField {
+            read: |r, $out| {
                 if let Some($s) = &r.scf {
-                    $read.into_iter().for_each(put)
+                    $read
                 }
             },
-            write: |r, $x| {
-                let $t = r.scf.get_or_insert_with(ScfTelemetry::default);
-                $write
+            write: |r, $words| {
+                if r.scf.is_some() || !$words.is_empty() {
+                    let $t = r.scf.get_or_insert_with(ScfTelemetry::default);
+                    $write
+                }
             },
         }
+    };
+}
+
+/// An SCF per-iteration byte vector: a length word, then one word per
+/// iteration.
+macro_rules! scf_vec {
+    ($field:ident) => {
+        scf!(
+            |s, out| {
+                out.push(s.$field.len() as f64);
+                out.extend(s.$field.iter().map(|&b| b as f64))
+            },
+            |s, words| s.$field = (0..take(words) as usize)
+                .map(|_| take(words) as u64)
+                .collect()
+        )
     };
 }
 
 /// The telemetry record's fields, **in wire order**: the base fields
-/// every job ships, then the SCF extension — one wire format carries both
-/// job kinds, distinguished by the presence of [`tele::SCF_ITERATIONS`].
-/// This table is the whole codec: [`encode_telemetry`] walks it reading,
-/// [`decode_telemetry`] dispatches each wire entry to its writer.
+/// every job ships, then the SCF extension. The record is positional — a
+/// plain `Vec<f64>` with no header and no field ids — and this table is the
+/// whole codec: [`encode_telemetry`] walks it reading, [`decode_telemetry`]
+/// walks it writing. It is deliberately not versioned: it never leaves the
+/// process that wrote it.
 #[rustfmt::skip] // a table: one field per entry, not one token per line
 static TELEMETRY_FIELDS: [TelemetryField; 35] = [
-    number!(N_SUBMATRICES, usize, report.n_submatrices),
-    number!(MAX_DIM, usize, report.max_dim),
-    number!(AVG_DIM, f64, report.avg_dim),
-    number!(TOTAL_COST, f64, report.total_cost),
-    number!(UNIQUE_BYTES, u64, report.transfers.unique_bytes),
-    number!(NAIVE_BYTES, u64, report.transfers.naive_bytes),
-    number!(UNIQUE_BLOCKS, u64, report.transfers.unique_blocks),
-    number!(TOTAL_REFERENCES, u64, report.transfers.total_references),
-    number!(MU, f64, report.mu),
-    number!(BISECT_ITERATIONS, usize, report.bisect_iterations),
-    flag!(PLAN_CACHED, report.plan_cached),
-    number!(SYMBOLIC_SECONDS, f64, report.symbolic_seconds),
-    number!(GATHER_SECONDS, f64, report.gather_seconds),
-    number!(SOLVE_SECONDS, f64, report.solve_seconds),
-    number!(SCATTER_SECONDS, f64, report.scatter_seconds),
-    number!(SECONDS, f64, seconds),
-    number!(GROUP_SIZE, usize, group_size),
-    number!(COMM_BYTES, u64, comm_bytes),
-    number!(COMM_MSGS, u64, comm_msgs),
-    TelemetryField {
-        id: tele::PRECISION_CODE,
-        read: |r, put| put(code_of(&PRECISION_CODES, &r.report.precision)),
-        write: |r, x| r.report.precision = from_code(&PRECISION_CODES, x, "precision"),
-    },
-    number!(GATHER_VALUE_BYTES, u64, report.gather_value_bytes),
-    number!(SCATTER_VALUE_BYTES, u64, report.scatter_value_bytes),
-    number!(EPOCH, usize, epoch),
-    number!(STOLEN_RANKS, usize, stolen_ranks),
-    number!(ATTEMPTS, usize, attempts),
-    flag!(QUARANTINED, quarantined),
-    TelemetryField {
-        id: tele::SOLVE_BACKEND_CODE,
-        read: |r, put| put(code_of(&BACKEND_CODES, &r.report.backend)),
-        write: |r, x| r.report.backend = from_code(&BACKEND_CODES, x, "solve-backend"),
-    },
-    number!(SPARSE_FILTERED_NNZ, u64, report.sparse_filtered_nnz),
-    number!(SPARSE_FLOPS, u64, report.sparse_flops),
-    scf!(SCF_ITERATIONS, |s| [s.iterations as f64], |s, x| s.iterations = x as usize),
-    scf!(SCF_CONVERGED, |s| [s.converged as u64 as f64], |s, x| s.converged = x != 0.0),
-    scf!(SCF_FINAL_ENERGY, |s| [s.final_energy], |s, x| s.final_energy = x),
-    scf!(SCF_FINAL_ELECTRONS, |s| [s.final_electrons], |s, x| s.final_electrons = x),
-    scf!(SCF_ITER_GATHER_BYTES,
-        |s| s.gather_value_bytes.iter().map(|&b| b as f64),
-        |s, x| s.gather_value_bytes.push(x as u64)),
-    scf!(SCF_ITER_SCATTER_BYTES,
-        |s| s.scatter_value_bytes.iter().map(|&b| b as f64),
-        |s, x| s.scatter_value_bytes.push(x as u64)),
+    number!(usize, report.n_submatrices),
+    number!(usize, report.max_dim),
+    number!(f64, report.avg_dim),
+    number!(f64, report.total_cost),
+    number!(u64, report.transfers.unique_bytes),
+    number!(u64, report.transfers.naive_bytes),
+    number!(u64, report.transfers.unique_blocks),
+    number!(u64, report.transfers.total_references),
+    number!(f64, report.mu),
+    number!(usize, report.bisect_iterations),
+    flag!(report.plan_cached),
+    number!(f64, report.symbolic_seconds),
+    number!(f64, report.gather_seconds),
+    number!(f64, report.solve_seconds),
+    number!(f64, report.scatter_seconds),
+    number!(f64, seconds),
+    number!(usize, group_size),
+    number!(u64, comm_bytes),
+    number!(u64, comm_msgs),
+    code!(PRECISION_CODES, "precision", report.precision),
+    number!(u64, report.gather_value_bytes),
+    number!(u64, report.scatter_value_bytes),
+    number!(usize, epoch),
+    number!(usize, stolen_ranks),
+    number!(usize, attempts),
+    flag!(quarantined),
+    code!(BACKEND_CODES, "solve-backend", report.backend),
+    number!(u64, report.sparse_filtered_nnz),
+    number!(u64, report.sparse_flops),
+    scf!(|s, out| out.push(s.iterations as f64), |s, words| s.iterations = take(words) as usize),
+    scf!(|s, out| out.push(s.converged as u64 as f64), |s, words| s.converged = take(words) != 0.0),
+    scf!(|s, out| out.push(s.final_energy), |s, words| s.final_energy = take(words)),
+    scf!(|s, out| out.push(s.final_electrons), |s, words| s.final_electrons = take(words)),
+    scf_vec!(gather_value_bytes),
+    scf_vec!(scatter_value_bytes),
 ];
-
-/// The leading [`TELEMETRY_FIELDS`] every record must carry.
-const N_BASE_FIELDS: usize = 29;
 
 /// Flatten a finished job's telemetry — the group root's [`EngineReport`]
 /// plus wall-time, group size, subgroup traffic, steal and fault
-/// attribution — into a versioned self-describing [`TelemetryRecord`]
-/// (`sm_dbcsr::wire::TELEMETRY_SCHEMA_VERSION`) for the root gather.
+/// attribution — into the positional record of the root gather.
 pub(super) fn encode_telemetry(done: &JobResult) -> Vec<f64> {
-    let mut rec = TelemetryRecord::new();
+    let mut out = Vec::with_capacity(TELEMETRY_FIELDS.len());
     for f in &TELEMETRY_FIELDS {
-        (f.read)(done, &mut |x| rec.push(f.id, x));
+        (f.read)(done, &mut out);
     }
-    rec.encode()
+    out
 }
 
 /// Inverse of [`encode_telemetry`], writing into `into` (a job's
-/// [`placeholder`]). Field ids this build does not know are skipped.
-/// Panics (with the decoder's own clear message) on schema-version
-/// mismatch, truncation or a missing base field — inside one process both
-/// ends are compiled together, so a mismatch here is a bug, not an input
-/// error.
+/// [`placeholder`]). Panics on a record that is too short or too long —
+/// inside one process both ends are compiled together, so a mismatch here
+/// is a bug, not an input error.
 pub(super) fn decode_telemetry(x: &[f64], into: &mut JobResult) {
-    let rec = TelemetryRecord::decode(x).unwrap_or_else(|e| panic!("result-gather {e}"));
-    let mut seen = 0u64;
-    for &(id, value) in rec.entries() {
-        if let Some(f) = TELEMETRY_FIELDS.iter().find(|f| f.id == id) {
-            (f.write)(into, value);
-            seen |= 1 << id;
-        }
+    let mut words = x;
+    for f in &TELEMETRY_FIELDS {
+        (f.write)(into, &mut words);
     }
-    for f in &TELEMETRY_FIELDS[..N_BASE_FIELDS] {
-        assert!(
-            seen & (1 << f.id) != 0,
-            "telemetry record missing field id {}",
-            f.id
-        );
-    }
+    assert!(
+        words.is_empty(),
+        "result-gather record has {} words past its last field",
+        words.len()
+    );
 }
 
 #[cfg(test)]
@@ -202,24 +211,15 @@ mod tests {
     use super::*;
     use crate::jobs::MatrixJob;
     use sm_core::transfers::TransferStats;
-    use sm_dbcsr::wire;
 
     /// A one-block job (the shape every decode target below comes from)
-    /// and a finished result for it carrying `report`.
-    fn finished(report: EngineReport) -> (BatchJob, JobResult) {
+    /// and a finished result for it with every base field set to a value
+    /// its placeholder does not hold.
+    fn finished() -> (BatchJob, JobResult) {
         let dims = sm_dbcsr::BlockedDims::uniform(1, 2);
         let eye = sm_linalg::Matrix::from_fn(2, 2, |i, j| if i == j { 1.0 } else { 0.0 });
         let matrix = DbcsrMatrix::from_dense(&eye, dims, 0, 1, 0.0);
         let job = BatchJob::Matrix(MatrixJob::density("t", matrix, 0.0));
-        let done = JobResult {
-            report,
-            ..placeholder(&job)
-        };
-        (job, done)
-    }
-
-    #[test]
-    fn telemetry_roundtrip() {
         let report = EngineReport {
             n_submatrices: 7,
             max_dim: 12,
@@ -245,82 +245,93 @@ mod tests {
             sparse_filtered_nnz: 42,
             sparse_flops: 9000,
         };
-        let (job, done) = finished(report.clone());
-        let mut done = JobResult {
+        let done = JobResult {
+            report,
             seconds: 1.5,
             group_size: 4,
             comm_bytes: 4096,
             comm_msgs: 17,
             epoch: 2,
             stolen_ranks: 3,
-            attempts: 1,
-            ..done
+            attempts: 2,
+            quarantined: true,
+            ..placeholder(&job)
         };
-        let enc = encode_telemetry(&done);
-        // Self-describing layout: version + entry-count header, then
-        // (field_id, value) pairs — 29 base fields.
-        assert_eq!(enc[0], wire::TELEMETRY_SCHEMA_VERSION as f64);
-        assert_eq!(enc.len(), 2 + 2 * 29, "base record is 29 entries");
-        let mut d = placeholder(&job);
+        (job, done)
+    }
+
+    /// Ship `done` through the codec into a fresh placeholder and compare
+    /// every field the record carries; returns the record's length.
+    fn roundtrip(job: &BatchJob, done: &JobResult) -> usize {
+        let enc = encode_telemetry(done);
+        let mut d = placeholder(job);
         decode_telemetry(&enc, &mut d);
-        assert_eq!(d.report.n_submatrices, 7);
-        assert_eq!(d.report.transfers, report.transfers);
-        assert_eq!(d.report.mu, report.mu);
-        assert!(d.report.plan_cached);
-        assert_eq!(d.report.precision, Precision::Fp32Refined);
-        assert_eq!(d.report.gather_value_bytes, 2048);
-        assert_eq!(d.report.scatter_value_bytes, 512);
-        assert_eq!(d.report.backend, SolveBackend::SparseCsr);
-        assert_eq!(d.report.sparse_filtered_nnz, 42);
-        assert_eq!(d.report.sparse_flops, 9000);
+        // `EngineReport` has no `PartialEq`; its `Debug` names every field.
+        assert_eq!(format!("{:?}", d.report), format!("{:?}", done.report));
         assert_eq!(
             (d.seconds, d.group_size, d.comm_bytes, d.comm_msgs),
-            (1.5, 4, 4096, 17)
+            (
+                done.seconds,
+                done.group_size,
+                done.comm_bytes,
+                done.comm_msgs
+            )
         );
-        assert_eq!((d.epoch, d.stolen_ranks), (2, 3));
-        assert_eq!((d.attempts, d.quarantined), (1, false));
-        assert!(d.scf.is_none());
+        assert_eq!(
+            (d.epoch, d.stolen_ranks, d.attempts, d.quarantined),
+            (
+                done.epoch,
+                done.stolen_ranks,
+                done.attempts,
+                done.quarantined
+            )
+        );
+        assert_eq!(d.scf, done.scf);
+        enc.len()
+    }
 
-        // The SCF extension rides the same record, distinguished by
-        // length, and roundtrips exactly.
-        let scf_in = ScfTelemetry {
-            iterations: 3,
+    fn scf_telemetry(iterations: usize) -> ScfTelemetry {
+        ScfTelemetry {
+            iterations,
             converged: true,
             final_energy: -4.25,
             final_electrons: 16.0,
-            gather_value_bytes: vec![100, 200, 300],
-            scatter_value_bytes: vec![10, 20, 30],
-        };
-        done.attempts = 2;
-        done.scf = Some(scf_in.clone());
+            gather_value_bytes: (1..=iterations as u64).map(|i| 100 * i).collect(),
+            scatter_value_bytes: (1..=iterations as u64).map(|i| 10 * i).collect(),
+        }
+    }
+
+    #[test]
+    fn telemetry_roundtrip() {
+        // Positional layout: one word per base field, nothing else.
+        let (job, mut done) = finished();
+        assert_eq!(roundtrip(&job, &done), 29, "base record is 29 words");
+        // The SCF extension rides the same record, distinguished by
+        // length: four scalars, then each per-iteration vector behind its
+        // length word.
+        for iterations in [1, 3] {
+            done.scf = Some(scf_telemetry(iterations));
+            assert_eq!(roundtrip(&job, &done), 29 + 4 + 2 * (1 + iterations));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "result-gather record cut short")]
+    fn telemetry_decode_panics_on_a_record_cut_short() {
+        let (job, mut done) = finished();
+        done.scf = Some(scf_telemetry(3));
         let enc = encode_telemetry(&done);
-        assert_eq!(enc.len(), 2 + 2 * (33 + 2 * 3));
-        let mut d = placeholder(&job);
-        decode_telemetry(&enc, &mut d);
-        assert_eq!(d.attempts, 2);
-        assert_eq!(d.scf, Some(scf_in));
+        decode_telemetry(&enc[..enc.len() - 1], &mut placeholder(&job));
     }
 
     #[test]
-    #[should_panic(expected = "schema version mismatch")]
-    fn telemetry_decode_rejects_foreign_schema_version() {
-        let (job, done) = finished(EngineReport::default());
+    #[should_panic(expected = "words past its last field")]
+    fn telemetry_decode_panics_on_trailing_words() {
+        let (job, mut done) = finished();
+        done.scf = Some(scf_telemetry(1));
         let mut enc = encode_telemetry(&done);
-        enc[0] += 1.0; // a future schema version
+        enc.push(0.0);
         decode_telemetry(&enc, &mut placeholder(&job));
-    }
-
-    #[test]
-    fn telemetry_table_lists_every_field_id_once() {
-        // `tele`'s ids are contiguous from 0 to its last one; the table
-        // (which is the whole codec) must name each exactly once, base
-        // fields first.
-        let mut ids: Vec<u32> = TELEMETRY_FIELDS.iter().map(|f| f.id).collect();
-        assert!(ids[..N_BASE_FIELDS]
-            .iter()
-            .all(|id| !(tele::SCF_ITERATIONS..=tele::SCF_ITER_SCATTER_BYTES).contains(id)));
-        ids.sort_unstable();
-        assert_eq!(ids, (0..=tele::SPARSE_FLOPS).collect::<Vec<_>>());
     }
 
     #[test]
