@@ -183,90 +183,6 @@ pub fn fpga_row(device: &DeviceModel, n: usize) -> ThroughputRow {
     }
 }
 
-/// One fitted phase coefficient: measured seconds per perfmodel cost
-/// unit for one engine phase (gather/scatter costs are planned value
-/// bytes, solve costs are plan cost units — each phase fits its own
-/// coefficient and unit).
-///
-/// **Report-only.** Fitted coefficients live in
-/// `results/CALIB_perfmodel.json` for humans and `smdoctor`; nothing in
-/// the scheduler or engine ever reads them back — schedules stay pure
-/// functions of the static estimates (ROADMAP invariant 3), which the
-/// bitwise equivalence suites pin with calibration artifacts present.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhaseCoeff {
-    /// Phase name (`gather` / `solve` / `scatter`).
-    pub phase: String,
-    /// Least-squares slope through the origin: seconds per cost unit.
-    pub seconds_per_unit: f64,
-    /// Coefficient of determination of the through-origin fit (1 = the
-    /// model explains all variance; ≤ 0 = worse than predicting zero).
-    pub r_squared: f64,
-    /// Number of `(cost, seconds)` samples fitted.
-    pub samples: usize,
-    /// Total cost units observed.
-    pub total_cost: f64,
-    /// Total measured seconds observed.
-    pub total_seconds: f64,
-}
-
-/// A set of fitted phase coefficients (one calibration report).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct CalibrationReport {
-    /// Per-phase fits, in input order (callers pass phases sorted).
-    pub phases: Vec<PhaseCoeff>,
-}
-
-impl CalibrationReport {
-    /// The fit for `phase`, if present.
-    pub fn phase(&self, phase: &str) -> Option<&PhaseCoeff> {
-        self.phases.iter().find(|p| p.phase == phase)
-    }
-}
-
-/// Least-squares fit of `seconds ≈ k · cost` through the origin over
-/// `(cost, seconds)` samples of one phase: `k = Σ(cost·s) / Σ(cost²)`,
-/// with R² measured against the mean-seconds baseline. Returns `None`
-/// when the samples carry no usable signal (empty, or all costs zero).
-pub fn fit_seconds_per_unit(phase: &str, samples: &[(f64, f64)]) -> Option<PhaseCoeff> {
-    let mut sum_cs = 0.0;
-    let mut sum_cc = 0.0;
-    let mut sum_s = 0.0;
-    let mut sum_c = 0.0;
-    for &(cost, secs) in samples {
-        sum_cs += cost * secs;
-        sum_cc += cost * cost;
-        sum_s += secs;
-        sum_c += cost;
-    }
-    if samples.is_empty() || sum_cc <= 0.0 {
-        return None;
-    }
-    let k = sum_cs / sum_cc;
-    let mean_s = sum_s / samples.len() as f64;
-    let mut ss_res = 0.0;
-    let mut ss_tot = 0.0;
-    for &(cost, secs) in samples {
-        ss_res += (secs - k * cost).powi(2);
-        ss_tot += (secs - mean_s).powi(2);
-    }
-    let r_squared = if ss_tot > 0.0 {
-        1.0 - ss_res / ss_tot
-    } else if ss_res == 0.0 {
-        1.0
-    } else {
-        0.0
-    };
-    Some(PhaseCoeff {
-        phase: phase.to_string(),
-        seconds_per_unit: k,
-        r_squared,
-        samples: samples.len(),
-        total_cost: sum_c,
-        total_seconds: sum_s,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -384,43 +300,5 @@ mod tests {
         let f_small = sign_algorithm_fraction(50.0, 512, 7, 2.0, d.pcie_gbps);
         let f_large = sign_algorithm_fraction(50.0, 8192, 7, 2.0, d.pcie_gbps);
         assert!(f_large > f_small);
-    }
-
-    #[test]
-    fn fit_recovers_exact_linear_coefficient() {
-        let samples: Vec<(f64, f64)> = (1..=10)
-            .map(|i| (i as f64 * 100.0, i as f64 * 0.003))
-            .collect();
-        let fit = fit_seconds_per_unit("solve", &samples).unwrap();
-        assert!((fit.seconds_per_unit - 3e-5).abs() < 1e-15);
-        assert!((fit.r_squared - 1.0).abs() < 1e-12);
-        assert_eq!(fit.samples, 10);
-        assert!((fit.total_cost - 5500.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fit_reports_poor_r_squared_on_noise() {
-        // Seconds uncorrelated with cost: the slope still minimizes the
-        // residual but R² must be far below 1.
-        let samples = [
-            (100.0, 0.5),
-            (200.0, 0.1),
-            (300.0, 0.9),
-            (400.0, 0.05),
-            (500.0, 0.6),
-        ];
-        let fit = fit_seconds_per_unit("gather", &samples).unwrap();
-        assert!(fit.r_squared < 0.5, "r² = {}", fit.r_squared);
-    }
-
-    #[test]
-    fn fit_rejects_degenerate_samples() {
-        assert!(fit_seconds_per_unit("solve", &[]).is_none());
-        assert!(fit_seconds_per_unit("solve", &[(0.0, 1.0), (0.0, 2.0)]).is_none());
-        let report = CalibrationReport {
-            phases: vec![fit_seconds_per_unit("solve", &[(10.0, 0.1)]).unwrap()],
-        };
-        assert!(report.phase("solve").is_some());
-        assert!(report.phase("gather").is_none());
     }
 }

@@ -384,8 +384,8 @@ pub fn faults(_: &Ctx) -> Report {
 /// the serial loop under any schedule, iteration counts and convergence
 /// flags agree, and the consensus accounting `hits + builds = Σ_jobs
 /// group_size × iterations` holds exactly. A traced rerun then writes
-/// `TRACE_scf_service.jsonl`, its Perfetto export and the report-only
-/// `CALIB_perfmodel.json`.
+/// `TRACE_scf_service.jsonl`, the one input of every `smdoctor` trace
+/// view (critical path, Perfetto timeline, calibration fit).
 pub fn scf_service(_: &Ctx) -> Report {
     let mut specs = vec![gc_spec("large", 10, 1, 30, 1e-7)];
     specs.extend((0..18u64).map(|i| gc_spec(&format!("small-{i}"), 4, i, 30, 1e-7)));
@@ -481,25 +481,13 @@ pub fn scf_service(_: &Ctx) -> Report {
     assert_scf_bitwise(&outcome, &serial, "world 6 stealing, traced");
     let trace_path = results_dir().join("TRACE_scf_service.jsonl");
     session.write_jsonl(&trace_path).expect("write trace JSONL");
+    let doc = session.to_doc();
     println!(
         "wrote {} ({} events, {} metrics)",
         trace_path.display(),
-        session.events().len(),
-        session.metrics().len()
+        doc.events.len(),
+        doc.metrics.len()
     );
-    // Perfetto export of the same session (pid=rank, tid=group; opens in
-    // ui.perfetto.dev), plus the perfmodel calibration report. The report
-    // is report-only: the scheduler never reads it back, which the
-    // assert_scf_bitwise above re-proved with the artifact about to exist
-    // on disk.
-    let chrome = session
-        .to_chrome_trace(Some("svc"))
-        .expect("chrome export of the traced run");
-    let perfetto_path = results_dir().join("PERFETTO_scf_service.json");
-    std::fs::write(&perfetto_path, format!("{chrome}\n")).expect("write Perfetto JSON");
-    println!("wrote {}", perfetto_path.display());
-    let doc = session.to_doc();
-    crate::calibrate::write_calibration(&doc, "svc");
     let cp = sm_trace::analyze::critical_path(&doc, Some("svc"))
         .expect("critical path of the traced run");
     println!(

@@ -6,8 +6,8 @@
 //! An experiment returns a [`output::Report`] of typed cells, printed as
 //! an aligned table and written as exactly one artifact,
 //! `results/BENCH_<name>.json`. `smdoctor` audits and compares those
-//! artifacts ([`compare`] is its regression gate); `smserved` is the
-//! streaming daemon.
+//! artifacts ([`compare`] is its regression gate, [`doctor`] its other
+//! bench and manifest views); `smserved` is the streaming daemon.
 //!
 //! Scale conventions: the laptop-scale defaults finish in seconds to a few
 //! minutes; experiments that *solve* systems use a shortened basis range
@@ -15,8 +15,8 @@
 //! while pattern/model experiments use the standard ranges. `--paper`
 //! enlarges the workloads toward the paper's sizes.
 
-pub mod calibrate;
 pub mod compare;
+pub mod doctor;
 pub mod experiments;
 pub mod output;
 pub mod workloads;

@@ -217,33 +217,27 @@ impl Report {
         Json::obj(data)
     }
 
-    /// Write `results/BENCH_<name>.json` — the experiment's one artifact.
+    /// Write `results/BENCH_<name>.json` — the experiment's one artifact —
+    /// in the stamped envelope `{"bench", "schema_version", "git_commit",
+    /// "generated_at", "data"}` (stable key order) `smdoctor` audits.
     pub fn write(&self, name: &str) -> PathBuf {
-        write_stamped_json("BENCH", name, self.data())
+        let doc = Json::obj([
+            ("bench", Json::Str(name.to_string())),
+            ("schema_version", Json::Num(BENCH_SCHEMA_VERSION)),
+            ("git_commit", Json::Str(workspace_git_commit())),
+            ("generated_at", Json::Str(iso8601_utc_now())),
+            ("data", self.data()),
+        ]);
+        let path = results_dir().join(format!("BENCH_{name}.json"));
+        fs::write(&path, format!("{doc}\n")).expect("cannot write stamped json");
+        println!("wrote {}", path.display());
+        path
     }
 }
 
 /// Schema version of the stamped envelope. Bump only with a migration
 /// note; `smdoctor` and the committed baselines key on it.
 pub const BENCH_SCHEMA_VERSION: f64 = 1.0;
-
-/// Write `results/<prefix>_<name>.json` in the stamped envelope
-/// `{"bench", "schema_version", "git_commit", "generated_at", "data"}`
-/// (stable key order). The one writer behind `BENCH_*` and `CALIB_*`, so
-/// every stamped artifact passes the same `smdoctor --check` audit.
-pub fn write_stamped_json(prefix: &str, name: &str, data: Json) -> PathBuf {
-    let doc = Json::obj([
-        ("bench", Json::Str(name.to_string())),
-        ("schema_version", Json::Num(BENCH_SCHEMA_VERSION)),
-        ("git_commit", Json::Str(workspace_git_commit())),
-        ("generated_at", Json::Str(iso8601_utc_now())),
-        ("data", data),
-    ]);
-    let path = results_dir().join(format!("{prefix}_{name}.json"));
-    fs::write(&path, format!("{doc}\n")).expect("cannot write stamped json");
-    println!("wrote {}", path.display());
-    path
-}
 
 /// The workspace git commit (`git rev-parse HEAD`), or `"unknown"` when
 /// git or the repository is unavailable — provenance stamping must never

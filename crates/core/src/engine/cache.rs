@@ -323,10 +323,13 @@ impl SubmatrixEngine {
             return;
         }
         let _phase = sm_trace::span(sm_trace::SpanKind::Phase, "plan");
+        // The plan phase's wall annotation is the symbolic work this call
+        // paid for — what `EngineReport::symbolic_seconds` reports.
+        let wall_s = if built { plan.symbolic_seconds } else { 0.0 };
         sm_trace::emit(
             "plan.decision",
             plan.total_cost,
-            0.0,
+            wall_s,
             &[("built", if built { 1.0 } else { 0.0 })],
         );
         sm_trace::counter_add(

@@ -1,7 +1,7 @@
 //! Chrome trace-event (Perfetto) export.
 //!
 //! Converts a traced scheduler run into the Chrome trace-event JSON
-//! format, so `results/PERFETTO_*.json` opens directly in
+//! format, so what `smdoctor export-perfetto` writes opens directly in
 //! <https://ui.perfetto.dev> (or `chrome://tracing`): one **process per
 //! world rank** (`pid = rank`), one **thread track per group index**
 //! (`tid = group`), one complete (`"ph":"X"`) slice per job execution on
@@ -19,18 +19,12 @@
 //!
 //! Field ordering is deterministic (`name, ph, pid, tid, ts, dur, args`,
 //! metadata first, slices in `(epoch, group, pos, rank)` order), so two
-//! exports of the same trace differ only in measured durations. Besides
-//! the standard `traceEvents` array the document carries a top-level
-//! `"sm"` provenance stamp (schema name, [`TRACE_SCHEMA_VERSION`],
-//! session label, slice count) that `smdoctor --check` audits; Perfetto
-//! ignores unknown top-level keys.
+//! exports of the same trace differ only in measured durations. The
+//! document is a view of the trace, computed on demand and stamped with
+//! nothing: the trace it came from carries the schema version.
 
 use crate::analyze::{reconstruct, Schedule, TraceDoc, TraceError};
 use crate::json::Json;
-use crate::TRACE_SCHEMA_VERSION;
-
-/// Schema name stamped into the exporter's `"sm"` provenance object.
-pub const PERFETTO_SCHEMA: &str = "sm-perfetto";
 
 /// Render a reconstructed schedule as a Chrome trace-event JSON document.
 /// See the module docs for the timeline model.
@@ -91,7 +85,6 @@ pub fn chrome_trace(schedule: &Schedule) -> Json {
     // Job slices under the barrier model: epoch start = max lane end of
     // the previous epoch; each group's queue runs sequentially.
     let mut lane_end = vec![0.0f64; schedule.world_size.max(1)];
-    let mut slices = 0usize;
     for groups in &schedule.epochs {
         let epoch_start = lane_end.iter().copied().fold(0.0f64, f64::max);
         for g in groups {
@@ -120,7 +113,6 @@ pub fn chrome_trace(schedule: &Schedule) -> Json {
                             ]),
                         ),
                     ]));
-                    slices += 1;
                 }
                 t += dur;
             }
@@ -133,16 +125,6 @@ pub fn chrome_trace(schedule: &Schedule) -> Json {
     Json::obj([
         ("traceEvents", Json::Arr(events)),
         ("displayTimeUnit", Json::Str("ms".into())),
-        (
-            "sm",
-            Json::obj([
-                ("schema", Json::Str(PERFETTO_SCHEMA.into())),
-                ("version", Json::Num(TRACE_SCHEMA_VERSION as f64)),
-                ("label", Json::Str(schedule.label.clone())),
-                ("slices", Json::Num(slices as f64)),
-                ("world_size", Json::Num(schedule.world_size as f64)),
-            ]),
-        ),
     ])
 }
 
@@ -263,13 +245,8 @@ mod tests {
                 .and_then(Json::as_f64),
             Some(1.0)
         );
-        // Provenance stamp for smdoctor.
-        let sm = doc.get("sm").unwrap();
-        assert_eq!(
-            sm.get("schema").and_then(Json::as_str),
-            Some(PERFETTO_SCHEMA)
-        );
-        assert_eq!(sm.get("slices").and_then(Json::as_f64), Some(4.0));
+        // A view of the trace carries no stamp of its own.
+        assert!(doc.get("sm").is_none());
         // Deterministic field ordering: the serialized form starts with
         // traceEvents and each slice leads with name/ph/pid/tid/ts/dur.
         let text = doc.to_string();

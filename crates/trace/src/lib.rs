@@ -48,10 +48,12 @@
 //!
 //! [`TraceSession::write_jsonl`] emits one self-describing header line
 //! (carrying [`TRACE_SCHEMA_VERSION`]), then one line per event and one
-//! per metric. Consumers must reject header version mismatches — the
-//! `smdoctor --check` mode does, and CI runs it over every bench
-//! artifact.
+//! per metric, and [`analyze::TraceDoc::parse`] is its exact inverse.
+//! The JSONL stream is the **only stored** observability artifact:
+//! Perfetto timelines, calibration fits and every `smdoctor` report are
+//! views computed from a [`analyze::TraceDoc`] on demand.
 
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -62,28 +64,17 @@ pub mod analyze;
 pub mod chrome;
 pub mod json;
 
-/// Version of the JSONL trace schema. Bump only with a migration note in
-/// `ARCHITECTURE.md`; `smdoctor --check` fails on any mismatch.
+use json::Json;
+
+/// Version of the JSONL trace schema; [`analyze::TraceDoc::parse`]
+/// refuses any other. Bump only with a note in `ARCHITECTURE.md`.
 ///
-/// v2: the scheduler narrates each committed queue entry with a
-/// `sched.job` event (queue order, ranks, steal attribution) — the
-/// dependency edges [`analyze::critical_path`] walks. v1 traces parse as
-/// [`analyze::TraceError::VersionMismatch`]; regenerate by rerunning the
-/// traced bench.
-///
-/// v3: fault-injected batches add the recovery narration — one
-/// `fault.injected` per committed rank failure, one `sched.retry` per
-/// poisoned attempt re-entering the deferred queue (with its backoff
-/// target epoch), one `job.quarantined` per exhausted retry budget —
-/// and `sched.job` events gain `attempt`/`poisoned` fields. v1/v2
-/// traces parse as [`analyze::TraceError::VersionMismatch`];
-/// regenerate by rerunning the traced bench.
-///
-/// One narrator writes every batch, faulty or not, so the field lists are
-/// one superset: `sched.epoch` carries `groups`, `committed`, `deferred`,
-/// `survivors`, `failed`; `sched.job` carries `job`, `pos`, `ranks`,
-/// `stolen_ranks`, `attempt`, `poisoned`. Readers look fields up by name,
-/// so the superset needed no version bump.
+/// The scheduler narration readers key on, by field name: `sched.epoch`
+/// carries `groups`, `committed`, `deferred`, `survivors`, `failed`;
+/// `sched.queue` carries `jobs`, `ranks`, `rank_start`; `sched.job`
+/// carries `job`, `pos`, `ranks`, `stolen_ranks`, `attempt`, `poisoned`;
+/// a faulty batch adds `fault.injected`, `sched.retry` and
+/// `job.quarantined` events.
 pub const TRACE_SCHEMA_VERSION: u32 = 3;
 
 /// Root path used for events and metrics recorded while no span context
@@ -123,13 +114,15 @@ impl SpanKind {
     }
 }
 
-/// One recorded trace event.
+/// One trace event, recorded live or parsed back from a JSONL line.
+/// Names and field keys are `&'static str` at every emit site and are
+/// only owned when read from a file.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     /// Hierarchical span path the event was emitted under.
     pub path: String,
     /// Event name (a stable identifier, e.g. `engine.phase`).
-    pub name: &'static str,
+    pub name: Cow<'static, str>,
     /// Per-thread logical sequence number (deterministic: every rank
     /// thread's execution order is deterministic, and rank threads are
     /// created fresh per batch).
@@ -142,7 +135,31 @@ pub struct Event {
     pub wall_s: f64,
     /// Auxiliary numeric fields; excluded from the deterministic span
     /// tree (they may carry wall-derived values).
-    pub fields: Vec<(&'static str, f64)>,
+    pub fields: Vec<(Cow<'static, str>, f64)>,
+}
+
+impl Event {
+    /// Auxiliary field by name. A reader that tolerates absence writes
+    /// its default at the call.
+    pub fn field(&self, key: &str) -> Option<f64> {
+        let found = self.fields.iter().find(|(k, _)| k == key);
+        found.map(|(_, v)| *v)
+    }
+
+    /// The event's JSONL record.
+    pub(crate) fn to_json(&self) -> Json {
+        let fields = self.fields.iter();
+        let fields = fields.map(|(k, v)| (k.to_string(), Json::Num(*v)));
+        Json::obj([
+            ("type", Json::Str("event".into())),
+            ("path", Json::Str(self.path.clone())),
+            ("name", Json::Str(self.name.to_string())),
+            ("seq", Json::Num(self.seq as f64)),
+            ("cost", Json::Num(self.cost)),
+            ("wall_s", Json::Num(self.wall_s)),
+            ("fields", Json::Obj(fields.collect())),
+        ])
+    }
 }
 
 /// A log₂-bucketed histogram. For byte histograms the recorded values are
@@ -189,6 +206,27 @@ impl Metric {
             Metric::BytesHistogram(_) => "bytes_hist",
             Metric::SecondsHistogram(_) => "seconds_hist",
         }
+    }
+
+    /// The JSONL record of this metric registered under `name`.
+    pub(crate) fn to_json(&self, name: &str) -> Json {
+        let mut rec = vec![
+            ("type", Json::Str("metric".into())),
+            ("name", Json::Str(name.to_string())),
+            ("kind", Json::Str(self.kind_label().into())),
+        ];
+        match self {
+            Metric::Counter(c) => rec.push(("value", Json::Num(*c as f64))),
+            Metric::Gauge(g) => rec.push(("value", Json::Num(*g))),
+            Metric::BytesHistogram(h) | Metric::SecondsHistogram(h) => {
+                let buckets = h.buckets.iter();
+                let buckets = buckets.map(|(b, n)| (b.to_string(), Json::Num(*n as f64)));
+                rec.push(("count", Json::Num(h.count as f64)));
+                rec.push(("sum", Json::Num(h.sum)));
+                rec.push(("buckets", Json::Obj(buckets.collect())));
+            }
+        }
+        Json::obj(rec)
     }
 }
 
@@ -251,11 +289,6 @@ pub fn span(kind: SpanKind, value: impl std::fmt::Display) -> SpanGuard {
     SpanGuard { pop: true }
 }
 
-/// Convenience: a [`SpanKind::Phase`] span.
-pub fn phase_span(name: &str) -> SpanGuard {
-    span(SpanKind::Phase, name)
-}
-
 /// The emitting thread's current span path (`/`-joined segments), or
 /// [`UNTRACED_ROOT`] when no span is installed.
 pub fn current_path() -> String {
@@ -303,13 +336,14 @@ pub fn emit(name: &'static str, cost: f64, wall_s: f64, fields: &[(&'static str,
         s.set(v + 1);
         v
     });
+    let fields = fields.iter().map(|&(k, v)| (Cow::Borrowed(k), v)).collect();
     lock_state().events.push(Event {
         path,
-        name,
+        name: Cow::Borrowed(name),
         seq,
         cost,
         wall_s,
-        fields: fields.to_vec(),
+        fields,
     });
 }
 
@@ -393,7 +427,6 @@ pub fn hist_seconds(name: &str, seconds: f64) {
 /// disabled again when the session drops.
 pub struct TraceSession {
     _excl: MutexGuard<'static, ()>,
-    label: String,
 }
 
 impl TraceSession {
@@ -409,15 +442,7 @@ impl TraceSession {
             st.label = label.to_string();
         }
         ENABLED.store(true, Ordering::SeqCst);
-        TraceSession {
-            _excl: excl,
-            label: label.to_string(),
-        }
-    }
-
-    /// The session label.
-    pub fn label(&self) -> &str {
-        &self.label
+        TraceSession { _excl: excl }
     }
 
     /// Snapshot of every recorded event, in arrival order (arrival order
@@ -430,11 +455,7 @@ impl TraceSession {
 
     /// Snapshot of the metric registry, sorted by key.
     pub fn metrics(&self) -> Vec<(String, Metric)> {
-        lock_state()
-            .metrics
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
+        lock_state().metrics.clone().into_iter().collect()
     }
 
     /// [`metrics`](Self::metrics) restricted to keys under `prefix`
@@ -459,13 +480,14 @@ impl TraceSession {
     /// (use the traced batch's label root, e.g. `batch:mylabel`, to
     /// exclude unrelated concurrent work).
     pub fn span_tree_under(&self, prefix: &str) -> String {
-        let mut tree: BTreeMap<String, BTreeMap<&'static str, (u64, f64)>> = BTreeMap::new();
-        for ev in lock_state().events.iter() {
+        let st = lock_state();
+        let mut tree: BTreeMap<&str, BTreeMap<&str, (u64, f64)>> = BTreeMap::new();
+        for ev in st.events.iter() {
             if !prefix.is_empty() && !under_prefix(&ev.path, prefix) {
                 continue;
             }
-            let names = tree.entry(ev.path.clone()).or_default();
-            let slot = names.entry(ev.name).or_insert((0, f64::NEG_INFINITY));
+            let names = tree.entry(&ev.path).or_default();
+            let slot = names.entry(&ev.name).or_insert((0, f64::NEG_INFINITY));
             slot.0 += 1;
             slot.1 = slot.1.max(ev.cost);
         }
@@ -479,84 +501,24 @@ impl TraceSession {
         out
     }
 
-    /// Write the session as a JSONL trace: a self-describing header line
+    /// Write the session as a JSONL trace ([`analyze::TraceDoc::render`]
+    /// of [`to_doc`](Self::to_doc)): a self-describing header line
     /// (schema name, [`TRACE_SCHEMA_VERSION`], label, counts), then one
     /// line per event, then one per metric.
     pub fn write_jsonl(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        let st = lock_state();
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{{\"schema\":\"sm-trace\",\"version\":{TRACE_SCHEMA_VERSION},\"label\":{},\"events\":{},\"metrics\":{}}}",
-            json_str(&st.label),
-            st.events.len(),
-            st.metrics.len()
-        );
-        for ev in &st.events {
-            let _ = write!(
-                out,
-                "{{\"type\":\"event\",\"path\":{},\"name\":{},\"seq\":{},\"cost\":{},\"wall_s\":{},\"fields\":{{",
-                json_str(&ev.path),
-                json_str(ev.name),
-                ev.seq,
-                json_num(ev.cost),
-                json_num(ev.wall_s)
-            );
-            for (i, (k, v)) in ev.fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{}:{}", json_str(k), json_num(*v));
-            }
-            out.push_str("}}\n");
-        }
-        for (name, metric) in &st.metrics {
-            let _ = write!(
-                out,
-                "{{\"type\":\"metric\",\"name\":{},\"kind\":\"{}\"",
-                json_str(name),
-                metric.kind_label()
-            );
-            match metric {
-                Metric::Counter(c) => {
-                    let _ = write!(out, ",\"value\":{c}");
-                }
-                Metric::Gauge(g) => {
-                    let _ = write!(out, ",\"value\":{}", json_num(*g));
-                }
-                Metric::BytesHistogram(h) | Metric::SecondsHistogram(h) => {
-                    let _ = write!(
-                        out,
-                        ",\"count\":{},\"sum\":{},\"buckets\":{{",
-                        h.count,
-                        json_num(h.sum)
-                    );
-                    for (i, (bucket, n)) in h.buckets.iter().enumerate() {
-                        if i > 0 {
-                            out.push(',');
-                        }
-                        let _ = write!(out, "\"{bucket}\":{n}");
-                    }
-                    out.push('}');
-                }
-            }
-            out.push_str("}\n");
-        }
-        std::fs::write(path, out)
+        std::fs::write(path, self.to_doc().render())
     }
 
-    /// Snapshot the session into the analyzer representation (the same
-    /// document [`analyze::TraceDoc::parse`] yields from an exported
-    /// JSONL stream).
+    /// Snapshot the session as the document every analyzer reads — the
+    /// same one [`analyze::TraceDoc::parse`] yields from the exported
+    /// JSONL stream.
     pub fn to_doc(&self) -> analyze::TraceDoc {
-        analyze::TraceDoc::from_session(self)
-    }
-
-    /// Export the traced batch labelled `label` (or the only traced
-    /// batch when `None`) as a Chrome trace-event document for
-    /// ui.perfetto.dev. See [`chrome`] for the timeline model.
-    pub fn to_chrome_trace(&self, label: Option<&str>) -> Result<json::Json, analyze::TraceError> {
-        chrome::export(&self.to_doc(), label)
+        let st = lock_state();
+        analyze::TraceDoc {
+            label: st.label.clone(),
+            events: st.events.clone(),
+            metrics: st.metrics.clone().into_iter().collect(),
+        }
     }
 }
 
@@ -570,38 +532,6 @@ fn under_prefix(key: &str, prefix: &str) -> bool {
     prefix.is_empty()
         || key == prefix
         || (key.starts_with(prefix) && key.as_bytes().get(prefix.len()) == Some(&b'/'))
-}
-
-/// Minimal JSON string escaping (the paths/names this crate emits are
-/// plain ASCII, but stay valid for anything).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// JSON number rendering: integers without a fraction, `null` for
-/// non-finite values (JSON has neither NaN nor infinities).
-fn json_num(x: f64) -> String {
-    if !x.is_finite() {
-        "null".to_string()
-    } else if x.fract() == 0.0 && x.abs() < 1e15 {
-        format!("{}", x as i64)
-    } else {
-        format!("{x}")
-    }
 }
 
 #[cfg(test)]
@@ -719,24 +649,40 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_lines_are_balanced_json_for_every_metric_kind() {
-        let session = TraceSession::start("t-jsonl-balanced");
-        let _b = span(SpanKind::Batch, "j");
-        emit("ev", 1.0, 0.0, &[("k", 2.0)]);
-        counter_add("j/c", 7);
-        gauge_set("j/g", 0.5);
-        hist_bytes("j/hb", 1500);
-        hist_seconds("j/hs", 0.25);
-        let path = std::env::temp_dir().join("sm_trace_test_balanced.jsonl");
-        session.write_jsonl(&path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        for line in text.lines() {
-            let opens = line.matches('{').count();
-            let closes = line.matches('}').count();
-            assert_eq!(opens, closes, "unbalanced JSONL line: {line}");
-            assert!(line.ends_with('}'), "line ends mid-object: {line}");
+    fn parse_inverts_render_for_every_record_kind() {
+        use analyze::TraceDoc;
+        let session = TraceSession::start("t-\"round\"\n\ttrip\\");
+        {
+            let _b = span(SpanKind::Batch, "j\"q\"");
+            emit(
+                "ev",
+                1.0,
+                0.0,
+                &[("k", 2.0), ("big", 1e300), ("tiny", -2.5e-7)],
+            );
+            emit("bare", -0.0, 1e15, &[]);
+            counter_add("j/c", 7);
+            gauge_set("j/g", 0.5);
+            hist_bytes("j/hb", 1500);
+            hist_bytes("j/hb", 0);
+            hist_seconds("j/hs\u{1}", 0.25);
         }
+        let doc = session.to_doc();
+        assert_eq!((doc.events.len(), doc.metrics.len()), (2, 4));
+        let text = doc.render();
+        assert_eq!(text.lines().count(), 7);
+        assert_eq!(TraceDoc::parse(&text).unwrap(), doc);
+
+        // JSON spells every non-finite number `null`, which reads back as
+        // NaN: such a document re-renders to the same bytes.
+        emit("inf", f64::INFINITY, f64::NAN, &[("k", f64::NEG_INFINITY)]);
+        gauge_set("j/g", f64::INFINITY);
+        let text = session.to_doc().render();
+        assert!(text.contains("\"cost\":null,\"wall_s\":null,\"fields\":{\"k\":null}"));
+        let back = TraceDoc::parse(&text).unwrap();
+        let inf = back.events.last().unwrap();
+        assert!(inf.cost.is_nan() && inf.wall_s.is_nan() && inf.field("k").unwrap().is_nan());
+        assert_eq!(back.render(), text);
     }
 
     #[test]
