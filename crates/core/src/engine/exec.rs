@@ -12,13 +12,14 @@ use rayon::prelude::*;
 use sm_comsim::Comm;
 use sm_dbcsr::wire::ValueFormat;
 use sm_dbcsr::{ops, wire, DbcsrMatrix};
+use sm_linalg::eigh::Eigh;
 use sm_linalg::{Matrix, Precision};
 
 use super::{EngineReport, Ensemble, ExecutionPlan, NumericOptions, SubmatrixEngine};
 use crate::mu::{adjust_mu, StoredDecomposition};
 use crate::solver::{
-    sign_columns_from_decomposition, sign_from_decomposition, solve_sign, SignMethod, SolveBackend,
-    SolveResult,
+    decompose, sign_columns_from_decomposition, sign_from_decomposition, solve_sign, SignMethod,
+    SolveBackend, SolveResult,
 };
 
 impl SubmatrixEngine {
@@ -95,109 +96,98 @@ impl SubmatrixEngine {
         let gather_seconds = t0.elapsed().as_secs_f64();
 
         let t1 = Instant::now();
-        let (mu, bisect_iterations, extracted, (sparse_filtered_nnz, sparse_flops)) =
-            if numeric.use_selected_columns {
-                assert_eq!(
-                    precision,
-                    Precision::Fp64,
-                    "selected-columns evaluation is Fp64-only"
+        let (mu, bisect_iterations, extracted, sparse_tally) = if numeric.use_selected_columns {
+            assert_eq!(
+                precision,
+                Precision::Fp64,
+                "selected-columns evaluation is Fp64-only"
+            );
+            assert_eq!(
+                numeric.solve.method,
+                SignMethod::Diagonalization,
+                "selected-columns evaluation requires the diagonalization solver"
+            );
+            assert!(
+                matches!(numeric.ensemble, Ensemble::GrandCanonical),
+                "selected-columns evaluation supports grand-canonical runs only"
+            );
+            let solve_one = |i: &usize| {
+                let a = plan.assembly[*i].assemble(block_of);
+                let dec = sm_linalg::eigh::eigh(&a)
+                    .unwrap_or_else(|e| panic!("submatrix eigendecomposition failed: {e}"));
+                let cols_mat = sign_columns_from_decomposition(
+                    &dec,
+                    mu0,
+                    numeric.solve.kt,
+                    &plan.contributing[*i],
                 );
-                assert_eq!(
-                    numeric.solve.method,
-                    SignMethod::Diagonalization,
-                    "selected-columns evaluation requires the diagonalization solver"
-                );
-                assert!(
-                    matches!(numeric.ensemble, Ensemble::GrandCanonical),
-                    "selected-columns evaluation supports grand-canonical runs only"
-                );
-                let solve_one = |i: &usize| {
-                    let a = plan.assembly[*i].assemble(block_of);
-                    let dec = sm_linalg::eigh::eigh(&a)
-                        .unwrap_or_else(|e| panic!("submatrix eigendecomposition failed: {e}"));
-                    let cols_mat = sign_columns_from_decomposition(
-                        &dec,
-                        mu0,
-                        numeric.solve.kt,
-                        &plan.contributing[*i],
-                    );
-                    plan.extraction[*i].extract_from_columns(&cols_mat)
-                };
-                let extracted = self.map_specs(plan, solve_one);
-                (mu0, 0, extracted, (0u64, 0u64))
-            } else {
-                let solve_one = |i: &usize| {
-                    let a = plan.assembly[*i].assemble(block_of);
-                    solve_sign(&a, mu0, &numeric.solve)
-                        .unwrap_or_else(|e| panic!("submatrix solve failed: {e}"))
-                };
-                let results: Vec<SolveResult> = self.map_specs(plan, solve_one);
-                // Sparse-backend tallies before the results are consumed.
-                let sparse_tally = results.iter().fold((0u64, 0u64), |acc, r| match r.sparse {
-                    Some(s) => (acc.0 + s.filtered_nnz, acc.1 + s.flops),
-                    None => acc,
-                });
-
-                // Canonical ensemble: Algorithm 1 on the stored decompositions,
-                // then re-evaluate the sign at the adjusted µ (collective).
-                let (mu, bisect_iterations, signs) = match numeric.ensemble {
-                    Ensemble::GrandCanonical => {
-                        let signs: Vec<Matrix> = results.into_iter().map(|r| r.sign).collect();
-                        (mu0, 0, signs)
-                    }
-                    Ensemble::Canonical {
-                        n_electrons,
-                        tol,
-                        max_iter,
-                    } => {
-                        assert_eq!(
-                            numeric.solve.method,
-                            SignMethod::Diagonalization,
-                            "canonical ensembles require the diagonalization solver (Sec. IV-G)"
-                        );
-                        let stored: Vec<StoredDecomposition> = plan
-                            .my_specs
-                            .iter()
-                            .zip(&results)
-                            .map(|(spec, r)| {
-                                StoredDecomposition::from_eigh(
-                                    r.decomposition.as_ref().expect("diagonalization stores Q"),
-                                    spec,
-                                    &plan.dims,
-                                )
-                            })
-                            .collect();
-                        let adj = adjust_mu(
-                            &stored,
-                            mu0,
-                            n_electrons / 2.0,
-                            numeric.solve.kt,
-                            tol / 2.0,
-                            max_iter,
-                            comm,
-                        );
-                        let signs: Vec<Matrix> = results
-                            .iter()
-                            .map(|r| {
-                                let mut s = sign_from_decomposition(
-                                    r.decomposition.as_ref().expect("diagonalization stores Q"),
-                                    adj.mu,
-                                    numeric.solve.kt,
-                                );
-                                crate::solver::round_sign_output(&mut s, precision);
-                                s
-                            })
-                            .collect();
-                        (adj.mu, adj.iterations, signs)
-                    }
-                };
-                let extracted: Vec<BTreeMap<(usize, usize), Matrix>> = signs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, sign)| plan.extraction[i].extract(sign))
-                    .collect();
-                (mu, bisect_iterations, extracted, sparse_tally)
+                plan.extraction[*i].extract_from_columns(&cols_mat)
             };
+            let extracted = self.map_specs(plan, solve_one);
+            (mu0, 0, extracted, (0u64, 0u64))
+        } else if let Ensemble::Canonical {
+            n_electrons,
+            tol,
+            max_iter,
+        } = numeric.ensemble
+        {
+            // Canonical ensemble: decompose once, run Algorithm 1 on the
+            // stored decompositions (collective), and evaluate the sign
+            // once, at the adjusted µ.
+            assert_eq!(
+                numeric.solve.method,
+                SignMethod::Diagonalization,
+                "canonical ensembles require the diagonalization solver (Sec. IV-G)"
+            );
+            let decompose_one = |i: &usize| {
+                let a = plan.assembly[*i].assemble(block_of);
+                decompose(&a, precision).unwrap_or_else(|e| panic!("submatrix solve failed: {e}"))
+            };
+            let decompositions: Vec<Eigh> = self.map_specs(plan, decompose_one);
+            let stored: Vec<StoredDecomposition> = plan
+                .my_specs
+                .iter()
+                .zip(&decompositions)
+                .map(|(spec, dec)| StoredDecomposition::from_eigh(dec, spec, &plan.dims))
+                .collect();
+            let adj = adjust_mu(
+                &stored,
+                mu0,
+                n_electrons / 2.0,
+                numeric.solve.kt,
+                tol / 2.0,
+                max_iter,
+                comm,
+            );
+            let extracted = decompositions
+                .iter()
+                .enumerate()
+                .map(|(i, dec)| {
+                    let mut s = sign_from_decomposition(dec, adj.mu, numeric.solve.kt);
+                    crate::solver::round_sign_output(&mut s, precision);
+                    plan.extraction[i].extract(&s)
+                })
+                .collect();
+            (adj.mu, adj.iterations, extracted, (0u64, 0u64))
+        } else {
+            let solve_one = |i: &usize| {
+                let a = plan.assembly[*i].assemble(block_of);
+                solve_sign(&a, mu0, &numeric.solve)
+                    .unwrap_or_else(|e| panic!("submatrix solve failed: {e}"))
+            };
+            let results: Vec<SolveResult> = self.map_specs(plan, solve_one);
+            let sparse_tally = results.iter().fold((0u64, 0u64), |acc, r| match r.sparse {
+                Some(s) => (acc.0 + s.filtered_nnz, acc.1 + s.flops),
+                None => acc,
+            });
+            let extracted = results
+                .iter()
+                .enumerate()
+                .map(|(i, r)| plan.extraction[i].extract(&r.sign))
+                .collect();
+            (mu0, 0, extracted, sparse_tally)
+        };
+        let (sparse_filtered_nnz, sparse_flops) = sparse_tally;
         let solve_seconds = t1.elapsed().as_secs_f64();
 
         // Scatter result blocks to their owning ranks. Plain-Fp32 results

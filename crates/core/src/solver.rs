@@ -139,20 +139,28 @@ pub fn round_sign_output(sign: &mut Matrix, precision: Precision) {
     }
 }
 
+/// The eigendecomposition a [`SignMethod::Diagonalization`] solve at
+/// `precision` is built from — all a canonical-ensemble run needs before µ
+/// is known.
+///
+/// Reduced precision diagonalizes the f32-rounded input (the values an f32
+/// wire/device memory would hold). Idempotent with the f32 gather, so
+/// every execution path solves the same matrix. There is no native f32
+/// eigensolver — this models storage precision; the iterative methods
+/// model compute too.
+pub fn decompose(a: &Matrix, precision: Precision) -> Result<Eigh, LinalgError> {
+    if precision.storage_is_f32() {
+        eigh(&a.round_f32_storage())
+    } else {
+        eigh(a)
+    }
+}
+
 /// Evaluate `sign(a − µI)` on one dense symmetric submatrix.
 pub fn solve_sign(a: &Matrix, mu: f64, opts: &SolveOptions) -> Result<SolveResult, LinalgError> {
     match opts.method {
         SignMethod::Diagonalization => {
-            // Reduced precision: diagonalize the f32-rounded input (the
-            // values an f32 wire/device memory would hold). Idempotent with
-            // the f32 gather, so every execution path solves the same
-            // matrix. There is no native f32 eigensolver — this models
-            // storage precision; the iterative methods model compute too.
-            let dec = if opts.precision.storage_is_f32() {
-                eigh(&a.round_f32_storage())?
-            } else {
-                eigh(a)?
-            };
+            let dec = decompose(a, opts.precision)?;
             let mut sign = sign_from_decomposition(&dec, mu, opts.kt);
             round_sign_output(&mut sign, opts.precision);
             Ok(SolveResult {

@@ -36,6 +36,11 @@ pub enum LinalgError {
         /// Number of iterations performed.
         iterations: usize,
     },
+    /// An input holds a NaN or an infinite entry.
+    NonFinite {
+        /// Operation name.
+        op: &'static str,
+    },
 }
 
 impl fmt::Display for LinalgError {
@@ -58,6 +63,9 @@ impl fmt::Display for LinalgError {
             }
             LinalgError::NoConvergence { op, iterations } => {
                 write!(f, "{op}: no convergence after {iterations} iterations")
+            }
+            LinalgError::NonFinite { op } => {
+                write!(f, "{op}: input holds a NaN or infinite entry")
             }
         }
     }
@@ -103,10 +111,16 @@ mod tests {
     #[test]
     fn display_no_convergence() {
         let e = LinalgError::NoConvergence {
-            op: "tql2",
+            op: "eigh",
             iterations: 30,
         };
-        assert_eq!(e.to_string(), "tql2: no convergence after 30 iterations");
+        assert_eq!(e.to_string(), "eigh: no convergence after 30 iterations");
+    }
+
+    #[test]
+    fn display_non_finite() {
+        let e = LinalgError::NonFinite { op: "eigh" };
+        assert_eq!(e.to_string(), "eigh: input holds a NaN or infinite entry");
     }
 
     #[test]

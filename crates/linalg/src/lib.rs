@@ -11,8 +11,10 @@
 //! * a column-major [`Matrix`] type,
 //! * BLAS-1/2/3 kernels ([`blas1`], [`blas2`], [`gemm`]) with a packed,
 //!   register-tiled, Rayon-parallel GEMM,
-//! * a symmetric eigensolver [`eigh::eigh`] (Householder tridiagonalization +
-//!   implicit-shift QL, the classic `tred2`/`tql2` pair),
+//! * a symmetric eigensolver [`eigh::eigh`]: a `dsytd2`-style Householder
+//!   tridiagonalization over the contiguous columns of the upper triangle
+//!   ([`tridiag`]), `Q` formed from the stored reflectors only when
+//!   eigenvectors are wanted, and an implicit-shift QL sweep,
 //! * a Cholesky factorization,
 //! * the matrix sign function via eigendecomposition, Newton–Schulz and
 //!   higher-order Padé iterations ([`sign`]),

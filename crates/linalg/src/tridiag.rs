@@ -2,138 +2,156 @@
 //!
 //! This is the first stage of the `dsyevd`-equivalent eigensolver used to
 //! evaluate `sign(A) = Q sign(Λ) Q^T` on dense submatrices (paper Eq. 17).
-//! The algorithm is the classic EISPACK `tred2`: successive Householder
-//! reflections annihilate one row/column at a time while the orthogonal
-//! transformation matrix is accumulated.
+//! The algorithm is LAPACK's unblocked reduction (`dsytd2`, `uplo = 'U'`)
+//! on the column-major [`Matrix`]: the reflector of step `i` is generated
+//! from the contiguous part `A[..i, i]` of column `i` above the diagonal
+//! and stays there, and the leading block is updated by one symmetric
+//! matrix–vector pass ([`symv_upper`]) and one rank-2 update
+//! ([`syr2_upper`]), both column by column over the upper triangle
+//! (4/3 n³ flops). Working from the last column up leaves a matrix graded
+//! towards small entries with its small end at the top of `T`, which is
+//! the end the QL sweep of [`crate::eigh`] deflates from. The orthogonal
+//! factor is not accumulated along the way: [`Tridiagonal::q`] forms it
+//! afterwards by applying the reflectors to contiguous columns
+//! (`dorg2l`-style, another 4/3 n³), and only a caller that wants
+//! eigenvectors pays for it.
 
+use crate::blas1::{axpy, dot};
+use crate::blas2::{symv_upper, syr2_upper};
 use crate::matrix::Matrix;
 use crate::LinalgError;
 
-/// Result of a Householder tridiagonalization `A = Q T Q^T`.
+/// Sums of squares inside this range are formed and rooted directly: above
+/// the lower end every term that underflowed cost less than one rounding,
+/// and below the upper end no partial sum overflowed.
+pub(crate) const SAFE_SQUARES: std::ops::RangeInclusive<f64> =
+    f64::MIN_POSITIVE / f64::EPSILON..=f64::MAX * f64::EPSILON;
+
+/// Result of a Householder tridiagonalization `A = Q T Q^T`, with `Q`
+/// held as its elementary reflectors `H_i = I − tau[i]·v_i·v_iᵀ`,
+/// `Q = H_{n−1} ⋯ H_2 · H_1`.
 #[derive(Debug, Clone)]
 pub struct Tridiagonal {
-    /// Orthogonal accumulation matrix `Q` (n×n).
-    pub q: Matrix,
     /// Diagonal of `T` (length n).
     pub d: Vec<f64>,
-    /// Sub-diagonal of `T` (length n, entry 0 is unused and set to 0).
+    /// Sub-diagonal of `T` (length n): `e[i]` couples `d[i]` and
+    /// `d[i + 1]`; the last entry is 0.
     pub e: Vec<f64>,
+    /// `v_i` in `[..i, i]`, its trailing 1 stored. The rest is scratch.
+    reflectors: Matrix,
+    /// `tau[i]` of `H_i`; 0 marks `H_i = I` (`tau[0]` always).
+    tau: Vec<f64>,
 }
 
-/// Reduce a symmetric matrix to tridiagonal form, accumulating `Q`.
-///
-/// Only the lower triangle of `a` is referenced, mirroring LAPACK's
-/// `uplo = 'L'` convention. Returns an error if `a` is not square.
-pub fn tred2(a: &Matrix) -> Result<Tridiagonal, LinalgError> {
+/// Overwrite `x` with the Householder vector `v` (last entry 1, stored) of
+/// the reflector `H = I − tau·v·vᵀ` that maps `x` to `beta` times the last
+/// unit vector; returns `(beta, tau)`. When the rest of `x` is zero,
+/// `tau = 0` (`H = I`) and `x` is left as scratch.
+fn make_reflector(x: &mut [f64]) -> (f64, f64) {
+    let last = x.len() - 1;
+    let pivot = x[last];
+    let mut scale = 1.0;
+    let mut rest_sq = dot(&x[..last], &x[..last]);
+    if !SAFE_SQUARES.contains(&(pivot * pivot + rest_sq)) {
+        // Zero, tiny or huge entries: reflect `x / max|x|`, the same `H`.
+        scale = x.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        if scale == 0.0 {
+            return (0.0, 0.0);
+        }
+        for v in x.iter_mut() {
+            *v /= scale;
+        }
+        rest_sq = dot(&x[..last], &x[..last]);
+    }
+    if rest_sq == 0.0 {
+        return (pivot, 0.0);
+    }
+    let alpha = x[last];
+    let beta = -(alpha * alpha + rest_sq).sqrt().copysign(alpha);
+    let inv = 1.0 / (alpha - beta);
+    for v in &mut x[..last] {
+        *v *= inv;
+    }
+    x[last] = 1.0;
+    (beta * scale, (beta - alpha) / beta)
+}
+
+/// Reduce the symmetric part `(A + Aᵀ)/2` of a square matrix to
+/// tridiagonal form. Returns an error if `a` is not square.
+pub fn tridiagonalize(a: &Matrix) -> Result<Tridiagonal, LinalgError> {
     if !a.is_square() {
         return Err(LinalgError::NotSquare {
-            op: "tred2",
+            op: "tridiagonalize",
             shape: a.shape(),
         });
     }
     let n = a.nrows();
-    // Work on a symmetrized copy: the algorithm reads both triangles.
-    let mut z = a.clone();
-    z.symmetrize();
+    // The symmetrized copy is the working buffer the reduction overwrites.
+    let mut work = a.clone();
+    work.symmetrize();
     let mut d = vec![0.0f64; n];
     let mut e = vec![0.0f64; n];
-
-    if n == 0 {
-        return Ok(Tridiagonal { q: z, d, e });
-    }
+    let mut tau = vec![0.0f64; n];
+    let mut w = vec![0.0f64; n];
 
     for i in (1..n).rev() {
-        let l = i - 1;
-        let mut h = 0.0f64;
-        if l > 0 {
-            let mut scale = 0.0f64;
-            for k in 0..=l {
-                scale += z[(i, k)].abs();
-            }
-            if scale == 0.0 {
-                e[i] = z[(i, l)];
-            } else {
-                for k in 0..=l {
-                    z[(i, k)] /= scale;
-                    h += z[(i, k)] * z[(i, k)];
-                }
-                let f = z[(i, l)];
-                let g = if f >= 0.0 { -h.sqrt() } else { h.sqrt() };
-                e[i] = scale * g;
-                h -= f * g;
-                z[(i, l)] = f - g;
-                let mut f_acc = 0.0f64;
-                for j in 0..=l {
-                    // Store u/H in column i for the accumulation phase.
-                    z[(j, i)] = z[(i, j)] / h;
-                    let mut g2 = 0.0f64;
-                    for k in 0..=j {
-                        g2 += z[(j, k)] * z[(i, k)];
-                    }
-                    for k in (j + 1)..=l {
-                        g2 += z[(k, j)] * z[(i, k)];
-                    }
-                    e[j] = g2 / h;
-                    f_acc += e[j] * z[(i, j)];
-                }
-                let hh = f_acc / (h + h);
-                for j in 0..=l {
-                    let f = z[(i, j)];
-                    let g2 = e[j] - hh * f;
-                    e[j] = g2;
-                    for k in 0..=j {
-                        let delta = f * e[k] + g2 * z[(i, k)];
-                        z[(j, k)] -= delta;
-                    }
-                }
-            }
-        } else {
-            e[i] = z[(i, l)];
+        // Column i starts where the leading block's storage ends.
+        let (leading, rest) = work.as_mut_slice().split_at_mut(i * n);
+        d[i] = rest[i];
+        let v = &mut rest[..i];
+        (e[i - 1], tau[i]) = make_reflector(v);
+        let t = tau[i];
+        if t == 0.0 {
+            continue;
         }
-        d[i] = h;
+        // w = p − ½·t·(pᵀv)·v with p = t·A₁₁·v, then A₁₁ −= v·wᵀ + w·vᵀ.
+        let w = &mut w[..i];
+        symv_upper(t, leading, n, v, w)?;
+        axpy(-0.5 * t * dot(w, v), v, w);
+        syr2_upper(-1.0, v, w, leading, n)?;
+    }
+    if n > 0 {
+        d[0] = work[(0, 0)];
     }
 
-    d[0] = 0.0;
-    e[0] = 0.0;
-
-    // Accumulate the Householder transformations into Q (stored in z).
-    for i in 0..n {
-        if d[i] != 0.0 {
-            // i >= 1 here because d[0] == 0.
-            let l = i - 1;
-            for j in 0..=l {
-                let mut g = 0.0f64;
-                for k in 0..=l {
-                    g += z[(i, k)] * z[(k, j)];
-                }
-                for k in 0..=l {
-                    z[(k, j)] -= g * z[(k, i)];
-                }
-            }
-        }
-        d[i] = z[(i, i)];
-        z[(i, i)] = 1.0;
-        if i > 0 {
-            for j in 0..i {
-                z[(j, i)] = 0.0;
-                z[(i, j)] = 0.0;
-            }
-        }
-    }
-
-    Ok(Tridiagonal { q: z, d, e })
+    Ok(Tridiagonal {
+        d,
+        e,
+        reflectors: work,
+        tau,
+    })
 }
 
 impl Tridiagonal {
+    /// Form `Q = H_{n−1} ⋯ H_2 · H_1`, innermost factor first: `H_i` only
+    /// touches rows `..i` of the columns `..i` of what has been accumulated
+    /// so far, each a contiguous slice.
+    pub fn q(&self) -> Matrix {
+        let n = self.d.len();
+        let mut q = Matrix::identity(n);
+        for i in 1..n {
+            let t = self.tau[i];
+            if t == 0.0 {
+                continue;
+            }
+            let v = &self.reflectors.col(i)[..i];
+            for j in 0..i {
+                let col = &mut q.col_mut(j)[..i];
+                axpy(-t * dot(v, col), v, col);
+            }
+        }
+        q
+    }
+
     /// Reconstruct the dense tridiagonal matrix `T` (mostly for testing).
     pub fn t_matrix(&self) -> Matrix {
         let n = self.d.len();
         let mut t = Matrix::zeros(n, n);
         for i in 0..n {
             t[(i, i)] = self.d[i];
-            if i > 0 {
-                t[(i, i - 1)] = self.e[i];
-                t[(i - 1, i)] = self.e[i];
+            if i + 1 < n {
+                t[(i + 1, i)] = self.e[i];
+                t[(i, i + 1)] = self.e[i];
             }
         }
         t
@@ -157,18 +175,18 @@ mod tests {
     #[test]
     fn q_is_orthogonal() {
         let a = sym_test_matrix(12);
-        let tri = tred2(&a).unwrap();
-        let qtq = matmul_tn(&tri.q, &tri.q).unwrap();
+        let q = tridiagonalize(&a).unwrap().q();
+        let qtq = matmul_tn(&q, &q).unwrap();
         assert!(qtq.allclose(&Matrix::identity(12), 1e-12));
     }
 
     #[test]
     fn reconstruction_qtqt_equals_a() {
         let a = sym_test_matrix(10);
-        let tri = tred2(&a).unwrap();
-        let t = tri.t_matrix();
-        let qt = matmul(&tri.q, &t).unwrap();
-        let back = matmul(&qt, &tri.q.transpose()).unwrap();
+        let tri = tridiagonalize(&a).unwrap();
+        let (q, t) = (tri.q(), tri.t_matrix());
+        let qt = matmul(&q, &t).unwrap();
+        let back = matmul(&qt, &q.transpose()).unwrap();
         assert!(
             back.allclose(&a, 1e-11),
             "reconstruction error {}",
@@ -186,19 +204,16 @@ mod tests {
                 a[(i - 1, i)] = 0.5;
             }
         }
-        let tri = tred2(&a).unwrap();
-        let back = matmul(
-            &matmul(&tri.q, &tri.t_matrix()).unwrap(),
-            &tri.q.transpose(),
-        )
-        .unwrap();
+        let tri = tridiagonalize(&a).unwrap();
+        let q = tri.q();
+        let back = matmul(&matmul(&q, &tri.t_matrix()).unwrap(), &q.transpose()).unwrap();
         assert!(back.allclose(&a, 1e-12));
     }
 
     #[test]
     fn diagonal_input_is_fixed_point() {
         let a = Matrix::from_diag(&[3.0, 1.0, -2.0]);
-        let tri = tred2(&a).unwrap();
+        let tri = tridiagonalize(&a).unwrap();
         assert!((tri.d[0] - 3.0).abs() < 1e-15);
         assert!((tri.d[1] - 1.0).abs() < 1e-15);
         assert!((tri.d[2] + 2.0).abs() < 1e-15);
@@ -208,22 +223,19 @@ mod tests {
     #[test]
     fn one_by_one_and_empty() {
         let a = Matrix::from_diag(&[7.0]);
-        let tri = tred2(&a).unwrap();
+        let tri = tridiagonalize(&a).unwrap();
         assert_eq!(tri.d, vec![7.0]);
         let a0 = Matrix::zeros(0, 0);
-        let tri0 = tred2(&a0).unwrap();
+        let tri0 = tridiagonalize(&a0).unwrap();
         assert!(tri0.d.is_empty());
     }
 
     #[test]
     fn two_by_two() {
         let a = Matrix::from_row_major(2, 2, &[2.0, 1.0, 1.0, 3.0]);
-        let tri = tred2(&a).unwrap();
-        let back = matmul(
-            &matmul(&tri.q, &tri.t_matrix()).unwrap(),
-            &tri.q.transpose(),
-        )
-        .unwrap();
+        let tri = tridiagonalize(&a).unwrap();
+        let q = tri.q();
+        let back = matmul(&matmul(&q, &tri.t_matrix()).unwrap(), &q.transpose()).unwrap();
         assert!(back.allclose(&a, 1e-13));
     }
 
@@ -231,8 +243,11 @@ mod tests {
     fn non_square_rejected() {
         let a = Matrix::zeros(2, 3);
         assert!(matches!(
-            tred2(&a),
-            Err(LinalgError::NotSquare { op: "tred2", .. })
+            tridiagonalize(&a),
+            Err(LinalgError::NotSquare {
+                op: "tridiagonalize",
+                ..
+            })
         ));
     }
 }
