@@ -5,21 +5,23 @@
 //! the hot kernel of the whole reproduction. Every product runs through one
 //! Goto-style driver, generic over the [`Elem`] scalar:
 //!
-//! * `op(A)` is packed into 4-row (`MR`) slivers and `op(B)` into 12-column
-//!   (`NR`) slivers, one `kc`-deep block at a time, into a buffer of about
-//!   512 KiB of `f64` at the block depth `gemm` uses (`KC`). The packing
-//!   read absorbs the transpose, so all four [`Op`] pairs share the code
-//!   below it.
-//! * A microkernel keeps an `MR × NR` tile of `C` in registers over at most
-//!   `KC` steps of the `kc` loop. There are two: an AVX2+FMA `f64` kernel,
-//!   chosen at run time where the CPU has it, and a portable one generic over
-//!   the scalar (other CPUs, and `gemm::<f32>` with its `f32` sums).
+//! * `op(A)` is packed into `mr`-row slivers and `op(B)` into `nr`-column
+//!   slivers, one `kc`-deep block at a time, into a buffer of about 512 KiB
+//!   of `f64` at the block depth `gemm` uses (`KC`). The packing read absorbs
+//!   the transpose, so all four [`Op`] pairs share the code below it.
+//! * A microkernel keeps an `mr × nr` tile of `C` in registers over at most
+//!   `KC` steps of the `kc` loop, and the driver takes `mr` and `nr` from the
+//!   `Microkernel` it is handed. There are three behind one run-time
+//!   choice (`microkernels`): a 16 × 12 AVX-512 `f64` tile, a 4 × 12
+//!   AVX2+FMA `f64` tile, and a portable 4 × 12 one generic over the scalar
+//!   (other CPUs, and `gemm::<f32>` with its `f32` sums).
 //! * Each element of `C` is summed over ascending `p` inside a `kc` block and
 //!   over ascending blocks, in a tile that is computed in full even on the
-//!   matrix edge. The bits of `C` therefore do not depend on how the columns
-//!   are split across threads — the threaded path is the same driver over
-//!   `NR`-aligned column panels, the shared-memory strategy the paper uses
-//!   with OpenMP (Sec. IV-D).
+//!   matrix edge. The bits of `C` therefore depend neither on the tile — the
+//!   two SIMD kernels agree bit for bit — nor on how the columns are split
+//!   across threads: the threaded path is the same driver over `nr`-aligned
+//!   column panels, the shared-memory strategy the paper uses with OpenMP
+//!   (Sec. IV-D).
 //! * The smallest products with `A` as stored (`m·n·k ≤ 16³`) run a
 //!   column-`axpy` loop instead: packing does not pay under dimension 12, and
 //!   other code is pinned to the loop's bits up to dimension 16.
@@ -55,50 +57,45 @@ impl Op {
     }
 }
 
-/// Rows of the register tile: one 4-lane `f64` vector.
-const MR: usize = 4;
-/// Columns of the register tile: 12 accumulators, one `A` vector and one
-/// broadcast of `B` in the 16 AVX2 registers — 13 loads for 12 multiply-adds.
-/// A tile of two vectors by six columns needs 8 loads and measured 7 %
-/// faster at dimension 512 on a quiet core; under a busy sibling thread it
-/// slows down 1.35 times where this one, like plain streaming code, slows
-/// down 1.5 to 1.6 times. `smbench` divides every wall time by that of a
-/// streaming loop timed around it, so the reported time of one and the same
-/// solve fell by 19 % from a quiet host to a busy one with the 8 × 6 tile,
-/// and does not move with this one.
-const NR: usize = 12;
-/// Depth of one packed block, and of one microkernel call. An `MR`-row and
-/// an `NR`-column sliver of this depth (32 KiB of `f64`) stay in L1 while
-/// the microkernel runs.
+/// Depth of one packed block, and of one microkernel call. An `nr`-column
+/// sliver of `op(B)` of this depth (24 KiB of `f64` at 12 columns) stays in
+/// L1 while the slivers of `op(A)` pass by it. The depth is also where an
+/// element's sum is cut into FMA chains, so changing it changes bits.
 const KC: usize = 256;
 /// Elements of each packed operand: a block of `op(A)` of 128 rows and a
 /// panel of `op(B)` of 120 columns at depth `KC`, about 256 KiB of `f64`
 /// each, so both stay in L2 while the block of `op(A)` is re-read once per
-/// `NR` columns. A deeper block (see [`matmul_wide`], whose block is as deep
+/// `nr` columns. A deeper block (see [`matmul_wide`], whose block is as deep
 /// as `k`) gets fewer rows and columns instead of a larger buffer, down to
 /// one sliver of `op(B)` at a depth of 2730. Past that the buffer grows with
-/// `k` and all of `op(A)` is packed again for every `NR` columns; nothing
+/// `k` and all of `op(A)` is packed again for every `nr` columns; nothing
 /// multiplies that deep.
 const PACK_ELEMS: usize = 128 * KC;
 
 /// Products under this many flops run on the calling thread. The `rayon`
 /// shim starts its threads anew on every call, 31 to 47 µs each
-/// (`comsim.rank_spawn_us`), and the packed kernel does about 32 GFLOP/s
-/// (`linalg.gemm_f64_gflops`): on two threads a split costs some 62 µs and
-/// saves half the serial time, so it should break even at 4 MFLOP. Measured
-/// on two threads it loses 60 % at 2.7 MFLOP and 35 % at 8 MFLOP, and wins
-/// 6 % at 16 MFLOP and 26 % at 34 MFLOP: the threshold is the smallest size
-/// that won.
-const PAR_THRESHOLD_FLOPS: usize = 1 << 24;
+/// (`comsim.rank_spawn_us`), each thread packs into a buffer of its own, and
+/// the AVX-512 kernel does 50 to 57 GFLOP/s where the AVX2 one did 30: the
+/// time a split can save shrank, what it costs did not. Measured on the two
+/// vCPUs of a shared host, one and two panels alternating call by call, ten
+/// rounds over two hours: two panels take 1.8 to 2.2 times as long as one at
+/// 2.7 MFLOP, 1.04 to 1.7 times at 8 MFLOP and, in nine rounds of ten, 1.05
+/// to 1.4 times at 16 MFLOP, where the 4 × 12 tile gained 30 % from them. At
+/// 34 MFLOP they win by 15 to 33 % in three rounds and lose 5 to 17 % in
+/// seven; at 66 MFLOP they win by 19 to 37 % in four of seven. The threshold
+/// is the smallest size at which the split won at all.
+const PAR_THRESHOLD_FLOPS: usize = 1 << 25;
 
 /// Products with `m·n·k` at most this run the column-`axpy` loop the crate
-/// started with. The packed driver computes whole `MR × NR` tiles whatever
-/// the size, so the loop is the faster one up to dimension 8 (48 ns against
-/// 430 ns at dimension 4) and the two are even from 12 to 16 (1060 ns
-/// against 970 ns at 16). The bound sits at 16 for what is pinned to the
-/// loop's bits: the CSR kernel's exactness at `eps = 0` is tested bit for bit
-/// against N×N products of dimension under 12, and the submatrix solves of
-/// dimension 6 to 16 keep their results.
+/// started with. The packed driver computes whole tiles whatever the size,
+/// so the loop is the faster one up to dimension 8 (83 ns against 220 ns at
+/// dimension 4, 250 against 325 ns at 8); from 12 on the driver is, with the
+/// 16 × 12 tile (400 against 565 ns at 12, 650 against 1190 ns at 16), and
+/// the two are even with the 4 × 12 AVX2 tile (600 and 1110 ns). The bound
+/// sits at 16 for what is pinned to the loop's bits: the CSR kernel's
+/// exactness at `eps = 0` is tested bit for bit against N×N products of
+/// dimension under 12, and the submatrix solves of dimension 6 to 16 keep
+/// their results.
 const SMALL_VOLUME: usize = 16 * 16 * 16;
 
 /// `C = alpha * op(A) * op(B) + beta * C`, generic over the element type.
@@ -212,11 +209,19 @@ fn convert<E: Elem, P: Elem>(x: E) -> P {
 }
 
 /// `C += alpha · op(A) · op(B)` through the packed driver, with the columns
-/// of `C` split into `panels` `NR`-aligned panels that the `rayon` pool
-/// shares out. `P` is the type the operands are packed, multiplied and
+/// of `C` split into `panels` panels, aligned to the kernel's `nr`, that the
+/// `rayon` pool shares out. `P` is the type the operands are packed, multiplied and
 /// summed in; a tile of `C` widens to `P`, takes its update and narrows back
 /// to `E` as it is stored. `kc_max` is the deepest block packed at once:
 /// the sums of `C` are rounded to `E` once per block.
+///
+/// Never inlined, so that `gemm` stays the shape test in front of the small
+/// loop and the dimension 6 to 16 solves run the same instructions whatever
+/// the driver grows to. What still moves their time is where the linker puts
+/// `small_gemm`: the same instructions read up to a third slower at
+/// dimensions 8, 12 and 16 under one placement and a quarter slower at 6, 10
+/// and 14 under another, and nothing in this file chooses between them.
+#[inline(never)]
 fn packed_gemm<E: Elem, P: Elem>(
     kernel: Microkernel<P>,
     panels: usize,
@@ -227,7 +232,7 @@ fn packed_gemm<E: Elem, P: Elem>(
     c: &mut MatrixBase<E>,
 ) {
     let (m, n) = c.shape();
-    let cols = n.div_ceil(panels).next_multiple_of(NR);
+    let cols = n.div_ceil(panels).next_multiple_of(kernel.nr);
     let panel = |j0: usize, c_panel: &mut [E]| {
         packed_panel(kernel, alpha, a, b, kc_max, j0, c_panel);
     };
@@ -252,46 +257,47 @@ fn packed_panel<E: Elem, P: Elem>(
     j0: usize,
     c: &mut [E],
 ) {
+    let Microkernel { mr, nr, run, .. } = kernel;
     let (m, k) = (a.rows, a.cols);
     let n = c.len() / m;
     let kc_max = kc_max.min(k);
-    let mc = (PACK_ELEMS / kc_max / MR * MR).clamp(MR, m.next_multiple_of(MR));
-    let nc = (PACK_ELEMS / kc_max / NR * NR).clamp(NR, n.next_multiple_of(NR));
+    let mc = (PACK_ELEMS / kc_max / mr * mr).clamp(mr, m.next_multiple_of(mr));
+    let nc = (PACK_ELEMS / kc_max / nr * nr).clamp(nr, n.next_multiple_of(nr));
     // Allocated per call: a buffer kept per thread measured no faster at any
     // size, and one more long-lived block in the heap cost the 512-dimensional
     // sign solve 1.4 MiB of peak RSS.
-    let mut buf = vec![P::ZERO; kc_max * (mc + nc) + mc * NR];
+    let mut buf = vec![P::ZERO; kc_max * (mc + nc) + mc * nr];
     let (a_pack, rest) = buf.split_at_mut(kc_max * mc);
     let (b_pack, tiles) = rest.split_at_mut(kc_max * nc);
     for jc in (0..n).step_by(nc) {
         let nb = nc.min(n - jc);
         for pc in (0..k).step_by(kc_max) {
             let kc = kc_max.min(k - pc);
-            pack::<E, P, NR>(b_pack, b.transposed(), j0 + jc, nb, pc, kc);
+            pack(b_pack, nr, b.transposed(), j0 + jc, nb, pc, kc);
             for ic in (0..m).step_by(mc) {
                 let mb = mc.min(m - ic);
-                pack::<E, P, MR>(a_pack, a, ic, mb, pc, kc);
-                let tiles = &mut tiles[..mb.next_multiple_of(MR) * NR];
-                for jr in (0..nb).step_by(NR) {
-                    let b_sliver = &b_pack[jr * kc..][..NR * kc];
+                pack(a_pack, mr, a, ic, mb, pc, kc);
+                let tiles = &mut tiles[..mb.next_multiple_of(mr) * nr];
+                for jr in (0..nb).step_by(nr) {
+                    let b_sliver = &b_pack[jr * kc..][..nr * kc];
                     tiles.fill(P::ZERO);
                     // A block deeper than `KC` in pieces of `KC`, so that
                     // the piece of the `op(B)` sliver stays in L1 while the
                     // slivers of `op(A)` pass by it.
                     for p0 in (0..kc).step_by(KC) {
                         let depth = KC.min(kc - p0);
-                        let b_piece = &b_sliver[p0 * NR..][..depth * NR];
-                        let a_slivers = a_pack.chunks_exact(MR * kc);
-                        for (tile, a_sliver) in tiles.as_chunks_mut().0.iter_mut().zip(a_slivers) {
-                            kernel(&a_sliver[p0 * MR..][..depth * MR], b_piece, tile);
+                        let b_piece = &b_sliver[p0 * nr..][..depth * nr];
+                        let a_slivers = a_pack.chunks_exact(mr * kc);
+                        for (tile, a_sliver) in tiles.chunks_exact_mut(mr * nr).zip(a_slivers) {
+                            run(&a_sliver[p0 * mr..][..depth * mr], b_piece, tile);
                         }
                     }
-                    for (s, tile) in tiles.as_chunks::<{ MR * NR }>().0.iter().enumerate() {
-                        let ir = s * MR;
-                        let rows = MR.min(mb - ir);
-                        for j in 0..NR.min(nb - jr) {
+                    for (s, tile) in tiles.chunks_exact(mr * nr).enumerate() {
+                        let ir = s * mr;
+                        let rows = mr.min(mb - ir);
+                        for j in 0..nr.min(nb - jr) {
                             let c_col = &mut c[(jc + jr + j) * m + ic + ir..][..rows];
-                            for (ci, &t) in c_col.iter_mut().zip(&tile[j * MR..]) {
+                            for (ci, &t) in c_col.iter_mut().zip(&tile[j * mr..]) {
                                 *ci = convert(convert::<E, P>(*ci) + alpha * t);
                             }
                         }
@@ -302,12 +308,13 @@ fn packed_panel<E: Elem, P: Elem>(
     }
 }
 
-/// Pack `rows × kc` of `src`, from `(r0, p0)`, into `R`-row slivers: sliver
-/// `s` holds rows `r0 + s·R ..` as `dst[(s·kc + p)·R + r]`, the rows past
+/// Pack `rows × kc` of `src`, from `(r0, p0)`, into `r`-row slivers: sliver
+/// `s` holds rows `r0 + s·r ..` as `dst[(s·kc + p)·r + i]`, the rows past
 /// `rows` as zeros. Both operands pack through here — `op(B)` as the rows
 /// of its transpose.
-fn pack<E: Elem, P: Elem, const R: usize>(
+fn pack<E: Elem, P: Elem>(
     dst: &mut [P],
+    r: usize,
     src: Operand<E>,
     r0: usize,
     rows: usize,
@@ -315,27 +322,36 @@ fn pack<E: Elem, P: Elem, const R: usize>(
     kc: usize,
 ) {
     for (s, sliver) in dst
-        .chunks_exact_mut(R * kc)
-        .take(rows.div_ceil(R))
+        .chunks_exact_mut(r * kc)
+        .take(rows.div_ceil(r))
         .enumerate()
     {
-        let r = r0 + s * R;
-        let r_len = R.min(r0 + rows - r);
-        if r_len < R {
+        let first = r0 + s * r;
+        let len = r.min(r0 + rows - first);
+        if len < r {
             sliver.fill(P::ZERO);
         }
         // Read along whichever index is contiguous in memory.
         if src.trans {
-            for i in 0..r_len {
-                let from = &src.data[(r + i) * src.ld + p0..][..kc];
-                for (to, &v) in sliver.chunks_exact_mut(R).zip(from) {
+            for i in 0..len {
+                let from = &src.data[(first + i) * src.ld + p0..][..kc];
+                for (to, &v) in sliver.chunks_exact_mut(r).zip(from) {
                     to[i] = convert(v);
                 }
             }
         } else {
-            for (p, to) in sliver.chunks_exact_mut(R).enumerate() {
-                let from = &src.data[(p0 + p) * src.ld + r..][..r_len];
-                for (t, &v) in to.iter_mut().zip(from) {
+            for (p, to) in sliver.chunks_exact_mut(r).enumerate() {
+                let from = &src.data[(p0 + p) * src.ld + first..][..len];
+                // Four at a time: every tile is a multiple of four rows and
+                // columns, and a group of known length converts as one
+                // vector where a run of `len` does not. Without it a product
+                // of dimension 256 takes a tenth longer on the 4 × 12 tile.
+                let (from4, from_rest) = from.as_chunks::<4>();
+                let (to4, to_rest) = to[..len].as_chunks_mut::<4>();
+                for (t, f) in to4.iter_mut().zip(from4) {
+                    *t = f.map(convert);
+                }
+                for (t, &v) in to_rest.iter_mut().zip(from_rest) {
                     *t = convert(v);
                 }
             }
@@ -343,64 +359,164 @@ fn pack<E: Elem, P: Elem, const R: usize>(
     }
 }
 
-/// Adds to one tile: `tile[j·MR + i] += Σ_p a[p·MR + i] · b[p·NR + j]`, one
-/// term after the other in ascending `p`, over packed slivers of equal depth.
-type Microkernel<P> = fn(a: &[P], b: &[P], tile: &mut [P; MR * NR]);
-
-/// The microkernel for sums in `P` on this CPU.
-fn microkernel<P: Elem>() -> Microkernel<P> {
-    #[cfg(target_arch = "x86_64")]
-    if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-        use std::any::Any;
-        let simd: Microkernel<f64> = kernel_avx2_fma;
-        if let Some(&kernel) = (&simd as &dyn Any).downcast_ref::<Microkernel<P>>() {
-            return kernel;
-        }
-    }
-    kernel_portable
+/// A register tile of `C` and the code that fills it. `run` adds to one
+/// tile, `tile[j·mr + i] += Σ_p a[p·mr + i] · b[p·nr + j]`, one term after
+/// the other in ascending `p`, over packed slivers of equal depth; the driver
+/// takes the shape of its slivers and tiles from `mr` and `nr`.
+#[derive(Clone, Copy)]
+struct Microkernel<P> {
+    name: &'static str,
+    mr: usize,
+    nr: usize,
+    run: fn(a: &[P], b: &[P], tile: &mut [P]),
 }
 
-fn kernel_portable<P: Elem>(a: &[P], b: &[P], tile: &mut [P; MR * NR]) {
-    let mut acc = *tile;
-    for (ap, bp) in a.as_chunks::<MR>().0.iter().zip(b.as_chunks::<NR>().0) {
-        for (j, acc_col) in acc.as_chunks_mut::<MR>().0.iter_mut().enumerate() {
+/// The microkernel for sums in `P` on this CPU: the first of
+/// [`microkernels`].
+fn microkernel<P: Elem>() -> Microkernel<P> {
+    let (simd, portable) = microkernels();
+    simd.into_iter().flatten().next().unwrap_or(portable)
+}
+
+/// Which microkernel `f64` products run on this CPU: `avx512f`, `avx2+fma`
+/// or `portable`. Results repeat bit for bit between CPUs that name one of
+/// the first two, and on one CPU always.
+pub fn f64_microkernel() -> &'static str {
+    microkernel::<f64>().name
+}
+
+/// Every microkernel for sums in `P` that this CPU runs: the SIMD tiles it
+/// has the instructions for, widest first, and the portable one that runs
+/// everywhere. The only function that asks the CPU what it has.
+fn microkernels<P: Elem>() -> ([Option<Microkernel<P>>; 2], Microkernel<P>) {
+    #[cfg(target_arch = "x86_64")]
+    let simd = {
+        let avx512f = Microkernel {
+            name: "avx512f",
+            mr: 16,
+            nr: 12,
+            run: kernel_avx512f,
+        };
+        let avx2_fma = Microkernel {
+            name: "avx2+fma",
+            mr: 4,
+            nr: 12,
+            run: kernel_avx2_fma,
+        };
+        let has_avx2_fma = is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma");
+        [
+            is_x86_feature_detected!("avx512f").then_some(avx512f),
+            has_avx2_fma.then_some(avx2_fma),
+        ]
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let simd = [None::<Microkernel<f64>>; 2];
+    // The SIMD kernels sum in `f64`; for any other `P` the cast finds nothing.
+    let same_type = |kernel: Microkernel<f64>| {
+        let kernel: &dyn std::any::Any = &kernel;
+        kernel.downcast_ref::<Microkernel<P>>().copied()
+    };
+    let portable = Microkernel {
+        name: "portable",
+        mr: 4,
+        nr: 12,
+        run: kernel_portable::<P>,
+    };
+    (simd.map(|kernel| kernel.and_then(same_type)), portable)
+}
+
+/// A 4 × 12 tile in plain scalar code, for the compiler to vectorise as the
+/// build target allows.
+fn kernel_portable<P: Elem>(a: &[P], b: &[P], tile: &mut [P]) {
+    let mut acc = [P::ZERO; 4 * 12];
+    acc.copy_from_slice(tile);
+    for (ap, bp) in a.as_chunks::<4>().0.iter().zip(b.as_chunks::<12>().0) {
+        for (j, acc_col) in acc.as_chunks_mut::<4>().0.iter_mut().enumerate() {
             for (i, s) in acc_col.iter_mut().enumerate() {
                 *s += ap[i] * bp[j];
             }
         }
     }
-    *tile = acc;
+    tile.copy_from_slice(&acc);
 }
 
-/// Only [`microkernel`] may name this function: it runs AVX2 and FMA
-/// instructions without checking that the CPU has them.
+/// A 4 × 12 tile: 12 accumulators, one `A` vector and one broadcast of `B`
+/// in the 16 `ymm` registers. Only [`microkernels`] may name this function:
+/// it runs AVX2 and FMA instructions without checking that the CPU has them.
 #[cfg(target_arch = "x86_64")]
-fn kernel_avx2_fma(a: &[f64], b: &[f64], tile: &mut [f64; MR * NR]) {
-    // SAFETY: `microkernel`, the only place that names this function, hands
+fn kernel_avx2_fma(a: &[f64], b: &[f64], tile: &mut [f64]) {
+    // SAFETY: `microkernels`, the only place that names this function, hands
     // it out after `is_x86_feature_detected!` has found both features.
     unsafe { kernel_avx2_fma_impl(a, b, tile) }
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-fn kernel_avx2_fma_impl(a: &[f64], b: &[f64], tile: &mut [f64; MR * NR]) {
+fn kernel_avx2_fma_impl(a: &[f64], b: &[f64], tile: &mut [f64]) {
     use std::arch::x86_64::*;
-    let mut acc = [_mm256_setzero_pd(); NR];
-    for (acc_col, tile_col) in acc.iter_mut().zip(tile.as_chunks::<MR>().0) {
-        // SAFETY: `tile_col` is a `[f64; MR]`, so the 4-lane load is in bounds.
+    let tile = &mut tile[..4 * 12];
+    let mut acc = [_mm256_setzero_pd(); 12];
+    for (acc_col, tile_col) in acc.iter_mut().zip(tile.as_chunks::<4>().0) {
+        // SAFETY: `tile_col` is a `[f64; 4]`, so the 4-lane load is in bounds.
         *acc_col = unsafe { _mm256_loadu_pd(tile_col.as_ptr()) };
     }
-    for (ap, bp) in a.as_chunks::<MR>().0.iter().zip(b.as_chunks::<NR>().0) {
-        // SAFETY: `ap` is a `[f64; MR]`, so the 4-lane load is in bounds.
+    for (ap, bp) in a.as_chunks::<4>().0.iter().zip(b.as_chunks::<12>().0) {
+        // SAFETY: `ap` is a `[f64; 4]`, so the 4-lane load is in bounds.
         let a_col = unsafe { _mm256_loadu_pd(ap.as_ptr()) };
         for (acc_col, &bpj) in acc.iter_mut().zip(bp) {
             *acc_col = _mm256_fmadd_pd(a_col, _mm256_set1_pd(bpj), *acc_col);
         }
     }
-    for (tile_col, &acc_col) in tile.as_chunks_mut::<MR>().0.iter_mut().zip(&acc) {
-        // SAFETY: `tile_col` is a `[f64; MR]`, so the 4-lane store is in
+    for (tile_col, &acc_col) in tile.as_chunks_mut::<4>().0.iter_mut().zip(&acc) {
+        // SAFETY: `tile_col` is a `[f64; 4]`, so the 4-lane store is in
         // bounds.
         unsafe { _mm256_storeu_pd(tile_col.as_mut_ptr(), acc_col) };
+    }
+}
+
+/// A 16 × 12 tile: 24 accumulators of the 32 `zmm` registers, two `A`
+/// vectors, and `B` broadcast from memory by the multiply-add itself — 14
+/// loads for 24 multiply-adds. Only [`microkernels`] may name this function:
+/// it runs AVX-512F instructions without checking that the CPU has them.
+#[cfg(target_arch = "x86_64")]
+fn kernel_avx512f(a: &[f64], b: &[f64], tile: &mut [f64]) {
+    // SAFETY: `microkernels`, the only place that names this function, hands
+    // it out after `is_x86_feature_detected!` has found the feature.
+    unsafe { kernel_avx512f_impl(a, b, tile) }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn kernel_avx512f_impl(a: &[f64], b: &[f64], tile: &mut [f64]) {
+    use std::arch::x86_64::*;
+    // Two 8-lane vectors to a column of the tile and to a step of `a`.
+    fn halves(x: &[f64]) -> &[[[f64; 8]; 2]] {
+        x.as_chunks::<8>().0.as_chunks::<2>().0
+    }
+    let tile = &mut tile[..16 * 12];
+    let mut acc = [[_mm512_setzero_pd(); 2]; 12];
+    for (acc_col, tile_col) in acc.iter_mut().zip(halves(tile)) {
+        for (s, t) in acc_col.iter_mut().zip(tile_col) {
+            // SAFETY: `t` is a `[f64; 8]`, so the 8-lane load is in bounds.
+            *s = unsafe { _mm512_loadu_pd(t.as_ptr()) };
+        }
+    }
+    for (ap, bp) in halves(a).iter().zip(b.as_chunks::<12>().0) {
+        // SAFETY: `v` is a `[f64; 8]`, so the 8-lane load is in bounds.
+        let a_col = ap.map(|v| unsafe { _mm512_loadu_pd(v.as_ptr()) });
+        for (acc_col, &bpj) in acc.iter_mut().zip(bp) {
+            let b_pj = _mm512_set1_pd(bpj);
+            for (s, &a_half) in acc_col.iter_mut().zip(&a_col) {
+                *s = _mm512_fmadd_pd(a_half, b_pj, *s);
+            }
+        }
+    }
+    let tile_cols = tile.as_chunks_mut::<8>().0.as_chunks_mut::<2>().0;
+    for (tile_col, acc_col) in tile_cols.iter_mut().zip(&acc) {
+        for (t, &s) in tile_col.iter_mut().zip(acc_col) {
+            // SAFETY: `t` is a `[f64; 8]`, so the 8-lane store is in bounds.
+            unsafe { _mm512_storeu_pd(t.as_mut_ptr(), s) };
+        }
     }
 }
 
@@ -556,21 +672,25 @@ mod tests {
         r
     }
 
-    /// The packed driver on `f64`, whatever the size, with a chosen
+    /// The packed driver with `f64` sums, whatever the size, with a chosen
     /// microkernel, panel count and block depth.
     #[allow(clippy::too_many_arguments)]
-    fn packed(
+    fn packed<E: Elem>(
         kernel: Microkernel<f64>,
         panels: usize,
-        a: &Matrix,
+        a: &MatrixBase<E>,
         op_a: Op,
-        b: &Matrix,
+        b: &MatrixBase<E>,
         op_b: Op,
         kc_max: usize,
-        c: &mut Matrix,
+        c: &mut MatrixBase<E>,
     ) {
         let (a, b) = (Operand::new(a, op_a), Operand::new(b, op_b));
         packed_gemm(kernel, panels, 1.0, a, b, kc_max, c);
+    }
+
+    fn bits<E: Elem>(c: &MatrixBase<E>) -> Vec<u64> {
+        c.as_slice().iter().map(|v| v.to_f64().to_bits()).collect()
     }
 
     const OPS: [(Op, Op); 4] = [
@@ -688,35 +808,54 @@ mod tests {
 
     #[test]
     fn simd_and_portable_kernels_agree() {
-        // On a CPU without AVX2+FMA both are the portable kernel.
-        let (a, b) = (seeded(70, 300, 3), seeded(45, 300, 4));
-        let mut simd = Matrix::zeros(70, 45);
-        let mut portable = simd.clone();
-        packed(
-            microkernel(),
-            1,
-            &a,
-            Op::NoTrans,
-            &b,
-            Op::Trans,
-            KC,
-            &mut simd,
-        );
-        packed(
-            kernel_portable,
-            1,
-            &a,
-            Op::NoTrans,
-            &b,
-            Op::Trans,
-            KC,
-            &mut portable,
-        );
-        let scale = portable
-            .as_slice()
+        let (simd, portable) = microkernels::<f64>();
+        println!("microkernel → {}", f64_microkernel());
+        for (name, kernel) in ["avx512f", "avx2+fma"].into_iter().zip(simd) {
+            if kernel.is_none() {
+                println!("skipped: this CPU has no {name} microkernel to compare");
+            }
+        }
+        let simd: Vec<_> = simd.into_iter().flatten().collect();
+        // Multiples of neither tile in any dimension; one, several and many
+        // blocks of `k`.
+        let dims = [1, 5, 13, 17, 33, 77];
+        let shapes = dims
             .iter()
-            .fold(0.0f64, |s, v| s.max(v.abs()));
-        assert!(simd.max_abs_diff(&portable) <= 1e-12 * scale);
+            .flat_map(|&m| dims.iter().map(move |&n| (m, n)))
+            .flat_map(|(m, n)| [1, 77, 2 * KC + 3].map(|k| (m, n, k)));
+        for ((m, n, k), (op_a, op_b)) in shapes.flat_map(|s| OPS.map(|ops| (s, ops))) {
+            let ((ar, ac), (br, bc)) = (op_a.apply((m, k)), op_b.apply((k, n)));
+            let (a, b) = (seeded(ar, ac, 3), seeded(br, bc, 4));
+            let naive = matmul_naive(&applied(&a, op_a), &applied(&b, op_b)).unwrap();
+            let tol = 1e-13 * (k as f64 + 1.0);
+            for kc_max in [7, KC, k] {
+                let run = |kernel| {
+                    let mut c = Matrix::zeros(m, n);
+                    packed(kernel, 1, &a, op_a, &b, op_b, kc_max, &mut c);
+                    c
+                };
+                let reference = run(portable);
+                assert!(reference.allclose(&naive, tol));
+                let results: Vec<_> = simd.iter().map(|&kernel| run(kernel)).collect();
+                for (c, kernel) in results.iter().zip(&simd) {
+                    let what = format!("{} {m}×{n}×{k} kc {kc_max}", kernel.name);
+                    assert!(c.allclose(&naive, tol), "{what} against naive");
+                    assert!(c.allclose(&reference, tol), "{what} against portable");
+                    // One FMA chain per element whatever the tile.
+                    assert_eq!(bits(c), bits(&results[0]), "{what}");
+                }
+            }
+            // `matmul_wide`: `f32` operands, one block as deep as `k`.
+            if (op_a, op_b) == OPS[0] {
+                let (a32, b32) = (a.to_f32(), b.to_f32());
+                let wide = bits(&matmul_wide(&a32, &b32).unwrap());
+                for &kernel in &simd {
+                    let mut c = MatrixF32::zeros(m, n);
+                    packed(kernel, 1, &a32, op_a, &b32, op_b, k, &mut c);
+                    assert_eq!(bits(&c), wide, "wide {} {m}×{n}×{k}", kernel.name);
+                }
+            }
+        }
     }
 
     #[test]
@@ -815,8 +954,8 @@ mod tests {
     #[test]
     fn large_parallel_matches_naive() {
         // Big enough to be split into column panels where there are threads.
-        let (a, b) = (seeded(256, 128, 9), seeded(128, 256, 10));
-        const { assert!(2 * 256 * 128 * 256 >= PAR_THRESHOLD_FLOPS) };
+        let (a, b) = (seeded(256, 256, 9), seeded(256, 256, 10));
+        const { assert!(2 * 256 * 256 * 256 >= PAR_THRESHOLD_FLOPS) };
         let c = matmul(&a, &b).unwrap();
         assert!(c.allclose(&matmul_naive(&a, &b).unwrap(), 1e-11));
     }
