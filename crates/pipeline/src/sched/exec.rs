@@ -1,6 +1,7 @@
 //! The running half of the scheduler: the [`Scheduler`] front-end, the
 //! trace narrator, the one rank executor and the one job body.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -439,10 +440,10 @@ fn fault_consensus(
 /// sent the same peer for epoch `e`.
 ///
 /// Dead ranks and non-root survivors return `Ok(None)`; world rank 0
-/// returns every job's result (quarantined placeholders synthesized
-/// locally — their groups never shipped anything) plus the measured
-/// `(total, max)` idle seconds over the final survivors, or a typed
-/// [`SchedError`] if collection fails unrecoverably.
+/// returns every job's result (kept in memory if it rooted the job, else
+/// received from the root; quarantined placeholders synthesized locally)
+/// plus the measured `(total, max)` idle seconds over the final
+/// survivors, or a typed [`SchedError`] if collection fails unrecoverably.
 #[allow(clippy::type_complexity)]
 fn run_rank(
     engine: &Arc<SubmatrixEngine>,
@@ -465,6 +466,8 @@ fn run_rank(
     let world: Vec<usize> = (0..comm.size()).collect();
     let t_start = Instant::now();
     let mut busy = 0.0f64;
+    // By job index: what this rank rooted as world rank 0.
+    let mut kept: Vec<Option<JobResult>> = vec![None; jobs.len()];
 
     for (e, ep) in schedule.epochs.iter().enumerate() {
         // A planned death fires at the epoch boundary, before the
@@ -491,7 +494,9 @@ fn run_rank(
         // Retry/quarantine bookkeeping happened at planning time; at run
         // time the whole group just skips a poisoned attempt.
         for att in grp.jobs.iter().filter(|a| !a.poisoned) {
-            busy += execute_job_on_group(engine, jobs, schedule, att, &sub, comm, e);
+            let (seconds, done) = execute_job_on_group(engine, jobs, schedule, att, &sub, comm, e);
+            busy += seconds;
+            kept[att.job] = done;
         }
     }
 
@@ -532,13 +537,15 @@ fn run_rank(
         );
     }
 
-    // Result collection: every executed job's root is read off the
-    // schedule (its own sends arrive through the local mailbox);
-    // quarantined jobs keep the empty placeholder, carrying only the
-    // fault bookkeeping (their groups never executed, so nothing was
-    // sent).
+    // Result collection: a job rank 0 rooted is taken from `kept`, any
+    // other executed job is received from the root the schedule names;
+    // quarantined jobs keep the empty placeholder, carrying only the fault
+    // bookkeeping (their groups never executed, so nothing was sent).
     let results = (0..jobs.len())
         .map(|j| {
+            if let Some(done) = kept[j].take() {
+                return Ok(done);
+            }
             let mut r = placeholder(&jobs[j]);
             if schedule.quarantined[j] {
                 r.epoch = schedule.job_epoch[j];
@@ -562,12 +569,12 @@ fn run_rank(
 }
 
 /// Execute one committed attempt collectively on its group
-/// subcommunicator and — from the group root — ship the packed result and
-/// telemetry to world rank 0 over the job's reserved tags. The
-/// bitwise-equivalence contract (recovered job ≡ serial queue) holds
-/// precisely because a retried attempt re-enters this one body with only
-/// the group membership changed. Returns the wall seconds this rank spent
-/// on the job.
+/// subcommunicator; the group root finishes the [`JobResult`] and either
+/// returns it (it is world rank 0: what stays on a rank is moved) or ships
+/// it there, packed, over the job's reserved tags. The bitwise-equivalence
+/// contract (recovered job ≡ serial queue) holds precisely because a
+/// retried attempt re-enters this one body with only the group membership
+/// changed. Also returns the wall seconds this rank spent on the job.
 fn execute_job_on_group(
     engine: &Arc<SubmatrixEngine>,
     jobs: &[BatchJob],
@@ -576,7 +583,7 @@ fn execute_job_on_group(
     sub: &SubComm<'_, ThreadComm>,
     comm: &ThreadComm,
     epoch: usize,
-) -> f64 {
+) -> (f64, Option<JobResult>) {
     let j = att.job;
     let job = &jobs[j];
     let est_cost = schedule.static_plan.job_costs[j];
@@ -590,13 +597,17 @@ fn execute_job_on_group(
     // owns under the group-sized process grid (a local selection —
     // the single-rank handle is replicated shared memory, the
     // simulator's stand-in for an MPI_COMM_SELF matrix every rank
-    // holds).
+    // holds); a one-rank group's selection is that whole handle, borrowed.
     let input = job.input();
-    let mut local = DbcsrMatrix::new(input.dims().clone(), sub.rank(), sub.size());
-    for (&(br, bc), blk) in input.store().iter() {
-        if local.is_mine(br, bc) {
-            local.insert_block(br, bc, blk.clone());
+    let mut local = Cow::Borrowed(input);
+    if sub.size() > 1 {
+        let mut share = DbcsrMatrix::new(input.dims().clone(), sub.rank(), sub.size());
+        for (&(br, bc), blk) in input.store().iter() {
+            if share.is_mine(br, bc) {
+                share.insert_block(br, bc, blk.clone());
+            }
         }
+        local = Cow::Owned(share);
     }
 
     // Execute collectively on the subgroup — one engine
@@ -606,23 +617,14 @@ fn execute_job_on_group(
     // `sub`, i.e. per-group per-epoch — exactly the ranks that
     // must agree on entering the collective pattern gather (SCF
     // jobs re-run that consensus every iteration, still on `sub`).
-    let (mut result, mut report, built_now, result_format, scf_local) = match job {
+    let (mut result, mut report, built_now, scf_local) = match job {
         BatchJob::Matrix(mjob) => {
             let (eplan, built_now) = engine.plan_for_matrix_traced(&local, sub);
             let (mut result, mut report) =
                 engine.execute(&eplan, &local, mjob.mu0, &mjob.numeric, sub);
             mjob.output.finalize(&mut result, mjob.numeric.precision);
             report.record_planning(built_now, &eplan);
-            // The value encoding of the result gather follows the
-            // job's precision: plain-Fp32 results are
-            // f32-representable, so the f32 wire is lossless and
-            // halves the result-gather bytes too.
-            let format = if mjob.numeric.precision.scatter_is_f32() {
-                ValueFormat::F32
-            } else {
-                ValueFormat::F64
-            };
-            (result, report, built_now, format, None)
+            (result, report, built_now, None)
         }
         BatchJob::Scf(spec) => {
             // The driver shares the scheduler's engine (and its
@@ -649,36 +651,37 @@ fn execute_job_on_group(
                 gather_value_bytes: bytes.iter().step_by(2).map(|&b| b as u64).collect(),
                 scatter_value_bytes: bytes.iter().skip(1).step_by(2).map(|&b| b as u64).collect(),
             };
-            // SCF densities stay f64 under every precision (the
-            // driver never applies the plain-Fp32 result
-            // rounding), so the result gather always rides the
-            // f64 wire — losslessly.
-            (
-                r.density,
-                r.report,
-                r.symbolic_builds > 0,
-                ValueFormat::F64,
-                Some(scf),
-            )
+            (r.density, r.report, r.symbolic_builds > 0, Some(scf))
         }
+    };
+    // The value encoding of both result gathers follows the job's
+    // precision: plain-Fp32 matrix results are f32-representable, so the
+    // f32 wire is lossless and halves the bytes. SCF densities stay f64
+    // under every precision (the driver never applies that rounding).
+    let result_format = match job {
+        BatchJob::Matrix(m) if m.numeric.precision.scatter_is_f32() => ValueFormat::F32,
+        _ => ValueFormat::F64,
     };
 
     // Gather result blocks to the group root: plain point-to-point
     // sends (an alltoallv here would move O(group²) empty
-    // payloads and pollute the per-job traffic telemetry).
-    let mut gathered: Vec<((usize, usize), sm_linalg::Matrix)> = result.store_mut().drain();
+    // payloads and pollute the per-job traffic telemetry). The root's
+    // own blocks stay in the store the engine filled.
     if sub.rank() != 0 {
-        let (meta, data) =
-            wire::pack_blocks_prec(gathered.iter().map(|(c, b)| (c, b)), result_format);
+        let (meta, data) = wire::pack_blocks_prec(result.store().iter(), result_format);
         sub.send(0, GATHER_META_TAG, Payload::U64(meta));
         sub.send(0, GATHER_DATA_TAG, data);
-        gathered.clear();
-    } else {
+    } else if sub.size() > 1 {
+        let mut whole = DbcsrMatrix::new(input.dims().clone(), 0, 1);
+        *whole.store_mut() = std::mem::take(result.store_mut());
         for src in 1..sub.size() {
             let meta = sub.recv(src, GATHER_META_TAG).into_u64();
             let data = sub.recv(src, GATHER_DATA_TAG);
-            gathered.extend(wire::unpack_blocks_prec(input.dims(), &meta, data));
+            for ((br, bc), blk) in wire::unpack_blocks_prec(input.dims(), &meta, data) {
+                whole.insert_block(br, bc, blk);
+            }
         }
+        result = whole;
     }
     let seconds = t.elapsed().as_secs_f64();
     if sm_trace::enabled() {
@@ -738,17 +741,14 @@ fn execute_job_on_group(
     report.symbolic_seconds = phases[4];
     report.plan_cached = phases[5] == 0.0;
 
-    // Group root ships the finished job to world rank 0 — in the
-    // job's result format too: the largest per-job message also
-    // halves for plain-Fp32 jobs, still losslessly.
+    // The group root finishes the job: world rank 0 keeps what it rooted,
+    // any other root ships it there — in the job's result format too: the
+    // largest per-job message also halves for plain-Fp32 jobs, losslessly.
+    let mut kept = None;
     if sub.rank() == 0 {
-        let mut root_mat = DbcsrMatrix::new(input.dims().clone(), 0, 1);
-        for ((br, bc), blk) in gathered {
-            root_mat.insert_block(br, bc, blk);
-        }
         let done = JobResult {
             name: job.name().to_string(),
-            result: root_mat,
+            result,
             report,
             seconds: phases[3],
             group_size: sub.size(),
@@ -760,10 +760,14 @@ fn execute_job_on_group(
             quarantined: false,
             scf: scf_local,
         };
-        let (meta, data) = wire::pack_blocks_prec(done.result.store().iter(), result_format);
-        comm.send(0, result_tag(j, 0), Payload::U64(meta));
-        comm.send(0, result_tag(j, 1), data);
-        comm.send(0, result_tag(j, 2), Payload::F64(encode_telemetry(&done)));
+        if comm.rank() == 0 {
+            kept = Some(done);
+        } else {
+            let (meta, data) = wire::pack_blocks_prec(done.result.store().iter(), result_format);
+            comm.send(0, result_tag(j, 0), Payload::U64(meta));
+            comm.send(0, result_tag(j, 1), data);
+            comm.send(0, result_tag(j, 2), Payload::F64(encode_telemetry(&done)));
+        }
     }
-    t.elapsed().as_secs_f64()
+    (t.elapsed().as_secs_f64(), kept)
 }

@@ -33,13 +33,14 @@
 //!    subcommunicator from the schedule's member list — no world
 //!    collective, so a fault-free batch pays nothing per epoch and dead
 //!    ranks are never waited on — scatter the replicated input across the
-//!    group, run the shared engine's plan + execute on it, and gather the
-//!    result to the group root. Poisoned attempts are skipped by the
-//!    whole group from the pure schedule alone.
-//! 5. **Gather**: group roots ship each finished job — result blocks in
-//!    the `sm_dbcsr::wire` format plus an encoded telemetry record — to
-//!    world rank 0, which returns the batch in submission order
-//!    (quarantined jobs as empty placeholders).
+//!    group (one rank: borrow it), run the shared engine's plan + execute,
+//!    and gather the result into the root's own store. Poisoned attempts
+//!    are skipped by the whole group from the pure schedule alone.
+//! 5. **Gather**: what stays on a rank is moved, not packed. World rank 0
+//!    keeps the results it roots; any other root ships its own — blocks
+//!    in the `sm_dbcsr::wire` format plus an encoded telemetry record —
+//!    and rank 0 returns the batch in submission order (quarantined jobs
+//!    as empty placeholders).
 //!
 //! The engine is shared across groups, so its plan cache is the contended
 //! resource: recurring patterns hit plans built by *other* groups (same

@@ -6,7 +6,7 @@
 use std::ops::Range;
 
 use sm_accel::perfmodel;
-use sm_comsim::{CommError, FaultPlan, SerialComm};
+use sm_comsim::{CommError, FaultPlan};
 use sm_core::engine::NumericOptions;
 use sm_core::solver::{SignMethod, SolveBackend};
 use sm_dbcsr::DbcsrMatrix;
@@ -81,34 +81,31 @@ pub struct SchedulePlan {
 /// [`BackendPolicy`](sm_core::engine::BackendPolicy) resolves to the
 /// sparse-CSR solve for this pattern's element fill (and the configured
 /// sign method honors the backend at all), the dense estimate is scaled
-/// by [`perfmodel::sparse_solve_cost_factor`]. Pattern-only and cheap; no
-/// plan is built.
+/// by [`perfmodel::sparse_solve_cost_factor`]. Pattern-only and cheap: one
+/// pass over the block keys (exact integer sums), and no plan is built.
 ///
-/// The fill is computed from the same replicated pattern walk the
-/// engine's symbolic phase performs, and the resolution goes through the
+/// The fill is the replicated pattern's own, as the engine's symbolic
+/// phase computes it, and the resolution goes through the
 /// same shared [`resolve`](sm_core::engine::BackendPolicy::resolve) rule
 /// — scheduler and engine can never disagree about which backend a job
 /// runs, so the schedule stays a pure function of the estimates.
 pub fn estimate_pattern_cost_for(matrix: &DbcsrMatrix, numeric: &NumericOptions) -> f64 {
-    let comm = SerialComm::new();
-    let pattern = matrix.global_pattern(&comm);
     let dims = matrix.dims();
+    let mut col_dim = vec![0usize; dims.nb()];
+    let mut nnz_elems = 0usize;
+    for (&(br, bc), _) in matrix.store().iter() {
+        col_dim[bc] += dims.size(br);
+        nnz_elems += dims.size(br) * dims.size(bc);
+    }
+    // The float terms are added in ascending block column.
     let mut cost = 0.0;
-    let mut nnz_elems = 0.0;
-    for bc in 0..dims.nb() {
-        let n: usize = pattern.rows_in_col(bc).map(|br| dims.size(br)).sum();
-        if n > 0 {
-            let flops = 2.0 * (n as f64).powi(3);
-            cost += flops / perfmodel::matmul_utilization(1.0, n);
-        }
-        nnz_elems += pattern
-            .rows_in_col(bc)
-            .map(|br| (dims.size(br) * dims.size(bc)) as f64)
-            .sum::<f64>();
+    for &n in col_dim.iter().filter(|&&n| n > 0) {
+        let flops = 2.0 * (n as f64).powi(3);
+        cost += flops / perfmodel::matmul_utilization(1.0, n);
     }
     let n_elems = (dims.n() * dims.n()) as f64;
     let fill = if n_elems > 0.0 {
-        nnz_elems / n_elems
+        nnz_elems as f64 / n_elems
     } else {
         0.0
     };
@@ -350,21 +347,15 @@ pub struct Epoch {
     /// The epoch's groups, in world-rank order; their ranks cover the
     /// survivors (empty during pure backoff-wait epochs).
     pub groups: Vec<EpochGroup>,
+    /// Per world rank, the index in `groups` of the group it belongs to
+    /// (`None` for the dead, and for everyone in a backoff-wait epoch).
+    pub rank_group: Vec<Option<usize>>,
 }
 
 impl Epoch {
     /// The group index a world rank belongs to in this epoch.
     pub fn group_of_rank(&self, rank: usize) -> Option<usize> {
-        self.groups.iter().position(|g| g.ranks.contains(&rank))
-    }
-
-    /// The group index **executing** a job in this epoch (`None` if the
-    /// job runs in another epoch, or only a poisoned attempt of it is
-    /// queued here).
-    pub fn group_of_job(&self, job: usize) -> Option<usize> {
-        self.groups
-            .iter()
-            .position(|g| g.jobs.iter().any(|a| a.job == job && !a.poisoned))
+        self.rank_group.get(rank).copied().flatten()
     }
 }
 
@@ -401,6 +392,9 @@ pub struct EpochSchedule {
     pub job_attempts: Vec<usize>,
     /// Whether each job was quarantined.
     pub quarantined: Vec<bool>,
+    /// Per job, the index within `epochs[job_epoch[job]].groups` of the
+    /// group executing it (`None` exactly for quarantined jobs).
+    pub job_group: Vec<Option<usize>>,
     /// Planned steal telemetry (`measured_*` fields are zero until the
     /// scheduler fills them from an actual run).
     pub planned: StealStats,
@@ -410,23 +404,17 @@ pub struct EpochSchedule {
 }
 
 impl EpochSchedule {
-    fn executing_group(&self, job: usize) -> &EpochGroup {
-        let ep = &self.epochs[self.job_epoch[job]];
-        let g = ep
-            .group_of_job(job)
-            .unwrap_or_else(|| panic!("job {job} was quarantined and has no executing group"));
-        &ep.groups[g]
-    }
-
     /// The world rank acting as a job's group root on its executing
     /// attempt. Panics for quarantined jobs (they have none).
     pub fn root_of_job(&self, job: usize) -> usize {
-        self.executing_group(job).ranks[0]
+        self.ranks_of_job(job)[0]
     }
 
     /// The ranks executing a job. Panics for quarantined jobs.
     pub fn ranks_of_job(&self, job: usize) -> &[usize] {
-        &self.executing_group(job).ranks
+        let g = self.job_group[job]
+            .unwrap_or_else(|| panic!("job {job} was quarantined and has no executing group"));
+        &self.epochs[self.job_epoch[job]].groups[g].ranks
     }
 }
 
@@ -499,6 +487,7 @@ pub fn plan_epochs_with_faults(
     let mut job_stolen_ranks = vec![0usize; n];
     let mut job_attempts = vec![0usize; n];
     let mut quarantined = vec![false; n];
+    let mut job_group = vec![None; n];
     let (mut poisoned_attempts, mut retries) = (0usize, 0usize);
     // Generous convergence bound: attempts are capped at n × retry_budget
     // and each backoff gap at 2^(retry_budget-1) wait epochs.
@@ -523,6 +512,7 @@ pub fn plan_epochs_with_faults(
                 survivors,
                 horizon: 0.0,
                 groups: Vec::new(),
+                rank_group: Vec::new(),
             });
             continue;
         }
@@ -538,9 +528,13 @@ pub fn plan_epochs_with_faults(
         let horizon = steal_horizon(&p);
         let unbounded = policy == StealPolicy::Disabled || !(horizon.is_finite() && horizon > 0.0);
         let mut groups = Vec::with_capacity(p.groups.len());
+        let mut rank_group = vec![None; world_size];
         let mut requeue: Vec<(usize, usize, usize)> = Vec::new();
         for grp in &p.groups {
             let ranks: Vec<usize> = grp.ranks.clone().map(|i| survivors[i]).collect();
+            for &r in &ranks {
+                rank_group[r] = Some(groups.len());
+            }
             let ranks_f = ranks.len() as f64;
             let mut committed = Vec::with_capacity(grp.jobs.len());
             let mut cum = 0.0f64;
@@ -563,6 +557,7 @@ pub fn plan_epochs_with_faults(
                 job_attempts[j] = attempt;
                 job_epoch[j] = e;
                 if !poisoned {
+                    job_group[j] = Some(groups.len());
                     let home = &static_plan.groups[home_group[j]].ranks;
                     job_stolen_ranks[j] = ranks.iter().filter(|r| !home.contains(r)).count();
                 } else {
@@ -590,6 +585,7 @@ pub fn plan_epochs_with_faults(
             survivors,
             horizon,
             groups,
+            rank_group,
         });
     }
 
@@ -613,6 +609,7 @@ pub fn plan_epochs_with_faults(
         job_stolen_ranks,
         job_attempts,
         quarantined,
+        job_group,
         planned,
         fault_stats,
     }
@@ -628,14 +625,14 @@ fn steal_stats_for(
     job_stolen_ranks: &[usize],
 ) -> StealStats {
     let world_size = static_plan.world_size;
-    let rank_idle = |wave: &Epoch| -> Vec<f64> {
+    let rank_idle = |survivors: &[usize], groups: &[EpochGroup]| -> Vec<f64> {
         let wall = |g: &EpochGroup| g.est_cost / g.ranks.len() as f64;
-        let makespan = wave.groups.iter().map(wall).fold(0.0f64, f64::max);
+        let makespan = groups.iter().map(wall).fold(0.0f64, f64::max);
         let mut idle = vec![0.0f64; world_size];
-        for &r in &wave.survivors {
+        for &r in survivors {
             idle[r] = makespan;
         }
-        for g in &wave.groups {
+        for g in groups {
             for &r in &g.ranks {
                 idle[r] = makespan - wall(g);
             }
@@ -647,15 +644,12 @@ fn steal_stats_for(
         ranks: g.ranks.clone().collect(),
         est_cost: g.est_cost,
     });
-    let static_idle = rank_idle(&Epoch {
-        newly_failed: Vec::new(),
-        survivors: (0..world_size).collect(),
-        horizon: 0.0,
-        groups: static_groups.collect(),
-    });
+    let world: Vec<usize> = (0..world_size).collect();
+    let static_idle = rank_idle(&world, &static_groups.collect::<Vec<_>>());
     let mut epoch_idle = vec![0.0f64; world_size];
     for wave in epochs {
-        for (r, idle) in rank_idle(wave).into_iter().enumerate() {
+        let idle = rank_idle(&wave.survivors, &wave.groups);
+        for (r, idle) in idle.into_iter().enumerate() {
             epoch_idle[r] += idle;
         }
     }
@@ -777,6 +771,15 @@ mod tests {
 
     fn job_ids(g: &EpochGroup) -> Vec<usize> {
         g.jobs.iter().map(|a| a.job).collect()
+    }
+
+    /// The group **executing** a job in an epoch, by scanning its queues
+    /// (`None` if only a poisoned attempt of it is queued there) — what
+    /// `EpochSchedule::job_group` tabulates.
+    fn scan_group_of_job(ep: &Epoch, job: usize) -> Option<usize> {
+        ep.groups
+            .iter()
+            .position(|g| g.jobs.iter().any(|a| a.job == job && !a.poisoned))
     }
 
     /// [`plan_epochs_with_faults`] at the defaults the recovery tests share.
@@ -918,7 +921,7 @@ mod tests {
                 .map(|e| e.groups.iter().filter(|g| job_ids(g).contains(&j)).count())
                 .sum();
             assert_eq!(runs, 1, "job {j} scheduled {runs} times");
-            assert!(s.epochs[s.job_epoch[j]].group_of_job(j).is_some());
+            assert!(scan_group_of_job(&s.epochs[s.job_epoch[j]], j).is_some());
         }
         // Stolen jobs all run in epoch 1.
         for j in 0..costs.len() {
@@ -957,7 +960,7 @@ mod tests {
                 .sum();
             assert_eq!(scheduled, 3, "every job scheduled exactly once");
             for j in 0..3 {
-                assert!(s.epochs[s.job_epoch[j]].group_of_job(j).is_some());
+                assert!(scan_group_of_job(&s.epochs[s.job_epoch[j]], j).is_some());
             }
         }
         // All-zero batches collapse to a single epoch.
@@ -1245,5 +1248,121 @@ mod tests {
         assert_eq!(a.job_attempts, b.job_attempts);
         assert_eq!(a.quarantined, b.quarantined);
         assert_eq!(a.fault_stats, b.fault_stats);
+    }
+
+    #[test]
+    fn lookup_tables_agree_with_a_scan_of_the_schedule() {
+        // `job_group` and every epoch's `rank_group` are filled while the
+        // planner commits attempts; under steals, a rank death, retries
+        // and a quarantine they must say what scanning the queues and the
+        // member lists says.
+        let mut costs = vec![3.0];
+        costs.extend(std::iter::repeat_n(1.0, 18));
+        let faulty = FaultPlan::new()
+            .fail_rank(2, 1)
+            .poison_job(5, 1)
+            .poison_job(7, 1)
+            .poison_job(7, 2);
+        for (plan, retries) in [(FaultPlan::new(), 3), (faulty.clone(), 3), (faulty, 2)] {
+            let s = plan_under(&costs, 6, &plan, retries);
+            for j in 0..costs.len() {
+                let scanned = scan_group_of_job(&s.epochs[s.job_epoch[j]], j);
+                assert_eq!(s.job_group[j], scanned, "job {j}");
+                assert_eq!(s.quarantined[j], scanned.is_none(), "job {j}");
+                if let Some(g) = scanned {
+                    let grp = &s.epochs[s.job_epoch[j]].groups[g];
+                    assert_eq!(s.root_of_job(j), grp.ranks[0]);
+                    assert_eq!(s.ranks_of_job(j), grp.ranks);
+                }
+            }
+            for ep in &s.epochs {
+                for r in 0..s.world_size + 1 {
+                    let scanned = ep.groups.iter().position(|g| g.ranks.contains(&r));
+                    assert_eq!(ep.group_of_rank(r), scanned, "rank {r}");
+                }
+            }
+        }
+        let quarantining = plan_under(&costs, 6, &FaultPlan::new().poison_job(7, 1), 1);
+        assert!(quarantining.quarantined[7]);
+        let no_root = std::panic::catch_unwind(|| quarantining.root_of_job(7));
+        assert!(no_root.is_err(), "a quarantined job has no root");
+    }
+
+    /// The estimate as it was computed before the one-pass rewrite: through
+    /// a materialised global pattern, per-column sums accumulated as `f64`.
+    fn estimate_via_global_pattern(matrix: &DbcsrMatrix, numeric: &NumericOptions) -> f64 {
+        let pattern = matrix.global_pattern(&sm_comsim::SerialComm::new());
+        let dims = matrix.dims();
+        let mut cost = 0.0;
+        let mut nnz_elems = 0.0;
+        for bc in 0..dims.nb() {
+            let n: usize = pattern.rows_in_col(bc).map(|br| dims.size(br)).sum();
+            if n > 0 {
+                let flops = 2.0 * (n as f64).powi(3);
+                cost += flops / perfmodel::matmul_utilization(1.0, n);
+            }
+            nnz_elems += pattern
+                .rows_in_col(bc)
+                .map(|br| (dims.size(br) * dims.size(bc)) as f64)
+                .sum::<f64>();
+        }
+        let n_elems = (dims.n() * dims.n()) as f64;
+        let fill = if n_elems > 0.0 {
+            nnz_elems / n_elems
+        } else {
+            0.0
+        };
+        let backend_honored = matches!(
+            numeric.solve.method,
+            SignMethod::NewtonSchulz | SignMethod::Pade(_)
+        );
+        if backend_honored && numeric.backend.resolve(fill) == SolveBackend::SparseCsr {
+            cost *= perfmodel::sparse_solve_cost_factor(fill);
+        }
+        cost
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// A one-ulp change of an estimate re-orders LPT ties and with them
+        /// every committed schedule, so the one-pass estimate must be the
+        /// same `f64` bit pattern as the pattern-walking one: on the banded
+        /// shapes the equivalence suites draw, with non-uniform block
+        /// sizes, emptied block columns and both backends' cost branches.
+        #[test]
+        fn one_pass_estimate_is_bit_identical_to_the_pattern_walk(
+            nb in 1usize..12,
+            half in 0usize..4,
+            seed in 0u64..1000,
+        ) {
+            let sizes: Vec<usize> = (0..nb).map(|b| 1 + (seed as usize + 3 * b) % 4).collect();
+            let dims = sm_dbcsr::BlockedDims::new(sizes);
+            let mut matrix = DbcsrMatrix::new(dims.clone(), 0, 1);
+            for br in 0..nb {
+                for bc in 0..nb {
+                    // A band with pseudo-random holes; some seeds empty a
+                    // whole block column.
+                    let hole = (br * 31 + bc * 17 + seed as usize) % 5 == 1;
+                    let emptied = seed % 3 == 1 && bc == seed as usize % nb;
+                    if br.abs_diff(bc) <= half && !hole && !emptied {
+                        let blk = sm_linalg::Matrix::zeros(dims.size(br), dims.size(bc));
+                        matrix.insert_block(br, bc, blk);
+                    }
+                }
+            }
+            for method in [SignMethod::Diagonalization, SignMethod::NewtonSchulz] {
+                for backend in [
+                    sm_core::engine::BackendPolicy::Dense,
+                    sm_core::engine::BackendPolicy::Auto,
+                ] {
+                    let mut numeric = NumericOptions { backend, ..Default::default() };
+                    numeric.solve.method = method;
+                    let new = estimate_pattern_cost_for(&matrix, &numeric);
+                    let old = estimate_via_global_pattern(&matrix, &numeric);
+                    proptest::prop_assert_eq!(new.to_bits(), old.to_bits());
+                }
+            }
+        }
     }
 }

@@ -214,7 +214,12 @@ mod tests {
 
     /// A one-block job (the shape every decode target below comes from)
     /// and a finished result for it with every base field set to a value
-    /// its placeholder does not hold.
+    /// its placeholder does not hold. Both struct literals are written out
+    /// in full — no `..` — so a field added to [`JobResult`] or
+    /// [`EngineReport`] does not compile until it is given a value here
+    /// (off its default), and then [`roundtrip`] fails until
+    /// [`TELEMETRY_FIELDS`] carries it: the kept and the shipped result
+    /// path cannot come to differ by a field.
     fn finished() -> (BatchJob, JobResult) {
         let dims = sm_dbcsr::BlockedDims::uniform(1, 2);
         let eye = sm_linalg::Matrix::from_fn(2, 2, |i, j| if i == j { 1.0 } else { 0.0 });
@@ -245,7 +250,12 @@ mod tests {
             sparse_filtered_nnz: 42,
             sparse_flops: 9000,
         };
+        // The name comes from the job and the blocks ride the gather's
+        // other two messages: the record carries neither.
+        let JobResult { name, result, .. } = placeholder(&job);
         let done = JobResult {
+            name,
+            result,
             report,
             seconds: 1.5,
             group_size: 4,
@@ -255,38 +265,19 @@ mod tests {
             stolen_ranks: 3,
             attempts: 2,
             quarantined: true,
-            ..placeholder(&job)
+            scf: None,
         };
         (job, done)
     }
 
     /// Ship `done` through the codec into a fresh placeholder and compare
-    /// every field the record carries; returns the record's length.
+    /// the whole result (`Debug` names every field, floats in their
+    /// shortest round-tripping form); returns the record's length.
     fn roundtrip(job: &BatchJob, done: &JobResult) -> usize {
         let enc = encode_telemetry(done);
         let mut d = placeholder(job);
         decode_telemetry(&enc, &mut d);
-        // `EngineReport` has no `PartialEq`; its `Debug` names every field.
-        assert_eq!(format!("{:?}", d.report), format!("{:?}", done.report));
-        assert_eq!(
-            (d.seconds, d.group_size, d.comm_bytes, d.comm_msgs),
-            (
-                done.seconds,
-                done.group_size,
-                done.comm_bytes,
-                done.comm_msgs
-            )
-        );
-        assert_eq!(
-            (d.epoch, d.stolen_ranks, d.attempts, d.quarantined),
-            (
-                done.epoch,
-                done.stolen_ranks,
-                done.attempts,
-                done.quarantined
-            )
-        );
-        assert_eq!(d.scf, done.scf);
+        assert_eq!(format!("{d:#?}"), format!("{done:#?}"));
         enc.len()
     }
 
@@ -305,6 +296,12 @@ mod tests {
     fn telemetry_roundtrip() {
         // Positional layout: one word per base field, nothing else.
         let (job, mut done) = finished();
+        // Off the default everywhere, or the round trip proves nothing.
+        let blank = placeholder(&job);
+        assert_ne!(done.report.precision, blank.report.precision);
+        assert_ne!(done.report.backend, blank.report.backend);
+        assert_ne!(done.report.plan_cached, blank.report.plan_cached);
+        assert_ne!(done.quarantined, blank.quarantined);
         assert_eq!(roundtrip(&job, &done), 29, "base record is 29 words");
         // The SCF extension rides the same record, distinguished by
         // length: four scalars, then each per-iteration vector behind its

@@ -1,0 +1,151 @@
+//! Allocation budget of the scheduler's per-job machinery (ROADMAP item 6's
+//! instrument): how many more heap allocations a tiny job costs through
+//! `Scheduler::run(2, ..)` than through `JobQueue::run`. The solves and the
+//! planning are the same on both sides, so the difference is the data path
+//! around them — input scatter, result gather, telemetry, the schedule.
+//!
+//! One `#[test]` in a binary of its own: the counter is process-wide, and
+//! a second test running beside it would be counted too.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use sm_dbcsr::{BlockedDims, DbcsrMatrix};
+use sm_linalg::Matrix;
+use sm_pipeline::{JobQueue, MatrixJob, Scheduler};
+
+/// Committed ceiling on `(scheduler − queue) / jobs`: the commit that last
+/// lowered it reads 46.0 (its parent 106.0), and the rest is the slack a
+/// different core count needs — both front-ends spawn their threads inside
+/// the measured call.
+const EXTRA_ALLOCATIONS_PER_JOB_CEILING: f64 = 50.0;
+
+const JOBS: usize = 60;
+
+/// `System`, counting every allocation and reallocation it serves.
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a relaxed statistic
+// that publishes no other data.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's `alloc` obligations are `System::alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator with
+        // this `layout`, as the caller guarantees.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr`, `layout` and `new_size` are passed through as the
+        // caller guarantees them for `System`'s own block.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Heap allocations made while `f` runs, on any thread.
+fn allocations_during(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    f();
+    ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
+/// `JOBS` gapped matrices of 5–8 blocks of size 2 with `JOBS` distinct
+/// block patterns: a tridiagonal block band plus the far couplings named
+/// by the bits of the job index.
+fn tiny_jobs() -> Vec<MatrixJob> {
+    (0..JOBS)
+        .map(|k| {
+            let nb = 5 + k % 4;
+            let mask = k / 4;
+            let far: Vec<(usize, usize)> = (0..nb)
+                .flat_map(|a| (a + 2..nb).map(move |b| (a, b)))
+                .enumerate()
+                .filter(|&(bit, _)| mask >> bit & 1 == 1)
+                .map(|(_, pair)| pair)
+                .collect();
+            let n = 2 * nb;
+            let mut dense = Matrix::zeros(n, n);
+            for j in 0..n {
+                for i in j..n {
+                    if i / 2 - j / 2 > 1 && !far.contains(&(j / 2, i / 2)) {
+                        continue;
+                    }
+                    let v = if i == j {
+                        (if i % 2 == 0 { 1.0 } else { -1.0 }) + 0.001 * k as f64
+                    } else {
+                        0.04 / (1.0 + (i - j) as f64)
+                    };
+                    dense[(i, j)] = v;
+                    dense[(j, i)] = v;
+                }
+            }
+            let matrix = DbcsrMatrix::from_dense(&dense, BlockedDims::uniform(nb, 2), 0, 1, 0.0);
+            MatrixJob::density(format!("tiny-{k}"), matrix, 0.0)
+        })
+        .collect()
+}
+
+#[test]
+fn a_scheduled_tiny_job_stays_inside_its_allocation_budget() {
+    let jobs = tiny_jobs();
+    let patterns: std::collections::BTreeSet<_> =
+        jobs.iter().map(|j| j.matrix.store().coords()).collect();
+    assert_eq!(patterns.len(), JOBS, "the block patterns must be distinct");
+
+    // Each front-end: one warm-up batch, then the measured batch on a
+    // cleared plan cache (every job fingerprints and plans, on both
+    // sides), its inputs cloned outside the measurement.
+    let queue = JobQueue::default();
+    let serial = queue.run(jobs.clone());
+    queue.engine().clear_cache();
+    let batch = jobs.clone();
+    let through_queue = allocations_during(|| drop(queue.run(batch)));
+
+    let sched = Scheduler::default();
+    let warm = sched.run(2, jobs.clone());
+    for (s, q) in warm.results.iter().zip(&serial) {
+        assert_eq!(
+            s.result, q.result,
+            "job '{}' differs from the queue",
+            s.name
+        );
+    }
+    let remote = (0..JOBS).filter(|&j| warm.schedule.root_of_job(j) != 0);
+    assert!(
+        (1..JOBS).contains(&remote.count()),
+        "both the kept and the shipped result path must be measured"
+    );
+    sched.engine().clear_cache();
+    let batch = jobs.clone();
+    let through_scheduler = allocations_during(|| drop(sched.run(2, batch)));
+
+    let extra = (through_scheduler as f64 - through_queue as f64) / JOBS as f64;
+    println!(
+        "allocations per batch of {JOBS} tiny jobs: JobQueue::run {through_queue}, \
+         Scheduler::run(2, ..) {through_scheduler}: {extra:.1} extra per job \
+         (ceiling {EXTRA_ALLOCATIONS_PER_JOB_CEILING})"
+    );
+    assert!(
+        extra <= EXTRA_ALLOCATIONS_PER_JOB_CEILING,
+        "a scheduled job costs {extra:.1} allocations more than a queued one, \
+         over the committed ceiling of {EXTRA_ALLOCATIONS_PER_JOB_CEILING}"
+    );
+}

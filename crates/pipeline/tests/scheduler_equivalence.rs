@@ -6,12 +6,16 @@
 
 use proptest::prelude::*;
 
+use sm_chem::ScfEnsemble;
 use sm_comsim::SerialComm;
 use sm_core::engine::{Ensemble, NumericOptions};
-use sm_core::solver::{SignMethod, SolveOptions};
+use sm_core::solver::{SignMethod, SolveBackend, SolveOptions};
 use sm_dbcsr::{BlockedDims, DbcsrMatrix};
-use sm_linalg::Matrix;
-use sm_pipeline::{JobOutput, JobQueue, MatrixJob, RankBudget, Scheduler};
+use sm_linalg::{Matrix, Precision};
+use sm_pipeline::{
+    BatchJob, JobOutput, JobQueue, JobResult, MatrixJob, RankBudget, ScfJobSpec, Scheduler,
+    StealPolicy,
+};
 
 /// Deterministic banded symmetric matrix with a spectral gap at 0.
 fn banded(nb: usize, bs: usize, half: usize, seed: u64) -> DbcsrMatrix {
@@ -223,6 +227,144 @@ fn canonical_jobs_match_to_reduction_accuracy() {
         "canonical density deviates beyond reduction accuracy"
     );
     assert!((outcome.results[0].report.mu - serial[0].report.mu).abs() < 1e-9);
+}
+
+/// One job of every kind the result path distinguishes — `f64` and `f32`
+/// wire formats, the refined precision, the sparse backend's extra
+/// counters, an SCF job's telemetry extension — plus fillers, every
+/// pattern distinct so no two groups race on one plan.
+fn every_kind_batch() -> Vec<BatchJob> {
+    let with = |precision, method| NumericOptions {
+        precision,
+        solve: SolveOptions {
+            method,
+            ..SolveOptions::default()
+        },
+        ..NumericOptions::default()
+    };
+    let matrix_job = |name: &str, nb, numeric, output| MatrixJob {
+        name: name.into(),
+        matrix: banded(nb, 2, 1, nb as u64),
+        mu0: 0.0,
+        numeric,
+        output,
+    };
+    let (diag, ns) = (SignMethod::Diagonalization, SignMethod::NewtonSchulz);
+    let mut jobs: Vec<BatchJob> = [
+        matrix_job("fp64", 4, with(Precision::Fp64, diag), JobOutput::Density),
+        matrix_job("fp32", 5, with(Precision::Fp32, diag), JobOutput::Sign),
+        matrix_job(
+            "refined",
+            6,
+            with(Precision::Fp32Refined, diag),
+            JobOutput::Density,
+        ),
+        // Element fill 46/256 < 0.2: `BackendPolicy::Auto` picks CSR.
+        matrix_job(
+            "sparse-auto",
+            16,
+            with(Precision::Fp64, ns),
+            JobOutput::Sign,
+        ),
+        matrix_job("filler-7", 7, with(Precision::Fp64, diag), JobOutput::Sign),
+        matrix_job("filler-8", 8, with(Precision::Fp32, ns), JobOutput::Density),
+        matrix_job(
+            "filler-9",
+            9,
+            with(Precision::Fp64, diag),
+            JobOutput::Density,
+        ),
+    ]
+    .into_iter()
+    .map(BatchJob::Matrix)
+    .collect();
+    let kt0 = banded(10, 2, 1, 3);
+    let n_electrons = kt0.n() as f64;
+    let mut scf = ScfJobSpec::new("scf", kt0, 0.0, n_electrons);
+    scf.scf.max_iter = 3;
+    scf.scf.ensemble = ScfEnsemble::GrandCanonical;
+    jobs.insert(2, BatchJob::Scf(scf));
+    jobs
+}
+
+/// Everything a [`JobResult`] holds with its wall-clock fields zeroed, as
+/// its `Debug` rendering: every field by name, floats in their shortest
+/// round-tripping form, so equal strings are equal bits — and a field
+/// added later is compared without this suite being edited.
+fn deterministic_fields(r: &JobResult) -> String {
+    let mut r = r.clone();
+    r.seconds = 0.0;
+    r.report.symbolic_seconds = 0.0;
+    r.report.gather_seconds = 0.0;
+    r.report.solve_seconds = 0.0;
+    r.report.scatter_seconds = 0.0;
+    format!("{r:#?}")
+}
+
+#[test]
+fn a_job_result_does_not_depend_on_who_rooted_the_job() {
+    // World rank 0 keeps the results it roots in memory; every other root
+    // ships its own over the wire codec. Under the static policy every
+    // group of a batch with at least as many jobs as ranks is one rank
+    // wide in epoch 0, so across worlds 1–4 nothing about a job changes
+    // except which rank roots it — and no deterministic field of its
+    // result may. (World 1 keeps every job; world 4 ships three in four.)
+    let jobs = every_kind_batch();
+    let run = |world: usize, policy: StealPolicy| {
+        Scheduler::default()
+            .with_policy(policy)
+            .run_batch(world, jobs.clone())
+    };
+    let kept = run(1, StealPolicy::Disabled);
+    assert!((0..jobs.len()).all(|j| kept.schedule.root_of_job(j) == 0));
+    let by_name = |name: &str| kept.results.iter().find(|r| r.name == name).unwrap();
+    assert_eq!(by_name("fp32").report.precision, Precision::Fp32);
+    assert_eq!(
+        by_name("sparse-auto").report.backend,
+        SolveBackend::SparseCsr
+    );
+    assert!(by_name("sparse-auto").report.sparse_flops > 0);
+    assert_eq!(by_name("scf").scf.as_ref().unwrap().iterations, 3);
+    for world in [2usize, 3, 4] {
+        let outcome = run(world, StealPolicy::Disabled);
+        let remote = (0..jobs.len()).filter(|&j| outcome.schedule.root_of_job(j) != 0);
+        assert!(
+            (1..jobs.len()).contains(&remote.count()),
+            "world {world}: some jobs must root at rank 0 and some must not"
+        );
+        for (r, k) in outcome.results.iter().zip(&kept.results) {
+            assert_eq!(
+                deterministic_fields(r),
+                deterministic_fields(k),
+                "job '{}' at world {world} differs from the all-kept world 1",
+                r.name
+            );
+        }
+    }
+
+    // Under the default policy stolen jobs run on wider groups, so the
+    // counters legitimately differ; the matrix — handle included — may
+    // not, whichever rank rooted the job and however wide its group.
+    let serial: Vec<MatrixJob> = jobs
+        .iter()
+        .filter_map(|j| match j {
+            BatchJob::Matrix(m) => Some(m.clone()),
+            BatchJob::Scf(_) => None,
+        })
+        .collect();
+    let serial = JobQueue::default().run(serial);
+    for world in [1usize, 2, 3, 4] {
+        let outcome = run(world, StealPolicy::default());
+        for (j, (r, k)) in outcome.results.iter().zip(&kept.results).enumerate() {
+            assert_eq!(r.result, k.result, "job '{}' at world {world}", r.name);
+            assert_eq!(r.group_size, outcome.schedule.ranks_of_job(j).len());
+            assert_eq!(r.epoch, outcome.schedule.job_epoch[j]);
+        }
+        for q in &serial {
+            let r = outcome.results.iter().find(|r| r.name == q.name).unwrap();
+            assert_eq!(r.result, q.result, "job '{}' differs from JobQueue", r.name);
+        }
+    }
 }
 
 proptest! {
