@@ -131,9 +131,9 @@ impl Default for EngineOptions {
 }
 
 /// Element-fill fraction below which [`BackendPolicy::Auto`] routes
-/// iterative solves through the sparse CSR backend. Paper Sec. V-C: DZVP
-/// submatrices are block-dense but element-wise < 20% full, which is where
-/// filtered Gustavson multiplication beats the dense kernels.
+/// iterative solves through the sparse CSR backend: the "< 20 % full" of
+/// paper Sec. V-C, not a measured crossover. Measured, the CSR solve takes
+/// 1.8–5.3× the dense wall at every fill tried (README's Sec. V-C table).
 pub const SPARSE_FILL_THRESHOLD: f64 = 0.2;
 
 /// Engine-level solve-backend selection, resolved per execution against

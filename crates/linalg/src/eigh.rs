@@ -151,9 +151,7 @@ fn checked_tridiagonal(a: &Matrix, op: &'static str) -> Result<Tridiagonal, Lina
             shape: a.shape(),
         });
     }
-    if !a.as_slice().iter().all(|v| v.is_finite()) {
-        return Err(LinalgError::NonFinite { op });
-    }
+    a.require_finite(op)?;
     tridiagonalize(a)
 }
 

@@ -376,6 +376,16 @@ impl<E: Elem> MatrixBase<E> {
         dropped
     }
 
+    /// The input check of the kernels that cannot work on a NaN or an
+    /// infinite entry: [`LinalgError::NonFinite`] naming `op` if one is held.
+    pub(crate) fn require_finite(&self, op: &'static str) -> Result<(), LinalgError> {
+        if self.data.iter().all(|v| v.to_f64().is_finite()) {
+            Ok(())
+        } else {
+            Err(LinalgError::NonFinite { op })
+        }
+    }
+
     /// Convert to another element type, rounding every value through the
     /// target storage format.
     pub fn cast<F: Elem>(&self) -> MatrixBase<F> {

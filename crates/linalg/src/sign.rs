@@ -154,6 +154,10 @@ pub fn pade_coefficients(order: usize) -> Vec<f64> {
 /// instance accumulates every multiply in `f64`
 /// ([`matmul_wide`](crate::gemm::matmul_wide)) — single-precision storage,
 /// double-precision sums; the flag is a no-op for `f64`.
+///
+/// A NaN or infinite entry of `a` can never converge and is reported as
+/// [`LinalgError::NonFinite`] before the first multiply, not as
+/// `converged = false` after the whole iteration budget.
 pub fn sign_iteration_in<E: SignElem>(
     a: &MatrixBase<E>,
     order: usize,
@@ -166,6 +170,7 @@ pub fn sign_iteration_in<E: SignElem>(
             shape: a.shape(),
         });
     }
+    a.require_finite("sign_iteration")?;
     let n = a.nrows();
     let coeffs = pade_coefficients(order);
     let sqrt_n = (n.max(1) as f64).sqrt();
@@ -446,6 +451,24 @@ mod tests {
         let a = Matrix::zeros(2, 3);
         assert!(sign_iteration(&a, 2, SignIterationOptions::default()).is_err());
         assert!(sign_eig(&a).is_err());
+    }
+
+    #[test]
+    fn non_finite_input_rejected_before_iterating() {
+        for bad in [f64::NAN, f64::NEG_INFINITY] {
+            let mut a = gapped_matrix(8);
+            a[(1, 2)] = bad;
+            a[(2, 1)] = bad;
+            let expect = LinalgError::NonFinite {
+                op: "sign_iteration",
+            };
+            let opts = SignIterationOptions::default();
+            assert_eq!(sign_iteration(&a, 3, opts).unwrap_err(), expect);
+            assert_eq!(
+                sign_iteration_in(&a.to_f32(), 3, opts, true).unwrap_err(),
+                expect
+            );
+        }
     }
 
     #[test]

@@ -7,13 +7,24 @@
 //! matrix with numerically filtered sparse×sparse multiplication, and a
 //! Newton–Schulz/Padé sign iteration running entirely in CSR with
 //! per-iteration element filtering.
+//!
+//! Every filter threshold `eps` keeps `|v| > eps`; a negative or NaN `eps`
+//! filters nothing (it is read as `0.0`, which drops exact zeros only).
 
 use crate::matrix::Matrix;
 use crate::norms::spectral_bound;
 use crate::sign::pade_coefficients;
 use crate::LinalgError;
 
+/// The filter threshold every `|v| > eps` test in this module uses: a
+/// negative `eps` would store explicit zeros and a NaN one would drop
+/// every element, so both are read as `0.0`.
+fn filter_threshold(eps: f64) -> f64 {
+    eps.max(0.0)
+}
+
 /// Compressed sparse row matrix (square use cases only need one partition).
+/// Within a row the stored columns are ascending and distinct.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     nrows: usize,
@@ -24,8 +35,10 @@ pub struct CsrMatrix {
 }
 
 impl CsrMatrix {
-    /// Build from a dense matrix, dropping elements with `|a_ij| <= eps`.
+    /// Build from a dense matrix, dropping elements with `|a_ij| <= eps`
+    /// (negative or NaN `eps`: exact zeros only).
     pub fn from_dense(a: &Matrix, eps: f64) -> Self {
+        let eps = filter_threshold(eps);
         let (m, n) = a.shape();
         let mut row_ptr = Vec::with_capacity(m + 1);
         let mut col_idx = Vec::new();
@@ -103,9 +116,10 @@ impl CsrMatrix {
     }
 
     /// Sparse×sparse multiplication with numerical filtering: result
-    /// elements with `|c_ij| <= eps` are dropped. Returns the product and
-    /// the flop count actually spent (2 per scalar multiply-add) — the
-    /// quantity Sec. V-C's proposal aims to cut.
+    /// elements with `|c_ij| <= eps` are dropped (negative or NaN `eps`:
+    /// exact zeros only). Returns the product and the flop count actually
+    /// spent (2 per scalar multiply-add) — the quantity Sec. V-C's
+    /// proposal aims to cut.
     pub fn multiply_filtered(
         &self,
         other: &CsrMatrix,
@@ -118,38 +132,54 @@ impl CsrMatrix {
                 rhs: other.shape(),
             });
         }
+        let eps = filter_threshold(eps);
         let m = self.nrows;
         let n = other.ncols;
         let mut row_ptr = Vec::with_capacity(m + 1);
         let mut col_idx = Vec::new();
         let mut values = Vec::new();
         row_ptr.push(0);
-        // Gustavson's algorithm with a dense accumulator row.
+        // Gustavson's algorithm with a dense accumulator row. Each `acc[j]`
+        // receives its terms in ascending `(ka, kb)` order; `lo..hi` spans
+        // the columns any row of `other` reached, and a column inside it
+        // that none reached still holds `0.0`, which no filter keeps.
         let mut acc = vec![0.0f64; n];
-        let mut touched: Vec<usize> = Vec::new();
         let mut flops = 0u64;
         for i in 0..m {
+            let (mut lo, mut hi) = (n, 0);
             for ka in self.row_ptr[i]..self.row_ptr[i + 1] {
                 let k = self.col_idx[ka];
                 let av = self.values[ka];
-                for kb in other.row_ptr[k]..other.row_ptr[k + 1] {
-                    let j = other.col_idx[kb];
-                    if acc[j] == 0.0 && !touched.contains(&j) {
-                        touched.push(j);
+                let cols = &other.col_idx[other.row_ptr[k]..other.row_ptr[k + 1]];
+                let vals = &other.values[other.row_ptr[k]..other.row_ptr[k + 1]];
+                let (Some(&first), Some(&last)) = (cols.first(), cols.last()) else {
+                    continue;
+                };
+                lo = lo.min(first);
+                hi = hi.max(last + 1);
+                flops += 2 * cols.len() as u64;
+                if last - first + 1 == cols.len() {
+                    // Stored columns are ascending and distinct, so these
+                    // are consecutive (a banded or a full row): one slice
+                    // update, the same multiply-then-add per element.
+                    for (c, &bv) in acc[first..=last].iter_mut().zip(vals) {
+                        *c += av * bv;
                     }
-                    acc[j] += av * other.values[kb];
-                    flops += 2;
+                } else {
+                    for (&j, &bv) in cols.iter().zip(vals) {
+                        acc[j] += av * bv;
+                    }
                 }
             }
-            touched.sort_unstable();
-            for &j in &touched {
-                if acc[j].abs() > eps {
-                    col_idx.push(j);
-                    values.push(acc[j]);
+            if lo < hi {
+                for (j, c) in (lo..hi).zip(&mut acc[lo..hi]) {
+                    if c.abs() > eps {
+                        col_idx.push(j);
+                        values.push(*c);
+                    }
+                    *c = 0.0;
                 }
-                acc[j] = 0.0;
             }
-            touched.clear();
             row_ptr.push(col_idx.len());
         }
         Ok((
@@ -250,7 +280,10 @@ pub struct SparseSignResult {
 
 /// Element-wise sparse Newton–Schulz/Padé sign iteration (paper Sec. V-C's
 /// proposed improvement). `eps` filters iterate elements after every
-/// multiplication; `order` ≥ 2 selects the Padé order (2 = Newton–Schulz).
+/// multiplication (negative or NaN: exact zeros only); `order` ≥ 2 selects
+/// the Padé order (2 = Newton–Schulz). A NaN or infinite entry of `a` is
+/// [`LinalgError::NonFinite`]: filtered to a structural zero it would give
+/// the converged sign of a different matrix.
 pub fn sparse_sign_iteration(
     a: &Matrix,
     mu: f64,
@@ -265,6 +298,7 @@ pub fn sparse_sign_iteration(
             shape: a.shape(),
         });
     }
+    a.require_finite("sparse_sign_iteration")?;
     let n = a.nrows();
     let coeffs = pade_coefficients(order);
 
@@ -404,6 +438,96 @@ mod tests {
         assert!(a.multiply_filtered(&b, 0.0).is_err());
     }
 
+    /// `multiply_filtered` as it stood before its row loop was rebuilt: a
+    /// list of the columns a row touched, searched on every term whose
+    /// accumulator reads zero and sorted before the flush, two flops
+    /// counted per term. The kernel must repeat its output bit for bit.
+    fn multiply_reference(a: &CsrMatrix, b: &CsrMatrix, eps: f64) -> (CsrMatrix, u64) {
+        let (m, n) = (a.nrows, b.ncols);
+        let mut row_ptr = vec![0];
+        let mut col_idx = Vec::new();
+        let mut values = Vec::new();
+        let mut acc = vec![0.0f64; n];
+        let mut touched: Vec<usize> = Vec::new();
+        let mut flops = 0u64;
+        for i in 0..m {
+            for ka in a.row_ptr[i]..a.row_ptr[i + 1] {
+                let k = a.col_idx[ka];
+                let av = a.values[ka];
+                for kb in b.row_ptr[k]..b.row_ptr[k + 1] {
+                    let j = b.col_idx[kb];
+                    if acc[j] == 0.0 && !touched.contains(&j) {
+                        touched.push(j);
+                    }
+                    acc[j] += av * b.values[kb];
+                    flops += 2;
+                }
+            }
+            touched.sort_unstable();
+            for &j in &touched {
+                if acc[j].abs() > eps {
+                    col_idx.push(j);
+                    values.push(acc[j]);
+                }
+                acc[j] = 0.0;
+            }
+            touched.clear();
+            row_ptr.push(col_idx.len());
+        }
+        let c = CsrMatrix {
+            nrows: m,
+            ncols: n,
+            row_ptr,
+            col_idx,
+            values,
+        };
+        (c, flops)
+    }
+
+    fn value_bits(c: &CsrMatrix) -> Vec<u64> {
+        c.values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn negative_or_nan_eps_filters_nothing() {
+        let a = banded_gapped(10, 2);
+        let exact = CsrMatrix::from_dense(&a, 0.0);
+        let (square, flops) = exact.multiply_filtered(&exact, 0.0).unwrap();
+        let sign = sparse_sign_iteration(&a, 0.0, 2, 0.0, 1e-10, 100).unwrap();
+        assert!(sign.converged);
+        for eps in [-1.0, f64::NAN, f64::NEG_INFINITY] {
+            // No explicit zeros from a negative threshold, no empty matrix
+            // from a NaN one.
+            assert_eq!(
+                CsrMatrix::from_dense(&a, eps),
+                exact,
+                "from_dense at eps {eps}"
+            );
+            let (c, f) = exact.multiply_filtered(&exact, eps).unwrap();
+            assert_eq!((&c, f), (&square, flops), "multiply at eps {eps}");
+            let r = sparse_sign_iteration(&a, 0.0, 2, eps, 1e-10, 100).unwrap();
+            assert_eq!(r.iterations, sign.iterations, "iterations at eps {eps}");
+            assert!(r.converged && r.sign.allclose(&sign.sign, 0.0));
+        }
+    }
+
+    #[test]
+    fn sparse_sign_rejects_non_finite_input() {
+        // Filtered to a structural zero, the NaN pair would leave a
+        // finite, converged sign of a different matrix.
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut a = banded_gapped(8, 2);
+            a[(1, 2)] = bad;
+            a[(2, 1)] = bad;
+            assert_eq!(
+                sparse_sign_iteration(&a, 0.0, 2, 0.0, 1e-10, 100).unwrap_err(),
+                LinalgError::NonFinite {
+                    op: "sparse_sign_iteration"
+                }
+            );
+        }
+    }
+
     #[test]
     fn sparse_sign_matches_dense_reference() {
         let a = banded_gapped(16, 2);
@@ -439,6 +563,40 @@ mod tests {
                     0.0
                 }
             })
+        }
+
+        /// One operand of the kernel-against-reference comparison: every
+        /// row is drawn empty, full, a band of consecutive columns, or
+        /// scattered at `density`; one operand in twelve is all zero.
+        /// Values are nonzero quarter-integers, so products and sums are
+        /// exact and partial sums return to exactly 0.0 mid-row.
+        fn mixed_rows(rows: usize, cols: usize, density: f64, rng: &mut TestRng) -> CsrMatrix {
+            let all_zero = rng.next_u64().is_multiple_of(12);
+            let mut a = Matrix::zeros(rows, cols);
+            for i in 0..rows {
+                let kind = rng.next_u64() % 8;
+                let start = rng.next_u64() as usize % cols;
+                let len = 1 + rng.next_u64() as usize % (cols - start);
+                for j in 0..cols {
+                    let quarters = 1 + rng.next_u64() % 9;
+                    let sign = if rng.next_u64().is_multiple_of(2) {
+                        1.0
+                    } else {
+                        -1.0
+                    };
+                    let scattered = rng.next_unit_f64() < density;
+                    let stored = match kind {
+                        0 => false,
+                        1 => true,
+                        2 | 3 => (start..start + len).contains(&j),
+                        _ => scattered,
+                    };
+                    if stored && !all_zero {
+                        a[(i, j)] = sign * quarters as f64 / 4.0;
+                    }
+                }
+            }
+            CsrMatrix::from_dense(&a, 0.0)
         }
 
         proptest! {
@@ -495,6 +653,31 @@ mod tests {
                     })
                     .sum();
                 prop_assert_eq!(flops, 2 * terms);
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(600))]
+            #[test]
+            fn kernel_repeats_the_reference_bit_for_bit(
+                m in 1usize..14,
+                k in 1usize..14,
+                n in 1usize..14,
+                density in 0.05f64..0.95,
+                eps_choice in 0usize..3,
+                seed in 0usize..1_000_000,
+            ) {
+                let mut rng = TestRng::from_name(&seed.to_string());
+                let a = mixed_rows(m, k, density, &mut rng);
+                let b = mixed_rows(k, n, density, &mut rng);
+                let eps = [0.0, 0.3, 1.0][eps_choice];
+                let (c, flops) = a.multiply_filtered(&b, eps).unwrap();
+                let (expect, expect_flops) = multiply_reference(&a, &b, eps);
+                prop_assert_eq!(&c.row_ptr, &expect.row_ptr);
+                prop_assert_eq!(&c.col_idx, &expect.col_idx);
+                prop_assert_eq!(value_bits(&c), value_bits(&expect));
+                prop_assert_eq!(flops, expect_flops);
+                prop_assert_eq!(c.shape(), (m, n));
             }
         }
     }

