@@ -6,13 +6,15 @@ use sm_chem::energy::electron_count;
 use sm_chem::{BasisSet, WaterBox};
 use sm_comsim::SerialComm;
 use sm_core::assembly::SubmatrixSpec;
-use sm_core::engine::{EngineOptions, Ensemble, Grouping, NumericOptions, SubmatrixEngine};
+use sm_core::engine::{
+    EngineOptions, Ensemble, ExecutionPlan, Grouping, NumericOptions, SubmatrixEngine,
+};
 use sm_core::loadbalance::{greedy_contiguous, round_robin};
 use sm_core::plan::estimated_speedup;
 use sm_core::solver::{solve_sign, SignMethod, SolveOptions};
 use sm_core::transfers::{RankTransferPlan, TransferStats};
 use sm_core::SubmatrixPlan;
-use sm_dbcsr::ops;
+use sm_dbcsr::{ops, DbcsrMatrix};
 use sm_linalg::sign::{sign_iteration, SignIterationOptions};
 use sm_linalg::sparse::sparse_sign_iteration;
 
@@ -20,8 +22,8 @@ use super::Ctx;
 use crate::output::Cell::{Fixed, Flag, Sci, Wall};
 use crate::output::{Json, Report};
 use crate::workloads::{
-    accuracy_basis, assemble_columns, build_orthogonalized, filtered, timed, water_pattern,
-    water_system, SEED,
+    accuracy_basis, assemble_columns, build_orthogonalized, filtered, same_bits, timed,
+    water_pattern, water_system, SEED,
 };
 
 /// Sec. IV-C: does the Eq. 15 cost model predict the measured solve time
@@ -386,11 +388,26 @@ pub fn plan_reuse(ctx: &Ctx) -> Report {
     report
 }
 
+/// The full back-transform, as smbench's layer walk runs it: per submatrix
+/// of a one-rank plan, `solve_sign` forms all of `Q·diag(sgn λ)·Qᵀ` and
+/// `ExtractionMap::extract` keeps the contributing columns.
+fn full_back_transform(plan: &ExecutionPlan, m: &DbcsrMatrix, mu: f64) -> DbcsrMatrix {
+    let mut result = DbcsrMatrix::new(plan.dims.clone(), 0, 1);
+    for (assembly, extraction) in plan.assembly.iter().zip(&plan.extraction) {
+        let a = assembly.assemble(|br, bc| m.block(br, bc));
+        let sign = solve_sign(&a, mu, &SolveOptions::default()).expect("diagonalization");
+        for ((br, bc), blk) in extraction.extract(&sign.sign) {
+            result.insert_block(br, bc, blk);
+        }
+    }
+    result
+}
+
 /// Sec. VII future work: the method only scatters the columns originating
 /// from each spec's own block columns, so the full `Q·diag(sgn λ)·Qᵀ`
-/// wastes an `O(n³)` GEMM per submatrix; the selected-columns path
-/// back-transforms only the contributing columns at `O(n²·k)`. Identical
-/// results, solve-phase speedup growing with n/k.
+/// wastes an `O(n³)` GEMM per submatrix; the engine back-transforms only
+/// the contributing columns at `O(n²·k)`. The same bits, solve-phase
+/// speedup growing with n/k.
 pub fn selected_columns(_: &Ctx) -> Report {
     let comm = SerialComm::new();
     let (_, sys, kt) = water_system(2);
@@ -398,19 +415,20 @@ pub fn selected_columns(_: &Ctx) -> Report {
         "Ablation — full back-transform vs selected columns",
         &["eps_filter", "avg_dim", "full_s", "selected_s", "speedup"],
     );
+    let engine = SubmatrixEngine::new(EngineOptions {
+        parallel: false,
+        ..Default::default()
+    });
     for eps in [1e-9, 1e-7, 1e-5] {
         let kt_f = filtered(&kt, eps);
-        let sign_with = |use_selected_columns| {
-            let opts = NumericOptions {
-                use_selected_columns,
-                ..Default::default()
-            };
-            timed(|| SubmatrixEngine::default().sign(&kt_f, sys.mu, &opts, &comm))
-        };
-        let ((full, run), t_full) = sign_with(false);
-        let ((sel, _), t_sel) = sign_with(true);
-        let diff = full.to_dense(&comm).max_abs_diff(&sel.to_dense(&comm));
-        assert!(diff < 1e-11, "paths must agree, diff {diff}");
+        let plan = engine.plan_for_matrix(&kt_f, &comm);
+        let (full, t_full) = timed(|| full_back_transform(&plan, &kt_f, sys.mu));
+        let numeric = NumericOptions::default();
+        let ((sel, run), t_sel) = timed(|| engine.execute(&plan, &kt_f, sys.mu, &numeric, &comm));
+        assert!(
+            same_bits(&full, &sel),
+            "selected columns must equal the full back-transform"
+        );
         report.push(vec![
             Sci(eps, 0),
             Fixed(run.avg_dim, 0),

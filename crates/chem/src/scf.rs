@@ -103,10 +103,8 @@ pub struct ScfOptions {
     /// [`ScfOptions::ensemble`] selector governs (so a spliced
     /// `..NumericOptions::default()` cannot change the ensemble), and
     /// under [`ScfEnsemble::Canonical`] the solver method is forced to
-    /// diagonalization. `use_selected_columns` is forced off in both
-    /// modes (the SCF loop needs full density diagonals for its
-    /// feedback); the remaining solver knobs (`kt`, `tol`, `max_iter`)
-    /// and `precision` are honored.
+    /// diagonalization. The remaining solver knobs (`kt`, `tol`,
+    /// `max_iter`) and `precision` are honored.
     pub numeric: NumericOptions,
     /// Symbolic-phase options of the shared engine.
     pub engine: EngineOptions,
@@ -226,9 +224,9 @@ impl ScfDriver {
             ScfEnsemble::GrandCanonical => NumericOptions {
                 ensemble: Ensemble::GrandCanonical,
                 solve: self.opts.numeric.solve,
-                use_selected_columns: false,
                 precision: self.opts.numeric.precision,
                 backend: self.opts.numeric.backend,
+                ..NumericOptions::default()
             },
             // Canonical (the default): the target is built from this
             // run's electron count and the driver's µ-bisection knobs.
@@ -243,7 +241,6 @@ impl ScfDriver {
                     method: sm_core::solver::SignMethod::Diagonalization,
                     ..self.opts.numeric.solve
                 },
-                use_selected_columns: false,
                 // The caller's precision knob is honored: Fp32* runs the
                 // gathers over the f32 wire and diagonalizes the
                 // f32-rounded operator (see sm_core::solver); the SCF
@@ -253,6 +250,7 @@ impl ScfDriver {
                 // Backend is irrelevant under diagonalization but carried
                 // for report faithfulness.
                 backend: self.opts.numeric.backend,
+                ..NumericOptions::default()
             },
         };
         let avg_occ = n_electrons / (2.0 * kt0.n() as f64);

@@ -498,14 +498,20 @@ mod tests {
         let payload_start = bytes.len() - 8 * entry.words.len();
 
         let engine = SubmatrixEngine::default();
-        let selected = NumericOptions {
-            use_selected_columns: true,
+        // Both extraction paths: the contributing columns a
+        // diagonalization evaluates, and the full sign of an iteration.
+        let iterative = NumericOptions {
+            solve: crate::solver::SolveOptions {
+                method: crate::solver::SignMethod::NewtonSchulz,
+                ..Default::default()
+            },
             ..Default::default()
         };
-        let expect = engine
-            .execute(&plan, &m, 0.0, &NumericOptions::default(), &comm)
-            .0
-            .to_dense(&comm);
+        let options = [NumericOptions::default(), iterative];
+        let expect = options.map(|numeric| {
+            let (sign, _) = engine.execute(&plan, &m, 0.0, &numeric, &comm);
+            sign.to_dense(&comm)
+        });
         let (mut decoded_ok, mut rejected) = (0, 0);
         for (k, &word) in entry.words.iter().enumerate() {
             for bad in [1u64 << 62, word.wrapping_add(1), 1000] {
@@ -520,9 +526,9 @@ mod tests {
                 match decode_plan(&damaged) {
                     Ok(p) => {
                         decoded_ok += 1;
-                        for numeric in [NumericOptions::default(), selected] {
-                            let (got, _) = engine.execute(&p, &m, 0.0, &numeric, &comm);
-                            assert!(got.to_dense(&comm).allclose(&expect, 1e-12));
+                        for (numeric, expect) in options.iter().zip(&expect) {
+                            let (got, _) = engine.execute(&p, &m, 0.0, numeric, &comm);
+                            assert!(got.to_dense(&comm).allclose(expect, 1e-12));
                         }
                     }
                     Err(PlanPersistError::Corrupt(_)) => rejected += 1,

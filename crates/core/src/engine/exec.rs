@@ -18,8 +18,8 @@ use sm_linalg::{Matrix, Precision};
 use super::{EngineReport, Ensemble, ExecutionPlan, NumericOptions, SubmatrixEngine};
 use crate::mu::{adjust_mu, StoredDecomposition};
 use crate::solver::{
-    decompose, sign_columns_from_decomposition, sign_from_decomposition, solve_sign, SignMethod,
-    SolveBackend, SolveResult,
+    decompose, round_sign_output, sign_columns_from_decomposition, sign_columns_from_rows,
+    solve_sign, SignMethod, SolveBackend, SolveResult,
 };
 
 impl SubmatrixEngine {
@@ -96,80 +96,61 @@ impl SubmatrixEngine {
         let gather_seconds = t0.elapsed().as_secs_f64();
 
         let t1 = Instant::now();
-        let (mu, bisect_iterations, extracted, sparse_tally) = if numeric.use_selected_columns {
-            assert_eq!(
-                precision,
-                Precision::Fp64,
-                "selected-columns evaluation is Fp64-only"
-            );
-            assert_eq!(
-                numeric.solve.method,
-                SignMethod::Diagonalization,
-                "selected-columns evaluation requires the diagonalization solver"
-            );
-            assert!(
-                matches!(numeric.ensemble, Ensemble::GrandCanonical),
-                "selected-columns evaluation supports grand-canonical runs only"
-            );
-            let solve_one = |i: &usize| {
-                let a = plan.assembly[*i].assemble(block_of);
-                let dec = sm_linalg::eigh::eigh(&a)
-                    .unwrap_or_else(|e| panic!("submatrix eigendecomposition failed: {e}"));
-                let cols_mat = sign_columns_from_decomposition(
-                    &dec,
-                    mu0,
-                    numeric.solve.kt,
-                    &plan.contributing[*i],
-                );
-                plan.extraction[*i].extract_from_columns(&cols_mat)
-            };
-            let extracted = self.map_specs(plan, solve_one);
-            (mu0, 0, extracted, (0u64, 0u64))
-        } else if let Ensemble::Canonical {
-            n_electrons,
-            tol,
-            max_iter,
-        } = numeric.ensemble
-        {
-            // Canonical ensemble: decompose once, run Algorithm 1 on the
-            // stored decompositions (collective), and evaluate the sign
-            // once, at the adjusted µ.
-            assert_eq!(
-                numeric.solve.method,
-                SignMethod::Diagonalization,
-                "canonical ensembles require the diagonalization solver (Sec. IV-G)"
-            );
+        let kt = numeric.solve.kt;
+        let diagonalize = numeric.solve.method == SignMethod::Diagonalization;
+        let (mu, bisect_iterations, extracted, sparse_tally) = if diagonalize {
+            // Diagonalization (Sec. IV-F): the sign is evaluated only in the
+            // contributing columns, the ones extraction scatters (Sec. VII) —
+            // the same bits as the full back-transform, `n²k` of its `n³`.
             let decompose_one = |i: &usize| {
                 let a = plan.assembly[*i].assemble(block_of);
                 decompose(&a, precision).unwrap_or_else(|e| panic!("submatrix solve failed: {e}"))
             };
-            let decompositions: Vec<Eigh> = self.map_specs(plan, decompose_one);
-            let stored: Vec<StoredDecomposition> = plan
-                .my_specs
-                .iter()
-                .zip(&decompositions)
-                .map(|(spec, dec)| StoredDecomposition::from_eigh(dec, spec, &plan.dims))
-                .collect();
-            let adj = adjust_mu(
-                &stored,
-                mu0,
-                n_electrons / 2.0,
-                numeric.solve.kt,
-                tol / 2.0,
+            let extract = |i: usize, mut columns: Matrix| {
+                round_sign_output(&mut columns, precision);
+                plan.extraction[i].extract_from_columns(&columns)
+            };
+            if let Ensemble::Canonical {
+                n_electrons,
+                tol,
                 max_iter,
-                comm,
-            );
-            let extracted = decompositions
-                .iter()
-                .enumerate()
-                .map(|(i, dec)| {
-                    let mut s = sign_from_decomposition(dec, adj.mu, numeric.solve.kt);
-                    crate::solver::round_sign_output(&mut s, precision);
-                    plan.extraction[i].extract(&s)
-                })
-                .collect();
-            (adj.mu, adj.iterations, extracted, (0u64, 0u64))
+            } = numeric.ensemble
+            {
+                // Canonical ensemble: decompose once, run Algorithm 1 on the
+                // stored decompositions (collective), and evaluate the sign
+                // once, at the adjusted µ, from the rows Algorithm 1 kept.
+                let decompositions: Vec<Eigh> = self.map_specs(plan, decompose_one);
+                let stored: Vec<StoredDecomposition> = decompositions
+                    .iter()
+                    .zip(&plan.contributing)
+                    .map(|(dec, rows)| StoredDecomposition::from_eigh(dec, rows))
+                    .collect();
+                let target = n_electrons / 2.0;
+                let adj = adjust_mu(&stored, mu0, target, kt, tol / 2.0, max_iter, comm);
+                let extracted = decompositions
+                    .iter()
+                    .zip(&stored)
+                    .enumerate()
+                    .map(|(i, (dec, s))| {
+                        extract(i, sign_columns_from_rows(dec, &s.q_rows, adj.mu, kt))
+                    })
+                    .collect();
+                (adj.mu, adj.iterations, extracted, (0u64, 0u64))
+            } else {
+                let extracted = self.map_specs(plan, |i| {
+                    let dec = decompose_one(i);
+                    extract(
+                        *i,
+                        sign_columns_from_decomposition(&dec, mu0, kt, &plan.contributing[*i]),
+                    )
+                });
+                (mu0, 0, extracted, (0u64, 0u64))
+            }
         } else {
+            assert!(
+                matches!(numeric.ensemble, Ensemble::GrandCanonical),
+                "canonical ensembles require the diagonalization solver (Sec. IV-G)"
+            );
             let solve_one = |i: &usize| {
                 let a = plan.assembly[*i].assemble(block_of);
                 solve_sign(&a, mu0, &numeric.solve)
@@ -859,6 +840,10 @@ mod sign_density_tests {
 
 #[cfg(test)]
 mod selected_columns_tests {
+    //! Diagonalization evaluates only the contributing columns of each
+    //! submatrix's sign (Sec. VII). These tests hold it to the layer walk
+    //! smbench checks `execute` against — per submatrix `solve_sign` with
+    //! the full back-transform, then `ExtractionMap::extract` — bit for bit.
     use super::*;
     use crate::engine::{EngineOptions, Grouping};
     use crate::solver::SolveOptions;
@@ -866,13 +851,15 @@ mod selected_columns_tests {
     use sm_dbcsr::BlockedDims;
     use sm_linalg::Matrix;
 
-    fn banded_gapped(nb: usize, bs: usize) -> (Matrix, BlockedDims) {
+    /// Blocks of 6 under a block bandwidth of 1: submatrices of dimension
+    /// 12 to 18 one per column and 24 to 30 in threes, on both sides of the
+    /// eigensolver's rotation-kernel threshold and the GEMM's small loop.
+    fn banded_gapped() -> (Matrix, BlockedDims) {
+        let (nb, bs) = (8, 6);
         let dims = BlockedDims::uniform(nb, bs);
         let n = dims.n();
         let mut dense = Matrix::from_fn(n, n, |i, j| {
-            let bi = (i / bs) as isize;
-            let bj = (j / bs) as isize;
-            if (bi - bj).abs() > 1 {
+            if (i / bs).abs_diff(j / bs) > 1 {
                 0.0
             } else if i == j {
                 if i % 2 == 0 {
@@ -888,114 +875,119 @@ mod selected_columns_tests {
         (dense, dims)
     }
 
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The layer walk on a one-rank plan, at a given µ, grand canonical.
+    fn walk(grouping: &Grouping, mu: f64, numeric: &NumericOptions) -> Matrix {
+        let (dense, dims) = banded_gapped();
+        let comm = SerialComm::new();
+        let m = DbcsrMatrix::from_dense(&dense, dims.clone(), 0, 1, 0.0);
+        let engine = SubmatrixEngine::new(EngineOptions {
+            grouping: grouping.clone(),
+            ..Default::default()
+        });
+        let plan = engine.plan_for_matrix(&m, &comm);
+        let solve = SolveOptions {
+            precision: numeric.precision,
+            ..numeric.solve
+        };
+        let mut result = DbcsrMatrix::new(dims, 0, 1);
+        for (assembly, extraction) in plan.assembly.iter().zip(&plan.extraction) {
+            let a = assembly.assemble(|br, bc| m.block(br, bc));
+            let sign = solve_sign(&a, mu, &solve).unwrap().sign;
+            for ((br, bc), blk) in extraction.extract(&sign) {
+                result.insert_block(br, bc, blk);
+            }
+        }
+        result.to_dense(&comm)
+    }
+
+    /// The engine's sign on `world` ranks, each rank's dense copy of it,
+    /// and the µ it used.
+    fn engine_sign(
+        grouping: &Grouping,
+        world: usize,
+        numeric: &NumericOptions,
+    ) -> Vec<(Matrix, f64)> {
+        let (dense, dims) = banded_gapped();
+        let engine = SubmatrixEngine::new(EngineOptions {
+            grouping: grouping.clone(),
+            ..Default::default()
+        });
+        run_ranks(world, |c| {
+            let m = DbcsrMatrix::from_dense(&dense, dims.clone(), c.rank(), c.size(), 0.0);
+            let (sign, report) = engine.sign(&m, 0.1, numeric, c);
+            (sign.to_dense(c), report.mu)
+        })
+        .0
+    }
+
+    /// Every grand-canonical cell and its canonical twin in the given
+    /// precisions, temperatures, groupings and worlds, against the walk
+    /// at the µ the engine reports.
+    fn check_cells(
+        precisions: &[Precision],
+        kts: &[f64],
+        groupings: &[Grouping],
+        worlds: &[usize],
+    ) {
+        let canonical = Ensemble::Canonical {
+            n_electrons: 46.0,
+            tol: 1e-8,
+            max_iter: 200,
+        };
+        for (&precision, &kt) in precisions
+            .iter()
+            .flat_map(|p| kts.iter().map(move |k| (p, k)))
+        {
+            for (grouping, &world) in groupings
+                .iter()
+                .flat_map(|g| worlds.iter().map(move |w| (g, w)))
+            {
+                for ensemble in [Ensemble::GrandCanonical, canonical] {
+                    let numeric = NumericOptions {
+                        solve: SolveOptions {
+                            kt,
+                            ..SolveOptions::default()
+                        },
+                        ensemble,
+                        precision,
+                        ..Default::default()
+                    };
+                    for (got, mu) in engine_sign(grouping, world, &numeric) {
+                        let expect = walk(grouping, mu, &numeric);
+                        let cell = format!(
+                            "{precision:?} kT {kt} {grouping:?} world {world} {ensemble:?}"
+                        );
+                        assert_eq!(bits(&got), bits(&expect), "{cell}");
+                    }
+                }
+            }
+        }
+    }
+
+    const PRECISIONS: [Precision; 3] = [Precision::Fp64, Precision::Fp32, Precision::Fp32Refined];
+
     #[test]
     fn selected_columns_driver_matches_full_driver() {
-        let (dense, dims) = banded_gapped(10, 3);
-        let m = DbcsrMatrix::from_dense(&dense, dims, 0, 1, 0.0);
-        let comm = SerialComm::new();
-        let full = SubmatrixEngine::default()
-            .sign(&m, 0.1, &NumericOptions::default(), &comm)
-            .0
-            .to_dense(&comm);
-        let selected = NumericOptions {
-            use_selected_columns: true,
-            ..Default::default()
-        };
-        let sel = SubmatrixEngine::default()
-            .sign(&m, 0.1, &selected, &comm)
-            .0
-            .to_dense(&comm);
-        assert!(
-            sel.allclose(&full, 1e-12),
-            "selected-columns path deviates, max diff {}",
-            sel.max_abs_diff(&full)
-        );
+        check_cells(&PRECISIONS, &[0.0], &[Grouping::OnePerColumn], &[1]);
     }
 
     #[test]
     fn selected_columns_with_combined_groups() {
-        let (dense, dims) = banded_gapped(12, 2);
-        let m = DbcsrMatrix::from_dense(&dense, dims, 0, 1, 0.0);
-        let comm = SerialComm::new();
-        for grouping in [Grouping::OnePerColumn, Grouping::Consecutive(3)] {
-            let engine = SubmatrixEngine::new(EngineOptions {
-                grouping,
-                ..Default::default()
-            });
-            let fast = NumericOptions {
-                use_selected_columns: true,
-                ..Default::default()
-            };
-            let full = engine.sign(&m, 0.0, &NumericOptions::default(), &comm);
-            let sel = engine.sign(&m, 0.0, &fast, &comm);
-            let (full, sel) = (full.0.to_dense(&comm), sel.0.to_dense(&comm));
-            assert!(sel.allclose(&full, 1e-12));
-        }
+        check_cells(&PRECISIONS, &[0.0, 0.05], &[Grouping::Consecutive(3)], &[1]);
     }
 
     #[test]
     fn selected_columns_finite_temperature() {
-        let (dense, dims) = banded_gapped(8, 2);
-        let m = DbcsrMatrix::from_dense(&dense, dims, 0, 1, 0.0);
-        let comm = SerialComm::new();
-        let solve = SolveOptions {
-            kt: 0.04,
-            ..SolveOptions::default()
-        };
-        let base = NumericOptions {
-            solve,
-            ..Default::default()
-        };
-        let fast = NumericOptions {
-            use_selected_columns: true,
-            ..base
-        };
-        let engine = SubmatrixEngine::default();
-        let full = engine.sign(&m, 0.0, &base, &comm).0.to_dense(&comm);
-        let sel = engine.sign(&m, 0.0, &fast, &comm).0.to_dense(&comm);
-        assert!(sel.allclose(&full, 1e-12));
+        check_cells(&PRECISIONS, &[0.05], &[Grouping::OnePerColumn], &[1]);
     }
 
     #[test]
     fn selected_columns_distributed_matches_serial() {
-        let (dense, dims) = banded_gapped(9, 2);
-        let comm = SerialComm::new();
-        let selected = NumericOptions {
-            use_selected_columns: true,
-            ..Default::default()
-        };
-        let serial = {
-            let m = DbcsrMatrix::from_dense(&dense, dims.clone(), 0, 1, 0.0);
-            SubmatrixEngine::default()
-                .sign(&m, 0.0, &selected, &comm)
-                .0
-                .to_dense(&comm)
-        };
-        let engine = SubmatrixEngine::default();
-        let (results, _) = run_ranks(4, |c| {
-            let m = DbcsrMatrix::from_dense(&dense, dims.clone(), c.rank(), c.size(), 0.0);
-            engine.sign(&m, 0.0, &selected, c).0.to_dense(c)
-        });
-        for r in results {
-            assert!(r.allclose(&serial, 1e-13));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "grand-canonical")]
-    fn selected_columns_rejects_canonical() {
-        let (dense, dims) = banded_gapped(4, 2);
-        let m = DbcsrMatrix::from_dense(&dense, dims, 0, 1, 0.0);
-        let comm = SerialComm::new();
-        let numeric = NumericOptions {
-            use_selected_columns: true,
-            ensemble: Ensemble::Canonical {
-                n_electrons: 4.0,
-                tol: 1e-8,
-                max_iter: 50,
-            },
-            ..Default::default()
-        };
-        let _ = SubmatrixEngine::default().sign(&m, 0.0, &numeric, &comm);
+        let groupings = [Grouping::OnePerColumn, Grouping::Consecutive(3)];
+        check_cells(&PRECISIONS, &[0.0, 0.05], &groupings, &[3]);
     }
 }

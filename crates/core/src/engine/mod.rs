@@ -181,9 +181,9 @@ pub struct NumericOptions {
     pub solve: SolveOptions,
     /// Ensemble handling.
     pub ensemble: Ensemble,
-    /// Compute only the *contributing* columns of each submatrix's sign
-    /// function (the paper's Sec. VII future-work optimization). Requires
-    /// the diagonalization solver, a grand-canonical ensemble, and `Fp64`.
+    /// Read by nothing: every diagonalization evaluates only the
+    /// contributing columns of each submatrix's sign (Sec. VII), in every
+    /// ensemble and precision. Kept while smbench names it (ROADMAP 1a).
     pub use_selected_columns: bool,
     /// Numeric precision of the whole execution (paper Sec. VI): the dense
     /// solve kernels *and* the value encoding of the rank-transfer wire.

@@ -16,6 +16,7 @@ use sm_linalg::fermi::fermi_occupation;
 use sm_linalg::Matrix;
 
 use crate::assembly::SubmatrixSpec;
+use crate::solver::sign_value;
 
 /// The part of a submatrix eigendecomposition Algorithm 1 needs: all
 /// eigenvalues plus the rows of `Q` for the contributing element columns.
@@ -29,33 +30,34 @@ pub struct StoredDecomposition {
 }
 
 impl StoredDecomposition {
-    /// Extract the needed rows from a full decomposition. The contributing
-    /// element columns are those belonging to the spec's own block columns
-    /// (the columns whose results are scattered back).
-    pub fn from_eigh(dec: &Eigh, spec: &SubmatrixSpec, dims: &BlockedDims) -> Self {
-        let contributing = contributing_rows(spec, dims);
-        let dim = dec.eigenvalues.len();
-        let mut q_rows = Matrix::zeros(contributing.len(), dim);
-        for (out_i, &k) in contributing.iter().enumerate() {
-            for l in 0..dim {
-                q_rows[(out_i, l)] = dec.eigenvectors[(k, l)];
-            }
-        }
+    /// Keep the rows `rows` of `Q` — the [`contributing_rows`] of the
+    /// spec, whose results are scattered back — and every eigenvalue.
+    pub fn from_eigh(dec: &Eigh, rows: &[usize]) -> Self {
+        let q = &dec.eigenvectors;
         StoredDecomposition {
             eigenvalues: dec.eigenvalues.clone(),
-            q_rows,
+            q_rows: Matrix::from_fn(rows.len(), q.ncols(), |r, l| q[(rows[r], l)]),
         }
     }
 
     /// Occupancy contribution `Σ_k D̃_kk = Σ_k Σ_l Q_{k,l}² f(λ_l − µ)`
-    /// of this submatrix's contributing columns. At `kt = 0` the Fermi
-    /// factor is the Heaviside step with `f(µ) = ½`, exactly Algorithm 1's
-    /// `½ − ½·Σ Q² λ'` expression.
+    /// of this submatrix's contributing columns. At `kt = 0`, `f` is
+    /// `(1 − sign(λ − µ)) / 2` with the extended sign the engine evaluates
+    /// (Eq. 12: 0 within `ZERO_EIGENVALUE_TOL` of µ, so `f = ½` there) —
+    /// Algorithm 1's `½ − ½·Σ Q² λ'` — so the count the bisection settles
+    /// on is the count the returned density holds, even when µ stops
+    /// inside a jump of the step.
     pub fn occupancy(&self, mu: f64, kt: f64) -> f64 {
         let occ: Vec<f64> = self
             .eigenvalues
             .iter()
-            .map(|&l| fermi_occupation(l, mu, kt))
+            .map(|&l| {
+                if kt > 0.0 {
+                    fermi_occupation(l, mu, kt)
+                } else {
+                    0.5 * (1.0 - sign_value(l, mu, kt))
+                }
+            })
             .collect();
         let mut total = 0.0;
         for k in 0..self.q_rows.nrows() {
@@ -205,7 +207,7 @@ mod tests {
         let (p, dims, a) = dense_setup(4, 2);
         let spec = SubmatrixSpec::build(&p, &dims, &[0, 1, 2, 3]);
         let dec = eigh(&a).unwrap();
-        let stored = StoredDecomposition::from_eigh(&dec, &spec, &dims);
+        let stored = StoredDecomposition::from_eigh(&dec, &contributing_rows(&spec, &dims));
         let mu = 0.0;
         let expect: f64 = dec
             .eigenvalues
@@ -220,7 +222,7 @@ mod tests {
         let (p, dims, a) = dense_setup(4, 2);
         let spec = SubmatrixSpec::build(&p, &dims, &[0, 1, 2, 3]);
         let dec = eigh(&a).unwrap();
-        let stored = StoredDecomposition::from_eigh(&dec, &spec, &dims);
+        let stored = StoredDecomposition::from_eigh(&dec, &contributing_rows(&spec, &dims));
         let mut prev = -1.0;
         for step in -10..=10 {
             let occ = stored.occupancy(step as f64 * 0.5, 0.01);
@@ -234,7 +236,10 @@ mod tests {
         let (p, dims, a) = dense_setup(4, 2);
         let spec = SubmatrixSpec::build(&p, &dims, &[0, 1, 2, 3]);
         let dec = eigh(&a).unwrap();
-        let stored = vec![StoredDecomposition::from_eigh(&dec, &spec, &dims)];
+        let stored = vec![StoredDecomposition::from_eigh(
+            &dec,
+            &contributing_rows(&spec, &dims),
+        )];
         let comm = SerialComm::new();
         // Demand exactly 3 occupied orbitals.
         let adj = adjust_mu(&stored, 0.0, 3.0, 0.0, 1e-10, 200, &comm);
@@ -252,7 +257,10 @@ mod tests {
         let (p, dims, a) = dense_setup(4, 2);
         let spec = SubmatrixSpec::build(&p, &dims, &[0, 1, 2, 3]);
         let dec = eigh(&a).unwrap();
-        let stored = vec![StoredDecomposition::from_eigh(&dec, &spec, &dims)];
+        let stored = vec![StoredDecomposition::from_eigh(
+            &dec,
+            &contributing_rows(&spec, &dims),
+        )];
         let comm = SerialComm::new();
         let adj = adjust_mu(&stored, 0.0, 3.5, 0.05, 1e-10, 200, &comm);
         // At finite T fractional occupation is reachable exactly.
@@ -264,7 +272,7 @@ mod tests {
         let (p, dims, a) = dense_setup(6, 2);
         let spec = SubmatrixSpec::build(&p, &dims, &[2]);
         let dec = eigh(&a).unwrap();
-        let stored = StoredDecomposition::from_eigh(&dec, &spec, &dims);
+        let stored = StoredDecomposition::from_eigh(&dec, &contributing_rows(&spec, &dims));
         let full_bytes = dec.eigenvectors.nrows() * dec.eigenvectors.ncols() * 8;
         assert!(stored.memory_bytes() < full_bytes / 2);
     }
@@ -282,7 +290,10 @@ mod tests {
             let spec = SubmatrixSpec::build(&p, &dims, &[c]);
             // Dense pattern ⇒ every submatrix is the full matrix.
             let dec = eigh(&a).unwrap();
-            stored.push(StoredDecomposition::from_eigh(&dec, &spec, &dims));
+            stored.push(StoredDecomposition::from_eigh(
+                &dec,
+                &contributing_rows(&spec, &dims),
+            ));
         }
         let target = 4.0;
         let adj = adjust_mu(&stored, 0.0, target, 0.0, 1e-10, 200, &comm);
@@ -290,5 +301,37 @@ mod tests {
         assert!((total - target).abs() < 1e-6);
         // Since each submatrix here is exact, µ agrees with the dense one.
         assert!(adj.mu > dec_full.eigenvalues[3] && adj.mu < dec_full.eigenvalues[4]);
+    }
+
+    /// A target inside a jump of the zero-temperature step: the bisection
+    /// closes on the eigenvalue at the jump, within the extended sign's
+    /// band. The count it reports must be the one the density built from
+    /// the sign at that µ holds — the exact step counted the eigenvalue as
+    /// 0 or 1 while the sign gave it ½.
+    #[test]
+    fn zero_temperature_count_is_the_delivered_count_inside_a_jump() {
+        let (p, dims, a) = dense_setup(4, 2);
+        let dec = eigh(&a).unwrap();
+        let rows: Vec<Vec<usize>> = (0..4)
+            .map(|c| contributing_rows(&SubmatrixSpec::build(&p, &dims, &[c]), &dims))
+            .collect();
+        let stored: Vec<_> = rows
+            .iter()
+            .map(|r| StoredDecomposition::from_eigh(&dec, r))
+            .collect();
+        for target in [3.5, 3.3, 5.9] {
+            let adj = adjust_mu(&stored, 0.0, target, 0.0, 1e-10, 200, &SerialComm::new());
+            let believed = target + adj.occupancy_error;
+            let sign = crate::solver::sign_from_decomposition(&dec, adj.mu, 0.0);
+            let delivered: f64 = rows
+                .iter()
+                .flatten()
+                .map(|&k| 0.5 * (1.0 - sign[(k, k)]))
+                .sum();
+            assert!(
+                (delivered - believed).abs() < 1e-9,
+                "target {target}: bisection counts {believed}, density holds {delivered}"
+            );
+        }
     }
 }

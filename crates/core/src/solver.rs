@@ -9,6 +9,7 @@
 use sm_linalg::eigh::{eigh, Eigh};
 use sm_linalg::elem::F32_SIGN_TOL;
 use sm_linalg::fermi::smeared_sign;
+use sm_linalg::gemm::{q_diag_qt_cols, q_diag_qt_rows};
 use sm_linalg::sign::{
     extended_signum, refine_sign_newton_schulz, sign_iteration, sign_iteration_in,
     SignIterationOptions,
@@ -332,15 +333,29 @@ fn solve_sign_iterative_f32(
     })
 }
 
+/// What the sign of `a − µI` makes of an eigenvalue `l` of `a`: the
+/// extended signum of `l − µ` (Eq. 12) at zero temperature, the
+/// Fermi-smeared sign at `kt > 0` (Sec. IV-F).
+pub(crate) fn sign_value(l: f64, mu: f64, kt: f64) -> f64 {
+    if kt > 0.0 {
+        smeared_sign(l, mu, kt)
+    } else {
+        extended_signum(l - mu)
+    }
+}
+
+fn sign_values(dec: &Eigh, mu: f64, kt: f64) -> Vec<f64> {
+    dec.eigenvalues
+        .iter()
+        .map(|&l| sign_value(l, mu, kt))
+        .collect()
+}
+
 /// `sign(a − µI)` from a stored decomposition of `a` — the reuse that makes
 /// Algorithm 1's µ bisection cheap: no re-diagonalization, only a
 /// back-transform.
 pub fn sign_from_decomposition(dec: &Eigh, mu: f64, kt: f64) -> Matrix {
-    if kt > 0.0 {
-        dec.apply(|l| smeared_sign(l, mu, kt))
-    } else {
-        dec.apply(|l| extended_signum(l - mu))
-    }
+    dec.apply(|l| sign_value(l, mu, kt))
 }
 
 /// **Selected columns** of `sign(a − µI)` from a decomposition — the
@@ -348,47 +363,22 @@ pub fn sign_from_decomposition(dec: &Eigh, mu: f64, kt: f64) -> Matrix {
 /// that try to selectively calculate selected elements of the sign
 /// function", Sec. VII): the submatrix method only scatters the columns
 /// originating from its own block columns, so computing
-/// `Q · diag(f(λ)) · (Q^T)[:, cols]` costs `O(n²·k)` instead of the
+/// `Q · diag(f(λ)) · (Q[cols, :])ᵀ` costs `O(n²·k)` instead of the
 /// `O(n³)` full back-transform.
 ///
 /// Returns an `n × cols.len()` matrix whose `j`-th column is column
-/// `cols[j]` of the sign matrix.
+/// `cols[j]` of [`sign_from_decomposition`], bit for bit.
 pub fn sign_columns_from_decomposition(dec: &Eigh, mu: f64, kt: f64, cols: &[usize]) -> Matrix {
-    let n = dec.eigenvalues.len();
-    let k = cols.len();
-    let f: Vec<f64> = dec
-        .eigenvalues
-        .iter()
-        .map(|&l| {
-            if kt > 0.0 {
-                smeared_sign(l, mu, kt)
-            } else {
-                extended_signum(l - mu)
-            }
-        })
-        .collect();
-    // W = diag(f) · Q^T[:, cols]  (l-th row of Q^T is the l-th eigenvector;
-    // its `c`-th entry is Q[c, l]).
-    let mut w = Matrix::zeros(n, k);
-    for (j, &c) in cols.iter().enumerate() {
-        assert!(c < n, "selected column {c} out of range");
-        for l in 0..n {
-            w[(l, j)] = f[l] * dec.eigenvectors[(c, l)];
-        }
-    }
-    // Result = Q · W.
-    let mut out = Matrix::zeros(n, k);
-    sm_linalg::gemm::gemm(
-        1.0,
-        &dec.eigenvectors,
-        sm_linalg::gemm::Op::NoTrans,
-        &w,
-        sm_linalg::gemm::Op::NoTrans,
-        0.0,
-        &mut out,
-    )
-    .expect("shapes consistent by construction");
-    out
+    q_diag_qt_cols(&dec.eigenvectors, &sign_values(dec, mu, kt), cols)
+        .expect("selected column out of range")
+}
+
+/// [`sign_columns_from_decomposition`] for a caller that already holds the
+/// selected rows `q_rows = Q[cols, :]` of the basis, as Algorithm 1's
+/// [`StoredDecomposition`](crate::mu::StoredDecomposition) does.
+pub(crate) fn sign_columns_from_rows(dec: &Eigh, q_rows: &Matrix, mu: f64, kt: f64) -> Matrix {
+    q_diag_qt_rows(&dec.eigenvectors, &sign_values(dec, mu, kt), q_rows)
+        .expect("selected rows as long as the basis")
 }
 
 #[cfg(test)]
@@ -528,34 +518,33 @@ mod selected_column_tests {
         a
     }
 
-    #[test]
-    fn selected_columns_match_full_sign() {
-        let a = gapped(12);
-        let dec = eigh(&a).unwrap();
-        let full = sign_from_decomposition(&dec, 0.1, 0.0);
-        let cols = [0usize, 3, 11];
-        let sel = sign_columns_from_decomposition(&dec, 0.1, 0.0, &cols);
-        assert_eq!(sel.shape(), (12, 3));
-        for (j, &c) in cols.iter().enumerate() {
-            for i in 0..12 {
-                assert!(
-                    (sel[(i, j)] - full[(i, c)]).abs() < 1e-12,
-                    "column {c} element {i} mismatch"
-                );
+    /// Columns `cols` of the full sign, bit for bit, by both entry points.
+    fn assert_columns_of_full_sign(n: usize, mu: f64, kt: f64, cols: &[usize]) {
+        let dec = eigh(&gapped(n)).unwrap();
+        let full = sign_from_decomposition(&dec, mu, kt);
+        let q_rows = Matrix::from_fn(cols.len(), n, |r, l| dec.eigenvectors[(cols[r], l)]);
+        for sel in [
+            sign_columns_from_decomposition(&dec, mu, kt, cols),
+            sign_columns_from_rows(&dec, &q_rows, mu, kt),
+        ] {
+            assert_eq!(sel.shape(), (n, cols.len()));
+            for (j, &c) in cols.iter().enumerate() {
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(sel.col(j)), bits(full.col(c)), "column {c}");
             }
         }
     }
 
     #[test]
+    fn selected_columns_match_full_sign() {
+        assert_columns_of_full_sign(12, 0.1, 0.0, &[0, 3, 11]);
+        // Past the GEMM's small loop, which the full product no longer takes.
+        assert_columns_of_full_sign(24, 0.1, 0.0, &[5, 4]);
+    }
+
+    #[test]
     fn selected_columns_finite_temperature() {
-        let a = gapped(8);
-        let dec = eigh(&a).unwrap();
-        let full = sign_from_decomposition(&dec, 0.0, 0.07);
-        let sel = sign_columns_from_decomposition(&dec, 0.0, 0.07, &[2, 5]);
-        for i in 0..8 {
-            assert!((sel[(i, 0)] - full[(i, 2)]).abs() < 1e-12);
-            assert!((sel[(i, 1)] - full[(i, 5)]).abs() < 1e-12);
-        }
+        assert_columns_of_full_sign(8, 0.0, 0.07, &[2, 5]);
     }
 
     #[test]

@@ -11,15 +11,26 @@
 //! decomposition (Sec. IV-F, Eq. 17) because dense diagonalization beats
 //! iterative schemes on the small, nearly dense submatrices.
 //!
-//! Both stages are plain slice loops in a fixed order — no threads and no
-//! instruction-set dispatch — so the result is the same bits on every CPU.
+//! Both stages run in a fixed order on one thread. From dimension
+//! `ROTATION_KERNEL_MIN_N` (16) on, the sweep rotates its basis through the
+//! widest rotation kernel `gemm.rs`'s run-time choice finds (AVX-512F,
+//! AVX2 or portable); each computes every element as two products and one
+//! sum, never a fused multiply-add, so the result is the same bits on
+//! every CPU and with every kernel.
 
+use crate::gemm::{rotate_portable, Rotation};
 use crate::matrix::Matrix;
 use crate::tridiag::{tridiagonalize, Tridiagonal, SAFE_SQUARES};
 use crate::LinalgError;
 
 /// Maximum QL sweeps per eigenvalue before giving up.
 const MAX_QL_ITERS: usize = 50;
+
+/// Dimension from which the QL sweep calls a rotation kernel. Below it the
+/// rotation stays an inline loop: a call per rotation of a column that
+/// short costs more than the lanes save, and the smallest submatrices
+/// (`batch_tiny_w2`'s are 4 to 10) live there.
+const ROTATION_KERNEL_MIN_N: usize = 16;
 
 /// Eigendecomposition `A = Q Λ Q^T` of a symmetric matrix.
 #[derive(Debug, Clone)]
@@ -57,13 +68,15 @@ fn pythag(a: f64, b: f64) -> f64 {
 /// `d` holds the diagonal, `e[i]` the entry coupling `d[i]` and `d[i + 1]`
 /// (the last entry is scratch), and `z` the `n × n` basis to rotate (the
 /// Householder `Q` for eigenvectors of the original matrix, `None` for
-/// eigenvalues only — `d` and `e` never read it). On success `d` contains
-/// the (unsorted) eigenvalues and the columns of `z` the corresponding
+/// eigenvalues only — `d` and `e` never read it), rotated by `rotation`,
+/// or by the inline loop when that is `None`. On success `d` contains the
+/// (unsorted) eigenvalues and the columns of `z` the corresponding
 /// eigenvectors.
 fn ql_implicit(
     d: &mut [f64],
     e: &mut [f64],
     mut z: Option<&mut Matrix>,
+    rotation: Option<Rotation>,
 ) -> Result<(), LinalgError> {
     let n = d.len();
     for l in 0..n {
@@ -123,10 +136,10 @@ fn ql_implicit(
                 // Rotate the eigenvector basis (columns i and i+1 of z).
                 if let Some(z) = z.as_deref_mut() {
                     let (lo, hi) = z.as_mut_slice().split_at_mut((i + 1) * n);
-                    for (zi, zi1) in lo[i * n..].iter_mut().zip(&mut hi[..n]) {
-                        let f = *zi1;
-                        *zi1 = s * *zi + c * f;
-                        *zi = c * *zi - s * f;
+                    let (zi, zi1) = (&mut lo[i * n..], &mut hi[..n]);
+                    match rotation {
+                        Some(kernel) => kernel(c, s, zi, zi1),
+                        None => rotate_portable(c, s, zi, zi1),
                     }
                 }
             }
@@ -160,12 +173,18 @@ fn checked_tridiagonal(a: &Matrix, op: &'static str) -> Result<Tridiagonal, Lina
 /// Decomposes the symmetric part `(A + Aᵀ)/2` of `a`: both triangles are
 /// read, and a symmetric `a` is decomposed as it is.
 pub fn eigh(a: &Matrix) -> Result<Eigh, LinalgError> {
+    let rotation = (a.nrows() >= ROTATION_KERNEL_MIN_N).then(crate::gemm::rotation);
+    eigh_rotating(a, rotation)
+}
+
+/// [`eigh`] with the basis rotated by `rotation`, or by the inline loop.
+fn eigh_rotating(a: &Matrix, rotation: Option<Rotation>) -> Result<Eigh, LinalgError> {
     let (mut d, mut e, mut z) = {
         let tri = checked_tridiagonal(a, "eigh")?;
         let z = tri.q();
         (tri.d, tri.e, z)
     };
-    ql_implicit(&mut d, &mut e, Some(&mut z))?;
+    ql_implicit(&mut d, &mut e, Some(&mut z), rotation)?;
 
     // Sort ascending, permuting eigenvector columns alongside.
     let n = d.len();
@@ -190,7 +209,7 @@ pub fn eigh(a: &Matrix) -> Result<Eigh, LinalgError> {
 pub fn eigvalsh(a: &Matrix) -> Result<Vec<f64>, LinalgError> {
     let tri = checked_tridiagonal(a, "eigvalsh")?;
     let (mut d, mut e) = (tri.d, tri.e);
-    ql_implicit(&mut d, &mut e, None)?;
+    ql_implicit(&mut d, &mut e, None, None)?;
     d.sort_by(f64::total_cmp);
     Ok(d)
 }
@@ -437,6 +456,65 @@ mod tests {
     fn graded_tridiagonal_of_a_low_rank_matrix_converges() {
         for (n, seed) in [(70, 2), (75, 8), (76, 11), (130, 53)] {
             check_decomposition(2, n, seed).unwrap();
+        }
+    }
+
+    /// The four spectra the rotation kernels are checked on: random,
+    /// clustered at ±1, graded over twelve orders of magnitude, and a band
+    /// of quarter-integers (exact partial sums, exact zeros). Graded over
+    /// sixteen, a sixth of the spectra put eigenvalues at the rounding
+    /// floor of the rest, and the sweep runs out of iterations on them
+    /// with or without a kernel.
+    fn rotation_case(kind: usize, n: usize, seed: usize) -> Matrix {
+        let hash = |i: usize, j: usize| {
+            let h = (i.min(j) * 7919 + i.max(j) * 104_729 + seed * 31) % 1009;
+            h as f64 / 1009.0 - 0.5
+        };
+        match kind {
+            0 => Matrix::from_fn(n, n, hash),
+            1 => {
+                let lambda: Vec<f64> = (0..n)
+                    .map(|k| if k % 2 == 0 { 1.0 } else { -1.0 } + k as f64 * 1e-9)
+                    .collect();
+                with_spectrum(&lambda, seed)
+            }
+            2 => {
+                let lambda: Vec<f64> = (0..n)
+                    .map(|k| 10f64.powf(-12.0 * k as f64 / n as f64) * hash(k, k).signum())
+                    .collect();
+                with_spectrum(&lambda, seed)
+            }
+            _ => Matrix::from_fn(n, n, |i, j| match i.abs_diff(j) {
+                d @ 0..=3 => ((i + j + seed + d) % 9) as f64 * 0.25 - 1.0,
+                _ => 0.0,
+            }),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// `eigh` against the per-rotation loop the sweep ran before it
+        /// took a kernel, and every kernel this CPU runs against that loop:
+        /// every eigenvalue and eigenvector entry, bit for bit.
+        #[test]
+        fn rotation_kernels_keep_every_bit(
+            kind in 0usize..4,
+            n in 1usize..131,
+            seed in 0usize..64,
+        ) {
+            let a = rotation_case(kind, n, seed);
+            let reference = eigh_rotating(&a, None)
+                .map_err(|e| TestCaseError::fail(format!("{kind} {n} {seed}: {e}")))?;
+            let got = std::iter::once(eigh(&a).unwrap()).chain(
+                crate::gemm::rotations().map(|r| eigh_rotating(&a, Some(r)).unwrap()),
+            );
+            for r in got {
+                prop_assert_eq!(bits(&r.eigenvalues), bits(&reference.eigenvalues));
+                prop_assert_eq!(
+                    bits(r.eigenvectors.as_slice()),
+                    bits(reference.eigenvectors.as_slice())
+                );
+            }
         }
     }
 

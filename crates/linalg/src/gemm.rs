@@ -25,6 +25,10 @@
 //! * The smallest products with `A` as stored (`m·n·k ≤ 16³`) run a
 //!   column-`axpy` loop instead: packing does not pay under dimension 12, and
 //!   other code is pinned to the loop's bits up to dimension 16.
+//! * The same run-time choice hands out the plane rotation the eigensolver's
+//!   QL sweep applies to its basis (`rotation`): an 8-lane AVX-512F, a
+//!   4-lane AVX2 and a portable kernel. None fuses a multiply-add, so all
+//!   three give the scalar loop's bits on every CPU.
 //!
 //! For `f32` operands, [`matmul_wide`] runs the `f64` microkernel: operands
 //! widen as they are packed and the tile narrows once as it is stored
@@ -111,6 +115,20 @@ pub fn gemm<E: Elem>(
     c: &mut MatrixBase<E>,
 ) -> Result<(), LinalgError> {
     let (a, b) = (Operand::new(a, op_a), Operand::new(b, op_b));
+    gemm_as_volume(alpha, a, b, beta, c, a.rows * a.cols * b.cols)
+}
+
+/// [`gemm`] on operands, with the small-loop / packed-driver choice made
+/// as for a product of `m·n·k = volume`: a few columns of a larger product
+/// take the path, and so the bits, of the whole product.
+fn gemm_as_volume<E: Elem>(
+    alpha: E,
+    a: Operand<E>,
+    b: Operand<E>,
+    beta: E,
+    c: &mut MatrixBase<E>,
+    volume: usize,
+) -> Result<(), LinalgError> {
     let (m, k, n) = (a.rows, a.cols, b.cols);
     if k != b.rows || c.shape() != (m, n) {
         return Err(LinalgError::DimensionMismatch {
@@ -131,7 +149,7 @@ pub fn gemm<E: Elem>(
         return Ok(());
     }
 
-    if !a.trans && m * n * k <= SMALL_VOLUME {
+    if !a.trans && volume <= SMALL_VOLUME {
         small_gemm(alpha, a, b, c.as_mut_slice());
     } else {
         let panels = column_panels(m, n, k);
@@ -374,8 +392,42 @@ struct Microkernel<P> {
 /// The microkernel for sums in `P` on this CPU: the first of
 /// [`microkernels`].
 fn microkernel<P: Elem>() -> Microkernel<P> {
-    let (simd, portable) = microkernels();
-    simd.into_iter().flatten().next().unwrap_or(portable)
+    let Kernels {
+        tiles, portable, ..
+    } = microkernels();
+    tiles.into_iter().flatten().next().unwrap_or(portable)
+}
+
+/// A plane rotation of two columns of equal length, the update the QL
+/// sweep applies to its eigenvector basis: `x ← c·x − s·y` and
+/// `y ← s·x + c·y`, element by element, each as two products and one sum.
+/// No kernel fuses a multiply-add, so every one gives the bits of
+/// [`rotate_portable`] on every CPU.
+pub(crate) type Rotation = fn(c: f64, s: f64, x: &mut [f64], y: &mut [f64]);
+
+/// Every rotation this CPU runs: the SIMD ones [`microkernels`] finds,
+/// widest first, then the portable one.
+pub(crate) fn rotations() -> impl Iterator<Item = Rotation> {
+    let simd = microkernels::<f64>().rotations;
+    simd.into_iter()
+        .flatten()
+        .chain([rotate_portable as Rotation])
+}
+
+/// The rotation for this CPU: the first of [`rotations`].
+pub(crate) fn rotation() -> Rotation {
+    rotations().next().unwrap_or(rotate_portable)
+}
+
+/// The rotation in plain scalar code; the compiler vectorises it as the
+/// build target allows.
+#[inline]
+pub(crate) fn rotate_portable(c: f64, s: f64, x: &mut [f64], y: &mut [f64]) {
+    for (xi, yi) in x.iter_mut().zip(y) {
+        let (xv, yv) = (*xi, *yi);
+        *yi = s * xv + c * yv;
+        *xi = c * xv - s * yv;
+    }
 }
 
 /// Which microkernel `f64` products run on this CPU: `avx512f`, `avx2+fma`
@@ -385,44 +437,63 @@ pub fn f64_microkernel() -> &'static str {
     microkernel::<f64>().name
 }
 
-/// Every microkernel for sums in `P` that this CPU runs: the SIMD tiles it
-/// has the instructions for, widest first, and the portable one that runs
-/// everywhere. The only function that asks the CPU what it has.
-fn microkernels<P: Elem>() -> ([Option<Microkernel<P>>; 2], Microkernel<P>) {
+/// The kernels this CPU runs, as [`microkernels`] finds them.
+struct Kernels<P> {
+    /// The SIMD tiles for sums in `P` it has the instructions for, widest
+    /// first.
+    tiles: [Option<Microkernel<P>>; 2],
+    /// The tile that runs everywhere.
+    portable: Microkernel<P>,
+    /// The SIMD rotations it has the instructions for, widest first;
+    /// [`rotate_portable`] runs everywhere.
+    rotations: [Option<Rotation>; 2],
+}
+
+/// Every kernel this CPU runs: the GEMM tiles for sums in `P` and the
+/// plane rotations. The only function that asks the CPU what it has.
+fn microkernels<P: Elem>() -> Kernels<P> {
     #[cfg(target_arch = "x86_64")]
-    let simd = {
-        let avx512f = Microkernel {
-            name: "avx512f",
-            mr: 16,
-            nr: 12,
-            run: kernel_avx512f,
-        };
-        let avx2_fma = Microkernel {
-            name: "avx2+fma",
-            mr: 4,
-            nr: 12,
-            run: kernel_avx2_fma,
-        };
-        let has_avx2_fma = is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma");
-        [
-            is_x86_feature_detected!("avx512f").then_some(avx512f),
-            has_avx2_fma.then_some(avx2_fma),
-        ]
+    let (tiles, rotations) = {
+        let avx512f = is_x86_feature_detected!("avx512f");
+        let avx2 = is_x86_feature_detected!("avx2");
+        let has_avx2_fma = avx2 && is_x86_feature_detected!("fma");
+        let tiles = [
+            avx512f.then_some(Microkernel {
+                name: "avx512f",
+                mr: 16,
+                nr: 12,
+                run: kernel_avx512f,
+            }),
+            has_avx2_fma.then_some(Microkernel {
+                name: "avx2+fma",
+                mr: 4,
+                nr: 12,
+                run: kernel_avx2_fma,
+            }),
+        ];
+        let rotations = [
+            avx512f.then_some(rotate_avx512f as Rotation),
+            avx2.then_some(rotate_avx2 as Rotation),
+        ];
+        (tiles, rotations)
     };
     #[cfg(not(target_arch = "x86_64"))]
-    let simd = [None::<Microkernel<f64>>; 2];
-    // The SIMD kernels sum in `f64`; for any other `P` the cast finds nothing.
+    let (tiles, rotations) = ([None::<Microkernel<f64>>; 2], [None; 2]);
+    // The SIMD tiles sum in `f64`; for any other `P` the cast finds nothing.
     let same_type = |kernel: Microkernel<f64>| {
         let kernel: &dyn std::any::Any = &kernel;
         kernel.downcast_ref::<Microkernel<P>>().copied()
     };
-    let portable = Microkernel {
-        name: "portable",
-        mr: 4,
-        nr: 12,
-        run: kernel_portable::<P>,
-    };
-    (simd.map(|kernel| kernel.and_then(same_type)), portable)
+    Kernels {
+        tiles: tiles.map(|kernel| kernel.and_then(same_type)),
+        portable: Microkernel {
+            name: "portable",
+            mr: 4,
+            nr: 12,
+            run: kernel_portable::<P>,
+        },
+        rotations,
+    }
 }
 
 /// A 4 × 12 tile in plain scalar code, for the compiler to vectorise as the
@@ -520,6 +591,76 @@ fn kernel_avx512f_impl(a: &[f64], b: &[f64], tile: &mut [f64]) {
     }
 }
 
+/// The rotation 8 lanes at a time, the last 1 to 7 under a mask. Only
+/// [`microkernels`] may name this function: it runs AVX-512F instructions
+/// without checking that the CPU has them.
+#[cfg(target_arch = "x86_64")]
+fn rotate_avx512f(c: f64, s: f64, x: &mut [f64], y: &mut [f64]) {
+    // SAFETY: `microkernels`, the only place that names this function, hands
+    // it out after `is_x86_feature_detected!` has found the feature.
+    unsafe { rotate_avx512f_impl(c, s, x, y) }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn rotate_avx512f_impl(c: f64, s: f64, x: &mut [f64], y: &mut [f64]) {
+    use std::arch::x86_64::*;
+    let (cv, sv) = (_mm512_set1_pd(c), _mm512_set1_pd(s));
+    let len = x.len().min(y.len());
+    for (xc, yc) in x[..len].chunks_mut(8).zip(y[..len].chunks_mut(8)) {
+        let lanes = 0xff_u8 >> (8 - xc.len());
+        // SAFETY: `lanes` selects the `xc.len()` (1 to 8) elements `xc` and
+        // `yc` hold; the others are neither read nor written, and AVX-512
+        // suppresses faults on them.
+        let (xv, yv) = unsafe {
+            let xv = _mm512_maskz_loadu_pd(lanes, xc.as_ptr());
+            (xv, _mm512_maskz_loadu_pd(lanes, yc.as_ptr()))
+        };
+        let y_new = _mm512_add_pd(_mm512_mul_pd(sv, xv), _mm512_mul_pd(cv, yv));
+        let x_new = _mm512_sub_pd(_mm512_mul_pd(cv, xv), _mm512_mul_pd(sv, yv));
+        // SAFETY: as above, for the stores.
+        unsafe {
+            _mm512_mask_storeu_pd(yc.as_mut_ptr(), lanes, y_new);
+            _mm512_mask_storeu_pd(xc.as_mut_ptr(), lanes, x_new);
+        }
+    }
+}
+
+/// The rotation 4 lanes at a time, the rest as [`rotate_portable`]. Only
+/// [`microkernels`] may name this function: it runs AVX2 instructions
+/// without checking that the CPU has them.
+#[cfg(target_arch = "x86_64")]
+fn rotate_avx2(c: f64, s: f64, x: &mut [f64], y: &mut [f64]) {
+    // SAFETY: `microkernels`, the only place that names this function, hands
+    // it out after `is_x86_feature_detected!` has found the feature.
+    unsafe { rotate_avx2_impl(c, s, x, y) }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn rotate_avx2_impl(c: f64, s: f64, x: &mut [f64], y: &mut [f64]) {
+    use std::arch::x86_64::*;
+    let (cv, sv) = (_mm256_set1_pd(c), _mm256_set1_pd(s));
+    let len = x.len().min(y.len());
+    let (x4, x_rest) = x[..len].as_chunks_mut::<4>();
+    let (y4, y_rest) = y[..len].as_chunks_mut::<4>();
+    for (xc, yc) in x4.iter_mut().zip(y4) {
+        // SAFETY: `xc` and `yc` are `[f64; 4]`, so the 4-lane loads are in
+        // bounds.
+        let (xv, yv) = unsafe { (_mm256_loadu_pd(xc.as_ptr()), _mm256_loadu_pd(yc.as_ptr())) };
+        let y_new = _mm256_add_pd(_mm256_mul_pd(sv, xv), _mm256_mul_pd(cv, yv));
+        let x_new = _mm256_sub_pd(_mm256_mul_pd(cv, xv), _mm256_mul_pd(sv, yv));
+        // SAFETY: as above, for the stores.
+        unsafe {
+            (
+                _mm256_storeu_pd(yc.as_mut_ptr(), y_new),
+                _mm256_storeu_pd(xc.as_mut_ptr(), x_new),
+            )
+        };
+    }
+    rotate_portable(c, s, x_rest, y_rest);
+}
+
 /// Convenience wrapper: return `A * B` (any element type).
 pub fn matmul_in<E: Elem>(
     a: &MatrixBase<E>,
@@ -596,6 +737,31 @@ pub fn matmul_nt(a: &Matrix, b: &Matrix) -> Result<Matrix, LinalgError> {
 /// evaluation (Eq. 17 of the paper) and is implemented as a scaled copy of
 /// `Q` followed by one GEMM, avoiding the explicit diagonal matrix.
 pub fn q_diag_qt(q: &Matrix, d: &[f64]) -> Result<Matrix, LinalgError> {
+    q_diag_qt_rows(q, d, q)
+}
+
+/// Columns `cols` of [`q_diag_qt`]`(q, d)`, in the order given and bit for
+/// bit: `Q · D · (Q[cols, :])ᵀ`, `n²k` flops of the full product's `n³`.
+/// The submatrix method scatters only the columns of a submatrix that
+/// belong to its own block columns (paper Sec. VII).
+pub fn q_diag_qt_cols(q: &Matrix, d: &[f64], cols: &[usize]) -> Result<Matrix, LinalgError> {
+    if let Some(&c) = cols.iter().find(|&&c| c >= q.nrows()) {
+        return Err(LinalgError::DimensionMismatch {
+            op: "q_diag_qt_cols (column index)",
+            lhs: q.shape(),
+            rhs: (c + 1, q.ncols()),
+        });
+    }
+    let q_rows = Matrix::from_fn(cols.len(), q.ncols(), |r, l| q[(cols[r], l)]);
+    q_diag_qt_rows(q, d, &q_rows)
+}
+
+/// [`q_diag_qt_cols`] for a caller that already holds `q_rows =
+/// Q[cols, :]`. Each element is summed as in the full product, which
+/// takes the small loop or the packed driver by its own `n³`: a few
+/// columns of a product of dimension 17 to 32 would otherwise fall under
+/// `SMALL_VOLUME` and leave the packed tile's bits.
+pub fn q_diag_qt_rows(q: &Matrix, d: &[f64], q_rows: &Matrix) -> Result<Matrix, LinalgError> {
     if q.ncols() != d.len() {
         return Err(LinalgError::DimensionMismatch {
             op: "q_diag_qt",
@@ -608,7 +774,13 @@ pub fn q_diag_qt(q: &Matrix, d: &[f64]) -> Result<Matrix, LinalgError> {
     for (l, &dl) in d.iter().enumerate() {
         crate::blas1::scal(dl, qd.col_mut(l));
     }
-    matmul_nt(&qd, q)
+    let mut c = Matrix::zeros(q.nrows(), q_rows.nrows());
+    let (a, b) = (
+        Operand::new(&qd, Op::NoTrans),
+        Operand::new(q_rows, Op::Trans),
+    );
+    gemm_as_volume(1.0, a, b, 0.0, &mut c, q.nrows() * q.nrows() * d.len())?;
+    Ok(c)
 }
 
 /// Naive triple-loop reference multiply, used by tests and property checks.
@@ -808,7 +980,11 @@ mod tests {
 
     #[test]
     fn simd_and_portable_kernels_agree() {
-        let (simd, portable) = microkernels::<f64>();
+        let Kernels {
+            tiles: simd,
+            portable,
+            ..
+        } = microkernels::<f64>();
         println!("microkernel → {}", f64_microkernel());
         for (name, kernel) in ["avx512f", "avx2+fma"].into_iter().zip(simd) {
             if kernel.is_none() {
@@ -974,6 +1150,79 @@ mod tests {
     fn q_diag_qt_dimension_check() {
         let q = Matrix::zeros(3, 3);
         assert!(q_diag_qt(&q, &[1.0, 2.0]).is_err());
+        assert!(q_diag_qt_cols(&q, &[1.0; 3], &[0, 3]).is_err());
+        assert!(q_diag_qt_rows(&q, &[1.0; 3], &Matrix::zeros(2, 4)).is_err());
+    }
+
+    #[test]
+    fn simd_and_portable_rotations_agree() {
+        let names = ["avx512f", "avx2"];
+        let rotations = microkernels::<f64>().rotations;
+        let chosen = names.iter().zip(rotations).find(|(_, r)| r.is_some());
+        println!("rotation → {}", chosen.map_or("portable", |(name, _)| name));
+        for (name, kernel) in names.into_iter().zip(rotations) {
+            if kernel.is_none() {
+                println!("skipped: this CPU has no {name} rotation to compare");
+            }
+        }
+        let angles = [
+            (0.6, 0.8),
+            (1.0, 0.0),
+            (0.0, -1.0),
+            (0.1f64.cos(), 0.1f64.sin()),
+        ];
+        // Every remainder of both lane counts, from slices that start off
+        // any vector boundary.
+        for len in 0..=70 {
+            let x0 = seeded(len + 1, 1, len).into_vec();
+            let y0 = seeded(len + 3, 1, len + 1).into_vec();
+            for (c, s) in angles {
+                let rotated = |run: Rotation| {
+                    let (mut x, mut y) = (x0.clone(), y0.clone());
+                    run(c, s, &mut x[1..], &mut y[3..]);
+                    let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+                    (bits(x), bits(y))
+                };
+                let expect = rotated(rotate_portable);
+                for (name, kernel) in names.iter().zip(rotations) {
+                    if let Some(kernel) = kernel {
+                        let what = format!("{name} length {len} (c, s) = ({c}, {s})");
+                        assert_eq!(rotated(kernel), expect, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Products of dimension 1 to 40 cross the small loop's volume on both
+    /// sides; 77 and 96 are the `scf_md_w2` submatrices.
+    #[test]
+    fn selected_columns_are_the_full_products_columns() {
+        let dims = (1..=40).chain([77, 96]);
+        for n in dims {
+            let q = seeded(n, n, n);
+            // Arbitrary scale factors: negative, zero, large and small.
+            let d: Vec<f64> = (0..n)
+                .map(|l| [(l as f64 - 3.5) * 0.3, 0.0, 1e150, -1e-200][l % 4])
+                .collect();
+            let full = q_diag_qt(&q, &d).unwrap();
+            let selections: [Vec<usize>; 5] = [
+                Vec::new(),
+                vec![n - 1, 0],
+                vec![n / 2, n / 2, n / 3],
+                (0..n).step_by(3).collect(),
+                (0..n).rev().collect(),
+            ];
+            for cols in selections {
+                let got = q_diag_qt_cols(&q, &d, &cols).unwrap();
+                assert_eq!(got.shape(), (n, cols.len()));
+                for (j, &c) in cols.iter().enumerate() {
+                    let (got, want) = (got.col(j), full.col(c));
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(got), bits(want), "n = {n}, column {c}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -34,24 +34,39 @@ fn main() {
     );
     kt.store_mut().filter(1e-7);
 
-    // --- 1. Selected-columns driver vs full driver ------------------------
-    let t0 = std::time::Instant::now();
-    let (d_full, _) =
-        SubmatrixEngine::default().density(&kt, sys.mu, &NumericOptions::default(), &comm);
-    let t_full = t0.elapsed().as_secs_f64();
-    let opts_sel = NumericOptions {
-        use_selected_columns: true,
+    // --- 1. Full back-transform vs the engine's selected columns ---------
+    // The full back-transform, as smbench's layer walk runs it: per
+    // submatrix `solve_sign` forms all of `sign(a − µI)` and `extract`
+    // keeps the contributing columns. The engine forms only those; both
+    // run on one thread.
+    let engine = SubmatrixEngine::new(EngineOptions {
+        parallel: false,
         ..Default::default()
-    };
+    });
+    let plan = engine.plan_for_matrix(&kt, &comm);
     let t0 = std::time::Instant::now();
-    let (d_sel, _) = SubmatrixEngine::default().density(&kt, sys.mu, &opts_sel, &comm);
+    let mut s_full = DbcsrMatrix::new(plan.dims.clone(), 0, 1);
+    for (assembly, extraction) in plan.assembly.iter().zip(&plan.extraction) {
+        let a = assembly.assemble(|br, bc| kt.block(br, bc));
+        let sign = sm_core::solver::solve_sign(&a, sys.mu, &CoreSolveOptions::default())
+            .expect("diagonalization");
+        for ((br, bc), blk) in extraction.extract(&sign.sign) {
+            s_full.insert_block(br, bc, blk);
+        }
+    }
+    let t_full = t0.elapsed().as_secs_f64();
+    let t0 = std::time::Instant::now();
+    let (s_sel, _) = engine.execute(&plan, &kt, sys.mu, &NumericOptions::default(), &comm);
     let t_sel = t0.elapsed().as_secs_f64();
-    let diff = d_full.to_dense(&comm).max_abs_diff(&d_sel.to_dense(&comm));
+    let bits = |m: &DbcsrMatrix| -> Vec<u64> {
+        let dense = m.to_dense(&comm);
+        dense.as_slice().iter().map(|v| v.to_bits()).collect()
+    };
     println!(
-        "selected columns: {t_full:.3}s -> {t_sel:.3}s ({:.2}x), max diff {diff:.1e}",
+        "selected columns: {t_full:.3}s -> {t_sel:.3}s ({:.2}x), same bits",
         t_full / t_sel.max(1e-12)
     );
-    assert!(diff < 1e-11);
+    assert_eq!(bits(&s_full), bits(&s_sel));
 
     // --- 2. Sub-submatrix splitting on one assembled submatrix -----------
     let pattern = kt.global_pattern(&comm);
