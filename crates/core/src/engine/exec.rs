@@ -18,8 +18,8 @@ use sm_linalg::{Matrix, Precision};
 use super::{EngineReport, Ensemble, ExecutionPlan, NumericOptions, SubmatrixEngine};
 use crate::mu::{adjust_mu, StoredDecomposition};
 use crate::solver::{
-    decompose, round_sign_output, sign_columns_from_decomposition, sign_columns_from_rows,
-    solve_sign, SignMethod, SolveBackend, SolveResult,
+    decompose, round_sign_output, sign_columns_from_decomposition, solve_sign, SignMethod,
+    SolveBackend, SolveResult,
 };
 
 impl SubmatrixEngine {
@@ -106,7 +106,9 @@ impl SubmatrixEngine {
                 let a = plan.assembly[*i].assemble(block_of);
                 decompose(&a, precision).unwrap_or_else(|e| panic!("submatrix solve failed: {e}"))
             };
-            let extract = |i: usize, mut columns: Matrix| {
+            let extract = |i: usize, dec: &Eigh, mu: f64| {
+                let mut columns =
+                    sign_columns_from_decomposition(dec, mu, kt, &plan.contributing[i]);
                 round_sign_output(&mut columns, precision);
                 plan.extraction[i].extract_from_columns(&columns)
             };
@@ -118,7 +120,7 @@ impl SubmatrixEngine {
             {
                 // Canonical ensemble: decompose once, run Algorithm 1 on the
                 // stored decompositions (collective), and evaluate the sign
-                // once, at the adjusted µ, from the rows Algorithm 1 kept.
+                // once, at the adjusted µ.
                 let decompositions: Vec<Eigh> = self.map_specs(plan, decompose_one);
                 let stored: Vec<StoredDecomposition> = decompositions
                     .iter()
@@ -129,21 +131,12 @@ impl SubmatrixEngine {
                 let adj = adjust_mu(&stored, mu0, target, kt, tol / 2.0, max_iter, comm);
                 let extracted = decompositions
                     .iter()
-                    .zip(&stored)
                     .enumerate()
-                    .map(|(i, (dec, s))| {
-                        extract(i, sign_columns_from_rows(dec, &s.q_rows, adj.mu, kt))
-                    })
+                    .map(|(i, dec)| extract(i, dec, adj.mu))
                     .collect();
                 (adj.mu, adj.iterations, extracted, (0u64, 0u64))
             } else {
-                let extracted = self.map_specs(plan, |i| {
-                    let dec = decompose_one(i);
-                    extract(
-                        *i,
-                        sign_columns_from_decomposition(&dec, mu0, kt, &plan.contributing[*i]),
-                    )
-                });
+                let extracted = self.map_specs(plan, |i| extract(*i, &decompose_one(i), mu0));
                 (mu0, 0, extracted, (0u64, 0u64))
             }
         } else {

@@ -184,6 +184,7 @@ pub struct NumericOptions {
     /// Read by nothing: every diagonalization evaluates only the
     /// contributing columns of each submatrix's sign (Sec. VII), in every
     /// ensemble and precision. Kept while smbench names it (ROADMAP 1a).
+    #[deprecated(note = "read by nothing; every diagonalization evaluates selected columns")]
     pub use_selected_columns: bool,
     /// Numeric precision of the whole execution (paper Sec. VI): the dense
     /// solve kernels *and* the value encoding of the rank-transfer wire.

@@ -9,7 +9,7 @@
 use sm_linalg::eigh::{eigh, Eigh};
 use sm_linalg::elem::F32_SIGN_TOL;
 use sm_linalg::fermi::smeared_sign;
-use sm_linalg::gemm::{q_diag_qt_cols, q_diag_qt_rows};
+use sm_linalg::gemm::q_diag_qt_cols;
 use sm_linalg::sign::{
     extended_signum, refine_sign_newton_schulz, sign_iteration, sign_iteration_in,
     SignIterationOptions,
@@ -373,14 +373,6 @@ pub fn sign_columns_from_decomposition(dec: &Eigh, mu: f64, kt: f64, cols: &[usi
         .expect("selected column out of range")
 }
 
-/// [`sign_columns_from_decomposition`] for a caller that already holds the
-/// selected rows `q_rows = Q[cols, :]` of the basis, as Algorithm 1's
-/// [`StoredDecomposition`](crate::mu::StoredDecomposition) does.
-pub(crate) fn sign_columns_from_rows(dec: &Eigh, q_rows: &Matrix, mu: f64, kt: f64) -> Matrix {
-    q_diag_qt_rows(&dec.eigenvectors, &sign_values(dec, mu, kt), q_rows)
-        .expect("selected rows as long as the basis")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -518,20 +510,15 @@ mod selected_column_tests {
         a
     }
 
-    /// Columns `cols` of the full sign, bit for bit, by both entry points.
+    /// Columns `cols` of the full sign, bit for bit.
     fn assert_columns_of_full_sign(n: usize, mu: f64, kt: f64, cols: &[usize]) {
         let dec = eigh(&gapped(n)).unwrap();
         let full = sign_from_decomposition(&dec, mu, kt);
-        let q_rows = Matrix::from_fn(cols.len(), n, |r, l| dec.eigenvectors[(cols[r], l)]);
-        for sel in [
-            sign_columns_from_decomposition(&dec, mu, kt, cols),
-            sign_columns_from_rows(&dec, &q_rows, mu, kt),
-        ] {
-            assert_eq!(sel.shape(), (n, cols.len()));
-            for (j, &c) in cols.iter().enumerate() {
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(sel.col(j)), bits(full.col(c)), "column {c}");
-            }
+        let sel = sign_columns_from_decomposition(&dec, mu, kt, cols);
+        assert_eq!(sel.shape(), (n, cols.len()));
+        for (j, &c) in cols.iter().enumerate() {
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(sel.col(j)), bits(full.col(c)), "column {c}");
         }
     }
 
