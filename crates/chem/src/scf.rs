@@ -32,19 +32,18 @@
 //!   behavior) — the engine target is built from the run's electron
 //!   count and the `mu_tol`/`mu_max_iter` knobs, with the solver forced
 //!   to diagonalization (the µ bisection needs stored decompositions).
-//!   Multi-rank runs match serial runs to floating-point reduction
-//!   accuracy (the bisection reduces electron counts across ranks).
 //! * [`ScfEnsemble::GrandCanonical`] — fixed µ (`mu0`), no
-//!   electron-count adjustment, any solver method. The engine's
-//!   grand-canonical numeric phase is **bitwise-identical** across
-//!   communicator sizes, so a grand-canonical SCF run produces
-//!   bit-identical densities on any subgroup — the property the
-//!   `scf_service_equivalence` suite pins. (One caveat rides the
-//!   *convergence decision*: `|ΔE|` is computed from a group-summed
-//!   energy whose rounding depends on the group size, so iteration
-//!   counts — and with them final densities — agree across group sizes
-//!   provided no iteration's `|ΔE|` lands within an ulp of `tol`; the
-//!   per-iteration densities themselves are unconditionally bitwise.)
+//!   electron-count adjustment, any solver method.
+//!
+//! The engine's numeric phase is **bitwise-identical** across
+//! communicator sizes in both ensembles, so an SCF run produces
+//! bit-identical densities on any subgroup — the property the
+//! `scf_service_equivalence` suite pins. (One caveat rides the
+//! *convergence decision*: `|ΔE|` is computed from a group-summed energy
+//! whose rounding depends on the group size, so iteration counts — and
+//! with them final densities — agree across group sizes provided no
+//! iteration's `|ΔE|` lands within an ulp of `tol`; the per-iteration
+//! densities themselves are unconditionally bitwise.)
 
 use std::sync::Arc;
 
@@ -68,14 +67,11 @@ pub enum ScfEnsemble {
     /// Fixed electron count (the default, and the historical behavior):
     /// µ is bisected every iteration to hold `n_electrons`; the solver is
     /// forced to diagonalization (the bisection needs stored
-    /// decompositions). Multi-rank runs match serial runs to
-    /// floating-point reduction accuracy.
+    /// decompositions).
     #[default]
     Canonical,
     /// Fixed chemical potential `mu0`, no electron-count adjustment, any
-    /// solver method. The engine's grand-canonical numeric phase is
-    /// bit-reproducible across communicator sizes — the bitwise path the
-    /// `scf_service_equivalence` suite pins.
+    /// solver method.
     GrandCanonical,
 }
 
@@ -218,9 +214,7 @@ impl ScfDriver {
     ) -> ScfResult {
         let numeric = match self.opts.ensemble {
             // Grand canonical: fixed µ = `mu0`, no electron-count
-            // adjustment, any solver method. This is the bitwise path —
-            // the engine's grand-canonical numeric phase is
-            // bit-reproducible across communicator sizes.
+            // adjustment, any solver method.
             ScfEnsemble::GrandCanonical => NumericOptions {
                 ensemble: Ensemble::GrandCanonical,
                 solve: self.opts.numeric.solve,

@@ -1,9 +1,7 @@
 //! SCF over scheduler subgroups: several independent SCF systems iterate
 //! *concurrently* on disjoint subcommunicator groups of one rank world,
-//! each driver reusing its own cached plan. Subgroup runs must agree with
-//! the serial driver (bitwise for 1-rank groups, whose collectives are
-//! all local; to reduction accuracy for wider groups, whose canonical µ
-//! bisection reduces across ranks).
+//! each driver reusing its own cached plan. Subgroup runs of any width
+//! must agree with the serial driver bit for bit.
 
 use sm_chem::builder::build_system;
 use sm_chem::{BasisSet, ScfDriver, ScfOptions, WaterBox};
@@ -80,7 +78,7 @@ fn concurrent_scf_runs_on_subgroups_match_serial() {
         assert_eq!(n_iter, ref_iters.len(), "system {which} iteration count");
         assert_eq!(converged, *ref_converged);
         assert!(
-            density.allclose(ref_density, 1e-10),
+            density.allclose(ref_density, 0.0),
             "system {which} subgroup density deviates from serial"
         );
         // One plan per rank of the subgroup, reused across all iterations.

@@ -119,8 +119,8 @@ impl SubmatrixEngine {
             } = numeric.ensemble
             {
                 // Canonical ensemble: decompose once, run Algorithm 1 on the
-                // stored decompositions (collective), and evaluate the sign
-                // once, at the adjusted µ.
+                // stored decompositions (one allgather), and evaluate the
+                // sign once, at the adjusted µ.
                 let decompositions: Vec<Eigh> = self.map_specs(plan, decompose_one);
                 let stored: Vec<StoredDecomposition> = decompositions
                     .iter()
@@ -129,11 +129,7 @@ impl SubmatrixEngine {
                     .collect();
                 let target = n_electrons / 2.0;
                 let adj = adjust_mu(&stored, mu0, target, kt, tol / 2.0, max_iter, comm);
-                let extracted = decompositions
-                    .iter()
-                    .enumerate()
-                    .map(|(i, dec)| extract(i, dec, adj.mu))
-                    .collect();
+                let extracted = self.map_specs(plan, |i| extract(*i, &decompositions[*i], adj.mu));
                 (adj.mu, adj.iterations, extracted, (0u64, 0u64))
             } else {
                 let extracted = self.map_specs(plan, |i| extract(*i, &decompose_one(i), mu0));
@@ -808,26 +804,69 @@ mod sign_density_tests {
         assert!(report.avg_dim > 0.0);
     }
 
+    /// Canonical options for `banded_gapped`: two orbitals short of half
+    /// filling.
+    fn canonical(nb: usize, bs: usize) -> NumericOptions {
+        NumericOptions {
+            ensemble: Ensemble::Canonical {
+                n_electrons: (nb * bs - 4) as f64,
+                tol: 1e-8,
+                max_iter: 200,
+            },
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn sequential_flag_gives_same_result() {
         let (dense, dims) = banded_gapped(7, 2);
         let m = DbcsrMatrix::from_dense(&dense, dims, 0, 1, 0.0);
         let comm = SerialComm::new();
-        let par = SubmatrixEngine::default()
-            .sign(&m, 0.0, &NumericOptions::default(), &comm)
-            .0
-            .to_dense(&comm);
-        let seq = SubmatrixEngine::new(EngineOptions {
-            parallel: false,
-            ..Default::default()
-        })
-        .sign(&m, 0.0, &NumericOptions::default(), &comm)
-        .0
-        .to_dense(&comm);
-        assert!(
-            par.allclose(&seq, 0.0),
-            "parallelism must not change results"
-        );
+        for numeric in [NumericOptions::default(), canonical(7, 2)] {
+            let (par, par_report) = SubmatrixEngine::default().sign(&m, 0.0, &numeric, &comm);
+            let (seq, seq_report) = SubmatrixEngine::new(EngineOptions {
+                parallel: false,
+                ..Default::default()
+            })
+            .sign(&m, 0.0, &numeric, &comm);
+            assert!(
+                par.to_dense(&comm).allclose(&seq.to_dense(&comm), 0.0),
+                "parallelism must not change results ({:?})",
+                numeric.ensemble
+            );
+            assert_eq!(par_report.mu.to_bits(), seq_report.mu.to_bits());
+        }
+    }
+
+    /// Algorithm 1 costs one allgather per canonical execution: on a cached
+    /// plan, a canonical `execute` sends exactly the `size·(size−1)`
+    /// messages of one allgather more than a grand-canonical one of the
+    /// same values — however many bisection steps it takes.
+    #[test]
+    fn canonical_execute_is_one_collective() {
+        let (dense, dims) = banded_gapped(8, 2);
+        let engine = SubmatrixEngine::default();
+        for world in [2usize, 3, 4] {
+            let (extra, _) = run_ranks(world, |c| {
+                let m = DbcsrMatrix::from_dense(&dense, dims.clone(), c.rank(), c.size(), 0.0);
+                let plan = engine.plan_for_matrix(&m, c);
+                let mut msgs = Vec::new();
+                for numeric in [NumericOptions::default(), canonical(8, 2)] {
+                    c.barrier();
+                    let before = c.stats().total_msgs();
+                    c.barrier();
+                    let (_, report) = engine.execute(&plan, &m, 0.0, &numeric, c);
+                    c.barrier();
+                    msgs.push((c.stats().total_msgs() - before, report.bisect_iterations));
+                }
+                let ((gc_msgs, _), (canonical_msgs, steps)) = (msgs[0], msgs[1]);
+                assert!(steps > 1, "world {world}: µ bisection took {steps} steps");
+                canonical_msgs - gc_msgs
+            });
+            for e in extra {
+                assert_eq!(e, (world * (world - 1)) as u64, "world {world}");
+            }
+        }
     }
 }
 
@@ -919,7 +958,8 @@ mod selected_columns_tests {
 
     /// Every grand-canonical cell and its canonical twin in the given
     /// precisions, temperatures, groupings and worlds, against the walk
-    /// at the µ the engine reports.
+    /// at the µ the engine reports — which must be world 1's µ, bit for
+    /// bit.
     fn check_cells(
         precisions: &[Precision],
         kts: &[f64],
@@ -935,10 +975,7 @@ mod selected_columns_tests {
             .iter()
             .flat_map(|p| kts.iter().map(move |k| (p, k)))
         {
-            for (grouping, &world) in groupings
-                .iter()
-                .flat_map(|g| worlds.iter().map(move |w| (g, w)))
-            {
+            for grouping in groupings {
                 for ensemble in [Ensemble::GrandCanonical, canonical] {
                     let numeric = NumericOptions {
                         solve: SolveOptions {
@@ -949,12 +986,16 @@ mod selected_columns_tests {
                         precision,
                         ..Default::default()
                     };
-                    for (got, mu) in engine_sign(grouping, world, &numeric) {
-                        let expect = walk(grouping, mu, &numeric);
-                        let cell = format!(
-                            "{precision:?} kT {kt} {grouping:?} world {world} {ensemble:?}"
-                        );
-                        assert_eq!(bits(&got), bits(&expect), "{cell}");
+                    let serial_mu = engine_sign(grouping, 1, &numeric)[0].1;
+                    for &world in worlds {
+                        for (got, mu) in engine_sign(grouping, world, &numeric) {
+                            let cell = format!(
+                                "{precision:?} kT {kt} {grouping:?} world {world} {ensemble:?}"
+                            );
+                            assert_eq!(mu.to_bits(), serial_mu.to_bits(), "{cell}: µ");
+                            let expect = walk(grouping, mu, &numeric);
+                            assert_eq!(bits(&got), bits(&expect), "{cell}");
+                        }
                     }
                 }
             }

@@ -5,74 +5,63 @@
 //! density matrix traces to the right number of electrons. Recomputing the
 //! sign function per bisection step would multiply the runtime; instead,
 //! with the diagonalization solver, the electron count is evaluated from
-//! the **stored eigendecompositions** — and only the rows of `Q` belonging
-//! to contributing columns are needed, which is the paper's low-memory
-//! compromise (Sec. IV-G).
+//! the **stored eigendecompositions** (Sec. IV-G). The count needs only
+//! each eigenvalue and the weight its eigenvector puts on the contributing
+//! columns, so a submatrix keeps `2n` numbers where the paper's low-memory
+//! compromise keeps the `k × n` rows of `Q` for those columns.
 
-use sm_comsim::{Comm, ReduceOp};
+use sm_comsim::Comm;
 use sm_dbcsr::BlockedDims;
 use sm_linalg::eigh::Eigh;
 use sm_linalg::fermi::fermi_occupation;
-use sm_linalg::Matrix;
 
 use crate::assembly::SubmatrixSpec;
 use crate::solver::sign_value;
 
-/// The part of a submatrix eigendecomposition Algorithm 1 needs: all
-/// eigenvalues plus the rows of `Q` for the contributing element columns.
+/// The part of a submatrix eigendecomposition Algorithm 1 needs: a
+/// weighted spectrum.
 #[derive(Debug, Clone)]
 pub struct StoredDecomposition {
     /// Eigenvalues of the submatrix.
     pub eigenvalues: Vec<f64>,
-    /// `Q` rows of contributing columns: shape
-    /// `(n_contributing, dim)`.
-    pub q_rows: Matrix,
+    /// `w_l = Σ_k Q_{k,l}²` over the contributing rows `k`, summed in row
+    /// order: eigenvector `l`'s weight on the columns scattered back.
+    pub weights: Vec<f64>,
 }
 
 impl StoredDecomposition {
-    /// Keep the rows `rows` of `Q` — the [`contributing_rows`] of the
-    /// spec, whose results are scattered back — and every eigenvalue.
+    /// Weigh every eigenvalue by its eigenvector's rows `rows` — the
+    /// [`contributing_rows`] of the spec, whose results are scattered back.
     pub fn from_eigh(dec: &Eigh, rows: &[usize]) -> Self {
         let q = &dec.eigenvectors;
         StoredDecomposition {
             eigenvalues: dec.eigenvalues.clone(),
-            q_rows: Matrix::from_fn(rows.len(), q.ncols(), |r, l| q[(rows[r], l)]),
+            weights: (0..q.ncols())
+                .map(|l| rows.iter().map(|&k| q[(k, l)] * q[(k, l)]).sum())
+                .collect(),
         }
     }
 
-    /// Occupancy contribution `Σ_k D̃_kk = Σ_k Σ_l Q_{k,l}² f(λ_l − µ)`
-    /// of this submatrix's contributing columns. At `kt = 0`, `f` is
-    /// `(1 − sign(λ − µ)) / 2` with the extended sign the engine evaluates
-    /// (Eq. 12: 0 within `ZERO_EIGENVALUE_TOL` of µ, so `f = ½` there) —
-    /// Algorithm 1's `½ − ½·Σ Q² λ'` — so the count the bisection settles
-    /// on is the count the returned density holds, even when µ stops
-    /// inside a jump of the step.
+    /// Occupancy `Σ_k D̃_kk = Σ_l w_l f(λ_l − µ)` of the contributing
+    /// columns. At `kt = 0`, `f` is `(1 − sign(λ − µ)) / 2` with the
+    /// extended sign the engine evaluates (Eq. 12: 0 within
+    /// `ZERO_EIGENVALUE_TOL` of µ, so `f = ½` there) — Algorithm 1's
+    /// `½ − ½·Σ Q² λ'` — so the count the bisection settles on is the count
+    /// the returned density holds, even when µ stops inside a jump of the
+    /// step.
     pub fn occupancy(&self, mu: f64, kt: f64) -> f64 {
-        let occ: Vec<f64> = self
-            .eigenvalues
+        self.eigenvalues
             .iter()
-            .map(|&l| {
-                if kt > 0.0 {
+            .zip(&self.weights)
+            .map(|(&l, &w)| {
+                let f = if kt > 0.0 {
                     fermi_occupation(l, mu, kt)
                 } else {
                     0.5 * (1.0 - sign_value(l, mu, kt))
-                }
+                };
+                w * f
             })
-            .collect();
-        let mut total = 0.0;
-        for k in 0..self.q_rows.nrows() {
-            for (l, &f) in occ.iter().enumerate() {
-                let q = self.q_rows[(k, l)];
-                total += q * q * f;
-            }
-        }
-        total
-    }
-
-    /// Approximate memory footprint in bytes (eigenvalues + stored rows) —
-    /// versus `dim²` for a full decomposition.
-    pub fn memory_bytes(&self) -> usize {
-        (self.eigenvalues.len() + self.q_rows.nrows() * self.q_rows.ncols()) * 8
+            .sum()
     }
 }
 
@@ -104,8 +93,12 @@ pub struct MuAdjustment {
 
 /// Algorithm 1: adjust µ until the summed occupancy of all submatrices
 /// matches `target_occupancy` (in orbitals; electrons / 2 for closed-shell
-/// systems). Collective: every rank passes its local decompositions and
-/// all ranks converge to the identical µ.
+/// systems). Collective, and exactly one collective: every rank passes its
+/// local decompositions, one allgather concatenates the weighted spectra
+/// in rank order, and every rank bisects the identical array locally. When
+/// ranks hold contiguous, rank-ascending ranges of the global spec order
+/// (what `greedy_contiguous` deals), that array is the global spectrum in
+/// spec order, so µ has the same bits at every world size.
 pub fn adjust_mu<C: Comm>(
     stored: &[StoredDecomposition],
     mu0: f64,
@@ -115,12 +108,18 @@ pub fn adjust_mu<C: Comm>(
     max_iter: usize,
     comm: &C,
 ) -> MuAdjustment {
-    let global_occ = |mu: f64| -> f64 {
-        let local: f64 = stored.iter().map(|s| s.occupancy(mu, kt)).sum();
-        let mut buf = [local];
-        comm.allreduce_f64(ReduceOp::Sum, &mut buf);
-        buf[0]
+    let local: Vec<f64> = (stored.iter().flat_map(|s| &s.eigenvalues))
+        .chain(stored.iter().flat_map(|s| &s.weights))
+        .copied()
+        .collect();
+    let parts = comm.allgather_f64(&local);
+    let (eigenvalues, weights): (Vec<&[f64]>, Vec<&[f64]>) =
+        parts.iter().map(|p| p.split_at(p.len() / 2)).unzip();
+    let global = StoredDecomposition {
+        eigenvalues: eigenvalues.concat(),
+        weights: weights.concat(),
     };
+    let global_occ = |mu: f64| global.occupancy(mu, kt);
 
     // Bracket the root: occupancy is nondecreasing in µ.
     let mut lo = mu0 - 1.0;
@@ -170,6 +169,7 @@ mod tests {
     use sm_comsim::SerialComm;
     use sm_dbcsr::CooPattern;
     use sm_linalg::eigh::eigh;
+    use sm_linalg::Matrix;
 
     /// A dense (fully-connected) pattern so a single submatrix covers the
     /// whole matrix: occupancy must then match the dense count exactly.
@@ -265,16 +265,6 @@ mod tests {
         let adj = adjust_mu(&stored, 0.0, 3.5, 0.05, 1e-10, 200, &comm);
         // At finite T fractional occupation is reachable exactly.
         assert!(adj.occupancy_error.abs() < 1e-8);
-    }
-
-    #[test]
-    fn memory_compromise_is_smaller_than_full_q() {
-        let (p, dims, a) = dense_setup(6, 2);
-        let spec = SubmatrixSpec::build(&p, &dims, &[2]);
-        let dec = eigh(&a).unwrap();
-        let stored = StoredDecomposition::from_eigh(&dec, &contributing_rows(&spec, &dims));
-        let full_bytes = dec.eigenvectors.nrows() * dec.eigenvectors.ncols() * 8;
-        assert!(stored.memory_bytes() < full_bytes / 2);
     }
 
     #[test]

@@ -33,16 +33,16 @@
 //!   restores the static single-epoch schedule). One planner
 //!   ([`plan_epochs_with_faults`]) and one rank executor serve every
 //!   batch: a fault-free run is the run under the empty
-//!   `sm_comsim::FaultPlan`. Grand-canonical jobs are bitwise-identical to
-//!   the serial queue at any group size and any steal schedule.
+//!   `sm_comsim::FaultPlan`. Jobs of either ensemble are bitwise-identical
+//!   to the serial queue at any group size and any steal schedule.
 //! * [`ScfService`] (module [`scf_service`]) lifts the scheduler from
 //!   one-shot evaluations to whole **chemical systems**: each
 //!   [`ScfJobSpec`] is wrapped as an iterative [`BatchJob::Scf`] job — a
 //!   full multi-iteration [`sm_chem::ScfDriver`] loop on the job's
 //!   subcommunicator — with rank groups sized by *per-iteration* pattern
 //!   cost times iteration budget, per-iteration SCF telemetry in
-//!   [`JobResult::scf`], and grand-canonical batches bitwise-identical
-//!   to a serial loop of driver runs (`scf_service_equivalence` suite).
+//!   [`JobResult::scf`], and batches bitwise-identical to a serial loop
+//!   of driver runs (`scf_service_equivalence` suite).
 //! * **Fault injection & epoch-level recovery** (the same planner and
 //!   executor, under a non-empty seeded `FaultPlan`): rank deaths commit at
 //!   epoch boundaries through a collective fault consensus, survivors

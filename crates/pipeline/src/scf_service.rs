@@ -32,9 +32,9 @@
 //!   job re-enters the consensus allreduce once per iteration, always on
 //!   its group's current subcommunicator; the accounting identity
 //!   extends to `hits + builds = Σ_jobs group_size × iterations`.
-//! * **Grand-canonical batches are bitwise-identical to a serial loop of
-//!   [`sm_chem::ScfDriver`] runs** at any world size and any
-//!   steal schedule: the engine's grand-canonical numeric phase is
+//! * **Batches are bitwise-identical to a serial loop of
+//!   [`sm_chem::ScfDriver`] runs** at any world size and any steal
+//!   schedule, in either ensemble: the engine's numeric phase is
 //!   bit-reproducible across group sizes and the model feedback touches
 //!   only locally-owned diagonal blocks (the `scf_service_equivalence`
 //!   suite pins this, mirroring `stealing_equivalence`). One caveat: the
@@ -42,8 +42,7 @@
 //!   so iteration counts agree across group sizes provided no iteration's
 //!   `|ΔE|` lands within an ulp of `tol` (the per-iteration densities
 //!   themselves are unconditionally bitwise; see the
-//!   [`sm_chem::scf`] module docs). Canonical specs bisect µ through
-//!   cross-rank reductions and match to reduction accuracy instead.
+//!   [`sm_chem::scf`] module docs).
 //!
 //! ## Example
 //!
@@ -119,8 +118,8 @@ impl ScfService {
 /// `ablation_scf_service` bench) compares [`ScfService::run`] against: a
 /// plain loop of [`ScfDriver`] runs on a single rank, all sharing one
 /// engine — the same amortization surface the service offers, with none
-/// of its distribution. Grand-canonical specs must match this loop
-/// **bitwise** at any world size; canonical specs to reduction accuracy.
+/// of its distribution. Specs must match this loop **bitwise** at any
+/// world size.
 pub fn serial_scf_loop(engine: &Arc<SubmatrixEngine>, specs: &[ScfJobSpec]) -> Vec<ScfResult> {
     let comm = SerialComm::new();
     specs

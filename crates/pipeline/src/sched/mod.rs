@@ -59,14 +59,12 @@
 //! plan is a pure function of the estimated costs, the world size, the
 //! budget, the policy and the fault plan, never of measured wall time —
 //! and the numeric path performs the same per-submatrix solves with the
-//! same inputs regardless of the group size, so grand-canonical jobs
+//! same inputs regardless of the group size, so jobs of either ensemble
 //! produce **bitwise-identical** results to the serial
 //! [`JobQueue`](crate::jobs::JobQueue) for any world size, any steal
 //! schedule *and any admitted fault plan* (every non-quarantined job;
 //! pinned by the `scheduler_equivalence`, `stealing_equivalence` and
-//! `fault_equivalence` suites). Canonical-ensemble jobs bisect µ through a
-//! cross-rank reduction whose summation order depends on the group size,
-//! so they match to floating-point reduction accuracy instead.
+//! `fault_equivalence` suites).
 //!
 //! ## Faults
 //!

@@ -48,9 +48,8 @@ fn banded(nb: usize, bs: usize, half: usize, seed: u64) -> DbcsrMatrix {
     DbcsrMatrix::from_dense(&dense, BlockedDims::uniform(nb, bs), 0, 1, 0.0)
 }
 
-/// A mixed-size grand-canonical batch (fixed µ = grand canonical: results
-/// are bitwise group-size-independent, the precondition of the headline
-/// contract — canonical jobs only match to FP-reduction accuracy).
+/// A mixed-size grand-canonical batch (results are bitwise
+/// group-size-independent, the precondition of the headline contract).
 fn mixed_batch(seed: u64, n_small: usize) -> Vec<MatrixJob> {
     let mut jobs = vec![MatrixJob::density("large", banded(8, 2, 1, seed), 0.0)];
     for i in 0..n_small as u64 {

@@ -1,6 +1,6 @@
 //! Equivalence suite for the batched multi-system SCF service, mirroring
 //! `stealing_equivalence`: whatever epoch/steal schedule the service runs
-//! a batch under, **grand-canonical** SCF jobs must produce densities
+//! a batch under, SCF jobs of either ensemble must produce densities
 //! **bitwise-identical** to a plain serial loop of `ScfDriver` runs — at
 //! any world size — with identical iteration counts and convergence
 //! flags, and the plan-cache hit/miss consensus must stay per-group
@@ -12,8 +12,7 @@
 //! ```
 //!
 //! (every rank of every group decides hit/miss exactly once per SCF
-//! iteration). Canonical-ensemble jobs bisect µ through cross-rank
-//! reductions and match to reduction accuracy instead.
+//! iteration).
 
 use std::sync::Arc;
 
@@ -276,10 +275,9 @@ fn traced_scf_batches_stay_bitwise_with_deterministic_span_trees() {
 }
 
 #[test]
-fn canonical_specs_match_serial_to_reduction_accuracy() {
-    // Canonical µ bisection reduces electron counts across the group, so
-    // multi-rank groups match the serial loop to floating-point reduction
-    // accuracy (bitwise only for 1-rank groups).
+fn canonical_specs_are_bitwise_serial() {
+    // Every rank of a group bisects µ over the one gathered spectrum, so
+    // canonical specs meet the serial loop bit for bit on any group.
     let mut specs = Vec::new();
     for (i, nb) in [5usize, 4, 4].iter().enumerate() {
         let kt0 = banded(*nb, 2, i as u64);
@@ -294,7 +292,7 @@ fn canonical_specs_match_serial_to_reduction_accuracy() {
     }
     let serial = serial_scf_loop(&fresh_engine(None), &specs);
     let comm = SerialComm::new();
-    for world in [2usize, 5] {
+    for world in 2..=6 {
         let engine = fresh_engine(None);
         let service = ScfService::new(engine.clone(), RankBudget::default());
         let outcome = service.run(world, specs.clone());
@@ -302,8 +300,14 @@ fn canonical_specs_match_serial_to_reduction_accuracy() {
             assert!(
                 r.result
                     .to_dense(&comm)
-                    .allclose(&s.density.to_dense(&comm), 1e-10),
+                    .allclose(&s.density.to_dense(&comm), 0.0),
                 "job '{}' canonical density deviates at world {world}",
+                r.name
+            );
+            assert_eq!(
+                r.report.mu.to_bits(),
+                s.iterations.last().unwrap().mu.to_bits(),
+                "job '{}' canonical µ deviates at world {world}",
                 r.name
             );
             let scf = r.scf.as_ref().unwrap();

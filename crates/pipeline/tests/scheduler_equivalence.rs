@@ -1,8 +1,7 @@
 //! Equivalence suite pinning the distributed [`Scheduler`] to the serial
 //! [`JobQueue`]: mixed job batches run through subcommunicator groups of
-//! 1, 2 and 4 ranks must produce **bitwise-identical** `JobOutput`s
-//! (grand-canonical jobs; canonical µ bisection reduces across ranks, so
-//! it is checked to reduction accuracy separately).
+//! 1, 2 and 4 ranks must produce **bitwise-identical** `JobOutput`s, and a
+//! canonical job the same density and µ bits on groups of 2, 3, 4 and 6.
 
 use proptest::prelude::*;
 
@@ -199,10 +198,9 @@ fn scheduler_with_capacity_one_cache_still_correct() {
 }
 
 #[test]
-fn canonical_jobs_match_to_reduction_accuracy() {
-    // Canonical µ bisection reduces electron counts across the group, so
-    // across group sizes the result matches to summation accuracy, not
-    // bitwise.
+fn canonical_jobs_are_bitwise_serial() {
+    // Algorithm 1 bisects the one gathered spectrum on every rank, so the
+    // canonical µ and density do not depend on the group size either.
     let comm = SerialComm::new();
     let jobs = vec![MatrixJob {
         name: "canonical".into(),
@@ -219,14 +217,21 @@ fn canonical_jobs_match_to_reduction_accuracy() {
         output: JobOutput::Density,
     }];
     let serial = JobQueue::default().run(jobs.clone());
-    let outcome = Scheduler::default().run(2, jobs);
-    let a = outcome.results[0].result.to_dense(&comm);
     let b = serial[0].result.to_dense(&comm);
-    assert!(
-        a.allclose(&b, 1e-10),
-        "canonical density deviates beyond reduction accuracy"
-    );
-    assert!((outcome.results[0].report.mu - serial[0].report.mu).abs() < 1e-9);
+    for world in [2usize, 3, 4, 6] {
+        let outcome = Scheduler::default().run(world, jobs.clone());
+        let r = &outcome.results[0];
+        assert_eq!(r.group_size, world);
+        assert!(
+            r.result.to_dense(&comm).allclose(&b, 0.0),
+            "canonical density deviates bitwise at world {world}"
+        );
+        assert_eq!(
+            r.report.mu.to_bits(),
+            serial[0].report.mu.to_bits(),
+            "canonical µ deviates at world {world}"
+        );
+    }
 }
 
 /// One job of every kind the result path distinguishes — `f64` and `f32`
