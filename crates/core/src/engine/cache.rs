@@ -2,7 +2,8 @@
 //! [`RankTransferPlan`] → flat assembly/extraction copy programs, cached
 //! per `(fingerprint, rank, size, grouping)`. Purely local given the global
 //! pattern; collective only for the hit/miss consensus and for obtaining
-//! the pattern itself on a miss.
+//! the pattern itself on a miss. [`ExecutionPlan::build`] is the one
+//! constructor of a plan: a manifest import calls it as a miss does.
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -30,10 +31,10 @@ pub struct ExecutionPlan {
     pub rank: usize,
     /// Communicator size this plan serves.
     pub size: usize,
-    /// Nonzero blocks of the pattern this plan was built from. The pattern
-    /// itself is *not* retained: the assembly/extraction maps resolved
-    /// every query symbolically, and dropping it keeps cached plans small.
-    pub pattern_nnz: usize,
+    /// The global block pattern this plan was built from, moved in by
+    /// [`build`](Self::build). With `dims` it is all a plan is a function
+    /// of, so it is what a manifest stores and import rebuilds from.
+    pub pattern: CooPattern,
     /// The block partition.
     pub dims: BlockedDims,
     /// Global number of submatrices.
@@ -140,7 +141,7 @@ impl ExecutionPlan {
             max_dim: plan.max_dim(),
             avg_dim: plan.avg_dim(),
             total_cost: plan.total_cost(),
-            pattern_nnz: pattern.nnz(),
+            pattern,
             dims,
             my_specs,
             transfers,

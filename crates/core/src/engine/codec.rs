@@ -1,18 +1,19 @@
 //! Plan-cache persistence: spill cached plans to a versioned on-disk
 //! manifest ([`sm_dbcsr::wire::PlanManifest`]) so a warm restart replans
 //! nothing. The symbolic phase is the cost the paper amortizes across SCF
-//! iterations; persistence amortizes it across *process lifetimes*.
+//! iterations; persistence amortizes it across *process lifetimes*. A
+//! manifest stores what a plan is a function of — the partition and the
+//! global pattern — and import rebuilds each plan locally with the same
+//! [`ExecutionPlan::build`] a cache miss runs, without the miss's
+//! collective pattern gather and before any job asks for the plan.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use sm_dbcsr::wire::{self, PatternFingerprint};
+use sm_dbcsr::wire;
 use sm_dbcsr::{BlockedDims, CooPattern};
 
-use super::{ExecutionPlan, SubmatrixEngine};
-use crate::assembly::{AssemblyMap, AssemblySlot, ExtractionMap, ExtractionSlot, SubmatrixSpec};
-use crate::mu::contributing_rows;
-use crate::transfers::TransferStats;
+use super::{ExecutionPlan, Grouping, SubmatrixEngine};
 
 /// Failure of [`SubmatrixEngine::export_plans`] /
 /// [`SubmatrixEngine::import_plans`].
@@ -31,7 +32,8 @@ pub enum PlanPersistError {
         /// This engine's grouping cache tag.
         expected: u64,
     },
-    /// The container decoded but an entry's plan payload is malformed.
+    /// The container decoded but an entry is malformed, or its payload is
+    /// not the pattern its header's fingerprint names.
     Corrupt(String),
 }
 
@@ -74,71 +76,24 @@ impl From<wire::ManifestError> for PlanPersistError {
     }
 }
 
-/// Word-stream writer for the plan codec (`u64` words; `f64` fields travel
-/// bit-exactly via `to_bits`, so an imported plan replays the original's
-/// numeric behavior byte-for-byte).
-fn push_usize_slice(out: &mut Vec<u64>, xs: &[usize]) {
-    out.push(xs.len() as u64);
-    out.extend(xs.iter().map(|&x| x as u64));
-}
-
+/// A plan's payload: its partition and global block pattern,
+/// `[nb, sizes…, nnz, (br, bc)…]` in the pattern's (column, row) order.
 fn encode_plan(plan: &ExecutionPlan) -> Vec<u64> {
-    let mut w: Vec<u64> = vec![
-        plan.pattern_nnz as u64,
-        plan.n_submatrices as u64,
-        plan.max_dim as u64,
-        plan.avg_dim.to_bits(),
-        plan.total_cost.to_bits(),
-        plan.element_fill.to_bits(),
-        plan.symbolic_seconds.to_bits(),
-    ];
-    push_usize_slice(&mut w, plan.dims.sizes());
-    w.push(plan.transfers.unique_bytes);
-    w.push(plan.transfers.naive_bytes);
-    w.push(plan.transfers.unique_blocks);
-    w.push(plan.transfers.total_references);
-    w.push(plan.my_specs.len() as u64);
-    for spec in &plan.my_specs {
-        push_usize_slice(&mut w, &spec.cols);
-        push_usize_slice(&mut w, &spec.rows);
-        push_usize_slice(&mut w, &spec.row_offsets);
-        w.push(spec.dim as u64);
-    }
-    w.push(plan.remote_wanted.len() as u64);
-    for &(br, bc) in &plan.remote_wanted {
-        w.push(br as u64);
-        w.push(bc as u64);
-    }
-    w.push(plan.assembly.len() as u64);
-    for map in &plan.assembly {
-        w.push(map.dim as u64);
-        w.push(map.slots.len() as u64);
-        for s in &map.slots {
-            w.extend_from_slice(&[s.br as u64, s.bc as u64, s.row_off as u64, s.col_off as u64]);
-        }
-    }
-    w.push(plan.extraction.len() as u64);
-    for map in &plan.extraction {
-        w.push(map.n_sel_cols as u64);
-        w.push(map.slots.len() as u64);
-        for s in &map.slots {
-            w.extend_from_slice(&[
-                s.br as u64,
-                s.bc as u64,
-                s.row_off as u64,
-                s.col_off as u64,
-                s.sel_off as u64,
-                s.nrows as u64,
-                s.ncols as u64,
-            ]);
-        }
-    }
-    w.push(plan.contributing.len() as u64);
-    for cols in &plan.contributing {
-        push_usize_slice(&mut w, cols);
+    let (sizes, blocks) = (plan.dims.sizes(), plan.pattern.entries());
+    let mut w = Vec::with_capacity(2 + sizes.len() + 2 * blocks.len());
+    w.push(sizes.len() as u64);
+    w.extend(sizes.iter().map(|&s| s as u64));
+    w.push(blocks.len() as u64);
+    for &(br, bc) in blocks {
+        w.extend_from_slice(&[br as u64, bc as u64]);
     }
     w
 }
+
+/// Largest communicator size an imported entry may name. Input
+/// validation, not a tuning knob: it keeps a damaged `size` word from
+/// driving the load balancer's per-rank allocation.
+const MAX_PLAN_RANKS: u64 = 1 << 20;
 
 fn corrupt(what: &str) -> PlanPersistError {
     PlanPersistError::Corrupt(what.into())
@@ -151,21 +106,13 @@ struct PlanReader<'a> {
 }
 
 impl PlanReader<'_> {
-    fn u(&mut self) -> Result<u64, PlanPersistError> {
+    fn us(&mut self) -> Result<usize, PlanPersistError> {
         let w = *self
             .words
             .get(self.pos)
             .ok_or_else(|| corrupt("payload ends early"))?;
         self.pos += 1;
-        Ok(w)
-    }
-
-    fn us(&mut self) -> Result<usize, PlanPersistError> {
-        Ok(self.u()? as usize)
-    }
-
-    fn f(&mut self) -> Result<f64, PlanPersistError> {
-        Ok(f64::from_bits(self.u()?))
+        Ok(w as usize)
     }
 
     /// A count, then that many items of at least `item_words` words each.
@@ -183,145 +130,57 @@ impl PlanReader<'_> {
         }
         (0..n).map(|_| read(self)).collect()
     }
-
-    fn usize_vec(&mut self) -> Result<Vec<usize>, PlanPersistError> {
-        self.items(1, Self::us)
-    }
-}
-
-fn decode_plan(entry: &wire::PlanManifestEntry) -> Result<ExecutionPlan, PlanPersistError> {
-    let mut r = PlanReader {
-        words: &entry.words,
-        pos: 0,
-    };
-    let pattern_nnz = r.us()?;
-    let n_submatrices = r.us()?;
-    let max_dim = r.us()?;
-    let avg_dim = r.f()?;
-    let total_cost = r.f()?;
-    let element_fill = r.f()?;
-    let symbolic_seconds = r.f()?;
-    let sizes = r.usize_vec()?;
-    let n = sizes.iter().try_fold(0usize, |n, &s| n.checked_add(s));
-    if sizes.contains(&0) || n.is_none() {
-        return Err(corrupt("zero-sized block or overflowing partition"));
-    }
-    let dims = BlockedDims::new(sizes);
-    let transfers = TransferStats {
-        unique_bytes: r.u()?,
-        naive_bytes: r.u()?,
-        unique_blocks: r.u()?,
-        total_references: r.u()?,
-    };
-    // Struct fields are evaluated in the order written: the wire order.
-    let my_specs = r.items(4, |r| {
-        Ok(SubmatrixSpec {
-            cols: r.usize_vec()?,
-            rows: r.usize_vec()?,
-            row_offsets: r.usize_vec()?,
-            dim: r.us()?,
-        })
-    })?;
-    let remote_wanted = r.items(2, |r| Ok((r.us()?, r.us()?)))?;
-    let assembly = r.items(2, |r| {
-        let dim = r.us()?;
-        let slots = r.items(4, |r| {
-            Ok(AssemblySlot {
-                br: r.us()?,
-                bc: r.us()?,
-                row_off: r.us()?,
-                col_off: r.us()?,
-            })
-        })?;
-        Ok(AssemblyMap { dim, slots })
-    })?;
-    let extraction = r.items(2, |r| {
-        let n_sel_cols = r.us()?;
-        let slots = r.items(7, |r| {
-            Ok(ExtractionSlot {
-                br: r.us()?,
-                bc: r.us()?,
-                row_off: r.us()?,
-                col_off: r.us()?,
-                sel_off: r.us()?,
-                nrows: r.us()?,
-                ncols: r.us()?,
-            })
-        })?;
-        Ok(ExtractionMap { slots, n_sel_cols })
-    })?;
-    let contributing = r.items(1, PlanReader::usize_vec)?;
-    if r.pos != entry.words.len() {
-        return Err(corrupt("trailing words in payload"));
-    }
-    let plan = ExecutionPlan {
-        fingerprint: PatternFingerprint(entry.fingerprint),
-        rank: entry.rank as usize,
-        size: entry.size as usize,
-        pattern_nnz,
-        dims,
-        n_submatrices,
-        max_dim,
-        avg_dim,
-        total_cost,
-        my_specs,
-        transfers,
-        remote_wanted,
-        assembly,
-        extraction,
-        contributing,
-        element_fill,
-        symbolic_seconds,
-    };
-    check_copy_programs(&plan)?;
-    Ok(plan)
-}
-
-/// Everything the numeric phase indexes with must agree with the decoded
-/// partition, or `execute` would read past a matrix (a panic) or copy the
-/// wrong elements (a wrong density without an error). A spec's assembly
-/// slots name every pattern block inside its principal submatrix — all
-/// that the spec and both copy programs were built from — so the three
-/// are rebuilt from those blocks and must come out as decoded.
-fn check_copy_programs(plan: &ExecutionPlan) -> Result<(), PlanPersistError> {
-    let (dims, nb) = (&plan.dims, plan.dims.nb());
-    let in_grid = |&(br, bc): &(usize, usize)| br < nb && bc < nb;
-    let n = plan.my_specs.len();
-    if plan.assembly.len() != n || plan.extraction.len() != n || plan.contributing.len() != n {
-        return Err(corrupt("copy programs not parallel to specs"));
-    }
-    if !plan.remote_wanted.iter().all(in_grid) {
-        return Err(corrupt("remote block outside the partition"));
-    }
-    for (i, spec) in plan.my_specs.iter().enumerate() {
-        let blocks: Vec<(usize, usize)> = plan.assembly[i]
-            .slots
-            .iter()
-            .map(|s| (s.br, s.bc))
-            .collect();
-        if !blocks.iter().all(in_grid) {
-            return Err(corrupt("assembly block outside the partition"));
-        }
-        let pattern = CooPattern::from_coords(blocks, nb);
-        // What `SubmatrixSpec::build` would otherwise panic on.
-        let has_diagonals = !spec.cols.is_empty()
-            && spec
-                .cols
-                .iter()
-                .all(|&c| c < nb && pattern.rows_in_col(c).any(|r| r == c));
-        if !has_diagonals
-            || *spec != SubmatrixSpec::build(&pattern, dims, &spec.cols)
-            || plan.assembly[i] != AssemblyMap::build(spec, &pattern)
-            || plan.extraction[i] != ExtractionMap::build(spec, &pattern, dims)
-            || plan.contributing[i] != contributing_rows(spec, dims)
-        {
-            return Err(corrupt("copy program disagrees with its spec"));
-        }
-    }
-    Ok(())
 }
 
 impl SubmatrixEngine {
+    /// Rebuild one manifest entry's plan. The checksum covers the payload
+    /// only, so the entry header is checked here: the payload's pattern
+    /// must hash to the fingerprint the entry is keyed by, and `rank` and
+    /// `size` must name a plausible communicator. Then everything `build`
+    /// would panic on is refused, and the plan is built as on a miss.
+    fn decode_plan(
+        &self,
+        entry: &wire::PlanManifestEntry,
+    ) -> Result<ExecutionPlan, PlanPersistError> {
+        let mut r = PlanReader {
+            words: &entry.words,
+            pos: 0,
+        };
+        let sizes = r.items(1, PlanReader::us)?;
+        let blocks = r.items(2, |r| Ok((r.us()?, r.us()?)))?;
+        if r.pos != entry.words.len() {
+            return Err(corrupt("trailing words in payload"));
+        }
+        let n = sizes.iter().try_fold(0usize, |n, &s| n.checked_add(s));
+        if sizes.contains(&0) || n.and_then(|n| n.checked_mul(n)).is_none() {
+            return Err(corrupt("zero-sized block or overflowing partition"));
+        }
+        let nb = sizes.len();
+        if !blocks.iter().all(|&(br, bc)| br < nb && bc < nb) {
+            return Err(corrupt("block outside the partition"));
+        }
+        if entry.size == 0 || entry.size > MAX_PLAN_RANKS || entry.rank >= entry.size {
+            return Err(corrupt("rank outside its communicator"));
+        }
+        let dims = BlockedDims::new(sizes);
+        let pattern = CooPattern::from_coords(blocks, nb);
+        if pattern.fingerprint(&dims).0 != entry.fingerprint {
+            return Err(corrupt("payload is not the pattern its entry is keyed by"));
+        }
+        if !(0..nb).all(|c| pattern.id_of(c, c).is_some()) {
+            return Err(corrupt("block column without its diagonal block"));
+        }
+        if let Grouping::Explicit(groups) = &self.opts.grouping {
+            let mut cols: Vec<usize> = groups.iter().flatten().copied().collect();
+            cols.sort_unstable();
+            if !cols.iter().copied().eq(0..nb) {
+                return Err(corrupt("explicit groups do not partition the columns"));
+            }
+        }
+        let (rank, size) = (entry.rank as usize, entry.size as usize);
+        Ok(ExecutionPlan::build(pattern, dims, &self.opts, rank, size))
+    }
+
     /// Spill every cached plan to a versioned manifest at `path`
     /// ([`wire::PLAN_MANIFEST_SCHEMA_VERSION`]), preserving LRU stamps so
     /// a later [`import_plans`](Self::import_plans) restores eviction
@@ -384,7 +243,7 @@ impl SubmatrixEngine {
         }
         let mut decoded = Vec::with_capacity(manifest.entries.len());
         for entry in &manifest.entries {
-            decoded.push((decode_plan(entry)?, entry.lru_stamp));
+            decoded.push((self.decode_plan(entry)?, entry.lru_stamp));
         }
         // Keep only the most recently used plans when over capacity; the
         // dropped overflow is an eviction like any other.
@@ -432,63 +291,60 @@ mod tests {
         dir.join(name)
     }
 
+    /// The global pattern of `banded_gapped(nb, 2)` and its partition.
+    fn banded_pattern(nb: usize) -> (CooPattern, BlockedDims) {
+        let (dense, dims) = banded_gapped(nb, 2);
+        let m = DbcsrMatrix::from_dense(&dense, dims.clone(), 0, 1, 0.0);
+        (m.global_pattern(&SerialComm::new()), dims)
+    }
+
+    fn entry_for(plan: &ExecutionPlan) -> wire::PlanManifestEntry {
+        wire::PlanManifestEntry {
+            fingerprint: plan.fingerprint.0,
+            rank: plan.rank as u64,
+            size: plan.size as u64,
+            lru_stamp: 3,
+            words: encode_plan(plan),
+        }
+    }
+
     #[test]
     fn plan_codec_roundtrips_word_exactly() {
-        let (dense, dims) = banded_gapped(5, 2);
-        let comm = SerialComm::new();
-        let m = DbcsrMatrix::from_dense(&dense, dims.clone(), 0, 1, 0.0);
-        let plan = ExecutionPlan::build(
-            m.global_pattern(&comm),
-            dims,
-            &EngineOptions::default(),
-            0,
-            1,
-        );
-        let words = encode_plan(&plan);
-        let entry = wire::PlanManifestEntry {
-            fingerprint: plan.fingerprint.0,
-            rank: 0,
-            size: 1,
-            lru_stamp: 3,
-            words,
-        };
-        let back = decode_plan(&entry).expect("decode");
-        // Re-encoding the decode reproduces the words exactly, so every
-        // field (including f64 bit patterns) survived.
-        assert_eq!(encode_plan(&back), entry.words);
-        assert_eq!(back.fingerprint, plan.fingerprint);
-        assert_eq!(back.my_specs, plan.my_specs);
-        assert_eq!(back.assembly, plan.assembly);
-        assert_eq!(back.extraction, plan.extraction);
+        let (pattern, dims) = banded_pattern(5);
+        let engine = SubmatrixEngine::default();
+        for rank in 0..3 {
+            let plan = ExecutionPlan::build(pattern.clone(), dims.clone(), &engine.opts, rank, 3);
+            let entry = entry_for(&plan);
+            let back = engine.decode_plan(&entry).expect("decode");
+            // Re-encoding the rebuild reproduces the words exactly, and the
+            // rebuild is the plan: everything the numeric phase reads.
+            assert_eq!(encode_plan(&back), entry.words);
+            assert_eq!(back.fingerprint, plan.fingerprint);
+            assert_eq!((back.rank, back.size), (rank, 3));
+            assert_eq!(back.dims, plan.dims);
+            assert_eq!(back.my_specs, plan.my_specs);
+            assert_eq!(back.assembly, plan.assembly);
+            assert_eq!(back.extraction, plan.extraction);
+            assert_eq!(back.contributing, plan.contributing);
+            assert_eq!(back.remote_wanted, plan.remote_wanted);
+            assert_eq!(back.element_fill.to_bits(), plan.element_fill.to_bits());
 
-        // A truncated payload is rejected, not misparsed.
-        let mut chopped = entry.clone();
-        chopped.words.truncate(entry.words.len() - 1);
-        assert!(matches!(
-            decode_plan(&chopped),
-            Err(PlanPersistError::Corrupt(_))
-        ));
+            // A truncated payload is rejected, not misparsed.
+            let mut chopped = entry.clone();
+            chopped.words.pop();
+            assert!(matches!(
+                engine.decode_plan(&chopped),
+                Err(PlanPersistError::Corrupt(_))
+            ));
+        }
     }
 
     #[test]
     fn corrupt_plan_payload_is_a_typed_error_never_a_panic_or_a_wrong_result() {
-        let (dense, dims) = banded_gapped(5, 2);
-        let comm = SerialComm::new();
-        let m = DbcsrMatrix::from_dense(&dense, dims.clone(), 0, 1, 0.0);
-        let plan = ExecutionPlan::build(
-            m.global_pattern(&comm),
-            dims,
-            &EngineOptions::default(),
-            0,
-            1,
-        );
-        let entry = wire::PlanManifestEntry {
-            fingerprint: plan.fingerprint.0,
-            rank: 0,
-            size: 1,
-            lru_stamp: 1,
-            words: encode_plan(&plan),
-        };
+        let (pattern, dims) = banded_pattern(5);
+        let engine = SubmatrixEngine::default();
+        let plan = ExecutionPlan::build(pattern, dims, &engine.opts, 0, 1);
+        let entry = entry_for(&plan);
         let manifest = wire::PlanManifest {
             entries: vec![entry.clone()],
             ..Default::default()
@@ -496,43 +352,20 @@ mod tests {
         let bytes = manifest.encode();
         // A one-entry manifest ends with that entry's payload words.
         let payload_start = bytes.len() - 8 * entry.words.len();
-
-        let engine = SubmatrixEngine::default();
-        // Both extraction paths: the contributing columns a
-        // diagonalization evaluates, and the full sign of an iteration.
-        let iterative = NumericOptions {
-            solve: crate::solver::SolveOptions {
-                method: crate::solver::SignMethod::NewtonSchulz,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let options = [NumericOptions::default(), iterative];
-        let expect = options.map(|numeric| {
-            let (sign, _) = engine.execute(&plan, &m, 0.0, &numeric, &comm);
-            sign.to_dense(&comm)
-        });
-        let (mut decoded_ok, mut rejected) = (0, 0);
         for (k, &word) in entry.words.iter().enumerate() {
             for bad in [1u64 << 62, word.wrapping_add(1), 1000] {
                 if bad == word {
                     continue;
                 }
-                // Past the container's checksum the codec's own checks
-                // must hold: a plan that decodes also executes, and on the
-                // same copy programs.
+                // Past the container's checksum every damaged word still
+                // changes the partition or the pattern, so the rebuilt
+                // plan would not be the one its fingerprint names.
                 let mut damaged = entry.clone();
                 damaged.words[k] = bad;
-                match decode_plan(&damaged) {
-                    Ok(p) => {
-                        decoded_ok += 1;
-                        for (numeric, expect) in options.iter().zip(&expect) {
-                            let (got, _) = engine.execute(&p, &m, 0.0, numeric, &comm);
-                            assert!(got.to_dense(&comm).allclose(expect, 1e-12));
-                        }
-                    }
-                    Err(PlanPersistError::Corrupt(_)) => rejected += 1,
+                match engine.decode_plan(&damaged) {
+                    Err(PlanPersistError::Corrupt(_)) => {}
                     Err(other) => panic!("word {k} := {bad:#x}: unexpected {other}"),
+                    Ok(_) => panic!("word {k} := {bad:#x} decoded"),
                 }
                 // Through the container every damaged payload is refused.
                 let mut file = bytes.clone();
@@ -545,10 +378,85 @@ mod tests {
                 );
             }
         }
-        // Only words no copy program reads (the reported plan shape and
-        // timings) can change without the codec noticing.
-        assert!(decoded_ok > 0 && decoded_ok <= 3 * 11, "{decoded_ok}");
-        assert!(rejected > 2 * entry.words.len());
+    }
+
+    /// Export `engine`'s cache, rewrite every entry header with `edit`
+    /// (the checksum covers payloads only, so the container still
+    /// decodes), and import the result into a fresh engine.
+    fn import_with_header(
+        engine: &SubmatrixEngine,
+        name: &str,
+        edit: impl Fn(&mut wire::PlanManifestEntry),
+    ) -> (SubmatrixEngine, Result<usize, PlanPersistError>) {
+        let path = manifest_path(name);
+        engine.export_plans(&path).expect("export");
+        let mut manifest =
+            wire::PlanManifest::decode(&std::fs::read(&path).expect("read")).expect("decode");
+        manifest.entries.iter_mut().for_each(edit);
+        std::fs::write(&path, manifest.encode()).expect("write");
+        let fresh = SubmatrixEngine::default();
+        let imported = fresh.import_plans(&path);
+        (fresh, imported)
+    }
+
+    #[test]
+    fn import_refuses_an_entry_keyed_by_another_pattern() {
+        let (dense, dims) = banded_gapped(6, 2);
+        let comm = SerialComm::new();
+        let b = DbcsrMatrix::from_dense(&dense, dims.clone(), 0, 1, 0.0);
+        // A: the block-diagonal part of B, on the same partition.
+        let mut diag = dense.clone();
+        for i in 0..dims.n() {
+            for j in 0..dims.n() {
+                if i / 2 != j / 2 {
+                    diag[(i, j)] = 0.0;
+                }
+            }
+        }
+        let a = DbcsrMatrix::from_dense(&diag, dims, 0, 1, 0.0);
+        let producer = SubmatrixEngine::default();
+        let _ = producer.plan_for_matrix(&a, &comm);
+        let b_fp = b.pattern_fingerprint(&comm).0;
+        assert_ne!(a.pattern_fingerprint(&comm).0, b_fp);
+
+        // A manifest keyed by B that carries A's plan.
+        let (engine, imported) = import_with_header(&producer, "rekeyed.smplans", |e| {
+            e.fingerprint = b_fp;
+        });
+        assert!(
+            matches!(imported, Err(PlanPersistError::Corrupt(_))),
+            "{imported:?}"
+        );
+        assert_eq!(engine.cached_plans(), 0);
+        let (got, report) = engine.sign(&b, 0.0, &NumericOptions::default(), &comm);
+        assert!(!report.plan_cached);
+        let (expect, _) =
+            SubmatrixEngine::default().sign(&b, 0.0, &NumericOptions::default(), &comm);
+        assert!(got.to_dense(&comm) == expect.to_dense(&comm));
+    }
+
+    #[test]
+    fn damaged_entry_header_is_a_typed_error_never_a_panic() {
+        let (dense, dims) = banded_gapped(5, 2);
+        let comm = SerialComm::new();
+        let m = DbcsrMatrix::from_dense(&dense, dims, 0, 1, 0.0);
+        let producer = SubmatrixEngine::default();
+        let _ = producer.plan_for_matrix(&m, &comm);
+        type Edit = fn(&mut wire::PlanManifestEntry);
+        let edits: [(&str, Edit); 4] = [
+            ("fingerprint ^ 1", |e| e.fingerprint ^= 1),
+            ("rank == size", |e| e.rank = e.size),
+            ("size == 0", |e| e.size = 0),
+            ("size == u64::MAX", |e| e.size = u64::MAX),
+        ];
+        for (what, edit) in edits {
+            let (engine, imported) = import_with_header(&producer, "header.smplans", edit);
+            assert!(
+                matches!(imported, Err(PlanPersistError::Corrupt(_))),
+                "{what}: {imported:?}"
+            );
+            assert_eq!(engine.cached_plans(), 0, "{what}");
+        }
     }
 
     #[test]

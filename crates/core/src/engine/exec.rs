@@ -61,7 +61,7 @@ impl SubmatrixEngine {
             "values partitioned differently from the plan"
         );
         debug_assert!(
-            values.local_nnz_blocks() <= plan.pattern_nnz,
+            values.local_nnz_blocks() <= plan.pattern.nnz(),
             "values hold more blocks than the planned pattern has in total"
         );
         self.counters.executions.fetch_add(1, Ordering::Relaxed);

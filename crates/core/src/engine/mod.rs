@@ -13,8 +13,8 @@
 //! * `cache` — the whole symbolic phase: [`ExecutionPlan`] and its build,
 //!   the LRU plan cache, `plan_for_matrix*` and the hit/miss consensus;
 //! * `exec` — the numeric phase: `execute`, `sign`, `density`;
-//! * `codec` — plans on disk: encode/decode and `export_plans` /
-//!   `import_plans`.
+//! * `codec` — plans on disk: `export_plans` stores each plan's partition
+//!   and pattern, `import_plans` rebuilds the plan from them.
 //!
 //! The engine is an SPMD object like [`sm_dbcsr::DbcsrMatrix`]: every rank
 //! calls the same methods collectively. Plans are cached per `(fingerprint,

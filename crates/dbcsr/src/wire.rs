@@ -338,8 +338,10 @@ impl FingerprintAccumulator {
 /// change; [`PlanManifest::decode`] refuses to misparse an unknown
 /// version. v2: plan payloads carry the pattern's element-fill fraction
 /// (the sparse-backend decision input). v3: every entry carries a checksum
-/// of its payload words.
-pub const PLAN_MANIFEST_SCHEMA_VERSION: u32 = 3;
+/// of its payload words. v4: a payload is the plan's inputs only — the
+/// block partition and the global pattern — and the importer rebuilds the
+/// plan from them after checking they hash to the entry's fingerprint.
+pub const PLAN_MANIFEST_SCHEMA_VERSION: u32 = 4;
 
 /// Leading magic of every plan manifest (eight bytes, also the first
 /// little-endian word of the container). Guards against feeding an
