@@ -470,7 +470,7 @@ pub fn sign_solvers(_: &Ctx) -> Report {
                 name.into(),
                 Wall(dt),
                 r.iterations.into(),
-                Flag(r.decomposition.is_some()),
+                Flag(method == SignMethod::Diagonalization),
             ]);
         }
     }

@@ -85,16 +85,17 @@ impl SubmatrixSpec {
     /// inside this principal submatrix *and* are nonzero in the pattern —
     /// i.e. the blocks that must be transferred to assemble it
     /// (Sec. IV-A3).
-    pub fn required_blocks(&self, pattern: &CooPattern) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        for &bc in &self.rows {
-            for br in pattern.rows_in_col(bc) {
-                if self.position_of(br).is_some() {
-                    out.push((br, bc));
-                }
-            }
-        }
-        out
+    pub fn required_blocks<'a>(
+        &'a self,
+        pattern: &'a CooPattern,
+    ) -> impl Iterator<Item = (usize, usize)> + 'a {
+        self.rows.iter().flat_map(move |&bc| {
+            let inside = move |&br: &usize| self.position_of(br).is_some();
+            pattern
+                .rows_in_col(bc)
+                .filter(inside)
+                .map(move |br| (br, bc))
+        })
     }
 
     /// Dense fraction: nonzero blocks of the submatrix relative to its full
@@ -104,7 +105,7 @@ impl SubmatrixSpec {
         if nb == 0 {
             return 0.0;
         }
-        self.required_blocks(pattern).len() as f64 / (nb * nb) as f64
+        self.required_blocks(pattern).count() as f64 / (nb * nb) as f64
     }
 }
 
@@ -136,7 +137,7 @@ impl AssemblyMap {
     /// Resolve every nonzero pattern block inside the spec's principal
     /// submatrix to its destination offsets.
     pub fn build(spec: &SubmatrixSpec, pattern: &CooPattern) -> Self {
-        let mut slots = Vec::new();
+        let mut slots = Vec::with_capacity(spec.rows.iter().map(|&bc| pattern.col_nnz(bc)).sum());
         for (pj, &bc) in spec.rows.iter().enumerate() {
             let col_off = spec.row_offsets[pj];
             for br in pattern.rows_in_col(bc) {
@@ -163,6 +164,16 @@ impl AssemblyMap {
     /// transfer plan guarantees this in distributed runs).
     pub fn assemble<'a>(&self, block_of: impl Fn(usize, usize) -> Option<&'a Matrix>) -> Matrix {
         let mut a = Matrix::zeros(self.dim, self.dim);
+        self.assemble_into(&mut a, block_of);
+        a
+    }
+
+    /// [`assemble`](Self::assemble) into `a`, a zero matrix of this size.
+    pub(crate) fn assemble_into<'a>(
+        &self,
+        a: &mut Matrix,
+        block_of: impl Fn(usize, usize) -> Option<&'a Matrix>,
+    ) {
         for slot in &self.slots {
             let Some(blk) = block_of(slot.br, slot.bc) else {
                 continue; // structurally present but numerically dropped
@@ -173,7 +184,6 @@ impl AssemblyMap {
                 }
             }
         }
-        a
     }
 }
 
@@ -213,7 +223,8 @@ impl ExtractionMap {
     /// Resolve every pattern block of the spec's own columns to its source
     /// offsets in `f(a)` and in the selected-columns matrix.
     pub fn build(spec: &SubmatrixSpec, pattern: &CooPattern, dims: &BlockedDims) -> Self {
-        let mut slots = Vec::new();
+        // Every row of a spec's own columns is one of its rows.
+        let mut slots = Vec::with_capacity(spec.cols.iter().map(|&bc| pattern.col_nnz(bc)).sum());
         let mut sel_base = 0usize;
         for &bc in &spec.cols {
             let ncols = dims.size(bc);
@@ -252,43 +263,32 @@ impl ExtractionMap {
 
     /// Extract result blocks from the full `f(a)`.
     pub fn extract(&self, f_a: &Matrix) -> BTreeMap<(usize, usize), Matrix> {
-        let dim = self.dim();
-        assert_eq!(f_a.shape(), (dim, dim), "result shape mismatch");
-        self.copy_out(f_a, |slot| slot.col_off)
+        let mut out = BTreeMap::new();
+        self.extract_each(f_a, false, |coord, blk| drop(out.insert(coord, blk)));
+        out
     }
 
-    /// Extract result blocks from a *selected-columns* evaluation:
-    /// `cols_mat` holds only the contributing columns of `f(a)` — the
-    /// element columns of the spec's own block columns, in spec order — as
-    /// produced by `solver::sign_columns_from_decomposition`. Semantically
-    /// identical to [`extract`](Self::extract) on the full `f(a)`, at
-    /// `O(dim · k)` memory.
-    pub fn extract_from_columns(&self, cols_mat: &Matrix) -> BTreeMap<(usize, usize), Matrix> {
-        assert_eq!(
-            cols_mat.shape(),
-            (self.dim(), self.n_sel_cols),
-            "selected-columns matrix shape mismatch"
-        );
-        self.copy_out(cols_mat, |slot| slot.sel_off)
-    }
-
-    fn copy_out(
+    /// Hand each result block to `put` as it is copied out of `src`: the
+    /// full `f(a)`, or with `columns` only its contributing columns — the
+    /// element columns of the spec's own block columns, in spec order.
+    pub(crate) fn extract_each(
         &self,
         src: &Matrix,
-        col_off: impl Fn(&ExtractionSlot) -> usize,
-    ) -> BTreeMap<(usize, usize), Matrix> {
-        let mut out = BTreeMap::new();
+        columns: bool,
+        mut put: impl FnMut((usize, usize), Matrix),
+    ) {
+        let width = if columns { self.n_sel_cols } else { self.dim() };
+        assert_eq!(src.shape(), (self.dim(), width), "result shape mismatch");
         for slot in &self.slots {
-            let base_j = col_off(slot);
+            let base_j = if columns { slot.sel_off } else { slot.col_off };
             let mut blk = Matrix::zeros(slot.nrows, slot.ncols);
             for j in 0..slot.ncols {
                 for i in 0..slot.nrows {
                     blk[(i, j)] = src[(slot.row_off + i, base_j + j)];
                 }
             }
-            out.insert((slot.br, slot.bc), blk);
+            put((slot.br, slot.bc), blk);
         }
-        out
     }
 }
 
@@ -347,7 +347,7 @@ mod tests {
     fn required_blocks_are_pattern_intersection() {
         let (p, d) = tridiag_setup();
         let s = SubmatrixSpec::build(&p, &d, &[1]);
-        let req = s.required_blocks(&p);
+        let req: Vec<_> = s.required_blocks(&p).collect();
         // Principal submatrix on {0,1,2}: tridiagonal coupling inside.
         let expect = vec![(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 2)];
         let mut req_sorted = req.clone();
@@ -478,7 +478,10 @@ mod selected_column_extraction_tests {
         }
         let all_rows: Vec<usize> = (0..spec.dim).collect();
         let cols_mat = f_a.submatrix(&all_rows, &cols);
-        let from_cols = map.extract_from_columns(&cols_mat);
+        let mut from_cols = BTreeMap::new();
+        map.extract_each(&cols_mat, true, |coord, blk| {
+            drop(from_cols.insert(coord, blk))
+        });
         assert_eq!(full.len(), from_cols.len());
         for (coord, blk) in &full {
             assert!(
@@ -494,7 +497,7 @@ mod selected_column_extraction_tests {
         let (p, d) = tridiag_setup();
         let spec = SubmatrixSpec::build(&p, &d, &[1]);
         let bad = Matrix::zeros(spec.dim, 5);
-        ExtractionMap::build(&spec, &p, &d).extract_from_columns(&bad);
+        ExtractionMap::build(&spec, &p, &d).extract_each(&bad, true, |_, _| ());
     }
 
     #[test]

@@ -87,7 +87,10 @@ impl ExecutionPlan {
         let costs: Vec<f64> = plan.specs.iter().map(|s| s.cost()).collect();
         let assignment = greedy_contiguous(&costs, size);
         let my_range = assignment.ranges[rank].clone();
-        let my_specs: Vec<SubmatrixSpec> = plan.specs[my_range].to_vec();
+        let (n_submatrices, max_dim, avg_dim) = (plan.len(), plan.max_dim(), plan.avg_dim());
+        let (total_cost, mut my_specs) = (plan.total_cost(), plan.specs);
+        my_specs.truncate(my_range.end); // moved out of the global plan
+        my_specs.drain(..my_range.start);
 
         // Deduplicated block exchange (Sec. IV-B): every remote block the
         // rank's submatrices need, fetched exactly once per execution.
@@ -98,25 +101,21 @@ impl ExecutionPlan {
         // Owner mapping comes from the one shared distribution policy so
         // transfer planning can never drift from how matrices route blocks.
         let grid = sm_dbcsr::process_grid(size);
-        let remote_wanted: Vec<(usize, usize)> = transfer_plan
-            .unique_blocks
-            .iter()
-            .copied()
+        // Copied: filtered in place, a one-rank plan would keep every block's capacity.
+        let remote_wanted: Vec<(usize, usize)> = (transfer_plan.unique_blocks.iter().copied())
             .filter(|&(br, bc)| grid.owner_of_block(br, bc) != rank)
             .collect();
 
-        let assembly: Vec<AssemblyMap> = my_specs
+        let (assembly, (extraction, contributing)): (Vec<_>, (Vec<_>, Vec<_>)) = my_specs
             .iter()
-            .map(|s| AssemblyMap::build(s, &pattern))
-            .collect();
-        let extraction: Vec<ExtractionMap> = my_specs
-            .iter()
-            .map(|s| ExtractionMap::build(s, &pattern, &dims))
-            .collect();
-        let contributing: Vec<Vec<usize>> = my_specs
-            .iter()
-            .map(|s| contributing_rows(s, &dims))
-            .collect();
+            .map(|s| {
+                let out = (
+                    ExtractionMap::build(s, &pattern, &dims),
+                    contributing_rows(s, &dims),
+                );
+                (AssemblyMap::build(s, &pattern), out)
+            })
+            .unzip();
 
         // Element fill of the global pattern — the quantity Sec. V-C's
         // backend decision keys off. Global and deterministic: every rank
@@ -137,10 +136,10 @@ impl ExecutionPlan {
             fingerprint,
             rank,
             size,
-            n_submatrices: plan.len(),
-            max_dim: plan.max_dim(),
-            avg_dim: plan.avg_dim(),
-            total_cost: plan.total_cost(),
+            n_submatrices,
+            max_dim,
+            avg_dim,
+            total_cost,
             pattern,
             dims,
             my_specs,

@@ -5,6 +5,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
+use std::sync::Mutex;
 use std::time::Instant;
 
 use rayon::prelude::*;
@@ -12,25 +13,27 @@ use rayon::prelude::*;
 use sm_comsim::Comm;
 use sm_dbcsr::wire::ValueFormat;
 use sm_dbcsr::{ops, wire, DbcsrMatrix};
-use sm_linalg::eigh::Eigh;
-use sm_linalg::{Matrix, Precision};
+use sm_linalg::eigh::{function_columns, Eigh};
+use sm_linalg::{LinalgError, Matrix, Precision};
 
 use super::{EngineReport, Ensemble, ExecutionPlan, NumericOptions, SubmatrixEngine};
 use crate::mu::{adjust_mu, StoredDecomposition};
 use crate::solver::{
-    decompose, round_sign_output, sign_columns_from_decomposition, solve_sign, SignMethod,
-    SolveBackend, SolveResult,
+    decompose, round_sign_output, sign_columns_from_decomposition, sign_value, solve_sign,
+    SignMethod, SolveBackend, SparseSolveStats,
 };
 
 impl SubmatrixEngine {
     /// Map `f` over the indices of this rank's specs, in order — over the
-    /// shared pool iff the engine was built with `parallel`.
+    /// shared pool iff the engine was built with `parallel`. A failed
+    /// submatrix solve fails the whole execute.
     fn map_specs<T: Send>(
         &self,
         plan: &ExecutionPlan,
-        f: impl Fn(&usize) -> T + Sync + Send,
+        f: impl Fn(&usize) -> Result<T, LinalgError> + Sync + Send,
     ) -> Vec<T> {
         let indices: Vec<usize> = (0..plan.my_specs.len()).collect();
+        let f = |i: &usize| f(i).unwrap_or_else(|e| panic!("submatrix solve failed: {e}"));
         if self.opts.parallel {
             indices.par_iter().map(f).collect()
         } else {
@@ -97,31 +100,37 @@ impl SubmatrixEngine {
 
         let t1 = Instant::now();
         let kt = numeric.solve.kt;
+        let result = DbcsrMatrix::new(plan.dims.clone(), comm.rank(), comm.size());
+        let destination = Mutex::new((result, vec![BTreeMap::new(); comm.size()]));
+        // Extraction hands each result block straight to its destination,
+        // this rank's result or the map the scatter ships to its owner.
+        let put = |(br, bc): (usize, usize), blk: Matrix| {
+            let mut guard = destination.lock().unwrap_or_else(|e| e.into_inner());
+            let (result, outgoing) = &mut *guard;
+            match result.owner(br, bc) {
+                owner if owner == result.rank() => result.insert_block(br, bc, blk),
+                owner => drop(outgoing[owner].insert((br, bc), blk)),
+            }
+        };
+        // Diagonalization (Sec. IV-F) evaluates the sign only in the columns extraction
+        // scatters (Sec. VII): the full back-transform's bits, `n²k` of its `n³`.
+        let deliver = |i: usize, columns: &mut Matrix| {
+            round_sign_output(columns, precision);
+            plan.extraction[i].extract_each(columns, true, put)
+        };
         let diagonalize = numeric.solve.method == SignMethod::Diagonalization;
-        let (mu, bisect_iterations, extracted, sparse_tally) = if diagonalize {
-            // Diagonalization (Sec. IV-F): the sign is evaluated only in the
-            // contributing columns, the ones extraction scatters (Sec. VII) —
-            // the same bits as the full back-transform, `n²k` of its `n³`.
-            let decompose_one = |i: &usize| {
-                let a = plan.assembly[*i].assemble(block_of);
-                decompose(&a, precision).unwrap_or_else(|e| panic!("submatrix solve failed: {e}"))
-            };
-            let extract = |i: usize, dec: &Eigh, mu: f64| {
-                let mut columns =
-                    sign_columns_from_decomposition(dec, mu, kt, &plan.contributing[i]);
-                round_sign_output(&mut columns, precision);
-                plan.extraction[i].extract_from_columns(&columns)
-            };
-            if let Ensemble::Canonical {
+        let (mu, bisect_iterations, (sparse_filtered_nnz, sparse_flops)) = match numeric.ensemble {
+            Ensemble::Canonical {
                 n_electrons,
                 tol,
                 max_iter,
-            } = numeric.ensemble
-            {
+            } if diagonalize => {
                 // Canonical ensemble: decompose once, run Algorithm 1 on the
                 // stored decompositions (one allgather), and evaluate the
                 // sign once, at the adjusted µ.
-                let decompositions: Vec<Eigh> = self.map_specs(plan, decompose_one);
+                let decompositions: Vec<Eigh> = self.map_specs(plan, |&i| {
+                    decompose(&plan.assembly[i].assemble(block_of), precision)
+                });
                 let stored: Vec<StoredDecomposition> = decompositions
                     .iter()
                     .zip(&plan.contributing)
@@ -129,47 +138,50 @@ impl SubmatrixEngine {
                     .collect();
                 let target = n_electrons / 2.0;
                 let adj = adjust_mu(&stored, mu0, target, kt, tol / 2.0, max_iter, comm);
-                let extracted = self.map_specs(plan, |i| extract(*i, &decompositions[*i], adj.mu));
-                (adj.mu, adj.iterations, extracted, (0u64, 0u64))
-            } else {
-                let extracted = self.map_specs(plan, |i| extract(*i, &decompose_one(i), mu0));
-                (mu0, 0, extracted, (0u64, 0u64))
+                self.map_specs(plan, |&i| {
+                    let (dec, cols) = (&decompositions[i], &plan.contributing[i]);
+                    let mut columns = sign_columns_from_decomposition(dec, adj.mu, kt, cols);
+                    deliver(i, &mut columns);
+                    Ok(())
+                });
+                (adj.mu, adj.iterations, (0u64, 0u64))
             }
-        } else {
-            assert!(
-                matches!(numeric.ensemble, Ensemble::GrandCanonical),
-                "canonical ensembles require the diagonalization solver (Sec. IV-G)"
-            );
-            let solve_one = |i: &usize| {
-                let a = plan.assembly[*i].assemble(block_of);
-                solve_sign(&a, mu0, &numeric.solve)
-                    .unwrap_or_else(|e| panic!("submatrix solve failed: {e}"))
-            };
-            let results: Vec<SolveResult> = self.map_specs(plan, solve_one);
-            let sparse_tally = results.iter().fold((0u64, 0u64), |acc, r| match r.sparse {
-                Some(s) => (acc.0 + s.filtered_nnz, acc.1 + s.flops),
-                None => acc,
-            });
-            let extracted = results
-                .iter()
-                .enumerate()
-                .map(|(i, r)| plan.extraction[i].extract(&r.sign))
-                .collect();
-            (mu0, 0, extracted, sparse_tally)
+            _ if diagonalize => {
+                // `decompose` + `sign_columns_from_decomposition` in scratch.
+                self.map_specs(plan, |&i| {
+                    let assembly = &plan.assembly[i];
+                    let fill = |a: &mut Matrix| {
+                        assembly.assemble_into(a, block_of);
+                        if precision.storage_is_f32() {
+                            a.round_f32_storage_in_place();
+                        }
+                    };
+                    let (sign, take) = (|l| sign_value(l, mu0, kt), |c: &mut _| deliver(i, c));
+                    function_columns(assembly.dim, fill, sign, &plan.contributing[i], take)
+                });
+                (mu0, 0, (0u64, 0u64))
+            }
+            Ensemble::Canonical { .. } => {
+                panic!("canonical ensembles require the diagonalization solver (Sec. IV-G)")
+            }
+            Ensemble::GrandCanonical => {
+                let sparse = self.map_specs(plan, |&i| {
+                    let a = plan.assembly[i].assemble(block_of);
+                    let r = solve_sign(&a, mu0, &numeric.solve)?;
+                    plan.extraction[i].extract_each(&r.sign, false, put);
+                    Ok(r.sparse)
+                });
+                let tally = |f: fn(&SparseSolveStats) -> u64| sparse.iter().flatten().map(f).sum();
+                (mu0, 0, (tally(|s| s.filtered_nnz), tally(|s| s.flops)))
+            }
         };
-        let (sparse_filtered_nnz, sparse_flops) = sparse_tally;
+        let (mut result, outgoing) = destination.into_inner().unwrap_or_else(|e| e.into_inner());
         let solve_seconds = t1.elapsed().as_secs_f64();
 
         // Scatter result blocks to their owning ranks. Plain-Fp32 results
         // are f32-representable, so the f32 result wire is lossless;
         // refined results ship in f64 to keep the recovered accuracy.
         let t2 = Instant::now();
-        let mut result = DbcsrMatrix::new(plan.dims.clone(), comm.rank(), comm.size());
-        let mut outgoing: Vec<BTreeMap<(usize, usize), Matrix>> =
-            (0..comm.size()).map(|_| BTreeMap::new()).collect();
-        for (coord, blk) in extracted.into_iter().flatten() {
-            outgoing[result.owner(coord.0, coord.1)].insert(coord, blk);
-        }
         let (received, scatter_value_bytes) =
             wire::exchange_blocks_prec(outgoing, &plan.dims, scatter_format, comm);
         for ((br, bc), blk) in received {

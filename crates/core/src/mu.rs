@@ -68,7 +68,7 @@ impl StoredDecomposition {
 /// Element indices (submatrix-local) of the columns that contribute to the
 /// sparse result: all element columns of the spec's own block columns.
 pub fn contributing_rows(spec: &SubmatrixSpec, dims: &BlockedDims) -> Vec<usize> {
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(spec.cols.iter().map(|&bc| dims.size(bc)).sum());
     for &bc in &spec.cols {
         let off = spec
             .offset_of(bc)

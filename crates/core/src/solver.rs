@@ -121,9 +121,6 @@ pub struct SparseSolveStats {
 pub struct SolveResult {
     /// `sign(a − µI)` (or its Fermi-smeared generalization).
     pub sign: Matrix,
-    /// The eigendecomposition, kept when the method produces one — this is
-    /// what Algorithm 1 reuses for canonical µ bisection.
-    pub decomposition: Option<Eigh>,
     /// Iterations used (0 for diagonalization).
     pub iterations: usize,
     /// Sparse-backend counters (`None` on dense paths).
@@ -136,7 +133,7 @@ pub struct SolveResult {
 /// ship losslessly over the `f32` result wire.
 pub fn round_sign_output(sign: &mut Matrix, precision: Precision) {
     if precision == Precision::Fp32 {
-        *sign = sign.round_f32_storage();
+        sign.round_f32_storage_in_place();
     }
 }
 
@@ -166,7 +163,6 @@ pub fn solve_sign(a: &Matrix, mu: f64, opts: &SolveOptions) -> Result<SolveResul
             round_sign_output(&mut sign, opts.precision);
             Ok(SolveResult {
                 sign,
-                decomposition: Some(dec),
                 iterations: 0,
                 sparse: None,
             })
@@ -208,7 +204,6 @@ pub fn solve_sign(a: &Matrix, mu: f64, opts: &SolveOptions) -> Result<SolveResul
             Ok(SolveResult {
                 iterations: r.trace.len(),
                 sign: r.sign,
-                decomposition: None,
                 sparse: None,
             })
         }
@@ -279,7 +274,6 @@ fn solve_sign_sparse_csr(
     round_sign_output(&mut sign, opts.precision);
     Ok(SolveResult {
         sign,
-        decomposition: None,
         iterations,
         sparse: Some(stats),
     })
@@ -327,7 +321,6 @@ fn solve_sign_iterative_f32(
     }
     Ok(SolveResult {
         sign,
-        decomposition: None,
         iterations,
         sparse: None,
     })
@@ -342,13 +335,6 @@ pub(crate) fn sign_value(l: f64, mu: f64, kt: f64) -> f64 {
     } else {
         extended_signum(l - mu)
     }
-}
-
-fn sign_values(dec: &Eigh, mu: f64, kt: f64) -> Vec<f64> {
-    dec.eigenvalues
-        .iter()
-        .map(|&l| sign_value(l, mu, kt))
-        .collect()
 }
 
 /// `sign(a − µI)` from a stored decomposition of `a` — the reuse that makes
@@ -369,8 +355,12 @@ pub fn sign_from_decomposition(dec: &Eigh, mu: f64, kt: f64) -> Matrix {
 /// Returns an `n × cols.len()` matrix whose `j`-th column is column
 /// `cols[j]` of [`sign_from_decomposition`], bit for bit.
 pub fn sign_columns_from_decomposition(dec: &Eigh, mu: f64, kt: f64, cols: &[usize]) -> Matrix {
-    q_diag_qt_cols(&dec.eigenvectors, &sign_values(dec, mu, kt), cols)
-        .expect("selected column out of range")
+    let signs: Vec<f64> = dec
+        .eigenvalues
+        .iter()
+        .map(|&l| sign_value(l, mu, kt))
+        .collect();
+    q_diag_qt_cols(&dec.eigenvectors, &signs, cols).expect("selected column out of range")
 }
 
 #[cfg(test)]
@@ -400,7 +390,6 @@ mod tests {
         let r = solve_sign(&a, 0.3, &SolveOptions::default()).unwrap();
         let s2 = matmul(&r.sign, &r.sign).unwrap();
         assert!(s2.allclose(&Matrix::identity(12), 1e-9));
-        assert!(r.decomposition.is_some());
         assert_eq!(r.iterations, 0);
     }
 
@@ -424,7 +413,6 @@ mod tests {
                 "{method:?} disagrees with diagonalization"
             );
             assert!(r.iterations > 0);
-            assert!(r.decomposition.is_none());
         }
     }
 
@@ -480,8 +468,7 @@ mod tests {
     #[test]
     fn sign_from_decomposition_reuse_matches_fresh_solve() {
         let a = gapped(8, 0.5);
-        let r = solve_sign(&a, 0.5, &SolveOptions::default()).unwrap();
-        let dec = r.decomposition.unwrap();
+        let dec = decompose(&a, Precision::Fp64).unwrap();
         // Re-evaluate at a *different* µ from the stored decomposition.
         let shifted = sign_from_decomposition(&dec, 0.7, 0.0);
         let fresh = solve_sign(&a, 0.7, &SolveOptions::default()).unwrap();
@@ -591,7 +578,6 @@ mod sparse_csr_agreement_tests {
             r.sign.max_abs_diff(&reference.sign)
         );
         assert!(r.iterations > 0);
-        assert!(r.decomposition.is_none());
     }
 
     #[test]

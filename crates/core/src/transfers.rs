@@ -7,8 +7,6 @@
 //! quantifies the savings versus the naive per-submatrix transfer scheme —
 //! the numbers behind the `ablation_dedup_transfers` bench.
 
-use std::collections::BTreeSet;
-
 use sm_dbcsr::{BlockedDims, CooPattern};
 
 use crate::assembly::SubmatrixSpec;
@@ -25,19 +23,19 @@ pub struct RankTransferPlan {
 }
 
 impl RankTransferPlan {
-    /// Build the plan for a set of submatrix specs.
+    /// Build the plan for a set of submatrix specs: every reference in one
+    /// list, then sorted and deduplicated in place.
     pub fn for_specs(specs: &[&SubmatrixSpec], pattern: &CooPattern) -> Self {
-        let mut unique = BTreeSet::new();
-        let mut total = 0usize;
-        for spec in specs {
-            for coord in spec.required_blocks(pattern) {
-                total += 1;
-                unique.insert(coord);
-            }
-        }
+        let mut unique: Vec<(usize, usize)> = specs
+            .iter()
+            .flat_map(|spec| spec.required_blocks(pattern))
+            .collect();
+        let total_references = unique.len();
+        unique.sort_unstable();
+        unique.dedup();
         RankTransferPlan {
-            unique_blocks: unique.into_iter().collect(),
-            total_references: total,
+            unique_blocks: unique,
+            total_references,
         }
     }
 
@@ -98,6 +96,9 @@ impl TransferStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loadbalance::greedy_contiguous;
+    use crate::plan::SubmatrixPlan;
+    use proptest::prelude::*;
 
     fn banded(nb: usize, half: usize) -> (CooPattern, BlockedDims) {
         let mut coords = Vec::new();
@@ -164,5 +165,62 @@ mod tests {
         assert_eq!(plan.dedup_factor(), 1.0);
         let (_, d) = banded(2, 1);
         assert_eq!(plan.unique_bytes(&d), 0);
+    }
+
+    /// [`RankTransferPlan::for_specs`] as it was built before it sorted
+    /// one list: a `BTreeSet` and a `required_blocks` vector per spec. The
+    /// reference the sorted list is held to.
+    fn for_specs_by_set(specs: &[&SubmatrixSpec], pattern: &CooPattern) -> RankTransferPlan {
+        let mut unique = std::collections::BTreeSet::new();
+        let mut total = 0usize;
+        for spec in specs {
+            for coord in spec.required_blocks(pattern) {
+                total += 1;
+                unique.insert(coord);
+            }
+        }
+        RankTransferPlan {
+            unique_blocks: unique.into_iter().collect(),
+            total_references: total,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+        /// On random patterns with their diagonal, one spec per column or
+        /// runs of 1 to 3 columns, and every rank's slice of the load
+        /// balance at 1 to 4 ranks: the same sorted unique blocks and the
+        /// same reference count as the set.
+        #[test]
+        fn sorted_list_plan_matches_the_set(
+            nb in 1usize..25,
+            fill in 0u64..100,
+            seed in 0u64..1000,
+            group in 0usize..4,
+            size in 1usize..5,
+        ) {
+            let hash = |r: usize, c: usize| {
+                let h = (r as u64 * 7919 + c as u64 * 104_729 + seed * 31) % 1009;
+                h * 100 / 1009
+            };
+            let coords = (0..nb)
+                .flat_map(|c| (0..nb).map(move |r| (r, c)))
+                .filter(|&(r, c)| r == c || hash(r, c) < fill)
+                .collect();
+            let pattern = CooPattern::from_coords(coords, nb);
+            let dims = BlockedDims::new((0..nb).map(|b| 1 + (b + seed as usize) % 3).collect());
+            let plan = match group {
+                0 => SubmatrixPlan::one_per_column(&pattern, &dims),
+                g => SubmatrixPlan::consecutive(&pattern, &dims, g),
+            };
+            let costs: Vec<f64> = plan.specs.iter().map(SubmatrixSpec::cost).collect();
+            for range in greedy_contiguous(&costs, size).ranges {
+                let specs: Vec<&SubmatrixSpec> = plan.specs[range].iter().collect();
+                prop_assert_eq!(
+                    RankTransferPlan::for_specs(&specs, &pattern),
+                    for_specs_by_set(&specs, &pattern)
+                );
+            }
+        }
     }
 }

@@ -94,7 +94,8 @@ impl CooPattern {
     /// index set of a *combined* submatrix built from multiple block
     /// columns (paper Sec. IV-C2).
     pub fn rows_in_cols(&self, cols: &[usize]) -> Vec<usize> {
-        let mut rows: Vec<usize> = cols.iter().flat_map(|&c| self.rows_in_col(c)).collect();
+        let mut rows = Vec::with_capacity(cols.iter().map(|&c| self.col_nnz(c)).sum());
+        rows.extend(cols.iter().flat_map(|&c| self.rows_in_col(c)));
         rows.sort_unstable();
         rows.dedup();
         rows

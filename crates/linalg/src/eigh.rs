@@ -17,10 +17,27 @@
 //! AVX2 or portable); each computes every element as two products and one
 //! sum, never a fused multiply-add, so the result is the same bits on
 //! every CPU and with every kernel.
+//!
+//! Every buffer the two stages work in lives in a per-thread scratch:
+//! stage 1's working copy and its `d`, `e`, `tau` and `w`, the Householder
+//! basis the sweep rotates, the sort order, and [`function_columns`]'s
+//! input, sorted decomposition, `f(λ)` and columns, beside
+//! [`q_diag_qt_cols`](crate::gemm::q_diag_qt_cols)'s two temporaries. A
+//! call takes the scratch out of its thread, resets each buffer it reads to
+//! what a fresh allocation held (zeros, the identity), and puts it back, so
+//! the bits never depend on what ran before. A thread keeps the capacity of
+//! the largest `n` it has seen and frees it when it exits; [`eigh`]
+//! allocates only the two outputs it returns, [`function_columns`] nothing
+//! once its thread has seen `n` (from `n` = 17 on, the back-transform's
+//! packed GEMM still allocates its pack buffer). A tiny submatrix
+//! (dimension 4 to 10) otherwise paid as much in `malloc` and `free` as in
+//! arithmetic.
 
-use crate::gemm::{rotate_portable, Rotation};
+use std::cell::Cell;
+
+use crate::gemm::{rotate_portable, BackTransform, Rotation};
 use crate::matrix::Matrix;
-use crate::tridiag::{tridiagonalize, Tridiagonal, SAFE_SQUARES};
+use crate::tridiag::{Tridiagonal, SAFE_SQUARES};
 use crate::LinalgError;
 
 /// Maximum QL sweeps per eigenvalue before giving up.
@@ -157,18 +174,109 @@ fn ql_implicit(
     Ok(())
 }
 
-/// Stage 1 behind the input checks both entry points share: a non-square
-/// matrix and a NaN or infinite entry are input faults, reported as such
-/// before any work is done on them.
-fn checked_tridiagonal(a: &Matrix, op: &'static str) -> Result<Tridiagonal, LinalgError> {
+/// The input checks every entry point shares: a non-square matrix and a
+/// NaN or infinite entry are input faults, reported as such before any work
+/// is done on them.
+fn check_input(a: &Matrix, op: &'static str) -> Result<(), LinalgError> {
     if !a.is_square() {
         return Err(LinalgError::NotSquare {
             op,
             shape: a.shape(),
         });
     }
-    a.require_finite(op)?;
-    tridiagonalize(a)
+    a.require_finite(op)
+}
+
+/// What one decomposition works in: stage 1's reduction and its work
+/// vector, the basis the QL sweep rotates, and the order that sorts it.
+struct Buffers {
+    tri: Tridiagonal,
+    w: Vec<f64>,
+    z: Matrix,
+    order: Vec<usize>,
+}
+
+impl Buffers {
+    /// Both stages on `a`: afterwards `tri.d` holds the eigenvalues and the
+    /// columns of `z` the eigenvectors, both unsorted, and `order` the
+    /// positions in ascending eigenvalue order.
+    fn decompose(&mut self, a: &Matrix, rotation: Option<Rotation>) -> Result<(), LinalgError> {
+        check_input(a, "eigh")?;
+        self.tri.reduce(a, &mut self.w)?;
+        self.tri.q_into(&mut self.z);
+        let (d, e) = (&mut self.tri.d, &mut self.tri.e);
+        ql_implicit(d, e, Some(&mut self.z), rotation)?;
+        // A stable sort without the buffer `sort_by` allocates: ties keep
+        // their index order.
+        self.order.clear();
+        self.order.extend(0..d.len());
+        self.order
+            .sort_unstable_by(|&i, &j| d[i].total_cmp(&d[j]).then(i.cmp(&j)));
+        Ok(())
+    }
+
+    /// The eigenvalues ascending and their eigenvectors, into the given
+    /// allocations.
+    fn sorted_into(&self, eigenvalues: &mut Vec<f64>, eigenvectors: &mut Matrix) {
+        let n = self.order.len();
+        eigenvalues.clear();
+        eigenvalues.extend(self.order.iter().map(|&i| self.tri.d[i]));
+        eigenvectors.set_zeros(n, n);
+        for (new_col, &old_col) in self.order.iter().enumerate() {
+            eigenvectors
+                .col_mut(new_col)
+                .copy_from_slice(self.z.col(old_col));
+        }
+    }
+}
+
+/// A thread's scratch: the decomposition's buffers, and what
+/// [`function_columns`] and [`crate::gemm::q_diag_qt_cols`] work in.
+pub(crate) struct Scratch {
+    dec: Buffers,
+    input: Matrix,
+    eigenvalues: Vec<f64>,
+    eigenvectors: Matrix,
+    f_values: Vec<f64>,
+    pub(crate) back: BackTransform,
+    columns: Matrix,
+}
+
+impl Scratch {
+    fn new() -> Self {
+        let empty = || Matrix::zeros(0, 0);
+        Scratch {
+            dec: Buffers {
+                tri: Tridiagonal::empty(),
+                w: Vec::new(),
+                z: empty(),
+                order: Vec::new(),
+            },
+            input: empty(),
+            eigenvalues: Vec::new(),
+            eigenvectors: empty(),
+            f_values: Vec::new(),
+            back: BackTransform::new(),
+            columns: empty(),
+        }
+    }
+}
+
+thread_local! {
+    static SCRATCH: Cell<Option<Scratch>> = const { Cell::new(None) };
+}
+
+/// Run `f` on the calling thread's scratch, which is taken out for the call
+/// and put back after it: a call nested inside `f`, or one made while the
+/// thread's locals are being torn down, works on a fresh scratch instead,
+/// so no two live calls share a buffer.
+pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+    let kept = SCRATCH.try_with(Cell::take).ok().flatten();
+    let mut scratch = kept.unwrap_or_else(Scratch::new);
+    let result = f(&mut scratch);
+    // During teardown there is nowhere to keep it; it is dropped here.
+    let _ = SCRATCH.try_with(|cell| cell.set(Some(scratch)));
+    result
 }
 
 /// Full symmetric eigendecomposition with eigenvalues sorted ascending.
@@ -182,39 +290,60 @@ pub fn eigh(a: &Matrix) -> Result<Eigh, LinalgError> {
 
 /// [`eigh`] with the basis rotated by `rotation`, or by the inline loop.
 fn eigh_rotating(a: &Matrix, rotation: Option<Rotation>) -> Result<Eigh, LinalgError> {
-    let (mut d, mut e, mut z) = {
-        let tri = checked_tridiagonal(a, "eigh")?;
-        let z = tri.q();
-        (tri.d, tri.e, z)
-    };
-    ql_implicit(&mut d, &mut e, Some(&mut z), rotation)?;
+    with_scratch(|s| {
+        s.dec.decompose(a, rotation)?;
+        let (mut eigenvalues, mut eigenvectors) = (Vec::new(), Matrix::zeros(0, 0));
+        s.dec.sorted_into(&mut eigenvalues, &mut eigenvectors);
+        Ok(Eigh {
+            eigenvalues,
+            eigenvectors,
+        })
+    })
+}
 
-    // Sort ascending, permuting eigenvector columns alongside.
-    let n = d.len();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&i, &j| d[i].total_cmp(&d[j]));
-    let eigenvalues: Vec<f64> = order.iter().map(|&i| d[i]).collect();
-    let mut eigenvectors = Matrix::zeros(n, n);
-    for (new_col, &old_col) in order.iter().enumerate() {
-        eigenvectors
-            .col_mut(new_col)
-            .copy_from_slice(z.col(old_col));
-    }
-
-    Ok(Eigh {
-        eigenvalues,
-        eigenvectors,
+/// Columns `cols` of `f(A) = Q · diag(f(λ)) · Qᵀ`, in the order given, for
+/// the `n × n` matrix `A` that `fill` writes into a zeroed buffer; `take`
+/// gets them as an `n × cols.len()` matrix. The same bits as
+/// [`q_diag_qt_cols`](crate::gemm::q_diag_qt_cols)`(&eigh(&a)?.eigenvectors,
+/// &f(λ), cols)`, with every intermediate — `A`, the decomposition, `f(λ)`
+/// and the columns — in the calling thread's scratch, so a thread that has
+/// seen this `n` before allocates nothing up to `n` = 16 (see the module
+/// docs). The submatrix method's
+/// diagonalisation (paper Sec. IV-F) needs only the columns it scatters
+/// (Sec. VII).
+pub fn function_columns<R>(
+    n: usize,
+    fill: impl FnOnce(&mut Matrix),
+    f: impl Fn(f64) -> f64,
+    cols: &[usize],
+    take: impl FnOnce(&mut Matrix) -> R,
+) -> Result<R, LinalgError> {
+    with_scratch(|s| {
+        s.input.set_zeros(n, n);
+        fill(&mut s.input);
+        let rotation = (s.input.nrows() >= ROTATION_KERNEL_MIN_N).then(crate::gemm::rotation);
+        s.dec.decompose(&s.input, rotation)?;
+        s.dec.sorted_into(&mut s.eigenvalues, &mut s.eigenvectors);
+        s.f_values.clear();
+        s.f_values.extend(s.eigenvalues.iter().map(|&l| f(l)));
+        s.back
+            .run(&s.eigenvectors, &s.f_values, cols, &mut s.columns)?;
+        Ok(take(&mut s.columns))
     })
 }
 
 /// Eigenvalues only, ascending: the same bits as [`eigh`]'s, without
 /// forming or rotating a basis.
 pub fn eigvalsh(a: &Matrix) -> Result<Vec<f64>, LinalgError> {
-    let tri = checked_tridiagonal(a, "eigvalsh")?;
-    let (mut d, mut e) = (tri.d, tri.e);
-    ql_implicit(&mut d, &mut e, None, None)?;
-    d.sort_by(f64::total_cmp);
-    Ok(d)
+    check_input(a, "eigvalsh")?;
+    with_scratch(|s| {
+        let Buffers { tri, w, .. } = &mut s.dec;
+        tri.reduce(a, w)?;
+        ql_implicit(&mut tri.d, &mut tri.e, None, None)?;
+        let mut d = tri.d.clone();
+        d.sort_unstable_by(f64::total_cmp);
+        Ok(d)
+    })
 }
 
 impl Eigh {
@@ -251,7 +380,7 @@ impl Eigh {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::{matmul, matmul_tn};
+    use crate::gemm::{matmul, matmul_tn, q_diag_qt_cols};
     use proptest::prelude::*;
 
     fn sym_test_matrix(n: usize) -> Matrix {
@@ -481,17 +610,24 @@ mod tests {
                     .collect();
                 with_spectrum(&lambda, seed)
             }
-            2 => {
-                let lambda: Vec<f64> = (0..n)
-                    .map(|k| 10f64.powf(-12.0 * k as f64 / n as f64) * hash(k, k).signum())
-                    .collect();
-                with_spectrum(&lambda, seed)
-            }
+            2 => graded(n, seed, 12.0),
             _ => Matrix::from_fn(n, n, |i, j| match i.abs_diff(j) {
                 d @ 0..=3 => ((i + j + seed + d) % 9) as f64 * 0.25 - 1.0,
                 _ => 0.0,
             }),
         }
+    }
+
+    /// A spectrum graded over `decades` orders of magnitude, of seeded signs.
+    fn graded(n: usize, seed: usize, decades: f64) -> Matrix {
+        let sign = |k: usize| {
+            let h = (k * 7919 + k * 104_729 + seed * 31) % 1009;
+            (h as f64 / 1009.0 - 0.5).signum()
+        };
+        let lambda: Vec<f64> = (0..n)
+            .map(|k| 10f64.powf(-decades * k as f64 / n as f64) * sign(k))
+            .collect();
+        with_spectrum(&lambda, seed)
     }
 
     proptest! {
@@ -605,5 +741,72 @@ mod tests {
         let r = eigh(&a).unwrap();
         let back = r.apply(|l| l);
         assert!(back.allclose(&a, 1e-9));
+    }
+
+    /// What input `a` gives through entry `entry` of the three the scratch
+    /// serves — `eigh`, `q_diag_qt_cols` with `a` as the basis, and
+    /// `function_columns` — as the output's bits, or its error.
+    /// `function_columns` is filled as the engine's assembly fills it, by
+    /// writing only the nonzero entries (a non-square `a` replaces the
+    /// input whole, to reach the shape check).
+    fn through_entry(entry: usize, a: &Matrix) -> Result<Vec<u64>, LinalgError> {
+        let n = a.nrows();
+        let cols: Vec<usize> = [n.wrapping_sub(1), 0, n / 2]
+            .into_iter()
+            .filter(|&c| c < n)
+            .collect();
+        let f = |l: f64| (l - 0.1).signum() * (1.0 + l * l).sqrt();
+        let fill = |w: &mut Matrix| match a.is_square() {
+            true => (w.as_mut_slice().iter_mut().zip(a.as_slice()))
+                .filter(|(_, v)| **v != 0.0)
+                .for_each(|(w, v)| *w = *v),
+            false => w.set_from(a),
+        };
+        match entry {
+            0 => eigh(a).map(|r| [bits(&r.eigenvalues), bits(r.eigenvectors.as_slice())].concat()),
+            1 => {
+                let d: Vec<f64> = (0..a.ncols()).map(|l| f(l as f64 * 0.25 - 1.0)).collect();
+                q_diag_qt_cols(a, &d, &cols).map(|c| bits(c.as_slice()))
+            }
+            _ => function_columns(n, fill, f, &cols, |c| bits(c.as_slice())),
+        }
+    }
+
+    /// A thread keeps its scratch from call to call, and each call resets
+    /// every buffer it reads: over an interleaved sequence of dimensions,
+    /// the four spectra of the rotation tests and three inputs that fail
+    /// part-way (a NaN, a non-square matrix, a spectrum graded over sixteen
+    /// decades that exhausts the QL sweep), then each dimension again as a
+    /// dense matrix followed by a band of the same size, run through every
+    /// entry in turn on one thread, each output is bit for bit what the
+    /// same call gives on a fresh thread.
+    #[test]
+    fn reused_scratch_keeps_every_bit() {
+        let dims = [0, 1, 2, 7, 40, 3, 96, 16, 130, 5];
+        let mut inputs: Vec<Matrix> = (dims.iter().enumerate())
+            .map(|(i, &n)| rotation_case(i % 4, n, i))
+            .collect();
+        let mut nan = rotation_case(0, 12, 3);
+        nan[(4, 9)] = f64::NAN;
+        let no_convergence = graded(67, 1, 16.0);
+        inputs.insert(3, nan);
+        inputs.insert(6, Matrix::from_fn(9, 5, |i, j| (i * 5 + j) as f64 * 0.1));
+        inputs.insert(9, no_convergence);
+        let repeats = dims.iter().enumerate();
+        inputs.extend(repeats.flat_map(|(i, &n)| [0, 3].map(|kind| rotation_case(kind, n, i))));
+        let calls = || (0..inputs.len()).flat_map(|k| (0..3).map(move |entry| (k, entry)));
+        let fresh: Vec<_> = calls()
+            .map(|(k, entry)| {
+                let a = inputs[k].clone();
+                std::thread::spawn(move || through_entry(entry, &a))
+                    .join()
+                    .expect("a fresh thread makes the call")
+            })
+            .collect();
+        assert!(matches!(fresh[27], Err(LinalgError::NoConvergence { .. })));
+        for ((k, entry), expect) in calls().zip(&fresh) {
+            let got = through_entry(entry, &inputs[k]);
+            assert_eq!(&got, expect, "input {k}, entry {entry}");
+        }
     }
 }

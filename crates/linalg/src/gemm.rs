@@ -29,6 +29,11 @@
 //!   QL sweep applies to its basis (`rotation`): an 8-lane AVX-512F, a
 //!   4-lane AVX2 and a portable kernel. None fuses a multiply-add, so all
 //!   three give the scalar loop's bits on every CPU.
+//! * [`q_diag_qt_cols`]'s scaled copy `Q·D` and selected rows `Q[cols, :]`
+//!   live in the calling thread's eigensolver scratch ([`crate::eigh`]),
+//!   resized per call and kept for the thread's life, so it allocates only
+//!   the columns it returns. The packed driver's pack buffer is still
+//!   allocated per call (see `packed_panel`).
 //!
 //! For `f32` operands, [`matmul_wide`] runs the `f64` microkernel: operands
 //! widen as they are packed and the tile narrows once as it is stored
@@ -756,33 +761,68 @@ pub fn q_diag_qt(q: &Matrix, d: &[f64]) -> Result<Matrix, LinalgError> {
 /// by its own `n³`: a few columns of a product of dimension 17 to 32 would
 /// otherwise fall under `SMALL_VOLUME` and leave the packed tile's bits.
 pub fn q_diag_qt_cols(q: &Matrix, d: &[f64], cols: &[usize]) -> Result<Matrix, LinalgError> {
-    if q.ncols() != d.len() {
-        return Err(LinalgError::DimensionMismatch {
-            op: "q_diag_qt",
-            lhs: q.shape(),
-            rhs: (d.len(), d.len()),
-        });
-    }
-    if let Some(&c) = cols.iter().find(|&&c| c >= q.nrows()) {
-        return Err(LinalgError::DimensionMismatch {
-            op: "q_diag_qt_cols (column index)",
-            lhs: q.shape(),
-            rhs: (c + 1, q.ncols()),
-        });
-    }
-    // QD: scale column l of Q by d[l].
-    let mut qd = q.clone();
-    for (l, &dl) in d.iter().enumerate() {
-        crate::blas1::scal(dl, qd.col_mut(l));
-    }
-    let q_rows = Matrix::from_fn(cols.len(), q.ncols(), |r, l| q[(cols[r], l)]);
-    let mut c = Matrix::zeros(q.nrows(), cols.len());
-    let (a, b) = (
-        Operand::new(&qd, Op::NoTrans),
-        Operand::new(&q_rows, Op::Trans),
-    );
-    gemm_as_volume(1.0, a, b, 0.0, &mut c, q.nrows() * q.nrows() * d.len())?;
+    let mut c = Matrix::zeros(0, 0);
+    crate::eigh::with_scratch(|s| s.back.run(q, d, cols, &mut c))?;
     Ok(c)
+}
+
+/// The two temporaries of [`q_diag_qt_cols`], the scaled copy `Q·D` and the
+/// selected rows `Q[cols, :]`, kept in the calling thread's eigensolver
+/// scratch.
+pub(crate) struct BackTransform {
+    qd: Matrix,
+    q_rows: Matrix,
+}
+
+impl BackTransform {
+    pub(crate) fn new() -> Self {
+        BackTransform {
+            qd: Matrix::zeros(0, 0),
+            q_rows: Matrix::zeros(0, 0),
+        }
+    }
+
+    /// [`q_diag_qt_cols`]`(q, d, cols)` into `c`'s allocation.
+    pub(crate) fn run(
+        &mut self,
+        q: &Matrix,
+        d: &[f64],
+        cols: &[usize],
+        c: &mut Matrix,
+    ) -> Result<(), LinalgError> {
+        if q.ncols() != d.len() {
+            return Err(LinalgError::DimensionMismatch {
+                op: "q_diag_qt",
+                lhs: q.shape(),
+                rhs: (d.len(), d.len()),
+            });
+        }
+        if let Some(&c) = cols.iter().find(|&&c| c >= q.nrows()) {
+            return Err(LinalgError::DimensionMismatch {
+                op: "q_diag_qt_cols (column index)",
+                lhs: q.shape(),
+                rhs: (c + 1, q.ncols()),
+            });
+        }
+        // QD: scale column l of Q by d[l].
+        let BackTransform { qd, q_rows } = self;
+        qd.set_from(q);
+        for (l, &dl) in d.iter().enumerate() {
+            crate::blas1::scal(dl, qd.col_mut(l));
+        }
+        q_rows.set_zeros(cols.len(), q.ncols());
+        for l in 0..q.ncols() {
+            for (r, &row) in cols.iter().enumerate() {
+                q_rows[(r, l)] = q[(row, l)];
+            }
+        }
+        c.set_zeros(q.nrows(), cols.len());
+        let (a, b) = (
+            Operand::new(qd, Op::NoTrans),
+            Operand::new(q_rows, Op::Trans),
+        );
+        gemm_as_volume(1.0, a, b, 0.0, c, q.nrows() * q.nrows() * d.len())
+    }
 }
 
 /// Naive triple-loop reference multiply, used by tests and property checks.

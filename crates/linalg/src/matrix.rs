@@ -64,10 +64,32 @@ impl<E: Elem> MatrixBase<E> {
     /// Create the `n`-by-`n` identity matrix.
     pub fn identity(n: usize) -> Self {
         let mut m = MatrixBase::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = E::ONE;
-        }
+        m.set_identity(n);
         m
+    }
+
+    /// Make this the `nrows × ncols` zero matrix [`zeros`](Self::zeros)
+    /// returns, in the allocation it already has when that is large enough.
+    pub(crate) fn set_zeros(&mut self, nrows: usize, ncols: usize) {
+        self.data.clear();
+        self.data.resize(nrows * ncols, E::ZERO);
+        (self.nrows, self.ncols) = (nrows, ncols);
+    }
+
+    /// [`set_zeros`](Self::set_zeros) to the `n × n` identity.
+    pub(crate) fn set_identity(&mut self, n: usize) {
+        self.set_zeros(n, n);
+        for i in 0..n {
+            self[(i, i)] = E::ONE;
+        }
+    }
+
+    /// Make this a copy of `other`, in the allocation it already has when
+    /// that is large enough.
+    pub(crate) fn set_from(&mut self, other: &MatrixBase<E>) {
+        self.data.clear();
+        self.data.extend_from_slice(&other.data);
+        (self.nrows, self.ncols) = other.shape();
     }
 
     /// Build a matrix from a column-major data vector.
@@ -406,10 +428,15 @@ impl Matrix {
     /// Round every element through `f32` storage, keeping `f64` layout —
     /// models values that crossed an `f32` wire or device memory.
     pub fn round_f32_storage(&self) -> Matrix {
-        MatrixBase {
-            nrows: self.nrows,
-            ncols: self.ncols,
-            data: self.data.iter().map(|&v| v as f32 as f64).collect(),
+        let mut rounded = self.clone();
+        rounded.round_f32_storage_in_place();
+        rounded
+    }
+
+    /// [`round_f32_storage`](Self::round_f32_storage) in place.
+    pub fn round_f32_storage_in_place(&mut self) {
+        for v in &mut self.data {
+            *v = *v as f32 as f64;
         }
     }
 }

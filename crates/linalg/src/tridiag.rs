@@ -14,7 +14,9 @@
 //! factor is not accumulated along the way: [`Tridiagonal::q`] forms it
 //! afterwards by applying the reflectors to contiguous columns
 //! (`dorg2l`-style, another 4/3 n³), and only a caller that wants
-//! eigenvectors pays for it.
+//! eigenvectors pays for it. [`crate::eigh`] runs both in its per-thread
+//! scratch: it keeps one [`Tridiagonal`] and one basis per thread, which
+//! each reduction resets to what a fresh allocation held before it writes.
 
 use crate::blas1::{axpy, dot};
 use crate::blas2::{symv_upper, syr2_upper};
@@ -79,56 +81,78 @@ fn make_reflector(x: &mut [f64]) -> (f64, f64) {
 /// Reduce the symmetric part `(A + Aᵀ)/2` of a square matrix to
 /// tridiagonal form. Returns an error if `a` is not square.
 pub fn tridiagonalize(a: &Matrix) -> Result<Tridiagonal, LinalgError> {
-    if !a.is_square() {
-        return Err(LinalgError::NotSquare {
-            op: "tridiagonalize",
-            shape: a.shape(),
-        });
-    }
-    let n = a.nrows();
-    // The symmetrized copy is the working buffer the reduction overwrites.
-    let mut work = a.clone();
-    work.symmetrize();
-    let mut d = vec![0.0f64; n];
-    let mut e = vec![0.0f64; n];
-    let mut tau = vec![0.0f64; n];
-    let mut w = vec![0.0f64; n];
-
-    for i in (1..n).rev() {
-        // Column i starts where the leading block's storage ends.
-        let (leading, rest) = work.as_mut_slice().split_at_mut(i * n);
-        d[i] = rest[i];
-        let v = &mut rest[..i];
-        (e[i - 1], tau[i]) = make_reflector(v);
-        let t = tau[i];
-        if t == 0.0 {
-            continue;
-        }
-        // w = p − ½·t·(pᵀv)·v with p = t·A₁₁·v, then A₁₁ −= v·wᵀ + w·vᵀ.
-        let w = &mut w[..i];
-        symv_upper(t, leading, n, v, w)?;
-        axpy(-0.5 * t * dot(w, v), v, w);
-        syr2_upper(-1.0, v, w, leading, n)?;
-    }
-    if n > 0 {
-        d[0] = work[(0, 0)];
-    }
-
-    Ok(Tridiagonal {
-        d,
-        e,
-        reflectors: work,
-        tau,
-    })
+    let mut tri = Tridiagonal::empty();
+    tri.reduce(a, &mut Vec::new())?;
+    Ok(tri)
 }
 
 impl Tridiagonal {
+    /// A reduction of the empty matrix, holding no allocation yet.
+    pub(crate) fn empty() -> Self {
+        Tridiagonal {
+            d: Vec::new(),
+            e: Vec::new(),
+            reflectors: Matrix::zeros(0, 0),
+            tau: Vec::new(),
+        }
+    }
+
+    /// [`tridiagonalize`] into this value's buffers, with `w` as the
+    /// work vector: each is first reset to what a fresh allocation held,
+    /// and keeps the capacity it has.
+    pub(crate) fn reduce(&mut self, a: &Matrix, w: &mut Vec<f64>) -> Result<(), LinalgError> {
+        if !a.is_square() {
+            return Err(LinalgError::NotSquare {
+                op: "tridiagonalize",
+                shape: a.shape(),
+            });
+        }
+        let n = a.nrows();
+        // The symmetrized copy is the working buffer the reduction overwrites.
+        let work = &mut self.reflectors;
+        work.set_from(a);
+        work.symmetrize();
+        for v in [&mut self.d, &mut self.e, &mut self.tau, &mut *w] {
+            v.clear();
+            v.resize(n, 0.0);
+        }
+        let (d, e, tau) = (&mut self.d, &mut self.e, &mut self.tau);
+
+        for i in (1..n).rev() {
+            // Column i starts where the leading block's storage ends.
+            let (leading, rest) = work.as_mut_slice().split_at_mut(i * n);
+            d[i] = rest[i];
+            let v = &mut rest[..i];
+            (e[i - 1], tau[i]) = make_reflector(v);
+            let t = tau[i];
+            if t == 0.0 {
+                continue;
+            }
+            // w = p − ½·t·(pᵀv)·v with p = t·A₁₁·v, then A₁₁ −= v·wᵀ + w·vᵀ.
+            let w = &mut w[..i];
+            symv_upper(t, leading, n, v, w)?;
+            axpy(-0.5 * t * dot(w, v), v, w);
+            syr2_upper(-1.0, v, w, leading, n)?;
+        }
+        if n > 0 {
+            d[0] = work[(0, 0)];
+        }
+        Ok(())
+    }
+
     /// Form `Q = H_{n−1} ⋯ H_2 · H_1`, innermost factor first: `H_i` only
     /// touches rows `..i` of the columns `..i` of what has been accumulated
     /// so far, each a contiguous slice.
     pub fn q(&self) -> Matrix {
+        let mut q = Matrix::zeros(0, 0);
+        self.q_into(&mut q);
+        q
+    }
+
+    /// [`q`](Self::q) into `q`'s allocation.
+    pub(crate) fn q_into(&self, q: &mut Matrix) {
         let n = self.d.len();
-        let mut q = Matrix::identity(n);
+        q.set_identity(n);
         for i in 1..n {
             let t = self.tau[i];
             if t == 0.0 {
@@ -140,7 +164,6 @@ impl Tridiagonal {
                 axpy(-t * dot(v, col), v, col);
             }
         }
-        q
     }
 
     /// Reconstruct the dense tridiagonal matrix `T` (mostly for testing).

@@ -58,7 +58,7 @@ impl JobOutput {
         }
         if precision == sm_linalg::Precision::Fp32 {
             for (_, blk) in sign.store_mut().iter_mut() {
-                *blk = blk.round_f32_storage();
+                blk.round_f32_storage_in_place();
             }
         }
     }

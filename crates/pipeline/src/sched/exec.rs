@@ -186,20 +186,21 @@ impl Scheduler {
             // panic deep inside a rank thread (e.g. ScfDriver::run with a
             // zero iteration budget produces no density) and strand its
             // group's peers in their collectives.
-            if j.input().grid().size() != 1 {
-                return Err(SchedError::InvalidJob {
-                    name: j.name().to_string(),
-                    reason: "job matrices must be single-rank (replicated) handles".to_string(),
-                });
-            }
-            if let BatchJob::Scf(spec) = j {
-                if spec.scf.max_iter < 1 {
-                    return Err(SchedError::InvalidJob {
-                        name: spec.name.clone(),
-                        reason: "max_iter == 0 (needs at least one iteration)".to_string(),
-                    });
+            let m = j.input();
+            // Extraction needs every column's diagonal block; a zero one is not stored.
+            let no_diagonal = (0..m.dims().nb()).find(|&c| m.block(c, c).is_none());
+            let reason = match (j, no_diagonal) {
+                _ if m.grid().size() != 1 => {
+                    "job matrices must be single-rank (replicated) handles".to_string()
                 }
-            }
+                (BatchJob::Scf(spec), _) if spec.scf.max_iter < 1 => {
+                    "max_iter == 0 (needs at least one iteration)".to_string()
+                }
+                (_, Some(c)) => format!("block column {c} has no diagonal block"),
+                (_, None) => continue,
+            };
+            let name = j.name().to_string();
+            return Err(SchedError::InvalidJob { name, reason });
         }
         let costs: Vec<f64> = jobs.iter().map(estimate_batch_job_cost).collect();
         check_estimates(&jobs, &costs)?;

@@ -1,8 +1,14 @@
-//! Allocation budget of the scheduler's per-job machinery (ROADMAP item 6's
-//! instrument): how many more heap allocations a tiny job costs through
-//! `Scheduler::run(2, ..)` than through `JobQueue::run`. The solves and the
-//! planning are the same on both sides, so the difference is the data path
-//! around them — input scatter, result gather, telemetry, the schedule.
+//! Allocation budget of a tiny job (ROADMAP item 10's instrument), three
+//! counts of one 60-job batch of distinct patterns:
+//!
+//! * heap allocations per job through `JobQueue::run` — fingerprint, plan,
+//!   execute — under a committed ceiling;
+//! * how many more a job costs through `Scheduler::run(2, ..)`: the solves
+//!   and the planning are the same on both sides, so the difference is the
+//!   data path around them — input scatter, result gather, telemetry, the
+//!   schedule;
+//! * what a warm `execute` on a cached plan allocates beyond the result it
+//!   returns, which must not grow with the number of submatrices.
 //!
 //! One `#[test]` in a binary of its own: the counter is process-wide, and
 //! a second test running beside it would be counted too.
@@ -10,6 +16,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use sm_comsim::SerialComm;
 use sm_dbcsr::{BlockedDims, DbcsrMatrix};
 use sm_linalg::Matrix;
 use sm_pipeline::{JobQueue, MatrixJob, Scheduler};
@@ -19,6 +26,15 @@ use sm_pipeline::{JobQueue, MatrixJob, Scheduler};
 /// different core count needs — both front-ends spawn their threads inside
 /// the measured call.
 const EXTRA_ALLOCATIONS_PER_JOB_CEILING: f64 = 50.0;
+
+/// Committed ceiling on `JobQueue::run`'s allocations per job with a pool
+/// of two threads: the commit that last lowered it reads 98.0 (its parent
+/// 245.6).
+const QUEUE_ALLOCATIONS_PER_JOB_CEILING: f64 = 100.0;
+
+/// What each further pool thread may add to the batch: its spawn and its
+/// own eigensolver scratch (37 measured from one thread to two).
+const ALLOCATIONS_PER_POOL_THREAD: f64 = 40.0;
 
 const JOBS: usize = 60;
 
@@ -138,14 +154,47 @@ fn a_scheduled_tiny_job_stays_inside_its_allocation_budget() {
     let through_scheduler = allocations_during(|| drop(sched.run(2, batch)));
 
     let extra = (through_scheduler as f64 - through_queue as f64) / JOBS as f64;
+    let per_queued_job = through_queue as f64 / JOBS as f64;
+    let threads = rayon::current_num_threads().min(JOBS);
+    let queue_ceiling = QUEUE_ALLOCATIONS_PER_JOB_CEILING
+        + ALLOCATIONS_PER_POOL_THREAD * threads.saturating_sub(2) as f64 / JOBS as f64;
+    let beyond_result = [0, 3].map(|k| warm_execute_beyond_result(&jobs[k]));
     println!(
-        "allocations per batch of {JOBS} tiny jobs: JobQueue::run {through_queue}, \
+        "allocations per batch of {JOBS} tiny jobs: JobQueue::run {through_queue} \
+         ({per_queued_job:.1} per job on {threads} pool threads, ceiling {queue_ceiling:.1}), \
          Scheduler::run(2, ..) {through_scheduler}: {extra:.1} extra per job \
-         (ceiling {EXTRA_ALLOCATIONS_PER_JOB_CEILING})"
+         (ceiling {EXTRA_ALLOCATIONS_PER_JOB_CEILING}); a warm execute beyond its result: \
+         {} (5 blocks), {} (8 blocks)",
+        beyond_result[0], beyond_result[1]
+    );
+    assert!(
+        per_queued_job <= queue_ceiling,
+        "a queued job costs {per_queued_job:.1} allocations, over the committed ceiling \
+         of {queue_ceiling:.1} on {threads} pool threads"
     );
     assert!(
         extra <= EXTRA_ALLOCATIONS_PER_JOB_CEILING,
         "a scheduled job costs {extra:.1} allocations more than a queued one, \
          over the committed ceiling of {EXTRA_ALLOCATIONS_PER_JOB_CEILING}"
     );
+    assert_eq!(
+        beyond_result[0], beyond_result[1],
+        "what a warm execute allocates beyond its result grows with the submatrix count"
+    );
+}
+
+/// Allocations of a warm `execute` of `job` on its cached plan, less those
+/// of a copy of the result it returns (its blocks and the map holding
+/// them): what the execute creates that is not its output.
+fn warm_execute_beyond_result(job: &MatrixJob) -> i64 {
+    let engine = JobQueue::default().engine().clone();
+    let comm = SerialComm::new();
+    let plan = engine.plan_for_matrix(&job.matrix, &comm);
+    let execute = || engine.execute(&plan, &job.matrix, job.mu0, &job.numeric, &comm);
+    let _warm = execute();
+    let mut result = None;
+    let executing = allocations_during(|| result = Some(execute().0));
+    let result = result.expect("the execute ran");
+    let copying = allocations_during(|| drop(result.clone()));
+    executing as i64 - copying as i64
 }

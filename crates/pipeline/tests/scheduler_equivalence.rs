@@ -12,9 +12,12 @@ use sm_core::solver::{SignMethod, SolveBackend, SolveOptions};
 use sm_dbcsr::{BlockedDims, DbcsrMatrix};
 use sm_linalg::{Matrix, Precision};
 use sm_pipeline::{
-    BatchJob, JobOutput, JobQueue, JobResult, MatrixJob, RankBudget, ScfJobSpec, Scheduler,
-    StealPolicy,
+    BatchJob, JobOutput, JobQueue, JobResult, MatrixJob, RankBudget, ScfJobSpec, SchedError,
+    Scheduler, StealPolicy,
 };
+
+mod common;
+use common::with_watchdog;
 
 /// Deterministic banded symmetric matrix with a spectral gap at 0.
 fn banded(nb: usize, bs: usize, half: usize, seed: u64) -> DbcsrMatrix {
@@ -406,6 +409,56 @@ proptest! {
                 s.result.to_dense(&comm).allclose(&q.result.to_dense(&comm), 0.0),
                 "job '{}' deviates at {} ranks/job", s.name, ranks_per_job
             );
+        }
+    }
+}
+
+/// A job whose diagonal block is exactly zero — `from_dense` stores no
+/// block there — is refused at admission with a typed error naming the
+/// block column, as a matrix job and as an SCF job, beside 60 valid jobs:
+/// never a panic in the rank that builds its submatrix and in the peer
+/// waiting on it.
+#[test]
+fn a_job_without_a_diagonal_block_is_refused_at_admission() {
+    let mut dense = Matrix::from_fn(6, 6, |i, j| match i.abs_diff(j) {
+        0 if i % 2 == 0 => 1.0,
+        0 => -1.0,
+        1 => 0.05,
+        _ => 0.0,
+    });
+    for i in 4..6 {
+        for j in 4..6 {
+            dense[(i, j)] = 0.0;
+        }
+    }
+    let broken = DbcsrMatrix::from_dense(&dense, BlockedDims::uniform(3, 2), 0, 1, 0.0);
+    assert!(broken.block(2, 2).is_none() && broken.block(1, 2).is_some());
+    let bad = [
+        BatchJob::Matrix(MatrixJob::density("no-diagonal", broken.clone(), 0.0)),
+        BatchJob::Scf(ScfJobSpec::new("no-diagonal", broken, 0.0, 2.0)),
+    ];
+    for bad in bad {
+        let mut batch: Vec<BatchJob> = (0..60)
+            .map(|k| {
+                BatchJob::Matrix(MatrixJob::density(
+                    format!("valid-{k}"),
+                    banded(4, 2, 1, k),
+                    0.0,
+                ))
+            })
+            .collect();
+        batch.push(bad);
+        let outcome = with_watchdog(120, move || {
+            Scheduler::default()
+                .try_run_batch(2, batch)
+                .map(|o| o.results.len())
+        });
+        match outcome {
+            Err(SchedError::InvalidJob { name, reason }) => {
+                assert_eq!(name, "no-diagonal");
+                assert_eq!(reason, "block column 2 has no diagonal block");
+            }
+            other => panic!("a job without a diagonal block was admitted: {other:?}"),
         }
     }
 }
