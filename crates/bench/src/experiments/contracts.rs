@@ -123,7 +123,7 @@ pub fn stealing(_: &Ctx) -> Report {
 
 /// Dense vs sparse-CSR solve backend across three element-fill levels
 /// (below the auto-selection threshold, mid-band, near-dense), each the
-/// same Newton–Schulz sign job through the serial `JobQueue`. Asserts:
+/// same Padé-2 (Newton–Schulz) sign job through the serial `JobQueue`. Asserts:
 /// unfiltered sparse within 1e-10 of dense, the sparse telemetry counts
 /// flops, `Auto` follows [`SPARSE_FILL_THRESHOLD`], and both fill and
 /// sparse work grow across the sweep.
@@ -133,7 +133,7 @@ pub fn sparse(_: &Ctx) -> Report {
         let numeric = NumericOptions {
             backend,
             solve: SolveOptions {
-                method: SignMethod::NewtonSchulz,
+                method: SignMethod::Pade(2),
                 ..SolveOptions::default()
             },
             ..NumericOptions::default()

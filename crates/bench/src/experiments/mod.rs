@@ -28,7 +28,7 @@ pub struct Experiment {
 
 /// Every experiment, figures first.
 #[rustfmt::skip]
-pub const EXPERIMENTS: [Experiment; 26] = [
+pub const EXPERIMENTS: [Experiment; 25] = [
     Experiment { name: "fig01", about: "energy error per atom vs system size per eps_filter (Newton-Schulz)", run: figures::fig01 },
     Experiment { name: "fig02", about: "block sparsity pattern of the orthogonalized Kohn-Sham matrix, 864 H2O", run: figures::fig02 },
     Experiment { name: "fig04", about: "submatrix dimension vs matrix dimension, SZV and DZVP", run: figures::fig04 },
@@ -44,12 +44,11 @@ pub const EXPERIMENTS: [Experiment; 26] = [
     Experiment { name: "table1", about: "modeled GPU/FPGA throughput per precision mode (Table I)", run: figures::table1 },
     Experiment { name: "combine_sweep", about: "column-combination group size: Eq. 15 estimate vs measured wall", run: ablations::combine_sweep },
     Experiment { name: "dedup_transfers", about: "deduplicated vs naive block transfers per rank count", run: ablations::dedup_transfers },
-    Experiment { name: "element_sparse", about: "dense vs element-wise sparse submatrix sign evaluation (Sec. V-C)", run: ablations::element_sparse },
     Experiment { name: "mapping_locality", about: "contiguous vs round-robin submatrix-to-rank mapping", run: ablations::mapping_locality },
     Experiment { name: "mu_bisection", about: "canonical mu on stored decompositions vs re-solving (Algorithm 1)", run: ablations::mu_bisection },
     Experiment { name: "plan_reuse", about: "kept engine (cached plan) vs re-planning per SCF iteration", run: ablations::plan_reuse },
     Experiment { name: "selected_columns", about: "full back-transform vs selected columns of the sign function", run: ablations::selected_columns },
-    Experiment { name: "sign_solvers", about: "diagonalization vs Newton-Schulz vs Pade per submatrix (Sec. IV-F)", run: ablations::sign_solvers },
+    Experiment { name: "solve_paths", about: "diagonalization vs dense and CSR Pade per submatrix (Secs. IV-F, V-C)", run: ablations::solve_paths },
     Experiment { name: "faults", about: "contract: fault injection and epoch-level recovery (baselined)", run: contracts::faults },
     Experiment { name: "scf_service", about: "contract: batched SCF service vs serial driver loop (baselined, traced)", run: contracts::scf_service },
     Experiment { name: "service", about: "contract: streaming service across a kill-and-restart (baselined)", run: contracts::service },

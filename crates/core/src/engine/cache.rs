@@ -549,7 +549,7 @@ mod tests {
             let numeric = NumericOptions {
                 backend: policy,
                 solve: SolveOptions {
-                    method: SignMethod::NewtonSchulz,
+                    method: SignMethod::Pade(2),
                     ..SolveOptions::default()
                 },
                 ..NumericOptions::default()

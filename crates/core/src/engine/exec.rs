@@ -386,7 +386,7 @@ mod tests {
         let comm = SerialComm::new();
         let engine = SubmatrixEngine::default();
         let plan = engine.plan_for_matrix(&m, &comm);
-        for method in [SignMethod::Diagonalization, SignMethod::NewtonSchulz] {
+        for method in [SignMethod::Diagonalization, SignMethod::Pade(2)] {
             let numeric = NumericOptions {
                 solve: SolveOptions {
                     method,
@@ -441,7 +441,7 @@ mod tests {
         let comm = SerialComm::new();
         let numeric = NumericOptions {
             solve: SolveOptions {
-                method: SignMethod::NewtonSchulz,
+                method: SignMethod::Pade(2),
                 ..SolveOptions::default()
             },
             ..NumericOptions::default()
@@ -691,7 +691,7 @@ mod sign_density_tests {
             .sign(&m, 0.0, &NumericOptions::default(), &comm)
             .0
             .to_dense(&comm);
-        for method in [SignMethod::NewtonSchulz, SignMethod::Pade(3)] {
+        for method in [SignMethod::Pade(2), SignMethod::Pade(3)] {
             let numeric = NumericOptions {
                 solve: SolveOptions {
                     method,

@@ -11,15 +11,15 @@
 //!
 //! * [`assembly`] — submatrix index sets and the one assembly/extraction
 //!   copy program at the DBCSR block level (Secs. III-A, IV);
-//! * [`plan`] — grouping block columns into submatrices, the estimated-
-//!   speedup model of Eq. 15, and sub-submatrix splitting (Sec. IV-C);
+//! * [`plan`] — grouping block columns into submatrices and the
+//!   estimated-speedup model of Eq. 15 (Sec. IV-C);
 //! * [`cluster`] — k-means in real space and multilevel graph partitioning
 //!   of the sparsity pattern for column combination (Sec. IV-C2, Fig. 5);
 //! * [`loadbalance`] — greedy O(n³)-cost contiguous rank assignment
 //!   (Sec. IV-E);
 //! * [`transfers`] — deduplicated block-transfer planning (Sec. IV-B);
 //! * [`solver`] — per-submatrix sign evaluation: eigendecomposition
-//!   (Eq. 17), Newton–Schulz (Eq. 11), higher-order Padé (Eq. 19), with
+//!   (Eq. 17) or the Padé family (order 2 is Newton–Schulz, Eq. 11), with
 //!   grand-canonical, canonical and finite-temperature modes (Sec. IV-F/G);
 //! * [`mu`] — Algorithm 1: canonical µ adjustment on stored
 //!   eigendecompositions without re-diagonalizing;
@@ -43,7 +43,6 @@ pub mod model;
 pub mod mu;
 pub mod plan;
 pub mod solver;
-pub mod split;
 pub mod transfers;
 
 pub use assembly::SubmatrixSpec;

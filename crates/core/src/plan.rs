@@ -6,11 +6,9 @@
 //! possibly redundant work; Eq. 15 estimates the net speedup `S` under the
 //! `n³` cost model. The evaluation's "simple greedy heuristic" combines
 //! consecutive block columns, while the cluster-based heuristics live in
-//! [`crate::cluster`]. Sub-submatrix splitting (Sec. IV-C1) applies the
-//! method a second time *inside* an assembled submatrix at element level.
+//! [`crate::cluster`].
 
 use sm_dbcsr::{BlockedDims, CooPattern};
-use sm_linalg::Matrix;
 
 use crate::assembly::SubmatrixSpec;
 
@@ -115,46 +113,6 @@ pub fn estimated_speedup(single_columns: &SubmatrixPlan, combined: &SubmatrixPla
     single_columns.total_cost() / denom
 }
 
-/// One sub-submatrix produced by element-level splitting.
-#[derive(Debug, Clone)]
-pub struct SubSubmatrix {
-    /// Element indices (within the parent submatrix) that induce this
-    /// sub-submatrix.
-    pub indices: Vec<usize>,
-    /// The dense sub-submatrix.
-    pub matrix: Matrix,
-    /// The element column (within the parent) this sub-submatrix solves.
-    pub target_col: usize,
-}
-
-/// Apply the submatrix method a second time at single-element-column level
-/// inside an assembled dense submatrix (paper Sec. IV-C1). Only the
-/// `target_cols` (parent-local element columns that originate from the
-/// spec's block columns) need sub-submatrices. `eps` decides which elements
-/// count as zero.
-pub fn split_submatrix(a: &Matrix, target_cols: &[usize], eps: f64) -> Vec<SubSubmatrix> {
-    assert!(a.is_square());
-    let n = a.nrows();
-    target_cols
-        .iter()
-        .map(|&c| {
-            assert!(c < n);
-            let mut indices: Vec<usize> = (0..n).filter(|&r| a[(r, c)].abs() > eps).collect();
-            if indices.binary_search(&c).is_err() {
-                // The diagonal must be part of the principal set.
-                indices.push(c);
-                indices.sort_unstable();
-            }
-            let matrix = a.principal_submatrix(&indices);
-            SubSubmatrix {
-                indices,
-                matrix,
-                target_col: c,
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,44 +197,5 @@ mod tests {
         let plan = SubmatrixPlan::one_per_column(&p, &d);
         assert_eq!(plan.total_cost(), 3.0 * 8.0);
         assert_eq!(plan.avg_dim(), 2.0);
-    }
-
-    #[test]
-    fn split_submatrix_exact_for_block_diagonal() {
-        // A 4x4 with two decoupled 2x2 blocks: splitting column 0 must
-        // select exactly indices {0,1}.
-        let a = Matrix::from_row_major(
-            4,
-            4,
-            &[
-                2.0, 1.0, 0.0, 0.0, //
-                1.0, 2.0, 0.0, 0.0, //
-                0.0, 0.0, 3.0, 1.0, //
-                0.0, 0.0, 1.0, 3.0,
-            ],
-        );
-        let subs = split_submatrix(&a, &[0, 2], 0.0);
-        assert_eq!(subs.len(), 2);
-        assert_eq!(subs[0].indices, vec![0, 1]);
-        assert_eq!(subs[0].matrix.shape(), (2, 2));
-        assert_eq!(subs[1].indices, vec![2, 3]);
-        assert_eq!(subs[1].target_col, 2);
-    }
-
-    #[test]
-    fn split_always_includes_diagonal() {
-        // Column 1 has a zero diagonal element but splitting still keeps
-        // index 1 in the principal set.
-        let a = Matrix::from_row_major(
-            3,
-            3,
-            &[
-                1.0, 0.5, 0.0, //
-                0.5, 0.0, 0.0, //
-                0.0, 0.0, 1.0,
-            ],
-        );
-        let subs = split_submatrix(&a, &[1], 1e-12);
-        assert_eq!(subs[0].indices, vec![0, 1]);
     }
 }

@@ -29,8 +29,7 @@ pub enum SolveBackend {
     Dense,
     /// Element-wise CSR iteration ([`sm_linalg::sparse`]) with
     /// per-iteration element filtering ([`SolveOptions::sparse_eps`]).
-    /// Applies to the iterative methods ([`SignMethod::NewtonSchulz`],
-    /// [`SignMethod::Pade`]) — the paper's Sec. V-C proposal for
+    /// Applies to [`SignMethod::Pade`] — the paper's Sec. V-C proposal for
     /// submatrices whose element fill is far below their block fill (DZVP);
     /// [`SignMethod::Diagonalization`] has no sparse analogue and ignores
     /// the backend.
@@ -43,9 +42,8 @@ pub enum SignMethod {
     /// Eigendecomposition + elementwise signum (paper Eq. 17). Supports
     /// finite temperature and canonical µ adjustment.
     Diagonalization,
-    /// 2nd-order Newton–Schulz iteration (paper Eq. 11).
-    NewtonSchulz,
-    /// Padé-family iteration of the given order ≥ 2 (order 3 = Eq. 19).
+    /// Padé-family iteration of the given order ≥ 2 (order 2 is the
+    /// Newton–Schulz iteration of Eq. 11, order 3 is Eq. 19).
     Pade(usize),
 }
 
@@ -84,9 +82,11 @@ pub struct SolveOptions {
     /// numeric-phase-only — never enters patterns or plan-cache keys.
     pub backend: SolveBackend,
     /// Per-iteration element filter of the [`SolveBackend::SparseCsr`]
-    /// backend. `0.0` keeps the iteration exact (agreement with the dense
-    /// path within ~1e-10 for well-gapped submatrices); larger values trade
-    /// accuracy for flops, the Sec. V-C proposal.
+    /// backend (Sec. V-C). `0.0` keeps the iteration exact (agreement with
+    /// the dense path within ~1e-10 for well-gapped submatrices). Measured
+    /// on water submatrices (`repro solve_paths`, n = 132–851): 1e-8 does
+    /// not converge in 100 iterations at the default `tol`; it does at
+    /// `tol` = 1e-7, with column errors of 3e-8 to 8e-8.
     pub sparse_eps: f64,
 }
 
@@ -167,17 +167,12 @@ pub fn solve_sign(a: &Matrix, mu: f64, opts: &SolveOptions) -> Result<SolveResul
                 sparse: None,
             })
         }
-        SignMethod::NewtonSchulz | SignMethod::Pade(_) => {
+        SignMethod::Pade(order) => {
             assert!(
                 opts.kt == 0.0,
                 "iterative sign methods only support zero temperature; \
                  use Diagonalization for finite-temperature purification"
             );
-            let order = match opts.method {
-                SignMethod::NewtonSchulz => 2,
-                SignMethod::Pade(p) => p,
-                _ => unreachable!(),
-            };
             if opts.backend == SolveBackend::SparseCsr {
                 return solve_sign_sparse_csr(a, mu, order, opts);
             }
@@ -223,8 +218,8 @@ fn sparse_stats_of(r: &sm_linalg::sparse::SparseSignResult, n: usize) -> SparseS
 }
 
 /// The sparse-CSR iterative path (paper Sec. V-C wired end to end): run the
-/// element-wise sparse Newton–Schulz/Padé iteration with per-iteration
-/// filtering instead of the dense kernels.
+/// element-wise sparse Padé iteration with per-iteration filtering instead
+/// of the dense kernels.
 ///
 /// Reduced precision composes the same way the dense path does: the input
 /// is rounded through `f32` storage first (idempotent with the `f32` wire
@@ -399,7 +394,7 @@ mod tests {
         let mu = -0.2;
         let reference = solve_sign(&a, mu, &SolveOptions::default()).unwrap();
         for method in [
-            SignMethod::NewtonSchulz,
+            SignMethod::Pade(2),
             SignMethod::Pade(3),
             SignMethod::Pade(5),
         ] {
@@ -458,7 +453,7 @@ mod tests {
     fn iterative_finite_t_rejected() {
         let a = gapped(4, 0.0);
         let opts = SolveOptions {
-            method: SignMethod::NewtonSchulz,
+            method: SignMethod::Pade(2),
             kt: 0.1,
             ..SolveOptions::default()
         };
@@ -652,7 +647,7 @@ mod precision_tests {
             for mu in [0.0, 0.15, -0.2] {
                 for method in [
                     SignMethod::Diagonalization,
-                    SignMethod::NewtonSchulz,
+                    SignMethod::Pade(2),
                     SignMethod::Pade(3),
                 ] {
                     let reference = solve_sign(&a, mu, &with_precision(method, Precision::Fp64))
@@ -679,7 +674,7 @@ mod precision_tests {
     #[test]
     fn plain_fp32_outputs_are_f32_representable() {
         let a = banded(12);
-        for method in [SignMethod::Diagonalization, SignMethod::NewtonSchulz] {
+        for method in [SignMethod::Diagonalization, SignMethod::Pade(2)] {
             let r = solve_sign(&a, 0.1, &with_precision(method, Precision::Fp32)).unwrap();
             // Round-tripping through f32 storage changes nothing: the f32
             // result wire is lossless for plain-Fp32 results.
@@ -695,7 +690,7 @@ mod precision_tests {
         let a = banded(16);
         let rounded = a.round_f32_storage();
         for prec in [Precision::Fp32, Precision::Fp32Refined] {
-            for method in [SignMethod::Diagonalization, SignMethod::NewtonSchulz] {
+            for method in [SignMethod::Diagonalization, SignMethod::Pade(2)] {
                 let direct = solve_sign(&a, 0.05, &with_precision(method, prec)).unwrap();
                 let wired = solve_sign(&rounded, 0.05, &with_precision(method, prec)).unwrap();
                 assert!(
@@ -712,13 +707,13 @@ mod precision_tests {
         let plain = solve_sign(
             &a,
             0.0,
-            &with_precision(SignMethod::NewtonSchulz, Precision::Fp32),
+            &with_precision(SignMethod::Pade(2), Precision::Fp32),
         )
         .unwrap();
         let refined = solve_sign(
             &a,
             0.0,
-            &with_precision(SignMethod::NewtonSchulz, Precision::Fp32Refined),
+            &with_precision(SignMethod::Pade(2), Precision::Fp32Refined),
         )
         .unwrap();
         assert_eq!(refined.iterations, plain.iterations + 1);
@@ -731,7 +726,7 @@ mod precision_tests {
         // (unfiltered) sparse products.
         let a = banded(18);
         for mu in [0.0, 0.1] {
-            for method in [SignMethod::NewtonSchulz, SignMethod::Pade(3)] {
+            for method in [SignMethod::Pade(2), SignMethod::Pade(3)] {
                 let dense = solve_sign(&a, mu, &with_precision(method, Precision::Fp64)).unwrap();
                 let sparse = solve_sign(
                     &a,
@@ -764,7 +759,7 @@ mod precision_tests {
             &a,
             0.0,
             &SolveOptions {
-                method: SignMethod::NewtonSchulz,
+                method: SignMethod::Pade(2),
                 backend: SolveBackend::SparseCsr,
                 sparse_eps: 0.0,
                 ..SolveOptions::default()
@@ -775,7 +770,7 @@ mod precision_tests {
             &a,
             0.0,
             &SolveOptions {
-                method: SignMethod::NewtonSchulz,
+                method: SignMethod::Pade(2),
                 backend: SolveBackend::SparseCsr,
                 sparse_eps: 1e-5,
                 tol: 1e-4,
@@ -799,7 +794,7 @@ mod precision_tests {
         let a = banded(16);
         let rounded = a.round_f32_storage();
         let base = SolveOptions {
-            method: SignMethod::NewtonSchulz,
+            method: SignMethod::Pade(2),
             backend: SolveBackend::SparseCsr,
             sparse_eps: 0.0,
             ..SolveOptions::default()

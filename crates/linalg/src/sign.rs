@@ -7,8 +7,8 @@
 //!   extended definition `sign(0) = 0` of Eq. 12;
 //! * [`newton_schulz_sign`] — the 2nd-order Newton–Schulz iteration
 //!   (Eq. 11), CP2K's default for sparse matrices and the paper's baseline;
-//! * [`sign_iteration`] — the arbitrary-order Padé/Newton–Schulz family;
-//!   order 3 reproduces Eq. 19 used in the GPU/FPGA study.
+//! * [`sign_iteration`] — the arbitrary-order Padé family; order 2 is
+//!   Newton–Schulz, order 3 reproduces Eq. 19 used in the GPU/FPGA study.
 
 use crate::eigh::eigh;
 use crate::elem::Elem;

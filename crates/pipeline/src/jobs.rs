@@ -434,7 +434,7 @@ mod tests {
                 mu0: 0.0,
                 numeric: NumericOptions {
                     solve: SolveOptions {
-                        method: SignMethod::NewtonSchulz,
+                        method: SignMethod::Pade(2),
                         ..SolveOptions::default()
                     },
                     ..NumericOptions::default()

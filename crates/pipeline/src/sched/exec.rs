@@ -184,8 +184,9 @@ impl Scheduler {
         for j in &jobs {
             // Validate on the caller thread: a bad job would otherwise
             // panic deep inside a rank thread (e.g. ScfDriver::run with a
-            // zero iteration budget produces no density) and strand its
-            // group's peers in their collectives.
+            // zero iteration budget produces no density, a Padé solve at
+            // kt > 0 asserts) and strand its group's peers in their
+            // collectives.
             let m = j.input();
             // Extraction needs every column's diagonal block; a zero one is not stored.
             let no_diagonal = (0..m.dims().nb()).find(|&c| m.block(c, c).is_none());
@@ -197,7 +198,10 @@ impl Scheduler {
                     "max_iter == 0 (needs at least one iteration)".to_string()
                 }
                 (_, Some(c)) => format!("block column {c} has no diagonal block"),
-                (_, None) => continue,
+                (_, None) => match numeric_refusal(j) {
+                    Some(reason) => reason,
+                    None => continue,
+                },
             };
             let name = j.name().to_string();
             return Err(SchedError::InvalidJob { name, reason });

@@ -6,8 +6,9 @@
 use std::ops::Range;
 
 use sm_accel::perfmodel;
+use sm_chem::ScfEnsemble;
 use sm_comsim::{CommError, FaultPlan};
-use sm_core::engine::NumericOptions;
+use sm_core::engine::{Ensemble, NumericOptions};
 use sm_core::solver::{SignMethod, SolveBackend};
 use sm_dbcsr::DbcsrMatrix;
 
@@ -109,10 +110,7 @@ pub fn estimate_pattern_cost_for(matrix: &DbcsrMatrix, numeric: &NumericOptions)
     } else {
         0.0
     };
-    let backend_honored = matches!(
-        numeric.solve.method,
-        SignMethod::NewtonSchulz | SignMethod::Pade(_)
-    );
+    let backend_honored = matches!(numeric.solve.method, SignMethod::Pade(_));
     if backend_honored && numeric.backend.resolve(fill) == SolveBackend::SparseCsr {
         cost *= perfmodel::sparse_solve_cost_factor(fill);
     }
@@ -137,6 +135,33 @@ pub(super) fn job_numeric(job: &BatchJob) -> &NumericOptions {
         BatchJob::Matrix(j) => &j.numeric,
         BatchJob::Scf(j) => &j.scf.numeric,
     }
+}
+
+/// Why a job's numeric options would panic in its rank threads, if they
+/// would: a Padé iteration needs order ≥ 2, zero temperature and a fixed
+/// µ. An SCF job's ensemble is `ScfOptions::ensemble`, and a canonical
+/// SCF run always diagonalizes.
+pub(super) fn numeric_refusal(job: &BatchJob) -> Option<String> {
+    let numeric = job_numeric(job);
+    let SignMethod::Pade(order) = numeric.solve.method else {
+        return None;
+    };
+    let canonical = match job {
+        BatchJob::Matrix(j) => matches!(j.numeric.ensemble, Ensemble::Canonical { .. }),
+        BatchJob::Scf(j) if j.scf.ensemble == ScfEnsemble::Canonical => return None,
+        BatchJob::Scf(_) => false,
+    };
+    let kt = numeric.solve.kt;
+    let why = if order < 2 {
+        "the sign iteration needs order >= 2".to_string()
+    } else if kt != 0.0 {
+        format!("kt = {kt}, but only Diagonalization smears")
+    } else if canonical {
+        "a canonical ensemble needs Diagonalization (Algorithm 1)".to_string()
+    } else {
+        return None;
+    };
+    Some(format!("Pade({order}): {why}"))
 }
 
 /// Admission gate on the perfmodel estimates: every cost must be finite,
@@ -1118,7 +1143,7 @@ mod tests {
         );
         let mut numeric = NumericOptions {
             solve: sm_core::solver::SolveOptions {
-                method: SignMethod::NewtonSchulz,
+                method: SignMethod::Pade(2),
                 ..Default::default()
             },
             ..Default::default()
@@ -1132,7 +1157,7 @@ mod tests {
         assert_eq!(estimate_pattern_cost_for(&matrix, &numeric), dense);
         // Forcing the dense backend restores the dense estimate even for
         // iterative methods.
-        numeric.solve.method = SignMethod::NewtonSchulz;
+        numeric.solve.method = SignMethod::Pade(2);
         numeric.backend = sm_core::engine::BackendPolicy::Dense;
         assert_eq!(estimate_pattern_cost_for(&matrix, &numeric), dense);
     }
@@ -1312,10 +1337,7 @@ mod tests {
         } else {
             0.0
         };
-        let backend_honored = matches!(
-            numeric.solve.method,
-            SignMethod::NewtonSchulz | SignMethod::Pade(_)
-        );
+        let backend_honored = matches!(numeric.solve.method, SignMethod::Pade(_));
         if backend_honored && numeric.backend.resolve(fill) == SolveBackend::SparseCsr {
             cost *= perfmodel::sparse_solve_cost_factor(fill);
         }
@@ -1351,7 +1373,7 @@ mod tests {
                     }
                 }
             }
-            for method in [SignMethod::Diagonalization, SignMethod::NewtonSchulz] {
+            for method in [SignMethod::Diagonalization, SignMethod::Pade(2)] {
                 for backend in [
                     sm_core::engine::BackendPolicy::Dense,
                     sm_core::engine::BackendPolicy::Auto,

@@ -57,7 +57,7 @@ fn mixed_batch(seed: u64) -> Vec<MatrixJob> {
             mu0: 0.0,
             numeric: NumericOptions {
                 solve: SolveOptions {
-                    method: SignMethod::NewtonSchulz,
+                    method: SignMethod::Pade(2),
                     ..SolveOptions::default()
                 },
                 ..NumericOptions::default()
@@ -257,7 +257,7 @@ fn every_kind_batch() -> Vec<BatchJob> {
         numeric,
         output,
     };
-    let (diag, ns) = (SignMethod::Diagonalization, SignMethod::NewtonSchulz);
+    let (diag, ns) = (SignMethod::Diagonalization, SignMethod::Pade(2));
     let mut jobs: Vec<BatchJob> = [
         matrix_job("fp64", 4, with(Precision::Fp64, diag), JobOutput::Density),
         matrix_job("fp32", 5, with(Precision::Fp32, diag), JobOutput::Sign),
@@ -417,7 +417,8 @@ proptest! {
 /// block there — is refused at admission with a typed error naming the
 /// block column, as a matrix job and as an SCF job, beside 60 valid jobs:
 /// never a panic in the rank that builds its submatrix and in the peer
-/// waiting on it.
+/// waiting on it. So is a Padé job its engine would assert on: order
+/// below 2, kt > 0, or (matrix jobs) a canonical ensemble.
 #[test]
 fn a_job_without_a_diagonal_block_is_refused_at_admission() {
     let mut dense = Matrix::from_fn(6, 6, |i, j| match i.abs_diff(j) {
@@ -433,11 +434,62 @@ fn a_job_without_a_diagonal_block_is_refused_at_admission() {
     }
     let broken = DbcsrMatrix::from_dense(&dense, BlockedDims::uniform(3, 2), 0, 1, 0.0);
     assert!(broken.block(2, 2).is_none() && broken.block(1, 2).is_some());
+    let no_diagonal = "block column 2 has no diagonal block";
+    let matrix_job = |order, kt, ensemble| {
+        let mut job = MatrixJob::density("bad-numeric", banded(4, 2, 1, 7), 0.0);
+        job.numeric.solve = SolveOptions {
+            method: SignMethod::Pade(order),
+            kt,
+            ..SolveOptions::default()
+        };
+        job.numeric.ensemble = ensemble;
+        BatchJob::Matrix(job)
+    };
+    let scf_job = |order, kt| {
+        let mut spec = ScfJobSpec::new("bad-numeric", banded(4, 2, 1, 7), 0.0, 8.0);
+        spec.scf.ensemble = ScfEnsemble::GrandCanonical;
+        spec.scf.numeric.solve.method = SignMethod::Pade(order);
+        spec.scf.numeric.solve.kt = kt;
+        BatchJob::Scf(spec)
+    };
+    let canonical = Ensemble::Canonical {
+        n_electrons: 8.0,
+        tol: 1e-8,
+        max_iter: 100,
+    };
+    let gc = Ensemble::GrandCanonical;
     let bad = [
-        BatchJob::Matrix(MatrixJob::density("no-diagonal", broken.clone(), 0.0)),
-        BatchJob::Scf(ScfJobSpec::new("no-diagonal", broken, 0.0, 2.0)),
+        (
+            BatchJob::Matrix(MatrixJob::density("no-diagonal", broken.clone(), 0.0)),
+            no_diagonal,
+        ),
+        (
+            BatchJob::Scf(ScfJobSpec::new("no-diagonal", broken, 0.0, 2.0)),
+            no_diagonal,
+        ),
+        (
+            matrix_job(3, 0.0, canonical),
+            "Pade(3): a canonical ensemble needs Diagonalization (Algorithm 1)",
+        ),
+        (
+            matrix_job(2, 0.1, gc),
+            "Pade(2): kt = 0.1, but only Diagonalization smears",
+        ),
+        (
+            scf_job(3, 0.1),
+            "Pade(3): kt = 0.1, but only Diagonalization smears",
+        ),
+        (
+            matrix_job(1, 0.0, gc),
+            "Pade(1): the sign iteration needs order >= 2",
+        ),
+        (
+            scf_job(1, 0.0),
+            "Pade(1): the sign iteration needs order >= 2",
+        ),
     ];
-    for bad in bad {
+    for (bad, expected) in bad {
+        let expected_name = bad.name().to_string();
         let mut batch: Vec<BatchJob> = (0..60)
             .map(|k| {
                 BatchJob::Matrix(MatrixJob::density(
@@ -455,10 +507,10 @@ fn a_job_without_a_diagonal_block_is_refused_at_admission() {
         });
         match outcome {
             Err(SchedError::InvalidJob { name, reason }) => {
-                assert_eq!(name, "no-diagonal");
-                assert_eq!(reason, "block column 2 has no diagonal block");
+                assert_eq!(name, expected_name);
+                assert_eq!(reason, expected);
             }
-            other => panic!("a job without a diagonal block was admitted: {other:?}"),
+            other => panic!("'{expected}' was admitted: {other:?}"),
         }
     }
 }

@@ -61,7 +61,7 @@ fn batch_at(policy: BackendPolicy, precision: Precision, sparse_eps: f64) -> Vec
         precision,
         backend: policy,
         solve: SolveOptions {
-            method: SignMethod::NewtonSchulz,
+            method: SignMethod::Pade(2),
             sparse_eps,
             ..SolveOptions::default()
         },

@@ -4,9 +4,7 @@
 //!    `sign(a − µI)` that originate from its own block columns; computing
 //!    just those saves the O(n³) back-transform (paper conclusion:
 //!    "selectively calculate selected elements of the sign function").
-//! 2. **Sub-submatrix splitting** — applying the method a second time at
-//!    element level inside an assembled submatrix (Sec. IV-C1).
-//! 3. **Element-wise sparse solving** — running the sign iteration in CSR
+//! 2. **Element-wise sparse solving** — running the sign iteration in CSR
 //!    with per-step filtering, exploiting that DZVP submatrices are < 20%
 //!    full element-wise (Sec. V-C).
 //!
@@ -15,7 +13,6 @@
 use cp2k_submatrix::prelude::*;
 use sm_core::assembly::{AssemblyMap, SubmatrixSpec};
 use sm_core::solver::SolveOptions as CoreSolveOptions;
-use sm_core::split::solve_sign_via_split;
 use sm_linalg::sparse::sparse_sign_iteration;
 
 fn main() {
@@ -68,32 +65,11 @@ fn main() {
     );
     assert_eq!(bits(&s_full), bits(&s_sel));
 
-    // --- 2. Sub-submatrix splitting on one assembled submatrix -----------
+    // --- 2. Element-wise sparse iteration on one assembled submatrix -----
     let pattern = kt.global_pattern(&comm);
-    let dims = kt.dims().clone();
     let mid = water.n_molecules() / 2;
-    let spec = SubmatrixSpec::build(&pattern, &dims, &[mid]);
+    let spec = SubmatrixSpec::build(&pattern, kt.dims(), &[mid]);
     let a = AssemblyMap::build(&spec, &pattern).assemble(|r, c| kt.block(r, c));
-    let targets: Vec<usize> = (0..dims.size(mid))
-        .map(|j| spec.offset_of(mid).expect("own column included") + j)
-        .collect();
-    let split = solve_sign_via_split(&a, sys.mu, &targets, 1e-8, &CoreSolveOptions::default())
-        .expect("split solve");
-    let full_cols = {
-        let dec = sm_linalg::eigh::eigh(&a).expect("symmetric");
-        sm_core::solver::sign_columns_from_decomposition(&dec, sys.mu, 0.0, &targets)
-    };
-    let split_err = split.columns.max_abs_diff(&full_cols);
-    println!(
-        "sub-submatrix split: parent dim {} -> sub dims {:?}..., cost {:.2e} vs {:.2e} \
-         (parent³), column error {split_err:.2e}",
-        spec.dim,
-        &split.sub_dims[..split.sub_dims.len().min(3)],
-        split.total_cost,
-        (spec.dim as f64).powi(3)
-    );
-
-    // --- 3. Element-wise sparse iteration on the same submatrix ----------
     let sparse = sparse_sign_iteration(&a, sys.mu, 2, 1e-10, 1e-8, 100).expect("sparse");
     let dense_ref = sm_linalg::sign::sign_eig(&{
         let mut s = a.clone();
