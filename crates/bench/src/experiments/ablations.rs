@@ -10,7 +10,6 @@ use sm_core::engine::{
     EngineOptions, Ensemble, ExecutionPlan, Grouping, NumericOptions, SubmatrixEngine,
 };
 use sm_core::loadbalance::{greedy_contiguous, round_robin};
-use sm_core::mu::contributing_rows;
 use sm_core::plan::estimated_speedup;
 use sm_core::solver::{
     decompose, sign_columns_from_decomposition, sign_from_decomposition, solve_sign, SignMethod,
@@ -70,27 +69,40 @@ pub fn combine_sweep(_: &Ctx) -> Report {
     report
 }
 
-/// The NREP = 3 SZV plan at ε = 1e-5 with its per-submatrix costs — the
-/// input of the two transfer ablations.
+/// The NREP = 3 SZV plan at ε = 1e-5: its pattern, and each submatrix's
+/// blocks (what its walk lists) and cost — the input of the two transfer
+/// ablations.
 fn transfer_workload() -> (
     sm_dbcsr::CooPattern,
     sm_dbcsr::BlockedDims,
-    SubmatrixPlan,
+    Vec<Vec<(usize, usize)>>,
     Vec<f64>,
 ) {
     let (pattern, dims, plan) = water_pattern(&WaterBox::cubic(3, SEED), &BasisSet::szv(), 1e-5);
+    let walk = |s: &SubmatrixSpec| {
+        let mut blocks = Vec::new();
+        s.walk(&pattern, &dims, &mut blocks);
+        blocks
+    };
+    let blocks = plan.specs.iter().map(walk).collect();
     let costs = plan.specs.iter().map(|s| s.cost()).collect();
-    (pattern, dims, plan, costs)
+    (pattern, dims, blocks, costs)
+}
+
+/// The transfer plan of a rank holding the submatrices whose blocks `mine`
+/// lists.
+fn rank_plan<'a>(mine: impl IntoIterator<Item = &'a Vec<(usize, usize)>>) -> RankTransferPlan {
+    RankTransferPlan::from_blocks(mine.into_iter().flatten().copied().collect())
 }
 
 /// Sec. IV-B1: neighbouring block columns share most of their blocks, so
 /// a rank processing a consecutive chunk would transfer the same block
 /// many times without deduplication.
 pub fn dedup_transfers(_: &Ctx) -> Report {
-    let (pattern, dims, plan, costs) = transfer_workload();
+    let (pattern, dims, blocks, costs) = transfer_workload();
     println!(
         "{} submatrices, {} nonzero blocks",
-        plan.len(),
+        blocks.len(),
         pattern.nnz()
     );
     let mut report = Report::new(
@@ -107,8 +119,7 @@ pub fn dedup_transfers(_: &Ctx) -> Report {
         let mut stats = TransferStats::default();
         for range in greedy_contiguous(&costs, n_ranks).ranges {
             if !range.is_empty() {
-                let specs: Vec<&SubmatrixSpec> = plan.specs[range].iter().collect();
-                stats.add_rank(&RankTransferPlan::for_specs(&specs, &pattern), &dims);
+                stats.add_rank(&rank_plan(&blocks[range]), &dims);
             }
         }
         let saving = 1.0 - stats.unique_bytes as f64 / stats.naive_bytes.max(1) as f64;
@@ -116,7 +127,10 @@ pub fn dedup_transfers(_: &Ctx) -> Report {
             n_ranks.into(),
             (stats.unique_bytes / 1024).into(),
             (stats.naive_bytes / 1024).into(),
-            Fixed(stats.dedup_factor(), 2),
+            Fixed(
+                stats.total_references as f64 / stats.unique_blocks as f64,
+                2,
+            ),
             Fixed(saving * 100.0, 1),
         ]);
     }
@@ -127,10 +141,7 @@ pub fn dedup_transfers(_: &Ctx) -> Report {
 /// chunk per rank minimizes the per-rank buffered data; round-robin
 /// destroys that locality.
 pub fn mapping_locality(_: &Ctx) -> Report {
-    let (pattern, dims, plan, costs) = transfer_workload();
-    let bytes_of = |specs: Vec<&SubmatrixSpec>| {
-        RankTransferPlan::for_specs(&specs, &pattern).unique_bytes(&dims)
-    };
+    let (_, dims, blocks, costs) = transfer_workload();
     let mut report = Report::new(
         "Ablation — mapping locality (buffered bytes per scheme)",
         &[
@@ -144,11 +155,11 @@ pub fn mapping_locality(_: &Ctx) -> Report {
         let contiguous: u64 = greedy_contiguous(&costs, n_ranks)
             .ranges
             .into_iter()
-            .map(|range| bytes_of(plan.specs[range].iter().collect()))
+            .map(|range| rank_plan(&blocks[range]).unique_bytes(&dims))
             .sum();
-        let rr: u64 = round_robin(plan.len(), n_ranks)
+        let rr: u64 = round_robin(blocks.len(), n_ranks)
             .iter()
-            .map(|indices| bytes_of(indices.iter().map(|&i| &plan.specs[i]).collect()))
+            .map(|indices| rank_plan(indices.iter().map(|&i| &blocks[i])).unique_bytes(&dims))
             .sum();
         report.push(vec![
             n_ranks.into(),
@@ -388,7 +399,7 @@ pub fn selected_columns(_: &Ctx) -> Report {
 }
 
 /// The water submatrices the solve-path table measures, each with its µ
-/// and its contributing columns (`mu::contributing_rows`): SZV single,
+/// and its contributing columns (the walk's `contributing`): SZV single,
 /// 4- and 16-column groups of the orthogonalized `K̃` filtered at 1e-6
 /// (n = 132, 336, 636), and one molecule's column of the unorthogonalized
 /// SZV and DZVP `K` (n = 204, 851; Sec. V-C's element-sparse regime).
@@ -399,8 +410,8 @@ fn solve_path_inputs() -> Vec<(&'static str, Matrix, f64, Vec<usize>)> {
         .into_iter()
         .map(|group_size| {
             let group: Vec<usize> = (0..group_size).collect();
-            let (spec, a) = assemble_columns(&kt_f, &group);
-            ("SZV", a, sys.mu, contributing_rows(&spec, kt_f.dims()))
+            let (cols, a) = assemble_columns(&kt_f, &group);
+            ("SZV", a, sys.mu, cols)
         })
         .collect();
     for (label, basis) in [
@@ -409,8 +420,8 @@ fn solve_path_inputs() -> Vec<(&'static str, Matrix, f64, Vec<usize>)> {
     ] {
         let water = WaterBox::cubic(2, SEED);
         let sys = build_system(&water, &basis, 0, 1, 1e-8);
-        let (spec, a) = assemble_columns(&sys.k, &[water.n_molecules() / 2]);
-        inputs.push((label, a, sys.mu, contributing_rows(&spec, sys.k.dims())));
+        let (cols, a) = assemble_columns(&sys.k, &[water.n_molecules() / 2]);
+        inputs.push((label, a, sys.mu, cols));
     }
     inputs
 }
@@ -585,9 +596,8 @@ mod tests {
     fn solve_path_rows_hold_their_contract_at_n_132() {
         let (_, sys, kt) = water_system(2);
         let kt_f = filtered(&kt, 1e-6);
-        let (spec, a) = assemble_columns(&kt_f, &[0]);
-        assert_eq!(spec.dim, 132);
-        let cols = contributing_rows(&spec, kt_f.dims());
+        let (cols, a) = assemble_columns(&kt_f, &[0]);
+        assert_eq!(a.nrows(), 132);
         let rows = solve_path_rows("SZV", &a, sys.mu, &cols, 1);
         assert!(rows.iter().all(|r| r.len() == SOLVE_PATH_COLUMNS.len()));
         let paths: Vec<String> = rows.iter().map(|r| r[2].text()).collect();

@@ -474,11 +474,14 @@ pub fn fig11(ctx: &Ctx) -> Report {
             let water = WaterBox::cubic(nrep, SEED);
             let (pattern, dims, _) = water_pattern(&water, &basis, eps);
             let mid = SubmatrixSpec::build(&pattern, &dims, &[water.n_molecules() / 2]);
+            let nb = mid.rows.len();
+            let mut copied = Vec::new();
+            mid.walk(&pattern, &dims, &mut copied);
             report.push(vec![
                 label.into(),
                 water.n_molecules().into(),
                 Fixed(pattern.fill_fraction(), 4),
-                Fixed(mid.block_fill(&pattern), 4),
+                Fixed(copied.len() as f64 / (nb * nb) as f64, 4),
                 Fixed(element_fill(&water, &basis, eps), 4),
             ]);
         }
@@ -500,11 +503,11 @@ fn combined_submatrix(ctx: &Ctx) -> (Matrix, f64, PadeTraceOptions) {
     let group_size = if ctx.paper { 32 } else { 8 };
     let (_, sys, kt) = water_system(2);
     let group: Vec<usize> = (0..group_size).collect();
-    let (spec, a) = assemble_columns(&filtered(&kt, 1e-6), &group);
+    let (_, a) = assemble_columns(&filtered(&kt, 1e-6), &group);
     let n_atoms = 3 * group_size;
     println!(
         "combined submatrix of {group_size} molecules: dim {} ({n_atoms} atoms)",
-        spec.dim
+        a.nrows()
     );
     let opts = PadeTraceOptions {
         iterations: 15,

@@ -6,7 +6,7 @@ use std::time::Instant;
 use sm_chem::builder::{block_pattern, build_system, SystemMatrices};
 use sm_chem::{BasisSet, ScfEnsemble, ScfResult, WaterBox};
 use sm_comsim::SerialComm;
-use sm_core::assembly::{AssemblyMap, SubmatrixSpec};
+use sm_core::assembly::SubmatrixSpec;
 use sm_core::baseline::{orthogonalize_sparse, NewtonSchulzOptions};
 use sm_core::engine::EngineOptions;
 use sm_core::SubmatrixPlan;
@@ -90,12 +90,14 @@ pub fn water_pattern(
     (pattern, dims, plan)
 }
 
-/// The submatrix of `m` induced by block columns `cols`, assembled dense.
-pub fn assemble_columns(m: &DbcsrMatrix, cols: &[usize]) -> (SubmatrixSpec, Matrix) {
+/// The submatrix of `m` induced by block columns `cols`, assembled dense,
+/// with its contributing columns.
+pub fn assemble_columns(m: &DbcsrMatrix, cols: &[usize]) -> (Vec<usize>, Matrix) {
     let pattern = m.global_pattern(&SerialComm::new());
-    let spec = SubmatrixSpec::build(&pattern, m.dims(), cols);
-    let a = AssemblyMap::build(&spec, &pattern).assemble(|r, c| m.block(r, c));
-    (spec, a)
+    let maps =
+        SubmatrixSpec::build(&pattern, m.dims(), cols).walk(&pattern, m.dims(), &mut Vec::new());
+    let a = maps.assembly.assemble(|r, c| m.block(r, c));
+    (maps.contributing, a)
 }
 
 /// Deterministic symmetric matrix of `nb` blocks of size `bs`, banded to

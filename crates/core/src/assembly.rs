@@ -6,10 +6,13 @@
 //! originate from `cols` back into the block-sparse result, *retaining the
 //! sparsity pattern of the input*.
 //!
-//! "Which block lands at which offset" is decided once per spec, by
-//! [`AssemblyMap::build`] and [`ExtractionMap::build`]; those flat copy
-//! programs are the only assembly and extraction in the crate — the engine
-//! caches them in its plans, figures and tests build them on the spot.
+//! "Which block lands at which offset" is decided once per spec, by one
+//! walk over its (row-block, col-block) pairs, [`SubmatrixSpec::walk`]:
+//! its [`SubmatrixMaps`] — the flat assembly and extraction copy programs
+//! and the contributing columns — are the only description of a submatrix
+//! in the crate, and the blocks the walk lists are what the transfer plan
+//! fetches. The engine caches the maps in its plans; figures and tests
+//! walk on the spot.
 
 use std::collections::BTreeMap;
 
@@ -17,7 +20,7 @@ use sm_dbcsr::{BlockedDims, CooPattern};
 use sm_linalg::Matrix;
 
 /// Index-set description of one (possibly combined) submatrix.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SubmatrixSpec {
     /// The block columns this submatrix is generated from (sorted).
     pub cols: Vec<usize>,
@@ -37,32 +40,39 @@ impl SubmatrixSpec {
     /// from the pattern (every orthogonalized Kohn–Sham matrix has nonzero
     /// diagonal blocks).
     pub fn build(pattern: &CooPattern, dims: &BlockedDims, cols: &[usize]) -> Self {
+        let mut spec = SubmatrixSpec::default();
+        spec.rebuild(pattern, dims, cols);
+        spec
+    }
+
+    /// Make this the spec of `cols`, reusing its buffers, and return its
+    /// dimension: what [`build`](Self::build) returns, without its
+    /// allocations when one spec serves many groups in turn.
+    pub fn rebuild(&mut self, pattern: &CooPattern, dims: &BlockedDims, cols: &[usize]) -> usize {
         assert!(
             !cols.is_empty(),
             "submatrix needs at least one block column"
         );
-        let mut cols = cols.to_vec();
-        cols.sort_unstable();
-        cols.dedup();
-        let rows = pattern.rows_in_cols(&cols);
-        for &c in &cols {
+        self.cols.clear();
+        self.cols.extend_from_slice(cols);
+        self.cols.sort_unstable();
+        self.cols.dedup();
+        pattern.rows_in_cols(&self.cols, &mut self.rows);
+        for &c in &self.cols {
             assert!(
-                rows.binary_search(&c).is_ok(),
+                self.rows.binary_search(&c).is_ok(),
                 "block column {c} has no diagonal entry; cannot extract its result"
             );
         }
-        let mut row_offsets = Vec::with_capacity(rows.len());
+        self.row_offsets.clear();
+        self.row_offsets.reserve(self.rows.len());
         let mut off = 0usize;
-        for &r in &rows {
-            row_offsets.push(off);
+        for &r in &self.rows {
+            self.row_offsets.push(off);
             off += dims.size(r);
         }
-        SubmatrixSpec {
-            cols,
-            rows,
-            row_offsets,
-            dim: off,
-        }
+        self.dim = off;
+        off
     }
 
     /// Position of block `b` inside `rows`, if included.
@@ -78,35 +88,96 @@ impl SubmatrixSpec {
     /// Estimated floating-point cost of solving this submatrix, the `n³`
     /// model of paper Eq. 14.
     pub fn cost(&self) -> f64 {
-        (self.dim as f64).powi(3)
+        cost_of_dim(self.dim)
     }
 
-    /// All block coordinates `(br, bc)` of the original matrix that fall
-    /// inside this principal submatrix *and* are nonzero in the pattern —
-    /// i.e. the blocks that must be transferred to assemble it
-    /// (Sec. IV-A3).
-    pub fn required_blocks<'a>(
-        &'a self,
-        pattern: &'a CooPattern,
-    ) -> impl Iterator<Item = (usize, usize)> + 'a {
-        self.rows.iter().flat_map(move |&bc| {
-            let inside = move |&br: &usize| self.position_of(br).is_some();
-            pattern
+    /// The one walk over the submatrix's (row-block, col-block) pairs.
+    /// It appends every nonzero pattern block inside the principal
+    /// submatrix to `blocks`, column by column — the blocks that must be
+    /// transferred to assemble it (Sec. IV-A3) — and lays the copy
+    /// programs out from that list: each block becomes an assembly slot,
+    /// those of the spec's own columns also extraction slots, and the
+    /// element columns of its own columns contributing ones.
+    pub fn walk(
+        &self,
+        pattern: &CooPattern,
+        dims: &BlockedDims,
+        blocks: &mut Vec<(usize, usize)>,
+    ) -> SubmatrixMaps {
+        let first = blocks.len();
+        for &bc in &self.rows {
+            let inside = pattern
                 .rows_in_col(bc)
-                .filter(inside)
-                .map(move |br| (br, bc))
-        })
-    }
-
-    /// Dense fraction: nonzero blocks of the submatrix relative to its full
-    /// block grid (the block-wise submatrix sparsity of paper Fig. 11).
-    pub fn block_fill(&self, pattern: &CooPattern) -> f64 {
-        let nb = self.rows.len();
-        if nb == 0 {
-            return 0.0;
+                .filter(|&br| self.position_of(br).is_some());
+            blocks.extend(inside.map(|br| (br, bc)));
         }
-        self.required_blocks(pattern).count() as f64 / (nb * nb) as f64
+        let mut rest = &blocks[first..];
+        let mut slots = Vec::with_capacity(rest.len());
+        let mut extracted = Vec::with_capacity(self.cols.iter().map(|&c| pattern.col_nnz(c)).sum());
+        let mut contributing = Vec::with_capacity(self.cols.iter().map(|&c| dims.size(c)).sum());
+        let mut own = self.cols.iter().peekable();
+        for (&bc, &col_off) in self.rows.iter().zip(&self.row_offsets) {
+            let (column, tail) = rest.split_at(rest.iter().take_while(|b| b.1 == bc).count());
+            rest = tail;
+            // Both lists ascend and the spec's columns are among its rows.
+            let own_col = own.next_if_eq(&&bc).is_some();
+            let (ncols, sel_off) = (dims.size(bc), contributing.len());
+            for &(br, _) in column {
+                let row_off = self.position_of(br).map_or(0, |p| self.row_offsets[p]);
+                slots.push(AssemblySlot {
+                    br,
+                    bc,
+                    row_off,
+                    col_off,
+                });
+                if own_col {
+                    extracted.push(ExtractionSlot {
+                        br,
+                        bc,
+                        row_off,
+                        col_off,
+                        sel_off,
+                        nrows: dims.size(br),
+                        ncols,
+                    });
+                }
+            }
+            if own_col {
+                contributing.extend(col_off..col_off + ncols);
+            }
+        }
+        SubmatrixMaps {
+            assembly: AssemblyMap {
+                dim: self.dim,
+                slots,
+            },
+            extraction: ExtractionMap {
+                slots: extracted,
+                n_sel_cols: contributing.len(),
+            },
+            contributing,
+        }
     }
+}
+
+/// The `n³` cost of a submatrix of dimension `dim` (paper Eq. 14).
+pub(crate) fn cost_of_dim(dim: usize) -> f64 {
+    (dim as f64).powi(3)
+}
+
+/// Everything one submatrix needs from the pattern, from
+/// [`SubmatrixSpec::walk`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SubmatrixMaps {
+    /// Assembly copy program; its slots' `(br, bc)` are the blocks the
+    /// submatrix needs.
+    pub assembly: AssemblyMap,
+    /// Extraction copy program of the spec's own columns.
+    pub extraction: ExtractionMap,
+    /// Element indices (submatrix-local) of the spec's own columns, in
+    /// order: the columns extraction scatters, and the rows of `Q`
+    /// Algorithm 1 weighs.
+    pub contributing: Vec<usize>,
 }
 
 /// One block copy of the assembly: source block `(br, bc)` lands at
@@ -134,30 +205,6 @@ pub struct AssemblyMap {
 }
 
 impl AssemblyMap {
-    /// Resolve every nonzero pattern block inside the spec's principal
-    /// submatrix to its destination offsets.
-    pub fn build(spec: &SubmatrixSpec, pattern: &CooPattern) -> Self {
-        let mut slots = Vec::with_capacity(spec.rows.iter().map(|&bc| pattern.col_nnz(bc)).sum());
-        for (pj, &bc) in spec.rows.iter().enumerate() {
-            let col_off = spec.row_offsets[pj];
-            for br in pattern.rows_in_col(bc) {
-                let Some(pi) = spec.position_of(br) else {
-                    continue;
-                };
-                slots.push(AssemblySlot {
-                    br,
-                    bc,
-                    row_off: spec.row_offsets[pi],
-                    col_off,
-                });
-            }
-        }
-        AssemblyMap {
-            dim: spec.dim,
-            slots,
-        }
-    }
-
     /// Assemble the dense submatrix: pure block copies, no index
     /// computation. `block_of(br, bc)` returns the stored block or `None`
     /// if zero; all required blocks must be locally available (the
@@ -220,39 +267,6 @@ pub struct ExtractionMap {
 }
 
 impl ExtractionMap {
-    /// Resolve every pattern block of the spec's own columns to its source
-    /// offsets in `f(a)` and in the selected-columns matrix.
-    pub fn build(spec: &SubmatrixSpec, pattern: &CooPattern, dims: &BlockedDims) -> Self {
-        // Every row of a spec's own columns is one of its rows.
-        let mut slots = Vec::with_capacity(spec.cols.iter().map(|&bc| pattern.col_nnz(bc)).sum());
-        let mut sel_base = 0usize;
-        for &bc in &spec.cols {
-            let ncols = dims.size(bc);
-            let col_off = spec
-                .offset_of(bc)
-                .expect("spec columns are always included in rows");
-            for br in pattern.rows_in_col(bc) {
-                let Some(pi) = spec.position_of(br) else {
-                    continue;
-                };
-                slots.push(ExtractionSlot {
-                    br,
-                    bc,
-                    row_off: spec.row_offsets[pi],
-                    col_off,
-                    sel_off: sel_base,
-                    nrows: dims.size(br),
-                    ncols,
-                });
-            }
-            sel_base += ncols;
-        }
-        ExtractionMap {
-            slots,
-            n_sel_cols: sel_base,
-        }
-    }
-
     /// Dense dimension of the `f(a)` the slots read from. A spec's rows are
     /// the union of its columns' pattern rows, so the last row block always
     /// has a slot and the largest slot end is the submatrix dimension.
@@ -347,24 +361,61 @@ mod tests {
     fn required_blocks_are_pattern_intersection() {
         let (p, d) = tridiag_setup();
         let s = SubmatrixSpec::build(&p, &d, &[1]);
-        let req: Vec<_> = s.required_blocks(&p).collect();
+        let mut req = vec![(9, 9)];
+        let maps = s.walk(&p, &d, &mut req);
+        // Appended after what the list held, in the assembly's slot order.
+        assert_eq!(req.remove(0), (9, 9));
+        let slots: Vec<_> = maps.assembly.slots.iter().map(|s| (s.br, s.bc)).collect();
+        assert_eq!(req, slots);
         // Principal submatrix on {0,1,2}: tridiagonal coupling inside.
-        let expect = vec![(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 2)];
-        let mut req_sorted = req.clone();
-        req_sorted.sort_unstable();
-        let mut expect_sorted = expect;
-        expect_sorted.sort_unstable();
-        assert_eq!(req_sorted, expect_sorted);
+        let mut expect = vec![(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 2)];
+        req.sort_unstable();
+        expect.sort_unstable();
+        assert_eq!(req, expect);
         // (2,0) and (0,2) are zero in the tridiagonal pattern: excluded.
-        assert!(!req_sorted.contains(&(2, 0)));
+        assert!(!req.contains(&(2, 0)));
     }
 
     #[test]
     fn block_fill_of_tridiagonal_window() {
         let (p, d) = tridiag_setup();
         let s = SubmatrixSpec::build(&p, &d, &[1]);
-        // 7 of 9 blocks present.
-        assert!((s.block_fill(&p) - 7.0 / 9.0).abs() < 1e-15);
+        // 7 of the window's 9 blocks are copied.
+        let mut blocks = Vec::new();
+        s.walk(&p, &d, &mut blocks);
+        assert_eq!(blocks.len(), 7);
+        assert_eq!(s.rows.len(), 3);
+    }
+
+    #[test]
+    fn walk_matches_the_spec_index_set() {
+        // Combined columns {1, 2} of the tridiagonal pattern: rows 0..4,
+        // own columns at element offsets 2 and 4.
+        let (p, d) = tridiag_setup();
+        let spec = SubmatrixSpec::build(&p, &d, &[2, 1]);
+        let maps = spec.walk(&p, &d, &mut Vec::new());
+        assert_eq!(maps.contributing, vec![2, 3, 4, 5]);
+        assert_eq!(maps.extraction.n_sel_cols, 4);
+        for slot in &maps.assembly.slots {
+            assert_eq!(Some(slot.row_off), spec.offset_of(slot.br));
+            assert_eq!(Some(slot.col_off), spec.offset_of(slot.bc));
+        }
+        let own: Vec<_> = (maps.extraction.slots.iter())
+            .map(|e| (e.br, e.bc, e.sel_off))
+            .collect();
+        let expect = [
+            (0, 1, 0),
+            (1, 1, 0),
+            (2, 1, 0),
+            (1, 2, 2),
+            (2, 2, 2),
+            (3, 2, 2),
+        ];
+        assert_eq!(own, expect);
+        // A spec rebuilt for other columns is the one `build` makes.
+        let mut reused = spec.clone();
+        reused.rebuild(&p, &d, &[0]);
+        assert_eq!(reused, SubmatrixSpec::build(&p, &d, &[0]));
     }
 
     #[test]
@@ -389,7 +440,8 @@ mod tests {
         }
 
         let spec = SubmatrixSpec::build(&p, &d, &[1]);
-        let a = AssemblyMap::build(&spec, &p).assemble(|r, c| blocks.get(&(r, c)));
+        let maps = spec.walk(&p, &d, &mut Vec::new());
+        let a = maps.assembly.assemble(|r, c| blocks.get(&(r, c)));
         // The assembled submatrix equals the dense principal submatrix on
         // element indices 0..6 (blocks 0,1,2) *with zeros where the pattern
         // is zero* — for a tridiagonal window including blocks 0..2 the
@@ -400,7 +452,7 @@ mod tests {
 
         // Identity function roundtrip: extracting from f(a) = a returns
         // exactly the original blocks of column 1.
-        let result = ExtractionMap::build(&spec, &p, &d).extract(&a);
+        let result = maps.extraction.extract(&a);
         assert_eq!(result.len(), 3); // rows 0,1,2 of column 1
         for ((br, bc), blk) in &result {
             assert!(blocks[&(*br, *bc)].allclose(blk, 0.0));
@@ -412,7 +464,7 @@ mod tests {
         let (p, d) = tridiag_setup();
         let spec = SubmatrixSpec::build(&p, &d, &[1, 2]);
         let f_a = Matrix::identity(spec.dim);
-        let result = ExtractionMap::build(&spec, &p, &d).extract(&f_a);
+        let result = spec.walk(&p, &d, &mut Vec::new()).extraction.extract(&f_a);
         // Columns 1 and 2 each have 3 pattern rows.
         assert_eq!(result.len(), 6);
         assert!(result.keys().all(|&(_, bc)| bc == 1 || bc == 2));
@@ -436,7 +488,10 @@ mod tests {
     fn missing_numerical_block_assembles_as_zero() {
         let (p, d) = tridiag_setup();
         let spec = SubmatrixSpec::build(&p, &d, &[0]);
-        let a = AssemblyMap::build(&spec, &p).assemble(|_, _| None);
+        let a = spec
+            .walk(&p, &d, &mut Vec::new())
+            .assembly
+            .assemble(|_, _| None);
         assert!(a.allclose(&Matrix::zeros(4, 4), 0.0));
     }
 }
@@ -466,7 +521,7 @@ mod selected_column_extraction_tests {
         let spec = SubmatrixSpec::build(&p, &d, &[1, 2]);
         // Fake a full f(a) with distinguishable entries.
         let f_a = Matrix::from_fn(spec.dim, spec.dim, |i, j| (i * 100 + j) as f64);
-        let map = ExtractionMap::build(&spec, &p, &d);
+        let map = spec.walk(&p, &d, &mut Vec::new()).extraction;
         let full = map.extract(&f_a);
         // Carve the contributing columns out of f_a manually.
         let mut cols = Vec::new();
@@ -497,7 +552,7 @@ mod selected_column_extraction_tests {
         let (p, d) = tridiag_setup();
         let spec = SubmatrixSpec::build(&p, &d, &[1]);
         let bad = Matrix::zeros(spec.dim, 5);
-        ExtractionMap::build(&spec, &p, &d).extract_each(&bad, true, |_, _| ());
+        (spec.walk(&p, &d, &mut Vec::new()).extraction).extract_each(&bad, true, |_, _| ());
     }
 
     #[test]
@@ -506,6 +561,6 @@ mod selected_column_extraction_tests {
         let (p, d) = tridiag_setup();
         let spec = SubmatrixSpec::build(&p, &d, &[1]);
         let bad = Matrix::zeros(spec.dim + 2, spec.dim + 2);
-        ExtractionMap::build(&spec, &p, &d).extract(&bad);
+        spec.walk(&p, &d, &mut Vec::new()).extraction.extract(&bad);
     }
 }

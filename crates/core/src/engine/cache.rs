@@ -1,9 +1,11 @@
-//! The symbolic phase: `SubmatrixPlan` → greedy `n³` load balance →
-//! [`RankTransferPlan`] → flat assembly/extraction copy programs, cached
-//! per `(fingerprint, rank, size, grouping)`. Purely local given the global
-//! pattern; collective only for the hit/miss consensus and for obtaining
-//! the pattern itself on a miss. [`ExecutionPlan::build`] is the one
-//! constructor of a plan: a manifest import calls it as a miss does.
+//! The symbolic phase: each column group's dimension → greedy `n³` load
+//! balance → one walk per own group ([`SubmatrixSpec::walk`]) giving the
+//! flat assembly/extraction copy programs and the deduplicated transfer
+//! list, cached per `(fingerprint, rank, size, grouping)`. Purely local
+//! given the global pattern; collective only for the hit/miss consensus
+//! and for obtaining the pattern itself on a miss.
+//! [`ExecutionPlan::build`] is the one constructor of a plan: a manifest
+//! import calls it as a miss does.
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -14,15 +16,16 @@ use sm_comsim::Comm;
 use sm_dbcsr::wire::PatternFingerprint;
 use sm_dbcsr::{BlockedDims, CooPattern, DbcsrMatrix};
 
-use super::{EngineOptions, Grouping, SubmatrixEngine};
-use crate::assembly::{AssemblyMap, ExtractionMap, SubmatrixSpec};
+use super::{EngineOptions, SubmatrixEngine};
+use crate::assembly::{cost_of_dim, AssemblyMap, ExtractionMap, SubmatrixSpec};
 use crate::loadbalance::greedy_contiguous;
-use crate::mu::contributing_rows;
-use crate::plan::SubmatrixPlan;
+use crate::plan::column_groups;
 use crate::transfers::{RankTransferPlan, TransferStats};
 
 /// Product of the symbolic phase for one rank: everything the numeric
-/// phase needs, with no remaining pattern queries.
+/// phase needs, with no remaining pattern queries. The global statistics
+/// come from every group's dimension; the per-submatrix vectors hold this
+/// rank's contiguous range of groups, in group order.
 #[derive(Debug, Clone)]
 pub struct ExecutionPlan {
     /// Fingerprint of the pattern + partition this plan was built for.
@@ -45,18 +48,17 @@ pub struct ExecutionPlan {
     pub avg_dim: f64,
     /// Total `Σ n³` cost estimate (global).
     pub total_cost: f64,
-    /// This rank's submatrix specs (a contiguous chunk of the global plan).
-    pub my_specs: Vec<SubmatrixSpec>,
     /// This rank's transfer statistics.
     pub transfers: TransferStats,
     /// Deduplicated remote block coordinates to gather each execution.
     pub remote_wanted: Vec<(usize, usize)>,
-    /// Assembly copy programs, parallel to `my_specs`.
+    /// Assembly copy program of each of this rank's submatrices.
     pub assembly: Vec<AssemblyMap>,
-    /// Extraction copy programs, parallel to `my_specs`.
+    /// Extraction copy program of each of this rank's submatrices,
+    /// parallel to `assembly`.
     pub extraction: Vec<ExtractionMap>,
-    /// Contributing element columns per spec (Algorithm 1 / selected
-    /// columns).
+    /// Contributing element columns of each of this rank's submatrices,
+    /// parallel to `assembly` (Algorithm 1 / selected columns).
     pub contributing: Vec<Vec<usize>>,
     /// Element-level fill fraction of the pattern: `Σ size(br)·size(bc)`
     /// over nonzero blocks, divided by `n²`. A deterministic global plan
@@ -79,23 +81,39 @@ impl ExecutionPlan {
     ) -> ExecutionPlan {
         let t0 = Instant::now();
         let fingerprint = pattern.fingerprint(&dims);
-        let plan = match &opts.grouping {
-            Grouping::OnePerColumn => SubmatrixPlan::one_per_column(&pattern, &dims),
-            Grouping::Consecutive(g) => SubmatrixPlan::consecutive(&pattern, &dims, *g),
-            Grouping::Explicit(groups) => SubmatrixPlan::from_groups(&pattern, &dims, groups),
+        let all: Vec<usize> = (0..pattern.nb()).collect();
+        let groups = column_groups(&opts.grouping, &all);
+        // Every group's dimension, from its index set alone; one spec's
+        // buffers serve every group in turn.
+        let mut spec = SubmatrixSpec::default();
+        let group_dims: Vec<usize> = (groups.iter())
+            .map(|cols| spec.rebuild(&pattern, &dims, cols))
+            .collect();
+        let costs: Vec<f64> = group_dims.iter().map(|&d| cost_of_dim(d)).collect();
+        let my_range = greedy_contiguous(&costs, size).ranges[rank].clone();
+        let n_submatrices = groups.len();
+        let max_dim = group_dims.iter().copied().max().unwrap_or(0);
+        let avg_dim = match n_submatrices {
+            0 => 0.0,
+            n => group_dims.iter().map(|&d| d as f64).sum::<f64>() / n as f64,
         };
-        let costs: Vec<f64> = plan.specs.iter().map(|s| s.cost()).collect();
-        let assignment = greedy_contiguous(&costs, size);
-        let my_range = assignment.ranges[rank].clone();
-        let (n_submatrices, max_dim, avg_dim) = (plan.len(), plan.max_dim(), plan.avg_dim());
-        let (total_cost, mut my_specs) = (plan.total_cost(), plan.specs);
-        my_specs.truncate(my_range.end); // moved out of the global plan
-        my_specs.drain(..my_range.start);
+        let total_cost = costs.iter().sum();
+
+        // One walk per own group: the blocks it needs, appended to the
+        // rank's list, and its copy programs and contributing columns.
+        let mut blocks = Vec::new();
+        let (assembly, (extraction, contributing)): (Vec<_>, (Vec<_>, Vec<_>)) = groups[my_range]
+            .iter()
+            .map(|cols| {
+                spec.rebuild(&pattern, &dims, cols);
+                let maps = spec.walk(&pattern, &dims, &mut blocks);
+                (maps.assembly, (maps.extraction, maps.contributing))
+            })
+            .unzip();
 
         // Deduplicated block exchange (Sec. IV-B): every remote block the
         // rank's submatrices need, fetched exactly once per execution.
-        let spec_refs: Vec<&SubmatrixSpec> = my_specs.iter().collect();
-        let transfer_plan = RankTransferPlan::for_specs(&spec_refs, &pattern);
+        let transfer_plan = RankTransferPlan::from_blocks(blocks);
         let mut transfers = TransferStats::default();
         transfers.add_rank(&transfer_plan, &dims);
         // Owner mapping comes from the one shared distribution policy so
@@ -105,17 +123,6 @@ impl ExecutionPlan {
         let remote_wanted: Vec<(usize, usize)> = (transfer_plan.unique_blocks.iter().copied())
             .filter(|&(br, bc)| grid.owner_of_block(br, bc) != rank)
             .collect();
-
-        let (assembly, (extraction, contributing)): (Vec<_>, (Vec<_>, Vec<_>)) = my_specs
-            .iter()
-            .map(|s| {
-                let out = (
-                    ExtractionMap::build(s, &pattern, &dims),
-                    contributing_rows(s, &dims),
-                );
-                (AssemblyMap::build(s, &pattern), out)
-            })
-            .unzip();
 
         // Element fill of the global pattern — the quantity Sec. V-C's
         // backend decision keys off. Global and deterministic: every rank
@@ -142,7 +149,6 @@ impl ExecutionPlan {
             total_cost,
             pattern,
             dims,
-            my_specs,
             transfers,
             remote_wanted,
             assembly,
@@ -346,12 +352,241 @@ impl SubmatrixEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assembly::{AssemblySlot, ExtractionSlot};
     use crate::engine::tests::banded_gapped;
+    use crate::engine::Grouping;
     use crate::engine::{BackendPolicy, NumericOptions};
+    use crate::plan::SubmatrixPlan;
     use crate::solver::{SignMethod, SolveBackend, SolveOptions};
+    use proptest::prelude::*;
     use sm_comsim::{run_ranks, SerialComm};
     use sm_linalg::sign::sign_eig;
     use sm_linalg::Precision;
+
+    /// [`ExecutionPlan::build`] as it was before each own group was walked
+    /// once: the global `SubmatrixPlan` over every column, priced spec by
+    /// spec, and the rank's specs moved out of it and walked four times —
+    /// for the assembly, the extraction, the contributing columns and the
+    /// transfer references. The reference the one walk is held to.
+    fn reference_build(
+        pattern: CooPattern,
+        dims: BlockedDims,
+        opts: &EngineOptions,
+        rank: usize,
+        size: usize,
+    ) -> ExecutionPlan {
+        let fingerprint = pattern.fingerprint(&dims);
+        let plan = match &opts.grouping {
+            Grouping::OnePerColumn => SubmatrixPlan::one_per_column(&pattern, &dims),
+            Grouping::Consecutive(g) => SubmatrixPlan::consecutive(&pattern, &dims, *g),
+            Grouping::Explicit(groups) => SubmatrixPlan::from_groups(&pattern, &dims, groups),
+        };
+        let costs: Vec<f64> = plan.specs.iter().map(|s| s.cost()).collect();
+        let assignment = greedy_contiguous(&costs, size);
+        let my_range = assignment.ranges[rank].clone();
+        let (n_submatrices, max_dim, avg_dim) = (plan.len(), plan.max_dim(), plan.avg_dim());
+        let (total_cost, mut my_specs) = (plan.total_cost(), plan.specs);
+        my_specs.truncate(my_range.end);
+        my_specs.drain(..my_range.start);
+
+        let required_blocks = |spec: &SubmatrixSpec| {
+            let mut out = Vec::new();
+            for &bc in &spec.rows {
+                let inside = pattern
+                    .rows_in_col(bc)
+                    .filter(|&br| spec.position_of(br).is_some());
+                out.extend(inside.map(|br| (br, bc)));
+            }
+            out
+        };
+        let mut unique: Vec<(usize, usize)> = my_specs.iter().flat_map(required_blocks).collect();
+        let total_references = unique.len();
+        unique.sort_unstable();
+        unique.dedup();
+        let transfer_plan = RankTransferPlan {
+            unique_blocks: unique,
+            total_references,
+        };
+        let mut transfers = TransferStats::default();
+        transfers.add_rank(&transfer_plan, &dims);
+        let grid = sm_dbcsr::process_grid(size);
+        let remote_wanted: Vec<(usize, usize)> = (transfer_plan.unique_blocks.iter().copied())
+            .filter(|&(br, bc)| grid.owner_of_block(br, bc) != rank)
+            .collect();
+
+        let assembly_of = |spec: &SubmatrixSpec| {
+            let mut slots = Vec::new();
+            for (pj, &bc) in spec.rows.iter().enumerate() {
+                let col_off = spec.row_offsets[pj];
+                for br in pattern.rows_in_col(bc) {
+                    let Some(pi) = spec.position_of(br) else {
+                        continue;
+                    };
+                    let row_off = spec.row_offsets[pi];
+                    slots.push(AssemblySlot {
+                        br,
+                        bc,
+                        row_off,
+                        col_off,
+                    });
+                }
+            }
+            AssemblyMap {
+                dim: spec.dim,
+                slots,
+            }
+        };
+        let extraction_of = |spec: &SubmatrixSpec| {
+            let mut slots = Vec::new();
+            let mut sel_base = 0usize;
+            for &bc in &spec.cols {
+                let (ncols, col_off) = (dims.size(bc), spec.offset_of(bc).unwrap());
+                for br in pattern.rows_in_col(bc) {
+                    let Some(pi) = spec.position_of(br) else {
+                        continue;
+                    };
+                    slots.push(ExtractionSlot {
+                        br,
+                        bc,
+                        row_off: spec.row_offsets[pi],
+                        col_off,
+                        sel_off: sel_base,
+                        nrows: dims.size(br),
+                        ncols,
+                    });
+                }
+                sel_base += ncols;
+            }
+            ExtractionMap {
+                slots,
+                n_sel_cols: sel_base,
+            }
+        };
+        let contributing_rows = |spec: &SubmatrixSpec| {
+            let mut out = Vec::new();
+            for &bc in &spec.cols {
+                let off = spec.offset_of(bc).unwrap();
+                out.extend(off..off + dims.size(bc));
+            }
+            out
+        };
+        let assembly = my_specs.iter().map(assembly_of).collect();
+        let extraction = my_specs.iter().map(extraction_of).collect();
+        let contributing = my_specs.iter().map(contributing_rows).collect();
+
+        let n_elems = (dims.n() * dims.n()) as f64;
+        let nnz_elems: f64 = pattern
+            .entries()
+            .iter()
+            .map(|&(br, bc)| (dims.size(br) * dims.size(bc)) as f64)
+            .sum();
+        let element_fill = if n_elems > 0.0 {
+            nnz_elems / n_elems
+        } else {
+            0.0
+        };
+        ExecutionPlan {
+            fingerprint,
+            rank,
+            size,
+            n_submatrices,
+            max_dim,
+            avg_dim,
+            total_cost,
+            pattern,
+            dims,
+            transfers,
+            remote_wanted,
+            assembly,
+            extraction,
+            contributing,
+            element_fill,
+            symbolic_seconds: 0.0,
+        }
+    }
+
+    /// Every field of two plans but `symbolic_seconds` equal, `f64`s by
+    /// bits. Destructured, so a new field must be named here.
+    fn same_plan(new: &ExecutionPlan, old: &ExecutionPlan) -> Result<(), TestCaseError> {
+        let ExecutionPlan {
+            fingerprint,
+            rank,
+            size,
+            pattern,
+            dims,
+            n_submatrices,
+            max_dim,
+            avg_dim,
+            total_cost,
+            transfers,
+            remote_wanted,
+            assembly,
+            extraction,
+            contributing,
+            element_fill,
+            symbolic_seconds: _,
+        } = new;
+        prop_assert_eq!(*fingerprint, old.fingerprint);
+        prop_assert_eq!((*rank, *size), (old.rank, old.size));
+        prop_assert_eq!(pattern, &old.pattern);
+        prop_assert_eq!(dims, &old.dims);
+        prop_assert_eq!((*n_submatrices, *max_dim), (old.n_submatrices, old.max_dim));
+        prop_assert_eq!(avg_dim.to_bits(), old.avg_dim.to_bits());
+        prop_assert_eq!(total_cost.to_bits(), old.total_cost.to_bits());
+        prop_assert_eq!(element_fill.to_bits(), old.element_fill.to_bits());
+        prop_assert_eq!(transfers, &old.transfers);
+        prop_assert_eq!(remote_wanted, &old.remote_wanted);
+        prop_assert_eq!(assembly, &old.assembly);
+        prop_assert_eq!(extraction, &old.extraction);
+        prop_assert_eq!(contributing, &old.contributing);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        /// The plan oracle. On random patterns holding every diagonal
+        /// block, with block sizes 1–5 that differ between neighbours,
+        /// one submatrix per column, runs of 2–4 columns or an explicit
+        /// partition (unsorted groups, one empty), at every rank of worlds
+        /// 1–6: the one walk builds the reference's plan.
+        #[test]
+        fn one_walk_builds_the_reference_plan(
+            nb in 1usize..20,
+            fill in 0u64..100,
+            seed in 0u64..1000,
+            grouping in 0usize..5,
+        ) {
+            let hash = |r: usize, c: usize| {
+                (r as u64 * 7919 + c as u64 * 104_729 + seed * 31) % 1009 * 100 / 1009
+            };
+            let coords = (0..nb)
+                .flat_map(|c| (0..nb).map(move |r| (r, c)))
+                .filter(|&(r, c)| r == c || hash(r, c) < fill)
+                .collect();
+            let pattern = CooPattern::from_coords(coords, nb);
+            let dims = BlockedDims::new((0..nb).map(|b| 1 + (3 * b + seed as usize) % 5).collect());
+            let grouping = match grouping {
+                0 => Grouping::OnePerColumn,
+                4 => {
+                    let k = 1 + seed as usize % 4;
+                    let mut groups = vec![Vec::new(); k + 1];
+                    for c in (0..nb).rev() {
+                        groups[hash(c, c) as usize % k].push(c);
+                    }
+                    Grouping::Explicit(groups)
+                }
+                g => Grouping::Consecutive(g + 1),
+            };
+            let opts = EngineOptions { grouping, ..EngineOptions::default() };
+            for size in 1..=6 {
+                for rank in 0..size {
+                    let new = ExecutionPlan::build(pattern.clone(), dims.clone(), &opts, rank, size);
+                    let old = reference_build(pattern.clone(), dims.clone(), &opts, rank, size);
+                    same_plan(&new, &old)?;
+                }
+            }
+        }
+    }
 
     #[test]
     fn repeated_executions_do_zero_symbolic_work() {

@@ -322,7 +322,6 @@ mod tests {
             assert_eq!(back.fingerprint, plan.fingerprint);
             assert_eq!((back.rank, back.size), (rank, 3));
             assert_eq!(back.dims, plan.dims);
-            assert_eq!(back.my_specs, plan.my_specs);
             assert_eq!(back.assembly, plan.assembly);
             assert_eq!(back.extraction, plan.extraction);
             assert_eq!(back.contributing, plan.contributing);

@@ -24,15 +24,15 @@ use crate::solver::{
 };
 
 impl SubmatrixEngine {
-    /// Map `f` over the indices of this rank's specs, in order — over the
-    /// shared pool iff the engine was built with `parallel`. A failed
-    /// submatrix solve fails the whole execute.
+    /// Map `f` over the indices of this rank's submatrices (its copy
+    /// programs), in order — over the shared pool iff the engine was built
+    /// with `parallel`. A failed submatrix solve fails the whole execute.
     fn map_specs<T: Send>(
         &self,
         plan: &ExecutionPlan,
         f: impl Fn(&usize) -> Result<T, LinalgError> + Sync + Send,
     ) -> Vec<T> {
-        let indices: Vec<usize> = (0..plan.my_specs.len()).collect();
+        let indices: Vec<usize> = (0..plan.assembly.len()).collect();
         let f = |i: &usize| f(i).unwrap_or_else(|e| panic!("submatrix solve failed: {e}"));
         if self.opts.parallel {
             indices.par_iter().map(f).collect()

@@ -58,8 +58,7 @@ pub fn model_submatrix_run(
         if range.is_empty() {
             continue;
         }
-        let specs: Vec<&crate::assembly::SubmatrixSpec> =
-            plan.specs[range.clone()].iter().collect();
+        let specs = &plan.specs[range.clone()];
         // Compute: eigendecomposition cost of each assigned submatrix.
         let flops: f64 = specs.iter().map(|s| s.cost() * EIGH_FLOPS_PER_N3).sum();
         max_compute = max_compute.max(cluster.dense_compute_time(flops));
@@ -70,7 +69,11 @@ pub fn model_submatrix_run(
         // other ranks is (n_cores − 1)/n_cores under the cyclic
         // distribution.
         let coo_bytes = pattern.nnz() as f64 * 16.0;
-        let tp = RankTransferPlan::for_specs(&specs, pattern);
+        let mut blocks = Vec::new();
+        for spec in specs {
+            spec.walk(pattern, dims, &mut blocks);
+        }
+        let tp = RankTransferPlan::from_blocks(blocks);
         let remote_fraction = (n_cores - 1) as f64 / n_cores as f64;
         let bytes = coo_bytes * remote_fraction + tp.unique_bytes(dims) as f64 * remote_fraction;
         let msgs = (n_cores - 1).min(tp.unique_blocks.len()) as f64;

@@ -11,11 +11,9 @@
 //! compromise keeps the `k × n` rows of `Q` for those columns.
 
 use sm_comsim::Comm;
-use sm_dbcsr::BlockedDims;
 use sm_linalg::eigh::Eigh;
 use sm_linalg::fermi::fermi_occupation;
 
-use crate::assembly::SubmatrixSpec;
 use crate::solver::sign_value;
 
 /// The part of a submatrix eigendecomposition Algorithm 1 needs: a
@@ -31,7 +29,9 @@ pub struct StoredDecomposition {
 
 impl StoredDecomposition {
     /// Weigh every eigenvalue by its eigenvector's rows `rows` — the
-    /// [`contributing_rows`] of the spec, whose results are scattered back.
+    /// submatrix's contributing columns
+    /// ([`SubmatrixMaps::contributing`](crate::assembly::SubmatrixMaps)),
+    /// whose results are scattered back.
     pub fn from_eigh(dec: &Eigh, rows: &[usize]) -> Self {
         let q = &dec.eigenvectors;
         StoredDecomposition {
@@ -63,21 +63,6 @@ impl StoredDecomposition {
             })
             .sum()
     }
-}
-
-/// Element indices (submatrix-local) of the columns that contribute to the
-/// sparse result: all element columns of the spec's own block columns.
-pub fn contributing_rows(spec: &SubmatrixSpec, dims: &BlockedDims) -> Vec<usize> {
-    let mut out = Vec::with_capacity(spec.cols.iter().map(|&bc| dims.size(bc)).sum());
-    for &bc in &spec.cols {
-        let off = spec
-            .offset_of(bc)
-            .expect("spec columns always included in its rows");
-        for j in 0..dims.size(bc) {
-            out.push(off + j);
-        }
-    }
-    out
 }
 
 /// Result of the µ bisection.
@@ -166,8 +151,9 @@ pub fn adjust_mu<C: Comm>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assembly::SubmatrixSpec;
     use sm_comsim::SerialComm;
-    use sm_dbcsr::CooPattern;
+    use sm_dbcsr::{BlockedDims, CooPattern};
     use sm_linalg::eigh::eigh;
     use sm_linalg::Matrix;
 
@@ -199,7 +185,10 @@ mod tests {
         let spec = SubmatrixSpec::build(&p, &dims, &[1]);
         // Block column 1 occupies element rows 2..4 of the submatrix
         // (entire matrix here).
-        assert_eq!(contributing_rows(&spec, &dims), vec![2, 3]);
+        assert_eq!(
+            spec.walk(&p, &dims, &mut Vec::new()).contributing,
+            vec![2, 3]
+        );
     }
 
     #[test]
@@ -207,7 +196,10 @@ mod tests {
         let (p, dims, a) = dense_setup(4, 2);
         let spec = SubmatrixSpec::build(&p, &dims, &[0, 1, 2, 3]);
         let dec = eigh(&a).unwrap();
-        let stored = StoredDecomposition::from_eigh(&dec, &contributing_rows(&spec, &dims));
+        let stored = StoredDecomposition::from_eigh(
+            &dec,
+            &spec.walk(&p, &dims, &mut Vec::new()).contributing,
+        );
         let mu = 0.0;
         let expect: f64 = dec
             .eigenvalues
@@ -222,7 +214,10 @@ mod tests {
         let (p, dims, a) = dense_setup(4, 2);
         let spec = SubmatrixSpec::build(&p, &dims, &[0, 1, 2, 3]);
         let dec = eigh(&a).unwrap();
-        let stored = StoredDecomposition::from_eigh(&dec, &contributing_rows(&spec, &dims));
+        let stored = StoredDecomposition::from_eigh(
+            &dec,
+            &spec.walk(&p, &dims, &mut Vec::new()).contributing,
+        );
         let mut prev = -1.0;
         for step in -10..=10 {
             let occ = stored.occupancy(step as f64 * 0.5, 0.01);
@@ -238,7 +233,7 @@ mod tests {
         let dec = eigh(&a).unwrap();
         let stored = vec![StoredDecomposition::from_eigh(
             &dec,
-            &contributing_rows(&spec, &dims),
+            &spec.walk(&p, &dims, &mut Vec::new()).contributing,
         )];
         let comm = SerialComm::new();
         // Demand exactly 3 occupied orbitals.
@@ -259,7 +254,7 @@ mod tests {
         let dec = eigh(&a).unwrap();
         let stored = vec![StoredDecomposition::from_eigh(
             &dec,
-            &contributing_rows(&spec, &dims),
+            &spec.walk(&p, &dims, &mut Vec::new()).contributing,
         )];
         let comm = SerialComm::new();
         let adj = adjust_mu(&stored, 0.0, 3.5, 0.05, 1e-10, 200, &comm);
@@ -282,7 +277,7 @@ mod tests {
             let dec = eigh(&a).unwrap();
             stored.push(StoredDecomposition::from_eigh(
                 &dec,
-                &contributing_rows(&spec, &dims),
+                &spec.walk(&p, &dims, &mut Vec::new()).contributing,
             ));
         }
         let target = 4.0;
@@ -303,7 +298,11 @@ mod tests {
         let (p, dims, a) = dense_setup(4, 2);
         let dec = eigh(&a).unwrap();
         let rows: Vec<Vec<usize>> = (0..4)
-            .map(|c| contributing_rows(&SubmatrixSpec::build(&p, &dims, &[c]), &dims))
+            .map(|c| {
+                SubmatrixSpec::build(&p, &dims, &[c])
+                    .walk(&p, &dims, &mut Vec::new())
+                    .contributing
+            })
             .collect();
         let stored: Vec<_> = rows
             .iter()

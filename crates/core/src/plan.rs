@@ -11,6 +11,7 @@
 use sm_dbcsr::{BlockedDims, CooPattern};
 
 use crate::assembly::SubmatrixSpec;
+use crate::engine::Grouping;
 
 /// A full plan: every block column appears in exactly one spec.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -19,30 +20,52 @@ pub struct SubmatrixPlan {
     pub specs: Vec<SubmatrixSpec>,
 }
 
+/// The column groups of `grouping` over `all = [0, 1, …, nb − 1]`, in plan
+/// order: singletons, runs of `g` (the last one shorter), or the explicit
+/// groups without the empty ones. The one enumeration of a grouping: the
+/// engine's symbolic phase and [`SubmatrixPlan`] both take it.
+///
+/// # Panics
+/// Panics if a run length is 0 or explicit groups do not partition `all`.
+pub(crate) fn column_groups<'a>(grouping: &'a Grouping, all: &'a [usize]) -> Vec<&'a [usize]> {
+    let groups = match grouping {
+        Grouping::OnePerColumn => return all.chunks(1).collect(),
+        Grouping::Consecutive(g) => return all.chunks(*g).collect(),
+        Grouping::Explicit(groups) => groups,
+    };
+    let mut seen = vec![false; all.len()];
+    for &c in groups.iter().flatten() {
+        assert!(!seen[c], "block column {c} appears in two groups");
+        seen[c] = true;
+    }
+    assert!(
+        seen.iter().all(|&s| s),
+        "groups must cover every block column"
+    );
+    (groups.iter().filter(|g| !g.is_empty()).map(Vec::as_slice)).collect()
+}
+
 impl SubmatrixPlan {
+    /// One spec per column group of `grouping`.
+    fn grouped(pattern: &CooPattern, dims: &BlockedDims, grouping: &Grouping) -> Self {
+        let all: Vec<usize> = (0..pattern.nb()).collect();
+        let groups = column_groups(grouping, &all).into_iter();
+        let specs = groups.map(|cols| SubmatrixSpec::build(pattern, dims, cols));
+        SubmatrixPlan {
+            specs: specs.collect(),
+        }
+    }
+
     /// One submatrix per block column (the method's default).
     pub fn one_per_column(pattern: &CooPattern, dims: &BlockedDims) -> Self {
-        let specs = (0..pattern.nb())
-            .map(|c| SubmatrixSpec::build(pattern, dims, &[c]))
-            .collect();
-        SubmatrixPlan { specs }
+        Self::grouped(pattern, dims, &Grouping::OnePerColumn)
     }
 
     /// Combine consecutive runs of `group_size` block columns — the greedy
     /// heuristic used in the paper's evaluation (Sec. V: "combining
     /// multiples of these basic regions").
     pub fn consecutive(pattern: &CooPattern, dims: &BlockedDims, group_size: usize) -> Self {
-        assert!(group_size >= 1);
-        let nb = pattern.nb();
-        let mut specs = Vec::new();
-        let mut start = 0usize;
-        while start < nb {
-            let end = (start + group_size).min(nb);
-            let cols: Vec<usize> = (start..end).collect();
-            specs.push(SubmatrixSpec::build(pattern, dims, &cols));
-            start = end;
-        }
-        SubmatrixPlan { specs }
+        Self::grouped(pattern, dims, &Grouping::Consecutive(group_size))
     }
 
     /// Build from explicit column groups (the clustering heuristics).
@@ -50,23 +73,7 @@ impl SubmatrixPlan {
     /// # Panics
     /// Panics if the groups do not partition `0..nb`.
     pub fn from_groups(pattern: &CooPattern, dims: &BlockedDims, groups: &[Vec<usize>]) -> Self {
-        let mut seen = vec![false; pattern.nb()];
-        for g in groups {
-            for &c in g {
-                assert!(!seen[c], "block column {c} appears in two groups");
-                seen[c] = true;
-            }
-        }
-        assert!(
-            seen.iter().all(|&s| s),
-            "groups must cover every block column"
-        );
-        let specs = groups
-            .iter()
-            .filter(|g| !g.is_empty())
-            .map(|g| SubmatrixSpec::build(pattern, dims, g))
-            .collect();
-        SubmatrixPlan { specs }
+        Self::grouped(pattern, dims, &Grouping::Explicit(groups.to_vec()))
     }
 
     /// Number of submatrices `N_S`.

@@ -7,9 +7,7 @@
 //! quantifies the savings versus the naive per-submatrix transfer scheme —
 //! the numbers behind the `ablation_dedup_transfers` bench.
 
-use sm_dbcsr::{BlockedDims, CooPattern};
-
-use crate::assembly::SubmatrixSpec;
+use sm_dbcsr::BlockedDims;
 
 /// Transfer requirements of one rank.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,13 +21,10 @@ pub struct RankTransferPlan {
 }
 
 impl RankTransferPlan {
-    /// Build the plan for a set of submatrix specs: every reference in one
-    /// list, then sorted and deduplicated in place.
-    pub fn for_specs(specs: &[&SubmatrixSpec], pattern: &CooPattern) -> Self {
-        let mut unique: Vec<(usize, usize)> = specs
-            .iter()
-            .flat_map(|spec| spec.required_blocks(pattern))
-            .collect();
+    /// The plan of a rank's submatrices from the blocks their walks listed
+    /// ([`SubmatrixSpec::walk`](crate::assembly::SubmatrixSpec::walk)),
+    /// one entry per reference: sorted and deduplicated in place.
+    pub fn from_blocks(mut unique: Vec<(usize, usize)>) -> Self {
         let total_references = unique.len();
         unique.sort_unstable();
         unique.dedup();
@@ -45,14 +40,6 @@ impl RankTransferPlan {
             .iter()
             .map(|&(br, bc)| (dims.size(br) * dims.size(bc) * 8) as u64)
             .sum()
-    }
-
-    /// Deduplication factor: references / unique blocks (≥ 1).
-    pub fn dedup_factor(&self) -> f64 {
-        if self.unique_blocks.is_empty() {
-            return 1.0;
-        }
-        self.total_references as f64 / self.unique_blocks.len() as f64
     }
 }
 
@@ -82,23 +69,16 @@ impl TransferStats {
             self.naive_bytes += (avg_block_bytes * plan.total_references as f64) as u64;
         }
     }
-
-    /// Overall deduplication factor.
-    pub fn dedup_factor(&self) -> f64 {
-        if self.unique_blocks == 0 {
-            1.0
-        } else {
-            self.total_references as f64 / self.unique_blocks as f64
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assembly::SubmatrixSpec;
     use crate::loadbalance::greedy_contiguous;
     use crate::plan::SubmatrixPlan;
     use proptest::prelude::*;
+    use sm_dbcsr::CooPattern;
 
     fn banded(nb: usize, half: usize) -> (CooPattern, BlockedDims) {
         let mut coords = Vec::new();
@@ -113,31 +93,35 @@ mod tests {
         )
     }
 
+    /// The plan of single-column submatrices `cols`.
+    fn plan_of(p: &CooPattern, d: &BlockedDims, cols: &[usize]) -> RankTransferPlan {
+        let mut blocks = Vec::new();
+        for &c in cols {
+            SubmatrixSpec::build(p, d, &[c]).walk(p, d, &mut blocks);
+        }
+        RankTransferPlan::from_blocks(blocks)
+    }
+
     #[test]
     fn dedup_reduces_references_for_neighbouring_columns() {
         let (p, d) = banded(10, 2);
-        let s3 = SubmatrixSpec::build(&p, &d, &[3]);
-        let s4 = SubmatrixSpec::build(&p, &d, &[4]);
-        let plan = RankTransferPlan::for_specs(&[&s3, &s4], &p);
+        let plan = plan_of(&p, &d, &[3, 4]);
         // Adjacent banded columns share most blocks.
-        assert!(plan.dedup_factor() > 1.5, "factor {}", plan.dedup_factor());
-        assert!(plan.total_references > plan.unique_blocks.len());
+        let unique = plan.unique_blocks.len();
+        assert!(2 * plan.total_references > 3 * unique, "{plan:?}");
     }
 
     #[test]
     fn disjoint_columns_have_no_duplicates() {
         let (p, d) = banded(20, 1);
-        let s0 = SubmatrixSpec::build(&p, &d, &[0]);
-        let s10 = SubmatrixSpec::build(&p, &d, &[10]);
-        let plan = RankTransferPlan::for_specs(&[&s0, &s10], &p);
-        assert!((plan.dedup_factor() - 1.0).abs() < 1e-12);
+        let plan = plan_of(&p, &d, &[0, 10]);
+        assert_eq!(plan.total_references, plan.unique_blocks.len());
     }
 
     #[test]
     fn unique_bytes_counts_block_areas() {
         let (p, d) = banded(3, 0); // diagonal-only pattern
-        let s1 = SubmatrixSpec::build(&p, &d, &[1]);
-        let plan = RankTransferPlan::for_specs(&[&s1], &p);
+        let plan = plan_of(&p, &d, &[1]);
         // One 2x2 block = 32 bytes.
         assert_eq!(plan.unique_bytes(&d), 32);
     }
@@ -147,36 +131,35 @@ mod tests {
         let (p, d) = banded(8, 1);
         let mut stats = TransferStats::default();
         for c in 0..8 {
-            let s = SubmatrixSpec::build(&p, &d, &[c]);
-            let plan = RankTransferPlan::for_specs(&[&s], &p);
-            stats.add_rank(&plan, &d);
+            stats.add_rank(&plan_of(&p, &d, &[c]), &d);
         }
         assert!(stats.unique_bytes > 0);
         assert_eq!(stats.unique_blocks, stats.total_references);
-        assert!((stats.dedup_factor() - 1.0).abs() < 1e-12);
+        assert_eq!(stats.unique_bytes, stats.naive_bytes);
     }
 
     #[test]
     fn empty_plan() {
-        let plan = RankTransferPlan {
-            unique_blocks: Vec::new(),
-            total_references: 0,
-        };
-        assert_eq!(plan.dedup_factor(), 1.0);
+        let plan = RankTransferPlan::from_blocks(Vec::new());
+        assert_eq!((plan.unique_blocks.len(), plan.total_references), (0, 0));
         let (_, d) = banded(2, 1);
         assert_eq!(plan.unique_bytes(&d), 0);
     }
 
-    /// [`RankTransferPlan::for_specs`] as it was built before it sorted
-    /// one list: a `BTreeSet` and a `required_blocks` vector per spec. The
-    /// reference the sorted list is held to.
-    fn for_specs_by_set(specs: &[&SubmatrixSpec], pattern: &CooPattern) -> RankTransferPlan {
+    /// The plan as it was built before it sorted one list: a `BTreeSet`
+    /// fed by a walk of each spec's own (`rows` × pattern rows inside).
+    /// The reference the sorted list is held to.
+    fn plan_by_set(specs: &[SubmatrixSpec], pattern: &CooPattern) -> RankTransferPlan {
         let mut unique = std::collections::BTreeSet::new();
         let mut total = 0usize;
         for spec in specs {
-            for coord in spec.required_blocks(pattern) {
-                total += 1;
-                unique.insert(coord);
+            for &bc in &spec.rows {
+                for br in pattern.rows_in_col(bc) {
+                    if spec.position_of(br).is_some() {
+                        total += 1;
+                        unique.insert((br, bc));
+                    }
+                }
             }
         }
         RankTransferPlan {
@@ -215,10 +198,14 @@ mod tests {
             };
             let costs: Vec<f64> = plan.specs.iter().map(SubmatrixSpec::cost).collect();
             for range in greedy_contiguous(&costs, size).ranges {
-                let specs: Vec<&SubmatrixSpec> = plan.specs[range].iter().collect();
+                let specs = &plan.specs[range];
+                let mut blocks = Vec::new();
+                for spec in specs {
+                    spec.walk(&pattern, &dims, &mut blocks);
+                }
                 prop_assert_eq!(
-                    RankTransferPlan::for_specs(&specs, &pattern),
-                    for_specs_by_set(&specs, &pattern)
+                    RankTransferPlan::from_blocks(blocks),
+                    plan_by_set(specs, &pattern)
                 );
             }
         }

@@ -90,15 +90,16 @@ impl CooPattern {
         self.col_starts[c + 1] - self.col_starts[c]
     }
 
-    /// Union of the nonzero row sets of several columns, ascending — the
-    /// index set of a *combined* submatrix built from multiple block
-    /// columns (paper Sec. IV-C2).
-    pub fn rows_in_cols(&self, cols: &[usize]) -> Vec<usize> {
-        let mut rows = Vec::with_capacity(cols.iter().map(|&c| self.col_nnz(c)).sum());
+    /// Union of the nonzero row sets of several columns, ascending, into
+    /// `rows` (cleared first, its buffer reused) — the index set of a
+    /// *combined* submatrix built from multiple block columns (paper
+    /// Sec. IV-C2).
+    pub fn rows_in_cols(&self, cols: &[usize], rows: &mut Vec<usize>) {
+        rows.clear();
+        rows.reserve(cols.iter().map(|&c| self.col_nnz(c)).sum());
         rows.extend(cols.iter().flat_map(|&c| self.rows_in_col(c)));
         rows.sort_unstable();
         rows.dedup();
-        rows
     }
 
     /// Fraction of nonzero blocks, `nnz / nb²`.
@@ -174,9 +175,13 @@ mod tests {
     #[test]
     fn combined_columns_union() {
         let p = sample();
-        assert_eq!(p.rows_in_cols(&[0, 2]), vec![0, 1, 2]);
-        assert_eq!(p.rows_in_cols(&[1]), vec![1]);
-        assert_eq!(p.rows_in_cols(&[]), Vec::<usize>::new());
+        let mut rows = vec![7];
+        p.rows_in_cols(&[0, 2], &mut rows);
+        assert_eq!(rows, vec![0, 1, 2]);
+        p.rows_in_cols(&[1], &mut rows);
+        assert_eq!(rows, vec![1]);
+        p.rows_in_cols(&[], &mut rows);
+        assert_eq!(rows, Vec::<usize>::new());
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! submatrix method into a service-shaped component:
 //!
 //! * [`SubmatrixEngine`] (re-exported from `sm_core::engine`) splits every
-//!   evaluation into a one-time **symbolic phase** — `SubmatrixPlan` →
-//!   greedy load balance → deduplicated [`RankTransferPlan`] → flat
-//!   assembly/extraction index maps — cached under a cheap
+//!   evaluation into a one-time **symbolic phase** — group dimensions →
+//!   greedy load balance → one walk per own group: flat assembly/extraction
+//!   index maps and the deduplicated [`RankTransferPlan`] — cached under a cheap
 //!   [`PatternFingerprint`], and a per-call **numeric phase** that only
 //!   gathers values, assembles through the cached maps, solves, adjusts µ,
 //!   and scatters. In SCF/MD-style workloads (paper Sec. IV) the pattern is

@@ -28,9 +28,9 @@ use sm_pipeline::{JobQueue, MatrixJob, Scheduler};
 const EXTRA_ALLOCATIONS_PER_JOB_CEILING: f64 = 50.0;
 
 /// Committed ceiling on `JobQueue::run`'s allocations per job with a pool
-/// of two threads: the commit that last lowered it reads 98.0 (its parent
-/// 245.6).
-const QUEUE_ALLOCATIONS_PER_JOB_CEILING: f64 = 100.0;
+/// of two threads: the commit that last lowered it reads 82.6 (its parent
+/// 98.0).
+const QUEUE_ALLOCATIONS_PER_JOB_CEILING: f64 = 84.0;
 
 /// What each further pool thread may add to the batch: its spawn and its
 /// own eigensolver scratch (37 measured from one thread to two).

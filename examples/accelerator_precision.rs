@@ -12,7 +12,7 @@ use cp2k_submatrix::prelude::*;
 use sm_accel::pade::{energy_differences_mev_per_atom, pade3_sign_traced, PadeTraceOptions};
 use sm_accel::perfmodel::{fpga_row, gpu_table, DeviceModel};
 use sm_accel::PrecisionMode;
-use sm_core::assembly::{AssemblyMap, SubmatrixSpec};
+use sm_core::assembly::SubmatrixSpec;
 
 fn main() {
     // Build a water system and carve out the combined submatrix of the
@@ -36,7 +36,8 @@ fn main() {
     let pattern = k_tilde.global_pattern(&comm);
     let dims = k_tilde.dims().clone();
     let spec = SubmatrixSpec::build(&pattern, &dims, &group);
-    let a = AssemblyMap::build(&spec, &pattern).assemble(|r, c| k_tilde.block(r, c));
+    let a =
+        (spec.walk(&pattern, &dims, &mut Vec::new()).assembly).assemble(|r, c| k_tilde.block(r, c));
     let n_atoms = 3 * group.len();
     println!(
         "combined submatrix of {} molecules: dim {}",

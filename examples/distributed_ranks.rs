@@ -46,7 +46,7 @@ fn main() {
             "rank {rank}: ortho {ortho_iters} iters, {} submatrices planned, \
              dedup factor {:.2}, max diff to serial {diff:.2e}",
             report.n_submatrices,
-            report.transfers.dedup_factor()
+            report.transfers.total_references as f64 / report.transfers.unique_blocks as f64
         );
         assert!(diff < 1e-10, "distributed result must match serial");
     }

@@ -11,7 +11,7 @@
 //! Run with: `cargo run --release --example future_work`
 
 use cp2k_submatrix::prelude::*;
-use sm_core::assembly::{AssemblyMap, SubmatrixSpec};
+use sm_core::assembly::SubmatrixSpec;
 use sm_core::solver::SolveOptions as CoreSolveOptions;
 use sm_linalg::sparse::sparse_sign_iteration;
 
@@ -69,7 +69,8 @@ fn main() {
     let pattern = kt.global_pattern(&comm);
     let mid = water.n_molecules() / 2;
     let spec = SubmatrixSpec::build(&pattern, kt.dims(), &[mid]);
-    let a = AssemblyMap::build(&spec, &pattern).assemble(|r, c| kt.block(r, c));
+    let a =
+        (spec.walk(&pattern, kt.dims(), &mut Vec::new()).assembly).assemble(|r, c| kt.block(r, c));
     let sparse = sparse_sign_iteration(&a, sys.mu, 2, 1e-10, 1e-8, 100).expect("sparse");
     let dense_ref = sm_linalg::sign::sign_eig(&{
         let mut s = a.clone();

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use cp2k_submatrix::prelude::*;
-use sm_core::assembly::{AssemblyMap, ExtractionMap, SubmatrixSpec};
+use sm_core::assembly::SubmatrixSpec;
 use sm_core::loadbalance::greedy_contiguous;
 use sm_linalg::gemm::{matmul, matmul_naive};
 use sm_linalg::Matrix;
@@ -138,7 +138,7 @@ proptest! {
         let spec = SubmatrixSpec::build(&pattern, &dims, &[col]);
         // Identity on the submatrix extracts identity-pattern blocks.
         let f_a = Matrix::identity(spec.dim);
-        let blocks = ExtractionMap::build(&spec, &pattern, &dims).extract(&f_a);
+        let blocks = spec.walk(&pattern, &dims, &mut Vec::new()).extraction.extract(&f_a);
         for ((br, bc), blk) in blocks {
             prop_assert_eq!(bc, col);
             if br == col {
@@ -226,7 +226,7 @@ proptest! {
         let m = DbcsrMatrix::from_dense(&dense, dims.clone(), 0, 1, 0.0);
         let col = nb / 2;
         let spec = SubmatrixSpec::build(&pattern, &dims, &[col]);
-        let a = AssemblyMap::build(&spec, &pattern).assemble(|r, c| m.block(r, c));
+        let a = spec.walk(&pattern, &dims, &mut Vec::new()).assembly.assemble(|r, c| m.block(r, c));
         // The assembled matrix equals the dense principal minor over the
         // spec's element rows wherever the pattern is nonzero.
         let idx: Vec<usize> = spec
