@@ -10,7 +10,9 @@
 //!   Sec. IV-B can be measured. [`comm::Comm::split`] carves any
 //!   communicator into per-job subgroups ([`subcomm::SubComm`], the
 //!   `MPI_Comm_split` analogue) whose traffic rides a reserved tag
-//!   namespace and is accounted per group;
+//!   namespace and is accounted per group. [`thread::run_ranks`] starts
+//!   the rank threads per call; a [`thread::RankWorld`] keeps them for
+//!   the next run;
 //! * an **analytic cluster model** ([`model::ClusterModel`]) that converts
 //!   per-rank FLOP and byte counts into a simulated wall-clock time for
 //!   bulk-synchronous supersteps. The scaling experiments (paper
@@ -42,4 +44,4 @@ pub use fault::{CommError, FaultPlan, FaultState, InjectionStats};
 pub use model::ClusterModel;
 pub use stats::CommStats;
 pub use subcomm::{split_known, SubComm, SUBGROUP_BIT};
-pub use thread::{run_ranks, run_ranks_with_faults, ThreadComm, COLLECTIVE_BIT};
+pub use thread::{run_ranks, run_ranks_with_faults, RankWorld, ThreadComm, COLLECTIVE_BIT};

@@ -1,14 +1,18 @@
 //! Rank-per-thread communicator.
 //!
 //! [`run_ranks`] spawns one OS thread per rank and hands each a
-//! [`ThreadComm`]. Point-to-point messages flow through crossbeam channels
+//! [`ThreadComm`]; a [`RankWorld`] keeps its rank threads across runs and
+//! hands them fresh communicators each time. Point-to-point messages flow through crossbeam channels
 //! into a per-rank mailbox keyed by `(source, tag)`; collectives are built
 //! on top of the point-to-point layer plus a shared barrier, mirroring how
 //! an MPI implementation layers its collectives.
 
+use std::any::Any;
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::panic::AssertUnwindSafe;
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
@@ -285,11 +289,17 @@ impl ThreadComm {
         }
     }
 
+    /// Take the oldest message of `(src, tag)`, dropping the queue once it
+    /// drains: every collective takes a fresh tag, so a kept empty queue
+    /// would be one dead entry per collective for the communicator's life.
     fn pop_mailbox(&self, src: usize, tag: u64) -> Option<Payload> {
-        self.mailbox
-            .borrow_mut()
-            .get_mut(&(src, tag))
-            .and_then(|q| q.pop_front())
+        let mut mailbox = self.mailbox.borrow_mut();
+        let queue = mailbox.get_mut(&(src, tag))?;
+        let payload = queue.pop_front();
+        if queue.is_empty() {
+            mailbox.remove(&(src, tag));
+        }
+        payload
     }
 
     /// Drain everything already queued in the channel without blocking;
@@ -381,6 +391,9 @@ where
 /// fail propagate), the shared transfer statistics, and the injection
 /// counters that actually fired.
 ///
+/// The ranks are scoped threads started for this call, so `f` may borrow;
+/// [`RankWorld::run`] is the same contract on threads that outlive it.
+///
 /// The world-sized in-memory [`Comm::barrier`] must not be crossed after a
 /// planned rank failure — dead ranks can never arrive. Protocols that
 /// survive faults are built on deadline receives and subgroup collectives
@@ -394,32 +407,140 @@ where
     T: Send,
     F: Fn(&ThreadComm) -> T + Sync,
 {
+    run_world(size, plan, |comms| {
+        std::thread::scope(|scope| {
+            let f = &f;
+            let handles: Vec<_> = comms
+                .into_iter()
+                .map(|comm| scope.spawn(move || f(&comm)))
+                .collect();
+            handles.into_iter().map(|h| h.join()).collect()
+        })
+    })
+}
+
+/// What both executors share around the threads: fresh communicators for
+/// one run, then each rank's outcome mapped in rank order — a planned
+/// death's panic becomes `None`, any other panic is re-raised on the
+/// caller (after every rank has returned).
+fn run_world<T>(
+    size: usize,
+    plan: FaultPlan,
+    launch: impl FnOnce(Vec<ThreadComm>) -> Vec<std::thread::Result<T>>,
+) -> (Vec<Option<T>>, Arc<CommStats>, InjectionStats) {
     assert!(size >= 1, "need at least one rank");
     let fault = (!plan.is_empty()).then(|| (Arc::new(plan), Arc::new(FaultState::new(size))));
     let (comms, stats) = build_comms(size, fault.as_ref());
     let planned_death = |rank| matches!(&fault, Some((plan, _)) if plan.fails_at(rank).is_some());
-    let results: Vec<Option<T>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = comms
-            .into_iter()
-            .map(|comm| {
-                let f = &f;
-                scope.spawn(move || f(&comm))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(rank, h)| match h.join() {
-                Ok(v) => Some(v),
-                // A planned death (the rank poisoned its channels on the
-                // way down) is absorbed into the fault model.
-                Err(_) if planned_death(rank) => None,
-                Err(cause) => std::panic::resume_unwind(cause),
-            })
-            .collect()
-    });
+    let results = launch(comms)
+        .into_iter()
+        .enumerate()
+        .map(|(rank, outcome)| match outcome {
+            Ok(v) => Some(v),
+            // A planned death (the rank poisoned its channels on the way
+            // down) is absorbed into the fault model.
+            Err(_) if planned_death(rank) => None,
+            Err(cause) => std::panic::resume_unwind(cause),
+        })
+        .collect();
     let injected = fault.map_or_else(InjectionStats::default, |(_, state)| state.snapshot());
     (results, stats, injected)
+}
+
+type RankTask = Box<dyn FnOnce() + Send>;
+
+/// A world of rank threads that outlives the runs made on it, so a caller
+/// that runs batch after batch starts no thread after the first. Thread
+/// `r` runs rank `r` of every run; the world starts threads when a run
+/// first needs them, grows to the largest size asked of it, and joins
+/// them when dropped.
+///
+/// Each run gets fresh communicators (mailboxes, [`CommStats`], barrier
+/// and fault state), as [`run_ranks_with_faults`] builds them, and maps
+/// results and panics the same way. A run enqueues all its ranks under
+/// one lock, so concurrent runs queue in the same order on every thread
+/// and execute one after another instead of deadlocking. A rank body must
+/// therefore never start a run on its own world: it would wait behind
+/// itself.
+#[derive(Default)]
+pub struct RankWorld {
+    ranks: Mutex<Vec<(Sender<RankTask>, JoinHandle<()>)>>,
+}
+
+impl RankWorld {
+    /// [`run_ranks_with_faults`] on this world's threads, which is why `f`
+    /// and `T` must be `'static`. Every rank body starts with its thread's
+    /// trace sequence at 0, as on a thread of its own.
+    pub fn run<T, F>(
+        &self,
+        size: usize,
+        plan: FaultPlan,
+        f: F,
+    ) -> (Vec<Option<T>>, Arc<CommStats>, InjectionStats)
+    where
+        T: Send + 'static,
+        F: Fn(&ThreadComm) -> T + Send + Sync + 'static,
+    {
+        run_world(size, plan, |comms| {
+            let f = Arc::new(f);
+            let (done, outcomes) = unbounded();
+            {
+                // Each update under the lock is one push or one send, which
+                // leaves the list whole: a poisoned lock still guards a
+                // valid list.
+                let mut ranks = self.ranks.lock().unwrap_or_else(|e| e.into_inner());
+                while ranks.len() < size {
+                    let (tasks, queue) = unbounded::<RankTask>();
+                    let thread = std::thread::spawn(move || {
+                        while let Ok(task) = queue.recv() {
+                            task();
+                        }
+                    });
+                    ranks.push((tasks, thread));
+                }
+                for (rank, comm) in comms.into_iter().enumerate() {
+                    let (f, done) = (Arc::clone(&f), done.clone());
+                    // The body owns the comm and drops it inside the
+                    // unwinding scope, so a panicking rank still poisons
+                    // its peers; its thread survives for the next run.
+                    let body = move || f(&comm);
+                    let _ = ranks[rank].0.send(Box::new(move || {
+                        sm_trace::reset_seq();
+                        let outcome = std::panic::catch_unwind(AssertUnwindSafe(body));
+                        let _ = done.send((rank, outcome));
+                    }));
+                }
+            }
+            drop(done);
+            let mut slots: Vec<Option<std::thread::Result<T>>> = (0..size).map(|_| None).collect();
+            while let Ok((rank, outcome)) = outcomes.recv() {
+                slots[rank] = Some(outcome);
+            }
+            // A rank thread outlives every task it runs (each catches its
+            // own panic), so no slot stays empty while the world lives.
+            let lost = || Box::new("rank thread exited before reporting") as Box<dyn Any + Send>;
+            slots
+                .into_iter()
+                .map(|s| s.unwrap_or_else(|| Err(lost())))
+                .collect()
+        })
+    }
+
+    /// OS threads this world has started (none exits before the world).
+    pub fn threads_started(&self) -> usize {
+        self.ranks.lock().unwrap_or_else(|e| e.into_inner()).len()
+    }
+}
+
+impl Drop for RankWorld {
+    /// Close every rank's queue, then join its thread.
+    fn drop(&mut self) {
+        let ranks = self.ranks.get_mut().unwrap_or_else(|e| e.into_inner());
+        for (tasks, thread) in ranks.drain(..) {
+            drop(tasks);
+            let _ = thread.join();
+        }
+    }
 }
 
 fn build_comms(
@@ -754,6 +875,78 @@ mod tests {
         assert_eq!(results[1], Some(5));
         assert_eq!(inj.delayed_messages, 1);
         assert_eq!(inj.slow_stalls, 1);
+    }
+
+    #[test]
+    fn drained_mailbox_queues_are_dropped() {
+        let (entries, _) = run_ranks(2, |c| {
+            for k in 0..1000 {
+                let mut x = vec![k as f64];
+                c.allreduce_f64(ReduceOp::Sum, &mut x);
+            }
+            c.mailbox.borrow().len()
+        });
+        assert_eq!(entries, vec![0, 0]);
+    }
+
+    #[test]
+    fn a_world_keeps_its_threads_across_runs() {
+        let world = RankWorld::default();
+        let ring = |c: &ThreadComm| {
+            let n = c.size();
+            c.send((c.rank() + 1) % n, 1, Payload::U64(vec![c.rank() as u64]));
+            c.recv((c.rank() + n - 1) % n, 1).into_u64()[0]
+        };
+        let (first, stats, _) = world.run(3, FaultPlan::new(), ring);
+        assert_eq!(first, vec![Some(2), Some(0), Some(1)]);
+        assert_eq!(stats.total_msgs(), 3);
+        assert_eq!(world.threads_started(), 3);
+        // Smaller and equal runs reuse the threads, with fresh stats.
+        for size in [2, 3, 1] {
+            let (out, stats, _) = world.run(size, FaultPlan::new(), ring);
+            let expect: Vec<_> = (0..size)
+                .map(|r| Some(((r + size - 1) % size) as u64))
+                .collect();
+            assert_eq!(out, expect);
+            assert_eq!(stats.total_msgs(), if size > 1 { size as u64 } else { 0 });
+        }
+        assert_eq!(world.threads_started(), 3);
+        let _ = world.run(4, FaultPlan::new(), ring);
+        assert_eq!(world.threads_started(), 4, "the world grows by one thread");
+    }
+
+    #[test]
+    fn a_world_maps_deaths_and_panics_as_scoped_ranks_do() {
+        let world = RankWorld::default();
+        let plan = FaultPlan::new().fail_rank(1, 0);
+        let (results, _, inj) = world.run(2, plan, |c| {
+            if c.rank() == 1 {
+                panic!("simulated mid-epoch crash");
+            }
+            c.recv_deadline(1, 8, Duration::from_secs(30))
+        });
+        assert_eq!(results[1], None, "planned death is absorbed");
+        assert_eq!(results[0], Some(Err(CommError::RankFailed { rank: 1 })));
+        assert_eq!(inj.rank_failures, 1);
+        // An unplanned panic poisons the blocked peer and reaches the
+        // caller; the threads survive it.
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            world.run(2, FaultPlan::new(), |c| {
+                if c.rank() == 1 {
+                    panic!("unplanned crash");
+                }
+                c.recv(1, 5)
+            })
+        }));
+        let cause = caught.expect_err("the run must panic");
+        let msg = cause.downcast_ref::<String>().expect("formatted panic");
+        assert!(
+            msg.contains("rank 1 failed while rank 0 was blocked in recv"),
+            "{msg}"
+        );
+        let (ranks, _, _) = world.run(2, FaultPlan::new(), |c| c.rank());
+        assert_eq!(ranks, vec![Some(0), Some(1)]);
+        assert_eq!(world.threads_started(), 2);
     }
 
     #[test]

@@ -151,6 +151,11 @@ pub fn fetch_blocks_prec<C: Comm>(
 ) -> (std::collections::BTreeMap<(usize, usize), Matrix>, u64) {
     use sm_comsim::Payload;
     let size = comm.size();
+    if size == 1 && wanted.is_empty() {
+        // One rank owns every block and asks for none: three rounds of
+        // empty payloads would return nothing.
+        return (std::collections::BTreeMap::new(), 0);
+    }
     // Round 1: send requests (block coords) to owners.
     let mut requests: Vec<Vec<u64>> = vec![Vec::new(); size];
     for &(br, bc) in wanted {

@@ -191,6 +191,10 @@ pub fn exchange_blocks_prec<C: Comm>(
         comm.size(),
         "exchange_blocks needs one outgoing map per rank"
     );
+    if comm.size() == 1 {
+        // Everything is local: nothing to pack, move or count.
+        return (outgoing.into_iter().flatten().collect(), 0);
+    }
     let mut local: Vec<(BlockCoord, Matrix)> = Vec::new();
     let mut metas: Vec<Payload> = Vec::with_capacity(outgoing.len());
     let mut datas: Vec<Payload> = Vec::with_capacity(outgoing.len());

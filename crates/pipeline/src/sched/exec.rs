@@ -7,8 +7,8 @@ use std::time::{Duration, Instant};
 
 use sm_chem::ScfDriver;
 use sm_comsim::{
-    run_ranks_with_faults, split_known, Comm, CommError, CommStats, FaultPlan, Payload, ReduceOp,
-    SubComm, ThreadComm,
+    split_known, Comm, CommError, CommStats, FaultPlan, Payload, RankWorld, ReduceOp, SubComm,
+    ThreadComm,
 };
 use sm_core::engine::{EngineOptions, SubmatrixEngine};
 use sm_core::transfers::TransferStats;
@@ -62,14 +62,16 @@ pub struct SchedulerOutcome {
 
 /// Distributed batch executor: a rank world carved into per-job
 /// subcommunicator groups over one shared [`SubmatrixEngine`], rebalanced
-/// between epochs. See the module docs for the five phases.
+/// between epochs (see the module docs for the five phases). Its batches
+/// run on the one [`RankWorld`] it owns: a rank body must not start one.
 pub struct Scheduler {
     engine: Arc<SubmatrixEngine>,
     budget: RankBudget,
     policy: StealPolicy,
-    trace_label: String,
+    pub(crate) trace_label: String,
     fault_plan: FaultPlan,
     retry_budget: usize,
+    world: RankWorld,
 }
 
 impl Default for Scheduler {
@@ -100,6 +102,7 @@ impl Scheduler {
             trace_label: "batch".to_string(),
             fault_plan: FaultPlan::new(),
             retry_budget: DEFAULT_RETRY_BUDGET,
+            world: RankWorld::default(),
         }
     }
 
@@ -148,6 +151,11 @@ impl Scheduler {
     /// The shared engine.
     pub fn engine(&self) -> &Arc<SubmatrixEngine> {
         &self.engine
+    }
+
+    /// The rank world every batch of this scheduler runs on.
+    pub fn world(&self) -> &RankWorld {
+        &self.world
     }
 
     /// Run a batch of one-shot matrix jobs over a `world_size`-rank world
@@ -208,29 +216,26 @@ impl Scheduler {
         }
         let costs: Vec<f64> = jobs.iter().map(estimate_batch_job_cost).collect();
         check_estimates(&jobs, &costs)?;
-        let schedule = plan_epochs_with_faults(
+        let schedule = Arc::new(plan_epochs_with_faults(
             &costs,
             world_size,
             &self.budget,
             self.policy,
             &self.fault_plan,
             self.retry_budget,
-        );
-        {
-            // Narrate the (already fixed) schedule on the caller thread,
-            // under the batch root span: planning stays a pure function
-            // of the estimates and the fault plan, the trace only
-            // observes its output.
-            let _batch = sm_trace::span(SpanKind::Batch, &self.trace_label);
-            trace_schedule(&schedule);
-        }
-        let engine = &self.engine;
-        let label = self.trace_label.as_str();
-        let (jobs_ref, sched_ref) = (&jobs, &schedule);
-        let (mut per_rank, world_stats, injected) =
-            run_ranks_with_faults(world_size, self.fault_plan.clone(), |comm| {
-                run_rank(engine, jobs_ref, sched_ref, label, comm)
-            });
+        ));
+        // Narrate the (already fixed) schedule on the caller thread, under
+        // the batch root span: planning stays a pure function of the
+        // estimates and the fault plan, the trace only observes its output.
+        trace_schedule(&schedule, &self.trace_label);
+        let (engine, label) = (Arc::clone(&self.engine), self.trace_label.clone());
+        let (jobs, shared) = (Arc::new(jobs), Arc::clone(&schedule));
+        let plan = self.fault_plan.clone();
+        let (mut per_rank, world_stats, injected) = self.world.run(world_size, plan, move |comm| {
+            run_rank(&engine, &jobs, &shared, &label, comm)
+        });
+        // Every rank has returned, and with it every other handle.
+        let schedule = Arc::unwrap_or_clone(schedule);
         let (results, (measured_idle, measured_max_idle)) = per_rank[0]
             .take()
             .expect("rank 0 never fails")?
@@ -281,10 +286,11 @@ fn result_tag(job: usize, part: u64) -> u64 {
 /// epoch) and one `job.quarantined` per exhausted retry budget.
 /// Everything emitted here is a pure function of the schedule, so traced
 /// span trees stay deterministic across reruns of the same seed.
-fn trace_schedule(s: &EpochSchedule) {
+fn trace_schedule(s: &EpochSchedule, label: &str) {
     if !sm_trace::enabled() {
         return;
     }
+    let _batch = sm_trace::span(SpanKind::Batch, label);
     let costs = &s.static_plan.job_costs;
     for (e, ep) in s.epochs.iter().enumerate() {
         let _epoch = sm_trace::span(SpanKind::Epoch, e);
@@ -457,9 +463,9 @@ fn run_rank(
     label: &str,
     comm: &ThreadComm,
 ) -> Result<Option<(Vec<JobResult>, (f64, f64))>, SchedError> {
-    // Root span of everything this rank does for the batch: rank threads
-    // are created fresh per batch, so the context stack starts empty and
-    // every nested span/metric lands under `batch:<label>/...`.
+    // Root span of everything this rank does for the batch: spans are RAII
+    // guards, so the rank thread's context stack starts empty at every
+    // batch and every nested span/metric lands under `batch:<label>/...`.
     let _batch_span = sm_trace::span(SpanKind::Batch, label);
     let me = comm.rank();
     let plan = comm.fault_plan();

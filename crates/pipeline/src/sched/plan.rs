@@ -51,7 +51,7 @@ pub enum StealPolicy {
 
 /// One group of the schedule: which jobs it runs (longest first) on which
 /// contiguous world ranks.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct GroupPlan {
     /// Job indices in execution order (descending estimated cost,
     /// submission order breaking ties).
@@ -186,53 +186,70 @@ pub(super) fn check_estimates(jobs: &[BatchJob], costs: &[f64]) -> Result<(), Sc
 /// group may take under the cap are folded into the largest group so no
 /// rank sits idle for the whole batch).
 pub fn partition(costs: &[f64], world_size: usize, budget: &RankBudget) -> SchedulePlan {
-    assert!(world_size >= 1, "need at least one rank");
-    let n = costs.len();
-    if n == 0 {
-        return SchedulePlan {
-            world_size,
-            groups: Vec::new(),
-            job_costs: Vec::new(),
-        };
-    }
-    let mut n_groups = world_size.min(n);
+    dealt(costs, &lpt_order(costs), world_size, budget)
+}
+
+/// Longest job first, submission order breaking ties; `total_cmp` keeps
+/// the sort total on a NaN (`partition` is public, so admission's check
+/// may not have run). A subset keeps its own order in it.
+fn lpt_order(costs: &[f64]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..costs.len()).collect();
+    order.sort_by(|&a, &b| costs[b].total_cmp(&costs[a]).then(a.cmp(&b)));
+    order
+}
+
+/// [`partition`] of the jobs `order` lists, in [`lpt_order`].
+fn dealt(costs: &[f64], order: &[usize], world_size: usize, budget: &RankBudget) -> SchedulePlan {
+    let (groups, job_costs) = (Vec::new(), costs.to_vec());
+    let mut plan = SchedulePlan {
+        world_size,
+        groups,
+        job_costs,
+    };
+    deal(&mut plan, order, budget);
+    plan
+}
+
+/// The one LPT packing and rank allocation (see [`partition`]): deal the
+/// jobs `order` lists, in [`lpt_order`], over `plan.world_size` ranks into
+/// `plan.groups`, reusing their buffers (the epoch planner deals every
+/// epoch into one plan).
+fn deal(plan: &mut SchedulePlan, order: &[usize], budget: &RankBudget) {
+    assert!(plan.world_size >= 1, "need at least one rank");
+    let mut n_groups = plan.world_size.min(order.len());
     if let Some(mg) = budget.max_groups {
         n_groups = n_groups.min(mg.max(1));
     }
-
-    // Longest job first, submission order breaking ties. `total_cmp`
-    // keeps the sort total even on non-finite estimates (the scheduler
-    // rejects those at admission, but `partition` is a public entry point
-    // and a NaN must not panic mid-schedule).
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| costs[b].total_cmp(&costs[a]).then(a.cmp(&b)));
+    let (costs, groups) = (&plan.job_costs, &mut plan.groups);
+    groups.truncate(n_groups);
+    groups.resize_with(n_groups, GroupPlan::default);
+    for g in groups.iter_mut() {
+        (g.ranks, g.est_cost) = (0..1, 0.0);
+        g.jobs.clear();
+    }
 
     // LPT packing onto the least-loaded group.
-    let mut group_jobs: Vec<Vec<usize>> = vec![Vec::new(); n_groups];
-    let mut loads = vec![0.0f64; n_groups];
-    for &j in &order {
+    for &j in order {
         let g = (0..n_groups)
-            .min_by(|&a, &b| loads[a].total_cmp(&loads[b]))
+            .min_by(|&a, &b| groups[a].est_cost.total_cmp(&groups[b].est_cost))
             .expect("n_groups >= 1");
-        group_jobs[g].push(j);
-        loads[g] += costs[j];
+        groups[g].jobs.push(j);
+        groups[g].est_cost += costs[j];
     }
 
     // Proportional rank allocation: start at one rank each, then hand the
     // remaining ranks one at a time to the group with the highest load per
-    // rank (lowest index breaking ties), respecting the size cap.
+    // rank (lowest index breaking ties), respecting the size cap. A group
+    // holds `0..size` until the ranges are laid end to end below.
     let cap = budget.max_group_size.unwrap_or(usize::MAX).max(1);
-    let mut sizes = vec![1usize; n_groups];
-    let mut spare = world_size.saturating_sub(n_groups);
-    while spare > 0 {
-        let candidate = (0..n_groups).filter(|&g| sizes[g] < cap).max_by(|&a, &b| {
-            (loads[a] / sizes[a] as f64)
-                .total_cmp(&(loads[b] / sizes[b] as f64))
-                .then(b.cmp(&a)) // prefer the lower group index
-        });
+    let mut spare = plan.world_size - n_groups;
+    while n_groups > 0 && spare > 0 {
+        let per_rank = |g: usize| groups[g].est_cost / groups[g].ranks.len() as f64;
+        let open = (0..n_groups).filter(|&g| groups[g].ranks.len() < cap);
+        let candidate = open.max_by(|&a, &b| per_rank(a).total_cmp(&per_rank(b)).then(b.cmp(&a)));
         match candidate {
             Some(g) => {
-                sizes[g] += 1;
+                groups[g].ranks.end += 1;
                 spare -= 1;
             }
             None => {
@@ -240,28 +257,17 @@ pub fn partition(costs: &[f64], world_size: usize, budget: &RankBudget) -> Sched
                 // largest group (lowest index breaking ties) instead of
                 // leaving them idle for the whole batch.
                 let g = (0..n_groups)
-                    .max_by(|&a, &b| sizes[a].cmp(&sizes[b]).then(b.cmp(&a)))
+                    .max_by_key(|&g| (groups[g].ranks.len(), std::cmp::Reverse(g)))
                     .expect("n_groups >= 1");
-                sizes[g] += spare;
+                groups[g].ranks.end += spare;
                 spare = 0;
             }
         }
     }
-
-    let mut groups = Vec::with_capacity(n_groups);
     let mut start = 0usize;
-    for g in 0..n_groups {
-        groups.push(GroupPlan {
-            jobs: std::mem::take(&mut group_jobs[g]),
-            ranks: start..start + sizes[g],
-            est_cost: loads[g],
-        });
-        start += sizes[g];
-    }
-    SchedulePlan {
-        world_size,
-        groups,
-        job_costs: costs.to_vec(),
+    for g in groups.iter_mut() {
+        g.ranks = start..start + g.ranks.len();
+        start = g.ranks.end;
     }
 }
 
@@ -494,7 +500,11 @@ pub fn plan_epochs_with_faults(
         plan.fails_at(0).is_none(),
         "rank 0 is the coordinator and must not fail"
     );
-    let static_plan = partition(costs, world_size, budget);
+    // The one sort: `order` keeps the pending jobs in LPT order, so each
+    // epoch deals its eligible jobs in the order `partition` would sort.
+    let mut order = lpt_order(costs);
+    let static_plan = dealt(costs, &order, world_size, budget);
+    let mut p = dealt(costs, &[], world_size, budget);
     let n = costs.len();
     let mut home_group = vec![0usize; n];
     for (g, grp) in static_plan.groups.iter().enumerate() {
@@ -504,9 +514,8 @@ pub fn plan_epochs_with_faults(
     }
 
     let mut alive: Vec<usize> = (0..world_size).collect();
-    // (job, attempts so far, first epoch the job may run in) — kept in
-    // ascending job order so re-partitions see a deterministic input.
-    let mut pending: Vec<(usize, usize, usize)> = (0..n).map(|j| (j, 0, 0)).collect();
+    // The first epoch each job may run in (retries back off).
+    let (mut from, mut ready) = (vec![0usize; n], Vec::new());
     let mut epochs: Vec<Epoch> = Vec::new();
     let mut job_epoch = vec![0usize; n];
     let mut job_stolen_ranks = vec![0usize; n];
@@ -517,7 +526,7 @@ pub fn plan_epochs_with_faults(
     // Generous convergence bound: attempts are capped at n × retry_budget
     // and each backoff gap at 2^(retry_budget-1) wait epochs.
     let bound = 4 + world_size + n * retry_budget * (1 + (1usize << retry_budget.min(20)));
-    while !pending.is_empty() {
+    while !order.is_empty() {
         let e = epochs.len();
         assert!(e <= bound, "epoch planner failed to converge");
         let dies_by = |r: &usize| plan.fails_at(*r).is_some_and(|at| at <= e);
@@ -525,11 +534,12 @@ pub fn plan_epochs_with_faults(
         alive.retain(|r| !dies_by(r));
         let survivors = alive.clone();
 
-        let eligible: Vec<(usize, usize)> = pending
-            .iter()
-            .filter(|&&(_, _, from)| from <= e)
-            .map(|&(j, a, _)| (j, a))
-            .collect();
+        if retries > 0 {
+            // Requeued attempts back off: deal only the jobs due by now.
+            ready.clear();
+            ready.extend(order.iter().filter(|&&j| from[j] <= e));
+        }
+        let eligible = if retries > 0 { &ready } else { &order };
         if eligible.is_empty() {
             // Every pending job is backing off: survivors idle one epoch.
             epochs.push(Epoch {
@@ -545,8 +555,8 @@ pub fn plan_epochs_with_faults(
         // Re-partition the eligible jobs over the survivors only — the
         // graceful-degradation step: a failed group's jobs re-enter this
         // deal automatically because their epochs were never recorded.
-        let ecosts: Vec<f64> = eligible.iter().map(|&(j, _)| costs[j]).collect();
-        let p = partition(&ecosts, survivors.len(), budget);
+        p.world_size = survivors.len();
+        deal(&mut p, eligible, budget);
         // A horizon that is zero (all-zero-cost batch) or non-finite
         // carries no ordering information — treat it as unbounded so the
         // epoch commits everything instead of deferring pathologically.
@@ -554,7 +564,6 @@ pub fn plan_epochs_with_faults(
         let unbounded = policy == StealPolicy::Disabled || !(horizon.is_finite() && horizon > 0.0);
         let mut groups = Vec::with_capacity(p.groups.len());
         let mut rank_group = vec![None; world_size];
-        let mut requeue: Vec<(usize, usize, usize)> = Vec::new();
         for grp in &p.groups {
             let ranks: Vec<usize> = grp.ranks.clone().map(|i| survivors[i]).collect();
             for &r in &ranks {
@@ -563,16 +572,15 @@ pub fn plan_epochs_with_faults(
             let ranks_f = ranks.len() as f64;
             let mut committed = Vec::with_capacity(grp.jobs.len());
             let mut cum = 0.0f64;
-            for (pos, &k) in grp.jobs.iter().enumerate() {
+            for (pos, &j) in grp.jobs.iter().enumerate() {
                 // Greedy fill to the horizon (LPT order, so later jobs are
                 // smaller and may still fit); the leading job is always
                 // committed, the rest defer to the next epoch.
-                if pos > 0 && !unbounded && (cum + ecosts[k]) / ranks_f > horizon * (1.0 + 1e-9) {
+                if pos > 0 && !unbounded && (cum + costs[j]) / ranks_f > horizon * (1.0 + 1e-9) {
                     continue;
                 }
-                cum += ecosts[k];
-                let (j, prev) = eligible[k];
-                let attempt = prev + 1;
+                cum += costs[j];
+                let attempt = job_attempts[j] + 1;
                 let poisoned = plan.is_poisoned(j, attempt);
                 committed.push(Attempt {
                     job: j,
@@ -591,7 +599,7 @@ pub fn plan_epochs_with_faults(
                         quarantined[j] = true;
                     } else {
                         retries += 1;
-                        requeue.push((j, attempt, e + (1usize << (attempt - 1))));
+                        from[j] = e + (1usize << (attempt - 1));
                     }
                 }
             }
@@ -601,10 +609,8 @@ pub fn plan_epochs_with_faults(
                 est_cost: cum,
             });
         }
-        // Whatever this epoch committed has consumed one more attempt.
-        pending.retain(|&(j, attempts, _)| job_attempts[j] == attempts);
-        pending.extend(requeue);
-        pending.sort_unstable();
+        // A job leaves the queue once it ran or was quarantined.
+        order.retain(|&j| job_group[j].is_none() && !quarantined[j]);
         epochs.push(Epoch {
             newly_failed,
             survivors,
@@ -649,33 +655,22 @@ fn steal_stats_for(
     epochs: &[Epoch],
     job_stolen_ranks: &[usize],
 ) -> StealStats {
-    let world_size = static_plan.world_size;
-    let rank_idle = |survivors: &[usize], groups: &[EpochGroup]| -> Vec<f64> {
-        let wall = |g: &EpochGroup| g.est_cost / g.ranks.len() as f64;
-        let makespan = groups.iter().map(wall).fold(0.0f64, f64::max);
-        let mut idle = vec![0.0f64; world_size];
-        for &r in survivors {
-            idle[r] = makespan;
-        }
-        for g in groups {
-            for &r in &g.ranks {
-                idle[r] = makespan - wall(g);
-            }
-        }
-        idle
-    };
-    let static_groups = static_plan.groups.iter().map(|g| EpochGroup {
-        jobs: Vec::new(),
-        ranks: g.ranks.clone().collect(),
-        est_cost: g.est_cost,
-    });
-    let world: Vec<usize> = (0..world_size).collect();
-    let static_idle = rank_idle(&world, &static_groups.collect::<Vec<_>>());
-    let mut epoch_idle = vec![0.0f64; world_size];
+    let wall = |est_cost: f64, ranks: usize| est_cost / ranks as f64;
+    let groups = &static_plan.groups;
+    let makespan = groups.iter().map(|g| wall(g.est_cost, g.ranks.len()));
+    let makespan = makespan.fold(0.0f64, f64::max);
+    let mut static_idle = vec![makespan; static_plan.world_size];
+    for g in groups {
+        static_idle[g.ranks.clone()].fill(makespan - wall(g.est_cost, g.ranks.len()));
+    }
+    // Per epoch a survivor idles for the makespan less its group's wall.
+    let mut epoch_idle = vec![0.0f64; static_plan.world_size];
     for wave in epochs {
-        let idle = rank_idle(&wave.survivors, &wave.groups);
-        for (r, idle) in idle.into_iter().enumerate() {
-            epoch_idle[r] += idle;
+        let walls = wave.groups.iter().map(|g| wall(g.est_cost, g.ranks.len()));
+        let makespan = walls.fold(0.0f64, f64::max);
+        for &r in &wave.survivors {
+            let grp = wave.group_of_rank(r).map(|g| &wave.groups[g]);
+            epoch_idle[r] += grp.map_or(makespan, |g| makespan - wall(g.est_cost, g.ranks.len()));
         }
     }
     StealStats {
@@ -1311,6 +1306,370 @@ mod tests {
         assert!(quarantining.quarantined[7]);
         let no_root = std::panic::catch_unwind(|| quarantining.root_of_job(7));
         assert!(no_root.is_err(), "a quarantined job has no root");
+    }
+
+    // The planner as it was before it sorted once and dealt into reused
+    // buffers: one `partition` per epoch over the eligible jobs' costs.
+    // Kept verbatim as the oracle the rewrite must match schedule for
+    // schedule.
+    fn reference_partition(costs: &[f64], world_size: usize, budget: &RankBudget) -> SchedulePlan {
+        assert!(world_size >= 1, "need at least one rank");
+        let n = costs.len();
+        if n == 0 {
+            return SchedulePlan {
+                world_size,
+                groups: Vec::new(),
+                job_costs: Vec::new(),
+            };
+        }
+        let mut n_groups = world_size.min(n);
+        if let Some(mg) = budget.max_groups {
+            n_groups = n_groups.min(mg.max(1));
+        }
+
+        // Longest job first, submission order breaking ties. `total_cmp`
+        // keeps the sort total even on non-finite estimates (the scheduler
+        // rejects those at admission, but `partition` is a public entry point
+        // and a NaN must not panic mid-schedule).
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &b| costs[b].total_cmp(&costs[a]).then(a.cmp(&b)));
+
+        // LPT packing onto the least-loaded group.
+        let mut group_jobs: Vec<Vec<usize>> = vec![Vec::new(); n_groups];
+        let mut loads = vec![0.0f64; n_groups];
+        for &j in &order {
+            let g = (0..n_groups)
+                .min_by(|&a, &b| loads[a].total_cmp(&loads[b]))
+                .expect("n_groups >= 1");
+            group_jobs[g].push(j);
+            loads[g] += costs[j];
+        }
+
+        // Proportional rank allocation: start at one rank each, then hand the
+        // remaining ranks one at a time to the group with the highest load per
+        // rank (lowest index breaking ties), respecting the size cap.
+        let cap = budget.max_group_size.unwrap_or(usize::MAX).max(1);
+        let mut sizes = vec![1usize; n_groups];
+        let mut spare = world_size.saturating_sub(n_groups);
+        while spare > 0 {
+            let candidate = (0..n_groups).filter(|&g| sizes[g] < cap).max_by(|&a, &b| {
+                (loads[a] / sizes[a] as f64)
+                    .total_cmp(&(loads[b] / sizes[b] as f64))
+                    .then(b.cmp(&a)) // prefer the lower group index
+            });
+            match candidate {
+                Some(g) => {
+                    sizes[g] += 1;
+                    spare -= 1;
+                }
+                None => {
+                    // Every group is capped. Fold the leftovers into the
+                    // largest group (lowest index breaking ties) instead of
+                    // leaving them idle for the whole batch.
+                    let g = (0..n_groups)
+                        .max_by(|&a, &b| sizes[a].cmp(&sizes[b]).then(b.cmp(&a)))
+                        .expect("n_groups >= 1");
+                    sizes[g] += spare;
+                    spare = 0;
+                }
+            }
+        }
+
+        let mut groups = Vec::with_capacity(n_groups);
+        let mut start = 0usize;
+        for g in 0..n_groups {
+            groups.push(GroupPlan {
+                jobs: std::mem::take(&mut group_jobs[g]),
+                ranks: start..start + sizes[g],
+                est_cost: loads[g],
+            });
+            start += sizes[g];
+        }
+        SchedulePlan {
+            world_size,
+            groups,
+            job_costs: costs.to_vec(),
+        }
+    }
+
+    fn reference_plan_epochs(
+        costs: &[f64],
+        world_size: usize,
+        budget: &RankBudget,
+        policy: StealPolicy,
+        plan: &FaultPlan,
+        retry_budget: usize,
+    ) -> EpochSchedule {
+        assert!(retry_budget >= 1, "retry budget must allow one attempt");
+        assert!(
+            plan.fails_at(0).is_none(),
+            "rank 0 is the coordinator and must not fail"
+        );
+        let static_plan = reference_partition(costs, world_size, budget);
+        let n = costs.len();
+        let mut home_group = vec![0usize; n];
+        for (g, grp) in static_plan.groups.iter().enumerate() {
+            for &j in &grp.jobs {
+                home_group[j] = g;
+            }
+        }
+
+        let mut alive: Vec<usize> = (0..world_size).collect();
+        // (job, attempts so far, first epoch the job may run in) — kept in
+        // ascending job order so re-partitions see a deterministic input.
+        let mut pending: Vec<(usize, usize, usize)> = (0..n).map(|j| (j, 0, 0)).collect();
+        let mut epochs: Vec<Epoch> = Vec::new();
+        let mut job_epoch = vec![0usize; n];
+        let mut job_stolen_ranks = vec![0usize; n];
+        let mut job_attempts = vec![0usize; n];
+        let mut quarantined = vec![false; n];
+        let mut job_group = vec![None; n];
+        let (mut poisoned_attempts, mut retries) = (0usize, 0usize);
+        // Generous convergence bound: attempts are capped at n × retry_budget
+        // and each backoff gap at 2^(retry_budget-1) wait epochs.
+        let bound = 4 + world_size + n * retry_budget * (1 + (1usize << retry_budget.min(20)));
+        while !pending.is_empty() {
+            let e = epochs.len();
+            assert!(e <= bound, "epoch planner failed to converge");
+            let dies_by = |r: &usize| plan.fails_at(*r).is_some_and(|at| at <= e);
+            let newly_failed: Vec<usize> = alive.iter().copied().filter(dies_by).collect();
+            alive.retain(|r| !dies_by(r));
+            let survivors = alive.clone();
+
+            let eligible: Vec<(usize, usize)> = pending
+                .iter()
+                .filter(|&&(_, _, from)| from <= e)
+                .map(|&(j, a, _)| (j, a))
+                .collect();
+            if eligible.is_empty() {
+                // Every pending job is backing off: survivors idle one epoch.
+                epochs.push(Epoch {
+                    newly_failed,
+                    survivors,
+                    horizon: 0.0,
+                    groups: Vec::new(),
+                    rank_group: Vec::new(),
+                });
+                continue;
+            }
+
+            // Re-partition the eligible jobs over the survivors only — the
+            // graceful-degradation step: a failed group's jobs re-enter this
+            // deal automatically because their epochs were never recorded.
+            let ecosts: Vec<f64> = eligible.iter().map(|&(j, _)| costs[j]).collect();
+            let p = reference_partition(&ecosts, survivors.len(), budget);
+            // A horizon that is zero (all-zero-cost batch) or non-finite
+            // carries no ordering information — treat it as unbounded so the
+            // epoch commits everything instead of deferring pathologically.
+            let horizon = steal_horizon(&p);
+            let unbounded =
+                policy == StealPolicy::Disabled || !(horizon.is_finite() && horizon > 0.0);
+            let mut groups = Vec::with_capacity(p.groups.len());
+            let mut rank_group = vec![None; world_size];
+            let mut requeue: Vec<(usize, usize, usize)> = Vec::new();
+            for grp in &p.groups {
+                let ranks: Vec<usize> = grp.ranks.clone().map(|i| survivors[i]).collect();
+                for &r in &ranks {
+                    rank_group[r] = Some(groups.len());
+                }
+                let ranks_f = ranks.len() as f64;
+                let mut committed = Vec::with_capacity(grp.jobs.len());
+                let mut cum = 0.0f64;
+                for (pos, &k) in grp.jobs.iter().enumerate() {
+                    // Greedy fill to the horizon (LPT order, so later jobs are
+                    // smaller and may still fit); the leading job is always
+                    // committed, the rest defer to the next epoch.
+                    if pos > 0 && !unbounded && (cum + ecosts[k]) / ranks_f > horizon * (1.0 + 1e-9)
+                    {
+                        continue;
+                    }
+                    cum += ecosts[k];
+                    let (j, prev) = eligible[k];
+                    let attempt = prev + 1;
+                    let poisoned = plan.is_poisoned(j, attempt);
+                    committed.push(Attempt {
+                        job: j,
+                        attempt,
+                        poisoned,
+                    });
+                    job_attempts[j] = attempt;
+                    job_epoch[j] = e;
+                    if !poisoned {
+                        job_group[j] = Some(groups.len());
+                        let home = &static_plan.groups[home_group[j]].ranks;
+                        job_stolen_ranks[j] = ranks.iter().filter(|r| !home.contains(r)).count();
+                    } else {
+                        poisoned_attempts += 1;
+                        if attempt >= retry_budget {
+                            quarantined[j] = true;
+                        } else {
+                            retries += 1;
+                            requeue.push((j, attempt, e + (1usize << (attempt - 1))));
+                        }
+                    }
+                }
+                groups.push(EpochGroup {
+                    jobs: committed,
+                    ranks,
+                    est_cost: cum,
+                });
+            }
+            // Whatever this epoch committed has consumed one more attempt.
+            pending.retain(|&(j, attempts, _)| job_attempts[j] == attempts);
+            pending.extend(requeue);
+            pending.sort_unstable();
+            epochs.push(Epoch {
+                newly_failed,
+                survivors,
+                horizon,
+                groups,
+                rank_group,
+            });
+        }
+
+        let planned = reference_steal_stats_for(&static_plan, &epochs, &job_stolen_ranks);
+        let fault_stats = FaultStats {
+            rank_failures: world_size - alive.len(),
+            poisoned_attempts,
+            retries,
+            quarantined_jobs: quarantined.iter().filter(|&&q| q).count(),
+            recovery_epochs: epochs.len(),
+            final_world_size: alive.len(),
+            ..FaultStats::default()
+        };
+        EpochSchedule {
+            world_size,
+            retry_budget,
+            static_plan,
+            epochs,
+            home_group,
+            job_epoch,
+            job_stolen_ranks,
+            job_attempts,
+            quarantined,
+            job_group,
+            planned,
+            fault_stats,
+        }
+    }
+
+    fn reference_steal_stats_for(
+        static_plan: &SchedulePlan,
+        epochs: &[Epoch],
+        job_stolen_ranks: &[usize],
+    ) -> StealStats {
+        let world_size = static_plan.world_size;
+        let rank_idle = |survivors: &[usize], groups: &[EpochGroup]| -> Vec<f64> {
+            let wall = |g: &EpochGroup| g.est_cost / g.ranks.len() as f64;
+            let makespan = groups.iter().map(wall).fold(0.0f64, f64::max);
+            let mut idle = vec![0.0f64; world_size];
+            for &r in survivors {
+                idle[r] = makespan;
+            }
+            for g in groups {
+                for &r in &g.ranks {
+                    idle[r] = makespan - wall(g);
+                }
+            }
+            idle
+        };
+        let static_groups = static_plan.groups.iter().map(|g| EpochGroup {
+            jobs: Vec::new(),
+            ranks: g.ranks.clone().collect(),
+            est_cost: g.est_cost,
+        });
+        let world: Vec<usize> = (0..world_size).collect();
+        let static_idle = rank_idle(&world, &static_groups.collect::<Vec<_>>());
+        let mut epoch_idle = vec![0.0f64; world_size];
+        for wave in epochs {
+            let idle = rank_idle(&wave.survivors, &wave.groups);
+            for (r, idle) in idle.into_iter().enumerate() {
+                epoch_idle[r] += idle;
+            }
+        }
+        StealStats {
+            epochs: epochs.len(),
+            stolen_jobs: job_stolen_ranks.iter().filter(|&&s| s > 0).count(),
+            stolen_ranks: job_stolen_ranks.iter().sum(),
+            est_idle_cost_static: static_idle.iter().sum(),
+            est_idle_cost_epochs: epoch_idle.iter().sum(),
+            est_max_rank_idle_static: static_idle.iter().fold(0.0f64, |a, &b| a.max(b)),
+            est_max_rank_idle_epochs: epoch_idle.iter().fold(0.0f64, |a, &b| a.max(b)),
+            measured_idle_seconds: 0.0,
+            measured_max_rank_idle_seconds: 0.0,
+        }
+    }
+
+    /// SplitMix64, for the oracle's inputs.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        sm_dbcsr::wire::mix64(*state)
+    }
+
+    /// `n` costs with ties and zeros: most from a small set, the rest
+    /// arbitrary.
+    fn oracle_costs(n: usize, state: &mut u64) -> Vec<f64> {
+        (0..n)
+            .map(|_| match next(state) % 8 {
+                0 => 0.0,
+                1 | 2 => 1.0,
+                3 => 2.5,
+                _ => (next(state) % 1000) as f64 / 64.0,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn planner_matches_its_reference_schedule_for_schedule() {
+        let budgets = [
+            RankBudget::default(),
+            RankBudget {
+                max_group_size: Some(2),
+                max_groups: None,
+            },
+            RankBudget {
+                max_group_size: Some(1),
+                max_groups: Some(3),
+            },
+            RankBudget {
+                max_group_size: None,
+                max_groups: Some(2),
+            },
+        ];
+        let mut state = 2020u64;
+        let mut cases = 0usize;
+        for round in 0..24 {
+            let n = (next(&mut state) % 40) as usize + usize::from(round % 6 != 0);
+            let costs = oracle_costs(n, &mut state);
+            for world in 1..=8 {
+                for budget in &budgets {
+                    let new = format!("{:?}", partition(&costs, world, budget));
+                    let old = format!("{:?}", reference_partition(&costs, world, budget));
+                    assert_eq!(new, old, "partition: costs {costs:?}, world {world}");
+                    for policy in [StealPolicy::EpochRebalance, StealPolicy::Disabled] {
+                        for retries in 1..=4 {
+                            let seed = next(&mut state);
+                            for plan in [FaultPlan::new(), FaultPlan::random(seed, world, n)] {
+                                let new = plan_epochs_with_faults(
+                                    &costs, world, budget, policy, &plan, retries,
+                                );
+                                let old = reference_plan_epochs(
+                                    &costs, world, budget, policy, &plan, retries,
+                                );
+                                assert_eq!(
+                                    format!("{new:?}"),
+                                    format!("{old:?}"),
+                                    "costs {costs:?}, world {world}, {budget:?}, {policy:?}, \
+                                     retries {retries}, plan seed {seed}"
+                                );
+                                cases += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 24 * 8 * 4 * 2 * 4 * 2);
     }
 
     /// The estimate as it was computed before the one-pass rewrite: through

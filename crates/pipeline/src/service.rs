@@ -232,7 +232,8 @@ pub enum ServiceEvent {
 /// The resident streaming service. See the module docs for the admission
 /// and determinism contract.
 pub struct StreamingScfService {
-    engine: Arc<SubmatrixEngine>,
+    /// One scheduler, and so one rank world, for the daemon's life.
+    sched: Scheduler,
     config: ServiceConfig,
     queue: VecDeque<Pending>,
     next_seq: u64,
@@ -249,7 +250,7 @@ impl StreamingScfService {
             "queue capacity must admit something"
         );
         StreamingScfService {
-            engine,
+            sched: Scheduler::new(engine, config.budget).with_policy(config.policy),
             config,
             queue: VecDeque::new(),
             next_seq: 0,
@@ -259,7 +260,7 @@ impl StreamingScfService {
 
     /// The shared engine.
     pub fn engine(&self) -> &Arc<SubmatrixEngine> {
-        &self.engine
+        self.sched.engine()
     }
 
     /// The static configuration.
@@ -342,15 +343,13 @@ impl StreamingScfService {
         let label = format!("{}.w{}", self.config.trace_label, window);
 
         let t0 = Instant::now();
-        let sched = Scheduler::new(Arc::clone(&self.engine), self.config.budget)
-            .with_policy(self.config.policy)
-            .with_trace_label(&label);
+        self.sched.trace_label.clone_from(&label);
         let jobs: Vec<BatchJob> = admitted
             .into_iter()
             .map(|p| BatchJob::Scf(p.spec))
             .collect();
         let n_jobs = jobs.len();
-        let outcome = sched.try_run_batch(self.config.world_size, jobs)?;
+        let outcome = self.sched.try_run_batch(self.config.world_size, jobs)?;
         self.stats.jobs_run += n_jobs;
 
         if sm_trace::enabled() {
@@ -398,11 +397,11 @@ impl StreamingScfService {
                     Ok(outcome) => ServiceEvent::Window(Box::new(outcome)),
                     Err(e) => ServiceEvent::WindowFailed(e),
                 },
-                ServiceRequest::ExportPlans(path) => match self.engine.export_plans(&path) {
+                ServiceRequest::ExportPlans(path) => match self.engine().export_plans(&path) {
                     Ok(n) => ServiceEvent::PlansExported(path, n),
                     Err(e) => ServiceEvent::PlanIoFailed(e.to_string()),
                 },
-                ServiceRequest::ImportPlans(path) => match self.engine.import_plans(&path) {
+                ServiceRequest::ImportPlans(path) => match self.engine().import_plans(&path) {
                     Ok(n) => ServiceEvent::PlansImported(path, n),
                     Err(e) => ServiceEvent::PlanIoFailed(e.to_string()),
                 },
@@ -538,6 +537,20 @@ mod tests {
                 r.name
             );
         }
+    }
+
+    #[test]
+    fn later_windows_start_no_thread() {
+        let mut svc = fresh_service(4);
+        svc.submit(gc_spec("a", 4, 1), Priority::Normal).unwrap();
+        svc.close_window().expect("window");
+        let started = svc.sched.world().threads_started();
+        assert_eq!(started, svc.config.world_size, "one job spans the world");
+        svc.submit(gc_spec("b", 4, 2), Priority::Normal).unwrap();
+        let w = svc.close_window().expect("window");
+        assert_eq!(w.admitted, ["b"]);
+        let again = svc.sched.world().threads_started();
+        assert_eq!(again, started, "the second window started threads");
     }
 
     #[test]

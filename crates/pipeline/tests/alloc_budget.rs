@@ -1,5 +1,5 @@
-//! Allocation budget of a tiny job (ROADMAP item 10's instrument), three
-//! counts of one 60-job batch of distinct patterns:
+//! Allocation budget of a tiny job (ROADMAP item 10's instrument), counts
+//! of one 60-job batch of distinct patterns:
 //!
 //! * heap allocations per job through `JobQueue::run` — fingerprint, plan,
 //!   execute — under a committed ceiling;
@@ -7,6 +7,10 @@
 //!   and the planning are the same on both sides, so the difference is the
 //!   data path around them — input scatter, result gather, telemetry, the
 //!   schedule;
+//! * the OS threads a warm `Scheduler::run(2, ..)` starts, which must be
+//!   none: the scheduler's rank world outlives its batches;
+//! * the allocations of the batch's epoch schedule (`plan_epochs` at world
+//!   2), under a committed ceiling;
 //! * what a warm `execute` on a cached plan allocates beyond the result it
 //!   returns, which must not grow with the number of submatrices.
 //!
@@ -19,18 +23,27 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use sm_comsim::SerialComm;
 use sm_dbcsr::{BlockedDims, DbcsrMatrix};
 use sm_linalg::Matrix;
-use sm_pipeline::{JobQueue, MatrixJob, Scheduler};
+use sm_pipeline::{
+    estimate_batch_job_cost, plan_epochs, BatchJob, JobQueue, MatrixJob, RankBudget, Scheduler,
+    StealPolicy,
+};
 
 /// Committed ceiling on `(scheduler − queue) / jobs`: the commit that last
-/// lowered it reads 46.0 (its parent 106.0), and the rest is the slack a
-/// different core count needs — both front-ends spawn their threads inside
-/// the measured call.
-const EXTRA_ALLOCATIONS_PER_JOB_CEILING: f64 = 50.0;
+/// lowered it reads 31.4–31.9 on two CPUs and 32.3 pinned to one (its
+/// parent 45.9–46.8), and the rest is slack for the queue's run-to-run
+/// spread. The queue's pool spawns its threads inside the measured call
+/// and the scheduler's warm world none, so fewer CPUs read higher.
+const EXTRA_ALLOCATIONS_PER_JOB_CEILING: f64 = 33.5;
 
 /// Committed ceiling on `JobQueue::run`'s allocations per job with a pool
-/// of two threads: the commit that last lowered it reads 82.6 (its parent
-/// 98.0).
-const QUEUE_ALLOCATIONS_PER_JOB_CEILING: f64 = 84.0;
+/// of two threads: the commit that last lowered it reads 74.4–74.9 (its
+/// parent 82.4–82.9), and the rest is slack for the pool threads' share.
+const QUEUE_ALLOCATIONS_PER_JOB_CEILING: f64 = 76.0;
+
+/// Committed ceiling on the allocations of the batch's `plan_epochs` at
+/// world 2 (30 epochs): the commit that introduced it reads 245, of which
+/// the schedule it returns holds 221 (its parent read 786).
+const PLAN_ALLOCATIONS_CEILING: u64 = 245;
 
 /// What each further pool thread may add to the batch: its spawn and its
 /// own eigensolver scratch (37 measured from one thread to two).
@@ -137,6 +150,7 @@ fn a_scheduled_tiny_job_stays_inside_its_allocation_budget() {
 
     let sched = Scheduler::default();
     let warm = sched.run(2, jobs.clone());
+    let threads_before = sched.world().threads_started();
     for (s, q) in warm.results.iter().zip(&serial) {
         assert_eq!(
             s.result, q.result,
@@ -152,6 +166,15 @@ fn a_scheduled_tiny_job_stays_inside_its_allocation_budget() {
     sched.engine().clear_cache();
     let batch = jobs.clone();
     let through_scheduler = allocations_during(|| drop(sched.run(2, batch)));
+    let warm_threads = sched.world().threads_started() - threads_before;
+
+    let batch: Vec<BatchJob> = jobs.iter().cloned().map(BatchJob::Matrix).collect();
+    let costs: Vec<f64> = batch.iter().map(estimate_batch_job_cost).collect();
+    let mut schedule = None;
+    let (budget, policy) = (RankBudget::default(), StealPolicy::default());
+    let planning = allocations_during(|| schedule = Some(plan_epochs(&costs, 2, &budget, policy)));
+    let schedule = schedule.expect("the planner ran");
+    let held = allocations_during(|| drop(schedule.clone()));
 
     let extra = (through_scheduler as f64 - through_queue as f64) / JOBS as f64;
     let per_queued_job = through_queue as f64 / JOBS as f64;
@@ -163,9 +186,13 @@ fn a_scheduled_tiny_job_stays_inside_its_allocation_budget() {
         "allocations per batch of {JOBS} tiny jobs: JobQueue::run {through_queue} \
          ({per_queued_job:.1} per job on {threads} pool threads, ceiling {queue_ceiling:.1}), \
          Scheduler::run(2, ..) {through_scheduler}: {extra:.1} extra per job \
-         (ceiling {EXTRA_ALLOCATIONS_PER_JOB_CEILING}); a warm execute beyond its result: \
+         (ceiling {EXTRA_ALLOCATIONS_PER_JOB_CEILING}), starting {warm_threads} threads warm; \
+         plan_epochs at world 2: {planning} over {} epochs, its schedule holding {held} \
+         (ceiling {PLAN_ALLOCATIONS_CEILING}); a warm execute beyond its result: \
          {} (5 blocks), {} (8 blocks)",
-        beyond_result[0], beyond_result[1]
+        schedule.epochs.len(),
+        beyond_result[0],
+        beyond_result[1]
     );
     assert!(
         per_queued_job <= queue_ceiling,
@@ -177,9 +204,19 @@ fn a_scheduled_tiny_job_stays_inside_its_allocation_budget() {
         "a scheduled job costs {extra:.1} allocations more than a queued one, \
          over the committed ceiling of {EXTRA_ALLOCATIONS_PER_JOB_CEILING}"
     );
+    assert_eq!(warm_threads, 0, "a warm Scheduler::run started threads");
+    assert!(
+        planning <= PLAN_ALLOCATIONS_CEILING,
+        "plan_epochs made {planning} allocations, over the committed ceiling of \
+         {PLAN_ALLOCATIONS_CEILING}"
+    );
     assert_eq!(
         beyond_result[0], beyond_result[1],
         "what a warm execute allocates beyond its result grows with the submatrix count"
+    );
+    assert_eq!(
+        beyond_result[0], 2,
+        "a warm one-rank execute allocates more beyond its result than the 2 committed"
     );
 }
 

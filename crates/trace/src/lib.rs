@@ -124,8 +124,8 @@ pub struct Event {
     /// Event name (a stable identifier, e.g. `engine.phase`).
     pub name: Cow<'static, str>,
     /// Per-thread logical sequence number (deterministic: every rank
-    /// thread's execution order is deterministic, and rank threads are
-    /// created fresh per batch).
+    /// thread's execution order is deterministic, and the rank executors
+    /// restart it at 0 as each rank body starts, see [`reset_seq`]).
     pub seq: u64,
     /// Deterministic logical cost of the event, in perfmodel units
     /// (estimated cost, planned bytes); safe to assert on.
@@ -260,6 +260,13 @@ thread_local! {
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
+}
+
+/// Restart the calling thread's [`Event::seq`] numbering at 0. A rank
+/// executor whose threads outlive a batch calls it as each rank body
+/// starts, so a batch numbers its events as it would on fresh threads.
+pub fn reset_seq() {
+    SEQ.with(|s| s.set(0));
 }
 
 /// RAII guard of one span segment; pops the segment from the emitting
