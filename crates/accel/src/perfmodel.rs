@@ -92,26 +92,6 @@ pub fn matmul_utilization(peak_ratio_vs_fp32: f64, n: usize) -> f64 {
     (n / (n + n_half)).min(1.0)
 }
 
-/// Relative cost of the sparse-CSR submatrix sign iteration vs the dense
-/// path, as a function of the submatrix **element fill** fraction.
-///
-/// Gustavson-style CSR×CSR touches ≈ `fill²` of the dense n³ products,
-/// but its scalar gather/scatter inner loop runs far below GEMM
-/// throughput — modeled as a flat per-FLOP penalty. The factor is
-/// clamped to `[floor, 1]`: index bookkeeping keeps even a nearly-empty
-/// solve from being free, and above the crossover fill the dense kernel
-/// wins outright (never report sparse as *more* expensive than dense —
-/// the engine would simply not pick it there).
-pub fn sparse_solve_cost_factor(fill: f64) -> f64 {
-    /// Per-FLOP slowdown of the scalar CSR kernel vs a saturated GEMM.
-    const CSR_FLOP_PENALTY: f64 = 8.0;
-    /// Index-traversal floor: no sparse solve is cheaper than this
-    /// fraction of its dense equivalent.
-    const FLOOR: f64 = 0.02;
-    let fill = fill.clamp(0.0, 1.0);
-    (CSR_FLOP_PENALTY * fill * fill).clamp(FLOOR, 1.0)
-}
-
 /// Algorithm overhead model: the sign iteration spends its FLOPs in GEMMs
 /// but pays for host↔device transfers of the operand matrix, type
 /// conversions and per-iteration convergence tests.
@@ -186,27 +166,6 @@ pub fn fpga_row(device: &DeviceModel, n: usize) -> ThroughputRow {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sparse_factor_is_monotone_clamped_and_beats_dense_at_low_fill() {
-        // Monotone in fill, never above 1 (dense parity) and never below
-        // the index-traversal floor.
-        let mut prev = 0.0;
-        for i in 0..=20 {
-            let f = sparse_solve_cost_factor(i as f64 / 20.0);
-            assert!((0.02..=1.0).contains(&f), "factor {f} out of range");
-            assert!(f >= prev, "factor must be monotone in fill");
-            prev = f;
-        }
-        // At the engine's 0.2 auto-selection threshold the sparse path
-        // must already look cheaper than dense, else the policy and the
-        // cost model would disagree about when sparse pays off.
-        assert!(sparse_solve_cost_factor(0.2) < 1.0);
-        // Dense-ish fills saturate at parity; out-of-range inputs clamp.
-        assert_eq!(sparse_solve_cost_factor(1.0), 1.0);
-        assert_eq!(sparse_solve_cost_factor(7.0), 1.0);
-        assert_eq!(sparse_solve_cost_factor(-1.0), 0.02);
-    }
 
     #[test]
     fn table_reproduces_paper_ordering_and_magnitudes() {

@@ -1,8 +1,8 @@
 //! `smserved` — the resident streaming SCF daemon.
 //!
-//! Wraps [`StreamingScfService::serve`] (the long-lived admission loop
-//! over `ScfJobSpec` streams) in a line protocol on stdin, one reply line
-//! per request on stdout:
+//! Drives a [`StreamingScfService`] (the admission queue in front of the
+//! scheduler) from a line protocol on stdin, one reply line per request
+//! on stdout:
 //!
 //! ```text
 //! submit <name> <nb> <seed> [low|normal|high]   enqueue a banded GC system
@@ -35,12 +35,12 @@
 use std::io::BufRead;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
 use sm_bench::workloads::{fresh_engine, gc_spec, same_bits};
 use sm_pipeline::{
-    Priority, ServiceConfig, ServiceEvent, ServiceRequest, StreamingScfService, SubmatrixEngine,
+    Priority, RankBudget, ScfJobSpec, Scheduler, ServiceConfig, StreamingScfService,
+    SubmatrixEngine, WindowOutcome,
 };
 
 /// Exit code for usage errors (mirrors `smdoctor`).
@@ -51,55 +51,19 @@ const EXIT_USAGE: u8 = 2;
 /// the wire overflows that product or aborts in the allocator.
 const MAX_NB: usize = 1024;
 
-/// One reply line per [`ServiceEvent`].
-fn render(event: &ServiceEvent) -> String {
-    match event {
-        ServiceEvent::Admitted {
-            seq,
-            name,
-            queue_depth,
-        } => format!("admitted seq={seq} name={name} queue={queue_depth}"),
-        ServiceEvent::Refused { name, error } => format!("refused name={name}: {error}"),
-        ServiceEvent::Window(w) => {
-            let jobs: Vec<String> = w
-                .outcome
-                .results
-                .iter()
-                .map(|r| {
-                    let (iters, conv) = r
-                        .scf
-                        .as_ref()
-                        .map_or((0, false), |s| (s.iterations, s.converged));
-                    format!("{}(iters={iters},converged={conv})", r.name)
-                })
-                .collect();
-            format!(
-                "window {} ran {} job(s) in {} epoch(s): {}",
-                w.window,
-                w.admitted.len(),
-                w.outcome.schedule.epochs.len(),
-                jobs.join(" ")
-            )
-        }
-        ServiceEvent::WindowFailed(e) => format!("window-failed: {e}"),
-        ServiceEvent::PlansExported(path, n) => {
-            format!("exported {n} plan(s) to {}", path.display())
-        }
-        ServiceEvent::PlansImported(path, n) => {
-            format!("imported {n} plan(s) from {}", path.display())
-        }
-        ServiceEvent::PlanIoFailed(e) => format!("plan-io-failed: {e}"),
-        ServiceEvent::Stats(s) => format!(
-            "stats windows={} jobs={} backpressure={} rejected={} high-water={}",
-            s.windows, s.jobs_run, s.backpressure_rejects, s.admission_rejects, s.queue_high_water
-        ),
-        ServiceEvent::Stopped(s) => format!("stopped windows={} jobs={}", s.windows, s.jobs_run),
-    }
+/// One parsed protocol line.
+enum Request {
+    Submit(Box<ScfJobSpec>, Priority),
+    Window,
+    Export(PathBuf),
+    Import(PathBuf),
+    Stats,
+    Quit,
 }
 
 /// Parse one protocol line into a request; `Err` is a message for the
 /// user, `Ok(None)` a blank/comment line.
-fn parse_line(line: &str) -> Result<Option<ServiceRequest>, String> {
+fn parse_line(line: &str) -> Result<Option<Request>, String> {
     let words: Vec<&str> = line.split_whitespace().collect();
     match words.as_slice() {
         [] | ["#", ..] => Ok(None),
@@ -114,16 +78,14 @@ fn parse_line(line: &str) -> Result<Option<ServiceRequest>, String> {
                 _ => return Err(format!("bad nb '{nb}' (1..={MAX_NB})")),
             };
             let seed: u64 = seed.parse().map_err(|_| format!("bad seed '{seed}'"))?;
-            Ok(Some(ServiceRequest::Submit(
-                Box::new(gc_spec(name, nb, seed, 8, 1e-9)),
-                priority,
-            )))
+            let spec = gc_spec(name, nb, seed, 8, 1e-9);
+            Ok(Some(Request::Submit(Box::new(spec), priority)))
         }
-        ["window"] => Ok(Some(ServiceRequest::CloseWindow)),
-        ["export", path] => Ok(Some(ServiceRequest::ExportPlans(PathBuf::from(path)))),
-        ["import", path] => Ok(Some(ServiceRequest::ImportPlans(PathBuf::from(path)))),
-        ["stats"] => Ok(Some(ServiceRequest::Stats)),
-        ["quit"] | ["shutdown"] => Ok(Some(ServiceRequest::Shutdown)),
+        ["window"] => Ok(Some(Request::Window)),
+        ["export", path] => Ok(Some(Request::Export(PathBuf::from(path)))),
+        ["import", path] => Ok(Some(Request::Import(PathBuf::from(path)))),
+        ["stats"] => Ok(Some(Request::Stats)),
+        ["quit"] | ["shutdown"] => Ok(Some(Request::Quit)),
         other => Err(format!(
             "unknown request '{}' (submit|window|export|import|stats|quit)",
             other.join(" ")
@@ -131,27 +93,89 @@ fn parse_line(line: &str) -> Result<Option<ServiceRequest>, String> {
     }
 }
 
-/// Stand up a daemon thread over channels.
-fn spawn_daemon(
-    engine: Arc<SubmatrixEngine>,
-    config: ServiceConfig,
-) -> (
-    Sender<ServiceRequest>,
-    Receiver<ServiceEvent>,
-    std::thread::JoinHandle<()>,
-) {
-    let svc = StreamingScfService::new(engine, config);
-    let (req_tx, req_rx) = channel();
-    let (evt_tx, evt_rx) = channel();
-    let handle = std::thread::spawn(move || svc.serve(req_rx, evt_tx));
-    (req_tx, evt_rx, handle)
+/// The reply line once the daemon stops.
+fn stopped(svc: &StreamingScfService) -> String {
+    let s = svc.stats();
+    format!("stopped windows={} jobs={}", s.windows, s.jobs_run)
+}
+
+/// Carry out one request on `svc` and return its reply line — `Err` for a
+/// refusal or a failure. A closed window's outcome is left in `window`.
+fn answer(
+    svc: &mut StreamingScfService,
+    req: Request,
+    window: &mut Option<WindowOutcome>,
+) -> Result<String, String> {
+    match req {
+        Request::Submit(spec, priority) => {
+            let name = spec.name.clone();
+            match svc.submit(*spec, priority) {
+                Ok(seq) => Ok(format!(
+                    "admitted seq={seq} name={name} queue={}",
+                    svc.queue_depth()
+                )),
+                Err(error) => Err(format!("refused name={name}: {error}")),
+            }
+        }
+        Request::Window => {
+            let w = svc
+                .close_window()
+                .map_err(|e| format!("window-failed: {e}"))?;
+            let jobs: Vec<String> = w
+                .outcome
+                .results
+                .iter()
+                .map(|r| {
+                    let (iters, conv) = r
+                        .scf
+                        .as_ref()
+                        .map_or((0, false), |s| (s.iterations, s.converged));
+                    format!("{}(iters={iters},converged={conv})", r.name)
+                })
+                .collect();
+            let line = format!(
+                "window {} ran {} job(s) in {} epoch(s): {}",
+                w.window,
+                w.admitted.len(),
+                w.outcome.schedule.epochs.len(),
+                jobs.join(" ")
+            );
+            *window = Some(w);
+            Ok(line)
+        }
+        Request::Export(path) => match svc.engine().export_plans(&path) {
+            Ok(n) => Ok(format!("exported {n} plan(s) to {}", path.display())),
+            Err(e) => Err(format!("plan-io-failed: {e}")),
+        },
+        Request::Import(path) => match svc.engine().import_plans(&path) {
+            Ok(n) => Ok(format!("imported {n} plan(s) from {}", path.display())),
+            Err(e) => Err(format!("plan-io-failed: {e}")),
+        },
+        Request::Stats => {
+            let s = svc.stats();
+            Ok(format!(
+                "stats windows={} jobs={} backpressure={} rejected={} high-water={}",
+                s.windows,
+                s.jobs_run,
+                s.backpressure_rejects,
+                s.admission_rejects,
+                s.queue_high_water
+            ))
+        }
+        Request::Quit => Ok(stopped(svc)),
+    }
+}
+
+/// A daemon over `engine`, its windows traced under `label`.
+fn daemon(engine: Arc<SubmatrixEngine>, label: &str, config: ServiceConfig) -> StreamingScfService {
+    let sched = Scheduler::new(engine, RankBudget::default()).with_trace_label(label);
+    StreamingScfService::new(sched, config)
 }
 
 /// The interactive loop: one request line in, one reply line out.
-fn run_stdin(engine: Arc<SubmatrixEngine>, config: ServiceConfig) -> ExitCode {
-    let (req_tx, evt_rx, handle) = spawn_daemon(engine, config);
-    let stdin = std::io::stdin();
-    for line in stdin.lock().lines() {
+fn run_stdin(mut svc: StreamingScfService) -> ExitCode {
+    let mut window = None;
+    for line in std::io::stdin().lock().lines() {
         let line = match line {
             Ok(l) => l,
             Err(e) => {
@@ -159,38 +183,37 @@ fn run_stdin(engine: Arc<SubmatrixEngine>, config: ServiceConfig) -> ExitCode {
                 break;
             }
         };
-        let req = match parse_line(&line) {
-            Ok(Some(req)) => req,
-            Ok(None) => continue,
-            Err(msg) => {
-                println!("error: {msg}");
-                continue;
-            }
-        };
-        let shutdown = matches!(req, ServiceRequest::Shutdown);
-        if req_tx.send(req).is_err() {
-            break;
-        }
-        match evt_rx.recv() {
-            Ok(event) => println!("{}", render(&event)),
-            Err(_) => break,
-        }
-        if shutdown {
-            break;
+        match parse_line(&line) {
+            Ok(Some(Request::Quit)) => break,
+            Ok(Some(req)) => match answer(&mut svc, req, &mut window) {
+                Ok(reply) | Err(reply) => println!("{reply}"),
+            },
+            Ok(None) => {}
+            Err(msg) => println!("error: {msg}"),
         }
     }
-    // EOF without `quit`: dropping the request channel stops the loop,
-    // which answers with the final Stopped event.
-    drop(req_tx);
-    if let Ok(event) = evt_rx.recv() {
-        println!("{}", render(&event));
-    }
-    let _ = handle.join();
+    println!("{}", stopped(&svc));
     ExitCode::SUCCESS
 }
 
+/// Run one scripted daemon session, echoing each line and its reply;
+/// returns the last window it closed, or the first failed reply.
+fn script(svc: &mut StreamingScfService, lines: &[String]) -> Result<WindowOutcome, String> {
+    let mut window = None;
+    for line in lines {
+        println!("> {line}");
+        let req = parse_line(line)
+            .expect("demo script parses")
+            .expect("non-empty");
+        let reply = answer(svc, req, &mut window);
+        println!("{}", reply.as_ref().unwrap_or_else(|e| e));
+        reply?;
+    }
+    window.ok_or_else(|| "the script closed no window".to_string())
+}
+
 /// The scripted kill-and-restart session (`--demo`).
-fn run_demo(config: ServiceConfig) -> ExitCode {
+fn run_demo(label: &str, config: ServiceConfig) -> ExitCode {
     let submit =
         |name: &str, nb: usize, seed: u64, p: &str| format!("submit {name} {nb} {seed} {p}");
     let manifest = std::env::temp_dir().join("smserved_demo.smplans");
@@ -198,36 +221,27 @@ fn run_demo(config: ServiceConfig) -> ExitCode {
 
     println!("# cold daemon: admit a mixed-priority window, run it, spill plans");
     let cold_engine = fresh_engine();
-    let (req_tx, evt_rx, handle) = spawn_daemon(Arc::clone(&cold_engine), config.clone());
-    let script = [
-        submit("bulk-a", 6, 1, "low"),
-        submit("urgent", 4, 2, "high"),
-        submit("steady", 5, 3, "normal"),
-        "window".to_string(),
-        format!("export {manifest_str}"),
-        "stats".to_string(),
-        "quit".to_string(),
-    ];
-    let mut cold_window = None;
-    for line in &script {
-        println!("> {line}");
-        let req = parse_line(line)
-            .expect("demo script parses")
-            .expect("non-empty");
-        let shutdown = matches!(req, ServiceRequest::Shutdown);
-        req_tx.send(req).expect("daemon alive");
-        let event = evt_rx.recv().expect("daemon replies");
-        println!("{}", render(&event));
-        if let ServiceEvent::Window(w) = event {
-            cold_window = Some(w);
-        }
-        if shutdown {
-            break;
-        }
-    }
-    let _ = handle.join();
+    let mut cold = daemon(Arc::clone(&cold_engine), label, config.clone());
+    let cold_window = script(
+        &mut cold,
+        &[
+            submit("bulk-a", 6, 1, "low"),
+            submit("urgent", 4, 2, "high"),
+            submit("steady", 5, 3, "normal"),
+            "window".to_string(),
+            format!("export {manifest_str}"),
+            "stats".to_string(),
+            "quit".to_string(),
+        ],
+    );
     let cold_stats = cold_engine.stats();
-    let cold_window = cold_window.expect("cold window ran");
+    let cold_window = match cold_window {
+        Ok(w) => w,
+        Err(e) => {
+            eprintln!("smserved: demo cold session failed: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     assert!(
         cold_stats.symbolic_builds > 0,
         "cold window must build plans"
@@ -235,40 +249,26 @@ fn run_demo(config: ServiceConfig) -> ExitCode {
 
     println!("\n# restart: fresh engine (a new process in miniature), import, replay");
     let warm_engine = fresh_engine();
-    let (req_tx, evt_rx, handle) = spawn_daemon(Arc::clone(&warm_engine), config);
-    let script = [
-        format!("import {manifest_str}"),
-        submit("bulk-a", 6, 1, "low"),
-        submit("urgent", 4, 2, "high"),
-        submit("steady", 5, 3, "normal"),
-        "window".to_string(),
-        "quit".to_string(),
-    ];
-    let mut warm_window = None;
-    for line in &script {
-        println!("> {line}");
-        let req = parse_line(line)
-            .expect("demo script parses")
-            .expect("non-empty");
-        let shutdown = matches!(req, ServiceRequest::Shutdown);
-        req_tx.send(req).expect("daemon alive");
-        let event = evt_rx.recv().expect("daemon replies");
-        println!("{}", render(&event));
-        match event {
-            ServiceEvent::Window(w) => warm_window = Some(w),
-            ServiceEvent::PlanIoFailed(e) => {
-                eprintln!("smserved: demo import failed: {e}");
-                return ExitCode::FAILURE;
-            }
-            _ => {}
-        }
-        if shutdown {
-            break;
-        }
-    }
-    let _ = handle.join();
+    let mut warm = daemon(Arc::clone(&warm_engine), label, config);
+    let warm_window = script(
+        &mut warm,
+        &[
+            format!("import {manifest_str}"),
+            submit("bulk-a", 6, 1, "low"),
+            submit("urgent", 4, 2, "high"),
+            submit("steady", 5, 3, "normal"),
+            "window".to_string(),
+            "quit".to_string(),
+        ],
+    );
     let warm_stats = warm_engine.stats();
-    let warm_window = warm_window.expect("warm window ran");
+    let warm_window = match warm_window {
+        Ok(w) => w,
+        Err(e) => {
+            eprintln!("smserved: demo warm session failed: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
 
     // The resident contract, asserted in-binary: a warm restart replans
     // nothing and changes no numbers.
@@ -304,6 +304,7 @@ fn run_demo(config: ServiceConfig) -> ExitCode {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut config = ServiceConfig::default();
+    let mut label = "serve".to_string();
     let mut demo = false;
     let mut trace: Option<PathBuf> = None;
     let mut it = args.iter();
@@ -333,7 +334,7 @@ fn main() -> ExitCode {
                 Err(code) => return code,
             },
             "--label" => match flag_value("--label") {
-                Ok(v) => config.trace_label = v.clone(),
+                Ok(v) => label = v.clone(),
                 Err(code) => return code,
             },
             "--trace" => match flag_value("--trace") {
@@ -356,11 +357,11 @@ fn main() -> ExitCode {
     }
     let session = trace
         .as_ref()
-        .map(|_| sm_trace::TraceSession::start(&config.trace_label));
+        .map(|_| sm_trace::TraceSession::start(&label));
     let code = if demo {
-        run_demo(config)
+        run_demo(&label, config)
     } else {
-        run_stdin(fresh_engine(), config)
+        run_stdin(daemon(fresh_engine(), &label, config))
     };
     if let (Some(path), Some(session)) = (trace, session) {
         if let Err(e) = session.write_jsonl(&path) {
@@ -381,7 +382,7 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn submit(nb: &str) -> Result<Option<ServiceRequest>, String> {
+    fn submit(nb: &str) -> Result<Option<Request>, String> {
         parse_line(&format!("submit a {nb} 1"))
     }
 
@@ -389,7 +390,7 @@ mod tests {
     fn parse_line_bounds_nb() {
         assert!(matches!(
             submit(&MAX_NB.to_string()),
-            Ok(Some(ServiceRequest::Submit(..)))
+            Ok(Some(Request::Submit(..)))
         ));
         let refused = [0, MAX_NB + 1, 4_000_000_000, usize::MAX].map(|n| n.to_string());
         for nb in refused.iter().map(String::as_str).chain(["-1", "x"]) {

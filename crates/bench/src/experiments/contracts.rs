@@ -11,7 +11,7 @@ use sm_core::engine::{BackendPolicy, NumericOptions, SPARSE_FILL_THRESHOLD};
 use sm_core::solver::{SignMethod, SolveBackend, SolveOptions};
 use sm_pipeline::{
     serial_scf_loop, EpochSchedule, JobOutput, JobQueue, MatrixJob, Priority, RankBudget,
-    ScfJobSpec, ScfOutcomeExt, ScfService, Scheduler, ServiceConfig, ServiceError, StealPolicy,
+    ScfJobSpec, ScfOutcomeExt, Scheduler, ServiceConfig, ServiceError, StealPolicy,
     StreamingScfService, SubmatrixEngine, WindowOutcome,
 };
 
@@ -430,8 +430,7 @@ pub fn scf_service(_: &Ctx) -> Report {
     for world in [2usize, 4, 6] {
         for policy in [StealPolicy::Disabled, StealPolicy::EpochRebalance] {
             let engine = fresh_engine();
-            let service =
-                ScfService::new(engine.clone(), RankBudget::default()).with_policy(policy);
+            let service = Scheduler::new(engine.clone(), RankBudget::default()).with_policy(policy);
             let (outcome, seconds) = timed(|| service.run(world, specs.clone()));
             let policy_name = policy_name(policy);
 
@@ -474,7 +473,7 @@ pub fn scf_service(_: &Ctx) -> Report {
     // must not perturb the numerics (bitwise contract re-asserted with
     // every span/metric live), and its JSONL artifact feeds `smdoctor`.
     let session = sm_trace::TraceSession::start("svc");
-    let service = ScfService::new(fresh_engine(), RankBudget::default())
+    let service = Scheduler::new(fresh_engine(), RankBudget::default())
         .with_policy(StealPolicy::EpochRebalance)
         .with_trace_label("svc");
     let outcome = service.run(6, specs.clone());
@@ -536,12 +535,11 @@ fn run_stream(
     report: &mut Report,
 ) -> Vec<WindowOutcome> {
     let mut svc = StreamingScfService::new(
-        Arc::clone(engine),
+        Scheduler::new(Arc::clone(engine), RankBudget::default())
+            .with_trace_label(&format!("svc-{phase}")),
         ServiceConfig {
             world_size: 4,
             queue_capacity: 16,
-            trace_label: format!("svc-{phase}"),
-            ..ServiceConfig::default()
         },
     );
     let mut outcomes = Vec::new();
@@ -675,12 +673,10 @@ pub fn service(_: &Ctx) -> Report {
     // Deterministic backpressure: a capacity-2 queue sheds the third
     // submission and the admitted window is undisturbed.
     let mut small = StreamingScfService::new(
-        fresh_engine(),
+        Scheduler::new(fresh_engine(), RankBudget::default()).with_trace_label("svc-bp"),
         ServiceConfig {
             world_size: 4,
             queue_capacity: 2,
-            trace_label: "svc-bp".to_string(),
-            ..ServiceConfig::default()
         },
     );
     let bp_spec = |name, nb, seed| gc_spec(name, nb, seed, 8, 1e-7);

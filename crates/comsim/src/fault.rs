@@ -1,8 +1,7 @@
 //! Deterministic fault injection for the simulated communicators.
 //!
 //! A [`FaultPlan`] is a *seeded, immutable script* of abnormal conditions —
-//! rank-fails-at-epoch-N, message drops/delays, slow ranks, poisoned job
-//! attempts — that the communicators ([`ThreadComm`](crate::thread::ThreadComm)
+//! rank-fails-at-epoch-N, slow ranks, poisoned job attempts — that the communicators ([`ThreadComm`](crate::thread::ThreadComm)
 //! via [`run_ranks_with_faults`](crate::thread::run_ranks_with_faults)) and
 //! the scheduler consult through **pure queries**. Because the plan is pure
 //! data, every layer that reads it reaches the same conclusions without any
@@ -65,16 +64,6 @@ impl std::fmt::Display for CommError {
 
 impl std::error::Error for CommError {}
 
-/// One message-delay rule: every `every`-th message from `src` to `dst`
-/// (counting from the first) is stalled by `micros`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct DelayRule {
-    src: usize,
-    dst: usize,
-    every: u64,
-    micros: u64,
-}
-
 /// Seeded, immutable fault script. Build with the `with_*`/`fail_*`
 /// methods or [`FaultPlan::random`]; query from any rank — all queries are
 /// pure functions of the plan, so no coordination is needed to agree on
@@ -90,9 +79,6 @@ pub struct FaultPlan {
     /// rank → per-send stall in microseconds (wall-clock only; results
     /// are unaffected — this models a straggler, not corruption).
     slow: BTreeMap<usize, u64>,
-    delays: Vec<DelayRule>,
-    /// (src, dst, nth): the nth message (0-based) from src to dst is lost.
-    drops: BTreeSet<(usize, usize, u64)>,
 }
 
 impl FaultPlan {
@@ -130,32 +116,9 @@ impl FaultPlan {
         self
     }
 
-    /// Every `every`-th message from `src` to `dst` is delayed by
-    /// `micros` microseconds.
-    pub fn delay_messages(mut self, src: usize, dst: usize, every: u64, micros: u64) -> Self {
-        assert!(every >= 1, "delay period must be >= 1");
-        self.delays.push(DelayRule {
-            src,
-            dst,
-            every,
-            micros,
-        });
-        self
-    }
-
-    /// The `nth` message (0-based send count) from `src` to `dst` is lost
-    /// on the wire. Dropped messages surface at the receiver as
-    /// [`CommError::Timeout`] from a deadline receive — only protocols
-    /// built on deadline receives should be subjected to drops.
-    pub fn drop_message(mut self, src: usize, dst: usize, nth: u64) -> Self {
-        self.drops.insert((src, dst, nth));
-        self
-    }
-
     /// Seeded random plan, safe for the scheduler's recovery contract:
     /// rank failures at epoch boundaries (never rank 0), poisoned job
-    /// attempts, and a wall-clock straggler — but no message drops, which
-    /// only deadline-based protocols tolerate.
+    /// attempts, and a wall-clock straggler.
     pub fn random(seed: u64, world: usize, n_jobs: usize) -> Self {
         let mut rng = SplitMix64::new(seed);
         let mut plan = FaultPlan::new().with_seed(seed);
@@ -191,11 +154,7 @@ impl FaultPlan {
 
     /// True when the plan injects nothing at all.
     pub fn is_empty(&self) -> bool {
-        self.rank_fail_epoch.is_empty()
-            && self.poisoned.is_empty()
-            && self.slow.is_empty()
-            && self.delays.is_empty()
-            && self.drops.is_empty()
+        self.rank_fail_epoch.is_empty() && self.poisoned.is_empty() && self.slow.is_empty()
     }
 
     /// Epoch at whose boundary `rank` dies, if the plan fails it.
@@ -222,20 +181,6 @@ impl FaultPlan {
     pub fn slow_stall(&self, rank: usize) -> Option<Duration> {
         self.slow.get(&rank).map(|&us| Duration::from_micros(us))
     }
-
-    /// Whether the `seq`-th message from `src` to `dst` is dropped.
-    pub fn drops_message(&self, src: usize, dst: usize, seq: u64) -> bool {
-        self.drops.contains(&(src, dst, seq))
-    }
-
-    /// Delay for the `seq`-th message from `src` to `dst`, if any rule
-    /// matches (first matching rule wins).
-    pub fn delay_for(&self, src: usize, dst: usize, seq: u64) -> Option<Duration> {
-        self.delays
-            .iter()
-            .find(|r| r.src == src && r.dst == dst && (seq + 1).is_multiple_of(r.every))
-            .map(|r| Duration::from_micros(r.micros))
-    }
 }
 
 /// Shared runtime fault state for one communicator world: which ranks have
@@ -245,8 +190,6 @@ impl FaultPlan {
 pub struct FaultState {
     failed: Vec<AtomicBool>,
     rank_failures: AtomicU64,
-    dropped: AtomicU64,
-    delayed: AtomicU64,
     stalls: AtomicU64,
 }
 
@@ -256,8 +199,6 @@ impl FaultState {
         FaultState {
             failed: (0..size).map(|_| AtomicBool::new(false)).collect(),
             rank_failures: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            delayed: AtomicU64::new(0),
             stalls: AtomicU64::new(0),
         }
     }
@@ -281,14 +222,6 @@ impl FaultState {
             .collect()
     }
 
-    pub(crate) fn count_drop(&self) {
-        self.dropped.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn count_delay(&self) {
-        self.delayed.fetch_add(1, Ordering::Relaxed);
-    }
-
     pub(crate) fn count_stall(&self) {
         self.stalls.fetch_add(1, Ordering::Relaxed);
     }
@@ -297,8 +230,6 @@ impl FaultState {
     pub fn snapshot(&self) -> InjectionStats {
         InjectionStats {
             rank_failures: self.rank_failures.load(Ordering::SeqCst),
-            dropped_messages: self.dropped.load(Ordering::Relaxed),
-            delayed_messages: self.delayed.load(Ordering::Relaxed),
             slow_stalls: self.stalls.load(Ordering::Relaxed),
         }
     }
@@ -311,10 +242,6 @@ impl FaultState {
 pub struct InjectionStats {
     /// Distinct ranks that raised their failed flag.
     pub rank_failures: u64,
-    /// Messages lost to drop rules.
-    pub dropped_messages: u64,
-    /// Messages stalled by delay rules.
-    pub delayed_messages: u64,
     /// Sends stalled by slow-rank rules.
     pub slow_stalls: u64,
 }
@@ -345,9 +272,7 @@ mod tests {
         let plan = FaultPlan::new()
             .fail_rank(2, 1)
             .poison_job(4, 1)
-            .slow_rank(1, 10)
-            .delay_messages(0, 1, 2, 5)
-            .drop_message(1, 0, 3);
+            .slow_rank(1, 10);
         assert_eq!(plan.fails_at(2), Some(1));
         assert_eq!(plan.fails_at(0), None);
         assert_eq!(plan.failing_ranks(), vec![2]);
@@ -355,11 +280,6 @@ mod tests {
         assert!(!plan.is_poisoned(4, 2));
         assert_eq!(plan.slow_stall(1), Some(Duration::from_micros(10)));
         assert_eq!(plan.slow_stall(0), None);
-        // every=2 delays the 2nd, 4th, ... messages (seq 1, 3, ...).
-        assert_eq!(plan.delay_for(0, 1, 0), None);
-        assert_eq!(plan.delay_for(0, 1, 1), Some(Duration::from_micros(5)));
-        assert!(plan.drops_message(1, 0, 3));
-        assert!(!plan.drops_message(1, 0, 2));
         assert!(!plan.is_empty());
         assert!(FaultPlan::new().is_empty());
     }
@@ -385,13 +305,9 @@ mod tests {
         st.mark_failed(3); // idempotent
         assert!(st.is_failed(3));
         assert_eq!(st.failed_ranks(), vec![3]);
-        st.count_drop();
-        st.count_delay();
         st.count_stall();
         let snap = st.snapshot();
         assert_eq!(snap.rank_failures, 1);
-        assert_eq!(snap.dropped_messages, 1);
-        assert_eq!(snap.delayed_messages, 1);
         assert_eq!(snap.slow_stalls, 1);
     }
 

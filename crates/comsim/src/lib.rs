@@ -23,8 +23,8 @@
 //! the dense reference paths.
 //!
 //! A third piece makes the substrate *break on purpose*: the
-//! [`fault`] module scripts deterministic rank deaths, message
-//! drops/delays, and stragglers ([`fault::FaultPlan`], installed by
+//! [`fault`] module scripts deterministic rank deaths, poisoned job
+//! attempts and stragglers ([`fault::FaultPlan`], installed by
 //! [`thread::run_ranks_with_faults`]), with typed [`fault::CommError`]s
 //! from [`comm::Comm::recv_deadline`] so a dead peer can never hang a group —
 //! the substrate the scheduler's epoch-level recovery is built on.

@@ -41,13 +41,10 @@ const FAILURE_POLL: Duration = Duration::from_millis(5);
 type Envelope = (usize, u64, Payload);
 
 /// Per-rank fault-injection context installed by
-/// [`run_ranks_with_faults`]: the shared plan/state plus this rank's
-/// deterministic per-destination send counters (what drop/delay rules key
-/// on).
+/// [`run_ranks_with_faults`]: the shared plan and state.
 struct FaultCtx {
     plan: Arc<FaultPlan>,
     state: Arc<FaultState>,
-    send_seq: RefCell<Vec<u64>>,
 }
 
 /// Communicator handle owned by one rank thread.
@@ -227,34 +224,6 @@ impl ThreadComm {
             return;
         }
         if let Some(f) = &self.fault {
-            let seq = {
-                let mut seqs = f.send_seq.borrow_mut();
-                let s = seqs[dst];
-                seqs[dst] += 1;
-                s
-            };
-            if f.plan.drops_message(self.rank, dst, seq) {
-                f.state.count_drop();
-                if sm_trace::enabled() {
-                    sm_trace::emit(
-                        "fault.injected",
-                        0.0,
-                        0.0,
-                        &[
-                            ("drop", 1.0),
-                            ("src", self.rank as f64),
-                            ("dst", dst as f64),
-                            ("seq", seq as f64),
-                        ],
-                    );
-                }
-                // Lost on the wire: never delivered, never counted.
-                return;
-            }
-            if let Some(d) = f.plan.delay_for(self.rank, dst, seq) {
-                f.state.count_delay();
-                std::thread::sleep(d);
-            }
             if let Some(d) = f.plan.slow_stall(self.rank) {
                 f.state.count_stall();
                 std::thread::sleep(d);
@@ -381,8 +350,8 @@ where
 }
 
 /// Run `f(comm)` on `size` rank threads with `plan` installed on every
-/// rank's communicator: drop/delay/slow rules fire deterministically in
-/// the send path, and rank deaths propagate through the poison protocol
+/// rank's communicator: slow-rank stalls fire deterministically in the
+/// send path, and rank deaths propagate through the poison protocol
 /// plus the shared [`FaultState`]. An **empty** plan installs nothing —
 /// the send path keeps its single fault check, a miss, and
 /// [`ThreadComm::fault_plan`] is `None`. Returns per-rank results (`None`
@@ -573,7 +542,6 @@ fn build_comms(
             fault: fault.map(|(plan, state)| FaultCtx {
                 plan: Arc::clone(plan),
                 state: Arc::clone(state),
-                send_seq: RefCell::new(vec![0; size]),
             }),
             peer_failed: RefCell::new(vec![false; size]),
         })
@@ -839,31 +807,8 @@ mod tests {
     }
 
     #[test]
-    fn dropped_message_surfaces_as_timeout() {
-        let plan = FaultPlan::new().drop_message(1, 0, 0);
-        let (results, _, inj) = run_ranks_with_faults(2, plan, |c| {
-            if c.rank() == 1 {
-                c.send(0, 3, Payload::U64(vec![1])); // dropped on the wire
-                c.send(0, 3, Payload::U64(vec![2])); // delivered
-                return None;
-            }
-            let got = c
-                .recv_deadline(1, 3, Duration::from_secs(30))
-                .unwrap()
-                .into_u64()[0];
-            Some((got, c.recv_deadline(1, 3, Duration::from_millis(30))))
-        });
-        let (got, second) = results[0].clone().unwrap().unwrap();
-        assert_eq!(got, 2, "the first send was lost, the second arrives");
-        assert_eq!(second, Err(CommError::Timeout { src: 1, tag: 3 }));
-        assert_eq!(inj.dropped_messages, 1);
-    }
-
-    #[test]
-    fn delay_and_slow_rules_change_timing_not_results() {
-        let plan = FaultPlan::new()
-            .delay_messages(0, 1, 1, 100)
-            .slow_rank(0, 50);
+    fn slow_rule_changes_timing_not_results() {
+        let plan = FaultPlan::new().slow_rank(0, 50);
         let (results, _, inj) = run_ranks_with_faults(2, plan, |c| {
             if c.rank() == 0 {
                 c.send(1, 6, Payload::U64(vec![5]));
@@ -873,7 +818,6 @@ mod tests {
             }
         });
         assert_eq!(results[1], Some(5));
-        assert_eq!(inj.delayed_messages, 1);
         assert_eq!(inj.slow_stalls, 1);
     }
 

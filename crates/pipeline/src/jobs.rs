@@ -31,6 +31,8 @@ use sm_comsim::SerialComm;
 use sm_core::engine::{EngineOptions, EngineReport, NumericOptions, SubmatrixEngine};
 use sm_dbcsr::{ops, DbcsrMatrix};
 
+use crate::sched::admit;
+
 /// Which matrix function a job computes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobOutput {
@@ -92,10 +94,10 @@ impl MatrixJob {
     }
 }
 
-/// One self-consistent-field problem submitted to the batched SCF service
-/// ([`ScfService`](crate::scf_service::ScfService)): the system (its
-/// orthogonalized Kohn–Sham matrix), the chemical data, and the full SCF
-/// configuration. The scheduler runs the whole multi-iteration
+/// One self-consistent-field problem submitted to the
+/// [`Scheduler`](crate::sched::Scheduler) or the streaming service: the
+/// system (its orthogonalized Kohn–Sham matrix), the chemical data, and
+/// the full SCF configuration. The scheduler runs the whole multi-iteration
 /// [`sm_chem::ScfDriver`] loop as one job on a per-job subcommunicator.
 #[derive(Debug, Clone)]
 pub struct ScfJobSpec {
@@ -184,6 +186,18 @@ impl BatchJob {
             BatchJob::Matrix(_) => 1,
             BatchJob::Scf(j) => j.iteration_budget(),
         }
+    }
+}
+
+impl From<MatrixJob> for BatchJob {
+    fn from(job: MatrixJob) -> Self {
+        BatchJob::Matrix(job)
+    }
+}
+
+impl From<ScfJobSpec> for BatchJob {
+    fn from(spec: ScfJobSpec) -> Self {
+        BatchJob::Scf(spec)
     }
 }
 
@@ -310,7 +324,22 @@ impl JobQueue {
 
     /// Run a batch. Jobs execute concurrently over the shared pool in
     /// longest-plan-first order; results return in submission order.
+    /// Panics with the refusal if the scheduler's admission check refuses
+    /// a job.
     pub fn run(&self, jobs: Vec<MatrixJob>) -> Vec<JobResult> {
+        // The check takes a `BatchJob`: wrap, check and unwrap again, which
+        // moves the jobs and copies no matrix.
+        let jobs: Vec<BatchJob> = jobs.into_iter().map(BatchJob::from).collect();
+        if let Some(refusal) = jobs.iter().find_map(|j| admit(j).err()) {
+            panic!("{refusal}");
+        }
+        let jobs: Vec<MatrixJob> = jobs
+            .into_iter()
+            .filter_map(|j| match j {
+                BatchJob::Matrix(j) => Some(j),
+                BatchJob::Scf(_) => None,
+            })
+            .collect();
         // Symbolic pass (sequential): fingerprint + plan through the
         // shared cache. Recurring patterns plan once; each job remembers
         // whether it was the one that paid for the build, and what the
@@ -319,11 +348,6 @@ impl JobQueue {
         let plans: Vec<_> = jobs
             .iter()
             .map(|j| {
-                assert_eq!(
-                    j.matrix.grid().size(),
-                    1,
-                    "job matrices must be single-rank (replicated) handles"
-                );
                 let t = Instant::now();
                 let (plan, built) = self.engine.plan_for_matrix_traced(&j.matrix, &comm);
                 (plan, built, t.elapsed().as_secs_f64())

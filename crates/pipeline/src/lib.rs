@@ -35,14 +35,20 @@
 //!   batch: a fault-free run is the run under the empty
 //!   `sm_comsim::FaultPlan`. Jobs of either ensemble are bitwise-identical
 //!   to the serial queue at any group size and any steal schedule.
-//! * [`ScfService`] (module [`scf_service`]) lifts the scheduler from
-//!   one-shot evaluations to whole **chemical systems**: each
-//!   [`ScfJobSpec`] is wrapped as an iterative [`BatchJob::Scf`] job — a
-//!   full multi-iteration [`sm_chem::ScfDriver`] loop on the job's
-//!   subcommunicator — with rank groups sized by *per-iteration* pattern
-//!   cost times iteration budget, per-iteration SCF telemetry in
-//!   [`JobResult::scf`], and batches bitwise-identical to a serial loop
-//!   of driver runs (`scf_service_equivalence` suite).
+//!   Its one entry point, [`Scheduler::run`], takes [`MatrixJob`]s and
+//!   [`ScfJobSpec`]s alike: each spec runs as an iterative
+//!   [`BatchJob::Scf`] job — a full multi-iteration
+//!   [`sm_chem::ScfDriver`] loop on the job's subcommunicator — with its
+//!   group sized by *per-iteration* pattern cost times iteration budget,
+//!   per-iteration SCF telemetry in [`JobResult::scf`], and batches
+//!   bitwise-identical to a serial loop of driver runs
+//!   (`scf_service_equivalence` suite; module [`scf_service`] keeps that
+//!   serial reference and the name [`ScfService`]). Every front-end —
+//!   [`Scheduler::try_run`], [`StreamingScfService::submit`] and
+//!   [`JobQueue::run`] — admits jobs through the scheduler's one check.
+//! * [`StreamingScfService`] (module [`service`]) puts a bounded priority
+//!   queue in front of a scheduler and closes it into one batch per
+//!   admission window.
 //! * **Fault injection & epoch-level recovery** (the same planner and
 //!   executor, under a non-empty seeded `FaultPlan`): rank deaths commit at
 //!   epoch boundaries through a collective fault consensus, survivors
@@ -102,8 +108,7 @@ pub use sched::{
     SchedulePlan, Scheduler, SchedulerOutcome, StealPolicy, StealStats, DEFAULT_RETRY_BUDGET,
 };
 pub use service::{
-    Priority, ServiceConfig, ServiceError, ServiceEvent, ServiceRequest, ServiceStats,
-    StreamingScfService, WindowOutcome,
+    Priority, ServiceConfig, ServiceError, ServiceStats, StreamingScfService, WindowOutcome,
 };
 pub use sm_core::engine::{
     AssemblyMap, EngineOptions, EngineReport, EngineStats, Ensemble, ExecutionPlan, ExtractionMap,

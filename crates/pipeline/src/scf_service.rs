@@ -1,13 +1,12 @@
-//! Batched multi-system SCF service over the distributed scheduler.
+//! Batched multi-system SCF over the distributed scheduler.
 //!
 //! A production electronic-structure service does not purify one matrix at
 //! a time: it sees a stream of **independent chemical systems** — different
 //! geometries, sizes and convergence budgets — each of which needs a whole
 //! self-consistent-field *loop*, not a single matrix-function evaluation.
-//! [`ScfService`] is that layer. It accepts a batch of [`ScfJobSpec`]s,
-//! wraps each one as an iterative [`BatchJob::Scf`] job, and executes the
-//! batch through the epoch-stealing [`Scheduler`], so the whole fleet of
-//! SCF loops shares:
+//! The [`Scheduler`] runs such a batch directly: `run(world, specs)` takes
+//! the [`ScfJobSpec`]s as iterative [`BatchJob::Scf`](crate::jobs::BatchJob::Scf)
+//! jobs, so the whole fleet of SCF loops shares:
 //!
 //! * **one engine and one (optionally bounded) plan cache** — a system
 //!   resubmitted across batches, or several specs with the same sparsity
@@ -23,9 +22,12 @@
 //!   ([`JobResult::scf`]: iterations, converged flag, final energy and
 //!   electron count, per-iteration gather/scatter value bytes).
 //!
+//! This module keeps the serial reference ([`serial_scf_loop`]), the
+//! outcome accessors ([`ScfOutcomeExt`]) and the name [`ScfService`].
+//!
 //! ## Invariants (see `ARCHITECTURE.md`)
 //!
-//! The service adds no new collective machinery, so the scheduler's
+//! SCF jobs add no new collective machinery, so the scheduler's
 //! load-bearing invariants carry over unchanged:
 //!
 //! * **Plan-cache hit/miss consensus stays per-group per-epoch.** An SCF
@@ -56,66 +58,17 @@ use sm_chem::{ScfDriver, ScfResult};
 use sm_comsim::SerialComm;
 use sm_core::engine::SubmatrixEngine;
 
-use crate::jobs::{BatchJob, JobResult, ScfJobSpec};
-use crate::sched::{RankBudget, Scheduler, SchedulerOutcome, StealPolicy};
+use crate::jobs::{JobResult, ScfJobSpec};
+use crate::sched::Scheduler;
 
-/// Batched multi-system SCF executor: a thin, service-shaped facade over
-/// [`Scheduler::run_batch`] that speaks [`ScfJobSpec`]s. See the module
-/// docs for what is shared across the batch.
-#[derive(Default)]
-pub struct ScfService {
-    sched: Scheduler,
-}
-
-impl ScfService {
-    /// Build a service over an existing engine (sharing its plan cache
-    /// with any other queue/scheduler on the same engine) and rank-budget
-    /// policy. Epoch stealing is on by default; see
-    /// [`ScfService::with_policy`].
-    pub fn new(engine: Arc<SubmatrixEngine>, budget: RankBudget) -> Self {
-        ScfService {
-            sched: Scheduler::new(engine, budget),
-        }
-    }
-
-    /// Set the steal policy (builder style).
-    pub fn with_policy(mut self, policy: StealPolicy) -> Self {
-        self.sched = self.sched.with_policy(policy);
-        self
-    }
-
-    /// Set the batch label used as the root span of every trace this
-    /// service records (builder style; see
-    /// [`Scheduler::with_trace_label`]).
-    pub fn with_trace_label(mut self, label: &str) -> Self {
-        self.sched = self.sched.with_trace_label(label);
-        self
-    }
-
-    /// The shared engine.
-    pub fn engine(&self) -> &Arc<SubmatrixEngine> {
-        self.sched.engine()
-    }
-
-    /// The underlying scheduler (e.g. to mix SCF specs with one-shot
-    /// matrix jobs in a single [`Scheduler::run_batch`] call).
-    pub fn scheduler(&self) -> &Scheduler {
-        &self.sched
-    }
-
-    /// Run a batch of SCF systems over a `world_size`-rank world; results
-    /// gather on world rank 0 in submission order. Each [`JobResult`]'s
-    /// `result` is the system's final density matrix, its `report` the
-    /// whole-run engine aggregate, and its `scf` field the per-iteration
-    /// telemetry.
-    pub fn run(&self, world_size: usize, specs: Vec<ScfJobSpec>) -> SchedulerOutcome {
-        self.sched
-            .run_batch(world_size, specs.into_iter().map(BatchJob::Scf).collect())
-    }
-}
+/// The batched SCF service is the [`Scheduler`]: `ScfService::run(world,
+/// specs)` is [`Scheduler::run`] over [`ScfJobSpec`]s. The name stays
+/// because the benchmark package calls `ScfService::default`, `engine`
+/// and `run` by it.
+pub type ScfService = Scheduler;
 
 /// The serial reference the `scf_service_equivalence` suite (and the
-/// `ablation_scf_service` bench) compares [`ScfService::run`] against: a
+/// `ablation_scf_service` bench) compares [`Scheduler::run`] against: a
 /// plain loop of [`ScfDriver`] runs on a single rank, all sharing one
 /// engine — the same amortization surface the service offers, with none
 /// of its distribution. Specs must match this loop **bitwise** at any
@@ -160,7 +113,7 @@ impl ScfOutcomeExt for [JobResult] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::jobs::MatrixJob;
+    use crate::jobs::{BatchJob, MatrixJob};
     use crate::sched::estimate_batch_job_cost;
     use sm_dbcsr::{BlockedDims, DbcsrMatrix};
     use sm_linalg::Matrix;
@@ -199,8 +152,7 @@ mod tests {
             grand_canonical_spec("b", 4, 2),
             grand_canonical_spec("c", 4, 3),
         ];
-        let service = ScfService::default();
-        let outcome = service.run(3, specs.clone());
+        let outcome = Scheduler::default().run(3, specs.clone());
         assert_eq!(outcome.results.len(), 3);
         for (spec, r) in specs.iter().zip(&outcome.results) {
             assert_eq!(r.name, spec.name);

@@ -18,7 +18,7 @@ use sm_trace::SpanKind;
 
 use super::plan::*;
 use super::telemetry::{decode_telemetry, encode_telemetry, placeholder};
-use crate::jobs::{BatchJob, JobResult, MatrixJob, ScfTelemetry};
+use crate::jobs::{BatchJob, JobResult, ScfTelemetry};
 
 /// Subgroup user tags of the per-job result gather to the group root.
 /// Safe to reuse across a group's sequential jobs: every send is matched
@@ -70,7 +70,6 @@ pub struct Scheduler {
     policy: StealPolicy,
     pub(crate) trace_label: String,
     fault_plan: FaultPlan,
-    retry_budget: usize,
     world: RankWorld,
 }
 
@@ -101,7 +100,6 @@ impl Scheduler {
             policy: StealPolicy::default(),
             trace_label: "batch".to_string(),
             fault_plan: FaultPlan::new(),
-            retry_budget: DEFAULT_RETRY_BUDGET,
             world: RankWorld::default(),
         }
     }
@@ -127,16 +125,6 @@ impl Scheduler {
         self
     }
 
-    /// Set the per-job attempt budget used under fault injection
-    /// (builder style; default [`DEFAULT_RETRY_BUDGET`]). A job whose
-    /// every attempt up to the budget is poisoned is quarantined instead
-    /// of retried forever.
-    pub fn with_retry_budget(mut self, retry_budget: usize) -> Self {
-        assert!(retry_budget >= 1, "retry budget must allow one attempt");
-        self.retry_budget = retry_budget;
-        self
-    }
-
     /// Set the batch label used as the root `batch:<label>` span of every
     /// trace this scheduler records (builder style). Sessions asserting
     /// on span trees should pick a unique label and filter with
@@ -158,16 +146,11 @@ impl Scheduler {
         &self.world
     }
 
-    /// Run a batch of one-shot matrix jobs over a `world_size`-rank world
-    /// and gather the results (in submission order) on world rank 0.
-    /// Convenience wrapper over [`Scheduler::run_batch`].
-    pub fn run(&self, world_size: usize, jobs: Vec<MatrixJob>) -> SchedulerOutcome {
-        self.run_batch(world_size, jobs.into_iter().map(BatchJob::Matrix).collect())
-    }
-
-    /// Run a mixed batch of [`BatchJob`]s — one-shot matrix evaluations
-    /// and/or multi-iteration SCF jobs — over a `world_size`-rank world
-    /// and gather the results (in submission order) on world rank 0.
+    /// Run a batch — one-shot [`MatrixJob`](crate::jobs::MatrixJob)s,
+    /// multi-iteration [`ScfJobSpec`](crate::jobs::ScfJobSpec)s or a mix
+    /// as [`BatchJob`]s — over a `world_size`-rank world and gather the
+    /// results (in submission order) on world rank 0; panics where
+    /// [`Scheduler::try_run`] returns an error.
     ///
     /// Every job kind rides the same machinery: perfmodel cost estimation
     /// (scaled by the job's iteration budget, see
@@ -176,59 +159,46 @@ impl Scheduler {
     /// consensus, and the telemetry gather to world rank 0. SCF jobs
     /// additionally return per-iteration telemetry in
     /// [`JobResult::scf`].
-    pub fn run_batch(&self, world_size: usize, jobs: Vec<BatchJob>) -> SchedulerOutcome {
-        self.try_run_batch(world_size, jobs)
+    pub fn run<J: Into<BatchJob>>(&self, world_size: usize, jobs: Vec<J>) -> SchedulerOutcome {
+        self.try_run(world_size, jobs)
             .unwrap_or_else(|e| panic!("scheduled batch failed: {e}"))
     }
 
-    /// Fallible [`Scheduler::run_batch`]: admission failures and
-    /// unrecoverable communication errors surface as a typed
+    /// Fallible [`Scheduler::run`]: a job the one admission check refuses
+    /// and an unrecoverable communication error surface as a typed
     /// [`SchedError`] instead of a panic.
-    pub fn try_run_batch(
+    pub fn try_run<J: Into<BatchJob>>(
+        &self,
+        world_size: usize,
+        jobs: Vec<J>,
+    ) -> Result<SchedulerOutcome, SchedError> {
+        let jobs = jobs.into_iter().map(Into::into).collect();
+        self.run_as(world_size, jobs, &self.trace_label)
+    }
+
+    /// [`Scheduler::try_run`] under the root span `batch:<label>` (the
+    /// streaming service labels each window).
+    pub(crate) fn run_as(
         &self,
         world_size: usize,
         jobs: Vec<BatchJob>,
+        label: &str,
     ) -> Result<SchedulerOutcome, SchedError> {
-        for j in &jobs {
-            // Validate on the caller thread: a bad job would otherwise
-            // panic deep inside a rank thread (e.g. ScfDriver::run with a
-            // zero iteration budget produces no density, a Padé solve at
-            // kt > 0 asserts) and strand its group's peers in their
-            // collectives.
-            let m = j.input();
-            // Extraction needs every column's diagonal block; a zero one is not stored.
-            let no_diagonal = (0..m.dims().nb()).find(|&c| m.block(c, c).is_none());
-            let reason = match (j, no_diagonal) {
-                _ if m.grid().size() != 1 => {
-                    "job matrices must be single-rank (replicated) handles".to_string()
-                }
-                (BatchJob::Scf(spec), _) if spec.scf.max_iter < 1 => {
-                    "max_iter == 0 (needs at least one iteration)".to_string()
-                }
-                (_, Some(c)) => format!("block column {c} has no diagonal block"),
-                (_, None) => match numeric_refusal(j) {
-                    Some(reason) => reason,
-                    None => continue,
-                },
-            };
-            let name = j.name().to_string();
-            return Err(SchedError::InvalidJob { name, reason });
-        }
-        let costs: Vec<f64> = jobs.iter().map(estimate_batch_job_cost).collect();
-        check_estimates(&jobs, &costs)?;
+        // Admit on the caller thread, before any rank starts.
+        let costs = jobs.iter().map(admit).collect::<Result<Vec<f64>, _>>()?;
         let schedule = Arc::new(plan_epochs_with_faults(
             &costs,
             world_size,
             &self.budget,
             self.policy,
             &self.fault_plan,
-            self.retry_budget,
+            DEFAULT_RETRY_BUDGET,
         ));
         // Narrate the (already fixed) schedule on the caller thread, under
         // the batch root span: planning stays a pure function of the
         // estimates and the fault plan, the trace only observes its output.
-        trace_schedule(&schedule, &self.trace_label);
-        let (engine, label) = (Arc::clone(&self.engine), self.trace_label.clone());
+        trace_schedule(&schedule, label);
+        let (engine, label) = (Arc::clone(&self.engine), label.to_string());
         let (jobs, shared) = (Arc::new(jobs), Arc::clone(&schedule));
         let plan = self.fault_plan.clone();
         let (mut per_rank, world_stats, injected) = self.world.run(world_size, plan, move |comm| {
@@ -250,8 +220,6 @@ impl Scheduler {
             ..schedule.planned
         };
         let fault_stats = FaultStats {
-            dropped_messages: injected.dropped_messages,
-            delayed_messages: injected.delayed_messages,
             slow_stalls: injected.slow_stalls,
             ..schedule.fault_stats
         };

@@ -10,8 +10,10 @@
 //! evaluations proceed concurrently *and* each one can itself be
 //! rank-parallel:
 //!
-//! 1. **Estimate** ([`estimate_batch_job_cost`]): every job's submatrix
-//!    work is estimated from its sparsity pattern, weighted by
+//! 1. **Admit and estimate** ([`estimate_batch_job_cost`]): one check,
+//!    shared with the streaming service and the serial queue, refuses a
+//!    job that would fail inside its group and returns every other job's
+//!    submatrix work, estimated from its sparsity pattern and weighted by
 //!    `sm_accel::perfmodel`'s utilization curve.
 //! 2. **Partition** ([`partition`]): jobs are packed longest-first onto
 //!    `min(world, jobs)` groups (classic LPT) and the ranks dealt to
@@ -96,8 +98,9 @@ mod plan;
 mod telemetry;
 
 pub use exec::{Scheduler, SchedulerOutcome};
+pub(crate) use plan::admit;
 pub use plan::{
-    estimate_batch_job_cost, estimate_pattern_cost_for, partition, plan_epochs,
+    estimate_batch_job_cost, estimate_pattern_cost, partition, plan_epochs,
     plan_epochs_with_faults, steal_horizon, Attempt, Epoch, EpochGroup, EpochSchedule, FaultStats,
     GroupPlan, RankBudget, SchedError, SchedulePlan, StealPolicy, StealStats, DEFAULT_RETRY_BUDGET,
 };

@@ -1,5 +1,6 @@
-//! The pure half of the scheduler: cost estimates, the LPT partition, the
-//! steal horizon, the one epoch planner and the schedule types it builds.
+//! The pure half of the scheduler: the one admission check and the cost
+//! estimates it returns, the LPT partition, the steal horizon, the one
+//! epoch planner and the schedule types it builds.
 //! Everything here is a function of its arguments alone (Invariant 3) —
 //! CI greps this file for any clock, communicator handle or tracer.
 
@@ -9,13 +10,13 @@ use sm_accel::perfmodel;
 use sm_chem::ScfEnsemble;
 use sm_comsim::{CommError, FaultPlan};
 use sm_core::engine::{Ensemble, NumericOptions};
-use sm_core::solver::{SignMethod, SolveBackend};
+use sm_core::solver::SignMethod;
 use sm_dbcsr::DbcsrMatrix;
 
 use crate::jobs::BatchJob;
 
-/// Default per-job attempt budget under fault injection (first attempt +
-/// two retries), overridable via [`Scheduler::with_retry_budget`](super::Scheduler::with_retry_budget).
+/// Per-job attempt budget under fault injection (first attempt + two
+/// retries): a [`Scheduler`](super::Scheduler) plans every batch with it.
 pub const DEFAULT_RETRY_BUDGET: usize = 3;
 
 /// Rank-budget policy: how many groups to form and how large each may
@@ -75,44 +76,26 @@ pub struct SchedulePlan {
 }
 
 /// Estimate the submatrix work of **one engine evaluation** of a sparsity
-/// pattern under `numeric`: for each block column, the induced submatrix
-/// dimension `n` costs `2n³` FLOPs (one dense solve), inflated by the
-/// perfmodel utilization curve — small matrices run far from peak, so
-/// their FLOPs buy more wall time. When the job's
-/// [`BackendPolicy`](sm_core::engine::BackendPolicy) resolves to the
-/// sparse-CSR solve for this pattern's element fill (and the configured
-/// sign method honors the backend at all), the dense estimate is scaled
-/// by [`perfmodel::sparse_solve_cost_factor`]. Pattern-only and cheap: one
-/// pass over the block keys (exact integer sums), and no plan is built.
+/// pattern: for each block column, the induced submatrix dimension `n`
+/// costs `2n³` FLOPs (one dense solve), inflated by the perfmodel
+/// utilization curve — small matrices run far from peak, so their FLOPs
+/// buy more wall time. Pattern-only and cheap: one pass over the block
+/// keys (exact integer sums), and no plan is built.
 ///
-/// The fill is the replicated pattern's own, as the engine's symbolic
-/// phase computes it, and the resolution goes through the
-/// same shared [`resolve`](sm_core::engine::BackendPolicy::resolve) rule
-/// — scheduler and engine can never disagree about which backend a job
-/// runs, so the schedule stays a pure function of the estimates.
-pub fn estimate_pattern_cost_for(matrix: &DbcsrMatrix, numeric: &NumericOptions) -> f64 {
+/// The estimate prices the pattern, never the solve backend or the
+/// precision a job's `NumericOptions` select: a schedule is a symbolic
+/// decision (CI keeps the numeric-phase types out of this file).
+pub fn estimate_pattern_cost(matrix: &DbcsrMatrix) -> f64 {
     let dims = matrix.dims();
     let mut col_dim = vec![0usize; dims.nb()];
-    let mut nnz_elems = 0usize;
     for (&(br, bc), _) in matrix.store().iter() {
         col_dim[bc] += dims.size(br);
-        nnz_elems += dims.size(br) * dims.size(bc);
     }
     // The float terms are added in ascending block column.
     let mut cost = 0.0;
     for &n in col_dim.iter().filter(|&&n| n > 0) {
         let flops = 2.0 * (n as f64).powi(3);
         cost += flops / perfmodel::matmul_utilization(1.0, n);
-    }
-    let n_elems = (dims.n() * dims.n()) as f64;
-    let fill = if n_elems > 0.0 {
-        nnz_elems as f64 / n_elems
-    } else {
-        0.0
-    };
-    let backend_honored = matches!(numeric.solve.method, SignMethod::Pade(_));
-    if backend_honored && numeric.backend.resolve(fill) == SolveBackend::SparseCsr {
-        cost *= perfmodel::sparse_solve_cost_factor(fill);
     }
     cost
 }
@@ -125,7 +108,7 @@ pub fn estimate_pattern_cost_for(matrix: &DbcsrMatrix, numeric: &NumericOptions)
 /// lets iterative jobs ride the same LPT/steal machinery as one-shot
 /// evaluations.
 pub fn estimate_batch_job_cost(job: &BatchJob) -> f64 {
-    estimate_pattern_cost_for(job.input(), job_numeric(job)) * job.iteration_budget() as f64
+    estimate_pattern_cost(job.input()) * job.iteration_budget() as f64
 }
 
 /// The numeric options a job will execute under (matrix jobs carry them
@@ -141,7 +124,7 @@ pub(super) fn job_numeric(job: &BatchJob) -> &NumericOptions {
 /// would: a Padé iteration needs order ≥ 2, zero temperature and a fixed
 /// µ. An SCF job's ensemble is `ScfOptions::ensemble`, and a canonical
 /// SCF run always diagonalizes.
-pub(super) fn numeric_refusal(job: &BatchJob) -> Option<String> {
+fn numeric_refusal(job: &BatchJob) -> Option<String> {
     let numeric = job_numeric(job);
     let SignMethod::Pade(order) = numeric.solve.method else {
         return None;
@@ -164,19 +147,42 @@ pub(super) fn numeric_refusal(job: &BatchJob) -> Option<String> {
     Some(format!("Pade({order}): {why}"))
 }
 
-/// Admission gate on the perfmodel estimates: every cost must be finite,
-/// or the schedule (a pure function of the estimates) is undefined. The
-/// first offender is reported as [`SchedError::BadEstimate`].
-pub(super) fn check_estimates(jobs: &[BatchJob], costs: &[f64]) -> Result<(), SchedError> {
-    for (job, &cost) in jobs.iter().zip(costs) {
-        if !cost.is_finite() {
-            return Err(SchedError::BadEstimate {
-                name: job.name().to_string(),
-                cost,
-            });
+/// The one admission check, shared by [`Scheduler::try_run`](super::Scheduler::try_run),
+/// the streaming service's `submit` and the serial `JobQueue`: the job's
+/// cost estimate, or why it may not run. A refused job would otherwise
+/// panic deep inside a rank thread (an SCF run with no iteration produces
+/// no density, a Padé solve at `kt > 0` asserts) and strand its group's
+/// peers in their collectives, or make the schedule undefined.
+pub(crate) fn admit(job: &BatchJob) -> Result<f64, SchedError> {
+    let m = job.input();
+    // Extraction needs every column's diagonal block; a zero one is not stored.
+    let no_diagonal = (0..m.dims().nb()).find(|&c| m.block(c, c).is_none());
+    let reason = match (job, no_diagonal) {
+        _ if m.grid().size() != 1 => {
+            Some("job matrices must be single-rank (replicated) handles".to_string())
         }
+        (BatchJob::Scf(spec), _) if spec.scf.max_iter < 1 => {
+            Some("max_iter == 0 (needs at least one iteration)".to_string())
+        }
+        (_, Some(c)) => Some(format!("block column {c} has no diagonal block")),
+        (_, None) => numeric_refusal(job),
+    };
+    if let Some(reason) = reason {
+        let name = job.name().to_string();
+        return Err(SchedError::InvalidJob { name, reason });
     }
-    Ok(())
+    finite_estimate(job, estimate_batch_job_cost(job))
+}
+
+/// [`admit`]'s gate on the estimate: a schedule is a pure function of the
+/// estimates, so a non-finite one is refused as [`SchedError::BadEstimate`].
+fn finite_estimate(job: &BatchJob, cost: f64) -> Result<f64, SchedError> {
+    if cost.is_finite() {
+        Ok(cost)
+    } else {
+        let name = job.name().to_string();
+        Err(SchedError::BadEstimate { name, cost })
+    }
 }
 
 /// Deterministically partition `costs.len()` jobs over `world_size` ranks:
@@ -686,7 +692,7 @@ fn steal_stats_for(
     }
 }
 
-/// Typed scheduler failure, returned by [`Scheduler::try_run_batch`](super::Scheduler::try_run_batch)
+/// Typed scheduler failure, returned by [`Scheduler::try_run`](super::Scheduler::try_run)
 /// instead of a panic. Programmer errors (protocol violations, consensus
 /// divergence under a deterministic plan) still panic; `SchedError` is
 /// reserved for conditions a robust caller is expected to handle.
@@ -767,10 +773,6 @@ pub struct FaultStats {
     pub recovery_epochs: usize,
     /// Surviving ranks after the last epoch.
     pub final_world_size: usize,
-    /// Messages lost to the plan's drop rules.
-    pub dropped_messages: u64,
-    /// Messages stalled by the plan's delay rules.
-    pub delayed_messages: u64,
     /// Sends stalled by the plan's slow-rank rules.
     pub slow_stalls: u64,
 }
@@ -1083,7 +1085,7 @@ mod tests {
     fn partition_is_total_on_non_finite_costs() {
         // `partition` is a public entry point: a NaN estimate must yield a
         // deterministic (if meaningless) schedule, never a comparator
-        // panic. Admission (`try_run_batch`) rejects such jobs up front.
+        // panic. Admission (`admit`) rejects such jobs up front.
         let costs = [f64::NAN, 2.0, f64::INFINITY, 0.0];
         let p = partition(&costs, 3, &RankBudget::default());
         let mut seen: Vec<usize> = p.groups.iter().flat_map(|g| g.jobs.clone()).collect();
@@ -1106,7 +1108,7 @@ mod tests {
             numeric: sm_core::engine::NumericOptions::default(),
             output: crate::jobs::JobOutput::Density,
         });
-        let err = check_estimates(std::slice::from_ref(&job), &[f64::NAN]).unwrap_err();
+        let err = finite_estimate(&job, f64::NAN).unwrap_err();
         match &err {
             SchedError::BadEstimate { name, cost } => {
                 assert_eq!(name, "nan-cost");
@@ -1115,46 +1117,8 @@ mod tests {
             other => panic!("expected BadEstimate, got {other:?}"),
         }
         assert!(err.to_string().contains("non-finite cost estimate"));
-        assert!(check_estimates(std::slice::from_ref(&job), &[1.0]).is_ok());
-    }
-
-    #[test]
-    fn sparse_backend_lowers_iterative_cost_estimates() {
-        // A low-fill pattern under Auto policy resolves to the sparse-CSR
-        // backend for iterative sign methods, and the perfmodel must
-        // price that in — otherwise LPT packing would misplace sparse
-        // jobs. Diagonalization ignores the backend, so its estimate
-        // must not move (the schedule stays a pure function of what the
-        // engine will actually run).
-        let dims = sm_dbcsr::BlockedDims::uniform(12, 4);
-        let diag = sm_linalg::Matrix::from_fn(48, 48, |i, j| if i == j { 2.0 } else { 0.0 });
-        let matrix = DbcsrMatrix::from_dense(&diag, dims, 0, 1, 0.0);
-        let dense = estimate_pattern_cost_for(
-            &matrix,
-            &NumericOptions {
-                backend: sm_core::engine::BackendPolicy::Dense,
-                ..Default::default()
-            },
-        );
-        let mut numeric = NumericOptions {
-            solve: sm_core::solver::SolveOptions {
-                method: SignMethod::Pade(2),
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let sparse = estimate_pattern_cost_for(&matrix, &numeric);
-        assert!(
-            sparse < dense,
-            "low-fill iterative estimate should shrink: {sparse} vs {dense}"
-        );
-        numeric.solve.method = SignMethod::Diagonalization;
-        assert_eq!(estimate_pattern_cost_for(&matrix, &numeric), dense);
-        // Forcing the dense backend restores the dense estimate even for
-        // iterative methods.
-        numeric.solve.method = SignMethod::Pade(2);
-        numeric.backend = sm_core::engine::BackendPolicy::Dense;
-        assert_eq!(estimate_pattern_cost_for(&matrix, &numeric), dense);
+        assert_eq!(finite_estimate(&job, 1.0), Ok(1.0));
+        assert_eq!(admit(&job), Ok(estimate_batch_job_cost(&job)));
     }
 
     #[test]
@@ -1674,31 +1638,16 @@ mod tests {
 
     /// The estimate as it was computed before the one-pass rewrite: through
     /// a materialised global pattern, per-column sums accumulated as `f64`.
-    fn estimate_via_global_pattern(matrix: &DbcsrMatrix, numeric: &NumericOptions) -> f64 {
+    fn estimate_via_global_pattern(matrix: &DbcsrMatrix) -> f64 {
         let pattern = matrix.global_pattern(&sm_comsim::SerialComm::new());
         let dims = matrix.dims();
         let mut cost = 0.0;
-        let mut nnz_elems = 0.0;
         for bc in 0..dims.nb() {
             let n: usize = pattern.rows_in_col(bc).map(|br| dims.size(br)).sum();
             if n > 0 {
                 let flops = 2.0 * (n as f64).powi(3);
                 cost += flops / perfmodel::matmul_utilization(1.0, n);
             }
-            nnz_elems += pattern
-                .rows_in_col(bc)
-                .map(|br| (dims.size(br) * dims.size(bc)) as f64)
-                .sum::<f64>();
-        }
-        let n_elems = (dims.n() * dims.n()) as f64;
-        let fill = if n_elems > 0.0 {
-            nnz_elems / n_elems
-        } else {
-            0.0
-        };
-        let backend_honored = matches!(numeric.solve.method, SignMethod::Pade(_));
-        if backend_honored && numeric.backend.resolve(fill) == SolveBackend::SparseCsr {
-            cost *= perfmodel::sparse_solve_cost_factor(fill);
         }
         cost
     }
@@ -1710,7 +1659,7 @@ mod tests {
         /// every committed schedule, so the one-pass estimate must be the
         /// same `f64` bit pattern as the pattern-walking one: on the banded
         /// shapes the equivalence suites draw, with non-uniform block
-        /// sizes, emptied block columns and both backends' cost branches.
+        /// sizes and emptied block columns.
         #[test]
         fn one_pass_estimate_is_bit_identical_to_the_pattern_walk(
             nb in 1usize..12,
@@ -1732,18 +1681,9 @@ mod tests {
                     }
                 }
             }
-            for method in [SignMethod::Diagonalization, SignMethod::Pade(2)] {
-                for backend in [
-                    sm_core::engine::BackendPolicy::Dense,
-                    sm_core::engine::BackendPolicy::Auto,
-                ] {
-                    let mut numeric = NumericOptions { backend, ..Default::default() };
-                    numeric.solve.method = method;
-                    let new = estimate_pattern_cost_for(&matrix, &numeric);
-                    let old = estimate_via_global_pattern(&matrix, &numeric);
-                    proptest::prop_assert_eq!(new.to_bits(), old.to_bits());
-                }
-            }
+            let new = estimate_pattern_cost(&matrix);
+            let old = estimate_via_global_pattern(&matrix);
+            proptest::prop_assert_eq!(new.to_bits(), old.to_bits());
         }
     }
 }

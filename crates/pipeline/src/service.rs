@@ -1,21 +1,20 @@
-//! The resident streaming SCF service: a long-lived daemon loop over a
-//! continuous stream of [`ScfJobSpec`]s.
+//! The resident streaming SCF service: a long-lived queue in front of
+//! the [`Scheduler`] for a continuous stream of [`ScfJobSpec`]s.
 //!
-//! [`crate::scf_service::ScfService`] is batch-shaped: one `run` call per
-//! workload, no state between calls. A service that faces a stream of
-//! users needs the complementary shape — a process that stays up,
-//! **admits** jobs as they arrive, and periodically closes an **admission
-//! window** into one scheduled batch. [`StreamingScfService`] is that
-//! layer:
+//! [`Scheduler::run`] is batch-shaped: one call per workload. A service
+//! that faces a stream of users needs the complementary shape — a process
+//! that stays up, **admits** jobs as they arrive, and periodically closes
+//! an **admission window** into one scheduled batch.
+//! [`StreamingScfService`] is that layer:
 //!
 //! * **Admission queue with priorities and bounded backpressure.**
 //!   [`StreamingScfService::submit`] enqueues a spec at a [`Priority`];
 //!   when the queue is at [`ServiceConfig::queue_capacity`] the submission
 //!   is refused with [`ServiceError::Backpressure`] — the caller sheds
-//!   load instead of the daemon growing without bound. Non-finite cost
-//!   estimates are rejected at the door ([`ServiceError::Rejected`] over
-//!   [`SchedError::BadEstimate`]) so one degenerate spec cannot fail the
-//!   whole window at close.
+//!   load instead of the daemon growing without bound. A spec the
+//!   scheduler's one admission check refuses is refused at the door
+//!   ([`ServiceError::Rejected`]), so it cannot fail the whole window at
+//!   close.
 //! * **Admission-window determinism.** [`StreamingScfService::close_window`]
 //!   drains the queue in the canonical order (priority descending,
 //!   submission sequence ascending within a priority) and runs the batch
@@ -27,23 +26,19 @@
 //!   same admitted set in the same order, at any world size and steal
 //!   schedule. *When* a job was submitted never affects its numbers;
 //!   only *which window* admitted it does.
-//! * **A daemon loop.** [`StreamingScfService::serve`] parks on a request
-//!   channel and services [`ServiceRequest`]s until the channel closes or
-//!   a [`ServiceRequest::Shutdown`] arrives — the resident shape the
-//!   `smserved` binary wraps a line protocol around. Plans persist across
-//!   restarts through the engine's manifest spill
-//!   ([`ServiceRequest::ExportPlans`] / [`ServiceRequest::ImportPlans`];
-//!   see `SubmatrixEngine::export_plans`), so a restarted daemon replans
-//!   nothing for patterns it has already seen.
+//!
+//! Plans persist across restarts through the engine's manifest spill
+//! (`SubmatrixEngine::export_plans` / `import_plans`), so a restarted
+//! daemon replans nothing for patterns it has already seen; the `smserved`
+//! binary wraps a line protocol around exactly these calls.
 //!
 //! Each closed window narrates one `service.window` trace event (window
 //! index, jobs admitted, queue depth, backpressure rejects) under a
-//! `batch:<label>.w<N>` root span; `smdoctor serve-report` reconstructs
-//! the daemon's admission history from exactly this narration.
+//! `batch:<label>.w<N>` root span, `<label>` being the scheduler's trace
+//! label; `smdoctor serve-report` reconstructs the daemon's admission
+//! history from exactly this narration.
 
 use std::collections::VecDeque;
-use std::path::PathBuf;
-use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -51,9 +46,7 @@ use sm_core::engine::SubmatrixEngine;
 use sm_trace::SpanKind;
 
 use crate::jobs::{BatchJob, ScfJobSpec};
-use crate::sched::{
-    estimate_batch_job_cost, RankBudget, SchedError, Scheduler, SchedulerOutcome, StealPolicy,
-};
+use crate::sched::{admit, SchedError, Scheduler, SchedulerOutcome};
 
 /// Admission priority of a streamed job. Higher priorities drain first
 /// when a window closes; within a priority, submission order is kept.
@@ -98,8 +91,7 @@ pub enum ServiceError {
         /// The configured queue bound that was hit.
         capacity: usize,
     },
-    /// The spec failed admission validation (today: a non-finite cost
-    /// estimate, [`SchedError::BadEstimate`]).
+    /// The scheduler's admission check refused the spec.
     Rejected(SchedError),
 }
 
@@ -117,7 +109,7 @@ impl std::fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {}
 
-/// Static configuration of a [`StreamingScfService`].
+/// What the streaming service adds to its [`Scheduler`]'s settings.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Simulated world size every window is scheduled at.
@@ -125,12 +117,6 @@ pub struct ServiceConfig {
     /// Bound on the admission queue; submissions beyond it get
     /// [`ServiceError::Backpressure`].
     pub queue_capacity: usize,
-    /// Rank budget handed to the scheduler.
-    pub budget: RankBudget,
-    /// Steal policy for every window.
-    pub policy: StealPolicy,
-    /// Root trace label; window `N` runs under `batch:<label>.w<N>`.
-    pub trace_label: String,
 }
 
 impl Default for ServiceConfig {
@@ -138,15 +124,12 @@ impl Default for ServiceConfig {
         ServiceConfig {
             world_size: 4,
             queue_capacity: 64,
-            budget: RankBudget::default(),
-            policy: StealPolicy::default(),
-            trace_label: "serve".to_string(),
         }
     }
 }
 
 struct Pending {
-    spec: ScfJobSpec,
+    job: BatchJob,
     priority: Priority,
     seq: u64,
 }
@@ -178,61 +161,11 @@ pub struct WindowOutcome {
     pub outcome: SchedulerOutcome,
 }
 
-/// Requests the daemon loop ([`StreamingScfService::serve`]) understands.
-pub enum ServiceRequest {
-    /// Enqueue a spec at a priority (boxed: a spec carries its whole
-    /// matrix, far larger than any other request).
-    Submit(Box<ScfJobSpec>, Priority),
-    /// Close the admission window and run everything admitted so far.
-    CloseWindow,
-    /// Spill the engine's plan cache to a manifest file.
-    ExportPlans(PathBuf),
-    /// Restore plans from a manifest file.
-    ImportPlans(PathBuf),
-    /// Report lifetime counters.
-    Stats,
-    /// Stop the loop (it also stops when the request channel closes).
-    Shutdown,
-}
-
-/// Events the daemon loop emits, one or more per request.
-pub enum ServiceEvent {
-    /// A submission was admitted to the queue.
-    Admitted {
-        /// Monotone submission sequence number.
-        seq: u64,
-        /// The spec's name.
-        name: String,
-        /// Queue depth after admission.
-        queue_depth: usize,
-    },
-    /// A submission was refused.
-    Refused {
-        /// The spec's name.
-        name: String,
-        /// Why it was refused.
-        error: ServiceError,
-    },
-    /// A window closed and ran.
-    Window(Box<WindowOutcome>),
-    /// A window closed but the scheduler failed the batch.
-    WindowFailed(SchedError),
-    /// Plans were exported: `(path, count)`.
-    PlansExported(PathBuf, usize),
-    /// Plans were imported: `(path, count)`.
-    PlansImported(PathBuf, usize),
-    /// A plan export/import failed (rendered engine error).
-    PlanIoFailed(String),
-    /// Lifetime counters, answering [`ServiceRequest::Stats`].
-    Stats(ServiceStats),
-    /// The loop stopped; final counters.
-    Stopped(ServiceStats),
-}
-
 /// The resident streaming service. See the module docs for the admission
 /// and determinism contract.
 pub struct StreamingScfService {
-    /// One scheduler, and so one rank world, for the daemon's life.
+    /// One scheduler, and so one rank world, for the daemon's life; it
+    /// carries the rank budget, the steal policy and the base trace label.
     sched: Scheduler,
     config: ServiceConfig,
     queue: VecDeque<Pending>,
@@ -241,16 +174,16 @@ pub struct StreamingScfService {
 }
 
 impl StreamingScfService {
-    /// Build a service over an existing engine (sharing its plan cache
-    /// with anything else running on that engine).
-    pub fn new(engine: Arc<SubmatrixEngine>, config: ServiceConfig) -> Self {
+    /// Build a service that runs its windows on `sched` (and so shares
+    /// that scheduler's engine and plan cache).
+    pub fn new(sched: Scheduler, config: ServiceConfig) -> Self {
         assert!(config.world_size >= 1, "need at least one rank");
         assert!(
             config.queue_capacity >= 1,
             "queue capacity must admit something"
         );
         StreamingScfService {
-            sched: Scheduler::new(engine, config.budget).with_policy(config.policy),
+            sched,
             config,
             queue: VecDeque::new(),
             next_seq: 0,
@@ -280,20 +213,22 @@ impl StreamingScfService {
 
     /// Admit one spec at `priority`, returning its submission sequence
     /// number. Fails with [`ServiceError::Backpressure`] when the queue
-    /// is full and [`ServiceError::Rejected`] when the spec's cost
-    /// estimate is non-finite (the same check `try_run_batch` applies,
-    /// pulled forward so one bad spec cannot fail a whole window).
+    /// is full and [`ServiceError::Rejected`] when the scheduler's
+    /// admission check refuses the spec — the check every window runs at
+    /// close, pulled forward so one bad spec cannot fail a whole window.
     pub fn submit(&mut self, spec: ScfJobSpec, priority: Priority) -> Result<u64, ServiceError> {
-        let cost = estimate_batch_job_cost(&BatchJob::Scf(spec.clone()));
-        self.admit(spec, priority, cost)
+        let job = BatchJob::Scf(spec);
+        let verdict = admit(&job);
+        self.enqueue(job, priority, verdict)
     }
 
-    /// Admission with the cost already estimated (the testable seam).
-    fn admit(
+    /// Admission with the scheduler's verdict already in hand (the
+    /// testable seam).
+    fn enqueue(
         &mut self,
-        spec: ScfJobSpec,
+        job: BatchJob,
         priority: Priority,
-        cost: f64,
+        verdict: Result<f64, SchedError>,
     ) -> Result<u64, ServiceError> {
         if self.queue.len() >= self.config.queue_capacity {
             self.stats.backpressure_rejects += 1;
@@ -301,33 +236,15 @@ impl StreamingScfService {
                 capacity: self.config.queue_capacity,
             });
         }
-        if !cost.is_finite() {
+        if let Err(e) = verdict {
             self.stats.admission_rejects += 1;
-            return Err(ServiceError::Rejected(SchedError::BadEstimate {
-                name: spec.name.clone(),
-                cost,
-            }));
+            return Err(ServiceError::Rejected(e));
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.queue.push_back(Pending {
-            spec,
-            priority,
-            seq,
-        });
+        self.queue.push_back(Pending { job, priority, seq });
         self.stats.queue_high_water = self.stats.queue_high_water.max(self.queue.len());
         Ok(seq)
-    }
-
-    /// The canonical run order of the currently queued jobs: priority
-    /// descending, submission sequence ascending within a priority. This
-    /// is the order [`close_window`](Self::close_window) admits (and the
-    /// order its results come back in) — a pure function of the admitted
-    /// set, independent of arrival timing.
-    pub fn pending_order(&self) -> Vec<String> {
-        let mut order: Vec<&Pending> = self.queue.iter().collect();
-        order.sort_by_key(|p| (std::cmp::Reverse(p.priority), p.seq));
-        order.iter().map(|p| p.spec.name.clone()).collect()
     }
 
     /// Close the admission window: drain the queue in canonical order and
@@ -339,17 +256,13 @@ impl StreamingScfService {
         self.stats.windows += 1;
         let mut admitted: Vec<Pending> = self.queue.drain(..).collect();
         admitted.sort_by_key(|p| (std::cmp::Reverse(p.priority), p.seq));
-        let names: Vec<String> = admitted.iter().map(|p| p.spec.name.clone()).collect();
-        let label = format!("{}.w{}", self.config.trace_label, window);
+        let names: Vec<String> = admitted.iter().map(|p| p.job.name().to_string()).collect();
+        let label = format!("{}.w{}", self.sched.trace_label, window);
 
         let t0 = Instant::now();
-        self.sched.trace_label.clone_from(&label);
-        let jobs: Vec<BatchJob> = admitted
-            .into_iter()
-            .map(|p| BatchJob::Scf(p.spec))
-            .collect();
+        let jobs: Vec<BatchJob> = admitted.into_iter().map(|p| p.job).collect();
         let n_jobs = jobs.len();
-        let outcome = self.sched.try_run_batch(self.config.world_size, jobs)?;
+        let outcome = self.sched.run_as(self.config.world_size, jobs, &label)?;
         self.stats.jobs_run += n_jobs;
 
         if sm_trace::enabled() {
@@ -373,46 +286,6 @@ impl StreamingScfService {
             admitted: names,
             outcome,
         })
-    }
-
-    /// The daemon loop: service requests until the channel closes or a
-    /// [`ServiceRequest::Shutdown`] arrives, emitting [`ServiceEvent`]s.
-    /// Event-send failures (a departed listener) also stop the loop — a
-    /// daemon nobody is listening to has no reason to keep running.
-    pub fn serve(mut self, requests: Receiver<ServiceRequest>, events: Sender<ServiceEvent>) {
-        while let Ok(req) = requests.recv() {
-            let event = match req {
-                ServiceRequest::Submit(spec, priority) => {
-                    let name = spec.name.clone();
-                    match self.submit(*spec, priority) {
-                        Ok(seq) => ServiceEvent::Admitted {
-                            seq,
-                            name,
-                            queue_depth: self.queue_depth(),
-                        },
-                        Err(error) => ServiceEvent::Refused { name, error },
-                    }
-                }
-                ServiceRequest::CloseWindow => match self.close_window() {
-                    Ok(outcome) => ServiceEvent::Window(Box::new(outcome)),
-                    Err(e) => ServiceEvent::WindowFailed(e),
-                },
-                ServiceRequest::ExportPlans(path) => match self.engine().export_plans(&path) {
-                    Ok(n) => ServiceEvent::PlansExported(path, n),
-                    Err(e) => ServiceEvent::PlanIoFailed(e.to_string()),
-                },
-                ServiceRequest::ImportPlans(path) => match self.engine().import_plans(&path) {
-                    Ok(n) => ServiceEvent::PlansImported(path, n),
-                    Err(e) => ServiceEvent::PlanIoFailed(e.to_string()),
-                },
-                ServiceRequest::Stats => ServiceEvent::Stats(self.stats()),
-                ServiceRequest::Shutdown => break,
-            };
-            if events.send(event).is_err() {
-                return; // listener gone; stop without the final event
-            }
-        }
-        let _ = events.send(ServiceEvent::Stopped(self.stats()));
     }
 }
 
@@ -453,16 +326,20 @@ mod tests {
 
     fn fresh_service(capacity: usize) -> StreamingScfService {
         StreamingScfService::new(
-            Arc::new(SubmatrixEngine::new(EngineOptions {
-                parallel: false,
-                ..EngineOptions::default()
-            })),
+            Scheduler::default().with_trace_label("svc-test"),
             ServiceConfig {
                 queue_capacity: capacity,
-                trace_label: "svc-test".to_string(),
                 ..ServiceConfig::default()
             },
         )
+    }
+
+    fn serial(specs: &[ScfJobSpec]) -> Vec<sm_chem::ScfResult> {
+        let engine = Arc::new(SubmatrixEngine::new(EngineOptions {
+            parallel: false,
+            ..EngineOptions::default()
+        }));
+        serial_scf_loop(&engine, specs)
     }
 
     #[test]
@@ -491,7 +368,6 @@ mod tests {
         svc.submit(gc_spec("n2", 4, 4), Priority::Normal).unwrap();
         svc.submit(gc_spec("h2", 4, 5), Priority::High).unwrap();
         let want = ["h1", "h2", "n1", "n2", "l1"];
-        assert_eq!(svc.pending_order(), want);
         let w = svc.close_window().expect("window");
         assert_eq!(w.admitted, want);
         // Results come back in the same canonical order.
@@ -505,30 +381,21 @@ mod tests {
         svc.submit(gc_spec("s1", 5, 1), Priority::Low).unwrap();
         svc.submit(gc_spec("s2", 4, 2), Priority::High).unwrap();
         svc.submit(gc_spec("s3", 6, 3), Priority::Normal).unwrap();
-        let order = svc.pending_order();
         let w = svc.close_window().expect("window");
-        assert_eq!(w.admitted, order);
+        assert_eq!(w.admitted, ["s2", "s3", "s1"]);
 
         // Serial reference over the same admitted set in the same order.
-        let serial_engine = Arc::new(SubmatrixEngine::new(EngineOptions {
-            parallel: false,
-            ..EngineOptions::default()
-        }));
-        let specs: Vec<ScfJobSpec> = w
-            .admitted
-            .iter()
-            .map(|name| {
-                let (nb, seed) = match name.as_str() {
-                    "s1" => (5, 1),
-                    "s2" => (4, 2),
-                    "s3" => (6, 3),
-                    _ => unreachable!(),
-                };
-                gc_spec(name, nb, seed)
-            })
-            .collect();
-        let serial = serial_scf_loop(&serial_engine, &specs);
-        for (r, s) in w.outcome.results.iter().zip(&serial) {
+        let specs = [
+            gc_spec("s2", 4, 2),
+            gc_spec("s3", 6, 3),
+            gc_spec("s1", 5, 1),
+        ];
+        assert_same_densities(&w, &serial(&specs));
+    }
+
+    fn assert_same_densities(w: &WindowOutcome, serial: &[sm_chem::ScfResult]) {
+        assert_eq!(w.outcome.results.len(), serial.len());
+        for (r, s) in w.outcome.results.iter().zip(serial) {
             let d = r.result.to_dense(&sm_comsim::SerialComm::new());
             let ds = s.density.to_dense(&sm_comsim::SerialComm::new());
             assert!(
@@ -556,10 +423,15 @@ mod tests {
     #[test]
     fn admission_rejects_non_finite_estimates() {
         // A real spec cannot carry a NaN estimate from this construction,
-        // so drive the admission seam directly with a forged cost — the
-        // same check `try_run_batch` applies at window close.
-        let mut svc = fresh_service(4);
-        match svc.admit(gc_spec("nan", 4, 1), Priority::Normal, f64::NAN) {
+        // so drive the admission seam directly with the verdict the
+        // scheduler's check returns for one.
+        let mut svc = fresh_service(8);
+        let nan = BatchJob::Scf(gc_spec("nan", 4, 1));
+        let verdict = Err(SchedError::BadEstimate {
+            name: "nan".to_string(),
+            cost: f64::NAN,
+        });
+        match svc.enqueue(nan, Priority::Normal, verdict) {
             Err(ServiceError::Rejected(SchedError::BadEstimate { name, cost })) => {
                 assert_eq!(name, "nan");
                 assert!(cost.is_nan());
@@ -571,72 +443,38 @@ mod tests {
         }
         assert_eq!(svc.stats().admission_rejects, 1);
         assert_eq!(svc.queue_depth(), 0);
-        // The happy path still admits.
-        assert!(svc.submit(gc_spec("ok", 4, 1), Priority::Normal).is_ok());
-        assert_eq!(svc.queue_depth(), 1);
-    }
 
-    #[test]
-    fn daemon_loop_services_requests_until_shutdown() {
-        let svc = fresh_service(8);
-        let engine = Arc::clone(svc.engine());
-        let (req_tx, req_rx) = std::sync::mpsc::channel();
-        let (evt_tx, evt_rx) = std::sync::mpsc::channel();
-        let daemon = std::thread::spawn(move || svc.serve(req_rx, evt_tx));
+        // Specs the scheduler would refuse at window close are refused at
+        // the door, one admission reject each, with the queue untouched.
+        svc.submit(gc_spec("ok-a", 4, 1), Priority::Normal).unwrap();
+        let mut no_iteration = gc_spec("no-iteration", 4, 2);
+        no_iteration.scf.max_iter = 0;
+        let mut no_diagonal = gc_spec("no-diagonal", 4, 3);
+        no_diagonal.kt0.store_mut().remove(&(2, 2));
+        let mut smeared_pade = gc_spec("smeared-pade", 4, 4);
+        smeared_pade.scf.numeric.solve.method = sm_core::solver::SignMethod::Pade(3);
+        smeared_pade.scf.numeric.solve.kt = 0.1;
+        for (k, bad) in [no_iteration, no_diagonal, smeared_pade]
+            .into_iter()
+            .enumerate()
+        {
+            let name = bad.name.clone();
+            match svc.submit(bad, Priority::High) {
+                Err(ServiceError::Rejected(SchedError::InvalidJob { name: n, .. })) => {
+                    assert_eq!(n, name);
+                }
+                other => panic!("{name} was not refused: {:?}", other.map(|_| ())),
+            }
+            assert_eq!(svc.stats().admission_rejects, 2 + k as u64);
+            assert_eq!(svc.queue_depth(), 1, "{name} touched the queue");
+        }
+        svc.submit(gc_spec("ok-b", 5, 5), Priority::Normal).unwrap();
 
-        req_tx
-            .send(ServiceRequest::Submit(
-                Box::new(gc_spec("d1", 4, 1)),
-                Priority::Normal,
-            ))
-            .unwrap();
-        match evt_rx.recv().unwrap() {
-            ServiceEvent::Admitted {
-                seq,
-                name,
-                queue_depth,
-            } => {
-                assert_eq!((seq, name.as_str(), queue_depth), (0, "d1", 1));
-            }
-            _ => panic!("expected Admitted"),
-        }
-        req_tx.send(ServiceRequest::CloseWindow).unwrap();
-        match evt_rx.recv().unwrap() {
-            ServiceEvent::Window(w) => {
-                assert_eq!(w.window, 0);
-                assert_eq!(w.admitted, vec!["d1".to_string()]);
-            }
-            _ => panic!("expected Window"),
-        }
-        // Persistence through the daemon: export, then re-import.
-        let dir = std::env::temp_dir().join("sm_service_tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let manifest = dir.join("daemon.smplans");
-        req_tx
-            .send(ServiceRequest::ExportPlans(manifest.clone()))
-            .unwrap();
-        let exported = match evt_rx.recv().unwrap() {
-            ServiceEvent::PlansExported(p, n) => {
-                assert_eq!(p, manifest);
-                assert!(n > 0);
-                n
-            }
-            _ => panic!("expected PlansExported"),
-        };
-        assert_eq!(engine.cached_plans(), exported);
-        req_tx.send(ServiceRequest::Stats).unwrap();
-        match evt_rx.recv().unwrap() {
-            ServiceEvent::Stats(s) => {
-                assert_eq!(s.windows, 1);
-                assert_eq!(s.jobs_run, 1);
-            }
-            _ => panic!("expected Stats"),
-        }
-        req_tx.send(ServiceRequest::Shutdown).unwrap();
-        match evt_rx.recv().unwrap() {
-            ServiceEvent::Stopped(s) => assert_eq!(s.windows, 1),
-            _ => panic!("expected Stopped"),
-        }
-        daemon.join().unwrap();
+        // The window runs the valid specs, bit for bit as the serial loop.
+        let w = svc
+            .close_window()
+            .expect("the refused specs cannot sink the window");
+        assert_eq!(w.admitted, ["ok-a", "ok-b"]);
+        assert_same_densities(&w, &serial(&[gc_spec("ok-a", 4, 1), gc_spec("ok-b", 5, 5)]));
     }
 }

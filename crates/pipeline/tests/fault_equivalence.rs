@@ -261,7 +261,6 @@ fn quarantine_fires_exactly_at_budget_exhaustion() {
             .poison_job(4, 3);
         Scheduler::new(fresh_engine(), RankBudget::default())
             .with_fault_plan(plan)
-            .with_retry_budget(3)
             .run(4, jobs)
     });
 

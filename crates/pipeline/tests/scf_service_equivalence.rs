@@ -22,7 +22,7 @@ use sm_dbcsr::{BlockedDims, DbcsrMatrix};
 use sm_linalg::Matrix;
 use sm_pipeline::{
     serial_scf_loop, BatchJob, EngineOptions, JobQueue, MatrixJob, RankBudget, ScfJobSpec,
-    ScfOutcomeExt, ScfService, Scheduler, SchedulerOutcome, StealPolicy, SubmatrixEngine,
+    ScfOutcomeExt, Scheduler, SchedulerOutcome, StealPolicy, SubmatrixEngine,
 };
 
 /// Deterministic banded symmetric matrix with a spectral gap at 0.
@@ -140,13 +140,13 @@ use common::with_watchdog;
 #[test]
 fn grand_canonical_batch_is_bitwise_serial_at_multiple_world_sizes() {
     // The acceptance criterion: a grand-canonical multi-system batch
-    // through ScfService is bitwise-identical to serially looping
+    // through the Scheduler is bitwise-identical to serially looping
     // ScfDriver, at ≥ 2 world sizes, with consensus accounting intact.
     let specs = straggler_specs(5);
     let serial = serial_scf_loop(&fresh_engine(None), &specs);
     for world in [2usize, 4, 6] {
         let engine = fresh_engine(None);
-        let service = ScfService::new(engine.clone(), RankBudget::default());
+        let service = Scheduler::new(engine.clone(), RankBudget::default());
         let outcome = service.run(world, specs.clone());
         assert_matches_serial(&outcome, &serial, &format!("world {world}"));
         assert_consensus_accounting(&outcome, &engine);
@@ -162,7 +162,7 @@ fn scf_straggler_batch_steals_and_stays_bitwise() {
     let specs = straggler_specs(5);
     let serial = serial_scf_loop(&fresh_engine(None), &specs);
     let engine = fresh_engine(None);
-    let service = ScfService::new(engine.clone(), RankBudget::default());
+    let service = Scheduler::new(engine.clone(), RankBudget::default());
     let outcome = service.run(6, specs);
     let stats = &outcome.steal_stats;
     assert!(
@@ -189,7 +189,7 @@ fn disabled_policy_matches_serial_too() {
     let serial = serial_scf_loop(&fresh_engine(None), &specs);
     let engine = fresh_engine(None);
     let service =
-        ScfService::new(engine.clone(), RankBudget::default()).with_policy(StealPolicy::Disabled);
+        Scheduler::new(engine.clone(), RankBudget::default()).with_policy(StealPolicy::Disabled);
     let outcome = service.run(6, specs);
     assert_eq!(outcome.steal_stats.epochs, 1);
     assert_eq!(outcome.steal_stats.stolen_jobs, 0);
@@ -208,7 +208,7 @@ fn consensus_survives_bounded_cache_under_scf_regrouping() {
         let specs = straggler_specs(3);
         let serial = serial_scf_loop(&fresh_engine(None), &specs);
         let engine = fresh_engine(Some(1));
-        let service = ScfService::new(engine.clone(), RankBudget::default());
+        let service = Scheduler::new(engine.clone(), RankBudget::default());
         let outcome = service.run(6, specs);
         (outcome, engine.stats(), engine.cached_plans(), serial)
     });
@@ -239,8 +239,7 @@ fn traced_scf_batches_stay_bitwise_with_deterministic_span_trees() {
     let run_traced = |label: &'static str| {
         let session = sm_trace::TraceSession::start(label);
         let engine = fresh_engine(None);
-        let service =
-            ScfService::new(engine.clone(), RankBudget::default()).with_trace_label(label);
+        let service = Scheduler::new(engine.clone(), RankBudget::default()).with_trace_label(label);
         let outcome = service.run(6, specs.clone());
         assert_matches_serial(&outcome, &serial, label);
         assert_consensus_accounting(&outcome, &engine);
@@ -294,7 +293,7 @@ fn canonical_specs_are_bitwise_serial() {
     let comm = SerialComm::new();
     for world in 2..=6 {
         let engine = fresh_engine(None);
-        let service = ScfService::new(engine.clone(), RankBudget::default());
+        let service = Scheduler::new(engine.clone(), RankBudget::default());
         let outcome = service.run(world, specs.clone());
         for (r, s) in outcome.results.iter().zip(&serial) {
             assert!(
@@ -342,7 +341,7 @@ fn mixed_matrix_and_scf_batch_shares_one_schedule() {
         BatchJob::Scf(specs[1].clone()),
         BatchJob::Matrix(mjobs[1].clone()),
     ];
-    let outcome = sched.run_batch(4, batch);
+    let outcome = sched.run(4, batch);
 
     // Submission order preserved across kinds.
     let names: Vec<&str> = outcome.results.iter().map(|r| r.name.as_str()).collect();

@@ -321,7 +321,7 @@ fn a_job_result_does_not_depend_on_who_rooted_the_job() {
     let run = |world: usize, policy: StealPolicy| {
         Scheduler::default()
             .with_policy(policy)
-            .run_batch(world, jobs.clone())
+            .run(world, jobs.clone())
     };
     let kept = run(1, StealPolicy::Disabled);
     assert!((0..jobs.len()).all(|j| kept.schedule.root_of_job(j) == 0));
@@ -502,7 +502,7 @@ fn a_job_without_a_diagonal_block_is_refused_at_admission() {
         batch.push(bad);
         let outcome = with_watchdog(120, move || {
             Scheduler::default()
-                .try_run_batch(2, batch)
+                .try_run(2, batch)
                 .map(|o| o.results.len())
         });
         match outcome {

@@ -15,8 +15,8 @@ use sm_comsim::SerialComm;
 use sm_dbcsr::{BlockedDims, DbcsrMatrix};
 use sm_linalg::Matrix;
 use sm_pipeline::{
-    serial_scf_loop, EngineOptions, Priority, ScfJobSpec, ServiceConfig, ServiceError,
-    StreamingScfService, SubmatrixEngine, WindowOutcome,
+    serial_scf_loop, EngineOptions, Priority, RankBudget, ScfJobSpec, Scheduler, ServiceConfig,
+    ServiceError, StreamingScfService, SubmatrixEngine, WindowOutcome,
 };
 
 /// Deterministic banded symmetric matrix with a spectral gap at 0 (the
@@ -58,12 +58,10 @@ fn fresh_engine(capacity: Option<usize>) -> Arc<SubmatrixEngine> {
 
 fn fresh_service(engine: Arc<SubmatrixEngine>, world: usize) -> StreamingScfService {
     StreamingScfService::new(
-        engine,
+        Scheduler::new(engine, RankBudget::default()).with_trace_label("svc-eq"),
         ServiceConfig {
             world_size: world,
             queue_capacity: 32,
-            trace_label: "svc-eq".to_string(),
-            ..ServiceConfig::default()
         },
     )
 }
@@ -257,12 +255,10 @@ fn backpressure_and_rejection_do_not_disturb_the_window() {
     with_watchdog(300, || {
         let engine = fresh_engine(None);
         let mut svc = StreamingScfService::new(
-            engine,
+            Scheduler::new(engine, RankBudget::default()).with_trace_label("svc-bp"),
             ServiceConfig {
                 world_size: 4,
                 queue_capacity: 2,
-                trace_label: "svc-bp".to_string(),
-                ..ServiceConfig::default()
             },
         );
         svc.submit(gc_spec("keep-1", 4, 1, 4), Priority::Normal)

@@ -119,14 +119,13 @@ fn small_real_trace() -> String {
     Scheduler::new(engine(false), RankBudget::default())
         .with_policy(StealPolicy::EpochRebalance)
         .with_trace_label("sweep")
-        .run(2, jobs.into());
+        .run(2, Vec::from(jobs));
     let config = ServiceConfig {
         world_size: 2,
         queue_capacity: 4,
-        trace_label: "svc".to_string(),
-        ..ServiceConfig::default()
     };
-    let mut service = StreamingScfService::new(engine(false), config);
+    let sched = Scheduler::new(engine(false), RankBudget::default()).with_trace_label("svc");
+    let mut service = StreamingScfService::new(sched, config);
     for (name, nb, seed) in [("a", 4, 5), ("b", 3, 6)] {
         let kt0 = banded(nb, seed);
         let mut spec = ScfJobSpec::new(name, kt0.clone(), 0.0, kt0.n() as f64);

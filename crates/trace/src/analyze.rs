@@ -1080,7 +1080,7 @@ impl TraceAudit {
 
 /// Count the recovery narration of a trace per epoch:
 /// `[fault.injected, sched.retry, job.quarantined]` events. An event
-/// outside any epoch span (a dropped message) counts under epoch 0.
+/// outside any epoch span counts under epoch 0.
 pub fn faults_by_epoch(doc: &TraceDoc) -> BTreeMap<usize, [u64; 3]> {
     let mut per_epoch: BTreeMap<usize, [u64; 3]> = BTreeMap::new();
     for ev in &doc.events {
@@ -1726,7 +1726,7 @@ mod tests {
                 ev("batch:f/epoch:1/group:0", "sched.retry"),
                 ev("batch:f/epoch:1/group:0", "sched.retry"),
                 ev("batch:f/epoch:2/group:0", "job.quarantined"),
-                ev("batch:f", "fault.injected"), // a dropped message: no epoch span
+                ev("batch:f", "fault.injected"), // no epoch span
                 ev("batch:f/epoch:1", "sched.epoch"),
             ],
             metrics: Vec::new(),

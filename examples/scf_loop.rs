@@ -28,7 +28,7 @@
 //!    `symbolic_builds == 1` and electron conservation at the end.
 //!
 //! Where to next: `scf_service_batch` runs many of these loops
-//! concurrently on one rank world through `sm_pipeline::ScfService`.
+//! concurrently on one rank world through `sm_pipeline::Scheduler`.
 
 use cp2k_submatrix::prelude::*;
 use sm_chem::{ScfDriver, ScfOptions};

@@ -13,7 +13,7 @@
 //! 1. **Build the batch.** Each [`ScfJobSpec`] is an independent system —
 //!    here three periodic water boxes with different random seeds — with
 //!    its own convergence budget and ensemble.
-//! 2. **Run the service.** `ScfService::run(world, specs)` estimates each
+//! 2. **Run the batch.** `Scheduler::run(world, specs)` estimates each
 //!    system's *per-iteration* submatrix cost from its sparsity pattern,
 //!    multiplies by the iteration budget, carves the world into per-job
 //!    subcommunicator groups (LPT + proportional ranks), and drives every
@@ -41,7 +41,7 @@ use std::sync::Arc;
 
 use cp2k_submatrix::prelude::*;
 use sm_pipeline::{
-    Priority, RankBudget, ScfJobSpec, ScfOutcomeExt, ScfService, SchedulerOutcome, ServiceConfig,
+    Priority, RankBudget, ScfJobSpec, ScfOutcomeExt, Scheduler, SchedulerOutcome, ServiceConfig,
     StreamingScfService,
 };
 
@@ -100,7 +100,7 @@ fn main() {
         parallel: false,
         ..EngineOptions::default()
     }));
-    let service = ScfService::new(engine.clone(), RankBudget::default());
+    let service = Scheduler::new(engine.clone(), RankBudget::default());
     let world = 6;
     let outcome = service.run(world, specs.clone());
 
@@ -167,10 +167,9 @@ fn main() {
         .expect("import plan manifest");
     assert_eq!(imported, exported, "every spilled plan must restore");
     let mut daemon = StreamingScfService::new(
-        Arc::clone(&engine2),
+        Scheduler::new(Arc::clone(&engine2), RankBudget::default()).with_trace_label("md-restart"),
         ServiceConfig {
             world_size: world,
-            trace_label: "md-restart".to_string(),
             ..ServiceConfig::default()
         },
     );

@@ -11,7 +11,7 @@
 //! | [`dbcsr`] | distributed block-compressed sparse matrices with Cannon multiplication (libDBCSR) |
 //! | [`chem`] | synthetic liquid-water systems, SZV/DZVP basis models, S and K builders, SCF driver |
 //! | [`core`] | **the submatrix method**: assembly, clustering, load balancing, µ adjustment, engine |
-//! | [`pipeline`] | persistent `SubmatrixEngine` facade, `JobQueue`, distributed `Scheduler`, batched `ScfService` |
+//! | [`pipeline`] | persistent `SubmatrixEngine` facade, `JobQueue`, distributed `Scheduler` (matrix and SCF batches), `StreamingScfService` |
 //! | [`accel`] | emulated FP16/FP32 tensor-core & FPGA kernels, Padé iteration traces, Table I model |
 //! | [`trace`] | deterministic structured spans + typed metrics (the `smdoctor` CLI's substrate) |
 //!
@@ -68,9 +68,10 @@
 //!
 //! [`pipeline`]'s `Scheduler` distributes a batch over a simulated rank
 //! world — per-job subcommunicator groups sized by estimated cost, with
-//! epoch-based work stealing — and `ScfService` lifts that to whole
-//! chemical systems: each job a multi-iteration SCF loop, all sharing one
-//! bounded plan cache. See `examples/scheduler_batch.rs` and
+//! epoch-based work stealing — and runs whole chemical systems the same
+//! way: each `ScfJobSpec` a multi-iteration SCF loop, all sharing one
+//! bounded plan cache; `StreamingScfService` admits a stream of them into
+//! windows. See `examples/scheduler_batch.rs` and
 //! `examples/scf_service_batch.rs` for worked walkthroughs, and
 //! `ARCHITECTURE.md` for the invariants that keep every path
 //! bitwise-equivalent to its serial baseline.
@@ -102,7 +103,6 @@ pub mod prelude {
     pub use sm_linalg::Matrix;
     pub use sm_pipeline::{
         BatchJob, EpochSchedule, JobOutput, JobQueue, JobResult, MatrixJob, RankBudget, ScfJobSpec,
-        ScfService, ScfTelemetry, SchedulePlan, Scheduler, SchedulerOutcome, StealPolicy,
-        StealStats,
+        ScfTelemetry, SchedulePlan, Scheduler, SchedulerOutcome, StealPolicy, StealStats,
     };
 }
