@@ -9,15 +9,14 @@ use sm_core::assembly::SubmatrixSpec;
 use sm_core::engine::{
     EngineOptions, Ensemble, ExecutionPlan, Grouping, NumericOptions, SubmatrixEngine,
 };
-use sm_core::loadbalance::{greedy_contiguous, round_robin};
-use sm_core::plan::estimated_speedup;
+use sm_core::loadbalance::round_robin;
+use sm_core::plan::{estimated_speedup, PatternPlan};
 use sm_core::solver::{
     decompose, sign_columns_from_decomposition, sign_from_decomposition, solve_sign, SignMethod,
     SolveBackend, SolveOptions,
 };
 use sm_core::transfers::{RankTransferPlan, TransferStats};
-use sm_core::SubmatrixPlan;
-use sm_dbcsr::{ops, DbcsrMatrix};
+use sm_dbcsr::{ops, BlockedDims, CooPattern, DbcsrMatrix};
 use sm_linalg::{LinalgError, Matrix, Precision};
 
 use super::Ctx;
@@ -36,7 +35,7 @@ pub fn combine_sweep(_: &Ctx) -> Report {
     let (_, sys, kt) = water_system(2);
     let kt_f = filtered(&kt, 1e-6);
     let pattern = kt_f.global_pattern(&comm);
-    let singles = SubmatrixPlan::one_per_column(&pattern, kt_f.dims());
+    let singles = PatternPlan::new(&pattern, kt_f.dims(), &Grouping::OnePerColumn);
     let mut report = Report::new(
         "Ablation — column-combination sweep",
         &[
@@ -49,9 +48,10 @@ pub fn combine_sweep(_: &Ctx) -> Report {
     );
     let mut t_single = 0.0;
     for group in [1usize, 2, 4, 8, 16, 32] {
-        let plan = SubmatrixPlan::consecutive(&pattern, kt_f.dims(), group);
+        let grouping = Grouping::Consecutive(group);
+        let plan = PatternPlan::new(&pattern, kt_f.dims(), &grouping);
         let engine = SubmatrixEngine::new(EngineOptions {
-            grouping: Grouping::Consecutive(group),
+            grouping,
             ..Default::default()
         });
         let (_, t) = timed(|| engine.density(&kt_f, sys.mu, &NumericOptions::default(), &comm));
@@ -60,7 +60,7 @@ pub fn combine_sweep(_: &Ctx) -> Report {
         }
         report.push(vec![
             group.into(),
-            plan.len().into(),
+            plan.n_submatrices().into(),
             Fixed(estimated_speedup(&singles, &plan), 3),
             Wall(t),
             Fixed(t_single / t, 3),
@@ -69,40 +69,22 @@ pub fn combine_sweep(_: &Ctx) -> Report {
     report
 }
 
-/// The NREP = 3 SZV plan at ε = 1e-5: its pattern, and each submatrix's
-/// blocks (what its walk lists) and cost — the input of the two transfer
-/// ablations.
-fn transfer_workload() -> (
-    sm_dbcsr::CooPattern,
-    sm_dbcsr::BlockedDims,
-    Vec<Vec<(usize, usize)>>,
-    Vec<f64>,
-) {
-    let (pattern, dims, plan) = water_pattern(&WaterBox::cubic(3, SEED), &BasisSet::szv(), 1e-5);
-    let walk = |s: &SubmatrixSpec| {
-        let mut blocks = Vec::new();
-        s.walk(&pattern, &dims, &mut blocks);
-        blocks
-    };
-    let blocks = plan.specs.iter().map(walk).collect();
-    let costs = plan.specs.iter().map(|s| s.cost()).collect();
-    (pattern, dims, blocks, costs)
-}
-
-/// The transfer plan of a rank holding the submatrices whose blocks `mine`
-/// lists.
-fn rank_plan<'a>(mine: impl IntoIterator<Item = &'a Vec<(usize, usize)>>) -> RankTransferPlan {
-    RankTransferPlan::from_blocks(mine.into_iter().flatten().copied().collect())
+/// The NREP = 3 SZV pattern at ε = 1e-5 — the input of the two transfer
+/// ablations, which plan it one submatrix per column.
+fn transfer_workload() -> (CooPattern, BlockedDims) {
+    water_pattern(&WaterBox::cubic(3, SEED), &BasisSet::szv(), 1e-5)
 }
 
 /// Sec. IV-B1: neighbouring block columns share most of their blocks, so
 /// a rank processing a consecutive chunk would transfer the same block
-/// many times without deduplication.
+/// many times without deduplication. Each rank's counts are the engine's
+/// own: its view of the plan.
 pub fn dedup_transfers(_: &Ctx) -> Report {
-    let (pattern, dims, blocks, costs) = transfer_workload();
+    let (pattern, dims) = transfer_workload();
+    let mut plan = PatternPlan::new(&pattern, &dims, &Grouping::OnePerColumn);
     println!(
         "{} submatrices, {} nonzero blocks",
-        blocks.len(),
+        plan.n_submatrices(),
         pattern.nnz()
     );
     let mut report = Report::new(
@@ -116,12 +98,9 @@ pub fn dedup_transfers(_: &Ctx) -> Report {
         ],
     );
     for n_ranks in [4usize, 16, 64, 256] {
-        let mut stats = TransferStats::default();
-        for range in greedy_contiguous(&costs, n_ranks).ranges {
-            if !range.is_empty() {
-                stats.add_rank(&rank_plan(&blocks[range]), &dims);
-            }
-        }
+        let stats: TransferStats = (0..n_ranks)
+            .map(|rank| plan.rank_view(rank, n_ranks).transfers)
+            .sum();
         let saving = 1.0 - stats.unique_bytes as f64 / stats.naive_bytes.max(1) as f64;
         report.push(vec![
             n_ranks.into(),
@@ -141,7 +120,16 @@ pub fn dedup_transfers(_: &Ctx) -> Report {
 /// chunk per rank minimizes the per-rank buffered data; round-robin
 /// destroys that locality.
 pub fn mapping_locality(_: &Ctx) -> Report {
-    let (_, dims, blocks, costs) = transfer_workload();
+    let (pattern, dims) = transfer_workload();
+    let mut plan = PatternPlan::new(&pattern, &dims, &Grouping::OnePerColumn);
+    // What each submatrix's walk lists, for the dealing the engine never uses.
+    let blocks: Vec<Vec<(usize, usize)>> = (0..pattern.nb())
+        .map(|c| {
+            let mut blocks = Vec::new();
+            SubmatrixSpec::build(&pattern, &dims, &[c]).walk(&pattern, &dims, &mut blocks);
+            blocks
+        })
+        .collect();
     let mut report = Report::new(
         "Ablation — mapping locality (buffered bytes per scheme)",
         &[
@@ -152,14 +140,15 @@ pub fn mapping_locality(_: &Ctx) -> Report {
         ],
     );
     for n_ranks in [4usize, 16, 64] {
-        let contiguous: u64 = greedy_contiguous(&costs, n_ranks)
-            .ranges
-            .into_iter()
-            .map(|range| rank_plan(&blocks[range]).unique_bytes(&dims))
+        let contiguous: u64 = (0..n_ranks)
+            .map(|rank| plan.rank_view(rank, n_ranks).transfers.unique_bytes)
             .sum();
         let rr: u64 = round_robin(blocks.len(), n_ranks)
             .iter()
-            .map(|indices| rank_plan(indices.iter().map(|&i| &blocks[i])).unique_bytes(&dims))
+            .map(|indices| {
+                let mine = indices.iter().flat_map(|&i| &blocks[i]).copied();
+                RankTransferPlan::from_blocks(mine.collect()).unique_bytes(&dims)
+            })
             .sum();
         report.push(vec![
             n_ranks.into(),
@@ -441,6 +430,10 @@ const SOLVE_PATH_COLUMNS: [&str; 7] = [
 /// `sign(a − µI)` (`n × k`) and its iterations.
 type PathOutcome = Result<(Matrix, usize), LinalgError>;
 
+/// One solve path: its name, whether it keeps its code (and so must match
+/// the reference), and the solve.
+type SolvePath<'a> = (&'a str, bool, Box<dyn Fn() -> PathOutcome + 'a>);
+
 /// The solve-path rows of one submatrix `a` (Secs. IV-F, V-C): per path
 /// its median wall over `repeats` rounds, iterations, and max error on the
 /// contributing columns `cols` against the full back-transform of the
@@ -481,7 +474,7 @@ fn solve_path_rows(
         .find(|&tol| iterative(3, csr, 1e-8, tol)().is_ok())
         .unwrap_or(1e-5);
     let probe = format!("csr pade-3, sparse_eps 1e-8, tol {tol:.0e}");
-    let paths: [(&str, bool, Box<dyn Fn() -> PathOutcome + '_>); 6] = [
+    let paths: [SolvePath; 6] = [
         (
             "diagonalization (k columns)",
             true,

@@ -12,10 +12,9 @@ use sm_comsim::{ClusterModel, SerialComm};
 use sm_core::assembly::SubmatrixSpec;
 use sm_core::baseline::newton_schulz_density;
 use sm_core::cluster::{graph, groups_from_assignment, kmeans};
-use sm_core::engine::{NumericOptions, SubmatrixEngine};
+use sm_core::engine::{Grouping, NumericOptions, SubmatrixEngine};
 use sm_core::model::{model_newton_schulz_run, model_submatrix_run, ns_iteration_estimate};
-use sm_core::plan::estimated_speedup;
-use sm_core::SubmatrixPlan;
+use sm_core::plan::{estimated_speedup, PatternPlan};
 use sm_dbcsr::pattern::{stats, to_ascii};
 use sm_linalg::Matrix;
 
@@ -98,13 +97,14 @@ pub fn fig04(ctx: &Ctx) -> Report {
     ] {
         for nrep in 1..=nrep_max {
             let water = WaterBox::cubic(nrep, SEED);
-            let (_, dims, plan) = water_pattern(&water, &basis, 1e-5);
+            let (pattern, dims) = water_pattern(&water, &basis, 1e-5);
+            let plan = PatternPlan::new(&pattern, &dims, &Grouping::OnePerColumn);
             report.push(vec![
                 label.into(),
                 water.n_molecules().into(),
                 dims.n().into(),
-                Fixed(plan.avg_dim(), 0),
-                plan.max_dim().into(),
+                Fixed(plan.avg_dim, 0),
+                plan.max_dim.into(),
             ]);
         }
     }
@@ -124,12 +124,13 @@ pub fn fig04(ctx: &Ctx) -> Report {
 pub fn fig05(ctx: &Ctx) -> Report {
     let water = WaterBox::cubic(if ctx.paper { 6 } else { 4 }, SEED);
     let basis = BasisSet::szv();
-    let (pattern, dims, singles) = water_pattern(&water, &basis, 1e-7);
+    let (pattern, dims) = water_pattern(&water, &basis, 1e-7);
+    let singles = PatternPlan::new(&pattern, &dims, &Grouping::OnePerColumn);
     let nmol = water.n_molecules();
     println!(
         "{nmol} molecules, {} nonzero blocks, single-column cost {:.3e}",
         pattern.nnz(),
-        singles.total_cost()
+        singles.total_cost
     );
 
     let points: Vec<[f64; 3]> = water.centers().iter().map(|c| [c.x, c.y, c.z]).collect();
@@ -160,7 +161,8 @@ pub fn fig05(ctx: &Ctx) -> Report {
             continue;
         }
         let plan_of = |assignment: &[usize]| {
-            SubmatrixPlan::from_groups(&pattern, &dims, &groups_from_assignment(assignment, k))
+            let groups = Grouping::Explicit(groups_from_assignment(assignment, k));
+            PatternPlan::new(&pattern, &dims, &groups)
         };
         let km_plan = plan_of(&kmeans::kmeans(&points, k, 1, 100).assignment);
         let gp_plan = plan_of(&graph::partition_kway(
@@ -169,9 +171,9 @@ pub fn fig05(ctx: &Ctx) -> Report {
             &graph::PartitionOptions::default(),
         ));
         report.push(vec![
-            km_plan.len().into(),
+            km_plan.n_submatrices().into(),
             Fixed(estimated_speedup(&singles, &km_plan), 4),
-            gp_plan.len().into(),
+            gp_plan.n_submatrices().into(),
             Fixed(estimated_speedup(&singles, &gp_plan), 4),
         ]);
     }
@@ -227,8 +229,8 @@ pub fn fig06(ctx: &Ctx) -> Report {
         let ((_, ns), t_ns) =
             timed(|| newton_schulz_density(&kt_f, sys.mu, &ns_options(eps), &comm));
 
-        let plan = SubmatrixPlan::one_per_column(&pattern, kt_f.dims());
-        let sm_model = model_submatrix_run(&plan, &pattern, kt_f.dims(), 80, &cluster);
+        let mut plan = PatternPlan::new(&pattern, kt_f.dims(), &Grouping::OnePerColumn);
+        let sm_model = model_submatrix_run(&mut plan, 80, &cluster);
         let ns_iters = ns_iteration_estimate(0.05, eps.max(1e-12));
         let ns_model =
             model_newton_schulz_run(&pattern, kt_f.dims(), 80, 5, ns_iters, 2.0, &cluster);
@@ -312,8 +314,9 @@ pub fn fig08(ctx: &Ctx) -> Report {
     );
     for nrep in 2..=if ctx.paper { 8 } else { 6 } {
         let water = WaterBox::cubic(nrep, SEED);
-        let (pattern, dims, plan) = water_pattern(&water, &BasisSet::szv(), 1e-5);
-        let t = model_submatrix_run(&plan, &pattern, &dims, 80, &cluster);
+        let (pattern, dims) = water_pattern(&water, &BasisSet::szv(), 1e-5);
+        let mut plan = PatternPlan::new(&pattern, &dims, &Grouping::OnePerColumn);
+        let t = model_submatrix_run(&mut plan, 80, &cluster);
         report.push(vec![
             water.n_atoms().into(),
             Fixed(t.total(), 4),
@@ -356,22 +359,23 @@ pub fn fig08(ctx: &Ctx) -> Report {
 /// (the paper reports 83 %).
 pub fn fig09(ctx: &Ctx) -> Report {
     let water = WaterBox::cubic(if ctx.paper { 7 } else { 5 }, SEED);
-    let (pattern, dims, plan) = water_pattern(&water, &BasisSet::szv(), 1e-5);
+    let (pattern, dims) = water_pattern(&water, &BasisSet::szv(), 1e-5);
+    let mut plan = PatternPlan::new(&pattern, &dims, &Grouping::OnePerColumn);
     let cluster = ClusterModel::paper_testbed();
     println!(
         "system: {} atoms, {} submatrices, avg dim {:.0}",
         water.n_atoms(),
-        plan.len(),
-        plan.avg_dim()
+        plan.n_submatrices(),
+        plan.avg_dim
     );
-    let time_at = |cores| model_submatrix_run(&plan, &pattern, &dims, cores, &cluster).total();
-    let t80 = time_at(80);
     let mut report = Report::new(
         "Fig. 9 — strong scaling (modeled, eps = 1e-5)",
         &["cores", "time_s", "efficiency"],
     );
+    let mut base = None;
     for cores in [80usize, 120, 160, 200, 240, 280, 320] {
-        let t = time_at(cores);
+        let t = model_submatrix_run(&mut plan, cores, &cluster).total();
+        let t80 = *base.get_or_insert(t);
         report.push(vec![
             cores.into(),
             Fixed(t, 4),
@@ -413,8 +417,9 @@ pub fn fig10(ctx: &Ctx) -> Report {
     for &nx in replications {
         let water = WaterBox::elongated(base_nrep, nx, SEED);
         let cores = 40 * nx;
-        let (pattern, dims, plan) = water_pattern(&water, &BasisSet::szv(), 1e-5);
-        let t_sm = model_submatrix_run(&plan, &pattern, &dims, cores, &cluster).total();
+        let (pattern, dims) = water_pattern(&water, &BasisSet::szv(), 1e-5);
+        let mut plan = PatternPlan::new(&pattern, &dims, &Grouping::OnePerColumn);
+        let t_sm = model_submatrix_run(&mut plan, cores, &cluster).total();
         let t_ns =
             model_newton_schulz_run(&pattern, &dims, cores, 5, ns_iters, 2.0, &cluster).total();
         let (sm_base, ns_base) = *base.get_or_insert((t_sm, t_ns));
@@ -472,7 +477,7 @@ pub fn fig11(ctx: &Ctx) -> Report {
     ] {
         for nrep in 1..=nrep_max {
             let water = WaterBox::cubic(nrep, SEED);
-            let (pattern, dims, _) = water_pattern(&water, &basis, eps);
+            let (pattern, dims) = water_pattern(&water, &basis, eps);
             let mid = SubmatrixSpec::build(&pattern, &dims, &[water.n_molecules() / 2]);
             let nb = mid.rows.len();
             let mut copied = Vec::new();

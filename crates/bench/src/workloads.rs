@@ -9,7 +9,6 @@ use sm_comsim::SerialComm;
 use sm_core::assembly::SubmatrixSpec;
 use sm_core::baseline::{orthogonalize_sparse, NewtonSchulzOptions};
 use sm_core::engine::EngineOptions;
-use sm_core::SubmatrixPlan;
 use sm_dbcsr::{BlockedDims, CooPattern, DbcsrMatrix};
 use sm_linalg::Matrix;
 use sm_pipeline::{ScfJobSpec, SchedulerOutcome, SubmatrixEngine};
@@ -76,18 +75,13 @@ pub fn filtered(m: &DbcsrMatrix, eps: f64) -> DbcsrMatrix {
     f
 }
 
-/// Block pattern at `eps`, uniform block dimensions and the
-/// one-submatrix-per-column plan of a water box — the input of every
-/// pattern/model experiment.
-pub fn water_pattern(
-    water: &WaterBox,
-    basis: &BasisSet,
-    eps: f64,
-) -> (CooPattern, BlockedDims, SubmatrixPlan) {
+/// Block pattern at `eps` and uniform block dimensions of a water box —
+/// the input of every pattern/model experiment, which plans it with
+/// [`sm_core::PatternPlan`].
+pub fn water_pattern(water: &WaterBox, basis: &BasisSet, eps: f64) -> (CooPattern, BlockedDims) {
     let pattern = block_pattern(water, basis, eps, 1.0);
     let dims = BlockedDims::uniform(water.n_molecules(), basis.n_per_molecule());
-    let plan = SubmatrixPlan::one_per_column(&pattern, &dims);
-    (pattern, dims, plan)
+    (pattern, dims)
 }
 
 /// The submatrix of `m` induced by block columns `cols`, assembled dense,

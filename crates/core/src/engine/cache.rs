@@ -1,11 +1,10 @@
-//! The symbolic phase: each column group's dimension → greedy `n³` load
-//! balance → one walk per own group ([`SubmatrixSpec::walk`]) giving the
-//! flat assembly/extraction copy programs and the deduplicated transfer
-//! list, cached per `(fingerprint, rank, size, grouping)`. Purely local
-//! given the global pattern; collective only for the hit/miss consensus
-//! and for obtaining the pattern itself on a miss.
-//! [`ExecutionPlan::build`] is the one constructor of a plan: a manifest
-//! import calls it as a miss does.
+//! The symbolic phase's product and its cache: an [`ExecutionPlan`] is
+//! the pattern-wide [`PatternPlan`] composed with one rank's
+//! [`RankView`](crate::plan::RankView) of it, cached per `(fingerprint,
+//! rank, size, grouping)`. Purely local given the global pattern;
+//! collective only for the hit/miss consensus and for obtaining the
+//! pattern itself on a miss. [`ExecutionPlan::build`] is the one
+//! constructor of a plan: a manifest import calls it as a miss does.
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -17,15 +16,13 @@ use sm_dbcsr::wire::PatternFingerprint;
 use sm_dbcsr::{BlockedDims, CooPattern, DbcsrMatrix};
 
 use super::{EngineOptions, SubmatrixEngine};
-use crate::assembly::{cost_of_dim, AssemblyMap, ExtractionMap, SubmatrixSpec};
-use crate::loadbalance::greedy_contiguous;
-use crate::plan::column_groups;
-use crate::transfers::{RankTransferPlan, TransferStats};
+use crate::assembly::{AssemblyMap, ExtractionMap};
+use crate::plan::PatternPlan;
+use crate::transfers::TransferStats;
 
 /// Product of the symbolic phase for one rank: everything the numeric
 /// phase needs, with no remaining pattern queries. The global statistics
-/// come from every group's dimension; the per-submatrix vectors hold this
-/// rank's contiguous range of groups, in group order.
+/// are its [`PatternPlan`]'s, the per-submatrix vectors its rank view's.
 #[derive(Debug, Clone)]
 pub struct ExecutionPlan {
     /// Fingerprint of the pattern + partition this plan was built for.
@@ -54,24 +51,22 @@ pub struct ExecutionPlan {
     pub remote_wanted: Vec<(usize, usize)>,
     /// Assembly copy program of each of this rank's submatrices.
     pub assembly: Vec<AssemblyMap>,
-    /// Extraction copy program of each of this rank's submatrices,
-    /// parallel to `assembly`.
+    /// Extraction copy program of each, parallel to `assembly`.
     pub extraction: Vec<ExtractionMap>,
-    /// Contributing element columns of each of this rank's submatrices,
-    /// parallel to `assembly` (Algorithm 1 / selected columns).
+    /// Contributing element columns of each (Algorithm 1).
     pub contributing: Vec<Vec<usize>>,
-    /// Element-level fill fraction of the pattern: `Σ size(br)·size(bc)`
-    /// over nonzero blocks, divided by `n²`. A deterministic global plan
-    /// property (identical on every rank), it is what the numeric phase
-    /// resolves its solve representation against (paper Sec. V-C).
+    /// Element fill of the pattern ([`PatternPlan::element_fill`]), what
+    /// the numeric phase resolves its solve representation against.
     pub element_fill: f64,
     /// Seconds the symbolic phase took to build this plan.
     pub symbolic_seconds: f64,
 }
 
 impl ExecutionPlan {
-    /// Run the full symbolic phase for one rank. Local: the caller supplies
-    /// the (already global) pattern.
+    /// Run the full symbolic phase for one rank: the pattern-wide
+    /// [`PatternPlan`] and this rank's [`RankView`](crate::plan::RankView)
+    /// of it. Local: the caller supplies the (already global) pattern,
+    /// which the plan keeps.
     pub fn build(
         pattern: CooPattern,
         dims: BlockedDims,
@@ -80,81 +75,24 @@ impl ExecutionPlan {
         size: usize,
     ) -> ExecutionPlan {
         let t0 = Instant::now();
-        let fingerprint = pattern.fingerprint(&dims);
-        let all: Vec<usize> = (0..pattern.nb()).collect();
-        let groups = column_groups(&opts.grouping, &all);
-        // Every group's dimension, from its index set alone; one spec's
-        // buffers serve every group in turn.
-        let mut spec = SubmatrixSpec::default();
-        let group_dims: Vec<usize> = (groups.iter())
-            .map(|cols| spec.rebuild(&pattern, &dims, cols))
-            .collect();
-        let costs: Vec<f64> = group_dims.iter().map(|&d| cost_of_dim(d)).collect();
-        let my_range = greedy_contiguous(&costs, size).ranges[rank].clone();
-        let n_submatrices = groups.len();
-        let max_dim = group_dims.iter().copied().max().unwrap_or(0);
-        let avg_dim = match n_submatrices {
-            0 => 0.0,
-            n => group_dims.iter().map(|&d| d as f64).sum::<f64>() / n as f64,
-        };
-        let total_cost = costs.iter().sum();
-
-        // One walk per own group: the blocks it needs, appended to the
-        // rank's list, and its copy programs and contributing columns.
-        let mut blocks = Vec::new();
-        let (assembly, (extraction, contributing)): (Vec<_>, (Vec<_>, Vec<_>)) = groups[my_range]
-            .iter()
-            .map(|cols| {
-                spec.rebuild(&pattern, &dims, cols);
-                let maps = spec.walk(&pattern, &dims, &mut blocks);
-                (maps.assembly, (maps.extraction, maps.contributing))
-            })
-            .unzip();
-
-        // Deduplicated block exchange (Sec. IV-B): every remote block the
-        // rank's submatrices need, fetched exactly once per execution.
-        let transfer_plan = RankTransferPlan::from_blocks(blocks);
-        let mut transfers = TransferStats::default();
-        transfers.add_rank(&transfer_plan, &dims);
-        // Owner mapping comes from the one shared distribution policy so
-        // transfer planning can never drift from how matrices route blocks.
-        let grid = sm_dbcsr::process_grid(size);
-        // Copied: filtered in place, a one-rank plan would keep every block's capacity.
-        let remote_wanted: Vec<(usize, usize)> = (transfer_plan.unique_blocks.iter().copied())
-            .filter(|&(br, bc)| grid.owner_of_block(br, bc) != rank)
-            .collect();
-
-        // Element fill of the global pattern — the quantity Sec. V-C's
-        // backend decision keys off. Global and deterministic: every rank
-        // computes the same value from the same replicated pattern.
-        let n_elems = (dims.n() * dims.n()) as f64;
-        let nnz_elems: f64 = pattern
-            .entries()
-            .iter()
-            .map(|&(br, bc)| (dims.size(br) * dims.size(bc)) as f64)
-            .sum();
-        let element_fill = if n_elems > 0.0 {
-            nnz_elems / n_elems
-        } else {
-            0.0
-        };
-
+        let mut shared = PatternPlan::new(&pattern, &dims, &opts.grouping);
+        let view = shared.rank_view(rank, size);
         ExecutionPlan {
-            fingerprint,
+            fingerprint: shared.fingerprint,
             rank,
             size,
-            n_submatrices,
-            max_dim,
-            avg_dim,
-            total_cost,
+            n_submatrices: shared.n_submatrices(),
+            max_dim: shared.max_dim,
+            avg_dim: shared.avg_dim,
+            total_cost: shared.total_cost,
+            element_fill: shared.element_fill,
+            transfers: view.transfers,
+            remote_wanted: view.remote_wanted,
+            assembly: view.assembly,
+            extraction: view.extraction,
+            contributing: view.contributing,
             pattern,
             dims,
-            transfers,
-            remote_wanted,
-            assembly,
-            extraction,
-            contributing,
-            element_fill,
             symbolic_seconds: t0.elapsed().as_secs_f64(),
         }
     }
@@ -352,19 +290,21 @@ impl SubmatrixEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assembly::{AssemblySlot, ExtractionSlot};
+    use crate::assembly::{AssemblySlot, ExtractionSlot, SubmatrixSpec};
     use crate::engine::tests::banded_gapped;
     use crate::engine::Grouping;
     use crate::engine::{BackendPolicy, NumericOptions};
-    use crate::plan::SubmatrixPlan;
+    use crate::loadbalance::greedy_contiguous;
+    use crate::plan::column_groups;
     use crate::solver::{SignMethod, SolveBackend, SolveOptions};
+    use crate::transfers::RankTransferPlan;
     use proptest::prelude::*;
     use sm_comsim::{run_ranks, SerialComm};
     use sm_linalg::sign::sign_eig;
     use sm_linalg::Precision;
 
     /// [`ExecutionPlan::build`] as it was before each own group was walked
-    /// once: the global `SubmatrixPlan` over every column, priced spec by
+    /// once: the global spec list over every column group, priced spec by
     /// spec, and the rank's specs moved out of it and walked four times —
     /// for the assembly, the extraction, the contributing columns and the
     /// transfer references. The reference the one walk is held to.
@@ -376,16 +316,20 @@ mod tests {
         size: usize,
     ) -> ExecutionPlan {
         let fingerprint = pattern.fingerprint(&dims);
-        let plan = match &opts.grouping {
-            Grouping::OnePerColumn => SubmatrixPlan::one_per_column(&pattern, &dims),
-            Grouping::Consecutive(g) => SubmatrixPlan::consecutive(&pattern, &dims, *g),
-            Grouping::Explicit(groups) => SubmatrixPlan::from_groups(&pattern, &dims, groups),
-        };
-        let costs: Vec<f64> = plan.specs.iter().map(|s| s.cost()).collect();
+        let (cols, bounds) = column_groups(&opts.grouping, pattern.nb());
+        let specs: Vec<SubmatrixSpec> = (bounds.windows(2))
+            .map(|w| SubmatrixSpec::build(&pattern, &dims, &cols[w[0]..w[1]]))
+            .collect();
+        let costs: Vec<f64> = specs.iter().map(|s| s.cost()).collect();
         let assignment = greedy_contiguous(&costs, size);
         let my_range = assignment.ranges[rank].clone();
-        let (n_submatrices, max_dim, avg_dim) = (plan.len(), plan.max_dim(), plan.avg_dim());
-        let (total_cost, mut my_specs) = (plan.total_cost(), plan.specs);
+        let n_submatrices = specs.len();
+        let max_dim = specs.iter().map(|s| s.dim).max().unwrap_or(0);
+        let avg_dim = match n_submatrices {
+            0 => 0.0,
+            n => specs.iter().map(|s| s.dim as f64).sum::<f64>() / n as f64,
+        };
+        let (total_cost, mut my_specs) = (specs.iter().map(SubmatrixSpec::cost).sum(), specs);
         my_specs.truncate(my_range.end);
         my_specs.drain(..my_range.start);
 

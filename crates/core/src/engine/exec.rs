@@ -241,14 +241,6 @@ impl SubmatrixEngine {
                 &sm_trace::scoped_root(&format!("engine.value_bytes.{prec}")),
                 gather_value_bytes + scatter_value_bytes,
             );
-            sm_trace::hist_bytes(
-                &sm_trace::scoped_root("engine.gather_bytes"),
-                gather_value_bytes,
-            );
-            sm_trace::hist_bytes(
-                &sm_trace::scoped_root("engine.scatter_bytes"),
-                scatter_value_bytes,
-            );
         }
 
         let report = EngineReport {

@@ -11,8 +11,10 @@
 //!
 //! * [`assembly`] — submatrix index sets and the one assembly/extraction
 //!   copy program at the DBCSR block level (Secs. III-A, IV);
-//! * [`plan`] — grouping block columns into submatrices and the
-//!   estimated-speedup model of Eq. 15 (Sec. IV-C);
+//! * [`plan`] — the symbolic phase in two halves: the pattern-wide
+//!   [`PatternPlan`] (grouping block columns into submatrices, their `n³`
+//!   costs, the estimated-speedup model of Eq. 15, Sec. IV-C) and each
+//!   rank's view of it (load-balance slice, walks, transfers);
 //! * [`cluster`] — k-means in real space and multilevel graph partitioning
 //!   of the sparsity pattern for column combination (Sec. IV-C2, Fig. 5);
 //! * [`loadbalance`] — greedy O(n³)-cost contiguous rank assignment
@@ -32,7 +34,8 @@
 //! * [`baseline`] — the comparator: 2nd-order Newton–Schulz purification on
 //!   the distributed sparse matrix, plus sparse Löwdin orthogonalization;
 //! * [`model`] — analytic cluster-time accounting for the scaling studies
-//!   (Figs. 6, 8–10), built on `sm_comsim::ClusterModel`.
+//!   (Figs. 6, 8–10) over every rank's view of a [`PatternPlan`], built on
+//!   `sm_comsim::ClusterModel`.
 
 pub mod assembly;
 pub mod baseline;
@@ -50,5 +53,5 @@ pub use engine::{
     EngineOptions, EngineReport, EngineStats, ExecutionPlan, NumericOptions, PlanPersistError,
     SubmatrixEngine,
 };
-pub use plan::SubmatrixPlan;
+pub use plan::PatternPlan;
 pub use solver::SignMethod;

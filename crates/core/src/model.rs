@@ -11,9 +11,7 @@
 use sm_comsim::ClusterModel;
 use sm_dbcsr::{BlockedDims, CooPattern};
 
-use crate::loadbalance::greedy_contiguous;
-use crate::plan::SubmatrixPlan;
-use crate::transfers::RankTransferPlan;
+use crate::plan::PatternPlan;
 
 /// Effective FLOPs of a symmetric eigendecomposition + back-transform per
 /// `n³`: tridiagonalization (4/3) + QL with eigenvector accumulation (≈6)
@@ -39,57 +37,47 @@ impl ModeledTime {
 }
 
 /// Model a submatrix-method run of the given plan on `n_cores` (the paper
-/// uses one rank per core for the submatrix method, Sec. V).
+/// uses one rank per core for the submatrix method, Sec. V). Each rank's
+/// compute, unique blocks and write-back come from its
+/// [`RankView`](crate::plan::RankView) — the engine's own deal, walks and
+/// transfer plan.
 pub fn model_submatrix_run(
-    plan: &SubmatrixPlan,
-    pattern: &CooPattern,
-    dims: &BlockedDims,
+    plan: &mut PatternPlan,
     n_cores: usize,
     cluster: &ClusterModel,
 ) -> ModeledTime {
     assert!(n_cores >= 1);
-    let costs: Vec<f64> = plan.specs.iter().map(|s| s.cost()).collect();
-    let assignment = greedy_contiguous(&costs, n_cores);
+    // The global COO pattern allgather: every rank receives the full
+    // nonzero-block list, 16 bytes per entry. The fraction of blocks
+    // living on other ranks is (n_cores − 1)/n_cores under the cyclic
+    // distribution.
+    let coo_bytes = plan.pattern.nnz() as f64 * 16.0;
+    let remote_fraction = (n_cores - 1) as f64 / n_cores as f64;
 
     let mut max_compute = 0.0f64;
     let mut max_init = 0.0f64;
     let mut max_writeback = 0.0f64;
-    for range in &assignment.ranges {
-        if range.is_empty() {
+    for rank in 0..n_cores {
+        let view = plan.rank_view(rank, n_cores);
+        if view.groups.is_empty() {
             continue;
         }
-        let specs = &plan.specs[range.clone()];
         // Compute: eigendecomposition cost of each assigned submatrix.
-        let flops: f64 = specs.iter().map(|s| s.cost() * EIGH_FLOPS_PER_N3).sum();
+        let costs = &plan.costs[view.groups];
+        let flops: f64 = costs.iter().map(|c| c * EIGH_FLOPS_PER_N3).sum();
         max_compute = max_compute.max(cluster.dense_compute_time(flops));
 
-        // Init: the global COO pattern allgather (every rank receives the
-        // full nonzero-block list, 16 bytes per entry) plus the
-        // deduplicated block transfers; the fraction of blocks living on
-        // other ranks is (n_cores − 1)/n_cores under the cyclic
-        // distribution.
-        let coo_bytes = pattern.nnz() as f64 * 16.0;
-        let mut blocks = Vec::new();
-        for spec in specs {
-            spec.walk(pattern, dims, &mut blocks);
-        }
-        let tp = RankTransferPlan::from_blocks(blocks);
-        let remote_fraction = (n_cores - 1) as f64 / n_cores as f64;
-        let bytes = coo_bytes * remote_fraction + tp.unique_bytes(dims) as f64 * remote_fraction;
-        let msgs = (n_cores - 1).min(tp.unique_blocks.len()) as f64;
+        // Init: the pattern allgather plus the deduplicated block transfers.
+        let unique = &view.transfers;
+        let bytes = coo_bytes * remote_fraction + unique.unique_bytes as f64 * remote_fraction;
+        let msgs = (n_cores - 1).min(unique.unique_blocks as usize) as f64;
         max_init = max_init.max(cluster.transfer_time(bytes, msgs));
 
-        // Write-back: one result column set per spec (the pattern column
-        // blocks), again mostly remote.
-        let result_bytes: f64 = specs
-            .iter()
-            .flat_map(|s| s.cols.iter())
-            .map(|&c| {
-                pattern
-                    .rows_in_col(c)
-                    .map(|r| (dims.size(r) * dims.size(c) * 8) as f64)
-                    .sum::<f64>()
-            })
+        // Write-back: the blocks each submatrix extracts (its pattern
+        // column blocks), again mostly remote.
+        let result_bytes: f64 = (view.extraction.iter())
+            .flat_map(|e| &e.slots)
+            .map(|s| (s.nrows * s.ncols * 8) as f64)
             .sum();
         max_writeback =
             max_writeback.max(cluster.transfer_time(result_bytes * remote_fraction, msgs));
@@ -191,6 +179,121 @@ pub fn model_newton_schulz_run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assembly::SubmatrixSpec;
+    use crate::engine::Grouping;
+    use crate::loadbalance::greedy_contiguous;
+    use crate::transfers::RankTransferPlan;
+
+    fn one_per_column<'a>(p: &'a CooPattern, d: &'a BlockedDims) -> PatternPlan<'a> {
+        PatternPlan::new(p, d, &Grouping::OnePerColumn)
+    }
+
+    /// [`model_submatrix_run`] as it was before it read the engine's rank
+    /// views: the one-per-column spec list, dealt by `greedy_contiguous`,
+    /// each rank's specs walked for its transfer plan and its write-back
+    /// summed column by column over the pattern. The oracle the views are
+    /// held to.
+    fn reference_submatrix_run(
+        pattern: &CooPattern,
+        dims: &BlockedDims,
+        n_cores: usize,
+        cluster: &ClusterModel,
+    ) -> ModeledTime {
+        let specs: Vec<SubmatrixSpec> = (0..pattern.nb())
+            .map(|c| SubmatrixSpec::build(pattern, dims, &[c]))
+            .collect();
+        let costs: Vec<f64> = specs.iter().map(|s| s.cost()).collect();
+        let assignment = greedy_contiguous(&costs, n_cores);
+
+        let mut max_compute = 0.0f64;
+        let mut max_init = 0.0f64;
+        let mut max_writeback = 0.0f64;
+        for range in &assignment.ranges {
+            if range.is_empty() {
+                continue;
+            }
+            let specs = &specs[range.clone()];
+            let flops: f64 = specs.iter().map(|s| s.cost() * EIGH_FLOPS_PER_N3).sum();
+            max_compute = max_compute.max(cluster.dense_compute_time(flops));
+
+            let coo_bytes = pattern.nnz() as f64 * 16.0;
+            let mut blocks = Vec::new();
+            for spec in specs {
+                spec.walk(pattern, dims, &mut blocks);
+            }
+            let tp = RankTransferPlan::from_blocks(blocks);
+            let remote_fraction = (n_cores - 1) as f64 / n_cores as f64;
+            let bytes =
+                coo_bytes * remote_fraction + tp.unique_bytes(dims) as f64 * remote_fraction;
+            let msgs = (n_cores - 1).min(tp.unique_blocks.len()) as f64;
+            max_init = max_init.max(cluster.transfer_time(bytes, msgs));
+
+            let result_bytes: f64 = specs
+                .iter()
+                .flat_map(|s| s.cols.iter())
+                .map(|&c| {
+                    pattern
+                        .rows_in_col(c)
+                        .map(|r| (dims.size(r) * dims.size(c) * 8) as f64)
+                        .sum::<f64>()
+                })
+                .sum();
+            max_writeback =
+                max_writeback.max(cluster.transfer_time(result_bytes * remote_fraction, msgs));
+        }
+        ModeledTime {
+            init: max_init,
+            compute: max_compute,
+            writeback: max_writeback,
+        }
+    }
+
+    /// A water-like box: `nrep³` cells of 8 molecules at jittered sites of
+    /// a periodic cubic lattice (spacing 1), two molecules coupled by one
+    /// 6 × 6 block when their periodic distance is below `cutoff` — the
+    /// distance-cutoff pattern of an SZV water box at a filter threshold.
+    fn water_like(nrep: usize, cutoff: f64) -> (CooPattern, BlockedDims) {
+        let side = 2 * nrep;
+        let jitter = |i: usize, axis: u64| {
+            let h = (i as u64 * 0x9e37_79b9 + axis * 0x85eb_ca6b) % 1021;
+            0.3 * (h as f64 / 1021.0 - 0.5)
+        };
+        let sites: Vec<[f64; 3]> = (0..side * side * side)
+            .map(|i| {
+                let at = [i % side, i / side % side, i / (side * side)];
+                [0, 1, 2].map(|a| at[a] as f64 + jitter(i, a as u64))
+            })
+            .collect();
+        let periodic = |d: f64| d - side as f64 * (d / side as f64).round();
+        let coords = (0..sites.len())
+            .flat_map(|j| (0..sites.len()).map(move |i| (i, j)))
+            .filter(|&(i, j)| {
+                let d2: f64 = (0..3)
+                    .map(|a| periodic(sites[i][a] - sites[j][a]).powi(2))
+                    .sum();
+                d2 < cutoff * cutoff
+            })
+            .collect();
+        (
+            CooPattern::from_coords(coords, sites.len()),
+            BlockedDims::uniform(sites.len(), 6),
+        )
+    }
+
+    #[test]
+    fn rank_views_model_the_reference_run_bit_for_bit() {
+        let cluster = ClusterModel::paper_testbed();
+        for (nrep, cutoff) in [(2, 1.9), (3, 2.3)] {
+            let (p, d) = water_like(nrep, cutoff);
+            let mut plan = one_per_column(&p, &d);
+            for cores in [1, 8, 80] {
+                let new = model_submatrix_run(&mut plan, cores, &cluster);
+                let old = reference_submatrix_run(&p, &d, cores, &cluster);
+                let bits = |t: ModeledTime| [t.init, t.compute, t.writeback].map(f64::to_bits);
+                assert_eq!(bits(new), bits(old), "{nrep}³ cells at {cores} cores");
+            }
+        }
+    }
 
     fn banded(nb: usize, half: usize) -> (CooPattern, BlockedDims) {
         let mut coords = Vec::new();
@@ -208,11 +311,11 @@ mod tests {
     #[test]
     fn submatrix_time_decreases_with_cores() {
         let (p, d) = banded(512, 4);
-        let plan = SubmatrixPlan::one_per_column(&p, &d);
+        let mut plan = one_per_column(&p, &d);
         let cluster = ClusterModel::paper_testbed();
-        let t1 = model_submatrix_run(&plan, &p, &d, 1, &cluster);
-        let t8 = model_submatrix_run(&plan, &p, &d, 8, &cluster);
-        let t64 = model_submatrix_run(&plan, &p, &d, 64, &cluster);
+        let t1 = model_submatrix_run(&mut plan, 1, &cluster);
+        let t8 = model_submatrix_run(&mut plan, 8, &cluster);
+        let t64 = model_submatrix_run(&mut plan, 64, &cluster);
         assert!(t8.compute < t1.compute);
         assert!(t64.compute <= t8.compute);
         // Strong-scaling efficiency between 1 and 8 cores stays high for
@@ -227,20 +330,8 @@ mod tests {
         let cluster = ClusterModel::paper_testbed();
         let (p1, d1) = banded(64, 4);
         let (p2, d2) = banded(128, 4);
-        let t1 = model_submatrix_run(
-            &SubmatrixPlan::one_per_column(&p1, &d1),
-            &p1,
-            &d1,
-            4,
-            &cluster,
-        );
-        let t2 = model_submatrix_run(
-            &SubmatrixPlan::one_per_column(&p2, &d2),
-            &p2,
-            &d2,
-            4,
-            &cluster,
-        );
+        let t1 = model_submatrix_run(&mut one_per_column(&p1, &d1), 4, &cluster);
+        let t2 = model_submatrix_run(&mut one_per_column(&p2, &d2), 4, &cluster);
         let ratio = t2.compute / t1.compute;
         assert!(
             (1.6..=2.4).contains(&ratio),
@@ -295,8 +386,7 @@ mod tests {
         // submatrix method outruns Newton–Schulz at equal cores.
         let (p, d) = banded(256, 2); // very sparse: 5 blocks/column
         let cluster = ClusterModel::paper_testbed();
-        let plan = SubmatrixPlan::one_per_column(&p, &d);
-        let sm = model_submatrix_run(&plan, &p, &d, 80, &cluster);
+        let sm = model_submatrix_run(&mut one_per_column(&p, &d), 80, &cluster);
         let ns = model_newton_schulz_run(&p, &d, 80, 5, 15, 2.0, &cluster);
         assert!(
             sm.total() < ns.total(),
@@ -312,8 +402,7 @@ mod tests {
         // patterns the n³-per-column submatrix work explodes.
         let (p, d) = banded(64, 60); // essentially dense
         let cluster = ClusterModel::paper_testbed();
-        let plan = SubmatrixPlan::one_per_column(&p, &d);
-        let sm = model_submatrix_run(&plan, &p, &d, 80, &cluster);
+        let sm = model_submatrix_run(&mut one_per_column(&p, &d), 80, &cluster);
         let ns = model_newton_schulz_run(&p, &d, 80, 5, 15, 1.0, &cluster);
         assert!(
             ns.total() < sm.total(),

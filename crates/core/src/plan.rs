@@ -1,39 +1,40 @@
-//! Submatrix plans: how block columns are grouped into submatrices.
-//!
-//! The baseline plan generates one submatrix per block column (paper
-//! Sec. III-A applied at the DBCSR block level, Sec. IV-C). Combining
-//! several block columns into one submatrix trades fewer, larger solves for
-//! possibly redundant work; Eq. 15 estimates the net speedup `S` under the
-//! `n³` cost model. The evaluation's "simple greedy heuristic" combines
-//! consecutive block columns, while the cluster-based heuristics live in
-//! [`crate::cluster`].
+//! The symbolic phase, in two halves. Sec. IV-A1 replicates the block
+//! pattern on every rank, so the submatrices, their `n³` costs (Eq. 14)
+//! and the shape statistics are one function of the pattern, a
+//! [`PatternPlan`]; a rank's share of it — its slice of the load balance
+//! (Sec. IV-E), one walk per own group and the deduplicated transfers
+//! (Sec. IV-B) — is a [`RankView`]. The engine's plans, the figures and
+//! the scaling model ([`crate::model`]) all take this one split. Groups
+//! are one block column each by default (Sec. III-A); combining columns
+//! trades fewer, larger solves for redundant work, which Eq. 15 prices
+//! ([`estimated_speedup`]; the clustering heuristics live in
+//! [`crate::cluster`]).
 
+use std::ops::Range;
+
+use sm_dbcsr::wire::PatternFingerprint;
 use sm_dbcsr::{BlockedDims, CooPattern};
 
-use crate::assembly::SubmatrixSpec;
+use crate::assembly::{cost_of_dim, AssemblyMap, ExtractionMap, SubmatrixSpec};
 use crate::engine::Grouping;
+use crate::loadbalance::greedy_contiguous;
+use crate::transfers::{RankTransferPlan, TransferStats};
 
-/// A full plan: every block column appears in exactly one spec.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SubmatrixPlan {
-    /// The submatrix specs, in deterministic order.
-    pub specs: Vec<SubmatrixSpec>,
-}
-
-/// The column groups of `grouping` over `all = [0, 1, …, nb − 1]`, in plan
-/// order: singletons, runs of `g` (the last one shorter), or the explicit
-/// groups without the empty ones. The one enumeration of a grouping: the
-/// engine's symbolic phase and [`SubmatrixPlan`] both take it.
+/// The column groups of `grouping` over `0..nb`, in plan order, as
+/// `(cols, bounds)`: group `i` is `cols[bounds[i]..bounds[i + 1]]`.
+/// Singletons, runs of `g` (the last one shorter), or the explicit groups
+/// without the empty ones — the one enumeration of a grouping.
 ///
 /// # Panics
-/// Panics if a run length is 0 or explicit groups do not partition `all`.
-pub(crate) fn column_groups<'a>(grouping: &'a Grouping, all: &'a [usize]) -> Vec<&'a [usize]> {
+/// Panics if a run length is 0 or explicit groups do not partition `0..nb`.
+pub(crate) fn column_groups(grouping: &Grouping, nb: usize) -> (Vec<usize>, Vec<usize>) {
+    let run = |g: usize| ((0..nb).collect(), (0..nb).step_by(g).chain([nb]).collect());
     let groups = match grouping {
-        Grouping::OnePerColumn => return all.chunks(1).collect(),
-        Grouping::Consecutive(g) => return all.chunks(*g).collect(),
+        Grouping::OnePerColumn => return run(1),
+        Grouping::Consecutive(g) => return run(*g),
         Grouping::Explicit(groups) => groups,
     };
-    let mut seen = vec![false; all.len()];
+    let mut seen = vec![false; nb];
     for &c in groups.iter().flatten() {
         assert!(!seen[c], "block column {c} appears in two groups");
         seen[c] = true;
@@ -42,87 +43,155 @@ pub(crate) fn column_groups<'a>(grouping: &'a Grouping, all: &'a [usize]) -> Vec
         seen.iter().all(|&s| s),
         "groups must cover every block column"
     );
-    (groups.iter().filter(|g| !g.is_empty()).map(Vec::as_slice)).collect()
+    let ends = groups.iter().filter(|g| !g.is_empty()).scan(0, |end, g| {
+        *end += g.len();
+        Some(*end)
+    });
+    let cols = groups.iter().flatten().copied().collect();
+    (cols, [0].into_iter().chain(ends).collect())
 }
 
-impl SubmatrixPlan {
-    /// One spec per column group of `grouping`.
-    fn grouped(pattern: &CooPattern, dims: &BlockedDims, grouping: &Grouping) -> Self {
-        let all: Vec<usize> = (0..pattern.nb()).collect();
-        let groups = column_groups(grouping, &all).into_iter();
-        let specs = groups.map(|cols| SubmatrixSpec::build(pattern, dims, cols));
-        SubmatrixPlan {
-            specs: specs.collect(),
-        }
-    }
+/// The pattern-wide half of the symbolic phase, identical on every rank.
+/// Borrows the pattern, so one pattern can be priced under several
+/// groupings without a copy.
+#[derive(Debug)]
+pub struct PatternPlan<'a> {
+    /// The global block pattern.
+    pub(crate) pattern: &'a CooPattern,
+    /// The block partition.
+    pub(crate) dims: &'a BlockedDims,
+    /// Fingerprint of the pattern + partition.
+    pub fingerprint: PatternFingerprint,
+    /// The `n³` cost of each submatrix, in plan order (the ranks' deal).
+    pub(crate) costs: Vec<f64>,
+    /// Largest submatrix dimension (the `dim(SM)` series of paper Fig. 4).
+    pub max_dim: usize,
+    /// Mean submatrix dimension.
+    pub avg_dim: f64,
+    /// Total `Σ n³` cost estimate.
+    pub total_cost: f64,
+    /// Element-level fill fraction of the pattern: `Σ size(br)·size(bc)`
+    /// over nonzero blocks, divided by `n²` (the Sec. V-C decision input).
+    pub element_fill: f64,
+    /// The column groups, as [`column_groups`] lays them out.
+    cols: Vec<usize>,
+    bounds: Vec<usize>,
+    /// One spec's buffers serve every group in turn, in both halves.
+    spec: SubmatrixSpec,
+}
 
-    /// One submatrix per block column (the method's default).
-    pub fn one_per_column(pattern: &CooPattern, dims: &BlockedDims) -> Self {
-        Self::grouped(pattern, dims, &Grouping::OnePerColumn)
-    }
+/// One rank's share of a [`PatternPlan`]; the per-submatrix vectors hold
+/// its submatrices in plan order.
+#[derive(Debug)]
+pub struct RankView {
+    /// The rank's contiguous range of submatrices.
+    pub groups: Range<usize>,
+    /// This rank's transfer statistics.
+    pub transfers: TransferStats,
+    /// Deduplicated remote block coordinates to gather each execution.
+    pub remote_wanted: Vec<(usize, usize)>,
+    /// Assembly copy program of each submatrix.
+    pub assembly: Vec<AssemblyMap>,
+    /// Extraction copy program of each submatrix.
+    pub extraction: Vec<ExtractionMap>,
+    /// Contributing element columns of each submatrix (Algorithm 1).
+    pub contributing: Vec<Vec<usize>>,
+}
 
-    /// Combine consecutive runs of `group_size` block columns — the greedy
-    /// heuristic used in the paper's evaluation (Sec. V: "combining
-    /// multiples of these basic regions").
-    pub fn consecutive(pattern: &CooPattern, dims: &BlockedDims, group_size: usize) -> Self {
-        Self::grouped(pattern, dims, &Grouping::Consecutive(group_size))
-    }
-
-    /// Build from explicit column groups (the clustering heuristics).
+impl<'a> PatternPlan<'a> {
+    /// Each column group's dimension, from its index set alone, and the
+    /// statistics over them.
     ///
     /// # Panics
-    /// Panics if the groups do not partition `0..nb`.
-    pub fn from_groups(pattern: &CooPattern, dims: &BlockedDims, groups: &[Vec<usize>]) -> Self {
-        Self::grouped(pattern, dims, &Grouping::Explicit(groups.to_vec()))
+    /// Panics if `grouping` does not partition the block columns (or runs
+    /// zero columns) or a column's diagonal block is missing.
+    pub fn new(pattern: &'a CooPattern, dims: &'a BlockedDims, grouping: &Grouping) -> Self {
+        let fingerprint = pattern.fingerprint(dims);
+        let (cols, bounds) = column_groups(grouping, pattern.nb());
+        let mut spec = SubmatrixSpec::default();
+        let (mut costs, mut max_dim, mut dim_sum) = (Vec::with_capacity(bounds.len()), 0, 0.0);
+        for w in bounds.windows(2) {
+            let dim = spec.rebuild(pattern, dims, &cols[w[0]..w[1]]);
+            costs.push(cost_of_dim(dim));
+            max_dim = max_dim.max(dim);
+            dim_sum += dim as f64;
+        }
+        let n_elems = (dims.n() * dims.n()) as f64;
+        let nnz_elems: f64 = (pattern.entries().iter())
+            .map(|&(br, bc)| (dims.size(br) * dims.size(bc)) as f64)
+            .sum();
+        PatternPlan {
+            pattern,
+            dims,
+            fingerprint,
+            max_dim,
+            avg_dim: dim_sum / costs.len().max(1) as f64, // 0 with no groups
+            total_cost: costs.iter().sum(),
+            costs,
+            element_fill: nnz_elems / n_elems.max(1.0), // 0 for an empty partition
+            cols,
+            bounds,
+            spec,
+        }
     }
 
     /// Number of submatrices `N_S`.
-    pub fn len(&self) -> usize {
-        self.specs.len()
+    pub fn n_submatrices(&self) -> usize {
+        self.costs.len()
     }
 
-    /// True if the plan is empty (zero-dimensional matrix).
-    pub fn is_empty(&self) -> bool {
-        self.specs.is_empty()
-    }
-
-    /// Total estimated cost `Σ nᵢ³` (paper Eq. 14).
-    pub fn total_cost(&self) -> f64 {
-        self.specs.iter().map(SubmatrixSpec::cost).sum()
-    }
-
-    /// Submatrix dimensions.
-    pub fn dims(&self) -> Vec<usize> {
-        self.specs.iter().map(|s| s.dim).collect()
-    }
-
-    /// Largest submatrix dimension (the `dim(SM)` series of paper Fig. 4).
-    pub fn max_dim(&self) -> usize {
-        self.specs.iter().map(|s| s.dim).max().unwrap_or(0)
-    }
-
-    /// Mean submatrix dimension.
-    pub fn avg_dim(&self) -> f64 {
-        if self.specs.is_empty() {
-            return 0.0;
+    /// Rank `rank` of `size`: its slice of the greedy `n³` balance, one
+    /// walk per own group — which appends the blocks the group needs to
+    /// the rank's list and lays out its copy programs — and the exchange
+    /// of those blocks, each fetched once per execution. Mutable only for
+    /// the plan's scratch spec.
+    pub fn rank_view(&mut self, rank: usize, size: usize) -> RankView {
+        let (pattern, dims, spec) = (self.pattern, self.dims, &mut self.spec);
+        let (cols, bounds) = (&self.cols, &self.bounds);
+        let groups = greedy_contiguous(&self.costs, size).ranges[rank].clone();
+        let mut blocks = Vec::new();
+        let (assembly, (extraction, contributing)): (Vec<_>, (Vec<_>, Vec<_>)) = (groups.clone())
+            .map(|i| {
+                spec.rebuild(pattern, dims, &cols[bounds[i]..bounds[i + 1]]);
+                let maps = spec.walk(pattern, dims, &mut blocks);
+                (maps.assembly, (maps.extraction, maps.contributing))
+            })
+            .unzip();
+        let transfer_plan = RankTransferPlan::from_blocks(blocks);
+        let mut transfers = TransferStats::default();
+        transfers.add_rank(&transfer_plan, dims);
+        // Owners come from the one distribution policy matrices route by.
+        let grid = sm_dbcsr::process_grid(size);
+        // Copied: filtered in place, a one-rank plan would keep every block's capacity.
+        let remote_wanted = (transfer_plan.unique_blocks.iter().copied())
+            .filter(|&(br, bc)| grid.owner_of_block(br, bc) != rank)
+            .collect();
+        RankView {
+            groups,
+            transfers,
+            remote_wanted,
+            assembly,
+            extraction,
+            contributing,
         }
-        self.specs.iter().map(|s| s.dim as f64).sum::<f64>() / self.specs.len() as f64
     }
 }
 
 /// Estimated additional speedup `S` of a combined plan over the
 /// one-per-column plan (paper Eq. 15): `S = Σ ñᵢ³ / Σ nᵢ³`.
-pub fn estimated_speedup(single_columns: &SubmatrixPlan, combined: &SubmatrixPlan) -> f64 {
-    let denom = combined.total_cost();
-    if denom == 0.0 {
+pub fn estimated_speedup(single_columns: &PatternPlan, combined: &PatternPlan) -> f64 {
+    if combined.total_cost == 0.0 {
         return 1.0;
     }
-    single_columns.total_cost() / denom
+    single_columns.total_cost / combined.total_cost
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EngineOptions;
+    use crate::ExecutionPlan;
+    use proptest::prelude::*;
 
     fn banded_pattern(nb: usize, half: usize) -> CooPattern {
         let mut coords = Vec::new();
@@ -134,35 +203,43 @@ mod tests {
         CooPattern::from_coords(coords, nb)
     }
 
+    fn groups_of(plan: &PatternPlan) -> Vec<Vec<usize>> {
+        plan.bounds
+            .windows(2)
+            .map(|w| plan.cols[w[0]..w[1]].to_vec())
+            .collect()
+    }
+
     #[test]
     fn one_per_column_covers_all() {
         let p = banded_pattern(6, 1);
         let d = BlockedDims::uniform(6, 3);
-        let plan = SubmatrixPlan::one_per_column(&p, &d);
-        assert_eq!(plan.len(), 6);
-        let cols: Vec<usize> = plan.specs.iter().flat_map(|s| s.cols.clone()).collect();
+        let plan = PatternPlan::new(&p, &d, &Grouping::OnePerColumn);
+        assert_eq!(plan.n_submatrices(), 6);
+        let cols: Vec<usize> = groups_of(&plan).concat();
         assert_eq!(cols, (0..6).collect::<Vec<_>>());
         // Interior columns: 3 block rows of size 3 → dim 9.
-        assert_eq!(plan.specs[2].dim, 9);
-        assert_eq!(plan.max_dim(), 9);
+        assert_eq!(plan.costs[2], 729.0);
+        assert_eq!(plan.max_dim, 9);
     }
 
     #[test]
     fn consecutive_grouping() {
         let p = banded_pattern(7, 1);
         let d = BlockedDims::uniform(7, 2);
-        let plan = SubmatrixPlan::consecutive(&p, &d, 3);
-        assert_eq!(plan.len(), 3); // groups {0,1,2},{3,4,5},{6}
-        assert_eq!(plan.specs[0].cols, vec![0, 1, 2]);
-        assert_eq!(plan.specs[2].cols, vec![6]);
+        let plan = PatternPlan::new(&p, &d, &Grouping::Consecutive(3));
+        assert_eq!(plan.n_submatrices(), 3); // groups {0,1,2},{3,4,5},{6}
+        assert_eq!(groups_of(&plan)[0], vec![0, 1, 2]);
+        assert_eq!(groups_of(&plan)[2], vec![6]);
     }
 
     #[test]
     fn from_groups_partition_validation() {
         let p = banded_pattern(4, 1);
         let d = BlockedDims::uniform(4, 2);
-        let plan = SubmatrixPlan::from_groups(&p, &d, &[vec![0, 1], vec![2, 3]]);
-        assert_eq!(plan.len(), 2);
+        let groups = Grouping::Explicit(vec![vec![0, 1], vec![], vec![2, 3]]);
+        let plan = PatternPlan::new(&p, &d, &groups);
+        assert_eq!(groups_of(&plan), vec![vec![0, 1], vec![2, 3]]);
     }
 
     #[test]
@@ -170,7 +247,7 @@ mod tests {
     fn overlapping_groups_rejected() {
         let p = banded_pattern(3, 1);
         let d = BlockedDims::uniform(3, 2);
-        SubmatrixPlan::from_groups(&p, &d, &[vec![0, 1], vec![1, 2]]);
+        PatternPlan::new(&p, &d, &Grouping::Explicit(vec![vec![0, 1], vec![1, 2]]));
     }
 
     #[test]
@@ -178,7 +255,7 @@ mod tests {
     fn incomplete_groups_rejected() {
         let p = banded_pattern(3, 1);
         let d = BlockedDims::uniform(3, 2);
-        SubmatrixPlan::from_groups(&p, &d, &[vec![0, 1]]);
+        PatternPlan::new(&p, &d, &Grouping::Explicit(vec![vec![0, 1]]));
     }
 
     #[test]
@@ -187,12 +264,12 @@ mod tests {
         // combining them is a win under the n³ model (the Fig. 5 regime).
         let p = banded_pattern(40, 3);
         let d = BlockedDims::uniform(40, 2);
-        let singles = SubmatrixPlan::one_per_column(&p, &d);
-        let combined = SubmatrixPlan::consecutive(&p, &d, 4);
+        let singles = PatternPlan::new(&p, &d, &Grouping::OnePerColumn);
+        let combined = PatternPlan::new(&p, &d, &Grouping::Consecutive(4));
         let s = estimated_speedup(&singles, &combined);
         assert!(s > 1.0, "expected combining speedup, got {s}");
         // Over-combining into one giant submatrix destroys the advantage.
-        let giant = SubmatrixPlan::consecutive(&p, &d, 40);
+        let giant = PatternPlan::new(&p, &d, &Grouping::Consecutive(40));
         let s_giant = estimated_speedup(&singles, &giant);
         assert!(s_giant < s, "giant group should be worse than moderate");
     }
@@ -201,8 +278,76 @@ mod tests {
     fn total_cost_is_cubic_sum() {
         let p = banded_pattern(3, 0); // diagonal only
         let d = BlockedDims::uniform(3, 2);
-        let plan = SubmatrixPlan::one_per_column(&p, &d);
-        assert_eq!(plan.total_cost(), 3.0 * 8.0);
-        assert_eq!(plan.avg_dim(), 2.0);
+        let plan = PatternPlan::new(&p, &d, &Grouping::OnePerColumn);
+        assert_eq!(plan.total_cost, 3.0 * 8.0);
+        assert_eq!(plan.avg_dim, 2.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+        /// On random patterns holding every diagonal block, with block
+        /// sizes 1–5, one submatrix per column, runs of 2–4 columns or an
+        /// explicit partition (unsorted groups, one empty): one
+        /// `PatternPlan` serves every rank of worlds 1–6, derived in
+        /// descending rank order through its one scratch spec, and each
+        /// view and statistic is what a fresh `ExecutionPlan::build` of
+        /// that rank holds, `f64`s by bits.
+        #[test]
+        fn rank_views_match_the_engine_plan(
+            nb in 1usize..20,
+            fill in 0u64..100,
+            seed in 0u64..1000,
+            grouping in 0usize..5,
+        ) {
+            let hash = |r: usize, c: usize| {
+                (r as u64 * 7919 + c as u64 * 104_729 + seed * 31) % 1009 * 100 / 1009
+            };
+            let coords = (0..nb)
+                .flat_map(|c| (0..nb).map(move |r| (r, c)))
+                .filter(|&(r, c)| r == c || hash(r, c) < fill)
+                .collect();
+            let pattern = CooPattern::from_coords(coords, nb);
+            let dims = BlockedDims::new((0..nb).map(|b| 1 + (3 * b + seed as usize) % 5).collect());
+            let grouping = match grouping {
+                0 => Grouping::OnePerColumn,
+                4 => {
+                    let k = 1 + seed as usize % 4;
+                    let mut groups = vec![Vec::new(); k + 1];
+                    for c in (0..nb).rev() {
+                        groups[hash(c, c) as usize % k].push(c);
+                    }
+                    Grouping::Explicit(groups)
+                }
+                g => Grouping::Consecutive(g + 1),
+            };
+            let mut shared = PatternPlan::new(&pattern, &dims, &grouping);
+            let opts = EngineOptions { grouping, ..EngineOptions::default() };
+            for size in 1..=6 {
+                for rank in (0..size).rev() {
+                    let view = shared.rank_view(rank, size);
+                    let plan = ExecutionPlan::build(pattern.clone(), dims.clone(), &opts, rank, size);
+                    prop_assert_eq!(shared.fingerprint, plan.fingerprint);
+                    prop_assert_eq!(shared.n_submatrices(), plan.n_submatrices);
+                    prop_assert_eq!(shared.max_dim, plan.max_dim);
+                    prop_assert_eq!(shared.avg_dim.to_bits(), plan.avg_dim.to_bits());
+                    prop_assert_eq!(shared.total_cost.to_bits(), plan.total_cost.to_bits());
+                    prop_assert_eq!(shared.element_fill.to_bits(), plan.element_fill.to_bits());
+                    let RankView {
+                        groups,
+                        transfers,
+                        remote_wanted,
+                        assembly,
+                        extraction,
+                        contributing,
+                    } = view;
+                    prop_assert_eq!(groups.len(), assembly.len());
+                    prop_assert_eq!(transfers, plan.transfers);
+                    prop_assert_eq!(remote_wanted, plan.remote_wanted);
+                    prop_assert_eq!(assembly, plan.assembly);
+                    prop_assert_eq!(extraction, plan.extraction);
+                    prop_assert_eq!(contributing, plan.contributing);
+                }
+            }
+        }
     }
 }

@@ -71,12 +71,26 @@ impl TransferStats {
     }
 }
 
+/// Whole-run totals of per-rank statistics (each a rank's
+/// [`add_rank`](TransferStats::add_rank)).
+impl std::iter::Sum for TransferStats {
+    fn sum<I: Iterator<Item = Self>>(ranks: I) -> Self {
+        ranks.fold(TransferStats::default(), |total, rank| TransferStats {
+            unique_bytes: total.unique_bytes + rank.unique_bytes,
+            naive_bytes: total.naive_bytes + rank.naive_bytes,
+            unique_blocks: total.unique_blocks + rank.unique_blocks,
+            total_references: total.total_references + rank.total_references,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::assembly::SubmatrixSpec;
+    use crate::engine::Grouping;
     use crate::loadbalance::greedy_contiguous;
-    use crate::plan::SubmatrixPlan;
+    use crate::plan::column_groups;
     use proptest::prelude::*;
     use sm_dbcsr::CooPattern;
 
@@ -192,13 +206,17 @@ mod tests {
                 .collect();
             let pattern = CooPattern::from_coords(coords, nb);
             let dims = BlockedDims::new((0..nb).map(|b| 1 + (b + seed as usize) % 3).collect());
-            let plan = match group {
-                0 => SubmatrixPlan::one_per_column(&pattern, &dims),
-                g => SubmatrixPlan::consecutive(&pattern, &dims, g),
+            let grouping = match group {
+                0 => Grouping::OnePerColumn,
+                g => Grouping::Consecutive(g),
             };
-            let costs: Vec<f64> = plan.specs.iter().map(SubmatrixSpec::cost).collect();
+            let (cols, bounds) = column_groups(&grouping, nb);
+            let all: Vec<SubmatrixSpec> = (bounds.windows(2))
+                .map(|w| SubmatrixSpec::build(&pattern, &dims, &cols[w[0]..w[1]]))
+                .collect();
+            let costs: Vec<f64> = all.iter().map(SubmatrixSpec::cost).collect();
             for range in greedy_contiguous(&costs, size).ranges {
-                let specs = &plan.specs[range];
+                let specs = &all[range];
                 let mut blocks = Vec::new();
                 for spec in specs {
                     spec.walk(&pattern, &dims, &mut blocks);

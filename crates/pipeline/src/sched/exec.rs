@@ -675,7 +675,6 @@ fn execute_job_on_group(
                 ("stolen_ranks", stolen_ranks as f64),
             ],
         );
-        sm_trace::hist_seconds(&sm_trace::scoped_root("job.seconds"), seconds);
     }
 
     // Group-wide telemetry: total subgroup traffic this job moved

@@ -3,12 +3,12 @@
 //! live beside it in `sm_trace::analyze`):
 //!
 //! * **one clock** — the wall seconds a job's `EngineReport` carries are
-//!   the wall annotations of that job's phase events, bit for bit
-//!   (ROADMAP item 3: "nothing checks they agree");
+//!   the wall annotations of that job's phase events, bit for bit, so
+//!   the two readings of one clock cannot drift apart;
 //! * **no trace takes a reader down** — every single-line corruption of a
 //!   trace is, for `TraceDoc::parse` and then for every `smdoctor` view,
 //!   success or a typed `TraceError`: never a panic, an allocation
-//!   failure or a hang (ROADMAP item 5a).
+//!   failure or a hang.
 
 use std::sync::Arc;
 

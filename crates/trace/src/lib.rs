@@ -2,8 +2,8 @@
 //!
 //! The observability substrate of the submatrix stack: hierarchical
 //! structured **spans** (batch → epoch → group → job → SCF iteration →
-//! phase), a typed **metrics registry** (counters, gauges, byte/time
-//! histograms), and a JSONL emitter the `smdoctor` CLI consumes.
+//! phase), a typed **metrics registry** (counters and gauges), and a
+//! JSONL emitter the `smdoctor` CLI consumes.
 //!
 //! ## The two-clock rule
 //!
@@ -16,7 +16,7 @@
 //!   [`TraceSession::span_tree`] rendering (paths, event names, event
 //!   counts, cost maxima) is **bit-identical across reruns** at a fixed
 //!   world size.
-//! * **wall-time annotations** (`wall_s`, seconds histograms) — recorded
+//! * **wall-time annotations** (`wall_s`) — recorded
 //!   for humans and for `smdoctor`'s idle breakdowns, but *never* fed
 //!   back into scheduling and never part of the deterministic view.
 //!
@@ -75,7 +75,7 @@ use json::Json;
 /// carries `job`, `pos`, `ranks`, `stolen_ranks`, `attempt`, `poisoned`;
 /// a faulty batch adds `fault.injected`, `sched.retry` and
 /// `job.quarantined` events.
-pub const TRACE_SCHEMA_VERSION: u32 = 3;
+pub const TRACE_SCHEMA_VERSION: u32 = 4;
 
 /// Root path used for events and metrics recorded while no span context
 /// is installed on the emitting thread.
@@ -162,29 +162,6 @@ impl Event {
     }
 }
 
-/// A log₂-bucketed histogram. For byte histograms the recorded values are
-/// integers and the whole record is deterministic; for seconds histograms
-/// it is a wall-time annotation.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Histogram {
-    /// Number of recorded samples.
-    pub count: u64,
-    /// Sum of all samples.
-    pub sum: f64,
-    /// Sample counts keyed by `floor(log2(value))` (`-1` for values
-    /// `< 1`); sorted, so snapshots render deterministically.
-    pub buckets: BTreeMap<i32, u64>,
-}
-
-impl Histogram {
-    fn record(&mut self, value: f64) {
-        self.count += 1;
-        self.sum += value;
-        let bucket = if value < 1.0 { -1 } else { value.log2() as i32 };
-        *self.buckets.entry(bucket).or_insert(0) += 1;
-    }
-}
-
 /// One entry of the typed metrics registry.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Metric {
@@ -192,10 +169,6 @@ pub enum Metric {
     Counter(u64),
     /// Last-write-wins instantaneous value (cache occupancy).
     Gauge(f64),
-    /// Log₂ histogram of byte sizes (deterministic).
-    BytesHistogram(Histogram),
-    /// Log₂ histogram of wall seconds (annotation only).
-    SecondsHistogram(Histogram),
 }
 
 impl Metric {
@@ -203,8 +176,6 @@ impl Metric {
         match self {
             Metric::Counter(_) => "counter",
             Metric::Gauge(_) => "gauge",
-            Metric::BytesHistogram(_) => "bytes_hist",
-            Metric::SecondsHistogram(_) => "seconds_hist",
         }
     }
 
@@ -218,13 +189,6 @@ impl Metric {
         match self {
             Metric::Counter(c) => rec.push(("value", Json::Num(*c as f64))),
             Metric::Gauge(g) => rec.push(("value", Json::Num(*g))),
-            Metric::BytesHistogram(h) | Metric::SecondsHistogram(h) => {
-                let buckets = h.buckets.iter();
-                let buckets = buckets.map(|(b, n)| (b.to_string(), Json::Num(*n as f64)));
-                rec.push(("count", Json::Num(h.count as f64)));
-                rec.push(("sum", Json::Num(h.sum)));
-                rec.push(("buckets", Json::Obj(buckets.collect())));
-            }
         }
         Json::obj(rec)
     }
@@ -387,44 +351,6 @@ pub fn gauge_set(name: &str, value: f64) {
         |m| match m {
             Metric::Gauge(g) => *g = value,
             other => panic!("metric '{name}' is a {}, not a gauge", other.kind_label()),
-        },
-    );
-}
-
-/// Record a sample into a byte-size histogram (deterministic). Panics on
-/// metric-type mismatch.
-pub fn hist_bytes(name: &str, bytes: u64) {
-    if !enabled() {
-        return;
-    }
-    with_metric(
-        name,
-        || Metric::BytesHistogram(Histogram::default()),
-        |m| match m {
-            Metric::BytesHistogram(h) => h.record(bytes as f64),
-            other => panic!(
-                "metric '{name}' is a {}, not a bytes histogram",
-                other.kind_label()
-            ),
-        },
-    );
-}
-
-/// Record a sample into a wall-seconds histogram (annotation only).
-/// Panics on metric-type mismatch.
-pub fn hist_seconds(name: &str, seconds: f64) {
-    if !enabled() {
-        return;
-    }
-    with_metric(
-        name,
-        || Metric::SecondsHistogram(Histogram::default()),
-        |m| match m {
-            Metric::SecondsHistogram(h) => h.record(seconds),
-            other => panic!(
-                "metric '{name}' is a {}, not a seconds histogram",
-                other.kind_label()
-            ),
         },
     );
 }
@@ -614,23 +540,13 @@ mod tests {
         counter_add("a/bytes", 5);
         gauge_set("a/occupancy", 3.0);
         gauge_set("a/occupancy", 2.0);
-        hist_bytes("a/sizes", 1024);
-        hist_bytes("a/sizes", 1500);
-        hist_seconds("a/latency", 0.25);
         let m: BTreeMap<String, Metric> = session.metrics().into_iter().collect();
         assert_eq!(m["a/bytes"], Metric::Counter(15));
         assert_eq!(m["a/occupancy"], Metric::Gauge(2.0));
-        match &m["a/sizes"] {
-            Metric::BytesHistogram(h) => {
-                assert_eq!(h.count, 2);
-                assert_eq!(h.buckets[&10], 2); // both in [1024, 2048)
-            }
-            other => panic!("wrong metric type: {other:?}"),
-        }
         assert_eq!(
             session.metrics_under("a").len(),
-            4,
-            "prefix filter sees all four"
+            2,
+            "prefix filter sees both"
         );
         assert!(session.metrics_under("b").is_empty());
     }
@@ -669,21 +585,18 @@ mod tests {
             );
             emit("bare", -0.0, 1e15, &[]);
             counter_add("j/c", 7);
-            gauge_set("j/g", 0.5);
-            hist_bytes("j/hb", 1500);
-            hist_bytes("j/hb", 0);
-            hist_seconds("j/hs\u{1}", 0.25);
+            gauge_set("j/g\u{1}", 0.5);
         }
         let doc = session.to_doc();
-        assert_eq!((doc.events.len(), doc.metrics.len()), (2, 4));
+        assert_eq!((doc.events.len(), doc.metrics.len()), (2, 2));
         let text = doc.render();
-        assert_eq!(text.lines().count(), 7);
+        assert_eq!(text.lines().count(), 5);
         assert_eq!(TraceDoc::parse(&text).unwrap(), doc);
 
         // JSON spells every non-finite number `null`, which reads back as
         // NaN: such a document re-renders to the same bytes.
         emit("inf", f64::INFINITY, f64::NAN, &[("k", f64::NEG_INFINITY)]);
-        gauge_set("j/g", f64::INFINITY);
+        gauge_set("j/g\u{1}", f64::INFINITY);
         let text = session.to_doc().render();
         assert!(text.contains("\"cost\":null,\"wall_s\":null,\"fields\":{\"k\":null}"));
         let back = TraceDoc::parse(&text).unwrap();

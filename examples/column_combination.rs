@@ -34,13 +34,13 @@ fn main() {
     k_tilde.store_mut().filter(1e-6);
     let pattern = k_tilde.global_pattern(&comm);
     let dims = k_tilde.dims().clone();
-    let singles = SubmatrixPlan::one_per_column(&pattern, &dims);
+    let singles = PatternPlan::new(&pattern, &dims, &Grouping::OnePerColumn);
     println!(
         "{} molecules, single-column plan: {} submatrices, avg dim {:.0}, cost {:.3e}",
         water.n_molecules(),
-        singles.len(),
-        singles.avg_dim(),
-        singles.total_cost()
+        singles.n_submatrices(),
+        singles.avg_dim,
+        singles.total_cost
     );
 
     let n_clusters = water.n_molecules() / 8;
@@ -48,33 +48,33 @@ fn main() {
     // Heuristic 1: k-means on molecule centers in real space.
     let points: Vec<[f64; 3]> = water.centers().iter().map(|c| [c.x, c.y, c.z]).collect();
     let km = kmeans::kmeans(&points, n_clusters, 1, 200);
-    let km_groups = groups_from_assignment(&km.assignment, n_clusters);
-    let km_plan = SubmatrixPlan::from_groups(&pattern, &dims, &km_groups);
+    let km_groups = Grouping::Explicit(groups_from_assignment(&km.assignment, n_clusters));
+    let km_plan = PatternPlan::new(&pattern, &dims, &km_groups);
     let s_km = estimated_speedup(&singles, &km_plan);
     println!(
         "k-means ({} clusters): {} submatrices, S = {s_km:.3}",
         n_clusters,
-        km_plan.len()
+        km_plan.n_submatrices()
     );
 
     // Heuristic 2: multilevel partitioning of the sparsity-pattern graph.
     let g = graph::Graph::from_pattern(&pattern);
     let part = graph::partition_kway(&g, n_clusters, &graph::PartitionOptions::default());
-    let gp_groups = groups_from_assignment(&part, n_clusters);
-    let gp_plan = SubmatrixPlan::from_groups(&pattern, &dims, &gp_groups);
+    let gp_groups = Grouping::Explicit(groups_from_assignment(&part, n_clusters));
+    let gp_plan = PatternPlan::new(&pattern, &dims, &gp_groups);
     let s_gp = estimated_speedup(&singles, &gp_plan);
     println!(
         "graph partitioning: {} submatrices, S = {s_gp:.3}, edge cut {:.0}",
-        gp_plan.len(),
+        gp_plan.n_submatrices(),
         g.edge_cut(&part)
     );
 
     // Naive consecutive grouping for contrast.
-    let cons = SubmatrixPlan::consecutive(&pattern, &dims, 8);
+    let cons = PatternPlan::new(&pattern, &dims, &Grouping::Consecutive(8));
     let s_cons = estimated_speedup(&singles, &cons);
     println!(
         "consecutive (8): {} submatrices, S = {s_cons:.3}",
-        cons.len()
+        cons.n_submatrices()
     );
 
     // The paper's observation (Fig. 5): both heuristics land close to each
@@ -88,10 +88,7 @@ fn main() {
     let kt_dense = k_tilde.to_dense(&comm);
     let reference = sm_chem::reference::DenseReference::new(&kt_dense).expect("symmetric");
     let e_ref = reference.band_energy(sys.mu);
-    for (name, grouping) in [
-        ("single", Grouping::OnePerColumn),
-        ("k-means", Grouping::Explicit(km_groups)),
-    ] {
+    for (name, grouping) in [("single", Grouping::OnePerColumn), ("k-means", km_groups)] {
         let engine = SubmatrixEngine::new(EngineOptions {
             grouping,
             ..Default::default()

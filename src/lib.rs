@@ -98,7 +98,7 @@ pub mod prelude {
         NumericOptions, SubmatrixEngine,
     };
     pub use sm_core::solver::{SignMethod, SolveOptions};
-    pub use sm_core::SubmatrixPlan;
+    pub use sm_core::PatternPlan;
     pub use sm_dbcsr::{BlockedDims, CooPattern, DbcsrMatrix, PatternFingerprint};
     pub use sm_linalg::Matrix;
     pub use sm_pipeline::{

@@ -5,37 +5,40 @@
 use sm_chem::builder::block_pattern;
 use sm_chem::{BasisSet, WaterBox};
 use sm_comsim::ClusterModel;
+use sm_core::engine::Grouping;
 use sm_core::model::{model_newton_schulz_run, model_submatrix_run, ns_iteration_estimate};
-use sm_core::SubmatrixPlan;
-use sm_dbcsr::BlockedDims;
+use sm_core::PatternPlan;
+use sm_dbcsr::{BlockedDims, CooPattern};
 
-fn plan_for(nrep: usize, eps: f64) -> (SubmatrixPlan, sm_dbcsr::CooPattern, BlockedDims) {
+fn pattern_for(nrep: usize, eps: f64) -> (CooPattern, BlockedDims) {
     let water = WaterBox::cubic(nrep, 42);
     let basis = BasisSet::szv();
     let pattern = block_pattern(&water, &basis, eps, 1.0);
     let dims = BlockedDims::uniform(water.n_molecules(), basis.n_per_molecule());
-    let plan = SubmatrixPlan::one_per_column(&pattern, &dims);
-    (plan, pattern, dims)
+    (pattern, dims)
+}
+
+fn one_per_column<'a>(pattern: &'a CooPattern, dims: &'a BlockedDims) -> PatternPlan<'a> {
+    PatternPlan::new(pattern, dims, &Grouping::OnePerColumn)
 }
 
 #[test]
 fn claim_linear_scaling_regime_exists() {
     // Paper Fig. 4: submatrix dimension becomes size-independent.
-    let (p3, _, _) = plan_for(3, 1e-5);
-    let (p4, _, _) = plan_for(4, 1e-5);
-    let (p5, _, _) = plan_for(5, 1e-5);
-    assert_eq!(p4.max_dim(), p5.max_dim(), "dim(SM) must saturate");
-    assert!((p3.avg_dim() - p5.avg_dim()).abs() / p5.avg_dim() < 0.05);
+    let [(p3, d3), (p4, d4), (p5, d5)] = [3, 4, 5].map(|nrep| pattern_for(nrep, 1e-5));
+    let [p3, p4, p5] = [(&p3, &d3), (&p4, &d4), (&p5, &d5)].map(|(p, d)| one_per_column(p, d));
+    assert_eq!(p4.max_dim, p5.max_dim, "dim(SM) must saturate");
+    assert!((p3.avg_dim - p5.avg_dim).abs() / p5.avg_dim < 0.05);
 }
 
 #[test]
 fn claim_submatrix_runtime_scales_linearly() {
     // Paper Fig. 8: modeled time ∝ atoms in the linear regime.
     let cluster = ClusterModel::paper_testbed();
-    let (plan4, pat4, d4) = plan_for(4, 1e-5);
-    let (plan6, pat6, d6) = plan_for(6, 1e-5);
-    let t4 = model_submatrix_run(&plan4, &pat4, &d4, 80, &cluster).total();
-    let t6 = model_submatrix_run(&plan6, &pat6, &d6, 80, &cluster).total();
+    let (pat4, d4) = pattern_for(4, 1e-5);
+    let (pat6, d6) = pattern_for(6, 1e-5);
+    let t4 = model_submatrix_run(&mut one_per_column(&pat4, &d4), 80, &cluster).total();
+    let t6 = model_submatrix_run(&mut one_per_column(&pat6, &d6), 80, &cluster).total();
     let time_ratio = t6 / t4;
     let size_ratio = (6.0f64 / 4.0).powi(3);
     assert!(
@@ -48,9 +51,10 @@ fn claim_submatrix_runtime_scales_linearly() {
 fn claim_strong_scaling_efficiency_high() {
     // Paper Fig. 9: ≥ ~0.8 efficiency at 4x cores.
     let cluster = ClusterModel::paper_testbed();
-    let (plan, pattern, dims) = plan_for(5, 1e-5);
-    let t80 = model_submatrix_run(&plan, &pattern, &dims, 80, &cluster).total();
-    let t320 = model_submatrix_run(&plan, &pattern, &dims, 320, &cluster).total();
+    let (pattern, dims) = pattern_for(5, 1e-5);
+    let mut plan = one_per_column(&pattern, &dims);
+    let t80 = model_submatrix_run(&mut plan, 80, &cluster).total();
+    let t320 = model_submatrix_run(&mut plan, 320, &cluster).total();
     let eff = t80 * 80.0 / (t320 * 320.0);
     assert!(eff > 0.8, "strong-scaling efficiency {eff}");
 }
@@ -71,8 +75,8 @@ fn claim_weak_scaling_submatrix_beats_newton_schulz() {
         let cores = 40 * nx;
         let pattern = block_pattern(&water, &basis, 1e-5, 1.0);
         let dims = BlockedDims::uniform(water.n_molecules(), basis.n_per_molecule());
-        let plan = SubmatrixPlan::one_per_column(&pattern, &dims);
-        let t_sm = model_submatrix_run(&plan, &pattern, &dims, cores, &cluster).total();
+        let t_sm =
+            model_submatrix_run(&mut one_per_column(&pattern, &dims), cores, &cluster).total();
         let t_ns = model_newton_schulz_run(&pattern, &dims, cores, 5, iters, 2.0, &cluster).total();
         if step == 0 {
             sm_base = t_sm;
@@ -97,9 +101,9 @@ fn claim_method_advantage_grows_with_sparsity() {
     let cluster = ClusterModel::paper_testbed();
     let mut prev_ratio = f64::INFINITY;
     for eps in [1e-7, 1e-5, 1e-3] {
-        let (plan, pattern, dims) = plan_for(4, eps);
+        let (pattern, dims) = pattern_for(4, eps);
         let iters = ns_iteration_estimate(0.05, eps);
-        let t_sm = model_submatrix_run(&plan, &pattern, &dims, 80, &cluster).total();
+        let t_sm = model_submatrix_run(&mut one_per_column(&pattern, &dims), 80, &cluster).total();
         let t_ns = model_newton_schulz_run(&pattern, &dims, 80, 5, iters, 2.0, &cluster).total();
         let ratio = t_sm / t_ns;
         assert!(
@@ -123,13 +127,9 @@ fn claim_dzvp_submatrices_larger_than_szv() {
     let dzvp = BasisSet::dzvp();
     let p_szv = block_pattern(&water, &szv, 1e-5, 1.0);
     let p_dzvp = block_pattern(&water, &dzvp, 1e-5, 1.0);
-    let plan_szv = SubmatrixPlan::one_per_column(
-        &p_szv,
-        &BlockedDims::uniform(water.n_molecules(), szv.n_per_molecule()),
-    );
-    let plan_dzvp = SubmatrixPlan::one_per_column(
-        &p_dzvp,
-        &BlockedDims::uniform(water.n_molecules(), dzvp.n_per_molecule()),
-    );
-    assert!(plan_dzvp.avg_dim() > 2.0 * plan_szv.avg_dim());
+    let d_szv = BlockedDims::uniform(water.n_molecules(), szv.n_per_molecule());
+    let d_dzvp = BlockedDims::uniform(water.n_molecules(), dzvp.n_per_molecule());
+    let plan_szv = one_per_column(&p_szv, &d_szv);
+    let plan_dzvp = one_per_column(&p_dzvp, &d_dzvp);
+    assert!(plan_dzvp.avg_dim > 2.0 * plan_szv.avg_dim);
 }
