@@ -5,7 +5,6 @@
 //! view reads — a row missing its counters is the wrong artifact, never
 //! a row of zeros.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::output::{Json, BENCH_SCHEMA_VERSION};
@@ -97,10 +96,10 @@ pub fn fault_report(doc: &Json) -> Result<String, String> {
     Ok(out)
 }
 
-/// Occupancy, lifetime counters and per-fingerprint entry ages of a
-/// decoded plan-cache manifest. Age = LRU ticks since last touch, so age
-/// 0 is the hottest plan and the largest age is next in line for eviction
-/// on a bounded import.
+/// Occupancy, lifetime counters and per-pattern entry ages of a decoded
+/// plan-cache manifest, in fingerprint order. Age = LRU ticks since last
+/// touch, so age 0 is the hottest pattern and the largest age is next in
+/// line for eviction on a bounded import.
 pub fn cache_report(m: &PlanManifest) -> String {
     let capacity = match m.capacity {
         u64::MAX => "unbounded".to_string(),
@@ -109,7 +108,7 @@ pub fn cache_report(m: &PlanManifest) -> String {
     let payload: usize = m.entries.iter().map(|e| e.words.len()).sum();
     let age = |e: &PlanManifestEntry| m.tick.saturating_sub(e.lru_stamp);
     let mut out = format!(
-        "  producer tag {:#018x}, capacity {capacity}, occupancy {} plan(s) \
+        "  producer tag {:#018x}, capacity {capacity}, occupancy {} pattern(s) \
          ({payload} payload word(s))\n  \
          lifetime: {} hit(s) / {} build(s), {} eviction(s), LRU tick {}\n",
         m.tag,
@@ -119,25 +118,16 @@ pub fn cache_report(m: &PlanManifest) -> String {
         m.evictions,
         m.tick
     );
-    let mut by_fp: BTreeMap<u64, Vec<&PlanManifestEntry>> = BTreeMap::new();
-    for e in &m.entries {
-        by_fp.entry(e.fingerprint).or_default().push(e);
-    }
-    for (fp, entries) in &by_fp {
-        let oldest = entries.iter().map(|e| age(e)).max().unwrap_or(0);
+    let mut entries: Vec<&PlanManifestEntry> = m.entries.iter().collect();
+    entries.sort_by_key(|e| e.fingerprint);
+    for e in entries {
         let _ = writeln!(
             out,
-            "  fingerprint {fp:#018x}: {} plan(s), oldest age {oldest} tick(s)",
-            entries.len()
+            "  fingerprint {:#018x}: age {} tick(s), {} word(s)",
+            e.fingerprint,
+            age(e),
+            e.words.len()
         );
-        for e in entries {
-            let (words, age) = (e.words.len(), age(e));
-            let _ = writeln!(
-                out,
-                "    rank {}/{}: age {age} tick(s), {words} word(s)",
-                e.rank, e.size
-            );
-        }
     }
     out
 }
@@ -210,10 +200,8 @@ mod tests {
 
     #[test]
     fn cache_report_groups_entries_by_fingerprint_with_lru_ages() {
-        let entry = |fingerprint, rank, lru_stamp, n_words| PlanManifestEntry {
+        let entry = |fingerprint, lru_stamp, n_words| PlanManifestEntry {
             fingerprint,
-            rank,
-            size: 2,
             lru_stamp,
             words: vec![0; n_words],
         };
@@ -224,23 +212,21 @@ mod tests {
             evictions: 1,
             hits: 12,
             builds: 4,
-            entries: vec![entry(7, 0, 9, 10), entry(5, 0, 2, 3), entry(7, 1, 4, 11)],
+            entries: vec![entry(7, 9, 10), entry(5, 2, 3), entry(6, 4, 11)],
         };
         assert_eq!(
             cache_report(&manifest),
-            "  producer tag 0x0000000000000abc, capacity unbounded, occupancy 3 plan(s) \
+            "  producer tag 0x0000000000000abc, capacity unbounded, occupancy 3 pattern(s) \
              (24 payload word(s))\n  \
              lifetime: 12 hit(s) / 4 build(s), 1 eviction(s), LRU tick 9\n  \
-             fingerprint 0x0000000000000005: 1 plan(s), oldest age 7 tick(s)\n    \
-             rank 0/2: age 7 tick(s), 3 word(s)\n  \
-             fingerprint 0x0000000000000007: 2 plan(s), oldest age 5 tick(s)\n    \
-             rank 0/2: age 0 tick(s), 10 word(s)\n    \
-             rank 1/2: age 5 tick(s), 11 word(s)\n"
+             fingerprint 0x0000000000000005: age 7 tick(s), 3 word(s)\n  \
+             fingerprint 0x0000000000000006: age 5 tick(s), 11 word(s)\n  \
+             fingerprint 0x0000000000000007: age 0 tick(s), 10 word(s)\n"
         );
         let bounded = PlanManifest {
             capacity: 8,
             ..PlanManifest::default()
         };
-        assert!(cache_report(&bounded).contains("capacity 8, occupancy 0 plan(s)"));
+        assert!(cache_report(&bounded).contains("capacity 8, occupancy 0 pattern(s)"));
     }
 }

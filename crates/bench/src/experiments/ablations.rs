@@ -35,7 +35,11 @@ pub fn combine_sweep(_: &Ctx) -> Report {
     let (_, sys, kt) = water_system(2);
     let kt_f = filtered(&kt, 1e-6);
     let pattern = kt_f.global_pattern(&comm);
-    let singles = PatternPlan::new(&pattern, kt_f.dims(), &Grouping::OnePerColumn);
+    let singles = PatternPlan::new(
+        pattern.clone(),
+        kt_f.dims().clone(),
+        &Grouping::OnePerColumn,
+    );
     let mut report = Report::new(
         "Ablation — column-combination sweep",
         &[
@@ -49,7 +53,7 @@ pub fn combine_sweep(_: &Ctx) -> Report {
     let mut t_single = 0.0;
     for group in [1usize, 2, 4, 8, 16, 32] {
         let grouping = Grouping::Consecutive(group);
-        let plan = PatternPlan::new(&pattern, kt_f.dims(), &grouping);
+        let plan = PatternPlan::new(pattern.clone(), kt_f.dims().clone(), &grouping);
         let engine = SubmatrixEngine::new(EngineOptions {
             grouping,
             ..Default::default()
@@ -81,7 +85,7 @@ fn transfer_workload() -> (CooPattern, BlockedDims) {
 /// own: its view of the plan.
 pub fn dedup_transfers(_: &Ctx) -> Report {
     let (pattern, dims) = transfer_workload();
-    let mut plan = PatternPlan::new(&pattern, &dims, &Grouping::OnePerColumn);
+    let plan = PatternPlan::new(pattern.clone(), dims.clone(), &Grouping::OnePerColumn);
     println!(
         "{} submatrices, {} nonzero blocks",
         plan.n_submatrices(),
@@ -121,7 +125,7 @@ pub fn dedup_transfers(_: &Ctx) -> Report {
 /// destroys that locality.
 pub fn mapping_locality(_: &Ctx) -> Report {
     let (pattern, dims) = transfer_workload();
-    let mut plan = PatternPlan::new(&pattern, &dims, &Grouping::OnePerColumn);
+    let plan = PatternPlan::new(pattern.clone(), dims.clone(), &Grouping::OnePerColumn);
     // What each submatrix's walk lists, for the dealing the engine never uses.
     let blocks: Vec<Vec<(usize, usize)>> = (0..pattern.nb())
         .map(|c| {

@@ -525,12 +525,13 @@ fn stream() -> Vec<Vec<(ScfJobSpec, Priority)>> {
     ]
 }
 
-/// Run the whole stream through one service, asserting per-window
-/// bitwise equivalence and consensus accounting, pushing one row per
-/// window.
+/// Run the whole stream through one service on `world_size` ranks,
+/// asserting per-window bitwise equivalence and consensus accounting,
+/// pushing one row per window.
 fn run_stream(
     engine: &Arc<SubmatrixEngine>,
     phase: &str,
+    world_size: usize,
     workload: &[Vec<(ScfJobSpec, Priority)>],
     report: &mut Report,
 ) -> Vec<WindowOutcome> {
@@ -538,7 +539,7 @@ fn run_stream(
         Scheduler::new(Arc::clone(engine), RankBudget::default())
             .with_trace_label(&format!("svc-{phase}")),
         ServiceConfig {
-            world_size: 4,
+            world_size,
             queue_capacity: 16,
         },
     );
@@ -601,8 +602,10 @@ fn run_stream(
 /// (admission-window determinism); spilling the plan cache to a manifest,
 /// standing up a fresh engine, importing and replaying the same stream
 /// replans nothing (`symbolic_builds == 0`, every decision a hit,
-/// densities unchanged); and a full queue sheds the overflow submission
-/// deterministically without disturbing the admitted window.
+/// densities unchanged) — at the export's world size and at another one,
+/// since the manifest stores patterns, not ranks; and a full queue sheds
+/// the overflow submission deterministically without disturbing the
+/// admitted window.
 pub fn service(_: &Ctx) -> Report {
     let workload = stream();
     let n_jobs: usize = workload.iter().map(Vec::len).sum();
@@ -623,7 +626,7 @@ pub fn service(_: &Ctx) -> Report {
 
     // Cold phase: fresh engine, stream everything, spill the plans.
     let cold_engine = fresh_engine();
-    let cold = run_stream(&cold_engine, "cold", &workload, &mut report);
+    let cold = run_stream(&cold_engine, "cold", 4, &workload, &mut report);
     let cold_stats = cold_engine.stats();
     assert!(
         cold_stats.symbolic_builds > 0,
@@ -633,7 +636,7 @@ pub fn service(_: &Ctx) -> Report {
     let exported = cold_engine.export_plans(&manifest).expect("export plans");
     assert_eq!(exported, cold_engine.cached_plans());
     println!(
-        "cold stream: {} builds, {} hits; spilled {exported} plan(s) to {}",
+        "cold stream: {} builds, {} hits; spilled {exported} pattern(s) to {}",
         cold_stats.symbolic_builds,
         cold_stats.cache_hits,
         manifest.display()
@@ -642,8 +645,8 @@ pub fn service(_: &Ctx) -> Report {
     // Warm phase: a restart in miniature — fresh engine, import, replay.
     let warm_engine = fresh_engine();
     let imported = warm_engine.import_plans(&manifest).expect("import plans");
-    assert_eq!(imported, exported, "every exported plan must restore");
-    let warm = run_stream(&warm_engine, "warm", &workload, &mut report);
+    assert_eq!(imported, exported, "every exported pattern must restore");
+    let warm = run_stream(&warm_engine, "warm", 4, &workload, &mut report);
     let warm_stats = warm_engine.stats();
 
     // The headline acceptance pin: the warm restart replans nothing.
@@ -668,6 +671,24 @@ pub fn service(_: &Ctx) -> Report {
     println!(
         "warm stream: 0 builds, {} hits — the restart is invisible in the numbers",
         warm_stats.cache_hits
+    );
+
+    // A second restart at another world size: the manifest names no rank,
+    // so each rank derives its own view of an imported pattern and no
+    // window gathers one (each window is bitwise the serial loop, as
+    // above).
+    let wide_engine = fresh_engine();
+    let imported = wide_engine.import_plans(&manifest).expect("import plans");
+    assert_eq!(imported, exported, "every exported pattern must restore");
+    run_stream(&wide_engine, "warm-w2", 2, &workload, &mut report);
+    let wide_stats = wide_engine.stats();
+    assert_eq!(
+        wide_stats.symbolic_builds, 0,
+        "a restart at another world size must replan nothing"
+    );
+    println!(
+        "warm stream at world 2: 0 builds, {} hits, {} views derived",
+        wide_stats.cache_hits, wide_stats.view_derivations
     );
 
     // Deterministic backpressure: a capacity-2 queue sheds the third
@@ -699,7 +720,9 @@ pub fn service(_: &Ctx) -> Report {
     report.head = vec![
         (
             "workload",
-            Json::Str("3 admission windows, 10 mixed-priority GC jobs, world 4".into()),
+            Json::Str(
+                "3 admission windows, 10 mixed-priority GC jobs, world 4 (warm-w2: world 2)".into(),
+            ),
         ),
         ("jobs", Json::Num(n_jobs as f64)),
         ("windows", Json::Num(workload.len() as f64)),
@@ -708,6 +731,11 @@ pub fn service(_: &Ctx) -> Report {
         ("cold_hits", Json::Num(cold_stats.cache_hits as f64)),
         ("warm_builds", Json::Num(warm_stats.symbolic_builds as f64)),
         ("warm_hits", Json::Num(warm_stats.cache_hits as f64)),
+        (
+            "warm_w2_builds",
+            Json::Num(wide_stats.symbolic_builds as f64),
+        ),
+        ("warm_w2_hits", Json::Num(wide_stats.cache_hits as f64)),
         ("backpressure_rejects", Json::Num(1.0)),
     ];
     report

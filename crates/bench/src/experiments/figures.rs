@@ -98,7 +98,7 @@ pub fn fig04(ctx: &Ctx) -> Report {
         for nrep in 1..=nrep_max {
             let water = WaterBox::cubic(nrep, SEED);
             let (pattern, dims) = water_pattern(&water, &basis, 1e-5);
-            let plan = PatternPlan::new(&pattern, &dims, &Grouping::OnePerColumn);
+            let plan = PatternPlan::new(pattern.clone(), dims.clone(), &Grouping::OnePerColumn);
             report.push(vec![
                 label.into(),
                 water.n_molecules().into(),
@@ -125,7 +125,7 @@ pub fn fig05(ctx: &Ctx) -> Report {
     let water = WaterBox::cubic(if ctx.paper { 6 } else { 4 }, SEED);
     let basis = BasisSet::szv();
     let (pattern, dims) = water_pattern(&water, &basis, 1e-7);
-    let singles = PatternPlan::new(&pattern, &dims, &Grouping::OnePerColumn);
+    let singles = PatternPlan::new(pattern.clone(), dims.clone(), &Grouping::OnePerColumn);
     let nmol = water.n_molecules();
     println!(
         "{nmol} molecules, {} nonzero blocks, single-column cost {:.3e}",
@@ -162,7 +162,7 @@ pub fn fig05(ctx: &Ctx) -> Report {
         }
         let plan_of = |assignment: &[usize]| {
             let groups = Grouping::Explicit(groups_from_assignment(assignment, k));
-            PatternPlan::new(&pattern, &dims, &groups)
+            PatternPlan::new(pattern.clone(), dims.clone(), &groups)
         };
         let km_plan = plan_of(&kmeans::kmeans(&points, k, 1, 100).assignment);
         let gp_plan = plan_of(&graph::partition_kway(
@@ -229,8 +229,12 @@ pub fn fig06(ctx: &Ctx) -> Report {
         let ((_, ns), t_ns) =
             timed(|| newton_schulz_density(&kt_f, sys.mu, &ns_options(eps), &comm));
 
-        let mut plan = PatternPlan::new(&pattern, kt_f.dims(), &Grouping::OnePerColumn);
-        let sm_model = model_submatrix_run(&mut plan, 80, &cluster);
+        let plan = PatternPlan::new(
+            pattern.clone(),
+            kt_f.dims().clone(),
+            &Grouping::OnePerColumn,
+        );
+        let sm_model = model_submatrix_run(&plan, 80, &cluster);
         let ns_iters = ns_iteration_estimate(0.05, eps.max(1e-12));
         let ns_model =
             model_newton_schulz_run(&pattern, kt_f.dims(), 80, 5, ns_iters, 2.0, &cluster);
@@ -315,8 +319,8 @@ pub fn fig08(ctx: &Ctx) -> Report {
     for nrep in 2..=if ctx.paper { 8 } else { 6 } {
         let water = WaterBox::cubic(nrep, SEED);
         let (pattern, dims) = water_pattern(&water, &BasisSet::szv(), 1e-5);
-        let mut plan = PatternPlan::new(&pattern, &dims, &Grouping::OnePerColumn);
-        let t = model_submatrix_run(&mut plan, 80, &cluster);
+        let plan = PatternPlan::new(pattern.clone(), dims.clone(), &Grouping::OnePerColumn);
+        let t = model_submatrix_run(&plan, 80, &cluster);
         report.push(vec![
             water.n_atoms().into(),
             Fixed(t.total(), 4),
@@ -360,7 +364,7 @@ pub fn fig08(ctx: &Ctx) -> Report {
 pub fn fig09(ctx: &Ctx) -> Report {
     let water = WaterBox::cubic(if ctx.paper { 7 } else { 5 }, SEED);
     let (pattern, dims) = water_pattern(&water, &BasisSet::szv(), 1e-5);
-    let mut plan = PatternPlan::new(&pattern, &dims, &Grouping::OnePerColumn);
+    let plan = PatternPlan::new(pattern.clone(), dims.clone(), &Grouping::OnePerColumn);
     let cluster = ClusterModel::paper_testbed();
     println!(
         "system: {} atoms, {} submatrices, avg dim {:.0}",
@@ -374,7 +378,7 @@ pub fn fig09(ctx: &Ctx) -> Report {
     );
     let mut base = None;
     for cores in [80usize, 120, 160, 200, 240, 280, 320] {
-        let t = model_submatrix_run(&mut plan, cores, &cluster).total();
+        let t = model_submatrix_run(&plan, cores, &cluster).total();
         let t80 = *base.get_or_insert(t);
         report.push(vec![
             cores.into(),
@@ -418,8 +422,8 @@ pub fn fig10(ctx: &Ctx) -> Report {
         let water = WaterBox::elongated(base_nrep, nx, SEED);
         let cores = 40 * nx;
         let (pattern, dims) = water_pattern(&water, &BasisSet::szv(), 1e-5);
-        let mut plan = PatternPlan::new(&pattern, &dims, &Grouping::OnePerColumn);
-        let t_sm = model_submatrix_run(&mut plan, cores, &cluster).total();
+        let plan = PatternPlan::new(pattern.clone(), dims.clone(), &Grouping::OnePerColumn);
+        let t_sm = model_submatrix_run(&plan, cores, &cluster).total();
         let t_ns =
             model_newton_schulz_run(&pattern, &dims, cores, 5, ns_iters, 2.0, &cluster).total();
         let (sm_base, ns_base) = *base.get_or_insert((t_sm, t_ns));

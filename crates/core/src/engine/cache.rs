@@ -1,104 +1,43 @@
-//! The symbolic phase's product and its cache: an [`ExecutionPlan`] is
-//! the pattern-wide [`PatternPlan`] composed with one rank's
-//! [`RankView`](crate::plan::RankView) of it, cached per `(fingerprint,
-//! rank, size, grouping)`. Purely local given the global pattern;
-//! collective only for the hit/miss consensus and for obtaining the
-//! pattern itself on a miss. [`ExecutionPlan::build`] is the one
-//! constructor of a plan: a manifest import calls it as a miss does.
+//! The plan cache: one entry per pattern, keyed by `(fingerprint,
+//! grouping)`. An entry is the pattern's [`PatternPlan`] plus the rank
+//! views ([`ExecutionPlan`]s) derived from it so far, memoised per `(rank,
+//! size)`. Collective only for the hit/miss consensus and for obtaining
+//! the pattern itself when some rank lacks it; a rank holding the pattern
+//! derives a missing view locally. [`PatternPlan::new`] is the one
+//! constructor of an entry: a manifest import calls it as a miss does.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, MutexGuard};
 use std::time::Instant;
 
 use sm_comsim::Comm;
 use sm_dbcsr::wire::PatternFingerprint;
-use sm_dbcsr::{BlockedDims, CooPattern, DbcsrMatrix};
+use sm_dbcsr::DbcsrMatrix;
 
-use super::{EngineOptions, SubmatrixEngine};
-use crate::assembly::{AssemblyMap, ExtractionMap};
-use crate::plan::PatternPlan;
-use crate::transfers::TransferStats;
+use super::SubmatrixEngine;
+use crate::plan::{ExecutionPlan, PatternPlan};
 
-/// Product of the symbolic phase for one rank: everything the numeric
-/// phase needs, with no remaining pattern queries. The global statistics
-/// are its [`PatternPlan`]'s, the per-submatrix vectors its rank view's.
-#[derive(Debug, Clone)]
-pub struct ExecutionPlan {
-    /// Fingerprint of the pattern + partition this plan was built for.
-    pub fingerprint: PatternFingerprint,
-    /// Rank this plan serves.
-    pub rank: usize,
-    /// Communicator size this plan serves.
-    pub size: usize,
-    /// The global block pattern this plan was built from, moved in by
-    /// [`build`](Self::build). With `dims` it is all a plan is a function
-    /// of, so it is what a manifest stores and import rebuilds from.
-    pub pattern: CooPattern,
-    /// The block partition.
-    pub dims: BlockedDims,
-    /// Global number of submatrices.
-    pub n_submatrices: usize,
-    /// Largest submatrix dimension (global).
-    pub max_dim: usize,
-    /// Mean submatrix dimension (global).
-    pub avg_dim: f64,
-    /// Total `Σ n³` cost estimate (global).
-    pub total_cost: f64,
-    /// This rank's transfer statistics.
-    pub transfers: TransferStats,
-    /// Deduplicated remote block coordinates to gather each execution.
-    pub remote_wanted: Vec<(usize, usize)>,
-    /// Assembly copy program of each of this rank's submatrices.
-    pub assembly: Vec<AssemblyMap>,
-    /// Extraction copy program of each, parallel to `assembly`.
-    pub extraction: Vec<ExtractionMap>,
-    /// Contributing element columns of each (Algorithm 1).
-    pub contributing: Vec<Vec<usize>>,
-    /// Element fill of the pattern ([`PatternPlan::element_fill`]), what
-    /// the numeric phase resolves its solve representation against.
-    pub element_fill: f64,
-    /// Seconds the symbolic phase took to build this plan.
+/// What one planning call did.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Planning {
+    /// The rank lacked the pattern: the call gathered it (a miss).
+    pub built: bool,
+    /// Seconds of symbolic work the call did: 0 when the rank's view was
+    /// cached, the view's when derived from a cached pattern, the pattern
+    /// plan's and the view's on a miss.
     pub symbolic_seconds: f64,
 }
 
-impl ExecutionPlan {
-    /// Run the full symbolic phase for one rank: the pattern-wide
-    /// [`PatternPlan`] and this rank's [`RankView`](crate::plan::RankView)
-    /// of it. Local: the caller supplies the (already global) pattern,
-    /// which the plan keeps.
-    pub fn build(
-        pattern: CooPattern,
-        dims: BlockedDims,
-        opts: &EngineOptions,
-        rank: usize,
-        size: usize,
-    ) -> ExecutionPlan {
-        let t0 = Instant::now();
-        let mut shared = PatternPlan::new(&pattern, &dims, &opts.grouping);
-        let view = shared.rank_view(rank, size);
-        ExecutionPlan {
-            fingerprint: shared.fingerprint,
-            rank,
-            size,
-            n_submatrices: shared.n_submatrices(),
-            max_dim: shared.max_dim,
-            avg_dim: shared.avg_dim,
-            total_cost: shared.total_cost,
-            element_fill: shared.element_fill,
-            transfers: view.transfers,
-            remote_wanted: view.remote_wanted,
-            assembly: view.assembly,
-            extraction: view.extraction,
-            contributing: view.contributing,
-            pattern,
-            dims,
-            symbolic_seconds: t0.elapsed().as_secs_f64(),
-        }
-    }
+/// One cached pattern: its plan, the views derived from it, its LRU stamp.
+pub(super) struct CachedPattern {
+    pub(super) plan: Arc<PatternPlan>,
+    pub(super) views: Vec<Arc<ExecutionPlan>>,
+    pub(super) stamp: u64,
 }
 
-type CacheKey = (u64, usize, usize);
+/// A probe's find: the pattern plan and, if memoised, the rank's view.
+type Found = (Arc<PatternPlan>, Option<Arc<ExecutionPlan>>);
 
 /// Plan cache with optional LRU bounding. Recency is a monotone stamp
 /// bumped on every hit and insert; eviction scans for the minimum stamp —
@@ -106,39 +45,61 @@ type CacheKey = (u64, usize, usize);
 /// triggers it.
 #[derive(Default)]
 pub(super) struct PlanCache {
-    pub(super) map: HashMap<CacheKey, (Arc<ExecutionPlan>, u64)>,
+    pub(super) map: HashMap<u64, CachedPattern>,
     pub(super) tick: u64,
 }
 
 impl PlanCache {
-    fn get(&mut self, key: &CacheKey) -> Option<Arc<ExecutionPlan>> {
+    /// Touch `key`'s entry: its pattern plan and, if memoised, the view of
+    /// `(rank, size)`.
+    fn get(&mut self, key: u64, rank: usize, size: usize) -> Option<Found> {
         self.tick += 1;
-        let tick = self.tick;
-        self.map.get_mut(key).map(|(plan, stamp)| {
-            *stamp = tick;
-            Arc::clone(plan)
-        })
+        let entry = self.map.get_mut(&key)?;
+        entry.stamp = self.tick;
+        let view = entry
+            .views
+            .iter()
+            .find(|v| (v.rank, v.size) == (rank, size));
+        Some((Arc::clone(&entry.plan), view.cloned()))
     }
 
-    /// Insert a plan, evicting least-recently-used entries while over
-    /// `capacity`. Returns how many plans were evicted.
-    fn insert(
+    /// Memoise `view` in `key`'s entry, inserting it with `plan` if absent
+    /// (without `plan`, an evicted entry stays evicted), then evict the
+    /// least recently used while over `capacity`. Returns the evictions.
+    pub(super) fn remember(
         &mut self,
-        key: CacheKey,
-        plan: Arc<ExecutionPlan>,
+        key: u64,
+        plan: Option<&Arc<PatternPlan>>,
+        view: &Arc<ExecutionPlan>,
         capacity: Option<usize>,
     ) -> usize {
         if capacity == Some(0) {
             return 0; // caching disabled; nothing retained, nothing evicted
         }
         self.tick += 1;
-        self.map.insert(key, (plan, self.tick));
+        let entry = match (self.map.entry(key), plan) {
+            (Entry::Occupied(entry), _) => entry.into_mut(),
+            (Entry::Vacant(entry), Some(plan)) => entry.insert(CachedPattern {
+                plan: Arc::clone(plan),
+                views: Vec::new(),
+                stamp: 0,
+            }),
+            (Entry::Vacant(_), None) => return 0,
+        };
+        entry.stamp = self.tick;
+        if !entry
+            .views
+            .iter()
+            .any(|v| (v.rank, v.size) == (view.rank, view.size))
+        {
+            entry.views.push(Arc::clone(view));
+        }
         let mut evicted = 0;
         while self.map.len() > capacity.unwrap_or(usize::MAX) {
             let oldest = self
                 .map
                 .iter()
-                .min_by_key(|(_, (_, stamp))| *stamp)
+                .min_by_key(|(_, e)| e.stamp)
                 .map(|(k, _)| *k)
                 .expect("cache over capacity implies nonempty");
             self.map.remove(&oldest);
@@ -149,9 +110,9 @@ impl PlanCache {
 }
 
 impl SubmatrixEngine {
-    /// The plan cache. A panic while the lock was held cannot leave the
-    /// map half-updated (every update is one `HashMap` call), so a poisoned
-    /// lock is recovered rather than propagated.
+    /// The plan cache. A panic while the lock was held cannot leave an
+    /// entry half-updated (each update is one call), so a poisoned lock is
+    /// recovered rather than propagated.
     pub(super) fn cache(&self) -> MutexGuard<'_, PlanCache> {
         self.cache.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -162,19 +123,33 @@ impl SubmatrixEngine {
         self.cache().map.clear();
     }
 
-    /// Number of cached plans.
+    /// Number of cached patterns (each with the rank views derived from it).
     pub fn cached_plans(&self) -> usize {
         self.cache().map.len()
     }
 
-    pub(super) fn cache_key(&self, fp: PatternFingerprint, rank: usize, size: usize) -> CacheKey {
-        (fp.0 ^ self.opts.grouping.cache_tag(), rank, size)
+    pub(super) fn cache_key(&self, fp: PatternFingerprint) -> u64 {
+        fp.0 ^ self.opts.grouping.cache_tag()
     }
 
-    fn insert(&self, key: CacheKey, plan: Arc<ExecutionPlan>) {
-        let evicted = self
-            .cache()
-            .insert(key, plan, self.opts.plan_cache_capacity);
+    /// Derive `rank`'s view of `shared` and memoise it in `key`'s entry,
+    /// inserting the entry first on a miss (`insert`).
+    fn derive(
+        &self,
+        key: u64,
+        shared: &Arc<PatternPlan>,
+        insert: bool,
+        (rank, size): (usize, usize),
+    ) -> Arc<ExecutionPlan> {
+        let view = Arc::new(shared.rank_view(rank, size));
+        let capacity = self.opts.plan_cache_capacity;
+        let evicted = (self.cache()).remember(key, insert.then_some(shared), &view, capacity);
+        self.book_evictions(evicted);
+        view
+    }
+
+    /// Count `evicted` patterns, and trace them and the cache's occupancy.
+    pub(super) fn book_evictions(&self, evicted: usize) {
         self.counters
             .evictions
             .fetch_add(evicted, Ordering::Relaxed);
@@ -193,117 +168,108 @@ impl SubmatrixEngine {
     }
 
     /// Symbolic phase on a distributed matrix (collective). A cache hit
-    /// costs one local hash pass plus a small allreduce; only a miss
-    /// gathers the global pattern.
+    /// costs one local hash pass plus a small allreduce; only a pattern
+    /// some rank lacks is gathered.
     pub fn plan_for_matrix<C: Comm>(&self, m: &DbcsrMatrix, comm: &C) -> Arc<ExecutionPlan> {
         self.plan_for_matrix_traced(m, comm).0
     }
 
     /// Like [`plan_for_matrix`](Self::plan_for_matrix), additionally
-    /// reporting whether *this call* built the plan (`true`) or found it
-    /// cached (`false`). The flag is derived from this call's own
-    /// miss/build path, so it stays accurate when the engine is shared
-    /// between rank threads.
+    /// reporting what *this call* did — its own path, so it stays accurate
+    /// when rank threads share the engine.
     ///
-    /// Hit/miss is decided by **consensus**: when the engine is shared
-    /// between concurrent rank groups (the scheduler's multi-tenant mode),
-    /// one group's insert or the LRU's eviction can land between two ranks
-    /// of another group probing the same fingerprint — without consensus
-    /// the hitting rank would skip the collective pattern gather the
-    /// missing rank is entering, and the group would deadlock. The extra
-    /// allreduce is one scalar; on a hit everyone still skips the gather.
-    ///
-    /// The consensus is **per-group per-epoch**: it carries no state
-    /// between calls — the allreduce runs on whatever communicator this
-    /// call was handed — so a scheduler that tears groups down and
-    /// re-splits the world between epochs (changing every `(rank, size)`
-    /// cache key) can never leave two ranks of one group disagreeing
-    /// about entering the gather. Each traced call increments exactly one
-    /// of the hit/build counters, so `hits + builds` equals the number of
-    /// planning decisions across all groups and epochs — the accounting
-    /// identity the `stealing_equivalence` suite uses to detect divergent
-    /// consensus. (Precision stays out of the cache key entirely; see the
-    /// module docs.)
+    /// Whether to gather is decided by **consensus** (ARCHITECTURE,
+    /// Invariant 1): concurrent groups' inserts and evictions can land
+    /// between two ranks of one group probing the same pattern, and a rank
+    /// holding it must not skip the collective gather a rank lacking it
+    /// enters. The allreduce is one scalar per call on the communicator
+    /// handed in, "does any rank lack the pattern?", with no state between
+    /// calls, so regrouping between epochs cannot diverge it. A rank
+    /// holding the pattern but not its view derives the view locally. Each
+    /// call counts one hit (a derivation included, also counted in
+    /// `view_derivations`) or one build, so `hits + builds` equals the
+    /// planning decisions across all groups and epochs.
     pub fn plan_for_matrix_traced<C: Comm>(
         &self,
         m: &DbcsrMatrix,
         comm: &C,
-    ) -> (Arc<ExecutionPlan>, bool) {
-        let fp = m.pattern_fingerprint(comm);
-        let key = self.cache_key(fp, comm.rank(), comm.size());
-        let local_hit = self.cache().get(&key);
-        let mut any_miss = [if local_hit.is_some() { 0.0 } else { 1.0 }];
+    ) -> (Arc<ExecutionPlan>, Planning) {
+        let (rank, size) = (comm.rank(), comm.size());
+        let key = self.cache_key(m.pattern_fingerprint(comm));
+        let local = self.cache().get(key, rank, size);
+        let mut any_miss = [if local.is_some() { 0.0 } else { 1.0 }];
         comm.allreduce_f64(sm_comsim::ReduceOp::Max, &mut any_miss);
-        // At least one rank misses: every rank enters the collective
-        // gather; ranks that hit locally keep their cached plan.
+        // Some rank lacks the pattern: every rank enters the collective
+        // gather; ranks that hold it keep their cached pattern plan.
         let pattern = (any_miss[0] != 0.0).then(|| m.global_pattern(comm));
-        let (plan, built) = match local_hit {
-            Some(hit) => {
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                (hit, false)
+        // The call's symbolic work is timed unless the view was cached.
+        let t0 = (!matches!(local, Some((_, Some(_))))).then(Instant::now);
+        let c = &self.counters;
+        let (plan, built) = match local {
+            Some((_, Some(view))) => (view, false),
+            Some((shared, None)) => {
+                c.view_derivations.fetch_add(1, Ordering::Relaxed);
+                (self.derive(key, &shared, false, (rank, size)), false)
             }
             None => {
                 let pattern = pattern.expect("a local miss makes the consensus a miss");
-                let (rank, size) = (comm.rank(), comm.size());
-                let plan = ExecutionPlan::build(pattern, m.dims().clone(), &self.opts, rank, size);
-                let plan = Arc::new(plan);
-                self.counters.builds.fetch_add(1, Ordering::Relaxed);
-                self.insert(key, Arc::clone(&plan));
-                (plan, true)
+                let grouping = &self.opts.grouping;
+                let shared = Arc::new(PatternPlan::new(pattern, m.dims().clone(), grouping));
+                (self.derive(key, &shared, true, (rank, size)), true)
             }
         };
-        self.trace_plan_decision(&plan, built);
-        (plan, built)
+        (if built { &c.builds } else { &c.hits }).fetch_add(1, Ordering::Relaxed);
+        let planning = Planning {
+            built,
+            symbolic_seconds: t0.map_or(0.0, |t| t.elapsed().as_secs_f64()),
+        };
+        self.trace_plan_decision(&plan, planning);
+        (plan, planning)
     }
 
-    /// Narrate one traced planning decision. Exactly one `plan.decision`
-    /// event fires per rank per planning call, so traced span trees stay
-    /// deterministic; the hit/build *split* can shift with benign
-    /// cross-group cache races (only `hits + builds` is pinned), so it
-    /// rides in the event's fields and in counters, both of which are
-    /// excluded from the deterministic tree rendering.
-    fn trace_plan_decision(&self, plan: &ExecutionPlan, built: bool) {
+    /// Narrate one traced planning decision: exactly one `plan.decision`
+    /// event per rank per call, so span trees stay deterministic; the
+    /// hit/build *split* can shift with benign cross-group races, so it
+    /// rides in the event's fields and in counters, which the
+    /// deterministic tree rendering excludes.
+    fn trace_plan_decision(&self, plan: &ExecutionPlan, planning: Planning) {
         if !sm_trace::enabled() {
             return;
         }
         let _phase = sm_trace::span(sm_trace::SpanKind::Phase, "plan");
         // The plan phase's wall annotation is the symbolic work this call
         // paid for — what `EngineReport::symbolic_seconds` reports.
-        let wall_s = if built { plan.symbolic_seconds } else { 0.0 };
         sm_trace::emit(
             "plan.decision",
             plan.total_cost,
-            wall_s,
-            &[("built", if built { 1.0 } else { 0.0 })],
+            planning.symbolic_seconds,
+            &[("built", if planning.built { 1.0 } else { 0.0 })],
         );
-        sm_trace::counter_add(
-            &sm_trace::scoped_root(if built {
-                "plan_cache.builds"
-            } else {
-                "plan_cache.hits"
-            }),
-            1,
-        );
+        let counter = if planning.built { "builds" } else { "hits" };
+        sm_trace::counter_add(&sm_trace::scoped_root(&format!("plan_cache.{counter}")), 1);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assembly::{AssemblySlot, ExtractionSlot, SubmatrixSpec};
+    use crate::assembly::{
+        AssemblyMap, AssemblySlot, ExtractionMap, ExtractionSlot, SubmatrixSpec,
+    };
     use crate::engine::tests::banded_gapped;
-    use crate::engine::Grouping;
-    use crate::engine::{BackendPolicy, NumericOptions};
+    use crate::engine::{BackendPolicy, EngineOptions, Grouping, NumericOptions};
     use crate::loadbalance::greedy_contiguous;
     use crate::plan::column_groups;
+    use crate::plan::tests::same_view;
     use crate::solver::{SignMethod, SolveBackend, SolveOptions};
-    use crate::transfers::RankTransferPlan;
+    use crate::transfers::{RankTransferPlan, TransferStats};
     use proptest::prelude::*;
     use sm_comsim::{run_ranks, SerialComm};
+    use sm_dbcsr::{BlockedDims, CooPattern};
     use sm_linalg::sign::sign_eig;
     use sm_linalg::Precision;
 
-    /// [`ExecutionPlan::build`] as it was before each own group was walked
+    /// A rank's plan as it was built before each own group was walked
     /// once: the global spec list over every column group, priced spec by
     /// spec, and the rank's specs moved out of it and walked four times —
     /// for the assembly, the extraction, the contributing columns and the
@@ -437,7 +403,6 @@ mod tests {
             max_dim,
             avg_dim,
             total_cost,
-            pattern,
             dims,
             transfers,
             remote_wanted,
@@ -445,45 +410,7 @@ mod tests {
             extraction,
             contributing,
             element_fill,
-            symbolic_seconds: 0.0,
         }
-    }
-
-    /// Every field of two plans but `symbolic_seconds` equal, `f64`s by
-    /// bits. Destructured, so a new field must be named here.
-    fn same_plan(new: &ExecutionPlan, old: &ExecutionPlan) -> Result<(), TestCaseError> {
-        let ExecutionPlan {
-            fingerprint,
-            rank,
-            size,
-            pattern,
-            dims,
-            n_submatrices,
-            max_dim,
-            avg_dim,
-            total_cost,
-            transfers,
-            remote_wanted,
-            assembly,
-            extraction,
-            contributing,
-            element_fill,
-            symbolic_seconds: _,
-        } = new;
-        prop_assert_eq!(*fingerprint, old.fingerprint);
-        prop_assert_eq!((*rank, *size), (old.rank, old.size));
-        prop_assert_eq!(pattern, &old.pattern);
-        prop_assert_eq!(dims, &old.dims);
-        prop_assert_eq!((*n_submatrices, *max_dim), (old.n_submatrices, old.max_dim));
-        prop_assert_eq!(avg_dim.to_bits(), old.avg_dim.to_bits());
-        prop_assert_eq!(total_cost.to_bits(), old.total_cost.to_bits());
-        prop_assert_eq!(element_fill.to_bits(), old.element_fill.to_bits());
-        prop_assert_eq!(transfers, &old.transfers);
-        prop_assert_eq!(remote_wanted, &old.remote_wanted);
-        prop_assert_eq!(assembly, &old.assembly);
-        prop_assert_eq!(extraction, &old.extraction);
-        prop_assert_eq!(contributing, &old.contributing);
-        Ok(())
     }
 
     proptest! {
@@ -524,9 +451,9 @@ mod tests {
             let opts = EngineOptions { grouping, ..EngineOptions::default() };
             for size in 1..=6 {
                 for rank in 0..size {
-                    let new = ExecutionPlan::build(pattern.clone(), dims.clone(), &opts, rank, size);
+                    let shared = PatternPlan::new(pattern.clone(), dims.clone(), &opts.grouping);
                     let old = reference_build(pattern.clone(), dims.clone(), &opts, rank, size);
-                    same_plan(&new, &old)?;
+                    same_view(&shared.rank_view(rank, size), &old)?;
                 }
             }
         }
@@ -604,11 +531,11 @@ mod tests {
         assert_eq!(engine.cached_plans(), 2);
         assert_eq!(engine.stats().evictions, 1);
         // A and C hit; B must re-plan (deterministically, every round).
-        let (_, a_built) = engine.plan_for_matrix_traced(&mats[0], &comm);
-        let (_, c_built) = engine.plan_for_matrix_traced(&mats[2], &comm);
-        assert!(!a_built && !c_built, "survivors must still be cached");
-        let (_, b_built) = engine.plan_for_matrix_traced(&mats[1], &comm);
-        assert!(b_built, "evicted plan must be rebuilt");
+        let (_, a) = engine.plan_for_matrix_traced(&mats[0], &comm);
+        let (_, c) = engine.plan_for_matrix_traced(&mats[2], &comm);
+        assert!(!a.built && !c.built, "survivors must still be cached");
+        let (_, b) = engine.plan_for_matrix_traced(&mats[1], &comm);
+        assert!(b.built, "evicted plan must be rebuilt");
         let stats = engine.stats();
         assert_eq!(stats.symbolic_builds, 4); // A, B, C, B again
         assert_eq!(stats.evictions, 2); // B once, then A or C for B's return
@@ -759,13 +686,15 @@ mod tests {
     fn consensus_survives_regrouping_with_bounded_cache() {
         // The scheduler's epoch pattern: the same engine (bounded cache)
         // is planned through by 2-rank groups, then — after a drop and a
-        // fresh world-level re-split — by one 4-rank group. Every
-        // membership change alters the (rank, size) keys, so the second
-        // epoch's probes all miss; the per-call consensus must walk every
-        // rank of the new group into the collective gather together (a
-        // divergence deadlocks the barriered world). Counters: each traced
-        // call bumps exactly one of hits/builds, so their sum equals the
-        // 4 + 4 planning decisions regardless of cache races.
+        // fresh world-level re-split — by one 4-rank group. The first
+        // epoch's probes race on one pattern, and the per-call consensus
+        // must walk every rank of a group into the collective gather
+        // together when any of them lacks the pattern (a divergence
+        // deadlocks the barriered world). The second epoch's group holds
+        // the pattern on every rank but none of its (rank, size) views:
+        // each rank derives its own, and nobody gathers. Counters: each
+        // traced call bumps exactly one of hits/builds, so their sum equals
+        // the 4 + 4 planning decisions regardless of cache races.
         let (dense, dims) = banded_gapped(8, 2);
         let serial = {
             let comm = SerialComm::new();
@@ -789,7 +718,12 @@ mod tests {
                     .0
                     .to_dense(&sub)
             };
-            // Epoch boundary: regroup into one group of four.
+            // Epoch boundary: every rank has planned epoch 0 before any
+            // reads the counters, and none plans epoch 1 before all have.
+            c.barrier();
+            let first = engine.stats();
+            c.barrier();
+            // Regroup into one group of four.
             let b = {
                 let sub = c.split(1 << 32, c.rank() as u64);
                 let m = DbcsrMatrix::from_dense(&dense, dims.clone(), sub.rank(), sub.size(), 0.0);
@@ -798,9 +732,10 @@ mod tests {
                     .0
                     .to_dense(&sub)
             };
-            (a, b)
+            (a, b, first)
         });
-        for (a, b) in results {
+        let first = results[0].2;
+        for (a, b, _) in results {
             assert!(a.allclose(&serial, 1e-13));
             assert!(b.allclose(&serial, 1e-13));
         }
@@ -812,5 +747,11 @@ mod tests {
         );
         assert_eq!(stats.executions, 8);
         assert!(engine.cached_plans() <= 2, "bounded cache overflowed");
+        let second = engine.stats().since(&first);
+        assert_eq!(
+            (second.symbolic_builds, second.view_derivations),
+            (0, 4),
+            "the regrouped epoch derives its views from the cached pattern"
+        );
     }
 }

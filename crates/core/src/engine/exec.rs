@@ -63,10 +63,6 @@ impl SubmatrixEngine {
             *values.dims(),
             "values partitioned differently from the plan"
         );
-        debug_assert!(
-            values.local_nnz_blocks() <= plan.pattern.nnz(),
-            "values hold more blocks than the planned pattern has in total"
-        );
         self.counters.executions.fetch_add(1, Ordering::Relaxed);
 
         // Precision and backend are engine-authoritative: thread both into
@@ -277,9 +273,9 @@ impl SubmatrixEngine {
         numeric: &NumericOptions,
         comm: &C,
     ) -> (DbcsrMatrix, EngineReport) {
-        let (plan, built_now) = self.plan_for_matrix_traced(values, comm);
+        let (plan, planning) = self.plan_for_matrix_traced(values, comm);
         let (result, mut report) = self.execute(&plan, values, mu0, numeric, comm);
-        report.record_planning(built_now, &plan);
+        report.record_planning(planning);
         (result, report)
     }
 
@@ -303,7 +299,8 @@ impl SubmatrixEngine {
 mod tests {
     use super::*;
     use crate::engine::tests::banded_gapped;
-    use crate::engine::{BackendPolicy, EngineOptions, SPARSE_FILL_THRESHOLD};
+    use crate::engine::{BackendPolicy, Grouping, SPARSE_FILL_THRESHOLD};
+    use crate::plan::PatternPlan;
     use crate::solver::SolveOptions;
     use sm_comsim::{run_ranks, SerialComm};
     use sm_dbcsr::BlockedDims;
@@ -540,13 +537,8 @@ mod tests {
         let m = DbcsrMatrix::from_dense(&dense, dims.clone(), 0, 1, 0.0);
         let comm = SerialComm::new();
         let engine = SubmatrixEngine::default();
-        let plan = ExecutionPlan::build(
-            m.global_pattern(&comm),
-            dims,
-            &EngineOptions::default(),
-            0,
-            4,
-        );
+        let plan = PatternPlan::new(m.global_pattern(&comm), dims, &Grouping::OnePerColumn)
+            .rank_view(0, 4);
         let _ = engine.execute(&plan, &m, 0.0, &NumericOptions::default(), &comm);
     }
 }

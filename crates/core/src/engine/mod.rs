@@ -6,20 +6,21 @@
 //! change, so the whole symbolic pipeline — global pattern, column
 //! grouping, load balancing, deduplicated transfer planning, assembly index
 //! computation — is hoisted into a one-time **symbolic phase** whose
-//! product, an [`ExecutionPlan`], is cached under a cheap
-//! [pattern fingerprint](sm_dbcsr::wire::PatternFingerprint) and replayed
-//! by an allocation-light **numeric phase**. One file per phase:
+//! product, a [`PatternPlan`](crate::plan::PatternPlan), is cached under a
+//! cheap [pattern fingerprint](sm_dbcsr::wire::PatternFingerprint); each
+//! rank's [`ExecutionPlan`] is derived from it locally and replayed by an
+//! allocation-light **numeric phase**. One file per phase:
 //!
-//! * `cache` — the whole symbolic phase: [`ExecutionPlan`] and its build,
-//!   the LRU plan cache, `plan_for_matrix*` and the hit/miss consensus;
+//! * `cache` — the plan cache (one entry per pattern, its rank views
+//!   memoised inside), `plan_for_matrix*` and the hit/miss consensus;
 //! * `exec` — the numeric phase: `execute`, `sign`, `density`;
-//! * `codec` — plans on disk: `export_plans` stores each plan's partition
-//!   and pattern, `import_plans` rebuilds the plan from them.
+//! * `codec` — plans on disk: `export_plans` stores each pattern's
+//!   partition and pattern, `import_plans` rebuilds the entry from them.
 //!
 //! The engine is an SPMD object like [`sm_dbcsr::DbcsrMatrix`]: every rank
-//! calls the same methods collectively. Plans are cached per `(fingerprint,
-//! rank, size, grouping)`, so one engine instance may be shared between
-//! rank-per-thread executors.
+//! calls the same methods collectively. One entry per `(fingerprint,
+//! grouping)` serves every rank and group shape (views memoised per `(rank,
+//! size)`), so one engine may be shared between rank-per-thread executors.
 //!
 //! **Precision and the solve backend are numeric-phase-only.**
 //! [`NumericOptions::precision`] selects the solve kernels' scalar type and
@@ -46,8 +47,9 @@ mod codec;
 mod exec;
 
 pub use crate::assembly::{AssemblyMap, AssemblySlot, ExtractionMap, ExtractionSlot};
-pub use cache::ExecutionPlan;
+pub use crate::plan::ExecutionPlan;
 use cache::PlanCache;
+pub use cache::Planning;
 pub use codec::PlanPersistError;
 
 /// How block columns are grouped into submatrices.
@@ -110,13 +112,11 @@ pub struct EngineOptions {
     pub grouping: Grouping,
     /// Solve local submatrices in parallel over the shared pool.
     pub parallel: bool,
-    /// Plan-cache capacity in *entries* (plans), evicted least-recently-
-    /// used by `(fingerprint, rank, size)` key. `None` (the default) keeps
-    /// every plan, the historical behavior. Note that plans are per-rank:
-    /// a pattern evaluated by a `size`-rank communicator occupies `size`
-    /// entries, so long-running multi-tenant services should budget
-    /// `capacity ≥ live_patterns × world_size`. `Some(0)` disables caching
-    /// entirely (every call replans; nothing is retained).
+    /// Plan-cache capacity in *patterns*, evicted least-recently-used. One
+    /// entry serves every rank and communicator size that evaluates its
+    /// pattern, so a long-running service budgets `capacity ≥
+    /// live_patterns`. `None` (the default) keeps every pattern. `Some(0)`
+    /// disables caching entirely (every call replans; nothing is retained).
     pub plan_cache_capacity: Option<usize>,
 }
 
@@ -183,7 +183,7 @@ pub struct NumericOptions {
     pub ensemble: Ensemble,
     /// Read by nothing: every diagonalization evaluates only the
     /// contributing columns of each submatrix's sign (Sec. VII), in every
-    /// ensemble and precision. Kept while smbench names it (ROADMAP 1a).
+    /// ensemble and precision. Kept while smbench names it.
     #[deprecated(note = "read by nothing; every diagonalization evaluates selected columns")]
     pub use_selected_columns: bool,
     /// Numeric precision of the whole execution (paper Sec. VI): the dense
@@ -235,9 +235,10 @@ pub struct EngineReport {
     pub sparse_filtered_nnz: u64,
     /// Scalar flops spent in sparse (CSR) multiplications (0 on dense).
     pub sparse_flops: u64,
-    /// True if the plan came from the cache (no symbolic work this call).
+    /// True if the pattern came from the cache (no gather this call).
     pub plan_cached: bool,
-    /// Seconds of symbolic work this call (0 on cache hits).
+    /// Seconds of symbolic work this call: 0 when the rank's view was
+    /// cached, a view derivation's when only the pattern was.
     pub symbolic_seconds: f64,
     /// Seconds gathering remote blocks.
     pub gather_seconds: f64,
@@ -248,18 +249,13 @@ pub struct EngineReport {
 }
 
 impl EngineReport {
-    /// Record the planning outcome the caller observed: whether *this
-    /// call* built `plan` (a cache miss it paid for) or found it cached.
-    /// The single definition every plan-then-execute path (engine
-    /// drivers, `JobQueue`, the scheduler) applies, so their telemetry
-    /// stays comparable.
-    pub fn record_planning(&mut self, built_now: bool, plan: &ExecutionPlan) {
-        self.plan_cached = !built_now;
-        self.symbolic_seconds = if built_now {
-            plan.symbolic_seconds
-        } else {
-            0.0
-        };
+    /// Record what *this call*'s planning did ([`Planning`]): the single
+    /// definition every plan-then-execute path (engine drivers,
+    /// `JobQueue`, the scheduler) applies, so their telemetry stays
+    /// comparable.
+    pub fn record_planning(&mut self, planning: Planning) {
+        self.plan_cached = !planning.built;
+        self.symbolic_seconds = planning.symbolic_seconds;
     }
 
     /// Fold a later iteration's report into this one, turning a
@@ -277,10 +273,7 @@ impl EngineReport {
     /// `plan_cached` becomes the conjunction: the aggregate reports a
     /// fully-amortized run only if *every* folded execution hit the cache.
     pub fn absorb_iteration(&mut self, later: &EngineReport) {
-        self.transfers.unique_bytes += later.transfers.unique_bytes;
-        self.transfers.naive_bytes += later.transfers.naive_bytes;
-        self.transfers.unique_blocks += later.transfers.unique_blocks;
-        self.transfers.total_references += later.transfers.total_references;
+        self.transfers += later.transfers;
         self.gather_value_bytes += later.gather_value_bytes;
         self.scatter_value_bytes += later.scatter_value_bytes;
         self.sparse_filtered_nnz += later.sparse_filtered_nnz;
@@ -301,11 +294,13 @@ impl EngineReport {
 /// [`SubmatrixEngine::stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Symbolic plans built (cache misses).
+    /// Pattern entries built (cache misses: the decisions that gathered).
     pub symbolic_builds: usize,
-    /// Plan-cache hits.
+    /// Pattern hits, a view derivation included.
     pub cache_hits: usize,
-    /// Plans evicted by the LRU policy (0 when the cache is unbounded).
+    /// Rank views derived locally from a cached pattern (no gather).
+    pub view_derivations: usize,
+    /// Patterns evicted by the LRU policy (0 when the cache is unbounded).
     pub evictions: usize,
     /// Numeric executions.
     pub executions: usize,
@@ -320,6 +315,9 @@ impl EngineStats {
         EngineStats {
             symbolic_builds: self.symbolic_builds.saturating_sub(earlier.symbolic_builds),
             cache_hits: self.cache_hits.saturating_sub(earlier.cache_hits),
+            view_derivations: self
+                .view_derivations
+                .saturating_sub(earlier.view_derivations),
             evictions: self.evictions.saturating_sub(earlier.evictions),
             executions: self.executions.saturating_sub(earlier.executions),
         }
@@ -330,6 +328,7 @@ impl EngineStats {
 struct Counters {
     builds: AtomicUsize,
     hits: AtomicUsize,
+    view_derivations: AtomicUsize,
     evictions: AtomicUsize,
     executions: AtomicUsize,
 }
@@ -368,6 +367,7 @@ impl SubmatrixEngine {
         EngineStats {
             symbolic_builds: self.counters.builds.load(Ordering::Relaxed),
             cache_hits: self.counters.hits.load(Ordering::Relaxed),
+            view_derivations: self.counters.view_derivations.load(Ordering::Relaxed),
             evictions: self.counters.evictions.load(Ordering::Relaxed),
             executions: self.counters.executions.load(Ordering::Relaxed),
         }

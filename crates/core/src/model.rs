@@ -11,6 +11,7 @@
 use sm_comsim::ClusterModel;
 use sm_dbcsr::{BlockedDims, CooPattern};
 
+use crate::assembly::cost_of_dim;
 use crate::plan::PatternPlan;
 
 /// Effective FLOPs of a symmetric eigendecomposition + back-transform per
@@ -39,10 +40,10 @@ impl ModeledTime {
 /// Model a submatrix-method run of the given plan on `n_cores` (the paper
 /// uses one rank per core for the submatrix method, Sec. V). Each rank's
 /// compute, unique blocks and write-back come from its
-/// [`RankView`](crate::plan::RankView) — the engine's own deal, walks and
+/// [`rank_view`](PatternPlan::rank_view) — the engine's own deal, walks and
 /// transfer plan.
 pub fn model_submatrix_run(
-    plan: &mut PatternPlan,
+    plan: &PatternPlan,
     n_cores: usize,
     cluster: &ClusterModel,
 ) -> ModeledTime {
@@ -59,12 +60,12 @@ pub fn model_submatrix_run(
     let mut max_writeback = 0.0f64;
     for rank in 0..n_cores {
         let view = plan.rank_view(rank, n_cores);
-        if view.groups.is_empty() {
+        if view.assembly.is_empty() {
             continue;
         }
         // Compute: eigendecomposition cost of each assigned submatrix.
-        let costs = &plan.costs[view.groups];
-        let flops: f64 = costs.iter().map(|c| c * EIGH_FLOPS_PER_N3).sum();
+        let costs = view.assembly.iter().map(|a| cost_of_dim(a.dim));
+        let flops: f64 = costs.map(|c| c * EIGH_FLOPS_PER_N3).sum();
         max_compute = max_compute.max(cluster.dense_compute_time(flops));
 
         // Init: the pattern allgather plus the deduplicated block transfers.
@@ -184,8 +185,8 @@ mod tests {
     use crate::loadbalance::greedy_contiguous;
     use crate::transfers::RankTransferPlan;
 
-    fn one_per_column<'a>(p: &'a CooPattern, d: &'a BlockedDims) -> PatternPlan<'a> {
-        PatternPlan::new(p, d, &Grouping::OnePerColumn)
+    fn one_per_column(p: &CooPattern, d: &BlockedDims) -> PatternPlan {
+        PatternPlan::new(p.clone(), d.clone(), &Grouping::OnePerColumn)
     }
 
     /// [`model_submatrix_run`] as it was before it read the engine's rank
@@ -285,9 +286,9 @@ mod tests {
         let cluster = ClusterModel::paper_testbed();
         for (nrep, cutoff) in [(2, 1.9), (3, 2.3)] {
             let (p, d) = water_like(nrep, cutoff);
-            let mut plan = one_per_column(&p, &d);
+            let plan = one_per_column(&p, &d);
             for cores in [1, 8, 80] {
-                let new = model_submatrix_run(&mut plan, cores, &cluster);
+                let new = model_submatrix_run(&plan, cores, &cluster);
                 let old = reference_submatrix_run(&p, &d, cores, &cluster);
                 let bits = |t: ModeledTime| [t.init, t.compute, t.writeback].map(f64::to_bits);
                 assert_eq!(bits(new), bits(old), "{nrep}³ cells at {cores} cores");
@@ -311,11 +312,11 @@ mod tests {
     #[test]
     fn submatrix_time_decreases_with_cores() {
         let (p, d) = banded(512, 4);
-        let mut plan = one_per_column(&p, &d);
+        let plan = one_per_column(&p, &d);
         let cluster = ClusterModel::paper_testbed();
-        let t1 = model_submatrix_run(&mut plan, 1, &cluster);
-        let t8 = model_submatrix_run(&mut plan, 8, &cluster);
-        let t64 = model_submatrix_run(&mut plan, 64, &cluster);
+        let t1 = model_submatrix_run(&plan, 1, &cluster);
+        let t8 = model_submatrix_run(&plan, 8, &cluster);
+        let t64 = model_submatrix_run(&plan, 64, &cluster);
         assert!(t8.compute < t1.compute);
         assert!(t64.compute <= t8.compute);
         // Strong-scaling efficiency between 1 and 8 cores stays high for
@@ -330,8 +331,8 @@ mod tests {
         let cluster = ClusterModel::paper_testbed();
         let (p1, d1) = banded(64, 4);
         let (p2, d2) = banded(128, 4);
-        let t1 = model_submatrix_run(&mut one_per_column(&p1, &d1), 4, &cluster);
-        let t2 = model_submatrix_run(&mut one_per_column(&p2, &d2), 4, &cluster);
+        let t1 = model_submatrix_run(&one_per_column(&p1, &d1), 4, &cluster);
+        let t2 = model_submatrix_run(&one_per_column(&p2, &d2), 4, &cluster);
         let ratio = t2.compute / t1.compute;
         assert!(
             (1.6..=2.4).contains(&ratio),
@@ -386,7 +387,7 @@ mod tests {
         // submatrix method outruns Newton–Schulz at equal cores.
         let (p, d) = banded(256, 2); // very sparse: 5 blocks/column
         let cluster = ClusterModel::paper_testbed();
-        let sm = model_submatrix_run(&mut one_per_column(&p, &d), 80, &cluster);
+        let sm = model_submatrix_run(&one_per_column(&p, &d), 80, &cluster);
         let ns = model_newton_schulz_run(&p, &d, 80, 5, 15, 2.0, &cluster);
         assert!(
             sm.total() < ns.total(),
@@ -402,7 +403,7 @@ mod tests {
         // patterns the n³-per-column submatrix work explodes.
         let (p, d) = banded(64, 60); // essentially dense
         let cluster = ClusterModel::paper_testbed();
-        let sm = model_submatrix_run(&mut one_per_column(&p, &d), 80, &cluster);
+        let sm = model_submatrix_run(&one_per_column(&p, &d), 80, &cluster);
         let ns = model_newton_schulz_run(&p, &d, 80, 5, 15, 1.0, &cluster);
         assert!(
             ns.total() < sm.total(),

@@ -71,16 +71,23 @@ impl TransferStats {
     }
 }
 
+/// Field-wise sum: one more rank's, or one more iteration's, statistics.
+impl std::ops::AddAssign for TransferStats {
+    fn add_assign(&mut self, more: Self) {
+        self.unique_bytes += more.unique_bytes;
+        self.naive_bytes += more.naive_bytes;
+        self.unique_blocks += more.unique_blocks;
+        self.total_references += more.total_references;
+    }
+}
+
 /// Whole-run totals of per-rank statistics (each a rank's
 /// [`add_rank`](TransferStats::add_rank)).
 impl std::iter::Sum for TransferStats {
     fn sum<I: Iterator<Item = Self>>(ranks: I) -> Self {
-        ranks.fold(TransferStats::default(), |total, rank| TransferStats {
-            unique_bytes: total.unique_bytes + rank.unique_bytes,
-            naive_bytes: total.naive_bytes + rank.naive_bytes,
-            unique_blocks: total.unique_blocks + rank.unique_blocks,
-            total_references: total.total_references + rank.total_references,
-        })
+        let mut total = TransferStats::default();
+        ranks.for_each(|rank| total += rank);
+        total
     }
 }
 

@@ -335,7 +335,7 @@ impl FingerprintAccumulator {
 }
 
 // ---------------------------------------------------------------------------
-// Plan manifest — the on-disk spill format for cached execution plans.
+// Plan manifest — the on-disk spill format for cached pattern plans.
 // ---------------------------------------------------------------------------
 
 /// Schema version of the on-disk plan manifest. Bumped on any layout
@@ -344,15 +344,18 @@ impl FingerprintAccumulator {
 /// (the sparse-backend decision input). v3: every entry carries a checksum
 /// of its payload words. v4: a payload is the plan's inputs only — the
 /// block partition and the global pattern — and the importer rebuilds the
-/// plan from them after checking they hash to the entry's fingerprint.
-pub const PLAN_MANIFEST_SCHEMA_VERSION: u32 = 4;
+/// plan from them after checking they hash to the entry's fingerprint. v5:
+/// one entry per pattern, with no rank and no communicator size — the
+/// importer restores the pattern, and any rank of any world derives its
+/// view from it.
+pub const PLAN_MANIFEST_SCHEMA_VERSION: u32 = 5;
 
 /// Leading magic of every plan manifest (eight bytes, also the first
 /// little-endian word of the container). Guards against feeding an
 /// arbitrary file — a trace, a bench JSON — to the manifest decoder.
 pub const PLAN_MANIFEST_MAGIC: [u8; 8] = *b"SMPLANS\0";
 
-/// One spilled plan-cache entry. The payload is an opaque word stream
+/// One spilled plan-cache entry, one per pattern. The payload is an opaque word stream
 /// owned by the producer (the engine's plan codec); this container
 /// guarantees framing, versioning, payload integrity (a checksum written
 /// by [`PlanManifest::encode`] and verified by [`PlanManifest::decode`]),
@@ -362,15 +365,11 @@ pub struct PlanManifestEntry {
     /// Raw pattern fingerprint ([`PatternFingerprint`] value, *not* the
     /// producer-tag-mixed cache key — the tag travels in the header).
     pub fingerprint: u64,
-    /// Rank that built the plan (plans are rank-specific).
-    pub rank: u64,
-    /// Communicator size the plan was built for.
-    pub size: u64,
     /// LRU stamp at export time; import restores it so eviction order
     /// survives the restart.
     pub lru_stamp: u64,
-    /// Producer-defined plan encoding (the engine's `ExecutionPlan`
-    /// codec), opaque at this layer.
+    /// Producer-defined encoding (the engine's pattern-plan codec), opaque
+    /// at this layer.
     pub words: Vec<u64>,
 }
 
@@ -378,13 +377,13 @@ pub struct PlanManifestEntry {
 /// plus fingerprint-keyed entries. Layout (all words little-endian
 /// `u64`): magic, version, producer tag, capacity (`u64::MAX` =
 /// unbounded), LRU tick, lifetime evictions/hits/builds, entry count;
-/// then per entry fingerprint, rank, size, LRU stamp, payload length,
-/// payload checksum, payload words.
+/// then per entry fingerprint, LRU stamp, payload length, payload
+/// checksum, payload words.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PlanManifest {
     /// Producer namespace tag mixed into cache keys (the engine uses the
     /// grouping's cache tag); import rejects a manifest whose tag
-    /// disagrees with the importing engine instead of serving plans
+    /// disagrees with the importing engine instead of serving patterns
     /// built under a different grouping policy.
     pub tag: u64,
     /// Cache capacity at export (`u64::MAX` encodes unbounded).
@@ -399,7 +398,7 @@ pub struct PlanManifest {
     /// Lifetime symbolic-build count at export (ops visibility only).
     pub builds: u64,
     /// The spilled entries, in producer order (the engine sorts them by
-    /// `(fingerprint, rank, size)` so equal caches export equal bytes).
+    /// fingerprint so equal caches export equal bytes).
     pub entries: Vec<PlanManifestEntry>,
 }
 
@@ -430,7 +429,18 @@ pub enum ManifestError {
         /// Index of the damaged entry.
         entry: usize,
     },
+    /// Bytes follow the last advertised entry: a damaged entry count.
+    TrailingBytes {
+        /// Bytes the header and entries account for.
+        used: usize,
+        /// Bytes present.
+        len: usize,
+    },
 }
+
+/// Words of an entry header: fingerprint, LRU stamp, payload length,
+/// payload checksum.
+const ENTRY_HEADER_WORDS: usize = 4;
 
 /// Chained [`mix64`] over an entry's payload words, seeded with their
 /// count. `mix64` is a bijection, so changing any single word changes the
@@ -463,6 +473,10 @@ impl std::fmt::Display for ManifestError {
                 f,
                 "plan manifest entry {entry} fails its payload checksum (file damaged)"
             ),
+            ManifestError::TrailingBytes { used, len } => write!(
+                f,
+                "plan manifest has {len} bytes but its entries end at byte {used} (file damaged)"
+            ),
         }
     }
 }
@@ -486,8 +500,6 @@ impl PlanManifest {
         for e in &self.entries {
             words.extend_from_slice(&[
                 e.fingerprint,
-                e.rank,
-                e.size,
                 e.lru_stamp,
                 e.words.len() as u64,
                 payload_checksum(&e.words),
@@ -502,8 +514,8 @@ impl PlanManifest {
     }
 
     /// Decode from bytes, rejecting wrong magic, unknown versions,
-    /// truncation and damaged payloads with a typed error instead of
-    /// panicking.
+    /// truncation, damaged payloads and bytes past the last entry with a
+    /// typed error instead of panicking.
     pub fn decode(bytes: &[u8]) -> Result<Self, ManifestError> {
         let n_words = bytes.len() / 8;
         let word = |i: usize| -> u64 {
@@ -520,10 +532,10 @@ impl PlanManifest {
                 needed: 9,
             });
         }
-        let version = word(1) as u32;
-        if version != PLAN_MANIFEST_SCHEMA_VERSION {
+        // The whole word: a version with high bits set is not this one.
+        if word(1) != PLAN_MANIFEST_SCHEMA_VERSION as u64 {
             return Err(ManifestError::VersionMismatch {
-                found: version,
+                found: u32::try_from(word(1)).unwrap_or(u32::MAX),
                 expected: PLAN_MANIFEST_SCHEMA_VERSION,
             });
         }
@@ -533,31 +545,36 @@ impl PlanManifest {
         for entry in 0..n_entries {
             // `n_words - pos` cannot underflow: `pos` only ever advances to
             // an end that was checked against `n_words`.
-            if n_words - pos < 6 {
+            if n_words - pos < ENTRY_HEADER_WORDS {
                 return Err(ManifestError::Truncated {
                     len: n_words,
-                    needed: pos + 6,
+                    needed: pos + ENTRY_HEADER_WORDS,
                 });
             }
-            let payload_len = word(pos + 4) as usize;
-            if n_words - pos - 6 < payload_len {
+            let payload_len = word(pos + 2) as usize;
+            let start = pos + ENTRY_HEADER_WORDS;
+            if n_words - start < payload_len {
                 return Err(ManifestError::Truncated {
                     len: n_words,
-                    needed: (pos + 6).saturating_add(payload_len),
+                    needed: start.saturating_add(payload_len),
                 });
             }
-            let words: Vec<u64> = (0..payload_len).map(|i| word(pos + 6 + i)).collect();
-            if payload_checksum(&words) != word(pos + 5) {
+            let words: Vec<u64> = (0..payload_len).map(|i| word(start + i)).collect();
+            if payload_checksum(&words) != word(pos + 3) {
                 return Err(ManifestError::Checksum { entry });
             }
             entries.push(PlanManifestEntry {
                 fingerprint: word(pos),
-                rank: word(pos + 1),
-                size: word(pos + 2),
-                lru_stamp: word(pos + 3),
+                lru_stamp: word(pos + 1),
                 words,
             });
-            pos += 6 + payload_len;
+            pos = start + payload_len;
+        }
+        if pos * 8 != bytes.len() {
+            return Err(ManifestError::TrailingBytes {
+                used: pos * 8,
+                len: bytes.len(),
+            });
         }
         Ok(PlanManifest {
             tag: word(2),
@@ -724,6 +741,7 @@ mod tests {
         assert_eq!(via_pattern, acc.finish(&dims));
     }
 
+    /// A two-pattern manifest, as the engine writes one.
     fn sample_manifest() -> PlanManifest {
         PlanManifest {
             tag: 0xdead_beef,
@@ -735,15 +753,11 @@ mod tests {
             entries: vec![
                 PlanManifestEntry {
                     fingerprint: 0x1234_5678_9abc_def0,
-                    rank: 0,
-                    size: 2,
                     lru_stamp: 5,
                     words: vec![1, 2, 3, f64::to_bits(0.25)],
                 },
                 PlanManifestEntry {
-                    fingerprint: 0x1234_5678_9abc_def0,
-                    rank: 1,
-                    size: 2,
+                    fingerprint: 0x2345_6789_abcd_ef01,
                     lru_stamp: 7,
                     words: vec![],
                 },
@@ -773,31 +787,44 @@ mod tests {
         assert_eq!(PlanManifest::decode(&bad), Err(ManifestError::BadMagic));
         assert_eq!(PlanManifest::decode(b"short"), Err(ManifestError::BadMagic));
 
-        let mut wrong = bytes.clone();
-        wrong[8] = (PLAN_MANIFEST_SCHEMA_VERSION + 1) as u8;
-        match PlanManifest::decode(&wrong) {
-            Err(ManifestError::VersionMismatch { found, expected }) => {
-                assert_eq!(found, PLAN_MANIFEST_SCHEMA_VERSION + 1);
-                assert_eq!(expected, PLAN_MANIFEST_SCHEMA_VERSION);
-            }
-            other => panic!("expected version mismatch, got {other:?}"),
+        for version in [PLAN_MANIFEST_SCHEMA_VERSION + 1, 4] {
+            let mut wrong = bytes.clone();
+            wrong[8..16].copy_from_slice(&(version as u64).to_le_bytes());
+            assert_eq!(
+                PlanManifest::decode(&wrong),
+                Err(ManifestError::VersionMismatch {
+                    found: version,
+                    expected: 5
+                })
+            );
         }
 
-        // Chop mid-entry: the advertised payload no longer fits.
-        assert!(matches!(
-            PlanManifest::decode(&bytes[..bytes.len() - 8]),
-            Err(ManifestError::Truncated { .. })
-        ));
-        // Chop mid-header.
-        assert!(matches!(
-            PlanManifest::decode(&bytes[..32]),
-            Err(ManifestError::Truncated { .. })
-        ));
+        // Every truncation is refused: the magic, the header or an entry's
+        // advertised payload no longer fits.
+        for len in 0..bytes.len() {
+            match PlanManifest::decode(&bytes[..len]) {
+                Err(ManifestError::BadMagic | ManifestError::Truncated { .. }) => {}
+                other => panic!("{len} of {} bytes: {other:?}", bytes.len()),
+            }
+        }
+
+        // Every single-word corruption is refused or decodes to exactly
+        // the damaged bytes: never a panic, never a misparse.
+        for at in (0..bytes.len()).step_by(8) {
+            let word = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+            for bad in [word ^ 1, word.wrapping_add(1 << 32), u64::MAX, 0] {
+                let mut damaged = bytes.clone();
+                damaged[at..at + 8].copy_from_slice(&bad.to_le_bytes());
+                if let Ok(back) = PlanManifest::decode(&damaged) {
+                    assert_eq!(back.encode(), damaged, "word {} := {bad:#x}", at / 8);
+                }
+            }
+        }
 
         // One flipped bit in a payload word (the first entry's payload
-        // starts after the 9 header words and its own 6) or in the stored
+        // starts after the 9 header words and its own 4) or in the stored
         // checksum itself fails that entry's checksum.
-        for word in [9 + 6, 9 + 5] {
+        for word in [9 + 4, 9 + 3] {
             let mut damaged = bytes.clone();
             damaged[word * 8] ^= 1;
             assert_eq!(

@@ -349,8 +349,8 @@ impl JobQueue {
             .iter()
             .map(|j| {
                 let t = Instant::now();
-                let (plan, built) = self.engine.plan_for_matrix_traced(&j.matrix, &comm);
-                (plan, built, t.elapsed().as_secs_f64())
+                let (plan, planning) = self.engine.plan_for_matrix_traced(&j.matrix, &comm);
+                (plan, planning, t.elapsed().as_secs_f64())
             })
             .collect();
 
@@ -369,13 +369,13 @@ impl JobQueue {
         let plans_ref = &plans;
         let run_one = |&i: &usize| {
             let job = &jobs_ref[i];
-            let (plan, built_now, plan_seconds) = &plans_ref[i];
+            let (plan, planning, plan_seconds) = &plans_ref[i];
             let comm = SerialComm::new();
             let t = Instant::now();
             let (mut result, mut report) =
                 engine.execute(plan, &job.matrix, job.mu0, &job.numeric, &comm);
             job.output.finalize(&mut result, job.numeric.precision);
-            report.record_planning(*built_now, plan);
+            report.record_planning(*planning);
             (
                 i,
                 JobResult {

@@ -598,12 +598,12 @@ fn execute_job_on_group(
     // jobs re-run that consensus every iteration, still on `sub`).
     let (mut result, mut report, built_now, scf_local) = match job {
         BatchJob::Matrix(mjob) => {
-            let (eplan, built_now) = engine.plan_for_matrix_traced(&local, sub);
+            let (eplan, planning) = engine.plan_for_matrix_traced(&local, sub);
             let (mut result, mut report) =
                 engine.execute(&eplan, &local, mjob.mu0, &mjob.numeric, sub);
             mjob.output.finalize(&mut result, mjob.numeric.precision);
-            report.record_planning(built_now, &eplan);
-            (result, report, built_now, None)
+            report.record_planning(planning);
+            (result, report, planning.built, None)
         }
         BatchJob::Scf(spec) => {
             // The driver shares the scheduler's engine (and its

@@ -45,15 +45,14 @@
 //!    as empty placeholders).
 //!
 //! The engine is shared across groups, so its plan cache is the contended
-//! resource: recurring patterns hit plans built by *other* groups (same
-//! `(fingerprint, rank, size)` key), and a bounded cache
-//! (`EngineOptions::plan_cache_capacity`) evicts cold plans under
-//! multi-tenant traffic. The cache's collective hit/miss **consensus** is
-//! per-group **per-epoch**: it is decided by an allreduce on the group's
-//! current subcommunicator at every planning call, so regrouping between
-//! epochs (which changes every `(rank, size)` key) can never leave two
-//! ranks of one group disagreeing about entering the collective pattern
-//! gather.
+//! resource: recurring patterns hit the entry built by *any* group (one
+//! per pattern; a new `(rank, size)` derives its view locally), and a
+//! bounded cache (`EngineOptions::plan_cache_capacity`) evicts cold
+//! patterns under multi-tenant traffic. The cache's collective **consensus**
+//! is per-group **per-epoch**: an allreduce on the group's current
+//! subcommunicator at every planning call decides whether any rank lacks
+//! the pattern, so regrouping between epochs can never leave two ranks of
+//! one group disagreeing about entering the collective pattern gather.
 //!
 //! ## Determinism
 //!

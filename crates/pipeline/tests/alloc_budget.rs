@@ -1,5 +1,5 @@
-//! Allocation budget of a tiny job (ROADMAP item 10's instrument), counts
-//! of one 60-job batch of distinct patterns:
+//! Allocation budget of a tiny job (the instrument of ROADMAP's "Nothing
+//! is created per call"), counts of one 60-job batch of distinct patterns:
 //!
 //! * heap allocations per job through `JobQueue::run` — fingerprint, plan,
 //!   execute — under a committed ceiling;

@@ -1,20 +1,23 @@
-//! Stress suite for the bounded LRU plan cache under epoch regrouping:
-//! capacities 1–2 against many distinct fingerprints whose `(rank, size)`
-//! keys churn as groups re-split between epochs. Pins that the eviction
-//! counters in `EngineStats` are **exact** where the access sequence is
-//! deterministic (serialized groups: every symbolic build inserts exactly
-//! one entry and each insert evicts precisely down to capacity, so
-//! `evictions = builds − cached_plans`), stays a sound inequality under
-//! racing groups (overwrites of a key built twice concurrently evict
-//! nothing), and that no schedule deadlocks or livelocks — every run sits
-//! under a wall-clock watchdog, and the epoch planner itself is
-//! iteration-bounded by construction (≤ one epoch per job).
+//! Stress suite for the bounded LRU plan cache, one entry per pattern:
+//! capacities 1–2 against more distinct patterns than the capacity, under
+//! serialized and racing groups and under epoch regrouping. Pins that the
+//! eviction counters in `EngineStats` are **exact** where the access
+//! sequence is deterministic (serialized one-rank groups: every symbolic
+//! build inserts exactly one entry and each insert evicts precisely down
+//! to capacity, so `evictions = builds − cached_plans`; a serialized
+//! 4-rank group builds on every rank but inserts one entry), stays a
+//! sound inequality when ranks race on one pattern (a rank that finds the
+//! entry another inserted evicts nothing), and that no schedule deadlocks
+//! or livelocks — every run sits under a wall-clock watchdog, and the
+//! epoch planner itself is iteration-bounded by construction (≤ one epoch
+//! per job).
 
 use sm_comsim::SerialComm;
 use sm_dbcsr::{BlockedDims, DbcsrMatrix};
 use sm_linalg::Matrix;
 use sm_pipeline::{
-    EngineOptions, JobQueue, JobResult, MatrixJob, RankBudget, Scheduler, SubmatrixEngine,
+    EngineOptions, JobQueue, JobResult, MatrixJob, RankBudget, Scheduler, StealPolicy,
+    SubmatrixEngine,
 };
 
 /// Deterministic banded symmetric matrix; `nb` controls the pattern (and
@@ -76,52 +79,60 @@ use common::with_watchdog;
 
 #[test]
 fn serialized_groups_have_exact_eviction_counters() {
-    // One group at a time (max_groups = 1) over a 4-rank world: the cache
-    // access sequence is deterministic up to within-group thread order,
-    // which cannot change the counts — every job makes all 4 ranks miss
-    // (distinct patterns, capacity 2 < 4 keys per job), so builds = 4·J,
-    // hits = 0, and each insert beyond the first two evicts exactly one
-    // entry: evictions = builds − capacity, exactly.
-    let (stats, cached, outcome, serial) = with_watchdog(240, || {
-        let jobs = distinct_pattern_jobs(6, 3);
-        let serial = JobQueue::new(engine_with_capacity(64)).run(jobs.clone());
-        let engine = engine_with_capacity(2);
-        let budget = RankBudget {
-            max_group_size: None,
-            max_groups: Some(1),
-        };
-        let sched = Scheduler::new(engine.clone(), budget);
-        let outcome = sched.run(4, jobs);
-        (engine.stats(), engine.cached_plans(), outcome, serial)
-    });
-    let jobs = outcome.results.len();
-    assert_eq!(
-        stats.symbolic_builds,
-        4 * jobs,
-        "every rank misses every job"
-    );
-    assert_eq!(stats.cache_hits, 0);
-    assert_eq!(cached, 2, "cache holds exactly its capacity");
-    assert_eq!(
-        stats.evictions,
-        stats.symbolic_builds - cached,
-        "eviction counter must be exact under a serialized schedule"
-    );
-    assert_eq!(stats.executions, 4 * jobs);
-    assert_bitwise_equal(&outcome.results, &serial);
+    // One group at a time (max_groups = 1), six distinct patterns through a
+    // capacity-2 cache: the access sequence is deterministic up to
+    // within-group thread order, which cannot change the counts. World 1
+    // runs one-rank groups: each job builds once and inserts once, so
+    // evictions = builds − capacity, exactly. World 4 runs one 4-rank
+    // group: every rank lacks each new pattern, so builds = 4·J, but the
+    // group inserts one entry, so evictions = J − capacity.
+    for world in [1, 4] {
+        let (stats, cached, outcome, serial) = with_watchdog(240, move || {
+            let jobs = distinct_pattern_jobs(6, 3);
+            let serial = JobQueue::new(engine_with_capacity(64)).run(jobs.clone());
+            let engine = engine_with_capacity(2);
+            let budget = RankBudget {
+                max_group_size: None,
+                max_groups: Some(1),
+            };
+            let sched = Scheduler::new(engine.clone(), budget);
+            let outcome = sched.run(world, jobs);
+            (engine.stats(), engine.cached_plans(), outcome, serial)
+        });
+        let jobs = outcome.results.len();
+        assert_eq!(
+            stats.symbolic_builds,
+            world * jobs,
+            "every rank misses every job"
+        );
+        assert_eq!((stats.cache_hits, stats.view_derivations), (0, 0));
+        assert_eq!(cached, 2, "cache holds exactly its capacity");
+        assert_eq!(
+            stats.evictions,
+            stats.symbolic_builds / world - cached,
+            "eviction counter must be exact under a serialized schedule"
+        );
+        assert_eq!(stats.executions, world * jobs);
+        assert_bitwise_equal(&outcome.results, &serial);
+    }
 }
 
 #[test]
 fn capacity_one_exact_evictions_across_single_rank_groups() {
-    // Distinct patterns on single-rank groups: keys never collide, so no
-    // insert can overwrite and the identity `evictions = builds −
-    // cached_plans` holds under ANY interleaving of the racing groups —
+    // Distinct patterns on four racing single-rank groups (one epoch, no
+    // stealing to fold spare ranks into a group): keys never collide, so
+    // every build inserts its own entry and the identity `evictions =
+    // builds − cached_plans` holds under ANY interleaving of the groups —
     // the LRU only ever trims to capacity, one eviction per insert.
     let (stats, cached, outcome, serial) = with_watchdog(240, || {
         let jobs = distinct_pattern_jobs(8, 9);
         let serial = JobQueue::new(engine_with_capacity(64)).run(jobs.clone());
         let engine = engine_with_capacity(1);
-        let sched = Scheduler::new(engine.clone(), RankBudget::default());
+        let budget = RankBudget {
+            max_group_size: Some(1),
+            max_groups: None,
+        };
+        let sched = Scheduler::new(engine.clone(), budget).with_policy(StealPolicy::Disabled);
         let outcome = sched.run(4, jobs);
         (engine.stats(), engine.cached_plans(), outcome, serial)
     });
@@ -129,15 +140,15 @@ fn capacity_one_exact_evictions_across_single_rank_groups() {
     assert_eq!(
         stats.evictions,
         stats.symbolic_builds - cached,
-        "distinct keys cannot overwrite: evictions are exactly builds − retained"
+        "distinct keys cannot collide: evictions are exactly builds − retained"
     );
-    // Multi-epoch regrouping grows the key space ((rank, size) changes
-    // between epochs) but every job is still planned by each of its
-    // group's ranks exactly once.
+    // Every job is planned once, by the one rank of its group.
     let expected: usize = (0..outcome.results.len())
         .map(|j| outcome.schedule.ranks_of_job(j).len())
         .sum();
     assert_eq!(stats.cache_hits + stats.symbolic_builds, expected);
+    assert_eq!(stats.symbolic_builds, outcome.results.len());
+    assert_eq!((stats.cache_hits, stats.view_derivations), (0, 0));
     assert_bitwise_equal(&outcome.results, &serial);
 }
 
@@ -145,12 +156,12 @@ fn capacity_one_exact_evictions_across_single_rank_groups() {
 fn recurring_fingerprints_across_epochs_stay_correct_and_bounded() {
     // One recurring small pattern (17 jobs share a fingerprint) plus one
     // large straggler, capacity 2, stealing on: later epochs re-deal the
-    // tail onto multi-rank groups, so the same fingerprint is planned at
-    // several (rank, size) keys while concurrent groups race hit/miss.
-    // Counters here are racy by design (same-key rebuilds may overwrite
-    // instead of evict), so the pins are the sound bounds plus
-    // correctness: never more evictions than inserts-minus-retained, the
-    // cache never overflows, consensus accounting holds, results bitwise.
+    // tail onto multi-rank groups, so the same pattern serves several
+    // (rank, size) views while concurrent groups race hit/miss. Counters
+    // here are racy by design (ranks racing on one new pattern all build,
+    // one inserts), so the pins are the sound bounds plus correctness:
+    // never more evictions than builds-minus-retained, the cache never
+    // overflows, consensus accounting holds, results bitwise.
     let (stats, cached, outcome, serial) = with_watchdog(240, || {
         let mut jobs = vec![MatrixJob::density("large", banded(10, 2, 1), 0.0)];
         for i in 0..17u64 {

@@ -34,7 +34,7 @@ fn main() {
     k_tilde.store_mut().filter(1e-6);
     let pattern = k_tilde.global_pattern(&comm);
     let dims = k_tilde.dims().clone();
-    let singles = PatternPlan::new(&pattern, &dims, &Grouping::OnePerColumn);
+    let singles = PatternPlan::new(pattern.clone(), dims.clone(), &Grouping::OnePerColumn);
     println!(
         "{} molecules, single-column plan: {} submatrices, avg dim {:.0}, cost {:.3e}",
         water.n_molecules(),
@@ -49,7 +49,7 @@ fn main() {
     let points: Vec<[f64; 3]> = water.centers().iter().map(|c| [c.x, c.y, c.z]).collect();
     let km = kmeans::kmeans(&points, n_clusters, 1, 200);
     let km_groups = Grouping::Explicit(groups_from_assignment(&km.assignment, n_clusters));
-    let km_plan = PatternPlan::new(&pattern, &dims, &km_groups);
+    let km_plan = PatternPlan::new(pattern.clone(), dims.clone(), &km_groups);
     let s_km = estimated_speedup(&singles, &km_plan);
     println!(
         "k-means ({} clusters): {} submatrices, S = {s_km:.3}",
@@ -61,7 +61,7 @@ fn main() {
     let g = graph::Graph::from_pattern(&pattern);
     let part = graph::partition_kway(&g, n_clusters, &graph::PartitionOptions::default());
     let gp_groups = Grouping::Explicit(groups_from_assignment(&part, n_clusters));
-    let gp_plan = PatternPlan::new(&pattern, &dims, &gp_groups);
+    let gp_plan = PatternPlan::new(pattern.clone(), dims.clone(), &gp_groups);
     let s_gp = estimated_speedup(&singles, &gp_plan);
     println!(
         "graph partitioning: {} submatrices, S = {s_gp:.3}, edge cut {:.0}",
@@ -70,7 +70,7 @@ fn main() {
     );
 
     // Naive consecutive grouping for contrast.
-    let cons = PatternPlan::new(&pattern, &dims, &Grouping::Consecutive(8));
+    let cons = PatternPlan::new(pattern.clone(), dims.clone(), &Grouping::Consecutive(8));
     let s_cons = estimated_speedup(&singles, &cons);
     println!(
         "consecutive (8): {} submatrices, S = {s_cons:.3}",

@@ -18,8 +18,8 @@ fn pattern_for(nrep: usize, eps: f64) -> (CooPattern, BlockedDims) {
     (pattern, dims)
 }
 
-fn one_per_column<'a>(pattern: &'a CooPattern, dims: &'a BlockedDims) -> PatternPlan<'a> {
-    PatternPlan::new(pattern, dims, &Grouping::OnePerColumn)
+fn one_per_column(pattern: &CooPattern, dims: &BlockedDims) -> PatternPlan {
+    PatternPlan::new(pattern.clone(), dims.clone(), &Grouping::OnePerColumn)
 }
 
 #[test]
@@ -37,8 +37,8 @@ fn claim_submatrix_runtime_scales_linearly() {
     let cluster = ClusterModel::paper_testbed();
     let (pat4, d4) = pattern_for(4, 1e-5);
     let (pat6, d6) = pattern_for(6, 1e-5);
-    let t4 = model_submatrix_run(&mut one_per_column(&pat4, &d4), 80, &cluster).total();
-    let t6 = model_submatrix_run(&mut one_per_column(&pat6, &d6), 80, &cluster).total();
+    let t4 = model_submatrix_run(&one_per_column(&pat4, &d4), 80, &cluster).total();
+    let t6 = model_submatrix_run(&one_per_column(&pat6, &d6), 80, &cluster).total();
     let time_ratio = t6 / t4;
     let size_ratio = (6.0f64 / 4.0).powi(3);
     assert!(
@@ -52,9 +52,9 @@ fn claim_strong_scaling_efficiency_high() {
     // Paper Fig. 9: ≥ ~0.8 efficiency at 4x cores.
     let cluster = ClusterModel::paper_testbed();
     let (pattern, dims) = pattern_for(5, 1e-5);
-    let mut plan = one_per_column(&pattern, &dims);
-    let t80 = model_submatrix_run(&mut plan, 80, &cluster).total();
-    let t320 = model_submatrix_run(&mut plan, 320, &cluster).total();
+    let plan = one_per_column(&pattern, &dims);
+    let t80 = model_submatrix_run(&plan, 80, &cluster).total();
+    let t320 = model_submatrix_run(&plan, 320, &cluster).total();
     let eff = t80 * 80.0 / (t320 * 320.0);
     assert!(eff > 0.8, "strong-scaling efficiency {eff}");
 }
@@ -75,8 +75,7 @@ fn claim_weak_scaling_submatrix_beats_newton_schulz() {
         let cores = 40 * nx;
         let pattern = block_pattern(&water, &basis, 1e-5, 1.0);
         let dims = BlockedDims::uniform(water.n_molecules(), basis.n_per_molecule());
-        let t_sm =
-            model_submatrix_run(&mut one_per_column(&pattern, &dims), cores, &cluster).total();
+        let t_sm = model_submatrix_run(&one_per_column(&pattern, &dims), cores, &cluster).total();
         let t_ns = model_newton_schulz_run(&pattern, &dims, cores, 5, iters, 2.0, &cluster).total();
         if step == 0 {
             sm_base = t_sm;
@@ -103,7 +102,7 @@ fn claim_method_advantage_grows_with_sparsity() {
     for eps in [1e-7, 1e-5, 1e-3] {
         let (pattern, dims) = pattern_for(4, eps);
         let iters = ns_iteration_estimate(0.05, eps);
-        let t_sm = model_submatrix_run(&mut one_per_column(&pattern, &dims), 80, &cluster).total();
+        let t_sm = model_submatrix_run(&one_per_column(&pattern, &dims), 80, &cluster).total();
         let t_ns = model_newton_schulz_run(&pattern, &dims, 80, 5, iters, 2.0, &cluster).total();
         let ratio = t_sm / t_ns;
         assert!(
