@@ -102,8 +102,6 @@ pub struct ScfOptions {
     /// diagonalization. The remaining solver knobs (`kt`, `tol`,
     /// `max_iter`) and `precision` are honored.
     pub numeric: NumericOptions,
-    /// Symbolic-phase options of the shared engine.
-    pub engine: EngineOptions,
 }
 
 impl Default for ScfOptions {
@@ -117,7 +115,6 @@ impl Default for ScfOptions {
             mu_max_iter: 200,
             ensemble: ScfEnsemble::Canonical,
             numeric: NumericOptions::default(),
-            engine: EngineOptions::default(),
         }
     }
 }
@@ -176,17 +173,17 @@ pub struct ScfDriver {
 }
 
 impl ScfDriver {
-    /// Build a driver (and its private engine) from options.
+    /// Build a driver (and its private engine, with default
+    /// [`EngineOptions`]) from options.
     pub fn new(opts: ScfOptions) -> Self {
-        let engine = Arc::new(SubmatrixEngine::new(opts.engine.clone()));
+        let engine = Arc::new(SubmatrixEngine::new(EngineOptions::default()));
         ScfDriver { opts, engine }
     }
 
     /// Build a driver over an existing **shared** engine — the re-entrancy
     /// hook a batched multi-system service uses so every concurrent SCF
-    /// loop plans through one (optionally bounded) cache. `opts.engine` is
-    /// ignored in this form: the shared engine's own options govern the
-    /// symbolic phase.
+    /// loop plans through one (optionally bounded) cache, and the way to
+    /// run a loop under non-default [`EngineOptions`].
     pub fn with_engine(opts: ScfOptions, engine: Arc<SubmatrixEngine>) -> Self {
         ScfDriver { opts, engine }
     }

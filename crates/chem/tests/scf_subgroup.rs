@@ -3,11 +3,13 @@
 //! each driver reusing its own cached plan. Subgroup runs of any width
 //! must agree with the serial driver bit for bit.
 
+use std::sync::Arc;
+
 use sm_chem::builder::build_system;
 use sm_chem::{BasisSet, ScfDriver, ScfOptions, WaterBox};
 use sm_comsim::{run_ranks, Comm, SerialComm};
 use sm_core::baseline::{orthogonalize_sparse, NewtonSchulzOptions};
-use sm_core::engine::EngineOptions;
+use sm_core::engine::{EngineOptions, SubmatrixEngine};
 use sm_dbcsr::DbcsrMatrix;
 use sm_linalg::Matrix;
 
@@ -27,15 +29,17 @@ fn system(seed: u64) -> (Matrix, sm_dbcsr::BlockedDims, f64, f64) {
     (kt.to_dense(&comm), kt.dims().clone(), sys.mu, n_elec)
 }
 
-fn scf_opts() -> ScfOptions {
-    ScfOptions {
+/// A six-iteration driver over a private engine with sequential solves.
+fn driver() -> ScfDriver {
+    let opts = ScfOptions {
         max_iter: 6,
-        engine: EngineOptions {
-            parallel: false,
-            ..EngineOptions::default()
-        },
         ..ScfOptions::default()
-    }
+    };
+    let engine = SubmatrixEngine::new(EngineOptions {
+        parallel: false,
+        ..EngineOptions::default()
+    });
+    ScfDriver::with_engine(opts, Arc::new(engine))
 }
 
 #[test]
@@ -48,8 +52,7 @@ fn concurrent_scf_runs_on_subgroups_match_serial() {
         .map(|(dense, dims, mu, ne)| {
             let comm = SerialComm::new();
             let kt = DbcsrMatrix::from_dense(dense, dims.clone(), 0, 1, 0.0);
-            let driver = ScfDriver::new(scf_opts());
-            let r = driver.run(&kt, *mu, *ne, &comm);
+            let r = driver().run(&kt, *mu, *ne, &comm);
             (r.iterations.clone(), r.density.to_dense(&comm), r.converged)
         })
         .collect();
@@ -62,8 +65,7 @@ fn concurrent_scf_runs_on_subgroups_match_serial() {
         let sub = c.split(which as u64, c.rank() as u64);
         let (dense, dims, mu, ne) = &systems_ref[which];
         let kt = DbcsrMatrix::from_dense(dense, dims.clone(), sub.rank(), sub.size(), 0.0);
-        let driver = ScfDriver::new(scf_opts());
-        let r = driver.run(&kt, *mu, *ne, &sub);
+        let r = driver().run(&kt, *mu, *ne, &sub);
         (
             which,
             r.iterations.len(),
@@ -91,8 +93,7 @@ fn single_rank_subgroup_scf_is_bitwise_serial() {
     let (dense, dims, mu, ne) = system(42);
     let comm = SerialComm::new();
     let kt = DbcsrMatrix::from_dense(&dense, dims.clone(), 0, 1, 0.0);
-    let driver = ScfDriver::new(scf_opts());
-    let reference = driver.run(&kt, mu, ne, &comm);
+    let reference = driver().run(&kt, mu, ne, &comm);
     let ref_density = reference.density.to_dense(&comm);
     let ref_energies: Vec<f64> = reference.iterations.iter().map(|i| i.energy).collect();
 
@@ -102,8 +103,7 @@ fn single_rank_subgroup_scf_is_bitwise_serial() {
         // system independently.
         let sub = c.split(c.rank() as u64, 0);
         let kt = DbcsrMatrix::from_dense(dense_ref, dims_ref.clone(), sub.rank(), sub.size(), 0.0);
-        let driver = ScfDriver::new(scf_opts());
-        let r = driver.run(&kt, mu, ne, &sub);
+        let r = driver().run(&kt, mu, ne, &sub);
         (
             r.density.to_dense(&sub),
             r.iterations.iter().map(|i| i.energy).collect::<Vec<_>>(),

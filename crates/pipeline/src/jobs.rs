@@ -49,10 +49,9 @@ impl JobOutput {
     /// between the two paths depends on them sharing it.
     ///
     /// A plain-`Fp32` job's deliverable is single-precision end to end:
-    /// the finalized blocks are rounded back through `f32` storage, so the
-    /// scheduler's `f32` result gather is lossless and the serial queue
-    /// produces the identical bits. (`Fp32Refined` results stay `f64` —
-    /// the refinement's accuracy is the product.)
+    /// the finalized blocks are rounded back through `f32` storage, on the
+    /// serial queue and the scheduler alike. (`Fp32Refined` results stay
+    /// `f64` — the refinement's accuracy is the product.)
     pub fn finalize(&self, sign: &mut DbcsrMatrix, precision: sm_linalg::Precision) {
         if *self == JobOutput::Density {
             ops::scale(sign, -0.5);
@@ -114,15 +113,8 @@ pub struct ScfJobSpec {
     pub n_electrons: f64,
     /// Full SCF configuration: convergence knobs, model feedback, the
     /// driver-level [`sm_chem::ScfEnsemble`] selector, and
-    /// [`NumericOptions`] (solver, precision). `scf.engine` is ignored —
-    /// the service's shared engine governs the symbolic phase.
+    /// [`NumericOptions`] (solver, precision).
     pub scf: ScfOptions,
-    /// Iteration count the cost model should assume when sizing this
-    /// job's rank group (`None` = the full `scf.max_iter` budget). The
-    /// scheduler estimates a *per-iteration* cost from the sparsity
-    /// pattern and multiplies by this figure, so callers that know a
-    /// system converges quickly can keep its group small.
-    pub expected_iterations: Option<usize>,
 }
 
 impl ScfJobSpec {
@@ -134,20 +126,14 @@ impl ScfJobSpec {
             mu0,
             n_electrons,
             scf: ScfOptions::default(),
-            expected_iterations: None,
         }
-    }
-
-    /// The iteration count the scheduler's cost model assumes.
-    pub fn iteration_budget(&self) -> usize {
-        self.expected_iterations.unwrap_or(self.scf.max_iter).max(1)
     }
 }
 
 /// The scheduler's job abstraction: either a single engine execution
 /// (one matrix-function evaluation) or an iterative multi-evaluation job
-/// (a whole SCF loop). Cost estimation, group placement, epoch stealing,
-/// result gathering and telemetry are shared; only the per-group
+/// (a whole SCF loop). Cost estimation, group placement, epoch stealing
+/// and the merge of results and telemetry are shared; only the per-group
 /// execution body differs.
 #[derive(Debug, Clone)]
 pub enum BatchJob {
@@ -178,13 +164,13 @@ impl BatchJob {
     }
 
     /// How many engine evaluations the cost model should assume: 1 for a
-    /// one-shot matrix job, the iteration budget for an SCF job (each
+    /// one-shot matrix job, `scf.max_iter` for an SCF job (each
     /// iteration replays the same cached plan, so total cost scales
     /// linearly in the iteration count).
     pub fn iteration_budget(&self) -> usize {
         match self {
             BatchJob::Matrix(_) => 1,
-            BatchJob::Scf(j) => j.iteration_budget(),
+            BatchJob::Scf(j) => j.scf.max_iter.max(1),
         }
     }
 }
@@ -201,9 +187,8 @@ impl From<ScfJobSpec> for BatchJob {
     }
 }
 
-/// Per-iteration SCF telemetry of one [`BatchJob::Scf`] job, threaded
-/// from the group that ran the loop back to world rank 0 alongside the
-/// engine report.
+/// Per-iteration SCF telemetry of one [`BatchJob::Scf`] job, returned by
+/// the ranks that ran the loop alongside their engine reports.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ScfTelemetry {
     /// SCF iterations performed.
@@ -234,15 +219,18 @@ pub struct JobResult {
     /// job's symbolic phase was amortized.
     pub report: EngineReport,
     /// Wall-clock seconds of this job end to end: symbolic phase (zero on
-    /// a cache hit), numeric phase, and — on the distributed path — the
-    /// result gather to the group root.
+    /// a cache hit) and numeric phase — on the distributed path, those of
+    /// the slowest rank of its group.
     pub seconds: f64,
     /// Ranks that executed this job (1 on the serial queue).
     pub group_size: usize,
-    /// Bytes moved within the job's communicator group (0 on the serial
-    /// queue — a single rank sends nothing).
+    /// Bytes the job's ranks sent each other while computing it, summed
+    /// over its group (0 on the serial queue — a single rank sends
+    /// nothing). Results reach the caller as the ranks' return values,
+    /// not as messages, so they add nothing here.
     pub comm_bytes: u64,
-    /// Messages sent within the job's communicator group.
+    /// Messages the job's ranks sent each other, summed like
+    /// [`comm_bytes`](Self::comm_bytes).
     pub comm_msgs: u64,
     /// Scheduler epoch this job executed in (0 on the serial queue and on
     /// single-epoch schedules).
@@ -267,7 +255,86 @@ pub struct JobResult {
     pub scf: Option<ScfTelemetry>,
 }
 
+/// What one rank computed for one job: its result blocks and its own
+/// telemetry. A rank returns its shares to the caller, which merges the
+/// shares of a job's group into one [`JobResult`] with
+/// [`JobResult::from_shares`].
+pub(crate) struct Share {
+    /// The blocks this rank owns of the job's result.
+    pub(crate) result: DbcsrMatrix,
+    /// This rank's report; `plan_cached` is false if it built the plan.
+    pub(crate) report: EngineReport,
+    /// Wall seconds this rank spent on the job.
+    pub(crate) seconds: f64,
+    /// Bytes this rank sent within the job's group.
+    pub(crate) comm_bytes: u64,
+    /// Messages this rank sent within the job's group.
+    pub(crate) comm_msgs: u64,
+    /// SCF telemetry, with this rank's per-iteration value bytes.
+    pub(crate) scf: Option<ScfTelemetry>,
+}
+
 impl JobResult {
+    /// Merge the shares of the ranks that ran a job, its group root's
+    /// first: the blocks move into one single-rank matrix; bytes,
+    /// messages, value bytes, transfer statistics and the SCF
+    /// per-iteration bytes are summed; phase and job seconds take the
+    /// maximum; the plan counts as cached when no rank built it; every
+    /// other field is the root's. The result is of the first epoch and
+    /// attempt, with no stolen ranks: the scheduler sets those from its
+    /// schedule.
+    pub(crate) fn from_shares(
+        name: String,
+        root: Share,
+        others: impl IntoIterator<Item = Share>,
+    ) -> JobResult {
+        let mut others = others.into_iter().peekable();
+        let mut done = JobResult {
+            name,
+            result: root.result,
+            report: root.report,
+            seconds: root.seconds,
+            group_size: 1,
+            comm_bytes: root.comm_bytes,
+            comm_msgs: root.comm_msgs,
+            epoch: 0,
+            stolen_ranks: 0,
+            attempts: 1,
+            quarantined: false,
+            scf: root.scf,
+        };
+        if others.peek().is_some() {
+            let mut whole = DbcsrMatrix::new(done.result.dims().clone(), 0, 1);
+            *whole.store_mut() = std::mem::take(done.result.store_mut());
+            done.result = whole;
+        }
+        for mut share in others {
+            for ((br, bc), blk) in share.result.store_mut().drain() {
+                done.result.insert_block(br, bc, blk);
+            }
+            let (r, s) = (&mut done.report, &share.report);
+            r.transfers += s.transfers;
+            r.gather_value_bytes += s.gather_value_bytes;
+            r.scatter_value_bytes += s.scatter_value_bytes;
+            r.symbolic_seconds = r.symbolic_seconds.max(s.symbolic_seconds);
+            r.gather_seconds = r.gather_seconds.max(s.gather_seconds);
+            r.solve_seconds = r.solve_seconds.max(s.solve_seconds);
+            r.scatter_seconds = r.scatter_seconds.max(s.scatter_seconds);
+            r.plan_cached &= s.plan_cached;
+            done.seconds = done.seconds.max(share.seconds);
+            done.group_size += 1;
+            done.comm_bytes += share.comm_bytes;
+            done.comm_msgs += share.comm_msgs;
+            if let (Some(t), Some(s)) = (&mut done.scf, &share.scf) {
+                let sum =
+                    |a: &mut Vec<u64>, b: &[u64]| a.iter_mut().zip(b).for_each(|(a, b)| *a += b);
+                sum(&mut t.gather_value_bytes, &s.gather_value_bytes);
+                sum(&mut t.scatter_value_bytes, &s.scatter_value_bytes);
+            }
+        }
+        done
+    }
+
     /// Whether this job's plan came from the shared cache (no symbolic
     /// work was performed on its behalf).
     pub fn plan_cached(&self) -> bool {
@@ -376,23 +443,15 @@ impl JobQueue {
                 engine.execute(plan, &job.matrix, job.mu0, &job.numeric, &comm);
             job.output.finalize(&mut result, job.numeric.precision);
             report.record_planning(*planning);
-            (
-                i,
-                JobResult {
-                    name: job.name.clone(),
-                    result,
-                    report,
-                    seconds: plan_seconds + t.elapsed().as_secs_f64(),
-                    group_size: 1,
-                    comm_bytes: 0,
-                    comm_msgs: 0,
-                    epoch: 0,
-                    stolen_ranks: 0,
-                    attempts: 1,
-                    quarantined: false,
-                    scf: None,
-                },
-            )
+            let share = Share {
+                result,
+                report,
+                seconds: plan_seconds + t.elapsed().as_secs_f64(),
+                comm_bytes: 0,
+                comm_msgs: 0,
+                scf: None,
+            };
+            (i, JobResult::from_shares(job.name.clone(), share, []))
         };
         let mut finished: Vec<(usize, JobResult)> = if engine.options().parallel {
             order.iter().map(run_one).collect()
@@ -549,5 +608,65 @@ mod tests {
     fn empty_batch_is_fine() {
         let queue = JobQueue::default();
         assert!(queue.run(Vec::new()).is_empty());
+    }
+
+    #[test]
+    fn shares_merge_into_the_whole_result() {
+        // A two-rank group's shares: each rank's owned blocks of one
+        // matrix and its own counters, the root's first.
+        let whole = job_matrix(5, 2, 1.0);
+        let share = |rank: usize, built: bool, seconds: f64| {
+            let mut result = DbcsrMatrix::new(whole.dims().clone(), rank, 2);
+            for (&(br, bc), blk) in whole.store().iter() {
+                if result.is_mine(br, bc) {
+                    result.insert_block(br, bc, blk.clone());
+                }
+            }
+            let x = rank as u64 + 1;
+            let report = EngineReport {
+                n_submatrices: 10 + rank,
+                gather_value_bytes: 100 * x,
+                scatter_value_bytes: 10 * x,
+                plan_cached: !built,
+                solve_seconds: seconds,
+                ..EngineReport::default()
+            };
+            let scf = ScfTelemetry {
+                iterations: 2,
+                final_energy: -(x as f64),
+                gather_value_bytes: vec![x, 2 * x],
+                scatter_value_bytes: vec![3 * x, 4 * x],
+                ..ScfTelemetry::default()
+            };
+            Share {
+                result,
+                report,
+                seconds,
+                comm_bytes: 1000 * x,
+                comm_msgs: x,
+                scf: Some(scf),
+            }
+        };
+        let root = share(0, false, 0.5);
+        assert!(root.result.store().len() < whole.store().len());
+        let r = JobResult::from_shares("j".into(), root, [share(1, true, 2.0)]);
+        assert_eq!(r.result, whole, "blocks and single-rank handle");
+        assert_eq!(r.group_size, 2);
+        assert_eq!((r.comm_bytes, r.comm_msgs), (3000, 3));
+        assert_eq!(r.value_bytes(), 300 + 30);
+        assert_eq!((r.seconds, r.report.solve_seconds), (2.0, 2.0));
+        assert!(!r.plan_cached(), "one rank built the plan");
+        assert_eq!(r.report.n_submatrices, 10, "the root's");
+        let scf = r.scf.expect("SCF telemetry");
+        assert_eq!(scf.final_energy, -1.0, "the root's");
+        assert_eq!(scf.gather_value_bytes, [3, 6]);
+        assert_eq!(scf.scatter_value_bytes, [9, 12]);
+        // A lone share's matrix is the result, moved as it is.
+        let root = share(0, false, 1.0);
+        let computed = root.result.clone();
+        let alone = JobResult::from_shares("k".into(), root, []);
+        assert_eq!(alone.result, computed);
+        assert_eq!(alone.group_size, 1);
+        assert!(alone.plan_cached());
     }
 }

@@ -24,8 +24,9 @@
 //!   (`sm_comsim::split_known`), sizes each group proportionally to the
 //!   job's estimated submatrix work (via `sm_accel::perfmodel`), runs each
 //!   job's plan/execute collectively on its group over the *same* shared
-//!   engine, and gathers results plus per-job comm/compute telemetry back
-//!   to world rank 0. Batches run in **epochs**: each wave re-deals the
+//!   engine, and builds each job's result plus its comm/compute telemetry
+//!   on the caller from what the group's ranks return (no message carries
+//!   a result). Batches run in **epochs**: each wave re-deals the
 //!   surviving world over the still-pending jobs, so ranks whose group
 //!   drained land on straggler groups' remaining jobs — deterministic,
 //!   estimate-driven work stealing, reported through `StealStats` and

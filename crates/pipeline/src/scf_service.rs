@@ -14,7 +14,8 @@
 //!   cached plan through the same LRU policy;
 //! * **the perfmodel-weighted LPT/steal machinery** — each spec's rank
 //!   group is sized by its *per-iteration* pattern cost times its
-//!   iteration budget ([`crate::sched::estimate_batch_job_cost`]), and straggler systems
+//!   `scf.max_iter` iteration budget
+//!   ([`crate::sched::estimate_batch_job_cost`]), and straggler systems
 //!   are re-dealt over drained ranks between epochs exactly like one-shot
 //!   jobs;
 //! * **the telemetry spine** — every [`JobResult`] carries the whole-run
@@ -178,7 +179,7 @@ mod tests {
             spec.kt0.clone(),
             0.0,
         )));
-        let budget = spec.iteration_budget() as f64;
+        let budget = spec.scf.max_iter as f64;
         let scf_cost = estimate_batch_job_cost(&BatchJob::Scf(spec));
         assert_eq!(scf_cost, one_shot * budget);
     }

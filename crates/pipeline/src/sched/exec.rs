@@ -7,45 +7,30 @@ use std::time::{Duration, Instant};
 
 use sm_chem::ScfDriver;
 use sm_comsim::{
-    split_known, Comm, CommError, CommStats, FaultPlan, Payload, RankWorld, ReduceOp, SubComm,
-    ThreadComm,
+    split_known, Comm, CommError, CommStats, FaultPlan, Payload, RankWorld, SubComm, ThreadComm,
 };
-use sm_core::engine::{EngineOptions, SubmatrixEngine};
-use sm_core::transfers::TransferStats;
-use sm_dbcsr::wire::ValueFormat;
+use sm_core::engine::{EngineOptions, EngineReport, SubmatrixEngine};
 use sm_dbcsr::{wire, DbcsrMatrix};
 use sm_trace::SpanKind;
 
 use super::plan::*;
-use super::telemetry::{decode_telemetry, encode_telemetry, placeholder};
-use crate::jobs::{BatchJob, JobResult, ScfTelemetry};
-
-/// Subgroup user tags of the per-job result gather to the group root.
-/// Safe to reuse across a group's sequential jobs: every send is matched
-/// by a blocking recv before the next job starts, and `(src, tag)` order
-/// is preserved.
-const GATHER_META_TAG: u64 = 11;
-const GATHER_DATA_TAG: u64 = 12;
+use crate::jobs::{BatchJob, JobResult, ScfTelemetry, Share};
 
 /// Parent-level tag namespace of the per-epoch fault consensus
-/// (heartbeats to rank 0 and the committed-view fan-out), well clear of
-/// the result gather's `1 << 40` namespace.
+/// (heartbeats to rank 0 and the committed-view fan-out).
 const CONSENSUS_NS: u64 = 1 << 41;
 /// Distinguishes the committed-view fan-out from the heartbeats within
 /// [`CONSENSUS_NS`] (epoch indices stay far below this bit).
 const CONSENSUS_VIEW_BIT: u64 = 1 << 20;
-/// Parent-level tag namespace of the end-of-batch survivor idle reports.
-const IDLE_NS: u64 = 1 << 42;
-/// Deadline for rank 0's and the consensus's receives under a fault plan.
-/// Failure detection does not rely on it — a dying rank poisons its
-/// channels, so the matching receive fails in milliseconds — it is only
-/// the backstop that bounds how long a pathological straggler can stall
-/// the batch.
+/// Deadline for the consensus's receives under a fault plan. Failure
+/// detection does not rely on it — a dying rank poisons its channels, so
+/// the matching receive fails in milliseconds — it is only the backstop
+/// that bounds how long a pathological straggler can stall the batch.
 const CONTROL_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Outcome of one scheduled batch.
 pub struct SchedulerOutcome {
-    /// Per-job results in submission order (gathered on world rank 0).
+    /// Per-job results in submission order.
     pub results: Vec<JobResult>,
     /// The schedule the batch ran under (its `static_plan` is the steal
     /// baseline; per-job epochs, attempts and quarantines are in it and
@@ -114,8 +99,7 @@ impl Scheduler {
     /// then planned around its rank deaths and poisoned attempts and run
     /// with the per-epoch fault consensus (see the module docs). The plan
     /// must not fail rank 0 — it is the coordinator that commits the
-    /// consensus and gathers results. The empty plan is the fault-free
-    /// run.
+    /// consensus. The empty plan is the fault-free run.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         assert!(
             plan.fails_at(0).is_none(),
@@ -148,17 +132,17 @@ impl Scheduler {
 
     /// Run a batch — one-shot [`MatrixJob`](crate::jobs::MatrixJob)s,
     /// multi-iteration [`ScfJobSpec`](crate::jobs::ScfJobSpec)s or a mix
-    /// as [`BatchJob`]s — over a `world_size`-rank world and gather the
-    /// results (in submission order) on world rank 0; panics where
-    /// [`Scheduler::try_run`] returns an error.
+    /// as [`BatchJob`]s — over a `world_size`-rank world and return the
+    /// results in submission order; panics where [`Scheduler::try_run`]
+    /// returns an error.
     ///
     /// Every job kind rides the same machinery: perfmodel cost estimation
     /// (scaled by the job's iteration budget, see
     /// [`estimate_batch_job_cost`]), LPT group packing, epoch stealing,
     /// the shared plan cache with its per-group per-epoch hit/miss
-    /// consensus, and the telemetry gather to world rank 0. SCF jobs
-    /// additionally return per-iteration telemetry in
-    /// [`JobResult::scf`].
+    /// consensus, and the merge of each job's per-rank shares into its
+    /// [`JobResult`]. SCF jobs additionally return per-iteration telemetry
+    /// in [`JobResult::scf`].
     pub fn run<J: Into<BatchJob>>(&self, world_size: usize, jobs: Vec<J>) -> SchedulerOutcome {
         self.try_run(world_size, jobs)
             .unwrap_or_else(|e| panic!("scheduled batch failed: {e}"))
@@ -198,18 +182,39 @@ impl Scheduler {
         // the batch root span: planning stays a pure function of the
         // estimates and the fault plan, the trace only observes its output.
         trace_schedule(&schedule, label);
-        let (engine, label) = (Arc::clone(&self.engine), label.to_string());
-        let (jobs, shared) = (Arc::new(jobs), Arc::clone(&schedule));
-        let plan = self.fault_plan.clone();
-        let (mut per_rank, world_stats, injected) = self.world.run(world_size, plan, move |comm| {
-            run_rank(&engine, &jobs, &shared, &label, comm)
+        let (engine, jobs) = (Arc::clone(&self.engine), Arc::new(jobs));
+        let (rank_jobs, shared) = (Arc::clone(&jobs), Arc::clone(&schedule));
+        let (plan, rank_label) = (self.fault_plan.clone(), label.to_string());
+        let (per_rank, world_stats, injected) = self.world.run(world_size, plan, move |comm| {
+            run_rank(&engine, &rank_jobs, &shared, &rank_label, comm)
         });
-        // Every rank has returned, and with it every other handle.
+        // Every rank has returned, and with it every other handle. A rank
+        // whose planned death unwound returned nothing.
         let schedule = Arc::unwrap_or_clone(schedule);
-        let (results, (measured_idle, measured_max_idle)) = per_rank[0]
-            .take()
-            .expect("rank 0 never fails")?
-            .expect("world rank 0 gathers every job result");
+        let mut ranks = per_rank
+            .into_iter()
+            .map(Option::transpose)
+            .collect::<Result<Vec<_>, _>>()?;
+        // Each job's result is built here from its group's shares, root
+        // first; a quarantined job, which no group ran, is a placeholder.
+        let results = (0..jobs.len())
+            .map(|j| {
+                let mut r = if schedule.quarantined[j] {
+                    placeholder(&jobs[j])
+                } else {
+                    let group = schedule.ranks_of_job(j).iter();
+                    let mut shares = group.filter_map(|&r| ranks[r].as_mut()?.shares[j].take());
+                    let root = shares.next().expect("a job's root returns its share");
+                    let mut r = JobResult::from_shares(jobs[j].name().to_string(), root, shares);
+                    r.stolen_ranks = schedule.job_stolen_ranks[j];
+                    r
+                };
+                r.epoch = schedule.job_epoch[j];
+                r.attempts = schedule.job_attempts[j];
+                r
+            })
+            .collect();
+        let (measured_idle, measured_max_idle) = measured_idle(&ranks, &schedule, label);
         debug_assert_eq!(
             injected.rank_failures as usize, schedule.fault_stats.rank_failures,
             "runtime rank failures diverged from the committed plan"
@@ -231,13 +236,6 @@ impl Scheduler {
             fault_stats,
         })
     }
-}
-
-/// Parent-level tag of one result stream (`part` 0 = block meta, 1 = block
-/// data, 2 = telemetry) of job `job`, in a namespace well clear of the
-/// small constants the wire module uses elsewhere.
-fn result_tag(job: usize, part: u64) -> u64 {
-    wire::user_tag((1 << 40) | ((job as u64) * 4 + part))
 }
 
 /// Narrate a finished schedule into the active trace (no-op when tracing
@@ -403,7 +401,75 @@ fn fault_consensus(
     Ok(())
 }
 
-/// One world rank's share of a scheduled batch. Per epoch: a rank whose
+/// The result of a quarantined job, which no group ran: its name, an
+/// empty matrix of its shape, and an all-zero report at its configured
+/// precision.
+fn placeholder(job: &BatchJob) -> JobResult {
+    JobResult {
+        name: job.name().to_string(),
+        result: DbcsrMatrix::new(job.input().dims().clone(), 0, 1),
+        report: EngineReport {
+            precision: job_numeric(job).precision,
+            ..EngineReport::default()
+        },
+        seconds: 0.0,
+        group_size: 0,
+        comm_bytes: 0,
+        comm_msgs: 0,
+        epoch: 0,
+        stolen_ranks: 0,
+        attempts: 0,
+        quarantined: true,
+        scf: None,
+    }
+}
+
+/// The measured idle seconds `(total, max)` over the final survivors: each
+/// rank's idle is the slowest survivor's wall less its own busy seconds.
+/// One `rank.idle` event per survivor, under the batch root span: a
+/// deterministic count, wall-derived values confined to annotations, cost
+/// pinned at 0.
+fn measured_idle(
+    ranks: &[Option<RankOutcome>],
+    schedule: &EpochSchedule,
+    label: &str,
+) -> (f64, f64) {
+    let survives = |r: &usize| {
+        schedule
+            .epochs
+            .last()
+            .is_none_or(|ep| ep.survivors.contains(r))
+    };
+    let survivors: Vec<(usize, &RankOutcome)> = (0..ranks.len())
+        .filter(survives)
+        .filter_map(|r| Some((r, ranks[r].as_ref()?)))
+        .collect();
+    let wall_max = survivors.iter().map(|(_, o)| o.wall).fold(0.0f64, f64::max);
+    let _batch = sm_trace::span(SpanKind::Batch, label);
+    let (mut total, mut max) = (0.0f64, 0.0f64);
+    for (r, o) in survivors {
+        let idle = (wall_max - o.busy).max(0.0);
+        total += idle;
+        max = max.max(idle);
+        sm_trace::emit(
+            "rank.idle",
+            0.0,
+            idle,
+            &[("rank", r as f64), ("busy_s", o.busy), ("wall_s", o.wall)],
+        );
+    }
+    (total, max)
+}
+
+/// What one world rank returns from a batch: its [`Share`] of every
+/// attempt it executed, by job index, and its busy and wall seconds.
+struct RankOutcome {
+    shares: Vec<Option<Share>>,
+    busy: f64,
+    wall: f64,
+}
+
+/// One world rank's part of a scheduled batch. Per epoch: a rank whose
 /// [`FaultPlan`] death fires at this boundary poisons its peers and leaves
 /// (the poison is what lets every pending receive on it fail fast instead
 /// of hanging); if the communicator carries a plan — the executor's only
@@ -418,19 +484,15 @@ fn fault_consensus(
 /// message a fast rank sends for epoch `e + 1` queues behind everything it
 /// sent the same peer for epoch `e`.
 ///
-/// Dead ranks and non-root survivors return `Ok(None)`; world rank 0
-/// returns every job's result (kept in memory if it rooted the job, else
-/// received from the root; quarantined placeholders synthesized locally)
-/// plus the measured `(total, max)` idle seconds over the final
-/// survivors, or a typed [`SchedError`] if collection fails unrecoverably.
-#[allow(clippy::type_complexity)]
+/// Every rank, a dying one included, returns the shares it finished; a
+/// failed consensus is a typed [`SchedError`].
 fn run_rank(
     engine: &Arc<SubmatrixEngine>,
     jobs: &[BatchJob],
     schedule: &EpochSchedule,
     label: &str,
     comm: &ThreadComm,
-) -> Result<Option<(Vec<JobResult>, (f64, f64))>, SchedError> {
+) -> Result<RankOutcome, SchedError> {
     // Root span of everything this rank does for the batch: spans are RAII
     // guards, so the rank thread's context stack starts empty at every
     // batch and every nested span/metric lands under `batch:<label>/...`.
@@ -438,22 +500,20 @@ fn run_rank(
     let me = comm.rank();
     let plan = comm.fault_plan();
     let my_death = plan.and_then(|p| p.fails_at(me));
-    let recv = |src: usize, tag: u64| match plan {
-        Some(_) => comm.recv_deadline(src, tag, CONTROL_TIMEOUT),
-        None => Ok(comm.recv(src, tag)),
-    };
     let world: Vec<usize> = (0..comm.size()).collect();
     let t_start = Instant::now();
-    let mut busy = 0.0f64;
-    // By job index: what this rank rooted as world rank 0.
-    let mut kept: Vec<Option<JobResult>> = vec![None; jobs.len()];
+    let mut out = RankOutcome {
+        shares: (0..jobs.len()).map(|_| None).collect(),
+        busy: 0.0,
+        wall: 0.0,
+    };
 
     for (e, ep) in schedule.epochs.iter().enumerate() {
         // A planned death fires at the epoch boundary, before the
         // consensus — which is exactly how the survivors find out.
         if my_death == Some(e) {
             comm.poison_peers();
-            return Ok(None);
+            break;
         }
         if plan.is_some() {
             let alive = e
@@ -473,97 +533,28 @@ fn run_rank(
         // Retry/quarantine bookkeeping happened at planning time; at run
         // time the whole group just skips a poisoned attempt.
         for att in grp.jobs.iter().filter(|a| !a.poisoned) {
-            let (seconds, done) = execute_job_on_group(engine, jobs, schedule, att, &sub, comm, e);
-            busy += seconds;
-            kept[att.job] = done;
+            let share = execute_job_on_group(engine, jobs, schedule, att.job, &sub);
+            out.busy += share.seconds;
+            out.shares[att.job] = Some(share);
         }
     }
-
-    // Measured idle accounting: no world collective may follow the last
-    // epoch (the dead would never join it), so survivors report
-    // point-to-point and rank 0 aggregates — emitting `rank.idle` for the
-    // final survivors only keeps the event count deterministic.
-    let wall = t_start.elapsed().as_secs_f64();
-    if me != 0 {
-        comm.send(
-            0,
-            wire::user_tag(IDLE_NS | me as u64),
-            Payload::F64(vec![busy, wall]),
-        );
-        return Ok(None);
-    }
-    let final_survivors = schedule.epochs.last().map_or(&world, |ep| &ep.survivors);
-    let mut per_rank: Vec<(usize, f64, f64)> = vec![(0, busy, wall)];
-    for &r in final_survivors.iter().filter(|&&r| r != 0) {
-        let v = recv(r, wire::user_tag(IDLE_NS | r as u64))?.into_f64();
-        per_rank.push((r, v[0], v[1]));
-    }
-    let wall_max = per_rank.iter().map(|&(_, _, w)| w).fold(0.0f64, f64::max);
-    let mut idle_total = 0.0f64;
-    let mut idle_max = 0.0f64;
-    for &(r, b, w) in &per_rank {
-        let idle = (wall_max - b).max(0.0);
-        idle_total += idle;
-        idle_max = idle_max.max(idle);
-        // One `rank.idle` per surviving rank, emitted by rank 0 under the
-        // batch root: deterministic count, wall-derived values confined
-        // to annotations (wall_s/fields), cost pinned at 0.
-        sm_trace::emit(
-            "rank.idle",
-            0.0,
-            idle,
-            &[("rank", r as f64), ("busy_s", b), ("wall_s", w)],
-        );
-    }
-
-    // Result collection: a job rank 0 rooted is taken from `kept`, any
-    // other executed job is received from the root the schedule names;
-    // quarantined jobs keep the empty placeholder, carrying only the fault
-    // bookkeeping (their groups never executed, so nothing was sent).
-    let results = (0..jobs.len())
-        .map(|j| {
-            if let Some(done) = kept[j].take() {
-                return Ok(done);
-            }
-            let mut r = placeholder(&jobs[j]);
-            if schedule.quarantined[j] {
-                r.epoch = schedule.job_epoch[j];
-                r.attempts = schedule.job_attempts[j];
-                r.quarantined = true;
-                return Ok(r);
-            }
-            let root = schedule.root_of_job(j);
-            let meta = recv(root, result_tag(j, 0))?.into_u64();
-            let data = recv(root, result_tag(j, 1))?;
-            decode_telemetry(&recv(root, result_tag(j, 2))?.into_f64(), &mut r);
-            // The meta header self-describes the value format (f32 for
-            // plain-Fp32 jobs), so the unpack needs no job context.
-            for ((br, bc), blk) in wire::unpack_blocks_prec(jobs[j].input().dims(), &meta, data) {
-                r.result.insert_block(br, bc, blk);
-            }
-            Ok(r)
-        })
-        .collect::<Result<Vec<_>, SchedError>>()?;
-    Ok(Some((results, (idle_total, idle_max))))
+    out.wall = t_start.elapsed().as_secs_f64();
+    Ok(out)
 }
 
-/// Execute one committed attempt collectively on its group
-/// subcommunicator; the group root finishes the [`JobResult`] and either
-/// returns it (it is world rank 0: what stays on a rank is moved) or ships
-/// it there, packed, over the job's reserved tags. The bitwise-equivalence
-/// contract (recovered job ≡ serial queue) holds precisely because a
-/// retried attempt re-enters this one body with only the group membership
-/// changed. Also returns the wall seconds this rank spent on the job.
+/// Execute one committed attempt of job `j` collectively on its group
+/// subcommunicator and return this rank's [`Share`] of it: the result
+/// blocks it owns, stored where the engine filled them, and its own
+/// telemetry. The bitwise-equivalence contract (recovered job ≡ serial
+/// queue) holds precisely because a retried attempt re-enters this one
+/// body with only the group membership changed.
 fn execute_job_on_group(
     engine: &Arc<SubmatrixEngine>,
     jobs: &[BatchJob],
     schedule: &EpochSchedule,
-    att: &Attempt,
+    j: usize,
     sub: &SubComm<'_, ThreadComm>,
-    comm: &ThreadComm,
-    epoch: usize,
-) -> (f64, Option<JobResult>) {
-    let j = att.job;
+) -> Share {
     let job = &jobs[j];
     let est_cost = schedule.static_plan.job_costs[j];
     let stolen_ranks = schedule.job_stolen_ranks[j];
@@ -596,72 +587,37 @@ fn execute_job_on_group(
     // `sub`, i.e. per-group per-epoch — exactly the ranks that
     // must agree on entering the collective pattern gather (SCF
     // jobs re-run that consensus every iteration, still on `sub`).
-    let (mut result, mut report, built_now, scf_local) = match job {
+    let (result, report, scf) = match job {
         BatchJob::Matrix(mjob) => {
             let (eplan, planning) = engine.plan_for_matrix_traced(&local, sub);
             let (mut result, mut report) =
                 engine.execute(&eplan, &local, mjob.mu0, &mjob.numeric, sub);
             mjob.output.finalize(&mut result, mjob.numeric.precision);
             report.record_planning(planning);
-            (result, report, planning.built, None)
+            (result, report, None)
         }
         BatchJob::Scf(spec) => {
             // The driver shares the scheduler's engine (and its
-            // bounded plan cache) across every concurrent system.
+            // bounded plan cache) across every concurrent system. Its
+            // report is cached exactly when no iteration built a plan.
             let driver = ScfDriver::with_engine(spec.scf.clone(), engine.clone());
             let r = driver.run(&local, spec.mu0, spec.n_electrons, sub);
-            // Group-sum the per-iteration byte telemetry: the
-            // iteration count is group-collective (the convergence
-            // decision is made on a reduced energy every rank
-            // holds), so the flattened vectors line up and the
-            // per-rank shares sum to whole-group traffic.
-            let mut bytes: Vec<f64> = r
-                .iterations
-                .iter()
-                .flat_map(|i| [i.gather_value_bytes as f64, i.scatter_value_bytes as f64])
-                .collect();
-            sub.allreduce_f64(ReduceOp::Sum, &mut bytes);
+            // The iteration count is group-collective (the convergence
+            // decision is made on a reduced energy every rank holds), so
+            // the ranks' per-iteration byte vectors line up when the
+            // caller sums them.
             let last = r.iterations.last().expect("SCF runs ≥ 1 iteration");
             let scf = ScfTelemetry {
                 iterations: r.iterations.len(),
                 converged: r.converged,
                 final_energy: last.energy,
                 final_electrons: last.electrons,
-                gather_value_bytes: bytes.iter().step_by(2).map(|&b| b as u64).collect(),
-                scatter_value_bytes: bytes.iter().skip(1).step_by(2).map(|&b| b as u64).collect(),
+                gather_value_bytes: r.iterations.iter().map(|i| i.gather_value_bytes).collect(),
+                scatter_value_bytes: r.iterations.iter().map(|i| i.scatter_value_bytes).collect(),
             };
-            (r.density, r.report, r.symbolic_builds > 0, Some(scf))
+            (r.density, r.report, Some(scf))
         }
     };
-    // The value encoding of both result gathers follows the job's
-    // precision: plain-Fp32 matrix results are f32-representable, so the
-    // f32 wire is lossless and halves the bytes. SCF densities stay f64
-    // under every precision (the driver never applies that rounding).
-    let result_format = match job {
-        BatchJob::Matrix(m) if m.numeric.precision.scatter_is_f32() => ValueFormat::F32,
-        _ => ValueFormat::F64,
-    };
-
-    // Gather result blocks to the group root: plain point-to-point
-    // sends (an alltoallv here would move O(group²) empty
-    // payloads and pollute the per-job traffic telemetry). The root's
-    // own blocks stay in the store the engine filled.
-    if sub.rank() != 0 {
-        let (meta, data) = wire::pack_blocks_prec(result.store().iter(), result_format);
-        sub.send(0, GATHER_META_TAG, Payload::U64(meta));
-        sub.send(0, GATHER_DATA_TAG, data);
-    } else if sub.size() > 1 {
-        let mut whole = DbcsrMatrix::new(input.dims().clone(), 0, 1);
-        *whole.store_mut() = std::mem::take(result.store_mut());
-        for src in 1..sub.size() {
-            let meta = sub.recv(src, GATHER_META_TAG).into_u64();
-            let data = sub.recv(src, GATHER_DATA_TAG);
-            for ((br, bc), blk) in wire::unpack_blocks_prec(input.dims(), &meta, data) {
-                whole.insert_block(br, bc, blk);
-            }
-        }
-        result = whole;
-    }
     let seconds = t.elapsed().as_secs_f64();
     if sm_trace::enabled() {
         // Deterministic cost = the job's perfmodel estimate; wall
@@ -676,76 +632,12 @@ fn execute_job_on_group(
             ],
         );
     }
-
-    // Group-wide telemetry: total subgroup traffic this job moved
-    // (Sum), the critical-path phase timings, and the symbolic
-    // work — any rank may have rebuilt an evicted plan while the
-    // root hit, so plan_cached/symbolic_seconds must be reduced
-    // too, not taken from the root alone (Max doubles as OR for
-    // the 0/1 built flag). The plan's TransferStats are per-rank
-    // shares and are Sum-reduced to whole-run numbers, matching
-    // what the serial queue reports for the same job.
-    let mut traffic = [
-        (sub.stats().total_bytes() - bytes0) as f64,
-        (sub.stats().total_msgs() - msgs0) as f64,
-        report.transfers.unique_bytes as f64,
-        report.transfers.naive_bytes as f64,
-        report.transfers.unique_blocks as f64,
-        report.transfers.total_references as f64,
-        report.gather_value_bytes as f64,
-        report.scatter_value_bytes as f64,
-    ];
-    sub.allreduce_f64(ReduceOp::Sum, &mut traffic);
-    report.transfers = TransferStats {
-        unique_bytes: traffic[2] as u64,
-        naive_bytes: traffic[3] as u64,
-        unique_blocks: traffic[4] as u64,
-        total_references: traffic[5] as u64,
-    };
-    report.gather_value_bytes = traffic[6] as u64;
-    report.scatter_value_bytes = traffic[7] as u64;
-    let mut phases = [
-        report.gather_seconds,
-        report.solve_seconds,
-        report.scatter_seconds,
+    Share {
+        result,
+        report,
         seconds,
-        report.symbolic_seconds,
-        if built_now { 1.0 } else { 0.0 },
-    ];
-    sub.allreduce_f64(ReduceOp::Max, &mut phases);
-    report.gather_seconds = phases[0];
-    report.solve_seconds = phases[1];
-    report.scatter_seconds = phases[2];
-    report.symbolic_seconds = phases[4];
-    report.plan_cached = phases[5] == 0.0;
-
-    // The group root finishes the job: world rank 0 keeps what it rooted,
-    // any other root ships it there — in the job's result format too: the
-    // largest per-job message also halves for plain-Fp32 jobs, losslessly.
-    let mut kept = None;
-    if sub.rank() == 0 {
-        let done = JobResult {
-            name: job.name().to_string(),
-            result,
-            report,
-            seconds: phases[3],
-            group_size: sub.size(),
-            comm_bytes: traffic[0] as u64,
-            comm_msgs: traffic[1] as u64,
-            epoch,
-            stolen_ranks,
-            attempts: att.attempt,
-            quarantined: false,
-            scf: scf_local,
-        };
-        if comm.rank() == 0 {
-            kept = Some(done);
-        } else {
-            let (meta, data) = wire::pack_blocks_prec(done.result.store().iter(), result_format);
-            comm.send(0, result_tag(j, 0), Payload::U64(meta));
-            comm.send(0, result_tag(j, 1), data);
-            comm.send(0, result_tag(j, 2), Payload::F64(encode_telemetry(&done)));
-        }
+        comm_bytes: sub.stats().total_bytes() - bytes0,
+        comm_msgs: sub.stats().total_msgs() - msgs0,
+        scf,
     }
-    (t.elapsed().as_secs_f64(), kept)
 }

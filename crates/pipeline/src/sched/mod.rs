@@ -35,14 +35,16 @@
 //!    subcommunicator from the schedule's member list — no world
 //!    collective, so a fault-free batch pays nothing per epoch and dead
 //!    ranks are never waited on — scatter the replicated input across the
-//!    group (one rank: borrow it), run the shared engine's plan + execute,
-//!    and gather the result into the root's own store. Poisoned attempts
-//!    are skipped by the whole group from the pure schedule alone.
-//! 5. **Gather**: what stays on a rank is moved, not packed. World rank 0
-//!    keeps the results it roots; any other root ships its own — blocks
-//!    in the `sm_dbcsr::wire` format plus an encoded telemetry record —
-//!    and rank 0 returns the batch in submission order (quarantined jobs
-//!    as empty placeholders).
+//!    group (one rank: borrow it) and run the shared engine's plan +
+//!    execute; each rank keeps its result blocks where the engine filled
+//!    them. Poisoned attempts are skipped by the whole group from the
+//!    pure schedule alone.
+//! 5. **Return**: results leave a rank through its return value, never
+//!    a message. Each rank returns one share per attempt it executed —
+//!    its blocks, its report, its seconds and the subgroup traffic it
+//!    sent — a dying rank the shares it finished, and the caller merges
+//!    each job's shares into its `JobResult`, returning the batch in
+//!    submission order (quarantined jobs as empty placeholders).
 //!
 //! The engine is shared across groups, so its plan cache is the contended
 //! resource: recurring patterns hit the entry built by *any* group (one
@@ -76,8 +78,8 @@
 //! heartbeat world rank 0 (which never fails), rank 0 commits the failed
 //! set from deadline receives (a dead peer surfaces as a typed
 //! [`sm_comsim::CommError`], never a hang) and fans the committed view
-//! out, which every survivor checks against the precomputed schedule —
-//! and rank 0's receives are bounded by a deadline. Without a plan
+//! out, which every survivor checks against the precomputed schedule.
+//! Without a plan
 //! nothing can die, so there is no consensus and receives block: a
 //! paper-scale job may run for minutes.
 //!
@@ -86,15 +88,12 @@
 //! Subgroup traffic rides the parent tag namespace reserved by
 //! `sm_comsim::SUBGROUP_BIT`; each epoch's groups form with a color that
 //! mixes the epoch index, so successive epochs salt their tag namespaces
-//! differently. Parent-level user traffic is the root gather, on tags
-//! derived from the job index (see the private `result_tag`), the
-//! end-of-batch idle reports (`1 << 42`) and — under a fault plan — the
-//! consensus (`1 << 41`). The `sm_dbcsr::wire::user_tag` guard applies
-//! unchanged inside subgroups.
+//! differently. The only parent-level user traffic is the fault
+//! consensus (`1 << 41`), under a fault plan. The
+//! `sm_dbcsr::wire::user_tag` guard applies unchanged inside subgroups.
 
 mod exec;
 mod plan;
-mod telemetry;
 
 pub use exec::{Scheduler, SchedulerOutcome};
 pub(crate) use plan::admit;

@@ -103,10 +103,9 @@ pub fn estimate_pattern_cost(matrix: &DbcsrMatrix) -> f64 {
 /// Estimate a [`BatchJob`]'s total work: the **per-iteration** pattern
 /// cost times the job's iteration budget. A one-shot matrix job is one
 /// iteration; an SCF job re-evaluates the same pattern every iteration
-/// (on the same cached plan), so its commitment scales linearly with the
-/// expected iteration count — this is the cost-model generalization that
-/// lets iterative jobs ride the same LPT/steal machinery as one-shot
-/// evaluations.
+/// (on the same cached plan) and is priced at its whole `scf.max_iter`
+/// budget — this is the cost-model generalization that lets iterative
+/// jobs ride the same LPT/steal machinery as one-shot evaluations.
 pub fn estimate_batch_job_cost(job: &BatchJob) -> f64 {
     estimate_pattern_cost(job.input()) * job.iteration_budget() as f64
 }
@@ -717,7 +716,7 @@ pub enum SchedError {
         cost: f64,
     },
     /// A communication failure the recovery protocol could not absorb
-    /// (e.g. the coordinator timed out collecting a result).
+    /// (a survivor timed out in the per-epoch fault consensus).
     Comm(CommError),
 }
 

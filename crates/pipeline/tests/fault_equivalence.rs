@@ -228,6 +228,22 @@ fn epoch_boundary_rank_failure_recovers_bitwise_and_shrinks_world() {
     assert_recovered_bitwise(&outcome.results, &serial, "rank death at epoch 1");
     assert_telemetry_matches_schedule(&outcome);
     assert!(outcome.results.iter().all(|r| r.attempts == 1));
+    // A rank hands its results back through its return value, which the
+    // dying rank makes after it has left: the epoch-0 jobs it rooted come
+    // back whole all the same.
+    let rooted_by_dead: Vec<usize> = (0..serial.len())
+        .filter(|&j| rec.job_epoch[j] == 0 && rec.root_of_job(j) == 3)
+        .collect();
+    assert!(
+        !rooted_by_dead.is_empty(),
+        "rank 3 must root an epoch-0 job"
+    );
+    for j in rooted_by_dead {
+        assert_eq!(
+            outcome.results[j].result, serial[j].result,
+            "job {j}, rooted by the rank that died"
+        );
+    }
 }
 
 #[test]

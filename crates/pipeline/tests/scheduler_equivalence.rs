@@ -311,12 +311,12 @@ fn deterministic_fields(r: &JobResult) -> String {
 
 #[test]
 fn a_job_result_does_not_depend_on_who_rooted_the_job() {
-    // World rank 0 keeps the results it roots in memory; every other root
-    // ships its own over the wire codec. Under the static policy every
-    // group of a batch with at least as many jobs as ranks is one rank
-    // wide in epoch 0, so across worlds 1–4 nothing about a job changes
-    // except which rank roots it — and no deterministic field of its
-    // result may. (World 1 keeps every job; world 4 ships three in four.)
+    // Every rank returns its shares to the caller, which builds each
+    // job's result from its group's. Under the static policy every group
+    // of a batch with at least as many jobs as ranks is one rank wide in
+    // epoch 0, so across worlds 1–4 nothing about a job changes except
+    // which rank roots it — and no deterministic field of its result may.
+    // (World 1 roots every job at rank 0; world 4 three in four elsewhere.)
     let jobs = every_kind_batch();
     let run = |world: usize, policy: StealPolicy| {
         Scheduler::default()

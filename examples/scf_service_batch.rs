@@ -88,9 +88,8 @@ fn main() {
     let mut specs = Vec::new();
     for (name, seed) in [("water-42", 42u64), ("water-7", 7), ("water-1234", 1234)] {
         let (kt, mu, ne) = system(seed);
-        // ScfJobSpec carries the full ScfOptions; `scf.engine` is ignored —
-        // the service's shared engine (built below) governs the symbolic
-        // phase for every job.
+        // ScfJobSpec carries the full ScfOptions; the service's shared
+        // engine (built below) governs the symbolic phase for every job.
         specs.push(ScfJobSpec::new(name, kt, mu, ne));
     }
     println!("batch: {} SCF systems, canonical ensemble", specs.len());
