@@ -109,11 +109,6 @@ impl F16 {
     pub fn is_nan(self) -> bool {
         (self.0 & 0x7C00) == 0x7C00 && (self.0 & 0x03FF) != 0
     }
-
-    /// True if the value is ±infinity.
-    pub fn is_infinite(self) -> bool {
-        (self.0 & 0x7FFF) == 0x7C00
-    }
 }
 
 /// Round every element of a slice through binary16 (in place).
@@ -168,11 +163,11 @@ mod tests {
 
     #[test]
     fn overflow_to_infinity() {
-        assert!(F16::from_f32(1e6).is_infinite());
-        assert!(F16::from_f32(-1e6).is_infinite());
+        assert_eq!(F16::from_f32(1e6).to_f32(), f32::INFINITY);
+        assert_eq!(F16::from_f32(-1e6).to_f32(), f32::NEG_INFINITY);
         assert_eq!(F16::from_f32(65504.0).to_f32(), 65504.0);
         // 65520 is halfway to the next (unrepresentable) step: rounds to inf.
-        assert!(F16::from_f32(65520.0).is_infinite());
+        assert_eq!(F16::from_f32(65520.0).to_f32(), f32::INFINITY);
     }
 
     #[test]
@@ -198,7 +193,7 @@ mod tests {
     fn signs_preserved() {
         assert_eq!(F16::from_f32(-0.0).0 & 0x8000, 0x8000);
         assert_eq!(F16::from_f32(-1.5).to_f32(), -1.5);
-        assert!(F16::from_f32(f32::NEG_INFINITY).is_infinite());
+        assert_eq!(F16::from_f32(f32::NEG_INFINITY).to_f32(), f32::NEG_INFINITY);
     }
 
     #[test]

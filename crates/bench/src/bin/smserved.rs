@@ -368,12 +368,8 @@ fn main() -> ExitCode {
             eprintln!("smserved: cannot write trace {}: {e}", path.display());
             return ExitCode::FAILURE;
         }
-        println!(
-            "wrote {} ({} events, {} metrics)",
-            path.display(),
-            session.events().len(),
-            session.metrics().len()
-        );
+        let events = session.events().len();
+        println!("wrote {} ({events} events)", path.display());
     }
     code
 }

@@ -471,7 +471,7 @@ pub fn scf_service(_: &Ctx) -> Report {
 
     // Instrumented rerun at the largest world, stealing on: the trace
     // must not perturb the numerics (bitwise contract re-asserted with
-    // every span/metric live), and its JSONL artifact feeds `smdoctor`.
+    // every span and event live), and its JSONL artifact feeds `smdoctor`.
     let session = sm_trace::TraceSession::start("svc");
     let service = Scheduler::new(fresh_engine(), RankBudget::default())
         .with_policy(StealPolicy::EpochRebalance)
@@ -482,10 +482,9 @@ pub fn scf_service(_: &Ctx) -> Report {
     session.write_jsonl(&trace_path).expect("write trace JSONL");
     let doc = session.to_doc();
     println!(
-        "wrote {} ({} events, {} metrics)",
+        "wrote {} ({} events)",
         trace_path.display(),
-        doc.events.len(),
-        doc.metrics.len()
+        doc.events.len()
     );
     let cp = sm_trace::analyze::critical_path(&doc, Some("svc"))
         .expect("critical path of the traced run");

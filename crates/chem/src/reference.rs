@@ -2,11 +2,11 @@
 //!
 //! Ground truth for all accuracy experiments (paper Figs. 1, 7): the
 //! density matrix from a full dense eigendecomposition of `K̃`, the
-//! band-structure energy, and the exact canonical chemical potential.
+//! finite-temperature density, the band-structure energy, the electron
+//! count and the HOMO–LUMO gap.
 
 use sm_linalg::eigh::{eigh, Eigh};
 use sm_linalg::fermi::fermi_occupation;
-use sm_linalg::gemm::matmul;
 use sm_linalg::sign::extended_signum;
 use sm_linalg::{LinalgError, Matrix};
 
@@ -57,24 +57,11 @@ impl DenseReference {
             .sum::<f64>()
     }
 
-    /// Exact canonical µ: midpoint between the `n_occ`-th and
-    /// `(n_occ+1)`-th eigenvalue (zero temperature).
-    pub fn canonical_mu(&self, n_occ: usize) -> f64 {
-        let e = &self.decomposition.eigenvalues;
-        assert!(n_occ >= 1 && n_occ < e.len(), "occupation outside spectrum");
-        0.5 * (e[n_occ - 1] + e[n_occ])
-    }
-
     /// HOMO–LUMO gap at the given occupation.
     pub fn gap(&self, n_occ: usize) -> f64 {
         let e = &self.decomposition.eigenvalues;
         e[n_occ] - e[n_occ - 1]
     }
-}
-
-/// Band energy directly from a density matrix: `E = 2·Tr(D̃ K̃)`.
-pub fn band_energy_of(density: &Matrix, k_tilde: &Matrix) -> Result<f64, LinalgError> {
-    Ok(2.0 * matmul(density, k_tilde)?.trace())
 }
 
 #[cfg(test)]
@@ -85,6 +72,7 @@ mod tests {
     use crate::ortho::orthogonalize_dense;
     use crate::water::WaterBox;
     use sm_comsim::SerialComm;
+    use sm_linalg::gemm::matmul;
 
     fn reference_setup() -> (Matrix, f64, usize) {
         let water = WaterBox::cubic(1, 42);
@@ -122,7 +110,8 @@ mod tests {
         let (kt, mu, _) = reference_setup();
         let r = DenseReference::new(&kt).unwrap();
         let d = r.density(mu);
-        let e_trace = band_energy_of(&d, &kt).unwrap();
+        // E = 2·Tr(D̃ K̃) from the density matrix itself.
+        let e_trace = 2.0 * matmul(&d, &kt).unwrap().trace();
         assert!((e_trace - r.band_energy(mu)).abs() < 1e-8);
         assert!(e_trace < 0.0, "occupied valence states must be bound");
     }
@@ -131,7 +120,8 @@ mod tests {
     fn canonical_mu_reproduces_gap_midpoint() {
         let (kt, mu, n_occ) = reference_setup();
         let r = DenseReference::new(&kt).unwrap();
-        let mu_c = r.canonical_mu(n_occ);
+        let e = &r.decomposition.eigenvalues;
+        let mu_c = 0.5 * (e[n_occ - 1] + e[n_occ]);
         // The molecular mid-gap µ and the condensed-phase canonical µ must
         // select the same occupation.
         assert!((r.electron_count(mu_c, 0.0) - r.electron_count(mu, 0.0)).abs() < 1e-12);

@@ -3,8 +3,8 @@
 //! [`ThreadComm`](crate::thread::ThreadComm) and
 //! [`SubComm`](crate::subcomm::SubComm) both build their collectives on a
 //! tagged send/recv primitive; the algorithms themselves (reduce-to-root
-//! then broadcast for allreduce, ring exchanges for the gathers and
-//! all-to-all, root fan-out for broadcast) live here once, parameterized
+//! then fan-out for allreduce, ring exchanges for the gathers and
+//! all-to-all) live here once, parameterized
 //! over the [`Transport`]. Keeping a single copy is part of the
 //! equivalence story: the serial/distributed bitwise contract depends on
 //! both communicators combining values in the same order.
@@ -104,19 +104,6 @@ pub(crate) fn alltoallv<T: Transport>(t: &T, tag: u64, sends: Vec<Payload>) -> V
         }
     }
     out.into_iter().map(|p| p.expect("filled above")).collect()
-}
-
-/// Broadcast `root`'s vector to all ranks (in place).
-pub(crate) fn broadcast_f64<T: Transport>(t: &T, tag: u64, root: usize, x: &mut Vec<f64>) {
-    if t.p2p_rank() == root {
-        for dst in 0..t.p2p_size() {
-            if dst != root {
-                t.send_p2p(dst, tag, Payload::F64(x.clone()));
-            }
-        }
-    } else {
-        *x = t.recv_p2p(root, tag).into_f64();
-    }
 }
 
 /// Gather-to-root + release fan-out: a barrier for transports without a

@@ -123,9 +123,6 @@ pub trait Comm {
     /// vector received from each source rank (empty vectors allowed).
     fn alltoallv(&self, sends: Vec<Payload>) -> Vec<Payload>;
 
-    /// Broadcast `root`'s vector to all ranks (in place).
-    fn broadcast_f64(&self, root: usize, x: &mut Vec<f64>);
-
     /// Collectively partition this communicator into subgroups by `color`
     /// (MPI_Comm_split): every rank must call this; ranks sharing a color
     /// form one [`SubComm`](crate::subcomm::SubComm), ordered by
@@ -227,10 +224,6 @@ impl Comm for SerialComm {
         assert_eq!(sends.len(), 1);
         sends
     }
-
-    fn broadcast_f64(&self, root: usize, _x: &mut Vec<f64>) {
-        assert_eq!(root, 0);
-    }
 }
 
 #[cfg(test)]
@@ -300,8 +293,5 @@ mod tests {
         assert_eq!(c.allgather_u64(&[5, 6]), vec![vec![5, 6]]);
         let recv = c.alltoallv(vec![Payload::U64(vec![9])]);
         assert_eq!(recv[0].clone().into_u64(), vec![9]);
-        let mut b = vec![4.0];
-        c.broadcast_f64(0, &mut b);
-        assert_eq!(b, vec![4.0]);
     }
 }

@@ -48,8 +48,7 @@
 //! subgroup, counting the traffic *this rank* sent within the group
 //! (indexed by sub-rank). Parent-level counters still see the same bytes;
 //! the subgroup view is what lets a scheduler attribute traffic per job
-//! group — aggregate across members with
-//! [`SubComm::group_traffic_totals`].
+//! group — each member returns its own row, and the caller sums them.
 
 use std::cell::Cell;
 use std::sync::Arc;
@@ -181,21 +180,10 @@ impl<'a, C: Comm> SubComm<'a, C> {
 
     /// This handle's subgroup traffic counters: what *this rank* sent
     /// within the group, indexed by sub-rank. (Ranks do not share memory,
-    /// so each member holds its own row; reduce across the group with
-    /// [`group_traffic_totals`](Self::group_traffic_totals).)
+    /// so each member holds its own row; a caller that wants the group's
+    /// traffic sums what the members return.)
     pub fn stats(&self) -> &Arc<CommStats> {
         &self.stats
-    }
-
-    /// Group-wide `(bytes, messages)` sent within the subgroup so far
-    /// (collective: sums every member's local counters).
-    pub fn group_traffic_totals(&self) -> (u64, u64) {
-        let mut x = [
-            self.stats.total_bytes() as f64,
-            self.stats.total_msgs() as f64,
-        ];
-        self.allreduce_f64(ReduceOp::Sum, &mut x);
-        (x[0] as u64, x[1] as u64)
     }
 
     fn user_parent_tag(&self, tag: u64) -> u64 {
@@ -217,25 +205,10 @@ impl<'a, C: Comm> SubComm<'a, C> {
     }
 
     /// Every subgroup send funnels through here, so this one chokepoint
-    /// counts it and tags it with the sender's span context. The
-    /// collective/p2p distinction is already on the wire: internal
-    /// collectives carry SUB_COLLECTIVE_BIT, user sends keep it clear.
+    /// counts it in the handle's [`CommStats`].
     fn send_raw(&self, dst: usize, parent_tag: u64, payload: Payload) {
         if dst != self.rank {
-            let bytes = payload.byte_len();
-            self.stats.record_send(self.rank, bytes);
-            if sm_trace::enabled() {
-                let class = if parent_tag & SUB_COLLECTIVE_BIT != 0 {
-                    "collective"
-                } else {
-                    "p2p"
-                };
-                sm_trace::counter_add(
-                    &sm_trace::scoped(&format!("comm.{class}.bytes")),
-                    bytes as u64,
-                );
-                sm_trace::counter_add(&sm_trace::scoped(&format!("comm.{class}.msgs")), 1);
-            }
+            self.stats.record_send(self.rank, payload.byte_len());
         }
         self.parent
             .send_subgroup(self.members[dst], parent_tag, payload);
@@ -306,10 +279,6 @@ impl<C: Comm> Comm for SubComm<'_, C> {
 
     fn alltoallv(&self, sends: Vec<Payload>) -> Vec<Payload> {
         collectives::alltoallv(self, self.next_collective_tag(), sends)
-    }
-
-    fn broadcast_f64(&self, root: usize, x: &mut Vec<f64>) {
-        collectives::broadcast_f64(self, self.next_collective_tag(), root, x)
     }
 
     fn split(&self, _color: u64, _key: u64) -> SubComm<'_, Self> {
@@ -426,12 +395,12 @@ mod tests {
             } else {
                 sub.recv(0, 1);
             }
-            sub.group_traffic_totals()
+            let stats = sub.stats();
+            (stats.total_bytes(), stats.total_msgs())
         });
-        for (bytes, msgs) in results {
-            assert_eq!(bytes, 80);
-            assert_eq!(msgs, 1);
-        }
+        // Each handle counts what its own rank sent: the sender's row
+        // holds the group's message, and the members' rows sum to it.
+        assert_eq!(results, [(80, 1), (0, 0), (80, 1), (0, 0)]);
     }
 
     #[test]
@@ -486,21 +455,14 @@ mod tests {
                     .map(|d| Payload::U64(vec![(sub.rank() * 10 + d) as u64]))
                     .collect(),
             );
-            let mut b = if sub.rank() == 1 {
-                vec![42.0]
-            } else {
-                Vec::new()
-            };
-            sub.broadcast_f64(1, &mut b);
             (
                 x[0],
                 g,
                 gf,
                 a.into_iter().map(|p| p.into_u64()).collect::<Vec<_>>(),
-                b,
             )
         });
-        for (max, g, gf, a, b) in results {
+        for (max, g, gf, a) in results {
             assert_eq!(max, 2.0);
             assert_eq!(g, vec![vec![0], vec![1], vec![2]]);
             assert_eq!(gf, vec![vec![0.0], vec![0.5], vec![1.0]]);
@@ -508,7 +470,6 @@ mod tests {
                 assert_eq!(v.len(), 1);
                 assert_eq!(v[0] / 10, src as u64);
             }
-            assert_eq!(b, vec![42.0]);
         }
     }
 }

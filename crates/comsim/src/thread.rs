@@ -178,10 +178,6 @@ impl Comm for ThreadComm {
         collectives::alltoallv(self, self.next_collective_tag(), sends)
     }
 
-    fn broadcast_f64(&self, root: usize, x: &mut Vec<f64>) {
-        collectives::broadcast_f64(self, self.next_collective_tag(), root, x)
-    }
-
     fn send_subgroup(&self, dst: usize, tag: u64, payload: Payload) {
         crate::subcomm::assert_subgroup_tag(tag);
         self.send_internal(dst, tag, payload);
@@ -651,22 +647,6 @@ mod tests {
             for (src, p) in recvd.into_iter().enumerate() {
                 assert_eq!(p.into_u64(), vec![(src * 10 + me) as u64]);
             }
-        }
-    }
-
-    #[test]
-    fn broadcast_from_nonzero_root() {
-        let (results, _) = run_ranks(4, |c| {
-            let mut x = if c.rank() == 2 {
-                vec![7.5, -1.0]
-            } else {
-                Vec::new()
-            };
-            c.broadcast_f64(2, &mut x);
-            x
-        });
-        for r in results {
-            assert_eq!(r, vec![7.5, -1.0]);
         }
     }
 

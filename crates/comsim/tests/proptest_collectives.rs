@@ -69,19 +69,6 @@ proptest! {
     }
 
     #[test]
-    fn broadcast_reaches_everyone(size in 1usize..8, root_pick in 0usize..8) {
-        let root = root_pick % size;
-        let (results, _) = run_ranks(size, |c| {
-            let mut x = if c.rank() == root { vec![3.25, -1.5] } else { Vec::new() };
-            c.broadcast_f64(root, &mut x);
-            x
-        });
-        for r in results {
-            prop_assert_eq!(&r, &vec![3.25, -1.5]);
-        }
-    }
-
-    #[test]
     fn point_to_point_ring_any_size(size in 2usize..9, payload in 0u64..1000) {
         let (results, _) = run_ranks(size, |c| {
             let next = (c.rank() + 1) % c.size();

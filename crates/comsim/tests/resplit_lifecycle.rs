@@ -8,8 +8,9 @@
 //! salted tag namespaces never cross-match, and the nested-split
 //! rejection still fires.
 
+use std::collections::BTreeMap;
+
 use sm_comsim::{run_ranks, Comm, Payload, ReduceOp, SerialComm};
-use sm_trace::{Metric, SpanKind, TraceSession};
 
 #[test]
 fn drop_then_resplit_from_same_world_succeeds() {
@@ -40,28 +41,47 @@ fn drop_then_resplit_from_same_world_succeeds() {
 fn per_group_stats_reset_per_epoch_while_parent_accumulates() {
     let (results, world_stats) = run_ranks(4, |c| {
         let payload = || Payload::F64(vec![0.0; 10]); // 80 bytes
-        let mut per_epoch = Vec::new();
+        let mut rows = Vec::new();
         for epoch in 0..3u64 {
-            // Epoch-salted color, exactly like the scheduler's loop.
-            let sub = c.split((epoch << 32) | (c.rank() % 2) as u64, c.rank() as u64);
+            // Epoch-salted color, exactly like the scheduler's loop; the
+            // grouping changes between epochs (parity, then halves).
+            let color = if epoch == 1 {
+                c.rank() / 2
+            } else {
+                c.rank() % 2
+            } as u64;
+            let sub = c.split((epoch << 32) | color, c.rank() as u64);
             // A fresh split starts at zero: per-epoch accounting needs no
             // manual reset.
-            assert_eq!(sub.stats().total_bytes(), 0);
-            assert_eq!(sub.stats().total_msgs(), 0);
+            let stats = sub.stats();
+            assert_eq!((stats.total_bytes(), stats.total_msgs()), (0, 0));
             if sub.rank() == 0 {
                 sub.send(1, 1, payload());
             } else {
                 sub.recv(0, 1);
             }
-            per_epoch.push(sub.group_traffic_totals());
+            let mut x = vec![sub.rank() as f64];
+            sub.allreduce_f64(ReduceOp::Sum, &mut x);
+            assert_eq!(x[0], 1.0); // 0 + 1 in every group of two
+            rows.push(((epoch, color), stats.total_bytes(), stats.total_msgs()));
         }
-        per_epoch
+        rows
     });
-    for per_epoch in results {
-        // Every epoch's group moved exactly one 80-byte message — the
-        // previous epoch's traffic never leaks into the new counters.
-        assert_eq!(per_epoch, vec![(80, 1), (80, 1), (80, 1)]);
+    // The caller sums the members' rows per (epoch, group). Every epoch's
+    // group moved one 80-byte payload and the same allreduce — the
+    // previous epoch's traffic never leaks into the new counters.
+    let mut groups: BTreeMap<(u64, u64), (u64, u64)> = BTreeMap::new();
+    for (group, bytes, msgs) in results.into_iter().flatten() {
+        let sum = groups.entry(group).or_default();
+        *sum = (sum.0 + bytes, sum.1 + msgs);
     }
+    assert_eq!(groups.len(), 6);
+    let first = groups[&(0, 0)];
+    assert!(
+        first.0 > 80 && first.1 > 1,
+        "payload plus the allreduce: {first:?}"
+    );
+    assert!(groups.values().all(|&sum| sum == first), "{groups:?}");
     // The parent-level counters keep accumulating across epochs: at least
     // the 3 epochs × 2 groups × 1 payload message (plus the splits' own
     // allgather traffic, which also rides the parent).
@@ -133,95 +153,6 @@ fn interleaved_epoch_tags_never_cross_match() {
     });
     assert_eq!(results[1], vec![1, 2]);
     assert_eq!(results[3], vec![1, 2]);
-}
-
-/// One traced two-epoch regrouping round: epoch-salted splits, one p2p
-/// payload per group per epoch, one subgroup allreduce per group per
-/// epoch, with the span context re-installed to match the new grouping.
-/// Returns the session's counter metrics as sorted `(key, value)` pairs.
-fn traced_regrouping_round(label: &'static str) -> Vec<(String, u64)> {
-    let session = TraceSession::start(label);
-    let (results, _) = run_ranks(4, |c| {
-        let _batch = sm_trace::span(SpanKind::Batch, label);
-        let mut fresh = Vec::new();
-        for epoch in 0..2u64 {
-            let _epoch = sm_trace::span(SpanKind::Epoch, epoch);
-            // Epoch-salted color: the group id a rank lands in changes
-            // between epochs (parity, then half-split).
-            let color = if epoch == 0 {
-                (c.rank() % 2) as u64
-            } else {
-                (c.rank() / 2) as u64
-            };
-            let sub = c.split((epoch << 32) | color, c.rank() as u64);
-            // Fresh split ⇒ fresh CommStats, also under tracing.
-            fresh.push((sub.stats().total_bytes(), sub.stats().total_msgs()));
-            let _group = sm_trace::span(SpanKind::Group, color);
-            if sub.rank() == 0 {
-                sub.send(1, 1, Payload::F64(vec![0.0; 10])); // 80 bytes
-            } else {
-                sub.recv(0, 1);
-            }
-            let mut x = vec![sub.rank() as f64];
-            sub.allreduce_f64(ReduceOp::Sum, &mut x);
-            assert_eq!(x[0], 1.0); // 0 + 1 in every group of two
-        }
-        fresh
-    });
-    for fresh in results {
-        assert_eq!(fresh, vec![(0, 0), (0, 0)], "resplit must zero CommStats");
-    }
-    let mut counters: Vec<(String, u64)> = session
-        .metrics_under(&format!("batch:{label}"))
-        .into_iter()
-        .filter_map(|(k, m)| match m {
-            Metric::Counter(v) => Some((k, v)),
-            _ => None,
-        })
-        .collect();
-    counters.sort();
-    counters
-}
-
-#[test]
-fn trace_counters_follow_regrouped_span_contexts_deterministically() {
-    let first = traced_regrouping_round("resplit-a");
-    // Exactly one 80-byte p2p message lands under every (epoch, group)
-    // context — traffic is attributed to the grouping live at send time,
-    // so regrouping moves the keys, not the totals.
-    for epoch in 0..2 {
-        for group in 0..2 {
-            let at = |name: &str| {
-                let key = format!("batch:resplit-a/epoch:{epoch}/group:{group}/{name}");
-                first
-                    .iter()
-                    .find(|(k, _)| *k == key)
-                    .unwrap_or_else(|| panic!("missing counter {key}"))
-                    .1
-            };
-            assert_eq!(at("comm.p2p.bytes"), 80);
-            assert_eq!(at("comm.p2p.msgs"), 1);
-            assert!(
-                at("comm.collective.bytes") > 0,
-                "allreduce rides collective tags"
-            );
-        }
-    }
-    // And the whole counter map is reproducible run-to-run (keys are
-    // relabelled to compare across the two session labels).
-    let second = traced_regrouping_round("resplit-b");
-    let relabel = |v: Vec<(String, u64)>| -> Vec<(String, u64)> {
-        v.into_iter()
-            .map(|(k, n)| {
-                (
-                    k.split_once('/')
-                        .map_or(k.clone(), |(_, rest)| rest.to_string()),
-                    n,
-                )
-            })
-            .collect()
-    };
-    assert_eq!(relabel(first), relabel(second));
 }
 
 #[test]

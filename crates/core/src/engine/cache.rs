@@ -133,38 +133,27 @@ impl SubmatrixEngine {
     }
 
     /// Derive `rank`'s view of `shared` and memoise it in `key`'s entry,
-    /// inserting the entry first on a miss (`insert`).
+    /// inserting the entry first on a miss (`insert`). Returns the view and
+    /// the number of patterns the insert evicted.
     fn derive(
         &self,
         key: u64,
         shared: &Arc<PatternPlan>,
         insert: bool,
         (rank, size): (usize, usize),
-    ) -> Arc<ExecutionPlan> {
+    ) -> (Arc<ExecutionPlan>, usize) {
         let view = Arc::new(shared.rank_view(rank, size));
         let capacity = self.opts.plan_cache_capacity;
         let evicted = (self.cache()).remember(key, insert.then_some(shared), &view, capacity);
         self.book_evictions(evicted);
-        view
+        (view, evicted)
     }
 
-    /// Count `evicted` patterns, and trace them and the cache's occupancy.
+    /// Count `evicted` patterns.
     pub(super) fn book_evictions(&self, evicted: usize) {
         self.counters
             .evictions
             .fetch_add(evicted, Ordering::Relaxed);
-        if sm_trace::enabled() {
-            if evicted > 0 {
-                sm_trace::counter_add(
-                    &sm_trace::scoped_root("plan_cache.evictions"),
-                    evicted as u64,
-                );
-            }
-            sm_trace::gauge_set(
-                &sm_trace::scoped_root("plan_cache.occupancy"),
-                self.cached_plans() as f64,
-            );
-        }
     }
 
     /// Symbolic phase on a distributed matrix (collective). A cache hit
@@ -205,8 +194,8 @@ impl SubmatrixEngine {
         // The call's symbolic work is timed unless the view was cached.
         let t0 = (!matches!(local, Some((_, Some(_))))).then(Instant::now);
         let c = &self.counters;
-        let (plan, built) = match local {
-            Some((_, Some(view))) => (view, false),
+        let ((plan, evicted), built) = match local {
+            Some((_, Some(view))) => ((view, 0), false),
             Some((shared, None)) => {
                 c.view_derivations.fetch_add(1, Ordering::Relaxed);
                 (self.derive(key, &shared, false, (rank, size)), false)
@@ -223,16 +212,17 @@ impl SubmatrixEngine {
             built,
             symbolic_seconds: t0.map_or(0.0, |t| t.elapsed().as_secs_f64()),
         };
-        self.trace_plan_decision(&plan, planning);
+        self.trace_plan_decision(&plan, planning, evicted);
         (plan, planning)
     }
 
     /// Narrate one traced planning decision: exactly one `plan.decision`
     /// event per rank per call, so span trees stay deterministic; the
     /// hit/build *split* can shift with benign cross-group races, so it
-    /// rides in the event's fields and in counters, which the
-    /// deterministic tree rendering excludes.
-    fn trace_plan_decision(&self, plan: &ExecutionPlan, planning: Planning) {
+    /// rides in the event's fields — with the patterns the call evicted and
+    /// the cache's occupancy after it — which the deterministic tree
+    /// rendering excludes.
+    fn trace_plan_decision(&self, plan: &ExecutionPlan, planning: Planning, evicted: usize) {
         if !sm_trace::enabled() {
             return;
         }
@@ -243,10 +233,12 @@ impl SubmatrixEngine {
             "plan.decision",
             plan.total_cost,
             planning.symbolic_seconds,
-            &[("built", if planning.built { 1.0 } else { 0.0 })],
+            &[
+                ("built", if planning.built { 1.0 } else { 0.0 }),
+                ("evicted", evicted as f64),
+                ("occupancy", self.cached_plans() as f64),
+            ],
         );
-        let counter = if planning.built { "builds" } else { "hits" };
-        sm_trace::counter_add(&sm_trace::scoped_root(&format!("plan_cache.{counter}")), 1);
     }
 }
 

@@ -254,10 +254,9 @@ impl SubmatrixEngine {
         }
         self.book_evictions(overflow);
         if sm_trace::enabled() {
-            sm_trace::counter_add(
-                &sm_trace::scoped_root("plan_cache.imported"),
-                restored as u64,
-            );
+            let occupancy = self.cached_plans() as f64;
+            let fields = [("evicted", overflow as f64), ("occupancy", occupancy)];
+            sm_trace::emit("plan.import", restored as f64, 0.0, &fields);
         }
         Ok(restored)
     }

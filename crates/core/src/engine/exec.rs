@@ -14,7 +14,7 @@ use sm_comsim::Comm;
 use sm_dbcsr::wire::ValueFormat;
 use sm_dbcsr::{ops, wire, DbcsrMatrix};
 use sm_linalg::eigh::{function_columns, Eigh};
-use sm_linalg::{LinalgError, Matrix, Precision};
+use sm_linalg::{LinalgError, Matrix};
 
 use super::{EngineReport, Ensemble, ExecutionPlan, NumericOptions, SubmatrixEngine};
 use crate::mu::{adjust_mu, StoredDecomposition};
@@ -188,54 +188,42 @@ impl SubmatrixEngine {
         if sm_trace::enabled() {
             // One `engine.phase` event per phase per rank per execution —
             // deterministic counts with deterministic costs (planned cost,
-            // planned value bytes); wall seconds ride as annotations.
-            let phase = |name: &str, cost: f64, seconds: f64, fields: &[(&'static str, f64)]| {
+            // planned value bytes); wall seconds ride as annotations. The
+            // value bytes name the precision they travelled in by its
+            // position in `Precision::all()` (0 = fp64, 1 = fp32,
+            // 2 = fp32_refined).
+            let n_sub = [("n_submatrices", plan.n_submatrices as f64)];
+            let prec = [("precision", precision as u8 as f64)];
+            for (name, cost, seconds, fields) in [
+                ("gather", gather_value_bytes as f64, gather_seconds, &prec),
+                ("solve", plan.total_cost, solve_seconds, &n_sub),
+                (
+                    "scatter",
+                    scatter_value_bytes as f64,
+                    scatter_seconds,
+                    &prec,
+                ),
+            ] {
                 let _p = sm_trace::span(sm_trace::SpanKind::Phase, name);
                 sm_trace::emit("engine.phase", cost, seconds, fields);
-            };
-            let n_sub = [("n_submatrices", plan.n_submatrices as f64)];
-            phase("gather", gather_value_bytes as f64, gather_seconds, &[]);
-            phase("solve", plan.total_cost, solve_seconds, &n_sub);
-            phase("scatter", scatter_value_bytes as f64, scatter_seconds, &[]);
+            }
             // Backend decision: one deterministic event per execution
             // recording which representation the iterative solves resolved
             // to and what the filtering saved (cost = backend code so
             // deterministic replay distinguishes the paths).
-            {
-                let _p = sm_trace::span(sm_trace::SpanKind::Phase, "solve");
-                sm_trace::emit(
-                    "engine.solve.backend",
-                    match backend {
-                        SolveBackend::Dense => 0.0,
-                        SolveBackend::SparseCsr => 1.0,
-                    },
-                    0.0,
-                    &[
-                        ("element_fill", plan.element_fill),
-                        ("filtered_nnz", sparse_filtered_nnz as f64),
-                        ("sparse_flops", sparse_flops as f64),
-                    ],
-                );
-            }
-            if sparse_filtered_nnz > 0 {
-                sm_trace::counter_add(
-                    &sm_trace::scoped_root("engine.sparse.filtered_nnz"),
-                    sparse_filtered_nnz,
-                );
-            }
-            if sparse_flops > 0 {
-                sm_trace::counter_add(&sm_trace::scoped_root("engine.sparse.flops"), sparse_flops);
-            }
-            // Byte budget by precision: exact whole-batch tallies (each
-            // rank's value bytes are themselves deterministic).
-            let prec = match precision {
-                Precision::Fp64 => "fp64",
-                Precision::Fp32 => "fp32",
-                Precision::Fp32Refined => "fp32_refined",
-            };
-            sm_trace::counter_add(
-                &sm_trace::scoped_root(&format!("engine.value_bytes.{prec}")),
-                gather_value_bytes + scatter_value_bytes,
+            let _p = sm_trace::span(sm_trace::SpanKind::Phase, "solve");
+            sm_trace::emit(
+                "engine.solve.backend",
+                match backend {
+                    SolveBackend::Dense => 0.0,
+                    SolveBackend::SparseCsr => 1.0,
+                },
+                0.0,
+                &[
+                    ("element_fill", plan.element_fill),
+                    ("filtered_nnz", sparse_filtered_nnz as f64),
+                    ("sparse_flops", sparse_flops as f64),
+                ],
             );
         }
 
@@ -305,6 +293,7 @@ mod tests {
     use sm_comsim::{run_ranks, SerialComm};
     use sm_dbcsr::BlockedDims;
     use sm_linalg::sign::sign_eig;
+    use sm_linalg::Precision;
 
     #[test]
     fn engine_sign_matches_dense_reference() {
@@ -877,7 +866,7 @@ mod selected_columns_tests {
     use crate::solver::SolveOptions;
     use sm_comsim::{run_ranks, SerialComm};
     use sm_dbcsr::BlockedDims;
-    use sm_linalg::Matrix;
+    use sm_linalg::{Matrix, Precision};
 
     /// Blocks of 6 under a block bandwidth of 1: submatrices of dimension
     /// 12 to 18 one per column and 24 to 30 in threes, on both sides of the

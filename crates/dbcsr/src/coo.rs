@@ -62,11 +62,6 @@ impl CooPattern {
         &self.entries
     }
 
-    /// Entry for a block ID.
-    pub fn coord_of(&self, id: usize) -> (usize, usize) {
-        self.entries[id]
-    }
-
     /// Deterministic unique ID of block `(r, c)`, if present.
     pub fn id_of(&self, r: usize, c: usize) -> Option<usize> {
         let lo = self.col_starts[c];
@@ -156,8 +151,7 @@ mod tests {
         assert_eq!(p.id_of(0, 2), Some(3));
         assert_eq!(p.id_of(2, 2), Some(4));
         assert_eq!(p.id_of(2, 0), None);
-        for id in 0..p.nnz() {
-            let (r, c) = p.coord_of(id);
+        for (id, &(r, c)) in p.entries().iter().enumerate() {
             assert_eq!(p.id_of(r, c), Some(id));
         }
     }

@@ -1,13 +1,10 @@
-//! Sparsity-pattern inspection and export.
+//! Sparsity-pattern inspection.
 //!
 //! Paper Fig. 2 visualizes the block sparsity of the orthogonalized
 //! Kohn–Sham matrix for 864 water molecules; this module renders such
-//! patterns (PBM image + terminal art) and computes the block-/element-wise
-//! occupancy statistics behind Figs. 4 and 11.
+//! patterns as terminal art and computes their block occupancy statistics.
 
 use crate::coo::CooPattern;
-use crate::matrix::DbcsrMatrix;
-use sm_comsim::Comm;
 
 /// Summary statistics of a block sparsity pattern.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,25 +38,6 @@ pub fn stats(p: &CooPattern) -> PatternStats {
     }
 }
 
-/// Render the pattern as a portable bitmap (PBM P1) string: black pixel =
-/// nonzero block. Suitable for direct comparison with paper Fig. 2.
-pub fn to_pbm(p: &CooPattern) -> String {
-    let nb = p.nb();
-    let mut grid = vec![false; nb * nb];
-    for &(r, c) in p.entries() {
-        grid[r * nb + c] = true;
-    }
-    let mut out = String::with_capacity(nb * (2 * nb + 1) + 32);
-    out.push_str(&format!("P1\n{nb} {nb}\n"));
-    for r in 0..nb {
-        for c in 0..nb {
-            out.push(if grid[r * nb + c] { '1' } else { '0' });
-            out.push(if c + 1 == nb { '\n' } else { ' ' });
-        }
-    }
-    out
-}
-
 /// Coarse terminal rendering (`#` = any nonzero block in the cell), at most
 /// `max_side` characters wide.
 pub fn to_ascii(p: &CooPattern, max_side: usize) -> String {
@@ -84,65 +62,9 @@ pub fn to_ascii(p: &CooPattern, max_side: usize) -> String {
     out
 }
 
-/// Element-wise occupancy of a distributed matrix (collective): fraction of
-/// stored elements with |value| > `eps` relative to stored block area, and
-/// relative to the full dense size. Backs the element-wise series of
-/// paper Fig. 11.
-pub fn element_occupancy<C: Comm>(m: &DbcsrMatrix, eps: f64, comm: &C) -> ElementOccupancy {
-    let mut nonzero = 0usize;
-    let mut stored = 0usize;
-    for (_, blk) in m.store().iter() {
-        stored += blk.nrows() * blk.ncols();
-        nonzero += blk.count_above(eps);
-    }
-    let mut buf = [nonzero as f64, stored as f64];
-    comm.allreduce_f64(sm_comsim::ReduceOp::Sum, &mut buf);
-    let n = m.n();
-    ElementOccupancy {
-        nonzero_elements: buf[0] as usize,
-        stored_elements: buf[1] as usize,
-        dense_elements: n * n,
-    }
-}
-
-/// Element-level occupancy counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ElementOccupancy {
-    /// Elements with magnitude above the threshold.
-    pub nonzero_elements: usize,
-    /// Elements inside stored blocks (block-dense storage footprint).
-    pub stored_elements: usize,
-    /// `n²` of the full matrix.
-    pub dense_elements: usize,
-}
-
-impl ElementOccupancy {
-    /// Nonzero fraction within stored blocks (the "element-wise sparsity of
-    /// submatrices" axis of Fig. 11).
-    pub fn within_stored(&self) -> f64 {
-        if self.stored_elements == 0 {
-            0.0
-        } else {
-            self.nonzero_elements as f64 / self.stored_elements as f64
-        }
-    }
-
-    /// Nonzero fraction relative to the dense matrix.
-    pub fn of_dense(&self) -> f64 {
-        if self.dense_elements == 0 {
-            0.0
-        } else {
-            self.nonzero_elements as f64 / self.dense_elements as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dims::BlockedDims;
-    use sm_comsim::SerialComm;
-    use sm_linalg::Matrix;
 
     fn tridiagonal_pattern(nb: usize) -> CooPattern {
         let mut coords = Vec::new();
@@ -168,18 +90,6 @@ mod tests {
     }
 
     #[test]
-    fn pbm_header_and_pixels() {
-        let p = tridiagonal_pattern(3);
-        let pbm = to_pbm(&p);
-        let mut lines = pbm.lines();
-        assert_eq!(lines.next(), Some("P1"));
-        assert_eq!(lines.next(), Some("3 3"));
-        assert_eq!(lines.next(), Some("1 1 0"));
-        assert_eq!(lines.next(), Some("1 1 1"));
-        assert_eq!(lines.next(), Some("0 1 1"));
-    }
-
-    #[test]
     fn ascii_downsamples() {
         let p = tridiagonal_pattern(100);
         let art = to_ascii(&p, 10);
@@ -187,29 +97,5 @@ mod tests {
         assert_eq!(lines.len(), 10);
         assert!(lines[0].starts_with('#'));
         assert!(lines[0].ends_with('.'));
-    }
-
-    #[test]
-    fn element_occupancy_counts() {
-        let dims = BlockedDims::uniform(2, 2);
-        let dense = Matrix::from_row_major(
-            4,
-            4,
-            &[
-                1.0, 1e-12, 0.0, 0.0, //
-                1e-12, 1.0, 0.0, 0.0, //
-                0.0, 0.0, 1.0, 0.5, //
-                0.0, 0.0, 0.5, 1.0,
-            ],
-        );
-        let m = DbcsrMatrix::from_dense(&dense, dims, 0, 1, 0.0);
-        let comm = SerialComm::new();
-        let occ = element_occupancy(&m, 1e-6, &comm);
-        // Two diagonal blocks stored, 8 elements, of which 2+4 exceed eps.
-        assert_eq!(occ.stored_elements, 8);
-        assert_eq!(occ.nonzero_elements, 6);
-        assert_eq!(occ.dense_elements, 16);
-        assert!((occ.within_stored() - 0.75).abs() < 1e-15);
-        assert!((occ.of_dense() - 6.0 / 16.0).abs() < 1e-15);
     }
 }

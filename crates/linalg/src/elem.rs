@@ -163,16 +163,6 @@ impl Precision {
         matches!(self, Precision::Fp32)
     }
 
-    /// Bytes per element of the *solve/storage* format (the perfmodel's
-    /// `elem_bytes` input).
-    pub fn storage_bytes(&self) -> usize {
-        if self.storage_is_f32() {
-            4
-        } else {
-            8
-        }
-    }
-
     /// Round a value to the storage format.
     pub fn round_storage(&self, x: f64) -> f64 {
         if self.storage_is_f32() {
@@ -206,8 +196,6 @@ mod tests {
         assert!(Precision::Fp32Refined.gather_is_f32());
         assert!(!Precision::Fp32Refined.scatter_is_f32());
         assert!(Precision::Fp32.scatter_is_f32());
-        assert_eq!(Precision::Fp32.storage_bytes(), 4);
-        assert_eq!(Precision::Fp64.storage_bytes(), 8);
     }
 
     #[test]

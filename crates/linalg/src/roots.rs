@@ -12,13 +12,6 @@ use crate::matrix::Matrix;
 use crate::norms::{fro_norm, spectral_bound};
 use crate::LinalgError;
 
-/// `A^{1/2}` of a symmetric positive semi-definite matrix via
-/// eigendecomposition. Small negative eigenvalues (roundoff) are clamped
-/// to zero.
-pub fn sqrt_eig(a: &Matrix) -> Result<Matrix, LinalgError> {
-    Ok(eigh(a)?.apply(|l| l.max(0.0).sqrt()))
-}
-
 /// `A^{-1/2}` of a symmetric positive-definite matrix via
 /// eigendecomposition. Fails if an eigenvalue is not strictly positive.
 pub fn inv_sqrt_eig(a: &Matrix) -> Result<Matrix, LinalgError> {
@@ -137,8 +130,9 @@ mod tests {
 
     #[test]
     fn sqrt_squares_back() {
+        // The coupled Newton–Schulz iterate's square root, squared.
         let a = spd_matrix(10);
-        let r = sqrt_eig(&a).unwrap();
+        let r = newton_schulz_inv_sqrt(&a, 1e-12, 100).unwrap().sqrt;
         let back = matmul(&r, &r).unwrap();
         assert!(back.allclose(&a, 1e-10));
     }
@@ -190,8 +184,8 @@ mod tests {
             "max diff {}",
             ns.inv_sqrt.max_abs_diff(&exact)
         );
-        // The coupled iterate approximates A^{1/2}.
-        assert!(ns.sqrt.allclose(&sqrt_eig(&a).unwrap(), 1e-8));
+        // The coupled iterate approximates A^{1/2} = A·A^{-1/2}.
+        assert!(ns.sqrt.allclose(&matmul(&a, &exact).unwrap(), 1e-8));
     }
 
     #[test]

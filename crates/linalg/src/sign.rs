@@ -260,14 +260,6 @@ pub fn newton_schulz_sign(
     sign_iteration(a, 2, opts)
 }
 
-/// 3rd-order Padé sign iteration (paper Eq. 19, used on GPU/FPGA).
-pub fn pade3_sign(
-    a: &Matrix,
-    opts: SignIterationOptions,
-) -> Result<SignIterationResult, LinalgError> {
-    sign_iteration(a, 3, opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,7 +340,7 @@ mod tests {
         let a = gapped_matrix(12);
         let s_ref = sign_eig(&a).unwrap();
         let ns = newton_schulz_sign(&a, SignIterationOptions::default()).unwrap();
-        let p3 = pade3_sign(&a, SignIterationOptions::default()).unwrap();
+        let p3 = sign_iteration(&a, 3, SignIterationOptions::default()).unwrap();
         assert!(p3.converged);
         assert!(p3.sign.allclose(&s_ref, 1e-7));
         assert!(

@@ -165,20 +165,6 @@ impl Tridiagonal {
             }
         }
     }
-
-    /// Reconstruct the dense tridiagonal matrix `T` (mostly for testing).
-    pub fn t_matrix(&self) -> Matrix {
-        let n = self.d.len();
-        let mut t = Matrix::zeros(n, n);
-        for i in 0..n {
-            t[(i, i)] = self.d[i];
-            if i + 1 < n {
-                t[(i + 1, i)] = self.e[i];
-                t[(i, i + 1)] = self.e[i];
-            }
-        }
-        t
-    }
 }
 
 #[cfg(test)]
@@ -186,6 +172,20 @@ mod tests {
     use super::*;
     use crate::gemm::{matmul, matmul_tn};
     use crate::norms::fro_norm;
+
+    /// The dense tridiagonal matrix `T` of a reduction.
+    fn t_matrix(tri: &Tridiagonal) -> Matrix {
+        let n = tri.d.len();
+        let mut t = Matrix::zeros(n, n);
+        for i in 0..n {
+            t[(i, i)] = tri.d[i];
+            if i + 1 < n {
+                t[(i + 1, i)] = tri.e[i];
+                t[(i, i + 1)] = tri.e[i];
+            }
+        }
+        t
+    }
 
     fn sym_test_matrix(n: usize) -> Matrix {
         let mut a = Matrix::from_fn(n, n, |i, j| {
@@ -207,7 +207,7 @@ mod tests {
     fn reconstruction_qtqt_equals_a() {
         let a = sym_test_matrix(10);
         let tri = tridiagonalize(&a).unwrap();
-        let (q, t) = (tri.q(), tri.t_matrix());
+        let (q, t) = (tri.q(), t_matrix(&tri));
         let qt = matmul(&q, &t).unwrap();
         let back = matmul(&qt, &q.transpose()).unwrap();
         assert!(
@@ -229,7 +229,7 @@ mod tests {
         }
         let tri = tridiagonalize(&a).unwrap();
         let q = tri.q();
-        let back = matmul(&matmul(&q, &tri.t_matrix()).unwrap(), &q.transpose()).unwrap();
+        let back = matmul(&matmul(&q, &t_matrix(&tri)).unwrap(), &q.transpose()).unwrap();
         assert!(back.allclose(&a, 1e-12));
     }
 
@@ -258,7 +258,7 @@ mod tests {
         let a = Matrix::from_row_major(2, 2, &[2.0, 1.0, 1.0, 3.0]);
         let tri = tridiagonalize(&a).unwrap();
         let q = tri.q();
-        let back = matmul(&matmul(&q, &tri.t_matrix()).unwrap(), &q.transpose()).unwrap();
+        let back = matmul(&matmul(&q, &t_matrix(&tri)).unwrap(), &q.transpose()).unwrap();
         assert!(back.allclose(&a, 1e-13));
     }
 

@@ -495,7 +495,7 @@ fn run_rank(
 ) -> Result<RankOutcome, SchedError> {
     // Root span of everything this rank does for the batch: spans are RAII
     // guards, so the rank thread's context stack starts empty at every
-    // batch and every nested span/metric lands under `batch:<label>/...`.
+    // batch and every nested span and event lands under `batch:<label>/...`.
     let _batch_span = sm_trace::span(SpanKind::Batch, label);
     let me = comm.rank();
     let plan = comm.fault_plan();
@@ -619,25 +619,27 @@ fn execute_job_on_group(
         }
     };
     let seconds = t.elapsed().as_secs_f64();
-    if sm_trace::enabled() {
-        // Deterministic cost = the job's perfmodel estimate; wall
-        // seconds and stolen ranks ride as annotations only.
-        sm_trace::emit(
-            "job.done",
-            est_cost,
-            seconds,
-            &[
-                ("group_size", sub.size() as f64),
-                ("stolen_ranks", stolen_ranks as f64),
-            ],
-        );
-    }
+    let comm_bytes = sub.stats().total_bytes() - bytes0;
+    let comm_msgs = sub.stats().total_msgs() - msgs0;
+    // Deterministic cost = the job's perfmodel estimate; wall seconds,
+    // stolen ranks and what this rank sent its group ride as annotations.
+    sm_trace::emit(
+        "job.done",
+        est_cost,
+        seconds,
+        &[
+            ("group_size", sub.size() as f64),
+            ("stolen_ranks", stolen_ranks as f64),
+            ("comm_bytes", comm_bytes as f64),
+            ("comm_msgs", comm_msgs as f64),
+        ],
+    );
     Share {
         result,
         report,
         seconds,
-        comm_bytes: sub.stats().total_bytes() - bytes0,
-        comm_msgs: sub.stats().total_msgs() - msgs0,
+        comm_bytes,
+        comm_msgs,
         scf,
     }
 }

@@ -221,7 +221,7 @@ fn no_epoch_observes_divergent_consensus_under_bounded_cache() {
 #[test]
 fn tracing_is_non_perturbing_and_span_trees_are_deterministic() {
     // The observability acceptance gate: running the exact straggler
-    // batch with every span and metric live must (a) leave the results
+    // batch with every span and event live must (a) leave the results
     // bitwise-identical to the serial queue and (b) produce the same
     // logical span tree on every rerun at a fixed world size — the tree
     // is built from logical clocks and perfmodel costs only, so wall-time

@@ -1,10 +1,13 @@
-//! The trace is the one observability artifact, so two things are pinned
-//! here on *real* traces (the synthetic-input unit tests of each view
-//! live beside it in `sm_trace::analyze`):
+//! The trace is the one observability artifact, so three things are
+//! pinned here on *real* traces (the synthetic-input unit tests of each
+//! view live beside it in `sm_trace::analyze`):
 //!
 //! * **one clock** — the wall seconds a job's `EngineReport` carries are
 //!   the wall annotations of that job's phase events, bit for bit, so
 //!   the two readings of one clock cannot drift apart;
+//! * **one count** — every figure the audit reads off the events (plan
+//!   decisions, evictions, value bytes, group traffic) equals the typed
+//!   counter the engine or the job results keep of the same fact;
 //! * **no trace takes a reader down** — every single-line corruption of a
 //!   trace is, for `TraceDoc::parse` and then for every `smdoctor` view,
 //!   success or a typed `TraceError`: never a panic, an allocation
@@ -16,8 +19,8 @@ use sm_chem::ScfEnsemble;
 use sm_dbcsr::{BlockedDims, DbcsrMatrix};
 use sm_linalg::Matrix;
 use sm_pipeline::{
-    EngineOptions, JobQueue, MatrixJob, Priority, RankBudget, ScfJobSpec, Scheduler, ServiceConfig,
-    StealPolicy, StreamingScfService, SubmatrixEngine,
+    EngineOptions, JobQueue, JobResult, MatrixJob, Priority, RankBudget, ScfJobSpec, Scheduler,
+    ServiceConfig, StealPolicy, StreamingScfService, SubmatrixEngine,
 };
 use sm_trace::analyze::{self, TraceDoc, TraceError};
 use sm_trace::{SpanKind, TraceSession};
@@ -105,6 +108,56 @@ fn a_jobs_phase_events_carry_exactly_its_reports_seconds() {
         assert_eq!(report.symbolic_seconds > 0.0, planned[i]);
         assert!(report.solve_seconds > 0.0);
     }
+}
+
+#[test]
+fn the_audit_reads_the_typed_counters_off_the_events() {
+    // A world-4 stealing batch: one straggler and thirteen small jobs over
+    // five patterns, through a two-pattern cache, so the batch hits,
+    // builds and evicts.
+    let engine = Arc::new(SubmatrixEngine::new(EngineOptions {
+        parallel: false,
+        plan_cache_capacity: Some(2),
+        ..EngineOptions::default()
+    }));
+    let sizes = [10, 4, 3, 5, 4, 6, 3, 4, 5, 4, 3, 5, 4, 6];
+    let jobs = sizes.map(|nb| {
+        let matrix = banded(nb, nb as u64);
+        MatrixJob::density(format!("nb{nb}"), matrix, 0.0)
+    });
+    let before = engine.stats();
+    let session = TraceSession::start("agree");
+    let outcome = Scheduler::new(engine.clone(), RankBudget::default())
+        .with_policy(StealPolicy::EpochRebalance)
+        .with_trace_label("agree")
+        .run(4, Vec::from(jobs));
+    let doc = session.to_doc();
+    drop(session);
+    let counted = engine.stats().since(&before);
+    let report = analyze::audit(&doc).expect("a real trace audits");
+
+    // One event per planning call, so the split agrees within the run.
+    let [hits, builds, evictions] = report.plan_cache.map(|n| n as usize);
+    assert_eq!(
+        (hits, builds, evictions),
+        (
+            counted.cache_hits,
+            counted.symbolic_builds,
+            counted.evictions
+        )
+    );
+    assert!(builds > 0 && hits > 0 && evictions > 0, "{counted:?}");
+    assert!(report.occupancy <= 2.0, "{}", report.occupancy);
+    assert!(
+        outcome.steal_stats.stolen_jobs > 0,
+        "a stealing batch: {:?}",
+        outcome.steal_stats
+    );
+    let sum = |f: fn(&JobResult) -> u64| outcome.results.iter().map(f).sum::<u64>();
+    let value_bytes = report.value_bytes.iter().map(|(_, b)| b).sum::<u64>();
+    assert_eq!(value_bytes, sum(JobResult::value_bytes));
+    assert_eq!(report.comm, [sum(|r| r.comm_bytes), sum(|r| r.comm_msgs)]);
+    assert!(report.comm[1] > 0, "four ranks talk");
 }
 
 /// A small real trace: a 2-rank stealing `Scheduler` batch labelled
@@ -197,7 +250,6 @@ fn corruptions(line: &str) -> Vec<String> {
     }
     for (from, to) in [
         ("\"type\":\"event\"", "\"type\":\"metric\""),
-        ("\"type\":\"metric\"", "\"type\":\"event\""),
         ("\"type\":", "\"type\":\"span\",\"was\":"),
         ("\"schema\":\"sm-trace\"", "\"schema\":\"sm-bench\""),
     ] {

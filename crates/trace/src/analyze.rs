@@ -1,7 +1,7 @@
 //! Trace analysis: span-forest reconstruction, per-epoch **critical
 //! path**, per-rank idle attribution, and model-vs-measured phase skew.
 //!
-//! The raw `TRACE_*.jsonl` stream (one line per event/metric) is enough
+//! The raw `TRACE_*.jsonl` stream (one line per event) is enough
 //! to answer the operational questions PR 6 left open — *which job chain
 //! bounds an epoch*, *which ranks idle how long*, *how wrong is the
 //! perfmodel per phase* — but nobody wants to read JSONL by hand. This
@@ -42,7 +42,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::json::Json;
-use crate::{Event, Metric, TRACE_SCHEMA_VERSION};
+use crate::{Event, TRACE_SCHEMA_VERSION};
 
 /// Largest count or index (`ranks`, `rank_start`, `job`, `pos`, an epoch
 /// or group number) [`reconstruct`] accepts from a trace. The analyzers
@@ -95,9 +95,9 @@ impl std::fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
-/// A trace: the session label plus every event and metric, in file
-/// order. [`crate::TraceSession::to_doc`] snapshots one from a live
-/// session, [`TraceDoc::parse`] reads one from JSONL text, and
+/// A trace: the session label plus every event, in file order.
+/// [`crate::TraceSession::to_doc`] snapshots one from a live session,
+/// [`TraceDoc::parse`] reads one from JSONL text, and
 /// [`TraceDoc::render`] writes that text.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceDoc {
@@ -106,8 +106,6 @@ pub struct TraceDoc {
     /// All events, in file/arrival order (not deterministic across rank
     /// threads — analyzers sort by deterministic keys).
     pub events: Vec<Event>,
-    /// All metrics by key (the session keeps them sorted).
-    pub metrics: Vec<(String, Metric)>,
 }
 
 /// Largest integer an `f64` — the only JSON number — holds exactly.
@@ -164,22 +162,14 @@ fn parse_event(rec: &Json) -> Result<Event, String> {
     })
 }
 
-fn parse_metric(rec: &Json) -> Result<(String, Metric), String> {
-    let metric = match member(rec, "kind", Json::as_str)? {
-        "counter" => Metric::Counter(member(rec, "value", as_count)?),
-        "gauge" => Metric::Gauge(member(rec, "value", as_num)?),
-        other => return Err(format!("unknown metric kind {other:?}")),
-    };
-    Ok((member(rec, "name", Json::as_str)?.to_string(), metric))
-}
-
 impl TraceDoc {
     /// Parse an exported JSONL trace stream — the exact inverse of
     /// [`render`](Self::render), except that JSON has one spelling
     /// (`null`) for every non-finite number and it reads back as NaN.
     /// Rejects foreign header versions with
     /// [`TraceError::VersionMismatch`]; a record without one of its
-    /// members is a [`TraceError::Line`], never a default value.
+    /// members, or of any type but `event` (a v4 `metric` line
+    /// included), is a [`TraceError::Line`], never a default value.
     pub fn parse(text: &str) -> Result<TraceDoc, TraceError> {
         let mut lines = text.lines();
         let header_line = lines.next().ok_or(TraceError::Empty)?;
@@ -206,7 +196,6 @@ impl TraceDoc {
             let record = Json::parse(line).and_then(|rec| {
                 match rec.get("type").and_then(Json::as_str) {
                     Some("event") => doc.events.push(parse_event(&rec)?),
-                    Some("metric") => doc.metrics.push(parse_metric(&rec)?),
                     other => return Err(format!("unknown record type {other:?}")),
                 }
                 Ok(())
@@ -216,22 +205,18 @@ impl TraceDoc {
         Ok(doc)
     }
 
-    /// The JSONL text of the trace: the header line, one line per event,
-    /// one line per metric.
+    /// The JSONL text of the trace: the header line, then one line per
+    /// event.
     pub fn render(&self) -> String {
         let header = Json::obj([
             ("schema", Json::Str("sm-trace".into())),
             ("version", Json::Num(f64::from(TRACE_SCHEMA_VERSION))),
             ("label", Json::Str(self.label.clone())),
             ("events", Json::Num(self.events.len() as f64)),
-            ("metrics", Json::Num(self.metrics.len() as f64)),
         ]);
         let mut out = format!("{header}\n");
         for ev in &self.events {
             let _ = writeln!(out, "{}", ev.to_json());
-        }
-        for (name, metric) in &self.metrics {
-            let _ = writeln!(out, "{}", metric.to_json(name));
         }
         out
     }
@@ -241,16 +226,6 @@ impl TraceDoc {
     /// a [`TraceError::Line`].
     fn numbered(&self) -> impl Iterator<Item = (usize, &Event)> {
         self.events.iter().enumerate().map(|(i, ev)| (i + 2, ev))
-    }
-
-    /// Sum of the counters whose key ends in `suffix`.
-    fn counter_sum(&self, suffix: &str) -> u64 {
-        let named = self.metrics.iter().filter(|(k, _)| k.ends_with(suffix));
-        let values = named.filter_map(|(_, m)| match m {
-            Metric::Counter(c) => Some(*c),
-            _ => None,
-        });
-        values.sum()
     }
 
     /// The batch labels present in the document (from `batch:` roots of
@@ -917,51 +892,69 @@ pub struct IdleSummary {
     pub worst: (f64, f64),
 }
 
+/// The labels of the `precision` codes the gather and scatter
+/// `engine.phase` events carry, by code.
+const PRECISIONS: [&str; 3] = ["fp64", "fp32", "fp32_refined"];
+
 /// The ops report of one trace — the fold behind `smdoctor`'s audit.
+/// Every figure is read from events.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceAudit {
-    /// `label=… events=… metrics=…` of the document.
+    /// `label=… events=…` of the document.
     pub header: String,
-    /// Plan-cache hits, builds and evictions summed over engine roots.
+    /// Plan-cache hits and builds (`plan.decision` events by their
+    /// `built` field) and evictions (the `evicted` fields of those and of
+    /// `plan.import` events).
     pub plan_cache: [u64; 3],
-    /// Largest final plan-cache occupancy gauge.
+    /// Largest plan-cache occupancy a decision or an import left.
     pub occupancy: f64,
     /// Steal effectiveness per epoch index.
     pub epochs: BTreeMap<usize, EpochSplit>,
     /// The measured idle breakdown, when the trace has `rank.idle` events.
     pub idle: Option<IdleSummary>,
-    /// Engine value bytes by precision (non-zero ones).
+    /// Engine value bytes by precision (non-zero ones): the costs of the
+    /// gather and scatter `engine.phase` events, by their `precision`.
     pub value_bytes: Vec<(&'static str, u64)>,
-    /// Communicator `(class, bytes, messages)` (classes that sent).
-    pub comm: Vec<(&'static str, u64, u64)>,
+    /// Bytes and messages the ranks of every job's group sent each other:
+    /// the `comm_bytes` and `comm_msgs` of the `job.done` events.
+    pub comm: [u64; 2],
     /// The cost-unit critical path, when the trace narrates a schedule.
     pub critical: Option<CriticalPath>,
 }
 
-/// Fold a trace into its ops report. A `sched.epoch` or `rank.idle`
-/// event without its fields and a batch [`reconstruct`] refuses are
-/// errors; a trace that narrates no schedule, or several, just has no
-/// critical path.
+/// Fold a trace into its ops report. An event the report reads without
+/// the fields it reads, a `precision` code naming no precision and a
+/// batch [`reconstruct`] refuses are errors; a trace that narrates no
+/// schedule, or several, just has no critical path.
 pub fn audit(doc: &TraceDoc) -> Result<TraceAudit, TraceError> {
     let mut report = TraceAudit {
-        header: format!(
-            "label={} events={} metrics={}",
-            doc.label,
-            doc.events.len(),
-            doc.metrics.len()
-        ),
-        plan_cache: ["hits", "builds", "evictions"]
-            .map(|what| doc.counter_sum(&format!("/plan_cache.{what}"))),
+        header: format!("label={} events={}", doc.label, doc.events.len()),
         ..TraceAudit::default()
     };
-    for (name, metric) in &doc.metrics {
-        if let (true, Metric::Gauge(g)) = (name.ends_with("/plan_cache.occupancy"), metric) {
-            report.occupancy = report.occupancy.max(*g);
-        }
-    }
+    let mut value_bytes = [0u64; PRECISIONS.len()];
     for (line, ev) in doc.numbered() {
         let field = |key| required(line, ev, key);
         match (&*ev.name, path_idx(&ev.path, "epoch")) {
+            ("plan.decision" | "plan.import", _) => {
+                let [hits, builds, evictions] = &mut report.plan_cache;
+                if ev.name == "plan.decision" {
+                    *(if field("built")? != 0.0 { builds } else { hits }) += 1;
+                }
+                *evictions += field("evicted")? as u64;
+                report.occupancy = report.occupancy.max(field("occupancy")?);
+            }
+            ("engine.phase", _)
+                if matches!(path_seg(&ev.path, "phase"), Some("gather" | "scatter")) =>
+            {
+                let code = field("precision")?;
+                let slot = bounded(line, "precision", code).ok();
+                let bad = || at_line(line, format!("precision code {code} names no precision"));
+                *slot.and_then(|i| value_bytes.get_mut(i)).ok_or_else(bad)? += ev.cost as u64;
+            }
+            ("job.done", _) => {
+                report.comm[0] += field("comm_bytes")? as u64;
+                report.comm[1] += field("comm_msgs")? as u64;
+            }
             ("sched.epoch", Some(e)) => {
                 let split = report.epochs.entry(e).or_default();
                 split.groups = field("groups")?;
@@ -989,19 +982,8 @@ pub fn audit(doc: &TraceDoc) -> Result<TraceAudit, TraceError> {
             _ => {}
         }
     }
-    for prec in ["fp64", "fp32", "fp32_refined"] {
-        let bytes = doc.counter_sum(&format!("/engine.value_bytes.{prec}"));
-        report
-            .value_bytes
-            .extend((bytes > 0).then_some((prec, bytes)));
-    }
-    for class in ["collective", "p2p"] {
-        let bytes = doc.counter_sum(&format!("/comm.{class}.bytes"));
-        let msgs = doc.counter_sum(&format!("/comm.{class}.msgs"));
-        report
-            .comm
-            .extend((msgs > 0).then_some((class, bytes, msgs)));
-    }
+    let by_precision = PRECISIONS.into_iter().zip(value_bytes);
+    report.value_bytes = by_precision.filter(|&(_, bytes)| bytes > 0).collect();
     // Every narrated batch must reconstruct; the path of an only one is
     // reported.
     let mut paths = Vec::new();
@@ -1048,8 +1030,9 @@ impl TraceAudit {
         for (prec, bytes) in &self.value_bytes {
             let _ = writeln!(out, "  engine value bytes [{prec}]: {bytes}");
         }
-        for (class, bytes, msgs) in &self.comm {
-            let _ = writeln!(out, "  comm [{class}]: {bytes} bytes in {msgs} message(s)");
+        let [bytes, msgs] = self.comm;
+        if msgs > 0 {
+            let _ = writeln!(out, "  comm: {bytes} bytes in {msgs} message(s)");
         }
         if let Some(cp) = &self.critical {
             let _ = writeln!(
@@ -1252,7 +1235,11 @@ mod tests {
                     7,
                     60.0,
                     0.5,
-                    &[("group_size", 1.0)],
+                    &[
+                        ("group_size", 1.0),
+                        ("comm_bytes", 640.0),
+                        ("comm_msgs", 5.0),
+                    ],
                 ),
                 mk(
                     &format!("{b}/epoch:0/group:0/job:0/iter:0/phase:solve"),
@@ -1268,7 +1255,7 @@ mod tests {
                     9,
                     128.0,
                     0.01,
-                    &[],
+                    &[("precision", 0.0)],
                 ),
                 mk(
                     "batch:t",
@@ -1279,7 +1266,6 @@ mod tests {
                     &[("rank", 1.0), ("busy_s", 0.3), ("wall_s", 0.5)],
                 ),
             ],
-            metrics: Vec::new(),
         }
     }
 
@@ -1365,6 +1351,14 @@ mod tests {
             TraceDoc::parse(&with_bad_line).unwrap_err(),
             TraceError::Line { line: 2, .. }
         ));
+        // A v4 counter line is not a record of v5, whatever its members.
+        let metric = "{\"type\":\"metric\",\"name\":\"batch:x/plan_cache.hits\",\
+                      \"kind\":\"counter\",\"value\":7}";
+        let err = TraceDoc::parse(&format!("{good_header}\n{metric}")).unwrap_err();
+        assert!(
+            matches!(&err, TraceError::Line { line: 2, msg } if msg.contains("\"metric\"")),
+            "{err}"
+        );
         let ok = TraceDoc::parse(&good_header).unwrap();
         assert_eq!(ok.label, "x");
         assert!(matches!(
@@ -1397,7 +1391,6 @@ mod tests {
                     ("stolen_ranks", 0.0),
                 ],
             );
-            crate::counter_add(&crate::scoped("c"), 3);
         }
         let path = std::env::temp_dir().join("sm_trace_analyze_roundtrip.jsonl");
         session.write_jsonl(&path).unwrap();
@@ -1406,7 +1399,6 @@ mod tests {
         let doc = TraceDoc::parse(&text).unwrap();
         assert_eq!(doc.label, "rt");
         assert_eq!(doc.events.len(), 2);
-        assert_eq!(doc.metrics.len(), 1);
         // The parsed doc and the live session agree on the critical path.
         let from_file = critical_path(&doc, Some("rt")).unwrap().render();
         assert_eq!(doc, session.to_doc(), "parse inverts write_jsonl");
@@ -1422,7 +1414,6 @@ mod tests {
         let doc = TraceDoc {
             label: "m".into(),
             events: vec![mk("batch:m", "ev", 3, 1.5, 0.25, &[("k", 2.0)])],
-            metrics: vec![("m/c".into(), Metric::Counter(7))],
         };
         let text = doc.render();
         assert_eq!(TraceDoc::parse(&text).unwrap(), doc);
@@ -1447,8 +1438,7 @@ mod tests {
             ("\"seq\":3", "\"seq\":3.5"),
             ("\"cost\":1.5", "\"cost\":\"x\""),
             ("\"k\":2", "\"k\":true"),
-            ("\"value\":7", "\"value\":1e18"),
-            ("\"kind\":\"counter\"", "\"kind\":\"tally\""),
+            ("\"type\":\"event\"", "\"type\":\"span\""),
         ] {
             let err = TraceDoc::parse(&text.replace(from, to)).unwrap_err();
             assert!(matches!(err, TraceError::Line { .. }), "{to}: {err}");
@@ -1605,7 +1595,6 @@ mod tests {
                 // Zero-cost phase: contributes no usable signal alone.
                 ev("iter:0/phase:scatter", 0.0, 0.002),
             ],
-            metrics: Vec::new(),
         }
     }
 
@@ -1638,6 +1627,35 @@ mod tests {
     #[test]
     fn audit_folds_cache_steals_idle_bytes_and_the_critical_path() {
         let mut doc = narrated_doc();
+        // Seven hits and two builds, one of them under another root, an
+        // import that evicted one pattern, and an fp32 scatter.
+        let decision = |path: &str, built: f64, occupancy: f64| {
+            let fields = [("built", built), ("evicted", 0.0), ("occupancy", occupancy)];
+            mk(path, "plan.decision", 0, 1.0, 0.0, &fields)
+        };
+        let plan = "batch:t/epoch:0/group:0/job:0/iter:0/phase:plan";
+        doc.events.extend((0..6).map(|_| decision(plan, 0.0, 1.0)));
+        doc.events.extend([
+            decision("other/phase:plan", 0.0, 1.0),
+            decision(plan, 1.0, 1.0),
+            decision(plan, 1.0, 2.0),
+            mk(
+                "untraced",
+                "plan.import",
+                0,
+                3.0,
+                0.0,
+                &[("evicted", 1.0), ("occupancy", 2.0)],
+            ),
+            mk(
+                &plan.replace("phase:plan", "phase:scatter"),
+                "engine.phase",
+                0,
+                4096.0,
+                0.0,
+                &[("precision", 1.0)],
+            ),
+        ]);
         let e0 = "batch:t/epoch:0";
         doc.events.extend([
             mk(
@@ -1665,30 +1683,49 @@ mod tests {
                 &[("rank", 0.0), ("busy_s", 0.4), ("wall_s", 0.5)],
             ),
         ]);
-        let counter = |k: &str, v| (format!("batch:t/{k}"), Metric::Counter(v));
-        doc.metrics = vec![
-            counter("plan_cache.hits", 6),
-            counter("plan_cache.builds", 2),
-            ("other/plan_cache.hits".into(), Metric::Counter(1)),
-            ("batch:t/plan_cache.occupancy".into(), Metric::Gauge(2.0)),
-            counter("engine.value_bytes.fp32", 4096),
-            counter("epoch:0/group:0/comm.p2p.bytes", 640),
-            counter("epoch:0/group:0/comm.p2p.msgs", 5),
-        ];
         let report = audit(&doc).unwrap();
-        assert_eq!(report.plan_cache, [7, 2, 0]);
+        assert_eq!(report.plan_cache, [7, 2, 1]);
         assert_eq!(report.epochs[&0].stolen_ranks, 1);
         assert_eq!(report.idle.as_ref().unwrap().worst, (1.0, 0.2));
         assert_eq!(
             report.render(),
-            "  label=t events=14 metrics=7\n  \
-             plan cache: 7 hits / 2 builds (77.8% hit rate), 0 evictions, occupancy 2\n  \
+            "  label=t events=25\n  \
+             plan cache: 7 hits / 2 builds (77.8% hit rate), 1 evictions, occupancy 2\n  \
              epoch 0: 2 groups, 3 committed / 1 deferred, 1 stolen job(s) over 1 rank(s)\n  \
              idle: 2 ranks, makespan 0.500s, total idle 0.300s (worst rank 1: 0.200s)\n  \
+             engine value bytes [fp64]: 128\n  \
              engine value bytes [fp32]: 4096\n  \
-             comm [p2p]: 640 bytes in 5 message(s)\n  \
+             comm: 640 bytes in 5 message(s)\n  \
              critical path: 1.250000e2 units over 2 epoch(s), straggler job Some(0)\n"
         );
+        // An event the report reads is malformed without the fields it
+        // reads, and a precision code must name a precision.
+        for (name, key) in [
+            ("plan.decision", "evicted"),
+            ("plan.import", "occupancy"),
+            ("job.done", "comm_msgs"),
+            ("engine.phase", "precision"),
+        ] {
+            let mut doc = doc.clone();
+            let carries = |e: &Event| e.name == name && e.field(key).is_some();
+            let at = doc.events.iter().position(carries).unwrap();
+            doc.events[at].fields.retain(|(k, _)| k != key);
+            let err = audit(&doc).unwrap_err();
+            assert!(
+                matches!(err, TraceError::Line { line, .. } if line == at + 2),
+                "{err}"
+            );
+        }
+        for code in [3.0, 0.5, -1.0] {
+            let mut doc = doc.clone();
+            let gather = doc
+                .events
+                .iter_mut()
+                .find(|e| e.path.ends_with("phase:gather"));
+            gather.unwrap().fields[0].1 = code;
+            let err = audit(&doc).unwrap_err();
+            assert!(err.to_string().contains("names no precision"), "{err}");
+        }
         // No schedule narration: the same report without a critical path.
         doc.events
             .retain(|e| !e.name.starts_with("sched.q") && e.name != "sched.job");
@@ -1716,7 +1753,6 @@ mod tests {
                 ev("batch:f", "fault.injected"), // no epoch span
                 ev("batch:f/epoch:1", "sched.epoch"),
             ],
-            metrics: Vec::new(),
         };
         let faults = faults_by_epoch(&doc);
         assert_eq!(faults.len(), 3);
@@ -1758,7 +1794,6 @@ mod tests {
                 epoch(0, 0, 3.0, 0.0),
                 epoch(7, 0, 9.0, 9.0), // a window nobody narrated
             ],
-            metrics: Vec::new(),
         };
         let rows = service_windows(&doc).unwrap();
         let row = |window, admitted, queue_rejects, epochs, committed, deferred| WindowReport {

@@ -1,9 +1,11 @@
-//! # sm-trace — deterministic structured tracing + typed metrics
+//! # sm-trace — deterministic structured tracing
 //!
 //! The observability substrate of the submatrix stack: hierarchical
 //! structured **spans** (batch → epoch → group → job → SCF iteration →
-//! phase), a typed **metrics registry** (counters and gauges), and a
-//! JSONL emitter the `smdoctor` CLI consumes.
+//! phase), **events** recorded under them, and a JSONL emitter the
+//! `smdoctor` CLI consumes. An event is the one record kind: every figure
+//! a reader sums (plan-cache decisions, value bytes, communication) is a
+//! field or the cost of an event, never a second tally beside it.
 //!
 //! ## The two-clock rule
 //!
@@ -20,10 +22,10 @@
 //!   for humans and for `smdoctor`'s idle breakdowns, but *never* fed
 //!   back into scheduling and never part of the deterministic view.
 //!
-//! Metric counters are exact tallies but their hit/build *splits* can
-//! shift with benign plan-cache races between concurrent groups (the
-//! consensus identity fixes only the sum), so the deterministic contract
-//! covers the span tree, not the metric registry.
+//! Event *fields* are excluded from that view: the hit/build split of
+//! `plan.decision`'s `built` field can shift with benign plan-cache races
+//! between concurrent groups (the consensus identity fixes only the sum),
+//! so the deterministic contract covers the span tree, not field sums.
 //!
 //! ## Non-perturbation
 //!
@@ -40,15 +42,14 @@
 //! lock so concurrent tests cannot interleave sessions. Instrumented
 //! code that runs *outside* any span context while a session is active
 //! records under the `untraced` root; session consumers filter with
-//! [`TraceSession::span_tree_under`] / [`TraceSession::metrics_under`]
-//! using their own batch label, so unrelated concurrent work cannot
-//! pollute an assertion.
+//! [`TraceSession::span_tree_under`] using their own batch label, so
+//! unrelated concurrent work cannot pollute an assertion.
 //!
 //! ## Schema
 //!
 //! [`TraceSession::write_jsonl`] emits one self-describing header line
-//! (carrying [`TRACE_SCHEMA_VERSION`]), then one line per event and one
-//! per metric, and [`analyze::TraceDoc::parse`] is its exact inverse.
+//! (carrying [`TRACE_SCHEMA_VERSION`]), then one line per event, and
+//! [`analyze::TraceDoc::parse`] is its exact inverse.
 //! The JSONL stream is the **only stored** observability artifact:
 //! Perfetto timelines, calibration fits and every `smdoctor` report are
 //! views computed from a [`analyze::TraceDoc`] on demand.
@@ -73,12 +74,17 @@ use json::Json;
 /// carries `groups`, `committed`, `deferred`, `survivors`, `failed`;
 /// `sched.queue` carries `jobs`, `ranks`, `rank_start`; `sched.job`
 /// carries `job`, `pos`, `ranks`, `stolen_ranks`, `attempt`, `poisoned`;
-/// a faulty batch adds `fault.injected`, `sched.retry` and
-/// `job.quarantined` events.
-pub const TRACE_SCHEMA_VERSION: u32 = 4;
+/// `job.done` carries `group_size`, `stolen_ranks`, `comm_bytes`,
+/// `comm_msgs`; a faulty batch adds `fault.injected`, `sched.retry` and
+/// `job.quarantined` events. The engine's: `plan.decision` carries
+/// `built`, `evicted`, `occupancy`; `plan.import` (cost = patterns
+/// restored) `evicted`, `occupancy`; the gather and scatter
+/// `engine.phase` events `precision` (0 = fp64, 1 = fp32,
+/// 2 = fp32_refined).
+pub const TRACE_SCHEMA_VERSION: u32 = 5;
 
-/// Root path used for events and metrics recorded while no span context
-/// is installed on the emitting thread.
+/// Root path used for events recorded while no span context is
+/// installed on the emitting thread.
 pub const UNTRACED_ROOT: &str = "untraced";
 
 /// The typed span hierarchy, top to bottom. Each level contributes one
@@ -162,42 +168,9 @@ impl Event {
     }
 }
 
-/// One entry of the typed metrics registry.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Metric {
-    /// Monotone integer tally (exact; bytes, messages, cache decisions).
-    Counter(u64),
-    /// Last-write-wins instantaneous value (cache occupancy).
-    Gauge(f64),
-}
-
-impl Metric {
-    fn kind_label(&self) -> &'static str {
-        match self {
-            Metric::Counter(_) => "counter",
-            Metric::Gauge(_) => "gauge",
-        }
-    }
-
-    /// The JSONL record of this metric registered under `name`.
-    pub(crate) fn to_json(&self, name: &str) -> Json {
-        let mut rec = vec![
-            ("type", Json::Str("metric".into())),
-            ("name", Json::Str(name.to_string())),
-            ("kind", Json::Str(self.kind_label().into())),
-        ];
-        match self {
-            Metric::Counter(c) => rec.push(("value", Json::Num(*c as f64))),
-            Metric::Gauge(g) => rec.push(("value", Json::Num(*g))),
-        }
-        Json::obj(rec)
-    }
-}
-
 #[derive(Default)]
 struct TraceState {
     events: Vec<Event>,
-    metrics: BTreeMap<String, Metric>,
     label: String,
 }
 
@@ -273,26 +246,6 @@ pub fn current_path() -> String {
     })
 }
 
-/// A metric key scoped under the full current span path
-/// (`batch:x/epoch:0/group:1/job:3/<name>`). Use for per-group /
-/// per-job attribution (communication bytes).
-pub fn scoped(name: &str) -> String {
-    format!("{}/{name}", current_path())
-}
-
-/// A metric key scoped under the current span *root* only
-/// (`batch:x/<name>`). Use for engine-global figures (the shared plan
-/// cache) that should aggregate per batch, not per job.
-pub fn scoped_root(name: &str) -> String {
-    let root = CONTEXT.with(|c| {
-        c.borrow()
-            .first()
-            .cloned()
-            .unwrap_or_else(|| UNTRACED_ROOT.to_string())
-    });
-    format!("{root}/{name}")
-}
-
 /// Record an event at the current span path. `cost` is the deterministic
 /// logical cost; `wall_s` a wall-time annotation; `fields` auxiliary
 /// values (excluded from the deterministic span tree). No-op when
@@ -318,43 +271,6 @@ pub fn emit(name: &'static str, cost: f64, wall_s: f64, fields: &[(&'static str,
     });
 }
 
-fn with_metric(name: &str, init: impl FnOnce() -> Metric, update: impl FnOnce(&mut Metric)) {
-    let mut st = lock_state();
-    let entry = st.metrics.entry(name.to_string()).or_insert_with(init);
-    update(entry);
-}
-
-/// Add to a counter metric, creating it at zero on first use. Panics if
-/// `name` is already registered as a different metric type.
-pub fn counter_add(name: &str, value: u64) {
-    if !enabled() {
-        return;
-    }
-    with_metric(
-        name,
-        || Metric::Counter(0),
-        |m| match m {
-            Metric::Counter(c) => *c += value,
-            other => panic!("metric '{name}' is a {}, not a counter", other.kind_label()),
-        },
-    );
-}
-
-/// Set a gauge metric (last write wins). Panics on metric-type mismatch.
-pub fn gauge_set(name: &str, value: f64) {
-    if !enabled() {
-        return;
-    }
-    with_metric(
-        name,
-        || Metric::Gauge(value),
-        |m| match m {
-            Metric::Gauge(g) => *g = value,
-            other => panic!("metric '{name}' is a {}, not a gauge", other.kind_label()),
-        },
-    );
-}
-
 /// An exclusive recording session: clears all buffers, enables tracing,
 /// and holds a global lock so concurrent sessions serialize. Tracing is
 /// disabled again when the session drops.
@@ -371,7 +287,6 @@ impl TraceSession {
         {
             let mut st = lock_state();
             st.events.clear();
-            st.metrics.clear();
             st.label = label.to_string();
         }
         ENABLED.store(true, Ordering::SeqCst);
@@ -386,23 +301,9 @@ impl TraceSession {
         lock_state().events.clone()
     }
 
-    /// Snapshot of the metric registry, sorted by key.
-    pub fn metrics(&self) -> Vec<(String, Metric)> {
-        lock_state().metrics.clone().into_iter().collect()
-    }
-
-    /// [`metrics`](Self::metrics) restricted to keys under `prefix`
-    /// (exactly `prefix` or starting with `prefix/`).
-    pub fn metrics_under(&self, prefix: &str) -> Vec<(String, Metric)> {
-        self.metrics()
-            .into_iter()
-            .filter(|(k, _)| under_prefix(k, prefix))
-            .collect()
-    }
-
     /// The **deterministic span tree**: every span path (sorted), each
     /// with its event names, counts and per-name cost maxima. Wall-time
-    /// annotations, auxiliary fields and metric values are excluded, so
+    /// annotations and auxiliary fields are excluded, so
     /// this rendering is bit-identical across reruns of a deterministic
     /// schedule at fixed world size — the representation tests assert on.
     pub fn span_tree(&self) -> String {
@@ -416,7 +317,7 @@ impl TraceSession {
         let st = lock_state();
         let mut tree: BTreeMap<&str, BTreeMap<&str, (u64, f64)>> = BTreeMap::new();
         for ev in st.events.iter() {
-            if !prefix.is_empty() && !under_prefix(&ev.path, prefix) {
+            if !under_prefix(&ev.path, prefix) {
                 continue;
             }
             let names = tree.entry(&ev.path).or_default();
@@ -436,8 +337,8 @@ impl TraceSession {
 
     /// Write the session as a JSONL trace ([`analyze::TraceDoc::render`]
     /// of [`to_doc`](Self::to_doc)): a self-describing header line
-    /// (schema name, [`TRACE_SCHEMA_VERSION`], label, counts), then one
-    /// line per event, then one per metric.
+    /// (schema name, [`TRACE_SCHEMA_VERSION`], label, event count), then
+    /// one line per event.
     pub fn write_jsonl(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
         std::fs::write(path, self.to_doc().render())
     }
@@ -450,7 +351,6 @@ impl TraceSession {
         analyze::TraceDoc {
             label: st.label.clone(),
             events: st.events.clone(),
-            metrics: st.metrics.clone().into_iter().collect(),
         }
     }
 }
@@ -461,10 +361,12 @@ impl Drop for TraceSession {
     }
 }
 
-fn under_prefix(key: &str, prefix: &str) -> bool {
+/// Whether span path `path` is `prefix` or lies under it (every path
+/// lies under the empty prefix).
+fn under_prefix(path: &str, prefix: &str) -> bool {
     prefix.is_empty()
-        || key == prefix
-        || (key.starts_with(prefix) && key.as_bytes().get(prefix.len()) == Some(&b'/'))
+        || path == prefix
+        || (path.starts_with(prefix) && path.as_bytes().get(prefix.len()) == Some(&b'/'))
 }
 
 #[cfg(test)]
@@ -491,15 +393,16 @@ mod tests {
 
     #[test]
     fn spans_nest_and_scope_keys() {
-        let _session = TraceSession::start("t-spans");
+        let session = TraceSession::start("t-spans");
         assert_eq!(current_path(), UNTRACED_ROOT);
         let _b = span(SpanKind::Batch, "x");
         {
             let _e = span(SpanKind::Epoch, 0);
             let _g = span(SpanKind::Group, 2);
             assert_eq!(current_path(), "batch:x/epoch:0/group:2");
-            assert_eq!(scoped("comm.bytes"), "batch:x/epoch:0/group:2/comm.bytes");
-            assert_eq!(scoped_root("plan_cache.hits"), "batch:x/plan_cache.hits");
+            emit("comm", 0.0, 0.0, &[]);
+            let events = session.events();
+            assert_eq!(events[0].path, "batch:x/epoch:0/group:2");
         }
         assert_eq!(current_path(), "batch:x");
     }
@@ -534,41 +437,22 @@ mod tests {
     }
 
     #[test]
-    fn typed_metrics_accumulate() {
-        let session = TraceSession::start("t-metrics");
-        counter_add("a/bytes", 10);
-        counter_add("a/bytes", 5);
-        gauge_set("a/occupancy", 3.0);
-        gauge_set("a/occupancy", 2.0);
-        let m: BTreeMap<String, Metric> = session.metrics().into_iter().collect();
-        assert_eq!(m["a/bytes"], Metric::Counter(15));
-        assert_eq!(m["a/occupancy"], Metric::Gauge(2.0));
-        assert_eq!(
-            session.metrics_under("a").len(),
-            2,
-            "prefix filter sees both"
-        );
-        assert!(session.metrics_under("b").is_empty());
-    }
-
-    #[test]
     fn jsonl_has_versioned_header_and_one_line_per_record() {
         let session = TraceSession::start("t-jsonl");
         let _b = span(SpanKind::Batch, "j");
         emit("ev", 1.5, 0.125, &[("k", 2.0)]);
-        counter_add("j/c", 7);
         let path = std::env::temp_dir().join("sm_trace_test_trace.jsonl");
         session.write_jsonl(&path).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).ok();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
+        assert_eq!(lines.len(), 2);
         assert!(lines[0].contains(&format!("\"version\":{TRACE_SCHEMA_VERSION}")));
         assert!(lines[0].contains("\"schema\":\"sm-trace\""));
+        assert!(!lines[0].contains("metrics"));
+        assert!(lines[1].contains("\"type\":\"event\""));
         assert!(lines[1].contains("\"path\":\"batch:j\""));
         assert!(lines[1].contains("\"cost\":1.5"));
-        assert!(lines[2].contains("\"kind\":\"counter\""));
-        assert!(lines[2].contains("\"value\":7"));
     }
 
     #[test]
@@ -581,22 +465,24 @@ mod tests {
                 "ev",
                 1.0,
                 0.0,
-                &[("k", 2.0), ("big", 1e300), ("tiny", -2.5e-7)],
+                &[
+                    ("k", 2.0),
+                    ("big", 1e300),
+                    ("tiny", -2.5e-7),
+                    ("g\u{1}", 0.5),
+                ],
             );
             emit("bare", -0.0, 1e15, &[]);
-            counter_add("j/c", 7);
-            gauge_set("j/g\u{1}", 0.5);
         }
         let doc = session.to_doc();
-        assert_eq!((doc.events.len(), doc.metrics.len()), (2, 2));
+        assert_eq!(doc.events.len(), 2);
         let text = doc.render();
-        assert_eq!(text.lines().count(), 5);
+        assert_eq!(text.lines().count(), 3);
         assert_eq!(TraceDoc::parse(&text).unwrap(), doc);
 
         // JSON spells every non-finite number `null`, which reads back as
         // NaN: such a document re-renders to the same bytes.
         emit("inf", f64::INFINITY, f64::NAN, &[("k", f64::NEG_INFINITY)]);
-        gauge_set("j/g\u{1}", f64::INFINITY);
         let text = session.to_doc().render();
         assert!(text.contains("\"cost\":null,\"wall_s\":null,\"fields\":{\"k\":null}"));
         let back = TraceDoc::parse(&text).unwrap();
@@ -609,13 +495,9 @@ mod tests {
     fn untraced_root_collects_contextless_records() {
         let session = TraceSession::start("t-untraced");
         emit("stray", 0.0, 0.0, &[]);
-        counter_add(&scoped("stray.bytes"), 1);
         let tree = session.span_tree();
         assert!(tree.contains(UNTRACED_ROOT));
-        assert!(session
-            .metrics()
-            .iter()
-            .any(|(k, _)| k == "untraced/stray.bytes"));
+        assert_eq!(session.events()[0].path, UNTRACED_ROOT);
         // And a labeled filter excludes them.
         assert!(session.span_tree_under("batch:none").is_empty());
     }

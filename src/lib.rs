@@ -13,7 +13,7 @@
 //! | [`core`] | **the submatrix method**: assembly, clustering, load balancing, µ adjustment, engine |
 //! | [`pipeline`] | persistent `SubmatrixEngine` facade, `JobQueue`, distributed `Scheduler` (matrix and SCF batches), `StreamingScfService` |
 //! | [`accel`] | emulated FP16/FP32 tensor-core & FPGA kernels, Padé iteration traces, Table I model |
-//! | [`trace`] | deterministic structured spans + typed metrics (the `smdoctor` CLI's substrate) |
+//! | [`trace`] | deterministic structured spans and events (the `smdoctor` CLI's substrate) |
 //!
 //! ## Quickstart
 //!
