@@ -111,20 +111,6 @@ impl F16 {
     }
 }
 
-/// Round every element of a slice through binary16 (in place).
-pub fn round_slice_f16(x: &mut [f64]) {
-    for v in x {
-        *v = F16::round_f64(*v);
-    }
-}
-
-/// Round every element of a slice through `f32` (in place).
-pub fn round_slice_f32(x: &mut [f64]) {
-    for v in x {
-        *v = *v as f32 as f64;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,17 +201,6 @@ mod tests {
             let r = F16::round_f64(x);
             assert!(((r - x) / x).abs() <= 2.0f64.powi(-11) + 1e-12);
         }
-    }
-
-    #[test]
-    fn slice_rounding_helpers() {
-        let mut v = vec![1.0 + 1e-5, 2.0 + 1e-9];
-        round_slice_f16(&mut v);
-        assert_eq!(v[0], 1.0);
-        assert_eq!(v[1], 2.0);
-        let mut w = vec![1.0 + 1e-9f64];
-        round_slice_f32(&mut w);
-        assert_eq!(w[0], 1.0);
     }
 
     #[test]

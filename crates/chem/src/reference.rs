@@ -32,11 +32,6 @@ impl DenseReference {
             .apply(|e| 0.5 * (1.0 - extended_signum(e - mu)))
     }
 
-    /// Finite-temperature density matrix via Fermi occupations.
-    pub fn density_at_temperature(&self, mu: f64, kt: f64) -> Matrix {
-        self.decomposition.apply(|e| fermi_occupation(e, mu, kt))
-    }
-
     /// Band-structure energy `2·Σ_occ ε_i = 2·Tr(D̃ K̃)` (spin factor 2).
     pub fn band_energy(&self, mu: f64) -> f64 {
         2.0 * self
@@ -126,19 +121,5 @@ mod tests {
         // select the same occupation.
         assert!((r.electron_count(mu_c, 0.0) - r.electron_count(mu, 0.0)).abs() < 1e-12);
         assert!(r.gap(n_occ) > 0.0);
-    }
-
-    #[test]
-    fn finite_temperature_density_trace_continuous() {
-        let (kt, mu, n_occ) = reference_setup();
-        let r = DenseReference::new(&kt).unwrap();
-        let d_cold = r.density_at_temperature(mu, 1e-6);
-        let d_zero = r.density(mu);
-        assert!(d_cold.allclose(&d_zero, 1e-6));
-        // Warmer density keeps the electron count (µ mid-gap, symmetricish
-        // spectrum ⇒ small drift allowed).
-        let d_warm = r.density_at_temperature(mu, 0.02);
-        let drift = (2.0 * d_warm.trace() - 2.0 * n_occ as f64).abs();
-        assert!(drift < 0.5, "electron drift {drift} too large at kT=0.02");
     }
 }

@@ -1,13 +1,16 @@
 //! Subcommunicators: partition a communicator into independent groups.
 //!
-//! [`split`] mirrors `MPI_Comm_split`: every rank of the parent calls it
-//! collectively with a `color` and a `key`; ranks sharing a color form one
-//! [`SubComm`], ordered by `(key, parent rank)`. The subcommunicator
-//! implements the full [`Comm`] trait — point-to-point with tags, barrier,
-//! reductions, gathers, all-to-all — by translating sub-ranks to parent
-//! ranks and rewriting tags into a reserved namespace, so any collective
+//! [`Comm::split`] mirrors `MPI_Comm_split`: every rank of the parent calls
+//! it collectively with a `color` and a `key`; ranks sharing a color form
+//! one [`SubComm`], ordered by `(key, parent rank)`. [`split_known`] forms
+//! the same handle from a member list the callers already agree on,
+//! without a message. A subcommunicator supplies [`Comm`]'s raw tagged
+//! pair by translating sub-ranks to parent ranks and moving its tags into
+//! a reserved namespace of the parent's raw pair; its barrier, reductions,
+//! gathers and all-to-all are [`Comm`]'s provided ones. So any collective
 //! code written against [`Comm`] (the submatrix engine, the SCF driver,
-//! the wire block exchanges) runs unchanged inside a subgroup.
+//! the wire block exchanges) runs unchanged inside a subgroup, and a dead
+//! member fails a subgroup collective as it fails a world one.
 //!
 //! ## Tag discipline
 //!
@@ -17,15 +20,17 @@
 //! `user_tag` guard keeps clear of both reserved bits). Within that
 //! namespace, bit [`SUB_COLLECTIVE_BIT`] separates the subgroup's own
 //! collective traffic from its user sends — the same guard the parent
-//! applies with [`COLLECTIVE_BIT`], one level down. User tags inside a
+//! applies with [`COLLECTIVE_BIT`](crate::COLLECTIVE_BIT), one level down. User tags inside a
 //! subgroup must therefore fit in the low [`SUB_TAG_BITS`] bits; the
 //! existing wire-format tags (small constants) all do.
 //!
 //! Because colors partition the parent's ranks, two live subgroups can
 //! never exchange messages, and a salt derived from the color keeps
 //! traffic of a subgroup distinguishable from a later same-shape split.
-//! One restriction is enforced at runtime: subcommunicators cannot be
-//! split again (nested namespaces would overflow the tag word).
+//! Subcommunicators cannot be split again (nested namespaces would
+//! overflow the tag word): [`SubComm`]'s `split` panics, and a subgroup
+//! formed with [`split_known`] over a subgroup panics at its first
+//! message.
 //!
 //! ## Re-split lifecycle
 //!
@@ -53,13 +58,11 @@
 use std::cell::Cell;
 use std::sync::Arc;
 
-use crate::collectives::{self, Transport};
-use crate::comm::{Comm, Payload, ReduceOp};
+use crate::comm::{Comm, Payload};
 use crate::stats::CommStats;
-use crate::thread::COLLECTIVE_BIT;
 
 /// Parent-tag bit reserved for subgroup traffic (bit 62; bit 63 is the
-/// parent's own [`COLLECTIVE_BIT`]).
+/// parent's own [`COLLECTIVE_BIT`](crate::COLLECTIVE_BIT)).
 pub const SUBGROUP_BIT: u64 = 1 << 62;
 
 /// Bit separating a subgroup's internal collective traffic from its user
@@ -74,7 +77,8 @@ const SALT_BITS: u32 = 15;
 const SALT_SHIFT: u32 = 47;
 
 /// One rank's handle on a subgroup of a parent communicator. Created
-/// collectively by [`split`] / [`Comm::split`].
+/// collectively by [`Comm::split`] or from agreed members by
+/// [`split_known`].
 pub struct SubComm<'a, C: Comm> {
     parent: &'a C,
     color: u64,
@@ -87,38 +91,6 @@ pub struct SubComm<'a, C: Comm> {
     coll_seq: Cell<u64>,
 }
 
-/// Collectively split `parent` into subgroups by `color`; members are
-/// ranked by `(key, parent rank)`. Every parent rank must call this (it
-/// performs a parent-level allgather), and every parent rank receives a
-/// subcommunicator — there is no `MPI_UNDEFINED`; callers that want idle
-/// ranks give them a private color and leave the subgroup unused.
-pub fn split<C: Comm>(parent: &C, color: u64, key: u64) -> SubComm<'_, C> {
-    let mine = [color, key];
-    let all = parent.allgather_u64(&mine);
-    let mut members: Vec<(u64, usize)> = all
-        .iter()
-        .enumerate()
-        .filter(|(_, ck)| ck[0] == color)
-        .map(|(r, ck)| (ck[1], r))
-        .collect();
-    members.sort();
-    let members: Vec<usize> = members.into_iter().map(|(_, r)| r).collect();
-    let rank = members
-        .iter()
-        .position(|&r| r == parent.rank())
-        .expect("calling rank is always a member of its own color");
-    let stats = CommStats::new(members.len());
-    SubComm {
-        parent,
-        color,
-        rank,
-        members,
-        salt: salt_for_color(color),
-        stats,
-        coll_seq: Cell::new(0),
-    }
-}
-
 /// Build a subgroup from an **explicitly agreed member list** instead of a
 /// parent-level collective. Every member must call this with the *same*
 /// `color` and `members` (parent ranks, in sub-rank order); no message is
@@ -127,13 +99,12 @@ pub fn split<C: Comm>(parent: &C, color: u64, key: u64) -> SubComm<'_, C> {
 /// recovery path: after the fault consensus commits a survivor set, each
 /// survivor derives its group membership from the same pure function of
 /// the committed view and calls `split_known`, where the collective
-/// [`split`] would hang waiting for failed ranks.
+/// [`Comm::split`] would hang waiting for failed ranks.
 ///
 /// # Panics
-/// Panics if the calling rank is not in `members` or `members` is empty —
-/// both programmer errors in the caller's group computation.
+/// Panics if the calling rank is not in `members` (an empty list
+/// included) — a programmer error in the caller's group computation.
 pub fn split_known<C: Comm>(parent: &C, color: u64, members: Vec<usize>) -> SubComm<'_, C> {
-    assert!(!members.is_empty(), "a subgroup needs at least one member");
     let rank = members
         .iter()
         .position(|&r| r == parent.rank())
@@ -186,54 +157,23 @@ impl<'a, C: Comm> SubComm<'a, C> {
         &self.stats
     }
 
-    fn user_parent_tag(&self, tag: u64) -> u64 {
+    fn user_tag(&self, tag: u64) -> u64 {
         assert!(
             tag >> SUB_TAG_BITS == 0,
             "subgroup user tag {tag:#x} exceeds {SUB_TAG_BITS} bits"
         );
-        SUBGROUP_BIT | (self.salt << SALT_SHIFT) | tag
+        tag
     }
 
-    fn next_collective_tag(&self) -> u64 {
-        let seq = self.coll_seq.get();
-        self.coll_seq.set(seq + 1);
+    /// The parent tag of a subgroup tag. A tag with bits above the
+    /// subgroup's own is a nested subgroup's, which the namespace cannot
+    /// hold.
+    fn parent_tag(&self, tag: u64) -> u64 {
         assert!(
-            seq >> SUB_TAG_BITS == 0,
-            "subgroup collective sequence overflowed"
+            tag >> SALT_SHIFT == 0,
+            "nested subcommunicator splits are not supported (tag namespace is one level deep)"
         );
-        SUBGROUP_BIT | (self.salt << SALT_SHIFT) | SUB_COLLECTIVE_BIT | seq
-    }
-
-    /// Every subgroup send funnels through here, so this one chokepoint
-    /// counts it in the handle's [`CommStats`].
-    fn send_raw(&self, dst: usize, parent_tag: u64, payload: Payload) {
-        if dst != self.rank {
-            self.stats.record_send(self.rank, payload.byte_len());
-        }
-        self.parent
-            .send_subgroup(self.members[dst], parent_tag, payload);
-    }
-
-    fn recv_raw(&self, src: usize, parent_tag: u64) -> Payload {
-        self.parent.recv_subgroup(self.members[src], parent_tag)
-    }
-}
-
-impl<C: Comm> Transport for SubComm<'_, C> {
-    fn p2p_rank(&self) -> usize {
-        self.rank
-    }
-
-    fn p2p_size(&self) -> usize {
-        self.members.len()
-    }
-
-    fn send_p2p(&self, dst: usize, tag: u64, payload: Payload) {
-        self.send_raw(dst, tag, payload);
-    }
-
-    fn recv_p2p(&self, src: usize, tag: u64) -> Payload {
-        self.recv_raw(src, tag)
+        SUBGROUP_BIT | (self.salt << SALT_SHIFT) | tag
     }
 }
 
@@ -246,69 +186,48 @@ impl<C: Comm> Comm for SubComm<'_, C> {
         self.members.len()
     }
 
+    /// Every subgroup send funnels through here, so this one chokepoint
+    /// counts it in the handle's [`CommStats`].
+    fn send_raw(&self, dst: usize, tag: u64, payload: Payload) {
+        let parent_tag = self.parent_tag(tag);
+        if dst != self.rank {
+            self.stats.record_send(self.rank, payload.byte_len());
+        }
+        self.parent.send_raw(self.members[dst], parent_tag, payload);
+    }
+
+    fn recv_raw(&self, src: usize, tag: u64) -> Payload {
+        self.parent
+            .recv_raw(self.members[src], self.parent_tag(tag))
+    }
+
+    fn next_collective_tag(&self) -> u64 {
+        let seq = self.coll_seq.get();
+        self.coll_seq.set(seq + 1);
+        assert!(
+            seq >> SUB_TAG_BITS == 0,
+            "subgroup collective sequence overflowed"
+        );
+        SUB_COLLECTIVE_BIT | seq
+    }
+
     fn send(&self, dst: usize, tag: u64, payload: Payload) {
-        self.send_raw(dst, self.user_parent_tag(tag), payload);
+        self.send_raw(dst, self.user_tag(tag), payload);
     }
 
     fn recv(&self, src: usize, tag: u64) -> Payload {
-        self.recv_raw(src, self.user_parent_tag(tag))
-    }
-
-    /// Synchronize the subgroup only. (The parent barrier would deadlock:
-    /// other subgroups are off running their own work.) Implemented as a
-    /// gather-to-root plus release fan-out over the subgroup's own tags.
-    fn barrier(&self) {
-        let tag_up = self.next_collective_tag();
-        let tag_down = self.next_collective_tag();
-        collectives::barrier_p2p(self, tag_up, tag_down);
-    }
-
-    fn allreduce_f64(&self, op: ReduceOp, x: &mut [f64]) {
-        let tag_up = self.next_collective_tag();
-        let tag_down = self.next_collective_tag();
-        collectives::allreduce_f64(self, tag_up, tag_down, op, x);
-    }
-
-    fn allgather_u64(&self, local: &[u64]) -> Vec<Vec<u64>> {
-        collectives::allgather_u64(self, self.next_collective_tag(), local)
-    }
-
-    fn allgather_f64(&self, local: &[f64]) -> Vec<Vec<f64>> {
-        collectives::allgather_f64(self, self.next_collective_tag(), local)
-    }
-
-    fn alltoallv(&self, sends: Vec<Payload>) -> Vec<Payload> {
-        collectives::alltoallv(self, self.next_collective_tag(), sends)
+        self.recv_raw(src, self.user_tag(tag))
     }
 
     fn split(&self, _color: u64, _key: u64) -> SubComm<'_, Self> {
         panic!("nested subcommunicator splits are not supported (tag namespace is one level deep)");
     }
-
-    fn send_subgroup(&self, _dst: usize, _tag: u64, _payload: Payload) {
-        panic!("nested subcommunicator splits are not supported (tag namespace is one level deep)");
-    }
-
-    fn recv_subgroup(&self, _src: usize, _tag: u64) -> Payload {
-        panic!("nested subcommunicator splits are not supported (tag namespace is one level deep)");
-    }
-}
-
-/// Debug check used by the raw subgroup transport hooks: a subgroup parent
-/// tag must carry [`SUBGROUP_BIT`] and keep the parent's collective bit
-/// clear.
-#[inline]
-pub(crate) fn assert_subgroup_tag(tag: u64) {
-    debug_assert!(
-        tag & SUBGROUP_BIT != 0 && tag & COLLECTIVE_BIT == 0,
-        "subgroup transport used with a non-subgroup tag {tag:#x}"
-    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::SerialComm;
+    use crate::comm::{ReduceOp, SerialComm};
     use crate::thread::run_ranks;
 
     #[test]
@@ -431,6 +350,15 @@ mod tests {
         let c = SerialComm::new();
         let sub = c.split(0, 0);
         let _ = sub.split(0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "nested subcommunicator")]
+    fn nested_split_known_panics_at_its_first_message() {
+        let c = SerialComm::new();
+        let sub = c.split(0, 0);
+        let nested = split_known(&sub, 1, vec![0]);
+        nested.send(0, 1, Payload::U64(vec![1]));
     }
 
     #[test]

@@ -2,13 +2,20 @@
 //!
 //! [`run_ranks`] spawns one OS thread per rank and hands each a
 //! [`ThreadComm`]; a [`RankWorld`] keeps its rank threads across runs and
-//! hands them fresh communicators each time. Point-to-point messages flow through crossbeam channels
-//! into a per-rank mailbox keyed by `(source, tag)`; collectives are built
-//! on top of the point-to-point layer plus a shared barrier, mirroring how
-//! an MPI implementation layers its collectives.
+//! hands them fresh communicators each time. Point-to-point messages flow
+//! through crossbeam channels into a per-rank mailbox keyed by
+//! `(source, tag)`; that is the raw pair of [`Comm`], and the barrier and
+//! every other collective are [`Comm`]'s provided methods over it.
+//!
+//! Each run's world keeps one failure registry, a shared [`FaultState`]:
+//! a rank that dies raises its flag there and posts a poison envelope to
+//! every peer, and a receive on a failed peer first drains the channel
+//! (messages the peer sent before dying still count), then fails. A dead
+//! member therefore fails a barrier or any other collective like any
+//! receive, instead of hanging it.
 
 use std::any::Any;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Mutex};
@@ -17,21 +24,16 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
-use crate::collectives::{self, Transport};
-use crate::comm::{Comm, Payload, ReduceOp};
+use crate::comm::{Comm, Payload, COLLECTIVE_BIT};
 use crate::fault::{CommError, FaultPlan, FaultState, InjectionStats};
 use crate::stats::CommStats;
-
-/// Tag bit reserved for internal collective traffic. User tags must keep
-/// this bit clear; `sm-dbcsr`'s wire module funnels all tagged block
-/// traffic through a checked constructor that enforces this.
-pub const COLLECTIVE_BIT: u64 = 1 << 63;
+use crate::subcomm::SUBGROUP_BIT;
 
 /// Tag of the poison envelope a dying rank broadcasts so peers blocked in
 /// `recv` fail fast instead of hanging. It carries *both* reserved bits,
 /// which no collective (`COLLECTIVE_BIT` only), subgroup (`SUBGROUP_BIT`
 /// only) or user (neither) tag can ever match.
-const POISON_TAG: u64 = COLLECTIVE_BIT | crate::subcomm::SUBGROUP_BIT;
+const POISON_TAG: u64 = COLLECTIVE_BIT | SUBGROUP_BIT;
 
 /// Poll period for re-checking peer-failure flags while blocked in a
 /// receive; the poison envelope normally wakes the receiver long before
@@ -40,31 +42,19 @@ const FAILURE_POLL: Duration = Duration::from_millis(5);
 
 type Envelope = (usize, u64, Payload);
 
-/// Per-rank fault-injection context installed by
-/// [`run_ranks_with_faults`]: the shared plan and state.
-struct FaultCtx {
-    plan: Arc<FaultPlan>,
-    state: Arc<FaultState>,
-}
-
 /// Communicator handle owned by one rank thread.
 pub struct ThreadComm {
     rank: usize,
     size: usize,
     senders: Vec<Sender<Envelope>>,
     receiver: Receiver<Envelope>,
-    mailbox: std::cell::RefCell<HashMap<(usize, u64), VecDeque<Payload>>>,
-    barrier: Arc<std::sync::Barrier>,
+    mailbox: RefCell<HashMap<(usize, u64), VecDeque<Payload>>>,
     stats: Arc<CommStats>,
-    /// Monotonically increasing collective sequence number; keeps the tags
-    /// of successive collectives distinct so traffic can never cross-match.
-    coll_seq: std::cell::Cell<u64>,
-    /// Fault-injection context, if this world runs under a non-empty
-    /// [`FaultPlan`].
-    fault: Option<FaultCtx>,
-    /// Peers this rank has *observed* failing (poison envelope or failed
-    /// channel), independent of any installed plan.
-    peer_failed: RefCell<Vec<bool>>,
+    coll_seq: Cell<u64>,
+    /// The fault plan, if this world runs under a non-empty one.
+    plan: Option<Arc<FaultPlan>>,
+    /// The world's failure registry, shared by every rank of the run.
+    faults: Arc<FaultState>,
 }
 
 impl ThreadComm {
@@ -76,42 +66,21 @@ impl ThreadComm {
     /// The fault plan this world runs under — `None` for the empty plan,
     /// under which nothing is ever injected.
     pub fn fault_plan(&self) -> Option<&Arc<FaultPlan>> {
-        self.fault.as_ref().map(|f| &f.plan)
+        self.plan.as_ref()
     }
 
-    /// Announce this rank's death: raise its failed flag (when fault state
-    /// is installed) and post a poison envelope to every peer so blocked
+    /// Announce this rank's death: raise its flag in the world's failure
+    /// registry and post a poison envelope to every peer so blocked
     /// receivers fail fast instead of hanging. Idempotent; called
     /// automatically when a rank thread unwinds mid-epoch.
     pub fn poison_peers(&self) {
-        if let Some(f) = &self.fault {
-            f.state.mark_failed(self.rank);
-        }
-        self.peer_failed.borrow_mut()[self.rank] = true;
+        self.faults.mark_failed(self.rank);
         for dst in 0..self.size {
             if dst != self.rank {
                 // Control traffic: uncounted, and a dead receiver is fine.
                 let _ = self.senders[dst].send((self.rank, POISON_TAG, Payload::U64(Vec::new())));
             }
         }
-    }
-
-    fn next_collective_tag(&self) -> u64 {
-        let seq = self.coll_seq.get();
-        self.coll_seq.set(seq + 1);
-        COLLECTIVE_BIT | seq
-    }
-
-    fn note_peer_failed(&self, rank: usize) {
-        self.peer_failed.borrow_mut()[rank] = true;
-        if let Some(f) = &self.fault {
-            f.state.mark_failed(rank);
-        }
-    }
-
-    fn peer_known_failed(&self, rank: usize) -> bool {
-        self.peer_failed.borrow()[rank]
-            || self.fault.as_ref().is_some_and(|f| f.state.is_failed(rank))
     }
 }
 
@@ -138,79 +107,15 @@ impl Comm for ThreadComm {
 
     fn send(&self, dst: usize, tag: u64, payload: Payload) {
         assert!(
-            tag & COLLECTIVE_BIT == 0,
-            "user tags must not set the collective bit"
+            tag & (COLLECTIVE_BIT | SUBGROUP_BIT) == 0,
+            "user tags must not set the collective or the subgroup bit"
         );
-        assert!(
-            tag & crate::subcomm::SUBGROUP_BIT == 0,
-            "user tags must not set the subgroup bit"
-        );
-        self.send_internal(dst, tag, payload);
+        self.send_raw(dst, tag, payload);
     }
 
-    fn recv(&self, src: usize, tag: u64) -> Payload {
-        self.recv_internal(src, tag)
-    }
-
-    fn recv_deadline(&self, src: usize, tag: u64, timeout: Duration) -> Result<Payload, CommError> {
-        self.recv_until(src, tag, Some(timeout))
-    }
-
-    fn barrier(&self) {
-        self.barrier.wait();
-    }
-
-    fn allreduce_f64(&self, op: ReduceOp, x: &mut [f64]) {
-        let tag_up = self.next_collective_tag();
-        let tag_down = self.next_collective_tag();
-        collectives::allreduce_f64(self, tag_up, tag_down, op, x);
-    }
-
-    fn allgather_u64(&self, local: &[u64]) -> Vec<Vec<u64>> {
-        collectives::allgather_u64(self, self.next_collective_tag(), local)
-    }
-
-    fn allgather_f64(&self, local: &[f64]) -> Vec<Vec<f64>> {
-        collectives::allgather_f64(self, self.next_collective_tag(), local)
-    }
-
-    fn alltoallv(&self, sends: Vec<Payload>) -> Vec<Payload> {
-        collectives::alltoallv(self, self.next_collective_tag(), sends)
-    }
-
-    fn send_subgroup(&self, dst: usize, tag: u64, payload: Payload) {
-        crate::subcomm::assert_subgroup_tag(tag);
-        self.send_internal(dst, tag, payload);
-    }
-
-    fn recv_subgroup(&self, src: usize, tag: u64) -> Payload {
-        crate::subcomm::assert_subgroup_tag(tag);
-        self.recv_internal(src, tag)
-    }
-}
-
-impl Transport for ThreadComm {
-    fn p2p_rank(&self) -> usize {
-        self.rank
-    }
-
-    fn p2p_size(&self) -> usize {
-        self.size
-    }
-
-    fn send_p2p(&self, dst: usize, tag: u64, payload: Payload) {
-        self.send_internal(dst, tag, payload);
-    }
-
-    fn recv_p2p(&self, src: usize, tag: u64) -> Payload {
-        self.recv_internal(src, tag)
-    }
-}
-
-impl ThreadComm {
     /// The one send path: local delivery for a self-send, otherwise the
     /// fault plan's injection point and then the channel.
-    fn send_internal(&self, dst: usize, tag: u64, payload: Payload) {
+    fn send_raw(&self, dst: usize, tag: u64, payload: Payload) {
         if dst == self.rank {
             self.mailbox
                 .borrow_mut()
@@ -219,11 +124,9 @@ impl ThreadComm {
                 .push_back(payload);
             return;
         }
-        if let Some(f) = &self.fault {
-            if let Some(d) = f.plan.slow_stall(self.rank) {
-                f.state.count_stall();
-                std::thread::sleep(d);
-            }
+        if let Some(d) = self.plan.as_ref().and_then(|p| p.slow_stall(self.rank)) {
+            self.faults.count_stall();
+            std::thread::sleep(d);
         }
         // Count only inter-rank traffic: MPI self-sends are memcpys.
         self.stats.record_send(self.rank, payload.byte_len());
@@ -232,19 +135,43 @@ impl ThreadComm {
             // expected condition (sends to the dead are dropped, as MPI
             // buffered sends to a failed peer would be); without one it is
             // a programmer error in the test harness.
-            if self.fault.is_some() || self.peer_known_failed(dst) {
-                self.note_peer_failed(dst);
+            if self.plan.is_some() || self.faults.is_failed(dst) {
+                self.faults.mark_failed(dst);
             } else {
                 panic!("receiver thread terminated early");
             }
         }
     }
 
+    /// The blocking receive: the one receive loop with no deadline, whose
+    /// one possible error, a dead peer, is a panic.
+    fn recv_raw(&self, src: usize, tag: u64) -> Payload {
+        self.recv_until(src, tag, None).unwrap_or_else(|_| {
+            panic!(
+                "rank {src} failed while rank {} was blocked in recv (tag {tag:#x}); \
+                 fault-tolerant callers should use recv_deadline",
+                self.rank
+            )
+        })
+    }
+
+    fn next_collective_tag(&self) -> u64 {
+        let seq = self.coll_seq.get();
+        self.coll_seq.set(seq + 1);
+        COLLECTIVE_BIT | seq
+    }
+
+    fn recv_deadline(&self, src: usize, tag: u64, timeout: Duration) -> Result<Payload, CommError> {
+        self.recv_until(src, tag, Some(timeout))
+    }
+}
+
+impl ThreadComm {
     /// File an incoming envelope: poison marks the sender failed, anything
     /// else is buffered by `(source, tag)`.
     fn stash(&self, (from, tag, payload): Envelope) {
         if tag == POISON_TAG {
-            self.note_peer_failed(from);
+            self.faults.mark_failed(from);
         } else {
             self.mailbox
                 .borrow_mut()
@@ -290,7 +217,7 @@ impl ThreadComm {
             if let Some(p) = self.pop_mailbox(src, tag) {
                 return Ok(p);
             }
-            if self.peer_known_failed(src) {
+            if self.faults.is_failed(src) {
                 // The peer died, but messages it sent first still count.
                 self.drain_channel();
                 return self
@@ -316,16 +243,6 @@ impl ThreadComm {
             }
         }
     }
-
-    fn recv_internal(&self, src: usize, tag: u64) -> Payload {
-        self.recv_until(src, tag, None).unwrap_or_else(|_| {
-            panic!(
-                "rank {src} failed while rank {} was blocked in recv (tag {tag:#x}); \
-                 fault-tolerant callers should use recv_deadline",
-                self.rank
-            )
-        })
-    }
 }
 
 /// Run `f(comm)` on `size` rank threads and collect the per-rank results
@@ -348,8 +265,8 @@ where
 /// Run `f(comm)` on `size` rank threads with `plan` installed on every
 /// rank's communicator: slow-rank stalls fire deterministically in the
 /// send path, and rank deaths propagate through the poison protocol
-/// plus the shared [`FaultState`]. An **empty** plan installs nothing —
-/// the send path keeps its single fault check, a miss, and
+/// plus the world's [`FaultState`], which every run has. An **empty** plan
+/// injects nothing: the send path keeps its single plan check, a miss, and
 /// [`ThreadComm::fault_plan`] is `None`. Returns per-rank results (`None`
 /// for a rank the plan fails whose thread unwound — a *planned* death,
 /// already poisoned on the way down; panics of ranks the plan does not
@@ -359,10 +276,10 @@ where
 /// The ranks are scoped threads started for this call, so `f` may borrow;
 /// [`RankWorld::run`] is the same contract on threads that outlive it.
 ///
-/// The world-sized in-memory [`Comm::barrier`] must not be crossed after a
-/// planned rank failure — dead ranks can never arrive. Protocols that
-/// survive faults are built on deadline receives and subgroup collectives
-/// over surviving members only (see `sm_pipeline`'s rank executor).
+/// A collective over a dead member, the barrier included, fails on its
+/// first receive from that member. Protocols that survive faults are
+/// built on deadline receives and subgroup collectives over surviving
+/// members only (see `sm_pipeline`'s rank executor).
 pub fn run_ranks_with_faults<T, F>(
     size: usize,
     plan: FaultPlan,
@@ -394,9 +311,10 @@ fn run_world<T>(
     launch: impl FnOnce(Vec<ThreadComm>) -> Vec<std::thread::Result<T>>,
 ) -> (Vec<Option<T>>, Arc<CommStats>, InjectionStats) {
     assert!(size >= 1, "need at least one rank");
-    let fault = (!plan.is_empty()).then(|| (Arc::new(plan), Arc::new(FaultState::new(size))));
-    let (comms, stats) = build_comms(size, fault.as_ref());
-    let planned_death = |rank| matches!(&fault, Some((plan, _)) if plan.fails_at(rank).is_some());
+    let plan = (!plan.is_empty()).then(|| Arc::new(plan));
+    let faults = Arc::new(FaultState::new(size));
+    let (comms, stats) = build_comms(size, plan.as_ref(), &faults);
+    let planned_death = |rank| plan.as_ref().is_some_and(|p| p.fails_at(rank).is_some());
     let results = launch(comms)
         .into_iter()
         .enumerate()
@@ -408,8 +326,7 @@ fn run_world<T>(
             Err(cause) => std::panic::resume_unwind(cause),
         })
         .collect();
-    let injected = fault.map_or_else(InjectionStats::default, |(_, state)| state.snapshot());
-    (results, stats, injected)
+    (results, stats, faults.snapshot())
 }
 
 type RankTask = Box<dyn FnOnce() + Send>;
@@ -420,8 +337,8 @@ type RankTask = Box<dyn FnOnce() + Send>;
 /// first needs them, grows to the largest size asked of it, and joins
 /// them when dropped.
 ///
-/// Each run gets fresh communicators (mailboxes, [`CommStats`], barrier
-/// and fault state), as [`run_ranks_with_faults`] builds them, and maps
+/// Each run gets fresh communicators (mailboxes, [`CommStats`] and
+/// failure registry), as [`run_ranks_with_faults`] builds them, and maps
 /// results and panics the same way. A run enqueues all its ranks under
 /// one lock, so concurrent runs queue in the same order on every thread
 /// and execute one after another instead of deadlocking. A rank body must
@@ -510,10 +427,10 @@ impl Drop for RankWorld {
 
 fn build_comms(
     size: usize,
-    fault: Option<&(Arc<FaultPlan>, Arc<FaultState>)>,
+    plan: Option<&Arc<FaultPlan>>,
+    faults: &Arc<FaultState>,
 ) -> (Vec<ThreadComm>, Arc<CommStats>) {
     let stats = CommStats::new(size);
-    let barrier = Arc::new(std::sync::Barrier::new(size));
 
     let mut senders = Vec::with_capacity(size);
     let mut receivers = Vec::with_capacity(size);
@@ -531,15 +448,11 @@ fn build_comms(
             size,
             senders: senders.clone(),
             receiver,
-            mailbox: std::cell::RefCell::new(HashMap::new()),
-            barrier: Arc::clone(&barrier),
+            mailbox: RefCell::new(HashMap::new()),
             stats: Arc::clone(&stats),
-            coll_seq: std::cell::Cell::new(0),
-            fault: fault.map(|(plan, state)| FaultCtx {
-                plan: Arc::clone(plan),
-                state: Arc::clone(state),
-            }),
-            peer_failed: RefCell::new(vec![false; size]),
+            coll_seq: Cell::new(0),
+            plan: plan.cloned(),
+            faults: Arc::clone(faults),
         })
         .collect();
     (comms, stats)
@@ -548,6 +461,7 @@ fn build_comms(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::comm::ReduceOp;
 
     #[test]
     fn ranks_know_themselves() {
@@ -757,33 +671,63 @@ mod tests {
         assert_eq!(inj.rank_failures, 1);
     }
 
-    #[test]
-    fn unplanned_rank_death_panics_a_blocked_peer_instead_of_hanging() {
-        // No plan installed: the only failure detection is the poison
-        // envelope rank 1's communicator posts as its thread unwinds.
-        let world = std::thread::spawn(|| {
-            run_ranks(2, |c| {
-                if c.rank() == 1 {
-                    panic!("unplanned crash");
-                }
-                c.recv(1, 5)
-            })
-        });
+    /// Run `body` on a fault-free `size`-rank world under a 30 s watchdog
+    /// and return the panic message the world raises: a hang fails the
+    /// test instead of stalling it. Ranks are joined in order, so rank 0's
+    /// panic is the one resumed.
+    fn panic_of_world(size: usize, body: fn(&ThreadComm)) -> String {
+        let world = std::thread::spawn(move || run_ranks(size, body));
         let watchdog = Instant::now() + Duration::from_secs(30);
         while !world.is_finished() {
-            assert!(
-                Instant::now() < watchdog,
-                "rank 0 hung in recv on a dead peer"
-            );
+            assert!(Instant::now() < watchdog, "a survivor hung on a dead peer");
             std::thread::sleep(Duration::from_millis(5));
         }
-        // Ranks are joined in order, so rank 0's panic is the one resumed.
         let cause = world.join().expect_err("the world must panic");
-        let msg = cause.downcast_ref::<String>().expect("formatted panic");
+        cause
+            .downcast_ref::<String>()
+            .expect("formatted panic")
+            .clone()
+    }
+
+    #[test]
+    fn unplanned_rank_death_panics_a_blocked_peer_instead_of_hanging() {
+        // No plan installed: rank 1's communicator raises its flag in the
+        // world's registry and posts the poison envelope as it unwinds.
+        let msg = panic_of_world(2, |c| {
+            if c.rank() == 1 {
+                panic!("unplanned crash");
+            }
+            c.recv(1, 5);
+        });
         assert!(
             msg.contains("rank 1 failed while rank 0 was blocked in recv"),
             "unexpected panic message: {msg}"
         );
+    }
+
+    /// A rank that has poisoned its peers and returned never enters the
+    /// next collective; the survivors' barrier and reduction fail on their
+    /// receive from it instead of waiting for it.
+    #[test]
+    fn collectives_over_a_dead_rank_fail_fast() {
+        let barrier = panic_of_world(3, |c| {
+            if c.rank() == 2 {
+                return c.poison_peers();
+            }
+            c.barrier();
+        });
+        let allreduce = panic_of_world(3, |c| {
+            if c.rank() == 2 {
+                return c.poison_peers();
+            }
+            c.allreduce_f64(ReduceOp::Sum, &mut [1.0]);
+        });
+        for msg in [barrier, allreduce] {
+            assert!(
+                msg.contains("rank 2 failed while rank 0 was blocked in recv"),
+                "unexpected panic message: {msg}"
+            );
+        }
     }
 
     #[test]

@@ -826,7 +826,9 @@ mod sign_density_tests {
     /// Algorithm 1 costs one allgather per canonical execution: on a cached
     /// plan, a canonical `execute` sends exactly the `size·(size−1)`
     /// messages of one allgather more than a grand-canonical one of the
-    /// same values — however many bisection steps it takes.
+    /// same values — however many bisection steps it takes. Each rank
+    /// counts its own sends around its own `execute` (program order, no
+    /// fence needed) and the ranks sum the differences.
     #[test]
     fn canonical_execute_is_one_collective() {
         let (dense, dims) = banded_gapped(8, 2);
@@ -837,16 +839,15 @@ mod sign_density_tests {
                 let plan = engine.plan_for_matrix(&m, c);
                 let mut msgs = Vec::new();
                 for numeric in [NumericOptions::default(), canonical(8, 2)] {
-                    c.barrier();
-                    let before = c.stats().total_msgs();
-                    c.barrier();
+                    let before = c.stats().msgs_sent_by(c.rank());
                     let (_, report) = engine.execute(&plan, &m, 0.0, &numeric, c);
-                    c.barrier();
-                    msgs.push((c.stats().total_msgs() - before, report.bisect_iterations));
+                    let sent = c.stats().msgs_sent_by(c.rank()) - before;
+                    msgs.push((sent, report.bisect_iterations));
                 }
                 let ((gc_msgs, _), (canonical_msgs, steps)) = (msgs[0], msgs[1]);
                 assert!(steps > 1, "world {world}: µ bisection took {steps} steps");
-                canonical_msgs - gc_msgs
+                let extra = c.allgather_u64(&[canonical_msgs - gc_msgs]);
+                extra.iter().map(|e| e[0]).sum::<u64>()
             });
             for e in extra {
                 assert_eq!(e, (world * (world - 1)) as u64, "world {world}");

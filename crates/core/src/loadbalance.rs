@@ -16,14 +16,6 @@ pub struct Assignment {
 }
 
 impl Assignment {
-    /// Owner rank of submatrix `i`.
-    pub fn owner_of(&self, i: usize) -> usize {
-        self.ranges
-            .iter()
-            .position(|r| r.contains(&i))
-            .expect("submatrix index outside assignment")
-    }
-
     /// Load per rank under the given cost vector.
     pub fn loads(&self, costs: &[f64]) -> Vec<f64> {
         self.ranges
@@ -155,14 +147,6 @@ mod tests {
             expect_start = r.end;
         }
         assert_eq!(expect_start, 20);
-    }
-
-    #[test]
-    fn owner_of_lookup() {
-        let costs = vec![1.0; 6];
-        let a = greedy_contiguous(&costs, 2);
-        assert_eq!(a.owner_of(0), 0);
-        assert_eq!(a.owner_of(5), 1);
     }
 
     #[test]

@@ -187,7 +187,6 @@ pub fn solve_sign(a: &Matrix, mu: f64, opts: &SolveOptions) -> Result<SolveResul
                 SignIterationOptions {
                     tol: opts.tol,
                     max_iter: opts.max_iter,
-                    prescale: true,
                 },
             )?;
             if !r.converged {
@@ -298,7 +297,6 @@ fn solve_sign_iterative_f32(
             // chasing an f64 tolerance the arithmetic cannot reach.
             tol: opts.tol.max(F32_SIGN_TOL),
             max_iter: opts.max_iter,
-            prescale: true,
         },
         true,
     )?;

@@ -75,28 +75,6 @@ pub fn scal<E: Elem>(alpha: E, x: &mut [E]) {
     }
 }
 
-/// Index of the element with the largest absolute value (first on ties).
-/// Returns `None` for an empty slice.
-pub fn iamax(x: &[f64]) -> Option<usize> {
-    if x.is_empty() {
-        return None;
-    }
-    let mut best = 0;
-    let mut best_abs = x[0].abs();
-    for (i, &v) in x.iter().enumerate().skip(1) {
-        if v.abs() > best_abs {
-            best = i;
-            best_abs = v.abs();
-        }
-    }
-    Some(best)
-}
-
-/// Sum of absolute values (`dasum`).
-pub fn asum(x: &[f64]) -> f64 {
-    x.iter().map(|v| v.abs()).sum()
-}
-
 /// Swap the contents of two equal-length slices.
 ///
 /// # Panics
@@ -171,19 +149,6 @@ mod tests {
         let mut x = [1.0, -2.0];
         scal(-3.0, &mut x);
         assert_eq!(x, [-3.0, 6.0]);
-    }
-
-    #[test]
-    fn iamax_finds_largest_abs() {
-        assert_eq!(iamax(&[1.0, -5.0, 3.0]), Some(1));
-        assert_eq!(iamax(&[]), None);
-        // first index wins ties
-        assert_eq!(iamax(&[2.0, -2.0]), Some(0));
-    }
-
-    #[test]
-    fn asum_sums_abs() {
-        assert_eq!(asum(&[1.0, -2.0, 3.0]), 6.0);
     }
 
     #[test]

@@ -85,14 +85,6 @@ impl Cholesky {
         }
         Ok(x)
     }
-
-    /// log(det A) = 2 Σ log L_ii, computed stably in log space.
-    pub fn log_det(&self) -> f64 {
-        (0..self.l.nrows())
-            .map(|i| self.l[(i, i)].ln())
-            .sum::<f64>()
-            * 2.0
-    }
 }
 
 /// True if `a` is symmetric positive definite (within Cholesky's tolerance).
@@ -164,13 +156,6 @@ mod tests {
         // asymmetric
         let m = Matrix::from_row_major(2, 2, &[1.0, 0.5, 0.0, 1.0]);
         assert!(!is_spd(&m));
-    }
-
-    #[test]
-    fn log_det_of_diagonal() {
-        let a = Matrix::from_diag(&[2.0, 3.0, 4.0]);
-        let ch = cholesky(&a).unwrap();
-        assert!((ch.log_det() - (24.0f64).ln()).abs() < 1e-12);
     }
 
     #[test]

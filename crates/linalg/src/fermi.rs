@@ -49,25 +49,6 @@ pub fn electron_count(eigenvalues: &[f64], mu: f64, kt: f64) -> f64 {
         .sum()
 }
 
-/// Electronic entropy `−k_B Σ_i [f ln f + (1−f) ln(1−f)]` in units of `k_B`
-/// (useful for free-energy consistency checks at finite temperature).
-pub fn electronic_entropy(eigenvalues: &[f64], mu: f64, kt: f64) -> f64 {
-    eigenvalues
-        .iter()
-        .map(|&e| {
-            let f = fermi_occupation(e, mu, kt);
-            let mut s = 0.0;
-            if f > 0.0 {
-                s -= f * f.ln();
-            }
-            if f < 1.0 {
-                s -= (1.0 - f) * (1.0 - f).ln();
-            }
-            s
-        })
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,13 +105,5 @@ mod tests {
         assert_eq!(electron_count(&eigs, 0.0, 0.0), 2.0);
         // Symmetric spectrum at finite T still gives half filling.
         assert!((electron_count(&eigs, 0.0, 0.5) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn entropy_vanishes_at_zero_t_and_peaks_at_mu() {
-        let eigs = [-1.0, 1.0];
-        assert_eq!(electronic_entropy(&eigs, 0.0, 0.0), 0.0);
-        let s_mid = electronic_entropy(&[0.0], 0.0, 0.1);
-        assert!((s_mid - std::f64::consts::LN_2).abs() < 1e-12);
     }
 }

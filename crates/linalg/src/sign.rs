@@ -108,9 +108,6 @@ pub struct SignIterationOptions {
     pub tol: f64,
     /// Iteration budget.
     pub max_iter: usize,
-    /// Pre-scale `X₀ = A / spectral_bound(A)` so the iteration starts inside
-    /// its convergence region. Disable only for matrices already scaled.
-    pub prescale: bool,
 }
 
 impl Default for SignIterationOptions {
@@ -118,7 +115,6 @@ impl Default for SignIterationOptions {
         SignIterationOptions {
             tol: 1e-10,
             max_iter: 100,
-            prescale: true,
         }
     }
 }
@@ -175,12 +171,12 @@ pub fn sign_iteration_in<E: SignElem>(
     let coeffs = pade_coefficients(order);
     let sqrt_n = (n.max(1) as f64).sqrt();
 
+    // `X₀ = A / spectral_bound(A)` starts the iteration inside its
+    // convergence region.
     let mut x = a.clone();
-    if opts.prescale {
-        let bound = spectral_bound(a);
-        if bound > 0.0 {
-            x.scale(E::from_f64(1.0 / bound));
-        }
+    let bound = spectral_bound(a);
+    if bound > 0.0 {
+        x.scale(E::from_f64(1.0 / bound));
     }
     // `Y` (then `E` in place), the Horner accumulator, and the product being
     // written, which then swaps with one of its factors.
@@ -384,7 +380,6 @@ mod tests {
             SignIterationOptions {
                 tol: 0.0, // unreachable
                 max_iter: 3,
-                prescale: true,
             },
         )
         .unwrap();
