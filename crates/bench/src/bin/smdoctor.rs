@@ -1,9 +1,9 @@
 //! `smdoctor` — operational health report and trace analysis over the
 //! workspace's results directory: one command table ([`COMMANDS`]), one
-//! loader per input kind (trace, bench document, plan manifest) and the
-//! printing. Every report is computed by a tested library function —
-//! the trace views in `sm_trace::analyze` / `sm_trace::chrome`, the bench
-//! and manifest views in `sm_bench::doctor`, the gate in
+//! loader per input kind (trace, bench document) and the printing.
+//! Every report is computed by a tested library function — the trace
+//! views in `sm_trace::analyze` / `sm_trace::chrome`, the bench views in
+//! `sm_bench::doctor`, the gate in
 //! `sm_bench::compare` — from the parsed input, on demand: the JSONL
 //! trace and the `BENCH_*.json` documents are the only stored artifacts.
 //!
@@ -35,9 +35,8 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use sm_bench::compare::compare_docs;
-use sm_bench::doctor::{audit_bench, cache_report, fault_report};
+use sm_bench::doctor::{audit_bench, fault_report};
 use sm_bench::output::{results_dir, Json};
-use sm_dbcsr::wire::{PlanManifest, PLAN_MANIFEST_SCHEMA_VERSION};
 use sm_trace::analyze::{self, TraceDoc};
 
 /// Why a command could not report: its exit code and a message naming
@@ -71,7 +70,7 @@ type Command = (
     fn(&[String]) -> Outcome,
 );
 
-const COMMANDS: [Command; 7] = [
+const COMMANDS: [Command; 6] = [
     (
         "critical-path",
         "<trace.jsonl>",
@@ -108,13 +107,6 @@ const COMMANDS: [Command; 7] = [
         faults,
     ),
     (
-        "cache",
-        "<manifest.smplans>",
-        1..=1,
-        "plan-cache manifest occupancy & ages",
-        cache,
-    ),
-    (
         "serve-report",
         "<trace.jsonl>",
         1..=1,
@@ -149,18 +141,15 @@ fn main() -> ExitCode {
     })
 }
 
-/// The bytes of an input that must exist and be non-empty — the one place
+/// The text of an input that must exist and be non-empty — the one place
 /// the "missing/empty/unreadable is a usage error" rule lives.
-fn read_input(path: &Path) -> Result<Vec<u8>, Fail> {
-    match std::fs::read(path) {
+fn read_text(path: &Path) -> Result<String, Fail> {
+    let bytes = match std::fs::read(path) {
         Ok(b) if b.trim_ascii().is_empty() => Err(usage(format!("{}: empty file", path.display()))),
         Ok(b) => Ok(b),
         Err(e) => Err(usage(format!("{}: unreadable: {e}", path.display()))),
-    }
-}
-
-fn read_text(path: &Path) -> Result<String, Fail> {
-    String::from_utf8(read_input(path)?).map_err(|e| malformed(path, e))
+    }?;
+    String::from_utf8(bytes).map_err(|e| malformed(path, e))
 }
 
 /// Load a `TRACE_*.jsonl` trace; a foreign schema version or a corrupt
@@ -172,11 +161,6 @@ fn load_trace(path: &Path) -> Result<TraceDoc, Fail> {
 /// Load one stamped bench document.
 fn load_bench(path: &Path) -> Result<Json, Fail> {
     Json::parse(&read_text(path)?).map_err(|e| malformed(path, format!("malformed JSON: {e}")))
-}
-
-/// Load a spilled plan-cache manifest (`SMPLANS` wire format).
-fn load_manifest(path: &Path) -> Result<PlanManifest, Fail> {
-    PlanManifest::decode(&read_input(path)?).map_err(|e| malformed(path, e))
 }
 
 fn critical_path(args: &[String]) -> Outcome {
@@ -327,17 +311,6 @@ fn faults(args: &[String]) -> Outcome {
              {quarantined} quarantine(s)"
         );
     }
-    Ok(ExitCode::SUCCESS)
-}
-
-fn cache(args: &[String]) -> Outcome {
-    let path = Path::new(&args[0]);
-    let manifest = load_manifest(path)?;
-    println!(
-        "plan-cache manifest {} (schema v{PLAN_MANIFEST_SCHEMA_VERSION})",
-        path.display()
-    );
-    print!("{}", cache_report(&manifest));
     Ok(ExitCode::SUCCESS)
 }
 
@@ -525,16 +498,14 @@ mod tests {
         let usage = |r: Result<(), Fail>| matches!(r, Err(Fail { exit: 2, .. }));
         let bad = |r: Result<(), Fail>| matches!(r, Err(Fail { exit: 1, .. }));
         let empty = temp_artifact("TRACE_empty.jsonl", " \n");
-        let junk = temp_artifact("junk.bin", "not json, not a trace, not a manifest");
+        let junk = temp_artifact("junk.bin", "not json, not a trace");
         let gone = empty.with_file_name("gone");
         for path in [&empty, &gone] {
             assert!(usage(load_trace(path).map(drop)));
             assert!(usage(load_bench(path).map(drop)));
-            assert!(usage(load_manifest(path).map(drop)));
         }
         assert!(bad(load_trace(&junk).map(drop)));
         assert!(bad(load_bench(&junk).map(drop)));
-        assert!(bad(load_manifest(&junk).map(drop)));
         let not_utf8 = temp_artifact("BENCH_latin1.json", "");
         std::fs::write(&not_utf8, [b'{', 0xff, b'}']).unwrap();
         assert!(bad(load_bench(&not_utf8).map(drop)));

@@ -7,8 +7,6 @@
 //! ```text
 //! submit <name> <nb> <seed> [low|normal|high]   enqueue a banded GC system
 //! window                                        close the admission window and run it
-//! export <manifest.smplans>                     spill the plan cache to disk
-//! import <manifest.smplans>                     restore plans from a spill
 //! stats                                         lifetime counters
 //! quit                                          stop the daemon
 //! ```
@@ -17,14 +15,15 @@
 //! `--label <s>` (trace label, default `serve`), `--trace <path>`
 //! (record the session's structured trace and write it as JSONL on
 //! exit — the input `smdoctor serve-report` reads), `--demo` (scripted
-//! kill-and-restart session, no stdin).
+//! two-window session, no stdin).
 //!
-//! The demo session exercises the whole resident story end to end: a
-//! cold daemon admits a mixed-priority window, spills its plan cache,
-//! "dies"; a second daemon on a **fresh engine** imports the manifest,
-//! replays the same systems and asserts the warm window replans nothing
-//! (`symbolic_builds == 0`) with bitwise-identical densities — the
-//! restart is invisible except in the wall clock.
+//! The demo session exercises the resident contract end to end: one
+//! daemon admits a mixed-priority window of three systems, runs it, then
+//! admits the same three systems again; it asserts that the second window
+//! replans nothing (0 symbolic builds, every planning decision a hit) and
+//! that its densities are bitwise-identical to the first window's. The
+//! plan cache lives as long as the daemon; a new daemon plans each
+//! pattern on first use.
 //!
 //! Jobs are deterministic banded grand-canonical systems (the scheduler
 //! ablations' construction), so a session transcript is reproducible:
@@ -55,8 +54,6 @@ const MAX_NB: usize = 1024;
 enum Request {
     Submit(Box<ScfJobSpec>, Priority),
     Window,
-    Export(PathBuf),
-    Import(PathBuf),
     Stats,
     Quit,
 }
@@ -82,12 +79,10 @@ fn parse_line(line: &str) -> Result<Option<Request>, String> {
             Ok(Some(Request::Submit(Box::new(spec), priority)))
         }
         ["window"] => Ok(Some(Request::Window)),
-        ["export", path] => Ok(Some(Request::Export(PathBuf::from(path)))),
-        ["import", path] => Ok(Some(Request::Import(PathBuf::from(path)))),
         ["stats"] => Ok(Some(Request::Stats)),
         ["quit"] | ["shutdown"] => Ok(Some(Request::Quit)),
         other => Err(format!(
-            "unknown request '{}' (submit|window|export|import|stats|quit)",
+            "unknown request '{}' (submit|window|stats|quit)",
             other.join(" ")
         )),
     }
@@ -143,14 +138,6 @@ fn answer(
             *window = Some(w);
             Ok(line)
         }
-        Request::Export(path) => match svc.engine().export_plans(&path) {
-            Ok(n) => Ok(format!("exported {n} plan(s) to {}", path.display())),
-            Err(e) => Err(format!("plan-io-failed: {e}")),
-        },
-        Request::Import(path) => match svc.engine().import_plans(&path) {
-            Ok(n) => Ok(format!("imported {n} plan(s) from {}", path.display())),
-            Err(e) => Err(format!("plan-io-failed: {e}")),
-        },
         Request::Stats => {
             let s = svc.stats();
             Ok(format!(
@@ -212,91 +199,64 @@ fn script(svc: &mut StreamingScfService, lines: &[String]) -> Result<WindowOutco
     window.ok_or_else(|| "the script closed no window".to_string())
 }
 
-/// The scripted kill-and-restart session (`--demo`).
+/// The scripted two-window session (`--demo`).
 fn run_demo(label: &str, config: ServiceConfig) -> ExitCode {
     let submit =
         |name: &str, nb: usize, seed: u64, p: &str| format!("submit {name} {nb} {seed} {p}");
-    let manifest = std::env::temp_dir().join("smserved_demo.smplans");
-    let manifest_str = manifest.display().to_string();
-
-    println!("# cold daemon: admit a mixed-priority window, run it, spill plans");
-    let cold_engine = fresh_engine();
-    let mut cold = daemon(Arc::clone(&cold_engine), label, config.clone());
-    let cold_window = script(
-        &mut cold,
-        &[
-            submit("bulk-a", 6, 1, "low"),
-            submit("urgent", 4, 2, "high"),
-            submit("steady", 5, 3, "normal"),
-            "window".to_string(),
-            format!("export {manifest_str}"),
-            "stats".to_string(),
-            "quit".to_string(),
-        ],
-    );
-    let cold_stats = cold_engine.stats();
-    let cold_window = match cold_window {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("smserved: demo cold session failed: {e}");
-            return ExitCode::FAILURE;
+    let systems = [
+        submit("bulk-a", 6, 1, "low"),
+        submit("urgent", 4, 2, "high"),
+        submit("steady", 5, 3, "normal"),
+    ];
+    let engine = fresh_engine();
+    let mut svc = daemon(Arc::clone(&engine), label, config);
+    let mut windows = Vec::new();
+    let mut stats = Vec::new();
+    for (w, tail) in [
+        (0, &["window", "stats"][..]),
+        (1, &["window", "stats", "quit"]),
+    ] {
+        println!("# window {w}: admit three systems of mixed priority, run them");
+        let before = engine.stats();
+        let lines: Vec<String> = (systems.iter().cloned())
+            .chain(tail.iter().map(|l| l.to_string()))
+            .collect();
+        match script(&mut svc, &lines) {
+            Ok(window) => windows.push(window),
+            Err(e) => {
+                eprintln!("smserved: demo window {w} failed: {e}");
+                return ExitCode::FAILURE;
+            }
         }
-    };
-    assert!(
-        cold_stats.symbolic_builds > 0,
-        "cold window must build plans"
-    );
+        stats.push(engine.stats().since(&before));
+    }
+    assert!(stats[0].symbolic_builds > 0, "window 0 must build plans");
 
-    println!("\n# restart: fresh engine (a new process in miniature), import, replay");
-    let warm_engine = fresh_engine();
-    let mut warm = daemon(Arc::clone(&warm_engine), label, config);
-    let warm_window = script(
-        &mut warm,
-        &[
-            format!("import {manifest_str}"),
-            submit("bulk-a", 6, 1, "low"),
-            submit("urgent", 4, 2, "high"),
-            submit("steady", 5, 3, "normal"),
-            "window".to_string(),
-            "quit".to_string(),
-        ],
-    );
-    let warm_stats = warm_engine.stats();
-    let warm_window = match warm_window {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("smserved: demo warm session failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    // The resident contract, asserted in-binary: a warm restart replans
-    // nothing and changes no numbers.
+    // The resident contract, asserted in-binary: the second window
+    // replans nothing and changes no numbers.
+    let warm = stats[1];
+    assert_eq!(warm.symbolic_builds, 0, "window 1 must replan nothing");
     assert_eq!(
-        warm_stats.symbolic_builds, 0,
-        "warm restart must replan nothing"
+        warm.cache_hits, warm.executions,
+        "every planning decision of window 1 is a hit"
     );
-    assert_eq!(
-        warm_stats.cache_hits, warm_stats.executions,
-        "every warm planning decision is a hit"
-    );
-    for (c, w) in cold_window
+    let pairs = windows[0]
         .outcome
         .results
         .iter()
-        .zip(&warm_window.outcome.results)
-    {
-        assert_eq!(c.name, w.name);
+        .zip(&windows[1].outcome.results);
+    for (first, second) in pairs {
+        assert_eq!(first.name, second.name);
         assert!(
-            same_bits(&c.result, &w.result),
-            "job '{}' density changed across the restart",
-            c.name
+            same_bits(&first.result, &second.result),
+            "job '{}' density changed between the windows",
+            first.name
         );
     }
     println!(
-        "\ndemo OK: warm restart replanned nothing ({} hits / 0 builds), \
-         densities bitwise-identical across the restart; manifest at {manifest_str}",
-        warm_stats.cache_hits
+        "\ndemo OK: window 1 replanned nothing ({} hits / 0 builds), \
+         densities bitwise-identical to window 0's",
+        warm.cache_hits
     );
     ExitCode::SUCCESS
 }
@@ -345,7 +305,7 @@ fn main() -> ExitCode {
                 println!(
                     "smserved [--world N] [--capacity N] [--label s] [--trace path] [--demo]\n\
                      stdin protocol: submit <name> <nb> <seed> [low|normal|high] | window |\n\
-                     export <path> | import <path> | stats | quit"
+                     stats | quit"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -377,6 +337,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sm_dbcsr::wire::mix64;
 
     fn submit(nb: &str) -> Result<Option<Request>, String> {
         parse_line(&format!("submit a {nb} 1"))
@@ -394,6 +355,64 @@ mod tests {
                 Err(e) => assert!(e.starts_with(&format!("bad nb '{nb}'")), "{e}"),
                 Ok(_) => panic!("nb '{nb}' is outside 1..={MAX_NB} and must be refused"),
             }
+        }
+    }
+
+    /// A deterministic sweep of generated lines: each parses to `Ok` or
+    /// `Err` and none panics. It covers every request word with too few
+    /// and too many arguments; `nb` and `seed` at, just past and far past
+    /// their bounds; empty, whitespace-only, comment and non-ASCII lines;
+    /// and random word sequences drawn with `mix64`.
+    #[test]
+    fn generated_lines_parse_or_refuse_without_a_panic() {
+        // The one job of the largest `nb` (32 MiB dense) comes first.
+        let mut lines = vec![format!("submit big {MAX_NB} 0 high")];
+        let specials = [
+            "",
+            " \t ",
+            "#",
+            "# a comment",
+            "#window",
+            "ü",
+            "日本語",
+            "\u{0}",
+        ];
+        lines.extend(specials.map(String::from));
+        for word in [
+            "submit", "window", "stats", "quit", "shutdown", "export", "import", "Ü",
+        ] {
+            lines.extend((0..=6).map(|n| format!("{word}{}", " 7".repeat(n))));
+        }
+        let nbs = format!("0 1 {} 4294967296 18446744073709551616 -1 ½", MAX_NB + 1);
+        let seeds = "0 18446744073709551615 18446744073709551616 99999999999999999999999 -1 x";
+        for nb in nbs.split(' ') {
+            lines.extend(seeds.split(' ').map(|seed| format!("submit ü {nb} {seed}")));
+        }
+        for priority in ["low", "normal", "high", "HIGH", "urgent", "ü"] {
+            lines.push(format!("submit a 1 1 {priority}"));
+        }
+        let pool = format!("submit window stats quit a 1 0 -1 {} low # ü", MAX_NB + 1);
+        let pool: Vec<&str> = pool.split(' ').collect();
+        let mut h = 0x5eed;
+        let mut draw = || {
+            h = mix64(h);
+            h as usize
+        };
+        for _ in 0..2000 {
+            let words: Vec<&str> = (0..draw() % 7).map(|_| pool[draw() % pool.len()]).collect();
+            lines.push(words.join(" "));
+        }
+        for line in &lines {
+            let parsed = std::panic::catch_unwind(|| parse_line(line).map(drop));
+            assert!(parsed.is_ok(), "line {line:?} panicked");
+        }
+        // `export` and `import` are not requests.
+        for line in ["export plans.bin", "import plans.bin"] {
+            let err = parse_line(line).err().expect("refused");
+            assert_eq!(
+                err,
+                format!("unknown request '{line}' (submit|window|stats|quit)")
+            );
         }
     }
 }

@@ -188,7 +188,8 @@ fn compare_scalar(at: &str, key: &str, old: &Json, new: &Json, diffs: &mut Vec<D
 
 /// Column-aware comparison of a `{columns, rows}` table: wall columns
 /// soft-warn, error columns may not grow tenfold, the builds/hits column
-/// pair compares as a per-row sum, everything else must match exactly.
+/// pair compares as a per-row sum, everything else must match exactly. A
+/// row that is not an array of one cell per column is a hard diff.
 fn compare_table(at: &str, old: &Json, new: &Json, diffs: &mut Vec<Diff>) {
     let cols = |doc: &Json| -> Vec<String> {
         let cols = doc.get("columns").and_then(Json::as_arr).unwrap_or(&[]);
@@ -200,9 +201,8 @@ fn compare_table(at: &str, old: &Json, new: &Json, diffs: &mut Vec<Diff>) {
     if ca != cb {
         return hard(diffs, format!("{at}.columns"), format!("{ca:?} -> {cb:?}"));
     }
-    fn rows(doc: &Json) -> Vec<&[Json]> {
-        let rows = doc.get("rows").and_then(Json::as_arr).unwrap_or(&[]);
-        rows.iter().filter_map(Json::as_arr).collect()
+    fn rows(doc: &Json) -> &[Json] {
+        doc.get("rows").and_then(Json::as_arr).unwrap_or(&[])
     }
     let (ra, rb) = (rows(old), rows(new));
     if ra.len() != rb.len() {
@@ -216,7 +216,18 @@ fn compare_table(at: &str, old: &Json, new: &Json, diffs: &mut Vec<Diff>) {
         .filter(|&i| SUMMED_KEYS.contains(&ca[i].as_str()))
         .collect();
     let sum_all = summed.len() == SUMMED_KEYS.len();
-    for (r, (row_a, row_b)) in ra.iter().zip(&rb).enumerate() {
+    for (r, (row_a, row_b)) in ra.iter().zip(rb).enumerate() {
+        let (Some(row_a), Some(row_b)) = (row_a.as_arr(), row_b.as_arr()) else {
+            let what = format!("{row_a} -> {row_b}: a row is an array of cells");
+            hard(diffs, format!("{at}.rows[{r}]"), what);
+            continue;
+        };
+        if row_a.len() != ca.len() || row_b.len() != ca.len() {
+            let (a, b, n) = (row_a.len(), row_b.len(), ca.len());
+            let what = format!("{a} -> {b} cells for {n} columns");
+            hard(diffs, format!("{at}.rows[{r}]"), what);
+            continue;
+        }
         if sum_all {
             let sum = |row: &[Json]| -> f64 {
                 summed
@@ -236,9 +247,8 @@ fn compare_table(at: &str, old: &Json, new: &Json, diffs: &mut Vec<Diff>) {
             if sum_all && summed.contains(&c) {
                 continue;
             }
-            if let (Some(va), Some(vb)) = (row_a.get(c), row_b.get(c)) {
-                compare_keyed(&format!("{at}.rows[{r}].{col}"), col, va, vb, diffs);
-            }
+            let (va, vb) = (&row_a[c], &row_b[c]);
+            compare_keyed(&format!("{at}.rows[{r}].{col}"), col, va, vb, diffs);
         }
     }
 }
@@ -394,6 +404,26 @@ mod tests {
             ),
             (1, 0),
             "row count"
+        );
+        // A row with a cell missing or extra, and a row that is not an
+        // array, are diffs too: a truncated document is not a clean one.
+        let one_row = |row: &str| table(r#"["a","b"]"#, &format!("[{row}]"));
+        for (old, new) in [
+            (r#"["1","2"]"#, r#"["1"]"#),
+            (r#"["1","2"]"#, r#"["1","2","3"]"#),
+            (r#"["1"]"#, r#"["1"]"#),
+            (r#"["1","2"]"#, r#"{"a":"1","b":"2"}"#),
+            (r#"["1","2"]"#, r#""1,2""#),
+        ] {
+            assert_eq!(gate(&one_row(old), &one_row(new)), (1, 0), "{old} -> {new}");
+        }
+        assert_eq!(
+            gate(
+                &table(r#"["a"]"#, r#"[["1"]]"#),
+                &table(r#"["a"]"#, r#"[["1"],"junk"]"#)
+            ),
+            (1, 0),
+            "an extra row that is not an array"
         );
     }
 }

@@ -1,5 +1,5 @@
-//! The `smdoctor` views over a parsed bench document or plan manifest
-//! (the trace views live in `sm_trace::analyze`, the regression gate in
+//! The `smdoctor` views over a parsed bench document (the trace views
+//! live in `sm_trace::analyze`, the regression gate in
 //! [`crate::compare`]). Each is a function from the parsed input to the
 //! text `smdoctor` prints, or to the reason the input is not what the
 //! view reads — a row missing its counters is the wrong artifact, never
@@ -8,7 +8,6 @@
 use std::fmt::Write as _;
 
 use crate::output::{Json, BENCH_SCHEMA_VERSION};
-use sm_dbcsr::wire::{PlanManifest, PlanManifestEntry};
 
 /// Audit one stamped `BENCH_*.json` document: the `bench=… commit=… at=…`
 /// line of the report, and every problem with the envelope (schema
@@ -96,42 +95,6 @@ pub fn fault_report(doc: &Json) -> Result<String, String> {
     Ok(out)
 }
 
-/// Occupancy, lifetime counters and per-pattern entry ages of a decoded
-/// plan-cache manifest, in fingerprint order. Age = LRU ticks since last
-/// touch, so age 0 is the hottest pattern and the largest age is next in
-/// line for eviction on a bounded import.
-pub fn cache_report(m: &PlanManifest) -> String {
-    let capacity = match m.capacity {
-        u64::MAX => "unbounded".to_string(),
-        n => n.to_string(),
-    };
-    let payload: usize = m.entries.iter().map(|e| e.words.len()).sum();
-    let age = |e: &PlanManifestEntry| m.tick.saturating_sub(e.lru_stamp);
-    let mut out = format!(
-        "  producer tag {:#018x}, capacity {capacity}, occupancy {} pattern(s) \
-         ({payload} payload word(s))\n  \
-         lifetime: {} hit(s) / {} build(s), {} eviction(s), LRU tick {}\n",
-        m.tag,
-        m.entries.len(),
-        m.hits,
-        m.builds,
-        m.evictions,
-        m.tick
-    );
-    let mut entries: Vec<&PlanManifestEntry> = m.entries.iter().collect();
-    entries.sort_by_key(|e| e.fingerprint);
-    for e in entries {
-        let _ = writeln!(
-            out,
-            "  fingerprint {:#018x}: age {} tick(s), {} word(s)",
-            e.fingerprint,
-            age(e),
-            e.words.len()
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,37 +159,5 @@ mod tests {
         );
         let err = fault_report(&Json::parse(r#"{"bench":"sparse","data":{}}"#).unwrap());
         assert!(err.unwrap_err().starts_with("no data.series"));
-    }
-
-    #[test]
-    fn cache_report_groups_entries_by_fingerprint_with_lru_ages() {
-        let entry = |fingerprint, lru_stamp, n_words| PlanManifestEntry {
-            fingerprint,
-            lru_stamp,
-            words: vec![0; n_words],
-        };
-        let manifest = PlanManifest {
-            tag: 0xabc,
-            capacity: u64::MAX,
-            tick: 9,
-            evictions: 1,
-            hits: 12,
-            builds: 4,
-            entries: vec![entry(7, 9, 10), entry(5, 2, 3), entry(6, 4, 11)],
-        };
-        assert_eq!(
-            cache_report(&manifest),
-            "  producer tag 0x0000000000000abc, capacity unbounded, occupancy 3 pattern(s) \
-             (24 payload word(s))\n  \
-             lifetime: 12 hit(s) / 4 build(s), 1 eviction(s), LRU tick 9\n  \
-             fingerprint 0x0000000000000005: age 7 tick(s), 3 word(s)\n  \
-             fingerprint 0x0000000000000006: age 5 tick(s), 11 word(s)\n  \
-             fingerprint 0x0000000000000007: age 0 tick(s), 10 word(s)\n"
-        );
-        let bounded = PlanManifest {
-            capacity: 8,
-            ..PlanManifest::default()
-        };
-        assert!(cache_report(&bounded).contains("capacity 8, occupancy 0 pattern(s)"));
     }
 }

@@ -12,7 +12,7 @@ use sm_core::solver::{SignMethod, SolveBackend, SolveOptions};
 use sm_pipeline::{
     serial_scf_loop, EpochSchedule, JobOutput, JobQueue, MatrixJob, Priority, RankBudget,
     ScfJobSpec, ScfOutcomeExt, Scheduler, ServiceConfig, ServiceError, StealPolicy,
-    StreamingScfService, SubmatrixEngine, WindowOutcome,
+    StreamingScfService, SubmatrixEngine,
 };
 
 use super::Ctx;
@@ -498,8 +498,8 @@ pub fn scf_service(_: &Ctx) -> Report {
 }
 
 /// The streamed workload of [`service`]: three admission windows of
-/// mixed priorities, with recurring patterns across windows (the
-/// warm-restart payoff).
+/// mixed priorities, with recurring patterns across windows (plan reuse
+/// on the resident engine).
 fn stream() -> Vec<Vec<(ScfJobSpec, Priority)>> {
     let job = |name, nb, seed, priority| (gc_spec(name, nb, seed, 8, 1e-7), priority);
     vec![
@@ -514,8 +514,7 @@ fn stream() -> Vec<Vec<(ScfJobSpec, Priority)>> {
             job("w1-c", 4, 6, Priority::High),
             job("w1-d", 5, 7, Priority::Low),
         ],
-        // Window 2 resubmits window 0's systems — pure plan reuse even
-        // on the cold side.
+        // Window 2 resubmits window 0's systems — pure plan reuse.
         vec![
             job("w0-bulk", 10, 1, Priority::Normal),
             job("w0-urgent", 4, 2, Priority::Normal),
@@ -524,25 +523,23 @@ fn stream() -> Vec<Vec<(ScfJobSpec, Priority)>> {
     ]
 }
 
-/// Run the whole stream through one service on `world_size` ranks,
-/// asserting per-window bitwise equivalence and consensus accounting,
-/// pushing one row per window.
+/// Run the whole stream through one service on 4 ranks and a fresh
+/// engine, asserting per-window bitwise equivalence and consensus
+/// accounting, pushing one row per window (phase `cold`: the engine starts
+/// empty). Returns the engine.
 fn run_stream(
-    engine: &Arc<SubmatrixEngine>,
-    phase: &str,
-    world_size: usize,
     workload: &[Vec<(ScfJobSpec, Priority)>],
     report: &mut Report,
-) -> Vec<WindowOutcome> {
+) -> Arc<SubmatrixEngine> {
+    let engine = fresh_engine();
+    let phase = "cold";
     let mut svc = StreamingScfService::new(
-        Scheduler::new(Arc::clone(engine), RankBudget::default())
-            .with_trace_label(&format!("svc-{phase}")),
+        Scheduler::new(Arc::clone(&engine), RankBudget::default()).with_trace_label("svc-cold"),
         ServiceConfig {
-            world_size,
+            world_size: 4,
             queue_capacity: 16,
         },
     );
-    let mut outcomes = Vec::new();
     for window in workload {
         for (spec, priority) in window {
             svc.submit(spec.clone(), *priority).expect("admission");
@@ -590,26 +587,21 @@ fn run_stream(
             Flag(true),
             Wall(seconds),
         ]);
-        outcomes.push(w);
     }
-    outcomes
+    engine
 }
 
-/// The resident streaming service vs a serial driver loop, across a
-/// kill-and-restart. Asserts: every closed window bitwise-identical to a
-/// serial `ScfDriver` loop over the same admitted set in canonical order
-/// (admission-window determinism); spilling the plan cache to a manifest,
-/// standing up a fresh engine, importing and replaying the same stream
-/// replans nothing (`symbolic_builds == 0`, every decision a hit,
-/// densities unchanged) — at the export's world size and at another one,
-/// since the manifest stores patterns, not ranks; and a full queue sheds
-/// the overflow submission deterministically without disturbing the
-/// admitted window.
+/// The resident streaming service vs a serial driver loop. Asserts: every
+/// closed window bitwise-identical to a serial `ScfDriver` loop over the
+/// same admitted set in canonical order (admission-window determinism);
+/// `hits + builds` equal to the window's consensus decisions; and a full
+/// queue sheds the overflow submission deterministically without
+/// disturbing the admitted window.
 pub fn service(_: &Ctx) -> Report {
     let workload = stream();
     let n_jobs: usize = workload.iter().map(Vec::len).sum();
     let mut report = Report::keyed(
-        "Ablation — resident streaming service across a restart",
+        "Ablation — resident streaming service",
         vec![
             ("phase", "phase"),
             ("window", "window"),
@@ -623,71 +615,16 @@ pub fn service(_: &Ctx) -> Report {
         ],
     );
 
-    // Cold phase: fresh engine, stream everything, spill the plans.
-    let cold_engine = fresh_engine();
-    let cold = run_stream(&cold_engine, "cold", 4, &workload, &mut report);
-    let cold_stats = cold_engine.stats();
+    // One engine streams every window: its plans live as long as it does.
+    let engine = run_stream(&workload, &mut report);
+    let cold_stats = engine.stats();
     assert!(
         cold_stats.symbolic_builds > 0,
         "cold stream must build plans"
     );
-    let manifest = std::env::temp_dir().join("sm_ablation_service.smplans");
-    let exported = cold_engine.export_plans(&manifest).expect("export plans");
-    assert_eq!(exported, cold_engine.cached_plans());
     println!(
-        "cold stream: {} builds, {} hits; spilled {exported} pattern(s) to {}",
-        cold_stats.symbolic_builds,
-        cold_stats.cache_hits,
-        manifest.display()
-    );
-
-    // Warm phase: a restart in miniature — fresh engine, import, replay.
-    let warm_engine = fresh_engine();
-    let imported = warm_engine.import_plans(&manifest).expect("import plans");
-    assert_eq!(imported, exported, "every exported pattern must restore");
-    let warm = run_stream(&warm_engine, "warm", 4, &workload, &mut report);
-    let warm_stats = warm_engine.stats();
-
-    // The headline acceptance pin: the warm restart replans nothing.
-    assert_eq!(
-        warm_stats.symbolic_builds, 0,
-        "warm restart must replan nothing"
-    );
-    assert_eq!(
-        warm_stats.cache_hits, warm_stats.executions,
-        "every warm planning decision is a hit"
-    );
-    for (c, w) in cold.iter().zip(&warm) {
-        for (rc, rw) in c.outcome.results.iter().zip(&w.outcome.results) {
-            assert_eq!(rc.name, rw.name);
-            assert!(
-                same_bits(&rc.result, &rw.result),
-                "job '{}' density changed across the restart",
-                rc.name
-            );
-        }
-    }
-    println!(
-        "warm stream: 0 builds, {} hits — the restart is invisible in the numbers",
-        warm_stats.cache_hits
-    );
-
-    // A second restart at another world size: the manifest names no rank,
-    // so each rank derives its own view of an imported pattern and no
-    // window gathers one (each window is bitwise the serial loop, as
-    // above).
-    let wide_engine = fresh_engine();
-    let imported = wide_engine.import_plans(&manifest).expect("import plans");
-    assert_eq!(imported, exported, "every exported pattern must restore");
-    run_stream(&wide_engine, "warm-w2", 2, &workload, &mut report);
-    let wide_stats = wide_engine.stats();
-    assert_eq!(
-        wide_stats.symbolic_builds, 0,
-        "a restart at another world size must replan nothing"
-    );
-    println!(
-        "warm stream at world 2: 0 builds, {} hits, {} views derived",
-        wide_stats.cache_hits, wide_stats.view_derivations
+        "cold stream: {} builds, {} hits",
+        cold_stats.symbolic_builds, cold_stats.cache_hits
     );
 
     // Deterministic backpressure: a capacity-2 queue sheds the third
@@ -719,22 +656,12 @@ pub fn service(_: &Ctx) -> Report {
     report.head = vec![
         (
             "workload",
-            Json::Str(
-                "3 admission windows, 10 mixed-priority GC jobs, world 4 (warm-w2: world 2)".into(),
-            ),
+            Json::Str("3 admission windows, 10 mixed-priority GC jobs, world 4".into()),
         ),
         ("jobs", Json::Num(n_jobs as f64)),
         ("windows", Json::Num(workload.len() as f64)),
-        ("manifest_plans", Json::Num(exported as f64)),
         ("cold_builds", Json::Num(cold_stats.symbolic_builds as f64)),
         ("cold_hits", Json::Num(cold_stats.cache_hits as f64)),
-        ("warm_builds", Json::Num(warm_stats.symbolic_builds as f64)),
-        ("warm_hits", Json::Num(warm_stats.cache_hits as f64)),
-        (
-            "warm_w2_builds",
-            Json::Num(wide_stats.symbolic_builds as f64),
-        ),
-        ("warm_w2_hits", Json::Num(wide_stats.cache_hits as f64)),
         ("backpressure_rejects", Json::Num(1.0)),
     ];
     report

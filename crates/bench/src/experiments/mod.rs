@@ -51,7 +51,7 @@ pub const EXPERIMENTS: [Experiment; 25] = [
     Experiment { name: "solve_paths", about: "diagonalization vs dense and CSR Pade per submatrix (Secs. IV-F, V-C)", run: ablations::solve_paths },
     Experiment { name: "faults", about: "contract: fault injection and epoch-level recovery (baselined)", run: contracts::faults },
     Experiment { name: "scf_service", about: "contract: batched SCF service vs serial driver loop (baselined, traced)", run: contracts::scf_service },
-    Experiment { name: "service", about: "contract: streaming service across a kill-and-restart (baselined)", run: contracts::service },
+    Experiment { name: "service", about: "contract: resident streaming service (baselined)", run: contracts::service },
     Experiment { name: "sparse", about: "contract: dense vs sparse-CSR solve backend across fill (baselined)", run: contracts::sparse },
     Experiment { name: "stealing", about: "contract: static groups vs epoch work stealing (baselined)", run: contracts::stealing },
 ];

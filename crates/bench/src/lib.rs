@@ -7,7 +7,7 @@
 //! an aligned table and written as exactly one artifact,
 //! `results/BENCH_<name>.json`. `smdoctor` audits and compares those
 //! artifacts ([`compare`] is its regression gate, [`doctor`] its other
-//! bench and manifest views); `smserved` is the streaming daemon.
+//! bench views); `smserved` is the streaming daemon.
 //!
 //! Scale conventions: the laptop-scale defaults finish in seconds to a few
 //! minutes; experiments that *solve* systems use a shortened basis range

@@ -4,7 +4,7 @@
 //! size)`. Collective only for the hit/miss consensus and for obtaining
 //! the pattern itself when some rank lacks it; a rank holding the pattern
 //! derives a missing view locally. [`PatternPlan::new`] is the one
-//! constructor of an entry: a manifest import calls it as a miss does.
+//! constructor of an entry, and a miss the one caller.
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::Ordering;
@@ -30,10 +30,10 @@ pub struct Planning {
 }
 
 /// One cached pattern: its plan, the views derived from it, its LRU stamp.
-pub(super) struct CachedPattern {
-    pub(super) plan: Arc<PatternPlan>,
-    pub(super) views: Vec<Arc<ExecutionPlan>>,
-    pub(super) stamp: u64,
+struct CachedPattern {
+    plan: Arc<PatternPlan>,
+    views: Vec<Arc<ExecutionPlan>>,
+    stamp: u64,
 }
 
 /// A probe's find: the pattern plan and, if memoised, the rank's view.
@@ -45,8 +45,8 @@ type Found = (Arc<PatternPlan>, Option<Arc<ExecutionPlan>>);
 /// triggers it.
 #[derive(Default)]
 pub(super) struct PlanCache {
-    pub(super) map: HashMap<u64, CachedPattern>,
-    pub(super) tick: u64,
+    map: HashMap<u64, CachedPattern>,
+    tick: u64,
 }
 
 impl PlanCache {
@@ -66,7 +66,7 @@ impl PlanCache {
     /// Memoise `view` in `key`'s entry, inserting it with `plan` if absent
     /// (without `plan`, an evicted entry stays evicted), then evict the
     /// least recently used while over `capacity`. Returns the evictions.
-    pub(super) fn remember(
+    fn remember(
         &mut self,
         key: u64,
         plan: Option<&Arc<PatternPlan>>,
@@ -113,7 +113,7 @@ impl SubmatrixEngine {
     /// The plan cache. A panic while the lock was held cannot leave an
     /// entry half-updated (each update is one call), so a poisoned lock is
     /// recovered rather than propagated.
-    pub(super) fn cache(&self) -> MutexGuard<'_, PlanCache> {
+    fn cache(&self) -> MutexGuard<'_, PlanCache> {
         self.cache.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -128,7 +128,7 @@ impl SubmatrixEngine {
         self.cache().map.len()
     }
 
-    pub(super) fn cache_key(&self, fp: PatternFingerprint) -> u64 {
+    fn cache_key(&self, fp: PatternFingerprint) -> u64 {
         fp.0 ^ self.opts.grouping.cache_tag()
     }
 
@@ -145,15 +145,8 @@ impl SubmatrixEngine {
         let view = Arc::new(shared.rank_view(rank, size));
         let capacity = self.opts.plan_cache_capacity;
         let evicted = (self.cache()).remember(key, insert.then_some(shared), &view, capacity);
-        self.book_evictions(evicted);
+        (self.counters.evictions).fetch_add(evicted, Ordering::Relaxed);
         (view, evicted)
-    }
-
-    /// Count `evicted` patterns.
-    pub(super) fn book_evictions(&self, evicted: usize) {
-        self.counters
-            .evictions
-            .fetch_add(evicted, Ordering::Relaxed);
     }
 
     /// Symbolic phase on a distributed matrix (collective). A cache hit

@@ -13,9 +13,10 @@
 //!
 //! * `cache` — the plan cache (one entry per pattern, its rank views
 //!   memoised inside), `plan_for_matrix*` and the hit/miss consensus;
-//! * `exec` — the numeric phase: `execute`, `sign`, `density`;
-//! * `codec` — plans on disk: `export_plans` stores each pattern's
-//!   partition and pattern, `import_plans` rebuilds the entry from them.
+//! * `exec` — the numeric phase: `execute`, `sign`, `density`.
+//!
+//! The cache lives as long as the engine: a new engine, in this process or
+//! the next, plans each pattern on first use like any other miss.
 //!
 //! The engine is an SPMD object like [`sm_dbcsr::DbcsrMatrix`]: every rank
 //! calls the same methods collectively. One entry per `(fingerprint,
@@ -31,8 +32,8 @@
 //! *patterns*, so one cached plan serves all of them and the collective
 //! hit/miss consensus stays blind to both (two groups running one pattern
 //! at different precisions must still agree on hit/miss, or they would
-//! deadlock in the pattern gather). `cache` and `codec` do not import the
-//! types, and CI checks that they do not.
+//! deadlock in the pattern gather). `cache` does not import the types, and
+//! CI checks that it does not.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -43,14 +44,12 @@ use crate::solver::{SolveBackend, SolveOptions};
 use crate::transfers::TransferStats;
 
 mod cache;
-mod codec;
 mod exec;
 
 pub use crate::assembly::{AssemblyMap, AssemblySlot, ExtractionMap, ExtractionSlot};
 pub use crate::plan::ExecutionPlan;
 use cache::PlanCache;
 pub use cache::Planning;
-pub use codec::PlanPersistError;
 
 /// How block columns are grouped into submatrices.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -380,7 +379,7 @@ mod tests {
     use sm_linalg::Matrix;
 
     /// Banded block matrix with a spectral gap at 0, shared by the test
-    /// modules of `cache`, `exec` and `codec`.
+    /// modules of `cache` and `exec`.
     pub(super) fn banded_gapped(nb: usize, bs: usize) -> (Matrix, BlockedDims) {
         let dims = BlockedDims::uniform(nb, bs);
         let n = dims.n();

@@ -50,8 +50,7 @@ pub mod transfers;
 
 pub use assembly::SubmatrixSpec;
 pub use engine::{
-    EngineOptions, EngineReport, EngineStats, ExecutionPlan, NumericOptions, PlanPersistError,
-    SubmatrixEngine,
+    EngineOptions, EngineReport, EngineStats, ExecutionPlan, NumericOptions, SubmatrixEngine,
 };
 pub use plan::PatternPlan;
 pub use solver::SignMethod;

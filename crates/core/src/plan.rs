@@ -72,8 +72,7 @@ fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
 }
 
 /// The pattern-wide half of the symbolic phase, identical on every rank:
-/// one plan-cache entry. Owns its pattern and partition, so it is also
-/// all a plan manifest stores.
+/// one plan-cache entry. Owns its pattern and partition.
 #[derive(Debug)]
 pub struct PatternPlan {
     /// The global block pattern.

@@ -334,260 +334,6 @@ impl FingerprintAccumulator {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Plan manifest — the on-disk spill format for cached pattern plans.
-// ---------------------------------------------------------------------------
-
-/// Schema version of the on-disk plan manifest. Bumped on any layout
-/// change; [`PlanManifest::decode`] refuses to misparse an unknown
-/// version. v2: plan payloads carry the pattern's element-fill fraction
-/// (the sparse-backend decision input). v3: every entry carries a checksum
-/// of its payload words. v4: a payload is the plan's inputs only — the
-/// block partition and the global pattern — and the importer rebuilds the
-/// plan from them after checking they hash to the entry's fingerprint. v5:
-/// one entry per pattern, with no rank and no communicator size — the
-/// importer restores the pattern, and any rank of any world derives its
-/// view from it.
-pub const PLAN_MANIFEST_SCHEMA_VERSION: u32 = 5;
-
-/// Leading magic of every plan manifest (eight bytes, also the first
-/// little-endian word of the container). Guards against feeding an
-/// arbitrary file — a trace, a bench JSON — to the manifest decoder.
-pub const PLAN_MANIFEST_MAGIC: [u8; 8] = *b"SMPLANS\0";
-
-/// One spilled plan-cache entry, one per pattern. The payload is an opaque word stream
-/// owned by the producer (the engine's plan codec); this container
-/// guarantees framing, versioning, payload integrity (a checksum written
-/// by [`PlanManifest::encode`] and verified by [`PlanManifest::decode`]),
-/// and the LRU metadata needed to restore eviction order faithfully.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlanManifestEntry {
-    /// Raw pattern fingerprint ([`PatternFingerprint`] value, *not* the
-    /// producer-tag-mixed cache key — the tag travels in the header).
-    pub fingerprint: u64,
-    /// LRU stamp at export time; import restores it so eviction order
-    /// survives the restart.
-    pub lru_stamp: u64,
-    /// Producer-defined encoding (the engine's pattern-plan codec), opaque
-    /// at this layer.
-    pub words: Vec<u64>,
-}
-
-/// A versioned, self-describing spill of a plan cache: header counters
-/// plus fingerprint-keyed entries. Layout (all words little-endian
-/// `u64`): magic, version, producer tag, capacity (`u64::MAX` =
-/// unbounded), LRU tick, lifetime evictions/hits/builds, entry count;
-/// then per entry fingerprint, LRU stamp, payload length, payload
-/// checksum, payload words.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct PlanManifest {
-    /// Producer namespace tag mixed into cache keys (the engine uses the
-    /// grouping's cache tag); import rejects a manifest whose tag
-    /// disagrees with the importing engine instead of serving patterns
-    /// built under a different grouping policy.
-    pub tag: u64,
-    /// Cache capacity at export (`u64::MAX` encodes unbounded).
-    pub capacity: u64,
-    /// LRU clock at export; import resumes the clock at or above the
-    /// newest restored stamp.
-    pub tick: u64,
-    /// Lifetime eviction count at export (ops visibility only).
-    pub evictions: u64,
-    /// Lifetime cache-hit count at export (ops visibility only).
-    pub hits: u64,
-    /// Lifetime symbolic-build count at export (ops visibility only).
-    pub builds: u64,
-    /// The spilled entries, in producer order (the engine sorts them by
-    /// fingerprint so equal caches export equal bytes).
-    pub entries: Vec<PlanManifestEntry>,
-}
-
-/// Typed decode failure for [`PlanManifest::decode`]: a manifest from a
-/// different schema or a truncated file is rejected with a description,
-/// never misparsed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ManifestError {
-    /// The file does not start with [`PLAN_MANIFEST_MAGIC`].
-    BadMagic,
-    /// Schema version differs from [`PLAN_MANIFEST_SCHEMA_VERSION`].
-    VersionMismatch {
-        /// Version word found in the header.
-        found: u32,
-        /// Version this decoder speaks.
-        expected: u32,
-    },
-    /// The byte stream ends before the advertised content.
-    Truncated {
-        /// Words available.
-        len: usize,
-        /// Words the header/entry framing promised.
-        needed: usize,
-    },
-    /// An entry's payload does not match the checksum stored with it: the
-    /// file was damaged after it was written.
-    Checksum {
-        /// Index of the damaged entry.
-        entry: usize,
-    },
-    /// Bytes follow the last advertised entry: a damaged entry count.
-    TrailingBytes {
-        /// Bytes the header and entries account for.
-        used: usize,
-        /// Bytes present.
-        len: usize,
-    },
-}
-
-/// Words of an entry header: fingerprint, LRU stamp, payload length,
-/// payload checksum.
-const ENTRY_HEADER_WORDS: usize = 4;
-
-/// Chained [`mix64`] over an entry's payload words, seeded with their
-/// count. `mix64` is a bijection, so changing any single word changes the
-/// result.
-fn payload_checksum(words: &[u64]) -> u64 {
-    words
-        .iter()
-        .fold(mix64(words.len() as u64), |h, &w| mix64(h ^ w))
-}
-
-impl std::fmt::Display for ManifestError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ManifestError::BadMagic => {
-                write!(
-                    f,
-                    "plan manifest: missing SMPLANS magic (not a manifest file)"
-                )
-            }
-            ManifestError::VersionMismatch { found, expected } => write!(
-                f,
-                "plan manifest schema v{found} but this build speaks \
-                 v{expected} (PLAN_MANIFEST_SCHEMA_VERSION) — refusing to misparse"
-            ),
-            ManifestError::Truncated { len, needed } => write!(
-                f,
-                "plan manifest truncated: {len} words present, {needed} needed"
-            ),
-            ManifestError::Checksum { entry } => write!(
-                f,
-                "plan manifest entry {entry} fails its payload checksum (file damaged)"
-            ),
-            ManifestError::TrailingBytes { used, len } => write!(
-                f,
-                "plan manifest has {len} bytes but its entries end at byte {used} (file damaged)"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ManifestError {}
-
-impl PlanManifest {
-    /// Encode to bytes (little-endian `u64` words behind the magic).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut words: Vec<u64> = vec![
-            u64::from_le_bytes(PLAN_MANIFEST_MAGIC),
-            PLAN_MANIFEST_SCHEMA_VERSION as u64,
-            self.tag,
-            self.capacity,
-            self.tick,
-            self.evictions,
-            self.hits,
-            self.builds,
-            self.entries.len() as u64,
-        ];
-        for e in &self.entries {
-            words.extend_from_slice(&[
-                e.fingerprint,
-                e.lru_stamp,
-                e.words.len() as u64,
-                payload_checksum(&e.words),
-            ]);
-            words.extend_from_slice(&e.words);
-        }
-        let mut out = Vec::with_capacity(words.len() * 8);
-        for w in words {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-        out
-    }
-
-    /// Decode from bytes, rejecting wrong magic, unknown versions,
-    /// truncation, damaged payloads and bytes past the last entry with a
-    /// typed error instead of panicking.
-    pub fn decode(bytes: &[u8]) -> Result<Self, ManifestError> {
-        let n_words = bytes.len() / 8;
-        let word = |i: usize| -> u64 {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&bytes[i * 8..i * 8 + 8]);
-            u64::from_le_bytes(b)
-        };
-        if n_words < 1 || word(0) != u64::from_le_bytes(PLAN_MANIFEST_MAGIC) {
-            return Err(ManifestError::BadMagic);
-        }
-        if n_words < 9 {
-            return Err(ManifestError::Truncated {
-                len: n_words,
-                needed: 9,
-            });
-        }
-        // The whole word: a version with high bits set is not this one.
-        if word(1) != PLAN_MANIFEST_SCHEMA_VERSION as u64 {
-            return Err(ManifestError::VersionMismatch {
-                found: u32::try_from(word(1)).unwrap_or(u32::MAX),
-                expected: PLAN_MANIFEST_SCHEMA_VERSION,
-            });
-        }
-        let n_entries = word(8) as usize;
-        let mut entries = Vec::with_capacity(n_entries.min(1024));
-        let mut pos = 9usize;
-        for entry in 0..n_entries {
-            // `n_words - pos` cannot underflow: `pos` only ever advances to
-            // an end that was checked against `n_words`.
-            if n_words - pos < ENTRY_HEADER_WORDS {
-                return Err(ManifestError::Truncated {
-                    len: n_words,
-                    needed: pos + ENTRY_HEADER_WORDS,
-                });
-            }
-            let payload_len = word(pos + 2) as usize;
-            let start = pos + ENTRY_HEADER_WORDS;
-            if n_words - start < payload_len {
-                return Err(ManifestError::Truncated {
-                    len: n_words,
-                    needed: start.saturating_add(payload_len),
-                });
-            }
-            let words: Vec<u64> = (0..payload_len).map(|i| word(start + i)).collect();
-            if payload_checksum(&words) != word(pos + 3) {
-                return Err(ManifestError::Checksum { entry });
-            }
-            entries.push(PlanManifestEntry {
-                fingerprint: word(pos),
-                lru_stamp: word(pos + 1),
-                words,
-            });
-            pos = start + payload_len;
-        }
-        if pos * 8 != bytes.len() {
-            return Err(ManifestError::TrailingBytes {
-                used: pos * 8,
-                len: bytes.len(),
-            });
-        }
-        Ok(PlanManifest {
-            tag: word(2),
-            capacity: word(3),
-            tick: word(4),
-            evictions: word(5),
-            hits: word(6),
-            builds: word(7),
-            entries,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -739,98 +485,5 @@ mod tests {
             acc.add_block(r, c);
         }
         assert_eq!(via_pattern, acc.finish(&dims));
-    }
-
-    /// A two-pattern manifest, as the engine writes one.
-    fn sample_manifest() -> PlanManifest {
-        PlanManifest {
-            tag: 0xdead_beef,
-            capacity: u64::MAX,
-            tick: 7,
-            evictions: 1,
-            hits: 12,
-            builds: 3,
-            entries: vec![
-                PlanManifestEntry {
-                    fingerprint: 0x1234_5678_9abc_def0,
-                    lru_stamp: 5,
-                    words: vec![1, 2, 3, f64::to_bits(0.25)],
-                },
-                PlanManifestEntry {
-                    fingerprint: 0x2345_6789_abcd_ef01,
-                    lru_stamp: 7,
-                    words: vec![],
-                },
-            ],
-        }
-    }
-
-    #[test]
-    fn plan_manifest_roundtrips_bytes_exactly() {
-        let m = sample_manifest();
-        let bytes = m.encode();
-        assert_eq!(&bytes[..8], &PLAN_MANIFEST_MAGIC);
-        let back = PlanManifest::decode(&bytes).expect("decode");
-        assert_eq!(back, m);
-        // Re-encoding the decode is byte-identical (the format has no
-        // nondeterministic padding).
-        assert_eq!(back.encode(), bytes);
-    }
-
-    #[test]
-    fn plan_manifest_rejects_bad_magic_version_truncation_and_damage() {
-        let m = sample_manifest();
-        let bytes = m.encode();
-
-        let mut bad = bytes.clone();
-        bad[0] ^= 0xff;
-        assert_eq!(PlanManifest::decode(&bad), Err(ManifestError::BadMagic));
-        assert_eq!(PlanManifest::decode(b"short"), Err(ManifestError::BadMagic));
-
-        for version in [PLAN_MANIFEST_SCHEMA_VERSION + 1, 4] {
-            let mut wrong = bytes.clone();
-            wrong[8..16].copy_from_slice(&(version as u64).to_le_bytes());
-            assert_eq!(
-                PlanManifest::decode(&wrong),
-                Err(ManifestError::VersionMismatch {
-                    found: version,
-                    expected: 5
-                })
-            );
-        }
-
-        // Every truncation is refused: the magic, the header or an entry's
-        // advertised payload no longer fits.
-        for len in 0..bytes.len() {
-            match PlanManifest::decode(&bytes[..len]) {
-                Err(ManifestError::BadMagic | ManifestError::Truncated { .. }) => {}
-                other => panic!("{len} of {} bytes: {other:?}", bytes.len()),
-            }
-        }
-
-        // Every single-word corruption is refused or decodes to exactly
-        // the damaged bytes: never a panic, never a misparse.
-        for at in (0..bytes.len()).step_by(8) {
-            let word = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
-            for bad in [word ^ 1, word.wrapping_add(1 << 32), u64::MAX, 0] {
-                let mut damaged = bytes.clone();
-                damaged[at..at + 8].copy_from_slice(&bad.to_le_bytes());
-                if let Ok(back) = PlanManifest::decode(&damaged) {
-                    assert_eq!(back.encode(), damaged, "word {} := {bad:#x}", at / 8);
-                }
-            }
-        }
-
-        // One flipped bit in a payload word (the first entry's payload
-        // starts after the 9 header words and its own 4) or in the stored
-        // checksum itself fails that entry's checksum.
-        for word in [9 + 4, 9 + 3] {
-            let mut damaged = bytes.clone();
-            damaged[word * 8] ^= 1;
-            assert_eq!(
-                PlanManifest::decode(&damaged),
-                Err(ManifestError::Checksum { entry: 0 })
-            );
-        }
     }
 }

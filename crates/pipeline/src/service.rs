@@ -27,10 +27,9 @@
 //!   schedule. *When* a job was submitted never affects its numbers;
 //!   only *which window* admitted it does.
 //!
-//! Plans persist across restarts through the engine's manifest spill
-//! (`SubmatrixEngine::export_plans` / `import_plans`), so a restarted
-//! daemon replans nothing for patterns it has already seen; the `smserved`
-//! binary wraps a line protocol around exactly these calls.
+//! The service keeps one engine for its lifetime, so each pattern is
+//! planned once, on first use, and later windows replan nothing they have
+//! seen; the `smserved` binary wraps a line protocol around these calls.
 //!
 //! Each closed window narrates one `service.window` trace event (window
 //! index, jobs admitted, queue depth, backpressure rejects) under a

@@ -903,10 +903,9 @@ pub struct TraceAudit {
     /// `label=… events=…` of the document.
     pub header: String,
     /// Plan-cache hits and builds (`plan.decision` events by their
-    /// `built` field) and evictions (the `evicted` fields of those and of
-    /// `plan.import` events).
+    /// `built` field) and evictions (the `evicted` fields of those events).
     pub plan_cache: [u64; 3],
-    /// Largest plan-cache occupancy a decision or an import left.
+    /// Largest plan-cache occupancy a decision left.
     pub occupancy: f64,
     /// Steal effectiveness per epoch index.
     pub epochs: BTreeMap<usize, EpochSplit>,
@@ -935,11 +934,9 @@ pub fn audit(doc: &TraceDoc) -> Result<TraceAudit, TraceError> {
     for (line, ev) in doc.numbered() {
         let field = |key| required(line, ev, key);
         match (&*ev.name, path_idx(&ev.path, "epoch")) {
-            ("plan.decision" | "plan.import", _) => {
+            ("plan.decision", _) => {
                 let [hits, builds, evictions] = &mut report.plan_cache;
-                if ev.name == "plan.decision" {
-                    *(if field("built")? != 0.0 { builds } else { hits }) += 1;
-                }
+                *(if field("built")? != 0.0 { builds } else { hits }) += 1;
                 *evictions += field("evicted")? as u64;
                 report.occupancy = report.occupancy.max(field("occupancy")?);
             }
@@ -1627,26 +1624,23 @@ mod tests {
     #[test]
     fn audit_folds_cache_steals_idle_bytes_and_the_critical_path() {
         let mut doc = narrated_doc();
-        // Seven hits and two builds, one of them under another root, an
-        // import that evicted one pattern, and an fp32 scatter.
-        let decision = |path: &str, built: f64, occupancy: f64| {
-            let fields = [("built", built), ("evicted", 0.0), ("occupancy", occupancy)];
+        // Seven hits and two builds, one of them under another root, a
+        // build that evicted one pattern, and an fp32 scatter.
+        let decision = |path: &str, built: f64, evicted: f64, occupancy: f64| {
+            let fields = [
+                ("built", built),
+                ("evicted", evicted),
+                ("occupancy", occupancy),
+            ];
             mk(path, "plan.decision", 0, 1.0, 0.0, &fields)
         };
         let plan = "batch:t/epoch:0/group:0/job:0/iter:0/phase:plan";
-        doc.events.extend((0..6).map(|_| decision(plan, 0.0, 1.0)));
+        doc.events
+            .extend((0..6).map(|_| decision(plan, 0.0, 0.0, 1.0)));
         doc.events.extend([
-            decision("other/phase:plan", 0.0, 1.0),
-            decision(plan, 1.0, 1.0),
-            decision(plan, 1.0, 2.0),
-            mk(
-                "untraced",
-                "plan.import",
-                0,
-                3.0,
-                0.0,
-                &[("evicted", 1.0), ("occupancy", 2.0)],
-            ),
+            decision("other/phase:plan", 0.0, 0.0, 1.0),
+            decision(plan, 1.0, 0.0, 1.0),
+            decision(plan, 1.0, 1.0, 2.0),
             mk(
                 &plan.replace("phase:plan", "phase:scatter"),
                 "engine.phase",
@@ -1689,7 +1683,7 @@ mod tests {
         assert_eq!(report.idle.as_ref().unwrap().worst, (1.0, 0.2));
         assert_eq!(
             report.render(),
-            "  label=t events=25\n  \
+            "  label=t events=24\n  \
              plan cache: 7 hits / 2 builds (77.8% hit rate), 1 evictions, occupancy 2\n  \
              epoch 0: 2 groups, 3 committed / 1 deferred, 1 stolen job(s) over 1 rank(s)\n  \
              idle: 2 ranks, makespan 0.500s, total idle 0.300s (worst rank 1: 0.200s)\n  \
@@ -1702,7 +1696,7 @@ mod tests {
         // reads, and a precision code must name a precision.
         for (name, key) in [
             ("plan.decision", "evicted"),
-            ("plan.import", "occupancy"),
+            ("plan.decision", "occupancy"),
             ("job.done", "comm_msgs"),
             ("engine.phase", "precision"),
         ] {

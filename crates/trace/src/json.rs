@@ -35,12 +35,13 @@ impl Json {
     }
 
     /// Parse a JSON document (recursive descent over the full grammar the
-    /// benches and traces emit). Returns a readable error with the byte
-    /// offset on malformed input — `smdoctor` reports it as corruption.
+    /// benches and traces emit, at most [`MAX_DEPTH`] arrays and objects
+    /// deep). Returns a readable error with the byte offset on malformed
+    /// input — `smdoctor` reports it as corruption.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, MAX_DEPTH)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing content at byte {pos}"));
@@ -89,6 +90,13 @@ impl Json {
     }
 }
 
+/// How deeply [`Json::parse`] nests arrays and objects before it refuses
+/// the document: far above anything the workspace writes (the `BENCH_*`
+/// tables nest 5 deep), and far below what exhausts a thread's stack,
+/// which a parser recursing once per opener would otherwise do on hostile
+/// input.
+pub const MAX_DEPTH: usize = 128;
+
 fn skip_ws(b: &[u8], pos: &mut usize) {
     while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
         *pos += 1;
@@ -104,10 +112,14 @@ fn expect_byte(b: &[u8], pos: &mut usize, want: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parse one value; `depth` is how many more arrays and objects may open.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".to_string()),
+        Some(b'{' | b'[') if depth == 0 => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"))
+        }
         Some(b'{') => {
             *pos += 1;
             let mut pairs = Vec::new();
@@ -121,7 +133,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 expect_byte(b, pos, b':')?;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(b, pos, depth - 1)?;
                 pairs.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -143,7 +155,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth - 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -325,5 +337,23 @@ mod tests {
         assert_eq!(doc.as_obj().unwrap().len(), 6);
         assert!(Json::parse("{\"x\": 1} trailing").is_err());
         assert!(Json::parse("{\"x\": }").is_err());
+    }
+
+    /// Nesting is bounded: a document [`MAX_DEPTH`] deep parses, one level
+    /// more is refused at the offending opener, and a million openers are
+    /// an `Err`, not a stack overflow.
+    #[test]
+    fn nesting_past_the_depth_limit_is_an_error_not_a_stack_overflow() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}")
+        );
+        for opener in ["[", "{\"a\":"] {
+            let err = Json::parse(&opener.repeat(1_000_000)).unwrap_err();
+            assert!(err.starts_with("nesting deeper than"), "{err}");
+        }
     }
 }

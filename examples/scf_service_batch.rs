@@ -25,13 +25,6 @@
 //!    the schedule is a pure function of those patterns, so every group
 //!    shape repeats and the second batch does **zero** symbolic work —
 //!    the service-level form of the paper's plan-reuse argument.
-//! 4. **Kill and restart.** The engine spills its plan cache to a
-//!    versioned manifest (`SubmatrixEngine::export_plans`), the process
-//!    "dies", and a fresh engine in a resident [`StreamingScfService`]
-//!    imports the manifest and replays the batch through an admission
-//!    window — the warm daemon replans **nothing** (`symbolic_builds ==
-//!    0`): plan reuse survives process death. Inspect the spill with
-//!    `smdoctor cache <manifest>`.
 //!
 //! Every job returns its final density plus per-iteration SCF telemetry
 //! (iterations, convergence, energy, electron count, per-iteration wire
@@ -40,10 +33,7 @@
 use std::sync::Arc;
 
 use cp2k_submatrix::prelude::*;
-use sm_pipeline::{
-    Priority, RankBudget, ScfJobSpec, ScfOutcomeExt, Scheduler, SchedulerOutcome, ServiceConfig,
-    StreamingScfService,
-};
+use sm_pipeline::{RankBudget, ScfJobSpec, ScfOutcomeExt, Scheduler, SchedulerOutcome};
 
 /// Orthogonalized Kohn–Sham matrix + chemical data of one water system.
 fn system(seed: u64) -> (sm_dbcsr::DbcsrMatrix, f64, f64) {
@@ -143,60 +133,4 @@ fn main() {
         assert!(r.scf.as_ref().unwrap().converged);
     }
     println!("\nresubmitted batch planned zero times, all systems converged: ok");
-
-    // Step 4: kill and restart. Spill the plan cache to a manifest, stand
-    // up a fresh engine (a new process in miniature) inside the resident
-    // streaming service, import, and replay the batch through an
-    // admission window — warm from the first SCF iteration.
-    let manifest = std::env::temp_dir().join("scf_service_batch.smplans");
-    let exported = engine
-        .export_plans(&manifest)
-        .expect("export plan manifest");
-    println!(
-        "\nspilled {exported} plan(s) to {} — restarting on a fresh engine",
-        manifest.display()
-    );
-
-    let engine2 = Arc::new(SubmatrixEngine::new(EngineOptions {
-        parallel: false,
-        ..EngineOptions::default()
-    }));
-    let imported = engine2
-        .import_plans(&manifest)
-        .expect("import plan manifest");
-    assert_eq!(imported, exported, "every spilled plan must restore");
-    let mut daemon = StreamingScfService::new(
-        Scheduler::new(Arc::clone(&engine2), RankBudget::default()).with_trace_label("md-restart"),
-        ServiceConfig {
-            world_size: world,
-            ..ServiceConfig::default()
-        },
-    );
-    for (spec, priority) in specs
-        .into_iter()
-        .zip([Priority::High, Priority::Normal, Priority::Low])
-    {
-        daemon.submit(spec, priority).expect("admission");
-    }
-    let window = daemon.close_window().expect("restart window");
-    println!("\nrestarted daemon, window 0 (imported plans):");
-    print_results(&window.outcome);
-    let warm = engine2.stats();
-    println!(
-        "plan cache after restart: {} symbolic builds, {} hits",
-        warm.symbolic_builds, warm.cache_hits
-    );
-    assert_eq!(
-        warm.symbolic_builds, 0,
-        "restarted service must replan nothing"
-    );
-    for r in &window.outcome.results {
-        assert!(
-            r.report.plan_cached,
-            "job '{}' re-planned after the restart",
-            r.name
-        );
-        assert!(r.scf.as_ref().unwrap().converged);
-    }
-    println!("\nwarm restart planned zero times across process death: ok");
 }
