@@ -50,6 +50,11 @@ const EXIT_USAGE: u8 = 2;
 /// the wire overflows that product or aborts in the allocator.
 const MAX_NB: usize = 1024;
 
+/// Iteration budget of a submitted job. The damped SCF's energy change
+/// halves each iteration from about 5e-6, so the demo's systems (nb 4 to
+/// 6) reach the 1e-9 tolerance in 16 or 17 iterations.
+const SCF_ITERATIONS: usize = 24;
+
 /// One parsed protocol line.
 enum Request {
     Submit(Box<ScfJobSpec>, Priority),
@@ -59,11 +64,13 @@ enum Request {
 }
 
 /// Parse one protocol line into a request; `Err` is a message for the
-/// user, `Ok(None)` a blank/comment line.
+/// user, `Ok(None)` a blank line or a comment (a line whose first word
+/// starts with `#`).
 fn parse_line(line: &str) -> Result<Option<Request>, String> {
     let words: Vec<&str> = line.split_whitespace().collect();
     match words.as_slice() {
-        [] | ["#", ..] => Ok(None),
+        [] => Ok(None),
+        [first, ..] if first.starts_with('#') => Ok(None),
         ["submit", name, nb, seed] | ["submit", name, nb, seed, _] => {
             let priority = match words.get(4) {
                 None => Priority::Normal,
@@ -75,7 +82,7 @@ fn parse_line(line: &str) -> Result<Option<Request>, String> {
                 _ => return Err(format!("bad nb '{nb}' (1..={MAX_NB})")),
             };
             let seed: u64 = seed.parse().map_err(|_| format!("bad seed '{seed}'"))?;
-            let spec = gc_spec(name, nb, seed, 8, 1e-9);
+            let spec = gc_spec(name, nb, seed, SCF_ITERATIONS, 1e-9);
             Ok(Some(Request::Submit(Box::new(spec), priority)))
         }
         ["window"] => Ok(Some(Request::Window)),
@@ -253,9 +260,23 @@ fn run_demo(label: &str, config: ServiceConfig) -> ExitCode {
             first.name
         );
     }
+    // Every job must converge within its budget: a demo whose jobs stop
+    // short shows six failed SCF runs, however stable their bits.
+    let unconverged: Vec<&str> = (windows.iter())
+        .flat_map(|w| &w.outcome.results)
+        .filter(|r| !r.scf.as_ref().is_some_and(|s| s.converged))
+        .map(|r| r.name.as_str())
+        .collect();
+    if !unconverged.is_empty() {
+        eprintln!(
+            "smserved: demo job(s) did not converge in {SCF_ITERATIONS} iterations: {}",
+            unconverged.join(" ")
+        );
+        return ExitCode::FAILURE;
+    }
     println!(
         "\ndemo OK: window 1 replanned nothing ({} hits / 0 builds), \
-         densities bitwise-identical to window 0's",
+         densities bitwise-identical to window 0's, every job converged",
         warm.cache_hits
     );
     ExitCode::SUCCESS
@@ -373,11 +394,20 @@ mod tests {
             "#",
             "# a comment",
             "#window",
+            "#note",
+            "  #x y",
             "ü",
             "日本語",
             "\u{0}",
         ];
         lines.extend(specials.map(String::from));
+        // A line whose first word starts with `#` is a comment.
+        for comment in ["#", "# a comment", "#window", "#note", "  #x y"] {
+            assert!(
+                matches!(parse_line(comment), Ok(None)),
+                "{comment:?} is a comment"
+            );
+        }
         for word in [
             "submit", "window", "stats", "quit", "shutdown", "export", "import", "Ü",
         ] {

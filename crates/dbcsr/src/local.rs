@@ -93,7 +93,7 @@ impl BlockStore {
     pub fn filter(&mut self, eps: f64) -> usize {
         let before = self.blocks.len();
         self.blocks
-            .retain(|_, b| sm_linalg::norms::fro_norm(b) > eps);
+            .retain(|_, b| sm_linalg::norms::fro_norm_exceeds(b.as_slice(), eps));
         before - self.blocks.len()
     }
 

@@ -141,7 +141,7 @@ impl DbcsrMatrix {
                 let rows: Vec<usize> = m.dims.range(br).collect();
                 let cols: Vec<usize> = m.dims.range(bc).collect();
                 let blk = dense.submatrix(&rows, &cols);
-                if sm_linalg::norms::fro_norm(&blk) > eps {
+                if sm_linalg::norms::fro_norm_exceeds(blk.as_slice(), eps) {
                     m.store.insert((br, bc), blk);
                 }
             }

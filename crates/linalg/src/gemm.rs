@@ -25,6 +25,13 @@
 //! * The smallest products with `A` as stored (`m·n·k ≤ 16³`) run a
 //!   column-`axpy` loop instead: packing does not pay under dimension 12, and
 //!   other code is pinned to the loop's bits up to dimension 16.
+//! * A block-sparse multiply hands its products over a stack at a time
+//!   ([`gemm_stack`]): every product into one block of `C`, summed as one
+//!   small-loop call per product would sum them. A stack of 6 × 6 × 6
+//!   products runs a fixed-shape kernel that holds the block of `C` in
+//!   registers for the whole stack; the same run-time choice picks an
+//!   AVX-512F or a portable one, neither of which fuses a multiply-add, so
+//!   both give the small loop's bits.
 //! * The same run-time choice hands out the plane rotation the eigensolver's
 //!   QL sweep applies to its basis (`rotation`): an 8-lane AVX-512F, a
 //!   4-lane AVX2 and a portable kernel. None fuses a multiply-add, so all
@@ -40,6 +47,8 @@
 //! (single-precision storage and wire traffic, double-precision products
 //! and sums — the CPU analogue of the tensor-core FP16' mixed mode of paper
 //! Sec. VI).
+
+use std::sync::OnceLock;
 
 use rayon::prelude::*;
 
@@ -93,7 +102,7 @@ const PACK_ELEMS: usize = 128 * KC;
 /// 34 MFLOP they win by 15 to 33 % in three rounds and lose 5 to 17 % in
 /// seven; at 66 MFLOP they win by 19 to 37 % in four of seven. The threshold
 /// is the smallest size at which the split won at all.
-const PAR_THRESHOLD_FLOPS: usize = 1 << 25;
+pub const PAR_THRESHOLD_FLOPS: usize = 1 << 25;
 
 /// Products with `m·n·k` at most this run the column-`axpy` loop the crate
 /// started with. The packed driver computes whole tiles whatever the size,
@@ -157,8 +166,8 @@ fn gemm_as_volume<E: Elem>(
     if !a.trans && volume <= SMALL_VOLUME {
         small_gemm(alpha, a, b, c.as_mut_slice());
     } else {
-        let panels = column_panels(m, n, k);
-        packed_gemm(microkernel::<E>(), panels, alpha, a, b, KC, c);
+        let (kernel, panels) = (microkernel::<E>(), column_panels(m, n, k));
+        packed_gemm(kernel, panels, alpha, a, b, KC, c.as_mut_slice());
     }
     Ok(())
 }
@@ -172,6 +181,68 @@ fn small_gemm<E: Elem>(alpha: E, a: Operand<E>, b: Operand<E>, c: &mut [E]) {
             crate::blas1::axpy(alpha * b.at(p, j), a_col, c_col);
         }
     }
+}
+
+/// `C += Σ_s A_s · B_s` over a stack of block products into one column-major
+/// `m × n` block `C`: libDBCSR's stack, the unit of work of a block-sparse
+/// multiply. Each `A_s` is a column-major block of `m` rows, each `B_s` one
+/// of `n` columns, given as their elements; their common depth is read from
+/// their lengths. Each element of `C` takes the same terms in the same
+/// order, and so the same bits, as one `gemm(1.0, A_s, NoTrans, B_s,
+/// NoTrans, 1.0, C)` per product in stack order: a product with `m·n·k` at
+/// most `SMALL_VOLUME` keeps the small loop's chain (ascending `p`, a
+/// multiply then a separate add, a zero `b(p, j)` skipped), and a larger one
+/// is that call's packed driver. A run of 6 × 6 × 6 products (water in a
+/// minimal basis) goes through one fixed-shape kernel that holds `C` in
+/// registers for the whole run; other small shapes run the small loop a
+/// product at a time.
+pub fn gemm_stack(
+    stack: &[(&[f64], &[f64])],
+    (m, n): (usize, usize),
+    c: &mut [f64],
+) -> Result<(), LinalgError> {
+    let six = |&(a, b): &(&[f64], &[f64])| a.len() == 36 && b.len() == 36;
+    if (m, n) == (6, 6) && c.len() == 36 && stack.iter().all(six) {
+        stack6_kernel()(stack, c);
+        return Ok(());
+    }
+    if c.len() != m * n {
+        return Err(LinalgError::DimensionMismatch {
+            op: "gemm_stack (C)",
+            lhs: (m, n),
+            rhs: (c.len(), 1),
+        });
+    }
+    if m == 0 || n == 0 {
+        return Ok(());
+    }
+    let misfit = |&&(a, b): &&(&[f64], &[f64])| a.len() % m != 0 || b.len() != a.len() / m * n;
+    if let Some(&(a, b)) = stack.iter().find(misfit) {
+        return Err(LinalgError::DimensionMismatch {
+            op: "gemm_stack",
+            lhs: (m, a.len() / m),
+            rhs: (b.len() / n, n),
+        });
+    }
+    let mut rest = stack;
+    while let Some(&(a, b)) = rest.first() {
+        let k = a.len() / m;
+        if (m, n, k) == (6, 6, 6) {
+            let run = rest.iter().take_while(|p| six(p)).count();
+            stack6_kernel()(&rest[..run], c);
+            rest = &rest[run..];
+            continue;
+        }
+        let (a, b) = (Operand::stored(a, m, k), Operand::stored(b, k, n));
+        if m * n * k > SMALL_VOLUME {
+            let panels = column_panels(m, n, k);
+            packed_gemm(microkernel::<f64>(), panels, 1.0, a, b, KC, c);
+        } else if k > 0 {
+            small_gemm(1.0, a, b, c);
+        }
+        rest = &rest[1..];
+    }
+    Ok(())
 }
 
 /// How many column panels a product of this size is split into.
@@ -203,6 +274,17 @@ impl<'a, E: Elem> Operand<'a, E> {
             rows,
             cols,
             trans: op == Op::Trans,
+        }
+    }
+
+    /// A `rows × cols` column-major block as stored.
+    fn stored(data: &'a [E], rows: usize, cols: usize) -> Self {
+        Operand {
+            data,
+            ld: rows,
+            rows,
+            cols,
+            trans: false,
         }
     }
 
@@ -252,18 +334,17 @@ fn packed_gemm<E: Elem, P: Elem>(
     a: Operand<E>,
     b: Operand<E>,
     kc_max: usize,
-    c: &mut MatrixBase<E>,
+    c: &mut [E],
 ) {
-    let (m, n) = c.shape();
+    let (m, n) = (a.rows, b.cols);
     let cols = n.div_ceil(panels).next_multiple_of(kernel.nr);
     let panel = |j0: usize, c_panel: &mut [E]| {
         packed_panel(kernel, alpha, a, b, kc_max, j0, c_panel);
     };
     if cols >= n {
-        panel(0, c.as_mut_slice());
+        panel(0, c);
     } else {
-        c.as_mut_slice()
-            .par_chunks_mut(m * cols)
+        c.par_chunks_mut(m * cols)
             .enumerate()
             .for_each(|(t, c_panel)| panel(t * cols, c_panel));
     }
@@ -435,11 +516,145 @@ pub(crate) fn rotate_portable(c: f64, s: f64, x: &mut [f64], y: &mut [f64]) {
     }
 }
 
+/// A run of 6 × 6 × 6 products added to one column-major 6 × 6 block `c`,
+/// as [`gemm_stack`] describes: `c[j·6 + i] += b(p, j) · a(i, p)` for every
+/// nonzero `b(p, j)`, one term after the other in stack order and ascending
+/// `p`, each a multiply then a separate add.
+pub(crate) type Stack6 = fn(stack: &[(&[f64], &[f64])], c: &mut [f64]);
+
+/// Every 6 × 6 × 6 stack kernel this CPU runs: the AVX-512F one if
+/// [`microkernels`] finds it, then the portable one.
+pub(crate) fn stack6_kernels() -> impl Iterator<Item = Stack6> {
+    let simd = microkernels::<f64>().stacks6;
+    simd.into_iter().chain([stack6_portable as Stack6])
+}
+
+/// The 6 × 6 × 6 stack kernel for this CPU: the first of
+/// [`stack6_kernels`].
+fn stack6_kernel() -> Stack6 {
+    static KERNEL: OnceLock<Stack6> = OnceLock::new();
+    *KERNEL.get_or_init(|| stack6_kernels().next().unwrap_or(stack6_portable))
+}
+
+/// The columns of a 6 × 6 block, or `None` for any other shape.
+fn cols6(x: &[f64]) -> Option<&[[f64; 6]; 6]> {
+    x.as_chunks::<6>().0.try_into().ok()
+}
+
+/// The same, of a column-major block held mutably.
+fn cols6_mut(x: &mut [f64]) -> Option<&mut [[f64; 6]; 6]> {
+    x.as_chunks_mut::<6>().0.try_into().ok()
+}
+
+/// The products of a stack as pairs of 6 × 6 blocks; [`gemm_stack`] hands
+/// the kernels nothing else, and a pair of any other shape is skipped.
+fn blocks6<'s>(
+    stack: &'s [(&[f64], &[f64])],
+) -> impl Iterator<Item = (&'s [[f64; 6]; 6], &'s [[f64; 6]; 6])> {
+    stack
+        .iter()
+        .filter_map(|&(a, b)| Some((cols6(a)?, cols6(b)?)))
+}
+
+/// The 6 × 6 × 6 stack in plain scalar code, `c` in a local array for the
+/// compiler to keep in registers and vectorise as the build target allows.
+fn stack6_portable(stack: &[(&[f64], &[f64])], c: &mut [f64]) {
+    let Some(c) = cols6_mut(c) else { return };
+    let mut acc = *c;
+    for (a, b) in blocks6(stack) {
+        for (acc_col, b_col) in acc.iter_mut().zip(b) {
+            for (a_col, &bpj) in a.iter().zip(b_col) {
+                if bpj != 0.0 {
+                    for (s, &x) in acc_col.iter_mut().zip(a_col) {
+                        *s += bpj * x;
+                    }
+                }
+            }
+        }
+    }
+    *c = acc;
+}
+
+/// The 6 × 6 × 6 stack with each column of `c` in 6 of a `zmm` register's 8
+/// lanes: 6 accumulators and the 6 columns of `A`, the lanes past row 6
+/// zero. A zero `b(p, j)` is skipped by a lane mask instead of a branch: the
+/// add is masked off, so `c` keeps its bits whatever `a(:, p)` holds.
+/// Only [`microkernels`] may name this function: it runs AVX-512F
+/// instructions without checking that the CPU has them.
+#[cfg(target_arch = "x86_64")]
+fn stack6_avx512f(stack: &[(&[f64], &[f64])], c: &mut [f64]) {
+    // SAFETY: `microkernels`, the only place that names this function, hands
+    // it out after `is_x86_feature_detected!` has found the feature.
+    unsafe { stack6_avx512f_impl(stack, c) }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn stack6_avx512f_impl(stack: &[(&[f64], &[f64])], c: &mut [f64]) {
+    use std::arch::x86_64::*;
+    const ROWS: u8 = 0b0011_1111;
+    // A column of 6 in the low lanes, the others zero.
+    let load = |col: &[f64; 6]| {
+        // SAFETY: `ROWS` selects the 6 elements `col` holds; the other
+        // lanes are neither read nor written, and AVX-512 suppresses faults
+        // on them.
+        unsafe { _mm512_maskz_loadu_pd(ROWS, col.as_ptr()) }
+    };
+    let Some(c) = cols6_mut(c) else { return };
+    let mut acc = c.each_ref().map(load);
+    let zero = _mm512_setzero_pd();
+    for (a, b) in blocks6(stack) {
+        let a_cols = a.each_ref().map(load);
+        // The lanes of `B` that hold a zero; a block with none (nearly
+        // every block) needs no mask on its adds.
+        let zeros = (b.each_ref().map(load).iter()).fold(0, |m, &v| {
+            m | _mm512_mask_cmp_pd_mask::<_CMP_EQ_OQ>(ROWS, v, zero)
+        });
+        for (acc_col, b_col) in acc.iter_mut().zip(b) {
+            for (&a_col, &bpj) in a_cols.iter().zip(b_col) {
+                let b_pj = _mm512_set1_pd(bpj);
+                let term = _mm512_mul_pd(b_pj, a_col);
+                *acc_col = if zeros == 0 {
+                    _mm512_add_pd(*acc_col, term)
+                } else {
+                    let nonzero = _mm512_cmp_pd_mask::<_CMP_NEQ_UQ>(b_pj, zero);
+                    _mm512_mask_add_pd(*acc_col, nonzero, *acc_col, term)
+                };
+            }
+        }
+    }
+    for (c_col, &s) in c.iter_mut().zip(&acc) {
+        // SAFETY: as for the loads.
+        unsafe { _mm512_mask_storeu_pd(c_col.as_mut_ptr(), ROWS, s) };
+    }
+}
+
 /// Which microkernel `f64` products run on this CPU: `avx512f`, `avx2+fma`
 /// or `portable`. Results repeat bit for bit between CPUs that name one of
 /// the first two, and on one CPU always.
 pub fn f64_microkernel() -> &'static str {
     microkernel::<f64>().name
+}
+
+/// The `f64` microkernel's rate on one register tile whose slivers stay in
+/// L1, in GFLOP/s, the best of five runs of 20 000 calls at depth `KC`:
+/// the most any `f64` product of this crate can do on one core, and the
+/// yardstick a kernel's fraction of peak is read against.
+pub fn f64_microkernel_peak_gflops() -> f64 {
+    let Microkernel { mr, nr, run, .. } = microkernel::<f64>();
+    let (a, b) = (vec![1e-3; mr * KC], vec![1e-3; nr * KC]);
+    let mut tile = vec![0.0; mr * nr];
+    const CALLS: usize = 20_000;
+    let flops = (2 * mr * nr * KC * CALLS) as f64;
+    (0..5)
+        .map(|_| {
+            let t = std::time::Instant::now();
+            for _ in 0..CALLS {
+                run(&a, &b, std::hint::black_box(&mut tile));
+            }
+            flops / t.elapsed().as_secs_f64() / 1e9
+        })
+        .fold(0.0, f64::max)
 }
 
 /// The kernels this CPU runs, as [`microkernels`] finds them.
@@ -452,13 +667,17 @@ struct Kernels<P> {
     /// The SIMD rotations it has the instructions for, widest first;
     /// [`rotate_portable`] runs everywhere.
     rotations: [Option<Rotation>; 2],
+    /// The SIMD 6 × 6 × 6 stack kernel, if it has the instructions for it;
+    /// [`stack6_portable`] runs everywhere.
+    stacks6: Option<Stack6>,
 }
 
-/// Every kernel this CPU runs: the GEMM tiles for sums in `P` and the
-/// plane rotations. The only function that asks the CPU what it has.
+/// Every kernel this CPU runs: the GEMM tiles for sums in `P`, the plane
+/// rotations and the 6 × 6 × 6 stack kernel. The only function that asks
+/// the CPU what it has.
 fn microkernels<P: Elem>() -> Kernels<P> {
     #[cfg(target_arch = "x86_64")]
-    let (tiles, rotations) = {
+    let (tiles, rotations, stacks6) = {
         let avx512f = is_x86_feature_detected!("avx512f");
         let avx2 = is_x86_feature_detected!("avx2");
         let has_avx2_fma = avx2 && is_x86_feature_detected!("fma");
@@ -480,10 +699,11 @@ fn microkernels<P: Elem>() -> Kernels<P> {
             avx512f.then_some(rotate_avx512f as Rotation),
             avx2.then_some(rotate_avx2 as Rotation),
         ];
-        (tiles, rotations)
+        let stacks6 = avx512f.then_some(stack6_avx512f as Stack6);
+        (tiles, rotations, stacks6)
     };
     #[cfg(not(target_arch = "x86_64"))]
-    let (tiles, rotations) = ([None::<Microkernel<f64>>; 2], [None; 2]);
+    let (tiles, rotations, stacks6) = ([None::<Microkernel<f64>>; 2], [None; 2], None);
     // The SIMD tiles sum in `f64`; for any other `P` the cast finds nothing.
     let same_type = |kernel: Microkernel<f64>| {
         let kernel: &dyn std::any::Any = &kernel;
@@ -498,6 +718,7 @@ fn microkernels<P: Elem>() -> Kernels<P> {
             run: kernel_portable::<P>,
         },
         rotations,
+        stacks6,
     }
 }
 
@@ -724,7 +945,7 @@ pub(crate) fn matmul_wide_into(
             Operand::new(a, Op::NoTrans),
             Operand::new(b, Op::NoTrans),
             k,
-            c,
+            c.as_mut_slice(),
         );
     }
     Ok(())
@@ -900,7 +1121,7 @@ mod tests {
         c: &mut MatrixBase<E>,
     ) {
         let (a, b) = (Operand::new(a, op_a), Operand::new(b, op_b));
-        packed_gemm(kernel, panels, 1.0, a, b, kc_max, c);
+        packed_gemm(kernel, panels, 1.0, a, b, kc_max, c.as_mut_slice());
     }
 
     fn bits<E: Elem>(c: &MatrixBase<E>) -> Vec<u64> {
@@ -1074,6 +1295,75 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `gemm_stack` against one `gemm` call per product, bit for bit, with
+    /// every 6 × 6 × 6 stack kernel this CPU runs: stacks of 6 × 6 blocks
+    /// with zeros of either sign in `B` beside infinities and NaNs in `A`
+    /// (a skipped term must not reach `C`), stacks whose inner size changes
+    /// from product to product, and products on both sides of the small
+    /// loop's bound.
+    #[test]
+    fn stack_kernels_keep_the_per_product_bits() {
+        let state = match microkernels::<f64>().stacks6 {
+            Some(_) => "compared",
+            None => "skipped: not on this CPU",
+        };
+        println!("6 × 6 × 6 stack kernel avx512f: {state}");
+        let kernels: Vec<Stack6> = stack6_kernels().collect();
+        let mut h = 0x5eed_u64;
+        let mut value = || {
+            h = h
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            match (h >> 33) % 16 {
+                0 => 0.0,
+                1 => -0.0,
+                _ => ((h >> 11) % 1000) as f64 / 500.0 - 1.0,
+            }
+        };
+        let mut block = |m: usize, n: usize| Matrix::from_fn(m, n, |_, _| value());
+        // (rows of C, columns of C, inner sizes of the stack's products).
+        let cases: [(usize, usize, &[usize]); 6] = [
+            (6, 6, &[6; 40]),
+            (6, 6, &[6, 6, 3, 6, 23, 6, 6, 1]),
+            (6, 6, &[]),
+            (23, 23, &[23, 6, 23]),
+            (1, 23, &[5, 23]),
+            (4, 5, &[3, 16]),
+        ];
+        for (case, &(m, n, ks)) in cases.iter().enumerate() {
+            let mut blocks: Vec<(Matrix, Matrix)> =
+                ks.iter().map(|&k| (block(m, k), block(k, n))).collect();
+            if let Some((a, b)) = blocks.get_mut(1) {
+                a[(0, 0)] = f64::INFINITY;
+                a[(m - 1, 0)] = f64::NAN;
+                b[(0, n - 1)] = 0.0;
+            }
+            let stack: Vec<(&[f64], &[f64])> = (blocks.iter())
+                .map(|(a, b)| (a.as_slice(), b.as_slice()))
+                .collect();
+            let mut want = Matrix::zeros(m, n);
+            for (a, b) in &blocks {
+                gemm(1.0, a, Op::NoTrans, b, Op::NoTrans, 1.0, &mut want).unwrap();
+            }
+            let mut got = Matrix::zeros(m, n);
+            gemm_stack(&stack, (m, n), got.as_mut_slice()).unwrap();
+            assert_eq!(bits(&got), bits(&want), "case {case}");
+            if (m, n) == (6, 6) && ks.iter().all(|&k| k == 6) {
+                for (i, kernel) in kernels.iter().enumerate() {
+                    let mut c = Matrix::zeros(6, 6);
+                    kernel(&stack, c.as_mut_slice());
+                    assert_eq!(bits(&c), bits(&want), "case {case}, kernel {i}");
+                }
+            }
+        }
+        let (a, b) = (block(6, 5), block(6, 6));
+        let stack = [(a.as_slice(), b.as_slice())];
+        let err = gemm_stack(&stack, (6, 6), &mut [0.0; 36]);
+        assert!(err.is_err(), "a 6 × 5 by 6 × 6 product is refused");
+        let err = gemm_stack(&[], (6, 6), &mut [0.0; 35]);
+        assert!(err.is_err(), "a C of 35 elements is not 6 × 6");
     }
 
     #[test]
