@@ -37,8 +37,10 @@ pub struct ClusterModel {
 impl ClusterModel {
     /// Parameters resembling the paper's testbed: dual Xeon Gold 6148
     /// (40 cores, 2.4 GHz) and 100 Gb/s Omni-Path. The dense rate is a
-    /// realistic sustained `dsyevd`/GEMM mix (~8 GFLOP/s/core), the sparse
-    /// rate reflects memory-bound small-block multiplies (~1.2 GFLOP/s/core).
+    /// realistic sustained mix of the paper's LAPACK `dsyevd` and GEMM
+    /// (~8 GFLOP/s/core; this reproduction's eigensolver follows `dsyev`'s
+    /// path instead, `dsytd2` + `dorg2l` + implicit QL), the sparse rate
+    /// reflects memory-bound small-block multiplies (~1.2 GFLOP/s/core).
     pub fn paper_testbed() -> Self {
         ClusterModel {
             flops_per_core: 8.0e9,

@@ -2,9 +2,9 @@
 //!
 //! The paper solves the assembled dense submatrices either with the same
 //! iterative schemes CP2K applies to the full sparse matrix, or — the
-//! method of choice (Sec. IV-F) — by eigendecomposition (`dsyevd`), which
-//! additionally enables canonical-ensemble µ adjustment (Algorithm 1) and
-//! finite-temperature purification for free.
+//! method of choice (Sec. IV-F) — by eigendecomposition (its `dsyevd`; here
+//! [`eigh`], on `dsyev`'s path), which also enables canonical-ensemble µ
+//! adjustment (Algorithm 1) and finite-temperature purification for free.
 
 use sm_linalg::eigh::{eigh, Eigh};
 use sm_linalg::elem::F32_SIGN_TOL;

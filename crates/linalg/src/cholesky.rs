@@ -128,8 +128,8 @@ mod tests {
     fn solve_recovers_solution() {
         let a = spd_matrix(10);
         let x_true: Vec<f64> = (0..10).map(|i| (i as f64) - 4.5).collect();
-        let mut b = vec![0.0; 10];
-        crate::blas2::gemv(1.0, &a, &x_true, 0.0, &mut b).unwrap();
+        let x_col = Matrix::from_col_major(10, 1, x_true.clone());
+        let b = crate::gemm::matmul(&a, &x_col).unwrap().into_vec();
         let x = cholesky(&a).unwrap().solve(&b).unwrap();
         for (xi, ti) in x.iter().zip(&x_true) {
             assert!((xi - ti).abs() < 1e-9);

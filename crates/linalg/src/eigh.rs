@@ -1,4 +1,6 @@
-//! Symmetric eigensolver (`dsyevd` equivalent).
+//! Symmetric eigensolver on the path of LAPACK's `dsyev`: a `dsytd2`
+//! reduction, the `dorg2l` basis and implicit-shift QL. The paper calls
+//! `dsyevd`, whose divide and conquer this crate does not have.
 //!
 //! Stage 1 ([`crate::tridiag::tridiagonalize`]) reduces the matrix to
 //! tridiagonal form by a `dsytd2`-style Householder reduction over the
@@ -92,7 +94,7 @@ fn pythag(a: f64, b: f64) -> f64 {
 /// or by the inline loop when that is `None`. On success `d` contains the
 /// (unsorted) eigenvalues and the columns of `z` the corresponding
 /// eigenvectors.
-fn ql_implicit(
+pub(crate) fn ql_implicit(
     d: &mut [f64],
     e: &mut [f64],
     mut z: Option<&mut Matrix>,

@@ -36,6 +36,10 @@
 //!   QL sweep applies to its basis (`rotation`): an 8-lane AVX-512F, a
 //!   4-lane AVX2 and a portable kernel. None fuses a multiply-add, so all
 //!   three give the scalar loop's bits on every CPU.
+//! * It also hands out the tridiagonal reduction's fused pass
+//!   ([`crate::blas2`]): an AVX2 kernel four columns at a time, else the
+//!   portable one. Neither fuses a multiply-add, so both give the two-pass
+//!   reduction's bits.
 //! * [`q_diag_qt_cols`]'s scaled copy `Q·D` and selected rows `Q[cols, :]`
 //!   live in the calling thread's eigensolver scratch ([`crate::eigh`]),
 //!   resized per call and kept for the thread's life, so it allocates only
@@ -52,6 +56,9 @@ use std::sync::OnceLock;
 
 use rayon::prelude::*;
 
+#[cfg(target_arch = "x86_64")]
+use crate::blas2::{column_tail, Rank2, Symv};
+use crate::blas2::{sweep_portable, SweepKernel};
 use crate::elem::Elem;
 use crate::matrix::{Matrix, MatrixBase, MatrixF32};
 use crate::LinalgError;
@@ -629,6 +636,164 @@ fn stack6_avx512f_impl(stack: &[(&[f64], &[f64])], c: &mut [f64]) {
     }
 }
 
+/// Every sweep kernel of the tridiagonal reduction's fused pass this CPU
+/// runs: the AVX2 one if [`microkernels`] finds it, then the portable one.
+pub(crate) fn sweep_kernels() -> impl Iterator<Item = SweepKernel> {
+    let simd = microkernels::<f64>().sweep;
+    simd.into_iter().chain([sweep_portable as SweepKernel])
+}
+
+/// The sweep kernel for this CPU: the first of [`sweep_kernels`].
+pub(crate) fn sweep_kernel() -> SweepKernel {
+    static KERNEL: OnceLock<SweepKernel> = OnceLock::new();
+    *KERNEL.get_or_init(|| sweep_kernels().next().unwrap_or(sweep_portable))
+}
+
+/// The sweep 4 columns at a time, each column's dot in one `ymm` register
+/// of its 4 accumulators. For each block of four columns, the chunks of 4
+/// rows above the block's diagonal chunk, each chunk of each column in
+/// turn: the update, then `y += x_j·a` and the dot's accumulators. Then the
+/// 4 × 4 diagonal chunk, where the block's dots end and `y`'s four entries
+/// start. Lane `k` of `c[j]` is its row `k` of column `j`: rows `..=j` get
+/// the update (the store keeps the rest's bits); the transposed rows give
+/// each column's last dot terms, lane `j` of `dot` column `j`'s dot; `y`'s
+/// entries are written first, `a_jj·x_j + dot_j`, then added to by the
+/// later columns. Each masked step is a blend of an unmasked one, so every
+/// lane that takes it sees [`sweep_portable`]'s operations in their order.
+/// The last `m mod 4` columns run one at a time: their rows 4 at a time up
+/// to their own diagonal chunk, then the rest as [`sweep_portable`] does
+/// it. Only [`microkernels`] may name this function: it runs AVX2
+/// instructions without checking that the CPU has them.
+#[cfg(target_arch = "x86_64")]
+fn sweep_avx2(a: &mut [f64], lda: usize, update: Option<Rank2<'_>>, symv: Option<Symv<'_>>) {
+    // SAFETY: `microkernels`, the only place that names this function, hands
+    // it out after `is_x86_feature_detected!` has found the feature.
+    unsafe { sweep_avx2_impl(a, lda, update, symv) }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn sweep_avx2_impl(a: &mut [f64], lda: usize, update: Option<Rank2<'_>>, symv: Option<Symv<'_>>) {
+    use std::arch::x86_64::*;
+    // SAFETY: a `[f64; 4]` holds the 4 lanes loaded or stored.
+    let load = |v: &[f64; 4]| unsafe { _mm256_loadu_pd(v.as_ptr()) };
+    // SAFETY: as for `load`.
+    let store = |v: &mut [f64; 4], x: __m256d| unsafe { _mm256_storeu_pd(v.as_mut_ptr(), x) };
+    fn chunks(c: &mut [f64], blk: usize) -> &mut [[f64; 4]] {
+        c[..4 * blk + 4].as_chunks_mut::<4>().0
+    }
+    let ((u, w), (x, y)) = match (update, symv) {
+        (Some(update), Some(symv)) => (update, symv),
+        (update, symv) => return sweep_portable(a, lda, update, symv),
+    };
+    let blocks = x.len() / 4;
+    let (u4, w4, x4) = (
+        u.as_chunks::<4>().0,
+        w.as_chunks::<4>().0,
+        x.as_chunks::<4>().0,
+    );
+    let y4 = y.as_chunks_mut::<4>().0;
+    for blk in 0..blocks {
+        let (c0, rest) = a[4 * blk * lda..].split_at_mut(lda);
+        let (c1, rest) = rest.split_at_mut(lda);
+        let (c2, c3) = rest.split_at_mut(lda);
+        let (c0, c1, c2, c3) = (
+            chunks(c0, blk),
+            chunks(c1, blk),
+            chunks(c2, blk),
+            chunks(c3, blk),
+        );
+        let (ub, wb, xb) = (u4[blk], w4[blk], x4[blk]);
+        let negated = |v: [f64; 4]| v.map(|e| _mm256_set1_pd(-e));
+        let (neg_u, neg_w, xj) = (negated(ub), negated(wb), xb.map(|e| _mm256_set1_pd(e)));
+        let mut acc = [_mm256_setzero_pd(); 4];
+        let vectors = (u4[..blk].iter().zip(&w4[..blk]).zip(&x4[..blk])).zip(&mut y4[..blk]);
+        let cols = c0
+            .iter_mut()
+            .zip(c1.iter_mut())
+            .zip(c2.iter_mut().zip(c3.iter_mut()));
+        for ((((uk, wk), xk), yk), ((a0, a1), (a2, a3))) in vectors.zip(cols) {
+            let (uk, wk, xk) = (load(uk), load(wk), load(xk));
+            let mut y_k = load(yk);
+            let mut column = |c: &mut [f64; 4], j: usize| {
+                let update =
+                    _mm256_add_pd(_mm256_mul_pd(uk, neg_w[j]), _mm256_mul_pd(wk, neg_u[j]));
+                let c_new = _mm256_add_pd(load(c), update);
+                store(c, c_new);
+                y_k = _mm256_add_pd(y_k, _mm256_mul_pd(xj[j], c_new));
+                acc[j] = _mm256_add_pd(acc[j], _mm256_mul_pd(c_new, xk));
+            };
+            column(a0, 0);
+            column(a1, 1);
+            column(a2, 2);
+            column(a3, 3);
+            store(yk, y_k);
+        }
+        // The diagonal chunk.
+        let (uk, wk, xk) = (load(&ub), load(&wb), load(&xb));
+        let (c0, c1, c2, c3) = (&mut c0[blk], &mut c1[blk], &mut c2[blk], &mut c3[blk]);
+        let old = [load(c0), load(c1), load(c2), load(c3)];
+        let updated = |j: usize| {
+            let update = _mm256_add_pd(_mm256_mul_pd(uk, neg_w[j]), _mm256_mul_pd(wk, neg_u[j]));
+            _mm256_add_pd(old[j], update)
+        };
+        let (n0, n1, n2, n3) = (updated(0), updated(1), updated(2), updated(3));
+        store(c0, _mm256_blend_pd::<0b0001>(old[0], n0));
+        store(c1, _mm256_blend_pd::<0b0011>(old[1], n1));
+        store(c2, _mm256_blend_pd::<0b0111>(old[2], n2));
+        store(c3, n3);
+        // (a0 + a1) + (a2 + a3) of each column's accumulators.
+        let h01 = _mm256_hadd_pd(acc[0], acc[1]);
+        let h23 = _mm256_hadd_pd(acc[2], acc[3]);
+        let low = _mm256_permute2f128_pd::<0x20>(h01, h23);
+        let high = _mm256_permute2f128_pd::<0x31>(h01, h23);
+        let mut dot = _mm256_add_pd(low, high);
+        // Row t of the chunk across its columns, for the dots past it.
+        let (t0, t1) = (_mm256_unpacklo_pd(n0, n1), _mm256_unpackhi_pd(n0, n1));
+        let (t2, t3) = (_mm256_unpacklo_pd(n2, n3), _mm256_unpackhi_pd(n2, n3));
+        let row0 = _mm256_permute2f128_pd::<0x20>(t0, t2);
+        let row1 = _mm256_permute2f128_pd::<0x20>(t1, t3);
+        let row2 = _mm256_permute2f128_pd::<0x31>(t0, t2);
+        dot = _mm256_blend_pd::<0b1110>(dot, _mm256_add_pd(dot, _mm256_mul_pd(row0, xj[0])));
+        dot = _mm256_blend_pd::<0b1100>(dot, _mm256_add_pd(dot, _mm256_mul_pd(row1, xj[1])));
+        dot = _mm256_blend_pd::<0b1000>(dot, _mm256_add_pd(dot, _mm256_mul_pd(row2, xj[2])));
+        let diagonal = _mm256_blend_pd::<0b1100>(
+            _mm256_blend_pd::<0b0010>(n0, n1),
+            _mm256_blend_pd::<0b1000>(n2, n3),
+        );
+        let mut yk = _mm256_add_pd(_mm256_mul_pd(diagonal, xk), dot);
+        yk = _mm256_blend_pd::<0b0001>(yk, _mm256_add_pd(yk, _mm256_mul_pd(xj[1], n1)));
+        yk = _mm256_blend_pd::<0b0011>(yk, _mm256_add_pd(yk, _mm256_mul_pd(xj[2], n2)));
+        yk = _mm256_blend_pd::<0b0111>(yk, _mm256_add_pd(yk, _mm256_mul_pd(xj[3], n3)));
+        store(&mut y4[blk], yk);
+    }
+    // The last columns one at a time, rows 4 at a time up to their
+    // diagonal chunk.
+    let r = 4 * blocks;
+    for j in r..x.len() {
+        let col = &mut a[j * lda..=j * lda + j];
+        let (neg_u, neg_w, xj) = (
+            _mm256_set1_pd(-u[j]),
+            _mm256_set1_pd(-w[j]),
+            _mm256_set1_pd(x[j]),
+        );
+        let mut acc = _mm256_setzero_pd();
+        let y4 = y[..r].as_chunks_mut::<4>().0;
+        let vectors = (u4[..blocks].iter().zip(&w4[..blocks]).zip(&x4[..blocks])).zip(y4);
+        for ((((uk, wk), xk), yk), c) in vectors.zip(col[..r].as_chunks_mut::<4>().0) {
+            let (uk, wk, xk) = (load(uk), load(wk), load(xk));
+            let update = _mm256_add_pd(_mm256_mul_pd(uk, neg_w), _mm256_mul_pd(wk, neg_u));
+            let c_new = _mm256_add_pd(load(c), update);
+            store(c, c_new);
+            store(yk, _mm256_add_pd(load(yk), _mm256_mul_pd(xj, c_new)));
+            acc = _mm256_add_pd(acc, _mm256_mul_pd(c_new, xk));
+        }
+        let mut sums = [0.0; 4];
+        store(&mut sums, acc);
+        column_tail(col, r, Some((u, w)), Some((x, &mut *y)), sums);
+    }
+}
+
 /// Which microkernel `f64` products run on this CPU: `avx512f`, `avx2+fma`
 /// or `portable`. Results repeat bit for bit between CPUs that name one of
 /// the first two, and on one CPU always.
@@ -670,14 +835,17 @@ struct Kernels<P> {
     /// The SIMD 6 × 6 × 6 stack kernel, if it has the instructions for it;
     /// [`stack6_portable`] runs everywhere.
     stacks6: Option<Stack6>,
+    /// The SIMD sweep kernel of the tridiagonal reduction, if it has the
+    /// instructions for it; [`sweep_portable`] runs everywhere.
+    sweep: Option<SweepKernel>,
 }
 
 /// Every kernel this CPU runs: the GEMM tiles for sums in `P`, the plane
-/// rotations and the 6 × 6 × 6 stack kernel. The only function that asks
-/// the CPU what it has.
+/// rotations, the 6 × 6 × 6 stack kernel and the reduction's sweep. The
+/// only function that asks the CPU what it has.
 fn microkernels<P: Elem>() -> Kernels<P> {
     #[cfg(target_arch = "x86_64")]
-    let (tiles, rotations, stacks6) = {
+    let (tiles, rotations, stacks6, sweep) = {
         let avx512f = is_x86_feature_detected!("avx512f");
         let avx2 = is_x86_feature_detected!("avx2");
         let has_avx2_fma = avx2 && is_x86_feature_detected!("fma");
@@ -700,10 +868,11 @@ fn microkernels<P: Elem>() -> Kernels<P> {
             avx2.then_some(rotate_avx2 as Rotation),
         ];
         let stacks6 = avx512f.then_some(stack6_avx512f as Stack6);
-        (tiles, rotations, stacks6)
+        let sweep = avx2.then_some(sweep_avx2 as SweepKernel);
+        (tiles, rotations, stacks6, sweep)
     };
     #[cfg(not(target_arch = "x86_64"))]
-    let (tiles, rotations, stacks6) = ([None::<Microkernel<f64>>; 2], [None; 2], None);
+    let (tiles, rotations, stacks6, sweep) = ([None::<Microkernel<f64>>; 2], [None; 2], None, None);
     // The SIMD tiles sum in `f64`; for any other `P` the cast finds nothing.
     let same_type = |kernel: Microkernel<f64>| {
         let kernel: &dyn std::any::Any = &kernel;
@@ -719,6 +888,7 @@ fn microkernels<P: Elem>() -> Kernels<P> {
         },
         rotations,
         stacks6,
+        sweep,
     }
 }
 

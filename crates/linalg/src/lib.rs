@@ -5,16 +5,20 @@
 //! Evaluation in the Quantum Chemistry Code CP2K"* (SC 2020).
 //!
 //! The paper evaluates the matrix sign function of dense principal
-//! submatrices with LAPACK's `dsyevd`; this crate provides the equivalent
-//! building blocks from scratch:
+//! submatrices with LAPACK's `dsyevd` (divide and conquer); this crate
+//! writes its building blocks from scratch, and its eigensolver follows
+//! the path of LAPACK's `dsyev` instead (`dsytd2`, `dorg2l`, implicit QL):
 //!
 //! * a column-major [`Matrix`] type,
-//! * BLAS-1/2/3 kernels ([`blas1`], [`blas2`], [`gemm`]) with a packed,
-//!   register-tiled, Rayon-parallel GEMM,
+//! * BLAS-1/3 kernels ([`blas1`], [`gemm`]) with a packed, register-tiled,
+//!   Rayon-parallel GEMM, and the level-2 pass of the reduction below
+//!   ([`blas2`]),
 //! * a symmetric eigensolver [`eigh::eigh`]: a `dsytd2`-style Householder
 //!   tridiagonalization over the contiguous columns of the upper triangle
-//!   ([`tridiag`]), `Q` formed from the stored reflectors only when
-//!   eigenvectors are wanted, and an implicit-shift QL sweep,
+//!   ([`tridiag`]), one pass per step for its rank-2 update and its
+//!   matrix–vector product, `Q` formed from the stored reflectors only when
+//!   eigenvectors are wanted (`dorg2l`-style), and an implicit-shift QL
+//!   sweep,
 //! * a Cholesky factorization,
 //! * the matrix sign function via eigendecomposition, Newton–Schulz and
 //!   higher-order Padé iterations ([`sign`]),
