@@ -1,27 +1,20 @@
 //! # sm-accel — simulated hardware acceleration
 //!
-//! Paper Sec. VI offloads the 3rd-order Padé sign iteration (Eq. 19) for
-//! dense submatrices to Nvidia tensor cores (FP16 / mixed FP16' / FP32 /
-//! FP64) and to a Stratix 10 FPGA (FP32). No GPU or FPGA exists in this
-//! environment, so this crate reproduces the two things the paper actually
-//! reports:
+//! Paper Sec. VI offloads the 3rd-order Padé sign iteration (Eq. 19) to
+//! Nvidia tensor cores (FP16 / mixed FP16' / FP32 / FP64) and a Stratix 10
+//! FPGA (FP32). No GPU or FPGA exists here, so this crate reproduces what
+//! the paper reports:
 //!
-//! * **Numerics** (Figs. 12–13): bit-accurate software emulation of IEEE
-//!   binary16 ([`mod@f16`]) and reduced-precision GEMMs ([`gemm`]) with
-//!   tensor-core accumulation semantics (4-wide FP16 products with FP16 or
-//!   FP32 accumulators) plus an FPGA-style FP32 kernel with a *different
-//!   blocking order* — the paper observes GPU-FP32 and FPGA-FP32 disagree
-//!   purely through summation order. [`pade`] runs Eq. 19 in every mode and
-//!   records the energy-vs-FP64 and involutority (‖Xₖ²−I‖_F) traces.
-//! * **Throughput** (Table I): an analytic device model ([`perfmodel`])
-//!   with the published peak numbers and an occupancy/overhead model that
-//!   reproduces the peak → matmul → full-algorithm waterfall.
+//! * **Numerics** (Figs. 12–13): the devices' arithmetic as element types
+//!   of the engine's own `sm_linalg::sign::sign_iteration_in` — bit-exact
+//!   binary16 ([`mod@f16`]) and, in [`gemm`], the FP16 and FP16' tiles and
+//!   the FPGA's FP32 blocking. GPU FP32 and FP64 are `f32` and `f64`, so
+//!   GPU and FPGA FP32 share storage and differ in their multiply alone.
+//! * **Throughput** (Table I): an analytic device model ([`perfmodel`]).
 
 pub mod f16;
 pub mod gemm;
-pub mod pade;
 pub mod perfmodel;
 
 pub use f16::F16;
-pub use gemm::PrecisionMode;
-pub use pade::{pade3_sign_traced, IterationRecord, PadeTraceOptions};
+pub use gemm::{Fp16, Fp16Mixed, FpgaFp32};

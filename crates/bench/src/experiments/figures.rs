@@ -2,9 +2,8 @@
 //! paper reports; solving experiments use the shortened
 //! [`crate::workloads::accuracy_basis`], pattern/model experiments the standard ranges.
 
-use sm_accel::pade::{energy_differences_mev_per_atom, pade3_sign_traced, PadeTraceOptions};
 use sm_accel::perfmodel::{fpga_row, gpu_table, DeviceModel};
-use sm_accel::PrecisionMode;
+use sm_accel::{Fp16, Fp16Mixed, FpgaFp32};
 use sm_chem::builder::{block_pattern, build_system};
 use sm_chem::energy::{band_energy, error_mev_per_atom, signed_error_mev_per_atom};
 use sm_chem::{BasisSet, WaterBox};
@@ -22,6 +21,7 @@ use sm_linalg::Matrix;
 use super::Ctx;
 use crate::output::Cell::{Fixed, Sci, Signed, Wall};
 use crate::output::{Json, Report};
+use crate::pade::{pade3_trace, Trace};
 use crate::workloads::{
     assemble_columns, filtered, ns_options, timed, water_pattern, water_system, SEED,
 };
@@ -549,7 +549,7 @@ pub fn fig11(ctx: &Ctx) -> Report {
 /// The combined submatrix of the first molecules of the NREP = 2 box at
 /// ε = 1e-6 (paper: 32 molecules of a 4000-molecule system), its µ and
 /// its atom count — the input of Figs. 12 and 13.
-fn combined_submatrix(ctx: &Ctx) -> (Matrix, f64, PadeTraceOptions) {
+fn combined_submatrix(ctx: &Ctx) -> (Matrix, f64, usize) {
     let group_size = if ctx.paper { 32 } else { 8 };
     let (_, sys, kt) = water_system(2);
     let group: Vec<usize> = (0..group_size).collect();
@@ -559,35 +559,56 @@ fn combined_submatrix(ctx: &Ctx) -> (Matrix, f64, PadeTraceOptions) {
         "combined submatrix of {group_size} molecules: dim {} ({n_atoms} atoms)",
         a.nrows()
     );
-    let opts = PadeTraceOptions {
-        iterations: 15,
-        n_atoms,
-    };
-    (a, sys.mu, opts)
+    (a, sys.mu, n_atoms)
 }
+
+/// The fixed window Figs. 12–13 plot (Sec. VI discusses why the energy is
+/// a poor stopping criterion).
+const SEC6_STEPS: usize = 15;
+
+/// A traced run of `steps` steps on `A` at `µ` in one element type.
+type TracedRun = fn(&Matrix, f64, usize) -> Trace;
+
+/// Sec. VI's precision modes in the paper's legend order, each the
+/// engine's Padé-3 iteration over one element type: tensor-core FP16 and
+/// FP16', GPU FP32 (single-precision sums), FP64, and the FPGA's FP32.
+const SEC6_MODES: [(&str, TracedRun); 5] = [
+    ("GPU FP16", pade3_trace::<Fp16>),
+    ("GPU FP16'", pade3_trace::<Fp16Mixed>),
+    ("GPU FP32", pade3_trace::<f32>),
+    ("GPU FP64", pade3_trace::<f64>),
+    ("FPGA FP32", pade3_trace::<FpgaFp32>),
+];
 
 /// Fig. 12: all precision modes converge after ~6–8 iterations of the
 /// 3rd-order Padé sign iteration; the reduced-precision energies land
 /// within a few meV/atom of FP64 but fluctuate at their noise floor;
 /// GPU-FP32 and FPGA-FP32 differ slightly (summation order).
 pub fn fig12(ctx: &Ctx) -> Report {
-    let (a, mu, opts) = combined_submatrix(ctx);
-    let t64 = pade3_sign_traced(&a, mu, PrecisionMode::Fp64, &opts);
-    let e_ref = t64.records.last().expect("records").energy;
+    let (a, mu, n_atoms) = combined_submatrix(ctx);
+    let traces = SEC6_MODES.map(|(label, trace)| (label, trace(&a, mu, SEC6_STEPS)));
+    let (_, t64) = traces
+        .iter()
+        .find(|(label, _)| *label == "GPU FP64")
+        .expect("an FP64 mode");
+    let e_ref = *t64.energy.last().expect("steps");
     println!("converged FP64 energy: {e_ref:.8}");
     let mut report = Report::new(
         "Fig. 12 — energy difference from converged FP64 per iteration",
         &["mode", "iteration", "dE_mev_per_atom", "involutority"],
     );
-    for mode in PrecisionMode::all() {
-        let t = pade3_sign_traced(&a, mu, mode, &opts);
-        let diffs = energy_differences_mev_per_atom(&t, e_ref, opts.n_atoms);
-        for (r, d) in t.records.iter().zip(&diffs) {
+    for (label, t) in &traces {
+        let diffs: Vec<f64> = t
+            .energy
+            .iter()
+            .map(|&e| signed_error_mev_per_atom(e, e_ref, n_atoms))
+            .collect();
+        for (k, (d, inv)) in diffs.iter().zip(&t.involutority).enumerate() {
             report.push(vec![
-                mode.label().into(),
-                r.iteration.into(),
+                (*label).into(),
+                (k + 1).into(),
                 Signed(*d, 6),
-                Sci(r.involutority, 3),
+                Sci(*inv, 3),
             ]);
         }
         let tail_max = diffs
@@ -596,8 +617,7 @@ pub fn fig12(ctx: &Ctx) -> Report {
             .take(5)
             .fold(0.0f64, |m, d| m.max(d.abs()));
         report.notes.push(format!(
-            "{:<10}: final |dE| over last 5 iters <= {tail_max:.3e} meV/atom",
-            mode.label()
+            "{label:<10}: final |dE| over last 5 iters <= {tail_max:.3e} meV/atom"
         ));
     }
     report
@@ -608,7 +628,7 @@ pub fn fig12(ctx: &Ctx) -> Report {
 /// orders of magnitude higher — which is why involutority, not energy,
 /// is the usable convergence criterion (Sec. VI-A).
 pub fn fig13(ctx: &Ctx) -> Report {
-    let (a, mu, opts) = combined_submatrix(ctx);
+    let (a, mu, _) = combined_submatrix(ctx);
     let mut report = Report::new(
         "Fig. 13 — ||X^2 - I||_F per iteration",
         &["mode", "iteration", "involutority"],
@@ -616,23 +636,13 @@ pub fn fig13(ctx: &Ctx) -> Report {
     report
         .notes
         .push("noise floors (expected ordering FP64 < FP32/FPGA << FP16'/FP16):".into());
-    for mode in PrecisionMode::all() {
-        let t = pade3_sign_traced(&a, mu, mode, &opts);
-        for r in &t.records {
-            report.push(vec![
-                mode.label().into(),
-                r.iteration.into(),
-                Sci(r.involutority, 3),
-            ]);
+    for (label, trace) in SEC6_MODES {
+        let t = trace(&a, mu, SEC6_STEPS);
+        for (k, inv) in t.involutority.iter().enumerate() {
+            report.push(vec![label.into(), (k + 1).into(), Sci(*inv, 3)]);
         }
-        let floor = t
-            .records
-            .iter()
-            .map(|r| r.involutority)
-            .fold(f64::INFINITY, f64::min);
-        report
-            .notes
-            .push(format!("  {:<10} {floor:.3e}", mode.label()));
+        let floor = t.involutority.iter().copied().fold(f64::INFINITY, f64::min);
+        report.notes.push(format!("  {label:<10} {floor:.3e}"));
     }
     report
 }

@@ -7,7 +7,8 @@
 //! an aligned table and written as exactly one artifact,
 //! `results/BENCH_<name>.json`. `smdoctor` audits and compares those
 //! artifacts ([`compare`] is its regression gate, [`doctor`] its other
-//! bench views); `smserved` is the streaming daemon.
+//! bench views); `smserved` is the streaming daemon. [`pade`] is the
+//! traced run of Figs. 12–13: the engine's Padé iteration per device mode.
 //!
 //! Scale conventions: the laptop-scale defaults finish in seconds to a few
 //! minutes; experiments that *solve* systems use a shortened basis range
@@ -19,4 +20,5 @@ pub mod compare;
 pub mod doctor;
 pub mod experiments;
 pub mod output;
+pub mod pade;
 pub mod workloads;

@@ -293,12 +293,12 @@ fn solve_sign_iterative_f32(
         &shifted,
         order,
         SignIterationOptions {
-            // f32 iterates bottom out near n·ε_f32; don't spin the budget
-            // chasing an f64 tolerance the arithmetic cannot reach.
+            // f32 iterates bottom out near n·ε_f32: chase no f64 tolerance.
             tol: opts.tol.max(F32_SIGN_TOL),
             max_iter: opts.max_iter,
         },
         true,
+        |_, _| {},
     )?;
     if !r.converged {
         return Err(LinalgError::NoConvergence {

@@ -34,8 +34,9 @@
 //! the `f64` matrix, [`MatrixF32`] the single-precision one) — the real
 //! mixed-precision execution path of the paper's approximate-computing
 //! mode, selected by [`Precision`]. The factorizations (eigensolver,
-//! Cholesky) remain `f64`; device-*emulating* kernels (FP16 tensor-core
-//! rounding schedules, FPGA summation orders) live in the `sm-accel` crate.
+//! Cholesky) remain `f64`; device-*emulating* element types (FP16
+//! tensor-core rounding schedules, FPGA summation orders) live in the
+//! `sm-accel` crate and run through the same `sign::sign_iteration_in`.
 
 pub mod blas1;
 pub mod blas2;

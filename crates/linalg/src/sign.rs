@@ -9,6 +9,9 @@
 //!   (Eq. 11), CP2K's default for sparse matrices and the paper's baseline;
 //! * [`sign_iteration`] — the arbitrary-order Padé family; order 2 is
 //!   Newton–Schulz, order 3 reproduces Eq. 19 used in the GPU/FPGA study.
+//!   [`sign_iteration_in`] is the one implementation: the engine runs it in
+//!   `f64` and `f32`, and Figs. 12–13 run it over `sm_accel`'s binary16
+//!   and FPGA element types, watching each step through its observer.
 
 use crate::eigh::eigh;
 use crate::elem::Elem;
@@ -104,7 +107,9 @@ impl SignElem for f32 {
 /// Options for the iterative sign evaluations.
 #[derive(Debug, Clone, Copy)]
 pub struct SignIterationOptions {
-    /// Convergence threshold on ‖Xₖ² − I‖_F / √n.
+    /// Convergence threshold on ‖Xₖ² − I‖_F / √n. No residual meets a
+    /// negative `tol`, so the iteration then runs exactly `max_iter` steps
+    /// (the fixed window Figs. 12–13 plot).
     pub tol: f64,
     /// Iteration budget.
     pub max_iter: usize,
@@ -151,6 +156,9 @@ pub fn pade_coefficients(order: usize) -> Vec<f64> {
 /// ([`matmul_wide`](crate::gemm::matmul_wide)) — single-precision storage,
 /// double-precision sums; the flag is a no-op for `f64`.
 ///
+/// `observe(k, X)` sees the iterate after step `k`'s update; the engine
+/// passes a no-op, which compiles away.
+///
 /// A NaN or infinite entry of `a` can never converge and is reported as
 /// [`LinalgError::NonFinite`] before the first multiply, not as
 /// `converged = false` after the whole iteration budget.
@@ -159,6 +167,7 @@ pub fn sign_iteration_in<E: SignElem>(
     order: usize,
     opts: SignIterationOptions,
     wide_acc: bool,
+    mut observe: impl FnMut(usize, &MatrixBase<E>),
 ) -> Result<SignIterationResultIn<E>, LinalgError> {
     if !a.is_square() {
         return Err(LinalgError::NotSquare {
@@ -218,6 +227,7 @@ pub fn sign_iteration_in<E: SignElem>(
         // X = X * P
         E::multiply(&x, &p, wide_acc, &mut next)?;
         std::mem::swap(&mut x, &mut next);
+        observe(it, &x);
     }
 
     Ok(SignIterationResultIn {
@@ -233,7 +243,7 @@ pub fn sign_iteration(
     order: usize,
     opts: SignIterationOptions,
 ) -> Result<SignIterationResult, LinalgError> {
-    sign_iteration_in(a, order, opts, false)
+    sign_iteration_in(a, order, opts, false, |_, _| {})
 }
 
 /// One double-precision Newton–Schulz step `X ← X·(3I − X²)/2` — the cheap
@@ -387,6 +397,54 @@ mod tests {
         assert_eq!(r.trace.len(), 3);
     }
 
+    /// An observer moves no bit: f64 orders 2 and 3 and f32 with and
+    /// without wide accumulation return what they return with a no-op, and
+    /// the last iterate it sees is the result. A negative `tol` calls it
+    /// exactly `max_iter` times.
+    #[test]
+    fn observer_keeps_every_bit_and_sees_a_fixed_window() {
+        fn watched_matches_quiet<E: SignElem>(
+            a: &MatrixBase<E>,
+            order: usize,
+            opts: SignIterationOptions,
+            wide: bool,
+        ) {
+            let bits = |m: &MatrixBase<E>| -> Vec<u64> {
+                m.as_slice().iter().map(|v| v.to_f64().to_bits()).collect()
+            };
+            let quiet = sign_iteration_in(a, order, opts, wide, |_, _| {}).unwrap();
+            let mut last = None;
+            let watched =
+                sign_iteration_in(a, order, opts, wide, |_, x| last = Some(bits(x))).unwrap();
+            assert_eq!(bits(&watched.sign), bits(&quiet.sign));
+            assert_eq!(last, Some(bits(&quiet.sign)));
+            let residuals = |r: &SignIterationResultIn<E>| -> Vec<u64> {
+                r.trace.iter().map(|s| s.residual.to_bits()).collect()
+            };
+            assert_eq!(residuals(&watched), residuals(&quiet));
+        }
+        let a = gapped_matrix(13);
+        let f32_opts = SignIterationOptions {
+            tol: crate::elem::F32_SIGN_TOL,
+            ..SignIterationOptions::default()
+        };
+        for order in [2, 3] {
+            watched_matches_quiet(&a, order, SignIterationOptions::default(), false);
+            for wide in [false, true] {
+                watched_matches_quiet(&a.to_f32(), order, f32_opts, wide);
+            }
+        }
+
+        let mut steps = Vec::new();
+        let window = SignIterationOptions {
+            tol: -1.0,
+            max_iter: 7,
+        };
+        let r = sign_iteration_in(&a, 3, window, false, |k, _| steps.push(k)).unwrap();
+        assert!(!r.converged);
+        assert_eq!(steps, (0..7).collect::<Vec<_>>());
+    }
+
     #[test]
     fn f32_iteration_matches_f64_to_single_precision() {
         let a = gapped_matrix(14);
@@ -400,6 +458,7 @@ mod tests {
                     ..SignIterationOptions::default()
                 },
                 wide,
+                |_, _| {},
             )
             .unwrap();
             assert!(r.converged, "f32 NS (wide={wide}) did not converge");
@@ -420,6 +479,7 @@ mod tests {
                 ..SignIterationOptions::default()
             },
             true,
+            |_, _| {},
         )
         .unwrap();
         let coarse = r32.sign.to_f64();
@@ -452,7 +512,7 @@ mod tests {
             let opts = SignIterationOptions::default();
             assert_eq!(sign_iteration(&a, 3, opts).unwrap_err(), expect);
             assert_eq!(
-                sign_iteration_in(&a.to_f32(), 3, opts, true).unwrap_err(),
+                sign_iteration_in(&a.to_f32(), 3, opts, true, |_, _| {}).unwrap_err(),
                 expect
             );
         }
