@@ -2,9 +2,9 @@
 //! two stamped bench documents.
 //!
 //! Every **deterministic** quantity must match exactly — schema versions,
-//! counters (value bytes, eviction counts, stolen jobs), key sets, column
-//! lists, row counts. Three kinds of value are not deterministic and get
-//! their own rule:
+//! counters (value bytes, stolen jobs), key sets, column lists, row
+//! counts. Three kinds of value are not deterministic and get their own
+//! rule:
 //!
 //! * wall-clock keys (`*_s`, `*seconds*`, `*wall*`) only soft-warn beyond
 //!   [`WALL_DRIFT_WARN`] — the two-clock rule;

@@ -2,6 +2,8 @@
 //! paper reports; solving experiments use the shortened
 //! [`crate::workloads::accuracy_basis`], pattern/model experiments the standard ranges.
 
+use std::sync::OnceLock;
+
 use sm_accel::perfmodel::{fpga_row, gpu_table, DeviceModel};
 use sm_accel::{Fp16, Fp16Mixed, FpgaFp32};
 use sm_chem::builder::{block_pattern, build_system};
@@ -166,11 +168,7 @@ pub fn fig05(ctx: &Ctx) -> Report {
             PatternPlan::new(pattern.clone(), dims.clone(), &groups)
         };
         let km_plan = plan_of(&kmeans::kmeans(&points, k, 1, 100).assignment);
-        let gp_plan = plan_of(&graph::partition_kway(
-            &g,
-            k,
-            &graph::PartitionOptions::default(),
-        ));
+        let gp_plan = plan_of(&graph::partition_kway(&g, k));
         report.push(vec![
             km_plan.n_submatrices().into(),
             Fixed(estimated_speedup(&singles, &km_plan), 4),
@@ -580,13 +578,31 @@ const SEC6_MODES: [(&str, TracedRun); 5] = [
     ("FPGA FP32", pade3_trace::<FpgaFp32>),
 ];
 
+/// Figs. 12–13's input and its [`SEC6_MODES`] traces: the atom count and
+/// one trace per mode, in legend order.
+struct Sec6Traces {
+    n_atoms: usize,
+    traces: [(&'static str, Trace); 5],
+}
+
+/// The Sec. VI traces of `ctx`'s combined submatrix, computed once per
+/// process for each `--paper` setting, so `repro fig12 fig13` runs each
+/// mode once and both figures read the same traces.
+fn sec6_traces(ctx: &Ctx) -> &'static Sec6Traces {
+    static BY_PAPER: [OnceLock<Sec6Traces>; 2] = [OnceLock::new(), OnceLock::new()];
+    BY_PAPER[usize::from(ctx.paper)].get_or_init(|| {
+        let (a, mu, n_atoms) = combined_submatrix(ctx);
+        let traces = SEC6_MODES.map(|(label, trace)| (label, trace(&a, mu, SEC6_STEPS)));
+        Sec6Traces { n_atoms, traces }
+    })
+}
+
 /// Fig. 12: all precision modes converge after ~6–8 iterations of the
 /// 3rd-order Padé sign iteration; the reduced-precision energies land
 /// within a few meV/atom of FP64 but fluctuate at their noise floor;
 /// GPU-FP32 and FPGA-FP32 differ slightly (summation order).
 pub fn fig12(ctx: &Ctx) -> Report {
-    let (a, mu, n_atoms) = combined_submatrix(ctx);
-    let traces = SEC6_MODES.map(|(label, trace)| (label, trace(&a, mu, SEC6_STEPS)));
+    let Sec6Traces { n_atoms, traces } = sec6_traces(ctx);
     let (_, t64) = traces
         .iter()
         .find(|(label, _)| *label == "GPU FP64")
@@ -597,11 +613,11 @@ pub fn fig12(ctx: &Ctx) -> Report {
         "Fig. 12 — energy difference from converged FP64 per iteration",
         &["mode", "iteration", "dE_mev_per_atom", "involutority"],
     );
-    for (label, t) in &traces {
+    for (label, t) in traces {
         let diffs: Vec<f64> = t
             .energy
             .iter()
-            .map(|&e| signed_error_mev_per_atom(e, e_ref, n_atoms))
+            .map(|&e| signed_error_mev_per_atom(e, e_ref, *n_atoms))
             .collect();
         for (k, (d, inv)) in diffs.iter().zip(&t.involutority).enumerate() {
             report.push(vec![
@@ -628,7 +644,6 @@ pub fn fig12(ctx: &Ctx) -> Report {
 /// orders of magnitude higher — which is why involutority, not energy,
 /// is the usable convergence criterion (Sec. VI-A).
 pub fn fig13(ctx: &Ctx) -> Report {
-    let (a, mu, _) = combined_submatrix(ctx);
     let mut report = Report::new(
         "Fig. 13 — ||X^2 - I||_F per iteration",
         &["mode", "iteration", "involutority"],
@@ -636,10 +651,9 @@ pub fn fig13(ctx: &Ctx) -> Report {
     report
         .notes
         .push("noise floors (expected ordering FP64 < FP32/FPGA << FP16'/FP16):".into());
-    for (label, trace) in SEC6_MODES {
-        let t = trace(&a, mu, SEC6_STEPS);
+    for (label, t) in &sec6_traces(ctx).traces {
         for (k, inv) in t.involutority.iter().enumerate() {
-            report.push(vec![label.into(), (k + 1).into(), Sci(*inv, 3)]);
+            report.push(vec![(*label).into(), (k + 1).into(), Sci(*inv, 3)]);
         }
         let floor = t.involutority.iter().copied().fold(f64::INFINITY, f64::min);
         report.notes.push(format!("  {label:<10} {floor:.3e}"));

@@ -14,7 +14,7 @@
 //!
 //! A driver normally owns a private engine ([`ScfDriver::new`]), but a
 //! batched multi-system service wants many concurrent SCF loops to share
-//! *one* engine — one bounded plan cache amortized across every system —
+//! *one* engine — one plan cache amortized across every system —
 //! so [`ScfDriver::with_engine`] accepts a shared [`Arc`]`<`[`SubmatrixEngine`]`>`.
 //! To stay correct under that sharing, all per-run accounting
 //! ([`ScfResult::symbolic_builds`], [`ScfResult::cache_hits`], the
@@ -182,7 +182,7 @@ impl ScfDriver {
 
     /// Build a driver over an existing **shared** engine — the re-entrancy
     /// hook a batched multi-system service uses so every concurrent SCF
-    /// loop plans through one (optionally bounded) cache, and the way to
+    /// loop plans through one cache, and the way to
     /// run a loop under non-default [`EngineOptions`].
     pub fn with_engine(opts: ScfOptions, engine: Arc<SubmatrixEngine>) -> Self {
         ScfDriver { opts, engine }

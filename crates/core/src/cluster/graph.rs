@@ -97,36 +97,18 @@ impl Graph {
     }
 }
 
-/// Options for the partitioner.
-#[derive(Debug, Clone, Copy)]
-pub struct PartitionOptions {
-    /// Allowed imbalance: max part weight ≤ `balance · total/k`.
-    pub balance: f64,
-    /// Legacy multilevel knob (kept for API stability); the recursive
-    /// bisection scheme does not coarsen.
-    pub coarsen_to: usize,
-    /// FM refinement passes per level.
-    pub refine_passes: usize,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for PartitionOptions {
-    fn default() -> Self {
-        PartitionOptions {
-            balance: 1.10,
-            coarsen_to: 256,
-            refine_passes: 10,
-            seed: 1,
-        }
-    }
-}
+/// Allowed imbalance: max part weight ≤ `BALANCE · total/k`.
+const BALANCE: f64 = 1.10;
+/// FM refinement passes per level.
+const REFINE_PASSES: usize = 10;
+/// Seed of the bisections' random BFS starts.
+const SEED: u64 = 1;
 
 /// Multilevel k-way partition via recursive bisection: split the vertex
 /// set into two weight-proportional halves with a BFS-grown, FM-refined
 /// bisection, then recurse. Recursive bisection with compact (ball-shaped)
 /// halves is what keeps the column unions small under the n³ cost model.
-pub fn partition_kway(g: &Graph, k: usize, opts: &PartitionOptions) -> Vec<usize> {
+pub fn partition_kway(g: &Graph, k: usize) -> Vec<usize> {
     assert!(k >= 1);
     if k == 1 {
         return vec![0; g.n()];
@@ -134,12 +116,12 @@ pub fn partition_kway(g: &Graph, k: usize, opts: &PartitionOptions) -> Vec<usize
     if g.n() <= k {
         return (0..g.n()).map(|v| v % k).collect();
     }
-    let mut rng = XorShift::new(opts.seed);
+    let mut rng = XorShift::new(SEED);
     let mut part = vec![0usize; g.n()];
     let all: Vec<usize> = (0..g.n()).collect();
-    recursive_bisect(g, &all, k, 0, &mut part, opts, &mut rng);
+    recursive_bisect(g, &all, k, 0, &mut part, &mut rng);
     // Final k-way boundary sweep across bisection seams.
-    refine_fm(g, k, &mut part, opts);
+    refine_fm(g, k, &mut part);
     part
 }
 
@@ -151,7 +133,6 @@ fn recursive_bisect(
     k: usize,
     base: usize,
     part: &mut [usize],
-    opts: &PartitionOptions,
     rng: &mut XorShift,
 ) {
     if k == 1 || verts.len() <= 1 {
@@ -164,7 +145,7 @@ fn recursive_bisect(
     let k2 = k - k1;
     let frac = k1 as f64 / k as f64;
     let (sub, to_global) = induced_subgraph(g, verts);
-    let side = bisect(&sub, frac, opts, rng);
+    let side = bisect(&sub, frac, rng);
     let mut left = Vec::with_capacity(verts.len());
     let mut right = Vec::with_capacity(verts.len());
     for (local, &global) in to_global.iter().enumerate() {
@@ -181,8 +162,8 @@ fn recursive_bisect(
         left = verts[..cut.max(1).min(verts.len() - 1)].to_vec();
         right = verts[left.len()..].to_vec();
     }
-    recursive_bisect(g, &left, k1, base, part, opts, rng);
-    recursive_bisect(g, &right, k2, base + k1, part, opts, rng);
+    recursive_bisect(g, &left, k1, base, part, rng);
+    recursive_bisect(g, &right, k2, base + k1, part, rng);
 }
 
 /// Induced subgraph on a vertex subset; returns the subgraph and the
@@ -210,7 +191,7 @@ fn induced_subgraph(g: &Graph, verts: &[usize]) -> (Graph, Vec<usize>) {
 /// Bisect a graph into a side of target weight `frac·total` (true) and the
 /// remainder (false): several BFS-region starts, boundary-FM refinement,
 /// keep the best cut.
-fn bisect(g: &Graph, frac: f64, opts: &PartitionOptions, rng: &mut XorShift) -> Vec<bool> {
+fn bisect(g: &Graph, frac: f64, rng: &mut XorShift) -> Vec<bool> {
     let n = g.n();
     let total = g.total_vwgt();
     let target = frac * total;
@@ -253,7 +234,7 @@ fn bisect(g: &Graph, frac: f64, opts: &PartitionOptions, rng: &mut XorShift) -> 
                 }
             }
         }
-        refine_bisection(g, &mut side, target, opts);
+        refine_bisection(g, &mut side, target);
         let cut = cut_of_bisection(g, &side);
         if best.as_ref().is_none_or(|(c, _)| cut < *c) {
             best = Some((cut, side));
@@ -278,12 +259,12 @@ fn cut_of_bisection(g: &Graph, side: &[bool]) -> f64 {
 /// the other side when the cut gain is positive and the weight stays within
 /// the balance tolerance of the target split.
 #[allow(clippy::needless_range_loop)] // vertex sweep needs the index for neighbors()
-fn refine_bisection(g: &Graph, side: &mut [bool], target: f64, opts: &PartitionOptions) {
+fn refine_bisection(g: &Graph, side: &mut [bool], target: f64) {
     let n = g.n();
     let total = g.total_vwgt();
-    let tol = (opts.balance - 1.0).max(0.01) * total;
+    let tol = (BALANCE - 1.0).max(0.01) * total;
     let mut w_true: f64 = (0..n).filter(|&v| side[v]).map(|v| g.vwgt[v]).sum();
-    for _ in 0..opts.refine_passes {
+    for _ in 0..REFINE_PASSES {
         let mut improved = false;
         #[allow(clippy::needless_range_loop)] // vertex sweep reads and writes side[v]
         for v in 0..n {
@@ -319,14 +300,14 @@ fn refine_bisection(g: &Graph, side: &mut [bool], target: f64, opts: &PartitionO
 
 /// Boundary FM refinement: greedily move boundary vertices to the neighbor
 /// part with the largest positive cut gain, respecting the balance bound.
-fn refine_fm(g: &Graph, k: usize, part: &mut [usize], opts: &PartitionOptions) {
+fn refine_fm(g: &Graph, k: usize, part: &mut [usize]) {
     let n = g.n();
-    let max_weight = opts.balance * g.total_vwgt() / k as f64;
+    let max_weight = BALANCE * g.total_vwgt() / k as f64;
     let mut weights = vec![0.0f64; k];
     for v in 0..n {
         weights[part[v]] += g.vwgt[v];
     }
-    for _ in 0..opts.refine_passes {
+    for _ in 0..REFINE_PASSES {
         let mut improved = false;
         for v in 0..n {
             let home = part[v];
@@ -380,7 +361,7 @@ mod tests {
     #[test]
     fn bipartition_cuts_the_bridge() {
         let g = two_cliques(8);
-        let part = partition_kway(&g, 2, &PartitionOptions::default());
+        let part = partition_kway(&g, 2);
         // Each clique entirely in one part.
         for v in 1..8 {
             assert_eq!(part[v], part[0], "first clique split");
@@ -397,7 +378,7 @@ mod tests {
         // Ring of 64 vertices into 4 parts: each part 14..=18 vertices.
         let edges: Vec<(usize, usize, f64)> = (0..64).map(|i| (i, (i + 1) % 64, 1.0)).collect();
         let g = Graph::from_edges(64, &edges, vec![1.0; 64]);
-        let part = partition_kway(&g, 4, &PartitionOptions::default());
+        let part = partition_kway(&g, 4);
         let mut counts = [0usize; 4];
         for &p in &part {
             counts[p] += 1;
@@ -420,7 +401,7 @@ mod tests {
         }
         let p = CooPattern::from_coords(coords, nb);
         let g = Graph::from_pattern(&p);
-        let part = partition_kway(&g, 6, &PartitionOptions::default());
+        let part = partition_kway(&g, 6);
         let cut = g.edge_cut(&part);
         // Random assignment cut for comparison.
         let random: Vec<usize> = (0..nb).map(|i| (i * 7 + 3) % 6).collect();
@@ -449,7 +430,7 @@ mod tests {
     fn bisection_of_two_cliques_is_clean() {
         let g = two_cliques(8);
         let mut rng = XorShift::new(5);
-        let side = bisect(&g, 0.5, &PartitionOptions::default(), &mut rng);
+        let side = bisect(&g, 0.5, &mut rng);
         let left: usize = side.iter().filter(|&&s| s).count();
         assert_eq!(left, 8, "halves must balance");
         // All of one clique on one side.
@@ -461,14 +442,14 @@ mod tests {
     #[test]
     fn k_one_puts_everything_together() {
         let g = two_cliques(4);
-        let part = partition_kway(&g, 1, &PartitionOptions::default());
+        let part = partition_kway(&g, 1);
         assert!(part.iter().all(|&p| p == 0));
     }
 
     #[test]
     fn tiny_graph_with_k_equal_n() {
         let g = Graph::from_edges(3, &[(0, 1, 1.0)], vec![1.0; 3]);
-        let part = partition_kway(&g, 3, &PartitionOptions::default());
+        let part = partition_kway(&g, 3);
         assert_eq!(part.len(), 3);
         assert!(part.iter().all(|&p| p < 3));
     }
@@ -476,11 +457,7 @@ mod tests {
     #[test]
     fn deterministic_for_seed() {
         let g = two_cliques(12);
-        let o = PartitionOptions {
-            seed: 9,
-            ..Default::default()
-        };
-        assert_eq!(partition_kway(&g, 3, &o), partition_kway(&g, 3, &o));
+        assert_eq!(partition_kway(&g, 3), partition_kway(&g, 3));
     }
 
     #[test]

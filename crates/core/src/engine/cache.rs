@@ -29,33 +29,26 @@ pub struct Planning {
     pub symbolic_seconds: f64,
 }
 
-/// One cached pattern: its plan, the views derived from it, its LRU stamp.
+/// One cached pattern: its plan and the views derived from it.
 struct CachedPattern {
     plan: Arc<PatternPlan>,
     views: Vec<Arc<ExecutionPlan>>,
-    stamp: u64,
 }
 
 /// A probe's find: the pattern plan and, if memoised, the rank's view.
 type Found = (Arc<PatternPlan>, Option<Arc<ExecutionPlan>>);
 
-/// Plan cache with optional LRU bounding. Recency is a monotone stamp
-/// bumped on every hit and insert; eviction scans for the minimum stamp —
-/// O(entries), irrelevant next to the cost of the symbolic build that
-/// triggers it.
+/// Plan cache: every pattern planned stays until
+/// [`SubmatrixEngine::clear_cache`].
 #[derive(Default)]
 pub(super) struct PlanCache {
     map: HashMap<u64, CachedPattern>,
-    tick: u64,
 }
 
 impl PlanCache {
-    /// Touch `key`'s entry: its pattern plan and, if memoised, the view of
-    /// `(rank, size)`.
-    fn get(&mut self, key: u64, rank: usize, size: usize) -> Option<Found> {
-        self.tick += 1;
-        let entry = self.map.get_mut(&key)?;
-        entry.stamp = self.tick;
+    /// `key`'s pattern plan and, if memoised, the view of `(rank, size)`.
+    fn get(&self, key: u64, rank: usize, size: usize) -> Option<Found> {
+        let entry = self.map.get(&key)?;
         let view = entry
             .views
             .iter()
@@ -64,29 +57,16 @@ impl PlanCache {
     }
 
     /// Memoise `view` in `key`'s entry, inserting it with `plan` if absent
-    /// (without `plan`, an evicted entry stays evicted), then evict the
-    /// least recently used while over `capacity`. Returns the evictions.
-    fn remember(
-        &mut self,
-        key: u64,
-        plan: Option<&Arc<PatternPlan>>,
-        view: &Arc<ExecutionPlan>,
-        capacity: Option<usize>,
-    ) -> usize {
-        if capacity == Some(0) {
-            return 0; // caching disabled; nothing retained, nothing evicted
-        }
-        self.tick += 1;
+    /// (without `plan`, an entry cleared since the probe stays cleared).
+    fn remember(&mut self, key: u64, plan: Option<&Arc<PatternPlan>>, view: &Arc<ExecutionPlan>) {
         let entry = match (self.map.entry(key), plan) {
             (Entry::Occupied(entry), _) => entry.into_mut(),
             (Entry::Vacant(entry), Some(plan)) => entry.insert(CachedPattern {
                 plan: Arc::clone(plan),
                 views: Vec::new(),
-                stamp: 0,
             }),
-            (Entry::Vacant(_), None) => return 0,
+            (Entry::Vacant(_), None) => return,
         };
-        entry.stamp = self.tick;
         if !entry
             .views
             .iter()
@@ -94,18 +74,6 @@ impl PlanCache {
         {
             entry.views.push(Arc::clone(view));
         }
-        let mut evicted = 0;
-        while self.map.len() > capacity.unwrap_or(usize::MAX) {
-            let oldest = self
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| *k)
-                .expect("cache over capacity implies nonempty");
-            self.map.remove(&oldest);
-            evicted += 1;
-        }
-        evicted
     }
 }
 
@@ -118,7 +86,7 @@ impl SubmatrixEngine {
     }
 
     /// Drop all cached plans (e.g. after a basis change invalidates every
-    /// pattern this engine has seen). Not counted as evictions.
+    /// pattern this engine has seen).
     pub fn clear_cache(&self) {
         self.cache().map.clear();
     }
@@ -133,20 +101,17 @@ impl SubmatrixEngine {
     }
 
     /// Derive `rank`'s view of `shared` and memoise it in `key`'s entry,
-    /// inserting the entry first on a miss (`insert`). Returns the view and
-    /// the number of patterns the insert evicted.
+    /// inserting the entry first on a miss (`insert`).
     fn derive(
         &self,
         key: u64,
         shared: &Arc<PatternPlan>,
         insert: bool,
         (rank, size): (usize, usize),
-    ) -> (Arc<ExecutionPlan>, usize) {
+    ) -> Arc<ExecutionPlan> {
         let view = Arc::new(shared.rank_view(rank, size));
-        let capacity = self.opts.plan_cache_capacity;
-        let evicted = (self.cache()).remember(key, insert.then_some(shared), &view, capacity);
-        (self.counters.evictions).fetch_add(evicted, Ordering::Relaxed);
-        (view, evicted)
+        (self.cache()).remember(key, insert.then_some(shared), &view);
+        view
     }
 
     /// Symbolic phase on a distributed matrix (collective). A cache hit
@@ -161,7 +126,7 @@ impl SubmatrixEngine {
     /// when rank threads share the engine.
     ///
     /// Whether to gather is decided by **consensus** (ARCHITECTURE,
-    /// Invariant 1): concurrent groups' inserts and evictions can land
+    /// Invariant 1): a concurrent group's insert or a `clear_cache` can land
     /// between two ranks of one group probing the same pattern, and a rank
     /// holding it must not skip the collective gather a rank lacking it
     /// enters. The allreduce is one scalar per call on the communicator
@@ -187,8 +152,8 @@ impl SubmatrixEngine {
         // The call's symbolic work is timed unless the view was cached.
         let t0 = (!matches!(local, Some((_, Some(_))))).then(Instant::now);
         let c = &self.counters;
-        let ((plan, evicted), built) = match local {
-            Some((_, Some(view))) => ((view, 0), false),
+        let (plan, built) = match local {
+            Some((_, Some(view))) => (view, false),
             Some((shared, None)) => {
                 c.view_derivations.fetch_add(1, Ordering::Relaxed);
                 (self.derive(key, &shared, false, (rank, size)), false)
@@ -205,17 +170,16 @@ impl SubmatrixEngine {
             built,
             symbolic_seconds: t0.map_or(0.0, |t| t.elapsed().as_secs_f64()),
         };
-        self.trace_plan_decision(&plan, planning, evicted);
+        self.trace_plan_decision(&plan, planning);
         (plan, planning)
     }
 
     /// Narrate one traced planning decision: exactly one `plan.decision`
     /// event per rank per call, so span trees stay deterministic; the
     /// hit/build *split* can shift with benign cross-group races, so it
-    /// rides in the event's fields — with the patterns the call evicted and
-    /// the cache's occupancy after it — which the deterministic tree
-    /// rendering excludes.
-    fn trace_plan_decision(&self, plan: &ExecutionPlan, planning: Planning, evicted: usize) {
+    /// rides in the event's fields — with the cache's occupancy after the
+    /// call — which the deterministic tree rendering excludes.
+    fn trace_plan_decision(&self, plan: &ExecutionPlan, planning: Planning) {
         if !sm_trace::enabled() {
             return;
         }
@@ -228,7 +192,6 @@ impl SubmatrixEngine {
             planning.symbolic_seconds,
             &[
                 ("built", if planning.built { 1.0 } else { 0.0 }),
-                ("evicted", evicted as f64),
                 ("occupancy", self.cached_plans() as f64),
             ],
         );
@@ -492,47 +455,9 @@ mod tests {
     }
 
     #[test]
-    fn lru_evicts_and_replans_deterministically() {
-        let comm = SerialComm::new();
-        let engine = SubmatrixEngine::new(EngineOptions {
-            plan_cache_capacity: Some(2),
-            ..EngineOptions::default()
-        });
-        let mats: Vec<DbcsrMatrix> = [4, 6, 8]
-            .iter()
-            .map(|&nb| {
-                let (d, dims) = banded_gapped(nb, 2);
-                DbcsrMatrix::from_dense(&d, dims, 0, 1, 0.0)
-            })
-            .collect();
-        // Fill: A, B -> both cached.
-        engine.plan_for_matrix(&mats[0], &comm);
-        engine.plan_for_matrix(&mats[1], &comm);
-        assert_eq!(engine.cached_plans(), 2);
-        assert_eq!(engine.stats().evictions, 0);
-        // Touch A (now most recent), insert C -> B is the LRU victim.
-        engine.plan_for_matrix(&mats[0], &comm);
-        engine.plan_for_matrix(&mats[2], &comm);
-        assert_eq!(engine.cached_plans(), 2);
-        assert_eq!(engine.stats().evictions, 1);
-        // A and C hit; B must re-plan (deterministically, every round).
-        let (_, a) = engine.plan_for_matrix_traced(&mats[0], &comm);
-        let (_, c) = engine.plan_for_matrix_traced(&mats[2], &comm);
-        assert!(!a.built && !c.built, "survivors must still be cached");
-        let (_, b) = engine.plan_for_matrix_traced(&mats[1], &comm);
-        assert!(b.built, "evicted plan must be rebuilt");
-        let stats = engine.stats();
-        assert_eq!(stats.symbolic_builds, 4); // A, B, C, B again
-        assert_eq!(stats.evictions, 2); // B once, then A or C for B's return
-    }
-
-    #[test]
     fn stats_windows_read_without_a_scheduler() {
         let comm = SerialComm::new();
-        let engine = SubmatrixEngine::new(EngineOptions {
-            plan_cache_capacity: Some(2),
-            ..EngineOptions::default()
-        });
+        let engine = SubmatrixEngine::default();
         let (d, dims) = banded_gapped(4, 2);
         let m = DbcsrMatrix::from_dense(&d, dims, 0, 1, 0.0);
         let before = engine.stats();
@@ -542,20 +467,16 @@ mod tests {
         assert_eq!(window.symbolic_builds, 1);
         assert_eq!(window.cache_hits, 1);
         assert_eq!(window.executions, 2);
-        assert_eq!(window.evictions, 0);
         // Saturating: a stale "later" snapshot cannot underflow.
         assert_eq!(before.since(&engine.stats()).executions, 0);
     }
 
     #[test]
-    fn capacity_one_cache_never_reuses_wrong_plan() {
-        // Two alternating patterns through a capacity-1 cache: every access
-        // evicts the other, every execution must still be correct.
+    fn alternating_patterns_never_reuse_a_wrong_plan() {
+        // Two alternating patterns through one cache: each access finds
+        // its own pattern's plan, and every execution is correct.
         let comm = SerialComm::new();
-        let engine = SubmatrixEngine::new(EngineOptions {
-            plan_cache_capacity: Some(1),
-            ..EngineOptions::default()
-        });
+        let engine = SubmatrixEngine::default();
         let (d1, dims1) = banded_gapped(5, 2);
         let (d2, dims2) = banded_gapped(8, 2);
         let m1 = DbcsrMatrix::from_dense(&d1, dims1, 0, 1, 0.0);
@@ -569,29 +490,10 @@ mod tests {
             assert!(s2.to_dense(&comm).max_abs_diff(&e2) < 0.05);
         }
         let stats = engine.stats();
-        assert_eq!(engine.cached_plans(), 1);
-        assert_eq!(stats.symbolic_builds, 6, "thrashing replans every access");
-        assert_eq!(stats.cache_hits, 0);
-        assert_eq!(stats.evictions, 5);
+        assert_eq!(engine.cached_plans(), 2);
+        assert_eq!(stats.symbolic_builds, 2, "one build per pattern");
+        assert_eq!(stats.cache_hits, 4);
         assert_eq!(stats.executions, 6);
-    }
-
-    #[test]
-    fn capacity_zero_disables_caching() {
-        let comm = SerialComm::new();
-        let engine = SubmatrixEngine::new(EngineOptions {
-            plan_cache_capacity: Some(0),
-            ..EngineOptions::default()
-        });
-        let (d, dims) = banded_gapped(4, 2);
-        let m = DbcsrMatrix::from_dense(&d, dims, 0, 1, 0.0);
-        engine.sign(&m, 0.0, &NumericOptions::default(), &comm);
-        engine.sign(&m, 0.0, &NumericOptions::default(), &comm);
-        let stats = engine.stats();
-        assert_eq!(engine.cached_plans(), 0);
-        assert_eq!(stats.symbolic_builds, 2);
-        assert_eq!(stats.cache_hits, 0);
-        assert_eq!(stats.evictions, 0);
     }
 
     #[test]
@@ -668,10 +570,10 @@ mod tests {
     }
 
     #[test]
-    fn consensus_survives_regrouping_with_bounded_cache() {
-        // The scheduler's epoch pattern: the same engine (bounded cache)
-        // is planned through by 2-rank groups, then — after a drop and a
-        // fresh world-level re-split — by one 4-rank group. The first
+    fn consensus_survives_regrouping() {
+        // The scheduler's epoch pattern: the same engine is planned
+        // through by 2-rank groups, then — after a drop and a fresh
+        // world-level re-split — by one 4-rank group. The first
         // epoch's probes race on one pattern, and the per-call consensus
         // must walk every rank of a group into the collective gather
         // together when any of them lacks the pattern (a divergence
@@ -689,10 +591,7 @@ mod tests {
                 .0
                 .to_dense(&comm)
         };
-        let engine = SubmatrixEngine::new(EngineOptions {
-            plan_cache_capacity: Some(2),
-            ..EngineOptions::default()
-        });
+        let engine = SubmatrixEngine::default();
         let (results, _) = run_ranks(4, |c| {
             // Epoch 0: two groups of two.
             let a = {
@@ -731,7 +630,6 @@ mod tests {
             "every rank decides hit/miss once per epoch: {stats:?}"
         );
         assert_eq!(stats.executions, 8);
-        assert!(engine.cached_plans() <= 2, "bounded cache overflowed");
         let second = engine.stats().since(&first);
         assert_eq!(
             (second.symbolic_builds, second.view_derivations),

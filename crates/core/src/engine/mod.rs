@@ -15,8 +15,9 @@
 //!   memoised inside), `plan_for_matrix*` and the hit/miss consensus;
 //! * `exec` — the numeric phase: `execute`, `sign`, `density`.
 //!
-//! The cache lives as long as the engine: a new engine, in this process or
-//! the next, plans each pattern on first use like any other miss.
+//! The cache lives as long as the engine and keeps every pattern it plans
+//! (until `clear_cache`): a new engine, in this process or the next, plans
+//! each pattern on first use like any other miss.
 //!
 //! The engine is an SPMD object like [`sm_dbcsr::DbcsrMatrix`]: every rank
 //! calls the same methods collectively. One entry per `(fingerprint,
@@ -111,12 +112,6 @@ pub struct EngineOptions {
     pub grouping: Grouping,
     /// Solve local submatrices in parallel over the shared pool.
     pub parallel: bool,
-    /// Plan-cache capacity in *patterns*, evicted least-recently-used. One
-    /// entry serves every rank and communicator size that evaluates its
-    /// pattern, so a long-running service budgets `capacity ≥
-    /// live_patterns`. `None` (the default) keeps every pattern. `Some(0)`
-    /// disables caching entirely (every call replans; nothing is retained).
-    pub plan_cache_capacity: Option<usize>,
 }
 
 impl Default for EngineOptions {
@@ -124,7 +119,6 @@ impl Default for EngineOptions {
         EngineOptions {
             grouping: Grouping::OnePerColumn,
             parallel: true,
-            plan_cache_capacity: None,
         }
     }
 }
@@ -299,8 +293,6 @@ pub struct EngineStats {
     pub cache_hits: usize,
     /// Rank views derived locally from a cached pattern (no gather).
     pub view_derivations: usize,
-    /// Patterns evicted by the LRU policy (0 when the cache is unbounded).
-    pub evictions: usize,
     /// Numeric executions.
     pub executions: usize,
 }
@@ -317,7 +309,6 @@ impl EngineStats {
             view_derivations: self
                 .view_derivations
                 .saturating_sub(earlier.view_derivations),
-            evictions: self.evictions.saturating_sub(earlier.evictions),
             executions: self.executions.saturating_sub(earlier.executions),
         }
     }
@@ -328,7 +319,6 @@ struct Counters {
     builds: AtomicUsize,
     hits: AtomicUsize,
     view_derivations: AtomicUsize,
-    evictions: AtomicUsize,
     executions: AtomicUsize,
 }
 
@@ -367,7 +357,6 @@ impl SubmatrixEngine {
             symbolic_builds: self.counters.builds.load(Ordering::Relaxed),
             cache_hits: self.counters.hits.load(Ordering::Relaxed),
             view_derivations: self.counters.view_derivations.load(Ordering::Relaxed),
-            evictions: self.counters.evictions.load(Ordering::Relaxed),
             executions: self.counters.executions.load(Ordering::Relaxed),
         }
     }

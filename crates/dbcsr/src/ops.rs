@@ -198,6 +198,45 @@ pub fn fetch_blocks_prec<C: Comm>(
     (out, value_bytes)
 }
 
+/// Distributed transpose (collective): every block `(br, bc)` is
+/// transposed and routed to the owner of `(bc, br)`.
+pub fn transpose<C: Comm>(a: &DbcsrMatrix, comm: &C) -> DbcsrMatrix {
+    let mut out = DbcsrMatrix::new(a.dims().clone(), a.rank(), comm.size());
+    let mut outgoing: Vec<std::collections::BTreeMap<(usize, usize), Matrix>> = (0..comm.size())
+        .map(|_| std::collections::BTreeMap::new())
+        .collect();
+    for (&(br, bc), blk) in a.store().iter() {
+        outgoing[out.owner(bc, br)].insert((bc, br), blk.transpose());
+    }
+    let (received, _) =
+        crate::wire::exchange_blocks_prec(outgoing, a.dims(), ValueFormat::F64, comm);
+    for ((br, bc), blk) in received {
+        out.insert_block(br, bc, blk);
+    }
+    out
+}
+
+/// Largest absolute deviation from symmetry, `max |A − Aᵀ|` (collective).
+pub fn asymmetry<C: Comm>(a: &DbcsrMatrix, comm: &C) -> f64 {
+    let at = transpose(a, comm);
+    let mut worst = 0.0f64;
+    for (&coord, blk) in a.store().iter() {
+        match at.store().get(&coord) {
+            Some(tb) => worst = worst.max(blk.max_abs_diff(tb)),
+            None => worst = worst.max(sm_linalg::norms::max_norm(blk)),
+        }
+    }
+    // Blocks present only in Aᵀ (i.e. the partner was zero in A).
+    for (&coord, tb) in at.store().iter() {
+        if a.store().get(&coord).is_none() {
+            worst = worst.max(sm_linalg::norms::max_norm(tb));
+        }
+    }
+    let mut buf = [worst];
+    comm.allreduce_f64(ReduceOp::Max, &mut buf);
+    buf[0]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,45 +368,6 @@ mod tests {
             assert!(b11.is_some());
         }
     }
-}
-
-/// Distributed transpose (collective): every block `(br, bc)` is
-/// transposed and routed to the owner of `(bc, br)`.
-pub fn transpose<C: Comm>(a: &DbcsrMatrix, comm: &C) -> DbcsrMatrix {
-    let mut out = DbcsrMatrix::new(a.dims().clone(), a.rank(), comm.size());
-    let mut outgoing: Vec<std::collections::BTreeMap<(usize, usize), Matrix>> = (0..comm.size())
-        .map(|_| std::collections::BTreeMap::new())
-        .collect();
-    for (&(br, bc), blk) in a.store().iter() {
-        outgoing[out.owner(bc, br)].insert((bc, br), blk.transpose());
-    }
-    let (received, _) =
-        crate::wire::exchange_blocks_prec(outgoing, a.dims(), ValueFormat::F64, comm);
-    for ((br, bc), blk) in received {
-        out.insert_block(br, bc, blk);
-    }
-    out
-}
-
-/// Largest absolute deviation from symmetry, `max |A − Aᵀ|` (collective).
-pub fn asymmetry<C: Comm>(a: &DbcsrMatrix, comm: &C) -> f64 {
-    let at = transpose(a, comm);
-    let mut worst = 0.0f64;
-    for (&coord, blk) in a.store().iter() {
-        match at.store().get(&coord) {
-            Some(tb) => worst = worst.max(blk.max_abs_diff(tb)),
-            None => worst = worst.max(sm_linalg::norms::max_norm(blk)),
-        }
-    }
-    // Blocks present only in Aᵀ (i.e. the partner was zero in A).
-    for (&coord, tb) in at.store().iter() {
-        if a.store().get(&coord).is_none() {
-            worst = worst.max(sm_linalg::norms::max_norm(tb));
-        }
-    }
-    let mut buf = [worst];
-    comm.allreduce_f64(ReduceOp::Max, &mut buf);
-    buf[0]
 }
 
 #[cfg(test)]

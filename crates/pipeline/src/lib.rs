@@ -11,10 +11,8 @@
 //!   gathers values, assembles through the cached maps, solves, adjusts µ,
 //!   and scatters. In SCF/MD-style workloads (paper Sec. IV) the pattern is
 //!   fixed across iterations, so all symbolic work amortizes to zero. The
-//!   plan cache holds one entry per pattern and can be **bounded**
-//!   (`EngineOptions::plan_cache_capacity`, in patterns): least recently
-//!   used first, with hit/miss/eviction counters in `EngineStats` — the
-//!   policy a long-running multi-system service needs to keep memory flat.
+//!   plan cache holds one entry per pattern, keeps every pattern it has
+//!   planned, and counts hits and builds in `EngineStats`.
 //! * [`JobQueue`] batches many independent matrix-function jobs — mixed
 //!   sizes, ensembles and sign methods — over one shared pool with
 //!   longest-job-first scheduling and per-job reports, sharing one plan

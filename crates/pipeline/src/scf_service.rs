@@ -8,10 +8,9 @@
 //! the [`ScfJobSpec`]s as iterative [`BatchJob::Scf`](crate::jobs::BatchJob::Scf)
 //! jobs, so the whole fleet of SCF loops shares:
 //!
-//! * **one engine and one (optionally bounded) plan cache** — a system
-//!   resubmitted across batches, or several specs with the same sparsity
-//!   pattern, plan once; every SCF iteration of every system replays a
-//!   cached plan through the same LRU policy;
+//! * **one engine and one plan cache** — a system resubmitted across
+//!   batches, or several specs with the same sparsity pattern, plan once;
+//!   every SCF iteration of every system replays a cached plan;
 //! * **the perfmodel-weighted LPT/steal machinery** — each spec's rank
 //!   group is sized by its *per-iteration* pattern cost times its
 //!   `scf.max_iter` iteration budget

@@ -597,8 +597,8 @@ fn execute_job_on_group(
             (result, report, None)
         }
         BatchJob::Scf(spec) => {
-            // The driver shares the scheduler's engine (and its
-            // bounded plan cache) across every concurrent system. Its
+            // The driver shares the scheduler's engine (and its plan
+            // cache) across every concurrent system. Its
             // report is cached exactly when no iteration built a plan.
             let driver = ScfDriver::with_engine(spec.scf.clone(), engine.clone());
             let r = driver.run(&local, spec.mu0, spec.n_electrons, sub);

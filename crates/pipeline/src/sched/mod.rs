@@ -48,12 +48,11 @@
 //!
 //! The engine is shared across groups, so its plan cache is the contended
 //! resource: recurring patterns hit the entry built by *any* group (one
-//! per pattern; a new `(rank, size)` derives its view locally), and a
-//! bounded cache (`EngineOptions::plan_cache_capacity`) evicts cold
-//! patterns under multi-tenant traffic. The cache's collective **consensus**
-//! is per-group **per-epoch**: an allreduce on the group's current
-//! subcommunicator at every planning call decides whether any rank lacks
-//! the pattern, so regrouping between epochs can never leave two ranks of
+//! per pattern; a new `(rank, size)` derives its view locally). The
+//! cache's collective **consensus** is per-group **per-epoch**: an
+//! allreduce on the group's current subcommunicator at every planning
+//! call decides whether any rank lacks the pattern, so neither another
+//! group's insert nor regrouping between epochs can leave two ranks of
 //! one group disagreeing about entering the collective pattern gather.
 //!
 //! ## Determinism

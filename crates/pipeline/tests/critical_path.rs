@@ -55,7 +55,6 @@ fn straggler_batch(seed: u64) -> Vec<MatrixJob> {
 fn fresh_engine() -> std::sync::Arc<SubmatrixEngine> {
     std::sync::Arc::new(SubmatrixEngine::new(EngineOptions {
         parallel: false,
-        plan_cache_capacity: None,
         ..EngineOptions::default()
     }))
 }

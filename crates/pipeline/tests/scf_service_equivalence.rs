@@ -68,10 +68,9 @@ fn straggler_specs(max_iter: usize) -> Vec<ScfJobSpec> {
     specs
 }
 
-fn fresh_engine(capacity: Option<usize>) -> Arc<SubmatrixEngine> {
+fn fresh_engine() -> Arc<SubmatrixEngine> {
     Arc::new(SubmatrixEngine::new(EngineOptions {
         parallel: false,
-        plan_cache_capacity: capacity,
         ..EngineOptions::default()
     }))
 }
@@ -143,9 +142,9 @@ fn grand_canonical_batch_is_bitwise_serial_at_multiple_world_sizes() {
     // through the Scheduler is bitwise-identical to serially looping
     // ScfDriver, at ≥ 2 world sizes, with consensus accounting intact.
     let specs = straggler_specs(5);
-    let serial = serial_scf_loop(&fresh_engine(None), &specs);
+    let serial = serial_scf_loop(&fresh_engine(), &specs);
     for world in [2usize, 4, 6] {
-        let engine = fresh_engine(None);
+        let engine = fresh_engine();
         let service = Scheduler::new(engine.clone(), RankBudget::default());
         let outcome = service.run(world, specs.clone());
         assert_matches_serial(&outcome, &serial, &format!("world {world}"));
@@ -160,8 +159,8 @@ fn scf_straggler_batch_steals_and_stays_bitwise() {
     // uniformly with the shared iteration budget) — and stealing must
     // stay invisible in the results.
     let specs = straggler_specs(5);
-    let serial = serial_scf_loop(&fresh_engine(None), &specs);
-    let engine = fresh_engine(None);
+    let serial = serial_scf_loop(&fresh_engine(), &specs);
+    let engine = fresh_engine();
     let service = Scheduler::new(engine.clone(), RankBudget::default());
     let outcome = service.run(6, specs);
     let stats = &outcome.steal_stats;
@@ -186,8 +185,8 @@ fn scf_straggler_batch_steals_and_stays_bitwise() {
 #[test]
 fn disabled_policy_matches_serial_too() {
     let specs = straggler_specs(4);
-    let serial = serial_scf_loop(&fresh_engine(None), &specs);
-    let engine = fresh_engine(None);
+    let serial = serial_scf_loop(&fresh_engine(), &specs);
+    let engine = fresh_engine();
     let service =
         Scheduler::new(engine.clone(), RankBudget::default()).with_policy(StealPolicy::Disabled);
     let outcome = service.run(6, specs);
@@ -199,21 +198,23 @@ fn disabled_policy_matches_serial_too() {
 
 #[test]
 fn consensus_survives_bounded_cache_under_scf_regrouping() {
-    // Hostile cache pressure: capacity 1 while several SCF loops (each
+    // Several SCF loops over two recurring patterns (each loop
     // re-entering the consensus every iteration) run concurrently under a
-    // multi-epoch steal schedule. A divergent hit/miss consensus would
+    // multi-epoch steal schedule, so one group's insert lands between two
+    // ranks' probes of another. A divergent hit/miss consensus would
     // deadlock a group inside the collective pattern gather (caught by
-    // the watchdog) or break the accounting identity.
+    // the watchdog) or break the accounting identity; the cache's one
+    // bound holds: one entry per pattern.
     let (outcome, stats, cached, serial) = with_watchdog(300, || {
         let specs = straggler_specs(3);
-        let serial = serial_scf_loop(&fresh_engine(None), &specs);
-        let engine = fresh_engine(Some(1));
+        let serial = serial_scf_loop(&fresh_engine(), &specs);
+        let engine = fresh_engine();
         let service = Scheduler::new(engine.clone(), RankBudget::default());
         let outcome = service.run(6, specs);
         (outcome, engine.stats(), engine.cached_plans(), serial)
     });
     assert!(outcome.steal_stats.epochs >= 2);
-    assert_matches_serial(&outcome, &serial, "capacity-1 cache");
+    assert_matches_serial(&outcome, &serial, "racing SCF groups");
     let expected: usize = outcome
         .results
         .iter()
@@ -223,7 +224,7 @@ fn consensus_survives_bounded_cache_under_scf_regrouping() {
         })
         .sum();
     assert_eq!(stats.cache_hits + stats.symbolic_builds, expected);
-    assert!(cached <= 1, "bounded cache overflowed: {cached} plans");
+    assert_eq!(cached, 2, "one entry per distinct pattern: {cached} plans");
 }
 
 #[test]
@@ -234,11 +235,11 @@ fn traced_scf_batches_stay_bitwise_with_deterministic_span_trees() {
     // spans between job and engine-phase spans — must be identical across
     // reruns at a fixed world size.
     let specs = straggler_specs(5);
-    let serial = serial_scf_loop(&fresh_engine(None), &specs);
+    let serial = serial_scf_loop(&fresh_engine(), &specs);
 
     let run_traced = |label: &'static str| {
         let session = sm_trace::TraceSession::start(label);
-        let engine = fresh_engine(None);
+        let engine = fresh_engine();
         let service = Scheduler::new(engine.clone(), RankBudget::default()).with_trace_label(label);
         let outcome = service.run(6, specs.clone());
         assert_matches_serial(&outcome, &serial, label);
@@ -289,10 +290,10 @@ fn canonical_specs_are_bitwise_serial() {
         assert_eq!(spec.scf.ensemble, ScfEnsemble::Canonical);
         specs.push(spec);
     }
-    let serial = serial_scf_loop(&fresh_engine(None), &specs);
+    let serial = serial_scf_loop(&fresh_engine(), &specs);
     let comm = SerialComm::new();
     for world in 2..=6 {
-        let engine = fresh_engine(None);
+        let engine = fresh_engine();
         let service = Scheduler::new(engine.clone(), RankBudget::default());
         let outcome = service.run(world, specs.clone());
         for (r, s) in outcome.results.iter().zip(&serial) {
@@ -330,10 +331,10 @@ fn mixed_matrix_and_scf_batch_shares_one_schedule() {
         MatrixJob::density("mat-b", banded(4, 2, 9), 0.1),
     ];
 
-    let serial_scf = serial_scf_loop(&fresh_engine(None), &specs);
-    let serial_mat = JobQueue::new(fresh_engine(None)).run(mjobs.clone());
+    let serial_scf = serial_scf_loop(&fresh_engine(), &specs);
+    let serial_mat = JobQueue::new(fresh_engine()).run(mjobs.clone());
 
-    let engine = fresh_engine(None);
+    let engine = fresh_engine();
     let sched = Scheduler::new(engine.clone(), RankBudget::default());
     let batch: Vec<BatchJob> = vec![
         BatchJob::Scf(specs[0].clone()),

@@ -176,31 +176,6 @@ fn scheduler_shares_plan_cache_across_groups() {
 }
 
 #[test]
-fn scheduler_with_capacity_one_cache_still_correct() {
-    // The acceptance scenario: a capacity-1 plan cache under a
-    // multi-pattern batch must evict (recorded) and never reuse a wrong
-    // plan.
-    let jobs = mixed_batch(9);
-    let serial = JobQueue::default().run(jobs.clone());
-    let engine = std::sync::Arc::new(sm_pipeline::SubmatrixEngine::new(
-        sm_pipeline::EngineOptions {
-            parallel: false,
-            plan_cache_capacity: Some(1),
-            ..sm_pipeline::EngineOptions::default()
-        },
-    ));
-    let sched = Scheduler::new(engine, RankBudget::default());
-    let outcome = sched.run(2, jobs);
-    assert_batches_bitwise_equal(&outcome.results, &serial, 1);
-    let stats = sched.engine().stats();
-    assert!(
-        stats.evictions > 0,
-        "three distinct patterns through a capacity-1 cache must evict"
-    );
-    assert_eq!(sched.engine().cached_plans(), 1);
-}
-
-#[test]
 fn canonical_jobs_are_bitwise_serial() {
     // Algorithm 1 bisects the one gathered spectrum on every rank, so the
     // canonical µ and density do not depend on the group size either.

@@ -46,10 +46,9 @@ fn gc_spec(name: &str, nb: usize, seed: u64, max_iter: usize) -> ScfJobSpec {
     spec
 }
 
-fn fresh_engine(capacity: Option<usize>) -> Arc<SubmatrixEngine> {
+fn fresh_engine() -> Arc<SubmatrixEngine> {
     Arc::new(SubmatrixEngine::new(EngineOptions {
         parallel: false,
-        plan_cache_capacity: capacity,
         ..EngineOptions::default()
     }))
 }
@@ -131,7 +130,7 @@ fn streamed_windows_are_bitwise_serial_per_window() {
                 .clone()
         };
 
-        let engine = fresh_engine(None);
+        let engine = fresh_engine();
         let mut svc = fresh_service(engine, 4);
 
         // Window 0: mixed priorities, submitted out of canonical order.
@@ -155,7 +154,7 @@ fn streamed_windows_are_bitwise_serial_per_window() {
 
         for (w, what) in [(&w0, "window 0"), (&w1, "window 1"), (&w2, "window 2")] {
             let specs = admitted_specs(w, &workload);
-            let serial = serial_scf_loop(&fresh_engine(None), &specs);
+            let serial = serial_scf_loop(&fresh_engine(), &specs);
             assert_window_matches_serial(w, &serial, what);
         }
 
@@ -188,7 +187,7 @@ fn backpressure_and_rejection_do_not_disturb_the_window() {
     // A refused submission (queue full) must leave the admitted set — and
     // therefore the window's results — exactly as if it never happened.
     with_watchdog(300, || {
-        let engine = fresh_engine(None);
+        let engine = fresh_engine();
         let mut svc = StreamingScfService::new(
             Scheduler::new(engine, RankBudget::default()).with_trace_label("svc-bp"),
             ServiceConfig {
@@ -208,7 +207,7 @@ fn backpressure_and_rejection_do_not_disturb_the_window() {
         assert_eq!(w.admitted, vec!["keep-1", "keep-2"]);
 
         let specs = vec![gc_spec("keep-1", 4, 1, 4), gc_spec("keep-2", 5, 2, 4)];
-        let serial = serial_scf_loop(&fresh_engine(None), &specs);
+        let serial = serial_scf_loop(&fresh_engine(), &specs);
         assert_window_matches_serial(&w, &serial, "backpressured window");
         assert_eq!(svc.stats().backpressure_rejects, 1);
     });

@@ -6,8 +6,8 @@
 //!   the wall annotations of that job's phase events, bit for bit, so
 //!   the two readings of one clock cannot drift apart;
 //! * **one count** — every figure the audit reads off the events (plan
-//!   decisions, evictions, value bytes, group traffic) equals the typed
-//!   counter the engine or the job results keep of the same fact;
+//!   decisions, cache occupancy, value bytes, group traffic) equals the
+//!   typed counter the engine or the job results keep of the same fact;
 //! * **no trace takes a reader down** — every single-line corruption of a
 //!   trace is, for `TraceDoc::parse` and then for every `smdoctor` view,
 //!   success or a typed `TraceError`: never a panic, an allocation
@@ -50,7 +50,6 @@ fn banded(nb: usize, seed: u64) -> DbcsrMatrix {
 fn engine(parallel: bool) -> Arc<SubmatrixEngine> {
     Arc::new(SubmatrixEngine::new(EngineOptions {
         parallel,
-        plan_cache_capacity: None,
         ..EngineOptions::default()
     }))
 }
@@ -113,11 +112,9 @@ fn a_jobs_phase_events_carry_exactly_its_reports_seconds() {
 #[test]
 fn the_audit_reads_the_typed_counters_off_the_events() {
     // A world-4 stealing batch: one straggler and thirteen small jobs over
-    // five patterns, through a two-pattern cache, so the batch hits,
-    // builds and evicts.
+    // five patterns, so the batch both hits and builds.
     let engine = Arc::new(SubmatrixEngine::new(EngineOptions {
         parallel: false,
-        plan_cache_capacity: Some(2),
         ..EngineOptions::default()
     }));
     let sizes = [10, 4, 3, 5, 4, 6, 3, 4, 5, 4, 3, 5, 4, 6];
@@ -137,17 +134,14 @@ fn the_audit_reads_the_typed_counters_off_the_events() {
     let report = analyze::audit(&doc).expect("a real trace audits");
 
     // One event per planning call, so the split agrees within the run.
-    let [hits, builds, evictions] = report.plan_cache.map(|n| n as usize);
+    let [hits, builds] = report.plan_cache.map(|n| n as usize);
     assert_eq!(
-        (hits, builds, evictions),
-        (
-            counted.cache_hits,
-            counted.symbolic_builds,
-            counted.evictions
-        )
+        (hits, builds),
+        (counted.cache_hits, counted.symbolic_builds)
     );
-    assert!(builds > 0 && hits > 0 && evictions > 0, "{counted:?}");
-    assert!(report.occupancy <= 2.0, "{}", report.occupancy);
+    assert!(builds > 0 && hits > 0, "{counted:?}");
+    assert_eq!(report.occupancy, engine.cached_plans() as f64);
+    assert_eq!(report.occupancy, 5.0, "one entry per pattern");
     assert!(
         outcome.steal_stats.stolen_jobs > 0,
         "a stealing batch: {:?}",

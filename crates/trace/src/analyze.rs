@@ -903,8 +903,8 @@ pub struct TraceAudit {
     /// `label=… events=…` of the document.
     pub header: String,
     /// Plan-cache hits and builds (`plan.decision` events by their
-    /// `built` field) and evictions (the `evicted` fields of those events).
-    pub plan_cache: [u64; 3],
+    /// `built` field).
+    pub plan_cache: [u64; 2],
     /// Largest plan-cache occupancy a decision left.
     pub occupancy: f64,
     /// Steal effectiveness per epoch index.
@@ -935,9 +935,8 @@ pub fn audit(doc: &TraceDoc) -> Result<TraceAudit, TraceError> {
         let field = |key| required(line, ev, key);
         match (&*ev.name, path_idx(&ev.path, "epoch")) {
             ("plan.decision", _) => {
-                let [hits, builds, evictions] = &mut report.plan_cache;
+                let [hits, builds] = &mut report.plan_cache;
                 *(if field("built")? != 0.0 { builds } else { hits }) += 1;
-                *evictions += field("evicted")? as u64;
                 report.occupancy = report.occupancy.max(field("occupancy")?);
             }
             ("engine.phase", _)
@@ -999,12 +998,12 @@ impl TraceAudit {
     /// The report as `smdoctor` prints it, one indented line per finding.
     pub fn render(&self) -> String {
         let mut out = format!("  {}\n", self.header);
-        let [hits, builds, evictions] = self.plan_cache;
+        let [hits, builds] = self.plan_cache;
         if builds + hits > 0 {
             let _ = writeln!(
                 out,
                 "  plan cache: {hits} hits / {builds} builds ({:.1}% hit rate), \
-                 {evictions} evictions, occupancy {:.0}",
+                 occupancy {:.0}",
                 100.0 * hits as f64 / (hits + builds) as f64,
                 self.occupancy
             );
@@ -1624,23 +1623,18 @@ mod tests {
     #[test]
     fn audit_folds_cache_steals_idle_bytes_and_the_critical_path() {
         let mut doc = narrated_doc();
-        // Seven hits and two builds, one of them under another root, a
-        // build that evicted one pattern, and an fp32 scatter.
-        let decision = |path: &str, built: f64, evicted: f64, occupancy: f64| {
-            let fields = [
-                ("built", built),
-                ("evicted", evicted),
-                ("occupancy", occupancy),
-            ];
+        // Seven hits and two builds, one of them under another root, the
+        // second build leaving two patterns cached, and an fp32 scatter.
+        let decision = |path: &str, built: f64, occupancy: f64| {
+            let fields = [("built", built), ("occupancy", occupancy)];
             mk(path, "plan.decision", 0, 1.0, 0.0, &fields)
         };
         let plan = "batch:t/epoch:0/group:0/job:0/iter:0/phase:plan";
-        doc.events
-            .extend((0..6).map(|_| decision(plan, 0.0, 0.0, 1.0)));
+        doc.events.extend((0..6).map(|_| decision(plan, 0.0, 1.0)));
         doc.events.extend([
-            decision("other/phase:plan", 0.0, 0.0, 1.0),
-            decision(plan, 1.0, 0.0, 1.0),
-            decision(plan, 1.0, 1.0, 2.0),
+            decision("other/phase:plan", 0.0, 1.0),
+            decision(plan, 1.0, 1.0),
+            decision(plan, 1.0, 2.0),
             mk(
                 &plan.replace("phase:plan", "phase:scatter"),
                 "engine.phase",
@@ -1678,13 +1672,13 @@ mod tests {
             ),
         ]);
         let report = audit(&doc).unwrap();
-        assert_eq!(report.plan_cache, [7, 2, 1]);
+        assert_eq!(report.plan_cache, [7, 2]);
         assert_eq!(report.epochs[&0].stolen_ranks, 1);
         assert_eq!(report.idle.as_ref().unwrap().worst, (1.0, 0.2));
         assert_eq!(
             report.render(),
             "  label=t events=24\n  \
-             plan cache: 7 hits / 2 builds (77.8% hit rate), 1 evictions, occupancy 2\n  \
+             plan cache: 7 hits / 2 builds (77.8% hit rate), occupancy 2\n  \
              epoch 0: 2 groups, 3 committed / 1 deferred, 1 stolen job(s) over 1 rank(s)\n  \
              idle: 2 ranks, makespan 0.500s, total idle 0.300s (worst rank 1: 0.200s)\n  \
              engine value bytes [fp64]: 128\n  \
@@ -1695,7 +1689,7 @@ mod tests {
         // An event the report reads is malformed without the fields it
         // reads, and a precision code must name a precision.
         for (name, key) in [
-            ("plan.decision", "evicted"),
+            ("plan.decision", "built"),
             ("plan.decision", "occupancy"),
             ("job.done", "comm_msgs"),
             ("engine.phase", "precision"),

@@ -77,10 +77,9 @@ use json::Json;
 /// `job.done` carries `group_size`, `stolen_ranks`, `comm_bytes`,
 /// `comm_msgs`; a faulty batch adds `fault.injected`, `sched.retry` and
 /// `job.quarantined` events. The engine's: `plan.decision` carries
-/// `built`, `evicted`, `occupancy`; the gather and scatter
-/// `engine.phase` events `precision` (0 = fp64, 1 = fp32,
-/// 2 = fp32_refined).
-pub const TRACE_SCHEMA_VERSION: u32 = 5;
+/// `built` and `occupancy`; the gather and scatter `engine.phase` events
+/// `precision` (0 = fp64, 1 = fp32, 2 = fp32_refined).
+pub const TRACE_SCHEMA_VERSION: u32 = 6;
 
 /// Root path used for events recorded while no span context is
 /// installed on the emitting thread.

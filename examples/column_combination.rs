@@ -59,7 +59,7 @@ fn main() {
 
     // Heuristic 2: multilevel partitioning of the sparsity-pattern graph.
     let g = graph::Graph::from_pattern(&pattern);
-    let part = graph::partition_kway(&g, n_clusters, &graph::PartitionOptions::default());
+    let part = graph::partition_kway(&g, n_clusters);
     let gp_groups = Grouping::Explicit(groups_from_assignment(&part, n_clusters));
     let gp_plan = PatternPlan::new(pattern.clone(), dims.clone(), &gp_groups);
     let s_gp = estimated_speedup(&singles, &gp_plan);

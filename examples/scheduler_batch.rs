@@ -102,8 +102,8 @@ fn main() {
     );
     let stats = scheduler.engine().stats();
     println!(
-        "shared engine: {} plans built, {} cache hits, {} evictions",
-        stats.symbolic_builds, stats.cache_hits, stats.evictions
+        "shared engine: {} plans built, {} cache hits",
+        stats.symbolic_builds, stats.cache_hits
     );
     let steals = outcome.steal_stats;
     println!(

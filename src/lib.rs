@@ -70,7 +70,7 @@
 //! world — per-job subcommunicator groups sized by estimated cost, with
 //! epoch-based work stealing — and runs whole chemical systems the same
 //! way: each `ScfJobSpec` a multi-iteration SCF loop, all sharing one
-//! bounded plan cache; `StreamingScfService` admits a stream of them into
+//! plan cache; `StreamingScfService` admits a stream of them into
 //! windows. See `examples/scheduler_batch.rs` and
 //! `examples/scf_service_batch.rs` for worked walkthroughs, and
 //! `ARCHITECTURE.md` for the invariants that keep every path
