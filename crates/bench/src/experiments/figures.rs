@@ -1,6 +1,7 @@
 //! The paper's figures and Table I. Each doc comment names the shape the
-//! paper reports; solving experiments use the shortened
-//! [`crate::workloads::accuracy_basis`], pattern/model experiments the standard ranges.
+//! paper reports; solving experiments use the shortened basis of
+//! [`crate::workloads::water_system`], pattern/model experiments the
+//! standard ranges.
 
 use std::sync::OnceLock;
 

@@ -2,7 +2,8 @@
 //!
 //! One experiment table ([`experiments::EXPERIMENTS`]) behind one binary:
 //! `repro <name>…` runs entries — every figure and table of the paper's
-//! evaluation plus the ablation studies — and `repro --list` prints them.
+//! evaluation, the baselined contract benches and the two open ablations
+//! — and `repro --list` prints them.
 //! An experiment returns a [`output::Report`] of typed cells, printed as
 //! an aligned table and written as exactly one artifact,
 //! `results/BENCH_<name>.json`. `smdoctor` audits and compares those
@@ -12,7 +13,7 @@
 //!
 //! Scale conventions: the laptop-scale defaults finish in seconds to a few
 //! minutes; experiments that *solve* systems use a shortened basis range
-//! ([`workloads::accuracy_basis`]) so per-column submatrices stay small,
+//! ([`workloads::water_system`]) so per-column submatrices stay small,
 //! while pattern/model experiments use the standard ranges. `--paper`
 //! enlarges the workloads toward the paper's sizes.
 

@@ -27,7 +27,7 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
 /// Basis for experiments that *solve* systems (Figs. 1, 6, 7 analogues):
 /// SZV with shortened decay ranges so single-column submatrices stay
 /// laptop-sized while preserving the linear-scaling structure.
-pub fn accuracy_basis() -> BasisSet {
+fn accuracy_basis() -> BasisSet {
     BasisSet::szv().with_range_scale(0.55)
 }
 
@@ -42,7 +42,7 @@ pub fn ns_options(eps_filter: f64) -> NewtonSchulzOptions {
 /// Build the system and its Löwdin-orthogonalized Kohn–Sham matrix on a
 /// single rank. `eps_build` bounds which matrix elements exist at all;
 /// `eps_ortho` filters the sparse inverse-square-root iteration.
-pub fn build_orthogonalized(
+fn build_orthogonalized(
     water: &WaterBox,
     basis: &BasisSet,
     eps_build: f64,
@@ -59,7 +59,7 @@ pub fn build_orthogonalized(
     (sys, kt)
 }
 
-/// The `nrep³`-cell water box in the [`accuracy_basis`], built and
+/// The `nrep³`-cell water box in the shortened `accuracy_basis`, built and
 /// orthogonalized at 1e-11 — the system every solving experiment starts
 /// from.
 pub fn water_system(nrep: usize) -> (WaterBox, SystemMatrices, DbcsrMatrix) {

@@ -3,7 +3,8 @@
 //! The paper's Sec. IV-B argues for *deduplicated* block transfers: each
 //! DBCSR block travels at most once between any pair of ranks during
 //! submatrix-method initialization. These counters make that property
-//! measurable (see the `ablation_dedup_transfers` bench).
+//! measurable; the planned savings themselves are asserted by
+//! `claim_transfers_are_deduplicated` in `tests/paper_claims.rs`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

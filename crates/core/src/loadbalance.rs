@@ -6,6 +6,7 @@
 //! rank (consecutive ⇒ neighbouring columns share blocks ⇒ buffered-block
 //! reuse, Sec. IV-B2) such that each rank's estimated `Σ n³` load stays
 //! under `total/#ranks`, and every rank gets at least one submatrix.
+//! `tests/paper_claims.rs` asserts the buffered-byte saving over round-robin.
 
 /// Assignment of submatrices to ranks: `ranges[r]` is the contiguous index
 /// range owned by rank `r`.
@@ -79,17 +80,6 @@ pub fn greedy_contiguous(costs: &[f64], n_ranks: usize) -> Assignment {
     Assignment { ranges }
 }
 
-/// Round-robin assignment (non-contiguous; the locality-ablation
-/// comparator of Sec. IV-B2). Returns, per rank, the list of submatrix
-/// indices rather than a range.
-pub fn round_robin(n_items: usize, n_ranks: usize) -> Vec<Vec<usize>> {
-    let mut out = vec![Vec::new(); n_ranks];
-    for i in 0..n_items {
-        out[i % n_ranks].push(i);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,14 +150,6 @@ mod tests {
             "imbalance {}",
             a.imbalance(&costs)
         );
-    }
-
-    #[test]
-    fn round_robin_covers_everything() {
-        let rr = round_robin(10, 3);
-        assert_eq!(rr[0], vec![0, 3, 6, 9]);
-        assert_eq!(rr[1], vec![1, 4, 7]);
-        assert_eq!(rr[2], vec![2, 5, 8]);
     }
 
     #[test]

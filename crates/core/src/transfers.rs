@@ -4,8 +4,9 @@
 //! submatrices need and fetches each block **once** per (owner → consumer)
 //! pair, buffering it locally so submatrix assembly becomes a purely local
 //! operation (paper Sec. IV-B1). This module computes the transfer plan and
-//! quantifies the savings versus the naive per-submatrix transfer scheme —
-//! the numbers behind the `ablation_dedup_transfers` bench.
+//! quantifies the savings versus the naive per-submatrix transfer scheme;
+//! `tests/paper_claims.rs` (`claim_transfers_are_deduplicated`) asserts
+//! the savings on a water pattern.
 
 use sm_dbcsr::BlockedDims;
 

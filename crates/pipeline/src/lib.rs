@@ -78,8 +78,8 @@
 //! **none**. Concretely, `execute` never touches [`CooPattern`] queries,
 //! never rebuilds transfer plans, and allocates only the dense scratch the
 //! solve itself needs. The `engine_equivalence` property tests pin the
-//! numeric phase on a cached plan to a re-planning engine bitwise; the
-//! `ablation_plan_reuse` bench measures the amortization.
+//! numeric phase on a cached plan to a re-planning engine bitwise, and the
+//! equivalence suites count the plan cache's `hits + builds`.
 //!
 //! ## Subcommunicator contract
 //!

@@ -68,7 +68,7 @@ use crate::sched::Scheduler;
 pub type ScfService = Scheduler;
 
 /// The serial reference the `scf_service_equivalence` suite (and the
-/// `ablation_scf_service` bench) compares [`Scheduler::run`] against: a
+/// `repro scf_service` contract) compares [`Scheduler::run`] against: a
 /// plain loop of [`ScfDriver`] runs on a single rank, all sharing one
 /// engine — the same amortization surface the service offers, with none
 /// of its distribution. Specs must match this loop **bitwise** at any

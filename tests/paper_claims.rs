@@ -2,11 +2,15 @@
 //! pattern-level workloads (no heavy solving): these are the regression
 //! gates for the evaluation figures.
 
+use std::sync::OnceLock;
+
 use sm_chem::builder::block_pattern;
 use sm_chem::{BasisSet, WaterBox};
 use sm_comsim::ClusterModel;
+use sm_core::assembly::SubmatrixSpec;
 use sm_core::engine::Grouping;
 use sm_core::model::{model_newton_schulz_run, model_submatrix_run, ns_iteration_estimate};
+use sm_core::transfers::{RankTransferPlan, TransferStats};
 use sm_core::PatternPlan;
 use sm_dbcsr::{BlockedDims, CooPattern};
 
@@ -131,4 +135,77 @@ fn claim_dzvp_submatrices_larger_than_szv() {
     let plan_szv = one_per_column(&p_szv, &d_szv);
     let plan_dzvp = one_per_column(&p_dzvp, &d_dzvp);
     assert!(plan_dzvp.avg_dim > 2.0 * plan_szv.avg_dim);
+}
+
+/// Whole-run transfer counts of the engine's contiguous mapping per rank
+/// count: the summed `TransferStats` of every rank's view of
+/// `pattern_for(3, 1e-5)`, planned one submatrix per column. One pass of
+/// rank views serves both transfer claims.
+fn contiguous_transfers() -> &'static [(usize, TransferStats)] {
+    static RUNS: OnceLock<Vec<(usize, TransferStats)>> = OnceLock::new();
+    RUNS.get_or_init(|| {
+        let (pattern, dims) = pattern_for(3, 1e-5);
+        let plan = one_per_column(&pattern, &dims);
+        [4, 16, 64]
+            .map(|ranks| {
+                let stats = (0..ranks)
+                    .map(|rank| plan.rank_view(rank, ranks).transfers)
+                    .sum();
+                (ranks, stats)
+            })
+            .to_vec()
+    })
+}
+
+#[test]
+fn claim_transfers_are_deduplicated() {
+    // Paper Sec. IV-B1: neighbouring block columns share most of their
+    // blocks, so fetching each block once per rank moves far fewer bytes
+    // than a per-submatrix exchange. The saving shrinks as each rank owns
+    // fewer columns.
+    let mut prev_factor = f64::INFINITY;
+    for (ranks, stats) in contiguous_transfers() {
+        assert!(
+            stats.unique_bytes < stats.naive_bytes,
+            "{ranks} ranks: deduplication saved nothing ({stats:?})"
+        );
+        let factor = stats.total_references as f64 / stats.unique_blocks as f64;
+        assert!(
+            factor > 1.0 && factor < prev_factor,
+            "{ranks} ranks: dedup factor {factor} must exceed 1 and fall from {prev_factor}"
+        );
+        prev_factor = factor;
+    }
+}
+
+#[test]
+fn claim_contiguous_mapping_buffers_less() {
+    // Paper Sec. IV-B2: consecutive submatrices share blocks, so one
+    // contiguous chunk per rank buffers fewer bytes than dealing the
+    // submatrices round-robin, and the gap widens with the rank count.
+    let (pattern, dims) = pattern_for(3, 1e-5);
+    let blocks: Vec<Vec<(usize, usize)>> = (0..pattern.nb())
+        .map(|c| {
+            let mut blocks = Vec::new();
+            SubmatrixSpec::build(&pattern, &dims, &[c]).walk(&pattern, &dims, &mut blocks);
+            blocks
+        })
+        .collect();
+    let mut prev_ratio = 1.0;
+    for (ranks, contiguous) in contiguous_transfers() {
+        let round_robin: u64 = (0..*ranks)
+            .map(|rank| {
+                let dealt = blocks.iter().enumerate().filter(|(i, _)| i % ranks == rank);
+                let mine = dealt.flat_map(|(_, b)| b).copied().collect();
+                RankTransferPlan::from_blocks(mine).unique_bytes(&dims)
+            })
+            .sum();
+        let ratio = round_robin as f64 / contiguous.unique_bytes as f64;
+        assert!(
+            ratio > prev_ratio,
+            "{ranks} ranks: round-robin over contiguous buffered bytes {ratio} \
+             must exceed {prev_ratio}"
+        );
+        prev_ratio = ratio;
+    }
 }

@@ -126,13 +126,22 @@ fn canonical_run_matches_grand_canonical_at_neutral_filling() {
         },
         ..Default::default()
     };
-    let (d_c, report) = SubmatrixEngine::default().density(&kt, mu, &opts, &comm);
+    // Start one hartree above `mu`, outside the gap: Algorithm 1 has to
+    // bisect back into it.
+    let (d_c, report) = SubmatrixEngine::default().density(&kt, mu + 1.0, &opts, &comm);
 
     // Same filling ⇒ same density (µ anywhere in the gap gives the same D).
     let diff = d_gc.to_dense(&comm).max_abs_diff(&d_c.to_dense(&comm));
     assert!(diff < 1e-9, "canonical/grand-canonical mismatch {diff}");
     assert!((electron_count(&d_c, &comm) - target).abs() < 1e-6);
     assert!(report.mu.is_finite());
+    // Algorithm 1: several µ steps on the stored decompositions inside
+    // this one execute, where a naive bisection re-solves per step.
+    assert!(
+        report.bisect_iterations >= 2,
+        "{} bisection steps",
+        report.bisect_iterations
+    );
 }
 
 #[test]
