@@ -525,7 +525,7 @@ pub fn fig11(ctx: &Ctx) -> Report {
             let mid = SubmatrixSpec::build(&pattern, &dims, &[water.n_molecules() / 2]);
             let nb = mid.rows.len();
             let mut copied = Vec::new();
-            mid.walk(&pattern, &dims, &mut copied);
+            mid.walk(&pattern, &dims, &mut copied, None);
             report.push(vec![
                 label.into(),
                 water.n_molecules().into(),

@@ -88,10 +88,9 @@ pub fn water_pattern(water: &WaterBox, basis: &BasisSet, eps: f64) -> (CooPatter
 /// with its contributing columns.
 pub fn assemble_columns(m: &DbcsrMatrix, cols: &[usize]) -> (Vec<usize>, Matrix) {
     let pattern = m.global_pattern(&SerialComm::new());
-    let maps =
-        SubmatrixSpec::build(&pattern, m.dims(), cols).walk(&pattern, m.dims(), &mut Vec::new());
+    let maps = SubmatrixSpec::build(&pattern, m.dims(), cols).maps(&pattern, m.dims());
     let a = maps.assembly.assemble(|r, c| m.block(r, c));
-    (maps.contributing, a)
+    (maps.extraction.contributing.to_vec(), a)
 }
 
 /// Deterministic symmetric matrix of `nb` blocks of size `bs`, banded to

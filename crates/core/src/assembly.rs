@@ -8,13 +8,15 @@
 //!
 //! "Which block lands at which offset" is decided once per spec, by one
 //! walk over its (row-block, col-block) pairs, [`SubmatrixSpec::walk`]:
-//! its [`SubmatrixMaps`] — the flat assembly and extraction copy programs
-//! and the contributing columns — are the only description of a submatrix
-//! in the crate, and the blocks the walk lists are what the transfer plan
-//! fetches. The engine caches the maps in its plans; figures and tests
-//! walk on the spot.
+//! the copy programs it lays out in a [`CopyPrograms`] are the only
+//! description of a submatrix in the crate, and the pattern IDs it lists
+//! are what the transfer plan fetches. The engine caches the maps in its
+//! plans; figures and tests walk on the spot ([`SubmatrixSpec::maps`]).
 
 use std::collections::BTreeMap;
+use std::fmt;
+use std::ops::{Deref, Range};
+use std::sync::Arc;
 
 use sm_dbcsr::{BlockedDims, CooPattern};
 use sm_linalg::Matrix;
@@ -91,71 +93,80 @@ impl SubmatrixSpec {
         cost_of_dim(self.dim)
     }
 
-    /// The one walk over the submatrix's (row-block, col-block) pairs.
-    /// It appends every nonzero pattern block inside the principal
-    /// submatrix to `blocks`, column by column — the blocks that must be
-    /// transferred to assemble it (Sec. IV-A3) — and lays the copy
-    /// programs out from that list: each block becomes an assembly slot,
-    /// those of the spec's own columns also extraction slots, and the
-    /// element columns of its own columns contributing ones.
+    /// The one walk over the submatrix's (row-block, col-block) pairs: the
+    /// pattern ID of every nonzero block inside it goes to `ids`, read off
+    /// each column's run of the pattern — the blocks to transfer (Sec.
+    /// IV-A3). Given `programs`, each block becomes an assembly slot there,
+    /// those of the spec's own columns extraction slots, and the element
+    /// columns of its own columns contributing ones. Returns the elements of
+    /// the blocks it extracts.
     pub fn walk(
         &self,
         pattern: &CooPattern,
         dims: &BlockedDims,
-        blocks: &mut Vec<(usize, usize)>,
-    ) -> SubmatrixMaps {
-        let first = blocks.len();
-        for &bc in &self.rows {
-            let inside = pattern
-                .rows_in_col(bc)
-                .filter(|&br| self.position_of(br).is_some());
-            blocks.extend(inside.map(|br| (br, bc)));
-        }
-        let mut rest = &blocks[first..];
-        let mut slots = Vec::with_capacity(rest.len());
-        let mut extracted = Vec::with_capacity(self.cols.iter().map(|&c| pattern.col_nnz(c)).sum());
-        let mut contributing = Vec::with_capacity(self.cols.iter().map(|&c| dims.size(c)).sum());
+        ids: &mut Vec<usize>,
+        mut programs: Option<&mut CopyPrograms>,
+    ) -> usize {
+        let (mut extracted, mut sel_off) = (0, 0);
         let mut own = self.cols.iter().peekable();
         for (&bc, &col_off) in self.rows.iter().zip(&self.row_offsets) {
-            let (column, tail) = rest.split_at(rest.iter().take_while(|b| b.1 == bc).count());
-            rest = tail;
             // Both lists ascend and the spec's columns are among its rows.
             let own_col = own.next_if_eq(&&bc).is_some();
-            let (ncols, sel_off) = (dims.size(bc), contributing.len());
-            for &(br, _) in column {
-                let row_off = self.position_of(br).map_or(0, |p| self.row_offsets[p]);
-                slots.push(AssemblySlot {
+            let (ncols, mut at) = (dims.size(bc), 0);
+            for id in pattern.col_ids(bc) {
+                // The column's rows ascend like the spec's: search past the last.
+                let br = pattern.entries()[id].0;
+                at += self.rows[at..].partition_point(|&r| r < br);
+                if self.rows.get(at) != Some(&br) {
+                    continue;
+                }
+                let row_off = self.row_offsets[at];
+                ids.push(id);
+                let nrows = dims.size(br);
+                extracted += if own_col { nrows * ncols } else { 0 };
+                let Some(p) = programs.as_deref_mut() else {
+                    continue;
+                };
+                p.slots.push(AssemblySlot {
                     br,
                     bc,
                     row_off,
                     col_off,
                 });
                 if own_col {
-                    extracted.push(ExtractionSlot {
+                    p.extracted.push(ExtractionSlot {
                         br,
                         bc,
                         row_off,
                         col_off,
                         sel_off,
-                        nrows: dims.size(br),
+                        nrows,
                         ncols,
                     });
                 }
             }
             if own_col {
-                contributing.extend(col_off..col_off + ncols);
+                if let Some(p) = programs.as_deref_mut() {
+                    p.contributing.extend(col_off..col_off + ncols);
+                }
+                sel_off += ncols;
             }
         }
+        if let Some(p) = programs {
+            let ends = [p.slots.len(), p.extracted.len(), p.contributing.len()];
+            p.walked.push((self.dim, ends));
+        }
+        extracted
+    }
+
+    /// The copy programs of this submatrix alone, from one walk.
+    pub fn maps(&self, pattern: &CooPattern, dims: &BlockedDims) -> SubmatrixMaps {
+        let mut programs = CopyPrograms::default();
+        self.walk(pattern, dims, &mut Vec::new(), Some(&mut programs));
+        let (mut assembly, mut extraction) = programs.share();
         SubmatrixMaps {
-            assembly: AssemblyMap {
-                dim: self.dim,
-                slots,
-            },
-            extraction: ExtractionMap {
-                slots: extracted,
-                n_sel_cols: contributing.len(),
-            },
-            contributing,
+            assembly: assembly.remove(0),
+            extraction: extraction.remove(0),
         }
     }
 }
@@ -165,8 +176,83 @@ pub(crate) fn cost_of_dim(dim: usize) -> f64 {
     (dim as f64).powi(3)
 }
 
-/// Everything one submatrix needs from the pattern, from
-/// [`SubmatrixSpec::walk`].
+/// The three buffers walks lay copy programs out in, one run per walked
+/// submatrix in each, and each submatrix's dimension and run ends.
+#[derive(Debug, Default)]
+pub struct CopyPrograms {
+    slots: Vec<AssemblySlot>,
+    extracted: Vec<ExtractionSlot>,
+    contributing: Vec<usize>,
+    walked: Vec<(usize, [usize; 3])>,
+}
+
+impl CopyPrograms {
+    /// The maps of the submatrices walked since the last share, in order,
+    /// on one exact-capacity copy of each buffer, which it then empties.
+    pub fn share(&mut self) -> (Vec<AssemblyMap>, Vec<ExtractionMap>) {
+        let slots: Arc<[AssemblySlot]> = Arc::from(&self.slots[..]);
+        let extracted: Arc<[ExtractionSlot]> = Arc::from(&self.extracted[..]);
+        let contributing: Arc<[usize]> = Arc::from(&self.contributing[..]);
+        fn run<T>(buffer: &Arc<[T]>, range: Range<usize>) -> SharedSlice<T> {
+            let buffer = Arc::clone(buffer);
+            SharedSlice { buffer, range }
+        }
+        let mut start = [0; 3];
+        let share = |&(dim, end): &(usize, [usize; 3])| {
+            let [s, e, c] = [0, 1, 2].map(|b| start[b]..end[b]);
+            start = end;
+            let assembly = AssemblyMap {
+                dim,
+                slots: run(&slots, s),
+            };
+            let extraction = ExtractionMap {
+                dim,
+                slots: run(&extracted, e),
+                contributing: run(&contributing, c),
+            };
+            (assembly, extraction)
+        };
+        let maps = self.walked.iter().map(share).unzip();
+        self.slots.clear();
+        self.extracted.clear();
+        self.contributing.clear();
+        self.walked.clear();
+        maps
+    }
+}
+
+/// A run of a shared buffer: a handle on the buffer plus a range of it,
+/// read as the slice it names.
+#[derive(Clone)]
+pub struct SharedSlice<T> {
+    buffer: Arc<[T]>,
+    range: Range<usize>,
+}
+
+impl<T> Deref for SharedSlice<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        &self.buffer[self.range.clone()]
+    }
+}
+
+/// Equal runs, wherever they sit.
+impl<T: PartialEq> PartialEq for SharedSlice<T> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl<T: Eq> Eq for SharedSlice<T> {}
+
+impl<T: fmt::Debug> fmt::Debug for SharedSlice<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
+/// One submatrix's copy programs ([`SubmatrixSpec::maps`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SubmatrixMaps {
     /// Assembly copy program; its slots' `(br, bc)` are the blocks the
@@ -174,10 +260,6 @@ pub struct SubmatrixMaps {
     pub assembly: AssemblyMap,
     /// Extraction copy program of the spec's own columns.
     pub extraction: ExtractionMap,
-    /// Element indices (submatrix-local) of the spec's own columns, in
-    /// order: the columns extraction scatters, and the rows of `Q`
-    /// Algorithm 1 weighs.
-    pub contributing: Vec<usize>,
 }
 
 /// One block copy of the assembly: source block `(br, bc)` lands at
@@ -201,7 +283,7 @@ pub struct AssemblyMap {
     /// Dense dimension of the submatrix.
     pub dim: usize,
     /// Block copies, in deterministic (column-major block) order.
-    pub slots: Vec<AssemblySlot>,
+    pub slots: SharedSlice<AssemblySlot>,
 }
 
 impl AssemblyMap {
@@ -221,7 +303,7 @@ impl AssemblyMap {
         a: &mut Matrix,
         block_of: impl Fn(usize, usize) -> Option<&'a Matrix>,
     ) {
-        for slot in &self.slots {
+        for slot in self.slots.iter() {
             let Some(blk) = block_of(slot.br, slot.bc) else {
                 continue; // structurally present but numerically dropped
             };
@@ -259,22 +341,17 @@ pub struct ExtractionSlot {
 /// Sec. III-A step 3).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExtractionMap {
+    /// Dense dimension of the `f(a)` the slots read from.
+    pub dim: usize,
     /// Block extractions in deterministic order.
-    pub slots: Vec<ExtractionSlot>,
-    /// Total contributing element columns (width of the selected-columns
-    /// matrix).
-    pub n_sel_cols: usize,
+    pub slots: SharedSlice<ExtractionSlot>,
+    /// Element indices (submatrix-local) of the spec's own columns, in
+    /// order: the columns extraction scatters (the width of the
+    /// selected-columns matrix), and the rows of `Q` Algorithm 1 weighs.
+    pub contributing: SharedSlice<usize>,
 }
 
 impl ExtractionMap {
-    /// Dense dimension of the `f(a)` the slots read from. A spec's rows are
-    /// the union of its columns' pattern rows, so the last row block always
-    /// has a slot and the largest slot end is the submatrix dimension.
-    fn dim(&self) -> usize {
-        let ends = self.slots.iter().map(|s| s.row_off + s.nrows);
-        ends.max().unwrap_or(0)
-    }
-
     /// Extract result blocks from the full `f(a)`.
     pub fn extract(&self, f_a: &Matrix) -> BTreeMap<(usize, usize), Matrix> {
         let mut out = BTreeMap::new();
@@ -291,9 +368,13 @@ impl ExtractionMap {
         columns: bool,
         mut put: impl FnMut((usize, usize), Matrix),
     ) {
-        let width = if columns { self.n_sel_cols } else { self.dim() };
-        assert_eq!(src.shape(), (self.dim(), width), "result shape mismatch");
-        for slot in &self.slots {
+        let width = if columns {
+            self.contributing.len()
+        } else {
+            self.dim
+        };
+        assert_eq!(src.shape(), (self.dim, width), "result shape mismatch");
+        for slot in self.slots.iter() {
             let base_j = if columns { slot.sel_off } else { slot.col_off };
             let mut blk = Matrix::zeros(slot.nrows, slot.ncols);
             for j in 0..slot.ncols {
@@ -303,6 +384,16 @@ impl ExtractionMap {
             }
             put((slot.br, slot.bc), blk);
         }
+    }
+}
+
+/// A run covering a buffer of its own, for the references the tests build.
+#[cfg(test)]
+impl<T> From<Vec<T>> for SharedSlice<T> {
+    fn from(buffer: Vec<T>) -> Self {
+        let range = 0..buffer.len();
+        let buffer = buffer.into();
+        SharedSlice { buffer, range }
     }
 }
 
@@ -361,11 +452,14 @@ mod tests {
     fn required_blocks_are_pattern_intersection() {
         let (p, d) = tridiag_setup();
         let s = SubmatrixSpec::build(&p, &d, &[1]);
-        let mut req = vec![(9, 9)];
-        let maps = s.walk(&p, &d, &mut req);
+        let (mut ids, mut programs) = (vec![99], CopyPrograms::default());
+        s.walk(&p, &d, &mut ids, Some(&mut programs));
         // Appended after what the list held, in the assembly's slot order.
-        assert_eq!(req.remove(0), (9, 9));
-        let slots: Vec<_> = maps.assembly.slots.iter().map(|s| (s.br, s.bc)).collect();
+        assert_eq!(ids.remove(0), 99);
+        let mut req: Vec<_> = ids.iter().map(|&id| p.entries()[id]).collect();
+        let slots: Vec<_> = (programs.share().0[0].slots.iter())
+            .map(|s| (s.br, s.bc))
+            .collect();
         assert_eq!(req, slots);
         // Principal submatrix on {0,1,2}: tridiagonal coupling inside.
         let mut expect = vec![(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 2)];
@@ -381,9 +475,9 @@ mod tests {
         let (p, d) = tridiag_setup();
         let s = SubmatrixSpec::build(&p, &d, &[1]);
         // 7 of the window's 9 blocks are copied.
-        let mut blocks = Vec::new();
-        s.walk(&p, &d, &mut blocks);
-        assert_eq!(blocks.len(), 7);
+        let mut ids = Vec::new();
+        s.walk(&p, &d, &mut ids, None);
+        assert_eq!(ids.len(), 7);
         assert_eq!(s.rows.len(), 3);
     }
 
@@ -393,10 +487,9 @@ mod tests {
         // own columns at element offsets 2 and 4.
         let (p, d) = tridiag_setup();
         let spec = SubmatrixSpec::build(&p, &d, &[2, 1]);
-        let maps = spec.walk(&p, &d, &mut Vec::new());
-        assert_eq!(maps.contributing, vec![2, 3, 4, 5]);
-        assert_eq!(maps.extraction.n_sel_cols, 4);
-        for slot in &maps.assembly.slots {
+        let maps = spec.maps(&p, &d);
+        assert_eq!(*maps.extraction.contributing, [2, 3, 4, 5]);
+        for slot in maps.assembly.slots.iter() {
             assert_eq!(Some(slot.row_off), spec.offset_of(slot.br));
             assert_eq!(Some(slot.col_off), spec.offset_of(slot.bc));
         }
@@ -440,7 +533,7 @@ mod tests {
         }
 
         let spec = SubmatrixSpec::build(&p, &d, &[1]);
-        let maps = spec.walk(&p, &d, &mut Vec::new());
+        let maps = spec.maps(&p, &d);
         let a = maps.assembly.assemble(|r, c| blocks.get(&(r, c)));
         // The assembled submatrix equals the dense principal submatrix on
         // element indices 0..6 (blocks 0,1,2) *with zeros where the pattern
@@ -464,7 +557,7 @@ mod tests {
         let (p, d) = tridiag_setup();
         let spec = SubmatrixSpec::build(&p, &d, &[1, 2]);
         let f_a = Matrix::identity(spec.dim);
-        let result = spec.walk(&p, &d, &mut Vec::new()).extraction.extract(&f_a);
+        let result = spec.maps(&p, &d).extraction.extract(&f_a);
         // Columns 1 and 2 each have 3 pattern rows.
         assert_eq!(result.len(), 6);
         assert!(result.keys().all(|&(_, bc)| bc == 1 || bc == 2));
@@ -488,10 +581,7 @@ mod tests {
     fn missing_numerical_block_assembles_as_zero() {
         let (p, d) = tridiag_setup();
         let spec = SubmatrixSpec::build(&p, &d, &[0]);
-        let a = spec
-            .walk(&p, &d, &mut Vec::new())
-            .assembly
-            .assemble(|_, _| None);
+        let a = spec.maps(&p, &d).assembly.assemble(|_, _| None);
         assert!(a.allclose(&Matrix::zeros(4, 4), 0.0));
     }
 }
@@ -521,7 +611,7 @@ mod selected_column_extraction_tests {
         let spec = SubmatrixSpec::build(&p, &d, &[1, 2]);
         // Fake a full f(a) with distinguishable entries.
         let f_a = Matrix::from_fn(spec.dim, spec.dim, |i, j| (i * 100 + j) as f64);
-        let map = spec.walk(&p, &d, &mut Vec::new()).extraction;
+        let map = spec.maps(&p, &d).extraction;
         let full = map.extract(&f_a);
         // Carve the contributing columns out of f_a manually.
         let mut cols = Vec::new();
@@ -552,7 +642,7 @@ mod selected_column_extraction_tests {
         let (p, d) = tridiag_setup();
         let spec = SubmatrixSpec::build(&p, &d, &[1]);
         let bad = Matrix::zeros(spec.dim, 5);
-        (spec.walk(&p, &d, &mut Vec::new()).extraction).extract_each(&bad, true, |_, _| ());
+        (spec.maps(&p, &d).extraction).extract_each(&bad, true, |_, _| ());
     }
 
     #[test]
@@ -561,6 +651,6 @@ mod selected_column_extraction_tests {
         let (p, d) = tridiag_setup();
         let spec = SubmatrixSpec::build(&p, &d, &[1]);
         let bad = Matrix::zeros(spec.dim + 2, spec.dim + 2);
-        spec.walk(&p, &d, &mut Vec::new()).extraction.extract(&bad);
+        spec.maps(&p, &d).extraction.extract(&bad);
     }
 }

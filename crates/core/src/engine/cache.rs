@@ -210,7 +210,7 @@ mod tests {
     use crate::plan::column_groups;
     use crate::plan::tests::same_view;
     use crate::solver::{SignMethod, SolveBackend, SolveOptions};
-    use crate::transfers::{RankTransferPlan, TransferStats};
+    use crate::transfers::TransferStats;
     use proptest::prelude::*;
     use sm_comsim::{run_ranks, SerialComm};
     use sm_dbcsr::{BlockedDims, CooPattern};
@@ -221,7 +221,8 @@ mod tests {
     /// once: the global spec list over every column group, priced spec by
     /// spec, and the rank's specs moved out of it and walked four times —
     /// for the assembly, the extraction, the contributing columns and the
-    /// transfer references. The reference the one walk is held to.
+    /// transfer references, the last deduplicated by one sort of the
+    /// coordinates. The reference the one walk is held to.
     fn reference_build(
         pattern: CooPattern,
         dims: BlockedDims,
@@ -229,7 +230,6 @@ mod tests {
         rank: usize,
         size: usize,
     ) -> ExecutionPlan {
-        let fingerprint = pattern.fingerprint(&dims);
         let (cols, bounds) = column_groups(&opts.grouping, pattern.nb());
         let specs: Vec<SubmatrixSpec> = (bounds.windows(2))
             .map(|w| SubmatrixSpec::build(&pattern, &dims, &cols[w[0]..w[1]]))
@@ -261,14 +261,21 @@ mod tests {
         let total_references = unique.len();
         unique.sort_unstable();
         unique.dedup();
-        let transfer_plan = RankTransferPlan {
-            unique_blocks: unique,
-            total_references,
+        let unique_bytes: u64 = (unique.iter())
+            .map(|&(br, bc)| (dims.size(br) * dims.size(bc) * 8) as u64)
+            .sum();
+        let mut transfers = TransferStats {
+            unique_bytes,
+            unique_blocks: unique.len() as u64,
+            total_references: total_references as u64,
+            ..TransferStats::default()
         };
-        let mut transfers = TransferStats::default();
-        transfers.add_rank(&transfer_plan, &dims);
+        if !unique.is_empty() {
+            let avg_block_bytes = unique_bytes as f64 / unique.len() as f64;
+            transfers.naive_bytes = (avg_block_bytes * total_references as f64) as u64;
+        }
         let grid = sm_dbcsr::process_grid(size);
-        let remote_wanted: Vec<(usize, usize)> = (transfer_plan.unique_blocks.iter().copied())
+        let remote_wanted: Vec<(usize, usize)> = (unique.iter().copied())
             .filter(|&(br, bc)| grid.owner_of_block(br, bc) != rank)
             .collect();
 
@@ -289,10 +296,7 @@ mod tests {
                     });
                 }
             }
-            AssemblyMap {
-                dim: spec.dim,
-                slots,
-            }
+            (slots, spec.dim)
         };
         let extraction_of = |spec: &SubmatrixSpec| {
             let mut slots = Vec::new();
@@ -315,10 +319,7 @@ mod tests {
                 }
                 sel_base += ncols;
             }
-            ExtractionMap {
-                slots,
-                n_sel_cols: sel_base,
-            }
+            slots
         };
         let contributing_rows = |spec: &SubmatrixSpec| {
             let mut out = Vec::new();
@@ -328,9 +329,21 @@ mod tests {
             }
             out
         };
-        let assembly = my_specs.iter().map(assembly_of).collect();
-        let extraction = my_specs.iter().map(extraction_of).collect();
-        let contributing = my_specs.iter().map(contributing_rows).collect();
+        // Each run in a buffer of its own: views compare their runs,
+        // wherever the runs sit.
+        let assembly = (my_specs.iter().map(assembly_of))
+            .map(|(slots, dim)| AssemblyMap {
+                dim,
+                slots: slots.into(),
+            })
+            .collect();
+        let extraction = (my_specs.iter())
+            .map(|spec| ExtractionMap {
+                dim: spec.dim,
+                slots: extraction_of(spec).into(),
+                contributing: contributing_rows(spec).into(),
+            })
+            .collect();
 
         let n_elems = (dims.n() * dims.n()) as f64;
         let nnz_elems: f64 = pattern
@@ -344,7 +357,6 @@ mod tests {
             0.0
         };
         ExecutionPlan {
-            fingerprint,
             rank,
             size,
             n_submatrices,
@@ -356,7 +368,6 @@ mod tests {
             remote_wanted,
             assembly,
             extraction,
-            contributing,
             element_fill,
         }
     }

@@ -129,13 +129,13 @@ impl SubmatrixEngine {
                 });
                 let stored: Vec<StoredDecomposition> = decompositions
                     .iter()
-                    .zip(&plan.contributing)
-                    .map(|(dec, rows)| StoredDecomposition::from_eigh(dec, rows))
+                    .zip(&plan.extraction)
+                    .map(|(dec, e)| StoredDecomposition::from_eigh(dec, &e.contributing))
                     .collect();
                 let target = n_electrons / 2.0;
                 let adj = adjust_mu(&stored, mu0, target, kt, tol / 2.0, max_iter, comm);
                 self.map_specs(plan, |&i| {
-                    let (dec, cols) = (&decompositions[i], &plan.contributing[i]);
+                    let (dec, cols) = (&decompositions[i], &plan.extraction[i].contributing);
                     let mut columns = sign_columns_from_decomposition(dec, adj.mu, kt, cols);
                     deliver(i, &mut columns);
                     Ok(())
@@ -153,7 +153,8 @@ impl SubmatrixEngine {
                         }
                     };
                     let (sign, take) = (|l| sign_value(l, mu0, kt), |c: &mut _| deliver(i, c));
-                    function_columns(assembly.dim, fill, sign, &plan.contributing[i], take)
+                    let cols = &plan.extraction[i].contributing;
+                    function_columns(assembly.dim, fill, sign, cols, take)
                 });
                 (mu0, 0, (0u64, 0u64))
             }

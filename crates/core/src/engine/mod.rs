@@ -3,38 +3,21 @@
 //!
 //! In the paper's target workload (SCF iterations inside CP2K, Sec. IV) the
 //! sparsity pattern is *fixed* across iterations while matrix values
-//! change, so the whole symbolic pipeline — global pattern, column
-//! grouping, load balancing, deduplicated transfer planning, assembly index
-//! computation — is hoisted into a one-time **symbolic phase** whose
-//! product, a [`PatternPlan`](crate::plan::PatternPlan), is cached under a
-//! cheap [pattern fingerprint](sm_dbcsr::wire::PatternFingerprint); each
-//! rank's [`ExecutionPlan`] is derived from it locally and replayed by an
-//! allocation-light **numeric phase**. One file per phase:
+//! change, so the whole symbolic pipeline is hoisted into a one-time
+//! **symbolic phase** whose product, a [`PatternPlan`](crate::plan::PatternPlan),
+//! is cached under a cheap [pattern fingerprint](sm_dbcsr::wire::PatternFingerprint)
+//! until `clear_cache`; each rank's [`ExecutionPlan`] is derived from it
+//! locally and replayed by an allocation-light **numeric phase**. `cache`
+//! holds the plan cache and its hit/miss consensus, `exec` the numeric
+//! phase. The engine is an SPMD object like [`sm_dbcsr::DbcsrMatrix`], and
+//! one engine may be shared between rank-per-thread executors.
 //!
-//! * `cache` — the plan cache (one entry per pattern, its rank views
-//!   memoised inside), `plan_for_matrix*` and the hit/miss consensus;
-//! * `exec` — the numeric phase: `execute`, `sign`, `density`.
-//!
-//! The cache lives as long as the engine and keeps every pattern it plans
-//! (until `clear_cache`): a new engine, in this process or the next, plans
-//! each pattern on first use like any other miss.
-//!
-//! The engine is an SPMD object like [`sm_dbcsr::DbcsrMatrix`]: every rank
-//! calls the same methods collectively. One entry per `(fingerprint,
-//! grouping)` serves every rank and group shape (views memoised per `(rank,
-//! size)`), so one engine may be shared between rank-per-thread executors.
-//!
-//! **Precision and the solve backend are numeric-phase-only.**
-//! [`NumericOptions::precision`] selects the solve kernels' scalar type and
-//! the wire encoding of gathered/scattered block values (`f32` payloads
-//! move half the bytes), [`NumericOptions::backend`] the representation of
-//! the iterative solves; neither appears in the pattern fingerprint, the
-//! plan-cache key, or any symbolic decision — they change *values*, never
-//! *patterns*, so one cached plan serves all of them and the collective
-//! hit/miss consensus stays blind to both (two groups running one pattern
-//! at different precisions must still agree on hit/miss, or they would
-//! deadlock in the pattern gather). `cache` does not import the types, and
-//! CI checks that it does not.
+//! **Precision and the solve backend are numeric-phase-only**
+//! ([`NumericOptions::precision`], [`NumericOptions::backend`]): neither
+//! appears in the fingerprint, the cache key or any symbolic decision, so
+//! one cached plan serves all of them and two groups running one pattern
+//! at different precisions still agree on hit/miss. `cache` does not
+//! import the types, and CI checks that it does not.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

@@ -19,7 +19,7 @@
 //!   of the sparsity pattern for column combination (Sec. IV-C2, Fig. 5);
 //! * [`loadbalance`] — greedy O(n³)-cost contiguous rank assignment
 //!   (Sec. IV-E);
-//! * [`transfers`] — deduplicated block-transfer planning (Sec. IV-B);
+//! * [`transfers`] — block transfers deduplicated by pattern ID (Sec. IV-B);
 //! * [`solver`] — per-submatrix sign evaluation: eigendecomposition
 //!   (Eq. 17) or the Padé family (order 2 is Newton–Schulz, Eq. 11), with
 //!   grand-canonical, canonical and finite-temperature modes (Sec. IV-F/G);
@@ -34,7 +34,7 @@
 //! * [`baseline`] — the comparator: 2nd-order Newton–Schulz purification on
 //!   the distributed sparse matrix, plus sparse Löwdin orthogonalization;
 //! * [`model`] — analytic cluster-time accounting for the scaling studies
-//!   (Figs. 6, 8–10) over every rank's view of a [`PatternPlan`], built on
+//!   (Figs. 6, 8–10) over every rank's share of a [`PatternPlan`], built on
 //!   `sm_comsim::ClusterModel`.
 
 pub mod assembly;

@@ -8,33 +8,14 @@
 //! under `total/#ranks`, and every rank gets at least one submatrix.
 //! `tests/paper_claims.rs` asserts the buffered-byte saving over round-robin.
 
+use std::ops::Range;
+
 /// Assignment of submatrices to ranks: `ranges[r]` is the contiguous index
 /// range owned by rank `r`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Assignment {
     /// Per-rank contiguous ranges over submatrix indices.
-    pub ranges: Vec<std::ops::Range<usize>>,
-}
-
-impl Assignment {
-    /// Load per rank under the given cost vector.
-    pub fn loads(&self, costs: &[f64]) -> Vec<f64> {
-        self.ranges
-            .iter()
-            .map(|r| costs[r.clone()].iter().sum())
-            .collect()
-    }
-
-    /// Load imbalance: `max_load / avg_load` (1.0 = perfect).
-    pub fn imbalance(&self, costs: &[f64]) -> f64 {
-        let loads = self.loads(costs);
-        let total: f64 = loads.iter().sum();
-        let avg = total / loads.len() as f64;
-        if avg == 0.0 {
-            return 1.0;
-        }
-        loads.into_iter().fold(0.0, f64::max) / avg
-    }
+    pub ranges: Vec<Range<usize>>,
 }
 
 /// Greedy contiguous-chunk assignment (paper Sec. IV-E): walk submatrices
@@ -42,18 +23,21 @@ impl Assignment {
 /// `total / n_ranks`, while guaranteeing (a) every rank gets at least one
 /// submatrix when possible, and (b) no submatrices are left over.
 pub fn greedy_contiguous(costs: &[f64], n_ranks: usize) -> Assignment {
+    let ranges = greedy_ranges(costs, n_ranks).collect();
+    Assignment { ranges }
+}
+
+/// [`greedy_contiguous`]'s ranges in rank order, dealt as they are asked
+/// for: a rank's own range needs no list of the others.
+pub fn greedy_ranges(costs: &[f64], n_ranks: usize) -> impl Iterator<Item = Range<usize>> + '_ {
     assert!(n_ranks >= 1);
     let n = costs.len();
-
-    let mut ranges = Vec::with_capacity(n_ranks);
-    let mut start = 0usize;
-    let mut remaining: f64 = costs.iter().sum();
-    for rank in 0..n_ranks {
+    let (mut start, mut remaining) = (0usize, costs.iter().sum::<f64>());
+    (0..n_ranks).map(move |rank| {
         let ranks_left = n_ranks - rank;
         let items_left = n - start;
         if items_left == 0 {
-            ranges.push(start..start);
-            continue;
+            return start..start;
         }
         // Reserve at least one item for each remaining rank; re-derive the
         // target from the *remaining* load so early rounding errors do not
@@ -72,17 +56,23 @@ pub fn greedy_contiguous(costs: &[f64], n_ranks: usize) -> Assignment {
             end = n; // last rank absorbs the remainder
             load = costs[start..end].iter().sum();
         }
-        ranges.push(start..end);
-        start = end;
         remaining -= load;
-    }
-    debug_assert_eq!(start, n, "all submatrices must be assigned");
-    Assignment { ranges }
+        std::mem::replace(&mut start, end)..end
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Load imbalance of `a`: `max_load / avg_load` (1.0 = perfect).
+    fn imbalance(a: &Assignment, costs: &[f64]) -> f64 {
+        let loads: Vec<f64> = (a.ranges.iter())
+            .map(|r| costs[r.clone()].iter().sum())
+            .collect();
+        let avg = loads.iter().sum::<f64>() / loads.len() as f64;
+        loads.into_iter().fold(0.0, f64::max) / avg
+    }
 
     #[test]
     fn uniform_costs_split_evenly() {
@@ -92,7 +82,7 @@ mod tests {
         for r in &a.ranges {
             assert_eq!(r.len(), 3);
         }
-        assert!((a.imbalance(&costs) - 1.0).abs() < 1e-12);
+        assert!((imbalance(&a, &costs) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -145,11 +135,8 @@ mod tests {
         // 2x of perfect balance.
         let costs: Vec<f64> = (0..64).map(|i| 1.0 + ((i * 7) % 13) as f64).collect();
         let a = greedy_contiguous(&costs, 8);
-        assert!(
-            a.imbalance(&costs) < 2.0,
-            "imbalance {}",
-            a.imbalance(&costs)
-        );
+        let imbalance = imbalance(&a, &costs);
+        assert!(imbalance < 2.0, "imbalance {imbalance}");
     }
 
     #[test]

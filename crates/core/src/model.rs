@@ -11,7 +11,6 @@
 use sm_comsim::ClusterModel;
 use sm_dbcsr::{BlockedDims, CooPattern};
 
-use crate::assembly::cost_of_dim;
 use crate::plan::PatternPlan;
 
 /// Effective FLOPs of a symmetric eigendecomposition + back-transform per
@@ -40,8 +39,8 @@ impl ModeledTime {
 /// Model a submatrix-method run of the given plan on `n_cores` (the paper
 /// uses one rank per core for the submatrix method, Sec. V). Each rank's
 /// compute, unique blocks and write-back come from its
-/// [`rank_view`](PatternPlan::rank_view) — the engine's own deal, walks and
-/// transfer plan.
+/// [`rank_shares`](PatternPlan::rank_shares) entry — the engine's own
+/// deal, walks and transfer deduplication.
 pub fn model_submatrix_run(
     plan: &PatternPlan,
     n_cores: usize,
@@ -58,28 +57,23 @@ pub fn model_submatrix_run(
     let mut max_compute = 0.0f64;
     let mut max_init = 0.0f64;
     let mut max_writeback = 0.0f64;
-    for rank in 0..n_cores {
-        let view = plan.rank_view(rank, n_cores);
-        if view.assembly.is_empty() {
+    for share in plan.rank_shares(n_cores) {
+        if share.costs.is_empty() {
             continue;
         }
         // Compute: eigendecomposition cost of each assigned submatrix.
-        let costs = view.assembly.iter().map(|a| cost_of_dim(a.dim));
-        let flops: f64 = costs.map(|c| c * EIGH_FLOPS_PER_N3).sum();
+        let flops: f64 = share.costs.iter().map(|c| c * EIGH_FLOPS_PER_N3).sum();
         max_compute = max_compute.max(cluster.dense_compute_time(flops));
 
         // Init: the pattern allgather plus the deduplicated block transfers.
-        let unique = &view.transfers;
+        let unique = &share.transfers;
         let bytes = coo_bytes * remote_fraction + unique.unique_bytes as f64 * remote_fraction;
         let msgs = (n_cores - 1).min(unique.unique_blocks as usize) as f64;
         max_init = max_init.max(cluster.transfer_time(bytes, msgs));
 
         // Write-back: the blocks each submatrix extracts (its pattern
         // column blocks), again mostly remote.
-        let result_bytes: f64 = (view.extraction.iter())
-            .flat_map(|e| &e.slots)
-            .map(|s| (s.nrows * s.ncols * 8) as f64)
-            .sum();
+        let result_bytes = (share.extracted * 8) as f64;
         max_writeback =
             max_writeback.max(cluster.transfer_time(result_bytes * remote_fraction, msgs));
     }
@@ -183,17 +177,17 @@ mod tests {
     use crate::assembly::SubmatrixSpec;
     use crate::engine::Grouping;
     use crate::loadbalance::greedy_contiguous;
-    use crate::transfers::RankTransferPlan;
+    use std::collections::BTreeSet;
 
     fn one_per_column(p: &CooPattern, d: &BlockedDims) -> PatternPlan {
         PatternPlan::new(p.clone(), d.clone(), &Grouping::OnePerColumn)
     }
 
     /// [`model_submatrix_run`] as it was before it read the engine's rank
-    /// views: the one-per-column spec list, dealt by `greedy_contiguous`,
-    /// each rank's specs walked for its transfer plan and its write-back
-    /// summed column by column over the pattern. The oracle the views are
-    /// held to.
+    /// shares: the one-per-column spec list, dealt by `greedy_contiguous`,
+    /// each rank's specs walked for its blocks, deduplicated in a set, and
+    /// its write-back summed column by column over the pattern. The oracle
+    /// the shares are held to.
     fn reference_submatrix_run(
         pattern: &CooPattern,
         dims: &BlockedDims,
@@ -218,15 +212,17 @@ mod tests {
             max_compute = max_compute.max(cluster.dense_compute_time(flops));
 
             let coo_bytes = pattern.nnz() as f64 * 16.0;
-            let mut blocks = Vec::new();
+            let mut ids = Vec::new();
             for spec in specs {
-                spec.walk(pattern, dims, &mut blocks);
+                spec.walk(pattern, dims, &mut ids, None);
             }
-            let tp = RankTransferPlan::from_blocks(blocks);
+            let unique: BTreeSet<_> = ids.iter().map(|&id| pattern.entries()[id]).collect();
+            let unique_bytes: usize = (unique.iter())
+                .map(|&(r, c)| dims.size(r) * dims.size(c) * 8)
+                .sum();
             let remote_fraction = (n_cores - 1) as f64 / n_cores as f64;
-            let bytes =
-                coo_bytes * remote_fraction + tp.unique_bytes(dims) as f64 * remote_fraction;
-            let msgs = (n_cores - 1).min(tp.unique_blocks.len()) as f64;
+            let bytes = coo_bytes * remote_fraction + unique_bytes as f64 * remote_fraction;
+            let msgs = (n_cores - 1).min(unique.len()) as f64;
             max_init = max_init.max(cluster.transfer_time(bytes, msgs));
 
             let result_bytes: f64 = specs

@@ -30,7 +30,7 @@ pub struct StoredDecomposition {
 impl StoredDecomposition {
     /// Weigh every eigenvalue by its eigenvector's rows `rows` — the
     /// submatrix's contributing columns
-    /// ([`SubmatrixMaps::contributing`](crate::assembly::SubmatrixMaps)),
+    /// ([`ExtractionMap::contributing`](crate::assembly::ExtractionMap)),
     /// whose results are scattered back.
     pub fn from_eigh(dec: &Eigh, rows: &[usize]) -> Self {
         let q = &dec.eigenvectors;
@@ -185,10 +185,7 @@ mod tests {
         let spec = SubmatrixSpec::build(&p, &dims, &[1]);
         // Block column 1 occupies element rows 2..4 of the submatrix
         // (entire matrix here).
-        assert_eq!(
-            spec.walk(&p, &dims, &mut Vec::new()).contributing,
-            vec![2, 3]
-        );
+        assert_eq!(*spec.maps(&p, &dims).extraction.contributing, [2, 3]);
     }
 
     #[test]
@@ -196,10 +193,8 @@ mod tests {
         let (p, dims, a) = dense_setup(4, 2);
         let spec = SubmatrixSpec::build(&p, &dims, &[0, 1, 2, 3]);
         let dec = eigh(&a).unwrap();
-        let stored = StoredDecomposition::from_eigh(
-            &dec,
-            &spec.walk(&p, &dims, &mut Vec::new()).contributing,
-        );
+        let stored =
+            StoredDecomposition::from_eigh(&dec, &spec.maps(&p, &dims).extraction.contributing);
         let mu = 0.0;
         let expect: f64 = dec
             .eigenvalues
@@ -214,10 +209,8 @@ mod tests {
         let (p, dims, a) = dense_setup(4, 2);
         let spec = SubmatrixSpec::build(&p, &dims, &[0, 1, 2, 3]);
         let dec = eigh(&a).unwrap();
-        let stored = StoredDecomposition::from_eigh(
-            &dec,
-            &spec.walk(&p, &dims, &mut Vec::new()).contributing,
-        );
+        let stored =
+            StoredDecomposition::from_eigh(&dec, &spec.maps(&p, &dims).extraction.contributing);
         let mut prev = -1.0;
         for step in -10..=10 {
             let occ = stored.occupancy(step as f64 * 0.5, 0.01);
@@ -233,7 +226,7 @@ mod tests {
         let dec = eigh(&a).unwrap();
         let stored = vec![StoredDecomposition::from_eigh(
             &dec,
-            &spec.walk(&p, &dims, &mut Vec::new()).contributing,
+            &spec.maps(&p, &dims).extraction.contributing,
         )];
         let comm = SerialComm::new();
         // Demand exactly 3 occupied orbitals.
@@ -254,7 +247,7 @@ mod tests {
         let dec = eigh(&a).unwrap();
         let stored = vec![StoredDecomposition::from_eigh(
             &dec,
-            &spec.walk(&p, &dims, &mut Vec::new()).contributing,
+            &spec.maps(&p, &dims).extraction.contributing,
         )];
         let comm = SerialComm::new();
         let adj = adjust_mu(&stored, 0.0, 3.5, 0.05, 1e-10, 200, &comm);
@@ -277,7 +270,7 @@ mod tests {
             let dec = eigh(&a).unwrap();
             stored.push(StoredDecomposition::from_eigh(
                 &dec,
-                &spec.walk(&p, &dims, &mut Vec::new()).contributing,
+                &spec.maps(&p, &dims).extraction.contributing,
             ));
         }
         let target = 4.0;
@@ -297,11 +290,10 @@ mod tests {
     fn zero_temperature_count_is_the_delivered_count_inside_a_jump() {
         let (p, dims, a) = dense_setup(4, 2);
         let dec = eigh(&a).unwrap();
-        let rows: Vec<Vec<usize>> = (0..4)
+        let rows: Vec<_> = (0..4)
             .map(|c| {
-                SubmatrixSpec::build(&p, &dims, &[c])
-                    .walk(&p, &dims, &mut Vec::new())
-                    .contributing
+                let spec = SubmatrixSpec::build(&p, &dims, &[c]);
+                spec.maps(&p, &dims).extraction.contributing
             })
             .collect();
         let stored: Vec<_> = rows
@@ -314,7 +306,7 @@ mod tests {
             let sign = crate::solver::sign_from_decomposition(&dec, adj.mu, 0.0);
             let delivered: f64 = rows
                 .iter()
-                .flatten()
+                .flat_map(|r| r.iter())
                 .map(|&k| 0.5 * (1.0 - sign[(k, k)]))
                 .sum();
             assert!(

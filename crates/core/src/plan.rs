@@ -5,21 +5,22 @@
 //! a rank's share of it — its slice of the load balance (Sec. IV-E), one
 //! walk per own group and the deduplicated transfers (Sec. IV-B) — is an
 //! [`ExecutionPlan`], derived locally by [`PatternPlan::rank_view`]. The
-//! engine, the figures and the scaling model ([`crate::model`]) all take
-//! this one split. Groups are one block column each by default (Sec.
-//! III-A); combining columns trades fewer, larger solves for redundant
-//! work, which Eq. 15 prices ([`estimated_speedup`]; the clustering
-//! heuristics live in [`crate::cluster`]).
+//! engine, the figures and the scaling model ([`crate::model`], through
+//! [`PatternPlan::rank_shares`]) all take this one split. Groups are one
+//! block column each by default (Sec. III-A); combining columns trades
+//! fewer, larger solves for redundant work, which Eq. 15 prices
+//! ([`estimated_speedup`]; the clustering heuristics live in
+//! [`crate::cluster`]).
 
 use std::cell::Cell;
+use std::ops::Range;
 
-use sm_dbcsr::wire::PatternFingerprint;
 use sm_dbcsr::{BlockedDims, CooPattern};
 
-use crate::assembly::{cost_of_dim, AssemblyMap, ExtractionMap, SubmatrixSpec};
+use crate::assembly::{cost_of_dim, AssemblyMap, CopyPrograms, ExtractionMap, SubmatrixSpec};
 use crate::engine::Grouping;
-use crate::loadbalance::greedy_contiguous;
-use crate::transfers::{RankTransferPlan, TransferStats};
+use crate::loadbalance::{greedy_contiguous, greedy_ranges};
+use crate::transfers::{TransferStats, UniqueIds};
 
 /// The column groups of `grouping` over `0..nb`, in plan order, as
 /// `(cols, bounds)`: group `i` is `cols[bounds[i]..bounds[i + 1]]`.
@@ -52,11 +53,14 @@ pub(crate) fn column_groups(grouping: &Grouping, nb: usize) -> (Vec<usize>, Vec<
     (cols, [0].into_iter().chain(ends).collect())
 }
 
-/// What one walk after another reuses: the group's spec, the rank's blocks.
+/// What one walk after another reuses: the group's spec, the rank's block
+/// references, their distinct IDs and its copy programs.
 #[derive(Default)]
 struct Scratch {
     spec: SubmatrixSpec,
-    blocks: Vec<(usize, usize)>,
+    ids: Vec<usize>,
+    unique: UniqueIds,
+    programs: CopyPrograms,
 }
 
 thread_local!(static SCRATCH: Cell<Option<Scratch>> = const { Cell::new(None) });
@@ -79,8 +83,6 @@ pub struct PatternPlan {
     pub(crate) pattern: CooPattern,
     /// The block partition.
     pub(crate) dims: BlockedDims,
-    /// Fingerprint of the pattern + partition.
-    pub fingerprint: PatternFingerprint,
     /// The `n³` cost of each submatrix, in plan order (the ranks' deal).
     costs: Vec<f64>,
     /// Largest submatrix dimension (the `dim(SM)` series of paper Fig. 4).
@@ -102,8 +104,6 @@ pub struct PatternPlan {
 /// pattern plan's; the per-submatrix vectors hold the rank's in order.
 #[derive(Debug, Clone)]
 pub struct ExecutionPlan {
-    /// Fingerprint of the pattern + partition this plan was built for.
-    pub fingerprint: PatternFingerprint,
     /// Rank this plan serves.
     pub rank: usize,
     /// Communicator size this plan serves.
@@ -120,17 +120,27 @@ pub struct ExecutionPlan {
     pub total_cost: f64,
     /// This rank's transfer statistics.
     pub transfers: TransferStats,
-    /// Deduplicated remote block coordinates to gather each execution.
+    /// Deduplicated remote block coordinates to gather each execution, in
+    /// row-major order.
     pub remote_wanted: Vec<(usize, usize)>,
     /// Assembly copy program of each of this rank's submatrices.
     pub assembly: Vec<AssemblyMap>,
-    /// Extraction copy program of each, parallel to `assembly`.
+    /// Extraction copy program and contributing element columns
+    /// (Algorithm 1) of each, parallel to `assembly`.
     pub extraction: Vec<ExtractionMap>,
-    /// Contributing element columns of each (Algorithm 1).
-    pub contributing: Vec<Vec<usize>>,
     /// Element fill of the pattern ([`PatternPlan::element_fill`]), what
     /// the numeric phase resolves its solve representation against.
     pub element_fill: f64,
+}
+
+/// What one rank's view holds of work, transfers and results, without its
+/// copy programs: the `n³` cost of each of its submatrices, its transfer
+/// statistics and the elements of the result blocks it extracts.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RankShare<'a> {
+    pub costs: &'a [f64],
+    pub transfers: TransferStats,
+    pub extracted: usize,
 }
 
 impl PatternPlan {
@@ -141,7 +151,6 @@ impl PatternPlan {
     /// Panics if `grouping` does not partition the block columns (or runs
     /// zero columns) or a column's diagonal block is missing.
     pub fn new(pattern: CooPattern, dims: BlockedDims, grouping: &Grouping) -> Self {
-        let fingerprint = pattern.fingerprint(&dims);
         let (cols, bounds) = column_groups(grouping, pattern.nb());
         let (mut costs, mut max_dim, mut dim_sum) = (Vec::with_capacity(bounds.len()), 0, 0.0);
         with_scratch(|s| {
@@ -157,7 +166,6 @@ impl PatternPlan {
             .map(|&(br, bc)| (dims.size(br) * dims.size(bc)) as f64)
             .sum();
         PatternPlan {
-            fingerprint,
             max_dim,
             avg_dim: dim_sum / costs.len().max(1) as f64, // 0 with no groups
             total_cost: costs.iter().sum(),
@@ -175,39 +183,53 @@ impl PatternPlan {
         self.costs.len()
     }
 
+    /// Walk `groups` through the scratch spec, their block references to
+    /// `s.ids` and, with `programs`, their copy programs to `s.programs`:
+    /// the unique references' statistics and the elements extracted.
+    fn walk(
+        &self,
+        groups: Range<usize>,
+        s: &mut Scratch,
+        programs: bool,
+    ) -> (TransferStats, usize) {
+        let (pattern, dims) = (&self.pattern, &self.dims);
+        s.ids.clear();
+        let mut extracted = 0;
+        for i in groups {
+            let cols = &self.cols[self.bounds[i]..self.bounds[i + 1]];
+            s.spec.rebuild(pattern, dims, cols);
+            let into = programs.then_some(&mut s.programs);
+            extracted += s.spec.walk(pattern, dims, &mut s.ids, into);
+        }
+        let unique = s.unique.of(&s.ids, pattern.nnz());
+        let stats = TransferStats::of_rank(unique, s.ids.len(), pattern, dims);
+        (stats, extracted)
+    }
+
     /// Rank `rank` of `size`: its slice of the greedy `n³` balance, one
-    /// walk per own group — which appends the blocks the group needs to
-    /// the rank's list and lays out its copy programs — and the exchange
-    /// of those blocks, each fetched once per execution. Local: any rank
+    /// walk per own group — which lists the blocks the group needs by
+    /// pattern ID and lays out its copy programs — and the exchange of
+    /// those blocks, each fetched once per execution. Local: any rank
     /// holding the pattern plan derives any rank's view.
     pub fn rank_view(&self, rank: usize, size: usize) -> ExecutionPlan {
-        let (pattern, dims) = (&self.pattern, &self.dims);
-        let groups = greedy_contiguous(&self.costs, size).ranges[rank].clone();
+        let mut deal = greedy_ranges(&self.costs, size);
+        let groups = deal
+            .nth(rank)
+            .expect("rank_view: rank outside the communicator");
         with_scratch(|s| {
-            s.blocks.clear();
-            let (assembly, (extraction, contributing)): (Vec<_>, (Vec<_>, Vec<_>)) = groups
-                .map(|i| {
-                    let cols = &self.cols[self.bounds[i]..self.bounds[i + 1]];
-                    s.spec.rebuild(pattern, dims, cols);
-                    let maps = s.spec.walk(pattern, dims, &mut s.blocks);
-                    (maps.assembly, (maps.extraction, maps.contributing))
-                })
-                .unzip();
-            let transfer_plan = RankTransferPlan::from_blocks(std::mem::take(&mut s.blocks));
-            let mut transfers = TransferStats::default();
-            transfers.add_rank(&transfer_plan, dims);
+            let (transfers, _) = self.walk(groups, s, true);
             // Owners come from the one distribution policy matrices route by.
             let grid = sm_dbcsr::process_grid(size);
-            // Copied: the list goes back to the scratch.
-            let remote_wanted = (transfer_plan.unique_blocks.iter().copied())
+            let blocks = s.unique.ids().iter();
+            let mut remote_wanted: Vec<_> = (blocks.map(|&id| self.pattern.entries()[id]))
                 .filter(|&(br, bc)| grid.owner_of_block(br, bc) != rank)
                 .collect();
-            s.blocks = transfer_plan.unique_blocks;
+            remote_wanted.sort_unstable();
+            let (assembly, extraction) = s.programs.share();
             ExecutionPlan {
-                fingerprint: self.fingerprint,
                 rank,
                 size,
-                dims: dims.clone(),
+                dims: self.dims.clone(),
                 n_submatrices: self.n_submatrices(),
                 max_dim: self.max_dim,
                 avg_dim: self.avg_dim,
@@ -216,9 +238,26 @@ impl PatternPlan {
                 remote_wanted,
                 assembly,
                 extraction,
-                contributing,
                 element_fill: self.element_fill,
             }
+        })
+    }
+
+    /// Each rank of `size`'s [`RankShare`], in rank order: the views' deal
+    /// and walks, without copy programs.
+    pub fn rank_shares(&self, size: usize) -> Vec<RankShare<'_>> {
+        let deal = greedy_contiguous(&self.costs, size).ranges;
+        with_scratch(|s| {
+            let share = |groups: Range<usize>| {
+                let (transfers, extracted) = self.walk(groups.clone(), s, false);
+                let costs = &self.costs[groups];
+                RankShare {
+                    costs,
+                    transfers,
+                    extracted,
+                }
+            };
+            deal.into_iter().map(share).collect()
         })
     }
 }
@@ -241,7 +280,6 @@ pub(crate) mod tests {
     /// new field must be named here.
     pub(crate) fn same_view(new: &ExecutionPlan, old: &ExecutionPlan) -> Result<(), TestCaseError> {
         let ExecutionPlan {
-            fingerprint,
             rank,
             size,
             dims,
@@ -253,10 +291,8 @@ pub(crate) mod tests {
             remote_wanted,
             assembly,
             extraction,
-            contributing,
             element_fill,
         } = new;
-        prop_assert_eq!(*fingerprint, old.fingerprint);
         prop_assert_eq!((*rank, *size), (old.rank, old.size));
         prop_assert_eq!(dims, &old.dims);
         prop_assert_eq!((*n_submatrices, *max_dim), (old.n_submatrices, old.max_dim));
@@ -267,7 +303,6 @@ pub(crate) mod tests {
         prop_assert_eq!(remote_wanted, &old.remote_wanted);
         prop_assert_eq!(assembly, &old.assembly);
         prop_assert_eq!(extraction, &old.extraction);
-        prop_assert_eq!(contributing, &old.contributing);
         Ok(())
     }
 

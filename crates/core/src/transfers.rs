@@ -2,45 +2,44 @@
 //!
 //! During initialization every rank determines which nonzero blocks its
 //! submatrices need and fetches each block **once** per (owner → consumer)
-//! pair, buffering it locally so submatrix assembly becomes a purely local
-//! operation (paper Sec. IV-B1). This module computes the transfer plan and
-//! quantifies the savings versus the naive per-submatrix transfer scheme;
-//! `tests/paper_claims.rs` (`claim_transfers_are_deduplicated`) asserts
-//! the savings on a water pattern.
+//! pair, so submatrix assembly becomes a purely local operation (paper
+//! Sec. IV-B1). [`UniqueIds`] keeps each pattern ID a rank's walks list
+//! once, and [`TransferStats::of_rank`] prices the saving over a naive
+//! per-submatrix exchange (`claim_transfers_are_deduplicated` asserts it).
 
-use sm_dbcsr::BlockedDims;
+use sm_dbcsr::{BlockedDims, CooPattern};
 
-/// Transfer requirements of one rank.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RankTransferPlan {
-    /// Deduplicated block coordinates this rank must obtain (its own
-    /// blocks included — the caller filters locally-owned ones).
-    pub unique_blocks: Vec<(usize, usize)>,
-    /// Total block references across the rank's submatrices (what a naive
-    /// per-submatrix exchange would transfer).
-    pub total_references: usize,
+/// The distinct pattern IDs of a list of block references, in
+/// first-reference order: a bitmap over the pattern's IDs marks each as it
+/// is met, and only the marks set are cleared after, so a list costs
+/// O(references), however large the pattern.
+#[derive(Debug, Default)]
+pub struct UniqueIds {
+    seen: Vec<bool>,
+    ids: Vec<usize>,
 }
 
-impl RankTransferPlan {
-    /// The plan of a rank's submatrices from the blocks their walks listed
-    /// ([`SubmatrixSpec::walk`](crate::assembly::SubmatrixSpec::walk)),
-    /// one entry per reference: sorted and deduplicated in place.
-    pub fn from_blocks(mut unique: Vec<(usize, usize)>) -> Self {
-        let total_references = unique.len();
-        unique.sort_unstable();
-        unique.dedup();
-        RankTransferPlan {
-            unique_blocks: unique,
-            total_references,
+impl UniqueIds {
+    /// The distinct IDs of `references`, each below `nnz`.
+    pub fn of(&mut self, references: &[usize], nnz: usize) -> &[usize] {
+        if self.seen.len() < nnz {
+            self.seen.resize(nnz, false);
         }
+        self.ids.clear();
+        for &id in references {
+            if !std::mem::replace(&mut self.seen[id], true) {
+                self.ids.push(id);
+            }
+        }
+        for &id in &self.ids {
+            self.seen[id] = false;
+        }
+        &self.ids
     }
 
-    /// Bytes of the deduplicated transfers (8-byte elements).
-    pub fn unique_bytes(&self, dims: &BlockedDims) -> u64 {
-        self.unique_blocks
-            .iter()
-            .map(|&(br, bc)| (dims.size(br) * dims.size(bc) * 8) as u64)
-            .sum()
+    /// What the last [`of`](Self::of) returned.
+    pub fn ids(&self) -> &[usize] {
+        &self.ids
     }
 }
 
@@ -58,16 +57,27 @@ pub struct TransferStats {
 }
 
 impl TransferStats {
-    /// Accumulate one rank's plan. Naive bytes are estimated from the
-    /// rank's average block size times its total references (exact for
-    /// uniform block partitions, which all water systems use).
-    pub fn add_rank(&mut self, plan: &RankTransferPlan, dims: &BlockedDims) {
-        self.unique_bytes += plan.unique_bytes(dims);
-        self.unique_blocks += plan.unique_blocks.len() as u64;
-        self.total_references += plan.total_references as u64;
-        if !plan.unique_blocks.is_empty() {
-            let avg_block_bytes = plan.unique_bytes(dims) as f64 / plan.unique_blocks.len() as f64;
-            self.naive_bytes += (avg_block_bytes * plan.total_references as f64) as u64;
+    /// One rank's statistics from the distinct pattern IDs its walks listed
+    /// and their number of references. Naive bytes are estimated from the
+    /// rank's average block size times its references (exact for uniform
+    /// block partitions, which all water systems use).
+    pub fn of_rank(
+        unique: &[usize],
+        references: usize,
+        pattern: &CooPattern,
+        dims: &BlockedDims,
+    ) -> Self {
+        let bytes = |&id: &usize| {
+            let (br, bc) = pattern.entries()[id];
+            (dims.size(br) * dims.size(bc) * 8) as u64
+        };
+        let unique_bytes: u64 = unique.iter().map(bytes).sum();
+        let avg_block_bytes = unique_bytes as f64 / unique.len().max(1) as f64;
+        TransferStats {
+            unique_bytes,
+            naive_bytes: (avg_block_bytes * references as f64) as u64,
+            unique_blocks: unique.len() as u64,
+            total_references: references as u64,
         }
     }
 }
@@ -83,7 +93,7 @@ impl std::ops::AddAssign for TransferStats {
 }
 
 /// Whole-run totals of per-rank statistics (each a rank's
-/// [`add_rank`](TransferStats::add_rank)).
+/// [`of_rank`](TransferStats::of_rank)).
 impl std::iter::Sum for TransferStats {
     fn sum<I: Iterator<Item = Self>>(ranks: I) -> Self {
         let mut total = TransferStats::default();
@@ -100,7 +110,6 @@ mod tests {
     use crate::loadbalance::greedy_contiguous;
     use crate::plan::column_groups;
     use proptest::prelude::*;
-    use sm_dbcsr::CooPattern;
 
     fn banded(nb: usize, half: usize) -> (CooPattern, BlockedDims) {
         let mut coords = Vec::new();
@@ -115,13 +124,14 @@ mod tests {
         )
     }
 
-    /// The plan of single-column submatrices `cols`.
-    fn plan_of(p: &CooPattern, d: &BlockedDims, cols: &[usize]) -> RankTransferPlan {
-        let mut blocks = Vec::new();
+    /// The statistics of single-column submatrices `cols`.
+    fn plan_of(p: &CooPattern, d: &BlockedDims, cols: &[usize]) -> TransferStats {
+        let mut ids = Vec::new();
         for &c in cols {
-            SubmatrixSpec::build(p, d, &[c]).walk(p, d, &mut blocks);
+            SubmatrixSpec::build(p, d, &[c]).walk(p, d, &mut ids, None);
         }
-        RankTransferPlan::from_blocks(blocks)
+        let unique = UniqueIds::default().of(&ids, p.nnz()).to_vec();
+        TransferStats::of_rank(&unique, ids.len(), p, d)
     }
 
     #[test]
@@ -129,15 +139,17 @@ mod tests {
         let (p, d) = banded(10, 2);
         let plan = plan_of(&p, &d, &[3, 4]);
         // Adjacent banded columns share most blocks.
-        let unique = plan.unique_blocks.len();
-        assert!(2 * plan.total_references > 3 * unique, "{plan:?}");
+        assert!(
+            2 * plan.total_references > 3 * plan.unique_blocks,
+            "{plan:?}"
+        );
     }
 
     #[test]
     fn disjoint_columns_have_no_duplicates() {
         let (p, d) = banded(20, 1);
         let plan = plan_of(&p, &d, &[0, 10]);
-        assert_eq!(plan.total_references, plan.unique_blocks.len());
+        assert_eq!(plan.total_references, plan.unique_blocks);
     }
 
     #[test]
@@ -145,16 +157,13 @@ mod tests {
         let (p, d) = banded(3, 0); // diagonal-only pattern
         let plan = plan_of(&p, &d, &[1]);
         // One 2x2 block = 32 bytes.
-        assert_eq!(plan.unique_bytes(&d), 32);
+        assert_eq!(plan.unique_bytes, 32);
     }
 
     #[test]
     fn stats_accumulate_across_ranks() {
         let (p, d) = banded(8, 1);
-        let mut stats = TransferStats::default();
-        for c in 0..8 {
-            stats.add_rank(&plan_of(&p, &d, &[c]), &d);
-        }
+        let stats: TransferStats = (0..8).map(|c| plan_of(&p, &d, &[c])).sum();
         assert!(stats.unique_bytes > 0);
         assert_eq!(stats.unique_blocks, stats.total_references);
         assert_eq!(stats.unique_bytes, stats.naive_bytes);
@@ -162,42 +171,21 @@ mod tests {
 
     #[test]
     fn empty_plan() {
-        let plan = RankTransferPlan::from_blocks(Vec::new());
-        assert_eq!((plan.unique_blocks.len(), plan.total_references), (0, 0));
-        let (_, d) = banded(2, 1);
-        assert_eq!(plan.unique_bytes(&d), 0);
-    }
-
-    /// The plan as it was built before it sorted one list: a `BTreeSet`
-    /// fed by a walk of each spec's own (`rows` × pattern rows inside).
-    /// The reference the sorted list is held to.
-    fn plan_by_set(specs: &[SubmatrixSpec], pattern: &CooPattern) -> RankTransferPlan {
-        let mut unique = std::collections::BTreeSet::new();
-        let mut total = 0usize;
-        for spec in specs {
-            for &bc in &spec.rows {
-                for br in pattern.rows_in_col(bc) {
-                    if spec.position_of(br).is_some() {
-                        total += 1;
-                        unique.insert((br, bc));
-                    }
-                }
-            }
-        }
-        RankTransferPlan {
-            unique_blocks: unique.into_iter().collect(),
-            total_references: total,
-        }
+        let (p, d) = banded(2, 1);
+        assert!(UniqueIds::default().of(&[], p.nnz()).is_empty());
+        assert_eq!(plan_of(&p, &d, &[]), TransferStats::default());
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
         /// On random patterns with their diagonal, one spec per column or
         /// runs of 1 to 3 columns, and every rank's slice of the load
-        /// balance at 1 to 4 ranks: the same sorted unique blocks and the
-        /// same reference count as the set.
+        /// balance at 1 to 4 ranks, through one `UniqueIds` (so a mark
+        /// left set would drop a later rank's block): each referenced block
+        /// once, in first-reference order, and the statistics of the set
+        /// the references make.
         #[test]
-        fn sorted_list_plan_matches_the_set(
+        fn id_dedup_matches_the_set(
             nb in 1usize..25,
             fill in 0u64..100,
             seed in 0u64..1000,
@@ -223,16 +211,25 @@ mod tests {
                 .map(|w| SubmatrixSpec::build(&pattern, &dims, &cols[w[0]..w[1]]))
                 .collect();
             let costs: Vec<f64> = all.iter().map(SubmatrixSpec::cost).collect();
+            let mut unique = UniqueIds::default();
             for range in greedy_contiguous(&costs, size).ranges {
-                let specs = &all[range];
-                let mut blocks = Vec::new();
-                for spec in specs {
-                    spec.walk(&pattern, &dims, &mut blocks);
+                let mut ids = Vec::new();
+                for spec in &all[range] {
+                    spec.walk(&pattern, &dims, &mut ids, None);
                 }
-                prop_assert_eq!(
-                    RankTransferPlan::from_blocks(blocks),
-                    plan_by_set(specs, &pattern)
-                );
+                let mut first_seen = Vec::new();
+                let mut set = std::collections::BTreeSet::new();
+                for &id in &ids {
+                    if set.insert(pattern.entries()[id]) {
+                        first_seen.push(id);
+                    }
+                }
+                prop_assert_eq!(unique.of(&ids, pattern.nnz()), &first_seen[..]);
+                let bytes: usize = set.iter().map(|&(r, c)| dims.size(r) * dims.size(c) * 8).sum();
+                let stats = TransferStats::of_rank(unique.ids(), ids.len(), &pattern, &dims);
+                prop_assert_eq!(stats.unique_bytes, bytes as u64);
+                prop_assert_eq!(stats.unique_blocks, set.len() as u64);
+                prop_assert_eq!(stats.total_references, ids.len() as u64);
             }
         }
     }

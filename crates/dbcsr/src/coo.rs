@@ -24,24 +24,56 @@ pub struct CooPattern {
 impl CooPattern {
     /// Build from an unsorted list of nonzero block coordinates.
     /// Duplicates are merged. `nb` is the number of block rows/columns.
-    pub fn from_coords(mut coords: Vec<(usize, usize)>, nb: usize) -> Self {
-        for &(r, c) in &coords {
+    pub fn from_coords(coords: Vec<(usize, usize)>, nb: usize) -> Self {
+        Self::from_pairs(coords.iter().copied(), nb)
+    }
+
+    /// [`from_coords`](Self::from_coords) over an iterator it walks twice:
+    /// one counting pass lays the columns out and one places each block, so
+    /// no list of all blocks is sorted. Only each column's rows are, and a
+    /// row-major input (one rank's store) leaves them sorted already.
+    pub fn from_pairs(coords: impl Iterator<Item = (usize, usize)> + Clone, nb: usize) -> Self {
+        let mut col_starts = vec![0usize; nb + 1];
+        for (r, c) in coords.clone() {
             assert!(
                 r < nb && c < nb,
                 "block coordinate ({r},{c}) outside {nb}x{nb} grid"
             );
-        }
-        coords.sort_by_key(|&(r, c)| (c, r));
-        coords.dedup();
-        let mut col_starts = vec![0usize; nb + 1];
-        for &(_, c) in &coords {
             col_starts[c + 1] += 1;
         }
         for c in 0..nb {
             col_starts[c + 1] += col_starts[c];
         }
+        // Place each block at its column's cursor; the cursors end where
+        // the next column starts, and shift back into starts after.
+        let mut entries = vec![(0, 0); col_starts[nb]];
+        for (r, c) in coords {
+            entries[col_starts[c]] = (r, c);
+            col_starts[c] += 1;
+        }
+        col_starts.copy_within(0..nb, 1);
+        col_starts[0] = 0;
+        // Sort each column and merge its duplicates, compacting in place,
+        // unless every column came out ascending and distinct already.
+        let by_col = |a: &(usize, usize), b: &(usize, usize)| (a.1, a.0) < (b.1, b.0);
+        if !entries.is_sorted_by(by_col) {
+            let mut len = 0;
+            for c in 0..nb {
+                let run = col_starts[c]..col_starts[c + 1];
+                entries[run.clone()].sort_unstable();
+                col_starts[c] = len;
+                for k in run {
+                    if len == col_starts[c] || entries[len - 1] != entries[k] {
+                        entries[len] = entries[k];
+                        len += 1;
+                    }
+                }
+            }
+            col_starts[nb] = len;
+            entries.truncate(len);
+        }
         CooPattern {
-            entries: coords,
+            entries,
             col_starts,
             nb,
         }
@@ -75,9 +107,13 @@ impl CooPattern {
     /// Block rows with a nonzero block in column `c` (ascending). This is
     /// the index set that induces column `c`'s principal submatrix.
     pub fn rows_in_col(&self, c: usize) -> impl Iterator<Item = usize> + '_ {
-        self.entries[self.col_starts[c]..self.col_starts[c + 1]]
-            .iter()
-            .map(|&(r, _)| r)
+        self.entries[self.col_ids(c)].iter().map(|&(r, _)| r)
+    }
+
+    /// IDs of column `c`'s blocks, in ascending row order: the column's run
+    /// of [`entries`](Self::entries).
+    pub fn col_ids(&self, c: usize) -> std::ops::Range<usize> {
+        self.col_starts[c]..self.col_starts[c + 1]
     }
 
     /// Number of nonzero blocks in column `c`.
@@ -93,8 +129,10 @@ impl CooPattern {
         rows.clear();
         rows.reserve(cols.iter().map(|&c| self.col_nnz(c)).sum());
         rows.extend(cols.iter().flat_map(|&c| self.rows_in_col(c)));
-        rows.sort_unstable();
-        rows.dedup();
+        if cols.len() > 1 {
+            rows.sort_unstable();
+            rows.dedup();
+        }
     }
 
     /// Fraction of nonzero blocks, `nnz / nb²`.
@@ -193,6 +231,37 @@ mod tests {
         assert!(!p.is_symmetric()); // (0,2) present, (2,0) missing
         let sym = CooPattern::from_coords(vec![(0, 0), (1, 0), (0, 1), (1, 1)], 2);
         assert!(sym.is_symmetric());
+    }
+
+    /// The counting pass against a sort: seeded lists in any order, with
+    /// duplicates in several columns (so later columns compact onto
+    /// earlier ones), row-major lists (the one-rank fast path) and empty
+    /// columns.
+    #[test]
+    fn counting_pass_matches_a_sorted_set() {
+        for seed in 0u64..300 {
+            let mut next = (0u64..).map(|k| crate::wire::mix64(seed * 7919 + k));
+            let nb = 1 + (next.next().unwrap_or(0) % 9) as usize;
+            let len = (next.next().unwrap_or(0) % 40) as usize;
+            let mut coords: Vec<(usize, usize)> = (0..len)
+                .map(|_| {
+                    let v = next.next().unwrap_or(0) as usize;
+                    (v % nb, v / nb % nb)
+                })
+                .collect();
+            if seed % 3 == 0 {
+                coords.sort_unstable();
+                coords.dedup();
+            }
+            let set: std::collections::BTreeSet<_> = coords.iter().map(|&(r, c)| (c, r)).collect();
+            let p = CooPattern::from_coords(coords, nb);
+            let expect: Vec<_> = set.into_iter().map(|(c, r)| (r, c)).collect();
+            assert_eq!(p.entries(), &expect[..], "seed {seed}");
+            for c in 0..nb {
+                let rows: Vec<_> = expect.iter().filter(|e| e.1 == c).map(|e| e.0).collect();
+                assert_eq!(p.rows_in_col(c).collect::<Vec<_>>(), rows, "seed {seed}");
+            }
+        }
     }
 
     #[test]

@@ -4,11 +4,14 @@
 //! in this reproduction are structurally symmetric, so one partition serves
 //! both rows and columns.
 
-/// A partition of `0..n()` into consecutive blocks.
+use std::sync::Arc;
+
+/// A partition of `0..n()` into consecutive blocks. Every matrix, plan and
+/// view holds one, so a clone shares the two arrays instead of copying them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockedDims {
-    sizes: Vec<usize>,
-    offsets: Vec<usize>, // offsets[i] = start of block i; offsets[nb] = n
+    sizes: Arc<[usize]>,
+    offsets: Arc<[usize]>, // offsets[i] = start of block i; offsets[nb] = n
 }
 
 impl BlockedDims {
@@ -25,7 +28,10 @@ impl BlockedDims {
             acc += s;
             offsets.push(acc);
         }
-        BlockedDims { sizes, offsets }
+        BlockedDims {
+            sizes: sizes.into(),
+            offsets: offsets.into(),
+        }
     }
 
     /// `nb` blocks of uniform size `bs`.

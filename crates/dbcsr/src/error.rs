@@ -1,4 +1,5 @@
-//! Typed errors for distributed block-sparse operations.
+//! Typed errors for distributed block-sparse operations and the block
+//! wire format.
 
 use std::fmt;
 
@@ -47,3 +48,69 @@ impl fmt::Display for DbcsrError {
 }
 
 impl std::error::Error for DbcsrError {}
+
+/// Why a block message does not unpack
+/// ([`unpack_blocks_prec`](crate::wire::unpack_blocks_prec)): its meta and
+/// payload do not describe blocks of the partition in one value format.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum WireError {
+    /// The meta holds no count word.
+    ShortMeta,
+    /// The count word names another number of blocks than the meta holds
+    /// coordinates for.
+    CountMismatch {
+        /// Blocks the count word names (format flag removed).
+        count: u64,
+        /// Words in the meta, the count word included.
+        meta_words: usize,
+    },
+    /// A block coordinate outside the partition.
+    OutsidePartition {
+        /// Block row.
+        br: u64,
+        /// Block column.
+        bc: u64,
+        /// Blocks per side of the partition.
+        nb: usize,
+    },
+    /// The payload holds another number of values than the blocks need.
+    PayloadLength {
+        /// Values the blocks need.
+        values: usize,
+        /// Values the payload holds.
+        data: usize,
+    },
+    /// The meta's format flag disagrees with the payload variant.
+    FormatMismatch {
+        /// Whether the meta is tagged f32.
+        tagged_f32: bool,
+        /// The payload variant, with its article.
+        payload: &'static str,
+    },
+}
+
+impl fmt::Display for WireError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            WireError::ShortMeta => write!(f, "meta holds no count word"),
+            WireError::CountMismatch { count, meta_words } => {
+                write!(f, "count {count} in a meta of {meta_words} words")
+            }
+            WireError::OutsidePartition { br, bc, nb } => {
+                write!(f, "block ({br},{bc}) outside the {nb}x{nb} partition")
+            }
+            WireError::PayloadLength { values, data } => {
+                write!(f, "blocks need {values} values, payload holds {data}")
+            }
+            WireError::FormatMismatch {
+                tagged_f32,
+                payload,
+            } => {
+                let meta = if *tagged_f32 { "f32" } else { "f64" };
+                write!(f, "{meta}-tagged meta with {payload} payload")
+            }
+        }
+    }
+}
+
+impl std::error::Error for WireError {}

@@ -34,7 +34,7 @@ pub mod wire;
 
 pub use coo::CooPattern;
 pub use dims::BlockedDims;
-pub use error::DbcsrError;
+pub use error::{DbcsrError, WireError};
 pub use local::BlockStore;
 pub use matrix::{process_grid, DbcsrMatrix};
 pub use wire::PatternFingerprint;

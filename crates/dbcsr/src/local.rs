@@ -74,7 +74,7 @@ impl BlockStore {
     }
 
     /// Deterministic (sorted) iteration over blocks.
-    pub fn iter(&self) -> impl Iterator<Item = (&BlockCoord, &Matrix)> {
+    pub fn iter(&self) -> impl Iterator<Item = (&BlockCoord, &Matrix)> + Clone {
         self.blocks.iter()
     }
 

@@ -10,7 +10,7 @@ use sm_linalg::Matrix;
 use crate::coo::CooPattern;
 use crate::dims::BlockedDims;
 use crate::local::BlockStore;
-use crate::wire::{pack_blocks_prec, unpack_blocks_prec, ValueFormat};
+use crate::wire::{pack_blocks_prec, unpack_received, ValueFormat};
 
 /// The process grid for a communicator of `comm_size` ranks — the single
 /// source of the block→rank distribution policy. Everything that maps
@@ -169,7 +169,7 @@ impl DbcsrMatrix {
         let datas = comm.allgather_f64(&data.into_f64());
         let mut dense = Matrix::zeros(self.n(), self.n());
         for (meta, data) in metas.iter().zip(datas) {
-            for (coord, blk) in unpack_blocks_prec(&self.dims, meta, Payload::F64(data)) {
+            for (coord, blk) in unpack_received(&self.dims, meta, Payload::F64(data)) {
                 let (br, bc) = coord;
                 let r0 = self.dims.offset(br);
                 let c0 = self.dims.offset(bc);
@@ -186,17 +186,20 @@ impl DbcsrMatrix {
     /// Build the deterministic global COO sparsity view (collective;
     /// paper Sec. IV-A1). Identical on every rank.
     pub fn global_pattern<C: Comm>(&self, comm: &C) -> CooPattern {
-        let local: Vec<u64> = self
-            .store
-            .iter()
-            .flat_map(|(&(r, c), _)| [r as u64, c as u64])
-            .collect();
+        if comm.size() == 1 {
+            // One rank stores every block: nothing to gather.
+            return CooPattern::from_pairs(self.store.iter().map(|(&rc, _)| rc), self.nb());
+        }
+        let mut local = Vec::with_capacity(2 * self.store.len());
+        local.extend(
+            self.store
+                .iter()
+                .flat_map(|(&(r, c), _)| [r as u64, c as u64]),
+        );
         let all = comm.allgather_u64(&local);
-        let coords: Vec<(usize, usize)> = all
-            .iter()
-            .flat_map(|v| v.chunks_exact(2).map(|p| (p[0] as usize, p[1] as usize)))
-            .collect();
-        CooPattern::from_coords(coords, self.nb())
+        let coords =
+            (all.iter()).flat_map(|v| v.chunks_exact(2).map(|p| (p[0] as usize, p[1] as usize)));
+        CooPattern::from_pairs(coords, self.nb())
     }
 
     /// Local number of stored blocks.
@@ -317,7 +320,7 @@ mod tests {
         let dense = dense_banded(dims.n());
         let m = DbcsrMatrix::from_dense(&dense, dims.clone(), 0, 1, 0.0);
         let (meta, data) = pack_blocks_prec(m.store().iter(), ValueFormat::F64);
-        let blocks = unpack_blocks_prec(&dims, &meta, data);
+        let blocks = crate::wire::unpack_blocks_prec(&dims, &meta, data).unwrap();
         assert_eq!(blocks.len(), m.local_nnz_blocks());
         for (coord, blk) in blocks {
             assert_eq!(m.block(coord.0, coord.1).unwrap(), &blk);
@@ -330,7 +333,7 @@ mod tests {
         let (meta, data) = pack_blocks_prec(store.iter(), ValueFormat::F64);
         assert_eq!(meta, vec![0]);
         assert_eq!(data, Payload::F64(Vec::new()));
-        assert!(unpack_blocks_prec(&test_dims(), &meta, data).is_empty());
+        assert!(unpack_received(&test_dims(), &meta, data).is_empty());
     }
 
     #[test]

@@ -191,7 +191,7 @@ pub fn fetch_blocks_prec<C: Comm>(
         if src != comm.rank() {
             value_bytes += data.byte_len() as u64;
         }
-        for (coord, blk) in crate::wire::unpack_blocks_prec(m.dims(), &meta.into_u64(), data) {
+        for (coord, blk) in crate::wire::unpack_received(m.dims(), &meta.into_u64(), data) {
             out.insert(coord, blk);
         }
     }

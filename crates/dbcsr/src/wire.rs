@@ -20,6 +20,7 @@ use sm_comsim::{Comm, Payload, COLLECTIVE_BIT, SUBGROUP_BIT};
 use sm_linalg::Matrix;
 
 use crate::dims::BlockedDims;
+use crate::error::WireError;
 use crate::local::{BlockCoord, BlockStore};
 
 /// Validate a user-chosen message tag against the communicator's reserved
@@ -52,7 +53,8 @@ pub fn user_tag(tag: u64) -> u64 {
 /// The format is **self-describing**: the packer sets [`F32_FORMAT_BIT`]
 /// in the meta header's count word, and [`unpack_blocks_prec`] rejects a
 /// meta/payload combination whose flags disagree — a mixed-precision
-/// protocol error surfaces at the unpack site, not as silent garbage.
+/// protocol error surfaces at the unpack site as a [`WireError`], not as
+/// silent garbage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ValueFormat {
     /// 8-byte elements (exact).
@@ -112,64 +114,77 @@ pub fn pack_blocks_prec<'a>(
 }
 
 /// Inverse of [`pack_blocks_prec`] for either value format: reconstruct
-/// `(coord, block)` pairs using the partition to recover block shapes. The
-/// meta header's format flag must agree with the payload variant.
+/// `(coord, block)` pairs using the partition to recover block shapes. A
+/// pair that does not describe blocks of `dims` — no count word, a count
+/// the meta does not hold, a coordinate outside the partition, a payload of
+/// another length than the blocks need, or a format flag that disagrees
+/// with the payload variant — is a [`WireError`], found before any block
+/// is allocated.
 pub fn unpack_blocks_prec(
     dims: &BlockedDims,
     meta: &[u64],
     payload: Payload,
-) -> Vec<(BlockCoord, Matrix)> {
-    if meta.is_empty() {
-        return Vec::new();
+) -> Result<Vec<(BlockCoord, Matrix)>, WireError> {
+    let (&head, coords) = meta.split_first().ok_or(WireError::ShortMeta)?;
+    let count = head & !F32_FORMAT_BIT;
+    if coords.len() as u64 != count.saturating_mul(2) {
+        let meta_words = meta.len();
+        return Err(WireError::CountMismatch { count, meta_words });
     }
-    let tagged_f32 = meta[0] & F32_FORMAT_BIT != 0;
-    match (tagged_f32, payload) {
-        (false, Payload::F64(data)) => unpack_into(
-            dims,
-            meta,
-            |off, len| data[off..off + len].to_vec(),
-            data.len(),
-        ),
-        (true, Payload::F32(data)) => unpack_into(
-            dims,
-            meta,
-            |off, len| data[off..off + len].iter().map(|&v| v as f64).collect(),
-            data.len(),
-        ),
-        (_, other) => panic!(
-            "unpack_blocks_prec: {}-tagged meta with {} payload",
-            if tagged_f32 { "f32" } else { "f64" },
-            match other {
+    let mut values = 0usize;
+    for pair in coords.chunks_exact(2) {
+        let nb = dims.nb();
+        let (br, bc) = (pair[0], pair[1]);
+        if br >= nb as u64 || bc >= nb as u64 {
+            return Err(WireError::OutsidePartition { br, bc, nb });
+        }
+        values += dims.size(br as usize) * dims.size(bc as usize);
+    }
+    let tagged_f32 = head & F32_FORMAT_BIT != 0;
+    let (f64s, f32s): (&[f64], &[f32]) = match (tagged_f32, &payload) {
+        (false, Payload::F64(d)) => (d, &[]),
+        (true, Payload::F32(d)) => (&[], d),
+        (_, other) => {
+            let payload = match other {
                 Payload::F64(_) => "an f64",
                 Payload::F32(_) => "an f32",
                 Payload::U64(_) => "a u64",
-            }
-        ),
+            };
+            return Err(WireError::FormatMismatch {
+                tagged_f32,
+                payload,
+            });
+        }
+    };
+    let data = f64s.len() + f32s.len();
+    if data != values {
+        return Err(WireError::PayloadLength { values, data });
     }
+    let mut off = 0usize;
+    let blocks = coords.chunks_exact(2).map(|pair| {
+        let (br, bc) = (pair[0] as usize, pair[1] as usize);
+        let (rows, cols) = (dims.size(br), dims.size(bc));
+        let run = off..off + rows * cols;
+        off = run.end;
+        let v = match tagged_f32 {
+            false => f64s[run].to_vec(),
+            true => f32s[run].iter().map(|&x| f64::from(x)).collect(),
+        };
+        ((br, bc), Matrix::from_col_major(rows, cols, v))
+    });
+    Ok(blocks.collect())
 }
 
-/// Shared meta walk of the unpackers: `read(offset, len)` materializes the
-/// column-major values of one block.
-fn unpack_into(
+/// [`unpack_blocks_prec`] for a message a peer sent this rank: the one
+/// place the collectives turn a [`WireError`] into a stop, since a
+/// malformed message from a rank of the same program is a protocol fault
+/// no caller can recover from.
+pub(crate) fn unpack_received(
     dims: &BlockedDims,
     meta: &[u64],
-    read: impl Fn(usize, usize) -> Vec<f64>,
-    data_len: usize,
+    payload: Payload,
 ) -> Vec<(BlockCoord, Matrix)> {
-    let count = (meta[0] & !F32_FORMAT_BIT) as usize;
-    let mut out = Vec::with_capacity(count);
-    let mut off = 0usize;
-    for k in 0..count {
-        let br = meta[1 + 2 * k] as usize;
-        let bc = meta[2 + 2 * k] as usize;
-        let (rows, cols) = (dims.size(br), dims.size(bc));
-        let len = rows * cols;
-        let blk = Matrix::from_col_major(rows, cols, read(off, len));
-        off += len;
-        out.push(((br, bc), blk));
-    }
-    assert_eq!(off, data_len, "unpack_blocks: trailing data");
-    out
+    unpack_blocks_prec(dims, meta, payload).unwrap_or_else(|e| panic!("unpack_blocks_prec: {e}"))
 }
 
 /// Route per-destination block maps to their ranks with one all-to-all
@@ -219,7 +234,7 @@ pub fn exchange_blocks_prec<C: Comm>(
     let datas_in = comm.alltoallv(datas);
     let mut out = local;
     for (meta, data) in metas_in.into_iter().zip(datas_in) {
-        out.extend(unpack_blocks_prec(dims, &meta.into_u64(), data));
+        out.extend(unpack_received(dims, &meta.into_u64(), data));
     }
     (out, value_bytes)
 }
@@ -248,7 +263,7 @@ pub fn shift_store<C: Comm>(
     let meta_in = comm.recv(src, tag_meta).into_u64();
     let data_in = comm.recv(src, tag_data);
     (
-        unpack_blocks_prec(dims, &meta_in, data_in)
+        unpack_received(dims, &meta_in, data_in)
             .into_iter()
             .collect(),
         bytes,
@@ -389,7 +404,7 @@ mod tests {
         // Half the bytes of the f64 encoding of the same blocks.
         let (_, f64_payload) = pack_blocks_prec(blocks.iter(), ValueFormat::F64);
         assert_eq!(payload.byte_len() * 2, f64_payload.byte_len());
-        let got = unpack_blocks_prec(&dims, &meta, payload);
+        let got = unpack_blocks_prec(&dims, &meta, payload).unwrap();
         assert_eq!(got.len(), 2);
         for (coord, blk) in got {
             let expect = blocks[&coord].round_f32_storage();
@@ -411,7 +426,7 @@ mod tests {
             Matrix::from_fn(3, 3, |i, j| (0.7 * (i + 2 * j) as f64) as f32 as f64),
         );
         let (meta, payload) = pack_blocks_prec(blocks.iter(), ValueFormat::F32);
-        let got = unpack_blocks_prec(&dims, &meta, payload);
+        let got = unpack_blocks_prec(&dims, &meta, payload).unwrap();
         assert!(got[0].1.allclose(&blocks[&(1, 1)], 0.0));
     }
 
@@ -422,8 +437,131 @@ mod tests {
         let mut blocks: BTreeMap<(usize, usize), Matrix> = BTreeMap::new();
         blocks.insert((0, 0), Matrix::identity(2));
         let (meta, _) = pack_blocks_prec(blocks.iter(), ValueFormat::F32);
-        // Deliver an f64 payload against the f32-tagged meta.
-        unpack_blocks_prec(&dims, &meta, Payload::F64(vec![0.0; 4]));
+        // Deliver an f64 payload against the f32-tagged meta: a typed
+        // error, which a collective receiving it stops on.
+        let err = unpack_blocks_prec(&dims, &meta, Payload::F64(vec![0.0; 4])).unwrap_err();
+        assert!(matches!(
+            err,
+            WireError::FormatMismatch {
+                tagged_f32: true,
+                ..
+            }
+        ));
+        unpack_received(&dims, &meta, Payload::F64(vec![0.0; 4]));
+    }
+
+    /// One message of the sweep below: `seed` picks up to four blocks of
+    /// `dims3` and a format, then one to three mutations of the packed
+    /// pair — a meta bit flipped (the format flag and the high count bits
+    /// among them), a huge or off-by-one count, a coordinate outside the
+    /// partition, the meta or the payload cut short or grown, or the
+    /// payload swapped for another variant.
+    fn mutated_message(seed: u64) -> (Vec<u64>, Payload) {
+        let mut next = (0u64..).map(move |k| mix64(seed.wrapping_mul(0x9e37) ^ k));
+        let mut pick = move |n: u64| (next.next().unwrap_or(0) % n) as usize;
+        let blocks: BTreeMap<(usize, usize), Matrix> = (0..pick(5))
+            .map(|_| {
+                let (br, bc) = (pick(3), pick(3));
+                let size = dims3();
+                let blk = Matrix::from_fn(size.size(br), size.size(bc), |i, j| (i + j) as f64);
+                ((br, bc), blk)
+            })
+            .collect();
+        let format = [ValueFormat::F64, ValueFormat::F32][pick(2)];
+        let (mut meta, mut payload) = pack_blocks_prec(blocks.iter(), format);
+        for _ in 0..1 + pick(3) {
+            let word = pick(meta.len().max(1) as u64);
+            match pick(7) {
+                0 if !meta.is_empty() => meta[word] ^= 1 << pick(64),
+                1 if !meta.is_empty() => {
+                    meta[0] = [
+                        u64::MAX,
+                        1 << 61,
+                        meta[0].wrapping_add(1),
+                        meta[0] ^ (1 << 63),
+                    ][pick(4)]
+                }
+                2 if meta.len() > 1 => {
+                    let at = 1 + pick(meta.len() as u64 - 1);
+                    meta[at] = [3, u64::MAX][pick(2)]
+                }
+                3 => meta.truncate(word),
+                4 => meta.extend((0..1 + pick(3)).map(|_| pick(4) as u64)),
+                5 => {
+                    let keep = |len: usize| [len / 2, len + 1, len.saturating_sub(1)];
+                    payload = match payload {
+                        Payload::F64(mut d) => {
+                            d.resize(keep(d.len())[pick(3)], 0.5);
+                            Payload::F64(d)
+                        }
+                        Payload::F32(mut d) => {
+                            d.resize(keep(d.len())[pick(3)], 0.5);
+                            Payload::F32(d)
+                        }
+                        other => other,
+                    }
+                }
+                _ => {
+                    let len = payload.byte_len() / 8;
+                    payload = match pick(3) {
+                        0 => Payload::F64(vec![0.0; len]),
+                        1 => Payload::F32(vec![0.0; len]),
+                        _ => Payload::U64(vec![0; len]),
+                    };
+                }
+            }
+        }
+        (meta, payload)
+    }
+
+    /// The seeded mutation sweep, run under a watchdog: every mutated
+    /// message unpacks or fails with a typed error — no abort (a huge
+    /// count once sized an allocation), no panic, no hang — and one that
+    /// unpacks holds exactly the blocks its meta names, in order. Each
+    /// error kind occurs.
+    #[test]
+    fn mutated_messages_unpack_or_fail_typed() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut kinds = std::collections::BTreeSet::new();
+            for seed in 0..20_000 {
+                let (meta, payload) = mutated_message(seed);
+                let len = payload.byte_len();
+                match unpack_blocks_prec(&dims3(), &meta, payload) {
+                    Ok(blocks) => {
+                        let named = meta[1..]
+                            .chunks_exact(2)
+                            .map(|p| (p[0] as usize, p[1] as usize));
+                        assert!(blocks.iter().map(|b| b.0).eq(named), "seed {seed}");
+                        let values: usize = blocks.iter().map(|b| b.1.as_slice().len()).sum();
+                        assert!(len == values * 8 || len == values * 4, "seed {seed}");
+                        kinds.insert("ok".to_string());
+                    }
+                    Err(e) => drop(
+                        kinds.insert(
+                            format!("{e:?}")
+                                .split([' ', '{'])
+                                .next()
+                                .unwrap_or("")
+                                .to_string(),
+                        ),
+                    ),
+                }
+            }
+            let _ = tx.send(kinds);
+        });
+        let kinds = rx
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("the sweep panicked or did not finish within 120 s");
+        let all = [
+            "CountMismatch",
+            "FormatMismatch",
+            "OutsidePartition",
+            "PayloadLength",
+            "ShortMeta",
+            "ok",
+        ];
+        assert_eq!(kinds.iter().map(String::as_str).collect::<Vec<_>>(), all);
     }
 
     #[test]

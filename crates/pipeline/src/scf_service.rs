@@ -1,56 +1,24 @@
-//! Batched multi-system SCF over the distributed scheduler.
+//! Batched multi-system SCF: the serial reference and the outcome
+//! accessors.
 //!
-//! A production electronic-structure service does not purify one matrix at
-//! a time: it sees a stream of **independent chemical systems** — different
-//! geometries, sizes and convergence budgets — each of which needs a whole
-//! self-consistent-field *loop*, not a single matrix-function evaluation.
-//! The [`Scheduler`] runs such a batch directly: `run(world, specs)` takes
-//! the [`ScfJobSpec`]s as iterative [`BatchJob::Scf`](crate::jobs::BatchJob::Scf)
-//! jobs, so the whole fleet of SCF loops shares:
+//! The [`Scheduler`] runs independent SCF systems directly: `run(world,
+//! specs)` takes [`ScfJobSpec`]s as iterative
+//! [`BatchJob::Scf`](crate::jobs::BatchJob::Scf) jobs, each group sized by
+//! its per-iteration pattern cost times its iteration budget
+//! ([`crate::sched::estimate_batch_job_cost`]), sharing one engine and plan
+//! cache, and each [`JobResult`] carries per-iteration SCF telemetry
+//! ([`JobResult::scf`]). This module keeps the serial reference
+//! ([`serial_scf_loop`]), the outcome accessors ([`ScfOutcomeExt`]) and the
+//! name [`ScfService`]; `examples/scf_service_batch.rs` runs a batch.
 //!
-//! * **one engine and one plan cache** — a system resubmitted across
-//!   batches, or several specs with the same sparsity pattern, plan once;
-//!   every SCF iteration of every system replays a cached plan;
-//! * **the perfmodel-weighted LPT/steal machinery** — each spec's rank
-//!   group is sized by its *per-iteration* pattern cost times its
-//!   `scf.max_iter` iteration budget
-//!   ([`crate::sched::estimate_batch_job_cost`]), and straggler systems
-//!   are re-dealt over drained ranks between epochs exactly like one-shot
-//!   jobs;
-//! * **the telemetry spine** — every [`JobResult`] carries the whole-run
-//!   aggregated engine report plus per-iteration SCF telemetry
-//!   ([`JobResult::scf`]: iterations, converged flag, final energy and
-//!   electron count, per-iteration gather/scatter value bytes).
-//!
-//! This module keeps the serial reference ([`serial_scf_loop`]), the
-//! outcome accessors ([`ScfOutcomeExt`]) and the name [`ScfService`].
-//!
-//! ## Invariants (see `ARCHITECTURE.md`)
-//!
-//! SCF jobs add no new collective machinery, so the scheduler's
-//! load-bearing invariants carry over unchanged:
-//!
-//! * **Plan-cache hit/miss consensus stays per-group per-epoch.** An SCF
-//!   job re-enters the consensus allreduce once per iteration, always on
-//!   its group's current subcommunicator; the accounting identity
-//!   extends to `hits + builds = Σ_jobs group_size × iterations`.
-//! * **Batches are bitwise-identical to a serial loop of
-//!   [`sm_chem::ScfDriver`] runs** at any world size and any steal
-//!   schedule, in either ensemble: the engine's numeric phase is
-//!   bit-reproducible across group sizes and the model feedback touches
-//!   only locally-owned diagonal blocks (the `scf_service_equivalence`
-//!   suite pins this, mirroring `stealing_equivalence`). One caveat: the
-//!   *convergence decision* compares a group-summed energy against `tol`,
-//!   so iteration counts agree across group sizes provided no iteration's
-//!   `|ΔE|` lands within an ulp of `tol` (the per-iteration densities
-//!   themselves are unconditionally bitwise; see the
-//!   [`sm_chem::scf`] module docs).
-//!
-//! ## Example
-//!
-//! See `examples/scf_service_batch.rs` for a worked multi-system batch,
-//! and [`serial_scf_loop`] for the serial reference the equivalence suite
-//! compares against.
+//! SCF jobs add no collective machinery, so the invariants of
+//! ARCHITECTURE.md carry over: an SCF job enters the cache consensus once
+//! per iteration on its group's current subcommunicator (`hits + builds =
+//! Σ_jobs group_size × iterations`), and batches are bitwise-identical to a
+//! serial loop of [`sm_chem::ScfDriver`] runs at any world size and steal
+//! schedule, in either ensemble (`scf_service_equivalence`). Iteration
+//! counts agree across group sizes unless an iteration's `|ΔE|` lands
+//! within an ulp of `tol` (the [`sm_chem::scf`] module docs).
 
 use std::sync::Arc;
 

@@ -2,7 +2,8 @@
 //! is created per call"), counts of one 60-job batch of distinct patterns:
 //!
 //! * heap allocations per job through `JobQueue::run` — fingerprint, plan,
-//!   execute — under a committed ceiling;
+//!   execute — under a committed ceiling, and those of its cold
+//!   `plan_for_matrix` alone under one of their own;
 //! * how many more a job costs through `Scheduler::run(2, ..)`: the solves
 //!   and the planning are the same on both sides, so the difference is the
 //!   data path around them — input scatter, the ranks' shares and their
@@ -37,9 +38,17 @@ use sm_pipeline::{
 const EXTRA_ALLOCATIONS_PER_JOB_CEILING: f64 = 9.5;
 
 /// Committed ceiling on `JobQueue::run`'s allocations per job with a pool
-/// of two threads: the commit that last lowered it reads 74.4–74.9 (its
-/// parent 82.4–82.9), and the rest is slack for the pool threads' share.
-const QUEUE_ALLOCATIONS_PER_JOB_CEILING: f64 = 76.0;
+/// of two threads: the commit that last lowered it reads 42.7 (its parent
+/// 74.4–74.9: one set of copy-program buffers per submatrix, and a
+/// partition copied by every plan, view and matrix), and the rest is the
+/// same slack for the pool threads' share.
+const QUEUE_ALLOCATIONS_PER_JOB_CEILING: f64 = 43.8;
+
+/// Committed ceiling on a cold one-rank `plan_for_matrix` of a tiny job —
+/// the pattern gather, the pattern plan and the rank's view with its copy
+/// programs in three buffers: the commit that introduced it reads 13.0
+/// (its parent 37.05, one set of buffers per submatrix).
+const COLD_PLAN_ALLOCATIONS_CEILING: f64 = 14.0;
 
 /// Committed ceiling on the allocations of the batch's `plan_epochs` at
 /// world 2 (30 epochs): the commit that introduced it reads 245, of which
@@ -183,6 +192,7 @@ fn a_scheduled_tiny_job_stays_inside_its_allocation_budget() {
     let queue_ceiling = QUEUE_ALLOCATIONS_PER_JOB_CEILING
         + ALLOCATIONS_PER_POOL_THREAD * threads.saturating_sub(2) as f64 / JOBS as f64;
     let beyond_result = [0, 3].map(|k| warm_execute_beyond_result(&jobs[k]));
+    let cold_plan = cold_plan_allocations(&jobs);
     println!(
         "allocations per batch of {JOBS} tiny jobs: JobQueue::run {through_queue} \
          ({per_queued_job:.1} per job on {threads} pool threads, ceiling {queue_ceiling:.1}), \
@@ -190,7 +200,8 @@ fn a_scheduled_tiny_job_stays_inside_its_allocation_budget() {
          (ceiling {EXTRA_ALLOCATIONS_PER_JOB_CEILING}), starting {warm_threads} threads warm; \
          plan_epochs at world 2: {planning} over {} epochs, its schedule holding {held} \
          (ceiling {PLAN_ALLOCATIONS_CEILING}); a warm execute beyond its result: \
-         {} (5 blocks), {} (8 blocks)",
+         {} (5 blocks), {} (8 blocks); a cold plan_for_matrix: {cold_plan:.2} \
+         (ceiling {COLD_PLAN_ALLOCATIONS_CEILING})",
         schedule.epochs.len(),
         beyond_result[0],
         beyond_result[1]
@@ -219,6 +230,26 @@ fn a_scheduled_tiny_job_stays_inside_its_allocation_budget() {
         beyond_result[0], 2,
         "a warm one-rank execute allocates more beyond its result than the 2 committed"
     );
+    assert!(
+        cold_plan <= COLD_PLAN_ALLOCATIONS_CEILING,
+        "a cold plan_for_matrix makes {cold_plan:.2} allocations, over the committed \
+         ceiling of {COLD_PLAN_ALLOCATIONS_CEILING}"
+    );
+}
+
+/// Allocations per job of a cold one-rank `plan_for_matrix` over the
+/// batch's distinct patterns, on a cache cleared after one warm-up pass
+/// (which sizes the planner's per-thread scratch).
+fn cold_plan_allocations(jobs: &[MatrixJob]) -> f64 {
+    let engine = JobQueue::default().engine().clone();
+    let comm = SerialComm::new();
+    let plan_all = || {
+        jobs.iter()
+            .for_each(|j| drop(engine.plan_for_matrix(&j.matrix, &comm)))
+    };
+    plan_all();
+    engine.clear_cache();
+    allocations_during(plan_all) as f64 / jobs.len() as f64
 }
 
 /// Allocations of a warm `execute` of `job` on its cached plan, less those

@@ -69,8 +69,7 @@ fn main() {
     let pattern = kt.global_pattern(&comm);
     let mid = water.n_molecules() / 2;
     let spec = SubmatrixSpec::build(&pattern, kt.dims(), &[mid]);
-    let a =
-        (spec.walk(&pattern, kt.dims(), &mut Vec::new()).assembly).assemble(|r, c| kt.block(r, c));
+    let a = (spec.maps(&pattern, kt.dims()).assembly).assemble(|r, c| kt.block(r, c));
     let sparse = sparse_sign_iteration(&a, sys.mu, 2, 1e-10, 1e-8, 100).expect("sparse");
     let dense_ref = sm_linalg::sign::sign_eig(&{
         let mut s = a.clone();

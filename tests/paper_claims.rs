@@ -10,7 +10,7 @@ use sm_comsim::ClusterModel;
 use sm_core::assembly::SubmatrixSpec;
 use sm_core::engine::Grouping;
 use sm_core::model::{model_newton_schulz_run, model_submatrix_run, ns_iteration_estimate};
-use sm_core::transfers::{RankTransferPlan, TransferStats};
+use sm_core::transfers::{TransferStats, UniqueIds};
 use sm_core::PatternPlan;
 use sm_dbcsr::{BlockedDims, CooPattern};
 
@@ -184,11 +184,11 @@ fn claim_contiguous_mapping_buffers_less() {
     // contiguous chunk per rank buffers fewer bytes than dealing the
     // submatrices round-robin, and the gap widens with the rank count.
     let (pattern, dims) = pattern_for(3, 1e-5);
-    let blocks: Vec<Vec<(usize, usize)>> = (0..pattern.nb())
+    let blocks: Vec<Vec<usize>> = (0..pattern.nb())
         .map(|c| {
-            let mut blocks = Vec::new();
-            SubmatrixSpec::build(&pattern, &dims, &[c]).walk(&pattern, &dims, &mut blocks);
-            blocks
+            let mut ids = Vec::new();
+            SubmatrixSpec::build(&pattern, &dims, &[c]).walk(&pattern, &dims, &mut ids, None);
+            ids
         })
         .collect();
     let mut prev_ratio = 1.0;
@@ -196,8 +196,9 @@ fn claim_contiguous_mapping_buffers_less() {
         let round_robin: u64 = (0..*ranks)
             .map(|rank| {
                 let dealt = blocks.iter().enumerate().filter(|(i, _)| i % ranks == rank);
-                let mine = dealt.flat_map(|(_, b)| b).copied().collect();
-                RankTransferPlan::from_blocks(mine).unique_bytes(&dims)
+                let mine: Vec<usize> = dealt.flat_map(|(_, b)| b).copied().collect();
+                let unique = UniqueIds::default().of(&mine, pattern.nnz()).to_vec();
+                TransferStats::of_rank(&unique, mine.len(), &pattern, &dims).unique_bytes
             })
             .sum();
         let ratio = round_robin as f64 / contiguous.unique_bytes as f64;

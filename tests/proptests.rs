@@ -138,7 +138,7 @@ proptest! {
         let spec = SubmatrixSpec::build(&pattern, &dims, &[col]);
         // Identity on the submatrix extracts identity-pattern blocks.
         let f_a = Matrix::identity(spec.dim);
-        let blocks = spec.walk(&pattern, &dims, &mut Vec::new()).extraction.extract(&f_a);
+        let blocks = spec.maps(&pattern, &dims).extraction.extract(&f_a);
         for ((br, bc), blk) in blocks {
             prop_assert_eq!(bc, col);
             if br == col {
@@ -199,7 +199,8 @@ proptest! {
         let total: f64 = costs.iter().sum();
         let target = total / n_ranks as f64;
         let max_item = costs.iter().fold(0.0f64, |m, &c| m.max(c));
-        for load in a.loads(&costs) {
+        for r in &a.ranges {
+            let load: f64 = costs[r.clone()].iter().sum();
             prop_assert!(load <= target + max_item + 1e-9);
         }
     }
@@ -226,7 +227,7 @@ proptest! {
         let m = DbcsrMatrix::from_dense(&dense, dims.clone(), 0, 1, 0.0);
         let col = nb / 2;
         let spec = SubmatrixSpec::build(&pattern, &dims, &[col]);
-        let a = spec.walk(&pattern, &dims, &mut Vec::new()).assembly.assemble(|r, c| m.block(r, c));
+        let a = spec.maps(&pattern, &dims).assembly.assemble(|r, c| m.block(r, c));
         // The assembled matrix equals the dense principal minor over the
         // spec's element rows wherever the pattern is nonzero.
         let idx: Vec<usize> = spec
