@@ -43,7 +43,7 @@ pub fn pade3_trace<T: SignElem>(a: &Matrix, mu: f64, steps: usize) -> Trace {
         tol: -1.0,
         max_iter: steps,
     };
-    let r = sign_iteration_in(&shifted.cast::<T>(), 3, window, false, |_, x| {
+    let r = sign_iteration_in(shifted.cast::<T>(), 3, window, false, |_, x| {
         let x = x.cast::<f64>();
         involutority.push(involutority_residual(&matmul(&x, &x).expect("square")));
         energy.push(band_energy_of_sign(&x, a));

@@ -125,7 +125,7 @@ impl SubmatrixEngine {
                 // stored decompositions (one allgather), and evaluate the
                 // sign once, at the adjusted µ.
                 let decompositions: Vec<Eigh> = self.map_specs(plan, |&i| {
-                    decompose(&plan.assembly[i].assemble(block_of), precision)
+                    decompose(plan.assembly[i].assemble(block_of), precision)
                 });
                 let stored: Vec<StoredDecomposition> = decompositions
                     .iter()
@@ -163,8 +163,7 @@ impl SubmatrixEngine {
             }
             Ensemble::GrandCanonical => {
                 let sparse = self.map_specs(plan, |&i| {
-                    let a = plan.assembly[i].assemble(block_of);
-                    let r = solve_sign(&a, mu0, &numeric.solve)?;
+                    let r = solve_sign(plan.assembly[i].assemble(block_of), mu0, &numeric.solve)?;
                     plan.extraction[i].extract_each(&r.sign, false, put);
                     Ok(r.sparse)
                 });

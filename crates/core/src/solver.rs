@@ -6,13 +6,14 @@
 //! [`eigh`], on `dsyev`'s path), which also enables canonical-ensemble µ
 //! adjustment (Algorithm 1) and finite-temperature purification for free.
 
+use std::borrow::Cow;
+
 use sm_linalg::eigh::{eigh, Eigh};
 use sm_linalg::elem::F32_SIGN_TOL;
 use sm_linalg::fermi::smeared_sign;
 use sm_linalg::gemm::q_diag_qt_cols;
 use sm_linalg::sign::{
-    extended_signum, refine_sign_newton_schulz, sign_iteration, sign_iteration_in,
-    SignIterationOptions,
+    extended_signum, refine_sign_newton_schulz, sign_iteration_in, SignIterationOptions,
 };
 use sm_linalg::{LinalgError, Matrix, Precision};
 
@@ -145,17 +146,27 @@ pub fn round_sign_output(sign: &mut Matrix, precision: Precision) {
 /// wire/device memory would hold). Idempotent with the f32 gather, so
 /// every execution path solves the same matrix. There is no native f32
 /// eigensolver — this models storage precision; the iterative methods
-/// model compute too.
-pub fn decompose(a: &Matrix, precision: Precision) -> Result<Eigh, LinalgError> {
+/// model compute too. An owned `a` is rounded in place.
+pub fn decompose<'a>(
+    a: impl Into<Cow<'a, Matrix>>,
+    precision: Precision,
+) -> Result<Eigh, LinalgError> {
+    let mut a = a.into();
     if precision.storage_is_f32() {
-        eigh(&a.round_f32_storage())
-    } else {
-        eigh(a)
+        a.to_mut().round_f32_storage_in_place();
     }
+    eigh(&a)
 }
 
-/// Evaluate `sign(a − µI)` on one dense symmetric submatrix.
-pub fn solve_sign(a: &Matrix, mu: f64, opts: &SolveOptions) -> Result<SolveResult, LinalgError> {
+/// Evaluate `sign(a − µI)` on one dense symmetric submatrix. A borrowed `a`
+/// is copied once; an owned one never is: the `f64` iteration shifts it and
+/// iterates in it, the `f32` ones drop it once converted.
+pub fn solve_sign<'a>(
+    a: impl Into<Cow<'a, Matrix>>,
+    mu: f64,
+    opts: &SolveOptions,
+) -> Result<SolveResult, LinalgError> {
+    let a = a.into();
     match opts.method {
         SignMethod::Diagonalization => {
             let dec = decompose(a, opts.precision)?;
@@ -179,16 +190,11 @@ pub fn solve_sign(a: &Matrix, mu: f64, opts: &SolveOptions) -> Result<SolveResul
             if opts.precision.storage_is_f32() {
                 return solve_sign_iterative_f32(a, mu, order, opts);
             }
-            let mut shifted = a.clone();
+            let mut shifted = a.into_owned();
             shifted.shift_diag(-mu);
-            let r = sign_iteration(
-                &shifted,
-                order,
-                SignIterationOptions {
-                    tol: opts.tol,
-                    max_iter: opts.max_iter,
-                },
-            )?;
+            let (tol, max_iter) = (opts.tol, opts.max_iter);
+            let window = SignIterationOptions { tol, max_iter };
+            let r = sign_iteration_in(shifted, order, window, false, |_, _| {})?;
             if !r.converged {
                 return Err(LinalgError::NoConvergence {
                     op: "submatrix sign iteration",
@@ -227,25 +233,18 @@ fn sparse_stats_of(r: &sm_linalg::sparse::SparseSignResult, n: usize) -> SparseS
 /// `Fp32` rounds the result back to `f32` storage, and `Fp32Refined`
 /// applies one dense `f64` Newton–Schulz refinement pass.
 fn solve_sign_sparse_csr(
-    a: &Matrix,
+    mut a: Cow<'_, Matrix>,
     mu: f64,
     order: usize,
     opts: &SolveOptions,
 ) -> Result<SolveResult, LinalgError> {
-    let storage_rounded;
-    let input = if opts.precision.storage_is_f32() {
-        storage_rounded = a.round_f32_storage();
-        &storage_rounded
-    } else {
-        a
-    };
-    let tol = if opts.precision.storage_is_f32() {
-        opts.tol.max(F32_SIGN_TOL)
-    } else {
-        opts.tol
-    };
+    let mut tol = opts.tol;
+    if opts.precision.storage_is_f32() {
+        a.to_mut().round_f32_storage_in_place();
+        tol = tol.max(F32_SIGN_TOL);
+    }
     let r = sm_linalg::sparse::sparse_sign_iteration(
-        input,
+        &a,
         mu,
         order,
         opts.sparse_eps,
@@ -281,16 +280,18 @@ fn solve_sign_sparse_csr(
 /// The input is rounded to `f32` first and the µ shift applied in `f32`,
 /// so the solve is bitwise-identical whether the values arrived over an
 /// `f32` wire (distributed gather) or straight from local `f64` storage.
+/// Each precision's copy is dropped once the next is made.
 fn solve_sign_iterative_f32(
-    a: &Matrix,
+    a: Cow<'_, Matrix>,
     mu: f64,
     order: usize,
     opts: &SolveOptions,
 ) -> Result<SolveResult, LinalgError> {
     let mut shifted = a.to_f32();
+    drop(a);
     shifted.shift_diag(-(mu as f32));
     let r = sign_iteration_in(
-        &shifted,
+        shifted,
         order,
         SignIterationOptions {
             // f32 iterates bottom out near n·ε_f32: chase no f64 tolerance.
@@ -306,8 +307,8 @@ fn solve_sign_iterative_f32(
             iterations: r.trace.len(),
         });
     }
-    let mut sign = r.sign.to_f64();
-    let mut iterations = r.trace.len();
+    let (mut sign, mut iterations) = (r.sign.to_f64(), r.trace.len());
+    drop(r);
     if opts.precision == Precision::Fp32Refined {
         sign = refine_sign_newton_schulz(&sign)?;
         iterations += 1;
@@ -695,6 +696,39 @@ mod precision_tests {
                     direct.sign.allclose(&wired.sign, 0.0),
                     "{method:?}/{prec:?} diverged after wire rounding"
                 );
+            }
+        }
+    }
+
+    /// A block handed over by value solves to the bits of the same block
+    /// lent: the owned path shifts, rounds and iterates in the caller's
+    /// buffer, the borrowed one in its copy, with the same operations.
+    #[test]
+    fn owned_and_borrowed_inputs_solve_to_the_same_bits() {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for n in [12usize, 40] {
+            let a = banded(n);
+            for prec in Precision::all() {
+                let methods = [
+                    SignMethod::Diagonalization,
+                    SignMethod::Pade(2),
+                    SignMethod::Pade(3),
+                ];
+                for (method, backend) in methods
+                    .into_iter()
+                    .map(|m| (m, SolveBackend::Dense))
+                    .chain([2, 3].map(|p| (SignMethod::Pade(p), SolveBackend::SparseCsr)))
+                {
+                    let opts = SolveOptions {
+                        backend,
+                        ..with_precision(method, prec)
+                    };
+                    let lent = solve_sign(&a, 0.05, &opts).unwrap();
+                    let owned = solve_sign(a.clone(), 0.05, &opts).unwrap();
+                    let case = format!("n={n} {prec:?} {method:?} {backend:?}");
+                    assert_eq!(bits(&owned.sign), bits(&lent.sign), "{case}");
+                    assert_eq!(owned.iterations, lent.iterations, "{case}");
+                }
             }
         }
     }

@@ -466,6 +466,21 @@ impl<E: Elem> std::ops::IndexMut<(usize, usize)> for MatrixBase<E> {
     }
 }
 
+/// A borrowed matrix as a [`Cow`](std::borrow::Cow): a callee that needs
+/// its own copy (`solve_sign`) makes one; a caller done with its matrix
+/// hands it over instead and the callee works in it.
+impl<'a, E: Elem> From<&'a MatrixBase<E>> for std::borrow::Cow<'a, MatrixBase<E>> {
+    fn from(m: &'a MatrixBase<E>) -> Self {
+        std::borrow::Cow::Borrowed(m)
+    }
+}
+
+impl<E: Elem> From<MatrixBase<E>> for std::borrow::Cow<'_, MatrixBase<E>> {
+    fn from(m: MatrixBase<E>) -> Self {
+        std::borrow::Cow::Owned(m)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,7 +11,9 @@
 //!   Newton–Schulz, order 3 reproduces Eq. 19 used in the GPU/FPGA study.
 //!   [`sign_iteration_in`] is the one implementation: the engine runs it in
 //!   `f64` and `f32`, and Figs. 12–13 run it over `sm_accel`'s binary16
-//!   and FPGA element types, watching each step through its observer.
+//!   and FPGA element types, watching each step through its observer. It
+//!   takes its input by value and scales it into the iterate, so a solve
+//!   holds the input and three work buffers of `n²` each, no more.
 
 use crate::eigh::eigh;
 use crate::elem::Elem;
@@ -148,13 +150,18 @@ pub fn pade_coefficients(order: usize) -> Vec<f64> {
 /// the element type (the reduced-precision execution path runs this very
 /// kernel in `f32`).
 ///
+/// The input becomes the iterate: `A` is scaled in place into `X₀`, so the
+/// iteration holds four `n²` buffers, `X` and three work buffers allocated
+/// once. A caller that keeps its matrix passes a clone ([`sign_iteration`]
+/// does).
+///
 /// Every step computes `Y = X²` (also used for the convergence test), then
 /// evaluates the order-`p` polynomial in `Y` by Horner's rule in the
 /// variable `E = I − Y`, and finally multiplies by `X` — `p + 1` multiplies
-/// per step, into four buffers allocated once. With `wide_acc = true` the `f32`
-/// instance accumulates every multiply in `f64`
-/// ([`matmul_wide`](crate::gemm::matmul_wide)) — single-precision storage,
-/// double-precision sums; the flag is a no-op for `f64`.
+/// per step. With `wide_acc = true` the `f32` instance accumulates every
+/// multiply in `f64` ([`matmul_wide`](crate::gemm::matmul_wide)) —
+/// single-precision storage, double-precision sums; the flag is a no-op for
+/// `f64`.
 ///
 /// `observe(k, X)` sees the iterate after step `k`'s update; the engine
 /// passes a no-op, which compiles away.
@@ -163,7 +170,7 @@ pub fn pade_coefficients(order: usize) -> Vec<f64> {
 /// [`LinalgError::NonFinite`] before the first multiply, not as
 /// `converged = false` after the whole iteration budget.
 pub fn sign_iteration_in<E: SignElem>(
-    a: &MatrixBase<E>,
+    a: MatrixBase<E>,
     order: usize,
     opts: SignIterationOptions,
     wide_acc: bool,
@@ -182,8 +189,8 @@ pub fn sign_iteration_in<E: SignElem>(
 
     // `X₀ = A / spectral_bound(A)` starts the iteration inside its
     // convergence region.
-    let mut x = a.clone();
-    let bound = spectral_bound(a);
+    let bound = spectral_bound(&a);
+    let mut x = a;
     if bound > 0.0 {
         x.scale(E::from_f64(1.0 / bound));
     }
@@ -237,13 +244,14 @@ pub fn sign_iteration_in<E: SignElem>(
     })
 }
 
-/// Double-precision Padé sign iteration (the historical entry point).
+/// Double-precision Padé sign iteration (the historical entry point) on a
+/// copy of `a`.
 pub fn sign_iteration(
     a: &Matrix,
     order: usize,
     opts: SignIterationOptions,
 ) -> Result<SignIterationResult, LinalgError> {
-    sign_iteration_in(a, order, opts, false, |_, _| {})
+    sign_iteration_in(a.clone(), order, opts, false, |_, _| {})
 }
 
 /// One double-precision Newton–Schulz step `X ← X·(3I − X²)/2` — the cheap
@@ -412,10 +420,11 @@ mod tests {
             let bits = |m: &MatrixBase<E>| -> Vec<u64> {
                 m.as_slice().iter().map(|v| v.to_f64().to_bits()).collect()
             };
-            let quiet = sign_iteration_in(a, order, opts, wide, |_, _| {}).unwrap();
+            let quiet = sign_iteration_in(a.clone(), order, opts, wide, |_, _| {}).unwrap();
             let mut last = None;
             let watched =
-                sign_iteration_in(a, order, opts, wide, |_, x| last = Some(bits(x))).unwrap();
+                sign_iteration_in(a.clone(), order, opts, wide, |_, x| last = Some(bits(x)))
+                    .unwrap();
             assert_eq!(bits(&watched.sign), bits(&quiet.sign));
             assert_eq!(last, Some(bits(&quiet.sign)));
             let residuals = |r: &SignIterationResultIn<E>| -> Vec<u64> {
@@ -440,7 +449,7 @@ mod tests {
             tol: -1.0,
             max_iter: 7,
         };
-        let r = sign_iteration_in(&a, 3, window, false, |k, _| steps.push(k)).unwrap();
+        let r = sign_iteration_in(a, 3, window, false, |k, _| steps.push(k)).unwrap();
         assert!(!r.converged);
         assert_eq!(steps, (0..7).collect::<Vec<_>>());
     }
@@ -451,7 +460,7 @@ mod tests {
         let s_ref = sign_eig(&a).unwrap();
         for wide in [false, true] {
             let r = sign_iteration_in(
-                &a.to_f32(),
+                a.to_f32(),
                 2,
                 SignIterationOptions {
                     tol: crate::elem::F32_SIGN_TOL,
@@ -472,7 +481,7 @@ mod tests {
         let a = gapped_matrix(12);
         let s_ref = sign_eig(&a).unwrap();
         let r32 = sign_iteration_in(
-            &a.to_f32(),
+            a.to_f32(),
             2,
             SignIterationOptions {
                 tol: crate::elem::F32_SIGN_TOL,
@@ -512,7 +521,7 @@ mod tests {
             let opts = SignIterationOptions::default();
             assert_eq!(sign_iteration(&a, 3, opts).unwrap_err(), expect);
             assert_eq!(
-                sign_iteration_in(&a.to_f32(), 3, opts, true, |_, _| {}).unwrap_err(),
+                sign_iteration_in(a.to_f32(), 3, opts, true, |_, _| {}).unwrap_err(),
                 expect
             );
         }

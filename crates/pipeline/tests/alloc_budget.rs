@@ -13,17 +13,23 @@
 //! * the allocations of the batch's epoch schedule (`plan_epochs` at world
 //!   2), under a committed ceiling;
 //! * what a warm `execute` on a cached plan allocates beyond the result it
-//!   returns, which must not grow with the number of submatrices.
+//!   returns, which must not grow with the number of submatrices;
+//! * the most heap bytes a Padé-3 `solve_sign` of an owned 256-dimensional
+//!   block holds at once above its input, per precision: the four `n²`
+//!   buffers of the iteration and the GEMM's pack buffers, no copy of the
+//!   input.
 //!
-//! One `#[test]` in a binary of its own: the counter is process-wide, and
-//! a second test running beside it would be counted too.
+//! The counters are process-wide, so the tests of this binary take turns
+//! (`ONE_AT_A_TIME`): a test running beside another would be counted too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use sm_comsim::SerialComm;
+use sm_core::solver::{solve_sign, SignMethod, SolveOptions};
 use sm_dbcsr::{BlockedDims, DbcsrMatrix};
-use sm_linalg::Matrix;
+use sm_linalg::{Matrix, Precision};
 use sm_pipeline::{
     estimate_batch_job_cost, plan_epochs, BatchJob, JobQueue, MatrixJob, RankBudget, Scheduler,
     StealPolicy,
@@ -61,22 +67,52 @@ const ALLOCATIONS_PER_POOL_THREAD: f64 = 40.0;
 
 const JOBS: usize = 60;
 
-/// `System`, counting every allocation and reallocation it serves.
+/// Dimension of the dense solve whose high-water mark is measured: the
+/// size at which its products first split into one column panel per pool
+/// thread (`PAR_THRESHOLD_FLOPS = 2 · 256³`).
+const DENSE_N: usize = 256;
+
+/// Bytes of one GEMM pack buffer at depth `KC = 256`: a packed block of at
+/// most 128 rows of `op(A)`, a panel of at most 128 columns of `op(B)` and
+/// one tile of at most 128 × 16, all in `f64` (the engine's `f32`
+/// iteration packs in `f64` too). Each column panel of a product packs
+/// into one of these.
+const PACK_BYTES: u64 = ((256 * (128 + 128) + 128 * 16) * 8) as u64;
+
+/// `System`, counting every allocation and reallocation it serves and the
+/// bytes live, with their peak.
 struct Counting;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
+static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// Taken by every test for its whole run, so none is counted in another's
+/// figures.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn grow(bytes: usize) {
+    let live = LIVE_BYTES.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
+    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+}
+
+fn shrink(bytes: usize) {
+    LIVE_BYTES.fetch_sub(bytes as u64, Ordering::Relaxed);
+}
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a relaxed statistic
-// that publishes no other data.
+// upholds the `GlobalAlloc` contract; the counters are relaxed statistics
+// that publish no other data.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        grow(layout.size());
         // SAFETY: the caller's `alloc` obligations are `System::alloc`'s.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        shrink(layout.size());
         // SAFETY: `ptr` came from `System` through this allocator with
         // this `layout`, as the caller guarantees.
         unsafe { System.dealloc(ptr, layout) }
@@ -84,12 +120,17 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        grow(layout.size());
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // Counted as the new block's allocation before the old one's
+        // release: the moment both are live.
+        grow(new_size);
+        shrink(layout.size());
         // SAFETY: `ptr`, `layout` and `new_size` are passed through as the
         // caller guarantees them for `System`'s own block.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -104,6 +145,74 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     f();
     ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
+/// The most heap bytes live at once while `f` runs, above those live when
+/// it started, and `f`'s result.
+fn peak_bytes_above_start<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let start = LIVE_BYTES.load(Ordering::Relaxed);
+    PEAK_BYTES.store(start, Ordering::Relaxed);
+    let r = f();
+    (PEAK_BYTES.load(Ordering::Relaxed) - start, r)
+}
+
+/// A gapped symmetric block: diagonal ±1 with couplings halving per step
+/// from 0.1, so every eigenvalue lies within 0.2 of ±1.
+fn gapped_block(n: usize) -> Matrix {
+    Matrix::from_fn(n, n, |i, j| match i.abs_diff(j) {
+        0 if i % 2 == 0 => 1.0,
+        0 => -1.0,
+        d => 0.1 * 0.5f64.powi(d as i32),
+    })
+}
+
+/// A Padé-3 `solve_sign` of an owned `DENSE_N`-dimensional block iterates
+/// in the block it is handed: above its input it holds at most the four
+/// `n²` buffers of the iteration in the precision's storage, and for
+/// `Fp32Refined` the three `f64` buffers of the refinement step, plus one
+/// pack buffer per column panel of a product. A copy of the input on top
+/// (a clone to shift, a clone to iterate in, the `f64` block kept beside
+/// the `f32` iteration, or the `f32` iterate kept beside the refinement)
+/// exceeds the bound.
+#[test]
+fn dense_solve_keeps_four_n2_buffers() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let a = gapped_block(DENSE_N);
+    let n2 = (DENSE_N * DENSE_N) as u64;
+    let panels = rayon::current_num_threads() as u64;
+    let mib = |bytes: u64| bytes as f64 / (1024.0 * 1024.0);
+    for precision in Precision::all() {
+        let opts = SolveOptions {
+            method: SignMethod::Pade(3),
+            precision,
+            ..SolveOptions::default()
+        };
+        let input = a.clone();
+        let (peak, r) = peak_bytes_above_start(|| solve_sign(input, 0.0, &opts));
+        let r = r.expect("a gapped block converges");
+        let buffers = match precision {
+            Precision::Fp64 => 4 * 8 * n2,
+            Precision::Fp32 => 4 * 4 * n2,
+            Precision::Fp32Refined => 3 * 8 * n2,
+        };
+        let bound = buffers + panels * PACK_BYTES;
+        println!(
+            "{}: Padé-3 solve at n = {DENSE_N} ({} iterations) holds {:.3} MiB above its \
+             {:.3} MiB input (bound {:.3} MiB: {:.3} MiB of n² buffers and {panels} pack \
+             buffers)",
+            precision.label(),
+            r.iterations,
+            mib(peak),
+            mib(8 * n2),
+            mib(bound),
+            mib(buffers)
+        );
+        assert!(
+            peak <= bound,
+            "{}: the solve held {peak} bytes above its input, over {bound}",
+            precision.label()
+        );
+    }
 }
 
 /// `JOBS` gapped matrices of 5–8 blocks of size 2 with `JOBS` distinct
@@ -144,6 +253,7 @@ fn tiny_jobs() -> Vec<MatrixJob> {
 
 #[test]
 fn a_scheduled_tiny_job_stays_inside_its_allocation_budget() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let jobs = tiny_jobs();
     let patterns: std::collections::BTreeSet<_> =
         jobs.iter().map(|j| j.matrix.store().coords()).collect();
